@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.strategy import MigrationReport
-from repro.metrics.log import EventLog
+from repro.metrics.log import EventLog, replay_emits_since
 from repro.metrics.timeline import stabilization_time
 
 
@@ -113,7 +113,7 @@ def compute_migration_metrics(
         end=end_time,
     )
 
-    replay_count = sum(1 for emit in log.source_emits if emit.replay_count > 0 and emit.time >= requested_at)
+    replay_count = replay_emits_since(log, requested_at)
     # Captured pending events (CCR) are persisted before the kill, so only the
     # queued events lost with killed executors count as in-flight loss.
     lost = sum(k.queued_events_lost for k in log.kills if k.time >= requested_at)

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.engine.runtime import TopologyRuntime
+from repro.metrics.log import mean_latency
 
 
 @dataclass(frozen=True)
@@ -104,14 +105,11 @@ class ElasticityMonitor:
         emits = runtime.log.source_emits
         receipts = runtime.log.sink_receipts
         new_emits = len(emits) - self._emit_index
-        new_receipts = receipts[self._receipt_index:]
+        new_receipts = len(receipts) - self._receipt_index
+        avg_latency = mean_latency(receipts, start=self._receipt_index)
         self._emit_index = len(emits)
         self._receipt_index = len(receipts)
         self._last_sample_time = now
-
-        avg_latency: Optional[float] = None
-        if new_receipts:
-            avg_latency = sum(r.latency_s for r in new_receipts) / len(new_receipts)
 
         source_backlog = sum(s.backlog_size for s in runtime.source_executors)
         # Events generated in the interval = events emitted + backlog growth
@@ -124,7 +122,7 @@ class ElasticityMonitor:
             time=now,
             input_rate=new_emits / interval,
             offered_rate=max(0.0, generated / interval),
-            output_rate=len(new_receipts) / interval,
+            output_rate=new_receipts / interval,
             avg_latency_s=avg_latency,
             queue_backlog=sum(e.queue_length for e in runtime.user_executors),
             source_backlog=source_backlog,

@@ -111,7 +111,7 @@ class ChaosRunResult:
     @property
     def replayed_messages(self) -> int:
         """Source emissions that were replays of failed tuple trees."""
-        return sum(1 for emit in self.log.source_emits if emit.replay_count > 0)
+        return self.log.replay_emits
 
     @property
     def recoveries(self) -> List[RecoveryRecord]:

@@ -26,6 +26,7 @@ from repro.dataflow import topologies
 from repro.dataflow.event import reset_event_ids
 from repro.elastic.controller import ControllerConfig, ScalingAction
 from repro.elastic.planner import AllocationPlanner
+from repro.metrics.log import mean_latency
 from repro.multi import ClusterManager, Deferral, FleetSample
 from repro.workloads.profiles import StepProfile
 
@@ -178,9 +179,6 @@ def surge_window(duration_s: float, index: int) -> Tuple[float, float]:
 def _summarize_tenant(manager: ClusterManager, name: str) -> TenantSummary:
     tenant = manager.tenant(name)
     receipts = tenant.runtime.log.sink_receipts
-    mean_latency = (
-        sum(r.latency_s for r in receipts) / len(receipts) if receipts else float("inf")
-    )
     backlogs = [s.queue_backlog + s.source_backlog for s in tenant.monitor.samples]
     windows = [
         (action.enacted_at, action.completed_at)
@@ -192,7 +190,7 @@ def _summarize_tenant(manager: ClusterManager, name: str) -> TenantSummary:
         dag=tenant.dataflow.name,
         strategy=tenant.strategy,
         priority=tenant.priority,
-        mean_sink_latency_s=mean_latency,
+        mean_sink_latency_s=mean_latency(receipts, empty=float("inf")),
         receipts=len(receipts),
         peak_backlog=max(backlogs) if backlogs else 0,
         final_backlog=backlogs[-1] if backlogs else 0,

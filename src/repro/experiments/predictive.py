@@ -32,6 +32,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 from repro.dataflow import topologies
 from repro.elastic import ControllerConfig
 from repro.experiments.elastic import ElasticRunResult, run_elastic_experiment
+from repro.metrics.log import mean_latency
 from repro.workloads.profiles import RampProfile, RateProfile, StepProfile, profile_by_name
 
 #: Policies compared by default, in report order.
@@ -150,10 +151,6 @@ def _summarize(
     slo_latency_s: float,
     surge_start_s: Optional[float],
 ) -> PredictiveRunSummary:
-    receipts = result.log.sink_receipts
-    mean_latency = (
-        sum(r.latency_s for r in receipts) / len(receipts) if receipts else float("inf")
-    )
     backlogs = [s.queue_backlog + s.source_backlog for s in result.samples]
     outs = result.scale_outs()
     first_out = min((a.decided_at for a in outs), default=None)
@@ -165,7 +162,7 @@ def _summarize(
         result=result,
         slo_latency_s=slo_latency_s,
         slo_violation_s=result.monitor.slo_violation_seconds(slo_latency_s),
-        mean_sink_latency_s=mean_latency,
+        mean_sink_latency_s=mean_latency(result.log.sink_receipts, empty=float("inf")),
         peak_backlog=max(backlogs) if backlogs else 0,
         first_scale_out_at=first_out,
         provision_lead_s=lead,

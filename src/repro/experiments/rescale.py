@@ -28,6 +28,7 @@ from typing import Dict, Optional
 from repro.dataflow import topologies
 from repro.elastic import ControllerConfig
 from repro.experiments.elastic import ElasticRunResult, run_elastic_experiment
+from repro.metrics.log import mean_latency
 from repro.workloads.profiles import StepProfile
 
 
@@ -103,16 +104,12 @@ class RescaleComparisonResult:
 
 def _summarize(result: ElasticRunResult, mode: str, window_start_s: float) -> RescaleRunSummary:
     receipts = result.log.receipts_after(window_start_s)
-    if receipts:
-        mean_latency = sum(r.latency_s for r in receipts) / len(receipts)
-    else:
-        mean_latency = float("inf")
     window_samples = [s for s in result.samples if s.time >= window_start_s]
     backlogs = [s.queue_backlog + s.source_backlog for s in window_samples]
     return RescaleRunSummary(
         mode=mode,
         result=result,
-        mean_sink_latency_s=mean_latency,
+        mean_sink_latency_s=mean_latency(receipts, empty=float("inf")),
         peak_backlog=max(backlogs) if backlogs else 0,
         final_backlog=backlogs[-1] if backlogs else 0,
         receipts=len(receipts),

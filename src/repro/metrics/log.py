@@ -9,35 +9,50 @@ analysing them offline.
 Index design
 ------------
 The log is append-only and simulated time never goes backwards, so the record
-lists are monotone in time.  Next to each hot list the log maintains a plain
-``List[float]`` of the record times (:attr:`EventLog.emit_times`,
-:attr:`EventLog.receipt_times`); every windowed query
-(``receipts_after/between``, ``emits_between``, ``first_receipt_after``, the
-recovery-metric scans) binary-searches those arrays with :mod:`bisect` instead
-of scanning the whole list — monitors and metrics issue these queries every
-sample, which made the naive linear scans quadratic over a long run.
-``distinct_roots_received`` is maintained incrementally for the same reason.
+streams are monotone in time and every windowed query (``receipts_after`` /
+``receipts_between`` / ``emits_between`` / ``first_receipt_after``, the
+recovery-metric scans) is a binary search plus a contiguous range.  The public
+queries are defined once, on :class:`EventLog`; the two backends differ only in
+the private index hooks underneath them (``_receipt_index``, ``_receipt_rows``,
+``_last_old_index``, ...).
+
+:class:`EventLog` itself is the row store: lists of dataclass records with
+parallel ``List[float]`` time indexes searched by :mod:`bisect`.  It is the
+reference the columnar backend is tested against, and the fallback when numpy
+is missing.
 
 Columnar backend
 ----------------
 :class:`ColumnarEventLog` stores the two hot streams (emits, receipts) as
-numpy struct-of-arrays instead of lists of dataclass rows: one growable
-float64/int64 column per field, with task names interned into a shared string
-table.  The query API stays bit-compatible — ``source_emits``,
-``sink_receipts``, ``emit_times`` and ``receipt_times`` become lazy row views
-that only materialize :class:`SourceEmit`/:class:`SinkReceipt` objects (or
-Python floats) when a record is actually touched, so every bisect-indexed
-query above works unchanged.  The payoff is the write path: the batch
-stepper's vectorized cascade hands whole arrays to
-:meth:`EventLog.extend_emits`/:meth:`EventLog.extend_receipts` and the
-columnar backend appends them with numpy copies, no per-event Python object.
+numpy struct-of-arrays: one growable float64/int64 column per field, with task
+names interned into a shared string table.  Both sides of the log then run on
+the columns:
+
+* **writes** -- the batch stepper's vectorized cascade hands whole arrays to
+  :meth:`EventLog.extend_emits` / :meth:`EventLog.extend_receipts`, appended
+  with numpy copies, no per-event Python object;
+* **reads** -- time lookups are ``np.searchsorted`` on the live column prefix;
+  window queries return a *lazy window* (a :class:`_RowsView` over
+  ``[lo, hi)``: O(1) ``len``, list-compatible ``==`` / iteration / truthiness,
+  rows materialized only for the indexes and slices actually touched, slices
+  returning plain lists); first-emit-per-root is one
+  ``np.unique(..., return_index=True)`` over the emit-root column, cached
+  behind a sync cursor; the recovery scans are boolean masks over column
+  slices.
+
+Reductions over a window (:func:`mean_latency`, :func:`replay_emits_since`)
+read the columns too, with one rule: a float reduction that can reach a
+control decision or a committed output is a *sequential* Python ``sum`` over
+``(time - emitted).tolist()``, never ``np.sum`` / ``np.mean`` -- numpy sums
+pairwise, which moves the low bits and with them scaling-action sequences and
+the committed ``results/``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 try:  # numpy is baked into the image; guard anyway so the engine degrades.
     import numpy as _np
@@ -61,6 +76,14 @@ def _as_list(values: Any) -> List:
     if tolist is not None:
         return tolist()
     return list(values)
+
+
+def _out_of_order(stream: str) -> ValueError:
+    """The error for a bulk append that would break the monotone time index."""
+    return ValueError(
+        f"{stream} times must be non-decreasing and start at or after the last "
+        f"recorded {stream} time (every windowed query binary-searches them)"
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,6 +224,15 @@ class EventLog:
         self._roots_received.add(root_id)
 
     # ----------------------------------------------------------- bulk appends
+    @staticmethod
+    def _check_block(times_l: List[float], recorded: List[float], stream: str) -> None:
+        # ``sorted`` of an already sorted list is one C-level pass, as is the
+        # list comparison: no per-record bytecode on the bulk path.
+        if times_l and (
+            (recorded and times_l[0] < recorded[-1]) or sorted(times_l) != times_l
+        ):
+            raise _out_of_order(stream)
+
     def extend_emits(
         self,
         times: Sequence[float],
@@ -212,13 +244,16 @@ class EventLog:
         """Bulk-append one source's fresh emission cohort.
 
         ``times`` must be non-decreasing and start at or after the last
-        recorded emit time; ``root_ids`` must be first emissions (the batch
-        stepper reserves fresh ids per cohort).  Accepts any sequence,
-        including numpy arrays — values are normalized to Python scalars so
-        materialized records are indistinguishable from per-event recording.
+        recorded emit time (``ValueError`` otherwise: an out-of-order block
+        would corrupt every windowed query); ``root_ids`` must be first
+        emissions (the batch stepper reserves fresh ids per cohort).  Accepts
+        any sequence, including numpy arrays — values are normalized to
+        Python scalars so materialized records are indistinguishable from
+        per-event recording.
         """
         times_l = _as_list(times)
         roots_l = _as_list(root_ids)
+        self._check_block(times_l, self.emit_times, "emit")
         self.source_emits.extend(
             SourceEmit(time=t, root_id=rid, source=source,
                        replay_count=replay_count, from_backlog=from_backlog)
@@ -243,8 +278,11 @@ class EventLog:
 
         ``sinks`` is a single sink name applied to every record, or — when
         ``sink_indices`` is given — a list of names indexed per record.
+        ``times`` must be non-decreasing and start at or after the last
+        recorded receipt time (``ValueError`` otherwise).
         """
         times_l = _as_list(times)
+        self._check_block(times_l, self.receipt_times, "receipt")
         roots_l = _as_list(root_ids)
         eids_l = _as_list(event_ids)
         emitted_l = _as_list(root_emitted_ats)
@@ -289,75 +327,47 @@ class EventLog:
     # ---------------------------------------------------------------- queries
     def root_first_emit_time(self, root_id: int) -> Optional[float]:
         """Time at which the given root event was first emitted, if known."""
-        return self._root_first_emit.get(root_id)
+        return self._first_emit(root_id)
 
     def is_old_root(self, root_id: int, migration_time: float) -> bool:
         """Whether the root was first emitted before the migration request."""
-        first = self._root_first_emit.get(root_id)
+        first = self._first_emit(root_id)
         return first is not None and first < migration_time
 
-    def receipts_after(self, time: float) -> List[SinkReceipt]:
+    def receipts_after(self, time: float) -> Sequence[SinkReceipt]:
         """Sink receipts at or after the given time, in time order."""
-        return self.sink_receipts[bisect_left(self.receipt_times, time):]
+        return self._receipt_rows(self._receipt_index(time), len(self.sink_receipts))
 
-    def receipts_between(self, start: float, end: float) -> List[SinkReceipt]:
-        """Sink receipts in ``[start, end)``."""
-        times = self.receipt_times
-        return self.sink_receipts[bisect_left(times, start):bisect_left(times, end)]
+    def receipts_between(self, start: float, end: float) -> Sequence[SinkReceipt]:
+        """Sink receipts in ``[start, end)`` (empty when ``end <= start``)."""
+        return self._receipt_rows(self._receipt_index(start), self._receipt_index(end))
 
-    def emits_between(self, start: float, end: float) -> List[SourceEmit]:
-        """Source emissions in ``[start, end)``."""
-        times = self.emit_times
-        return self.source_emits[bisect_left(times, start):bisect_left(times, end)]
+    def emits_between(self, start: float, end: float) -> Sequence[SourceEmit]:
+        """Source emissions in ``[start, end)`` (empty when ``end <= start``)."""
+        return self._emit_rows(self._emit_index(start), self._emit_index(end))
 
     def first_receipt_after(self, time: float) -> Optional[SinkReceipt]:
         """Earliest sink receipt at or after the given time, if any."""
-        index = bisect_left(self.receipt_times, time)
+        index = self._receipt_index(time)
         return self.sink_receipts[index] if index < len(self.sink_receipts) else None
 
     def last_old_receipt(self, migration_time: float) -> Optional[SinkReceipt]:
         """Latest sink receipt (after migration) of a root emitted before the migration.
 
-        Walks backwards from the end of the (time-ordered) receipt list and
-        stops at the first old-root receipt, instead of filtering the whole
-        log.  Among equal-time candidates the *earliest-recorded* one is
-        returned, matching the historical ``max(..., key=time)`` behaviour
-        (``max`` keeps the first of ties in iteration order).
+        Among equal-time candidates the *earliest-recorded* one is returned,
+        matching the historical ``max(..., key=time)`` behaviour (``max``
+        keeps the first of ties in iteration order).
         """
-        receipts = self.sink_receipts
-        start = bisect_left(self.receipt_times, migration_time)
-        for index in range(len(receipts) - 1, start - 1, -1):
-            receipt = receipts[index]
-            if self.is_old_root(receipt.root_id, migration_time):
-                best = receipt
-                for prior_index in range(index - 1, start - 1, -1):
-                    prior = receipts[prior_index]
-                    if prior.time != best.time:
-                        break
-                    if self.is_old_root(prior.root_id, migration_time):
-                        best = prior
-                return best
-        return None
+        index = self._last_old_index(self._receipt_index(migration_time), migration_time)
+        return None if index is None else self.sink_receipts[index]
 
     def last_replay_receipt(self, migration_time: float) -> Optional[SinkReceipt]:
         """Latest sink receipt of a replayed (previously failed) event after the migration.
 
-        Same backward walk and tie handling as :meth:`last_old_receipt`.
+        Same tie handling as :meth:`last_old_receipt`.
         """
-        receipts = self.sink_receipts
-        start = bisect_left(self.receipt_times, migration_time)
-        for index in range(len(receipts) - 1, start - 1, -1):
-            receipt = receipts[index]
-            if receipt.replay_count > 0:
-                best = receipt
-                for prior_index in range(index - 1, start - 1, -1):
-                    prior = receipts[prior_index]
-                    if prior.time != best.time:
-                        break
-                    if prior.replay_count > 0:
-                        best = prior
-                return best
-        return None
+        index = self._last_replay_index(self._receipt_index(migration_time))
+        return None if index is None else self.sink_receipts[index]
 
     def lost_in_kills(self) -> int:
         """Total number of queued events lost across all executor kills."""
@@ -374,11 +384,8 @@ class EventLog:
         return len(self.deferred)
 
     def distinct_roots_received(self) -> int:
-        """Number of distinct root events observed at the sinks.
-
-        Maintained incrementally at record time (a set-size read, not a scan).
-        """
-        return len(self._roots_received)
+        """Number of distinct root events observed at the sinks."""
+        return self._distinct_roots()
 
     def summary(self) -> Dict[str, float]:
         """Coarse counters describing the run (useful in example output)."""
@@ -391,6 +398,66 @@ class EventLog:
             "kills": len(self.kills),
             "events_lost_in_kills": self.lost_in_kills(),
         }
+
+    # ------------------------------------------------------------ index hooks
+    # Everything a backend answers differently.  This row store searches the
+    # parallel time lists with bisect and walks dataclass rows; it is the
+    # reference implementation the columnar backend is tested against.
+    def _receipt_index(self, time: float) -> int:
+        """Index of the first receipt at or after ``time``."""
+        return bisect_left(self.receipt_times, time)
+
+    def _emit_index(self, time: float) -> int:
+        """Index of the first emission at or after ``time``."""
+        return bisect_left(self.emit_times, time)
+
+    def _receipt_rows(self, lo: int, hi: int) -> Sequence[SinkReceipt]:
+        return self.sink_receipts[lo:hi]
+
+    def _emit_rows(self, lo: int, hi: int) -> Sequence[SourceEmit]:
+        return self.source_emits[lo:hi]
+
+    def _first_emit(self, root_id: int) -> Optional[float]:
+        return self._root_first_emit.get(root_id)
+
+    def _distinct_roots(self) -> int:
+        # Maintained incrementally at record time (a set-size read, not a scan).
+        return len(self._roots_received)
+
+    def _replay_emits_from(self, lo: int) -> int:
+        """Replayed emissions among the records from index ``lo`` on."""
+        return sum(1 for emit in self.source_emits[lo:] if emit.replay_count > 0)
+
+    def _last_old_index(self, start: int, migration_time: float) -> Optional[int]:
+        return self._last_receipt_index(
+            start, lambda receipt: self.is_old_root(receipt.root_id, migration_time)
+        )
+
+    def _last_replay_index(self, start: int) -> Optional[int]:
+        return self._last_receipt_index(start, lambda receipt: receipt.replay_count > 0)
+
+    def _last_receipt_index(
+        self, start: int, matches: Callable[[SinkReceipt], bool]
+    ) -> Optional[int]:
+        """Index of the latest matching receipt at or after index ``start``.
+
+        Walks backwards from the end of the (time-ordered) receipt list and
+        stops at the first match instead of filtering the whole log, then
+        keeps walking through the receipts of that same time: among
+        equal-time matches the earliest-recorded one wins.
+        """
+        receipts = self.sink_receipts
+        for index in range(len(receipts) - 1, start - 1, -1):
+            if matches(receipts[index]):
+                best = index
+                time = receipts[index].time
+                for prior in range(index - 1, start - 1, -1):
+                    if receipts[prior].time != time:
+                        break
+                    if matches(receipts[prior]):
+                        best = prior
+                return best
+        return None
 
 
 # --------------------------------------------------------------------------
@@ -487,40 +554,55 @@ class _TimesView(Sequence):
 
 
 class _RowsView(Sequence):
-    """Base for lazy record views: materializes dataclass rows on access."""
+    """Lazy record window ``[lo, hi)`` over a columnar log's columns.
 
-    __slots__ = ("_log",)
+    ``hi=None`` tracks the live end of the log: that is the whole-log view
+    behind ``source_emits`` / ``sink_receipts``.  A window query returns the
+    same view with both bounds fixed (the log is append-only, so they stay
+    valid).  Either way it is list-compatible -- O(1) ``len``, truthiness,
+    iteration, ``==`` against lists -- and only the indexes and slices
+    actually touched become dataclass rows; slices return plain lists.
+    """
 
-    def __init__(self, log: "ColumnarEventLog") -> None:
+    __slots__ = ("_log", "_lo", "_hi")
+
+    def __init__(self, log: "ColumnarEventLog", lo: int = 0, hi: Optional[int] = None) -> None:
         self._log = log
+        self._lo = lo
+        self._hi = hi if hi is None else max(hi, lo)  # inverted window: empty
 
-    def _materialize(self, start: int, stop: int) -> List:
+    def _live_end(self) -> int:
         raise NotImplementedError
 
-    def _make(self, index: int):
+    def _materialize(self, rows) -> List:
+        """Records at ``rows``: a slice or an index array into the columns."""
         raise NotImplementedError
+
+    def __len__(self) -> int:
+        return (self._live_end() if self._hi is None else self._hi) - self._lo
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            start, stop, step = index.indices(len(self))
-            if step == 1:
-                return self._materialize(start, stop)
-            return [self._make(i) for i in range(start, stop, step)]
+        lo = self._lo
         n = len(self)
+        if isinstance(index, slice):
+            start, stop, step = index.indices(n)
+            if step == 1:
+                return self._materialize(slice(lo + start, lo + max(start, stop)))
+            return self._materialize(_np.arange(lo + start, lo + stop, step))
         if index < 0:
             index += n
         if not 0 <= index < n:
             raise IndexError("record index out of range")
-        return self._make(index)
+        return self._materialize(slice(lo + index, lo + index + 1))[0]
 
     def __iter__(self):
-        return iter(self._materialize(0, len(self)))
+        return iter(self[:])
 
     def __eq__(self, other):
         if isinstance(other, _RowsView):
-            other = list(other)
+            other = other[:]
         if isinstance(other, (list, tuple)):
-            return self._materialize(0, len(self)) == list(other)
+            return self[:] == list(other)
         return NotImplemented
 
     __hash__ = None
@@ -532,31 +614,21 @@ class _RowsView(Sequence):
 class _EmitRowsView(_RowsView):
     __slots__ = ()
 
-    def __len__(self) -> int:
+    def _live_end(self) -> int:
         return self._log._emit_time.n
 
-    def _make(self, index: int) -> SourceEmit:
-        log = self._log
-        return SourceEmit(
-            time=float(log._emit_time.data[index]),
-            root_id=int(log._emit_root.data[index]),
-            source=log._names[log._emit_source.data[index]],
-            replay_count=int(log._emit_replay.data[index]),
-            from_backlog=bool(log._emit_backlog.data[index]),
-        )
-
-    def _materialize(self, start: int, stop: int) -> List[SourceEmit]:
+    def _materialize(self, rows) -> List[SourceEmit]:
         log = self._log
         names = log._names
         return [
             SourceEmit(time=t, root_id=rid, source=names[code],
-                       replay_count=replay, from_backlog=bool(backlog))
+                       replay_count=replay, from_backlog=backlog)
             for t, rid, code, replay, backlog in zip(
-                log._emit_time.data[start:stop].tolist(),
-                log._emit_root.data[start:stop].tolist(),
-                log._emit_source.data[start:stop].tolist(),
-                log._emit_replay.data[start:stop].tolist(),
-                log._emit_backlog.data[start:stop].tolist(),
+                log._emit_time.data[rows].tolist(),
+                log._emit_root.data[rows].tolist(),
+                log._emit_source.data[rows].tolist(),
+                log._emit_replay.data[rows].tolist(),
+                log._emit_backlog.data[rows].tolist(),
             )
         ]
 
@@ -564,35 +636,30 @@ class _EmitRowsView(_RowsView):
 class _ReceiptRowsView(_RowsView):
     __slots__ = ()
 
-    def __len__(self) -> int:
+    def _live_end(self) -> int:
         return self._log._receipt_time.n
 
-    def _make(self, index: int) -> SinkReceipt:
-        log = self._log
-        return SinkReceipt(
-            time=float(log._receipt_time.data[index]),
-            root_id=int(log._receipt_root.data[index]),
-            event_id=int(log._receipt_event.data[index]),
-            sink=log._names[log._receipt_sink.data[index]],
-            root_emitted_at=float(log._receipt_emitted.data[index]),
-            replay_count=int(log._receipt_replay.data[index]),
-        )
-
-    def _materialize(self, start: int, stop: int) -> List[SinkReceipt]:
+    def _materialize(self, rows) -> List[SinkReceipt]:
         log = self._log
         names = log._names
         return [
             SinkReceipt(time=t, root_id=rid, event_id=eid, sink=names[code],
                         root_emitted_at=emitted, replay_count=replay)
             for t, rid, eid, code, emitted, replay in zip(
-                log._receipt_time.data[start:stop].tolist(),
-                log._receipt_root.data[start:stop].tolist(),
-                log._receipt_event.data[start:stop].tolist(),
-                log._receipt_sink.data[start:stop].tolist(),
-                log._receipt_emitted.data[start:stop].tolist(),
-                log._receipt_replay.data[start:stop].tolist(),
+                log._receipt_time.data[rows].tolist(),
+                log._receipt_root.data[rows].tolist(),
+                log._receipt_event.data[rows].tolist(),
+                log._receipt_sink.data[rows].tolist(),
+                log._receipt_emitted.data[rows].tolist(),
+                log._receipt_replay.data[rows].tolist(),
             )
         ]
+
+    def _latencies(self, start: int = 0) -> List[float]:
+        """``time - root_emitted_at`` of ``self[start:]``, without the rows."""
+        log = self._log
+        rows = slice(self._lo + start, self._lo + len(self))
+        return (log._receipt_time.data[rows] - log._receipt_emitted.data[rows]).tolist()
 
 
 class ColumnarEventLog(EventLog):
@@ -600,9 +667,11 @@ class ColumnarEventLog(EventLog):
 
     Emits and receipts live in growable numpy columns; ``source_emits``,
     ``sink_receipts`` and the time indexes are lazy views that materialize
-    rows only on access.  The root-first-emit map and distinct-roots set are
-    built lazily from the columns the first time a query needs them (and then
-    advanced incrementally), so the bulk write path never touches a Python
+    rows only on access, and every query runs on the columns through the
+    index hooks below.  The per-root derived state (first emit time of every
+    root, distinct roots received) is a pair of sorted arrays built by
+    ``np.unique`` the first time a query needs them and merged forward from a
+    sync cursor afterwards, so the bulk write path never touches a Python
     dict per event.  Cold streams (drops, deferred, kills, lifecycle) keep
     the plain record lists — they are rare and carry string payloads.
     """
@@ -632,11 +701,12 @@ class ColumnarEventLog(EventLog):
         self._receipt_sink = _Column(_np.int32)
         self._receipt_emitted = _Column(_np.float64)
         self._receipt_replay = _Column(_np.int64)
-        # Lazy query state: scan cursors mark how far into the columns the
-        # derived structures have been synced.
-        self._first_emit_map: Dict[int, float] = {}
+        # Lazy query state: sorted distinct roots (with each root's first emit
+        # time), valid up to the sync cursors into the columns.
+        self._first_emit_roots = _np.empty(0, dtype=_np.int64)
+        self._first_emit_times = _np.empty(0, dtype=_np.float64)
         self._first_emit_synced = 0
-        self._roots_received_set: Set[int] = set()
+        self._received_roots = _np.empty(0, dtype=_np.int64)
         self._roots_synced = 0
         # Lazy row/time views shadow the base class's list attributes.
         self.source_emits = _EmitRowsView(self)  # type: ignore[assignment]
@@ -653,37 +723,83 @@ class ColumnarEventLog(EventLog):
             self._names.append(name)
         return code
 
-    @property
-    def _root_first_emit(self) -> Dict[int, float]:
+    def _first_emits(self):
+        """``(roots, times)``: sorted distinct emitted roots, first emit time of each."""
         n = self._emit_time.n
-        if self._first_emit_synced < n:
-            roots = self._emit_root.data[self._first_emit_synced:n][::-1].tolist()
-            times = self._emit_time.data[self._first_emit_synced:n][::-1].tolist()
-            # Reversed zip keeps the *earliest* occurrence per root within the
-            # new block; entries already in the map win over the block.
-            block = dict(zip(roots, times))
-            block.update(self._first_emit_map)
-            self._first_emit_map = block
+        synced = self._first_emit_synced
+        if synced < n:
+            # Known roots go first and emits are time-ordered, so the first
+            # occurrence np.unique reports is each root's earliest emission.
+            roots = _np.concatenate((self._first_emit_roots, self._emit_root.data[synced:n]))
+            times = _np.concatenate((self._first_emit_times, self._emit_time.data[synced:n]))
+            self._first_emit_roots, first = _np.unique(roots, return_index=True)
+            self._first_emit_times = times[first]
             self._first_emit_synced = n
-        return self._first_emit_map
+        return self._first_emit_roots, self._first_emit_times
 
-    @_root_first_emit.setter
-    def _root_first_emit(self, value: Dict[int, float]) -> None:
-        self._first_emit_map = value
+    # ------------------------------------------------------------ index hooks
+    def _receipt_index(self, time: float) -> int:
+        return int(self._receipt_time.view().searchsorted(time, side="left"))
 
-    @property
-    def _roots_received(self) -> Set[int]:
+    def _emit_index(self, time: float) -> int:
+        return int(self._emit_time.view().searchsorted(time, side="left"))
+
+    def _receipt_rows(self, lo: int, hi: int) -> Sequence[SinkReceipt]:
+        return _ReceiptRowsView(self, lo, hi)
+
+    def _emit_rows(self, lo: int, hi: int) -> Sequence[SourceEmit]:
+        return _EmitRowsView(self, lo, hi)
+
+    def _first_emit(self, root_id: int) -> Optional[float]:
+        roots, times = self._first_emits()
+        slot = int(roots.searchsorted(root_id))
+        if slot < roots.size and roots[slot] == root_id:
+            return float(times[slot])
+        return None
+
+    def _distinct_roots(self) -> int:
         n = self._receipt_time.n
         if self._roots_synced < n:
-            self._roots_received_set.update(
-                self._receipt_root.data[self._roots_synced:n].tolist()
-            )
+            self._received_roots = _np.unique(_np.concatenate(
+                (self._received_roots, self._receipt_root.data[self._roots_synced:n])
+            ))
             self._roots_synced = n
-        return self._roots_received_set
+        return self._received_roots.size
 
-    @_roots_received.setter
-    def _roots_received(self, value: Set[int]) -> None:
-        self._roots_received_set = value
+    def _replay_emits_from(self, lo: int) -> int:
+        return int(_np.count_nonzero(self._emit_replay.data[lo:self._emit_time.n]))
+
+    def _last_old_index(self, start: int, migration_time: float) -> Optional[int]:
+        roots, times = self._first_emits()
+        received = self._receipt_root.data[start:self._receipt_time.n]
+        if not roots.size:
+            return None
+        slots = roots.searchsorted(received)
+        # A root above every emitted root lands one past the end; any valid
+        # slot will do for it, the equality test rejects it.
+        slots[slots == roots.size] = 0
+        return self._last_hit_index(
+            start, (roots[slots] == received) & (times[slots] < migration_time)
+        )
+
+    def _last_replay_index(self, start: int) -> Optional[int]:
+        return self._last_hit_index(
+            start, self._receipt_replay.data[start:self._receipt_time.n] > 0
+        )
+
+    def _last_hit_index(self, start: int, mask) -> Optional[int]:
+        """The row store's ``_last_receipt_index`` for a boolean ``mask`` over
+        the receipts from index ``start`` on: the latest hit, or among hits of
+        that same time the earliest-recorded one."""
+        hits = _np.flatnonzero(mask)
+        if not hits.size:
+            return None
+        times = self._receipt_time.data
+        last = start + int(hits[-1])
+        # Receipts sharing the winner's time are contiguous: the earliest
+        # recorded match among them is the first hit at or after their start.
+        tied_from = max(start, int(times[:last].searchsorted(times[last], side="left")))
+        return start + int(hits[hits.searchsorted(tied_from - start, side="left")])
 
     # -------------------------------------------------------- array accessors
     @property
@@ -760,6 +876,17 @@ class ColumnarEventLog(EventLog):
         self._receipt_replay.append(replay_count)
 
     # ----------------------------------------------------------- bulk appends
+    @staticmethod
+    def _checked_times(times: Sequence[float], column: _Column, stream: str):
+        """``times`` as a float64 array, refused if it would unsort ``column``."""
+        block = _np.asarray(times, dtype=_np.float64)
+        if block.size and (
+            (column.n and block[0] < column.data[column.n - 1])
+            or (block[1:] < block[:-1]).any()
+        ):
+            raise _out_of_order(stream)
+        return block
+
     def extend_emits(
         self,
         times: Sequence[float],
@@ -768,9 +895,9 @@ class ColumnarEventLog(EventLog):
         replay_count: int = 0,
         from_backlog: bool = False,
     ) -> None:
-        before = self._emit_time.n
-        self._emit_time.extend(times)
-        count = self._emit_time.n - before
+        block = self._checked_times(times, self._emit_time, "emit")
+        count = block.size
+        self._emit_time.extend(block)
         self._emit_root.extend(root_ids)
         self._emit_source.extend_fill(self._code(source), count)
         self._emit_replay.extend_fill(replay_count, count)
@@ -788,9 +915,9 @@ class ColumnarEventLog(EventLog):
         replay_count: int = 0,
         sink_indices: Optional[Sequence[int]] = None,
     ) -> None:
-        before = self._receipt_time.n
-        self._receipt_time.extend(times)
-        count = self._receipt_time.n - before
+        block = self._checked_times(times, self._receipt_time, "receipt")
+        count = block.size
+        self._receipt_time.extend(block)
         self._receipt_root.extend(root_ids)
         self._receipt_event.extend(event_ids)
         if sink_indices is None:
@@ -800,3 +927,29 @@ class ColumnarEventLog(EventLog):
             self._receipt_sink.extend(codes[_np.asarray(sink_indices)])
         self._receipt_emitted.extend(root_emitted_ats)
         self._receipt_replay.extend_fill(replay_count, count)
+
+
+# --------------------------------------------------------------------------
+# Reductions over a window (either backend)
+# --------------------------------------------------------------------------
+
+def mean_latency(
+    receipts: Sequence[SinkReceipt], start: int = 0, empty: Optional[float] = None
+) -> Optional[float]:
+    """Mean end-to-end latency of ``receipts[start:]`` (``empty`` when there are none).
+
+    ``receipts`` is a whole-log ``sink_receipts`` or the result of a window
+    query, from either backend.  The sum is sequential, in record order, on
+    both: this value drives scaling decisions and committed summaries, and a
+    pairwise ``np.sum`` would move its low bits.
+    """
+    if isinstance(receipts, _ReceiptRowsView):
+        latencies = receipts._latencies(start)
+    else:
+        latencies = [receipt.latency_s for receipt in receipts[start:]]
+    return sum(latencies) / len(latencies) if latencies else empty
+
+
+def replay_emits_since(log: EventLog, time: float) -> int:
+    """Source emissions at or after ``time`` that were replays of failed trees."""
+    return log._replay_emits_from(log._emit_index(time))

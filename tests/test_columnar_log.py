@@ -77,6 +77,34 @@ def test_backends_agree_on_bulk_fill():
     assert log_digest(_bulk_filled(ColumnarEventLog)) == log_digest(_bulk_filled(EventLog))
 
 
+@pytest.mark.parametrize("log_cls", [EventLog, ColumnarEventLog])
+class TestBulkAppendOrder:
+    """Out-of-order blocks are refused whole: the time indexes stay sorted."""
+
+    def test_block_must_be_sorted(self, log_cls):
+        log = log_cls(_Clock())
+        with pytest.raises(ValueError, match="non-decreasing"):
+            log.extend_emits([1.0, 3.0, 2.0], [1, 2, 3], "src")
+        with pytest.raises(ValueError, match="non-decreasing"):
+            log.extend_receipts([5.0, 4.0], [1, 2], [10, 11], "sink", [1.0, 3.0])
+        assert len(log.source_emits) == len(log.sink_receipts) == 0
+
+    def test_block_must_start_at_or_after_the_last_record(self, log_cls):
+        log = log_cls(_Clock())
+        log.record_source_emit(root_id=1, source="src", at_time=2.0)
+        log.extend_receipts([2.0, 2.0], [1, 1], [10, 11], "sink", [2.0, 2.0])
+        with pytest.raises(ValueError, match="last recorded emit"):
+            log.extend_emits([1.5, 2.5], [2, 3], "src")
+        with pytest.raises(ValueError, match="last recorded receipt"):
+            log.extend_receipts([1.0], [1], [12], "sink", [2.0])
+        assert (len(log.source_emits), len(log.sink_receipts)) == (1, 2)
+        # Equal times are in order (ties are legal), as are empty blocks.
+        log.extend_emits([2.0, 2.0], [2, 3], "src")
+        log.extend_receipts([], [], [], "sink", [])
+        assert log.emit_times == [2.0, 2.0, 2.0]
+        assert log.receipts_between(2.0, 2.5) == list(log.sink_receipts)
+
+
 class TestViews:
     @pytest.fixture()
     def log(self):

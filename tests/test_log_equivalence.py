@@ -12,7 +12,11 @@ comprehensions) and to each other on
 * a sharded-run merge (both the heapq fallback and the lexsort array path),
   and
 * synthetic logs exercising empty windows, exact-boundary windows and
-  equal-time ties,
+  equal-time ties, and
+* hypothesis-generated logs (per-event and bulk appends interleaved with
+  queries, replayed and never-emitted roots, ties across the cut), where the
+  columnar backend must answer every query exactly like the row store and its
+  lazy windows must behave like the lists the row store returns,
 
 asserting byte-identical results everywhere — including
 :func:`~repro.sim.shard.log_digest` equality between the classic and
@@ -24,6 +28,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dataflow import topologies
 from repro.dataflow.event import reset_event_ids
@@ -31,7 +37,13 @@ from repro.core.strategy import strategy_by_name
 from repro.engine.runtime import TopologyRuntime
 from repro.experiments.elastic import run_elastic_experiment
 from repro.experiments.sharded import run_sharded_experiment
-from repro.metrics.log import HAVE_COLUMNAR, ColumnarEventLog, EventLog
+from repro.metrics.log import (
+    HAVE_COLUMNAR,
+    ColumnarEventLog,
+    EventLog,
+    mean_latency,
+    replay_emits_since,
+)
 from repro.metrics.timeline import RatePoint, latency_timeline, rate_timeline
 from repro.sim import Simulator
 from repro.sim.shard import (
@@ -384,3 +396,138 @@ def test_empty_log_queries(backend):
     assert log.distinct_roots_received() == 0
     assert rate_timeline(log, kind="output", end=10.0) == naive_rate_timeline(log, "output", 0.0, 10.0, 1.0)
     assert latency_timeline(log, end=10.0) == []
+
+
+# ------------------------------------------------- generated logs (hypothesis)
+#: Time steps on a half-second grid, so equal-time ties (within a stream and
+#: across the query cut) are common.
+_STEP = st.sampled_from([0.0, 0.0, 0.5, 1.0])
+#: Roots 0-7 can be emitted (and re-emitted: replays); 8-11 and 1000+ only ever
+#: show up at a sink, below and above every emitted root id.
+_EMIT_ROOT = st.integers(0, 7)
+_RECEIPT_ROOT = st.integers(0, 11) | st.integers(100, 104) | st.integers(1000, 1003)
+_QUERY_TIME = st.integers(-2, 30).map(lambda k: k * 0.5)
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("emit"), _STEP, _EMIT_ROOT, st.integers(0, 2)),
+        st.tuples(st.just("emits"), st.lists(_STEP, min_size=1, max_size=5)),
+        st.tuples(st.just("receipt"), _STEP, _RECEIPT_ROOT, st.integers(0, 2)),
+        st.tuples(
+            st.just("receipts"),
+            st.lists(st.tuples(_STEP, _RECEIPT_ROOT, st.integers(0, 1)), min_size=1, max_size=5),
+            st.integers(0, 1),
+        ),
+        st.tuples(st.just("query"), _QUERY_TIME, st.sampled_from([0.0, 0.5, 3.0, 1e9])),
+    ),
+    max_size=40,
+)
+
+
+def _assert_list_semantics(window, reference):
+    """A lazy window is indistinguishable from the list the row store returns."""
+    n = len(reference)
+    assert len(window) == n
+    assert bool(window) == bool(reference)
+    assert (window == []) == (reference == [])
+    assert window == reference and list(window) == reference
+    assert [row for row in window] == reference
+    for k in (1, 2, 3, 97):
+        sample = window[::k] + window[-1:]
+        assert type(sample) is list and sample == reference[::k] + reference[-1:]
+    assert window[::-2] == reference[::-2]
+    assert window[1:-1] == reference[1:-1]
+    assert window[n + 3:] == [] and window[2:1] == []
+    for index in range(-n, n):
+        assert window[index] == reference[index]
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            window[index]
+
+
+def _assert_same_answers(columnar, rows, time, width):
+    for got, expected in (
+        (columnar.receipts_after(time), rows.receipts_after(time)),
+        (columnar.receipts_between(time, time + width), rows.receipts_between(time, time + width)),
+        (columnar.emits_between(time, time + width), rows.emits_between(time, time + width)),
+        (columnar.receipts_between(time + width, time), []),  # inverted (or empty)
+        (columnar.sink_receipts, rows.sink_receipts),
+        (columnar.source_emits, rows.source_emits),
+    ):
+        _assert_list_semantics(got, expected)
+    assert columnar.first_receipt_after(time) == rows.first_receipt_after(time)
+    assert columnar.last_old_receipt(time) == rows.last_old_receipt(time) \
+        == naive_last_old_receipt(rows, time)
+    assert columnar.last_replay_receipt(time) == rows.last_replay_receipt(time) \
+        == naive_last_replay_receipt(rows, time)
+    assert columnar.distinct_roots_received() == rows.distinct_roots_received() \
+        == naive_distinct_roots_received(rows)
+    for root in (0, 3, 7, 9, 100, 1002, -1):
+        assert columnar.root_first_emit_time(root) == rows.root_first_emit_time(root)
+        assert columnar.is_old_root(root, time) == rows.is_old_root(root, time)
+    assert columnar.summary() == rows.summary()
+    assert replay_emits_since(columnar, time) == replay_emits_since(rows, time)
+    # Bit-equal, not approximately equal: the mean is a sequential sum on both.
+    assert mean_latency(columnar.receipts_after(time)) == mean_latency(rows.receipts_after(time))
+    assert mean_latency(columnar.sink_receipts, start=2, empty=-1.0) \
+        == mean_latency(rows.sink_receipts, start=2, empty=-1.0)
+    assert columnar.emit_times == rows.emit_times
+    assert columnar.receipt_times == rows.receipt_times
+
+
+@needs_columnar
+@settings(max_examples=200, deadline=None)
+@given(ops=_OPS)
+def test_generated_logs_answer_alike_on_both_backends(ops):
+    """Every query agrees between the backends, at every point of the log's life.
+
+    Queries run *between* appends, so the columnar backend's cached per-root
+    arrays have to resync from their cursors, through per-event and bulk
+    appends alike.
+    """
+    logs = [ColumnarEventLog(_Clock()), EventLog(_Clock())]
+    emit_now = receipt_now = 0.0
+    fresh_root = 100  # bulk emit cohorts carry first emissions only
+    event_id = 0
+    for op in ops:
+        if op[0] == "emit":
+            _, step, root, replay = op
+            emit_now += step
+            for log in logs:
+                log.record_source_emit(root, "src", replay_count=replay, at_time=emit_now)
+        elif op[0] == "emits":
+            times = []
+            for step in op[1]:
+                emit_now += step
+                times.append(emit_now)
+            roots = list(range(fresh_root, fresh_root + len(times)))
+            fresh_root += len(times)
+            for log in logs:
+                log.extend_emits(times, roots, "bulk_src")
+        elif op[0] == "receipt":
+            _, step, root, replay = op
+            receipt_now += step
+            event_id += 1
+            for log in logs:
+                log.record_sink_receipt(root, event_id, "sink_a", root * 0.25, replay,
+                                        at_time=receipt_now)
+        elif op[0] == "receipts":
+            _, records, replay = op
+            times, roots, which = [], [], []
+            for step, root, sink in records:
+                receipt_now += step
+                times.append(receipt_now)
+                roots.append(root)
+                which.append(sink)
+            events = list(range(event_id + 1, event_id + 1 + len(times)))
+            event_id += len(times)
+            emitted = [root * 0.25 for root in roots]
+            for log in logs:
+                log.extend_receipts(times, roots, events, ["sink_a", "sink_b"], emitted,
+                                    replay_count=replay, sink_indices=which)
+        else:
+            _, time, width = op
+            _assert_same_answers(*logs, time, width)
+    for time in (-1.0, 0.0, receipt_now / 2, receipt_now, receipt_now + 5.0):
+        _assert_same_answers(*logs, time, 1.0)
+    assert log_digest(logs[0]) == log_digest(logs[1])
