@@ -255,7 +255,7 @@ def test_grid_steady_state_columnar_cost(benchmark, engine_bench_recorder):
     with no per-event object on the fast path.  The committed baseline is the
     *seed* engine measured on this exact workload, so ``speedup_vs_seed`` in
     ``BENCH_engine.json`` is the columnar headline and ``events_per_second``
-    the absolute throughput figure the regression gate floors at 1M ev/s.
+    the absolute throughput figure the regression gate floors at 3M ev/s.
     Without numpy ``columnar_log`` degrades to the classic log and the gate
     skips the throughput floor.
     """

@@ -72,6 +72,13 @@ from repro.sim.rng import keyed_value_block
 
 try:  # numpy powers the vectorized sweep; the cascade degrades without it
     import numpy as _np
+
+    from repro.engine.scan import (
+        fixed_rate_ticks,
+        maxplus_scan,
+        sequential_sums,
+        service_completions,
+    )
 except ImportError:  # pragma: no cover - the toolchain ships numpy
     _np = None
 
@@ -99,6 +106,12 @@ class BatchStepper:
         self.inline_events = 0
         #: Cascades swept with the vectorized (numpy) tier (diagnostic).
         self.vector_cascades = 0
+        #: Source ticks handed back to the classic per-event path, by reason.
+        self.declines: Dict[str, int] = {}
+        #: Max-plus scans the vectorized tier handed to the scalar reference
+        #: because the waiting frontier would not halve per round -- a loaded
+        #: queue (see :mod:`repro.engine.scan`).
+        self.scan_fallbacks = 0
         self._vector_capable_cache: Optional[bool] = None
 
     # ------------------------------------------------------- vectorized sweep
@@ -134,12 +147,13 @@ class BatchStepper:
         return cached
 
     # ------------------------------------------------------------- quiescence
-    def _quiescent(self, source: SourceExecutor, allow_inflight: bool = False) -> bool:
-        """Whether the cascade may replace per-event processing right now.
+    def _blocker(self, source: SourceExecutor, allow_inflight: bool = False) -> Optional[str]:
+        """Why the cascade may not replace per-event processing right now.
 
-        Every condition corresponds to a piece of engine machinery whose
-        behaviour the inline handlers do not replicate: if any is live, the
-        tick falls back to the classic path (and may cascade again later).
+        Returns ``None`` when the runtime is quiescent, else the decline
+        reason.  Every condition corresponds to a piece of engine machinery
+        whose behaviour the inline handlers do not replicate: if any is live,
+        the tick falls back to the classic path (and may cascade again later).
 
         ``allow_inflight`` relaxes the strict-idle conditions (no pending
         fast-path kernel entries, all executors idle with empty queues) for
@@ -153,26 +167,26 @@ class BatchStepper:
         runtime = self.runtime
         sim = runtime.sim
         if sim.run_until is None:
-            return False  # unbounded run: no horizon to materialize up to
+            return "unbounded-run"  # no horizon to materialize up to
         sources = runtime.source_executors
         if len(sources) != 1 or sources[0] is not source:
-            return False
+            return "multi-source"
         if source.paused or source.status is not _RUNNING:
-            return False
+            return "source-paused"
         if source._backlog or source._replay_queue:
-            return False
+            return "source-backlog"
         if runtime._deferred_deliveries:
-            return False
+            return "deferred-deliveries"
         if not allow_inflight and sim.has_fast_entries():
-            return False  # deliveries/completions already in flight
+            return "inflight-work"  # deliveries/completions already in flight
         for executor in runtime.executors.values():
             if executor.status is not _RUNNING or not executor.initialized:
-                return False
+                return "executor-not-ready"
             if executor.capture_mode or executor.pre_init_buffer:
-                return False
+                return "executor-capturing"
             if not allow_inflight and (executor._busy or executor.input_queue):
-                return False
-        return True
+                return "inflight-work"
+        return None
 
     # ---------------------------------------------------------------- cascade
     def try_cascade(self, source: SourceExecutor) -> bool:
@@ -180,21 +194,34 @@ class BatchStepper:
 
         Returns True when the cascade consumed the tick (emissions performed,
         downstream work either completed inline or spilled, and the next emit
-        timer armed); False to fall back to the classic per-tick path.
+        timer armed); False to fall back to the classic per-tick path, with
+        the reason tallied in :attr:`declines`.
         """
+        reason = self._cascade(source)
+        if reason is None:
+            return True
+        self.declines[reason] = self.declines.get(reason, 0) + 1
+        return False
+
+    def _cascade(self, source: SourceExecutor) -> Optional[str]:
+        """Run the tick's cascade; the decline reason when it could not."""
         vectorized = self._vector_capable()
-        strict = self._quiescent(source)
-        if not strict and not (vectorized and self._quiescent(source, allow_inflight=True)):
-            return False
+        reason = self._blocker(source)
+        strict = reason is None
+        if not strict:
+            if vectorized:
+                reason = self._blocker(source, allow_inflight=True)
+            if reason is not None:
+                return reason
         runtime = self.runtime
         sim = runtime.sim
         limit = sim.run_until
         horizon = sim.next_timer_time()
         now0 = sim.now
         if horizon is not None and horizon <= now0:
-            return False  # another timer is due immediately; do not pass it
+            return "timer-due"  # another timer is due immediately; do not pass it
         if now0 > limit:  # pragma: no cover - defensive; run() never does this
-            return False
+            return "past-run-bound"
         acked = runtime.ack_data_events
         if acked:
             # Any tree a cascade registers schedules its timeout at
@@ -206,10 +233,12 @@ class BatchStepper:
             if horizon is None or timeout_at < horizon:
                 horizon = timeout_at
 
-        if vectorized and self._cascade_vectorized(source, now0, limit, horizon, acked):
-            return True
-        if not strict:
-            return False  # in-flight work present; only the vectorized tier ingests it
+        if vectorized:
+            reason = self._cascade_vectorized(source, now0, limit, horizon, acked)
+            if reason is None:
+                return None
+            if not strict:
+                return reason  # in-flight work present; only the vectorized tier ingests it
 
         log = runtime.log
         timing = runtime.timing
@@ -374,7 +403,7 @@ class BatchStepper:
 
         self.cascades += 1
         self.inline_events += inline
-        return True
+        return None
 
     def _inline_drain_timer(
         self, source: SourceExecutor, t: float, now0: float, horizon: Optional[float]
@@ -408,20 +437,22 @@ class BatchStepper:
         limit: float,
         horizon: Optional[float],
         acked: bool,
-    ) -> bool:
+    ) -> Optional[str]:
         """Sweep the whole stretch with per-task-instance arrays (numpy).
 
         Instead of replaying individual kernel entries, each task instance is
         processed once with struct-of-arrays arithmetic: per-channel jitter
         draws come from :func:`keyed_value_block` (bit-identical to the scalar
-        stream), FIFO bumps and Lindley service recurrences take their exact
-        vectorized form when the stretch has no bump/queueing (the common
-        case, pre-checked) and an exact scalar scan otherwise.  All simulated
-        times, log record streams and executor counters are bit-identical to
-        the classic keyed kernel; only the *event-id assignment order*
-        differs (ids are drawn in sweep order: roots first, then spilled
-        events, then receipts).  Work crossing the horizon is reconstructed
-        into classic kernel state exactly as the per-event tier does.
+        stream), and the sequential recurrences -- channel FIFO bumps, Lindley
+        service queues, busy-time sums, the fixed-rate tick schedule -- run as
+        the exact array kernels of :mod:`repro.engine.scan` (which keep the
+        per-event loop as their reference and saturated-queue fallback).  All
+        simulated times, log record streams and executor counters are
+        bit-identical to the classic keyed kernel; only the *event-id
+        assignment order* differs (ids are drawn in sweep order: roots first,
+        then spilled events, then receipts).  Work crossing the horizon is
+        reconstructed into classic kernel state exactly as the per-event tier
+        does.
 
         Unlike the per-event tier, this tier also runs under *relaxed*
         quiescence: pending kernel deliveries, in-service completions and
@@ -438,15 +469,16 @@ class BatchStepper:
         and die inside the sweep never materialize a ``PendingTree`` at all.
         The emission schedule is capped at the spout-pending headroom
         (pending only shrinks mid-stretch, so the cap is provably
-        throttle-free) and adopted in-flight events keep their original
-        objects/ids so their trees' hashes stay exact.
+        throttle-free; a capped stretch ends at the tick the cap held back)
+        and adopted in-flight events keep their original objects/ids so their
+        trees' hashes stay exact.
 
-        Returns False (nothing mutated) when an executor subclass it does not
-        model is present, or when in-flight work includes anything beyond
-        plain data events of live trees (control waves, sink batches,
+        Returns the decline reason (nothing mutated) when an executor subclass
+        it does not model is present, or when in-flight work includes anything
+        beyond plain data events of live trees (control waves, sink batches,
         state-store latencies, replayed events, events of timed-out trees);
         :meth:`try_cascade` then falls back to the per-event tier or the
-        classic path.
+        classic path.  Returns ``None`` once the stretch is swept.
         """
         np = _np
         runtime = self.runtime
@@ -454,12 +486,12 @@ class BatchStepper:
         for executor in executors.values():
             kind = type(executor)
             if kind is not Executor and kind is not SinkExecutor and kind is not SourceExecutor:
-                return False
+                return "unmodelled-executor"
         acker = runtime.acker
         if acked:
             headroom = source.pending_headroom()
             if headroom == 0:
-                return False  # throttled tick: the classic/heap paths handle it exactly
+                return "throttled"  # the classic/heap paths handle a throttled tick exactly
         else:
             headroom = None
         sim = runtime.sim
@@ -489,7 +521,7 @@ class BatchStepper:
                         or not executor._busy
                         or executor in busy_completions
                     ):
-                        return False
+                        return "inflight-unmodelled"
                     busy_completions[executor] = (entry[0], event)
                 elif cb == deliver_cb:
                     target, event, sender_id = entry[3]
@@ -500,22 +532,22 @@ class BatchStepper:
                         or target not in executors
                         or type(executors[target]) is SourceExecutor
                     ):
-                        return False
+                        return "inflight-unmodelled"
                     inflight.append((entry[0], target, event, sender_id))
                 elif cb == batch_cb:
                     target, sender_id, pairs, index = entry[3]
                     if target not in executors or type(executors[target]) is SourceExecutor:
-                        return False
+                        return "inflight-unmodelled"
                     for when, event in pairs[index:]:
                         if (
                             event.kind is not _DATA_KIND
                             or event.anchored is not acked
                             or event.replay_count
                         ):
-                            return False
+                            return "inflight-unmodelled"
                         inflight.append((when, target, event, sender_id))
                 else:
-                    return False
+                    return "inflight-unmodelled"
             for executor in executors.values():
                 if executor in busy_completions:
                     for event, _sender in executor.input_queue:
@@ -524,75 +556,100 @@ class BatchStepper:
                             or event.anchored is not acked
                             or event.replay_count
                         ):
-                            return False
+                            return "inflight-unmodelled"
                 elif executor._busy or executor.input_queue:
-                    return False  # busy/queued without a modelled completion
+                    return "inflight-unmodelled"  # busy/queued without a modelled completion
 
         dataflow = runtime.dataflow
         hor = float("inf") if horizon is None else horizon
+
+        # ---- Phase A: the emission schedule.
+        # The headroom cap is pessimistic but exact: pending can only shrink
+        # as trees complete mid-stretch, so a stretch emitting at most
+        # ``limit - pending`` roots never reaches a tick the classic path
+        # would have throttled.
+        idle_from: Optional[float] = None
+        next_tick: Optional[float] = None
+        capped = False
+        profile = source.profile
+        if profile is None and source.rate > 0:
+            ticks, next_tick, capped = fixed_rate_ticks(
+                now0, 1.0 / source.rate, limit, hor, headroom
+            )
+        else:
+            # Profile-driven sources re-evaluate the rate at every tick: the
+            # exact scalar recurrence of ``_arm_emit_timer``.
+            tick_times: List[float] = []
+            tick = now0
+            while True:
+                tick_times.append(tick)
+                rate = float(profile.rate_at(tick)) if profile is not None else source.rate
+                if rate <= 0:
+                    idle_from = tick
+                    break
+                source.rate = rate
+                next_tick = tick + 1.0 / rate
+                if next_tick > limit or next_tick >= hor:
+                    break
+                if headroom is not None and len(tick_times) >= headroom:
+                    capped = True
+                    break
+                tick = next_tick
+            ticks = np.array(tick_times)
+        if capped:
+            # The cap, not a timer or the run bound, ended emission: the next
+            # tick fires at ``next_tick`` and must find the executors as the
+            # classic kernel would have them then, so the sweep ends there.
+            hor = next_tick
         if hor <= limit:
             cut_value, cut_side = hor, "left"  # inline iff time < horizon
         else:
             cut_value, cut_side = limit, "right"  # inline iff time <= limit
         side_right = cut_side == "right"
 
-        # ---- Phase A: the emission schedule (exact scalar recurrence).
-        profile = source.profile
-        rate_at = profile.rate_at if profile is not None else None
-        tick_times: List[float] = []
-        tick = now0
-        idle_from: Optional[float] = None
-        next_tick: Optional[float] = None
-        while True:
-            tick_times.append(tick)
-            rate = float(rate_at(tick)) if rate_at is not None else source.rate
-            if rate <= 0:
-                idle_from = tick
-                break
-            source.rate = rate
-            after = tick + 1.0 / rate
-            if (
-                after <= limit
-                and after < hor
-                and (headroom is None or len(tick_times) < headroom)
-            ):
-                # The headroom cap is pessimistic but exact: pending can only
-                # shrink as trees complete mid-stretch, so a stretch emitting
-                # at most ``limit - pending`` roots never reaches a tick the
-                # classic path would have throttled.
-                tick = after
-            else:
-                next_tick = after
-                break
-
-        n_roots = len(tick_times)
+        n_roots = len(ticks)
         log = runtime.log
         source_name = source.task.name
         seqno = source._sequence
-        payloads: List[Any] = [
-            source._payload(s) for s in range(seqno + 1, seqno + n_roots + 1)
-        ]
         source._sequence = seqno + n_roots
         rid0 = reserve_event_ids(n_roots)
-        root_ids: List[int] = list(range(rid0, rid0 + n_roots))
+        rid_arr = np.arange(rid0, rid0 + n_roots, dtype=np.int64)
         # Bulk append (record_source_emit with replay_count=0, at_time=tick):
         # fresh root ids are never already in the first-emit map.  On the
         # columnar backend this is a pure array copy — no per-event record.
-        log.extend_emits(tick_times, root_ids, source_name)
+        log.extend_emits(ticks, rid_arr, source_name)
         source.emitted_count += n_roots
         inline_count = n_roots
-        #: Per-root original emission time.  For the roots emitted by this
-        #: cascade it equals the tick time; adopted in-flight events append
-        #: their own ``root_emitted_at`` (they descend from earlier roots).
-        root_emitted: List[float] = list(tick_times)
+
+        #: Sweep root indices ``0 .. n_roots-1`` are the roots this cascade
+        #: emits (id ``rid0 + r``, emitted at ``ticks[r]``, payload generated
+        #: on demand from the sequence number); adopted in-flight events
+        #: descend from earlier roots and extend the index space with their
+        #: own root id / emission time / payload.  Once ingestion has fixed
+        #: the index space, ``rid_arr`` / ``emitted_arr`` cover all of it.
+        adopted_root_ids: List[int] = []
+        adopted_emitted: List[float] = []
+        adopted_payloads: List[Any] = []
+        payload_memo: Dict[int, Any] = {}
 
         def adopt(event: Event) -> int:
             """Register an in-flight event as an extra sweep root index."""
-            idx = len(payloads)
-            payloads.append(event.payload)
-            root_ids.append(event.root_id)
-            root_emitted.append(event.root_emitted_at)
+            idx = n_roots + len(adopted_root_ids)
+            adopted_root_ids.append(event.root_id)
+            adopted_emitted.append(event.root_emitted_at)
+            adopted_payloads.append(event.payload)
             return idx
+
+        def payload_of(r: int) -> Any:
+            """Root ``r``'s payload, built once and only when something reads it
+            (a spilled event, an unresolved tree's replay cache, FIELDS
+            grouping): a loss-free stretch resolves most roots unread."""
+            if r >= n_roots:
+                return adopted_payloads[r - n_roots]
+            if r in payload_memo:
+                return payload_memo[r]
+            payload = payload_memo[r] = source._payload(seqno + 1 + r)
+            return payload
 
         #: Acked-mode bookkeeping.  Events wholly inside the sweep never draw
         #: an id: their anchor/ack XOR contributions cancel by construction,
@@ -638,10 +695,14 @@ class BatchStepper:
         def field_indices(num: int):
             cached = field_cache.get(num)
             if cached is None:
+                n_total = n_roots + len(adopted_root_ids)
                 cached = np.fromiter(
-                    (stable_field_index(field_key_of(p), num) for p in payloads),
+                    (
+                        stable_field_index(field_key_of(payload_of(r)), num)
+                        for r in range(n_total)
+                    ),
                     dtype=np.intp,
-                    count=len(payloads),
+                    count=n_total,
                 )
                 field_cache[num] = cached
             return cached
@@ -670,19 +731,9 @@ class BatchStepper:
                 raw = parent_c + lat
             else:
                 raw = parent_c + base
-            last = last_delivery.get(channel, 0.0)
-            if raw[0] >= last + 1e-9 and (
-                n == 1 or bool((raw[1:] >= raw[:-1] + 1e-9).all())
-            ):
-                deliveries = raw  # no FIFO bump anywhere (the usual case)
-            else:
-                deliveries = raw.copy()
-                prev = last
-                for i in range(n):
-                    earliest = prev + 1e-9
-                    if earliest > deliveries[i]:
-                        deliveries[i] = earliest
-                    prev = deliveries[i]
+            # Per-channel FIFO: d[i] = max(raw[i], d[i-1] + 1e-9).
+            deliveries, fell_back = maxplus_scan(raw, 1e-9, last_delivery.get(channel, 0.0))
+            self.scan_fallbacks += fell_back
             tail = float(deliveries[-1])
             last_delivery[channel] = tail
             router.routed_count += n
@@ -702,6 +753,7 @@ class BatchStepper:
                     np.add.at(anch_counts, roots[:cut], 1)
             for i in range(cut, n):  # beyond the bound: classic deliveries
                 r = int(roots[i])
+                root_id = int(rid_arr[r])
                 eid_new = next_event_id()
                 if acked:
                     if r < n_roots:
@@ -711,10 +763,11 @@ class BatchStepper:
                         spill_counts[r] += 1
                         anch_counts[r] += 1
                     else:
-                        anchor_pairs.append((root_ids[r], eid_new))
+                        anchor_pairs.append((root_id, eid_new))
                 event = Event(
-                    eid_new, root_ids[r], _DATA_KIND, task_name,
-                    payloads[r], float(parent_c[i]), root_emitted[r], None, None, 0, acked,
+                    eid_new, root_id, _DATA_KIND, task_name,
+                    payload_of(r), float(parent_c[i]), float(emitted_arr[r]),
+                    None, None, 0, acked,
                 )
                 schedule_at_fast(float(deliveries[i]), deliver, (target, event, sender_id))
 
@@ -796,19 +849,19 @@ class BatchStepper:
                     when, entries, [adopt(ev) for ev, _ in entries]
                 )
 
+        # Ingestion fixed the root-index space: per-root columns can now be
+        # sized once (ship and the executor loop mutate the counters in place).
+        emitted_arr = ticks
+        if adopted_root_ids:
+            rid_arr = np.concatenate([rid_arr, np.asarray(adopted_root_ids, dtype=np.int64)])
+            emitted_arr = np.concatenate([ticks, np.asarray(adopted_emitted, dtype=np.float64)])
         if acked:
-            # Ingestion fixed the root-index space; the counters can now be
-            # sized once (ship and the executor loop mutate them in place).
-            n_total = len(payloads)
-            anch_counts = np.zeros(n_total, dtype=np.int64)
-            ack_counts = np.zeros(n_total, dtype=np.int64)
-            resid = [0] * n_roots
-            spill_counts = [0] * n_roots
+            anch_counts = np.zeros(len(rid_arr), dtype=np.int64)
+            ack_counts = np.zeros(len(rid_arr), dtype=np.int64)
+            resid = np.zeros(n_roots, dtype=np.uint64)
+            spill_counts = np.zeros(n_roots, dtype=np.int64)
 
-        route_stream(
-            source.executor_id, source_name,
-            np.array(tick_times), np.arange(n_roots),
-        )
+        route_stream(source.executor_id, source_name, ticks, np.arange(n_roots))
 
         sink_recs: List[Tuple[Any, Any, SinkExecutor]] = []
         for name in dataflow.topological_order:
@@ -830,8 +883,8 @@ class BatchStepper:
                         arr = np.concatenate([c[0] for c in chans])
                         roots = np.concatenate([c[1] for c in chans])
                         parents = np.concatenate([c[2] for c in chans])
-                        senders = np.concatenate(
-                            [np.full(len(c[0]), i, dtype=np.intp) for i, c in enumerate(chans)]
+                        senders = np.repeat(
+                            np.arange(len(chans)), [len(c[0]) for c in chans]
                         )
                         if acked and any(c[4] is not None for c in chans):
                             aids = np.concatenate(
@@ -865,13 +918,8 @@ class BatchStepper:
                     # concatenation below stays sorted.
                     t_fixed, sevents, sidx = seed
                     m = len(sevents)
-                    sc = np.empty(m)
-                    prev = t_fixed
-                    sc[0] = prev
-                    for j in range(1, m):
-                        prev = prev + service
-                        sc[j] = prev
-                    prev_init = prev
+                    sc = sequential_sums(t_fixed, service, m - 1)
+                    busy_until = float(sc[-1])
                     sids = (
                         np.fromiter(
                             (ev.event_id for ev, _ in sevents), dtype=np.uint64, count=m
@@ -882,27 +930,19 @@ class BatchStepper:
                 else:
                     sevents = sidx = sids = None
                     m = 0
-                    prev_init = None
+                    busy_until = None
                 if n:
                     if service == 0.0:
-                        if prev_init is not None and arr[0] < prev_init:
+                        if busy_until is not None and arr[0] < busy_until:
                             # Arrivals landing while the seeded work drains
                             # complete the instant it finishes (exact: a
                             # selection, no arithmetic).
-                            ncomp = np.maximum(arr, prev_init)
+                            ncomp = np.maximum(arr, busy_until)
                         else:
                             ncomp = arr  # `tc = t + 0.0` is exact
-                    elif (prev_init is None or arr[0] >= prev_init) and (
-                        n == 1 or bool((arr[1:] >= arr[:-1] + service).all())
-                    ):
-                        ncomp = arr + service  # no queueing anywhere
                     else:
-                        ncomp = np.empty(n)
-                        prev = float("-inf") if prev_init is None else prev_init
-                        for i in range(n):  # exact Lindley scan
-                            value = arr[i]
-                            prev = (value if value > prev else prev) + service
-                            ncomp[i] = prev
+                        ncomp, fell_back = service_completions(arr, service, busy_until)
+                        self.scan_fallbacks += fell_back
                 else:
                     ncomp = None
                 if m and n:
@@ -943,10 +983,12 @@ class BatchStepper:
                     # whose ids are already in their trees' hashes.
                     np.add.at(ack_counts, all_roots[:k], 1)
                     if all_ids is not None:
-                        for j in np.flatnonzero(all_ids[:k]):
-                            r = int(all_roots[j])
-                            ack_counts[r] -= 1
-                            ack_pairs.append((root_ids[r], int(all_ids[j])))
+                        real = np.flatnonzero(all_ids[:k])
+                        real_roots = all_roots[real]
+                        np.subtract.at(ack_counts, real_roots, 1)
+                        ack_pairs.extend(
+                            zip(rid_arr[real_roots].tolist(), all_ids[real].tolist())
+                        )
                 if type(executor) is SinkExecutor:
                     if k:
                         sink_recs.append((completions[:k], all_roots[:k], executor))
@@ -958,10 +1000,10 @@ class BatchStepper:
                         executor.processed_count += k
                         state = executor.state
                         state["processed"] = state.get("processed", 0) + k
-                        busy = executor.busy_time_s
-                        for _ in range(k):  # k sequential adds, like the kernel
-                            busy += service
-                        executor.busy_time_s = busy
+                        # k sequential adds, like the kernel's one per event.
+                        executor.busy_time_s = float(
+                            sequential_sums(executor.busy_time_s, service, k)[-1]
+                        )
                 for j in range(min(k, m)):
                     # Completed adopted events leave the system here; feed the
                     # clone pool as the classic sink path eventually would.
@@ -988,6 +1030,7 @@ class BatchStepper:
                             # original object back so the id folded into its
                             # tree stays the one the classic path will ack.
                             return adopted_by_id[int(aids[j])], sid
+                        root_id = int(rid_arr[r])
                         eid_new = next_event_id()
                         if acked:
                             if r < n_roots:
@@ -997,11 +1040,11 @@ class BatchStepper:
                                 # Convert the ship-time symbolic anchor into a
                                 # real one on the pre-existing tree.
                                 anch_counts[r] -= 1
-                                anchor_pairs.append((root_ids[r], eid_new))
+                                anchor_pairs.append((root_id, eid_new))
                         event = Event(
-                            eid_new, root_ids[r], _DATA_KIND,
-                            executors[sid].task.name, payloads[r],
-                            float(parents[j]), root_emitted[r], None, None, 0, acked,
+                            eid_new, root_id, _DATA_KIND,
+                            executors[sid].task.name, payload_of(r),
+                            float(parents[j]), float(emitted_arr[r]), None, None, 0, acked,
                         )
                         return event, sid
 
@@ -1021,28 +1064,25 @@ class BatchStepper:
             # PendingTree, no timer.  The rest materialize with their exact
             # classic end-of-stretch state (hash = XOR of outstanding spilled
             # ids) and back-dated timeout timers.
-            resolved_count = 0
-            resolved_anchors = 0
-            resolved_acks = 0
-            u_idx: List[int] = []
-            for r in range(n_roots):
-                if spill_counts[r] == 0 and anch_counts[r] > 0:
-                    resolved_count += 1
-                    resolved_anchors += int(anch_counts[r])
-                    resolved_acks += int(ack_counts[r])
-                else:
-                    u_idx.append(r)
-            acker.absorb_resolved(resolved_count, resolved_anchors, resolved_acks)
-            if u_idx:
-                u_roots = [root_ids[r] for r in u_idx]
+            new_anchors = anch_counts[:n_roots]
+            new_acks = ack_counts[:n_roots]
+            resolved = (spill_counts == 0) & (new_anchors > 0)
+            acker.absorb_resolved(
+                int(np.count_nonzero(resolved)),
+                int(new_anchors[resolved].sum()),
+                int(new_acks[resolved].sum()),
+            )
+            unresolved = np.flatnonzero(~resolved)
+            if unresolved.size:
+                u_roots = (rid0 + unresolved).tolist()
                 acker.register_block(
                     u_roots,
-                    [tick_times[r] for r in u_idx],
-                    [resid[r] for r in u_idx],
-                    [int(anch_counts[r]) for r in u_idx],
-                    [int(ack_counts[r]) for r in u_idx],
+                    ticks[unresolved].tolist(),
+                    resid[unresolved].tolist(),
+                    new_anchors[unresolved].tolist(),
+                    new_acks[unresolved].tolist(),
                 )
-                source.cache_block(u_roots, [payloads[r] for r in u_idx])
+                source.cache_block(u_roots, [payload_of(r) for r in unresolved.tolist()])
             # Pre-existing trees: real anchors first (spilled ids enter the
             # hashes), then the cancelled symbolic pairs, then the real acks —
             # so no tree's hash can transiently return to zero before all its
@@ -1050,27 +1090,23 @@ class BatchStepper:
             # on_complete (source drops its cached payloads).
             if anchor_pairs:
                 acker.anchor_batch(anchor_pairs)
-            if len(payloads) > n_roots:
-                adopted_idx = range(n_roots, len(payloads))
+            if adopted_root_ids:
                 acker.settle_batch(
-                    [root_ids[r] for r in adopted_idx],
-                    [int(anch_counts[r]) for r in adopted_idx],
-                    [int(ack_counts[r]) for r in adopted_idx],
+                    adopted_root_ids,
+                    anch_counts[n_roots:].tolist(),
+                    ack_counts[n_roots:].tolist(),
                 )
             if ack_pairs:
                 acker.ack_batch(ack_pairs)
 
         # ---- Phase C: receipts merged into the log in global time order.
         if sink_recs:
-            log = runtime.log
             # Per-root fields are gathered with one numpy fancy-index and the
             # receipt ids come from one bulk reservation plus ``np.arange``.
             # ``extend_receipts`` is backend-polymorphic: the classic log
             # materializes the exact records the per-event path would have
             # built (tolist() yields native floats/ints), the columnar log
             # appends the arrays directly — zero per-event objects.
-            rid_arr = np.asarray(root_ids, dtype=np.int64)
-            emitted_arr = np.asarray(root_emitted, dtype=np.float64)
             if len(sink_recs) == 1:
                 times, roots, sink = sink_recs[0]
                 eid0 = reserve_event_ids(len(times))
@@ -1084,8 +1120,8 @@ class BatchStepper:
             else:
                 all_times = np.concatenate([rec[0] for rec in sink_recs])
                 all_roots = np.concatenate([rec[1] for rec in sink_recs])
-                which = np.concatenate(
-                    [np.full(len(rec[0]), i, dtype=np.intp) for i, rec in enumerate(sink_recs)]
+                which = np.repeat(
+                    np.arange(len(sink_recs)), [len(rec[0]) for rec in sink_recs]
                 )
                 names = [rec[2].task.name for rec in sink_recs]
                 order = np.argsort(all_times, kind="stable")
@@ -1111,7 +1147,7 @@ class BatchStepper:
         self.cascades += 1
         self.vector_cascades += 1
         self.inline_events += inline_count
-        return True
+        return None
 
     # ---------------------------------------------------------------- routing
     def _route_inline(

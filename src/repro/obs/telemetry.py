@@ -83,6 +83,17 @@ class Telemetry:
 
             registry.counter("router", "pool_recycles").set_total(pool_recycled_total())
 
+            stepper = runtime.batch_stepper
+            if stepper is not None:
+                # Engine-tier accounting: how much ran inline, and why each
+                # source tick the stepper handed back was handed back.
+                for name in ("cascades", "vector_cascades", "inline_events", "scan_fallbacks"):
+                    registry.counter("engine.batch", name).set_total(getattr(stepper, name))
+                for reason in sorted(stepper.declines):
+                    registry.counter("engine.batch", "declines", reason=reason).set_total(
+                        stepper.declines[reason]
+                    )
+
             by_task: Dict[str, List] = {}
             for executor in runtime.executors.values():
                 by_task.setdefault(executor.task.name, []).append(executor)

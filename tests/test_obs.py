@@ -23,6 +23,8 @@ import json
 
 import pytest
 
+from repro.dataflow import topologies
+from repro.engine.runtime import TopologyRuntime
 from repro.experiments.elastic import run_elastic_experiment
 from repro.metrics.metadata import config_digest, run_metadata
 from repro.obs import (
@@ -37,7 +39,10 @@ from repro.obs import (
     validate_trace_jsonl,
     write_trace_jsonl,
 )
+from repro.sim import Simulator
 from repro.sim.shard import log_digest
+
+from tests.conftest import build_cluster, fast_config
 
 STAGES = ["sense", "forecast", "plan", "place", "act"]
 
@@ -203,6 +208,38 @@ class TestControlPlaneTrace:
             if not s["labels"] and s["subsystem"] == "acker"
         }
         assert after == before
+
+    def test_batch_stepper_tiers_and_declines_scraped(self, traced):
+        # The classic engine has no stepper: no engine.batch series at all.
+        assert not any(
+            s["subsystem"] == "engine.batch" for s in traced.telemetry.registry.snapshot()
+        )
+        config = fast_config("dsm")
+        config.batch_stepping = True
+        config.telemetry = True
+        sim = Simulator()
+        runtime = TopologyRuntime(
+            topologies.grid(), build_cluster(sim, worker_vms=11), sim=sim, config=config
+        )
+        runtime.deploy()
+        runtime.start()
+        for _ in range(8):  # windowed, across the periodic checkpoint waves
+            sim.run(until=sim.now + 1.0)
+        stepper = runtime.batch_stepper
+        assert stepper.vector_cascades > 0 and stepper.declines
+        for _ in range(2):  # rescrapes overwrite, never double-count
+            runtime.telemetry.scrape(runtime)
+            series = {
+                (s["name"], s["labels"].get("reason")): s["value"]
+                for s in runtime.telemetry.registry.snapshot()
+                if s["subsystem"] == "engine.batch"
+            }
+            assert series.pop(("cascades", None)) == stepper.cascades
+            assert series.pop(("vector_cascades", None)) == stepper.vector_cascades
+            assert series.pop(("inline_events", None)) == stepper.inline_events
+            assert series.pop(("scan_fallbacks", None)) == stepper.scan_fallbacks
+            assert {reason: count for (_, reason), count in series.items()} == stepper.declines
+        assert "inflight-unmodelled" in stepper.declines  # a checkpoint wave in flight
 
     def test_same_seed_canonical_trace_is_byte_identical(self, traced):
         again = _traced_run()
