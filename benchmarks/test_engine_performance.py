@@ -349,8 +349,8 @@ def test_shard_scaling_cost(benchmark, engine_bench_recorder):
     engine_bench_recorder("shard_scaling", benchmark, events=counts["events"])
 
 
-def _sink_drain_runtime(batch_max: int) -> TopologyRuntime:
-    """A deployed minimal chain whose sink is about to drain a deep queue."""
+def _sink_drain_runtime() -> TopologyRuntime:
+    """A deployed minimal chain whose (idle, zero-service-time) sink is about to be flooded."""
     builder = TopologyBuilder("sinkdrain")
     builder.add_source("source", rate=1.0)
     builder.add_task("work", parallelism=1, latency_s=0.001)
@@ -358,9 +358,7 @@ def _sink_drain_runtime(batch_max: int) -> TopologyRuntime:
     builder.chain("source", "work", "sink")
     sim = Simulator()
     cluster = build_cluster(sim, worker_vms=2)
-    config = fast_config("dcr")
-    config.sink_batch_max = batch_max
-    runtime = TopologyRuntime(builder.build(), cluster, sim=sim, config=config)
+    runtime = TopologyRuntime(builder.build(), cluster, sim=sim, config=fast_config("dcr"))
     runtime.deploy()
     for executor in runtime.executors.values():
         if executor.task.name != "source":  # keep the generator quiet
@@ -368,9 +366,9 @@ def _sink_drain_runtime(batch_max: int) -> TopologyRuntime:
     return runtime
 
 
-def _drain_sink(batch_max: int, num_events: int = 20_000) -> int:
-    """Flood the sink's input queue and drain it; returns receipts recorded."""
-    runtime = _sink_drain_runtime(batch_max)
+def _drain_sink(num_events: int = 20_000) -> int:
+    """Flood the sink with deliveries and run to quiescence; returns receipts recorded."""
+    runtime = _sink_drain_runtime()
     deliver = runtime.deliver
     for i in range(num_events):
         event = Event.data("work", payload={"seq": i}, created_at=0.0)
@@ -379,28 +377,12 @@ def _drain_sink(batch_max: int, num_events: int = 20_000) -> int:
     return len(runtime.log.sink_receipts)
 
 
-def test_sink_drain_batched(benchmark, engine_bench_recorder):
-    """Cost of a 20k-event sink backlog drain with batched service.
-
-    Consecutive data events coalesce into one kernel callback per batch
-    (``sink_batch_max``), mirroring the router's same-channel delivery
-    batching; receipts keep their exact per-event completion times.
+def test_sink_drain(benchmark, engine_bench_recorder):
+    """Cost of 20k deliveries into a sink: event construction, ``deliver`` and
+    the staged log write.  Zero-time sink service completes inside
+    ``deliver()``, so no kernel event runs per receipt (the baseline is the
+    batched 0 s-completion drain this replaced).
     """
-    receipts = benchmark.pedantic(
-        lambda: _drain_sink(batch_max=32), rounds=5, iterations=1, warmup_rounds=1
-    )
+    receipts = benchmark.pedantic(_drain_sink, rounds=5, iterations=1, warmup_rounds=1)
     assert receipts == 20_000
-    engine_bench_recorder("sink_drain_batched", benchmark, events=20_000)
-
-
-def test_sink_drain_unbatched(benchmark, engine_bench_recorder):
-    """The same drain with batching disabled: one kernel event per completion.
-
-    The batched/unbatched mean ratio in ``BENCH_engine.json`` is the win of
-    the executor batch-service path.
-    """
-    receipts = benchmark.pedantic(
-        lambda: _drain_sink(batch_max=0), rounds=5, iterations=1, warmup_rounds=1
-    )
-    assert receipts == 20_000
-    engine_bench_recorder("sink_drain_unbatched", benchmark, events=20_000)
+    engine_bench_recorder("sink_drain", benchmark, events=20_000)

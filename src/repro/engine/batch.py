@@ -175,6 +175,10 @@ class BatchStepper:
             return "source-paused"
         if source._backlog or source._replay_queue:
             return "source-backlog"
+        if source._drain_next is not None:
+            # Parked drain chain: a tree completing inside the cascade would
+            # have to re-arm it against the kernel clock, which sits at entry.
+            return "throttled"
         if runtime._deferred_deliveries:
             return "deferred-deliveries"
         if not allow_inflight and sim.has_fast_entries():

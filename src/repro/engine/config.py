@@ -38,7 +38,8 @@ class ReliabilityConfig:
     #: Storm's ``max.spout.pending`` flow control: with acking enabled, a
     #: source stops emitting new events while this many root events are still
     #: unacknowledged.  Only applies when ``ack_all_events`` is set; ``None``
-    #: disables the throttle.
+    #: disables the throttle (a value below 1 is rejected: 0 would stall the
+    #: spout for good, not lift the limit).
     max_spout_pending: Optional[int] = 96
     #: Whether generator ticks that occur while the source is throttled are
     #: queued in the source's backlog (and emitted later) rather than skipped.
@@ -49,6 +50,14 @@ class ReliabilityConfig:
     #: Ticks that occur while the source is *explicitly paused* (DCR/CCR)
     #: always go to the backlog.
     throttled_ticks_generate_backlog: bool = True
+
+    def __post_init__(self) -> None:
+        if self.max_spout_pending is not None and self.max_spout_pending < 1:
+            raise ValueError(
+                f"max_spout_pending must be at least 1 (None = unlimited), got {self.max_spout_pending}"
+            )
+        if self.ack_timeout_s <= 0:
+            raise ValueError(f"ack_timeout_s must be positive, got {self.ack_timeout_s}")
 
 
 @dataclass
@@ -96,6 +105,12 @@ class TimingConfig:
     #: emitted, letting in-transit source emissions land in the entry queues.
     quiesce_delay_s: float = 0.05
 
+    def __post_init__(self) -> None:
+        if self.source_max_burst_rate <= 0:
+            raise ValueError(
+                f"source_max_burst_rate must be positive, got {self.source_max_burst_rate}"
+            )
+
 
 @dataclass
 class RuntimeConfig:
@@ -108,13 +123,6 @@ class RuntimeConfig:
     #: Name of the VM (by tag role) that hosts sources and sinks and is
     #: excluded from migration, per the paper's experiment setup.
     util_vm_role: str = "util"
-    #: Maximum number of consecutive data events a sink coalesces into one
-    #: kernel callback while draining a deep queue (<=1 disables batching).
-    #: Receipts keep their exact per-event completion times, so logged
-    #: results are unchanged; batching is automatically disabled when data
-    #: acking is on (per-event ack timing is observable) or the dataflow has
-    #: several sink executors (interleaved receipts must stay time-ordered).
-    sink_batch_max: int = 32
     #: Derive network-jitter draws from a keyed per-channel stream
     #: ``(seed, "network-jitter", channel_key, sequence)`` instead of one
     #: shared ``random.Random``.  With keyed streams the jitter seen on one
@@ -162,7 +170,6 @@ class RuntimeConfig:
             timing=replace(self.timing),
             seed=self.seed,
             util_vm_role=self.util_vm_role,
-            sink_batch_max=self.sink_batch_max,
             keyed_network_jitter=self.keyed_network_jitter,
             batch_stepping=self.batch_stepping,
             batch_vectorize=self.batch_vectorize,

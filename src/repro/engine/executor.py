@@ -444,10 +444,14 @@ class SourceExecutor(Executor):
         "_replay_counts",
         "_emit_timer",
         "_drain_timer",
+        "_drain_period",
+        "_drain_next",
         "_stopped",
         "emitted_count",
         "replayed_count",
         "skipped_ticks",
+        "drain_parks",
+        "drain_wakes",
     )
 
     def __init__(self, executor_id: str, task: SourceTask, instance_index: int, runtime: "TopologyRuntimeLike") -> None:
@@ -462,16 +466,29 @@ class SourceExecutor(Executor):
         self._replay_counts: Dict[int, int] = {}
         self._emit_timer = None
         self._drain_timer = None
+        #: Parked drain chain (see _drain_tick): the grid point its next poll
+        #: would have fired at and its period; ``_drain_next`` is ``None``
+        #: while the chain is live or absent.
+        self._drain_next: Optional[float] = None
+        self._drain_period = 0.0
         self._stopped = False
         self.emitted_count = 0
         self.replayed_count = 0
         self.skipped_ticks = 0
+        #: Times the drain chain parked on a throttled poll / was re-armed.
+        self.drain_parks = 0
+        self.drain_wakes = 0
 
     # ------------------------------------------------------------- lifecycle
     def start(self) -> None:
         super().start()
         if self._emit_timer is None:
             self._arm_emit_timer()
+
+    def kill(self) -> Tuple[int, int]:
+        # The next poll would see the status change and retire the chain.
+        self._wake_drain()
+        return super().kill()
 
     def stop(self) -> None:
         """Stop generating events entirely (end of experiment).
@@ -526,6 +543,8 @@ class SourceExecutor(Executor):
             )
             return
         self.rate = rate
+        if self._drain_next is not None and rate >= self.runtime.timing.source_max_burst_rate:
+            self._wake_drain()  # see _drain_tick: no parking at or above the burst rate
         self._emit_timer = self.sim.schedule(1.0 / rate, self._emit_tick)
 
     def _emit_tick(self) -> None:
@@ -542,6 +561,9 @@ class SourceExecutor(Executor):
     def pause(self) -> None:
         """Stop emitting; generated events accumulate in the backlog."""
         self.paused = True
+        # The next poll would see the pause and retire the chain -- unless an
+        # unpause lands first, which then finds the chain still on its grid.
+        self._wake_drain()
         self.runtime.log.record_lifecycle(self.executor_id, "paused")
 
     def unpause(self) -> None:
@@ -569,7 +591,7 @@ class SourceExecutor(Executor):
         if not self.runtime.ack_data_events:
             return False
         limit = self.runtime.reliability.max_spout_pending
-        if not limit:
+        if limit is None:
             return False
         return self.runtime.acker.pending_count >= limit
 
@@ -585,7 +607,7 @@ class SourceExecutor(Executor):
         if not self.runtime.ack_data_events:
             return None
         limit = self.runtime.reliability.max_spout_pending
-        if not limit:
+        if limit is None:
             return None
         return max(0, limit - self.runtime.acker.pending_count)
 
@@ -659,6 +681,9 @@ class SourceExecutor(Executor):
     # --------------------------------------------------------------- replays
     def replay(self, root_id: int) -> None:
         """Queue a failed root for re-emission (rate-limited by the burst rate)."""
+        # Every source hears every failed tree (pending just fell), whether or
+        # not the root is its own.
+        self._wake_drain()
         if root_id not in self._cache:
             return
         if self.paused or self.status is not ExecutorStatus.RUNNING:
@@ -669,11 +694,34 @@ class SourceExecutor(Executor):
 
     def tree_completed(self, root_id: int) -> None:
         """Drop the cached payload of a successfully processed root."""
+        self._wake_drain()
         self._cache.pop(root_id, None)
         self._replay_counts.pop(root_id, None)
 
     # ------------------------------------------------------------- drain loop
+    # The drain chain is a periodic timer on a fixed grid: armed at ``t0`` it
+    # polls at ``t0 + p``, ``(t0 + p) + p``, ... and emits one replay or
+    # backlog entry per poll.  A poll that finds the spout throttled does
+    # nothing, and it keeps finding it throttled until a tree completes or
+    # fails -- the only two ways the acker's pending count falls.  So such a
+    # poll *parks* the chain (no timer in the heap, the next grid point
+    # remembered) and ``tree_completed`` / ``replay`` re-arm it at the first
+    # grid point at or after the wake, the grid advanced by the same
+    # sequential float adds the timer chain performs: every poll that can do
+    # anything fires at the bit-identical time, only the no-op polls are gone.
+    # ``pause`` / ``kill`` change what the next poll would do, so they re-arm
+    # it too and let that poll retire the chain exactly as it always did.
+    #
+    # One regime keeps polling: a spout generating at or above its burst rate.
+    # There the emit chain runs on the drain chain's own period, an emit tick
+    # can tie with a poll it was scheduled *after*, and which of the two runs
+    # first is decided by the heap sequence number the poll drew one period
+    # earlier -- which a re-armed poll cannot reproduce.  Below the burst rate
+    # every emit tick that ties with a poll was scheduled more than one drain
+    # period before it, so it precedes the poll in both schemes.
     def _ensure_drain_timer(self) -> None:
+        if self._drain_next is not None:
+            return  # parked: the chain exists, its polls are just not scheduled
         if self._drain_timer is not None and self._drain_timer.active:
             return
         period = 1.0 / max(self.rate, self.runtime.timing.source_max_burst_rate)
@@ -684,7 +732,18 @@ class SourceExecutor(Executor):
             self._stop_drain_timer()
             return
         if self._throttled():
-            # Keep the timer alive; emission resumes once pending acks drain.
+            # Emission resumes once pending acks drain: park until then.
+            if (
+                self._emit_timer is not None
+                and self.rate >= self.runtime.timing.source_max_burst_rate
+            ):
+                return  # emit ticks share this chain's period: keep their tie order
+            timer = self._drain_timer
+            timer.cancel()
+            self._drain_timer = None
+            self._drain_period = timer.period
+            self._drain_next = self.sim.now + timer.period
+            self.drain_parks += 1
             return
         if self._replay_queue:
             self._emit_replay(self._replay_queue.popleft())
@@ -694,7 +753,21 @@ class SourceExecutor(Executor):
             return
         self._stop_drain_timer()
 
+    def _wake_drain(self) -> None:
+        """Re-arm a parked drain chain at its first grid point at or after now."""
+        grid = self._drain_next
+        if grid is None:
+            return
+        period = self._drain_period
+        now = self.sim.now
+        while grid < now:
+            grid += period
+        self._drain_next = None
+        self._drain_timer = self.sim.every(period, self._drain_tick, start_at=grid)
+        self.drain_wakes += 1
+
     def _stop_drain_timer(self) -> None:
+        self._drain_next = None
         if self._drain_timer is not None:
             self._drain_timer.cancel()
             self._drain_timer = None
@@ -703,47 +776,40 @@ class SourceExecutor(Executor):
 class SinkExecutor(Executor):
     """Sink task instance: records every received event in the event log.
 
-    **Batch service**: a sink draining a deep input queue coalesces up to
-    ``RuntimeConfig.sink_batch_max`` consecutive data events into *one*
-    kernel callback, mirroring how the router batches same-channel
-    deliveries.  Each receipt is stamped with its exact per-event completion
-    time, so the *logged record stream* is identical to serial service.
-    Sinks are the one executor kind where this is safe: they emit nothing
-    downstream, so no routing (and no draw from the shared network-jitter
-    stream) is reordered.  Batching disables itself when data acking is on
-    (per-event ack timing is observable by the acker and the spout throttle)
-    or when the dataflow has several sink executors (interleaved receipts
-    must stay time-ordered in the indexed log).
-
-    One caveat for *mid-run* observers that slice the log by index (the
-    elasticity monitor): batched receipts are appended when the batch
-    callback fires, up to one batch-service window after their stamped
-    times.  With the repository's sink service time of zero the callback
-    fires at the same simulated instant the batch forms -- before any
-    later-timed sample can run -- so the skew is unobservable; it can only
-    appear when ``data_event_overhead_s`` is configured non-zero.
+    **Inline service**: a sink emits nothing downstream, so when its service
+    time is zero (the repository's timing model) an idle sink completes a
+    data event inside :meth:`deliver` -- receipt, ack and recycle at the
+    delivery time -- instead of scheduling a 0 s completion that would fire
+    at that same instant.  Whatever the queued path exists for still takes
+    it: a non-zero ``data_event_overhead_s``, an event arriving while another
+    is queued or in service (a control event, a restored backlog), capture
+    mode, an uninitialized or non-running sink.
     """
 
-    __slots__ = ("received_count", "_batch", "_batch_started_at", "_batch_enabled")
+    __slots__ = ("received_count", "inline_completions")
 
     def __init__(self, executor_id: str, task: SinkTask, instance_index: int, runtime: "TopologyRuntimeLike") -> None:
         super().__init__(executor_id, task, instance_index, runtime)
         self.received_count = 0
-        self._batch: Optional[List[Tuple[Event, str]]] = None
-        self._batch_started_at = 0.0
-        self._batch_enabled = False
+        #: Data events completed inside deliver() (no kernel event each).
+        self.inline_completions = 0
 
-    def start(self) -> None:
-        # Evaluated at start (the full executor set exists by then): batching
-        # requires no data acking and a single sink executor (see class doc).
-        self._batch_enabled = (
-            getattr(self.runtime.config, "sink_batch_max", 0) > 1
-            and not self.runtime.ack_data_events
-            and len(self.runtime.sink_executors) == 1
-        )
-        super().start()
+    def deliver(self, event: Event, sender_id: str) -> bool:
+        if (
+            self._service_time == 0.0
+            and event.kind is _DATA
+            and self.status is _RUNNING
+            and self.initialized
+            and not self._busy
+            and not self.input_queue
+            and not self.capture_mode
+        ):
+            self.inline_completions += 1
+            self._receive(event)
+            return True
+        return super().deliver(event, sender_id)
 
-    def _record_receipt(self, event: Event, at_time: Optional[float] = None) -> None:
+    def _receive(self, event: Event) -> None:
         self.received_count += 1
         self.runtime.log.record_sink_receipt(
             root_id=event.root_id,
@@ -751,91 +817,19 @@ class SinkExecutor(Executor):
             sink=self.task.name,
             root_emitted_at=event.root_emitted_at,
             replay_count=event.replay_count,
-            at_time=at_time,
         )
         self.processed_count += 1
-
-    def _maybe_process(self) -> None:
-        queue = self.input_queue
-        if self._busy or self.status is not ExecutorStatus.RUNNING or not queue:
-            return
-        if (
-            self._batch_enabled
-            and len(queue) > 1
-            and queue[0][0].kind is _DATA
-            and queue[1][0].kind is _DATA
-            and not self.capture_mode
-        ):
-            batch: List[Tuple[Event, str]] = []
-            limit = self.runtime.config.sink_batch_max
-            while queue and len(batch) < limit and queue[0][0].kind is _DATA:
-                batch.append(queue.popleft())
-            self._busy = True
-            self._batch = batch
-            self._batch_started_at = self.sim.now
-            self.sim.schedule_fast(self._service_time * len(batch), self._complete_batch, (batch,))
-            return
-        super()._maybe_process()
-
-    def _complete_batch(self, batch: List[Tuple[Event, str]]) -> None:
-        if batch is not self._batch:
-            # Stale callback: a kill/restart cleared (or replaced) the batch
-            # before this fired.  The current batch's own callback, if any,
-            # is still in flight.
-            return
-        self._batch = None
-        if self.status is not _RUNNING:
-            self._busy = False
-            return
-        service = self._service_time
-        time = self._batch_started_at
-        for event, _sender in batch:
-            time += service
-            self._record_receipt(event, at_time=time)
-            recycle_event(event)
-        self._busy = False
-        self._maybe_process()
-
-    def kill(self) -> Tuple[int, int]:
-        batch = self._batch
-        self._batch = None
-        if batch:
-            # Reconstruct the serial-execution picture at kill time: events
-            # whose service already completed were received (record them with
-            # their exact times); the event in service is lost silently, just
-            # like a serially serviced one; the rest re-join the input queue
-            # so the kill accounting counts them as queued losses.
-            now = self.sim.now
-            service = self._service_time
-            time = self._batch_started_at
-            requeue: List[Tuple[Event, str]] = []
-            in_service_seen = False
-            for event, sender in batch:
-                time += service
-                if time <= now:
-                    self._record_receipt(event, at_time=time)
-                elif not in_service_seen:
-                    in_service_seen = True
-                else:
-                    requeue.append((event, sender))
-            for pair in reversed(requeue):
-                self.input_queue.appendleft(pair)
-        return super().kill()
-
-    def become_ready(self) -> None:
-        self._batch = None
-        super().become_ready()
-
-    def _complete_data(self, event: Event) -> None:
-        if self.status is not ExecutorStatus.RUNNING:
-            self._busy = False
-            return
-        self._record_receipt(event)
         self.runtime.ack_processed(event)
         # The event has left the system: feed the fan-out clone pool.
         # (recycle_event refuses anchored events, which the acker may still
         # reference in its failure bookkeeping.)
         recycle_event(event)
+
+    def _complete_data(self, event: Event) -> None:
+        if self.status is not ExecutorStatus.RUNNING:
+            self._busy = False
+            return
+        self._receive(event)
         self._busy = False
         self._maybe_process()
 

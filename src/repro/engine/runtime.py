@@ -151,6 +151,8 @@ class TopologyRuntime:
 
         self.executors: Dict[str, Executor] = {}
         self._user_executors_cache: Optional[List[Executor]] = None
+        self._source_executors_cache: Optional[List[SourceExecutor]] = None
+        self._sink_executors_cache: Optional[List[SinkExecutor]] = None
         self.placement: Optional[PlacementPlan] = None
         self.deployed = False
         self.rebalances: List[RebalanceRecord] = []
@@ -187,13 +189,22 @@ class TopologyRuntime:
 
     @property
     def source_executors(self) -> List[SourceExecutor]:
-        """All source executors."""
-        return [e for e in self.executors.values() if isinstance(e, SourceExecutor)]
+        """All source executors (cached like :attr:`user_executors`: the acker
+        callbacks ask once per completed tree, the batch stepper once per tick)."""
+        if self._source_executors_cache is None:
+            self._source_executors_cache = [
+                e for e in self.executors.values() if isinstance(e, SourceExecutor)
+            ]
+        return list(self._source_executors_cache)
 
     @property
     def sink_executors(self) -> List[SinkExecutor]:
-        """All sink executors."""
-        return [e for e in self.executors.values() if isinstance(e, SinkExecutor)]
+        """All sink executors (cached like :attr:`user_executors`)."""
+        if self._sink_executors_cache is None:
+            self._sink_executors_cache = [
+                e for e in self.executors.values() if isinstance(e, SinkExecutor)
+            ]
+        return list(self._sink_executors_cache)
 
     @property
     def user_executors(self) -> List[Executor]:
@@ -217,8 +228,10 @@ class TopologyRuntime:
         return list(self._user_executors_cache)
 
     def _invalidate_executor_cache(self) -> None:
-        """Drop the cached user-executor list (executor set may have changed)."""
+        """Drop the cached executor lists (executor set may have changed)."""
         self._user_executors_cache = None
+        self._source_executors_cache = None
+        self._sink_executors_cache = None
 
     def user_executor_id_set(self) -> Set[str]:
         """Ids of all user-task executors (the expected acking set for checkpoint waves)."""

@@ -485,12 +485,6 @@ class _Column:
         grown[: self.n] = self.data[: self.n]
         self.data = grown
 
-    def append(self, value) -> None:
-        if self.n == len(self.data):
-            self._grow(self.n + 1)
-        self.data[self.n] = value
-        self.n += 1
-
     def extend(self, values) -> None:
         arr = _np.asarray(values, dtype=self.data.dtype)
         need = self.n + arr.size
@@ -507,6 +501,49 @@ class _Column:
         self.n = need
 
 
+#: Per-record writes are staged as tuples and land in the columns this many
+#: rows at a time (and before any read): the stage stays a few tens of
+#: kilobytes however long the run, so the process high-water mark does not move.
+_STAGE_BLOCK = 512
+
+
+class _Table:
+    """The parallel columns of one record stream, with a staged write path.
+
+    A per-event ``record_*`` call appends **one tuple** to ``stage`` instead
+    of storing a numpy scalar into each column; :meth:`flush` transposes the
+    stage into one ``extend`` per column.  Nothing reads ``columns`` directly:
+    the log exposes each column as a property that flushes first (see
+    :func:`_flushed_column`), so every reader, in or out of this module, sees
+    all recorded rows.
+    """
+
+    __slots__ = ("columns", "stage")
+
+    def __init__(self, *dtypes) -> None:
+        self.columns = tuple(_Column(dtype) for dtype in dtypes)
+        self.stage: List[tuple] = []
+
+    def flush(self) -> None:
+        stage = self.stage
+        if stage:
+            for column, values in zip(self.columns, zip(*stage)):
+                column.extend(values)
+            stage.clear()
+
+
+def _flushed_column(table: str, index: int) -> property:
+    """Column ``index`` of the log's ``table``, read through a flush of its stage."""
+
+    def column(log: "ColumnarEventLog") -> _Column:
+        rows = getattr(log, table)
+        if rows.stage:
+            rows.flush()
+        return rows.columns[index]
+
+    return property(column)
+
+
 class _TimesView(Sequence):
     """List-compatible lazy view over a float column.
 
@@ -516,10 +553,15 @@ class _TimesView(Sequence):
     views (several tests and metrics compare whole time arrays).
     """
 
-    __slots__ = ("_column",)
+    __slots__ = ("_log", "_name")
 
-    def __init__(self, column: _Column) -> None:
-        self._column = column
+    def __init__(self, log: "ColumnarEventLog", name: str) -> None:
+        self._log = log
+        self._name = name
+
+    @property
+    def _column(self) -> _Column:
+        return getattr(self._log, self._name)  # the log's property flushes staged rows
 
     def __len__(self) -> int:
         return self._column.n
@@ -527,12 +569,13 @@ class _TimesView(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return self._column.view()[index].tolist()
-        n = self._column.n
+        column = self._column
+        n = column.n
         if index < 0:
             index += n
         if not 0 <= index < n:
             raise IndexError("time index out of range")
-        return float(self._column.data[index])
+        return float(column.data[index])
 
     def __iter__(self):
         return iter(self._column.view().tolist())
@@ -674,7 +717,24 @@ class ColumnarEventLog(EventLog):
     sync cursor afterwards, so the bulk write path never touches a Python
     dict per event.  Cold streams (drops, deferred, kills, lifecycle) keep
     the plain record lists — they are rare and carry string payloads.
+
+    Per-event writes are staged (one tuple per record, see :class:`_Table`)
+    and land in the columns every ``_STAGE_BLOCK`` rows and before any read.
     """
+
+    # Emit columns.
+    _emit_time = _flushed_column("_emits", 0)
+    _emit_root = _flushed_column("_emits", 1)
+    _emit_source = _flushed_column("_emits", 2)
+    _emit_replay = _flushed_column("_emits", 3)
+    _emit_backlog = _flushed_column("_emits", 4)
+    # Receipt columns.
+    _receipt_time = _flushed_column("_receipts", 0)
+    _receipt_root = _flushed_column("_receipts", 1)
+    _receipt_event = _flushed_column("_receipts", 2)
+    _receipt_sink = _flushed_column("_receipts", 3)
+    _receipt_emitted = _flushed_column("_receipts", 4)
+    _receipt_replay = _flushed_column("_receipts", 5)
 
     def __init__(self, sim: Simulator) -> None:
         if _np is None:  # pragma: no cover - exercised only without numpy
@@ -688,19 +748,11 @@ class ColumnarEventLog(EventLog):
         # Interned task-name table shared by the source and sink columns.
         self._names: List[str] = []
         self._name_codes: Dict[str, int] = {}
-        # Emit columns.
-        self._emit_time = _Column(_np.float64)
-        self._emit_root = _Column(_np.int64)
-        self._emit_source = _Column(_np.int32)
-        self._emit_replay = _Column(_np.int64)
-        self._emit_backlog = _Column(_np.bool_)
-        # Receipt columns.
-        self._receipt_time = _Column(_np.float64)
-        self._receipt_root = _Column(_np.int64)
-        self._receipt_event = _Column(_np.int64)
-        self._receipt_sink = _Column(_np.int32)
-        self._receipt_emitted = _Column(_np.float64)
-        self._receipt_replay = _Column(_np.int64)
+        # Column order = the class-level properties = the staged tuples.
+        self._emits = _Table(_np.float64, _np.int64, _np.int32, _np.int64, _np.bool_)
+        self._receipts = _Table(
+            _np.float64, _np.int64, _np.int64, _np.int32, _np.float64, _np.int64
+        )
         # Lazy query state: sorted distinct roots (with each root's first emit
         # time), valid up to the sync cursors into the columns.
         self._first_emit_roots = _np.empty(0, dtype=_np.int64)
@@ -711,8 +763,8 @@ class ColumnarEventLog(EventLog):
         # Lazy row/time views shadow the base class's list attributes.
         self.source_emits = _EmitRowsView(self)  # type: ignore[assignment]
         self.sink_receipts = _ReceiptRowsView(self)  # type: ignore[assignment]
-        self.emit_times = _TimesView(self._emit_time)  # type: ignore[assignment]
-        self.receipt_times = _TimesView(self._receipt_time)  # type: ignore[assignment]
+        self.emit_times = _TimesView(self, "_emit_time")  # type: ignore[assignment]
+        self.receipt_times = _TimesView(self, "_receipt_time")  # type: ignore[assignment]
 
     # ------------------------------------------------------------- internals
     def _code(self, name: str) -> int:
@@ -849,12 +901,13 @@ class ColumnarEventLog(EventLog):
         from_backlog: bool = False,
         at_time: Optional[float] = None,
     ) -> None:
-        now = self.sim.now if at_time is None else at_time
-        self._emit_time.append(now)
-        self._emit_root.append(root_id)
-        self._emit_source.append(self._code(source))
-        self._emit_replay.append(replay_count)
-        self._emit_backlog.append(from_backlog)
+        stage = self._emits.stage
+        stage.append((
+            self.sim.now if at_time is None else at_time,
+            root_id, self._code(source), replay_count, from_backlog,
+        ))
+        if len(stage) >= _STAGE_BLOCK:
+            self._emits.flush()
         if replay_count > 0:
             self.replay_emits += 1
 
@@ -867,13 +920,13 @@ class ColumnarEventLog(EventLog):
         replay_count: int,
         at_time: Optional[float] = None,
     ) -> None:
-        now = self.sim.now if at_time is None else at_time
-        self._receipt_time.append(now)
-        self._receipt_root.append(root_id)
-        self._receipt_event.append(event_id)
-        self._receipt_sink.append(self._code(sink))
-        self._receipt_emitted.append(root_emitted_at)
-        self._receipt_replay.append(replay_count)
+        stage = self._receipts.stage
+        stage.append((
+            self.sim.now if at_time is None else at_time,
+            root_id, event_id, self._code(sink), root_emitted_at, replay_count,
+        ))
+        if len(stage) >= _STAGE_BLOCK:
+            self._receipts.flush()
 
     # ----------------------------------------------------------- bulk appends
     @staticmethod

@@ -94,6 +94,19 @@ class Telemetry:
                         stepper.declines[reason]
                     )
 
+            # Kernel events the per-event engine did not execute: polls a
+            # throttled spout parked through, 0 s sink completions run inline.
+            sources = runtime.source_executors
+            registry.counter("engine.source", "drain_parks").set_total(
+                sum(s.drain_parks for s in sources)
+            )
+            registry.counter("engine.source", "drain_wakes").set_total(
+                sum(s.drain_wakes for s in sources)
+            )
+            registry.counter("engine.sink", "inline_completions").set_total(
+                sum(s.inline_completions for s in runtime.sink_executors)
+            )
+
             by_task: Dict[str, List] = {}
             for executor in runtime.executors.values():
                 by_task.setdefault(executor.task.name, []).append(executor)

@@ -202,14 +202,19 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         start_delay: Optional[float] = None,
+        start_at: Optional[float] = None,
         **kwargs: Any,
     ) -> "PeriodicTimer":
         """Schedule ``callback`` to run every ``period`` seconds until cancelled.
 
         The first firing happens after ``start_delay`` seconds (default: one
-        full period).
+        full period), or at the absolute time ``start_at`` when given -- a
+        caller resuming a chain it suspended passes the grid point it
+        computed, so the resumed chain fires at bit-identical times.
         """
-        return PeriodicTimer(self, period, callback, args, kwargs, start_delay=start_delay)
+        return PeriodicTimer(
+            self, period, callback, args, kwargs, start_delay=start_delay, start_at=start_at
+        )
 
     # ------------------------------------------------------- heap inspection
     def next_timer_time(self) -> Optional[float]:
@@ -502,9 +507,12 @@ class PeriodicTimer:
         args: Tuple[Any, ...] = (),
         kwargs: Optional[dict] = None,
         start_delay: Optional[float] = None,
+        start_at: Optional[float] = None,
     ) -> None:
         if period <= 0:
             raise SimulationError(f"period must be positive, got {period}")
+        if start_delay is not None and start_at is not None:
+            raise SimulationError("give start_delay or start_at, not both")
         self._sim = sim
         self.period = period
         self._callback = callback
@@ -512,8 +520,10 @@ class PeriodicTimer:
         self._kwargs = kwargs or {}
         self._cancelled = False
         self.fire_count = 0
-        first = period if start_delay is None else start_delay
-        self._timer = sim.schedule(first, self._fire)
+        if start_at is not None:
+            self._timer = sim.schedule_at(start_at, self._fire)
+        else:
+            self._timer = sim.schedule(period if start_delay is None else start_delay, self._fire)
 
     def _fire(self) -> None:
         if self._cancelled:

@@ -72,3 +72,36 @@ class TestRuntimeConfigCopy:
         assert clone.seed == 11
         assert clone.reliability.capture_on_prepare
         assert clone.util_vm_role == original.util_vm_role
+
+
+class TestValidation:
+    """Values that would silently misconfigure the spout are refused at construction."""
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_max_spout_pending_below_one_is_rejected(self, value):
+        # 0 used to read as "no limit" -- the one value that should stall the spout.
+        with pytest.raises(ValueError, match="max_spout_pending"):
+            ReliabilityConfig(max_spout_pending=value)
+
+    def test_max_spout_pending_none_means_unlimited(self):
+        assert ReliabilityConfig(max_spout_pending=None).max_spout_pending is None
+        assert ReliabilityConfig(max_spout_pending=1).max_spout_pending == 1
+
+    @pytest.mark.parametrize("value", [0.0, -5.0])
+    def test_non_positive_ack_timeout_is_rejected(self, value):
+        with pytest.raises(ValueError, match="ack_timeout_s"):
+            ReliabilityConfig(ack_timeout_s=value)
+
+    @pytest.mark.parametrize("value", [0.0, -100.0])
+    def test_non_positive_burst_rate_is_rejected(self, value):
+        with pytest.raises(ValueError, match="source_max_burst_rate"):
+            TimingConfig(source_max_burst_rate=value)
+
+    def test_copy_revalidates_mutated_values(self):
+        config = RuntimeConfig.for_dsm()
+        config.reliability.max_spout_pending = 0
+        with pytest.raises(ValueError, match="max_spout_pending"):
+            config.copy()
+
+    def test_sink_batch_flag_is_gone(self):
+        assert not hasattr(RuntimeConfig(), "sink_batch_max")

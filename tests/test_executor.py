@@ -244,87 +244,137 @@ class TestInit:
         assert executor.processed_count >= 3
 
 
-class TestSinkBatchService:
-    """Coalesced sink service: fewer kernel events, identical receipts."""
+class TestSinkInlineService:
+    """Zero-time sink service completes inside deliver(): no kernel event per receipt."""
 
     @staticmethod
-    def runtime_with_batching(batch_max, strategy="dcr", sinks=1):
+    def sink_runtime(overhead_s=0.0, strategy="dcr"):
         from repro.dataflow.builder import TopologyBuilder
-
-        builder = TopologyBuilder("batchchain")
-        builder.add_source("source", rate=4.0)
-        builder.add_task("work", parallelism=1, latency_s=0.005)
-        for i in range(sinks):
-            name = "sink" if sinks == 1 else f"sink{i}"
-            builder.add_sink(name)
-            builder.connect("work", name)
-        builder.connect("source", "work")
-        runtime = make_runtime(builder.build(), strategy=strategy)
-        runtime.config.sink_batch_max = batch_max
-        return runtime
-
-    def flood_and_drain(self, batch_max, events=500, strategy="dcr"):
         from repro.dataflow.event import reset_event_ids
+        from repro.engine.runtime import TopologyRuntime
+        from repro.sim import Simulator
+        from tests.conftest import build_cluster, fast_config
 
         reset_event_ids()
-        runtime = self.runtime_with_batching(batch_max, strategy=strategy)
+        builder = TopologyBuilder("sinkchain")
+        builder.add_source("source", rate=4.0)
+        builder.add_task("work", parallelism=1, latency_s=0.005)
+        builder.add_sink("sink")
+        builder.chain("source", "work", "sink")
+        config = fast_config(strategy)
+        config.timing.data_event_overhead_s = overhead_s
+        sim = Simulator()
+        runtime = TopologyRuntime(builder.build(), build_cluster(sim), sim=sim, config=config)
+        runtime.deploy()
         for executor in runtime.executors.values():
             if executor.task.name != "source":
                 executor.start()
-        for i in range(events):
-            event = Event.data("work", payload={"seq": i}, created_at=0.0)
-            runtime.deliver("sink#0", event, "work#0")
-        runtime.sim.run()
         return runtime
 
-    def test_batched_drain_matches_unbatched_receipts_exactly(self):
-        batched = self.flood_and_drain(batch_max=32)
-        serial = self.flood_and_drain(batch_max=0)
+    @staticmethod
+    def data_event(i):
+        return Event.data("work", payload={"seq": i}, created_at=0.0)
 
-        def records(runtime):
-            return [
-                (r.time, r.root_id, r.event_id, r.sink)
-                for r in runtime.log.sink_receipts
-            ]
+    @staticmethod
+    def records(runtime):
+        return [(r.time, r.root_id, r.event_id, r.sink) for r in runtime.log.sink_receipts]
 
-        assert records(batched) == records(serial)
-        assert len(batched.log.sink_receipts) == 500
-        # Receipt times stay non-decreasing (the indexed log bisects them).
-        times = batched.log.receipt_times
-        assert all(a <= b for a, b in zip(times, times[1:]))
-
-    def test_batching_reduces_kernel_events(self):
-        batched = self.flood_and_drain(batch_max=32)
-        serial = self.flood_and_drain(batch_max=0)
-        assert batched.sim.processed_events < serial.sim.processed_events
-
-    def test_batching_disabled_under_acking(self):
-        runtime = self.runtime_with_batching(batch_max=32, strategy="dsm")
-        for executor in runtime.executors.values():
-            executor.start()
+    def test_flood_into_idle_sink_executes_no_kernel_events(self):
+        runtime = self.sink_runtime()
         sink = runtime.executor("sink#0")
-        assert not sink._batch_enabled
+        events = [self.data_event(i) for i in range(500)]
+        expected = [(0.0, e.root_id, e.event_id, "sink") for e in events]
+        for event in events:
+            runtime.deliver("sink#0", event, "work#0")
+        # Every receipt is already logged; nothing was scheduled for them.
+        assert self.records(runtime) == expected
+        assert runtime.sim.pending_events == 0
+        runtime.sim.run()
+        assert runtime.sim.processed_events == 0
+        assert sink.inline_completions == sink.received_count == sink.processed_count == 500
+        assert not sink._busy and not sink.input_queue
 
-    def test_batching_disabled_with_multiple_sinks(self):
-        runtime = self.runtime_with_batching(batch_max=32, sinks=2)
-        for executor in runtime.executors.values():
-            executor.start()
-        assert not runtime.executor("sink0#0")._batch_enabled
-        assert not runtime.executor("sink1#0")._batch_enabled
+    def test_receipts_are_stamped_with_their_delivery_times(self):
+        runtime = self.sink_runtime()
+        events = [self.data_event(i) for i in range(500)]
+        # Bursts of five same-time deliveries, 1 ms apart.
+        times = [0.001 * (i // 5) for i in range(500)]
+        expected = [(t, e.root_id, e.event_id, "sink") for t, e in zip(times, events)]
+        for t, event in zip(times, events):
+            runtime.sim.schedule_at_fast(t, runtime.deliver, ("sink#0", event, "work#0"))
+        runtime.sim.run()
+        assert self.records(runtime) == expected
+        assert runtime.sim.processed_events == 500  # the deliveries themselves, nothing else
 
-    def test_full_run_is_equivalent_with_and_without_batching(self):
-        """End to end: a live source feeding a sink through a surge of
-        deliveries produces identical logs either way."""
+    def test_nonzero_service_time_keeps_the_queued_path(self):
+        overhead = 0.003
+        runtime = self.sink_runtime(overhead_s=overhead)
+        sink = runtime.executor("sink#0")
+        events = [self.data_event(i) for i in range(500)]
+        for event in events:
+            runtime.deliver("sink#0", event, "work#0")
+        assert len(sink.input_queue) == 499 and sink._busy
+        runtime.sim.run()
+        # Serial service: one completion per event, each one service time
+        # after the previous (the kernel's own sequential float adds).
+        expected, t = [], 0.0
+        for event in events:
+            t += overhead
+            expected.append((t, event.root_id, event.event_id, "sink"))
+        assert self.records(runtime) == expected
+        assert sink.inline_completions == 0
+        assert runtime.sim.processed_events == 500
 
-        def run(batch_max):
-            from repro.dataflow.event import reset_event_ids
+    def test_capture_mode_takes_the_queued_path(self):
+        runtime = self.sink_runtime()
+        sink = runtime.executor("sink#0")
+        sink.capture_mode = True
+        runtime.deliver("sink#0", self.data_event(0), "work#0")
+        runtime.sim.run()
+        assert sink.captured_count == 1 and len(sink.pending_events) == 1
+        assert sink.inline_completions == 0 and not runtime.log.sink_receipts
 
-            reset_event_ids()
-            runtime = self.runtime_with_batching(batch_max)
-            runtime.start()
-            runtime.sim.run(until=30.0)
-            return [
-                (r.time, r.root_id, r.event_id) for r in runtime.log.sink_receipts
-            ]
+    def test_uninitialized_sink_buffers_until_init(self):
+        runtime = self.sink_runtime()
+        sink = runtime.executor("sink#0")
+        sink.initialized = False
+        runtime.deliver("sink#0", self.data_event(0), "work#0")
+        runtime.sim.run()
+        assert len(sink.pre_init_buffer) == 1
+        assert sink.inline_completions == 0 and not runtime.log.sink_receipts
 
-        assert run(32) == run(0)
+    def test_killed_sink_refuses_the_delivery(self):
+        runtime = self.sink_runtime()
+        sink = runtime.executor("sink#0")
+        sink.kill()
+        assert not sink.deliver(self.data_event(0), "work#0")
+        assert sink.inline_completions == 0 and not runtime.log.sink_receipts
+
+    def test_data_behind_a_control_event_in_service_is_queued_in_order(self):
+        runtime = self.sink_runtime()
+        sink = runtime.executor("sink#0")
+        control = Event.checkpoint(CheckpointAction.PREPARE, 1, CHECKPOINT_SOURCE_ID, created_at=0.0)
+        control.payload = {"forward": False}
+        runtime.deliver("sink#0", control, CHECKPOINT_SOURCE_ID)
+        events = [self.data_event(i) for i in range(3)]
+        for event in events:
+            runtime.deliver("sink#0", event, "work#0")
+        assert len(sink.input_queue) == 3 and not runtime.log.sink_receipts
+        runtime.sim.run()
+        handled_at = runtime.timing.checkpoint_handling_s
+        assert self.records(runtime) == [
+            (handled_at, e.root_id, e.event_id, "sink") for e in events
+        ]
+        assert sink.inline_completions == 0
+        # Idle again: the next delivery is back on the inline path.
+        runtime.deliver("sink#0", self.data_event(3), "work#0")
+        assert sink.inline_completions == 1 and len(runtime.log.sink_receipts) == 4
+
+    def test_inline_service_acks_the_tree_at_delivery(self):
+        runtime = self.sink_runtime(strategy="dsm")
+        event = self.data_event(0)
+        event.anchored = True
+        runtime.acker.register(event.root_id)
+        runtime.acker.anchor(event.root_id, event.event_id)
+        runtime.deliver("sink#0", event, "work#0")
+        assert runtime.acker.stats.completed == 1 and runtime.acker.pending_count == 0

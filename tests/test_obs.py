@@ -241,6 +241,47 @@ class TestControlPlaneTrace:
             assert {reason: count for (_, reason), count in series.items()} == stepper.declines
         assert "inflight-unmodelled" in stepper.declines  # a checkpoint wave in flight
 
+    def test_kernel_events_not_executed_are_scraped(self, traced):
+        """engine.source / engine.sink: the polls a throttled spout parked
+        through and the 0 s sink completions that ran inside deliver()."""
+
+        def series(runtime):
+            runtime.telemetry.scrape(runtime)
+            return {
+                (s["subsystem"], s["name"]): s["value"]
+                for s in runtime.telemetry.registry.snapshot()
+                if s["subsystem"] in ("engine.source", "engine.sink")
+            }
+
+        # The CCR surge run never acks data: no throttle, so nothing parks;
+        # its sinks complete inline except for what a restore re-queues.
+        scraped = series(traced.runtime)
+        sinks = traced.runtime.sink_executors
+        assert scraped[("engine.source", "drain_parks")] == 0
+        assert scraped[("engine.source", "drain_wakes")] == 0
+        assert scraped[("engine.sink", "inline_completions")] == sum(
+            s.inline_completions for s in sinks
+        )
+        assert 0 < scraped[("engine.sink", "inline_completions")] <= len(traced.log.sink_receipts)
+
+        # A DSM spout held at a small cap parks and wakes once per tree.
+        config = fast_config("dsm")
+        config.telemetry = True
+        config.reliability.max_spout_pending = 2
+        sim = Simulator()
+        runtime = TopologyRuntime(
+            topologies.linear(rate=40.0), build_cluster(sim, worker_vms=4), sim=sim, config=config
+        )
+        runtime.deploy()
+        runtime.start()
+        sim.run(until=5.0)
+        source = runtime.source_executors[0]
+        assert source.drain_parks > 10 and source.drain_wakes > 10
+        for _ in range(2):  # rescrapes overwrite, never double-count
+            scraped = series(runtime)
+            assert scraped[("engine.source", "drain_parks")] == source.drain_parks
+            assert scraped[("engine.source", "drain_wakes")] == source.drain_wakes
+
     def test_same_seed_canonical_trace_is_byte_identical(self, traced):
         again = _traced_run()
         assert canonical_trace_text(traced.telemetry) == canonical_trace_text(

@@ -116,3 +116,31 @@ class TestHeadlineClaims:
         dsm_stab = star_results["dsm"].metrics.stabilization_time_s
         ccr_stab = star_results["ccr"].metrics.stabilization_time_s
         assert dsm_stab is None or dsm_stab >= ccr_stab - 10.0
+
+
+class TestKernelEventBudget:
+    """Kernel-event counts repeat exactly, so they gate what wall-clock cannot.
+
+    The per-event engine got faster by executing fewer events: a throttled
+    spout parks instead of polling ``max.spout.pending`` at 100 Hz (the DSM
+    catch-up spent 29 % of its events on those polls), and a zero-time sink
+    completes inside ``deliver()`` (two events per receipt became one).  The
+    2x wall-clock gate of ``check_perf_regression.py`` would not notice
+    either coming back; these counts do.  Diamond scale-in at the benchmark's
+    timing: 143 516 / 96 396 / 96 276 events before, 97 136 / 86 325 / 86 205
+    after.
+    """
+
+    @pytest.mark.parametrize(
+        "strategy, budget", [("dsm", 100_000), ("dcr", 87_000), ("ccr", 87_000)]
+    )
+    def test_diamond_scale_in_stays_within_its_event_budget(self, strategy, budget):
+        result = run_migration_experiment(
+            dag="diamond",
+            strategy=strategy,
+            scaling="in",
+            migrate_at_s=90.0,
+            post_migration_s=540.0,
+            seed=2018,
+        )
+        assert result.runtime.sim.processed_events <= budget

@@ -181,6 +181,35 @@ class TestPeriodicTimer:
         sim.run(until=5.0)
         assert fired == pytest.approx([0.5, 2.5, 4.5])
 
+    def test_absolute_start_resumes_a_chain_on_its_grid(self):
+        # A chain cancelled after its third firing and resumed with
+        # start_at = the next grid point fires at bit-identical times.
+        def firings(suspend):
+            sim = Simulator(start_time=0.3)
+            fired = []
+            timer = sim.every(0.01, lambda: fired.append(sim.now))
+            if suspend:
+                sim.run(until=0.335)
+                timer.cancel()
+                grid = fired[-1] + 0.01
+                sim.run(until=0.3651)
+                while grid < sim.now:
+                    grid += 0.01
+                sim.every(0.01, lambda: fired.append(sim.now), start_at=grid)
+            sim.run(until=0.45)
+            return fired
+
+        whole, resumed = firings(False), firings(True)
+        assert resumed == [t for t in whole if t < 0.335 or t >= 0.3651]
+        assert len(resumed) < len(whole)
+
+    def test_start_delay_and_start_at_are_exclusive(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.every(1.0, lambda: None, start_delay=0.5, start_at=2.0)
+        with pytest.raises(SimulationError):
+            sim.every(1.0, lambda: None, start_at=-1.0)  # before now
+
     def test_cancel_stops_firing(self):
         sim = Simulator()
         fired = []

@@ -158,3 +158,291 @@ class TestSink:
         runtime.sim.run(until=10.0)
         roots_received = [r.root_id for r in runtime.log.sink_receipts]
         assert len(roots_received) == len(set(roots_received))
+
+
+# --------------------------------------------------------------------------
+# Wake-on-ack: the event-driven spout throttle against the polling loop
+# --------------------------------------------------------------------------
+# A throttled spout used to poll ``max.spout.pending`` at every point of its
+# drain grid; it now parks and is re-armed by the events that can change the
+# poll's outcome.  ``PollingSpout`` keeps the old loop as the reference, and
+# the two are run over generated schedules: everything observable must be
+# bit-equal, only the kernel-event count may differ -- by exactly the polls
+# the reference spent finding the spout still throttled.
+
+import inspect
+import textwrap
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.engine.executor as executor_module
+import repro.engine.runtime as runtime_module
+from repro.dataflow.event import reset_event_ids
+from repro.engine.executor import ExecutorStatus, SourceExecutor
+from repro.engine.runtime import TopologyRuntime
+from repro.sim import Simulator
+from repro.sim.shard import log_digest
+from tests.conftest import build_cluster, fast_config
+
+BURST_RATE = 100.0  # the 10 ms drain grid of the paper's timing model
+DURATION_S = 6.0
+ACK_TIMEOUT_S = 1.5
+
+
+class PollingSpout(SourceExecutor):
+    """The reference: a throttled poll does nothing and the chain keeps ticking.
+
+    It also counts what the event-driven spout must account for: throttled
+    polls, and *streaks* of them -- maximal runs with none of the events in
+    between that re-arm a parked chain (a tree completing or failing, a
+    pause, a kill).  The event-driven spout parks once per streak and skips
+    the streak's other polls.  Polls of a spout generating at or above its
+    burst rate are left out: there both spouts keep polling.
+    """
+
+    __slots__ = ("throttled_polls", "throttled_streaks", "_in_streak")
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.throttled_polls = 0
+        self.throttled_streaks = 0
+        self._in_streak = False
+
+    def _drain_tick(self):
+        if self.paused or self.status is not ExecutorStatus.RUNNING:
+            self._stop_drain_timer()
+            return
+        if self._throttled():
+            if self._emit_timer is not None and self.rate >= BURST_RATE:
+                # The regime that keeps polling either way.
+                self._in_streak = False
+                return
+            self.throttled_polls += 1
+            if not self._in_streak:
+                self._in_streak = True
+                self.throttled_streaks += 1
+            return
+        self._in_streak = False
+        if self._replay_queue:
+            self._emit_replay(self._replay_queue.popleft())
+            return
+        if self._backlog:
+            self._emit_new(self._backlog.popleft(), from_backlog=True)
+            return
+        self._stop_drain_timer()
+
+    def _wake_drain(self):  # never parked; called exactly where a parked chain re-arms
+        self._in_streak = False
+
+    def _stop_drain_timer(self):
+        self._in_streak = False
+        super()._stop_drain_timer()
+
+
+def mutant_spout(method, old, new):
+    """``SourceExecutor`` with ``method`` recompiled after a seeded text replacement."""
+    source = textwrap.dedent(inspect.getsource(getattr(SourceExecutor, method)))
+    assert old in source, f"mutation site {old!r} is gone from SourceExecutor.{method}"
+    namespace = dict(vars(executor_module))
+    exec(compile(source.replace(old, new), f"<mutant {method}>", "exec"), namespace)
+    return type("MutantSpout", (SourceExecutor,), {"__slots__": (), method: namespace[method]})
+
+
+def run_schedule(spout_cls, schedule, stepper=False):
+    """Run one generated schedule with ``spout_cls`` as the source executor."""
+    reset_event_ids()
+    config = fast_config("dsm", ack_timeout_s=ACK_TIMEOUT_S)
+    config.timing.source_max_burst_rate = BURST_RATE
+    config.reliability.max_spout_pending = schedule["pending"]
+    config.reliability.throttled_ticks_generate_backlog = schedule["backlog"]
+    if stepper:
+        config.batch_stepping = True
+        config.batch_vectorize = False
+    sim = Simulator()
+    runtime = TopologyRuntime(
+        tiny_dataflow(rate=schedule["rate"]), build_cluster(sim), sim=sim, config=config
+    )
+    runtime_module.SourceExecutor = spout_cls
+    try:
+        runtime.deploy()
+    finally:
+        runtime_module.SourceExecutor = SourceExecutor
+    source = runtime.source_executors[0]
+    assert type(source) is spout_cls
+
+    def kill(executor_id):
+        executor = runtime.executor(executor_id)
+        if executor.status is ExecutorStatus.RUNNING:
+            executor.kill()
+
+    def revive(executor_id):
+        executor = runtime.executor(executor_id)
+        if executor.status is ExecutorStatus.KILLED:
+            executor.become_ready()
+            executor.initialized = True
+            runtime._make_ready(executor_id)  # hands over what the transport held
+
+    actions = {
+        "kill": kill,
+        "revive": revive,
+        "pause": lambda: source.pause(),
+        "unpause": lambda: source.unpause(),
+        "source_kill": lambda: kill(source.executor_id),
+        "source_ready": lambda: source.become_ready(),
+        "stop": lambda: source.stop(),
+        "set_rate": lambda rate: source.set_rate(rate),
+    }
+    for at_ms, name, *args in schedule["actions"]:
+        sim.schedule_at(at_ms / 1000.0, actions[name], *args)
+    runtime.start()
+    sim.run(until=DURATION_S)
+    log = runtime.log
+    observed = {
+        "emits": [(e.time, e.root_id, e.replay_count, e.from_backlog) for e in log.source_emits],
+        "receipts": [(r.time, r.root_id, r.event_id, r.replay_count) for r in log.sink_receipts],
+        "lifecycle": [(r.time, r.executor_id, r.status) for r in log.lifecycle],
+        "counters": (source.emitted_count, source.replayed_count, source.skipped_ticks,
+                     source.backlog_size, len(source._replay_queue)),
+        "acker": (vars(runtime.acker.stats), runtime.acker.pending_count,
+                  list(runtime.acker.failed_roots)),
+        "digest": log_digest(log),
+    }
+    return observed, runtime
+
+
+def check_schedule(schedule, spout_cls=SourceExecutor):
+    """The differential property for one schedule, on both kernels."""
+    for stepper in (False, True):
+        expected, reference = run_schedule(PollingSpout, schedule, stepper)
+        observed, runtime = run_schedule(spout_cls, schedule, stepper)
+        for key in expected:
+            assert observed[key] == expected[key], (key, stepper, schedule)
+        polling = reference.source_executors[0]
+        spout = runtime.source_executors[0]
+        # One park per streak of throttled polls, never a wake without a park.
+        assert spout.drain_parks == polling.throttled_streaks, (stepper, schedule)
+        assert spout.drain_wakes <= spout.drain_parks
+        if not stepper:
+            # Every other poll of a streak is a kernel event that did not run.
+            saved = reference.sim.processed_events - runtime.sim.processed_events
+            assert saved == polling.throttled_polls - polling.throttled_streaks, schedule
+
+
+_AT_MS = st.integers(min_value=100, max_value=int(DURATION_S * 1000) - 100)
+_EXECUTORS = st.sampled_from(["a#0", "b#0", "b#1", "c#0"])
+
+
+@st.composite
+def _action_lists(draw):
+    actions = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(
+            ["outage", "pause", "source_outage", "stop", "set_rate", "source_ready"]
+        ))
+        at = draw(_AT_MS)
+        if kind == "outage":  # trees through the victim time out and replay
+            victim = draw(_EXECUTORS)
+            actions.append((at, "kill", victim))
+            actions.append((at + draw(st.integers(50, 2500)), "revive", victim))
+        elif kind == "pause":  # gaps from inside one 10 ms poll period upwards
+            actions.append((at, "pause"))
+            actions.append((at + draw(st.integers(1, 400)), "unpause"))
+        elif kind == "source_outage":
+            actions.append((at, "source_kill"))
+            actions.append((at + draw(st.integers(1, 400)), "source_ready"))
+        elif kind == "set_rate":
+            actions.append((at, "set_rate", draw(st.sampled_from(_RATES))))
+        else:
+            actions.append((at, kind))
+    return sorted(a for a in actions if a[0] < DURATION_S * 1000)
+
+
+#: 10/20/50 ev/s put emit ticks on drain-grid points; at 100 and 200 the two
+#: chains share a period and tie at every tick.
+_RATES = (8.0, 10.0, 20.0, 50.0, 100.0, 200.0)
+
+_SCHEDULES = st.fixed_dictionaries({
+    "pending": st.sampled_from([1, 4, 96]),
+    "backlog": st.booleans(),
+    "rate": st.sampled_from(_RATES),
+    "actions": _action_lists(),
+})
+
+
+@settings(max_examples=40, deadline=None)
+@given(schedule=_SCHEDULES)
+def test_wake_on_ack_matches_the_polling_spout(schedule):
+    check_schedule(schedule)
+
+
+#: Fixed schedules the generated ones shrink towards: a spout held at a cap of
+#: one or four by a saturated pipeline (parks and wakes on every tree), and an
+#: outage that loses every pending tree, so only their timeouts -- ``replay``
+#: -- can re-arm the chain.
+_CORPUS = (
+    {"pending": 1, "backlog": True, "rate": 50.0, "actions": []},
+    {"pending": 4, "backlog": False, "rate": 20.0,
+     "actions": [(1000, "kill", "a#0"), (4000, "revive", "a#0")]},
+    {"pending": 4, "backlog": True, "rate": 50.0,
+     "actions": [(1503, "pause"), (1507, "unpause"), (2000, "kill", "b#0"), (2600, "revive", "b#0"),
+                 (3001, "source_kill"), (3005, "source_ready"), (5000, "stop")]},
+)
+
+
+def test_the_corpus_passes_and_seeded_mutations_fail_it():
+    for schedule in _CORPUS:
+        check_schedule(schedule)
+
+    def corpus_with(spout_cls):
+        for schedule in _CORPUS:
+            check_schedule(schedule, spout_cls)
+
+    # Waking at `now` instead of the grid point: the chain leaves its grid.
+    off_grid = mutant_spout("_wake_drain", "start_at=grid", "start_at=now")
+    with pytest.raises(AssertionError):
+        corpus_with(off_grid)
+
+    # No wake from `replay`: once every pending tree has failed, nothing
+    # completes any more and the parked spout never emits again.
+    deaf_to_failures = mutant_spout("replay", "self._wake_drain()", "pass")
+    with pytest.raises(AssertionError):
+        corpus_with(deaf_to_failures)
+
+    # Waking while still throttled (every throttled emit tick re-arms the
+    # chain): same logs, but the polls come back.
+    restless = mutant_spout(
+        "_ensure_drain_timer", "return  # parked", "self._wake_drain(); return  # parked"
+    )
+    with pytest.raises(AssertionError):
+        corpus_with(restless)
+
+
+def test_a_stalled_throttled_spout_schedules_no_timer():
+    runtime = started_runtime(strategy="dsm")
+    runtime.reliability.max_spout_pending = 1
+    sim = runtime.sim
+    source = runtime.source_executors[0]
+    sim.run(until=1.0)
+    runtime.executor("a#0").kill()  # the pipeline stalls: nothing acks any more
+    sim.run(until=3.0)
+
+    def drain_polls_in_heap():
+        return [
+            entry for entry in sim._queue
+            if len(entry) == 3 and not entry[2].cancelled
+            and getattr(getattr(entry[2].callback, "__self__", None), "_callback", None)
+            == source._drain_tick
+        ]
+
+    assert source._throttled() and source.backlog_size > 0
+    assert source._drain_timer is None and source.drain_parks >= 1
+    assert drain_polls_in_heap() == []
+    events_while_stalled = sim.processed_events
+    sim.run(until=4.0)
+    # One second of stall costs the emit ticks and nothing else (was +200 polls).
+    assert sim.processed_events - events_while_stalled <= 12
+    # The pending tree times out (5 s after its emission): replay re-arms the chain.
+    sim.run(until=7.0)
+    assert source.drain_wakes >= 1
+    assert source.replayed_count >= 1
