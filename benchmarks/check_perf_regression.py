@@ -17,7 +17,7 @@ Three further checks ride along:
   to the classic log and absolute throughput is not a contract.
 * **Peak RSS** (``--check-rss``) — runs the high-rate Grid workload twice in
   subprocesses, once on the columnar log and once on the classic
-  pooled-object log, and fails when the columnar run's peak RSS exceeds the
+  row-store log, and fails when the columnar run's peak RSS exceeds the
   classic run's by more than ``--rss-tolerance``.  The columnar backend must
   not buy its speed with memory.  Skipped (with a notice) when numpy is
   unavailable.
@@ -157,7 +157,7 @@ def check_telemetry_overhead(tolerance: float, rounds: int = 3) -> list:
 
 
 def check_rss(tolerance: float) -> list:
-    """Columnar peak RSS must not exceed the pooled-object baseline's."""
+    """Columnar peak RSS must not exceed the row-store baseline's."""
     try:
         import numpy  # noqa: F401
     except ImportError:
@@ -176,7 +176,7 @@ def check_rss(tolerance: float) -> list:
         return [f"rss probe: receipt counts diverged "
                 f"({columnar['receipts']} columnar vs {classic['receipts']} classic)"]
     if ratio > 1.0 + tolerance:
-        return [f"peak RSS: columnar run used {ratio:.2f}x the classic pooled-object "
+        return [f"peak RSS: columnar run used {ratio:.2f}x the classic row-store "
                 f"memory (tolerance {1 + tolerance:.2f}x)"]
     return []
 

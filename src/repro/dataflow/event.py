@@ -67,48 +67,9 @@ def reserve_event_ids(count: int) -> int:
 
 
 def reset_event_ids() -> None:
-    """Reset the global event-id counter (used by tests for determinism).
-
-    Also drains the event pool: pooled objects are recycled run-local state,
-    and a hermetic run (shard workers, equivalence tests) must not observe
-    objects left over from a previous run.
-    """
-    global _EVENT_ID_COUNTER, _POOL_RECYCLED
+    """Reset the global event-id counter (used by tests for determinism)."""
+    global _EVENT_ID_COUNTER
     _EVENT_ID_COUNTER = itertools.count(1)
-    _EVENT_POOL.clear()
-    _POOL_RECYCLED = 0
-
-
-#: Free list of dead Event objects available for reuse by copy_for_edge().
-#: Fan-out routing clones an event once per additional edge and the clones
-#: die at the sinks; recycling them skips the allocator on the hottest
-#: allocation site.  Bounded so a burst cannot pin memory forever.
-_EVENT_POOL: list = []
-_EVENT_POOL_MAX = 512
-
-#: Lifetime count of events returned to the pool; scraped by the telemetry
-#: layer and reset alongside the ids in reset_event_ids().
-_POOL_RECYCLED = 0
-
-
-def pool_recycled_total() -> int:
-    """Lifetime number of event objects returned to the recycle pool."""
-    return _POOL_RECYCLED
-
-
-def recycle_event(event: "Event") -> None:
-    """Return a dead event object to the pool.
-
-    Only call when the event has left the system entirely (completed at a
-    sink) and is not anchored: anchored events may still be referenced by
-    the acker's failure bookkeeping.  The payload reference is dropped so
-    the pool never keeps user data alive.
-    """
-    if len(_EVENT_POOL) < _EVENT_POOL_MAX and not event.anchored:
-        global _POOL_RECYCLED
-        event.payload = None
-        _EVENT_POOL.append(event)
-        _POOL_RECYCLED += 1
 
 
 @dataclass(slots=True)
@@ -236,24 +197,7 @@ class Event:
         we give each copy a fresh id while keeping the same root.  Built by
         positional construction: this runs once per routed event, and
         ``dataclasses.replace`` costs several times more than ``__init__``.
-        Clones are drawn from the recycle pool when one is available (see
-        :func:`recycle_event`); a reused object has every field re-stamped,
-        so pooling is invisible to consumers.
         """
-        if _EVENT_POOL:
-            clone = _EVENT_POOL.pop()
-            clone.event_id = next(_EVENT_ID_COUNTER)
-            clone.root_id = self.root_id
-            clone.kind = self.kind
-            clone.source_task = self.source_task
-            clone.payload = self.payload
-            clone.created_at = self.created_at
-            clone.root_emitted_at = self.root_emitted_at
-            clone.checkpoint_action = self.checkpoint_action
-            clone.checkpoint_id = self.checkpoint_id
-            clone.replay_count = self.replay_count
-            clone.anchored = self.anchored
-            return clone
         return Event(
             next(_EVENT_ID_COUNTER),
             self.root_id,

@@ -17,7 +17,7 @@ would have processed -- source ticks, channel deliveries, service completions
 the real executor objects, keyed per-channel jitter draws, direct event-log
 appends with explicit timestamps).  Entries that land at or past the horizon
 are *spilled* back onto the real kernel heap in classic form
-(``runtime.deliver`` / ``Executor._complete_data``), and executor state is
+(``Executor.deliver`` / ``Executor._complete_data``), and executor state is
 left exactly as the classic kernel would have it at the horizon, so
 processing continues seamlessly -- a monitor sampling at the horizon observes
 identical ``processed_count`` / ``busy_time_s`` / log contents.
@@ -61,12 +61,12 @@ from repro.dataflow.event import (
     Event,
     EventKind,
     next_event_id,
-    recycle_event,
     reserve_event_ids,
 )
 from repro.dataflow.grouping import Grouping, field_key_of, stable_field_index
 from repro.dataflow.task import TaskKind
 from repro.engine.executor import Executor, ExecutorStatus, SinkExecutor, SourceExecutor
+from repro.engine.router import FIFO_SPACING_S, Channel
 
 from repro.sim.rng import keyed_value_block
 
@@ -91,8 +91,8 @@ _DATA_KIND = EventKind.DATA
 
 # Unbound kernel-callback identities the vectorized tier knows how to ingest
 # when it adopts in-flight work (see _cascade_vectorized).
-_PROC_COMPLETE = Executor._complete_data
-_SINK_COMPLETE = SinkExecutor._complete_data
+_COMPLETIONS = (Executor._complete_data, SinkExecutor._complete_data)
+_DELIVERIES = (Executor.deliver, SinkExecutor.deliver)
 
 
 class BatchStepper:
@@ -248,7 +248,6 @@ class BatchStepper:
         timing = runtime.timing
         acker = runtime.acker
         reliability = runtime.reliability
-        deliver = runtime.deliver
         record_receipt = log.record_sink_receipt
         record_emit = log.record_source_emit
         schedule_at_fast = sim.schedule_at_fast
@@ -266,7 +265,7 @@ class BatchStepper:
                 # pulled the horizon in: hand this entry back to the kernel in
                 # classic form so the drain tick observes classic state.
                 if kind == _ARRIVE:
-                    schedule_at_fast(t, deliver, (a.executor_id, b, c))
+                    schedule_at_fast(t, a.deliver, (b, c))
                 elif kind == _COMPLETE:
                     schedule_at_fast(t, a._complete_data, (b,))
                 else:
@@ -294,9 +293,7 @@ class BatchStepper:
                 if type(executor) is SinkExecutor:
                     # Sink service: record the receipt (explicit timestamp --
                     # cascade pops are globally time-ordered, so the indexed
-                    # log stays monotone), ack the tree, recycle the dead
-                    # event (a no-op for anchored events, as in the classic
-                    # sink path).
+                    # log stays monotone) and ack the tree.
                     executor.received_count += 1
                     record_receipt(
                         root_id=event.root_id,
@@ -309,7 +306,6 @@ class BatchStepper:
                     executor.processed_count += 1
                     if acked and event.anchored:
                         acker.ack(event.root_id, event.event_id)
-                    recycle_event(event)
                 else:
                     task = executor.task
                     acked_ev = acked and event.anchored
@@ -506,16 +502,25 @@ class BatchStepper:
         # classify every fast-path entry, declining on anything the sweep does
         # not model (control handling, capture drains, sink batch completions,
         # state-store latencies, acked/replayed events).
-        inflight: List[Tuple[float, str, Event, str]] = []
+        inflight: List[Tuple[float, Executor, Event, str]] = []
         busy_completions: Dict[Any, Tuple[float, Event]] = {}
         pending_entries = sim.fast_entries()
         if pending_entries:
-            deliver_cb = runtime.deliver
-            batch_cb = router._deliver_batch
+            batch_cb = router.deliver_batch
+
+            def receiver_of(deliver) -> Optional[Executor]:
+                """The live, non-source executor a delivery callback is bound to."""
+                if getattr(deliver, "__func__", None) not in _DELIVERIES:
+                    return None  # the by-id fallback of a target that did not exist
+                target = deliver.__self__
+                if executors.get(target.executor_id) is not target:
+                    return None  # retired by a rescale
+                return None if type(target) is SourceExecutor else target
+
             for entry in pending_entries:
                 cb = entry[2]
                 func = getattr(cb, "__func__", None)
-                if func is _PROC_COMPLETE or func is _SINK_COMPLETE:
+                if func in _COMPLETIONS:
                     executor = cb.__self__
                     event = entry[3][0]
                     if (
@@ -527,20 +532,21 @@ class BatchStepper:
                     ):
                         return "inflight-unmodelled"
                     busy_completions[executor] = (entry[0], event)
-                elif cb == deliver_cb:
-                    target, event, sender_id = entry[3]
+                elif func in _DELIVERIES:
+                    target = receiver_of(cb)
+                    event, sender_id = entry[3]
                     if (
-                        event.kind is not _DATA_KIND
+                        target is None
+                        or event.kind is not _DATA_KIND
                         or event.anchored is not acked
                         or event.replay_count
-                        or target not in executors
-                        or type(executors[target]) is SourceExecutor
                     ):
                         return "inflight-unmodelled"
                     inflight.append((entry[0], target, event, sender_id))
                 elif cb == batch_cb:
-                    target, sender_id, pairs, index = entry[3]
-                    if target not in executors or type(executors[target]) is SourceExecutor:
+                    deliver, sender_id, pairs, index = entry[3]
+                    target = receiver_of(deliver)
+                    if target is None:
                         return "inflight-unmodelled"
                     for when, event in pairs[index:]:
                         if (
@@ -676,18 +682,7 @@ class BatchStepper:
         anch_counts = ack_counts = resid = spill_counts = None
 
         # ---- Phase B: route/serve every task instance in topological order.
-        plans = router._route_plans
-        channel_base = router._channel_base
-        keyed_jitter = router._keyed_jitter
-        last_delivery = router._last_delivery
-        shuffle_counters = router._shuffle_counters
-        network = router._network
-        jitter_on = router._jitter_fraction > 0
-        jlow = router._jitter_low
-        jspan = router._jitter_span
-        executor_vm = runtime.executor_vm
         schedule_at_fast = sim.schedule_at_fast
-        deliver = runtime.deliver
 
         #: target executor id -> per-channel (deliveries, root idx, parent
         #: completion times, sender id, event ids or None) arrays, appended in
@@ -711,35 +706,28 @@ class BatchStepper:
                 field_cache[num] = cached
             return cached
 
-        def ship(sender_id: str, task_name: str, target: str, parent_c, roots) -> None:
-            """One channel's deliveries: jitter, FIFO bump, bound split."""
+        def ship(channel: Channel, task_name: str, parent_c, roots) -> None:
+            """One channel's deliveries (the array form of ``Channel.stamp``):
+            jitter, FIFO bump, bound split."""
             nonlocal inline_count
             n = len(parent_c)
-            channel = (sender_id, target)
-            base = channel_base.get(channel)
-            if base is None:
-                base = channel_base[channel] = network.base_latency(
-                    executor_vm(sender_id), executor_vm(target)
-                )
-            if jitter_on:
-                stream = keyed_jitter.get(channel)
-                if stream is None:
-                    stream = keyed_jitter[channel] = network.keyed_jitter_stream(
-                        sender_id, target
-                    )
+            sender_id = channel.sender_id
+            target = channel.target_id
+            stream = channel.stream
+            if stream is not None:
                 start = stream.counter
                 stream.counter = start + n
                 draws = keyed_value_block(stream.seed, start, n, np)
-                lat = base * (1.0 + (jlow + jspan * draws))
+                lat = channel.base * (1.0 + (channel.jitter_low + channel.jitter_span * draws))
                 np.maximum(lat, 0.0, out=lat)
                 raw = parent_c + lat
             else:
-                raw = parent_c + base
-            # Per-channel FIFO: d[i] = max(raw[i], d[i-1] + 1e-9).
-            deliveries, fell_back = maxplus_scan(raw, 1e-9, last_delivery.get(channel, 0.0))
+                raw = parent_c + channel.base
+            # Per-channel FIFO: d[i] = max(raw[i], d[i-1] + spacing).
+            deliveries, fell_back = maxplus_scan(raw, FIFO_SPACING_S, channel.last)
             self.scan_fallbacks += fell_back
             tail = float(deliveries[-1])
-            last_delivery[channel] = tail
+            channel.last = tail
             router.routed_count += n
             if (tail <= cut_value) if side_right else (tail < cut_value):
                 cut = n  # whole channel in bound: skip the searchsorted
@@ -773,39 +761,33 @@ class BatchStepper:
                     payload_of(r), float(parent_c[i]), float(emitted_arr[r]),
                     None, None, 0, acked,
                 )
-                schedule_at_fast(float(deliveries[i]), deliver, (target, event, sender_id))
+                schedule_at_fast(float(deliveries[i]), channel.deliver, (event, sender_id))
 
         def route_stream(sender_id: str, task_name: str, completions, roots) -> None:
-            """Mirror Router.route target selection on whole arrays."""
-            plan = plans.get(task_name)
-            if plan is None:
-                plan = router._build_plan(task_name)
+            """Mirror Router.fan_out target selection on whole arrays."""
             n = len(completions)
-            for edge, instances, grouping, num in plan:
+            for grouping, num, channels, cursor in router.outbox(sender_id, task_name):
                 if num == 1 or grouping is Grouping.GLOBAL:
-                    ship(sender_id, task_name, instances[0], completions, roots)
+                    ship(channels[0], task_name, completions, roots)
                 elif grouping is Grouping.ALL:
-                    for target in instances:
-                        ship(sender_id, task_name, target, completions, roots)
+                    for channel in channels:
+                        ship(channel, task_name, completions, roots)
                 elif grouping is Grouping.FIELDS:
                     tidx = field_indices(num)[roots]
                     for k in range(num):
                         mask = tidx == k
                         if mask.any():
-                            ship(sender_id, task_name, instances[k],
-                                 completions[mask], roots[mask])
+                            ship(channels[k], task_name, completions[mask], roots[mask])
                 else:  # shuffle round-robin per (sender executor, dst task)
-                    counter_key = (sender_id, edge.dst)
-                    start = shuffle_counters.get(counter_key, 0)
-                    shuffle_counters[counter_key] = start + n
+                    start = cursor[0]
+                    cursor[0] = start + n
                     # Event i goes to instance (start + i) % num, so instance
                     # k's events are the strided slice starting at
                     # (k - start) % num -- views, no masks, no copies.
                     for k in range(num):
                         i0 = (k - start) % num
                         if i0 < n:
-                            ship(sender_id, task_name, instances[k],
-                                 completions[i0::num], roots[i0::num])
+                            ship(channels[k], task_name, completions[i0::num], roots[i0::num])
 
         # ---- Commit the ingestion: the sweep now owns all in-flight work.
         # Pending deliveries inside the bound become one-element arrival
@@ -824,13 +806,13 @@ class BatchStepper:
                     if acked:
                         # The event's id is already folded into its pending
                         # tree: carry it so the in-sweep ack removes exactly
-                        # it, and keep the object (recycle would refuse it
-                        # anyway) in case it spills past the bound again.
+                        # it, and keep the object in case it spills past the
+                        # bound again.
                         ids_arr = np.array([event.event_id], dtype=np.uint64)
                         adopted_by_id[int(event.event_id)] = event
                     else:
                         ids_arr = None
-                    arrivals.setdefault(target, []).append(
+                    arrivals.setdefault(target.executor_id, []).append(
                         (
                             np.array([when]),
                             np.array([idx], dtype=np.intp),
@@ -840,10 +822,8 @@ class BatchStepper:
                         )
                     )
                     inline_count += 1
-                    if not acked:
-                        recycle_event(event)
                 else:
-                    schedule_at_fast(when, deliver, (target, event, sender_id))
+                    schedule_at_fast(when, target.deliver, (event, sender_id))
             for executor, (when, event) in busy_completions.items():
                 entries: List[Tuple[Event, str]] = [(event, "")]
                 entries.extend(executor.input_queue)
@@ -1008,10 +988,6 @@ class BatchStepper:
                         executor.busy_time_s = float(
                             sequential_sums(executor.busy_time_s, service, k)[-1]
                         )
-                for j in range(min(k, m)):
-                    # Completed adopted events leave the system here; feed the
-                    # clone pool as the classic sink path eventually would.
-                    recycle_event(sevents[j][0])
                 if k < total:
                     # The k-th service crosses the bound: leave the executor
                     # busy with its completion on the kernel heap and the
@@ -1167,66 +1143,22 @@ class BatchStepper:
     ) -> int:
         """Route ``events`` at simulated time ``now`` without the kernel.
 
-        Mirrors Router.route()/_route_general: same grouping selection, same
-        sole-delivery id re-stamp vs per-edge copy, same anchor-at-route-time
-        acker call for anchored events, same keyed jitter draw and per-channel
-        FIFO bump (via the router's own ``_delivery_time``).  In-bound
-        deliveries become cascade ARRIVE entries; the rest spill to the
-        kernel as classic deliveries.
+        The deliveries are the router's own (:meth:`Router.fan_out`: same
+        grouping selection, id re-stamp or per-edge copy, acker anchor, jitter
+        draw and FIFO bump as a kernel-path ``route()``); in-bound ones
+        become cascade ARRIVE entries, the rest spill to the kernel as
+        classic deliveries.
         """
         runtime = self.runtime
         router = runtime.router
-        acker = runtime.acker
-        ack_data = runtime.ack_data_events
-        plan = router._route_plans.get(task_name)
-        if plan is None:
-            plan = router._build_plan(task_name)
         executors = runtime.executors
-        delivery_time = router._delivery_time
-        shuffle_counters = router._shuffle_counters
         schedule_at_fast = runtime.sim.schedule_at_fast
-        deliver = runtime.deliver
         push = heapq.heappush
-        single_edge = len(plan) == 1
-        for edge, instances, grouping, num in plan:
-            for event in events:
-                if num == 1:
-                    targets = instances
-                elif grouping is Grouping.ALL:
-                    targets = instances
-                elif grouping is Grouping.GLOBAL:
-                    targets = instances[:1]
-                elif grouping is Grouping.FIELDS:
-                    targets = (
-                        instances[stable_field_index(field_key_of(event.payload), num)],
-                    )
-                else:  # shuffle round-robin per (sender executor, dst task)
-                    counter_key = (sender_id, edge.dst)
-                    index = shuffle_counters.get(counter_key, 0)
-                    shuffle_counters[counter_key] = index + 1
-                    targets = (instances[index % num],)
-                if single_edge and len(targets) == 1:
-                    target = targets[0]
-                    event.event_id = next_event_id()
-                    if ack_data and event.anchored and event.kind is _DATA_KIND:
-                        acker.anchor(event.root_id, event.event_id)
-                    d = delivery_time(sender_id, target, now)
-                    router.routed_count += 1
-                    if d <= limit and (horizon is None or d < horizon):
-                        push(heap, (d, seq, _ARRIVE, executors[target], event, sender_id))
-                        seq += 1
-                    else:
-                        schedule_at_fast(d, deliver, (target, event, sender_id))
-                    continue
-                for target in targets:
-                    copy = event.copy_for_edge()
-                    if ack_data and copy.anchored and copy.kind is _DATA_KIND:
-                        acker.anchor(copy.root_id, copy.event_id)
-                    d = delivery_time(sender_id, target, now)
-                    router.routed_count += 1
-                    if d <= limit and (horizon is None or d < horizon):
-                        push(heap, (d, seq, _ARRIVE, executors[target], copy, sender_id))
-                        seq += 1
-                    else:
-                        schedule_at_fast(d, deliver, (target, copy, sender_id))
+        outbox = router.outbox(sender_id, task_name)
+        for d, channel, event in router.fan_out(sender_id, outbox, events, now):
+            if d <= limit and (horizon is None or d < horizon):
+                push(heap, (d, seq, _ARRIVE, executors[channel.target_id], event, sender_id))
+                seq += 1
+            else:
+                schedule_at_fast(d, channel.deliver, (event, sender_id))
         return seq

@@ -35,7 +35,7 @@ from collections import deque
 from enum import Enum
 from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.dataflow.event import CheckpointAction, Event, EventKind, next_event_id, recycle_event
+from repro.dataflow.event import CheckpointAction, Event, EventKind, next_event_id
 from repro.dataflow.task import SinkTask, SourceTask, Task
 from repro.reliability.statestore import checkpoint_key
 
@@ -200,9 +200,13 @@ class Executor:
 
     # -------------------------------------------------------------- delivery
     def deliver(self, event: Event, sender_id: str) -> bool:
-        """Accept an event from the router; returns False if it must be dropped."""
+        """Accept an event; the kernel callback of every channel into this executor.
+
+        Returns False when the event could not be accepted, after reporting
+        the refusal to the runtime (dropped or held for the restart).
+        """
         if self.status is not _RUNNING:
-            return False
+            return self._refuse(event, sender_id)
         if not self.initialized and event.kind is _DATA:
             # Stateful-bolt semantics: data received before initialization is
             # buffered and handled once the INIT event restores the task.
@@ -211,30 +215,38 @@ class Executor:
         if self._busy or self.input_queue:
             self.input_queue.append((event, sender_id))
             return True
-        # Idle fast path: the event would be appended and immediately popped
-        # by _maybe_process in the same tick (unobservably), so start service
-        # directly and skip the queue round-trip.
-        self._busy = True
-        if event.kind is _CHECKPOINT:
-            self.sim.schedule_fast(
-                self.runtime.timing.checkpoint_handling_s, self._handle_control, (event, sender_id)
-            )
-        elif self.capture_mode:
-            self.pending_events.append(event)
-            self.captured_count += 1
-            self._busy = False
-            # Scheduled (not elided) to keep kernel event counts identical to
-            # the queued path: tie-breaking order is part of reproducibility.
-            self.sim.schedule_fast(0.0, self._maybe_process)
+        if event.kind is _DATA and not self.capture_mode:
+            # Idle, plain data: the event would be appended and immediately
+            # popped by _maybe_process in the same tick (unobservably), so
+            # start service directly and skip the queue round-trip.
+            self._busy = True
+            sim = self.sim
+            sim.push_fast(sim.now + self._service_time, self._complete_data, (event,))
         else:
-            self.sim.schedule_fast(self._service_time, self._complete_data, (event,))
+            self.input_queue.append((event, sender_id))
+            self._maybe_process()
         return True
+
+    def _refuse(self, event: Event, sender_id: str) -> bool:
+        """Hand a delivery this executor cannot accept to the runtime; False.
+
+        A delivery on the heap holds this executor's bound ``deliver``, and a
+        rescale may retire the executor (or retire it and spawn a successor
+        with its id) while the delivery is in flight: whatever owns the id at
+        the delivery time decides, so a retired executor re-delivers by id.
+        """
+        runtime = self.runtime
+        if runtime.executors.get(self.executor_id) is self:
+            runtime._undeliverable(self, event, sender_id)
+        else:
+            runtime.deliver(self.executor_id, event, sender_id)
+        return False
 
     # ------------------------------------------------------------ processing
     def _maybe_process(self) -> None:
         # Service completions and control handling are never cancelled, so they
         # ride the kernel's fire-and-forget fast path (no Timer allocation).
-        if self._busy or self.status is not ExecutorStatus.RUNNING or not self.input_queue:
+        if self._busy or self.status is not _RUNNING or not self.input_queue:
             return
         event, sender_id = self.input_queue.popleft()
         self._busy = True
@@ -248,6 +260,8 @@ class Executor:
             self.pending_events.append(event)
             self.captured_count += 1
             self._busy = False
+            # Scheduled (not elided): tie-breaking order is part of
+            # reproducibility.
             self.sim.schedule_fast(0.0, self._maybe_process)
         else:
             self.sim.schedule_fast(self._service_time, self._complete_data, (event,))
@@ -260,7 +274,7 @@ class Executor:
         task = self.task
         outputs = task.logic(event.payload, self.state)
         # Capture the ack identity up front: the router owns routed events and
-        # re-stamps the reused object with a fresh id (see Router.route).
+        # re-stamps the reused object with a fresh id (see Router.route_one).
         acked = event.anchored and event.kind is _DATA and runtime.ack_data_events
         if acked:
             ack_root_id = event.root_id
@@ -278,23 +292,37 @@ class Executor:
                 if payload is not None:
                     event.payload = payload
                 event.created_at = now
-                children = (event,)
+                if self.capture_mode:
+                    # The event that was being executed when PREPARE arrived:
+                    # its output is captured rather than emitted downstream
+                    # (CCR).
+                    self.pending_events.append(event)
+                    self.captured_count += 1
+                else:
+                    runtime.router.route_one(self.executor_id, task.name, event)
             else:
                 children = [event.derive(task.name, payload, now) for payload in outputs]
-            if self.capture_mode:
-                # The event that was being executed when PREPARE arrived: its
-                # outputs are captured rather than emitted downstream (CCR).
-                self.pending_events.extend(children)
-                self.captured_count += len(children)
-            else:
-                runtime.router.route(self.executor_id, task.name, children)
+                if self.capture_mode:
+                    self.pending_events.extend(children)
+                    self.captured_count += len(children)
+                else:
+                    runtime.router.route(self.executor_id, task.name, children)
         if acked:
             runtime.acker.ack(ack_root_id, ack_event_id)
         self.processed_count += 1
         self.busy_time_s += self._service_time
-        self._busy = False
-        if self.input_queue:
-            self._maybe_process()
+        queue = self.input_queue
+        if queue and queue[0][0].kind is _DATA and not self.capture_mode:
+            # Plain data at the queue head: start its service here, staying
+            # busy, exactly as _maybe_process would.
+            sim = self.sim
+            sim.push_fast(
+                sim.now + self._service_time, self._complete_data, (queue.popleft()[0],)
+            )
+        else:
+            self._busy = False
+            if queue:
+                self._maybe_process()
 
     # --------------------------------------------------------- control events
     def _handle_control(self, event: Event, sender_id: str) -> None:
@@ -655,7 +683,7 @@ class SourceExecutor(Executor):
             self._cache[event.root_id] = payload
         self.emitted_count += 1
         self.runtime.log.record_source_emit(event.root_id, self.task.name, replay_count=0, from_backlog=from_backlog)
-        self.runtime.route(self, [event])
+        self.runtime.router.route_one(self.executor_id, self.task.name, event)
 
     def _emit_replay(self, root_id: int) -> None:
         payload = self._cache.get(root_id)
@@ -676,7 +704,7 @@ class SourceExecutor(Executor):
             self.runtime.acker.register(root_id)
         self.replayed_count += 1
         self.runtime.log.record_source_emit(root_id, self.task.name, replay_count=replay_count, from_backlog=False)
-        self.runtime.route(self, [event])
+        self.runtime.router.route_one(self.executor_id, self.task.name, event)
 
     # --------------------------------------------------------------- replays
     def replay(self, root_id: int) -> None:
@@ -778,8 +806,8 @@ class SinkExecutor(Executor):
 
     **Inline service**: a sink emits nothing downstream, so when its service
     time is zero (the repository's timing model) an idle sink completes a
-    data event inside :meth:`deliver` -- receipt, ack and recycle at the
-    delivery time -- instead of scheduling a 0 s completion that would fire
+    data event inside :meth:`deliver` -- receipt and ack at the delivery
+    time -- instead of scheduling a 0 s completion that would fire
     at that same instant.  Whatever the queued path exists for still takes
     it: a non-zero ``data_event_overhead_s``, an event arriving while another
     is queued or in service (a control event, a restored backlog), capture
@@ -820,10 +848,6 @@ class SinkExecutor(Executor):
         )
         self.processed_count += 1
         self.runtime.ack_processed(event)
-        # The event has left the system: feed the fan-out clone pool.
-        # (recycle_event refuses anchored events, which the acker may still
-        # reference in its failure bookkeeping.)
-        recycle_event(event)
 
     def _complete_data(self, event: Event) -> None:
         if self.status is not ExecutorStatus.RUNNING:
@@ -849,9 +873,14 @@ class TopologyRuntimeLike:
     acker = None
     timing = None
     dataflow = None
+    router = None
+    executors = None
     ack_data_events = False
 
-    def route(self, executor: Executor, events: List[Event]) -> None:  # pragma: no cover - interface
+    def deliver(self, executor_id: str, event: Event, sender_id: str) -> None:  # pragma: no cover - interface
+        raise NotImplementedError
+
+    def _undeliverable(self, executor: Executor, event: Event, sender_id: str) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
     def ack_processed(self, event: Event) -> None:  # pragma: no cover - interface

@@ -9,37 +9,44 @@ delivery ordering per (sender executor, receiver executor) channel -- the
 property checkpoint control events rely on to be the "rearguard" behind all
 data events on a channel.
 
-Hot-path design
----------------
-Routing is the inner loop of every experiment, so the router keeps three
-caches, all invalidated by :meth:`Router.invalidate_caches` whenever the
-runtime changes the executor set or the placement (deploy, rebalance,
-migration):
+The compiled data plane
+-----------------------
+Routing is the inner loop of every experiment, so nothing on the per-event
+hop is looked up by name.  Everything the router knows about one
+(sender, receiver) pair lives in one persistent :class:`Channel` record:
 
-* a **route plan** per task: its outgoing edges with the destination
-  instance tuple resolved once, instead of rebuilding edge and instance
-  lists per event;
-* a **per-channel base latency**: whether a (sender, receiver) pair is an
-  intra- or inter-VM hop, so each event pays one jitter draw instead of two
-  executor->VM dict hops plus the network model dispatch;
-* a **bound jitter sampler** for the network's ``network-jitter`` stream
-  (binding it early is safe: streams are seeded by name, not creation
-  order).
+* **semantics** -- the channel's FIFO time, its keyed jitter stream (counter
+  included) -- which live as long as the router;
+* **placement-derived fields** -- the un-jittered base latency (intra- or
+  inter-VM) and the receiver's bound ``deliver``, the callback the kernel
+  runs at the delivery time -- which :meth:`Router.invalidate_caches` drops
+  whenever the runtime changes the executor set or the placement (deploy,
+  rebalance, rescale, VM failure) and the next use re-derives.
 
-Deliveries are scheduled on the kernel's fire-and-forget fast path.  When a
-single ``route()`` call emits several events onto the same channel (a batch
-produced in one tick), the router schedules *one* delivery callback carrying
-the (time, event) list, which walks the channel's FIFO times itself instead
-of holding one heap entry per event.
+A sender reaches its channels through its **outbox**: one entry per outgoing
+edge of its task holding the grouping, the channel of every destination
+instance and the edge's shuffle cursor (semantics again: it outlives the
+outbox).  Outboxes are compiled on first use per placement epoch and dropped
+by ``invalidate_caches()`` with the placement-derived fields.
+
+Every delivery -- :meth:`Router.route_one`, the fan-out and multi-event
+forms of :meth:`Router.route`, :meth:`Router.send_direct`, and the batch
+stepper's inline and spill paths -- is stamped by :meth:`Channel.stamp`, the
+one copy of the latency-jitter-FIFO arithmetic.  When a single ``route()``
+call emits several events onto the same channel (a batch produced in one
+tick), the router schedules *one* delivery callback carrying the
+(time, event) list, which walks the channel's FIFO times itself instead of
+holding one heap entry per event.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.cloud import NetworkModel
 from repro.dataflow.event import Event, EventKind, next_event_id
-from repro.dataflow.graph import Dataflow, Edge
+from repro.dataflow.graph import Edge
 from repro.dataflow.grouping import Grouping, field_key_of, stable_field_index
 from repro.sim.rng import KeyedStream
 
@@ -49,227 +56,307 @@ from repro.sim.rng import KeyedStream
 #: uses for deliveries.
 _stable_field_index = stable_field_index
 
+_DATA = EventKind.DATA
+_SHUFFLE = Grouping.SHUFFLE
+_FIELDS = Grouping.FIELDS
+_ALL = Grouping.ALL
+
+#: Minimum spacing of two deliveries on one channel (FIFO tie-break).
+FIFO_SPACING_S = 1e-9
+
+
+class Channel:
+    """Everything the data plane knows about one (sender, receiver) pair.
+
+    ``last`` (the FIFO time) and ``stream`` (the keyed jitter stream, ``None``
+    under the shared stream or without jitter) are semantics and never reset.
+    ``base`` and ``deliver`` are derived from the placement and the executor
+    set; ``deliver is None`` marks them stale (see
+    :meth:`Router.invalidate_caches`).
+    """
+
+    __slots__ = (
+        "sender_id", "target_id", "last", "stream", "base", "deliver",
+        "draw", "jitter_low", "jitter_span",
+    )
+
+    def __init__(
+        self,
+        sender_id: str,
+        target_id: str,
+        stream: Optional[KeyedStream],
+        draw: Optional[Callable[[], float]],
+        jitter_low: float,
+        jitter_span: float,
+    ) -> None:
+        self.sender_id = sender_id
+        self.target_id = target_id
+        self.last = 0.0
+        self.stream = stream
+        self.base = 0.0
+        self.deliver: Optional[Callable[[Event, str], object]] = None
+        # Uniform [0, 1) draw of this channel's jitter stream (``None``: no
+        # jitter) and the transform ``low + span * draw``: exactly what
+        # ``random.Random.uniform(low, low + span)`` computes, without the
+        # call frame.
+        self.draw = draw
+        self.jitter_low = jitter_low
+        self.jitter_span = jitter_span
+
+    def stamp(self, now: float) -> float:
+        """Arrival time of a delivery sent at ``now``: jittered, then FIFO-ordered."""
+        draw = self.draw
+        if draw is None:
+            latency = self.base
+        else:
+            # Parenthesized to match uniform()'s `a + (b-a)*r` before the 1.0
+            # add -- float addition is not associative and the figure runs
+            # must reproduce the historical jitter values bit-for-bit.
+            latency = self.base * (1.0 + (self.jitter_low + self.jitter_span * draw()))
+            if latency < 0.0:
+                latency = 0.0
+        time = now + latency
+        earliest = self.last + FIFO_SPACING_S
+        if earliest > time:
+            time = earliest
+        self.last = time
+        return time
+
+
+#: One outgoing edge of a sender: grouping, instance count, the channel per
+#: destination instance, and the edge's shuffle cursor (a one-element list
+#: shared by every outbox ever compiled for this sender and destination task).
+OutboxEdge = Tuple[Grouping, int, Tuple[Channel, ...], List[int]]
+#: A stamped delivery: arrival time, channel, event.
+Delivery = Tuple[float, Channel, Event]
+
 
 class Router:
     """Routes events from an executor to the instances of downstream tasks."""
 
     def __init__(self, runtime: "TopologyRuntime") -> None:
         self.runtime = runtime
-        self._shuffle_counters: Dict[Tuple[str, str], int] = {}
-        self._last_delivery: Dict[Tuple[str, str], float] = {}
         self.routed_count = 0
-        #: Telemetry tallies (plain ints, scraped post-hoc): route() calls,
-        #: route-plan cache misses, and coalesced same-channel batch callbacks.
+        #: Telemetry tallies (plain ints, scraped post-hoc): route calls,
+        #: outbox compilations, and coalesced same-channel batch callbacks.
         self.route_calls = 0
         self.plan_builds = 0
         self.batched_deliveries = 0
-        #: task name -> tuple of (edge, destination instances, grouping, instance count).
-        self._route_plans: Dict[str, Tuple[Tuple[Edge, Tuple[str, ...], Grouping, int], ...]] = {}
-        #: (sender, receiver) -> base (un-jittered) transfer latency.
-        self._channel_base: Dict[Tuple[str, str], float] = {}
+        #: (sender, receiver) -> channel record; never dropped.
+        self._channels: Dict[Tuple[str, str], Channel] = {}
+        #: (sender, destination task) -> shuffle cursor; never dropped.
+        self._cursors: Dict[Tuple[str, str], List[int]] = {}
+        #: sender -> compiled outbox; dropped by invalidate_caches().
+        self._outboxes: Dict[str, Tuple[OutboxEdge, ...]] = {}
         network: NetworkModel = runtime.cluster.network
         self._network = network
         self._jitter_fraction = network.jitter_fraction
-        # Bound `random()` of the jitter stream plus the precomputed uniform
-        # transform (a, b-a): `a + (b-a)*random()` is exactly what
-        # ``random.Random.uniform(a, b)`` computes, without the call frame.
+        # Bound `random()` of the shared jitter stream (binding it early is
+        # safe: streams are seeded by name, not creation order).
         self._jitter_random = network.jitter_sampler().__self__.random
         self._jitter_low = -self._jitter_fraction
         self._jitter_span = self._jitter_fraction - self._jitter_low
         # Keyed per-channel jitter (opt-in): each (sender, receiver) channel
         # draws from its own stateless hash stream, so the jitter observed on
         # one channel is independent of how deliveries on other channels are
-        # interleaved.  Required by (and implied by) batch stepping; like the
-        # FIFO times, the per-channel counters are semantics, not cache, and
-        # survive invalidate_caches().
+        # interleaved.  Required by (and implied by) batch stepping.
         config = runtime.config
         self._keyed = bool(config.keyed_network_jitter or config.batch_stepping)
-        self._keyed_jitter: Dict[Tuple[str, str], KeyedStream] = {}
 
-    # ---------------------------------------------------------------- caches
+    # ---------------------------------------------------------------- compile
     def invalidate_caches(self) -> None:
-        """Drop placement- and topology-derived caches.
+        """Drop everything derived from the placement and the executor set.
 
         Must be called whenever executors move between VMs or the executor
-        set changes (deploy, rebalance, migration).  Routing *state* (shuffle
-        counters, per-channel FIFO times) is deliberately preserved: it is
-        semantics, not cache.
+        set changes (deploy, rebalance, rescale, VM failure).  The outboxes
+        go, and every channel forgets its base latency and bound receiver.
+        Routing *state* -- per-channel FIFO times and keyed stream counters,
+        shuffle cursors -- is deliberately preserved: it is semantics, not
+        cache.
         """
-        self._route_plans.clear()
-        self._channel_base.clear()
+        self._outboxes.clear()
+        for channel in self._channels.values():
+            channel.deliver = None
 
-    def _build_plan(self, task_name: str) -> Tuple[Tuple[Edge, Tuple[str, ...], Grouping, int], ...]:
-        dataflow: Dataflow = self.runtime.dataflow
-        plan = []
-        for edge in dataflow.out_edges(task_name):
-            instances = tuple(dataflow.task(edge.dst).instance_ids())
-            plan.append((edge, instances, edge.grouping, len(instances)))
-        plan = tuple(plan)
-        self._route_plans[task_name] = plan
-        self.plan_builds += 1
-        return plan
+    def channel(self, sender_id: str, target_id: str) -> Channel:
+        """The (sender, receiver) channel record, bound to the current placement."""
+        key = (sender_id, target_id)
+        channel = self._channels.get(key)
+        if channel is None:
+            stream = draw = None
+            if self._jitter_fraction > 0:
+                if self._keyed:
+                    stream = self._network.keyed_jitter_stream(sender_id, target_id)
+                    draw = stream.random
+                else:
+                    draw = self._jitter_random
+            channel = self._channels[key] = Channel(
+                sender_id, target_id, stream, draw, self._jitter_low, self._jitter_span
+            )
+        if channel.deliver is None:
+            runtime = self.runtime
+            target = runtime.executors.get(target_id)
+            channel.base = self._network.base_latency(
+                runtime.executor_vm(sender_id), target.vm_id if target is not None else None
+            )
+            # No such executor (yet): deliver by id, which looks again at the
+            # delivery time and records the drop if there still is none.
+            channel.deliver = (
+                target.deliver if target is not None else partial(runtime.deliver, target_id)
+            )
+        return channel
+
+    def _cursor(self, sender_id: str, dst_task: str) -> List[int]:
+        key = (sender_id, dst_task)
+        cursor = self._cursors.get(key)
+        if cursor is None:
+            cursor = self._cursors[key] = [0]
+        return cursor
+
+    def outbox(self, sender_id: str, task_name: str) -> Tuple[OutboxEdge, ...]:
+        """The sender's compiled outbox (``sender_id`` is an instance of ``task_name``)."""
+        outbox = self._outboxes.get(sender_id)
+        if outbox is None:
+            dataflow = self.runtime.dataflow
+            edges = []
+            for edge in dataflow.out_edges(task_name):
+                channels = tuple(
+                    self.channel(sender_id, target)
+                    for target in dataflow.task(edge.dst).instance_ids()
+                )
+                edges.append(
+                    (edge.grouping, len(channels), channels, self._cursor(sender_id, edge.dst))
+                )
+            outbox = self._outboxes[sender_id] = tuple(edges)
+            self.plan_builds += 1
+        return outbox
 
     # --------------------------------------------------------------- routing
-    def route(self, sender_executor_id: str, task_name: str, events: List[Event]) -> None:
-        """Deliver each event on every outgoing edge of ``task_name``.
+    def route_one(self, sender_id: str, task_name: str, event: Event) -> None:
+        """Deliver one event on every outgoing edge of ``task_name``.
 
-        The router takes **ownership** of ``events``: each event object is
-        either duplicated per delivery (fan-out) or re-stamped with the fresh
-        event id its copy would have received and delivered directly (the
-        dominant single-delivery case).  Callers must not touch an event
-        after routing it.
+        The router takes **ownership** of the event: it is either duplicated
+        per delivery (fan-out) or re-stamped with the fresh event id its copy
+        would have received and delivered directly (the dominant
+        single-delivery case).  Callers must not touch an event after
+        routing it.
 
         Target selection must stay in lock-step with :meth:`_select_targets`
         (the uncached reference used by direct callers and tests).
         """
-        if not events:
-            return
         self.route_calls += 1
-        plan = self._route_plans.get(task_name)
-        if plan is None:
-            plan = self._build_plan(task_name)
-        if len(events) == 1 and len(plan) == 1:
-            # Dominant shape (one event, one out-edge, one target): fully
-            # inlined dispatch, including the channel latency and FIFO
-            # bookkeeping of _delivery_time.
-            edge, instances, grouping, num = plan[0]
-            event = events[0]
+        outbox = self._outboxes.get(sender_id)
+        if outbox is None:
+            outbox = self.outbox(sender_id, task_name)
+        if len(outbox) == 1:
+            # Dominant shape: one out-edge, one target.
+            grouping, num, channels, cursor = outbox[0]
             if num == 1:
-                target = instances[0]
-            elif grouping is Grouping.SHUFFLE:
-                counter_key = (sender_executor_id, edge.dst)
-                index = self._shuffle_counters.get(counter_key, 0)
-                self._shuffle_counters[counter_key] = index + 1
-                target = instances[index % num]
-            elif grouping is Grouping.GLOBAL:
-                target = instances[0]
-            elif grouping is Grouping.FIELDS:
-                target = instances[_stable_field_index(self._field_key(event), num)]
-            else:  # ALL fans out: take the general path below
-                target = None
-            if target is not None:
+                channel = channels[0]
+            elif grouping is _SHUFFLE:
+                index = cursor[0]
+                cursor[0] = index + 1
+                channel = channels[index % num]
+            elif grouping is _FIELDS:
+                channel = channels[stable_field_index(field_key_of(event.payload), num)]
+            elif grouping is _ALL:  # fans out: take the general path below
+                channel = None
+            else:  # GLOBAL
+                channel = channels[0]
+            if channel is not None:
                 runtime = self.runtime
-                sim = runtime.sim
                 # Sole delivery of this event: re-stamp the original with the
                 # id a copy would have drawn (same counter position, so ids
                 # are bit-identical to the copying path), skip the allocation.
                 event.event_id = event_id = next_event_id()
-                if event.anchored and runtime.ack_data_events and event.kind is EventKind.DATA:
+                if event.anchored and runtime.ack_data_events and event.kind is _DATA:
                     runtime.acker.anchor(event.root_id, event_id)
-                channel = (sender_executor_id, target)
-                base = self._channel_base.get(channel)
-                if base is None:
-                    base = self._channel_base[channel] = self._network.base_latency(
-                        runtime.executor_vm(sender_executor_id), runtime.executor_vm(target)
-                    )
-                if self._jitter_fraction > 0:
-                    if self._keyed:
-                        stream = self._keyed_jitter.get(channel)
-                        if stream is None:
-                            stream = self._keyed_jitter[channel] = self._network.keyed_jitter_stream(
-                                channel[0], channel[1]
-                            )
-                        draw = stream.random()
-                    else:
-                        draw = self._jitter_random()
-                    # Parenthesized to match uniform()'s `a + (b-a)*r` (see
-                    # _delivery_time).
-                    latency = base * (1.0 + (self._jitter_low + self._jitter_span * draw))
-                    if latency < 0.0:
-                        latency = 0.0
-                else:
-                    latency = base
-                delivery_time = sim.now + latency
-                earliest = self._last_delivery.get(channel, 0.0) + 1e-9
-                if earliest > delivery_time:
-                    delivery_time = earliest
-                self._last_delivery[channel] = delivery_time
                 self.routed_count += 1
-                sim.schedule_at_fast(delivery_time, runtime.deliver, (target, event, sender_executor_id))
+                sim = runtime.sim
+                sim.push_fast(channel.stamp(sim.now), channel.deliver, (event, sender_id))
                 return
-        self._route_general(sender_executor_id, plan, events)
+        # Fan-out: the deliveries of one event go on the heap one by one.
+        sim = self.runtime.sim
+        push_fast = sim.push_fast
+        for time, channel, copy in self.fan_out(sender_id, outbox, (event,), sim.now):
+            push_fast(time, channel.deliver, (copy, sender_id))
 
-    def _route_general(
-        self,
-        sender_executor_id: str,
-        plan: Tuple[Tuple[Edge, Tuple[str, ...], Grouping, int], ...],
-        events: List[Event],
-    ) -> None:
-        """Multi-event and fan-out routing (batched same-channel deliveries)."""
+    def route(self, sender_id: str, task_name: str, events: Sequence[Event]) -> None:
+        """Deliver each event on every outgoing edge (see :meth:`route_one`).
+
+        Several events sent in one tick are grouped per channel, each group
+        riding on one :meth:`deliver_batch` callback.
+        """
+        if not events:
+            return
+        if len(events) == 1:
+            self.route_one(sender_id, task_name, events[0])
+            return
+        self.route_calls += 1
+        sim = self.runtime.sim
+        push_fast = sim.push_fast
+        outbox = self.outbox(sender_id, task_name)
+        batches: Dict[Channel, List[Tuple[float, Event]]] = {}
+        for time, channel, event in self.fan_out(sender_id, outbox, events, sim.now):
+            batches.setdefault(channel, []).append((time, event))
+        for channel, pairs in batches.items():
+            if len(pairs) == 1:
+                push_fast(pairs[0][0], channel.deliver, (pairs[0][1], sender_id))
+            else:
+                # One callback walks the channel's FIFO-ordered times.
+                self.batched_deliveries += 1
+                push_fast(pairs[0][0], self.deliver_batch, (channel.deliver, sender_id, pairs, 0))
+
+    def fan_out(
+        self, sender_id: str, outbox: Tuple[OutboxEdge, ...], events: Sequence[Event], now: float
+    ) -> List[Delivery]:
+        """Select, copy, anchor and stamp every delivery of ``events`` sent at ``now``.
+
+        The general form of routing (several edges, ALL grouping, several
+        events), shared by the kernel path and the batch stepper's inline
+        heap: the caller decides where each stamped delivery goes.  Event
+        ids, acker anchors and jitter draws happen here, edge by edge and
+        event by event.
+        """
         runtime = self.runtime
-        sim = runtime.sim
         acker = runtime.acker
         ack_data = runtime.ack_data_events
-        deliver = runtime.deliver
-        schedule_at_fast = sim.schedule_at_fast
-        shuffle_counters = self._shuffle_counters
-        now = sim.now  # time cannot advance while routing (no callbacks run)
-        single = len(events) == 1
-        single_edge = len(plan) == 1
-        batches: Optional[Dict[str, List[Tuple[float, Event]]]] = None
-        for edge, instances, grouping, num in plan:
+        single_edge = len(outbox) == 1
+        deliveries: List[Delivery] = []
+        for grouping, num, channels, cursor in outbox:
             for event in events:
-                if num == 1:
-                    targets = instances
-                elif grouping is Grouping.ALL:
-                    targets = instances
-                elif grouping is Grouping.GLOBAL:
-                    targets = instances[:1]
-                elif grouping is Grouping.FIELDS:
-                    key = self._field_key(event)
-                    targets = (instances[_stable_field_index(key, num)],)
-                else:  # shuffle: round-robin per (sender executor, destination task)
-                    counter_key = (sender_executor_id, edge.dst)
-                    index = shuffle_counters.get(counter_key, 0)
-                    shuffle_counters[counter_key] = index + 1
-                    targets = (instances[index % num],)
+                if num == 1 or grouping is _ALL:
+                    targets = channels
+                elif grouping is _SHUFFLE:  # round-robin per (sender executor, destination task)
+                    index = cursor[0]
+                    cursor[0] = index + 1
+                    targets = (channels[index % num],)
+                elif grouping is _FIELDS:
+                    targets = (channels[stable_field_index(field_key_of(event.payload), num)],)
+                else:  # GLOBAL
+                    targets = channels[:1]
                 if single_edge and len(targets) == 1:
                     # Sole delivery of this event: re-stamp instead of copying
-                    # (see the fast path above).
-                    target_executor_id = targets[0]
+                    # (see route_one).
                     event.event_id = next_event_id()
-                    if event.anchored and ack_data and event.kind is EventKind.DATA:
+                    if event.anchored and ack_data and event.kind is _DATA:
                         acker.anchor(event.root_id, event.event_id)
-                    delivery_time = self._delivery_time(sender_executor_id, target_executor_id, now)
-                    self.routed_count += 1
-                    if single:
-                        schedule_at_fast(
-                            delivery_time, deliver, (target_executor_id, event, sender_executor_id)
-                        )
-                    else:
-                        if batches is None:
-                            batches = {}
-                        batches.setdefault(target_executor_id, []).append((delivery_time, event))
+                    deliveries.append((targets[0].stamp(now), targets[0], event))
                     continue
-                for target_executor_id in targets:
+                for channel in targets:
                     copy = event.copy_for_edge()
-                    if copy.anchored and ack_data and copy.kind is EventKind.DATA:
+                    if copy.anchored and ack_data and copy.kind is _DATA:
                         acker.anchor(copy.root_id, copy.event_id)
-                    delivery_time = self._delivery_time(sender_executor_id, target_executor_id, now)
-                    self.routed_count += 1
-                    if single:
-                        schedule_at_fast(
-                            delivery_time, deliver, (target_executor_id, copy, sender_executor_id)
-                        )
-                    else:
-                        if batches is None:
-                            batches = {}
-                        batches.setdefault(target_executor_id, []).append((delivery_time, copy))
-        if batches is not None:
-            for target_executor_id, pairs in batches.items():
-                if len(pairs) == 1:
-                    schedule_at_fast(
-                        pairs[0][0], deliver, (target_executor_id, pairs[0][1], sender_executor_id)
-                    )
-                else:
-                    # One callback walks the channel's FIFO-ordered times.
-                    self.batched_deliveries += 1
-                    schedule_at_fast(
-                        pairs[0][0], self._deliver_batch, (target_executor_id, sender_executor_id, pairs, 0)
-                    )
+                    deliveries.append((channel.stamp(now), channel, copy))
+        self.routed_count += len(deliveries)
+        return deliveries
 
-    def _deliver_batch(
-        self, target_executor_id: str, sender_id: str, pairs: List[Tuple[float, Event]], index: int
+    def deliver_batch(
+        self,
+        deliver: Callable[[Event, str], object],
+        sender_id: str,
+        pairs: List[Tuple[float, Event]],
+        index: int,
     ) -> None:
         """Deliver one event of a same-channel batch, then re-arm for the next.
 
@@ -277,25 +364,29 @@ class Router:
         pairs list is already time-sorted and a single in-flight heap entry
         suffices for the whole batch.
         """
-        self.runtime.deliver(target_executor_id, pairs[index][1], sender_id)
+        deliver(pairs[index][1], sender_id)
         next_index = index + 1
         if next_index < len(pairs):
-            self.runtime.sim.schedule_at_fast(
-                pairs[next_index][0],
-                self._deliver_batch,
-                (target_executor_id, sender_id, pairs, next_index),
+            self.runtime.sim.push_fast(
+                pairs[next_index][0], self.deliver_batch, (deliver, sender_id, pairs, next_index)
             )
 
     def send_direct(self, sender_id: str, target_executor_id: str, event: Event) -> None:
         """Deliver an event directly to a specific executor (checkpoint channels)."""
-        self._send(sender_id, target_executor_id, event)
+        runtime = self.runtime
+        if event.anchored and event.is_data and runtime.ack_data_events:
+            runtime.acker.anchor(event.root_id, event.event_id)
+        channel = self.channel(sender_id, target_executor_id)
+        self.routed_count += 1
+        sim = runtime.sim
+        sim.push_fast(channel.stamp(sim.now), channel.deliver, (event, sender_id))
 
     # ------------------------------------------------------- target selection
     def _select_targets(self, sender_executor_id: str, edge: Edge, event: Event) -> List[str]:
         """Uncached reference implementation of grouping target selection.
 
-        :meth:`route` inlines the same rules on its cached plan; keep the two
-        in sync.
+        :meth:`route_one` and :meth:`fan_out` apply the same rules to their
+        compiled outbox; keep them in sync.
         """
         dst_task = self.runtime.dataflow.task(edge.dst)
         instances = dst_task.instance_ids()
@@ -306,58 +397,9 @@ class Router:
         if edge.grouping is Grouping.GLOBAL:
             return [instances[0]]
         if edge.grouping is Grouping.FIELDS:
-            key = self._field_key(event)
-            return [instances[_stable_field_index(key, len(instances))]]
+            return [instances[_stable_field_index(field_key_of(event.payload), len(instances))]]
         # Shuffle grouping: round-robin per (sender executor, destination task).
-        counter_key = (sender_executor_id, edge.dst)
-        index = self._shuffle_counters.get(counter_key, 0)
-        self._shuffle_counters[counter_key] = index + 1
+        cursor = self._cursor(sender_executor_id, edge.dst)
+        index = cursor[0]
+        cursor[0] = index + 1
         return [instances[index % len(instances)]]
-
-    @staticmethod
-    def _field_key(event: Event) -> str:
-        return field_key_of(event.payload)
-
-    # --------------------------------------------------------------- delivery
-    def _delivery_time(self, sender_id: str, target_executor_id: str, now: float) -> float:
-        """Jittered arrival time respecting the channel's FIFO ordering."""
-        channel = (sender_id, target_executor_id)
-        base = self._channel_base.get(channel)
-        if base is None:
-            runtime = self.runtime
-            base = self._network.base_latency(
-                runtime.executor_vm(sender_id), runtime.executor_vm(target_executor_id)
-            )
-            self._channel_base[channel] = base
-        if self._jitter_fraction > 0:
-            if self._keyed:
-                stream = self._keyed_jitter.get(channel)
-                if stream is None:
-                    stream = self._keyed_jitter[channel] = self._network.keyed_jitter_stream(
-                        channel[0], channel[1]
-                    )
-                draw = stream.random()
-            else:
-                draw = self._jitter_random()
-            # Parenthesized to match uniform()'s `a + (b-a)*r` before the 1.0
-            # add — float addition is not associative and the figure runs
-            # must reproduce the historical jitter values bit-for-bit.
-            latency = base * (1.0 + (self._jitter_low + self._jitter_span * draw))
-            if latency < 0.0:
-                latency = 0.0
-        else:
-            latency = base
-        delivery_time = now + latency
-        earliest = self._last_delivery.get(channel, 0.0) + 1e-9
-        if earliest > delivery_time:
-            delivery_time = earliest
-        self._last_delivery[channel] = delivery_time
-        return delivery_time
-
-    def _send(self, sender_id: str, target_executor_id: str, event: Event) -> None:
-        runtime = self.runtime
-        if event.anchored and event.is_data and runtime.ack_data_events:
-            runtime.acker.anchor(event.root_id, event.event_id)
-        delivery_time = self._delivery_time(sender_id, target_executor_id, runtime.sim.now)
-        self.routed_count += 1
-        runtime.sim.schedule_at_fast(delivery_time, runtime.deliver, (target_executor_id, event, sender_id))

@@ -145,10 +145,6 @@ class TopologyRuntime:
         self.batch_stepper = None
         if self.config.batch_stepping:
             self.batch_stepper = BatchStepper(self)
-        # Cohort handler for Simulator.run_batched(): same-time deliveries
-        # are dispatched with one executor lookup per consecutive target.
-        self.sim.register_batch_handler(self.deliver, self._deliver_cohort)
-
         self.executors: Dict[str, Executor] = {}
         self._user_executors_cache: Optional[List[Executor]] = None
         self._source_executors_cache: Optional[List[SourceExecutor]] = None
@@ -304,7 +300,7 @@ class TopologyRuntime:
             slot = self.cluster.find_slot(slot_id)
             slot.assign(executor_id)
             self.executors[executor_id].place(slot_id, plan.vm_of(executor_id))
-        # Executors moved: the router's channel-latency/route-plan caches are stale.
+        # Executors moved: the router's outboxes and channel bindings are stale.
         self.router.invalidate_caches()
 
     def start(self) -> None:
@@ -317,16 +313,6 @@ class TopologyRuntime:
     def run(self, until: float) -> None:
         """Advance the simulation until the given simulated time."""
         self.sim.run(until=until)
-
-    def run_batched(self, until: float) -> None:
-        """Advance the simulation with cohort dispatch (see Simulator.run_batched).
-
-        Semantically equivalent to :meth:`run`; same-time delivery cohorts
-        are dispatched in one call each.  The deeper batch-stepping cascade
-        additionally activates under either run variant when
-        ``RuntimeConfig.batch_stepping`` is set.
-        """
-        self.sim.run_batched(until=until)
 
     def stop_sources(self) -> None:
         """Stop all source generators (end of experiment)."""
@@ -345,10 +331,6 @@ class TopologyRuntime:
             source.unpause()
 
     # ------------------------------------------------------------ event flow
-    def route(self, executor: Executor, events: List[Event]) -> None:
-        """Route events produced by an executor along its task's outgoing edges."""
-        self.router.route(executor.executor_id, executor.task.name, events)
-
     def ack_processed(self, event: Event) -> None:
         """Acknowledge a fully processed data event to the acker service."""
         # Cheapest check first: `anchored` is a plain attribute and False for
@@ -357,7 +339,23 @@ class TopologyRuntime:
             self.acker.ack(event.root_id, event.event_id)
 
     def deliver(self, executor_id: str, event: Event, sender_id: str) -> None:
-        """Deliver an event to an executor.
+        """Deliver an event to whichever executor holds ``executor_id`` now.
+
+        The by-id form of delivery.  Routed deliveries do not pass through
+        here: the kernel runs the target executor's own ``deliver`` (bound
+        into the channel record when the router compiled it).  This is the
+        path for a target that did not exist when its channel was bound, for
+        an executor that a rescale retired while a delivery to it was in
+        flight (see ``Executor._refuse``), and for direct callers.
+        """
+        executor = self.executors.get(executor_id)
+        if executor is None:
+            self.log.record_drop(executor_id, event.kind.value, "unknown-executor", event.root_id)
+        else:
+            executor.deliver(event, sender_id)
+
+    def _undeliverable(self, executor: Executor, event: Event, sender_id: str) -> None:
+        """Hold or drop a delivery that ``executor`` (not running) refused.
 
         Data events addressed to an executor that is restarting (killed by a
         rebalance but part of the current placement) are held by the transport
@@ -366,41 +364,12 @@ class TopologyRuntime:
         loss is recovered by the coordinator's re-send logic, which is what
         produces the INIT re-send waves the paper observes.
         """
-        executor = self.executors.get(executor_id)
-        if executor is not None and executor.deliver(event, sender_id):
-            return
-        self._undeliverable(executor_id, executor, event, sender_id)
-
-    def _undeliverable(
-        self, executor_id: str, executor: Optional[Executor], event: Event, sender_id: str
-    ) -> None:
-        """Drop/defer bookkeeping for a delivery the executor refused."""
-        if executor is None:
-            self.log.record_drop(executor_id, event.kind.value, "unknown-executor", event.root_id)
-            return
+        executor_id = executor.executor_id
         if event.is_data and self.placement is not None and executor_id in self.placement:
             self._deferred_deliveries.setdefault(executor_id, []).append((event, sender_id))
             self.log.record_deferred(executor_id, event.root_id)
         else:
             self.log.record_drop(executor_id, event.kind.value, executor.status.value, event.root_id)
-
-    def _deliver_cohort(self, time: float, cohort: List[Tuple[str, Event, str]]) -> None:
-        """Deliver a same-time cohort popped by :meth:`Simulator.run_batched`.
-
-        Entries are handled strictly in their original (seq) order --
-        batching only amortizes the executor lookup across consecutive
-        deliveries to the same target.
-        """
-        executors = self.executors
-        last_id: Optional[str] = None
-        last_executor: Optional[Executor] = None
-        for executor_id, event, sender_id in cohort:
-            if executor_id != last_id:
-                last_id = executor_id
-                last_executor = executors.get(executor_id)
-            if last_executor is not None and last_executor.deliver(event, sender_id):
-                continue
-            self._undeliverable(executor_id, last_executor, event, sender_id)
 
     # --------------------------------------------------------- acker callbacks
     def _tree_completed(self, root_id: int) -> None:

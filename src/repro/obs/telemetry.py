@@ -68,7 +68,6 @@ class Telemetry:
             sim = runtime.sim
             registry.counter("kernel", "events_stepped").set_total(sim.processed_events)
             registry.counter("kernel", "heap_compactions").set_total(sim.compactions)
-            registry.counter("kernel", "batch_cohorts").set_total(sim.batch_cohorts)
 
             router = runtime.router
             registry.counter("router", "deliveries").set_total(router.routed_count)
@@ -79,9 +78,6 @@ class Telemetry:
             registry.counter("router", "batched_deliveries").set_total(
                 router.batched_deliveries
             )
-            from ..dataflow.event import pool_recycled_total
-
-            registry.counter("router", "pool_recycles").set_total(pool_recycled_total())
 
             stepper = runtime.batch_stepper
             if stepper is not None:

@@ -120,17 +120,14 @@ class Simulator:
         self._stopped = False
         self._processed = 0
         self._cancelled_in_heap = 0
-        #: Upper time bound of the in-flight run() / run_batched() call
-        #: (``None`` when unbounded or idle).  Read-only; lets a callback
-        #: (e.g. the batch-stepping cascade) bound the work it materializes
-        #: without being handed the bound explicitly.
+        #: Upper time bound of the in-flight run() call (``None`` when
+        #: unbounded or idle).  Read-only; lets a callback (e.g. the
+        #: batch-stepping cascade) bound the work it materializes without
+        #: being handed the bound explicitly.
         self.run_until: Optional[float] = None
-        #: callback -> cohort handler, registered via register_batch_handler().
-        self._batch_handlers: dict = {}
-        #: Lifetime tallies scraped by the telemetry layer (plain ints: the
+        #: Lifetime tally scraped by the telemetry layer (a plain int: the
         #: kernel never calls into a registry on the hot path).
         self.compactions = 0
-        self.batch_cohorts = 0
 
     # ------------------------------------------------------------------ clock
     @property
@@ -196,6 +193,16 @@ class Simulator:
             )
         heapq.heappush(self._queue, (time, next(self._counter), callback, args))
 
+    def push_fast(self, time: float, callback: Callable[..., Any], args: Tuple[Any, ...]) -> None:
+        """Unchecked :meth:`schedule_at_fast`, for the engine's per-event hop.
+
+        Only for callers whose ``time`` is ``now`` plus a finite non-negative
+        constant by construction (a service time, a channel latency, a FIFO
+        bump past an earlier delivery): the two validity checks are then dead
+        weight on the hottest call in a run.
+        """
+        heapq.heappush(self._queue, (time, next(self._counter), callback, args))
+
     def every(
         self,
         period: float,
@@ -259,79 +266,6 @@ class Simulator:
         self._queue[:] = live
         heapq.heapify(self._queue)
 
-    # --------------------------------------------------------- batch stepping
-    def register_batch_handler(self, callback: Callable[..., Any], handler: Callable[[float, list], Any]) -> None:
-        """Register a cohort handler for ``callback`` under :meth:`run_batched`.
-
-        When run_batched() pops a fast-path entry for ``callback`` it collects
-        every *consecutive* same-time, same-callback entry and hands the whole
-        cohort to ``handler(time, [args, ...])`` in one call instead of one
-        callback per event.  Only consecutive entries are coalesced, so the
-        relative order of distinct callbacks at one timestamp is preserved
-        exactly as the classic loop would execute them.
-        """
-        self._batch_handlers[callback] = handler
-
-    def run_batched(self, until: Optional[float] = None) -> None:
-        """Run the event loop, dispatching same-time/same-callback cohorts.
-
-        Semantically equivalent to :meth:`run`: entries still execute in
-        ``(time, seq)`` order.  The only difference is that a consecutive run
-        of fast-path entries sharing a timestamp and a callback with a
-        registered batch handler is delivered as one cohort call, amortizing
-        the per-event dispatch overhead (one ``_maybe_process`` drain per
-        executor per tick instead of one per event).
-        """
-        if self._running:
-            raise SimulationError("simulator is already running (re-entrant run())")
-        self._running = True
-        self._stopped = False
-        queue = self._queue
-        heappop = heapq.heappop
-        processed = self._processed
-        handlers = self._batch_handlers
-        self.run_until = until
-        try:
-            while queue and not self._stopped:
-                entry = queue[0]
-                if until is not None and entry[0] > until:
-                    break
-                heappop(queue)
-                if len(entry) == 4:
-                    time = entry[0]
-                    callback = entry[2]
-                    handler = handlers.get(callback)
-                    if handler is not None:
-                        cohort = [entry[3]]
-                        while queue:
-                            peek = queue[0]
-                            if len(peek) != 4 or peek[0] != time or peek[2] != callback:
-                                break
-                            cohort.append(heappop(queue)[3])
-                        self.now = time
-                        processed += len(cohort)
-                        self.batch_cohorts += 1
-                        handler(time, cohort)
-                    else:
-                        self.now = time
-                        processed += 1
-                        callback(*entry[3])
-                else:
-                    timer = entry[2]
-                    if timer.cancelled:
-                        self._cancelled_in_heap -= 1
-                        continue
-                    self.now = entry[0]
-                    timer.fired = True
-                    processed += 1
-                    timer.callback(*timer.args, **timer.kwargs)
-            if until is not None and not self._stopped and self.now < until:
-                self.now = until
-        finally:
-            self._processed = processed
-            self._running = False
-            self.run_until = None
-
     # -------------------------------------------------- cancellation plumbing
     def _note_cancelled(self) -> None:
         """A pending Timer was cancelled; compact the heap if they pile up."""
@@ -355,14 +289,15 @@ class Simulator:
         self.compactions += 1
 
     # ---------------------------------------------------------------- running
-    def step(self) -> bool:
-        """Execute the next pending event.
+    def step(self, until: float = math.inf) -> bool:
+        """Execute the next pending event, unless it lies beyond ``until``.
 
-        Returns ``True`` if an event was executed, ``False`` if the queue was
-        empty (only cancelled timers or nothing at all).
+        Returns ``True`` if an event was executed, ``False`` if there was
+        none to execute (only cancelled timers, nothing at all, or nothing
+        up to ``until``).
         """
         queue = self._queue
-        while queue:
+        while queue and queue[0][0] <= until:
             entry = heapq.heappop(queue)
             if len(entry) == 4:
                 self.now = entry[0]
@@ -392,28 +327,32 @@ class Simulator:
         max_events:
             Safety valve: stop after this many callbacks.
 
-        The loop bodies are the whole-experiment hot path: entries are popped
-        inline (no step() call) with the heap and heappop bound to locals, the
-        processed counter accumulated locally (flushed on exit -- the
+        The loop body is the whole-experiment hot path: entries are popped
+        inline (no step() call) with the heap and heappop bound to locals and
+        the processed counter accumulated locally (flushed on exit -- the
         ``processed_events`` property is a between-runs statistic, not a
-        mid-callback one), and the unbounded/bounded variants split so each
-        pays only the checks it needs.  Compaction swaps heap contents in
+        mid-callback one).  A missing ``until`` is infinity, so the bounded
+        and unbounded forms share the body; counting callbacks inside it
+        costs every run 3 % (measured), so ``max_events`` takes one
+        :meth:`step` per callback instead.  Compaction swaps heap contents in
         place, so the local ``queue`` binding stays valid throughout.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
         self._stopped = False
-        executed = 0
         queue = self._queue
         heappop = heapq.heappop
         processed = self._processed
+        bound = math.inf if until is None else until
         self.run_until = until
         try:
-            if until is None and max_events is None:
-                # Run-to-exhaustion: pop directly, no peek needed.
+            if max_events is None:
                 while queue and not self._stopped:
-                    entry = heappop(queue)
+                    entry = queue[0]
+                    if entry[0] > bound:
+                        break
+                    heappop(queue)
                     if len(entry) == 4:
                         # Fast-path entry: (time, seq, callback, args).
                         self.now = entry[0]
@@ -428,48 +367,11 @@ class Simulator:
                         timer.fired = True
                         processed += 1
                         timer.callback(*timer.args, **timer.kwargs)
-            elif max_events is None:
-                # Bounded by time only: one peek-compare per event.
-                while queue and not self._stopped:
-                    entry = queue[0]
-                    if entry[0] > until:
-                        break
-                    heappop(queue)
-                    if len(entry) == 4:
-                        self.now = entry[0]
-                        processed += 1
-                        entry[2](*entry[3])
-                    else:
-                        timer = entry[2]
-                        if timer.cancelled:
-                            self._cancelled_in_heap -= 1
-                            continue
-                        self.now = entry[0]
-                        timer.fired = True
-                        processed += 1
-                        timer.callback(*timer.args, **timer.kwargs)
             else:
-                while queue and not self._stopped:
-                    entry = queue[0]
-                    if until is not None and entry[0] > until:
+                for _ in range(max_events):
+                    if self._stopped or not self.step(bound):
                         break
-                    heappop(queue)
-                    if len(entry) == 4:
-                        self.now = entry[0]
-                        processed += 1
-                        entry[2](*entry[3])
-                    else:
-                        timer = entry[2]
-                        if timer.cancelled:
-                            self._cancelled_in_heap -= 1
-                            continue
-                        self.now = entry[0]
-                        timer.fired = True
-                        processed += 1
-                        timer.callback(*timer.args, **timer.kwargs)
-                    executed += 1
-                    if executed >= max_events:
-                        break
+                processed = self._processed
             if until is not None and not self._stopped and self.now < until:
                 self.now = until
         finally:

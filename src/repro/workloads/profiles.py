@@ -19,6 +19,17 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 
+def _require_rate(name: str, value: float) -> None:
+    """Reject a negative or NaN rate at construction.
+
+    A source idles on ``rate <= 0`` (NaN compares false and would do worse),
+    so a mistyped rate would otherwise show up as a silently empty run.  Zero
+    stays legal: it is the idle rate.
+    """
+    if not value >= 0:
+        raise ValueError(f"{name} must be a non-negative rate, got {value!r}")
+
+
 class RateProfile(ABC):
     """Time-varying input rate (events/second)."""
 
@@ -43,6 +54,9 @@ class ConstantRateProfile(RateProfile):
 
     rate: float = 8.0
 
+    def __post_init__(self) -> None:
+        _require_rate("rate", self.rate)
+
     def rate_at(self, time_s: float) -> float:
         return self.rate
 
@@ -60,6 +74,8 @@ class StepProfile(RateProfile):
     def __post_init__(self) -> None:
         if not self.steps:
             raise ValueError("StepProfile needs at least one step")
+        for _start, rate in self.steps:
+            _require_rate("step rate", rate)
         self.steps = sorted(self.steps, key=lambda s: s[0])
 
     def rate_at(self, time_s: float) -> float:
@@ -80,6 +96,10 @@ class RampProfile(RateProfile):
     end_rate: float
     ramp_start_s: float
     ramp_end_s: float
+
+    def __post_init__(self) -> None:
+        _require_rate("start_rate", self.start_rate)
+        _require_rate("end_rate", self.end_rate)
 
     def rate_at(self, time_s: float) -> float:
         if time_s <= self.ramp_start_s:
@@ -102,6 +122,10 @@ class BurstProfile(RateProfile):
     burst_multiplier: float = 4.0
     burst_period_s: float = 300.0
     burst_duration_s: float = 30.0
+
+    def __post_init__(self) -> None:
+        _require_rate("base_rate", self.base_rate)
+        _require_rate("burst_multiplier", self.burst_multiplier)
 
     def rate_at(self, time_s: float) -> float:
         if self.burst_period_s <= 0:
@@ -129,9 +153,10 @@ class DiurnalProfile(RateProfile):
     phase_s: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_rate("base_rate", self.base_rate)
         if self.period_s <= 0:
             raise ValueError("period_s must be positive")
-        if self.peak_multiplier < 1.0:
+        if not self.peak_multiplier >= 1.0:
             raise ValueError("peak_multiplier must be at least 1")
 
     def rate_at(self, time_s: float) -> float:

@@ -17,9 +17,8 @@ runs and windowed runs whose window boundaries land mid-pipeline (exercising
 the in-flight ingestion path, where the vectorized sweep adopts queued
 deliveries and busy executors instead of declining) — and on a full
 closed-loop elastic run with migrations.  They also cover the batch-mode
-primitives the cascade is built on: ``Simulator.run_batched`` cohorts,
-bit-identical block RNG draws, bulk event-id reservation and the fan-out
-event pool.
+primitives the cascade is built on: bit-identical block RNG draws and bulk
+event-id reservation.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from repro.dataflow import topologies
 from repro.dataflow.event import (
     Event,
     next_event_id,
-    recycle_event,
     reserve_event_ids,
     reset_event_ids,
 )
@@ -204,47 +202,6 @@ class TestElasticEquivalence:
         assert batched_result.runtime.batch_stepper.vector_cascades > 0
 
 
-# ----------------------------------------------------- run_batched() cohorts
-class TestRunBatchedCohorts:
-    def test_consecutive_same_time_entries_form_one_cohort(self):
-        sim = Simulator()
-        seen = []
-        sim.register_batch_handler(seen.append, lambda time, cohort: seen.append((time, cohort)))
-        for value in ("a", "b", "c"):
-            sim.schedule_at_fast(1.0, seen.append, (value,))
-        sim.schedule_at_fast(2.0, seen.append, ("d",))
-        sim.run_batched()
-        assert seen == [(1.0, [("a",), ("b",), ("c",)]), (2.0, [("d",)])]
-
-    def test_unregistered_callbacks_run_individually(self):
-        sim = Simulator()
-        seen = []
-        for value in (1, 2):
-            sim.schedule_at_fast(1.0, seen.append, (value,))
-        sim.run_batched()
-        assert seen == [1, 2]
-
-    def test_timers_interleave_with_cohorts(self):
-        sim = Simulator()
-        order = []
-        sim.register_batch_handler(order.append, lambda t, cohort: order.append(("cohort", t, len(cohort))))
-        sim.schedule_at_fast(1.0, order.append, ("x",))
-        sim.schedule_at_fast(1.0, order.append, ("y",))
-        sim.schedule(1.5, lambda: order.append("timer"))
-        sim.schedule_at_fast(2.0, order.append, ("z",))
-        sim.run_batched()
-        assert order == [("cohort", 1.0, 2), "timer", ("cohort", 2.0, 1)]
-
-    def test_run_until_semantics_match_run(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_at_fast(1.0, fired.append, (1,))
-        sim.schedule_at_fast(3.0, fired.append, (3,))
-        sim.run_batched(until=2.0)
-        assert fired == [1]
-        assert sim.now == 2.0
-
-
 # ----------------------------------------------------------- RNG block draws
 class TestKeyedValueBlock:
     def test_bit_identical_to_scalar_draws(self):
@@ -278,34 +235,3 @@ class TestReserveEventIds:
         reset_event_ids()
         individual = [next_event_id() for _ in range(4)]
         assert reserved == individual
-
-
-# ------------------------------------------------------------- event pooling
-class TestEventPooling:
-    def test_recycled_clone_is_reused_by_copy_for_edge(self):
-        reset_event_ids()
-        root = Event.data("src", payload={"seq": 1}, created_at=1.0)
-        clone = root.copy_for_edge()
-        recycle_event(clone)
-        assert clone.payload is None  # pool never keeps user data alive
-        reused = root.copy_for_edge()
-        assert reused is clone
-        assert reused.payload == {"seq": 1}
-        assert reused.root_id == root.root_id
-        assert reused.event_id != root.event_id
-
-    def test_anchored_events_are_not_pooled(self):
-        reset_event_ids()
-        root = Event.data("src", anchored=True, created_at=0.0)
-        clone = root.copy_for_edge()
-        recycle_event(clone)
-        assert root.copy_for_edge() is not clone
-
-    def test_reset_event_ids_drains_the_pool(self):
-        reset_event_ids()
-        root = Event.data("src", created_at=0.0)
-        clone = root.copy_for_edge()
-        recycle_event(clone)
-        reset_event_ids()
-        fresh_root = Event.data("src", created_at=0.0)
-        assert fresh_root.copy_for_edge() is not clone

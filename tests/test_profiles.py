@@ -16,6 +16,7 @@ from repro.workloads import (
     PROFILE_PRESETS,
     BurstProfile,
     ConstantRateProfile,
+    DiurnalProfile,
     RampProfile,
     StepProfile,
     profile_by_name,
@@ -23,6 +24,35 @@ from repro.workloads import (
 
 from tests.conftest import build_cluster, fast_config
 from repro.sim import Simulator
+
+
+class TestRatesAreValidatedAtConstruction:
+    """A negative or NaN rate fails loudly instead of idling the source."""
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rate: ConstantRateProfile(rate=rate),
+            lambda rate: StepProfile(steps=[(0.0, 8.0), (10.0, rate)]),
+            lambda rate: RampProfile(start_rate=rate, end_rate=8.0, ramp_start_s=0.0, ramp_end_s=1.0),
+            lambda rate: RampProfile(start_rate=8.0, end_rate=rate, ramp_start_s=0.0, ramp_end_s=1.0),
+            lambda rate: BurstProfile(base_rate=rate),
+            lambda rate: BurstProfile(burst_multiplier=rate),
+            lambda rate: DiurnalProfile(base_rate=rate),
+            lambda rate: DiurnalProfile(peak_multiplier=rate),
+        ],
+        ids=["constant", "step", "ramp-start", "ramp-end", "burst-base", "burst-multiplier",
+             "diurnal-base", "diurnal-peak"],
+    )
+    def test_negative_and_nan_rates_rejected(self, build, bad):
+        with pytest.raises(ValueError):
+            build(bad)
+
+    def test_zero_is_the_idle_rate(self):
+        assert ConstantRateProfile(rate=0.0).rate_at(1.0) == 0.0
+        assert StepProfile(steps=[(0.0, 0.0)]).rate_at(1.0) == 0.0
+        assert BurstProfile(base_rate=0.0).rate_at(1.0) == 0.0
 
 
 class TestStepProfileBoundaries:

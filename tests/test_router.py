@@ -66,21 +66,22 @@ class TestDeliverySemantics:
     def test_per_channel_fifo_ordering(self):
         """Deliveries on the same (sender, receiver) channel never reorder."""
         runtime = make_runtime()
+        # An executor serves its input queue strictly in arrival order, so the
+        # order each instance of ``b`` (fed by ``a#0`` alone) processes in is
+        # the order its channel delivered in.
+        task = runtime.dataflow.task("b")
+        logic = task.logic
+
+        def recording(payload, state):
+            state.setdefault("order", []).append(payload["seq"])
+            return logic(payload, state)
+
+        task.logic = recording
         runtime.start()
-        delivered = []
-        original_deliver = runtime.deliver
-
-        def spy(executor_id, event, sender_id):
-            if sender_id == "a#0" and event.is_data:
-                delivered.append((executor_id, event.payload.get("seq")))
-            original_deliver(executor_id, event, sender_id)
-
-        runtime.deliver = spy
-        runtime.router.runtime = runtime
         runtime.sim.run(until=5.0)
         for target in ("b#0", "b#1"):
-            sequence = [seq for executor_id, seq in delivered if executor_id == target]
-            assert sequence == sorted(sequence)
+            sequence = runtime.executor(target).state["order"]
+            assert sequence and sequence == sorted(sequence)
 
     def test_anchoring_only_when_acking_enabled(self):
         dcr_runtime = make_runtime(strategy="dcr")
@@ -118,21 +119,34 @@ class TestBatchedDeliveries:
                 executor.start()
         return runtime
 
+    @staticmethod
+    def _arrivals(runtime, until=5.0):
+        """(time, executor, seq) of every delivery into a ``down`` executor, in order.
+
+        The receivers are held busy, so each delivery lands in its input
+        queue and nothing is served; the kernel is stepped and every queue
+        growth recorded at the time of the step that caused it.
+        """
+        downs = [runtime.executor(f"down#{i}") for i in range(3)]
+        for executor in downs:
+            executor._busy = True
+        seen = {executor.executor_id: 0 for executor in downs}
+        arrivals = []
+        while runtime.sim.step():
+            assert runtime.sim.now <= until
+            for executor in downs:
+                queue = executor.input_queue
+                while seen[executor.executor_id] < len(queue):
+                    event, _sender = queue[seen[executor.executor_id]]
+                    arrivals.append((runtime.sim.now, executor.executor_id, event.payload["seq"]))
+                    seen[executor.executor_id] += 1
+        return arrivals
+
     def test_batch_delivers_every_event_in_fifo_order(self):
         runtime = self._batch_runtime(Grouping.ALL)
-        delivered = []
-        original_deliver = runtime.deliver
-
-        def spy(executor_id, event, sender_id):
-            delivered.append((runtime.sim.now, executor_id, event.payload["seq"]))
-            original_deliver(executor_id, event, sender_id)
-
-        runtime.deliver = spy
         events = [Event.data("up", payload={"seq": i}, created_at=0.0) for i in range(16)]
         runtime.router.route("up#0", "up", events)
-        runtime.sim.run(until=5.0)
-
-        batch = [entry for entry in delivered if entry[1].startswith("down#")]
+        batch = self._arrivals(runtime)
         # ALL grouping: every instance sees every event of the batch.
         assert len(batch) == 16 * 3
         for target in ("down#0", "down#1", "down#2"):
@@ -158,21 +172,14 @@ class TestBatchedDeliveries:
 
         def collect(route_batched):
             runtime = self._batch_runtime(Grouping.SHUFFLE)
-            delivered = []
-            original_deliver = runtime.deliver
-
-            def spy(executor_id, event, sender_id):
-                delivered.append((executor_id, event.payload["seq"]))
-                original_deliver(executor_id, event, sender_id)
-
-            runtime.deliver = spy
             events = [Event.data("up", payload={"seq": i}, created_at=0.0) for i in range(12)]
             if route_batched:
                 runtime.router.route("up#0", "up", events)
             else:
                 for event in events:
                     runtime.router.route("up#0", "up", [event])
-            runtime.sim.run(until=5.0)
-            return [entry for entry in delivered if entry[0].startswith("down#")]
+            return [(executor_id, seq) for _, executor_id, seq in self._arrivals(runtime)]
 
-        assert collect(True) == collect(False)
+        batched = collect(True)
+        assert len(batched) == 12
+        assert batched == collect(False)

@@ -121,6 +121,26 @@ class TestRunControl:
         sim.run(max_events=3)
         assert fired == [0, 1, 2]
 
+    def test_max_events_counts_callbacks_and_respects_until(self):
+        sim = Simulator()
+        fired = []
+        cancelled = sim.schedule(0.5, fired.append, "never")
+        cancelled.cancel()  # skipped, not counted
+        for i in range(5):
+            sim.schedule_fast(float(i + 1), fired.append, (i,))
+        sim.run(until=2.5, max_events=4)
+        assert fired == [0, 1]  # the time bound ends the run first
+        assert sim.now == 2.5 and sim.processed_events == 2
+        sim.run(max_events=2)
+        assert fired == [0, 1, 2, 3] and sim.processed_events == 4
+
+    def test_step_stops_at_its_bound(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_fast(1.0, fired.append, ("a",))
+        assert sim.step(until=0.5) is False and fired == []
+        assert sim.step(until=1.0) is True and fired == ["a"]
+
     def test_stop_halts_run(self):
         sim = Simulator()
         fired = []
