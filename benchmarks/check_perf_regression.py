@@ -8,19 +8,11 @@ is more than ``--threshold`` (default 2.0) times the baseline mean — loose
 enough to absorb machine-class differences between the baseline recorder and
 CI runners, tight enough to catch a real hot-path regression.
 
-Three further checks ride along:
+Two further checks ride along (memory is gated by ``bench_e2e``'s
+``peak_rss_mb``, bound 10 % on every workload):
 
 * **Throughput floors** — benchmarks listed in ``MIN_EVENTS_PER_SECOND`` must
-  report at least that many ``events_per_second``.  Floors only apply when
-  the benchmark run had the columnar numpy backend available (the
-  ``columnar`` flag in BENCH_engine.json); without numpy the engine degrades
-  to the classic log and absolute throughput is not a contract.
-* **Peak RSS** (``--check-rss``) — runs the high-rate Grid workload twice in
-  subprocesses, once on the columnar log and once on the classic
-  row-store log, and fails when the columnar run's peak RSS exceeds the
-  classic run's by more than ``--rss-tolerance``.  The columnar backend must
-  not buy its speed with memory.  Skipped (with a notice) when numpy is
-  unavailable.
+  report at least that many ``events_per_second``.
 * **Telemetry overhead** (``--check-telemetry-overhead``) — runs the Grid
   surge elastic scenario in paired subprocesses, telemetry off and on,
   interleaved on the same machine, and fails when the telemetry-on wall time
@@ -44,7 +36,7 @@ HERE = Path(__file__).resolve().parent
 DEFAULT_CURRENT = HERE.parent / "results" / "BENCH_engine.json"
 DEFAULT_BASELINE = HERE / "perf_baseline.json"
 
-#: Absolute throughput contracts (events/s), enforced only on columnar runs.
+#: Absolute throughput contracts (events/s).
 #: Set below half of the slowest committed recording (7-8M ev/s, one unsliced
 #: 10 s cascade per round), so a 2x loss on the vectorized path fails the gate
 #: and a slower machine class does not.
@@ -52,41 +44,6 @@ MIN_EVENTS_PER_SECOND = {
     "grid_steady_state_columnar": 3_000_000.0,
     "grid_steady_state_acked": 3_000_000.0,
 }
-
-#: One round of the RSS probe workload: 60 s of the 100x-rate Grid.
-_RSS_CHILD_CODE = """
-import json, resource, sys
-from repro.cluster.cloud import CloudProvider, Cluster
-from repro.cluster.vm import D2, D3
-from repro.dataflow import topologies
-from repro.engine.config import RuntimeConfig
-from repro.engine.runtime import TopologyRuntime
-from repro.sim import Simulator
-
-columnar = sys.argv[1] == "columnar"
-sim = Simulator()
-provider = CloudProvider(sim)
-cluster = Cluster()
-util_vm = provider.provision(D3, 1, name_prefix="util")[0]
-util_vm.tags["role"] = "util"
-cluster.add_vm(util_vm)
-for vm in provider.provision(D2, 11, name_prefix="w"):
-    cluster.add_vm(vm)
-config = RuntimeConfig(seed=7)
-config.batch_stepping = True
-config.columnar_log = columnar
-runtime = TopologyRuntime(topologies.grid(rate=800.0, latency_s=0.001),
-                          cluster, sim=sim, config=config)
-runtime.deploy()
-runtime.start()
-sim.run(until=60.0)
-print(json.dumps({
-    "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-    "receipts": len(runtime.log.sink_receipts),
-    "columnar": type(runtime.log).__name__,
-}))
-"""
-
 
 #: One round of the telemetry-overhead probe: the Grid surge elastic run,
 #: full control loop, telemetry off or on per the argv flag.
@@ -124,10 +81,6 @@ def _run_probe(code: str, mode: str) -> dict:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def _run_rss_probe(mode: str) -> dict:
-    return _run_probe(_RSS_CHILD_CODE, mode)
-
-
 def check_telemetry_overhead(tolerance: float, rounds: int = 3) -> list:
     """Telemetry-on wall time must stay within ``tolerance`` of telemetry-off.
 
@@ -156,31 +109,6 @@ def check_telemetry_overhead(tolerance: float, rounds: int = 3) -> list:
     return []
 
 
-def check_rss(tolerance: float) -> list:
-    """Columnar peak RSS must not exceed the row-store baseline's."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        print("\npeak-RSS check skipped: numpy unavailable, columnar backend inert")
-        return []
-    classic = _run_rss_probe("classic")
-    columnar = _run_rss_probe("columnar")
-    if columnar["columnar"] != "ColumnarEventLog":
-        print("\npeak-RSS check skipped: columnar backend did not engage")
-        return []
-    ratio = columnar["peak_rss_kb"] / classic["peak_rss_kb"]
-    print(f"\npeak RSS (60 s, 100x-rate Grid): classic {classic['peak_rss_kb']} KB, "
-          f"columnar {columnar['peak_rss_kb']} KB ({ratio:.2f}x, "
-          f"budget {1 + tolerance:.2f}x)")
-    if columnar["receipts"] != classic["receipts"]:
-        return [f"rss probe: receipt counts diverged "
-                f"({columnar['receipts']} columnar vs {classic['receipts']} classic)"]
-    if ratio > 1.0 + tolerance:
-        return [f"peak RSS: columnar run used {ratio:.2f}x the classic row-store "
-                f"memory (tolerance {1 + tolerance:.2f}x)"]
-    return []
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--current", type=Path, default=DEFAULT_CURRENT,
@@ -189,10 +117,6 @@ def main() -> int:
                         help="committed baseline JSON")
     parser.add_argument("--threshold", type=float, default=2.0,
                         help="fail when mean > threshold x baseline mean")
-    parser.add_argument("--check-rss", action="store_true",
-                        help="also assert columnar peak RSS <= classic peak RSS")
-    parser.add_argument("--rss-tolerance", type=float, default=0.10,
-                        help="allowed relative RSS overhead for the columnar run")
     parser.add_argument("--check-telemetry-overhead", action="store_true",
                         dest="check_telemetry_overhead",
                         help="also assert a telemetry-on run stays within "
@@ -208,9 +132,7 @@ def main() -> int:
         print(f"error: {args.baseline} not found", file=sys.stderr)
         return 2
 
-    payload = json.loads(args.current.read_text(encoding="utf-8"))
-    current = payload["benchmarks"]
-    columnar_run = bool(payload.get("columnar"))
+    current = json.loads(args.current.read_text(encoding="utf-8"))["benchmarks"]
     baseline = json.loads(args.baseline.read_text(encoding="utf-8"))["benchmarks"]
 
     failures = []
@@ -228,23 +150,17 @@ def main() -> int:
         if ratio > args.threshold:
             failures.append(f"{name}: {ratio:.2f}x slower than baseline (threshold {args.threshold}x)")
 
-    if columnar_run:
-        for name, floor in sorted(MIN_EVENTS_PER_SECOND.items()):
-            entry = current.get(name)
-            if entry is None:
-                continue  # already reported as MISSING above
-            evps = entry.get("events_per_second")
-            if evps is None:
-                failures.append(f"{name}: no events_per_second recorded (floor {floor:,.0f})")
-            elif evps < floor:
-                failures.append(f"{name}: {evps:,.0f} events/s below floor {floor:,.0f}")
-            else:
-                print(f"\n{name}: {evps:,.0f} events/s (floor {floor:,.0f})")
-    else:
-        print("\nthroughput floors skipped: benchmark run had no columnar backend")
-
-    if args.check_rss:
-        failures.extend(check_rss(args.rss_tolerance))
+    for name, floor in sorted(MIN_EVENTS_PER_SECOND.items()):
+        entry = current.get(name)
+        if entry is None:
+            continue  # already reported as MISSING above
+        evps = entry.get("events_per_second")
+        if evps is None:
+            failures.append(f"{name}: no events_per_second recorded (floor {floor:,.0f})")
+        elif evps < floor:
+            failures.append(f"{name}: {evps:,.0f} events/s below floor {floor:,.0f}")
+        else:
+            print(f"\n{name}: {evps:,.0f} events/s (floor {floor:,.0f})")
 
     if args.check_telemetry_overhead:
         failures.extend(check_telemetry_overhead(args.telemetry_tolerance))

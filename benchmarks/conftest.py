@@ -83,17 +83,9 @@ def write_bench_engine_json() -> Path:
             entry["baseline_mean_s"] = base["mean_s"]
             entry["speedup_vs_seed"] = round(base["mean_s"] / stats["mean_s"], 3)
         benchmarks[name] = entry
-    try:  # whether the columnar numpy log backend was live during this run —
-        from repro.metrics.log import HAVE_COLUMNAR  # the gate's throughput
-    except Exception:  # floors only apply when it was
-        HAVE_COLUMNAR = False
     from repro.metrics.metadata import run_metadata
 
-    payload = run_metadata(
-        "repro-bench-engine/1",
-        columnar=bool(HAVE_COLUMNAR),
-        benchmarks=benchmarks,
-    )
+    payload = run_metadata("repro-bench-engine/1", benchmarks=benchmarks)
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     BENCH_ENGINE_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return BENCH_ENGINE_PATH

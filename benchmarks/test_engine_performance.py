@@ -6,7 +6,7 @@ its four hot layers:
 * the **kernel** event loop (plain timers and the fire-and-forget fast path),
 * **routing fan-out** (grouping selection, per-channel FIFO, batched
   same-channel deliveries),
-* **event-log queries** (the bisect-indexed windows metrics and monitors use),
+* **event-log queries** (the binary-searched windows metrics and monitors use),
 * the end-to-end **Grid steady state** (the paper's dominant workload).
 
 Every benchmark registers its mean/stddev with the session collector in
@@ -247,17 +247,15 @@ def test_grid_steady_state_batched_cost(benchmark, engine_bench_recorder):
 
 
 def test_grid_steady_state_columnar_cost(benchmark, engine_bench_recorder):
-    """10 s of a 100x-rate Grid under batch stepping + the columnar event log.
+    """10 s of a 100x-rate Grid under batch stepping.
 
     Same utilization as ``grid_steady_state`` (source rate x100, per-task
-    latency /100) but ~100x the event volume — the regime the columnar
-    numpy-resident log exists for: cascades write straight into its arrays
-    with no per-event object on the fast path.  The committed baseline is the
+    latency /100) but ~100x the event volume — the regime the event log's
+    numpy columns exist for: cascades write straight into its arrays with no
+    per-event object on the fast path.  The committed baseline is the
     *seed* engine measured on this exact workload, so ``speedup_vs_seed`` in
     ``BENCH_engine.json`` is the columnar headline and ``events_per_second``
     the absolute throughput figure the regression gate floors at 3M ev/s.
-    Without numpy ``columnar_log`` degrades to the classic log and the gate
-    skips the throughput floor.
     """
     counts = {}
 
@@ -266,7 +264,6 @@ def test_grid_steady_state_columnar_cost(benchmark, engine_bench_recorder):
         cluster = build_cluster(sim, worker_vms=11)
         config = fast_config("dcr")
         config.batch_stepping = True
-        config.columnar_log = True
         runtime = TopologyRuntime(
             topologies.grid(rate=800.0, latency_s=0.001), cluster, sim=sim, config=config
         )

@@ -57,6 +57,8 @@ from __future__ import annotations
 import heapq
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.dataflow.event import (
     Event,
     EventKind,
@@ -67,20 +69,13 @@ from repro.dataflow.grouping import Grouping, field_key_of, stable_field_index
 from repro.dataflow.task import TaskKind
 from repro.engine.executor import Executor, ExecutorStatus, SinkExecutor, SourceExecutor
 from repro.engine.router import FIFO_SPACING_S, Channel
-
+from repro.engine.scan import (
+    fixed_rate_ticks,
+    maxplus_scan,
+    sequential_sums,
+    service_completions,
+)
 from repro.sim.rng import keyed_value_block
-
-try:  # numpy powers the vectorized sweep; the cascade degrades without it
-    import numpy as _np
-
-    from repro.engine.scan import (
-        fixed_rate_ticks,
-        maxplus_scan,
-        sequential_sums,
-        service_completions,
-    )
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
 
 _EMIT = 0
 _ARRIVE = 1
@@ -129,7 +124,7 @@ class BatchStepper:
         cached = self._vector_capable_cache
         if cached is None:
             runtime = self.runtime
-            cached = _np is not None and runtime.config.batch_vectorize
+            cached = runtime.config.batch_vectorize
             if cached:
                 dataflow = runtime.dataflow
                 for task in dataflow.tasks:
@@ -480,7 +475,6 @@ class BatchStepper:
         :meth:`try_cascade` then falls back to the per-event tier or the
         classic path.  Returns ``None`` once the stretch is swept.
         """
-        np = _np
         runtime = self.runtime
         executors = runtime.executors
         for executor in executors.values():
@@ -625,8 +619,8 @@ class BatchStepper:
         rid0 = reserve_event_ids(n_roots)
         rid_arr = np.arange(rid0, rid0 + n_roots, dtype=np.int64)
         # Bulk append (record_source_emit with replay_count=0, at_time=tick):
-        # fresh root ids are never already in the first-emit map.  On the
-        # columnar backend this is a pure array copy — no per-event record.
+        # fresh root ids are never already emitted.  A pure array copy — no
+        # per-event record.
         log.extend_emits(ticks, rid_arr, source_name)
         source.emitted_count += n_roots
         inline_count = n_roots
@@ -717,7 +711,7 @@ class BatchStepper:
             if stream is not None:
                 start = stream.counter
                 stream.counter = start + n
-                draws = keyed_value_block(stream.seed, start, n, np)
+                draws = keyed_value_block(stream.seed, start, n)
                 lat = channel.base * (1.0 + (channel.jitter_low + channel.jitter_span * draws))
                 np.maximum(lat, 0.0, out=lat)
                 raw = parent_c + lat
@@ -1082,11 +1076,9 @@ class BatchStepper:
         # ---- Phase C: receipts merged into the log in global time order.
         if sink_recs:
             # Per-root fields are gathered with one numpy fancy-index and the
-            # receipt ids come from one bulk reservation plus ``np.arange``.
-            # ``extend_receipts`` is backend-polymorphic: the classic log
-            # materializes the exact records the per-event path would have
-            # built (tolist() yields native floats/ints), the columnar log
-            # appends the arrays directly — zero per-event objects.
+            # receipt ids come from one bulk reservation plus ``np.arange``;
+            # ``extend_receipts`` appends the arrays directly — zero per-event
+            # objects.
             if len(sink_recs) == 1:
                 times, roots, sink = sink_recs[0]
                 eid0 = reserve_event_ids(len(times))

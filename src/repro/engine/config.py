@@ -15,6 +15,10 @@ The timing constants are calibrated against the paper's testbed measurements
   load-dependent multiplier -- this is what produces DSM's large,
   DAG-size-dependent restore times with their characteristic ~30 s INIT
   re-send quantisation.
+
+The three config classes are configured by attribute assignment
+(``config.batch_stepping = True``); they are slotted so that assigning a
+misspelt or removed field raises ``AttributeError`` instead of doing nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 
-@dataclass
+@dataclass(slots=True)
 class ReliabilityConfig:
     """Which Storm reliability features are active for a run."""
 
@@ -60,7 +64,7 @@ class ReliabilityConfig:
             raise ValueError(f"ack_timeout_s must be positive, got {self.ack_timeout_s}")
 
 
-@dataclass
+@dataclass(slots=True)
 class TimingConfig:
     """Timing model for the Storm-like substrate."""
 
@@ -112,7 +116,7 @@ class TimingConfig:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class RuntimeConfig:
     """Complete configuration of a :class:`~repro.engine.runtime.TopologyRuntime`."""
 
@@ -144,19 +148,9 @@ class RuntimeConfig:
     #: instead of the per-event inline heap.  Only engages when every
     #: processing task runs the default 1:1 dummy logic; simulated times are
     #: bit-identical to the classic kernel, event ids are assigned in sweep
-    #: order.  Ignored when numpy is unavailable.  Setting it to ``False``
-    #: forces the per-event cascade, whose logs match the classic keyed
-    #: kernel exactly (including event ids).
+    #: order.  Setting it to ``False`` forces the per-event cascade, whose
+    #: logs match the classic keyed kernel exactly (including event ids).
     batch_vectorize: bool = True
-    #: Store the run's event log in the columnar (numpy struct-of-arrays)
-    #: backend instead of lists of record objects.  Queries are
-    #: bit-compatible (lazy row views materialize records on access) and the
-    #: vectorized cascade appends whole arrays without building any per-event
-    #: object.  On by default — the committed ``results/`` figures are
-    #: byte-identical across both backends; set to ``False`` for the classic
-    #: row store.  Ignored (falls back to the classic log) when numpy is
-    #: unavailable.
-    columnar_log: bool = True
     #: Create a :class:`repro.obs.Telemetry` on the runtime (metrics registry
     #: + control-plane span tracer, see :mod:`repro.obs`).  Off by default:
     #: with the flag off ``runtime.telemetry`` is ``None`` and every
@@ -173,7 +167,6 @@ class RuntimeConfig:
             keyed_network_jitter=self.keyed_network_jitter,
             batch_stepping=self.batch_stepping,
             batch_vectorize=self.batch_vectorize,
-            columnar_log=self.columnar_log,
             telemetry=self.telemetry,
         )
 

@@ -32,7 +32,7 @@ from repro.engine.executor import (
 )
 from repro.engine.batch import BatchStepper
 from repro.engine.router import Router
-from repro.metrics.log import HAVE_COLUMNAR, ColumnarEventLog, EventLog
+from repro.metrics.log import EventLog
 from repro.reliability.acker import AckerService
 from repro.reliability.checkpoint import CheckpointCoordinator, WaveMode
 from repro.reliability.statestore import StateStore
@@ -118,10 +118,7 @@ class TopologyRuntime:
         self.scheduler = scheduler if scheduler is not None else RoundRobinScheduler()
         self.rng = RandomSource(self.config.seed)
 
-        if self.config.columnar_log and HAVE_COLUMNAR:
-            self.log: EventLog = ColumnarEventLog(self.sim)
-        else:
-            self.log = EventLog(self.sim)
+        self.log = EventLog(self.sim)
         self.statestore = StateStore(
             self.sim,
             base_latency_s=self.timing.statestore_base_latency_s,

@@ -35,7 +35,7 @@ from repro.elastic.monitor import ElasticityMonitor, MonitorSample
 from repro.elastic.planner import TIER_ORDER, AllocationPlanner
 from repro.engine.runtime import TopologyRuntime
 from repro.experiments.scenarios import vm_counts_for
-from repro.metrics.log import ColumnarEventLog, EventLog
+from repro.metrics.log import EventLog
 from repro.sim import RandomSource, Simulator
 from repro.sim.shard import (
     ShardResult,
@@ -104,9 +104,6 @@ def run_steady_shard(spec: ShardSpec) -> ShardResult:
     # use it in classic mode too — batched and classic shards then differ
     # only in event-id assignment order.
     config.keyed_network_jitter = True
-    # Shard logs are columnar so the result ships plain field arrays and the
-    # merge never touches a per-record object (classic fallback sans numpy).
-    config.columnar_log = True
 
     dataflow = topologies.by_name(spec.dag)
     for task in dataflow.sources:
@@ -143,19 +140,13 @@ def run_steady_shard(spec: ShardSpec) -> ShardResult:
         monitor.start()
     sim.run(until=spec.duration_s)
     log = runtime.log
-    if isinstance(log, ColumnarEventLog):
-        return ShardResult(
-            index=spec.index,
-            summary=log.summary(),
-            emit_columns=log.emit_columns(),
-            receipt_columns=log.receipt_columns(),
-            samples=list(monitor.samples) if monitor is not None else [],
-        )
+    # The result ships plain field arrays: neither the pickle nor the merge
+    # touches a per-record object.
     return ShardResult(
         index=spec.index,
-        emits=list(log.source_emits),
-        receipts=list(log.sink_receipts),
         summary=log.summary(),
+        emit_columns=log.emit_columns(),
+        receipt_columns=log.receipt_columns(),
         samples=list(monitor.samples) if monitor is not None else [],
     )
 

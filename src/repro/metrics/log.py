@@ -6,30 +6,21 @@ computed entirely from this log (plus the strategy's phase timestamps), which
 mirrors the paper's methodology of logging event timestamps on the VMs and
 analysing them offline.
 
-Index design
-------------
-The log is append-only and simulated time never goes backwards, so the record
-streams are monotone in time and every windowed query (``receipts_after`` /
-``receipts_between`` / ``emits_between`` / ``first_receipt_after``, the
-recovery-metric scans) is a binary search plus a contiguous range.  The public
-queries are defined once, on :class:`EventLog`; the two backends differ only in
-the private index hooks underneath them (``_receipt_index``, ``_receipt_rows``,
-``_last_old_index``, ...).
+Storage and indexes
+-------------------
+:class:`EventLog` stores the two hot streams (emits, receipts) as numpy
+struct-of-arrays: one growable float64/int64 column per field, with task
+names interned into a shared string table.  The log is append-only and
+simulated time never goes backwards, so both streams are monotone in time and
+every windowed query (``receipts_after`` / ``receipts_between`` /
+``emits_between`` / ``first_receipt_after``, the recovery-metric scans) is a
+binary search plus a contiguous range.  Both sides of the log run on the
+columns:
 
-:class:`EventLog` itself is the row store: lists of dataclass records with
-parallel ``List[float]`` time indexes searched by :mod:`bisect`.  It is the
-reference the columnar backend is tested against, and the fallback when numpy
-is missing.
-
-Columnar backend
-----------------
-:class:`ColumnarEventLog` stores the two hot streams (emits, receipts) as
-numpy struct-of-arrays: one growable float64/int64 column per field, with task
-names interned into a shared string table.  Both sides of the log then run on
-the columns:
-
-* **writes** -- the batch stepper's vectorized cascade hands whole arrays to
-  :meth:`EventLog.extend_emits` / :meth:`EventLog.extend_receipts`, appended
+* **writes** -- a per-event ``record_*`` call stages one tuple (see
+  :class:`_Table`); the batch stepper's vectorized cascade hands whole arrays
+  to :meth:`EventLog.extend_emits` / :meth:`EventLog.extend_receipts` and the
+  shard merge whole column sets to :meth:`EventLog.extend_columns`, appended
   with numpy copies, no per-event Python object;
 * **reads** -- time lookups are ``np.searchsorted`` on the live column prefix;
   window queries return a *lazy window* (a :class:`_RowsView` over
@@ -50,40 +41,12 @@ the committed ``results/``.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, List, Optional, Sequence
 
-try:  # numpy is baked into the image; guard anyway so the engine degrades.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
-
-#: Whether the columnar backend is usable in this interpreter.
-HAVE_COLUMNAR = _np is not None
+import numpy as _np
 
 from repro.sim import Simulator
-
-
-def _as_list(values: Any) -> List:
-    """Sequence → plain list of *Python* scalars (ndarray-safe).
-
-    ``ndarray.tolist`` converts numpy scalars to builtins, which matters for
-    bit-compatibility: records and digests must hold ``float``/``int``, never
-    ``np.float64`` (whose ``repr`` differs).
-    """
-    tolist = getattr(values, "tolist", None)
-    if tolist is not None:
-        return tolist()
-    return list(values)
-
-
-def _out_of_order(stream: str) -> ValueError:
-    """The error for a bulk append that would break the monotone time index."""
-    return ValueError(
-        f"{stream} times must be non-decreasing and start at or after the last "
-        f"recorded {stream} time (every windowed query binary-searches them)"
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,317 +116,6 @@ class LifecycleRecord:
     status: str
 
 
-class EventLog:
-    """Accumulates raw run observations and answers the queries metrics need."""
-
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
-        self.source_emits: List[SourceEmit] = []
-        self.sink_receipts: List[SinkReceipt] = []
-        self.drops: List[DropRecord] = []
-        self.deferred: List[DeferredRecord] = []
-        self.kills: List[KillRecord] = []
-        self.lifecycle: List[LifecycleRecord] = []
-        self.replay_emits: int = 0
-        #: Monotone time arrays parallel to source_emits / sink_receipts
-        #: (the bisect indexes behind every windowed query).
-        self.emit_times: List[float] = []
-        self.receipt_times: List[float] = []
-        self._root_first_emit: Dict[int, float] = {}
-        self._roots_received: Set[int] = set()
-
-    # -------------------------------------------------------------- recording
-    def record_source_emit(
-        self,
-        root_id: int,
-        source: str,
-        replay_count: int = 0,
-        from_backlog: bool = False,
-        at_time: Optional[float] = None,
-    ) -> None:
-        """Record that a source emitted (or re-emitted) a root event.
-
-        ``at_time`` serves the batch-stepping cascade, which materializes
-        many ticks inside one kernel callback: each emission is stamped with
-        its exact tick time.  Stamped times must be non-decreasing (the
-        ``emit_times`` index is binary-searched).
-        """
-        now = self.sim.now if at_time is None else at_time
-        self.source_emits.append(
-            SourceEmit(time=now, root_id=root_id, source=source,
-                       replay_count=replay_count, from_backlog=from_backlog)
-        )
-        self.emit_times.append(now)
-        if replay_count > 0:
-            self.replay_emits += 1
-        if root_id not in self._root_first_emit:
-            self._root_first_emit[root_id] = now
-
-    def record_sink_receipt(
-        self,
-        root_id: int,
-        event_id: int,
-        sink: str,
-        root_emitted_at: float,
-        replay_count: int,
-        at_time: Optional[float] = None,
-    ) -> None:
-        """Record that a sink received an event (now, or at an explicit time).
-
-        ``at_time`` lets a sink's batched service loop stamp each receipt
-        with its exact completion time even though the batch's bookkeeping
-        runs in one later callback.  Callers must keep stamped times
-        non-decreasing (the ``receipt_times`` index is binary-searched).
-        """
-        now = self.sim.now if at_time is None else at_time
-        self.sink_receipts.append(
-            SinkReceipt(time=now, root_id=root_id, event_id=event_id, sink=sink,
-                        root_emitted_at=root_emitted_at, replay_count=replay_count)
-        )
-        self.receipt_times.append(now)
-        self._roots_received.add(root_id)
-
-    # ----------------------------------------------------------- bulk appends
-    @staticmethod
-    def _check_block(times_l: List[float], recorded: List[float], stream: str) -> None:
-        # ``sorted`` of an already sorted list is one C-level pass, as is the
-        # list comparison: no per-record bytecode on the bulk path.
-        if times_l and (
-            (recorded and times_l[0] < recorded[-1]) or sorted(times_l) != times_l
-        ):
-            raise _out_of_order(stream)
-
-    def extend_emits(
-        self,
-        times: Sequence[float],
-        root_ids: Sequence[int],
-        source: str,
-        replay_count: int = 0,
-        from_backlog: bool = False,
-    ) -> None:
-        """Bulk-append one source's fresh emission cohort.
-
-        ``times`` must be non-decreasing and start at or after the last
-        recorded emit time (``ValueError`` otherwise: an out-of-order block
-        would corrupt every windowed query); ``root_ids`` must be first
-        emissions (the batch stepper reserves fresh ids per cohort).  Accepts
-        any sequence, including numpy arrays — values are normalized to
-        Python scalars so materialized records are indistinguishable from
-        per-event recording.
-        """
-        times_l = _as_list(times)
-        roots_l = _as_list(root_ids)
-        self._check_block(times_l, self.emit_times, "emit")
-        self.source_emits.extend(
-            SourceEmit(time=t, root_id=rid, source=source,
-                       replay_count=replay_count, from_backlog=from_backlog)
-            for t, rid in zip(times_l, roots_l)
-        )
-        self.emit_times.extend(times_l)
-        if replay_count > 0:
-            self.replay_emits += len(times_l)
-        self._root_first_emit.update(zip(roots_l, times_l))
-
-    def extend_receipts(
-        self,
-        times: Sequence[float],
-        root_ids: Sequence[int],
-        event_ids: Sequence[int],
-        sinks: Any,
-        root_emitted_ats: Sequence[float],
-        replay_count: int = 0,
-        sink_indices: Optional[Sequence[int]] = None,
-    ) -> None:
-        """Bulk-append sink receipts already sorted by time.
-
-        ``sinks`` is a single sink name applied to every record, or — when
-        ``sink_indices`` is given — a list of names indexed per record.
-        ``times`` must be non-decreasing and start at or after the last
-        recorded receipt time (``ValueError`` otherwise).
-        """
-        times_l = _as_list(times)
-        self._check_block(times_l, self.receipt_times, "receipt")
-        roots_l = _as_list(root_ids)
-        eids_l = _as_list(event_ids)
-        emitted_l = _as_list(root_emitted_ats)
-        if sink_indices is None:
-            records = [
-                SinkReceipt(time=t, root_id=rid, event_id=eid, sink=sinks,
-                            root_emitted_at=emitted, replay_count=replay_count)
-                for t, rid, eid, emitted in zip(times_l, roots_l, eids_l, emitted_l)
-            ]
-        else:
-            which_l = _as_list(sink_indices)
-            records = [
-                SinkReceipt(time=t, root_id=rid, event_id=eid, sink=sinks[w],
-                            root_emitted_at=emitted, replay_count=replay_count)
-                for t, rid, eid, emitted, w in zip(times_l, roots_l, eids_l, emitted_l, which_l)
-            ]
-        self.sink_receipts.extend(records)
-        self.receipt_times.extend(times_l)
-        self._roots_received.update(roots_l)
-
-    def record_drop(self, executor_id: str, kind: str, reason: str, root_id: Optional[int] = None) -> None:
-        """Record that an event could not be delivered to an executor."""
-        self.drops.append(
-            DropRecord(time=self.sim.now, executor_id=executor_id, kind=kind, reason=reason, root_id=root_id)
-        )
-
-    def record_deferred(self, executor_id: str, root_id: Optional[int] = None) -> None:
-        """Record that the transport is holding a data event for a restarting executor."""
-        self.deferred.append(DeferredRecord(time=self.sim.now, executor_id=executor_id, root_id=root_id))
-
-    def record_kill(self, executor_id: str, queued_events_lost: int, pending_events_lost: int = 0) -> None:
-        """Record an executor kill and the in-flight events lost with it."""
-        self.kills.append(
-            KillRecord(time=self.sim.now, executor_id=executor_id,
-                       queued_events_lost=queued_events_lost, pending_events_lost=pending_events_lost)
-        )
-
-    def record_lifecycle(self, executor_id: str, status: str) -> None:
-        """Record an executor lifecycle transition."""
-        self.lifecycle.append(LifecycleRecord(time=self.sim.now, executor_id=executor_id, status=status))
-
-    # ---------------------------------------------------------------- queries
-    def root_first_emit_time(self, root_id: int) -> Optional[float]:
-        """Time at which the given root event was first emitted, if known."""
-        return self._first_emit(root_id)
-
-    def is_old_root(self, root_id: int, migration_time: float) -> bool:
-        """Whether the root was first emitted before the migration request."""
-        first = self._first_emit(root_id)
-        return first is not None and first < migration_time
-
-    def receipts_after(self, time: float) -> Sequence[SinkReceipt]:
-        """Sink receipts at or after the given time, in time order."""
-        return self._receipt_rows(self._receipt_index(time), len(self.sink_receipts))
-
-    def receipts_between(self, start: float, end: float) -> Sequence[SinkReceipt]:
-        """Sink receipts in ``[start, end)`` (empty when ``end <= start``)."""
-        return self._receipt_rows(self._receipt_index(start), self._receipt_index(end))
-
-    def emits_between(self, start: float, end: float) -> Sequence[SourceEmit]:
-        """Source emissions in ``[start, end)`` (empty when ``end <= start``)."""
-        return self._emit_rows(self._emit_index(start), self._emit_index(end))
-
-    def first_receipt_after(self, time: float) -> Optional[SinkReceipt]:
-        """Earliest sink receipt at or after the given time, if any."""
-        index = self._receipt_index(time)
-        return self.sink_receipts[index] if index < len(self.sink_receipts) else None
-
-    def last_old_receipt(self, migration_time: float) -> Optional[SinkReceipt]:
-        """Latest sink receipt (after migration) of a root emitted before the migration.
-
-        Among equal-time candidates the *earliest-recorded* one is returned,
-        matching the historical ``max(..., key=time)`` behaviour (``max``
-        keeps the first of ties in iteration order).
-        """
-        index = self._last_old_index(self._receipt_index(migration_time), migration_time)
-        return None if index is None else self.sink_receipts[index]
-
-    def last_replay_receipt(self, migration_time: float) -> Optional[SinkReceipt]:
-        """Latest sink receipt of a replayed (previously failed) event after the migration.
-
-        Same tie handling as :meth:`last_old_receipt`.
-        """
-        index = self._last_replay_index(self._receipt_index(migration_time))
-        return None if index is None else self.sink_receipts[index]
-
-    def lost_in_kills(self) -> int:
-        """Total number of queued events lost across all executor kills."""
-        return sum(k.queued_events_lost for k in self.kills)
-
-    def dropped_count(self, kind: Optional[str] = None) -> int:
-        """Number of dropped deliveries, optionally filtered by event kind."""
-        if kind is None:
-            return len(self.drops)
-        return sum(1 for d in self.drops if d.kind == kind)
-
-    def deferred_count(self) -> int:
-        """Number of data events the transport held for restarting executors."""
-        return len(self.deferred)
-
-    def distinct_roots_received(self) -> int:
-        """Number of distinct root events observed at the sinks."""
-        return self._distinct_roots()
-
-    def summary(self) -> Dict[str, float]:
-        """Coarse counters describing the run (useful in example output)."""
-        return {
-            "source_emits": len(self.source_emits),
-            "replay_emits": self.replay_emits,
-            "sink_receipts": len(self.sink_receipts),
-            "distinct_roots_received": self.distinct_roots_received(),
-            "drops": len(self.drops),
-            "kills": len(self.kills),
-            "events_lost_in_kills": self.lost_in_kills(),
-        }
-
-    # ------------------------------------------------------------ index hooks
-    # Everything a backend answers differently.  This row store searches the
-    # parallel time lists with bisect and walks dataclass rows; it is the
-    # reference implementation the columnar backend is tested against.
-    def _receipt_index(self, time: float) -> int:
-        """Index of the first receipt at or after ``time``."""
-        return bisect_left(self.receipt_times, time)
-
-    def _emit_index(self, time: float) -> int:
-        """Index of the first emission at or after ``time``."""
-        return bisect_left(self.emit_times, time)
-
-    def _receipt_rows(self, lo: int, hi: int) -> Sequence[SinkReceipt]:
-        return self.sink_receipts[lo:hi]
-
-    def _emit_rows(self, lo: int, hi: int) -> Sequence[SourceEmit]:
-        return self.source_emits[lo:hi]
-
-    def _first_emit(self, root_id: int) -> Optional[float]:
-        return self._root_first_emit.get(root_id)
-
-    def _distinct_roots(self) -> int:
-        # Maintained incrementally at record time (a set-size read, not a scan).
-        return len(self._roots_received)
-
-    def _replay_emits_from(self, lo: int) -> int:
-        """Replayed emissions among the records from index ``lo`` on."""
-        return sum(1 for emit in self.source_emits[lo:] if emit.replay_count > 0)
-
-    def _last_old_index(self, start: int, migration_time: float) -> Optional[int]:
-        return self._last_receipt_index(
-            start, lambda receipt: self.is_old_root(receipt.root_id, migration_time)
-        )
-
-    def _last_replay_index(self, start: int) -> Optional[int]:
-        return self._last_receipt_index(start, lambda receipt: receipt.replay_count > 0)
-
-    def _last_receipt_index(
-        self, start: int, matches: Callable[[SinkReceipt], bool]
-    ) -> Optional[int]:
-        """Index of the latest matching receipt at or after index ``start``.
-
-        Walks backwards from the end of the (time-ordered) receipt list and
-        stops at the first match instead of filtering the whole log, then
-        keeps walking through the receipts of that same time: among
-        equal-time matches the earliest-recorded one wins.
-        """
-        receipts = self.sink_receipts
-        for index in range(len(receipts) - 1, start - 1, -1):
-            if matches(receipts[index]):
-                best = index
-                time = receipts[index].time
-                for prior in range(index - 1, start - 1, -1):
-                    if receipts[prior].time != time:
-                        break
-                    if matches(receipts[prior]):
-                        best = prior
-                return best
-        return None
-
-
-# --------------------------------------------------------------------------
-# Columnar backend
-# --------------------------------------------------------------------------
-
 class _Column:
     """One growable numpy column (amortized-doubling append buffer)."""
 
@@ -508,20 +160,22 @@ _STAGE_BLOCK = 512
 
 
 class _Table:
-    """The parallel columns of one record stream, with a staged write path.
+    """The named parallel columns of one record stream, with a staged write path.
 
     A per-event ``record_*`` call appends **one tuple** to ``stage`` instead
     of storing a numpy scalar into each column; :meth:`flush` transposes the
-    stage into one ``extend`` per column.  Nothing reads ``columns`` directly:
-    the log exposes each column as a property that flushes first (see
+    stage into one ``extend`` per column.  Nothing reads ``columns`` without
+    flushing first: the log exposes each column as a property that does (see
     :func:`_flushed_column`), so every reader, in or out of this module, sees
     all recorded rows.
     """
 
-    __slots__ = ("columns", "stage")
+    __slots__ = ("stream", "fields", "columns", "stage")
 
-    def __init__(self, *dtypes) -> None:
-        self.columns = tuple(_Column(dtype) for dtype in dtypes)
+    def __init__(self, stream: str, **dtypes) -> None:
+        self.stream = stream
+        self.fields = tuple(dtypes)
+        self.columns = tuple(_Column(dtype) for dtype in dtypes.values())
         self.stage: List[tuple] = []
 
     def flush(self) -> None:
@@ -531,11 +185,55 @@ class _Table:
                 column.extend(values)
             stage.clear()
 
+    def snapshot(self) -> Dict[str, Any]:
+        """Compact copies of the columns, by field name."""
+        self.flush()
+        return {key: column.view().copy() for key, column in zip(self.fields, self.columns)}
+
+    def append_block(self, values: Sequence[Any]) -> int:
+        """Append one block of rows, whole or not at all; returns its row count.
+
+        ``values`` holds one entry per column, in column order: an array-like
+        of the block's rows, or a scalar that fills the column.  The block is
+        refused with ``ValueError`` unless every array has the time column's
+        length (a short column would leave rows of uninitialized buffer) and
+        its times are non-decreasing from the last recorded one on (every
+        windowed query binary-searches them).  The order test is written
+        positively so a NaN time, which compares false with everything,
+        fails it.
+        """
+        self.flush()
+        columns = self.columns
+        arrays = [
+            _np.asarray(value, dtype=column.data.dtype)
+            for column, value in zip(columns, values)
+        ]
+        times = arrays[0]
+        count = times.size
+        if any(array.ndim and array.size != count for array in arrays):
+            raise ValueError(
+                f"{self.stream} columns must be equally long, got "
+                f"{[array.size for array in arrays if array.ndim]}"
+            )
+        recorded = columns[0]
+        last = recorded.data[recorded.n - 1] if recorded.n else -_np.inf
+        if count and not (times[0] >= last and (times[1:] >= times[:-1]).all()):
+            raise ValueError(
+                f"{self.stream} times must be non-decreasing and start at or after the "
+                f"last recorded {self.stream} time"
+            )
+        for column, array in zip(columns, arrays):
+            if array.ndim:
+                column.extend(array)
+            else:
+                column.extend_fill(array, count)
+        return count
+
 
 def _flushed_column(table: str, index: int) -> property:
     """Column ``index`` of the log's ``table``, read through a flush of its stage."""
 
-    def column(log: "ColumnarEventLog") -> _Column:
+    def column(log: "EventLog") -> _Column:
         rows = getattr(log, table)
         if rows.stage:
             rows.flush()
@@ -547,7 +245,7 @@ def _flushed_column(table: str, index: int) -> property:
 class _TimesView(Sequence):
     """List-compatible lazy view over a float column.
 
-    Supports everything the classic ``List[float]`` indexes are used for:
+    Supports everything a ``List[float]`` time index is used for:
     ``bisect`` (``len`` + integer ``__getitem__``), slicing (returns a plain
     list of Python floats), iteration, and ``==`` against lists and other
     views (several tests and metrics compare whole time arrays).
@@ -555,7 +253,7 @@ class _TimesView(Sequence):
 
     __slots__ = ("_log", "_name")
 
-    def __init__(self, log: "ColumnarEventLog", name: str) -> None:
+    def __init__(self, log: "EventLog", name: str) -> None:
         self._log = log
         self._name = name
 
@@ -587,7 +285,7 @@ class _TimesView(Sequence):
             return self._column.view().tolist() == list(other)
         return NotImplemented
 
-    __hash__ = None  # mutable view, like the list it replaces
+    __hash__ = None  # mutable view, like a list
 
     def __repr__(self) -> str:
         return repr(self._column.view().tolist())
@@ -597,7 +295,7 @@ class _TimesView(Sequence):
 
 
 class _RowsView(Sequence):
-    """Lazy record window ``[lo, hi)`` over a columnar log's columns.
+    """Lazy record window ``[lo, hi)`` over the log's columns.
 
     ``hi=None`` tracks the live end of the log: that is the whole-log view
     behind ``source_emits`` / ``sink_receipts``.  A window query returns the
@@ -609,7 +307,7 @@ class _RowsView(Sequence):
 
     __slots__ = ("_log", "_lo", "_hi")
 
-    def __init__(self, log: "ColumnarEventLog", lo: int = 0, hi: Optional[int] = None) -> None:
+    def __init__(self, log: "EventLog", lo: int = 0, hi: Optional[int] = None) -> None:
         self._log = log
         self._lo = lo
         self._hi = hi if hi is None else max(hi, lo)  # inverted window: empty
@@ -705,18 +403,18 @@ class _ReceiptRowsView(_RowsView):
         return (log._receipt_time.data[rows] - log._receipt_emitted.data[rows]).tolist()
 
 
-class ColumnarEventLog(EventLog):
-    """Struct-of-arrays event log, bit-compatible with :class:`EventLog`.
+class EventLog:
+    """Accumulates raw run observations and answers the queries metrics need.
 
     Emits and receipts live in growable numpy columns; ``source_emits``,
     ``sink_receipts`` and the time indexes are lazy views that materialize
-    rows only on access, and every query runs on the columns through the
-    index hooks below.  The per-root derived state (first emit time of every
-    root, distinct roots received) is a pair of sorted arrays built by
-    ``np.unique`` the first time a query needs them and merged forward from a
-    sync cursor afterwards, so the bulk write path never touches a Python
-    dict per event.  Cold streams (drops, deferred, kills, lifecycle) keep
-    the plain record lists — they are rare and carry string payloads.
+    rows only on access, and every query runs on the columns.  The per-root
+    derived state (first emit time of every root, distinct roots received) is
+    a pair of sorted arrays built by ``np.unique`` the first time a query
+    needs them and merged forward from a sync cursor afterwards, so the bulk
+    write path never touches a Python dict per event.  Cold streams (drops,
+    deferred, kills, lifecycle) are plain record lists — they are rare and
+    carry string payloads.
 
     Per-event writes are staged (one tuple per record, see :class:`_Table`)
     and land in the columns every ``_STAGE_BLOCK`` rows and before any read.
@@ -737,8 +435,6 @@ class ColumnarEventLog(EventLog):
     _receipt_replay = _flushed_column("_receipts", 5)
 
     def __init__(self, sim: Simulator) -> None:
-        if _np is None:  # pragma: no cover - exercised only without numpy
-            raise RuntimeError("ColumnarEventLog requires numpy")
         self.sim = sim
         self.drops: List[DropRecord] = []
         self.deferred: List[DeferredRecord] = []
@@ -748,10 +444,15 @@ class ColumnarEventLog(EventLog):
         # Interned task-name table shared by the source and sink columns.
         self._names: List[str] = []
         self._name_codes: Dict[str, int] = {}
-        # Column order = the class-level properties = the staged tuples.
-        self._emits = _Table(_np.float64, _np.int64, _np.int32, _np.int64, _np.bool_)
+        # Field order = the class-level properties = the staged tuples; the
+        # names are the keys of emit_columns() / receipt_columns().
+        self._emits = _Table(
+            "emit", time=_np.float64, root=_np.int64, source=_np.int32,
+            replay=_np.int64, backlog=_np.bool_,
+        )
         self._receipts = _Table(
-            _np.float64, _np.int64, _np.int64, _np.int32, _np.float64, _np.int64
+            "receipt", time=_np.float64, root=_np.int64, event=_np.int64,
+            sink=_np.int32, emitted=_np.float64, replay=_np.int64,
         )
         # Lazy query state: sorted distinct roots (with each root's first emit
         # time), valid up to the sync cursors into the columns.
@@ -760,11 +461,11 @@ class ColumnarEventLog(EventLog):
         self._first_emit_synced = 0
         self._received_roots = _np.empty(0, dtype=_np.int64)
         self._roots_synced = 0
-        # Lazy row/time views shadow the base class's list attributes.
-        self.source_emits = _EmitRowsView(self)  # type: ignore[assignment]
-        self.sink_receipts = _ReceiptRowsView(self)  # type: ignore[assignment]
-        self.emit_times = _TimesView(self, "_emit_time")  # type: ignore[assignment]
-        self.receipt_times = _TimesView(self, "_receipt_time")  # type: ignore[assignment]
+        #: Whole-log record views and the monotone time indexes parallel to them.
+        self.source_emits: Sequence[SourceEmit] = _EmitRowsView(self)
+        self.sink_receipts: Sequence[SinkReceipt] = _ReceiptRowsView(self)
+        self.emit_times: Sequence[float] = _TimesView(self, "_emit_time")
+        self.receipt_times: Sequence[float] = _TimesView(self, "_receipt_time")
 
     # ------------------------------------------------------------- internals
     def _code(self, name: str) -> int:
@@ -789,60 +490,18 @@ class ColumnarEventLog(EventLog):
             self._first_emit_synced = n
         return self._first_emit_roots, self._first_emit_times
 
-    # ------------------------------------------------------------ index hooks
     def _receipt_index(self, time: float) -> int:
+        """Index of the first receipt at or after ``time``."""
         return int(self._receipt_time.view().searchsorted(time, side="left"))
 
     def _emit_index(self, time: float) -> int:
+        """Index of the first emission at or after ``time``."""
         return int(self._emit_time.view().searchsorted(time, side="left"))
 
-    def _receipt_rows(self, lo: int, hi: int) -> Sequence[SinkReceipt]:
-        return _ReceiptRowsView(self, lo, hi)
-
-    def _emit_rows(self, lo: int, hi: int) -> Sequence[SourceEmit]:
-        return _EmitRowsView(self, lo, hi)
-
-    def _first_emit(self, root_id: int) -> Optional[float]:
-        roots, times = self._first_emits()
-        slot = int(roots.searchsorted(root_id))
-        if slot < roots.size and roots[slot] == root_id:
-            return float(times[slot])
-        return None
-
-    def _distinct_roots(self) -> int:
-        n = self._receipt_time.n
-        if self._roots_synced < n:
-            self._received_roots = _np.unique(_np.concatenate(
-                (self._received_roots, self._receipt_root.data[self._roots_synced:n])
-            ))
-            self._roots_synced = n
-        return self._received_roots.size
-
-    def _replay_emits_from(self, lo: int) -> int:
-        return int(_np.count_nonzero(self._emit_replay.data[lo:self._emit_time.n]))
-
-    def _last_old_index(self, start: int, migration_time: float) -> Optional[int]:
-        roots, times = self._first_emits()
-        received = self._receipt_root.data[start:self._receipt_time.n]
-        if not roots.size:
-            return None
-        slots = roots.searchsorted(received)
-        # A root above every emitted root lands one past the end; any valid
-        # slot will do for it, the equality test rejects it.
-        slots[slots == roots.size] = 0
-        return self._last_hit_index(
-            start, (roots[slots] == received) & (times[slots] < migration_time)
-        )
-
-    def _last_replay_index(self, start: int) -> Optional[int]:
-        return self._last_hit_index(
-            start, self._receipt_replay.data[start:self._receipt_time.n] > 0
-        )
-
     def _last_hit_index(self, start: int, mask) -> Optional[int]:
-        """The row store's ``_last_receipt_index`` for a boolean ``mask`` over
-        the receipts from index ``start`` on: the latest hit, or among hits of
-        that same time the earliest-recorded one."""
+        """Index of the latest receipt hit by the boolean ``mask`` over the
+        receipts from index ``start`` on; among hits of that same time, the
+        earliest-recorded one."""
         hits = _np.flatnonzero(mask)
         if not hits.size:
             return None
@@ -853,45 +512,6 @@ class ColumnarEventLog(EventLog):
         tied_from = max(start, int(times[:last].searchsorted(times[last], side="left")))
         return start + int(hits[hits.searchsorted(tied_from - start, side="left")])
 
-    # -------------------------------------------------------- array accessors
-    @property
-    def emit_times_array(self):
-        """Emit times as a float64 array view (zero-copy, monotone)."""
-        return self._emit_time.view()
-
-    @property
-    def receipt_times_array(self):
-        """Receipt times as a float64 array view (zero-copy, monotone)."""
-        return self._receipt_time.view()
-
-    @property
-    def receipt_emitted_array(self):
-        """Per-receipt root emission times (parallel to the receipt times)."""
-        return self._receipt_emitted.view()
-
-    def emit_columns(self) -> Dict[str, Any]:
-        """Compact copies of the emit columns (for shard transport/merging)."""
-        return {
-            "time": self._emit_time.view().copy(),
-            "root": self._emit_root.view().copy(),
-            "source": self._emit_source.view().copy(),
-            "replay": self._emit_replay.view().copy(),
-            "backlog": self._emit_backlog.view().copy(),
-            "names": list(self._names),
-        }
-
-    def receipt_columns(self) -> Dict[str, Any]:
-        """Compact copies of the receipt columns (for shard transport/merging)."""
-        return {
-            "time": self._receipt_time.view().copy(),
-            "root": self._receipt_root.view().copy(),
-            "event": self._receipt_event.view().copy(),
-            "sink": self._receipt_sink.view().copy(),
-            "emitted": self._receipt_emitted.view().copy(),
-            "replay": self._receipt_replay.view().copy(),
-            "names": list(self._names),
-        }
-
     # -------------------------------------------------------------- recording
     def record_source_emit(
         self,
@@ -901,6 +521,13 @@ class ColumnarEventLog(EventLog):
         from_backlog: bool = False,
         at_time: Optional[float] = None,
     ) -> None:
+        """Record that a source emitted (or re-emitted) a root event.
+
+        ``at_time`` serves the batch-stepping cascade, which materializes
+        many ticks inside one kernel callback: each emission is stamped with
+        its exact tick time.  Stamped times must be non-decreasing (the
+        ``emit_times`` index is binary-searched).
+        """
         stage = self._emits.stage
         stage.append((
             self.sim.now if at_time is None else at_time,
@@ -920,6 +547,12 @@ class ColumnarEventLog(EventLog):
         replay_count: int,
         at_time: Optional[float] = None,
     ) -> None:
+        """Record that a sink received an event (now, or at an explicit time).
+
+        ``at_time`` lets the batch-stepping cascade stamp each receipt with
+        its exact completion time.  Callers must keep stamped times
+        non-decreasing (the ``receipt_times`` index is binary-searched).
+        """
         stage = self._receipts.stage
         stage.append((
             self.sim.now if at_time is None else at_time,
@@ -928,18 +561,28 @@ class ColumnarEventLog(EventLog):
         if len(stage) >= _STAGE_BLOCK:
             self._receipts.flush()
 
-    # ----------------------------------------------------------- bulk appends
-    @staticmethod
-    def _checked_times(times: Sequence[float], column: _Column, stream: str):
-        """``times`` as a float64 array, refused if it would unsort ``column``."""
-        block = _np.asarray(times, dtype=_np.float64)
-        if block.size and (
-            (column.n and block[0] < column.data[column.n - 1])
-            or (block[1:] < block[:-1]).any()
-        ):
-            raise _out_of_order(stream)
-        return block
+    def record_drop(self, executor_id: str, kind: str, reason: str, root_id: Optional[int] = None) -> None:
+        """Record that an event could not be delivered to an executor."""
+        self.drops.append(
+            DropRecord(time=self.sim.now, executor_id=executor_id, kind=kind, reason=reason, root_id=root_id)
+        )
 
+    def record_deferred(self, executor_id: str, root_id: Optional[int] = None) -> None:
+        """Record that the transport is holding a data event for a restarting executor."""
+        self.deferred.append(DeferredRecord(time=self.sim.now, executor_id=executor_id, root_id=root_id))
+
+    def record_kill(self, executor_id: str, queued_events_lost: int, pending_events_lost: int = 0) -> None:
+        """Record an executor kill and the in-flight events lost with it."""
+        self.kills.append(
+            KillRecord(time=self.sim.now, executor_id=executor_id,
+                       queued_events_lost=queued_events_lost, pending_events_lost=pending_events_lost)
+        )
+
+    def record_lifecycle(self, executor_id: str, status: str) -> None:
+        """Record an executor lifecycle transition."""
+        self.lifecycle.append(LifecycleRecord(time=self.sim.now, executor_id=executor_id, status=status))
+
+    # ----------------------------------------------------------- bulk appends
     def extend_emits(
         self,
         times: Sequence[float],
@@ -948,13 +591,18 @@ class ColumnarEventLog(EventLog):
         replay_count: int = 0,
         from_backlog: bool = False,
     ) -> None:
-        block = self._checked_times(times, self._emit_time, "emit")
-        count = block.size
-        self._emit_time.extend(block)
-        self._emit_root.extend(root_ids)
-        self._emit_source.extend_fill(self._code(source), count)
-        self._emit_replay.extend_fill(replay_count, count)
-        self._emit_backlog.extend_fill(from_backlog, count)
+        """Bulk-append one source's fresh emission cohort.
+
+        ``times`` must be non-decreasing and start at or after the last
+        recorded emit time, and ``root_ids`` must be as long (``ValueError``
+        otherwise: an out-of-order or ragged block would corrupt every
+        windowed query); ``root_ids`` must be first emissions (the batch
+        stepper reserves fresh ids per cohort).  Accepts any sequence,
+        including numpy arrays.
+        """
+        count = self._emits.append_block(
+            (times, root_ids, self._code(source), replay_count, from_backlog)
+        )
         if replay_count > 0:
             self.replay_emits += count
 
@@ -968,22 +616,174 @@ class ColumnarEventLog(EventLog):
         replay_count: int = 0,
         sink_indices: Optional[Sequence[int]] = None,
     ) -> None:
-        block = self._checked_times(times, self._receipt_time, "receipt")
-        count = block.size
-        self._receipt_time.extend(block)
-        self._receipt_root.extend(root_ids)
-        self._receipt_event.extend(event_ids)
+        """Bulk-append sink receipts already sorted by time.
+
+        ``sinks`` is a single sink name applied to every record, or — when
+        ``sink_indices`` is given — a list of names indexed per record.
+        ``times`` must be non-decreasing and start at or after the last
+        recorded receipt time, and every column as long (``ValueError``
+        otherwise).
+        """
         if sink_indices is None:
-            self._receipt_sink.extend_fill(self._code(sinks), count)
+            sink_codes: Any = self._code(sinks)
         else:
             codes = _np.asarray([self._code(name) for name in sinks], dtype=_np.int32)
-            self._receipt_sink.extend(codes[_np.asarray(sink_indices)])
-        self._receipt_emitted.extend(root_emitted_ats)
-        self._receipt_replay.extend_fill(replay_count, count)
+            sink_codes = codes[_np.asarray(sink_indices, dtype=_np.intp)]
+        self._receipts.append_block(
+            (times, root_ids, event_ids, sink_codes, root_emitted_ats, replay_count)
+        )
+
+    def extend_columns(self, emits: Dict[str, Any], receipts: Dict[str, Any]) -> None:
+        """Bulk-append whole column sets, as :meth:`emit_columns` /
+        :meth:`receipt_columns` return them (the shard merge's write path).
+
+        Each set's ``names`` table is re-interned into this log's.  Same
+        contract as :meth:`extend_emits` / :meth:`extend_receipts`, per
+        stream: equally long columns, times non-decreasing from the last
+        recorded one on.
+        """
+        self._emits.append_block(self._recoded(self._emits, emits, "source"))
+        self.replay_emits += int(_np.count_nonzero(_np.asarray(emits["replay"]) > 0))
+        self._receipts.append_block(self._recoded(self._receipts, receipts, "sink"))
+
+    def _recoded(self, table: _Table, columns: Dict[str, Any], name_key: str) -> List:
+        """``columns`` in ``table``'s field order, its name codes translated to this log's."""
+        codes = _np.asarray([self._code(name) for name in columns["names"]], dtype=_np.int32)
+        return [
+            codes[_np.asarray(columns[key], dtype=_np.intp)] if key == name_key else columns[key]
+            for key in table.fields
+        ]
+
+    # ---------------------------------------------------------------- queries
+    def root_first_emit_time(self, root_id: int) -> Optional[float]:
+        """Time at which the given root event was first emitted, if known."""
+        roots, times = self._first_emits()
+        slot = int(roots.searchsorted(root_id))
+        if slot < roots.size and roots[slot] == root_id:
+            return float(times[slot])
+        return None
+
+    def is_old_root(self, root_id: int, migration_time: float) -> bool:
+        """Whether the root was first emitted before the migration request."""
+        first = self.root_first_emit_time(root_id)
+        return first is not None and first < migration_time
+
+    def receipts_after(self, time: float) -> Sequence[SinkReceipt]:
+        """Sink receipts at or after the given time, in time order."""
+        return _ReceiptRowsView(self, self._receipt_index(time), self._receipt_time.n)
+
+    def receipts_between(self, start: float, end: float) -> Sequence[SinkReceipt]:
+        """Sink receipts in ``[start, end)`` (empty when ``end <= start``)."""
+        return _ReceiptRowsView(self, self._receipt_index(start), self._receipt_index(end))
+
+    def emits_between(self, start: float, end: float) -> Sequence[SourceEmit]:
+        """Source emissions in ``[start, end)`` (empty when ``end <= start``)."""
+        return _EmitRowsView(self, self._emit_index(start), self._emit_index(end))
+
+    def first_receipt_after(self, time: float) -> Optional[SinkReceipt]:
+        """Earliest sink receipt at or after the given time, if any."""
+        index = self._receipt_index(time)
+        return self.sink_receipts[index] if index < len(self.sink_receipts) else None
+
+    def last_old_receipt(self, migration_time: float) -> Optional[SinkReceipt]:
+        """Latest sink receipt (after migration) of a root emitted before the migration.
+
+        Among equal-time candidates the *earliest-recorded* one is returned,
+        matching the historical ``max(..., key=time)`` behaviour (``max``
+        keeps the first of ties in iteration order).
+        """
+        start = self._receipt_index(migration_time)
+        roots, times = self._first_emits()
+        if not roots.size:
+            return None
+        received = self._receipt_root.data[start:self._receipt_time.n]
+        slots = roots.searchsorted(received)
+        # A root above every emitted root lands one past the end; any valid
+        # slot will do for it, the equality test rejects it.
+        slots[slots == roots.size] = 0
+        index = self._last_hit_index(
+            start, (roots[slots] == received) & (times[slots] < migration_time)
+        )
+        return None if index is None else self.sink_receipts[index]
+
+    def last_replay_receipt(self, migration_time: float) -> Optional[SinkReceipt]:
+        """Latest sink receipt of a replayed (previously failed) event after the migration.
+
+        Same tie handling as :meth:`last_old_receipt`.
+        """
+        start = self._receipt_index(migration_time)
+        index = self._last_hit_index(
+            start, self._receipt_replay.data[start:self._receipt_time.n] > 0
+        )
+        return None if index is None else self.sink_receipts[index]
+
+    def lost_in_kills(self) -> int:
+        """Total number of queued events lost across all executor kills."""
+        return sum(k.queued_events_lost for k in self.kills)
+
+    def dropped_count(self, kind: Optional[str] = None) -> int:
+        """Number of dropped deliveries, optionally filtered by event kind."""
+        if kind is None:
+            return len(self.drops)
+        return sum(1 for d in self.drops if d.kind == kind)
+
+    def deferred_count(self) -> int:
+        """Number of data events the transport held for restarting executors."""
+        return len(self.deferred)
+
+    def distinct_roots_received(self) -> int:
+        """Number of distinct root events observed at the sinks."""
+        n = self._receipt_time.n
+        if self._roots_synced < n:
+            self._received_roots = _np.unique(_np.concatenate(
+                (self._received_roots, self._receipt_root.data[self._roots_synced:n])
+            ))
+            self._roots_synced = n
+        return self._received_roots.size
+
+    def summary(self) -> Dict[str, float]:
+        """Coarse counters describing the run (useful in example output)."""
+        return {
+            "source_emits": len(self.source_emits),
+            "replay_emits": self.replay_emits,
+            "sink_receipts": len(self.sink_receipts),
+            "distinct_roots_received": self.distinct_roots_received(),
+            "drops": len(self.drops),
+            "kills": len(self.kills),
+            "events_lost_in_kills": self.lost_in_kills(),
+        }
+
+    # -------------------------------------------------------- array accessors
+    @property
+    def emit_times_array(self):
+        """Emit times as a float64 array view (zero-copy, monotone)."""
+        return self._emit_time.view()
+
+    @property
+    def receipt_times_array(self):
+        """Receipt times as a float64 array view (zero-copy, monotone)."""
+        return self._receipt_time.view()
+
+    @property
+    def receipt_emitted_array(self):
+        """Per-receipt root emission times (parallel to the receipt times)."""
+        return self._receipt_emitted.view()
+
+    def emit_columns(self) -> Dict[str, Any]:
+        """Compact copies of the emit columns (for shard transport/merging)."""
+        return {**self._emits.snapshot(), "names": list(self._names)}
+
+    def receipt_columns(self) -> Dict[str, Any]:
+        """Compact copies of the receipt columns (for shard transport/merging)."""
+        return {**self._receipts.snapshot(), "names": list(self._names)}
+
+
+#: The name ``bench_e2e/workloads.py`` imports.
+ColumnarEventLog = EventLog
 
 
 # --------------------------------------------------------------------------
-# Reductions over a window (either backend)
+# Reductions over a window
 # --------------------------------------------------------------------------
 
 def mean_latency(
@@ -991,10 +791,10 @@ def mean_latency(
 ) -> Optional[float]:
     """Mean end-to-end latency of ``receipts[start:]`` (``empty`` when there are none).
 
-    ``receipts`` is a whole-log ``sink_receipts`` or the result of a window
-    query, from either backend.  The sum is sequential, in record order, on
-    both: this value drives scaling decisions and committed summaries, and a
-    pairwise ``np.sum`` would move its low bits.
+    ``receipts`` is a whole-log ``sink_receipts``, the lazy window a query
+    returned, or a plain list of rows (a slice of either).  The sum is
+    sequential, in record order: this value drives scaling decisions and
+    committed summaries, and a pairwise ``np.sum`` would move its low bits.
     """
     if isinstance(receipts, _ReceiptRowsView):
         latencies = receipts._latencies(start)
@@ -1005,4 +805,4 @@ def mean_latency(
 
 def replay_emits_since(log: EventLog, time: float) -> int:
     """Source emissions at or after ``time`` that were replays of failed trees."""
-    return log._replay_emits_from(log._emit_index(time))
+    return int(_np.count_nonzero(log._emit_replay.data[log._emit_index(time):log._emit_time.n]))

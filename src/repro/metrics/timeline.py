@@ -6,32 +6,24 @@ window) and Fig. 8 (rate stabilization time: the first moment after which the
 output rate stays within 20 % of the expected stable rate for 60 s).
 
 All series are computed in a single pass over the event log's monotone time
-arrays (:attr:`~repro.metrics.log.EventLog.emit_times` /
-:attr:`~repro.metrics.log.EventLog.receipt_times`): the window ``[start, end)``
-is located with :mod:`bisect` and only the records inside it are visited,
-instead of filtering the full log per timeline.
-
-When the log is the columnar backend
-(:class:`~repro.metrics.log.ColumnarEventLog`), the window is located with
-``np.searchsorted`` and the per-bin counts/latency sums come from
-``np.bincount`` — no Python loop over records.  ``bincount`` accumulates
-sequentially in record order, the same association order as the scalar loop,
-so the vectorized series are bit-identical to the classic ones.
+columns (:attr:`~repro.metrics.log.EventLog.emit_times_array` /
+:attr:`~repro.metrics.log.EventLog.receipt_times_array`): the window
+``[start, end)`` is located with ``np.searchsorted`` and the per-bin
+counts/latency sums come from ``np.bincount`` — no Python loop over records,
+and nothing outside the window is visited.  ``bincount`` accumulates
+sequentially in record order, the association order of a plain loop over the
+records, so the series match one bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-try:  # numpy is baked into the image; the scalar path covers its absence.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+import numpy as _np
 
-from repro.metrics.log import EventLog, SinkReceipt, SourceEmit
+from repro.metrics.log import EventLog
 
 
 @dataclass(frozen=True)
@@ -51,25 +43,6 @@ class LatencyPoint:
     samples: int
 
 
-def _bin_rates(times: Sequence[float], start: float, end: float, bin_s: float) -> List[RatePoint]:
-    """Bin monotone ``times`` into ``bin_s``-second rate points over ``[start, end)``.
-
-    ``times`` must be sorted ascending (the event log's time arrays are).
-    """
-    if end <= start or bin_s <= 0:
-        return []
-    num_bins = int(math.ceil((end - start) / bin_s))
-    counts = [0] * num_bins
-    lo = bisect_left(times, start)
-    hi = bisect_left(times, end)
-    for index in range(lo, hi):
-        counts[int((times[index] - start) / bin_s)] += 1
-    return [
-        RatePoint(time=start + (i + 0.5) * bin_s, rate=count / bin_s)
-        for i, count in enumerate(counts)
-    ]
-
-
 def rate_timeline(
     log: EventLog,
     kind: str = "output",
@@ -84,22 +57,13 @@ def rate_timeline(
     ``bin_s``-second bins, as in the paper's timeline plots.
     """
     if kind == "input":
-        times: Sequence[float] = log.emit_times
-        times_array = getattr(log, "emit_times_array", None)
+        times_array = log.emit_times_array
     elif kind == "output":
-        times = log.receipt_times
-        times_array = getattr(log, "receipt_times_array", None)
+        times_array = log.receipt_times_array
     else:
         raise ValueError(f"kind must be 'input' or 'output', got {kind!r}")
     if end is None:
         end = log.sim.now
-    if times_array is not None and _np is not None:
-        return _bin_rates_vectorized(times_array, start, end, bin_s)
-    return _bin_rates(times, start, end, bin_s)
-
-
-def _bin_rates_vectorized(times_array, start: float, end: float, bin_s: float) -> List[RatePoint]:
-    """Columnar fast path of :func:`_bin_rates` (searchsorted + bincount)."""
     if end <= start or bin_s <= 0:
         return []
     num_bins = int(math.ceil((end - start) / bin_s))
@@ -132,32 +96,18 @@ def latency_timeline(
     if end <= start or window_s <= 0:
         return []
     num_windows = int(math.ceil((end - start) / window_s))
-    times_array = getattr(log, "receipt_times_array", None)
-    emitted_array = getattr(log, "receipt_emitted_array", None)
-    if times_array is not None and emitted_array is not None and _np is not None:
-        lo, hi = _np.searchsorted(times_array, [start, end], side="left")
-        window = times_array[lo:hi]
-        if window.size:
-            indexes = ((window - start) / window_s).astype(_np.int64)
-            counts = _np.bincount(indexes, minlength=num_windows)[:num_windows].tolist()
-            sums = _np.bincount(
-                indexes, weights=window - emitted_array[lo:hi], minlength=num_windows
-            )[:num_windows].tolist()
-        else:
-            counts = [0] * num_windows
-            sums = [0.0] * num_windows
+    times_array = log.receipt_times_array
+    lo, hi = _np.searchsorted(times_array, [start, end], side="left")
+    window = times_array[lo:hi]
+    if window.size:
+        indexes = ((window - start) / window_s).astype(_np.int64)
+        counts = _np.bincount(indexes, minlength=num_windows)[:num_windows].tolist()
+        sums = _np.bincount(
+            indexes, weights=window - log.receipt_emitted_array[lo:hi], minlength=num_windows
+        )[:num_windows].tolist()
     else:
-        sums = [0.0] * num_windows
         counts = [0] * num_windows
-        times = log.receipt_times
-        receipts = log.sink_receipts
-        lo = bisect_left(times, start)
-        hi = bisect_left(times, end)
-        for i in range(lo, hi):
-            receipt = receipts[i]
-            index = int((receipt.time - start) / window_s)
-            sums[index] += receipt.time - receipt.root_emitted_at
-            counts[index] += 1
+        sums = [0.0] * num_windows
     points = []
     for i in range(num_windows):
         if counts[i] == 0:

@@ -19,12 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.sim import Simulator, Timer
+import numpy as _np
 
-try:  # numpy accelerates the bulk XOR folds; the scalar path is exact without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
+from repro.sim import Simulator, Timer
 
 
 @dataclass
@@ -221,11 +218,13 @@ class AckerService:
 
         The XOR fold is order-independent, so the whole stream collapses with
         one ``np.bitwise_xor.reduceat`` over a root-sorted view; the scalar
-        dict fold is the exact same reduction without numpy (or for tiny
-        batches where the sort setup costs more than it saves).
+        dict fold is the exact same reduction for tiny batches, where the
+        sort setup costs more than it saves.  The two yield their trees in
+        different orders (sorted roots vs insertion), so moving the cutoff
+        can move ``on_complete`` order.
         """
         n = len(pairs)
-        if _np is not None and n >= 8:
+        if n >= 8:
             arr = _np.asarray(pairs, dtype=_np.uint64)
             order = _np.argsort(arr[:, 0], kind="stable")
             roots = arr[order, 0]

@@ -17,6 +17,8 @@ import hashlib
 import random
 from typing import Dict
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -44,28 +46,20 @@ def keyed_value(seed: int, sequence: int) -> float:
     return (z >> 11) * 2.0 ** -53
 
 
-#: Lazily built uint64-boxed mix constants for :func:`keyed_value_block`
-#: (scalar->uint64 conversion per call was measurable on small blocks).
-_NP_CONSTS = None
+#: uint64-boxed mix constants for :func:`keyed_value_block` (scalar->uint64
+#: conversion per call was measurable on small blocks).
+_NP_CONSTS = tuple(np.uint64(c) for c in (_GOLDEN, _MIX1, _MIX2, 30, 27, 31, 11))
 
 
-def keyed_value_block(seed: int, start_sequence: int, count: int, np):
+def keyed_value_block(seed: int, start_sequence: int, count: int):
     """Vectorized :func:`keyed_value`: draws ``start_sequence .. +count-1``.
 
-    ``np`` is the caller's numpy module (kept out of this module's imports so
-    the RNG layer stays dependency-free).  The integer mix runs on ``uint64``
-    arrays, whose wraparound is exactly the ``& _MASK64`` of the scalar path,
-    and ``(z >> 11) * 2**-53`` is exact in float64, so every element is
-    bit-identical to the corresponding scalar :func:`keyed_value` call.
+    The integer mix runs on ``uint64`` arrays, whose wraparound is exactly
+    the ``& _MASK64`` of the scalar path, and ``(z >> 11) * 2**-53`` is exact
+    in float64, so every element is bit-identical to the corresponding scalar
+    :func:`keyed_value` call.
     """
-    global _NP_CONSTS
-    consts = _NP_CONSTS
-    if consts is None:
-        u64 = np.uint64
-        consts = _NP_CONSTS = (
-            u64(_GOLDEN), u64(_MIX1), u64(_MIX2), u64(30), u64(27), u64(31), u64(11),
-        )
-    golden, mix1, mix2, s30, s27, s31, s11 = consts
+    golden, mix1, mix2, s30, s27, s31, s11 = _NP_CONSTS
     seqs = np.arange(start_sequence + 1, start_sequence + count + 1, dtype=np.uint64)
     z = np.uint64(seed & _MASK64) + seqs * golden
     z = (z ^ (z >> s30)) * mix1

@@ -4,7 +4,7 @@ A *shard* is one hermetic simulation of an independent keyed partition of the
 workload: it owns its own :class:`~repro.sim.kernel.Simulator`, cluster and
 runtime, resets the global event-id counter on entry (exactly as
 ``ExperimentMatrix.prefetch`` does for figure cells) and returns only
-picklable record lists.  Because shards never interact, they can run in any
+picklable column arrays.  Because shards never interact, they can run in any
 order on any number of worker processes — the merged
 :class:`~repro.metrics.log.EventLog` depends only on the shard *specs*, never
 on the pool size or completion order.
@@ -18,14 +18,13 @@ per-shard record streams by ``(time, namespaced id)``.  Both steps are
 deterministic, which is what makes an N-worker merged log byte-identical to
 the 1-worker merged log for the same specs (asserted via :func:`log_digest`).
 
-With numpy available the merge is pure array work: per-shard columns (either
-shipped directly by a columnar shard log or built once from record lists) are
-concatenated, id-offset, and reordered with one stable ``np.lexsort`` on
-``(time, namespaced id)``, producing a
-:class:`~repro.metrics.log.ColumnarEventLog` without touching a single
-per-record Python object.  Shard streams are sorted by ``(time, id)`` within
-a shard (ids are assigned in record order and times are monotone), so the
-lexsort reproduces exactly the order the per-record heap interleave produced.
+The merge is pure array work: the shard logs' columns are concatenated,
+id-offset, and reordered with one stable ``np.lexsort`` on ``(time,
+namespaced id)``, then appended to the merged
+:class:`~repro.metrics.log.EventLog` in one bulk call, without touching a
+single per-record Python object.  Shard streams are sorted by ``(time, id)``
+within a shard (ids are assigned in record order and times are monotone), so
+the lexsort is the order a per-record interleave of the streams produces.
 
 This module deliberately knows nothing about dataflows or clusters: the
 concrete shard runner lives in :mod:`repro.experiments.sharded`, and is passed
@@ -36,16 +35,12 @@ reference.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import multiprocessing
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
+import numpy as _np
 
 from repro.sim.rng import keyed_seed
 
@@ -105,19 +100,18 @@ class ShardSpec:
 
 @dataclass
 class ShardResult:
-    """Picklable outcome of one shard: its emission/receipt records.
+    """Picklable outcome of one shard: its emission/receipt columns.
 
-    ``emits`` and ``receipts`` are the shard log's (time-ordered) record
-    lists; columnar shard logs ship ``emit_columns``/``receipt_columns``
-    (numpy field arrays plus an interned name table) instead and leave the
-    record lists empty — the merge consumes either representation.
-    ``summary`` is :meth:`~repro.metrics.log.EventLog.summary`; ``samples``
-    carries the shard's monitor timeline when the spec asked for sampling.
+    ``emit_columns`` / ``receipt_columns`` are what the shard log's
+    :meth:`~repro.metrics.log.EventLog.emit_columns` /
+    :meth:`~repro.metrics.log.EventLog.receipt_columns` return (time-ordered
+    numpy field arrays plus the interned name table; ``None``: the shard
+    shipped no log).  ``summary`` is
+    :meth:`~repro.metrics.log.EventLog.summary`; ``samples`` carries the
+    shard's monitor timeline when the spec asked for sampling.
     """
 
     index: int
-    emits: List = field(default_factory=list)
-    receipts: List = field(default_factory=list)
     summary: Dict[str, float] = field(default_factory=dict)
     emit_columns: Optional[Dict[str, Any]] = None
     receipt_columns: Optional[Dict[str, Any]] = None
@@ -125,17 +119,13 @@ class ShardResult:
 
     @property
     def emit_count(self) -> int:
-        """Number of source emissions, whichever representation was shipped."""
-        if self.emit_columns is not None:
-            return len(self.emit_columns["time"])
-        return len(self.emits)
+        """Number of source emissions the shard recorded."""
+        return 0 if self.emit_columns is None else len(self.emit_columns["time"])
 
     @property
     def receipt_count(self) -> int:
-        """Number of sink receipts, whichever representation was shipped."""
-        if self.receipt_columns is not None:
-            return len(self.receipt_columns["time"])
-        return len(self.receipts)
+        """Number of sink receipts the shard recorded."""
+        return 0 if self.receipt_columns is None else len(self.receipt_columns["time"])
 
 
 def resolve_worker_env(raw: Optional[str], tasks: int) -> int:
@@ -192,234 +182,63 @@ def run_shards(
 
 
 def merge_shard_results(results: Sequence[ShardResult]):
-    """Deterministically merge per-shard records into one event log.
+    """Deterministically merge per-shard columns into one event log.
 
     Ids are namespaced by shard (see :data:`SHARD_ID_STRIDE`) and the
     per-shard streams — already time-ordered — are ordered by
-    ``(time, namespaced id)``, so the output is a pure function of the shard
-    results, bit-stable across worker counts and repeat runs.
-
-    With numpy the merge is array concatenation plus one stable
-    ``np.lexsort`` per stream, landing in a columnar log; without it the
-    per-record heap interleave builds a classic :class:`EventLog`.  Both
-    paths produce the same :func:`log_digest`.
+    ``(time, namespaced id)`` with one stable ``np.lexsort`` per stream, so
+    the output is a pure function of the shard results, bit-stable across
+    worker counts and repeat runs.
     """
-    if _np is not None:
-        return _merge_shard_results_columnar(results)
-    return _merge_shard_results_python(results)
-
-
-def _emit_columns_of(result: ShardResult) -> Optional[Dict[str, Any]]:
-    """The shard's emit columns, built from its record list if necessary."""
-    if result.emit_columns is not None:
-        return result.emit_columns
-    emits = result.emits
-    if not emits:
-        return None
-    n = len(emits)
-    names: List[str] = []
-    codes: Dict[str, int] = {}
-    time = _np.empty(n, dtype=_np.float64)
-    root = _np.empty(n, dtype=_np.int64)
-    source = _np.empty(n, dtype=_np.int32)
-    replay = _np.empty(n, dtype=_np.int64)
-    backlog = _np.empty(n, dtype=_np.bool_)
-    for i, emit in enumerate(emits):
-        time[i] = emit.time
-        root[i] = emit.root_id
-        replay[i] = emit.replay_count
-        backlog[i] = emit.from_backlog
-        code = codes.get(emit.source)
-        if code is None:
-            code = len(names)
-            codes[emit.source] = code
-            names.append(emit.source)
-        source[i] = code
-    return {"time": time, "root": root, "source": source,
-            "replay": replay, "backlog": backlog, "names": names}
-
-
-def _receipt_columns_of(result: ShardResult) -> Optional[Dict[str, Any]]:
-    """The shard's receipt columns, built from its record list if necessary."""
-    if result.receipt_columns is not None:
-        return result.receipt_columns
-    receipts = result.receipts
-    if not receipts:
-        return None
-    n = len(receipts)
-    names: List[str] = []
-    codes: Dict[str, int] = {}
-    time = _np.empty(n, dtype=_np.float64)
-    root = _np.empty(n, dtype=_np.int64)
-    event = _np.empty(n, dtype=_np.int64)
-    sink = _np.empty(n, dtype=_np.int32)
-    emitted = _np.empty(n, dtype=_np.float64)
-    replay = _np.empty(n, dtype=_np.int64)
-    for i, receipt in enumerate(receipts):
-        time[i] = receipt.time
-        root[i] = receipt.root_id
-        event[i] = receipt.event_id
-        emitted[i] = receipt.root_emitted_at
-        replay[i] = receipt.replay_count
-        code = codes.get(receipt.sink)
-        if code is None:
-            code = len(names)
-            codes[receipt.sink] = code
-            names.append(receipt.sink)
-        sink[i] = code
-    return {"time": time, "root": root, "event": event, "sink": sink,
-            "emitted": emitted, "replay": replay, "names": names}
-
-
-def _merge_shard_results_columnar(results: Sequence[ShardResult]):
-    """Array merge: concatenate shard columns, lexsort on (time, id)."""
     # Imported here: repro.metrics.log imports repro.sim, so a module-level
     # import would make this module unimportable from repro.metrics.
-    from repro.metrics.log import ColumnarEventLog
-    from repro.sim.kernel import Simulator
-
-    log = ColumnarEventLog(Simulator())
-    ordered = sorted(results, key=lambda result: result.index)
-
-    emit_parts: List[tuple] = []
-    receipt_parts: List[tuple] = []
-    for result in ordered:
-        offset = result.index * SHARD_ID_STRIDE
-        cols = _emit_columns_of(result)
-        if cols is not None and len(cols["time"]):
-            lut = _np.asarray(
-                [log._code(name) for name in cols["names"]], dtype=_np.int32
-            )
-            emit_parts.append((
-                _np.asarray(cols["time"], dtype=_np.float64),
-                _np.asarray(cols["root"], dtype=_np.int64) + offset,
-                lut[_np.asarray(cols["source"])],
-                _np.asarray(cols["replay"], dtype=_np.int64),
-                _np.asarray(cols["backlog"], dtype=_np.bool_),
-            ))
-        cols = _receipt_columns_of(result)
-        if cols is not None and len(cols["time"]):
-            lut = _np.asarray(
-                [log._code(name) for name in cols["names"]], dtype=_np.int32
-            )
-            receipt_parts.append((
-                _np.asarray(cols["time"], dtype=_np.float64),
-                _np.asarray(cols["root"], dtype=_np.int64) + offset,
-                _np.asarray(cols["event"], dtype=_np.int64) + offset,
-                lut[_np.asarray(cols["sink"])],
-                _np.asarray(cols["emitted"], dtype=_np.float64),
-                _np.asarray(cols["replay"], dtype=_np.int64),
-            ))
-
-    if emit_parts:
-        time, root, source, replay, backlog = (
-            _np.concatenate([part[i] for part in emit_parts]) for i in range(5)
-        )
-        # lexsort's last key is primary: order by time, then namespaced root.
-        order = _np.lexsort((root, time))
-        log._emit_time.extend(time[order])
-        log._emit_root.extend(root[order])
-        log._emit_source.extend(source[order])
-        log._emit_replay.extend(replay[order])
-        log._emit_backlog.extend(backlog[order])
-        log.replay_emits += int((replay > 0).sum())
-    if receipt_parts:
-        time, root, event, sink, emitted, replay = (
-            _np.concatenate([part[i] for part in receipt_parts]) for i in range(6)
-        )
-        # Receipts order by (time, namespaced event id), as the heap merge did.
-        order = _np.lexsort((event, time))
-        log._receipt_time.extend(time[order])
-        log._receipt_root.extend(root[order])
-        log._receipt_event.extend(event[order])
-        log._receipt_sink.extend(sink[order])
-        log._receipt_emitted.extend(emitted[order])
-        log._receipt_replay.extend(replay[order])
-    return log
-
-
-def _emit_records_of(result: ShardResult) -> List:
-    """The shard's emit records, materialized from its columns if necessary."""
-    if result.emits or result.emit_columns is None:
-        return result.emits
-    from repro.metrics.log import SourceEmit, _as_list
-
-    cols = result.emit_columns
-    names = cols["names"]
-    return [
-        SourceEmit(time=time, root_id=root, source=names[source],
-                   replay_count=replay, from_backlog=bool(backlog))
-        for time, root, source, replay, backlog in zip(
-            _as_list(cols["time"]), _as_list(cols["root"]), _as_list(cols["source"]),
-            _as_list(cols["replay"]), _as_list(cols["backlog"]),
-        )
-    ]
-
-
-def _receipt_records_of(result: ShardResult) -> List:
-    """The shard's receipt records, materialized from its columns if necessary."""
-    if result.receipts or result.receipt_columns is None:
-        return result.receipts
-    from repro.metrics.log import SinkReceipt, _as_list
-
-    cols = result.receipt_columns
-    names = cols["names"]
-    return [
-        SinkReceipt(time=time, root_id=root, event_id=event, sink=names[sink],
-                    root_emitted_at=emitted, replay_count=replay)
-        for time, root, event, sink, emitted, replay in zip(
-            _as_list(cols["time"]), _as_list(cols["root"]), _as_list(cols["event"]),
-            _as_list(cols["sink"]), _as_list(cols["emitted"]), _as_list(cols["replay"]),
-        )
-    ]
-
-
-def _merge_shard_results_python(results: Sequence[ShardResult]):
-    """Per-record heap interleave (fallback when numpy is unavailable).
-
-    Shard results recorded columnar-side (``emit_columns``/``receipt_columns``)
-    are materialized back into record objects first, so this path accepts the
-    same inputs as the array merge.
-    """
     from repro.metrics.log import EventLog
     from repro.sim.kernel import Simulator
 
     log = EventLog(Simulator())
-    ordered = sorted(results, key=lambda result: result.index)
-
-    def _emits(result: ShardResult, offset: int):
-        return ((emit.time, emit.root_id + offset, emit)
-                for emit in _emit_records_of(result))
-
-    def _receipts(result: ShardResult, offset: int):
-        return (
-            (receipt.time, receipt.event_id + offset, receipt.root_id + offset, receipt)
-            for receipt in _receipt_records_of(result)
-        )
-
-    emit_streams = [_emits(r, r.index * SHARD_ID_STRIDE) for r in ordered]
-    receipt_streams = [_receipts(r, r.index * SHARD_ID_STRIDE) for r in ordered]
-
-    for time, root_id, emit in heapq.merge(*emit_streams, key=lambda item: item[:2]):
-        log.record_source_emit(
-            root_id=root_id,
-            source=emit.source,
-            replay_count=emit.replay_count,
-            from_backlog=emit.from_backlog,
-            at_time=time,
-        )
-    for time, event_id, root_id, receipt in heapq.merge(
-        *receipt_streams, key=lambda item: item[:2]
-    ):
-        log.record_sink_receipt(
-            root_id=root_id,
-            event_id=event_id,
-            sink=receipt.sink,
-            root_emitted_at=receipt.root_emitted_at,
-            replay_count=receipt.replay_count,
-            at_time=time,
-        )
+    # The log's own (empty) columns lead each stream: they carry the dtypes,
+    # so a merge of no rows still yields well-typed arrays.
+    emit_parts = [(0, log.emit_columns())]
+    receipt_parts = [(0, log.receipt_columns())]
+    for result in sorted(results, key=lambda result: result.index):
+        offset = result.index * SHARD_ID_STRIDE
+        if result.emit_columns is not None:
+            emit_parts.append((offset, result.emit_columns))
+        if result.receipt_columns is not None:
+            receipt_parts.append((offset, result.receipt_columns))
+    log.extend_columns(
+        _merged_columns(emit_parts, name_key="source", id_keys=("root",)),
+        # Receipts order by (time, namespaced event id).
+        _merged_columns(receipt_parts, name_key="sink", id_keys=("event", "root")),
+    )
     return log
+
+
+def _merged_columns(parts, name_key: str, id_keys) -> Dict[str, Any]:
+    """Concatenate per-shard column sets into one, sorted by ``(time, id_keys[0])``.
+
+    ``parts`` pairs each set with its shard's id offset, added to every
+    ``id_keys`` column.  The name tables are concatenated too (the log
+    interns them, duplicates and all), each set's ``name_key`` codes shifted
+    to where its table starts.
+    """
+    names: List[str] = []
+    pieces: Dict[str, List] = {}
+    for offset, columns in parts:
+        for key, values in columns.items():
+            if key == name_key:
+                values = _np.asarray(values, dtype=_np.int32) + len(names)
+            elif key in id_keys:
+                values = _np.asarray(values, dtype=_np.int64) + offset
+            if key != "names":
+                pieces.setdefault(key, []).append(values)
+        names.extend(columns["names"])
+    merged = {key: _np.concatenate(arrays) for key, arrays in pieces.items()}
+    # lexsort's last key is primary: order by time, then namespaced id.
+    order = _np.lexsort((merged[id_keys[0]], merged["time"]))
+    merged = {key: values[order] for key, values in merged.items()}
+    merged["names"] = names
+    return merged
 
 
 def merge_monitor_samples(sample_lists: Sequence[Sequence]) -> List:
@@ -476,41 +295,29 @@ def log_digest(log) -> str:
 
     Floats are rendered with ``repr`` (shortest round-trip form), so two logs
     share a digest iff every record field is bit-identical — the check behind
-    the "N workers == 1 worker" acceptance criterion.  Columnar logs are
-    hashed straight from their columns (``tolist`` yields the same native
-    floats/ints the records would carry), skipping row materialization.
+    the "N workers == 1 worker" acceptance criterion.  The lines
+    (``E time root source replay backlog`` / ``R time root event sink emitted
+    replay``) are formatted straight from the columns: ``tolist`` yields the
+    native floats/ints the records carry, skipping row materialization.
     """
     hasher = hashlib.sha256()
-    emit_columns = getattr(log, "emit_columns", None)
-    if callable(emit_columns):
-        cols = emit_columns()
-        names = cols["names"]
-        for time, root, code, replay, backlog in zip(
-            cols["time"].tolist(), cols["root"].tolist(), cols["source"].tolist(),
-            cols["replay"].tolist(), cols["backlog"].tolist(),
-        ):
-            hasher.update(
-                f"E {time!r} {root} {names[code]} {replay} {int(backlog)}\n".encode("utf-8")
-            )
-        cols = log.receipt_columns()
-        names = cols["names"]
-        for time, root, event, code, emitted, replay in zip(
-            cols["time"].tolist(), cols["root"].tolist(), cols["event"].tolist(),
-            cols["sink"].tolist(), cols["emitted"].tolist(), cols["replay"].tolist(),
-        ):
-            hasher.update(
-                f"R {time!r} {root} {event} {names[code]} "
-                f"{emitted!r} {replay}\n".encode("utf-8")
-            )
-        return hasher.hexdigest()
-    for emit in log.source_emits:
+    cols = log.emit_columns()
+    names = cols["names"]
+    for time, root, code, replay, backlog in zip(
+        cols["time"].tolist(), cols["root"].tolist(), cols["source"].tolist(),
+        cols["replay"].tolist(), cols["backlog"].tolist(),
+    ):
         hasher.update(
-            f"E {emit.time!r} {emit.root_id} {emit.source} "
-            f"{emit.replay_count} {int(emit.from_backlog)}\n".encode("utf-8")
+            f"E {time!r} {root} {names[code]} {replay} {int(backlog)}\n".encode("utf-8")
         )
-    for receipt in log.sink_receipts:
+    cols = log.receipt_columns()
+    names = cols["names"]
+    for time, root, event, code, emitted, replay in zip(
+        cols["time"].tolist(), cols["root"].tolist(), cols["event"].tolist(),
+        cols["sink"].tolist(), cols["emitted"].tolist(), cols["replay"].tolist(),
+    ):
         hasher.update(
-            f"R {receipt.time!r} {receipt.root_id} {receipt.event_id} {receipt.sink} "
-            f"{receipt.root_emitted_at!r} {receipt.replay_count}\n".encode("utf-8")
+            f"R {time!r} {root} {event} {names[code]} "
+            f"{emitted!r} {replay}\n".encode("utf-8")
         )
     return hasher.hexdigest()

@@ -7,6 +7,10 @@ exercising the same code paths as the full paper experiments.
 
 from __future__ import annotations
 
+import inspect
+import textwrap
+from contextlib import contextmanager
+
 import pytest
 
 from repro.cluster.cloud import CloudProvider, Cluster
@@ -129,3 +133,22 @@ def fanout_df() -> Dataflow:
 def deployed_runtime() -> TopologyRuntime:
     """A deployed (not started) runtime for the tiny dataflow under DCR config."""
     return make_runtime()
+
+
+def mutant(cls, method, old, new):
+    """``cls.method`` recompiled after a seeded text replacement."""
+    source = textwrap.dedent(inspect.getsource(getattr(cls, method)))
+    assert old in source, f"mutation site {old!r} is gone from {cls.__name__}.{method}"
+    namespace = dict(vars(inspect.getmodule(cls)))
+    exec(compile(source.replace(old, new), f"<mutant {method}>", "exec"), namespace)
+    return namespace[method]
+
+
+@contextmanager
+def patched(cls, method, function):
+    original = getattr(cls, method)
+    setattr(cls, method, function)
+    try:
+        yield
+    finally:
+        setattr(cls, method, original)

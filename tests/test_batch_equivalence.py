@@ -205,16 +205,14 @@ class TestElasticEquivalence:
 # ----------------------------------------------------------- RNG block draws
 class TestKeyedValueBlock:
     def test_bit_identical_to_scalar_draws(self):
-        np = pytest.importorskip("numpy")
         for seed in (0, 1, 2018, (1 << 64) - 1, 0x9E3779B97F4A7C15):
             for start, count in ((0, 1), (0, 17), (5, 64), (123456789, 7)):
-                block = keyed_value_block(seed, start, count, np)
+                block = keyed_value_block(seed, start, count)
                 scalars = [keyed_value(seed, start + i) for i in range(count)]
                 assert block.tolist() == scalars
 
     def test_values_in_unit_interval(self):
-        np = pytest.importorskip("numpy")
-        block = keyed_value_block(42, 0, 1000, np)
+        block = keyed_value_block(42, 0, 1000)
         assert float(block.min()) >= 0.0
         assert float(block.max()) < 1.0
 

@@ -1,20 +1,18 @@
-"""Columnar EventLog specifics: bulk appends, lazy views, interning.
+"""EventLog storage specifics: bulk appends, lazy views, interning.
 
-The bit-compatibility of the columnar backend against the classic one is
-pinned by ``tests/test_log_equivalence.py``; these tests cover the columnar
-surface directly — the ``extend_*`` bulk-append API both backends share, the
-lazy row/time views (bounds, slices, equality, iteration types) and the
-derived state kept in sync across bulk and scalar appends.
+The log's answers are pinned to naive reference scans by
+``tests/test_log_equivalence.py``; these tests cover the column store's own
+surface — the ``extend_*`` bulk-append API and what it refuses, the lazy
+row/time views (bounds, slices, equality, iteration types) and the derived
+state kept in sync across bulk and scalar appends.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.metrics.log import HAVE_COLUMNAR, ColumnarEventLog, EventLog
+from repro.metrics.log import EventLog
 from repro.sim.shard import log_digest
-
-pytestmark = pytest.mark.skipif(not HAVE_COLUMNAR, reason="numpy unavailable")
 
 
 class _Clock:
@@ -22,10 +20,10 @@ class _Clock:
         self.now = 0.0
 
 
-def _scalar_filled(log_cls):
+def _scalar_filled():
     """Reference log filled one record at a time through the scalar API."""
     clock = _Clock()
-    log = log_cls(clock)
+    log = EventLog(clock)
     for i in range(8):
         clock.now = 1.0 + i * 0.5
         log.record_source_emit(root_id=100 + i, source="src", replay_count=1 if i == 3 else 0)
@@ -39,10 +37,10 @@ def _scalar_filled(log_cls):
     return log
 
 
-def _bulk_filled(log_cls):
+def _bulk_filled():
     """The same records appended through the bulk extend_* API."""
     clock = _Clock()
-    log = log_cls(clock)
+    log = EventLog(clock)
     emit_times = [1.0 + i * 0.5 for i in range(8)]
     roots = [100 + i for i in range(8)]
     log.extend_emits(emit_times[:3], roots[:3], "src")
@@ -63,34 +61,63 @@ def _bulk_filled(log_cls):
     return log
 
 
-@pytest.mark.parametrize("log_cls", [EventLog, ColumnarEventLog])
-def test_bulk_extend_matches_scalar_records(log_cls):
-    scalar = _scalar_filled(log_cls)
-    bulk = _bulk_filled(log_cls)
+def test_bulk_extend_matches_scalar_records():
+    scalar = _scalar_filled()
+    bulk = _bulk_filled()
     assert log_digest(bulk) == log_digest(scalar)
     assert list(bulk.source_emits) == list(scalar.source_emits)
     assert list(bulk.sink_receipts) == list(scalar.sink_receipts)
     assert bulk.replay_emits == scalar.replay_emits == 1
 
 
-def test_backends_agree_on_bulk_fill():
-    assert log_digest(_bulk_filled(ColumnarEventLog)) == log_digest(_bulk_filled(EventLog))
-
-
-@pytest.mark.parametrize("log_cls", [EventLog, ColumnarEventLog])
 class TestBulkAppendOrder:
-    """Out-of-order blocks are refused whole: the time indexes stay sorted."""
+    """Out-of-order and ragged blocks are refused whole: the time indexes
+    stay sorted and no row reads uninitialized buffer."""
 
-    def test_block_must_be_sorted(self, log_cls):
-        log = log_cls(_Clock())
-        with pytest.raises(ValueError, match="non-decreasing"):
-            log.extend_emits([1.0, 3.0, 2.0], [1, 2, 3], "src")
-        with pytest.raises(ValueError, match="non-decreasing"):
-            log.extend_receipts([5.0, 4.0], [1, 2], [10, 11], "sink", [1.0, 3.0])
+    def test_block_must_be_sorted(self):
+        log = EventLog(_Clock())
+        nan = float("nan")
+        for method, args, message in [
+            ("extend_emits", ([1.0, 3.0, 2.0], [1, 2, 3], "src"), "non-decreasing"),
+            ("extend_receipts", ([5.0, 4.0], [1, 2], [10, 11], "sink", [1.0, 3.0]), "non-decreasing"),
+            # NaN compares false with everything: "nothing decreases" is not enough.
+            ("extend_emits", ([1.0, nan, 0.5], [1, 2, 3], "src"), "non-decreasing"),
+            ("extend_emits", ([nan], [1], "src"), "non-decreasing"),
+            ("extend_receipts", ([1.0, nan], [1, 2], [10, 11], "sink", [0.0, 0.0]), "non-decreasing"),
+            # A column shorter than the times would leave np.empty garbage in its rows.
+            ("extend_emits", ([1.0, 2.0, 3.0], [7], "src"), "equally long"),
+            ("extend_receipts", ([1.0, 2.0], [1, 2], [10], "sink", [0.0, 0.0]), "equally long"),
+            ("extend_receipts", ([1.0, 2.0], [1, 2], [10, 11], "sink", [0.0]), "equally long"),
+            ("extend_receipts", ([1.0, 2.0], [1, 2], [10, 11], ["a", "b"], [0.0, 0.0], 0, [0]),
+             "equally long"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                getattr(log, method)(*args)
         assert len(log.source_emits) == len(log.sink_receipts) == 0
 
-    def test_block_must_start_at_or_after_the_last_record(self, log_cls):
-        log = log_cls(_Clock())
+    def test_column_sets_are_checked_like_blocks(self):
+        filled = _bulk_filled()
+        emits, receipts = filled.emit_columns(), filled.receipt_columns()
+        for bad_emits, bad_receipts in [
+            ({**emits, "time": emits["time"][::-1]}, receipts),
+            ({**emits, "time": [float("nan")] * len(emits["time"])}, receipts),
+            ({**emits, "root": emits["root"][:-1]}, receipts),
+            (emits, {**receipts, "time": receipts["time"][::-1]}),
+            (emits, {**receipts, "emitted": receipts["emitted"][:1]}),
+        ]:
+            log = EventLog(_Clock())
+            with pytest.raises(ValueError, match="non-decreasing|equally long"):
+                log.extend_columns(bad_emits, bad_receipts)
+            assert len(log.sink_receipts) == 0
+        log = EventLog(_Clock())
+        log.extend_columns(emits, receipts)
+        assert log_digest(log) == log_digest(filled)
+        assert log.replay_emits == filled.replay_emits == 1
+        with pytest.raises(ValueError, match="last recorded emit"):
+            log.extend_columns(emits, receipts)
+
+    def test_block_must_start_at_or_after_the_last_record(self):
+        log = EventLog(_Clock())
         log.record_source_emit(root_id=1, source="src", at_time=2.0)
         log.extend_receipts([2.0, 2.0], [1, 1], [10, 11], "sink", [2.0, 2.0])
         with pytest.raises(ValueError, match="last recorded emit"):
@@ -108,7 +135,7 @@ class TestBulkAppendOrder:
 class TestViews:
     @pytest.fixture()
     def log(self):
-        return _bulk_filled(ColumnarEventLog)
+        return _bulk_filled()
 
     def test_time_views_yield_python_floats(self, log):
         assert all(type(t) is float for t in log.emit_times)
@@ -148,7 +175,7 @@ class TestViews:
 class TestLazyDerivedState:
     def test_first_emit_keeps_earliest_on_replay(self):
         clock = _Clock()
-        log = ColumnarEventLog(clock)
+        log = EventLog(clock)
         clock.now = 1.0
         log.record_source_emit(root_id=7, source="src")
         # Query forces the lazy map to sync; later appends must re-sync.
@@ -161,7 +188,7 @@ class TestLazyDerivedState:
 
     def test_distinct_roots_syncs_across_bulk_appends(self):
         clock = _Clock()
-        log = ColumnarEventLog(clock)
+        log = EventLog(clock)
         log.extend_receipts([1.0, 2.0], [1, 2], [10, 11], "sink", [0.5, 0.5])
         assert log.distinct_roots_received() == 2
         log.extend_receipts([3.0], [1], [12], "sink", [0.5])

@@ -105,3 +105,18 @@ class TestValidation:
 
     def test_sink_batch_flag_is_gone(self):
         assert not hasattr(RuntimeConfig(), "sink_batch_max")
+
+    def test_unknown_fields_cannot_be_assigned(self):
+        # The configs are set by attribute assignment everywhere; a misspelt
+        # or removed flag must fail, not silently configure nothing.
+        import dataclasses
+
+        for config in (RuntimeConfig.for_dsm(seed=4), ReliabilityConfig(), TimingConfig()):
+            with pytest.raises(AttributeError):
+                config.columnar_log = False
+            with pytest.raises(AttributeError):
+                config.batch_steping = True
+            assert dataclasses.replace(config) == config
+        config = RuntimeConfig.for_dsm(seed=4)
+        config.batch_stepping = True
+        assert config.copy() == config

@@ -144,38 +144,3 @@ class TestParallelMatrix:
         series = figure7_series(matrix, dag="linear", scaling="in", bin_s=2.0)
         assert matrix._cache  # the non-default bin size needed the real log
         assert series["ccr"]["input"]
-
-
-class TestColumnarDefaultFigures:
-    """``columnar_log`` defaults on; the committed figure matrix must not move.
-
-    A figure cell run on the columnar backend and one forced onto the classic
-    row store (the one-flag fallback, ``columnar_log=False``) must produce
-    identical log digests and identical figure numbers — the guarantee that
-    flipping the default left every committed ``results/fig*.txt`` byte-
-    identical.
-    """
-
-    def test_figure_cell_digest_identical_across_log_backends(self, monkeypatch):
-        pytest.importorskip("numpy")
-        from repro.engine.config import RuntimeConfig
-        from repro.experiments.scenarios import run_migration_experiment
-        from repro.sim.shard import log_digest
-
-        columnar = run_migration_experiment(dag="linear", strategy="dsm", scaling="in")
-        assert type(columnar.runtime.log).__name__ == "ColumnarEventLog"
-
-        original = RuntimeConfig.for_dsm.__func__
-
-        def classic_for_dsm(cls, seed=2018):
-            config = original(cls, seed=seed)
-            config.columnar_log = False  # the one-flag classic fallback
-            return config
-
-        monkeypatch.setattr(RuntimeConfig, "for_dsm", classmethod(classic_for_dsm))
-        classic = run_migration_experiment(dag="linear", strategy="dsm", scaling="in")
-        assert type(classic.runtime.log).__name__ == "EventLog"
-
-        assert log_digest(classic.log) == log_digest(columnar.log)
-        assert (classic.metrics.replayed_message_count
-                == columnar.metrics.replayed_message_count)

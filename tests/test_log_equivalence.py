@@ -1,30 +1,29 @@
-"""Equivalence tests for the EventLog backends and single-pass timelines.
+"""Equivalence tests for the EventLog and the single-pass timelines.
 
-The fast-path overhaul replaced the EventLog's linear scans with binary
-searches over parallel monotone time arrays, and gave the timelines a
-single-pass binning path; the columnar overhaul then moved the whole record
-store into numpy arrays behind the same query API.  These tests pin both
-backends to naive reference implementations (the seed's original list
-comprehensions) and to each other on
+The log answers every query from numpy columns (binary-searched windows, lazy
+row views, cached per-root arrays).  These tests pin it to naive reference
+implementations -- the seed's original list comprehensions, which scan plain
+record lists and know nothing of the indexes -- on
 
 * a recorded Grid steady-state run,
 * a recorded closed-loop elastic run (migrations, replays, kills),
-* a sharded-run merge (both the heapq fallback and the lexsort array path),
-  and
+* a sharded-run merge,
 * synthetic logs exercising empty windows, exact-boundary windows and
   equal-time ties, and
 * hypothesis-generated logs (per-event and bulk appends interleaved with
   queries, replayed and never-emitted roots, ties across the cut), where the
-  columnar backend must answer every query exactly like the row store and its
-  lazy windows must behave like the lists the row store returns,
+  log must answer every query exactly like the naive scans over a record-list
+  reference filled with the same records, its lazy windows must behave like
+  the lists those scans return, and its :func:`~repro.sim.shard.log_digest`
+  must equal a digest formatted from the reference rows.
 
-asserting byte-identical results everywhere — including
-:func:`~repro.sim.shard.log_digest` equality between the classic and
-columnar backends for every recorded scenario.
+A fixed corpus of such logs must pass, and three seeded mutations of the log's
+index code must each fail it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -38,26 +37,17 @@ from repro.engine.runtime import TopologyRuntime
 from repro.experiments.elastic import run_elastic_experiment
 from repro.experiments.sharded import run_sharded_experiment
 from repro.metrics.log import (
-    HAVE_COLUMNAR,
-    ColumnarEventLog,
     EventLog,
+    SinkReceipt,
+    SourceEmit,
     mean_latency,
     replay_emits_since,
 )
 from repro.metrics.timeline import RatePoint, latency_timeline, rate_timeline
 from repro.sim import Simulator
-from repro.sim.shard import (
-    _merge_shard_results_columnar,
-    _merge_shard_results_python,
-    log_digest,
-)
+from repro.sim.shard import log_digest
 
-from tests.conftest import build_cluster, fast_config
-
-#: Log backends under test; the columnar one needs numpy.
-BACKENDS = ["classic"] + (["columnar"] if HAVE_COLUMNAR else [])
-
-needs_columnar = pytest.mark.skipif(not HAVE_COLUMNAR, reason="numpy unavailable")
+from tests.conftest import build_cluster, fast_config, mutant, patched
 
 
 # ----------------------------------------------------------- naive references
@@ -78,11 +68,19 @@ def naive_first_receipt_after(log, time):
     return min(candidates, key=lambda r: r.time) if candidates else None
 
 
+def naive_first_emit_times(log):
+    first = {}
+    for emit in log.source_emits:
+        first.setdefault(emit.root_id, emit.time)
+    return first
+
+
 def naive_last_old_receipt(log, migration_time):
+    first = naive_first_emit_times(log)
     old = [
         r
         for r in log.sink_receipts
-        if r.time >= migration_time and log.is_old_root(r.root_id, migration_time)
+        if r.time >= migration_time and first.get(r.root_id, math.inf) < migration_time
     ]
     return max(old, key=lambda r: r.time) if old else None
 
@@ -136,80 +134,33 @@ def naive_latency_timeline(log, start, end, window_s):
 
 
 # ------------------------------------------------------------------ fixtures
-def _grid_log(columnar: bool):
+@pytest.fixture(scope="module")
+def grid_log_columnar():
     """Event log of a 60 s Grid steady-state run (no migrations)."""
-    # Root/event ids are process-global; restart them so the classic and
-    # columnar runs see identical id streams (digests hash the ids).
     reset_event_ids()
     sim = Simulator()
     cluster = build_cluster(sim, worker_vms=11)
-    config = fast_config("dcr")
-    config.columnar_log = columnar
-    runtime = TopologyRuntime(topologies.grid(), cluster, sim=sim, config=config)
+    runtime = TopologyRuntime(topologies.grid(), cluster, sim=sim, config=fast_config("dcr"))
     runtime.deploy()
     runtime.start()
     sim.run(until=60.0)
     return runtime.log
 
 
-def _elastic_log(columnar: bool):
-    """Event log of a closed-loop elastic run (migration, kills, replays).
-
-    The config is passed explicitly so the classic and columnar runs differ
-    in nothing but the log backend.
-    """
-    config = strategy_by_name("dsm").runtime_config(seed=11)
-    config.columnar_log = columnar
-    result = run_elastic_experiment(
-        dag="traffic", strategy="dsm", profile="surge", duration_s=300.0,
-        seed=11, config=config,
-    )
-    return result.log
-
-
-@pytest.fixture(scope="module")
-def shard_results():
-    """Per-shard results of one sharded Grid run, merged by both paths below."""
-    return run_sharded_experiment(dag="grid", shards=3, duration_s=10.0,
-                                  seed=2018, workers=1).results
-
-
-@pytest.fixture(scope="module")
-def grid_log():
-    return _grid_log(columnar=False)
-
-
-@pytest.fixture(scope="module")
-def grid_log_columnar():
-    if not HAVE_COLUMNAR:
-        pytest.skip("numpy unavailable")
-    return _grid_log(columnar=True)
-
-
-@pytest.fixture(scope="module")
-def elastic_log():
-    return _elastic_log(columnar=False)
-
-
 @pytest.fixture(scope="module")
 def elastic_log_columnar():
-    if not HAVE_COLUMNAR:
-        pytest.skip("numpy unavailable")
-    return _elastic_log(columnar=True)
+    """Event log of a closed-loop elastic run (migration, kills, replays)."""
+    return run_elastic_experiment(
+        dag="traffic", strategy="dsm", profile="surge", duration_s=300.0,
+        seed=11, config=strategy_by_name("dsm").runtime_config(seed=11),
+    ).log
 
 
 @pytest.fixture(scope="module")
-def merged_log(shard_results):
-    """Sharded-run merge through the per-record heapq fallback."""
-    return _merge_shard_results_python(shard_results)
-
-
-@pytest.fixture(scope="module")
-def merged_log_columnar(shard_results):
-    """The same merge through the lexsort array path."""
-    if not HAVE_COLUMNAR:
-        pytest.skip("numpy unavailable")
-    return _merge_shard_results_columnar(shard_results)
+def merged_log_columnar():
+    """Merged log of one sharded Grid run."""
+    return run_sharded_experiment(dag="grid", shards=3, duration_s=10.0,
+                                  seed=2018, workers=1).log
 
 
 def interesting_times(log):
@@ -224,11 +175,7 @@ def interesting_times(log):
     return times
 
 
-LOG_FIXTURES = [
-    "grid_log", "grid_log_columnar",
-    "elastic_log", "elastic_log_columnar",
-    "merged_log", "merged_log_columnar",
-]
+LOG_FIXTURES = ["grid_log_columnar", "elastic_log_columnar", "merged_log_columnar"]
 
 
 # ---------------------------------------------------------------- log queries
@@ -307,52 +254,17 @@ class TestTimelinesMatchNaive:
                 naive_latency_timeline(log, start, end, window_s)
 
 
-# ------------------------------------------- classic vs columnar byte identity
-@needs_columnar
-class TestBackendByteIdentity:
-    """The columnar backend must be indistinguishable from the classic one.
-
-    ``log_digest`` hashes every record field with ``repr`` semantics, so
-    digest equality is byte-level equivalence of the full record streams.
-    """
-
-    def test_grid_digest(self, grid_log, grid_log_columnar):
-        assert log_digest(grid_log_columnar) == log_digest(grid_log)
-
-    def test_elastic_digest(self, elastic_log, elastic_log_columnar):
-        assert log_digest(elastic_log_columnar) == log_digest(elastic_log)
-
-    def test_sharded_merge_digest(self, merged_log, merged_log_columnar):
-        assert log_digest(merged_log_columnar) == log_digest(merged_log)
-
-    def test_grid_records_compare_equal(self, grid_log, grid_log_columnar):
-        assert list(grid_log_columnar.source_emits) == list(grid_log.source_emits)
-        assert list(grid_log_columnar.sink_receipts) == list(grid_log.sink_receipts)
-        assert grid_log_columnar.emit_times == grid_log.emit_times
-        assert grid_log_columnar.receipt_times == grid_log.receipt_times
-
-    def test_elastic_counters_match(self, elastic_log, elastic_log_columnar):
-        assert elastic_log_columnar.replay_emits == elastic_log.replay_emits
-        assert elastic_log_columnar.distinct_roots_received() == \
-            elastic_log.distinct_roots_received()
-
-
 # ----------------------------------------------------------- synthetic ties
 class _Clock:
     def __init__(self) -> None:
         self.now = 0.0
 
 
-def _make_log(backend: str, clock) -> EventLog:
-    if backend == "columnar":
-        return ColumnarEventLog(clock)  # type: ignore[arg-type]
-    return EventLog(clock)  # type: ignore[arg-type]
-
-
-def _tie_log(backend: str):
-    """Three roots emitted before t=10, received in tied clusters after it."""
+def test_tie_times_and_boundaries_synthetic():
+    """Equal-time records and exact-boundary queries match the naive scans."""
+    # Three roots emitted before t=10, received in tied clusters after it.
     clock = _Clock()
-    log = _make_log(backend, clock)
+    log = EventLog(clock)  # type: ignore[arg-type]
     for root in (1, 2, 3):
         clock.now = float(root)
         log.record_source_emit(root_id=root, source="source")
@@ -361,13 +273,6 @@ def _tie_log(backend: str):
         log.record_sink_receipt(root_id=root, event_id=root * 100 + int(now), sink="sink",
                                 root_emitted_at=float(root), replay_count=replay)
     clock.now = 15.0
-    return log
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_tie_times_and_boundaries_synthetic(backend):
-    """Equal-time records and exact-boundary queries match the naive scans."""
-    log = _tie_log(backend)
     for t in (0.0, 1.0, 9.999, 10.0, 10.0000001, 12.0, 15.0, 20.0):
         assert log.receipts_after(t) == naive_receipts_after(log, t)
         assert log.first_receipt_after(t) == naive_first_receipt_after(log, t)
@@ -377,16 +282,9 @@ def test_tie_times_and_boundaries_synthetic(backend):
     assert log.distinct_roots_received() == naive_distinct_roots_received(log)
 
 
-@needs_columnar
-def test_tie_log_digests_identical():
-    """Tied/boundary timestamps hash identically across backends."""
-    assert log_digest(_tie_log("columnar")) == log_digest(_tie_log("classic"))
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_empty_log_queries(backend):
+def test_empty_log_queries():
     """All queries behave on a freshly created, empty log."""
-    log = _make_log(backend, _Clock())
+    log = EventLog(_Clock())  # type: ignore[arg-type]
     assert log.receipts_after(0.0) == []
     assert log.receipts_between(0.0, 100.0) == []
     assert log.emits_between(0.0, 100.0) == []
@@ -399,6 +297,51 @@ def test_empty_log_queries(backend):
 
 
 # ------------------------------------------------- generated logs (hypothesis)
+class _ReferenceRows:
+    """The log as two plain record lists: appends only, no index, no numpy.
+
+    The naive scans above read these; the log under test, filled with the
+    same records, must answer every query as they do.
+    """
+
+    def __init__(self) -> None:
+        self.source_emits = []
+        self.sink_receipts = []
+
+    def record_source_emit(self, root_id, source, replay_count=0, from_backlog=False, at_time=None):
+        self.source_emits.append(SourceEmit(at_time, root_id, source, replay_count, from_backlog))
+
+    def record_sink_receipt(self, root_id, event_id, sink, root_emitted_at, replay_count,
+                            at_time=None):
+        self.sink_receipts.append(
+            SinkReceipt(at_time, root_id, event_id, sink, root_emitted_at, replay_count)
+        )
+
+    def extend_emits(self, times, root_ids, source, replay_count=0, from_backlog=False):
+        for time, root_id in zip(times, root_ids):
+            self.record_source_emit(root_id, source, replay_count, from_backlog, at_time=time)
+
+    def extend_receipts(self, times, root_ids, event_ids, sinks, root_emitted_ats,
+                        replay_count=0, sink_indices=None):
+        names = [sinks] * len(times) if sink_indices is None else [sinks[i] for i in sink_indices]
+        for time, root_id, event_id, sink, emitted in zip(
+            times, root_ids, event_ids, names, root_emitted_ats
+        ):
+            self.record_sink_receipt(root_id, event_id, sink, emitted, replay_count, at_time=time)
+
+
+def naive_digest(rows):
+    """``log_digest`` of the reference rows, in its documented line format."""
+    hasher = hashlib.sha256()
+    for e in rows.source_emits:
+        hasher.update(f"E {e.time!r} {e.root_id} {e.source} {e.replay_count} "
+                      f"{int(e.from_backlog)}\n".encode("utf-8"))
+    for r in rows.sink_receipts:
+        hasher.update(f"R {r.time!r} {r.root_id} {r.event_id} {r.sink} "
+                      f"{r.root_emitted_at!r} {r.replay_count}\n".encode("utf-8"))
+    return hasher.hexdigest()
+
+
 #: Time steps on a half-second grid, so equal-time ties (within a stream and
 #: across the query cut) are common.
 _STEP = st.sampled_from([0.0, 0.0, 0.5, 1.0])
@@ -425,7 +368,7 @@ _OPS = st.lists(
 
 
 def _assert_list_semantics(window, reference):
-    """A lazy window is indistinguishable from the list the row store returns."""
+    """A lazy window is indistinguishable from the list a naive scan returns."""
     n = len(reference)
     assert len(window) == n
     assert bool(window) == bool(reference)
@@ -445,47 +388,48 @@ def _assert_list_semantics(window, reference):
             window[index]
 
 
-def _assert_same_answers(columnar, rows, time, width):
+def _assert_same_answers(log, rows, time, width):
     for got, expected in (
-        (columnar.receipts_after(time), rows.receipts_after(time)),
-        (columnar.receipts_between(time, time + width), rows.receipts_between(time, time + width)),
-        (columnar.emits_between(time, time + width), rows.emits_between(time, time + width)),
-        (columnar.receipts_between(time + width, time), []),  # inverted (or empty)
-        (columnar.sink_receipts, rows.sink_receipts),
-        (columnar.source_emits, rows.source_emits),
+        (log.receipts_after(time), naive_receipts_after(rows, time)),
+        (log.receipts_between(time, time + width), naive_receipts_between(rows, time, time + width)),
+        (log.emits_between(time, time + width), naive_emits_between(rows, time, time + width)),
+        (log.receipts_between(time + width, time), []),  # inverted (or empty)
+        (log.sink_receipts, rows.sink_receipts),
+        (log.source_emits, rows.source_emits),
     ):
         _assert_list_semantics(got, expected)
-    assert columnar.first_receipt_after(time) == rows.first_receipt_after(time)
-    assert columnar.last_old_receipt(time) == rows.last_old_receipt(time) \
-        == naive_last_old_receipt(rows, time)
-    assert columnar.last_replay_receipt(time) == rows.last_replay_receipt(time) \
-        == naive_last_replay_receipt(rows, time)
-    assert columnar.distinct_roots_received() == rows.distinct_roots_received() \
-        == naive_distinct_roots_received(rows)
+    assert log.first_receipt_after(time) == naive_first_receipt_after(rows, time)
+    assert log.last_old_receipt(time) == naive_last_old_receipt(rows, time)
+    assert log.last_replay_receipt(time) == naive_last_replay_receipt(rows, time)
+    assert log.distinct_roots_received() == naive_distinct_roots_received(rows)
+    first_emit = naive_first_emit_times(rows)
     for root in (0, 3, 7, 9, 100, 1002, -1):
-        assert columnar.root_first_emit_time(root) == rows.root_first_emit_time(root)
-        assert columnar.is_old_root(root, time) == rows.is_old_root(root, time)
-    assert columnar.summary() == rows.summary()
-    assert replay_emits_since(columnar, time) == replay_emits_since(rows, time)
+        assert log.root_first_emit_time(root) == first_emit.get(root)
+        assert log.is_old_root(root, time) == (first_emit.get(root, math.inf) < time)
+    replays = [emit.time for emit in rows.source_emits if emit.replay_count > 0]
+    assert log.summary() == {
+        "source_emits": len(rows.source_emits),
+        "replay_emits": len(replays),
+        "sink_receipts": len(rows.sink_receipts),
+        "distinct_roots_received": naive_distinct_roots_received(rows),
+        "drops": 0, "kills": 0, "events_lost_in_kills": 0,
+    }
+    assert replay_emits_since(log, time) == sum(1 for t in replays if t >= time)
     # Bit-equal, not approximately equal: the mean is a sequential sum on both.
-    assert mean_latency(columnar.receipts_after(time)) == mean_latency(rows.receipts_after(time))
-    assert mean_latency(columnar.sink_receipts, start=2, empty=-1.0) \
+    assert mean_latency(log.receipts_after(time)) == mean_latency(naive_receipts_after(rows, time))
+    assert mean_latency(log.sink_receipts, start=2, empty=-1.0) \
         == mean_latency(rows.sink_receipts, start=2, empty=-1.0)
-    assert columnar.emit_times == rows.emit_times
-    assert columnar.receipt_times == rows.receipt_times
+    assert log.emit_times == [emit.time for emit in rows.source_emits]
+    assert log.receipt_times == [receipt.time for receipt in rows.sink_receipts]
 
 
-@needs_columnar
-@settings(max_examples=200, deadline=None)
-@given(ops=_OPS)
-def test_generated_logs_answer_alike_on_both_backends(ops):
-    """Every query agrees between the backends, at every point of the log's life.
+def check_ops(ops):
+    """Fill the log and the reference rows alike; compare at every query and at the end.
 
-    Queries run *between* appends, so the columnar backend's cached per-root
-    arrays have to resync from their cursors, through per-event and bulk
-    appends alike.
+    Queries run *between* appends, so the log's cached per-root arrays have
+    to resync from their cursors, through per-event and bulk appends alike.
     """
-    logs = [ColumnarEventLog(_Clock()), EventLog(_Clock())]
+    stores = (EventLog(_Clock()), _ReferenceRows())  # type: ignore[arg-type]
     emit_now = receipt_now = 0.0
     fresh_root = 100  # bulk emit cohorts carry first emissions only
     event_id = 0
@@ -493,8 +437,8 @@ def test_generated_logs_answer_alike_on_both_backends(ops):
         if op[0] == "emit":
             _, step, root, replay = op
             emit_now += step
-            for log in logs:
-                log.record_source_emit(root, "src", replay_count=replay, at_time=emit_now)
+            for store in stores:
+                store.record_source_emit(root, "src", replay_count=replay, at_time=emit_now)
         elif op[0] == "emits":
             times = []
             for step in op[1]:
@@ -502,15 +446,15 @@ def test_generated_logs_answer_alike_on_both_backends(ops):
                 times.append(emit_now)
             roots = list(range(fresh_root, fresh_root + len(times)))
             fresh_root += len(times)
-            for log in logs:
-                log.extend_emits(times, roots, "bulk_src")
+            for store in stores:
+                store.extend_emits(times, roots, "bulk_src")
         elif op[0] == "receipt":
             _, step, root, replay = op
             receipt_now += step
             event_id += 1
-            for log in logs:
-                log.record_sink_receipt(root, event_id, "sink_a", root * 0.25, replay,
-                                        at_time=receipt_now)
+            for store in stores:
+                store.record_sink_receipt(root, event_id, "sink_a", root * 0.25, replay,
+                                          at_time=receipt_now)
         elif op[0] == "receipts":
             _, records, replay = op
             times, roots, which = [], [], []
@@ -522,12 +466,58 @@ def test_generated_logs_answer_alike_on_both_backends(ops):
             events = list(range(event_id + 1, event_id + 1 + len(times)))
             event_id += len(times)
             emitted = [root * 0.25 for root in roots]
-            for log in logs:
-                log.extend_receipts(times, roots, events, ["sink_a", "sink_b"], emitted,
-                                    replay_count=replay, sink_indices=which)
+            for store in stores:
+                store.extend_receipts(times, roots, events, ["sink_a", "sink_b"], emitted,
+                                      replay_count=replay, sink_indices=which)
         else:
             _, time, width = op
-            _assert_same_answers(*logs, time, width)
+            _assert_same_answers(*stores, time, width)
     for time in (-1.0, 0.0, receipt_now / 2, receipt_now, receipt_now + 5.0):
-        _assert_same_answers(*logs, time, 1.0)
-    assert log_digest(logs[0]) == log_digest(logs[1])
+        _assert_same_answers(*stores, time, 1.0)
+    assert log_digest(stores[0]) == naive_digest(stores[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_OPS)
+def test_generated_logs_answer_alike_on_both_backends(ops):
+    """Every query agrees between the log and the naive scans over the
+    reference rows, at every point of the log's life."""
+    check_ops(ops)
+
+
+# ------------------------------------------------------------------- corpus
+#: Root 3 is emitted at 0.5 and replayed at 2.0; receipts tie at 1.0 (queried
+#: exactly) and at 2.0, where two replayed receipts share the latest time.
+_CORPUS = [
+    [("emit", 0.5, 3, 0), ("emit", 0.5, 7, 0), ("query", 1.0, 0.5), ("emit", 1.0, 3, 1),
+     ("receipt", 1.0, 3, 0), ("receipt", 0.0, 7, 0), ("receipts", [(0.0, 9, 1), (1.0, 3, 0)], 0),
+     ("query", 1.0, 1.0), ("receipt", 0.0, 7, 1), ("receipt", 0.0, 3, 2), ("query", 2.0, 3.0)],
+    [("emits", [0.5, 0.0, 1.0]), ("receipts", [(1.0, 100, 0), (0.0, 101, 1), (0.5, 102, 0)], 1),
+     ("query", 1.0, 0.5), ("emit", 0.0, 100, 1), ("receipt", 0.0, 100, 1), ("query", 1.5, 0.0)],
+]
+
+
+def test_the_corpus_passes_and_seeded_mutations_fail_it():
+    def corpus():
+        for ops in _CORPUS:
+            check_ops(ops)
+
+    corpus()
+
+    # A window opens after the records at its start time instead of at them.
+    late = mutant(EventLog, "_receipt_index", 'side="left"', 'side="right"')
+    with patched(EventLog, "_receipt_index", late), pytest.raises(AssertionError):
+        corpus()
+
+    # A replayed root's first emission is forgotten for its latest one.
+    forgetful = mutant(EventLog, "_first_emits", "times[first]",
+                       "times[::-1][_np.unique(roots[::-1], return_index=True)[1]]")
+    with patched(EventLog, "_first_emits", forgetful), pytest.raises(AssertionError):
+        corpus()
+
+    # Among tied latest hits the last-recorded wins instead of the first.
+    last_of_ties = mutant(EventLog, "_last_hit_index",
+                          'int(hits[hits.searchsorted(tied_from - start, side="left")])',
+                          "int(hits[-1])")
+    with patched(EventLog, "_last_hit_index", last_of_ties), pytest.raises(AssertionError):
+        corpus()

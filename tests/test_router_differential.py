@@ -17,10 +17,6 @@ and without acking.
 
 from __future__ import annotations
 
-import inspect
-import textwrap
-from contextlib import contextmanager
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,7 +30,7 @@ from repro.engine.router import Router
 from repro.engine.runtime import TopologyRuntime
 from repro.sim import Simulator
 
-from tests.conftest import build_cluster, fast_config
+from tests.conftest import build_cluster, fast_config, mutant, patched
 
 
 # ---------------------------------------------------------------- reference
@@ -369,25 +365,6 @@ def _corpus():
         for acked in (False, True):
             for ops in (same_instant, carry_on, in_flight, deferred):
                 yield {"keyed": keyed, "acked": acked, "ops": ops}
-
-
-def mutant(cls, method, old, new):
-    """``cls.method`` recompiled after a seeded text replacement."""
-    source = textwrap.dedent(inspect.getsource(getattr(cls, method)))
-    assert old in source, f"mutation site {old!r} is gone from {cls.__name__}.{method}"
-    namespace = dict(vars(inspect.getmodule(cls)))
-    exec(compile(source.replace(old, new), f"<mutant {method}>", "exec"), namespace)
-    return namespace[method]
-
-
-@contextmanager
-def patched(cls, method, function):
-    original = getattr(cls, method)
-    setattr(cls, method, function)
-    try:
-        yield
-    finally:
-        setattr(cls, method, original)
 
 
 def test_the_corpus_passes_and_seeded_mutations_fail_it():

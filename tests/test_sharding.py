@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.metrics.log import SinkReceipt, SourceEmit
 from repro.sim.shard import (
     SHARD_ID_STRIDE,
     ShardResult,
@@ -86,20 +85,25 @@ class TestMergeDeterminism:
 
     @staticmethod
     def make_results():
-        def emit(time, root):
-            return SourceEmit(time=time, root_id=root, source="src", replay_count=0,
-                              from_backlog=False)
-
-        def receipt(time, root, event_id):
-            return SinkReceipt(time=time, root_id=root, event_id=event_id, sink="sink",
-                               root_emitted_at=time - 0.5, replay_count=0)
+        def shard(index, emits, receipts):
+            # (time, root) emits and (time, root, event id) receipts, as the
+            # columns a shard log ships.
+            emit_time, emit_root = zip(*emits)
+            time, root, event = zip(*receipts)
+            return ShardResult(
+                index=index,
+                emit_columns={"time": emit_time, "root": emit_root, "source": [0] * len(emits),
+                              "replay": [0] * len(emits), "backlog": [False] * len(emits),
+                              "names": ["src", "sink"]},
+                receipt_columns={"time": time, "root": root, "event": event,
+                                 "sink": [1] * len(receipts),
+                                 "emitted": [t - 0.5 for t in time],
+                                 "replay": [0] * len(receipts), "names": ["src", "sink"]},
+            )
 
         # Equal-time records across shards: ties must break on namespaced id.
-        shard0 = ShardResult(index=0, emits=[emit(1.0, 1), emit(2.0, 2)],
-                             receipts=[receipt(3.0, 1, 10), receipt(4.0, 2, 11)])
-        shard1 = ShardResult(index=1, emits=[emit(1.0, 1), emit(2.5, 2)],
-                             receipts=[receipt(3.0, 1, 10), receipt(5.0, 2, 11)])
-        return [shard0, shard1]
+        return [shard(0, [(1.0, 1), (2.0, 2)], [(3.0, 1, 10), (4.0, 2, 11)]),
+                shard(1, [(1.0, 1), (2.5, 2)], [(3.0, 1, 10), (5.0, 2, 11)])]
 
     def test_ids_are_namespaced_by_shard(self):
         log = merge_shard_results(self.make_results())
