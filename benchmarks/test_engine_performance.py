@@ -246,6 +246,56 @@ def test_grid_steady_state_batched_cost(benchmark, engine_bench_recorder):
     engine_bench_recorder("grid_steady_state_batched", benchmark, events=counts["events"])
 
 
+def _windowed_grid(batch_stepping: bool, windows: int = 40, step_s: float = 4.0) -> TopologyRuntime:
+    """The Grid at the paper's 8 ev/s, run in ``windows`` windows of ``step_s`` seconds."""
+    sim = Simulator()
+    config = fast_config("dcr")
+    config.keyed_network_jitter = True
+    config.batch_stepping = batch_stepping
+    runtime = TopologyRuntime(
+        topologies.grid(), build_cluster(sim, worker_vms=11), sim=sim, config=config
+    )
+    runtime.deploy()
+    runtime.start()
+    for _ in range(windows):
+        sim.run(until=sim.now + step_s)
+    return runtime
+
+
+def test_grid_windowed_paper_rate_cost(benchmark, engine_bench_recorder):
+    """160 s of the Grid at 8 ev/s in 40 windows of 4 s, under batch stepping.
+
+    The regime ``repro figure`` / ``repro elastic`` live in: every monitor
+    sample, controller tick and checkpoint interval cuts a cascade, so a
+    cascade holds a few dozen roots and its *fixed* cost decides whether the
+    stepper beats the per-event engine at all.  ``extra_info`` carries the
+    host cost per cascade and the classic keyed engine's time on the same
+    windows; the committed baseline entry is that classic time, so
+    ``speedup_vs_seed`` is the stepper-vs-classic ratio the default flip
+    depends on.
+    """
+    import time
+
+    counts = {}
+
+    def simulate():
+        runtime = _windowed_grid(batch_stepping=True)
+        counts["events"] = _simulated_events(runtime)
+        counts["cascades"] = runtime.batch_stepper.vector_cascades
+        return len(runtime.log.sink_receipts)
+
+    receipts = benchmark.pedantic(simulate, rounds=5, iterations=1, warmup_rounds=1)
+    assert receipts > 4_000 and counts["cascades"] >= 40
+    started = time.perf_counter()
+    assert len(_windowed_grid(batch_stepping=False).log.sink_receipts) == receipts
+    benchmark.extra_info["classic_s"] = time.perf_counter() - started
+    benchmark.extra_info["cascades"] = counts["cascades"]
+    stats = getattr(benchmark.stats, "stats", benchmark.stats) if benchmark.stats else None
+    if stats is not None:  # absent under --benchmark-disable
+        benchmark.extra_info["per_cascade_ms"] = 1e3 * stats.mean / counts["cascades"]
+    engine_bench_recorder("grid_windowed_paper_rate", benchmark, events=counts["events"])
+
+
 def test_grid_steady_state_columnar_cost(benchmark, engine_bench_recorder):
     """10 s of a 100x-rate Grid under batch stepping.
 

@@ -174,3 +174,6 @@ class DrainCheckpointRestore(MigrationStrategy):
             task.logic = logic
             if self.report is not None:
                 self.report.notes[f"logic_updated:{task_name}"] = self.runtime.sim.now
+        if self.runtime.batch_stepper is not None:
+            # Its compiled plan says whether a stretch may skip task.logic.
+            self.runtime.batch_stepper.drop_plan()

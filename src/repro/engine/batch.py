@@ -32,17 +32,25 @@ classic pop order entry for entry; the equivalence tests in
 ``tests/test_batch_equivalence.py`` pin both the logged streams and the
 executor counters.
 
+The vectorized tier (the default) sweeps the same stretch with array rounds
+instead of a heap: a :class:`_SweepPlan` compiled once per placement epoch
+groups the task instances into topological *levels*, and per level one service
+round (arrival merge and Lindley queues of all its instances) and one shipping
+round (keyed jitter, latency and FIFO bump of all its channels) run over
+arrays laid end to end -- the same float operations per entry in the same
+order as the per-event path, so times stay bit-identical and only the order
+event ids are drawn in differs.  It also adopts work already in flight, which
+is what lets it re-engage every window.  See :class:`_Sweep`.
+
 Batch stepping stays engaged when data acking is on.  The heap tier calls the
 real :class:`~repro.reliability.acker.AckerService` at exactly the classic
 code points (register at each emit pop, anchor at each route, ack at each
 completion pop), evaluates the real spout-pending throttle per tick, and
 spills everything at or past a mid-cascade drain-timer horizon back to the
 kernel -- so it remains bit-exact.  The vectorized tier replays the acker XOR
-stream symbolically: a loss-free steady-state stretch anchors and acks every
-event of a tuple tree inside one sweep, so the per-tree ``bitwise_xor`` folds
-cancel to zero by construction and whole trees resolve without ever
-materializing a :class:`~repro.reliability.acker.PendingTree`; only events
-that cross the horizon fold real ids into the bulk acker APIs
+stream symbolically: a loss-free stretch anchors and acks every event of a
+tuple tree inside one sweep, so the folds cancel by construction and only
+events that cross the horizon fold real ids into the bulk acker APIs
 (``register_block`` / ``anchor_batch`` / ``ack_batch`` / ``settle_batch``).
 The cascade horizon is clamped to ``now + ack timeout`` so no tree a sweep
 registers can time out mid-stretch, and the cascade declines whenever the
@@ -55,7 +63,11 @@ always take the reference path.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, List, Optional, Tuple
+import math
+from bisect import bisect_right
+from collections import namedtuple
+from operator import itemgetter
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -69,13 +81,8 @@ from repro.dataflow.grouping import Grouping, field_key_of, stable_field_index
 from repro.dataflow.task import TaskKind
 from repro.engine.executor import Executor, ExecutorStatus, SinkExecutor, SourceExecutor
 from repro.engine.router import FIFO_SPACING_S, Channel
-from repro.engine.scan import (
-    fixed_rate_ticks,
-    maxplus_scan,
-    sequential_sums,
-    service_completions,
-)
-from repro.sim.rng import keyed_value_block
+from repro.engine.scan import fixed_rate_ticks, maxplus_scan, sequential_sums
+from repro.sim.rng import keyed_value_blocks
 
 _EMIT = 0
 _ARRIVE = 1
@@ -88,6 +95,20 @@ _DATA_KIND = EventKind.DATA
 # when it adopts in-flight work (see _cascade_vectorized).
 _COMPLETIONS = (Executor._complete_data, SinkExecutor._complete_data)
 _DELIVERIES = (Executor.deliver, SinkExecutor.deliver)
+
+#: Most entries one array round of the level sweep lays end to end: whole
+#: channels (or task instances) of a level share a round while they fit, and
+#: one that is longer than this takes a round of its own.  A shared round
+#: saves the call overhead of some thirty numpy calls a channel, but only
+#: while its temporaries stay small.  Measured here (best of 5, bit-equal
+#: outputs; keyed mix, latency and FIFO scan of 7 channels in one round
+#: against seven rounds): 4.5x faster at 34 entries a channel, 4.2x at 150,
+#: 3.1x at 450, 2.1x at 1 000, 1.5x at 2 500, 1.2x at 4 000 -- and 1.5x
+#: *slower* at 10 000, every float64 temporary far past glibc's 128 KiB mmap
+#: threshold (16 384 entries) and page-faulted afresh (the issue that set the
+#: rule saw the loss from 2 500 on).  8 192 entries keep a block's
+#: temporaries at 64 KiB.
+_BLOCK_ENTRIES = 8192
 
 
 class BatchStepper:
@@ -103,43 +124,29 @@ class BatchStepper:
         self.vector_cascades = 0
         #: Source ticks handed back to the classic per-event path, by reason.
         self.declines: Dict[str, int] = {}
-        #: Max-plus scans the vectorized tier handed to the scalar reference
-        #: because the waiting frontier would not halve per round -- a loaded
-        #: queue (see :mod:`repro.engine.scan`).
+        #: Array rounds of the vectorized tier: one per block per level for
+        #: the service queues and one for shipping (see :class:`_Sweep`).
+        self.rounds = 0
+        #: Max-plus scan segments the vectorized tier handed to the scalar
+        #: reference because the waiting frontier would not halve per round --
+        #: a loaded queue (see :mod:`repro.engine.scan`).
         self.scan_fallbacks = 0
-        self._vector_capable_cache: Optional[bool] = None
+        #: Sweep plans compiled: one per placement epoch the stepper ran in.
+        self.plan_builds = 0
+        self._plan: Optional[_SweepPlan] = None
 
-    # ------------------------------------------------------- vectorized sweep
-    def _vector_capable(self) -> bool:
-        """Whether the dataflow admits the array sweep at all (cached).
+    # ------------------------------------------------------------ sweep plan
+    def _sweep_plan(self) -> "_SweepPlan":
+        """The compiled plan of the current placement epoch (see :class:`_SweepPlan`)."""
+        plan = self._plan
+        if plan is None or plan.epoch != self.runtime.router.epoch:
+            plan = self._plan = _SweepPlan(self.runtime)
+            self.plan_builds += 1
+        return plan
 
-        The sweep replaces per-event ``task.logic`` calls with bulk counter
-        updates, which is only sound for the default 1:1 dummy logic (tagged
-        by :func:`repro.dataflow.task.default_logic`).  Duplicate task-pair
-        edges would interleave their per-channel jitter draws per event,
-        which the per-edge arrays cannot reproduce, so they also force the
-        per-event tier.  Topology structure and task logic are fixed for the
-        runtime's lifetime (rescales change parallelism only), hence cached.
-        """
-        cached = self._vector_capable_cache
-        if cached is None:
-            runtime = self.runtime
-            cached = runtime.config.batch_vectorize
-            if cached:
-                dataflow = runtime.dataflow
-                for task in dataflow.tasks:
-                    if (
-                        task.kind is TaskKind.PROCESS
-                        and getattr(task.logic, "default_selectivity", None) != 1
-                    ):
-                        cached = False
-                        break
-                    dsts = [edge.dst for edge in dataflow.out_edges(task.name)]
-                    if len(dsts) != len(set(dsts)):
-                        cached = False
-                        break
-            self._vector_capable_cache = cached
-        return cached
+    def drop_plan(self) -> None:
+        """Forget the compiled plan: task logic changed (a migration's logic update)."""
+        self._plan = None
 
     # ------------------------------------------------------------- quiescence
     def _blocker(self, source: SourceExecutor, allow_inflight: bool = False) -> Optional[str]:
@@ -204,14 +211,16 @@ class BatchStepper:
 
     def _cascade(self, source: SourceExecutor) -> Optional[str]:
         """Run the tick's cascade; the decline reason when it could not."""
-        vectorized = self._vector_capable()
         reason = self._blocker(source)
         strict = reason is None
         if not strict:
-            if vectorized:
-                reason = self._blocker(source, allow_inflight=True)
+            reason = self._blocker(source, allow_inflight=True)
             if reason is not None:
                 return reason
+        # Everything is running, hence placed: the plan can compile.
+        plan = self._sweep_plan()
+        if not strict and plan.decline is not None:
+            return plan.decline  # only the vectorized tier ingests in-flight work
         runtime = self.runtime
         sim = runtime.sim
         limit = sim.run_until
@@ -232,12 +241,13 @@ class BatchStepper:
             if horizon is None or timeout_at < horizon:
                 horizon = timeout_at
 
-        if vectorized:
-            reason = self._cascade_vectorized(source, now0, limit, horizon, acked)
+        if plan.decline is None:
+            reason = self._cascade_vectorized(plan, source, now0, limit, horizon, acked)
             if reason is None:
                 return None
             if not strict:
                 return reason  # in-flight work present; only the vectorized tier ingests it
+
 
         log = runtime.log
         timing = runtime.timing
@@ -427,698 +437,63 @@ class BatchStepper:
     # ------------------------------------------------------- vectorized tier
     def _cascade_vectorized(
         self,
+        plan: "_SweepPlan",
         source: SourceExecutor,
         now0: float,
         limit: float,
         horizon: Optional[float],
         acked: bool,
     ) -> Optional[str]:
-        """Sweep the whole stretch with per-task-instance arrays (numpy).
+        """Sweep the whole stretch level by level (see the module docstring).
 
-        Instead of replaying individual kernel entries, each task instance is
-        processed once with struct-of-arrays arithmetic: per-channel jitter
-        draws come from :func:`keyed_value_block` (bit-identical to the scalar
-        stream), and the sequential recurrences -- channel FIFO bumps, Lindley
-        service queues, busy-time sums, the fixed-rate tick schedule -- run as
-        the exact array kernels of :mod:`repro.engine.scan` (which keep the
-        per-event loop as their reference and saturated-queue fallback).  All
-        simulated times, log record streams and executor counters are
-        bit-identical to the classic keyed kernel; only the *event-id
-        assignment order* differs (ids are drawn in sweep order: roots first,
-        then spilled events, then receipts).  Work crossing the horizon is
-        reconstructed into classic kernel state exactly as the per-event tier
-        does.
+        The phases, each a function or a :class:`_Sweep` method of its own:
+        in-flight scan, emission schedule, ingestion, one service and one
+        shipping round per level, the spills, the ack fold, the log commit.
+        Unlike the per-event tier this one runs under *relaxed* quiescence:
+        pending kernel deliveries, in-service completions and queued arrivals
+        are adopted into the sweep (their times are already fixed, so the
+        merge stays exact).  Ids are drawn in sweep order: roots first, then
+        spilled events, then receipts.
 
-        Unlike the per-event tier, this tier also runs under *relaxed*
-        quiescence: pending kernel deliveries, in-service completions and
-        queued arrivals are adopted into the sweep (their times are already
-        fixed, so the merge stays exact), which is what lets cascades
-        re-engage between control-plane windows when the pipeline is never
-        fully drained.
-
-        Under data acking (``acked``) the sweep additionally replays the acker
-        XOR stream: events that are both anchored and acked inside the stretch
-        cancel symbolically (per-root counters, no id ever drawn), events that
-        cross the horizon fold real ids into per-root residuals, and the
-        whole stream commits through the acker's bulk APIs — trees that live
-        and die inside the sweep never materialize a ``PendingTree`` at all.
-        The emission schedule is capped at the spout-pending headroom
-        (pending only shrinks mid-stretch, so the cap is provably
-        throttle-free; a capped stretch ends at the tick the cap held back)
-        and adopted in-flight events keep their original objects/ids so their
-        trees' hashes stay exact.
-
-        Returns the decline reason (nothing mutated) when an executor subclass
-        it does not model is present, or when in-flight work includes anything
-        beyond plain data events of live trees (control waves, sink batches,
-        state-store latencies, replayed events, events of timed-out trees);
-        :meth:`try_cascade` then falls back to the per-event tier or the
-        classic path.  Returns ``None`` once the stretch is swept.
+        Returns the decline reason (nothing mutated) when in-flight work
+        includes anything beyond plain data events of live trees, ``None``
+        once the stretch is swept.
         """
         runtime = self.runtime
-        executors = runtime.executors
-        for executor in executors.values():
-            kind = type(executor)
-            if kind is not Executor and kind is not SinkExecutor and kind is not SourceExecutor:
-                return "unmodelled-executor"
-        acker = runtime.acker
+        headroom = source.pending_headroom() if acked else None
+        if headroom == 0:
+            return "throttled"  # the classic/heap paths handle a throttled tick exactly
+        inflight = _scan_inflight(runtime, acked)
+        if isinstance(inflight, str):
+            return inflight
+        ticks, next_tick, idle_from, hor = _emission_schedule(
+            source, now0, limit, math.inf if horizon is None else horizon, headroom
+        )
+        # Inline iff time < horizon and time <= limit: one exclusive bound.
+        bound = hor if hor <= limit else math.nextafter(limit, math.inf)
+        sweep = _Sweep(runtime, plan, source, ticks, bound, acked)
+        sweep.ingest(*inflight)
+        for level in plan.levels:
+            sweep.serve(level)
+            sweep.ship(level)
+        sweep.spill()
         if acked:
-            headroom = source.pending_headroom()
-            if headroom == 0:
-                return "throttled"  # the classic/heap paths handle a throttled tick exactly
-        else:
-            headroom = None
-        sim = runtime.sim
-        router = runtime.router
+            sweep.fold_acks()
+        sweep.commit_receipts()
 
-        # ---- In-flight scan (pure, nothing mutated until it fully succeeds).
-        # Under relaxed quiescence the kernel heap may hold pending data work;
-        # classify every fast-path entry, declining on anything the sweep does
-        # not model (control handling, capture drains, sink batch completions,
-        # state-store latencies, acked/replayed events).
-        inflight: List[Tuple[float, Executor, Event, str]] = []
-        busy_completions: Dict[Any, Tuple[float, Event]] = {}
-        pending_entries = sim.fast_entries()
-        if pending_entries:
-            batch_cb = router.deliver_batch
-
-            def receiver_of(deliver) -> Optional[Executor]:
-                """The live, non-source executor a delivery callback is bound to."""
-                if getattr(deliver, "__func__", None) not in _DELIVERIES:
-                    return None  # the by-id fallback of a target that did not exist
-                target = deliver.__self__
-                if executors.get(target.executor_id) is not target:
-                    return None  # retired by a rescale
-                return None if type(target) is SourceExecutor else target
-
-            for entry in pending_entries:
-                cb = entry[2]
-                func = getattr(cb, "__func__", None)
-                if func in _COMPLETIONS:
-                    executor = cb.__self__
-                    event = entry[3][0]
-                    if (
-                        event.kind is not _DATA_KIND
-                        or event.anchored is not acked
-                        or event.replay_count
-                        or not executor._busy
-                        or executor in busy_completions
-                    ):
-                        return "inflight-unmodelled"
-                    busy_completions[executor] = (entry[0], event)
-                elif func in _DELIVERIES:
-                    target = receiver_of(cb)
-                    event, sender_id = entry[3]
-                    if (
-                        target is None
-                        or event.kind is not _DATA_KIND
-                        or event.anchored is not acked
-                        or event.replay_count
-                    ):
-                        return "inflight-unmodelled"
-                    inflight.append((entry[0], target, event, sender_id))
-                elif cb == batch_cb:
-                    deliver, sender_id, pairs, index = entry[3]
-                    target = receiver_of(deliver)
-                    if target is None:
-                        return "inflight-unmodelled"
-                    for when, event in pairs[index:]:
-                        if (
-                            event.kind is not _DATA_KIND
-                            or event.anchored is not acked
-                            or event.replay_count
-                        ):
-                            return "inflight-unmodelled"
-                        inflight.append((when, target, event, sender_id))
-                else:
-                    return "inflight-unmodelled"
-            for executor in executors.values():
-                if executor in busy_completions:
-                    for event, _sender in executor.input_queue:
-                        if (
-                            event.kind is not _DATA_KIND
-                            or event.anchored is not acked
-                            or event.replay_count
-                        ):
-                            return "inflight-unmodelled"
-                elif executor._busy or executor.input_queue:
-                    return "inflight-unmodelled"  # busy/queued without a modelled completion
-
-        dataflow = runtime.dataflow
-        hor = float("inf") if horizon is None else horizon
-
-        # ---- Phase A: the emission schedule.
-        # The headroom cap is pessimistic but exact: pending can only shrink
-        # as trees complete mid-stretch, so a stretch emitting at most
-        # ``limit - pending`` roots never reaches a tick the classic path
-        # would have throttled.
-        idle_from: Optional[float] = None
-        next_tick: Optional[float] = None
-        capped = False
-        profile = source.profile
-        if profile is None and source.rate > 0:
-            ticks, next_tick, capped = fixed_rate_ticks(
-                now0, 1.0 / source.rate, limit, hor, headroom
-            )
-        else:
-            # Profile-driven sources re-evaluate the rate at every tick: the
-            # exact scalar recurrence of ``_arm_emit_timer``.
-            tick_times: List[float] = []
-            tick = now0
-            while True:
-                tick_times.append(tick)
-                rate = float(profile.rate_at(tick)) if profile is not None else source.rate
-                if rate <= 0:
-                    idle_from = tick
-                    break
-                source.rate = rate
-                next_tick = tick + 1.0 / rate
-                if next_tick > limit or next_tick >= hor:
-                    break
-                if headroom is not None and len(tick_times) >= headroom:
-                    capped = True
-                    break
-                tick = next_tick
-            ticks = np.array(tick_times)
-        if capped:
-            # The cap, not a timer or the run bound, ended emission: the next
-            # tick fires at ``next_tick`` and must find the executors as the
-            # classic kernel would have them then, so the sweep ends there.
-            hor = next_tick
-        if hor <= limit:
-            cut_value, cut_side = hor, "left"  # inline iff time < horizon
-        else:
-            cut_value, cut_side = limit, "right"  # inline iff time <= limit
-        side_right = cut_side == "right"
-
-        n_roots = len(ticks)
-        log = runtime.log
-        source_name = source.task.name
-        seqno = source._sequence
-        source._sequence = seqno + n_roots
-        rid0 = reserve_event_ids(n_roots)
-        rid_arr = np.arange(rid0, rid0 + n_roots, dtype=np.int64)
-        # Bulk append (record_source_emit with replay_count=0, at_time=tick):
-        # fresh root ids are never already emitted.  A pure array copy — no
-        # per-event record.
-        log.extend_emits(ticks, rid_arr, source_name)
-        source.emitted_count += n_roots
-        inline_count = n_roots
-
-        #: Sweep root indices ``0 .. n_roots-1`` are the roots this cascade
-        #: emits (id ``rid0 + r``, emitted at ``ticks[r]``, payload generated
-        #: on demand from the sequence number); adopted in-flight events
-        #: descend from earlier roots and extend the index space with their
-        #: own root id / emission time / payload.  Once ingestion has fixed
-        #: the index space, ``rid_arr`` / ``emitted_arr`` cover all of it.
-        adopted_root_ids: List[int] = []
-        adopted_emitted: List[float] = []
-        adopted_payloads: List[Any] = []
-        payload_memo: Dict[int, Any] = {}
-
-        def adopt(event: Event) -> int:
-            """Register an in-flight event as an extra sweep root index."""
-            idx = n_roots + len(adopted_root_ids)
-            adopted_root_ids.append(event.root_id)
-            adopted_emitted.append(event.root_emitted_at)
-            adopted_payloads.append(event.payload)
-            return idx
-
-        def payload_of(r: int) -> Any:
-            """Root ``r``'s payload, built once and only when something reads it
-            (a spilled event, an unresolved tree's replay cache, FIELDS
-            grouping): a loss-free stretch resolves most roots unread."""
-            if r >= n_roots:
-                return adopted_payloads[r - n_roots]
-            if r in payload_memo:
-                return payload_memo[r]
-            payload = payload_memo[r] = source._payload(seqno + 1 + r)
-            return payload
-
-        #: Acked-mode bookkeeping.  Events wholly inside the sweep never draw
-        #: an id: their anchor/ack XOR contributions cancel by construction,
-        #: so only per-root-index *counts* are kept (``anch_counts`` /
-        #: ``ack_counts``, allocated after ingestion fixes the index space).
-        #: Real ids appear exactly where the classic path would leave them
-        #: observable: spilled events fold into ``resid`` (new roots, becomes
-        #: the registered tree's hash) or ``anchor_pairs`` (pre-existing
-        #: trees); adopted in-flight events keep their original ids —
-        #: ``ack_pairs`` removes them from their trees when they complete
-        #: in-sweep, ``adopted_by_id`` hands the original object back if they
-        #: spill again.
-        if acked:
-            adopted_by_id: Dict[int, Event] = {}
-            anchor_pairs: List[Tuple[int, int]] = []
-            ack_pairs: List[Tuple[int, int]] = []
-        else:
-            adopted_by_id = None
-            anchor_pairs = ack_pairs = None
-        anch_counts = ack_counts = resid = spill_counts = None
-
-        # ---- Phase B: route/serve every task instance in topological order.
-        schedule_at_fast = sim.schedule_at_fast
-
-        #: target executor id -> per-channel (deliveries, root idx, parent
-        #: completion times, sender id, event ids or None) arrays, appended in
-        #: topological order.  The ids slot is non-None only for adopted
-        #: in-flight events under acking (sweep-born events stay symbolic).
-        arrivals: Dict[str, List[Tuple[Any, Any, Any, str, Any]]] = {}
-        field_cache: Dict[int, Any] = {}
-
-        def field_indices(num: int):
-            cached = field_cache.get(num)
-            if cached is None:
-                n_total = n_roots + len(adopted_root_ids)
-                cached = np.fromiter(
-                    (
-                        stable_field_index(field_key_of(payload_of(r)), num)
-                        for r in range(n_total)
-                    ),
-                    dtype=np.intp,
-                    count=n_total,
-                )
-                field_cache[num] = cached
-            return cached
-
-        def ship(channel: Channel, task_name: str, parent_c, roots) -> None:
-            """One channel's deliveries (the array form of ``Channel.stamp``):
-            jitter, FIFO bump, bound split."""
-            nonlocal inline_count
-            n = len(parent_c)
-            sender_id = channel.sender_id
-            target = channel.target_id
-            stream = channel.stream
-            if stream is not None:
-                start = stream.counter
-                stream.counter = start + n
-                draws = keyed_value_block(stream.seed, start, n)
-                lat = channel.base * (1.0 + (channel.jitter_low + channel.jitter_span * draws))
-                np.maximum(lat, 0.0, out=lat)
-                raw = parent_c + lat
-            else:
-                raw = parent_c + channel.base
-            # Per-channel FIFO: d[i] = max(raw[i], d[i-1] + spacing).
-            deliveries, fell_back = maxplus_scan(raw, FIFO_SPACING_S, channel.last)
-            self.scan_fallbacks += fell_back
-            tail = float(deliveries[-1])
-            channel.last = tail
-            router.routed_count += n
-            if (tail <= cut_value) if side_right else (tail < cut_value):
-                cut = n  # whole channel in bound: skip the searchsorted
-            else:
-                cut = int(np.searchsorted(deliveries, cut_value, side=cut_side))
-            if cut:
-                arrivals.setdefault(target, []).append(
-                    (deliveries[:cut], roots[:cut], parent_c[:cut], sender_id, None)
-                )
-                inline_count += cut
-                if acked:
-                    # Symbolic anchors: each in-bound shipped event will also
-                    # be acked (in-sweep or converted on spill), so no id is
-                    # drawn here — only the per-root count advances.
-                    np.add.at(anch_counts, roots[:cut], 1)
-            for i in range(cut, n):  # beyond the bound: classic deliveries
-                r = int(roots[i])
-                root_id = int(rid_arr[r])
-                eid_new = next_event_id()
-                if acked:
-                    if r < n_roots:
-                        # A new root's spilled event: its real id is part of
-                        # the tree hash register_block will materialize.
-                        resid[r] ^= eid_new
-                        spill_counts[r] += 1
-                        anch_counts[r] += 1
-                    else:
-                        anchor_pairs.append((root_id, eid_new))
-                event = Event(
-                    eid_new, root_id, _DATA_KIND, task_name,
-                    payload_of(r), float(parent_c[i]), float(emitted_arr[r]),
-                    None, None, 0, acked,
-                )
-                schedule_at_fast(float(deliveries[i]), channel.deliver, (event, sender_id))
-
-        def route_stream(sender_id: str, task_name: str, completions, roots) -> None:
-            """Mirror Router.fan_out target selection on whole arrays."""
-            n = len(completions)
-            for grouping, num, channels, cursor in router.outbox(sender_id, task_name):
-                if num == 1 or grouping is Grouping.GLOBAL:
-                    ship(channels[0], task_name, completions, roots)
-                elif grouping is Grouping.ALL:
-                    for channel in channels:
-                        ship(channel, task_name, completions, roots)
-                elif grouping is Grouping.FIELDS:
-                    tidx = field_indices(num)[roots]
-                    for k in range(num):
-                        mask = tidx == k
-                        if mask.any():
-                            ship(channels[k], task_name, completions[mask], roots[mask])
-                else:  # shuffle round-robin per (sender executor, dst task)
-                    start = cursor[0]
-                    cursor[0] = start + n
-                    # Event i goes to instance (start + i) % num, so instance
-                    # k's events are the strided slice starting at
-                    # (k - start) % num -- views, no masks, no copies.
-                    for k in range(num):
-                        i0 = (k - start) % num
-                        if i0 < n:
-                            ship(channels[k], task_name, completions[i0::num], roots[i0::num])
-
-        # ---- Commit the ingestion: the sweep now owns all in-flight work.
-        # Pending deliveries inside the bound become one-element arrival
-        # channels (their jitter was drawn -- and the channel FIFO state
-        # advanced -- when they were routed); the rest go straight back on the
-        # kernel heap unchanged.  Each busy executor is seeded with its fixed
-        # in-service completion time plus its queued arrivals, in order.
-        #: executor id -> (in-service completion time, [(event, sender) ...],
-        #: adopted root indices), list position 0 being the in-service event.
-        seeded: Dict[str, Tuple[float, List[Tuple[Event, str]], List[int]]] = {}
-        if pending_entries:
-            sim.remove_fast_entries()
-            for when, target, event, sender_id in inflight:
-                if when <= limit and when < hor:
-                    idx = adopt(event)
-                    if acked:
-                        # The event's id is already folded into its pending
-                        # tree: carry it so the in-sweep ack removes exactly
-                        # it, and keep the object in case it spills past the
-                        # bound again.
-                        ids_arr = np.array([event.event_id], dtype=np.uint64)
-                        adopted_by_id[int(event.event_id)] = event
-                    else:
-                        ids_arr = None
-                    arrivals.setdefault(target.executor_id, []).append(
-                        (
-                            np.array([when]),
-                            np.array([idx], dtype=np.intp),
-                            np.array([event.created_at]),
-                            sender_id,
-                            ids_arr,
-                        )
-                    )
-                    inline_count += 1
-                else:
-                    schedule_at_fast(when, target.deliver, (event, sender_id))
-            for executor, (when, event) in busy_completions.items():
-                entries: List[Tuple[Event, str]] = [(event, "")]
-                entries.extend(executor.input_queue)
-                executor.input_queue.clear()
-                executor._busy = False  # re-established by the spill if needed
-                seeded[executor.executor_id] = (
-                    when, entries, [adopt(ev) for ev, _ in entries]
-                )
-
-        # Ingestion fixed the root-index space: per-root columns can now be
-        # sized once (ship and the executor loop mutate the counters in place).
-        emitted_arr = ticks
-        if adopted_root_ids:
-            rid_arr = np.concatenate([rid_arr, np.asarray(adopted_root_ids, dtype=np.int64)])
-            emitted_arr = np.concatenate([ticks, np.asarray(adopted_emitted, dtype=np.float64)])
-        if acked:
-            anch_counts = np.zeros(len(rid_arr), dtype=np.int64)
-            ack_counts = np.zeros(len(rid_arr), dtype=np.int64)
-            resid = np.zeros(n_roots, dtype=np.uint64)
-            spill_counts = np.zeros(n_roots, dtype=np.int64)
-
-        route_stream(source.executor_id, source_name, ticks, np.arange(n_roots))
-
-        sink_recs: List[Tuple[Any, Any, SinkExecutor]] = []
-        for name in dataflow.topological_order:
-            task = dataflow.task(name)
-            if task.kind is TaskKind.SOURCE:
-                continue
-            for eid in task.instance_ids():
-                chans = arrivals.get(eid)
-                seed = seeded.get(eid)
-                if not chans and seed is None:
-                    continue
-                executor = executors[eid]
-                service = executor._service_time
-                if chans:
-                    if len(chans) == 1:
-                        arr, roots, parents, sole_sender, aids = chans[0]
-                        senders = None
-                    else:
-                        arr = np.concatenate([c[0] for c in chans])
-                        roots = np.concatenate([c[1] for c in chans])
-                        parents = np.concatenate([c[2] for c in chans])
-                        senders = np.repeat(
-                            np.arange(len(chans)), [len(c[0]) for c in chans]
-                        )
-                        if acked and any(c[4] is not None for c in chans):
-                            aids = np.concatenate(
-                                [
-                                    c[4]
-                                    if c[4] is not None
-                                    else np.zeros(len(c[0]), dtype=np.uint64)
-                                    for c in chans
-                                ]
-                            )
-                        else:
-                            aids = None
-                        order = np.argsort(arr, kind="stable")
-                        arr = arr[order]
-                        roots = roots[order]
-                        parents = parents[order]
-                        senders = senders[order]
-                        if aids is not None:
-                            aids = aids[order]
-                        sole_sender = None
-                    n = len(arr)
-                else:
-                    arr = roots = parents = senders = sole_sender = aids = None
-                    n = 0
-                if seed is not None:
-                    # Seeded prefix: the in-service completion is pinned at
-                    # its already-scheduled time, the queued arrivals drain
-                    # back to back after it (``tc = t + service`` chains, the
-                    # exact classic recurrence).  Every seeded completion
-                    # precedes every new-arrival completion in time, so the
-                    # concatenation below stays sorted.
-                    t_fixed, sevents, sidx = seed
-                    m = len(sevents)
-                    sc = sequential_sums(t_fixed, service, m - 1)
-                    busy_until = float(sc[-1])
-                    sids = (
-                        np.fromiter(
-                            (ev.event_id for ev, _ in sevents), dtype=np.uint64, count=m
-                        )
-                        if acked
-                        else None
-                    )
-                else:
-                    sevents = sidx = sids = None
-                    m = 0
-                    busy_until = None
-                if n:
-                    if service == 0.0:
-                        if busy_until is not None and arr[0] < busy_until:
-                            # Arrivals landing while the seeded work drains
-                            # complete the instant it finishes (exact: a
-                            # selection, no arithmetic).
-                            ncomp = np.maximum(arr, busy_until)
-                        else:
-                            ncomp = arr  # `tc = t + 0.0` is exact
-                    else:
-                        ncomp, fell_back = service_completions(arr, service, busy_until)
-                        self.scan_fallbacks += fell_back
-                else:
-                    ncomp = None
-                if m and n:
-                    completions = np.concatenate([sc, ncomp])
-                    all_roots = np.concatenate([np.asarray(sidx, dtype=np.intp), roots])
-                    if acked:
-                        all_ids = np.concatenate(
-                            [sids, aids if aids is not None else np.zeros(n, dtype=np.uint64)]
-                        )
-                    else:
-                        all_ids = None
-                elif m:
-                    completions = sc
-                    all_roots = np.asarray(sidx, dtype=np.intp)
-                    all_ids = sids
-                else:
-                    completions = ncomp
-                    all_roots = roots
-                    all_ids = aids
-                total = m + n
-                if service == 0.0 and m == 0:
-                    k = total  # inline arrivals complete at their own (in-bound) times
-                else:
-                    # Seeded completion times were inherited from the kernel
-                    # heap and may already sit past the bound, so the cut
-                    # applies even when the service time is zero.
-                    tail = float(completions[total - 1])
-                    if (tail <= cut_value) if side_right else (tail < cut_value):
-                        k = total
-                    else:
-                        k = int(np.searchsorted(completions, cut_value, side=cut_side))
-                inline_count += k
-                if acked and k:
-                    # Every in-sweep completion acks its event (the classic
-                    # path acks at both process and sink completions):
-                    # symbolic for sweep-born events — the count cancels the
-                    # ship-time anchor — and a real-id ack for adopted events,
-                    # whose ids are already in their trees' hashes.
-                    np.add.at(ack_counts, all_roots[:k], 1)
-                    if all_ids is not None:
-                        real = np.flatnonzero(all_ids[:k])
-                        real_roots = all_roots[real]
-                        np.subtract.at(ack_counts, real_roots, 1)
-                        ack_pairs.extend(
-                            zip(rid_arr[real_roots].tolist(), all_ids[real].tolist())
-                        )
-                if type(executor) is SinkExecutor:
-                    if k:
-                        sink_recs.append((completions[:k], all_roots[:k], executor))
-                        executor.received_count += k
-                        executor.processed_count += k
-                else:
-                    if k:
-                        route_stream(eid, name, completions[:k], all_roots[:k])
-                        executor.processed_count += k
-                        state = executor.state
-                        state["processed"] = state.get("processed", 0) + k
-                        # k sequential adds, like the kernel's one per event.
-                        executor.busy_time_s = float(
-                            sequential_sums(executor.busy_time_s, service, k)[-1]
-                        )
-                if k < total:
-                    # The k-th service crosses the bound: leave the executor
-                    # busy with its completion on the kernel heap and the
-                    # later arrivals queued, exactly as the classic kernel
-                    # would have them at this point.  Seeded positions still
-                    # hold their original Event objects; new arrivals are
-                    # materialized from the sweep arrays.
-                    def event_at(i: int) -> Tuple[Event, str]:
-                        if i < m:
-                            return sevents[i]
-                        j = i - m
-                        r = int(roots[j])
-                        sid = (
-                            sole_sender
-                            if senders is None
-                            else chans[int(senders[j])][3]
-                        )
-                        if aids is not None and aids[j]:
-                            # Adopted event crossing the bound again: hand the
-                            # original object back so the id folded into its
-                            # tree stays the one the classic path will ack.
-                            return adopted_by_id[int(aids[j])], sid
-                        root_id = int(rid_arr[r])
-                        eid_new = next_event_id()
-                        if acked:
-                            if r < n_roots:
-                                resid[r] ^= eid_new
-                                spill_counts[r] += 1
-                            else:
-                                # Convert the ship-time symbolic anchor into a
-                                # real one on the pre-existing tree.
-                                anch_counts[r] -= 1
-                                anchor_pairs.append((root_id, eid_new))
-                        event = Event(
-                            eid_new, root_id, _DATA_KIND,
-                            executors[sid].task.name, payload_of(r),
-                            float(parents[j]), float(emitted_arr[r]), None, None, 0, acked,
-                        )
-                        return event, sid
-
-                    executor._busy = True
-                    in_service, _in_sender = event_at(k)
-                    schedule_at_fast(
-                        float(completions[k]), executor._complete_data, (in_service,)
-                    )
-                    queue_append = executor.input_queue.append
-                    for i in range(k + 1, total):
-                        queue_append(event_at(i))
-
-        # ---- Commit the ack stream: one bulk acker update per category.
-        if acked:
-            # New roots whose every event was anchored *and* acked inside the
-            # sweep resolved to zero by construction — stats only, no
-            # PendingTree, no timer.  The rest materialize with their exact
-            # classic end-of-stretch state (hash = XOR of outstanding spilled
-            # ids) and back-dated timeout timers.
-            new_anchors = anch_counts[:n_roots]
-            new_acks = ack_counts[:n_roots]
-            resolved = (spill_counts == 0) & (new_anchors > 0)
-            acker.absorb_resolved(
-                int(np.count_nonzero(resolved)),
-                int(new_anchors[resolved].sum()),
-                int(new_acks[resolved].sum()),
-            )
-            unresolved = np.flatnonzero(~resolved)
-            if unresolved.size:
-                u_roots = (rid0 + unresolved).tolist()
-                acker.register_block(
-                    u_roots,
-                    ticks[unresolved].tolist(),
-                    resid[unresolved].tolist(),
-                    new_anchors[unresolved].tolist(),
-                    new_acks[unresolved].tolist(),
-                )
-                source.cache_block(u_roots, [payload_of(r) for r in unresolved.tolist()])
-            # Pre-existing trees: real anchors first (spilled ids enter the
-            # hashes), then the cancelled symbolic pairs, then the real acks —
-            # so no tree's hash can transiently return to zero before all its
-            # outstanding ids are in place.  Completions fire the classic
-            # on_complete (source drops its cached payloads).
-            if anchor_pairs:
-                acker.anchor_batch(anchor_pairs)
-            if adopted_root_ids:
-                acker.settle_batch(
-                    adopted_root_ids,
-                    anch_counts[n_roots:].tolist(),
-                    ack_counts[n_roots:].tolist(),
-                )
-            if ack_pairs:
-                acker.ack_batch(ack_pairs)
-
-        # ---- Phase C: receipts merged into the log in global time order.
-        if sink_recs:
-            # Per-root fields are gathered with one numpy fancy-index and the
-            # receipt ids come from one bulk reservation plus ``np.arange``;
-            # ``extend_receipts`` appends the arrays directly — zero per-event
-            # objects.
-            if len(sink_recs) == 1:
-                times, roots, sink = sink_recs[0]
-                eid0 = reserve_event_ids(len(times))
-                log.extend_receipts(
-                    times,
-                    rid_arr[roots],
-                    np.arange(eid0, eid0 + len(times), dtype=np.int64),
-                    sink.task.name,
-                    emitted_arr[roots],
-                )
-            else:
-                all_times = np.concatenate([rec[0] for rec in sink_recs])
-                all_roots = np.concatenate([rec[1] for rec in sink_recs])
-                which = np.repeat(
-                    np.arange(len(sink_recs)), [len(rec[0]) for rec in sink_recs]
-                )
-                names = [rec[2].task.name for rec in sink_recs]
-                order = np.argsort(all_times, kind="stable")
-                roots_sorted = all_roots[order]
-                eid0 = reserve_event_ids(len(all_times))
-                log.extend_receipts(
-                    all_times[order],
-                    rid_arr[roots_sorted],
-                    np.arange(eid0, eid0 + len(all_times), dtype=np.int64),
-                    names,
-                    emitted_arr[roots_sorted],
-                    sink_indices=which[order],
-                )
-
-        # ---- Re-arm the source exactly as _arm_emit_timer would.
+        # Re-arm the source exactly as _arm_emit_timer would.
         if idle_from is not None:
-            source._emit_timer = sim.schedule_at(
+            source._emit_timer = runtime.sim.schedule_at(
                 idle_from + runtime.timing.source_idle_recheck_s, source._arm_emit_timer
             )
         else:
-            source._emit_timer = sim.schedule_at(next_tick, source._emit_tick)
+            source._emit_timer = runtime.sim.schedule_at(next_tick, source._emit_tick)
 
         self.cascades += 1
         self.vector_cascades += 1
-        self.inline_events += inline_count
+        self.inline_events += sweep.inline
+        self.rounds += sweep.rounds
+        self.scan_fallbacks += sweep.fallbacks
         return None
 
     # ---------------------------------------------------------------- routing
@@ -1154,3 +529,771 @@ class BatchStepper:
             else:
                 schedule_at_fast(d, channel.deliver, (event, sender_id))
         return seq
+
+
+# ------------------------------------------------------------ the sweep plan
+def _structural_decline(runtime: "TopologyRuntime") -> Optional[str]:
+    """Why this dataflow can never take the vectorized tier, if it cannot.
+
+    The sweep replaces per-event ``task.logic`` calls with bulk counter
+    updates, which is only sound for the default 1:1 dummy logic (tagged by
+    :func:`repro.dataflow.task.default_logic`); duplicate task-pair edges
+    would interleave their per-channel jitter draws per event; and an executor
+    subclass may override anything.
+    """
+    if not runtime.config.batch_vectorize:
+        return "inflight-work"  # the heap tier's own limit: it has no ingestion path
+    dataflow = runtime.dataflow
+    for task in dataflow.tasks:
+        if task.kind is TaskKind.PROCESS and getattr(task.logic, "default_selectivity", None) != 1:
+            return "custom-logic"
+        dsts = [edge.dst for edge in dataflow.out_edges(task.name)]
+        if len(dsts) != len(set(dsts)):
+            return "duplicate-edges"
+    for executor in runtime.executors.values():
+        if type(executor) not in (Executor, SinkExecutor, SourceExecutor):
+            return "unmodelled-executor"
+    return None
+
+
+#: One task instance as the level sweep sees it.  ``edges`` are its outgoing
+#: edges in outbox order -- (grouping, instances, plan index of the first
+#: instance's channel, the edge's shuffle cursor) -- and ``feeds`` the plan
+#: indices of the channels into it, ascending.
+_Node = namedtuple("_Node", "index executor task_name sink service edges feeds")
+
+#: The task instances of one topological depth and the channels they send on:
+#: the channels' plan indices (ascending), their records, and their
+#: keyed-stream seeds / base latencies as columns.
+_Level = namedtuple("_Level", "nodes ids channels seeds bases")
+
+
+class _SweepPlan:
+    """What the level sweep needs of the topology, compiled once per placement epoch.
+
+    Task instances are numbered in sweep order (topological task order, then
+    instance order) and channels in shipping order (sender in sweep order,
+    then outbox edge, then destination instance).  That numbering is the tie
+    order of the arrival merge into an instance (ascending channel index) and
+    the order spilled events draw their ids in.  A *level* is the set of
+    instances whose task sits at one depth (longest path from a source):
+    everything an instance receives was shipped by a shallower level.
+
+    The plan holds the router's own :class:`Channel` records, whose base
+    latency and bound receiver are placement-derived: it is stale once
+    ``Router.invalidate_caches()`` moves the router's epoch, and the stepper
+    drops it when a migration installs new task logic, which ``decline``
+    depends on (:meth:`BatchStepper.drop_plan`).
+    """
+
+    def __init__(self, runtime: "TopologyRuntime") -> None:
+        router = runtime.router
+        dataflow = runtime.dataflow
+        self.epoch = router.epoch
+        #: Why the vectorized tier never engages on this dataflow (or None).
+        self.decline = _structural_decline(runtime)
+        self.nodes: List[_Node] = []
+        self.by_id: Dict[str, _Node] = {}
+        self.levels: List[_Level] = []
+        self.channels: List[Channel] = []
+        #: Sending node of each channel.
+        self.senders: List[_Node] = []
+        #: ``(low, span)`` of the jitter transform, ``None`` without jitter
+        #: (batch stepping implies keyed streams, so it is all channels or none).
+        self.jitter: Optional[Tuple[float, float]] = None
+        #: service time -> its sequential sums from 0.0 (see :meth:`busy_after`).
+        self.busy_sums: Dict[float, np.ndarray] = {}
+        if self.decline is not None:
+            return
+        depth: Dict[str, int] = {}
+        by_depth: List[List[_Node]] = []
+        for name in dataflow.topological_order:
+            depth[name] = 1 + max((depth[e.src] for e in dataflow.in_edges(name)), default=-1)
+            if depth[name] == len(by_depth):
+                by_depth.append([])
+            for executor_id in dataflow.task(name).instance_ids():
+                executor = runtime.executors[executor_id]
+                node = self.by_id[executor_id] = _Node(
+                    len(self.nodes), executor, name, type(executor) is SinkExecutor,
+                    executor._service_time, [], [],
+                )
+                self.nodes.append(node)
+                by_depth[depth[name]].append(node)
+        for node in self.nodes:
+            for grouping, num, channels, cursor in router.outbox(
+                node.executor.executor_id, node.task_name
+            ):
+                node.edges.append((grouping, num, len(self.channels), cursor))
+                for channel in channels:
+                    self.by_id[channel.target_id].feeds.append(len(self.channels))
+                    self.channels.append(channel)
+                    self.senders.append(node)
+        for nodes in by_depth:
+            ids = [first + k for node in nodes for _, num, first, _ in node.edges for k in range(num)]
+            sends = [self.channels[c] for c in ids]
+            seeds = [c.stream.seed if c.stream is not None else 0 for c in sends]
+            self.levels.append(_Level(nodes, ids, sends, seeds, np.array([c.base for c in sends])))
+        if self.channels and self.channels[0].stream is not None:
+            self.jitter = (self.channels[0].jitter_low, self.channels[0].jitter_span)
+
+    def busy_after(self, executor: Executor, service: float, count: int) -> float:
+        """``executor.busy_time_s`` after ``count`` more services.
+
+        The kernel adds ``service`` to it once per event, so after ``n``
+        events it is the ``n``-th sequential sum from 0.0: one table per
+        service time answers for every instance whose past matches it (and
+        the adds are done one by one for one whose past does not).
+        """
+        served = executor.processed_count
+        sums = self.busy_sums.get(service)
+        if sums is None or len(sums) <= served + count:
+            sums = self.busy_sums[service] = sequential_sums(
+                0.0, service, 5 * (served + count) // 4 + 64
+            )
+        if sums[served] != executor.busy_time_s:
+            sums = sequential_sums(executor.busy_time_s, service, count)
+            served = 0
+        return float(sums[served + count])
+
+
+# ------------------------------------------------- phases before the sweep
+def _adoptable(event: Event, acked: bool) -> bool:
+    """Whether the sweep models an in-flight event: plain data of a live tree."""
+    return event.kind is _DATA_KIND and event.anchored is acked and not event.replay_count
+
+
+def _receiver(deliver: Any, executors: Dict[str, Executor]) -> Optional[Executor]:
+    """The live, non-source executor a delivery callback is bound to."""
+    if getattr(deliver, "__func__", None) not in _DELIVERIES:
+        return None  # the by-id fallback of a target that did not exist
+    target = deliver.__self__
+    if executors.get(target.executor_id) is not target:
+        return None  # retired by a rescale
+    return None if type(target) is SourceExecutor else target
+
+
+def _scan_inflight(runtime: "TopologyRuntime", acked: bool):
+    """Classify the pending kernel work the sweep would have to adopt (pure).
+
+    Under relaxed quiescence the kernel heap may hold pending data work.
+    Returns ``(deliveries, busy)`` -- ``(time, target, event, sender id)`` per
+    pending delivery and ``executor -> (completion time, event)`` per service
+    in progress -- or the decline reason on anything the sweep does not model
+    (control handling, capture drains, sink batch completions, state-store
+    latencies, acked/replayed events).
+    """
+    deliveries: List[Tuple[float, Executor, Event, str]] = []
+    busy: Dict[Executor, Tuple[float, Event]] = {}
+    entries = runtime.sim.fast_entries()
+    if not entries:
+        return deliveries, busy
+    executors = runtime.executors
+    batch_cb = runtime.router.deliver_batch
+    for entry in entries:
+        cb = entry[2]
+        func = getattr(cb, "__func__", None)
+        if func in _COMPLETIONS:
+            executor = cb.__self__
+            event = entry[3][0]
+            if not _adoptable(event, acked) or not executor._busy or executor in busy:
+                return "inflight-unmodelled"
+            busy[executor] = (entry[0], event)
+        elif func in _DELIVERIES:
+            target = _receiver(cb, executors)
+            event, sender_id = entry[3]
+            if target is None or not _adoptable(event, acked):
+                return "inflight-unmodelled"
+            deliveries.append((entry[0], target, event, sender_id))
+        elif cb == batch_cb:
+            deliver, sender_id, pairs, index = entry[3]
+            target = _receiver(deliver, executors)
+            if target is None:
+                return "inflight-unmodelled"
+            for when, event in pairs[index:]:
+                if not _adoptable(event, acked):
+                    return "inflight-unmodelled"
+                deliveries.append((when, target, event, sender_id))
+        else:
+            return "inflight-unmodelled"
+    for executor in executors.values():
+        if executor in busy:
+            if not all(_adoptable(event, acked) for event, _sender in executor.input_queue):
+                return "inflight-unmodelled"
+        elif executor._busy or executor.input_queue:
+            return "inflight-unmodelled"  # busy/queued without a modelled completion
+    return deliveries, busy
+
+
+def _emission_schedule(
+    source: SourceExecutor, now0: float, limit: float, hor: float, headroom: Optional[int]
+) -> Tuple[np.ndarray, Optional[float], Optional[float], float]:
+    """The stretch's emission ticks: ``(ticks, next_tick, idle_from, horizon)``.
+
+    The headroom cap is pessimistic but exact: pending can only shrink as
+    trees complete mid-stretch, so a stretch emitting at most ``limit -
+    pending`` roots never reaches a tick the classic path would have
+    throttled.  A capped stretch ends at the tick the cap held back -- which
+    must find the executors as the classic kernel would have them then -- so
+    the horizon is pulled in to it.  ``idle_from`` is the tick a profile went
+    idle at (the source then re-arms by idle recheck, not at ``next_tick``).
+    """
+    idle_from: Optional[float] = None
+    next_tick: Optional[float] = None
+    capped = False
+    profile = source.profile
+    if profile is None and source.rate > 0:
+        ticks, next_tick, capped = fixed_rate_ticks(now0, 1.0 / source.rate, limit, hor, headroom)
+    else:
+        # Profile-driven sources re-evaluate the rate at every tick: the
+        # exact scalar recurrence of ``_arm_emit_timer``.
+        tick_times: List[float] = []
+        tick = now0
+        while True:
+            tick_times.append(tick)
+            rate = float(profile.rate_at(tick)) if profile is not None else source.rate
+            if rate <= 0:
+                idle_from = tick
+                break
+            source.rate = rate
+            next_tick = tick + 1.0 / rate
+            if next_tick > limit or next_tick >= hor:
+                break
+            if headroom is not None and len(tick_times) >= headroom:
+                capped = True
+                break
+            tick = next_tick
+        ticks = np.array(tick_times)
+    return ticks, next_tick, idle_from, next_tick if capped else hor
+
+
+# ----------------------------------------------------------------- the sweep
+class _Adopted:
+    """The in-flight work one instance brings into the sweep, arrival side.
+
+    ``keys`` are the merge keys (``-inf`` for the ``seeded`` events that were
+    in service or queued at entry, so they sort first and stay in order; the
+    delivery time for adopted deliveries), ``roots`` the sweep root indices and
+    ``fixed`` the already-scheduled completion time of the event in service.
+    """
+
+    __slots__ = ("keys", "roots", "seeded", "fixed")
+
+    def __init__(self) -> None:
+        self.keys: List[float] = []
+        self.roots: List[int] = []
+        self.seeded = 0
+        self.fixed = 0.0
+
+
+class _Sweep:
+    """The state the phases of one vectorized cascade share.
+
+    Sweep root indices ``0 .. n_roots-1`` are the roots this cascade emits (id
+    ``rids[r]``, emitted at ``ticks[r]``, payload generated on demand from the
+    sequence number); adopted in-flight events descend from earlier roots and
+    extend the index space with their own root id / emission time / payload
+    (``adopted[r - n_roots]``).  Once :meth:`ingest` has fixed the index
+    space, ``rids`` / ``emitted`` cover all of it.  An entry is swept iff its
+    time is below ``bound``; the rest is handed back by :meth:`spill`.
+
+    Under acking, events wholly inside the sweep never draw an id -- their
+    anchor/ack XOR contributions cancel by construction, so only per-root-index
+    *counts* are kept (``anchors`` / ``acks``), and trees that live and die
+    inside the sweep never materialize a ``PendingTree``.  Real ids appear
+    exactly where the classic path would leave them observable: spilled events
+    fold into ``residue`` (new roots: becomes the registered tree's hash) or
+    ``anchor_pairs`` (pre-existing trees); adopted in-flight events keep their
+    original ids -- ``ack_pairs`` removes them from their trees when they
+    complete in-sweep, and the original object is handed back if they spill
+    again.  :meth:`fold_acks` commits it all through the acker's bulk APIs.
+    """
+
+    def __init__(
+        self, runtime: "TopologyRuntime", plan: _SweepPlan, source: SourceExecutor,
+        ticks: np.ndarray, bound: float, acked: bool,
+    ) -> None:
+        self.runtime = runtime
+        self.plan = plan
+        self.source = source
+        self.acked = acked
+        self.bound = bound
+        self.ticks = self.emitted = ticks
+        self.n_roots = n_roots = len(ticks)
+        self.first_sequence = source._sequence + 1
+        source._sequence += n_roots
+        rid0 = reserve_event_ids(n_roots)
+        self.rids = np.arange(rid0, rid0 + n_roots, dtype=np.int64)
+        # Bulk append (record_source_emit with replay_count=0, at_time=tick):
+        # fresh root ids are never already emitted.  A pure array copy — no
+        # per-event record.
+        runtime.log.extend_emits(ticks, self.rids, source.task.name)
+        source.emitted_count += n_roots
+        #: ``(event, sender id, hand the object back on a spill)`` per adopted event.
+        self.adopted: List[Tuple[Event, str, bool]] = []
+        #: node index -> the in-flight work it brought.
+        self.arrived: Dict[int, _Adopted] = {}
+        self.payloads: Dict[int, Any] = {}
+        self.field_cache: Dict[int, np.ndarray] = {}
+        #: Per plan channel: the in-bound ``(deliveries, roots, parent
+        #: completion times)`` it shipped, or None.
+        self.segments: List[Optional[tuple]] = [None] * len(plan.channels)
+        #: node index -> the in-bound ``(completions, roots)`` it sends on.
+        self.outputs = {plan.by_id[source.executor_id].index: (ticks, np.arange(n_roots))}
+        #: Work crossing the bound: ``(node index, channel index or the
+        #: channel count for a queue, ...)``, materialized by :meth:`spill`.
+        self.spills: List[tuple] = []
+        self.receipts: List[Tuple[np.ndarray, np.ndarray, SinkExecutor]] = []
+        self.anchors = self.acks = self.residue = self.spilled = None
+        self.anchor_pairs: List[Tuple[int, int]] = []
+        self.ack_pairs: List[Tuple[int, int]] = []
+        #: Root indices of the adopted events a queue spill handed back.
+        self.respilled: Set[int] = set()
+        self.inline = n_roots
+        self.routed = self.rounds = self.fallbacks = 0
+
+    def payload_of(self, r: int) -> Any:
+        """Root ``r``'s payload, built once and only when something reads it
+        (a spilled event, an unresolved tree's replay cache, FIELDS
+        grouping): a loss-free stretch resolves most roots unread."""
+        if r >= self.n_roots:
+            return self.adopted[r - self.n_roots][0].payload
+        payload = self.payloads.get(r)
+        if payload is None:
+            payload = self.payloads[r] = self.source._payload(self.first_sequence + r)
+        return payload
+
+    def field_indices(self, num: int) -> np.ndarray:
+        """FIELDS target instance of every sweep root, for ``num`` instances."""
+        cached = self.field_cache.get(num)
+        if cached is None:
+            count = len(self.rids)
+            cached = self.field_cache[num] = np.fromiter(
+                (stable_field_index(field_key_of(self.payload_of(r)), num) for r in range(count)),
+                dtype=np.intp,
+                count=count,
+            )
+        return cached
+
+    # ------------------------------------------------------------- ingestion
+    def ingest(self, deliveries: List[tuple], busy: Dict[Executor, tuple]) -> None:
+        """Commit the in-flight scan: the sweep now owns all pending data work.
+
+        Pending deliveries inside the bound join their target's arrival merge
+        (their jitter was drawn -- and the channel FIFO state advanced -- when
+        they were routed); the rest go straight back on the kernel heap
+        unchanged.  Each busy executor is seeded with its fixed in-service
+        completion time plus its queued arrivals, in order.  This fixes the
+        root-index space, so the per-root columns are sized here.
+        """
+        n_roots = self.n_roots
+        adopted = self.adopted
+        if deliveries or busy:
+            sim = self.runtime.sim
+            by_id = self.plan.by_id
+            sim.remove_fast_entries()
+            for when, target, event, sender_id in deliveries:
+                if when < self.bound:
+                    work = self.arrived.setdefault(by_id[target.executor_id].index, _Adopted())
+                    work.keys.append(when)
+                    work.roots.append(n_roots + len(adopted))
+                    # Under acking the event's id is already folded into its
+                    # pending tree: keep the object in case it spills again.
+                    adopted.append((event, sender_id, self.acked))
+                    self.inline += 1
+                else:
+                    sim.schedule_at_fast(when, target.deliver, (event, sender_id))
+            for executor, (when, event) in busy.items():
+                work = self.arrived.setdefault(by_id[executor.executor_id].index, _Adopted())
+                work.seeded = count = 1 + len(executor.input_queue)
+                work.fixed = when
+                work.keys[0:0] = [-math.inf] * count
+                work.roots[0:0] = range(n_roots + len(adopted), n_roots + len(adopted) + count)
+                adopted.append((event, "", True))
+                adopted.extend((queued, sender, True) for queued, sender in executor.input_queue)
+                executor.input_queue.clear()
+                executor._busy = False  # re-established by the spill if needed
+        if adopted:
+            self.rids = np.concatenate([self.rids, [event.root_id for event, _, _ in adopted]])
+            self.emitted = np.concatenate(
+                [self.ticks, [event.root_emitted_at for event, _, _ in adopted]]
+            )
+        if self.acked:
+            self.anchors = np.zeros(len(self.rids), dtype=np.int64)
+            self.acks = np.zeros(len(self.rids), dtype=np.int64)
+            self.residue = np.zeros(n_roots, dtype=np.uint64)
+            self.spilled = np.zeros(n_roots, dtype=np.int64)
+
+    # --------------------------------------------------------- service rounds
+    def serve(self, level: _Level) -> None:
+        """Run the service queues of one level, whole instances to a block."""
+        segments = self.segments
+        block: List[tuple] = []
+        size = 0
+        for node in level.nodes:
+            work = self.arrived.get(node.index) if self.arrived else None
+            feeds = [c for c in node.feeds if segments[c] is not None]
+            total = sum([len(segments[c][0]) for c in feeds], len(work.keys) if work else 0)
+            if not total:
+                continue
+            if block and size + total > _BLOCK_ENTRIES:
+                self._serve_block(block)
+                block, size = [], 0
+            block.append((node, work, feeds, total))
+            size += total
+        if block:
+            self._serve_block(block)
+
+    def _serve_block(self, block: List[tuple]) -> None:
+        """One array round over the arrival merges and Lindley queues of ``block``.
+
+        The arrivals of every instance are laid end to end (adopted work
+        first, then the feeding channels in plan order), each instance's
+        merged by a stable sort on arrival time -- so ties keep that order --
+        and all served by one segmented max-plus scan over ``arrival +
+        service``.  Seeded work is pinned first: the event in service
+        completes at its already scheduled time and the queued ones drain back
+        to back after it (``tc = t + service`` chains, the exact classic
+        recurrence), which is also what the first new arrival waits for.
+        """
+        self.rounds += 1
+        segments = self.segments
+        keys, roots, counts, pieces, offsets = [], [], [], [], []
+        pins: List[int] = []
+        pinned: List[float] = []
+        unmerged: List[Tuple[int, int]] = []
+        offset = 0
+        for node, work, feeds, total in block:
+            loose = len(feeds)
+            if work is not None:
+                completes = work.fixed
+                for position in range(offset, offset + work.seeded):
+                    pins.append(position)
+                    pinned.append(completes)
+                    completes = completes + node.service
+                loose += len(work.keys) - work.seeded
+                keys.append(work.keys)
+                roots.append(work.roots)
+                pieces.append(work)
+                offsets.append(offset)
+                offset += len(work.keys)
+            for c in feeds:
+                keys.append(segments[c][0])
+                roots.append(segments[c][1])
+                pieces.append(c)
+                offsets.append(offset)
+                offset += len(segments[c][0])
+            counts.append(total)
+            if loose > 1:
+                unmerged.append((offset - total, offset))
+        arrivals = np.concatenate(keys) if len(keys) > 1 else np.asarray(keys[0], dtype=np.float64)
+        rts = np.concatenate(roots) if len(roots) > 1 else np.asarray(roots[0], dtype=np.intp)
+        order = None
+        if unmerged:
+            # Each piece is sorted already, which a stable sort merges cheaply.
+            order = np.arange(offset)
+            for lo, hi in unmerged:
+                order[lo:hi] = np.argsort(arrivals[lo:hi], kind="stable") + lo
+            arrivals = arrivals[order]
+            rts = rts[order]
+        services = [node.service for node, _, _, _ in block]
+        step = services[0]
+        if services.count(step) < len(services):
+            step = np.repeat(np.array(services), counts)
+        values = arrivals + step
+        if pins:
+            values[pins] = pinned
+        completions, fell_back = maxplus_scan(values, step, counts)
+        self.fallbacks += fell_back
+
+        lookup = (order, offsets, pieces)
+        done: List[Tuple[int, int]] = []
+        hi = 0
+        for node, _work, _feeds, total in block:
+            lo, hi = hi, hi + total
+            end = hi
+            if not completions[hi - 1] < self.bound:
+                end = lo + int(np.searchsorted(completions[lo:hi], self.bound))
+                # The service at ``end`` crosses the bound (see _spill_queue).
+                self.spills.append(
+                    (node.index, len(segments), node, end, hi, completions, rts, lookup)
+                )
+            if end > lo:
+                executor = node.executor
+                if node.sink:
+                    executor.received_count += end - lo
+                    self.receipts.append((completions[lo:end], rts[lo:end], executor))
+                else:
+                    self.outputs[node.index] = (completions[lo:end], rts[lo:end])
+                    state = executor.state
+                    state["processed"] = state.get("processed", 0) + end - lo
+                    executor.busy_time_s = self.plan.busy_after(executor, node.service, end - lo)
+                executor.processed_count += end - lo
+                self.inline += end - lo
+                done.append((lo, end))
+        if self.acked:
+            # Every in-sweep completion acks its event (the classic path acks
+            # at both process and sink completions): symbolically -- the
+            # count cancels the ship-time anchor.
+            self._count(self.acks, rts, done)
+
+    @staticmethod
+    def _count(counters: np.ndarray, rts: np.ndarray, spans: List[Tuple[int, int]]) -> None:
+        """``counters[r] += 1`` for every root entry of ``rts`` inside ``spans``."""
+        if sum(end - lo for lo, end in spans) == len(rts):
+            spans = [(0, len(rts))]  # nothing to leave out: one call for the block
+        for lo, end in spans:
+            np.add.at(counters, rts[lo:end], 1)
+
+    # -------------------------------------------------------- shipping rounds
+    def ship(self, level: _Level) -> None:
+        """Route what one level completed (the array form of ``Router.fan_out``
+        target selection), whole channels to a block."""
+        outputs = self.outputs
+        if not level.ids or not any(node.index in outputs for node in level.nodes):
+            return
+        parents, roots = [], []
+        nothing = (self.ticks[:0], self.rids[:0])
+        for node in level.nodes:
+            completions, rts = outputs.get(node.index, nothing)
+            for grouping, num, _first, cursor in node.edges:
+                if num == 1 or grouping is Grouping.ALL:
+                    parents.extend([completions] * num)
+                    roots.extend([rts] * num)
+                elif grouping is Grouping.GLOBAL:
+                    parents.extend([completions] + [nothing[0]] * (num - 1))
+                    roots.extend([rts] + [nothing[1]] * (num - 1))
+                elif grouping is Grouping.FIELDS:
+                    targets = self.field_indices(num)[rts]
+                    for k in range(num):
+                        mask = targets == k
+                        parents.append(completions[mask])
+                        roots.append(rts[mask])
+                else:  # shuffle round-robin per (sender executor, dst task)
+                    start = cursor[0]
+                    cursor[0] = start + len(rts)
+                    # Event i goes to instance (start + i) % num, so instance
+                    # k's events are the strided slice starting at
+                    # (k - start) % num -- views, no masks, no copies.
+                    for k in range(num):
+                        parents.append(completions[(k - start) % num::num])
+                        roots.append(rts[(k - start) % num::num])
+        counts = [len(piece) for piece in parents]
+        i = 0
+        while i < len(counts):
+            j, size = i + 1, counts[i]
+            while j < len(counts) and size + counts[j] <= _BLOCK_ENTRIES:
+                size += counts[j]
+                j += 1
+            if size:
+                self._ship_block(level, i, j, parents[i:j], roots[i:j], counts[i:j])
+            i = j
+
+    def _ship_block(self, level: _Level, i: int, j: int, parents, roots, counts) -> None:
+        """One array round over channels ``i .. j-1`` of ``level`` (the array
+        form of ``Channel.stamp``): keyed jitter, latency, FIFO bump, bound split."""
+        self.rounds += 1
+        channels = level.channels[i:j]
+        if j - i == 1:
+            parent_times, latency = parents[0], level.bases[i]
+        else:
+            parent_times = np.concatenate(parents)
+            latency = np.repeat(level.bases[i:j], counts)
+        jitter = self.plan.jitter
+        if jitter is not None:
+            draws = keyed_value_blocks(
+                level.seeds[i:j], [channel.stream.counter for channel in channels], counts
+            )
+            latency = latency * (1.0 + (jitter[0] + jitter[1] * draws))
+            if jitter[0] <= -1.0:  # else the factor is positive: nothing to clamp
+                np.maximum(latency, 0.0, out=latency)
+        # Per-channel FIFO: d[i] = max(raw[i], d[i-1] + spacing).
+        deliveries, fell_back = maxplus_scan(
+            parent_times + latency, FIFO_SPACING_S, counts, [channel.last for channel in channels]
+        )
+        self.fallbacks += fell_back
+        self.routed += len(deliveries)
+
+        shipped: List[Tuple[int, int]] = []
+        hi = 0
+        for c, channel, n, sent, sent_roots in zip(level.ids[i:j], channels, counts, parents, roots):
+            if not n:
+                continue
+            lo, hi = hi, hi + n
+            if jitter is not None:
+                channel.stream.counter += n
+            channel.last = tail = float(deliveries[hi - 1])
+            cut = n  # the views handed on are the sender's own, not the block's copies
+            if not tail < self.bound:
+                cut = int(np.searchsorted(deliveries[lo:hi], self.bound))
+                # Beyond the bound: classic deliveries (see _spill_shipped).
+                self.spills.append(
+                    (self.plan.senders[c].index, c, deliveries[lo + cut:hi], sent_roots[cut:],
+                     sent[cut:])
+                )
+            if cut:
+                self.segments[c] = (deliveries[lo:lo + cut], sent_roots[:cut], sent[:cut])
+                self.inline += cut
+                shipped.append((lo, lo + cut))
+        if self.acked:
+            # Symbolic anchors: each in-bound shipped event will also be acked
+            # (in-sweep or converted on spill), so no id is drawn here — only
+            # the per-root count advances.
+            self._count(self.anchors, roots[0] if j - i == 1 else np.concatenate(roots), shipped)
+
+    # ----------------------------------------------------------------- spills
+    def spill(self) -> None:
+        """Hand the work that crossed the bound back to the kernel, in classic form.
+
+        Runs after the level sweep, instance by instance in plan order -- an
+        instance's shipped events in channel order, then its queue -- because
+        that is the order the spilled events draw their ids in.
+        """
+        self.runtime.router.routed_count += self.routed
+        self.spills.sort(key=itemgetter(0, 1))
+        for _node_index, c, *work in self.spills:
+            if c < len(self.segments):
+                self._spill_shipped(c, *work)
+            else:
+                self._spill_queue(*work)
+
+    def _new_event(self, r: int, task_name: str, created_at: float, anchor: int) -> Event:
+        """Materialize a sweep-born event that leaves the sweep, with a fresh id.
+
+        ``anchor`` is what the event's id does to a new root's symbolic anchor
+        count (a shipped spill was never counted: +1; a queued one was counted
+        at ship time: 0) -- on a pre-existing tree the anchor turns real.
+        """
+        event_id = next_event_id()
+        root_id = int(self.rids[r])
+        if self.acked:
+            if r < self.n_roots:
+                # A new root's spilled event: its real id is part of the tree
+                # hash register_block will materialize.
+                self.residue[r] ^= event_id
+                self.spilled[r] += 1
+                self.anchors[r] += anchor
+            else:
+                self.anchors[r] += anchor - 1
+                self.anchor_pairs.append((root_id, event_id))
+        return Event(
+            event_id, root_id, _DATA_KIND, task_name, self.payload_of(r), created_at,
+            float(self.emitted[r]), None, None, 0, self.acked,
+        )
+
+    def _spill_shipped(self, c: int, deliveries, roots, parent_times) -> None:
+        channel = self.plan.channels[c]
+        task_name = self.plan.senders[c].task_name
+        schedule_at_fast = self.runtime.sim.schedule_at_fast
+        for when, r, created_at in zip(deliveries.tolist(), roots.tolist(), parent_times.tolist()):
+            event = self._new_event(r, task_name, created_at, 1)
+            schedule_at_fast(when, channel.deliver, (event, channel.sender_id))
+
+    def _spill_queue(self, node: _Node, first: int, end: int, completions, rts, lookup) -> None:
+        """Leave ``node`` busy with the service that crosses the bound on the
+        kernel heap and the later arrivals queued, exactly as the classic
+        kernel would have them at this point.  Adopted positions still hold
+        their original Event objects; sweep-born arrivals are materialized
+        from the sweep arrays."""
+        order, offsets, pieces = lookup
+        entries = []
+        for position in range(first, end):
+            # Back through the merge to the piece the entry arrived in.
+            merged = position if order is None else int(order[position])
+            piece = bisect_right(offsets, merged) - 1
+            origin = pieces[piece]
+            r = int(rts[position])
+            if type(origin) is _Adopted:
+                event, sender_id, original = self.adopted[r - self.n_roots]
+                self.respilled.add(r)
+                if not original:  # an unacked delivery re-enters as a fresh copy
+                    event = self._new_event(r, event.source_task, event.created_at, 0)
+            else:
+                sender_id = self.plan.channels[origin].sender_id
+                created_at = float(self.segments[origin][2][merged - offsets[piece]])
+                event = self._new_event(r, self.plan.senders[origin].task_name, created_at, 0)
+            entries.append((event, sender_id))
+        executor = node.executor
+        executor._busy = True
+        self.runtime.sim.schedule_at_fast(
+            float(completions[first]), executor._complete_data, (entries[0][0],)
+        )
+        executor.input_queue.extend(entries[1:])
+
+    # ------------------------------------------------------------ the commits
+    def fold_acks(self) -> None:
+        """Commit the ack stream: one bulk acker update per category."""
+        acker = self.runtime.acker
+        n_roots = self.n_roots
+        # New roots whose every event was anchored *and* acked inside the
+        # sweep resolved to zero by construction — stats only, no
+        # PendingTree, no timer.  The rest materialize with their exact
+        # classic end-of-stretch state (hash = XOR of outstanding spilled
+        # ids) and back-dated timeout timers.
+        new_anchors = self.anchors[:n_roots]
+        new_acks = self.acks[:n_roots]
+        resolved = (self.spilled == 0) & (new_anchors > 0)
+        acker.absorb_resolved(
+            int(np.count_nonzero(resolved)),
+            int(new_anchors[resolved].sum()),
+            int(new_acks[resolved].sum()),
+        )
+        unresolved = np.flatnonzero(~resolved)
+        if unresolved.size:
+            u_roots = self.rids[unresolved].tolist()
+            acker.register_block(
+                u_roots,
+                self.ticks[unresolved].tolist(),
+                self.residue[unresolved].tolist(),
+                new_anchors[unresolved].tolist(),
+                new_acks[unresolved].tolist(),
+            )
+            self.source.cache_block(u_roots, [self.payload_of(r) for r in unresolved.tolist()])
+        # An adopted event that completed in-sweep (all but the ones a queue
+        # spill handed back) is acked by the id already folded into its tree,
+        # not by count.
+        for r, (event, _, _) in enumerate(self.adopted, n_roots):
+            if r not in self.respilled:
+                self.acks[r] -= 1
+                self.ack_pairs.append((event.root_id, event.event_id))
+        # Pre-existing trees: real anchors first (spilled ids enter the
+        # hashes), then the cancelled symbolic pairs, then the real acks —
+        # so no tree's hash can transiently return to zero before all its
+        # outstanding ids are in place.  Completions fire the classic
+        # on_complete (source drops its cached payloads).
+        if self.anchor_pairs:
+            acker.anchor_batch(self.anchor_pairs)
+        if self.adopted:
+            acker.settle_batch(
+                self.rids[n_roots:].tolist(),
+                self.anchors[n_roots:].tolist(),
+                self.acks[n_roots:].tolist(),
+            )
+        if self.ack_pairs:
+            acker.ack_batch(self.ack_pairs)
+
+    def commit_receipts(self) -> None:
+        """Merge the sinks' receipts into the log in global time order: one
+        fancy-index per root column, one bulk id reservation, no per-event
+        object."""
+        receipts = self.receipts
+        if not receipts:
+            return
+        times, roots, sink = receipts[0]
+        names: Any = sink.task.name
+        which = None
+        if len(receipts) > 1:
+            times = np.concatenate([rec[0] for rec in receipts])
+            roots = np.concatenate([rec[1] for rec in receipts])
+            which = np.repeat(np.arange(len(receipts)), [len(rec[0]) for rec in receipts])
+            names = [rec[2].task.name for rec in receipts]
+            order = np.argsort(times, kind="stable")
+            times, roots, which = times[order], roots[order], which[order]
+        eid0 = reserve_event_ids(len(times))
+        self.runtime.log.extend_receipts(
+            times,
+            self.rids[roots],
+            np.arange(eid0, eid0 + len(times), dtype=np.int64),
+            names,
+            self.emitted[roots],
+            sink_indices=which,
+        )

@@ -148,6 +148,9 @@ class Router:
         self._cursors: Dict[Tuple[str, str], List[int]] = {}
         #: sender -> compiled outbox; dropped by invalidate_caches().
         self._outboxes: Dict[str, Tuple[OutboxEdge, ...]] = {}
+        #: Placement epoch, moved by invalidate_caches(): what the batch
+        #: stepper compiles from the outboxes can tell it is stale.
+        self.epoch = 0
         network: NetworkModel = runtime.cluster.network
         self._network = network
         self._jitter_fraction = network.jitter_fraction
@@ -175,6 +178,7 @@ class Router:
         cache.
         """
         self._outboxes.clear()
+        self.epoch += 1
         for channel in self._channels.values():
             channel.deliver = None
 

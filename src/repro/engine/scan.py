@@ -4,35 +4,36 @@ The vectorized cascade (:mod:`repro.engine.batch`) promises simulated times
 that are *bit-identical* to the per-event kernel, which rules out every
 closed form that re-associates float arithmetic (``k * step`` for ``k``
 sequential adds, pairwise sums, prefix-max tricks on shifted values).  The
-two kernels here keep the kernel's own operation order and still run as
-array code:
+kernels here keep the kernel's own operation order and still run as array
+code:
 
 * :func:`sequential_sums` -- ``k`` sequential additions of one step
-  (``busy_time_s``, a seeded queue draining back to back, a fixed-rate tick
-  schedule) are ``np.add.accumulate`` over ``[start, step, step, ...]``:
-  accumulate is defined as ``out[i] = out[i-1] + a[i]``, the same additions
-  in the same order.
+  (``busy_time_s``, a fixed-rate tick schedule) are ``np.add.accumulate``
+  over ``[start, step, step, ...]``: accumulate is defined as
+  ``out[i] = out[i-1] + a[i]``, the same additions in the same order.
 * :func:`maxplus_scan` -- the max-plus recurrence
   ``y[i] = max(a[i], y[i-1] + step)`` behind both the per-channel FIFO bump
   (``step = 1e-9``) and the Lindley service queue.  A service completion is
   ``C[i] = max(A[i], C[i-1]) + s``; because ``x -> fl(x + s)`` is monotone,
   ``fl(max(A, C) + s) == max(fl(A + s), fl(C + s))``, so the queue is the same
-  scan over ``a = A + s`` (:func:`service_completions`).
+  scan over ``a = A + s``.  The level sweep lays the channels (or queues) of
+  a whole level end to end, so the scan takes *segments*: independent
+  recurrences, each with its own seed.
 
 The scan starts from the no-wait answer ``y = a`` and re-propagates only the
 *frontier*: entries whose predecessor just moved.  Values only ever rise
 towards the true solution and each round finalizes one more position of every
 busy period, so it converges in as many rounds as the longest busy period.
 The per-event loop is kept as :func:`maxplus_scan_reference`: it is the test
-oracle, and the scan hands over to it when the input says the vector form
-cannot win -- a handful of entries, or a frontier that fails to halve every
-round (a saturated queue, where round ``r`` would still touch ``n - r``
-entries).
+oracle, and the scan hands a segment over to it when the input says the
+vector form cannot win -- a handful of entries, or a frontier that fails to
+halve every round (a saturated queue, where round ``r`` would still touch
+``n - r`` entries).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,51 +101,76 @@ def maxplus_scan_reference(
 
 
 def maxplus_scan(
-    values: np.ndarray, step: float, seed: Optional[float] = None
-) -> Tuple[np.ndarray, bool]:
-    """Exact vector form of :func:`maxplus_scan_reference`.
+    values: np.ndarray,
+    step,
+    counts: Sequence[int],
+    seeds: Optional[Sequence[float]] = None,
+) -> Tuple[np.ndarray, int]:
+    """Exact vector form of :func:`maxplus_scan_reference`, several at once.
 
-    Returns ``(y, fell_back)``; ``fell_back`` is True when a non-halving
-    frontier handed the input to the scalar reference (tiny inputs take the
-    reference directly and do not count).  ``values`` is never modified.
+    ``values`` holds independent recurrences laid end to end: ``counts[j]``
+    consecutive entries form segment ``j`` (empty segments are allowed),
+    seeded with ``seeds[j]`` (``-inf``, or ``seeds=None``: no predecessor).
+    ``step`` is one float, or one float per entry when the segments differ.
+    A segment's first entry is tested against its own seed and the frontier
+    never crosses a segment start, so each segment comes out exactly as the
+    reference would compute it alone.
+
+    Returns ``(y, fallbacks)``: ``fallbacks`` counts the segments a
+    non-halving frontier handed to the scalar reference (a single short
+    segment takes the reference directly and does not count).  ``values`` is
+    never modified.
     """
     n = len(values)
-    if n < _SCALAR_BELOW:
-        return maxplus_scan_reference(values, step, seed), False
-    # Round 1 tests every entry against its predecessor's no-wait value.
-    prevs = np.empty(n)
-    prevs[0] = float("-inf") if seed is None else seed
-    prevs[1:] = values[:-1]
+    per_entry = isinstance(step, np.ndarray)
+    if len(counts) == 1 and n < _SCALAR_BELOW:
+        alone = float(step[0]) if per_entry and n else step
+        return maxplus_scan_reference(values, alone, None if seeds is None else seeds[0]), 0
+    sizes = np.asarray(counts)
+    ends = np.add.accumulate(sizes)
+    starts = ends - sizes
+    # Round 1 tests every entry against its predecessor's no-wait value, a
+    # segment's first entry against the segment's seed.  The spare last slot
+    # takes the writes of empty segments at the very end.
+    prevs = np.empty(n + 1)
+    prevs[1:] = values
+    if 0 in counts:
+        heads = starts[sizes != 0]
+        prevs[heads] = float("-inf") if seeds is None else np.asarray(seeds)[sizes != 0]
+    else:
+        heads = starts
+        prevs[heads] = float("-inf") if seeds is None else seeds
+    prevs = prevs[:n]
     prevs += step
     frontier = (prevs > values).nonzero()[0]
     if not frontier.size:
-        return values, False
+        return values, 0
+    is_head = np.zeros(n + 1, dtype=bool)
+    is_head[heads] = True
+    is_head[n] = True
     pushed = prevs[frontier]
     y = values.copy()
     allowed = n
     while frontier.size:
         allowed >>= 1
         if frontier.size > allowed:
-            return maxplus_scan_reference(values, step, seed), True
+            # Only the segments the frontier is still in are unfinished.
+            unfinished = np.unique(np.searchsorted(ends, frontier, side="right")).tolist()
+            for j in unfinished:
+                lo, hi = int(starts[j]), int(ends[j])
+                y[lo:hi] = maxplus_scan_reference(
+                    values[lo:hi],
+                    float(step[lo]) if per_entry else step,
+                    None if seeds is None else seeds[j],
+                )
+            return y, len(unfinished)
         y[frontier] = pushed
-        # Only the successors of entries that just rose can still be short.
-        if frontier[-1] == n - 1:
-            frontier = frontier[:-1]
+        # Only the successors of entries that just rose can still be short,
+        # and only within their own segment.
         successors = frontier + 1
-        pushed = y[frontier] + step
+        successors = successors[~is_head[successors]]
+        pushed = y[successors - 1] + (step[successors] if per_entry else step)
         waits = pushed > y[successors]
         frontier = successors[waits]
         pushed = pushed[waits]
-    return y, False
-
-
-def service_completions(
-    arrivals: np.ndarray, service: float, busy_until: Optional[float] = None
-) -> Tuple[np.ndarray, bool]:
-    """Completion times of a FIFO single server: ``C[i] = max(A[i], C[i-1]) + s``.
-
-    ``busy_until`` is the completion time of work already in service
-    (``C[-1]``), ``None`` for an idle server.  Same return as
-    :func:`maxplus_scan`, whose recurrence this is over ``A + s``.
-    """
-    return maxplus_scan(arrivals + service, service, busy_until)
+    return y, 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -46,22 +46,33 @@ def keyed_value(seed: int, sequence: int) -> float:
     return (z >> 11) * 2.0 ** -53
 
 
-#: uint64-boxed mix constants for :func:`keyed_value_block` (scalar->uint64
+#: uint64-boxed mix constants for :func:`keyed_value_blocks` (scalar->uint64
 #: conversion per call was measurable on small blocks).
 _NP_CONSTS = tuple(np.uint64(c) for c in (_GOLDEN, _MIX1, _MIX2, 30, 27, 31, 11))
 
 
-def keyed_value_block(seed: int, start_sequence: int, count: int):
-    """Vectorized :func:`keyed_value`: draws ``start_sequence .. +count-1``.
+def keyed_value_blocks(seeds: Sequence[int], starts: Sequence[int], counts: Sequence[int]):
+    """Vectorized :func:`keyed_value` over several channels at once.
 
-    The integer mix runs on ``uint64`` arrays, whose wraparound is exactly
-    the ``& _MASK64`` of the scalar path, and ``(z >> 11) * 2**-53`` is exact
-    in float64, so every element is bit-identical to the corresponding scalar
-    :func:`keyed_value` call.
+    Returns, laid end to end, the draws ``starts[j] .. starts[j]+counts[j]-1``
+    of every channel ``seeds[j]``.  The integer mix runs on ``uint64`` arrays,
+    whose wraparound is exactly the ``& _MASK64`` of the scalar path, and
+    ``(z >> 11) * 2**-53`` is exact in float64, so every element is
+    bit-identical to the corresponding scalar :func:`keyed_value` call.
     """
     golden, mix1, mix2, s30, s27, s31, s11 = _NP_CONSTS
-    seqs = np.arange(start_sequence + 1, start_sequence + count + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK64) + seqs * golden
+    # z = seed + (sequence + 1) * GOLDEN (mod 2**64), and entry p of the
+    # result draws sequence starts[j] + p - offset[j]: a constant per channel
+    # plus p * GOLDEN (integers mod 2**64 re-associate freely).
+    keys, offset = [], 0
+    for seed, start, count in zip(seeds, starts, counts):
+        keys.append((seed + (start + 1 - offset) * _GOLDEN) & _MASK64)
+        offset += count
+    z = np.arange(offset, dtype=np.uint64) * golden
+    if len(keys) == 1:
+        z += np.uint64(keys[0])
+    else:
+        z += np.repeat(np.array(keys, dtype=np.uint64), counts)
     z = (z ^ (z >> s30)) * mix1
     z = (z ^ (z >> s27)) * mix2
     z ^= z >> s31

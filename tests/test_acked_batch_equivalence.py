@@ -49,7 +49,7 @@ from repro.sim.shard import log_digest
 from repro.workloads import StepProfile
 
 from tests.conftest import build_cluster, fast_config
-from tests.test_batch_equivalence import fingerprint_modulo_ids
+from tests.test_batch_equivalence import GOLDEN_CASES, check_golden, fingerprint_modulo_ids
 
 
 # ------------------------------------------------------------------ builders
@@ -100,6 +100,34 @@ def acked_fingerprint(runtime: TopologyRuntime):
 
 WINDOWS = [(1, 10.0), (20, 0.5), (7, 1.3)]
 WINDOW_IDS = ["cold-10s", "20x0.5s", "7x1.3s"]
+
+
+# ------------------------------------------------------------ golden digests
+#: Recorded at the parent of the level sweep (PR 17), acked runs: the
+#: fingerprint of ``tests/test_batch_equivalence.py::golden_fingerprint`` --
+#: digest, deliveries, kernel events, cascades, inline events, then the acker's
+#: registered / completed / failed / anchors / acks / late acks / bulk anchors
+#: / bulk acks and its pending trees.
+GOLDEN_ACKED = {
+    ('diamond', 'paper'): ('01badec1b0c94fc7', 2888, 377, 11, 5694, 320, 315, 0, 2858, 2850, 0, 2705, 2688, 5),
+    ('diamond', 'long'): ('1b4cb2948f8953f1', 98499, 9492, 45, 197983, 10800, 10795, 0, 97178, 97170, 0, 93784, 93777, 5),
+    ('diamond', '100x'): ('7ef3cb2be3bd1eae', 172756, 2, 2, 364681, 19200, 19190, 0, 172756, 172739, 0, 172756, 172739, 10),
+    ('diamond', 'rescale'): ('c93772013cf47f2f', 1831, 2480, 11, 1253, 202, 159, 42, 1810, 1809, 0, 596, 597, 1),
+    ('grid', 'paper'): ('183de589551d3833', 7993, 1167, 11, 15067, 320, 313, 0, 7523, 7407, 488, 7158, 7065, 7),
+    ('grid', 'long'): ('f79e03b1d098ba5d', 273348, 33635, 45, 522660, 10800, 10793, 0, 260802, 258650, 11245, 254445, 253820, 7),
+    ('grid', '100x'): ('f08570e3e3ebd62b', 479817, 2, 2, 978743, 19200, 19184, 0, 479817, 479766, 0, 479817, 479766, 16),
+    ('grid', 'rescale'): ('730d1ca28483444b', 5024, 6851, 10, 3002, 201, 158, 41, 3103, 2676, 2306, 1309, 1267, 2),
+    ('traffic', 'paper'): ('f227a3efa86c4bdc', 5430, 619, 11, 10503, 320, 315, 0, 5378, 5356, 22, 5106, 5079, 5),
+    ('traffic', 'long'): ('791bb361c29c5390', 185225, 15570, 45, 364833, 10800, 10795, 0, 183228, 182986, 552, 177174, 177133, 5),
+    ('traffic', '100x'): ('00af354befb72715', 326296, 2, 2, 671734, 19200, 19188, 0, 326296, 326263, 0, 326296, 326263, 12),
+    ('traffic', 'rescale'): ('288cefcb35f557e0', 3423, 4314, 11, 2353, 201, 158, 41, 3306, 3223, 173, 1137, 1139, 2),
+}
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("dag,regime", GOLDEN_CASES)
+    def test_acked_run_matches_the_recorded_fingerprint(self, dag, regime):
+        check_golden(dag, regime, True, GOLDEN_ACKED[dag, regime])
 
 
 # ------------------------------------------------- grid: the acked matrix

@@ -1,9 +1,9 @@
 """Batched-kernel equivalence vs the classic event loop.
 
 The batch-stepping cascade (``RuntimeConfig.batch_stepping``) materializes
-whole steady-state stretches inside one kernel callback — vectorized over
-struct-of-arrays when numpy is available, through an inline per-event heap
-otherwise.  Its contract:
+whole steady-state stretches inside one kernel callback — swept level by
+level over struct-of-arrays (the vectorized tier), or replayed through an
+inline per-event heap with ``batch_vectorize=False``.  Its contract:
 
 * **vectorized tier** — logs equivalent to the classic keyed kernel *modulo
   event-id assignment order*: identical emission/receipt times, sinks,
@@ -19,12 +19,22 @@ deliveries and busy executors instead of declining) — and on a full
 closed-loop elastic run with migrations.  They also cover the batch-mode
 primitives the cascade is built on: bit-identical block RNG draws and bulk
 event-id reservation.
+
+The *golden* runs pin what the modulo-ids contract leaves out: the exact log
+digest (event ids included) and work counters of windowed vectorized runs,
+recorded on the commit before the level sweep replaced the per-channel /
+per-executor rounds -- so the sweep's id draw order (roots, then spills in
+plan order, then receipts) and every float it computes are checked against
+the code it replaced, not only against the classic kernel.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.cluster.cloud import CloudProvider
+from repro.cluster.vm import D3
+from repro.core import strategy_by_name
 from repro.dataflow import topologies
 from repro.dataflow.event import (
     Event,
@@ -32,11 +42,16 @@ from repro.dataflow.event import (
     reserve_event_ids,
     reset_event_ids,
 )
+from repro.dataflow.graph import RescalePlan
 from repro.elastic import ControllerConfig
+from repro.engine import batch
+from repro.engine.config import RuntimeConfig
 from repro.engine.runtime import TopologyRuntime
 from repro.experiments import run_elastic_experiment
+from repro.experiments.scenarios import plan_after_scaling
 from repro.sim import Simulator
-from repro.sim.rng import keyed_value, keyed_value_block
+from repro.sim.rng import keyed_value, keyed_value_blocks
+from repro.sim.shard import log_digest
 from repro.workloads import StepProfile
 
 from tests.conftest import build_cluster, fast_config
@@ -108,6 +123,110 @@ def vars_of(record):
     return [getattr(record, name) for name in record.__slots__]
 
 
+# ------------------------------------------------------------ golden digests
+#: regime -> (topology arguments, windows, window seconds).  The windows sit on
+#: both sides of the sweep's block budget: at ``paper`` rates a whole level is
+#: one block, ``long`` windows (3 600 roots) split Grid's wide levels into
+#: blocks of whole channels, and at ``100x`` the source's channel (9 600 deliveries a
+#: window) is a block of its own.  ``rescale`` migrates with a rescale between
+#: two windows, so the sweep plan must recompile.
+GOLDEN_REGIMES = {
+    "paper": ({}, 10, 4.0),
+    "long": ({}, 3, 450.0),
+    "100x": ({"rate": 800.0, "latency_s": 0.001}, 2, 12.0),
+    "rescale": ({"latency_s": 0.02}, 20, 1.0),
+}
+GOLDEN_RESCALES = {
+    "diamond": {"merge": 4}, "grid": {"forecast_merge": 2}, "traffic": {"traffic_state": 4},
+}
+GOLDEN_CASES = [(dag, regime) for dag in GOLDEN_RESCALES for regime in GOLDEN_REGIMES]
+
+
+def golden_run(dag: str, regime: str, acked: bool) -> TopologyRuntime:
+    """A windowed vectorized run of a paper dataflow (see ``GOLDEN_REGIMES``)."""
+    reset_event_ids()
+    kwargs, windows, step_s = GOLDEN_REGIMES[regime]
+    strategy = "dsm" if acked else "dcr"
+    if regime == "rescale":
+        config = fast_config(strategy)
+    else:
+        config = RuntimeConfig.for_dsm(seed=7) if acked else RuntimeConfig.for_dcr(seed=7)
+    config.reliability.max_spout_pending = None
+    config.batch_stepping = True
+    sim = Simulator()
+    runtime = TopologyRuntime(
+        getattr(topologies, dag)(**kwargs), build_cluster(sim, worker_vms=11), sim=sim, config=config
+    )
+    runtime.deploy()
+    runtime.start()
+    for window in range(windows):
+        if regime == "rescale" and window == 3:
+            vms = CloudProvider(sim).provision(D3, 6, name_prefix="target")
+            for vm in vms:
+                runtime.cluster.add_vm(vm)
+            vm_ids = [vm.vm_id for vm in vms]
+            strategy_by_name(strategy)(runtime, init_resend_interval_s=0.2).migrate(
+                lambda rt: plan_after_scaling(rt, vm_ids), rescale=RescalePlan(GOLDEN_RESCALES[dag])
+            )
+        sim.run(until=sim.now + step_s)
+    return runtime
+
+
+def golden_fingerprint(runtime: TopologyRuntime):
+    """Log digest (ids included), deliveries, kernel events, cascades, inline
+    events -- and every acker counter plus the pending trees under acking."""
+    stepper = runtime.batch_stepper
+    fingerprint = (
+        log_digest(runtime.log)[:16], runtime.router.routed_count, runtime.sim.processed_events,
+        stepper.vector_cascades, stepper.inline_events,
+    )
+    if runtime.ack_data_events:
+        fingerprint += tuple(vars(runtime.acker.stats).values()) + (runtime.acker.pending_count,)
+    return fingerprint
+
+
+def check_golden(dag: str, regime: str, acked: bool, expected) -> None:
+    runtime = golden_run(dag, regime, acked)
+    assert golden_fingerprint(runtime) == expected
+    stepper = runtime.batch_stepper
+    if regime == "rescale":
+        assert len(runtime.rescales) == 1
+        assert stepper.plan_builds >= 2, "the rescale must drop the sweep plan"
+    else:
+        assert stepper.plan_builds == 1
+    levels = len(stepper._sweep_plan().levels)
+    if regime == "paper":
+        # One block per level and side: service rounds and shipping rounds.
+        assert stepper.rounds <= 2 * levels * stepper.vector_cascades
+    if regime == "100x" or (regime == "long" and dag == "grid" and not acked):
+        assert stepper.rounds > 2 * levels * stepper.vector_cascades
+    if regime == "100x":
+        assert 9_600 > batch._BLOCK_ENTRIES  # the source's channel is its own block
+
+
+#: Recorded at the parent of the level sweep (PR 17), unacked runs.
+GOLDEN_UNACKED = {
+    ('diamond', 'paper'): ('1c81daff95a942a9', 2858, 154, 10, 5865),
+    ('diamond', 'long'): ('2ce8654c47343592', 97178, 35, 3, 205111),
+    ('diamond', '100x'): ('7ef3cb2be3bd1eae', 172756, 2, 2, 364681),
+    ('diamond', 'rescale'): ('d346ab6aa0b918f1', 1522, 744, 17, 2472),
+    ('grid', 'paper'): ('2f0444eea20f2fd5', 7915, 424, 10, 15679),
+    ('grid', 'long'): ('0bf08adf6063de87', 269915, 95, 3, 550509),
+    ('grid', '100x'): ('f08570e3e3ebd62b', 479817, 2, 2, 978743),
+    ('grid', 'rescale'): ('b259a270f4e01d37', 4101, 1683, 16, 6688),
+    ('traffic', 'paper'): ('a56cc0715344d5ef', 5392, 280, 10, 10783),
+    ('traffic', 'long'): ('539e8e7ec58c5060', 183552, 63, 3, 377821),
+    ('traffic', '100x'): ('00af354befb72715', 326296, 2, 2, 671734),
+    ('traffic', 'rescale'): ('86231d39eb8ab124', 2798, 1207, 17, 4519),
+}
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("dag,regime", GOLDEN_CASES)
+    def test_unacked_run_matches_the_recorded_fingerprint(self, dag, regime):
+        check_golden(dag, regime, False, GOLDEN_UNACKED[dag, regime])
+
+
 # ------------------------------------------------- grid: vectorized cascade
 class TestVectorizedEquivalence:
     """Vectorized batch stepping == classic keyed kernel, modulo event ids."""
@@ -138,6 +257,45 @@ class TestVectorizedEquivalence:
         assert stepper.vector_cascades >= 1
         # The steady-state stretch dominates: nearly all events bypass the heap.
         assert stepper.inline_events > 10 * len(runtime.log.source_emits)
+
+
+# ------------------------------------------------------- busy time by table
+class TestBusyTimeTable:
+    """``busy_time_s`` grows by one ``+= service`` per event, so the sweep
+    reads it off a table of sequential sums -- but only for an instance whose
+    past matches the table."""
+
+    @staticmethod
+    def adds(value, step, count):
+        for _ in range(count):
+            value += step
+        return value
+
+    def test_matches_the_adds_one_by_one(self):
+        _, runtime = run_windows(True, 6, 1.3)
+        plan = runtime.batch_stepper._sweep_plan()
+        assert plan.busy_sums, "the sweep served something"
+        for executor in runtime.user_executors:
+            service = executor._service_time
+            assert executor.processed_count > 50
+            assert executor.busy_time_s == self.adds(0.0, service, executor.processed_count)
+            for count in (1, 7, 5000):  # the last one past the table's end
+                expected = self.adds(executor.busy_time_s, service, count)
+                assert plan.busy_after(executor, service, count) == expected
+
+    def test_a_past_the_table_does_not_know_is_added_up_instead(self):
+        _, runtime = run_windows(True, 2, 1.3)
+        plan = runtime.batch_stepper._sweep_plan()
+        executor = runtime.user_executors[0]
+        executor.busy_time_s += 0.05  # not a sequential sum of the service time
+        expected = self.adds(executor.busy_time_s, executor._service_time, 40)
+        assert plan.busy_after(executor, executor._service_time, 40) == expected
+        sim = runtime.sim
+        before = (executor.busy_time_s, executor.processed_count)
+        sim.run(until=sim.now + 1.3)
+        served = executor.processed_count - before[1]
+        assert served > 0
+        assert executor.busy_time_s == self.adds(before[0], executor._service_time, served)
 
 
 # ------------------------------------------------------ grid: heap fallback
@@ -207,12 +365,12 @@ class TestKeyedValueBlock:
     def test_bit_identical_to_scalar_draws(self):
         for seed in (0, 1, 2018, (1 << 64) - 1, 0x9E3779B97F4A7C15):
             for start, count in ((0, 1), (0, 17), (5, 64), (123456789, 7)):
-                block = keyed_value_block(seed, start, count)
+                block = keyed_value_blocks((seed,), (start,), (count,))
                 scalars = [keyed_value(seed, start + i) for i in range(count)]
                 assert block.tolist() == scalars
 
     def test_values_in_unit_interval(self):
-        block = keyed_value_block(42, 0, 1000)
+        block = keyed_value_blocks((42,), (0,), (1000,))
         assert float(block.min()) >= 0.0
         assert float(block.max()) < 1.0
 

@@ -12,9 +12,11 @@ import pytest
 from repro.cluster.cloud import CloudProvider
 from repro.cluster.vm import D3
 from repro.core import DrainCheckpointRestore, strategy_by_name
+from repro.engine.runtime import TopologyRuntime
 from repro.experiments.scenarios import plan_after_scaling
+from repro.sim import Simulator
 
-from tests.conftest import make_runtime
+from tests.conftest import build_cluster, fast_config, make_runtime, tiny_dataflow
 
 
 def tagging_logic(tag):
@@ -103,3 +105,52 @@ class TestLogicUpdate:
         runtime.sim.run(until=30.0)
         assert report.is_complete
         assert runtime.dataflow.task("c").logic("probe", {})[0]["logic"] == "v2"
+
+
+class TestLogicUpdateUnderBatchStepping:
+    """The batch stepper sweeps a stretch without calling ``task.logic`` only
+    while every task runs the default dummy logic.  That used to be decided
+    once per runtime, so logic installed by a migration was skipped for every
+    event a later vectorized cascade swept."""
+
+    @pytest.mark.parametrize("batch_stepping", [False, True], ids=["classic", "stepper"])
+    def test_new_logic_is_called_once_per_post_migration_event(self, batch_stepping):
+        config = fast_config("dcr", seed=13)
+        config.batch_stepping = batch_stepping
+        sim = Simulator()
+        runtime = TopologyRuntime(tiny_dataflow(), build_cluster(sim), sim=sim, config=config)
+        runtime.deploy()
+        runtime.start()
+        calls = []
+
+        def counting_logic(payload, state):
+            calls.append(payload)
+            return [payload]
+
+        report = None
+        while sim.now < 40.0:
+            if report is None and sim.now >= 3.0:
+                vms = CloudProvider(sim).provision(D3, 2, name_prefix="target")
+                for vm in vms:
+                    runtime.cluster.add_vm(vm)
+                plan = plan_after_scaling(runtime, [vm.vm_id for vm in vms])
+                report = DrainCheckpointRestore(runtime, init_resend_interval_s=0.2).migrate(
+                    plan, logic_updates={"b": counting_logic}
+                )
+            sim.run(until=sim.now + 0.5)
+        runtime.stop_sources()
+        sim.run(until=60.0)
+
+        assert report.is_complete
+        updated_at = report.notes["logic_updated:b"]
+        post = [r for r in runtime.log.sink_receipts if r.time > updated_at]
+        assert len(post) > 300
+        # DCR drains every old event before the update: what reaches the sink
+        # afterwards went through the new logic, each event exactly once.
+        assert len(calls) == len(post)
+        stepper = runtime.batch_stepper
+        if stepper is not None:
+            # Swept before the update, declined by name after it.
+            assert stepper.vector_cascades > 0
+            assert stepper.declines.get("custom-logic", 0) > 0
+            assert stepper.plan_builds >= 2

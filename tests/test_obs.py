@@ -24,6 +24,8 @@ import json
 import pytest
 
 from repro.dataflow import topologies
+from repro.dataflow.builder import TopologyBuilder
+from repro.dataflow.graph import Dataflow, Edge
 from repro.engine.runtime import TopologyRuntime
 from repro.experiments.elastic import run_elastic_experiment
 from repro.metrics.metadata import config_digest, run_metadata
@@ -237,9 +239,44 @@ class TestControlPlaneTrace:
             assert series.pop(("cascades", None)) == stepper.cascades
             assert series.pop(("vector_cascades", None)) == stepper.vector_cascades
             assert series.pop(("inline_events", None)) == stepper.inline_events
+            assert series.pop(("rounds", None)) == stepper.rounds > 0
             assert series.pop(("scan_fallbacks", None)) == stepper.scan_fallbacks
+            assert series.pop(("plan_builds", None)) == stepper.plan_builds == 1
             assert {reason: count for (_, reason), count in series.items()} == stepper.declines
         assert "inflight-unmodelled" in stepper.declines  # a checkpoint wave in flight
+
+    @pytest.mark.parametrize("reason", ["custom-logic", "duplicate-edges"])
+    def test_dataflows_that_never_engage_are_tallied_by_name(self, reason):
+        """A dataflow the vectorized tier can never sweep says so in its
+        declines, instead of hiding among the ticks that found work in flight."""
+        builder = TopologyBuilder(reason)
+        builder.add_source("source", rate=80.0)  # never idle between two ticks
+        builder.add_task("a", parallelism=2, latency_s=0.02, logic=(lambda payload, state: [payload])
+                         if reason == "custom-logic" else None)
+        builder.add_sink("sink")
+        builder.chain("source", "a", "sink")
+        dataflow = builder.build()
+        if reason == "duplicate-edges":  # the builder refuses them; Dataflow itself does not
+            dataflow = Dataflow(reason, dataflow.tasks, dataflow.edges + [Edge("a", "sink")])
+        config = fast_config("dcr")
+        config.batch_stepping = True
+        config.telemetry = True
+        sim = Simulator()
+        runtime = TopologyRuntime(dataflow, build_cluster(sim), sim=sim, config=config)
+        runtime.deploy()
+        runtime.start()
+        for _ in range(6):
+            sim.run(until=sim.now + 0.5)
+        stepper = runtime.batch_stepper
+        assert stepper.vector_cascades == 0
+        assert stepper.declines.get(reason, 0) > 0 and "inflight-work" not in stepper.declines
+        runtime.telemetry.scrape(runtime)
+        scraped = {
+            s["labels"].get("reason"): s["value"]
+            for s in runtime.telemetry.registry.snapshot()
+            if s["subsystem"] == "engine.batch" and s["name"] == "declines"
+        }
+        assert scraped[reason] == stepper.declines[reason]
 
     def test_kernel_events_not_executed_are_scraped(self, traced):
         """engine.source / engine.sink: the polls a throttled spout parked

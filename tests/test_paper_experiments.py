@@ -13,7 +13,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.dataflow import topologies
+from repro.dataflow.event import reset_event_ids
+from repro.engine import batch
+from repro.engine.config import RuntimeConfig
+from repro.engine.runtime import TopologyRuntime
 from repro.experiments import run_migration_experiment
+from repro.sim import Simulator
+
+from tests.conftest import build_cluster
 
 
 MIGRATE_AT = 60.0
@@ -144,3 +152,60 @@ class TestKernelEventBudget:
             seed=2018,
         )
         assert result.runtime.sim.processed_events <= budget
+
+
+class TestArrayRoundBudget:
+    """The vectorized tier's array rounds repeat exactly as well.
+
+    A cascade used to cost one array round per channel and one per task
+    instance whatever the window held -- 65 on Grid (43 channels, 22
+    instances) -- which is what kept the batch stepper behind the per-event
+    engine at the paper's 8 ev/s.  The level sweep takes one service round and
+    one shipping round per topological level while a level fits the block
+    budget, and goes back to whole channels / instances only past it.
+    """
+
+    @staticmethod
+    def grid(rate: float, latency_s: float, windows: int, step_s: float):
+        reset_event_ids()
+        config = RuntimeConfig.for_dcr(seed=2018)
+        config.batch_stepping = True
+        sim = Simulator()
+        runtime = TopologyRuntime(
+            topologies.grid(rate=rate, latency_s=latency_s),
+            build_cluster(sim, worker_vms=11), sim=sim, config=config,
+        )
+        runtime.deploy()
+        runtime.start()
+        for _ in range(windows):
+            sim.run(until=sim.now + step_s)
+        return runtime.batch_stepper
+
+    def test_steady_grid_takes_two_rounds_a_level(self):
+        stepper = self.grid(rate=8.0, latency_s=0.1, windows=40, step_s=4.0)
+        levels = len(stepper._sweep_plan().levels)
+        assert levels == 9
+        assert stepper.vector_cascades >= 40
+        assert stepper.rounds <= 2 * levels * stepper.vector_cascades
+
+    def test_a_100x_window_keeps_one_block_per_over_budget_channel(self, monkeypatch):
+        blocks = []
+        ship_block = batch._Sweep._ship_block
+        serve_block = batch._Sweep._serve_block
+
+        def spy_ship(sweep, level, i, j, parents, roots, counts):
+            blocks.append((j - i, sum(counts)))
+            return ship_block(sweep, level, i, j, parents, roots, counts)
+
+        def spy_serve(sweep, block):
+            blocks.append((len(block), sum(total for _, _, _, total in block)))
+            return serve_block(sweep, block)
+
+        monkeypatch.setattr(batch._Sweep, "_ship_block", spy_ship)
+        monkeypatch.setattr(batch._Sweep, "_serve_block", spy_serve)
+        stepper = self.grid(rate=800.0, latency_s=0.001, windows=1, step_s=12.0)
+        assert stepper.vector_cascades == 1 and stepper.rounds == len(blocks)
+        budget = batch._BLOCK_ENTRIES
+        over = [members for members, entries in blocks if entries > budget]
+        assert over and set(over) == {1}, "an over-budget block is one whole channel / instance"
+        assert any(members > 1 for members, _ in blocks), "smaller ones still share a round"

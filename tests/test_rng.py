@@ -1,8 +1,14 @@
-"""Unit tests for the named random-stream source."""
+"""Unit tests for the named random-stream source and the keyed channel draws."""
 
 from __future__ import annotations
 
-from repro.sim import RandomSource
+import inspect
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.sim import RandomSource, rng
+from repro.sim.rng import keyed_value, keyed_value_blocks
 
 
 class TestRandomSource:
@@ -50,3 +56,52 @@ class TestRandomSource:
         other = parent.fork("other")
         assert child1.uniform("x", 0, 1) == child2.uniform("x", 0, 1)
         assert child1.master_seed != other.master_seed
+
+
+# ---------------------------------------------------------------------------
+# The level sweep draws the jitter of all channels of a block in one mix.  The
+# multi-stream block must be the per-stream blocks laid end to end, and those
+# the scalar draws, bit for bit (floats are compared with ``==`` on lists: no
+# tolerance anywhere).
+
+streams = st.lists(
+    st.tuples(
+        st.one_of(st.integers(min_value=0, max_value=(1 << 64) - 1),
+                  st.sampled_from((0, 1, (1 << 64) - 1, 0x9E3779B97F4A7C15))),
+        st.one_of(st.integers(min_value=0, max_value=10_000),
+                  st.sampled_from((0, (1 << 32) - 1, (1 << 63) - 70))),
+        st.sampled_from((0, 1, 2, 7, 64)),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def check_streams(cases, kernel=keyed_value_blocks):
+    seeds, starts, counts = zip(*cases)
+    draws = kernel(seeds, starts, counts).tolist()
+    per_stream = [keyed_value_blocks(*zip(case)).tolist() for case in cases]  # one at a time
+    assert draws == [value for block in per_stream for value in block]
+    assert draws == [
+        keyed_value(seed, start + i) for seed, start, count in cases for i in range(count)
+    ]
+    assert all(0.0 <= value < 1.0 for value in draws)
+
+
+class TestKeyedValueBlocks:
+    @given(cases=streams)
+    @settings(max_examples=200, deadline=None)
+    def test_streams_laid_end_to_end_match_the_scalar_draws(self, cases):
+        check_streams(cases)
+
+    def test_a_sequence_off_by_one_at_a_stream_start_fails(self):
+        cases = [(2018, 0, 5), (7, 40, 3), (7, 43, 4)]
+        check_streams(cases)
+        source = inspect.getsource(keyed_value_blocks)
+        site = "(start + 1 - offset)"
+        assert site in source, f"mutation site {site!r} is gone from keyed_value_blocks"
+        namespace = dict(vars(rng))
+        exec(compile(source.replace(site, "(start + 1 - offset + (offset > 0))"),
+                     "<mutant keyed_value_blocks>", "exec"), namespace)
+        with pytest.raises(AssertionError):
+            check_streams(cases, namespace["keyed_value_blocks"])

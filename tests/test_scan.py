@@ -11,8 +11,11 @@ the wait test would show: arrivals that tie with the previous completion
 exactly or sit one ulp either side of it, simultaneous arrivals, a server
 seeded busy until before/after the first arrival, single-element inputs and
 saturated queues (which must take the scalar fallback and still agree).  The
-last test seeds three mutations into the kernels and checks that the same
-assertions catch each of them.
+level sweep lays many such recurrences end to end: the segmented cases check
+every segment against the reference run on it alone -- its own seed, empty and
+one-element segments, a saturated segment beside an idle one (only that one
+may fall back).  The last tests seed mutations into the kernels and check that
+the same assertions catch each of them.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from repro.engine.scan import (
     maxplus_scan,
     maxplus_scan_reference,
     sequential_sums,
-    service_completions,
 )
 
 SERVICES = (0.0, 0.001, 0.1)
@@ -82,6 +84,22 @@ def tick_loop(now0, rate, limit, hor, headroom):
         tick = after
 
 
+# ------------------------------------------------- one recurrence at a time
+def one_segment(kernel=maxplus_scan):
+    """``kernel`` on a single recurrence: ``(values, step, seed) -> (y, fell back)``."""
+
+    def scan_one(values, step, seed=None):
+        out, fallbacks = kernel(values, step, [len(values)], None if seed is None else [seed])
+        return out, bool(fallbacks)
+
+    return scan_one
+
+
+def service_completions(arrivals, service, busy_until=None, scan_one=one_segment()):
+    """``C[i] = max(A[i], C[i-1]) + s`` as the sweep serves a queue: the scan over ``A + s``."""
+    return scan_one(arrivals + service, service, busy_until)
+
+
 # ---------------------------------------------------------------- assertions
 def same_bits(got, expected):
     return np.asarray(got, dtype=np.float64).tobytes() == np.asarray(
@@ -102,7 +120,7 @@ def check_service_case(arrivals, service, busy_until, kernel=service_completions
     return fell_back
 
 
-def check_fifo_case(raw, last, kernel=maxplus_scan):
+def check_fifo_case(raw, last, kernel=one_segment()):
     got, _ = kernel(raw, 1e-9, last)
     assert same_bits(got, fifo_bump_loop(raw, last))
     assert same_bits(maxplus_scan_reference(raw, 1e-9, last), got)
@@ -218,6 +236,106 @@ def test_fixed_rate_ticks_match_the_emit_timer_loop(now0, rate, span, bound, hea
     assert capped == want_capped
 
 
+# ------------------------------------------------------------------ segments
+def check_segments(segments, step, seeds, kernel=maxplus_scan):
+    """Every segment must come out as the reference computes it alone.
+
+    Returns the fallback count; a fallback is only allowed where the segment
+    itself has an entry that waits.
+    """
+    counts = [len(segment) for segment in segments]
+    values = np.concatenate([np.asarray(segment, dtype=np.float64) for segment in segments])
+    steps = step
+    if not np.isscalar(step):  # one step per segment: the kernel takes one per entry
+        steps = np.repeat(np.asarray(step, dtype=np.float64), counts)
+    before = values.copy()
+    got, fallbacks = kernel(values, steps, counts, seeds)
+    assert same_bits(values, before), "the kernel modified its input"
+    offset = 0
+    waiting = 0
+    for j, segment in enumerate(segments):
+        alone = maxplus_scan_reference(
+            values[offset:offset + len(segment)],
+            step if np.isscalar(step) else step[j],
+            None if seeds is None else seeds[j],
+        )
+        assert same_bits(got[offset:offset + len(segment)], alone), f"segment {j}"
+        waiting += not same_bits(alone, values[offset:offset + len(segment)])
+        offset += len(segment)
+    assert fallbacks <= waiting
+    return fallbacks
+
+
+segment_shapes = st.lists(
+    st.tuples(
+        st.sampled_from(("empty", "one", "idle", "busy", "saturated")),
+        st.integers(min_value=2, max_value=150),
+        st.sampled_from((None, "before", "tie", "after")),
+    ),
+    min_size=1,
+    max_size=7,
+)
+
+
+@given(shapes=segment_shapes, service=st.sampled_from(SERVICES[1:]), mixed=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_segmented_scan_matches_the_reference_per_segment(shapes, service, mixed):
+    segments, seeds, steps = [], [], []
+    for index, (shape, size, seeded) in enumerate(shapes):
+        step = service * (1 + index % 3) if mixed else service
+        size = {"empty": 0, "one": 1}.get(shape, size)
+        gap = {"idle": 4.0 * step, "busy": 1.01 * step, "saturated": 0.1 * step}.get(shape, 0.0)
+        arrivals = 10.0 * index + gap * np.arange(size)
+        if shape == "busy":
+            arrivals[size // 3::5] -= 0.5 * step  # short busy periods in an idle queue
+        start = arrivals[0] if size else 0.0
+        seeds.append(
+            {None: -INF, "before": start - 1.0, "tie": start, "after": start + 2.5 * step}[seeded]
+        )
+        segments.append(np.sort(arrivals) + step)
+        steps.append(step)
+    check_segments(segments, steps if mixed else service, seeds)
+    if all(seed == -INF for seed in seeds):
+        check_segments(segments, steps if mixed else service, None)
+
+
+def test_a_saturated_segment_beside_idle_ones_falls_back_alone():
+    idle = 1.0 + np.arange(300) * 0.5 + 0.1
+    saturated = 1.0 + np.arange(300) * 0.01 + 0.1
+    assert check_segments([idle, saturated, idle], 0.1, [-INF, 0.5, 0.9]) == 1
+    assert check_segments([saturated, idle, saturated], 0.1, None) == 2
+    assert check_segments([idle, [], idle[:1], []], 0.1, [-INF, 7.0, 5.0, 9.0]) == 0
+    # FIFO bumps: a channel whose last delivery is ahead of its first new one.
+    raw = 5.0 + np.cumsum(np.full(200, 0.4e-9))
+    assert check_segments([raw, raw + 1.0, raw], 1e-9, [0.0, 6.5, 5.0 + 3e-9]) <= 3
+
+
+def test_seeded_mutations_of_the_segment_handling_fail():
+    def corpus(kernel):
+        busy = 1.0 + np.arange(200) * 0.101 + 0.1
+        busy[50::5] -= 0.05
+        # The first segment ends waiting (its last three arrive together)
+        # and the second, an idle queue, starts at that very time; seeds that
+        # matter sit beside seeds that do not.
+        ends_waiting = busy.copy()
+        ends_waiting[-3:] = ends_waiting[-3]
+        idle = ends_waiting[-1] + np.arange(200) * 0.5
+        check_segments([ends_waiting, idle], 0.1, None, kernel)
+        check_segments([busy, busy + 0.05, busy], 0.1, [0.0, busy[0] + 0.3, 0.0], kernel)
+        check_segments([busy, [], busy[:1], busy], 0.1, [busy[0] + 0.3, 9.0, 0.0, 0.0], kernel)
+
+    corpus(maxplus_scan)
+    # The frontier crosses a segment start: a wait leaks into the next queue.
+    leaky = mutated(maxplus_scan, ("successors[~is_head[successors]]", "successors[successors < n]"))
+    with pytest.raises(AssertionError):
+        corpus(leaky)
+    # A segment seeded with its neighbour's seed.
+    shifted = mutated(maxplus_scan, ("if seeds is None else seeds\n",
+                                     "if seeds is None else list(seeds[1:]) + list(seeds[:1])\n"))
+    with pytest.raises(AssertionError):
+        corpus(shifted)
+
+
 # ------------------------------------------------------------ fixed examples
 def test_single_arrival():
     for service in SERVICES:
@@ -277,12 +395,12 @@ def test_the_edge_corpus_passes_and_seeded_mutations_fail_it():
         maxplus_scan, ("prevs > values", "prevs >= values"), ("pushed > y[", "pushed >= y[")
     )
     with pytest.raises(AssertionError):
-        edge_corpus(lambda a, s, b=None: lax_scan(a + s, s, b))
+        edge_corpus(lambda a, s, b=None: service_completions(a, s, b, one_segment(lax_scan)))
 
-    # A dropped `prev_init`: the server forgets the work it was seeded with.
-    amnesiac = mutated(service_completions, ("service, busy_until)", "service, None)"))
+    # A dropped seed: the server forgets the work it was seeded with.
+    amnesiac = mutated(maxplus_scan, ("if seeds is None else seeds\n", "\n"))
     with pytest.raises(AssertionError):
-        edge_corpus(amnesiac)
+        edge_corpus(lambda a, s, b=None: service_completions(a, s, b, one_segment(amnesiac)))
 
     # `k * service` for the busy sum: one rounding instead of k.
     check_sums_case(0.0, 0.1, 10)
