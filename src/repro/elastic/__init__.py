@@ -1,33 +1,36 @@
-"""Closed-loop elasticity: the staged, predictive, SLO-aware control plane.
+"""Closed-loop elasticity: the predictive, SLO-aware control plane.
 
 The paper motivates DSM/DCR/CCR with input-rate dynamism -- latency-sensitive
 dataflows that must scale in or out as traffic changes -- but scopes the
 *decision* of when and where to scale out of the migration problem.  This
-package supplies that missing loop as an explicit pipeline of pluggable
-stages (``sense -> forecast -> plan -> place -> act``):
+package supplies that missing loop (``monitor -> decide -> place -> act``):
 
-* :class:`~repro.elastic.monitor.ElasticityMonitor` (**sense**) samples the
+* :class:`~repro.elastic.monitor.ElasticityMonitor` (**monitor**) samples the
   observed source rate, executor queue backlogs and sink latency from the
-  event log, measures per-task runtime service rates, and tracks the
-  sink-latency SLO signal;
-* :mod:`repro.elastic.forecast` (**forecast**) predicts the offered rate a
-  provisioning horizon ahead: :class:`~repro.elastic.forecast.ReactivePolicy`
-  (the identity forecast -- the original behaviour),
-  :class:`~repro.elastic.forecast.EwmaPolicy`,
-  :class:`~repro.elastic.forecast.HoltWintersPolicy` and the oracle
-  :class:`~repro.elastic.forecast.ProfileLookaheadPolicy`;
-* :class:`~repro.elastic.planner.AllocationPlanner` (**plan**) applies the
-  paper's one-instance-per-8-ev/s rule and Table-1 style D1/D2/D3 packing to
-  the *forecast* demand, with an SLO-breach override that scales out on a
-  sustained latency breach even when the rate alone is in band;
-* :mod:`repro.elastic.policy` (**place**) turns the target into a fleet and
-  a placement: :class:`~repro.elastic.policy.FullReplacePlacement` (the
-  paper's re-fleet) or :class:`~repro.elastic.policy.IncrementalPlacement`
-  (keep unchanged instances, place only the delta);
-* :class:`~repro.elastic.controller.ElasticityController` (**act**) is a
-  thin driver: it debounces the pipeline's decisions (hysteresis + cooldown
-  + drain guard), provisions what the place stage requests, enacts the
-  migration with any registered
+  event log, and can measure per-task runtime service rates;
+* :func:`~repro.elastic.policy.decide` (**decide**) is the one control rule,
+  a function of a :class:`~repro.elastic.policy.ControlState` and one
+  :class:`~repro.elastic.monitor.MonitorSample` that returns a
+  :class:`~repro.elastic.policy.Decision`.  It asks a
+  :mod:`repro.elastic.forecast` policy for the offered rate a provisioning
+  horizon ahead (:class:`~repro.elastic.forecast.ReactivePolicy`, the
+  identity forecast and the default;
+  :class:`~repro.elastic.forecast.EwmaPolicy`;
+  :class:`~repro.elastic.forecast.HoltWintersPolicy`; the oracle
+  :class:`~repro.elastic.forecast.ProfileLookaheadPolicy`), sizes that demand
+  with the :class:`~repro.elastic.planner.AllocationPlanner` (the paper's
+  one-instance-per-8-ev/s rule and Table-1 style D1/D2/D3 packing, with an
+  SLO-breach override that scales out on a sustained latency breach even when
+  the rate alone is in band), and debounces the result: hysteresis, cooldown,
+  drain-aware scale-in guard;
+* a :class:`~repro.elastic.policy.PlacementPolicy` (**place**) turns the
+  target into a fleet and a placement:
+  :class:`~repro.elastic.policy.IncrementalPlacement` (keep unchanged
+  instances, place only the delta -- the default) or
+  :class:`~repro.elastic.policy.FullReplacePlacement` (the paper's re-fleet);
+* :class:`~repro.elastic.controller.ElasticityController` (**act**) ticks the
+  rule on the monitor's samples, provisions what the placement policy
+  requests, enacts the migration with any registered
   :class:`~repro.core.strategy.MigrationStrategy`, and deprovisions the
   vacated VMs so scale-in actually reduces the bill.
 
@@ -65,25 +68,22 @@ from repro.elastic.planner import (
 )
 from repro.elastic.policy import (
     PLACEMENT_POLICIES,
-    ControlPipeline,
-    DemandForecast,
+    ControlState,
+    Decision,
     FullReplacePlacement,
     IncrementalPlacement,
     PlacementPolicy,
-    PlanDecision,
-    PlanStage,
     ProvisioningRequest,
-    SenseReading,
-    SenseStage,
+    decide,
     placement_policy_by_name,
 )
 
 __all__ = [
     "AllocationPlanner",
-    "ControlPipeline",
+    "ControlState",
     "ControllerConfig",
     "CostPlan",
-    "DemandForecast",
+    "Decision",
     "ElasticityController",
     "ElasticityMonitor",
     "EvacuationRecord",
@@ -97,18 +97,15 @@ __all__ = [
     "MonitorSample",
     "PLACEMENT_POLICIES",
     "PlacementPolicy",
-    "PlanDecision",
-    "PlanStage",
     "ProfileLookaheadPolicy",
     "ProvisioningRequest",
     "ReactivePolicy",
     "RecoveryRecord",
     "ScalingAction",
-    "SenseReading",
-    "SenseStage",
     "TargetAllocation",
     "TIER_ORDER",
     "cost_optimal_fleet",
+    "decide",
     "forecast_policy_by_name",
     "placement_policy_by_name",
     "plan_user_tasks_on",

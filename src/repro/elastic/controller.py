@@ -1,19 +1,19 @@
-"""The autoscaling controller: a thin driver over the control-plane pipeline.
+"""The autoscaling controller: sample, :func:`~repro.elastic.policy.decide`, enact.
 
-Every check interval the controller runs the staged decision pipeline
-(:class:`~repro.elastic.policy.ControlPipeline`: ``sense -> forecast ->
-plan``), and -- after the configured hysteresis has confirmed the signal and
-any cooldown has expired -- enacts the change through the pipeline's *place*
-stage:
+Every check interval the controller takes one monitor sample and hands it to
+the control rule (:func:`~repro.elastic.policy.decide`: forecast the demand,
+size it, confirm it through hysteresis, cooldown and the drain guard).  When
+the rule says ``enact``, the change goes through the placement policy:
 
-1. **provision** the VMs the place stage requests through the
+1. **provision** the VMs the placement policy requests through the
    :class:`CloudProvider` (billing starts immediately; the migration waits
    for the modelled provisioning latency, as the paper's experiments
    provision target VMs before issuing the migration request).  The default
+   :class:`~repro.elastic.policy.IncrementalPlacement` keeps the current
+   fleet on a grow and provisions only the delta;
    :class:`~repro.elastic.policy.FullReplacePlacement` provisions the whole
-   target fleet; :class:`~repro.elastic.policy.IncrementalPlacement` keeps
-   the current fleet on a grow and provisions only the delta;
-2. **plan** the new placement via the place stage (sources/sinks stay
+   target fleet;
+2. **plan** the new placement via the placement policy (sources/sinks stay
    pinned);
 3. **migrate** with the configured, pluggable
    :class:`~repro.core.strategy.MigrationStrategy` (DSM, DCR or CCR) --
@@ -23,29 +23,20 @@ stage:
 4. **deprovision** the vacated worker VMs once the protocol completes, so
    scale-in actually reduces the bill.
 
-Hysteresis (``confirm_samples`` consecutive agreeing samples) filters
-short-lived spikes such as :class:`~repro.workloads.profiles.BurstProfile`
-bursts; the cooldown keeps back-to-back migrations apart.  Samples taken
-while the sources are paused (mid-protocol) are ignored.
+The rule itself -- what filters short-lived spikes such as
+:class:`~repro.workloads.profiles.BurstProfile` bursts, what keeps
+back-to-back migrations apart, why a scale-in waits for a backlog to drain,
+how a forecast policy or a sustained sink-latency SLO breach moves the
+decision -- is documented where it lives, on
+:func:`~repro.elastic.policy.decide`.  One signal is worth naming here
+because the monitor supplies it: decisions track the sample's
+``offered_rate`` (events *generated* per second) rather than the raw emission
+rate, so a post-migration backlog drain -- whose burst looks exactly like a
+fresh surge on the wire -- does not trigger a spurious scale-out.
 
-Two signals make the loop **drain-aware**:
-
-* decisions track the monitor's ``offered_rate`` (events *generated* per
-  second) rather than the raw emission rate, so a post-migration backlog
-  drain -- whose burst looks exactly like a fresh surge on the wire -- does
-  not trigger a spurious scale-out;
-* a scale-in is held while the observed backlog (executor queues plus source
-  backlogs) exceeds ``drain_guard_backlog_s`` seconds of offered load:
-  consolidating a dataflow that is still absorbing a surge would strand the
-  very backlog it is draining on a smaller allocation.
-
-Beyond the reactive threshold rule, the pipeline makes the loop
-**predictive and SLO-aware**: a forecast policy (EWMA / Holt-Winters /
-profile lookahead) sizes capacity for the demand a provisioning horizon
-ahead, and a sustained sink-latency SLO breach escalates to a scale-out even
-when the input rate alone is in band.  With the defaults (reactive forecast,
-no SLO, full-replace placement) the behaviour is bit-identical to the
-pre-pipeline controller.
+With telemetry on, every tick is a ``controller.tick`` span with five stage
+children (``sense``, ``forecast``, ``plan``, ``place``, ``act``) written from
+the rule's :class:`~repro.elastic.policy.Decision`.
 
 Subclasses can reroute capacity through an external authority (the
 multi-tenant :class:`~repro.multi.tenant.TenantController` asks a
@@ -61,19 +52,32 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Type
 
 from repro.cluster.cloud import ON_DEMAND, CloudProvider
-from repro.cluster.placement import PlacementPlan, incremental_plan
+from repro.cluster.placement import PlacementPlan
 from repro.cluster.vm import VM_TYPES, VirtualMachine, VMType
 from repro.core.strategy import MigrationReport, MigrationStrategy
-from repro.elastic.forecast import ForecastPolicy
-from repro.elastic.monitor import ElasticityMonitor, MonitorSample
+from repro.elastic.forecast import ForecastPolicy, forecast_policy_by_name
+from repro.elastic.monitor import ElasticityMonitor
 from repro.elastic.planner import (
     TIER_ORDER,
     AllocationPlanner,
     TargetAllocation,
     cost_optimal_fleet,
+    incremental_plan_on,
 )
-from repro.elastic.policy import ControlPipeline, PlacementPolicy, PlanDecision
+from repro.elastic.policy import (
+    ControlState,
+    Decision,
+    PlacementPolicy,
+    decide,
+    placement_policy_by_name,
+)
 from repro.engine.runtime import TopologyRuntime
+
+
+#: Billing horizon an eviction-notice evacuation assumes when shopping the
+#: market for replacement capacity (spot vs on-demand, see
+#: :meth:`ElasticityController.handle_eviction_notice`).
+EVACUATION_HORIZON_S = 3600.0
 
 
 @dataclass
@@ -86,26 +90,18 @@ class ControllerConfig:
     confirm_samples: int = 2
     #: Quiet period after a completed migration before the next one may start.
     cooldown_s: float = 60.0
-    #: Whether to wait the provider's provisioning latency between provisioning
-    #: the target VMs and issuing the migration (the paper plans ahead, so the
-    #: VMs are ready when the migration request is issued).
-    wait_for_provisioning: bool = True
     #: Drain-aware scale-in guard: a consolidation is deferred while the total
     #: backlog exceeds this many seconds of offered load (``None`` or 0
     #: disables the guard).  Scale-outs are never held -- extra capacity only
     #: helps a drain.
     drain_guard_backlog_s: Optional[float] = 5.0
-    #: Forecast stage: named demand forecaster (see
+    #: Named demand forecaster (see
     #: :data:`~repro.elastic.forecast.FORECAST_POLICIES`).  ``reactive`` is
-    #: the identity forecast -- the original controller behaviour.
+    #: the identity forecast -- the plain threshold controller.
     forecast_policy: str = "reactive"
-    #: How far ahead the forecaster predicts (seconds).  ``None`` derives the
-    #: horizon from the provisioning latency plus the hysteresis window --
-    #: the earliest a decision taken now can become ready capacity.
-    forecast_horizon_s: Optional[float] = None
     #: Forecasts within this fraction of the observed rate snap to the
     #: observed rate (smoothing noise must not read as pressure; see
-    #: :meth:`~repro.elastic.policy.ForecastStage.forecast`).
+    #: :func:`~repro.elastic.policy.decide`).
     forecast_deadband: float = 0.05
     #: Sink-latency SLO (seconds of mean end-to-end latency); ``None``
     #: disables SLO tracking and the overload override.
@@ -116,18 +112,11 @@ class ControllerConfig:
     #: Demand multiplier the SLO override plans with (capacity headroom to
     #: actually drain the backlog the breach built).
     slo_headroom: float = 1.5
-    #: Whether measured per-task service rates are fed back into the planner
-    #: (closing the heterogeneous-latency loop).  Off by default: the paper's
-    #: 1-per-8-ev/s sizing rule stays authoritative unless asked otherwise.
-    capacity_feedback: bool = False
-    #: Place stage: ``incremental`` (keep unchanged instances in their slots,
-    #: place and migrate only the delta — the default) or ``full-replace``
-    #: (the paper's re-fleet: provision a whole new fleet and move everything).
+    #: Placement policy: ``incremental`` (keep unchanged instances in their
+    #: slots, place and migrate only the delta — the default) or
+    #: ``full-replace`` (the paper's re-fleet: provision a whole new fleet and
+    #: move everything).
     placement: str = "incremental"
-    #: Billing horizon an eviction-notice evacuation assumes when shopping
-    #: the market for replacement capacity (spot vs on-demand, see
-    #: :meth:`ElasticityController.handle_eviction_notice`).
-    evacuation_horizon_s: float = 3600.0
 
     def __post_init__(self) -> None:
         if self.check_interval_s <= 0:
@@ -138,8 +127,6 @@ class ControllerConfig:
             raise ValueError("cooldown_s must be non-negative")
         if self.drain_guard_backlog_s is not None and self.drain_guard_backlog_s < 0:
             raise ValueError("drain_guard_backlog_s must be non-negative (or None)")
-        if self.forecast_horizon_s is not None and self.forecast_horizon_s < 0:
-            raise ValueError("forecast_horizon_s must be non-negative (or None)")
         if self.forecast_deadband < 0:
             raise ValueError("forecast_deadband must be non-negative")
         if self.slo_latency_s is not None and self.slo_latency_s <= 0:
@@ -148,8 +135,6 @@ class ControllerConfig:
             raise ValueError("slo_confirm_samples must be at least 1")
         if self.slo_headroom <= 1.0:
             raise ValueError("slo_headroom must be above 1")
-        if self.evacuation_horizon_s <= 0:
-            raise ValueError("evacuation_horizon_s must be positive")
 
 
 @dataclass
@@ -287,7 +272,6 @@ class ElasticityController:
         strategy_cls: Type[MigrationStrategy],
         config: Optional[ControllerConfig] = None,
         initial_tier: str = "baseline",
-        pipeline: Optional[ControlPipeline] = None,
         forecast_policy: Optional[ForecastPolicy] = None,
         placement: Optional[PlacementPolicy] = None,
     ) -> None:
@@ -299,30 +283,29 @@ class ElasticityController:
         self.planner = planner
         self.strategy_cls = strategy_cls
         self.config = config if config is not None else ControllerConfig()
-        #: The staged decision path.  A fully assembled pipeline may be
-        #: injected; otherwise one is built from the config, with optional
-        #: ``forecast_policy`` / ``placement`` instances overriding the
-        #: config's named choices (a lookahead policy carries the workload's
-        #: profile; a shared-fleet placer carries the manager's exclusions).
-        if pipeline is None:
-            pipeline = ControlPipeline.from_config(
-                monitor,
-                planner,
-                self.config,
-                provisioning_latency_s=provider.provisioning_latency_s,
-                forecast_policy=forecast_policy,
-                placement=placement,
-            )
-        self.pipeline = pipeline
-        self.tier = initial_tier
+        #: ``forecast_policy`` / ``placement`` instances override the config's
+        #: named choices (a lookahead policy carries the workload's profile; a
+        #: shared-fleet placer carries the manager's exclusions).
+        if forecast_policy is None:
+            forecast_policy = forecast_policy_by_name(self.config.forecast_policy)
+        self.forecast_policy = forecast_policy
+        if placement is None:
+            placement = placement_policy_by_name(self.config.placement)
+        self.place = placement
+        #: How far ahead the rule forecasts: one provisioning latency plus the
+        #: hysteresis window -- the earliest a decision taken now can become
+        #: ready capacity.
+        self.forecast_horizon_s = (
+            provider.provisioning_latency_s
+            + self.config.confirm_samples * self.config.check_interval_s
+        )
+        #: Everything :func:`~repro.elastic.policy.decide` carries between ticks.
+        self.state = ControlState(tier=initial_tier)
         self.actions: List[ScalingAction] = []
         self.recoveries: List[RecoveryRecord] = []
         self.evacuations: List[EvacuationRecord] = []
         self._timer = None
-        self._pending_tier: Optional[str] = None
-        self._pending_count = 0
         self._migration_in_flight = False
-        self._cooldown_until = float("-inf")
         # Open tick span handed from _tick to _enact (telemetry on only), so
         # the place/act stage spans parent under the tick that caused them.
         self._tick_span = None
@@ -340,6 +323,11 @@ class ElasticityController:
             self._timer = None
 
     @property
+    def tier(self) -> str:
+        """The allocation tier currently deployed."""
+        return self.state.tier
+
+    @property
     def migration_in_flight(self) -> bool:
         """Whether a scaling migration is currently being enacted."""
         return self._migration_in_flight
@@ -350,144 +338,101 @@ class ElasticityController:
         return self.actions[-1] if self.actions else None
 
     # ------------------------------------------------------------ control loop
-    def _tick(self) -> None:
+    def _tick(self) -> Decision:
         telemetry = self.runtime.telemetry
         tracer = telemetry.tracer if telemetry is not None else None
         now = self.runtime.sim.now
-        tick_span = None
         if tracer is not None:
-            tick_span = tracer.begin("controller.tick", "control", now, tier=self.tier)
-            self._tick_span = tick_span
+            self._tick_span = tracer.begin("controller.tick", "control", now, tier=self.tier)
             telemetry.sample_queues(self.runtime)
         try:
-            # Stage 1: sense.  The forecast policy observes *every* reading --
-            # including ticks skipped below -- so its series has no gaps.
-            reading = self.pipeline.sense()
-            self.pipeline.observe(reading)
-            sample = reading.sample
+            decision = decide(
+                self.state,
+                self.monitor.sample_now(),
+                config=self.config,
+                planner=self.planner,
+                forecast=self.forecast_policy,
+                horizon_s=self.forecast_horizon_s,
+                busy=self._migration_in_flight,
+            )
             if tracer is not None:
-                tracer.emit(
-                    "sense", "control.stage", now, now, parent=tick_span,
-                    input_rate_ev_s=sample.input_rate,
-                    offered_rate_ev_s=sample.offered_rate,
-                    output_rate_ev_s=sample.output_rate,
-                    avg_latency_s=sample.avg_latency_s,
-                    queue_backlog=sample.queue_backlog,
-                    source_backlog=sample.source_backlog,
-                    sources_paused=sample.sources_paused,
-                    slo_breached=reading.slo_breached,
-                )
-            if self._migration_in_flight or sample.sources_paused:
+                self._trace_decision(tracer, decision)
+            if decision.outcome == "enact":
+                self._enact(decision)
                 if tracer is not None:
-                    reason = (
-                        "migration-in-flight" if self._migration_in_flight else "sources-paused"
-                    )
-                    for stage in ("forecast", "plan", "place", "act"):
-                        tracer.emit(
-                            stage, "control.stage", now, now,
-                            parent=tick_span, skipped=reason,
-                        )
-                    tracer.end(tick_span, now, outcome="skipped", reason=reason)
-                return
-
-            # Stages 2+3: forecast the demand and size the target allocation.
-            decision = self.pipeline.decide(reading, current_tier=self.tier)
-            target = decision.target
-            # A change is pending when the tier moves *or* the demand calls
-            # for a parallelism change within the same tier (e.g. a second
-            # surge on an already-expanded deployment still has to add
-            # instances).
-            outcome: Optional[str] = None
-            if target.tier == self.tier and target.rescale is None:
-                self._pending_tier = None
-                self._pending_count = 0
-                outcome = "in-band"
-            else:
-                if target.tier != self._pending_tier:
-                    self._pending_tier = target.tier
-                    self._pending_count = 1
-                else:
-                    self._pending_count += 1
-                if self._pending_count < self.config.confirm_samples:
-                    outcome = "hysteresis"
-                elif self.runtime.sim.now < self._cooldown_until:
-                    outcome = "cooldown"
-                elif self._direction_of(target) == "in" and self._drain_guard_holds(sample):
-                    outcome = "drain-guard"
-            if tracer is not None:
-                forecast = decision.forecast
-                tracer.emit(
-                    "forecast", "control.stage", now, now, parent=tick_span,
-                    observed_rate_ev_s=forecast.observed_rate_ev_s,
-                    forecast_rate_ev_s=forecast.rate_ev_s,
-                    horizon_s=forecast.horizon_s,
-                )
-                tracer.emit(
-                    "plan", "control.stage", now, now, parent=tick_span,
-                    current_tier=self.tier,
-                    target_tier=target.tier,
-                    rescale=(
-                        dict(sorted(target.rescale.targets.items()))
-                        if target.rescale is not None
-                        else None
-                    ),
-                    slo_escalated=decision.slo_escalated,
-                    pending_count=self._pending_count,
-                    outcome=outcome if outcome is not None else "enact",
-                )
-            if outcome is not None:
-                if tracer is not None:
-                    for stage in ("place", "act"):
-                        tracer.emit(
-                            stage, "control.stage", now, now,
-                            parent=tick_span, skipped=outcome,
-                        )
-                    tracer.end(tick_span, now, outcome=outcome)
-                return
-            self._enact(decision, sample)
-            if tracer is not None:
-                tracer.end(
-                    tick_span, now,
-                    outcome="enacted" if self._migration_in_flight else "deferred",
-                )
+                    outcome = "enacted" if self._migration_in_flight else "deferred"
+                    tracer.end(self._tick_span, now, outcome=outcome)
+            return decision
         finally:
             self._tick_span = None
 
-    def _direction_of(self, target: TargetAllocation) -> str:
-        """``out`` (adding capacity) or ``in`` (consolidating) for a target."""
-        if target.tier != self.tier:
-            return "out" if TIER_ORDER[target.tier] > TIER_ORDER[self.tier] else "in"
-        # Same-tier rescale: the direction is given by the slot delta.  The
-        # delta cannot be zero here -- the planner only attaches a same-tier
-        # rescale when the pressure is out of band, which means the required
-        # slot count strictly differs from the deployed one.
-        return "out" if target.hosted_slots > self.runtime.dataflow.total_instances() else "in"
+    def _stage_span(self, tracer, stage: str, **args: object) -> None:
+        """One instantaneous stage span under the open tick span."""
+        now = self.runtime.sim.now
+        tracer.emit(stage, "control.stage", now, now, parent=self._tick_span, **args)
 
-    def _drain_guard_holds(self, sample: MonitorSample) -> bool:
-        """Whether the drain-aware guard vetoes a scale-in right now.
+    def _trace_decision(self, tracer, decision: Decision) -> None:
+        """Write a tick's stage spans from what the rule decided.
 
-        The confirmation state is deliberately left intact: the moment the
-        backlog is absorbed, the already-confirmed consolidation proceeds.
+        Every tick carries the five stage children in order; the stages a
+        decision never reached are written as ``skipped`` with the reason,
+        and the tick span is closed with it.  On ``enact`` the ``place`` /
+        ``act`` spans are :meth:`_enact`'s and the tick's end is :meth:`_tick`'s.
         """
-        guard_s = self.config.drain_guard_backlog_s
-        if not guard_s:
-            return False
-        backlog = sample.queue_backlog + sample.source_backlog
-        return backlog > guard_s * max(sample.offered_rate, 1.0)
+        now = self.runtime.sim.now
+        sample, target, outcome = decision.sample, decision.target, decision.outcome
+        self._stage_span(
+            tracer, "sense",
+            input_rate_ev_s=sample.input_rate,
+            offered_rate_ev_s=sample.offered_rate,
+            output_rate_ev_s=sample.output_rate,
+            avg_latency_s=sample.avg_latency_s,
+            queue_backlog=sample.queue_backlog,
+            source_backlog=sample.source_backlog,
+            sources_paused=sample.sources_paused,
+            slo_breached=decision.slo_breached,
+        )
+        if target is None:
+            for stage in ("forecast", "plan", "place", "act"):
+                self._stage_span(tracer, stage, skipped=outcome)
+            tracer.end(self._tick_span, now, outcome="skipped", reason=outcome)
+            return
+        self._stage_span(
+            tracer, "forecast",
+            observed_rate_ev_s=sample.offered_rate,
+            forecast_rate_ev_s=decision.forecast_rate_ev_s,
+            horizon_s=decision.horizon_s,
+        )
+        self._stage_span(
+            tracer, "plan",
+            current_tier=self.tier,
+            target_tier=target.tier,
+            rescale=(
+                dict(sorted(target.rescale.targets.items()))
+                if target.rescale is not None
+                else None
+            ),
+            slo_escalated=decision.slo_escalated,
+            pending_count=decision.pending_count,
+            outcome=outcome,
+        )
+        if outcome != "enact":
+            for stage in ("place", "act"):
+                self._stage_span(tracer, stage, skipped=outcome)
+            tracer.end(self._tick_span, now, outcome=outcome)
 
     # -------------------------------------------------------------- enactment
-    def _enact(self, decision: PlanDecision, sample: MonitorSample) -> None:
+    def _enact(self, decision: Decision) -> None:
         telemetry = self.runtime.telemetry
         tracer = telemetry.tracer if telemetry is not None else None
-        now = self.runtime.sim.now
         target = decision.target
-        direction = self._direction_of(target)
-        # Stage 4: place.  The place stage decides what to provision fresh
-        # and which of the current worker VMs keep serving.
-        request = self.pipeline.place.provisioning(self.runtime, target, direction)
+        direction = decision.direction
+        # The placement policy decides what to provision fresh and which of
+        # the current worker VMs keep serving.
+        request = self.place.provisioning(self.runtime, target, direction)
         if tracer is not None:
-            tracer.emit(
-                "place", "control.stage", now, now, parent=self._tick_span,
+            self._stage_span(
+                tracer, "place",
                 direction=direction,
                 provision_counts=dict(sorted(request.vm_counts.items())),
                 kept_vm_ids=sorted(request.keep_vm_ids),
@@ -497,25 +442,22 @@ class ElasticityController:
             from_tier=self.tier,
             to_tier=target.tier,
             decided_at=self.runtime.sim.now,
-            observed_rate=sample.offered_rate,
+            observed_rate=decision.sample.offered_rate,
             target=target,
-            forecast_rate=decision.forecast.rate_ev_s,
+            forecast_rate=decision.forecast_rate_ev_s,
             slo_escalated=decision.slo_escalated,
             provision_counts=dict(request.vm_counts),
             kept_vm_ids=list(request.keep_vm_ids),
         )
         if not self._acquire_capacity(action):
-            # Capacity withheld (an arbiter deferred us): keep the confirmed
-            # pending state so the next tick proposes again.
+            # Capacity withheld (an arbiter deferred us): the confirmation is
+            # kept, so the next tick proposes again.
             if tracer is not None:
-                tracer.emit(
-                    "act", "control.stage", now, now,
-                    parent=self._tick_span, outcome="deferred",
-                )
+                self._stage_span(tracer, "act", outcome="deferred")
             return
         if tracer is not None:
-            tracer.emit(
-                "act", "control.stage", now, now, parent=self._tick_span,
+            self._stage_span(
+                tracer, "act",
                 outcome="provisioned",
                 direction=direction,
                 from_tier=action.from_tier,
@@ -524,10 +466,10 @@ class ElasticityController:
             )
         self.actions.append(action)
         self._migration_in_flight = True
-        self._pending_tier = None
-        self._pending_count = 0
-        delay = self.provider.provisioning_latency_s if self.config.wait_for_provisioning else 0.0
-        self.runtime.sim.schedule(delay, self._start_migration, action)
+        self.state.acquired()
+        # The migration waits for the provisioning latency: the paper plans
+        # ahead, so the VMs are ready when the migration request is issued.
+        self.runtime.sim.schedule(self.provider.provisioning_latency_s, self._start_migration, action)
 
     def _acquire_capacity(self, action: ScalingAction) -> bool:
         """Provision the requested fleet for an action; ``False`` defers it.
@@ -558,7 +500,7 @@ class ElasticityController:
             if vm_id != self.runtime.util_vm_id and vm_id not in retained
         ]
         target_vm_ids = list(action.kept_vm_ids) + list(action.provisioned_vm_ids)
-        place = self.pipeline.place
+        place = self.place
         strategy = self.strategy_cls(self.runtime)
         action.enacted_at = self.runtime.sim.now
         self._migration_starting(action, old_vm_ids)
@@ -592,9 +534,8 @@ class ElasticityController:
         action.report = report
         action.completed_at = self.runtime.sim.now
         self._release_capacity(action, old_vm_ids)
-        self.tier = action.to_tier
         self._migration_in_flight = False
-        self._cooldown_until = self.runtime.sim.now + self.config.cooldown_s
+        self.state.settle(action.to_tier, self.runtime.sim.now + self.config.cooldown_s)
 
     def _release_capacity(self, action: ScalingAction, old_vm_ids: List[str]) -> None:
         """Deprovision the VMs the migration vacated.
@@ -672,7 +613,7 @@ class ElasticityController:
 
         Provisions replacement capacity if needed — the notice window buys
         time to shop the market, so replacements go to whichever of spot /
-        on-demand is cheaper over ``evacuation_horizon_s`` — then migrates
+        on-demand is cheaper over :data:`EVACUATION_HORIZON_S` — then migrates
         every executor off the doomed VM with the configured strategy and
         releases it, stopping its bill *before* the deadline.  If a scaling
         migration is in flight the drain retries until the window closes; a
@@ -768,12 +709,7 @@ class ElasticityController:
             and vm.vm_id not in excluded
             and self._vm_eligible(vm)
         ]
-        preplaced = PlacementPlan()
-        for executor in list(runtime.source_executors) + list(runtime.sink_executors):
-            slot_id = runtime.placement.assignments[executor.executor_id]
-            preplaced.assign(executor.executor_id, slot_id, runtime.placement.slot_to_vm[slot_id])
-        user_ids = [e.executor_id for e in runtime.user_executors]
-        return incremental_plan(user_ids, runtime.cluster, runtime.placement, targets, preplaced=preplaced)
+        return incremental_plan_on(runtime, targets)
 
     def _plan_recovery(self, record: RecoveryRecord, vm_type: VMType) -> None:
         deficit = len(record.lost_executors) - self._free_worker_slots()
@@ -860,7 +796,7 @@ class ElasticityController:
         if self.provider.spot_market is not None:
             plan = cost_optimal_fleet(
                 deficit_slots,
-                horizon_s=self.config.evacuation_horizon_s,
+                horizon_s=EVACUATION_HORIZON_S,
                 billing_granularity_s=self.provider.billing_granularity_s,
                 spot=self.provider.spot_market,
                 flavours=(vm_type,),

@@ -1,7 +1,7 @@
 """Demand forecasters for the predictive control plane.
 
-A :class:`ForecastPolicy` is the *forecast* stage of the elastic control
-pipeline (``sense -> forecast -> plan -> place``): it consumes the monitor's
+A :class:`ForecastPolicy` is the forecast the elastic control rule
+(:func:`~repro.elastic.policy.decide`) plans on: it consumes the monitor's
 offered-rate samples and predicts the rate ``horizon_s`` seconds ahead, so
 the planner can size capacity for the load that will be there *when the new
 VMs come up* instead of the load that was there when the sample was taken.
@@ -9,8 +9,8 @@ VMs come up* instead of the load that was there when the sample was taken.
 Four policies are provided:
 
 * :class:`ReactivePolicy` -- the identity forecast (predicts the last
-  observed rate).  Running the pipeline with it reproduces the original
-  threshold-plus-hysteresis controller bit for bit; it is the default.
+  observed rate).  The rule then is the plain threshold-plus-hysteresis
+  controller; it is the default.
 * :class:`EwmaPolicy` -- exponentially weighted moving average.  Smooths
   burst noise; deliberately *lags* level shifts (the lag is bounded by
   ``(1 - alpha)^n``), so it trades reaction speed for stability.
@@ -57,9 +57,8 @@ class ForecastPolicy(ABC):
 class ReactivePolicy(ForecastPolicy):
     """Identity forecast: the future is the last observed sample.
 
-    This is exactly what the pre-pipeline controller planned on, so a
-    pipeline built around it reproduces the original reactive behaviour bit
-    for bit (the acceptance guarantee of the control-plane refactor).
+    With it the control rule plans on the rate it just observed: the plain
+    reactive threshold controller.
     """
 
     name = "reactive"

@@ -12,15 +12,16 @@ Sampling is incremental: the event log is append-only and time-ordered, so
 the monitor remembers how far it has read and never rescans the whole log
 (sampling stays O(new events) even on very long runs).
 
-Two *sense*-stage signals for the predictive control plane live here too:
+Two more signals for the predictive control plane live here too:
 
 * :meth:`ElasticityMonitor.measured_capacities_ev_s` -- per-task runtime
   service rates (events completed per second of busy time), measured from
   the live executors.  Feeding these back into the
-  :class:`~repro.elastic.planner.AllocationPlanner` closes the
-  heterogeneous-latency loop: a task whose real service rate differs from
-  its declared (or defaulted) ``capacity_ev_s`` is sized by what it actually
-  does;
+  :class:`~repro.elastic.planner.AllocationPlanner`
+  (``set_measured_capacities``; a caller composes the two, the control loop
+  does not) closes the heterogeneous-latency loop: a task whose real service
+  rate differs from its declared (or defaulted) ``capacity_ev_s`` is sized
+  by what it actually does;
 * :meth:`ElasticityMonitor.slo_violation_seconds` -- how much of the run the
   mean sink latency spent above a latency SLO, the headline metric of the
   predictive-vs-reactive comparison.

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.cluster.cloud import ON_DEMAND, SPOT, SpotMarket
-from repro.cluster.placement import PlacementPlan
+from repro.cluster.placement import PlacementPlan, incremental_plan
 from repro.cluster.vm import D1, D2, D3, VMType
 from repro.dataflow.graph import Dataflow, RescalePlan, exact_instance_ceiling
 from repro.dataflow.task import Task
@@ -100,8 +100,8 @@ class AllocationPlanner:
         self.instance_capacity_ev_s = instance_capacity_ev_s
         self.expand_pressure = expand_pressure
         self.consolidate_pressure = consolidate_pressure
-        #: Runtime-measured per-task service rates, fed back by the control
-        #: pipeline's sense stage (empty unless capacity feedback is on).
+        #: Runtime-measured per-task service rates (empty until a caller feeds
+        #: some in through :meth:`set_measured_capacities`).
         self.measured_capacities_ev_s: Dict[str, float] = {}
         self.task_capacities_ev_s: Dict[str, float] = dict(task_capacities_ev_s or {})
         for task_name, capacity in self.task_capacities_ev_s.items():
@@ -124,9 +124,11 @@ class AllocationPlanner:
     def set_measured_capacities(self, measured: Mapping[str, float]) -> None:
         """Feed runtime-measured per-task service rates into sizing.
 
-        Called by the control pipeline's sense stage when capacity feedback
-        is enabled; unknown task names and non-positive rates are ignored (a
-        task that has not processed anything yet keeps its declared value).
+        For a caller to compose with
+        :meth:`~repro.elastic.monitor.ElasticityMonitor.measured_capacities_ev_s`
+        (the control loop does not call it); unknown task names and
+        non-positive rates are ignored (a task that has not processed anything
+        yet keeps its declared value).
         """
         for task_name, rate in measured.items():
             if rate > 0 and task_name in self.dataflow:
@@ -136,7 +138,7 @@ class AllocationPlanner:
         """Per-instance service capacity (ev/s) used to size ``task``.
 
         Resolution order: an explicit ``task_capacities_ev_s`` entry, the
-        runtime-measured rate (when capacity feedback filled it in), the
+        runtime-measured rate (when one was fed in), the
         task's own ``capacity_ev_s`` declaration, then the planner's global
         default (the paper's Table-1 value of 8 ev/s).
         """
@@ -409,19 +411,45 @@ def cost_optimal_fleet(
     )
 
 
-def plan_user_tasks_on(runtime: TopologyRuntime, target_vm_ids: Sequence[str]) -> PlacementPlan:
-    """Placement with user tasks on the target VMs only, via the runtime's scheduler.
+def pinned_endpoints(runtime: TopologyRuntime) -> PlacementPlan:
+    """Every source and sink assigned to the slot it already holds.
 
-    Sources and sinks keep their existing slots (they are pinned to the
-    dedicated util VM and never migrate).
+    They are pinned to the dedicated util VM and never migrate, so every
+    post-deployment plan starts from (or ends with) these assignments.
     """
     if runtime.placement is None:
         raise ValueError("runtime must be deployed before planning a migration")
-    target_set: Set[str] = set(target_vm_ids)
-    exclude: List[str] = [vm.vm_id for vm in runtime.cluster.vms if vm.vm_id not in target_set]
-    user_ids = [e.executor_id for e in runtime.user_executors]
-    plan = runtime.scheduler.schedule(user_ids, runtime.cluster, pinned={}, exclude_vms=exclude)
+    plan = PlacementPlan()
     for executor in list(runtime.source_executors) + list(runtime.sink_executors):
         slot_id = runtime.placement.assignments[executor.executor_id]
         plan.assign(executor.executor_id, slot_id, runtime.placement.slot_to_vm[slot_id])
     return plan
+
+
+def plan_user_tasks_on(runtime: TopologyRuntime, target_vm_ids: Sequence[str]) -> PlacementPlan:
+    """Placement with user tasks on the target VMs only, via the runtime's scheduler.
+
+    Sources and sinks keep their existing slots (:func:`pinned_endpoints`).
+    """
+    pinned = pinned_endpoints(runtime)
+    target_set: Set[str] = set(target_vm_ids)
+    exclude: List[str] = [vm.vm_id for vm in runtime.cluster.vms if vm.vm_id not in target_set]
+    user_ids = [e.executor_id for e in runtime.user_executors]
+    plan = runtime.scheduler.schedule(user_ids, runtime.cluster, pinned={}, exclude_vms=exclude)
+    for executor_id, slot_id in pinned.assignments.items():
+        plan.assign(executor_id, slot_id, pinned.slot_to_vm[slot_id])
+    return plan
+
+
+def incremental_plan_on(runtime: TopologyRuntime, target_vm_ids: Sequence[str]) -> PlacementPlan:
+    """Incremental placement on the target VMs: whoever is already there stays put.
+
+    User executors whose slot lives on a target VM keep it; only new or
+    stranded ones are placed (see :func:`~repro.cluster.placement.incremental_plan`).
+    Sources and sinks keep their existing slots (:func:`pinned_endpoints`).
+    """
+    user_ids = [e.executor_id for e in runtime.user_executors]
+    return incremental_plan(
+        user_ids, runtime.cluster, runtime.placement, target_vm_ids,
+        preplaced=pinned_endpoints(runtime),
+    )

@@ -1,227 +1,226 @@
-"""The staged control-plane pipeline: ``sense -> forecast -> plan -> place``.
+"""The control rule of the elastic loop, and its placement policies.
 
-The original :class:`~repro.elastic.controller.ElasticityController` decided
-everything inside one ``_tick``: sample the monitor, ask the planner, act.
-This module breaks that decision path into four pluggable stages, each behind
-a small interface, so policies can be swapped without touching the actuation
-machinery (hysteresis, cooldown, provisioning, migration, arbitration):
+:func:`decide` is the one copy of the control decision.  Fed one
+:class:`~repro.elastic.monitor.MonitorSample` at a time, it forecasts the
+demand a provisioning horizon ahead, sizes it with the
+:class:`~repro.elastic.planner.AllocationPlanner` (SLO-breach override in
+front) and debounces the result -- hysteresis, cooldown, drain-aware scale-in
+guard -- into a frozen :class:`Decision`.  What it carries between samples
+lives in a :class:`ControlState`; it touches no simulator, runtime, provider,
+monitor or tracer, so the live
+:class:`~repro.elastic.controller.ElasticityController` (and the multi-tenant
+controller through it) and the offline replay of a sharded run
+(:func:`repro.experiments.sharded.plan_control_actions`) run this very
+function.
 
-* **sense** (:class:`SenseStage`) -- takes the monitor sample, measures
-  per-task runtime service rates (the heterogeneous-latency feedback loop)
-  and evaluates the sink-latency SLO signal;
-* **forecast** (:class:`ForecastStage`) -- feeds the offered rate to a
-  :class:`~repro.elastic.forecast.ForecastPolicy` and asks for the demand a
-  provisioning horizon ahead;
-* **plan** (:class:`PlanStage`) -- sizes capacity from the *forecast* demand
-  via the :class:`~repro.elastic.planner.AllocationPlanner`, then applies the
-  **SLO-breach override**: a sustained latency breach escalates to a
-  capacity-adding target even when the input rate alone is in band (the
-  overload-aware trigger the paper's latency-SLO motivation calls for);
-* **place** (:class:`PlacementPolicy`) -- turns a target allocation into a
-  provisioning request and a placement plan.  :class:`FullReplacePlacement`
-  reproduces the original behaviour (provision the whole target fleet, move
-  every user task onto it); :class:`IncrementalPlacement` keeps unchanged
-  task instances on their current VMs and provisions/places only the delta,
-  shrinking the forced-restart set and the migration's backlog window -- and,
-  on a shared fleet, lets a consolidating tenant re-use partially-free VMs
-  instead of provisioning a fresh private fleet.
-
-:class:`ControlPipeline` wires the stages together;
-:meth:`ControlPipeline.from_config` builds the default assembly from a
-:class:`~repro.elastic.controller.ControllerConfig`.  With the defaults
-(reactive forecast, no SLO, full-replace placement) the pipeline is
-bit-identical to the pre-refactor controller.
+A :class:`PlacementPolicy` turns a decided target into a provisioning request
+and a placement plan at enactment time: :class:`IncrementalPlacement` (the
+default) keeps unchanged task instances on their VMs and provisions / places
+only the delta; :class:`FullReplacePlacement` is the paper's re-fleet
+(provision the whole target fleet, move every user task onto it).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.cluster.placement import PlacementPlan, incremental_plan
+from repro.cluster.placement import PlacementPlan
 from repro.cluster.vm import VM_TYPES
-from repro.elastic.forecast import ForecastPolicy, forecast_policy_by_name
-from repro.elastic.monitor import ElasticityMonitor, MonitorSample
-from repro.elastic.planner import AllocationPlanner, TargetAllocation, plan_user_tasks_on
+from repro.elastic.forecast import ForecastPolicy
+from repro.elastic.monitor import MonitorSample
+from repro.elastic.planner import (
+    TIER_ORDER,
+    AllocationPlanner,
+    TargetAllocation,
+    incremental_plan_on,
+    plan_user_tasks_on,
+)
 from repro.engine.runtime import TopologyRuntime
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.elastic.controller import ControllerConfig
 
 
-# ------------------------------------------------------------------- sense
-@dataclass(frozen=True)
-class SenseReading:
-    """Everything one control tick observes about the running dataflow."""
+# ---------------------------------------------------------------- the rule
+@dataclass
+class ControlState:
+    """What the control rule carries from one sample to the next."""
 
+    #: The allocation tier currently deployed.
+    tier: str = "baseline"
+    #: The out-of-band tier the recent samples agree on, and how many in a
+    #: row have agreed (the hysteresis count).
+    pending_tier: Optional[str] = None
+    pending_count: int = 0
+    #: No change is enacted before this time (end of the last one + cooldown).
+    cooldown_until: float = float("-inf")
+    #: Consecutive SLO-breaching samples whose backlog was not draining.
+    breach_streak: int = 0
+    #: Total backlog of the previous planned sample (``None`` before the first).
+    previous_backlog: Optional[int] = None
+
+    def acquired(self) -> None:
+        """Capacity for the confirmed change is in hand: the confirmation is spent."""
+        self.pending_tier = None
+        self.pending_count = 0
+
+    def settle(self, tier: str, cooldown_until: float) -> None:
+        """A change to ``tier`` completed; the next waits until ``cooldown_until``."""
+        self.tier = tier
+        self.cooldown_until = cooldown_until
+
+
+@dataclass(frozen=True)
+class Decision:
+    """What :func:`decide` concluded from one sample."""
+
+    #: ``migration-in-flight`` / ``sources-paused`` (the sample was only
+    #: recorded), ``in-band``, ``hysteresis``, ``cooldown``, ``drain-guard``
+    #: (a change is wanted but held) or ``enact``.
+    outcome: str
     sample: MonitorSample
-    #: Per-task measured service rates (ev/s per busy instance); empty unless
-    #: capacity feedback is enabled.
-    measured_capacities_ev_s: Mapping[str, float]
-    #: The configured sink-latency SLO (None = no SLO tracking).
-    slo_latency_s: Optional[float]
-    #: Whether this sample's mean sink latency breached the SLO.
+    #: Whether the sample's mean sink latency breached the configured SLO.
     slo_breached: bool
-
-
-class SenseStage:
-    """Samples the monitor and derives the control signals from it."""
-
-    def __init__(
-        self,
-        monitor: ElasticityMonitor,
-        slo_latency_s: Optional[float] = None,
-        measure_capacity: bool = False,
-    ) -> None:
-        self.monitor = monitor
-        self.slo_latency_s = slo_latency_s
-        self.measure_capacity = measure_capacity
-
-    def sense(self) -> SenseReading:
-        """Take one monitor sample and evaluate the derived signals."""
-        sample = self.monitor.sample_now()
-        measured: Mapping[str, float] = {}
-        if self.measure_capacity:
-            measured = self.monitor.measured_capacities_ev_s()
-        breached = (
-            self.slo_latency_s is not None
-            and sample.avg_latency_s is not None
-            and sample.avg_latency_s > self.slo_latency_s
-        )
-        return SenseReading(
-            sample=sample,
-            measured_capacities_ev_s=measured,
-            slo_latency_s=self.slo_latency_s,
-            slo_breached=breached,
-        )
-
-
-# ---------------------------------------------------------------- forecast
-@dataclass(frozen=True)
-class DemandForecast:
-    """The forecast stage's output for one tick."""
-
-    #: Predicted offered rate at ``now + horizon`` (what the planner sizes for).
-    rate_ev_s: float
-    horizon_s: float
-    #: The raw offered rate of the sample behind the forecast.
-    observed_rate_ev_s: float
-
-
-class ForecastStage:
-    """Feeds observations to a forecast policy and queries it per tick."""
-
-    def __init__(self, policy: ForecastPolicy, horizon_s: float, deadband_fraction: float = 0.05) -> None:
-        if horizon_s < 0:
-            raise ValueError(f"horizon_s must be non-negative, got {horizon_s}")
-        if deadband_fraction < 0:
-            raise ValueError(f"deadband_fraction must be non-negative, got {deadband_fraction}")
-        self.policy = policy
-        self.horizon_s = horizon_s
-        self.deadband_fraction = deadband_fraction
-
-    def observe(self, reading: SenseReading) -> None:
-        """Record one reading (paused samples carry a steady offered rate)."""
-        self.policy.observe(reading.sample.time, reading.sample.offered_rate)
-
-    def forecast(self, reading: SenseReading) -> DemandForecast:
-        """The demand to plan for, a provisioning horizon ahead of now.
-
-        Forecasts within ``deadband_fraction`` of the observed rate snap to
-        the observed rate: the 1-per-capacity sizing rule ceils every task's
-        instance count, so at exactly 100% utilization a +0.5% forecast
-        excursion (smoothing noise, a residual trend) would add an instance
-        to *every* task and read as a tier's worth of pressure.  Real surges
-        are well outside the band; noise is not.
-        """
-        rate = self.policy.forecast(reading.sample.time, self.horizon_s)
-        observed = reading.sample.offered_rate
-        if observed > 0 and abs(rate - observed) <= self.deadband_fraction * observed:
-            rate = observed
-        return DemandForecast(
-            rate_ev_s=rate,
-            horizon_s=self.horizon_s,
-            observed_rate_ev_s=observed,
-        )
-
-
-# -------------------------------------------------------------------- plan
-@dataclass(frozen=True)
-class PlanDecision:
-    """The plan stage's output: a target allocation plus its provenance."""
-
-    target: TargetAllocation
-    forecast: DemandForecast
+    #: Demand (ev/s) the plan was sized for and how far ahead it was forecast;
+    #: ``None`` on a skipped sample, like everything below.
+    forecast_rate_ev_s: Optional[float] = None
+    horizon_s: Optional[float] = None
+    target: Optional[TargetAllocation] = None
+    #: ``out`` (adding capacity) or ``in`` (consolidating); ``None`` in band.
+    direction: Optional[str] = None
     #: Whether the SLO-breach override escalated an in-band plan.
     slo_escalated: bool = False
+    #: The hysteresis count after this sample.
+    pending_count: int = 0
 
 
-class PlanStage:
-    """Sizes capacity from the forecast demand, with an SLO-breach override."""
+def _in_band(target: TargetAllocation, tier: str) -> bool:
+    # A change is wanted when the tier moves *or* the demand calls for a
+    # parallelism change within the same tier (a second surge on an
+    # already-expanded deployment still has to add instances).
+    return target.tier == tier and target.rescale is None
 
-    def __init__(
-        self,
-        planner: AllocationPlanner,
-        slo_confirm_samples: int = 2,
-        slo_headroom: float = 1.5,
-    ) -> None:
-        if slo_confirm_samples < 1:
-            raise ValueError("slo_confirm_samples must be at least 1")
-        if slo_headroom <= 1.0:
-            raise ValueError("slo_headroom must be above 1 (it buys extra capacity)")
-        self.planner = planner
-        self.slo_confirm_samples = slo_confirm_samples
-        self.slo_headroom = slo_headroom
-        self._breach_streak = 0
-        self._previous_backlog: Optional[int] = None
 
-    @property
-    def breach_streak(self) -> int:
-        """Consecutive SLO-breaching samples seen so far."""
-        return self._breach_streak
+def decide(
+    state: ControlState,
+    sample: MonitorSample,
+    *,
+    config: "ControllerConfig",
+    planner: AllocationPlanner,
+    forecast: ForecastPolicy,
+    horizon_s: float,
+    busy: bool = False,
+) -> Decision:
+    """Advance the control rule by one sample.
 
-    def plan(self, reading: SenseReading, forecast: DemandForecast, current_tier: str) -> PlanDecision:
-        """Pick the target allocation for one tick.
+    ``busy`` says a migration is already in flight; such a sample, like one
+    taken while the sources are paused mid-protocol (its 0 input rate must
+    not read as low traffic), is fed to ``forecast`` -- so the policy's
+    series has no gaps -- and otherwise skipped.  Breach streak and previous
+    backlog advance only on samples that reach the planner.
 
-        The planner is asked for the *forecast* demand; when measured
-        capacities are available they are fed back first, so heterogeneous
-        (and drifting) task service rates size the plan instead of the
-        declared defaults.  A latency-SLO breach sustained for
-        ``slo_confirm_samples`` ticks escalates an in-band plan to
-        ``max(forecast, observed) * slo_headroom``: overload shows up in the
-        sink latency long before the input rate leaves the band (slow tasks,
-        mis-declared capacities), and waiting for the rate trigger would let
-        the backlog compound.
-        """
-        if reading.measured_capacities_ev_s:
-            self.planner.set_measured_capacities(reading.measured_capacities_ev_s)
-        target = self.planner.plan(forecast.rate_ev_s, current_tier=current_tier)
+    **Forecast.**  The planner sizes the demand ``horizon_s`` ahead.  A
+    forecast within ``config.forecast_deadband`` of the observed rate snaps
+    to the observed rate: the 1-per-capacity sizing rule ceils every task's
+    instance count, so at exactly 100% utilization a +0.5% forecast excursion
+    (smoothing noise, a residual trend) would add an instance to *every* task
+    and read as a tier's worth of pressure.  Real surges are well outside the
+    band; noise is not.
 
-        # A breach only counts toward the override while the backlog is not
-        # draining: a post-migration drain also shows SLO-breaching latencies
-        # (old queued events finally reaching the sinks), but its backlog is
-        # shrinking -- capacity is adequate and another migration would only
-        # interrupt the recovery.  A *plateaued* backlog with breaching
-        # latency, by contrast, is a saturated deployment (service exactly
-        # keeping pace with arrivals, never absorbing the excess) and must
-        # still escalate.
-        backlog = reading.sample.queue_backlog + reading.sample.source_backlog
-        draining = self._previous_backlog is not None and backlog < self._previous_backlog
-        self._previous_backlog = backlog
-        if reading.slo_breached and not draining:
-            self._breach_streak += 1
+    **SLO override.**  A latency-SLO breach sustained for
+    ``slo_confirm_samples`` samples escalates an in-band plan (only an
+    in-band one: an out-of-band rate already did the job) to
+    ``max(forecast, observed) * slo_headroom``: overload shows up in the sink
+    latency long before the input rate leaves the band (slow tasks,
+    mis-declared capacities), and waiting for the rate trigger would let the
+    backlog compound.  A breach only counts while the backlog is not
+    draining: a post-migration drain also shows SLO-breaching latencies (old
+    queued events finally reaching the sinks), but its backlog is shrinking
+    -- capacity is adequate and another migration would only interrupt the
+    recovery.  A *plateaued* backlog with breaching latency, by contrast, is
+    a saturated deployment (service exactly keeping pace with arrivals, never
+    absorbing the excess) and must still escalate.
+
+    **Debounce.**  ``confirm_samples`` consecutive samples must agree on the
+    same out-of-band tier (a flip restarts the count), then any cooldown must
+    have expired, then -- for a scale-in only; extra capacity only helps a
+    drain -- the backlog must be below ``drain_guard_backlog_s`` seconds of
+    offered load: consolidating a dataflow that is still absorbing a surge
+    would strand the very backlog it is draining on a smaller allocation.
+    The confirmation is deliberately *kept* through ``cooldown`` and
+    ``drain-guard`` (the moment the hold lifts, the already-confirmed change
+    proceeds) and through ``enact`` (an arbiter may still defer it; the
+    caller spends it with :meth:`ControlState.acquired`).  Only an in-band
+    sample clears it.
+    """
+    forecast.observe(sample.time, sample.offered_rate)
+    slo_breached = (
+        config.slo_latency_s is not None
+        and sample.avg_latency_s is not None
+        and sample.avg_latency_s > config.slo_latency_s
+    )
+    if busy or sample.sources_paused:
+        return Decision("migration-in-flight" if busy else "sources-paused", sample, slo_breached)
+
+    observed = sample.offered_rate
+    rate = forecast.forecast(sample.time, horizon_s)
+    if observed > 0 and abs(rate - observed) <= config.forecast_deadband * observed:
+        rate = observed
+    target = planner.plan(rate, current_tier=state.tier)
+
+    backlog = sample.queue_backlog + sample.source_backlog
+    draining = state.previous_backlog is not None and backlog < state.previous_backlog
+    state.previous_backlog = backlog
+    state.breach_streak = state.breach_streak + 1 if slo_breached and not draining else 0
+    slo_escalated = False
+    if _in_band(target, state.tier) and state.breach_streak >= config.slo_confirm_samples:
+        escalated = planner.plan(max(rate, observed) * config.slo_headroom, current_tier=state.tier)
+        if not _in_band(escalated, state.tier):
+            target = escalated
+            slo_escalated = True
+
+    direction: Optional[str] = None
+    if _in_band(target, state.tier):
+        state.pending_tier = None
+        state.pending_count = 0
+        outcome = "in-band"
+    else:
+        if target.tier != state.pending_tier:
+            state.pending_tier = target.tier
+            state.pending_count = 1
         else:
-            self._breach_streak = 0
-        slo_escalated = False
-        needs_nothing = target.tier == current_tier and target.rescale is None
-        if needs_nothing and self._breach_streak >= self.slo_confirm_samples:
-            demand = max(forecast.rate_ev_s, reading.sample.offered_rate) * self.slo_headroom
-            escalated = self.planner.plan(demand, current_tier=current_tier)
-            if escalated.tier != current_tier or escalated.rescale is not None:
-                target = escalated
-                slo_escalated = True
-        return PlanDecision(target=target, forecast=forecast, slo_escalated=slo_escalated)
+            state.pending_count += 1
+        if target.tier != state.tier:
+            direction = "out" if TIER_ORDER[target.tier] > TIER_ORDER[state.tier] else "in"
+        else:
+            # Same-tier rescale: the direction is given by the slot delta.
+            # The delta cannot be zero here -- the planner only attaches a
+            # same-tier rescale when the pressure is out of band, which means
+            # the required slot count strictly differs from the deployed one.
+            deployed = planner.dataflow.total_instances()
+            direction = "out" if target.hosted_slots > deployed else "in"
+        guard_s = config.drain_guard_backlog_s
+        if state.pending_count < config.confirm_samples:
+            outcome = "hysteresis"
+        elif sample.time < state.cooldown_until:
+            outcome = "cooldown"
+        elif direction == "in" and guard_s and backlog > guard_s * max(observed, 1.0):
+            outcome = "drain-guard"
+        else:
+            outcome = "enact"
+    return Decision(
+        outcome=outcome,
+        sample=sample,
+        slo_breached=slo_breached,
+        forecast_rate_ev_s=rate,
+        horizon_s=horizon_s,
+        target=target,
+        direction=direction,
+        slo_escalated=slo_escalated,
+        pending_count=state.pending_count,
+    )
 
 
 # ------------------------------------------------------------------- place
@@ -258,12 +257,12 @@ class PlacementPolicy:
 
 
 class FullReplacePlacement(PlacementPolicy):
-    """The original behaviour: provision the whole target fleet, move everyone.
+    """The paper's re-fleet: provision the whole target fleet, move everyone.
 
     Every user task is scheduled onto the freshly provisioned VMs and every
-    previously used worker VM is vacated -- exactly what the pre-pipeline
-    controller did, kept as the default so existing runs reproduce bit for
-    bit.
+    previously used worker VM is vacated.  Selected with
+    ``ControllerConfig(placement="full-replace")``; the default is
+    :class:`IncrementalPlacement`.
     """
 
     name = "full-replace"
@@ -390,20 +389,7 @@ class IncrementalPlacement(PlacementPolicy):
         return ProvisioningRequest(vm_counts=vm_counts, keep_vm_ids=keep_ids)
 
     def placement_plan(self, runtime: TopologyRuntime, target_vm_ids: List[str]) -> PlacementPlan:
-        if runtime.placement is None:
-            raise ValueError("runtime must be deployed before planning a migration")
-        user_ids = [e.executor_id for e in runtime.user_executors]
-        pinned_plan = PlacementPlan()
-        for executor in list(runtime.source_executors) + list(runtime.sink_executors):
-            slot_id = runtime.placement.assignments[executor.executor_id]
-            pinned_plan.assign(executor.executor_id, slot_id, runtime.placement.slot_to_vm[slot_id])
-        return incremental_plan(
-            user_ids,
-            runtime.cluster,
-            old_plan=runtime.placement,
-            target_vm_ids=target_vm_ids,
-            preplaced=pinned_plan,
-        )
+        return incremental_plan_on(runtime, target_vm_ids)
 
 
 #: Registry of the named placement policies ``ControllerConfig.placement`` accepts.
@@ -422,84 +408,3 @@ def placement_policy_by_name(name: str, **kwargs) -> PlacementPolicy:
             f"unknown placement policy {name!r}; choose from {sorted(PLACEMENT_POLICIES)}"
         ) from None
     return factory(**kwargs)
-
-
-# ---------------------------------------------------------------- pipeline
-class ControlPipeline:
-    """The assembled ``sense -> forecast -> plan -> place`` decision path.
-
-    The controller drives it once per control tick: :meth:`sense`, then
-    :meth:`observe` (so every policy sees every sample, including ticks the
-    controller skips mid-migration), then -- when a decision is wanted --
-    :meth:`decide`.  The *place* stage is consulted at enactment time by the
-    controller's capacity acquisition and migration-planning hooks.
-    """
-
-    def __init__(
-        self,
-        sense: SenseStage,
-        forecast: ForecastStage,
-        plan: PlanStage,
-        place: PlacementPolicy,
-    ) -> None:
-        self.sense_stage = sense
-        self.forecast_stage = forecast
-        self.plan_stage = plan
-        self.place = place
-
-    @classmethod
-    def from_config(
-        cls,
-        monitor: ElasticityMonitor,
-        planner: AllocationPlanner,
-        config: "ControllerConfig",
-        provisioning_latency_s: float = 30.0,
-        forecast_policy: Optional[ForecastPolicy] = None,
-        placement: Optional[PlacementPolicy] = None,
-    ) -> "ControlPipeline":
-        """Build the default pipeline for a controller configuration.
-
-        ``forecast_policy`` / ``placement`` instances override the config's
-        named choices (the elastic runner passes a profile-bound lookahead
-        policy this way; the multi-tenant manager passes an exclusion-aware
-        incremental placer).  The default horizon is one provisioning latency
-        plus the hysteresis window -- the earliest a confirmed decision can
-        turn into ready capacity.
-        """
-        if forecast_policy is None:
-            forecast_policy = forecast_policy_by_name(config.forecast_policy)
-        horizon = config.forecast_horizon_s
-        if horizon is None:
-            horizon = provisioning_latency_s + config.confirm_samples * config.check_interval_s
-        if placement is None:
-            placement = placement_policy_by_name(config.placement)
-        return cls(
-            sense=SenseStage(
-                monitor,
-                slo_latency_s=config.slo_latency_s,
-                measure_capacity=config.capacity_feedback,
-            ),
-            forecast=ForecastStage(
-                forecast_policy, horizon, deadband_fraction=config.forecast_deadband
-            ),
-            plan=PlanStage(
-                planner,
-                slo_confirm_samples=config.slo_confirm_samples,
-                slo_headroom=config.slo_headroom,
-            ),
-            place=placement,
-        )
-
-    # ------------------------------------------------------------- the stages
-    def sense(self) -> SenseReading:
-        """Stage 1: observe the dataflow."""
-        return self.sense_stage.sense()
-
-    def observe(self, reading: SenseReading) -> None:
-        """Feed the reading to the forecast policy (every tick, no skips)."""
-        self.forecast_stage.observe(reading)
-
-    def decide(self, reading: SenseReading, current_tier: str) -> PlanDecision:
-        """Stages 2+3: forecast the demand and size the target allocation."""
-        forecast = self.forecast_stage.forecast(reading)
-        return self.plan_stage.plan(reading, forecast, current_tier)

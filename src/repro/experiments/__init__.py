@@ -22,7 +22,7 @@ scaling on the same surge profile.
 shared, budget-arbitrated fleet (offset surges, bin-packed placement) and
 compares each tenant against its private-fleet baseline.
 
-:mod:`repro.experiments.predictive` compares the control pipeline's forecast
+:mod:`repro.experiments.predictive` compares the control rule's forecast
 policies (reactive / EWMA / Holt-Winters / profile lookahead) on one
 dynamism scenario, scoring SLO-violation seconds, provisioning lead time and
 cost.

@@ -28,21 +28,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.chaos import ChaosSchedule, FaultInjector
-from repro.cluster.cloud import (
-    ON_DEMAND,
-    SPOT,
-    CloudProvider,
-    Cluster,
-    ProvisioningModel,
-    SpotMarket,
-)
-from repro.cluster.vm import D2, D3
+from repro.cluster.cloud import SPOT, CloudProvider, ProvisioningModel, SpotMarket
 from repro.core.strategy import strategy_by_name
 from repro.dataflow import topologies
 from repro.dataflow.event import reset_event_ids
@@ -57,6 +48,7 @@ from repro.elastic import (
 )
 from repro.engine.config import RuntimeConfig
 from repro.engine.runtime import TopologyRuntime
+from repro.experiments.scenarios import deploy_baseline
 from repro.metrics.log import EventLog
 from repro.sim import RandomSource, Simulator
 from repro.sim.shard import log_digest
@@ -360,18 +352,7 @@ def run_chaos_run(
                                failure_prob=0.02),
         rng=RandomSource(mixed),
     )
-    cluster = Cluster()
-    util_vm = provider.provision(D3, 1, name_prefix="util", market=ON_DEMAND)[0]
-    util_vm.tags["role"] = "util"
-    cluster.add_vm(util_vm)
-    worker_count = int(math.ceil(dataflow.total_instances() / D2.slots))
-    initial_vms = provider.provision(D2, worker_count, name_prefix="d2", market=SPOT)
-    for vm in initial_vms:
-        cluster.add_vm(vm)
-
-    runtime = TopologyRuntime(dataflow, cluster, sim=sim, config=config)
-    runtime.deploy()
-    runtime.start()
+    runtime, initial_vms = deploy_baseline(dataflow, config, provider, worker_market=SPOT)
 
     controller_config = controller_config if controller_config is not None else ControllerConfig()
     monitor = ElasticityMonitor(runtime, interval_s=controller_config.check_interval_s)
@@ -382,7 +363,7 @@ def run_chaos_run(
 
     injector = FaultInjector(
         sim,
-        cluster,
+        runtime.cluster,
         provider,
         seed=mixed,
         on_notice=controller.handle_eviction_notice if mode == "notice" else None,

@@ -17,12 +17,10 @@ The result carries the full timeline (monitor samples), every enacted
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
-from repro.cluster.cloud import CloudProvider, Cluster
-from repro.cluster.vm import D2, D3
+from repro.cluster.cloud import CloudProvider
 from repro.core.strategy import strategy_by_name
 from repro.dataflow import topologies
 from repro.dataflow.event import reset_event_ids
@@ -39,6 +37,7 @@ from repro.elastic import (
 )
 from repro.engine.config import RuntimeConfig
 from repro.engine.runtime import TopologyRuntime
+from repro.experiments.scenarios import deploy_baseline
 from repro.metrics.log import EventLog
 from repro.metrics.timeline import LatencyPoint, RatePoint, latency_timeline, rate_timeline
 from repro.sim import Simulator
@@ -57,7 +56,7 @@ class ElasticScenarioSpec:
     #: Whether the controller may change task parallelism (capacity-adding
     #: scaling) instead of only repacking fixed slots (the paper's scoping).
     elastic_parallelism: bool = False
-    #: Demand forecaster driving the control pipeline (``reactive`` is the
+    #: Demand forecaster the control rule plans on (``reactive`` is the
     #: original threshold behaviour).  Deliberately not mixed into the seed:
     #: runs differing only in policy share their random streams, so the
     #: comparison isolates the policy.
@@ -169,7 +168,7 @@ def run_elastic_experiment(
     may then be mutated by the run.  ``task_capacities_ev_s`` optionally maps
     task names to per-instance service rates for heterogeneous sizing.
 
-    ``forecast_policy`` selects the control pipeline's demand forecaster: a
+    ``forecast_policy`` selects the control rule's demand forecaster: a
     registered name, a :class:`ForecastPolicy` instance, or ``None`` to use
     the controller config's choice.  The ``lookahead`` policy is bound to the
     run's total-rate profile automatically.
@@ -240,11 +239,6 @@ def run_elastic_experiment(
         provisioning_latency_s=provisioning_latency_s,
         billing_granularity_s=billing_granularity_s,
     )
-    cluster = Cluster()
-    util_vm = provider.provision(D3, 1, name_prefix="util")[0]
-    util_vm.tags["role"] = "util"
-    cluster.add_vm(util_vm)
-
     planner = AllocationPlanner(
         dataflow,
         instance_capacity_ev_s=instance_capacity_ev_s,
@@ -253,14 +247,7 @@ def run_elastic_experiment(
     )
     # Initial deployment is always the paper's default packing (Table 1: D2s),
     # whatever tier the profile's first rate will steer the controller toward.
-    initial_count = int(math.ceil(dataflow.total_instances() / D2.slots))
-    initial_vms = provider.provision(D2, initial_count, name_prefix="d2")
-    for vm in initial_vms:
-        cluster.add_vm(vm)
-
-    runtime = TopologyRuntime(dataflow, cluster, sim=sim, config=config)
-    runtime.deploy()
-    runtime.start()
+    runtime, initial_vms = deploy_baseline(dataflow, config, provider)
 
     monitor = ElasticityMonitor(
         runtime,

@@ -1,6 +1,6 @@
 """Predictive scenario runner: reactive vs forecast-driven scaling policies.
 
-The control-plane pipeline makes the demand forecaster pluggable; this runner
+The control rule's demand forecaster is pluggable; this runner
 quantifies what each policy buys.  The same dataflow rides the same profile
 once per policy -- ``reactive`` (the original threshold loop), ``ewma``,
 ``holt-winters`` and the ``lookahead`` oracle -- with identical seeds (the
@@ -216,7 +216,7 @@ def run_predictive_experiment(
     ``surge_multiplier``, or a named preset such as ``diurnal``) with the
     same seed-derived random streams, capacity-adding rescale, the
     SLO-breach override armed at ``slo_latency_s``, and (by default) the
-    incremental placer -- so the runs differ *only* in the forecast stage.
+    incremental placer -- so the runs differ *only* in the forecast policy.
     """
     if not policies:
         raise ValueError("need at least one policy to compare")

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from repro.cluster.cloud import CloudProvider, Cluster
+from repro.cluster.cloud import ON_DEMAND, CloudProvider, Cluster
 from repro.cluster.placement import PlacementPlan
 from repro.cluster.vm import D1, D2, D3, VirtualMachine, VMType
 from repro.core.metrics import MigrationMetrics, compute_migration_metrics
@@ -29,6 +29,7 @@ from repro.dataflow import topologies
 from repro.dataflow.event import reset_event_ids
 from repro.elastic.planner import plan_user_tasks_on
 from repro.dataflow.graph import Dataflow
+from repro.engine.config import RuntimeConfig
 from repro.engine.runtime import TopologyRuntime
 from repro.metrics.log import EventLog
 from repro.metrics.timeline import LatencyPoint, RatePoint, latency_timeline, rate_timeline
@@ -135,6 +136,37 @@ def _mix_seed(spec: ScenarioSpec) -> int:
     return spec.seed * 1_000_003 + int.from_bytes(digest[:4], "big")
 
 
+def deploy_baseline(
+    dataflow: Dataflow,
+    config: RuntimeConfig,
+    provider: CloudProvider,
+    cluster: Optional[Cluster] = None,
+    worker_market: str = ON_DEMAND,
+) -> Tuple[TopologyRuntime, List[VirtualMachine]]:
+    """Deploy and start a dataflow on the paper's baseline allocation (§5).
+
+    Provisions, in this order, one on-demand D3 tagged ``util`` for the
+    sources and sinks and the Table-1 default of ``⌈slots/2⌉`` D2 workers
+    (bought on ``worker_market``), adds them to ``cluster`` (a fresh one
+    unless given, e.g. with a seeded network model), then deploys and starts
+    a runtime on the provider's simulator.  Returns the runtime and the
+    worker VMs.
+    """
+    cluster = cluster if cluster is not None else Cluster()
+    util_vm = provider.provision(D3, 1, name_prefix="util")[0]
+    util_vm.tags["role"] = "util"
+    cluster.add_vm(util_vm)
+    worker_vms = provider.provision(
+        D2, vm_counts_for(dataflow).default_d2, name_prefix="d2", market=worker_market
+    )
+    for vm in worker_vms:
+        cluster.add_vm(vm)
+    runtime = TopologyRuntime(dataflow, cluster, sim=provider.sim, config=config)
+    runtime.deploy()
+    runtime.start()
+    return runtime, worker_vms
+
+
 def build_experiment(spec: ScenarioSpec, dataflow: Optional[Dataflow] = None) -> ExperimentHandle:
     """Provision the initial cluster, deploy and start the dataflow.
 
@@ -143,34 +175,19 @@ def build_experiment(spec: ScenarioSpec, dataflow: Optional[Dataflow] = None) ->
     """
     strategy_cls = strategy_by_name(spec.strategy)
     config = strategy_cls.runtime_config(seed=_mix_seed(spec))
-
     sim = Simulator()
     dataflow = dataflow if dataflow is not None else topologies.by_name(spec.dag)
-    counts = vm_counts_for(dataflow)
-
     provider = CloudProvider(sim)
-    cluster = Cluster()
-
-    util_vm = provider.provision(D3, 1, name_prefix="util")[0]
-    util_vm.tags["role"] = "util"
-    cluster.add_vm(util_vm)
-
-    initial_vms = provider.provision(D2, counts.default_d2, name_prefix="d2")
-    for vm in initial_vms:
-        cluster.add_vm(vm)
-
-    runtime = TopologyRuntime(dataflow, cluster, sim=sim, config=config)
-    runtime.deploy()
-    runtime.start()
+    runtime, initial_vms = deploy_baseline(dataflow, config, provider)
     return ExperimentHandle(
         spec=spec,
         dataflow=dataflow,
         sim=sim,
         provider=provider,
-        cluster=cluster,
+        cluster=runtime.cluster,
         runtime=runtime,
         initial_vm_ids=[vm.vm_id for vm in initial_vms],
-        util_vm_id=util_vm.vm_id,
+        util_vm_id=runtime.util_vm_id,
     )
 
 

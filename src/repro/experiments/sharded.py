@@ -25,16 +25,16 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.cloud import CloudProvider, Cluster, NetworkModel
-from repro.cluster.vm import D2, D3
 from repro.core.strategy import strategy_by_name
 from repro.dataflow import topologies
 from repro.dataflow.event import reset_event_ids
 from repro.dataflow.task import SourceTask
 from repro.elastic.controller import ControllerConfig
+from repro.elastic.forecast import ReactivePolicy
 from repro.elastic.monitor import ElasticityMonitor, MonitorSample
-from repro.elastic.planner import TIER_ORDER, AllocationPlanner
-from repro.engine.runtime import TopologyRuntime
-from repro.experiments.scenarios import vm_counts_for
+from repro.elastic.planner import AllocationPlanner
+from repro.elastic.policy import ControlState, decide
+from repro.experiments.scenarios import deploy_baseline
 from repro.metrics.log import EventLog
 from repro.sim import RandomSource, Simulator
 from repro.sim.shard import (
@@ -125,15 +125,7 @@ def run_steady_shard(spec: ShardSpec) -> ShardResult:
     # it from the shard so partitions draw independent jitter and the run's
     # master seed is actually observable in the merged log.
     cluster = Cluster(network=NetworkModel(rng=RandomSource(spec.shard_seed)))
-    util_vm = provider.provision(D3, 1, name_prefix="util")[0]
-    util_vm.tags["role"] = "util"
-    cluster.add_vm(util_vm)
-    for vm in provider.provision(D2, vm_counts_for(dataflow).default_d2, name_prefix="d2"):
-        cluster.add_vm(vm)
-
-    runtime = TopologyRuntime(dataflow, cluster, sim=sim, config=config)
-    runtime.deploy()
-    runtime.start()
+    runtime, _ = deploy_baseline(dataflow, config, provider, cluster=cluster)
     monitor: Optional[ElasticityMonitor] = None
     if spec.sample_interval_s > 0:
         monitor = ElasticityMonitor(runtime, interval_s=spec.sample_interval_s)
@@ -207,7 +199,7 @@ def run_sharded_experiment(
 
 @dataclass(frozen=True)
 class PlannedAction:
-    """One scaling decision of the centralized shadow controller.
+    """One scaling decision of the centralized control-rule replay.
 
     Plan-only: the sharded run records what the controller *would* enact at
     each confirmed decision point, without feeding the migration back into
@@ -230,66 +222,46 @@ def plan_control_actions(
     samples: List[MonitorSample],
     dataflow,
     config: Optional[ControllerConfig] = None,
-    initial_tier: str = "baseline",
-    planner: Optional[AllocationPlanner] = None,
 ) -> List[PlannedAction]:
-    """Replay the elasticity controller's decision rule over merged samples.
+    """Replay the elastic control rule over merged samples.
 
     This is the centralized tick of a sharded elastic run: each shard runs
     its own monitor, the merge aggregates the per-shard samples
-    (:func:`~repro.sim.shard.merge_monitor_samples`), and this function
-    applies the same reactive decision logic as
-    :meth:`~repro.elastic.controller.ElasticityController._tick` — planner
-    sizing against the *unsharded* dataflow, ``confirm_samples`` hysteresis,
-    cooldown, and the drain-aware scale-in guard.  Differences from the
-    closed-loop controller are inherent to planning offline: the cooldown
-    runs from the decision time (there is no enactment to wait for) and
-    actions do not change the running shards.  The output is a pure function
-    of the samples, hence worker-count invariant.
+    (:func:`~repro.sim.shard.merge_monitor_samples`), and this function feeds
+    them to :func:`~repro.elastic.policy.decide` -- the very function the
+    live :class:`~repro.elastic.controller.ElasticityController` ticks --
+    sizing against the *unsharded* dataflow from the baseline tier, with the
+    reactive (identity) forecast.  Differences from the closed loop are
+    inherent to planning offline: an action completes the instant it is
+    decided (the cooldown runs from the decision time; there is no enactment
+    to wait for, so no tick is skipped as busy) and actions do not change the
+    running shards -- which is why the planner is placement-only: a replay
+    cannot apply a rescale.  The output is a pure function of the samples,
+    hence worker-count invariant.
     """
-    if planner is None:
-        planner = AllocationPlanner(dataflow)
     if config is None:
         config = ControllerConfig()
-    tier = initial_tier
-    pending_tier: Optional[str] = None
-    pending_count = 0
-    cooldown_until = float("-inf")
+    planner = AllocationPlanner(dataflow)
+    forecast = ReactivePolicy()
+    state = ControlState()
     actions: List[PlannedAction] = []
     for sample in samples:
-        if sample.sources_paused:
+        decision = decide(
+            state, sample, config=config, planner=planner, forecast=forecast, horizon_s=0.0
+        )
+        if decision.outcome != "enact":
             continue
-        target = planner.plan(sample.offered_rate, current_tier=tier)
-        if target.tier == tier and target.rescale is None:
-            pending_tier = None
-            pending_count = 0
-            continue
-        if target.tier != pending_tier:
-            pending_tier = target.tier
-            pending_count = 1
-        else:
-            pending_count += 1
-        if pending_count < config.confirm_samples:
-            continue
-        if sample.time < cooldown_until:
-            continue
-        direction = "out" if TIER_ORDER[target.tier] > TIER_ORDER[tier] else "in"
-        if direction == "in" and config.drain_guard_backlog_s:
-            backlog = sample.queue_backlog + sample.source_backlog
-            if backlog > config.drain_guard_backlog_s * max(sample.offered_rate, 1.0):
-                continue
+        target = decision.target
         actions.append(PlannedAction(
             decided_at=sample.time,
-            direction=direction,
-            from_tier=tier,
+            direction=decision.direction,
+            from_tier=state.tier,
             to_tier=target.tier,
             observed_rate=sample.offered_rate,
             vm_counts=tuple(sorted(target.vm_counts.items())),
         ))
-        tier = target.tier
-        pending_tier = None
-        pending_count = 0
-        cooldown_until = sample.time + config.cooldown_s
+        state.acquired()
+        state.settle(target.tier, sample.time + config.cooldown_s)
     return actions
 
 
@@ -335,8 +307,8 @@ def run_sharded_elastic_experiment(
     parallel (each source follows ``profile`` at ``1/shards`` amplitude,
     each shard samples a private monitor on the controller's check
     interval), then the *centralized* controller tick consumes the merged
-    samples and replays the reactive decision rule against the unsharded
-    dataflow (:func:`plan_control_actions`).  Both the merged log and the
+    samples and replays the control rule against the unsharded dataflow
+    (:func:`plan_control_actions`).  Both the merged log and the
     planned action sequence are byte-identical for 1 vs N workers.
     """
     config = controller_config if controller_config is not None else ControllerConfig()

@@ -37,7 +37,7 @@ from repro.elastic.controller import (
 from repro.elastic.forecast import ForecastPolicy
 from repro.elastic.monitor import ElasticityMonitor
 from repro.elastic.planner import AllocationPlanner, TargetAllocation
-from repro.elastic.policy import PlacementPolicy
+from repro.elastic.policy import Decision, PlacementPolicy
 from repro.engine.runtime import TopologyRuntime
 from repro.multi.arbiter import ScaleArbiter
 
@@ -84,13 +84,13 @@ class TenantController(ElasticityController):
         self.deferrals: List[Deferral] = []
 
     # ------------------------------------------------------------ arbitration
-    def _tick(self) -> None:
-        had_pending = self._pending_tier is not None
-        super()._tick()
-        if had_pending and self._pending_tier is None and not self._migration_in_flight:
-            # The demand went back in band before the arbiter let us through:
-            # stop claiming a place in the waiting registry.
+    def _tick(self) -> Decision:
+        decision = super()._tick()
+        if decision.outcome == "in-band":
+            # The demand is (back) in band: if the arbiter was holding a
+            # proposal of ours, stop claiming a place in the waiting registry.
             self.arbiter.withdraw(self.tenant_id)
+        return decision
 
     def _acquire_capacity(self, action: ScalingAction) -> bool:
         # Propose exactly what will be provisioned: the full target fleet

@@ -17,6 +17,7 @@ from repro.cluster.cloud import CloudProvider, Cluster
 from repro.cluster.vm import D2, D3
 from repro.dataflow.builder import TopologyBuilder
 from repro.dataflow.graph import Dataflow
+from repro.elastic.monitor import MonitorSample
 from repro.engine.config import ReliabilityConfig, RuntimeConfig, TimingConfig
 from repro.engine.runtime import TopologyRuntime
 from repro.sim import Simulator
@@ -109,6 +110,22 @@ def make_runtime(
     runtime = TopologyRuntime(dataflow, cluster, sim=sim, config=fast_config(strategy, seed=seed))
     runtime.deploy()
     return runtime
+
+
+def monitor_sample(
+    time=0.0, offered=8.0, latency=None, queued=0, source_backlog=0, paused=False
+) -> MonitorSample:
+    """A synthetic monitor sample for control-rule unit tests."""
+    return MonitorSample(
+        time=time,
+        input_rate=offered,
+        offered_rate=offered,
+        output_rate=offered,
+        avg_latency_s=latency,
+        queue_backlog=queued,
+        source_backlog=source_backlog,
+        sources_paused=paused,
+    )
 
 
 @pytest.fixture

@@ -1,0 +1,325 @@
+"""The elastic control rule, tested as the function it is.
+
+:func:`repro.elastic.policy.decide` is the one copy of the control decision
+(band check, ``confirm_samples`` hysteresis, cooldown, drain-aware scale-in
+guard, with the forecast deadband and the SLO override in front -- the
+override's own behaviours are in ``tests/test_predictive.py::TestSloOverride``).
+This module holds it to that:
+
+* a table of sample streams, one per outcome, with three seeded mutations of
+  ``decide`` that must each fail it;
+* live vs replay: the offline replay of a run's monitor samples
+  (:func:`repro.experiments.sharded.plan_control_actions`) reaches the live
+  controller's first action;
+* a source guard: no module but ``elastic/policy.py`` writes the rule's state
+  or reads its knobs, so a second copy of the rule cannot grow back unseen.
+"""
+
+from __future__ import annotations
+
+import ast
+import dataclasses
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Callable, Dict, List
+
+import pytest
+
+from repro.dataflow import topologies
+from repro.elastic import (
+    AllocationPlanner,
+    ControllerConfig,
+    ControlState,
+    EwmaPolicy,
+    ForecastPolicy,
+    ReactivePolicy,
+    policy,
+)
+from repro.experiments.elastic import run_elastic_experiment
+from repro.experiments.sharded import plan_control_actions
+
+from tests.conftest import monitor_sample, mutant, patched
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+# ------------------------------------------------------------------ the table
+@dataclass
+class Step:
+    """One sample fed to the rule and what must come out."""
+
+    sample: Dict[str, object]
+    outcome: str
+    busy: bool = False
+    #: Attributes the returned ``Decision`` / the ``ControlState`` must show.
+    decision: Dict[str, object] = field(default_factory=dict)
+    state: Dict[str, object] = field(default_factory=dict)
+
+
+@dataclass
+class Row:
+    """One sample stream through a fresh rule over the Grid (8 ev/s baseline)."""
+
+    name: str
+    steps: List[Step]
+    config: Dict[str, object] = field(default_factory=dict)
+    state: Dict[str, object] = field(default_factory=dict)
+    elastic_parallelism: bool = False
+    forecast: Callable[[], ForecastPolicy] = ReactivePolicy
+
+
+#: Half-confirmed scale-out the skip and in-band rows start from.
+HALF_CONFIRMED = {"pending_tier": "expanded", "pending_count": 1}
+
+TABLE = [
+    Row(
+        "a paused sample is only recorded: the forecast is fed, the rest is untouched",
+        forecast=EwmaPolicy,
+        state={**HALF_CONFIRMED, "breach_streak": 1, "previous_backlog": 7},
+        steps=[
+            Step({"time": 15.0, "offered": 8.0, "queued": 90, "paused": True}, "sources-paused",
+                 decision={"target": None, "forecast_rate_ev_s": None},
+                 state={**HALF_CONFIRMED, "breach_streak": 1, "previous_backlog": 7}),
+            # Half of the paused sample's 8 ev/s is in the EWMA the next one plans
+            # on, and the count resumes from where the pause found it.
+            Step({"time": 30.0, "offered": 24.0}, "enact",
+                 decision={"forecast_rate_ev_s": 16.0, "pending_count": 2}),
+        ],
+    ),
+    Row(
+        "a migration in flight outranks paused sources as the skip reason",
+        state=HALF_CONFIRMED,
+        steps=[
+            Step({"offered": 24.0, "paused": True}, "migration-in-flight", busy=True,
+                 state=HALF_CONFIRMED),
+            Step({"offered": 24.0}, "migration-in-flight", busy=True, state=HALF_CONFIRMED),
+        ],
+    ),
+    Row(
+        "an in-band sample clears the pending confirmation",
+        state=HALF_CONFIRMED,
+        steps=[
+            Step({"offered": 8.0}, "in-band",
+                 decision={"direction": None, "pending_count": 0},
+                 state={"pending_tier": None, "pending_count": 0}),
+        ],
+    ),
+    Row(
+        "the first out-of-band sample waits; the confirm_samples-th enacts",
+        config={"confirm_samples": 3},
+        steps=[
+            Step({"time": 15.0, "offered": 24.0}, "hysteresis", decision={"pending_count": 1}),
+            Step({"time": 30.0, "offered": 24.0}, "hysteresis", decision={"pending_count": 2}),
+            Step({"time": 45.0, "offered": 24.0}, "enact",
+                 decision={"pending_count": 3, "direction": "out"},
+                 # Spending the confirmation is the caller's move (an arbiter may defer).
+                 state={"pending_tier": "expanded", "pending_count": 3}),
+        ],
+    ),
+    Row(
+        "a target tier that flips restarts the count at 1",
+        config={"confirm_samples": 3},
+        steps=[
+            Step({"time": 15.0, "offered": 24.0}, "hysteresis", decision={"pending_count": 1}),
+            Step({"time": 30.0, "offered": 24.0}, "hysteresis", decision={"pending_count": 2}),
+            Step({"time": 45.0, "offered": 2.0}, "hysteresis",
+                 decision={"pending_count": 1}, state={"pending_tier": "consolidated"}),
+            Step({"time": 60.0, "offered": 2.0}, "hysteresis", decision={"pending_count": 2}),
+            Step({"time": 75.0, "offered": 2.0}, "enact",
+                 decision={"pending_count": 3, "direction": "in"}),
+        ],
+    ),
+    Row(
+        "a cooldown keeps the confirmation; the first sample past it enacts",
+        state={"cooldown_until": 100.0},
+        steps=[
+            Step({"time": 70.0, "offered": 24.0}, "hysteresis"),
+            Step({"time": 85.0, "offered": 24.0}, "cooldown", state={"pending_count": 2}),
+            Step({"time": 100.0, "offered": 24.0}, "enact", decision={"pending_count": 3}),
+        ],
+    ),
+    Row(
+        "the drain guard holds a scale-in and releases it, still confirmed, once absorbed",
+        state={"tier": "expanded"},
+        steps=[
+            Step({"time": 15.0, "offered": 8.0, "queued": 1000}, "hysteresis"),
+            Step({"time": 30.0, "offered": 8.0, "queued": 30, "source_backlog": 11},
+                 "drain-guard", decision={"direction": "in"}, state={"pending_count": 2}),
+            # Exactly 5 s of offered load is no longer *above* the guard.
+            Step({"time": 45.0, "offered": 8.0, "queued": 40}, "enact",
+                 decision={"direction": "in", "pending_count": 3}),
+        ],
+    ),
+    Row(
+        "the drain guard never holds a scale-out",
+        steps=[
+            Step({"time": 15.0, "offered": 24.0, "queued": 5000}, "hysteresis"),
+            Step({"time": 30.0, "offered": 24.0, "queued": 5000}, "enact",
+                 decision={"direction": "out"}),
+        ],
+    ),
+    *(
+        Row(
+            f"drain_guard_backlog_s={disabled!r} disables the guard",
+            config={"drain_guard_backlog_s": disabled},
+            state={"tier": "expanded"},
+            steps=[
+                Step({"time": 15.0, "offered": 8.0, "queued": 5000}, "hysteresis"),
+                Step({"time": 30.0, "offered": 8.0, "queued": 5000}, "enact",
+                     decision={"direction": "in"}),
+            ],
+        )
+        for disabled in (None, 0)
+    ),
+    Row(
+        "an EWMA forecast inside the deadband snaps to the observed rate",
+        forecast=EwmaPolicy,
+        steps=[
+            Step({"time": 15.0, "offered": 8.0}, "in-band", decision={"forecast_rate_ev_s": 8.0}),
+            # EWMA 7.9 is within 5 % of the observed 7.8: planned at 7.8 exactly.
+            Step({"time": 30.0, "offered": 7.8}, "in-band", decision={"forecast_rate_ev_s": 7.8}),
+            # EWMA 15.95 against an observed 24 is a real lag: left as forecast.
+            Step({"time": 45.0, "offered": 24.0}, "hysteresis",
+                 decision={"forecast_rate_ev_s": pytest.approx(15.95), "horizon_s": 60.0}),
+        ],
+    ),
+    Row(
+        "a same-tier grow is a scale-out: labelled by its slot delta, never drain-guarded",
+        elastic_parallelism=True,
+        state={"tier": "expanded"},
+        steps=[
+            # expanded -> expanded with more instances; the offline planner read it as "in".
+            Step({"time": 15.0, "offered": 48.0, "queued": 5000}, "hysteresis",
+                 state={"tier": "expanded", "pending_tier": "expanded"}),
+            Step({"time": 30.0, "offered": 48.0, "queued": 5000}, "enact",
+                 decision={"direction": "out"}),
+        ],
+    ),
+]
+
+
+def check_row(row: Row) -> None:
+    state = ControlState(**row.state)
+    planner = AllocationPlanner(topologies.grid(), elastic_parallelism=row.elastic_parallelism)
+    config = ControllerConfig(**row.config)
+    forecast = row.forecast()
+    for index, step in enumerate(row.steps):
+        where = f"{row.name!r}, step {index}"
+        # Through the module attribute, so a patched-in mutant is what runs.
+        decision = policy.decide(
+            state, monitor_sample(**step.sample), config=config, planner=planner,
+            forecast=forecast, horizon_s=60.0, busy=step.busy,
+        )
+        assert decision.outcome == step.outcome, where
+        for name, expected in step.decision.items():
+            assert getattr(decision, name) == expected, f"{where}: decision.{name}"
+        for name, expected in step.state.items():
+            assert getattr(state, name) == expected, f"{where}: state.{name}"
+
+
+def check_table() -> None:
+    for row in TABLE:
+        check_row(row)
+
+
+@pytest.mark.parametrize("row", TABLE, ids=lambda row: row.name)
+def test_table_row(row):
+    check_row(row)
+
+
+def test_seeded_mutations_of_the_rule_fail_the_table():
+    # The confirm_samples-th agreeing sample still waits.
+    patient = mutant(policy, "decide", "state.pending_count < config.confirm_samples",
+                     "state.pending_count <= config.confirm_samples")
+    with patched(policy, "decide", patient), pytest.raises(AssertionError):
+        check_table()
+
+    # A skipped sample never reaches the forecast policy: its series has gaps.
+    gappy = mutant(policy, "decide",
+                   "    forecast.observe(sample.time, sample.offered_rate)\n",
+                   "    if not (busy or sample.sources_paused):\n"
+                   "        forecast.observe(sample.time, sample.offered_rate)\n")
+    with patched(policy, "decide", gappy), pytest.raises(AssertionError):
+        check_table()
+
+    # The drain guard holds scale-outs too.
+    timid = mutant(policy, "decide", 'direction == "in" and guard_s', "guard_s")
+    with patched(policy, "decide", timid), pytest.raises(AssertionError):
+        check_table()
+
+
+# ------------------------------------------------------------ live vs replay
+@pytest.mark.parametrize(
+    "dag, profile, duration_s, decided_at",
+    [("grid", "surge", 600.0, 210.0), ("traffic", "surge", 900.0, 300.0),
+     ("linear", "diurnal", 900.0, 45.0)],
+)
+def test_replay_reaches_the_live_controllers_first_action(dag, profile, duration_s, decided_at):
+    """Later actions legitimately differ: the live loop skips ticks while a
+    migration is in flight, the replay settles an action the instant it is decided."""
+    result = run_elastic_experiment(
+        dag=dag, strategy="ccr", profile=profile, duration_s=duration_s, seed=2018
+    )
+    live = result.controller.actions[0]
+    replayed = plan_control_actions(result.monitor.samples, topologies.by_name(dag))[0]
+    assert dataclasses.astuple(replayed) == (
+        live.decided_at, live.direction, live.from_tier, live.to_tier, live.observed_rate,
+        tuple(sorted(live.target.vm_counts.items())),
+    )
+    assert replayed.decided_at == decided_at
+
+
+# ------------------------------------------------------- one rule, fewer knobs
+def test_the_replay_takes_no_planner_and_no_initial_tier():
+    """A plan-only replay cannot apply a rescale, so it sizes placement-only from baseline."""
+    dataflow = topologies.grid()
+    with pytest.raises(TypeError):
+        plan_control_actions([], dataflow, planner=AllocationPlanner(dataflow))
+    with pytest.raises(TypeError):
+        plan_control_actions([], dataflow, initial_tier="expanded")
+
+
+def test_controller_config_lost_the_knobs_nothing_set():
+    assert len(dataclasses.fields(ControllerConfig)) == 10
+    for knob in ("wait_for_provisioning", "forecast_horizon_s", "capacity_feedback",
+                 "evacuation_horizon_s"):
+        with pytest.raises(TypeError):
+            ControllerConfig(**{knob: 1})
+
+
+#: The rule's carried state: written nowhere but in ``elastic/policy.py``.
+RULE_STATE = {"pending_tier", "pending_count", "breach_streak", "previous_backlog"}
+#: The rule's knobs: read nowhere but there and in the config's own validation.
+RULE_KNOBS = {"drain_guard_backlog_s", "slo_confirm_samples", "slo_headroom", "forecast_deadband"}
+
+
+def test_the_rule_lives_in_one_module():
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        relative = path.relative_to(PACKAGE).as_posix()
+        if relative == "elastic/policy.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        validation = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "ControllerConfig"
+            for method in cls.body
+            if isinstance(method, ast.FunctionDef) and method.name == "__post_init__"
+            for node in ast.walk(method)
+        }
+        attributes = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+        offenders += [
+            f"{relative}:{node.lineno} writes .{node.attr}"
+            for node in attributes
+            if node.attr in RULE_STATE and not isinstance(node.ctx, ast.Load)
+        ]
+        offenders += [
+            f"{relative}:{node.lineno} reads .{node.attr}"
+            for node in attributes
+            if node.attr in RULE_KNOBS and isinstance(node.ctx, ast.Load)
+            and id(node) not in validation
+        ]
+    assert offenders == [], (
+        "the control rule is repro.elastic.policy.decide and nothing else: " + "; ".join(offenders)
+    )

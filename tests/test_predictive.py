@@ -1,11 +1,13 @@
-"""The predictive, SLO-aware control plane: pipeline stages and end-to-end runs.
+"""The predictive, SLO-aware control plane: the rule's SLO override and end-to-end runs.
 
-Covers the staged ``sense -> forecast -> plan -> place`` decision path:
+Covers the forecast / SLO side of :func:`repro.elastic.policy.decide` and the
+placement policies (the debounce half of the rule is tabled in
+``tests/test_control_rule.py``):
 
 * the SLO-breach override escalates an in-band plan only on a *sustained*
   breach with a *growing* backlog (a post-migration drain must not trigger);
-* the sense stage's measured service rates close the heterogeneous-latency
-  loop (a slow task is sized by what it actually does);
+* the monitor's measured service rates close the heterogeneous-latency loop
+  when fed to the planner (a slow task is sized by what it actually does);
 * an overloaded-but-in-band dataflow scales out on the latency trigger alone;
 * the acceptance scenario: on the Grid 2x step surge, a predictive policy
   provisions *before* the surge lands and accrues measurably fewer
@@ -18,6 +20,8 @@ Covers the staged ``sense -> forecast -> plan -> place`` decision path:
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.dataflow import topologies
@@ -25,17 +29,17 @@ from repro.dataflow.builder import TopologyBuilder
 from repro.elastic import (
     AllocationPlanner,
     ControllerConfig,
+    ControlState,
     ElasticityMonitor,
     MonitorSample,
-    PlanStage,
-    SenseReading,
+    ReactivePolicy,
+    decide,
 )
-from repro.elastic.policy import DemandForecast
 from repro.experiments.elastic import run_elastic_experiment
 from repro.experiments.predictive import run_predictive_experiment
 from repro.workloads.profiles import StepProfile
 
-from tests.conftest import fast_config, make_runtime
+from tests.conftest import fast_config, make_runtime, monitor_sample
 from tests.test_determinism import _log_records
 
 
@@ -55,92 +59,60 @@ def slow_chain(rate: float = 8.0, latency_s: float = 0.2):
     return builder.build()
 
 
-def reading(
-    time=0.0, offered=8.0, latency=None, queued=0, source_backlog=0, slo=2.0
-) -> SenseReading:
-    """A synthetic sense reading for plan-stage unit tests."""
-    sample = MonitorSample(
-        time=time,
-        input_rate=offered,
-        offered_rate=offered,
-        output_rate=offered,
-        avg_latency_s=latency,
-        queue_backlog=queued,
-        source_backlog=source_backlog,
-        sources_paused=False,
-    )
-    breached = latency is not None and slo is not None and latency > slo
-    return SenseReading(
-        sample=sample,
-        measured_capacities_ev_s={},
-        slo_latency_s=slo,
-        slo_breached=breached,
-    )
-
-
-def forecast_of(rate: float) -> DemandForecast:
-    return DemandForecast(rate_ev_s=rate, horizon_s=60.0, observed_rate_ev_s=rate)
-
-
 class TestSloOverride:
-    """The plan stage's overload-aware escalation."""
+    """The rule's overload-aware escalation."""
 
-    def make_stage(self) -> PlanStage:
-        planner = AllocationPlanner(topologies.traffic())
-        return PlanStage(planner, slo_confirm_samples=2, slo_headroom=1.5)
+    def make_rule(self):
+        """``decide`` over a fresh state: Traffic planner, reactive forecast, 2 s SLO."""
+        return functools.partial(
+            decide,
+            ControlState(),
+            config=ControllerConfig(slo_latency_s=2.0, slo_confirm_samples=2, slo_headroom=1.5),
+            planner=AllocationPlanner(topologies.traffic()),
+            forecast=ReactivePolicy(),
+            horizon_s=60.0,
+        )
 
     def test_in_band_without_breach_stays_put(self):
-        stage = self.make_stage()
-        decision = stage.plan(reading(latency=0.5), forecast_of(8.0), "baseline")
+        rule = self.make_rule()
+        decision = rule(monitor_sample(latency=0.5))
         assert decision.target.tier == "baseline"
         assert not decision.slo_escalated
 
     def test_sustained_breach_with_growing_backlog_escalates(self):
-        stage = self.make_stage()
-        first = stage.plan(
-            reading(time=15.0, latency=5.0, queued=100), forecast_of(8.0), "baseline"
-        )
+        rule = self.make_rule()
+        first = rule(monitor_sample(time=15.0, latency=5.0, queued=100))
         assert not first.slo_escalated, "one breached sample must not trigger"
-        second = stage.plan(
-            reading(time=30.0, latency=6.0, queued=200), forecast_of(8.0), "baseline"
-        )
+        second = rule(monitor_sample(time=30.0, latency=6.0, queued=200))
         assert second.slo_escalated
         assert second.target.tier == "expanded"
 
     def test_plateaued_backlog_still_escalates(self):
         """A saturated deployment (backlog stuck high, latency breached) is
         overload, not a drain: the override must still fire."""
-        stage = self.make_stage()
-        stage.plan(reading(time=15.0, latency=5.0, queued=300), forecast_of(8.0), "baseline")
-        decision = stage.plan(
-            reading(time=30.0, latency=6.0, queued=300), forecast_of(8.0), "baseline"
-        )
+        rule = self.make_rule()
+        rule(monitor_sample(time=15.0, latency=5.0, queued=300))
+        decision = rule(monitor_sample(time=30.0, latency=6.0, queued=300))
         assert decision.slo_escalated
 
     def test_draining_backlog_does_not_escalate(self):
         """High latency while the backlog shrinks is a recovery, not overload."""
-        stage = self.make_stage()
-        stage.plan(reading(time=15.0, latency=5.0, queued=300), forecast_of(8.0), "baseline")
-        decision = stage.plan(
-            reading(time=30.0, latency=6.0, queued=200), forecast_of(8.0), "baseline"
-        )
+        rule = self.make_rule()
+        rule(monitor_sample(time=15.0, latency=5.0, queued=300))
+        decision = rule(monitor_sample(time=30.0, latency=6.0, queued=200))
         assert not decision.slo_escalated
 
     def test_recovery_resets_the_streak(self):
-        stage = self.make_stage()
-        stage.plan(reading(time=15.0, latency=5.0, queued=100), forecast_of(8.0), "baseline")
-        stage.plan(reading(time=30.0, latency=0.5, queued=150), forecast_of(8.0), "baseline")
-        decision = stage.plan(
-            reading(time=45.0, latency=5.0, queued=200), forecast_of(8.0), "baseline"
-        )
+        rule = self.make_rule()
+        rule(monitor_sample(time=15.0, latency=5.0, queued=100))
+        rule(monitor_sample(time=30.0, latency=0.5, queued=150))
+        decision = rule(monitor_sample(time=45.0, latency=5.0, queued=200))
         assert not decision.slo_escalated, "the streak must restart after a clean sample"
 
     def test_out_of_band_plan_is_not_double_escalated(self):
-        stage = self.make_stage()
-        stage.plan(reading(time=15.0, latency=5.0, queued=100), forecast_of(24.0), "baseline")
-        decision = stage.plan(
-            reading(time=30.0, latency=6.0, queued=200), forecast_of(24.0), "baseline"
-        )
+        rule = self.make_rule()
+        rule(monitor_sample(time=15.0, offered=24.0, latency=5.0, queued=100))
+        decision = rule(monitor_sample(time=30.0, offered=24.0, latency=6.0, queued=200))
         assert decision.target.tier == "expanded"
         assert not decision.slo_escalated, "the rate trigger already did the job"
 
@@ -151,13 +123,12 @@ class TestSloOverride:
             ControllerConfig(slo_headroom=1.0)
         with pytest.raises(ValueError):
             ControllerConfig(forecast_deadband=-0.1)
-        planner = AllocationPlanner(topologies.traffic())
         with pytest.raises(ValueError):
-            PlanStage(planner, slo_confirm_samples=0)
+            ControllerConfig(slo_confirm_samples=0)
 
 
 class TestMeasuredCapacities:
-    """The sense stage's heterogeneous-latency feedback loop."""
+    """The heterogeneous-latency feedback: monitor measurement into planner sizing."""
 
     def test_monitor_measures_real_service_rate(self):
         runtime = make_runtime(slow_chain(rate=4.0, latency_s=0.2))
