@@ -281,7 +281,7 @@ def test_grid_windowed_paper_rate_cost(benchmark, engine_bench_recorder):
     def simulate():
         runtime = _windowed_grid(batch_stepping=True)
         counts["events"] = _simulated_events(runtime)
-        counts["cascades"] = runtime.batch_stepper.vector_cascades
+        counts["cascades"] = runtime.batch_stepper.cascades
         return len(runtime.log.sink_receipts)
 
     receipts = benchmark.pedantic(simulate, rounds=5, iterations=1, warmup_rounds=1)

@@ -4,65 +4,53 @@ The classic kernel executes one Python callback per simulated event; a single
 source tick costs two heap round-trips per hop (delivery, service completion)
 plus the deliver -> queue -> ``_maybe_process`` -> ``_complete_data`` call
 chain.  At steady state none of that machinery can change the outcome: every
-executor is initialized and idle, no control wave is in flight, and the only
-cancellable timer pending is the source's own emit tick.
+executor is initialized and running, no control wave is in flight, and the
+only cancellable timer pending is the source's own emit tick.
 
 The :class:`BatchStepper` exploits this.  When the emit timer fires and the
 runtime is *quiescent* (checked exhaustively below), the whole stretch of
 simulated time up to the next cancellable timer (exclusive) or the ``run``
-bound (inclusive) is materialized inside one callback: a private heap of
-``(time, seq, kind, ...)`` entries replays exactly the entries the kernel
-would have processed -- source ticks, channel deliveries, service completions
--- with the handlers inlined (Lindley-style per-executor service clocks on
-the real executor objects, keyed per-channel jitter draws, direct event-log
-appends with explicit timestamps).  Entries that land at or past the horizon
-are *spilled* back onto the real kernel heap in classic form
+bound (inclusive) is swept inside one callback with array rounds: a
+:class:`_SweepPlan` compiled once per placement epoch groups the task
+instances into topological *levels*, and per level one service round (arrival
+merge and Lindley queues of all its instances) and one shipping round (keyed
+jitter, latency and FIFO bump of all its channels) run over arrays laid end
+to end -- the same float operations per entry in the same order as the
+per-event path, so times stay bit-identical and only the order event ids are
+drawn in differs.  Work already in flight (pending deliveries, services in
+progress, queued arrivals) is *adopted* into the sweep, which is what lets it
+re-engage every window.  Entries that land at or past the horizon are
+*spilled* back onto the real kernel heap in classic form
 (``Executor.deliver`` / ``Executor._complete_data``), and executor state is
 left exactly as the classic kernel would have it at the horizon, so
 processing continues seamlessly -- a monitor sampling at the horizon observes
-identical ``processed_count`` / ``busy_time_s`` / log contents.
+identical ``processed_count`` / ``busy_time_s`` / log contents.  See
+:class:`_Sweep`.
 
 Correctness requires the keyed per-channel jitter streams
 (``RuntimeConfig.keyed_network_jitter``, implied by ``batch_stepping``):
 with the shared stream, collapsing the cross-channel interleaving would
 permute every jitter draw.  With keyed streams each channel consumes its own
-sequence, so the cascade draws the exact values the classic kernel draws in
-keyed mode.  Event ids are drawn in cascade pop order, which mirrors the
-classic pop order entry for entry; the equivalence tests in
-``tests/test_batch_equivalence.py`` pin both the logged streams and the
-executor counters.
+sequence, so the sweep draws the exact values the classic kernel draws in
+keyed mode.  The equivalence tests in ``tests/test_batch_equivalence.py`` pin
+both the logged streams and the executor counters against the classic keyed
+kernel, modulo event ids.
 
-The vectorized tier (the default) sweeps the same stretch with array rounds
-instead of a heap: a :class:`_SweepPlan` compiled once per placement epoch
-groups the task instances into topological *levels*, and per level one service
-round (arrival merge and Lindley queues of all its instances) and one shipping
-round (keyed jitter, latency and FIFO bump of all its channels) run over
-arrays laid end to end -- the same float operations per entry in the same
-order as the per-event path, so times stay bit-identical and only the order
-event ids are drawn in differs.  It also adopts work already in flight, which
-is what lets it re-engage every window.  See :class:`_Sweep`.
-
-Batch stepping stays engaged when data acking is on.  The heap tier calls the
-real :class:`~repro.reliability.acker.AckerService` at exactly the classic
-code points (register at each emit pop, anchor at each route, ack at each
-completion pop), evaluates the real spout-pending throttle per tick, and
-spills everything at or past a mid-cascade drain-timer horizon back to the
-kernel -- so it remains bit-exact.  The vectorized tier replays the acker XOR
-stream symbolically: a loss-free stretch anchors and acks every event of a
-tuple tree inside one sweep, so the folds cancel by construction and only
-events that cross the horizon fold real ids into the bulk acker APIs
+Batch stepping stays engaged when data acking is on: the sweep replays the
+acker XOR stream symbolically.  A loss-free stretch anchors and acks every
+event of a tuple tree inside one sweep, so the folds cancel by construction
+and only events that cross the horizon fold real ids into the bulk acker APIs
 (``register_block`` / ``anchor_batch`` / ``ack_batch`` / ``settle_batch``).
 The cascade horizon is clamped to ``now + ack timeout`` so no tree a sweep
 registers can time out mid-stretch, and the cascade declines whenever the
-runtime is not quiescent (control waves, backlogs, replays in flight,
-restarts, captures, multiple sources), falling back to the classic per-event
-path for that tick -- loss/replay windows, fault injection and migrations
-always take the reference path.
+runtime is not quiescent (control waves, backlogs, a throttled spout, replays
+in flight, restarts, captures, multiple sources, another runtime's work on a
+shared simulator): that tick goes to the classic per-event path -- loss/replay
+windows, fault injection and migrations always take the reference path.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_right
 from collections import namedtuple
@@ -80,19 +68,16 @@ from repro.dataflow.event import (
 from repro.dataflow.grouping import Grouping, field_key_of, stable_field_index
 from repro.dataflow.task import TaskKind
 from repro.engine.executor import Executor, ExecutorStatus, SinkExecutor, SourceExecutor
-from repro.engine.router import FIFO_SPACING_S, Channel
+from repro.engine.router import FIFO_SPACING_S, Channel, Router
 from repro.engine.scan import fixed_rate_ticks, maxplus_scan, sequential_sums
+from repro.reliability.acker import id_hash
 from repro.sim.rng import keyed_value_blocks
-
-_EMIT = 0
-_ARRIVE = 1
-_COMPLETE = 2
 
 _RUNNING = ExecutorStatus.RUNNING
 _DATA_KIND = EventKind.DATA
 
-# Unbound kernel-callback identities the vectorized tier knows how to ingest
-# when it adopts in-flight work (see _cascade_vectorized).
+# Unbound kernel-callback identities the sweep knows how to ingest when it
+# adopts in-flight work (see _scan_inflight).
 _COMPLETIONS = (Executor._complete_data, SinkExecutor._complete_data)
 _DELIVERIES = (Executor.deliver, SinkExecutor.deliver)
 
@@ -120,16 +105,14 @@ class BatchStepper:
         self.cascades = 0
         #: Simulated events materialized inline instead of via the kernel.
         self.inline_events = 0
-        #: Cascades swept with the vectorized (numpy) tier (diagnostic).
-        self.vector_cascades = 0
         #: Source ticks handed back to the classic per-event path, by reason.
         self.declines: Dict[str, int] = {}
-        #: Array rounds of the vectorized tier: one per block per level for
-        #: the service queues and one for shipping (see :class:`_Sweep`).
+        #: Array rounds of the sweep: one per block per level for the service
+        #: queues and one for shipping (see :class:`_Sweep`).
         self.rounds = 0
-        #: Max-plus scan segments the vectorized tier handed to the scalar
-        #: reference because the waiting frontier would not halve per round --
-        #: a loaded queue (see :mod:`repro.engine.scan`).
+        #: Max-plus scan segments the sweep handed to the scalar reference
+        #: because the waiting frontier would not halve per round -- a loaded
+        #: queue (see :mod:`repro.engine.scan`).
         self.scan_fallbacks = 0
         #: Sweep plans compiled: one per placement epoch the stepper ran in.
         self.plan_builds = 0
@@ -149,26 +132,19 @@ class BatchStepper:
         self._plan = None
 
     # ------------------------------------------------------------- quiescence
-    def _blocker(self, source: SourceExecutor, allow_inflight: bool = False) -> Optional[str]:
+    def _blocker(self, source: SourceExecutor) -> Optional[str]:
         """Why the cascade may not replace per-event processing right now.
 
         Returns ``None`` when the runtime is quiescent, else the decline
         reason.  Every condition corresponds to a piece of engine machinery
-        whose behaviour the inline handlers do not replicate: if any is live,
-        the tick falls back to the classic path (and may cascade again later).
-
-        ``allow_inflight`` relaxes the strict-idle conditions (no pending
-        fast-path kernel entries, all executors idle with empty queues) for
-        the vectorized tier, which can *adopt* in-flight data work -- pending
-        deliveries, in-service completions, queued arrivals -- into its sweep.
-        That is what lets cascades re-engage mid-stream: at steady state the
-        pipeline is never empty between two source ticks, so the strict check
-        only ever passes on the very first tick of a run.  The per-event heap
-        tier has no ingestion path and always requires the strict form.
+        whose behaviour the sweep does not replicate: if any is live, the tick
+        falls back to the classic path (and may cascade again later).  Plain
+        data work in flight is no blocker -- the sweep adopts it (see
+        :func:`_scan_inflight`), and at steady state the pipeline is never
+        empty between two source ticks.
         """
         runtime = self.runtime
-        sim = runtime.sim
-        if sim.run_until is None:
+        if runtime.sim.run_until is None:
             return "unbounded-run"  # no horizon to materialize up to
         sources = runtime.source_executors
         if len(sources) != 1 or sources[0] is not source:
@@ -183,15 +159,11 @@ class BatchStepper:
             return "throttled"
         if runtime._deferred_deliveries:
             return "deferred-deliveries"
-        if not allow_inflight and sim.has_fast_entries():
-            return "inflight-work"  # deliveries/completions already in flight
         for executor in runtime.executors.values():
             if executor.status is not _RUNNING or not executor.initialized:
                 return "executor-not-ready"
             if executor.capture_mode or executor.pre_init_buffer:
                 return "executor-capturing"
-            if not allow_inflight and (executor._busy or executor.input_queue):
-                return "inflight-work"
         return None
 
     # ---------------------------------------------------------------- cascade
@@ -210,17 +182,22 @@ class BatchStepper:
         return False
 
     def _cascade(self, source: SourceExecutor) -> Optional[str]:
-        """Run the tick's cascade; the decline reason when it could not."""
+        """Sweep the tick's stretch level by level; the decline reason
+        (nothing mutated) when it could not.
+
+        The phases, each a function or a :class:`_Sweep` method of its own:
+        quiescence check, in-flight scan, emission schedule, ingestion, one
+        service and one shipping round per level, the spills, the ack fold,
+        the log commit.  Ids are drawn in sweep order: roots first, then
+        spilled events, then receipts.
+        """
         reason = self._blocker(source)
-        strict = reason is None
-        if not strict:
-            reason = self._blocker(source, allow_inflight=True)
-            if reason is not None:
-                return reason
+        if reason is not None:
+            return reason
         # Everything is running, hence placed: the plan can compile.
         plan = self._sweep_plan()
-        if not strict and plan.decline is not None:
-            return plan.decline  # only the vectorized tier ingests in-flight work
+        if plan.decline is not None:
+            return plan.decline
         runtime = self.runtime
         sim = runtime.sim
         limit = sim.run_until
@@ -231,6 +208,7 @@ class BatchStepper:
         if now0 > limit:  # pragma: no cover - defensive; run() never does this
             return "past-run-bound"
         acked = runtime.ack_data_events
+        headroom = None
         if acked:
             # Any tree a cascade registers schedules its timeout at
             # ``tick + timeout >= now0 + timeout``; clamping the horizon there
@@ -240,229 +218,9 @@ class BatchStepper:
             timeout_at = now0 + runtime.acker.timeout_s
             if horizon is None or timeout_at < horizon:
                 horizon = timeout_at
-
-        if plan.decline is None:
-            reason = self._cascade_vectorized(plan, source, now0, limit, horizon, acked)
-            if reason is None:
-                return None
-            if not strict:
-                return reason  # in-flight work present; only the vectorized tier ingests it
-
-
-        log = runtime.log
-        timing = runtime.timing
-        acker = runtime.acker
-        reliability = runtime.reliability
-        record_receipt = log.record_sink_receipt
-        record_emit = log.record_source_emit
-        schedule_at_fast = sim.schedule_at_fast
-        push = heapq.heappush
-        pop = heapq.heappop
-
-        heap: List[tuple] = [(now0, 0, _EMIT, None, None, None)]
-        seq = 1
-        inline = 0
-
-        while heap:
-            t, _, kind, a, b, c = pop(heap)
-            if acked and horizon is not None and t >= horizon:
-                # A drain timer armed mid-cascade (throttle/backlog tick)
-                # pulled the horizon in: hand this entry back to the kernel in
-                # classic form so the drain tick observes classic state.
-                if kind == _ARRIVE:
-                    schedule_at_fast(t, a.deliver, (b, c))
-                elif kind == _COMPLETE:
-                    schedule_at_fast(t, a._complete_data, (b,))
-                else:
-                    source._emit_timer = sim.schedule_at(t, source._emit_tick)
-                continue
-            inline += 1
-            if kind == _ARRIVE:
-                executor = a
-                if executor._busy or executor.input_queue:
-                    executor.input_queue.append((b, c))
-                    continue
-                executor._busy = True
-                tc = t + executor._service_time
-                if tc <= limit and (horizon is None or tc < horizon):
-                    push(heap, (tc, seq, _COMPLETE, executor, b, None))
-                    seq += 1
-                else:
-                    # Completion crosses the horizon: hand it back to the
-                    # kernel in classic form (the executor stays busy, exactly
-                    # as if deliver() had scheduled this).
-                    schedule_at_fast(tc, executor._complete_data, (b,))
-            elif kind == _COMPLETE:
-                executor = a
-                event = b
-                if type(executor) is SinkExecutor:
-                    # Sink service: record the receipt (explicit timestamp --
-                    # cascade pops are globally time-ordered, so the indexed
-                    # log stays monotone) and ack the tree.
-                    executor.received_count += 1
-                    record_receipt(
-                        root_id=event.root_id,
-                        event_id=event.event_id,
-                        sink=executor.task.name,
-                        root_emitted_at=event.root_emitted_at,
-                        replay_count=event.replay_count,
-                        at_time=t,
-                    )
-                    executor.processed_count += 1
-                    if acked and event.anchored:
-                        acker.ack(event.root_id, event.event_id)
-                else:
-                    task = executor.task
-                    acked_ev = acked and event.anchored
-                    if acked_ev:
-                        # The 1:1 restamp below mutates event_id; capture the
-                        # (root, id) pair the classic path acks after routing.
-                        ack_root = event.root_id
-                        ack_id = event.event_id
-                    outputs = task.logic(event.payload, executor.state)
-                    if outputs:
-                        if len(outputs) == 1:
-                            # 1:1 selectivity: mutate the event into its own
-                            # child (same id-draw position as the classic
-                            # path, see Executor._complete_data).
-                            payload = outputs[0]
-                            event.event_id = next_event_id()
-                            event.source_task = task.name
-                            if payload is not None:
-                                event.payload = payload
-                            event.created_at = t
-                            children = (event,)
-                        else:
-                            children = [
-                                event.derive(task.name, payload, t) for payload in outputs
-                            ]
-                        seq = self._route_inline(
-                            executor.executor_id, task.name, children, t,
-                            heap, seq, limit, horizon,
-                        )
-                    if acked_ev:
-                        acker.ack(ack_root, ack_id)
-                    executor.processed_count += 1
-                    executor.busy_time_s += executor._service_time
-                # Drain the input queue exactly as _maybe_process would.
-                queue = executor.input_queue
-                if queue:
-                    next_event, _sender = queue.popleft()
-                    tc = t + executor._service_time
-                    if tc <= limit and (horizon is None or tc < horizon):
-                        push(heap, (tc, seq, _COMPLETE, executor, next_event, None))
-                        seq += 1
-                    else:
-                        schedule_at_fast(tc, executor._complete_data, (next_event,))
-                else:
-                    executor._busy = False
-            else:  # _EMIT: one source generation tick (mirrors _emit_tick)
-                source._sequence += 1
-                payload = source._payload(source._sequence)
-                if acked and source._throttled():
-                    # Storm's max.spout.pending, evaluated against the live
-                    # pending count (trees register and complete in pop
-                    # order, so the trajectory is exactly the classic one).
-                    if reliability.throttled_ticks_generate_backlog:
-                        source._backlog.append(payload)
-                    else:
-                        source.skipped_ticks += 1
-                    horizon = self._inline_drain_timer(source, t, now0, horizon)
-                elif acked and (source._backlog or source._replay_queue):
-                    # Preserve ordering behind the backlog a throttled tick
-                    # started, exactly as _tick() would.
-                    source._backlog.append(payload)
-                    horizon = self._inline_drain_timer(source, t, now0, horizon)
-                else:
-                    event = Event.data(
-                        source_task=source.task.name,
-                        payload=payload,
-                        created_at=t,
-                        anchored=acked,
-                    )
-                    if acked:
-                        acker.register(event.root_id, at_time=t)
-                        source._cache[event.root_id] = payload
-                    source.emitted_count += 1
-                    record_emit(event.root_id, source.task.name, replay_count=0,
-                                from_backlog=False, at_time=t)
-                    seq = self._route_inline(
-                        source.executor_id, source.task.name, (event,), t,
-                        heap, seq, limit, horizon,
-                    )
-                # Re-arm: same rate evaluation _arm_emit_timer performs at t.
-                profile = source.profile
-                rate = float(profile.rate_at(t)) if profile is not None else source.rate
-                if rate <= 0:
-                    source._emit_timer = sim.schedule_at(
-                        t + timing.source_idle_recheck_s, source._arm_emit_timer
-                    )
-                else:
-                    source.rate = rate
-                    tn = t + 1.0 / rate
-                    if tn <= limit and (horizon is None or tn < horizon):
-                        push(heap, (tn, seq, _EMIT, None, None, None))
-                        seq += 1
-                    else:
-                        source._emit_timer = sim.schedule_at(tn, source._emit_tick)
-
-        self.cascades += 1
-        self.inline_events += inline
-        return None
-
-    def _inline_drain_timer(
-        self, source: SourceExecutor, t: float, now0: float, horizon: Optional[float]
-    ) -> Optional[float]:
-        """Arm the source's backlog drain timer from inside a cascade.
-
-        Mirrors ``SourceExecutor._ensure_drain_timer`` evaluated at simulated
-        time ``t`` (the kernel clock still sits at ``now0``, hence the
-        start-delay offset).  Returns the new cascade horizon: the timer's
-        first fire pulls it in, so every materialized entry at or past it is
-        spilled back to the kernel and the drain tick observes classic state.
-        """
-        drain = source._drain_timer
-        if drain is not None and drain.active:
-            return horizon
-        runtime = self.runtime
-        period = 1.0 / max(source.rate, runtime.timing.source_max_burst_rate)
-        source._drain_timer = runtime.sim.every(
-            period, source._drain_tick, start_delay=(t - now0) + period
-        )
-        first = t + period
-        if horizon is None or first < horizon:
-            return first
-        return horizon
-
-    # ------------------------------------------------------- vectorized tier
-    def _cascade_vectorized(
-        self,
-        plan: "_SweepPlan",
-        source: SourceExecutor,
-        now0: float,
-        limit: float,
-        horizon: Optional[float],
-        acked: bool,
-    ) -> Optional[str]:
-        """Sweep the whole stretch level by level (see the module docstring).
-
-        The phases, each a function or a :class:`_Sweep` method of its own:
-        in-flight scan, emission schedule, ingestion, one service and one
-        shipping round per level, the spills, the ack fold, the log commit.
-        Unlike the per-event tier this one runs under *relaxed* quiescence:
-        pending kernel deliveries, in-service completions and queued arrivals
-        are adopted into the sweep (their times are already fixed, so the
-        merge stays exact).  Ids are drawn in sweep order: roots first, then
-        spilled events, then receipts.
-
-        Returns the decline reason (nothing mutated) when in-flight work
-        includes anything beyond plain data events of live trees, ``None``
-        once the stretch is swept.
-        """
-        runtime = self.runtime
-        headroom = source.pending_headroom() if acked else None
-        if headroom == 0:
-            return "throttled"  # the classic/heap paths handle a throttled tick exactly
+            headroom = source.pending_headroom()
+            if headroom == 0:
+                return "throttled"  # the per-event path parks and wakes the spout
         inflight = _scan_inflight(runtime, acked)
         if isinstance(inflight, str):
             return inflight
@@ -483,57 +241,22 @@ class BatchStepper:
 
         # Re-arm the source exactly as _arm_emit_timer would.
         if idle_from is not None:
-            source._emit_timer = runtime.sim.schedule_at(
+            source._emit_timer = sim.schedule_at(
                 idle_from + runtime.timing.source_idle_recheck_s, source._arm_emit_timer
             )
         else:
-            source._emit_timer = runtime.sim.schedule_at(next_tick, source._emit_tick)
+            source._emit_timer = sim.schedule_at(next_tick, source._emit_tick)
 
         self.cascades += 1
-        self.vector_cascades += 1
         self.inline_events += sweep.inline
         self.rounds += sweep.rounds
         self.scan_fallbacks += sweep.fallbacks
         return None
 
-    # ---------------------------------------------------------------- routing
-    def _route_inline(
-        self,
-        sender_id: str,
-        task_name: str,
-        events,
-        now: float,
-        heap: List[tuple],
-        seq: int,
-        limit: float,
-        horizon: Optional[float],
-    ) -> int:
-        """Route ``events`` at simulated time ``now`` without the kernel.
-
-        The deliveries are the router's own (:meth:`Router.fan_out`: same
-        grouping selection, id re-stamp or per-edge copy, acker anchor, jitter
-        draw and FIFO bump as a kernel-path ``route()``); in-bound ones
-        become cascade ARRIVE entries, the rest spill to the kernel as
-        classic deliveries.
-        """
-        runtime = self.runtime
-        router = runtime.router
-        executors = runtime.executors
-        schedule_at_fast = runtime.sim.schedule_at_fast
-        push = heapq.heappush
-        outbox = router.outbox(sender_id, task_name)
-        for d, channel, event in router.fan_out(sender_id, outbox, events, now):
-            if d <= limit and (horizon is None or d < horizon):
-                push(heap, (d, seq, _ARRIVE, executors[channel.target_id], event, sender_id))
-                seq += 1
-            else:
-                schedule_at_fast(d, channel.deliver, (event, sender_id))
-        return seq
-
 
 # ------------------------------------------------------------ the sweep plan
 def _structural_decline(runtime: "TopologyRuntime") -> Optional[str]:
-    """Why this dataflow can never take the vectorized tier, if it cannot.
+    """Why this dataflow can never be swept, if it cannot.
 
     The sweep replaces per-event ``task.logic`` calls with bulk counter
     updates, which is only sound for the default 1:1 dummy logic (tagged by
@@ -541,8 +264,6 @@ def _structural_decline(runtime: "TopologyRuntime") -> Optional[str]:
     would interleave their per-channel jitter draws per event; and an executor
     subclass may override anything.
     """
-    if not runtime.config.batch_vectorize:
-        return "inflight-work"  # the heap tier's own limit: it has no ingestion path
     dataflow = runtime.dataflow
     for task in dataflow.tasks:
         if task.kind is TaskKind.PROCESS and getattr(task.logic, "default_selectivity", None) != 1:
@@ -590,7 +311,7 @@ class _SweepPlan:
         router = runtime.router
         dataflow = runtime.dataflow
         self.epoch = router.epoch
-        #: Why the vectorized tier never engages on this dataflow (or None).
+        #: Why the sweep never engages on this dataflow (or None).
         self.decline = _structural_decline(runtime)
         self.nodes: List[_Node] = []
         self.by_id: Dict[str, _Node] = {}
@@ -662,60 +383,66 @@ def _adoptable(event: Event, acked: bool) -> bool:
     return event.kind is _DATA_KIND and event.anchored is acked and not event.replay_count
 
 
-def _receiver(deliver: Any, executors: Dict[str, Executor]) -> Optional[Executor]:
-    """The live, non-source executor a delivery callback is bound to."""
+def _receiver(deliver: Any, runtime: "TopologyRuntime"):
+    """The live, non-source executor of ``runtime`` a delivery callback is
+    bound to, or the decline reason."""
     if getattr(deliver, "__func__", None) not in _DELIVERIES:
-        return None  # the by-id fallback of a target that did not exist
+        return "inflight-unmodelled"  # the by-id fallback of a target that did not exist
     target = deliver.__self__
-    if executors.get(target.executor_id) is not target:
-        return None  # retired by a rescale
-    return None if type(target) is SourceExecutor else target
+    if target.runtime is not runtime:
+        return "shared-simulator"
+    if runtime.executors.get(target.executor_id) is not target or type(target) is SourceExecutor:
+        return "inflight-unmodelled"  # retired by a rescale
+    return target
 
 
 def _scan_inflight(runtime: "TopologyRuntime", acked: bool):
     """Classify the pending kernel work the sweep would have to adopt (pure).
 
-    Under relaxed quiescence the kernel heap may hold pending data work.
-    Returns ``(deliveries, busy)`` -- ``(time, target, event, sender id)`` per
-    pending delivery and ``executor -> (completion time, event)`` per service
-    in progress -- or the decline reason on anything the sweep does not model
-    (control handling, capture drains, sink batch completions, state-store
-    latencies, acked/replayed events).
+    The kernel heap may hold pending data work.  Returns ``(deliveries,
+    busy)`` -- ``(time, target, event, sender id)`` per pending delivery and
+    ``executor -> (completion time, event)`` per service in progress -- or the
+    decline reason on anything the sweep does not model (control handling,
+    capture drains, state-store latencies, replayed events) or does not own:
+    on a simulator several runtimes share, :meth:`_Sweep.ingest` would take
+    the others' entries off the heap with its own (``shared-simulator``).
     """
     deliveries: List[Tuple[float, Executor, Event, str]] = []
     busy: Dict[Executor, Tuple[float, Event]] = {}
     entries = runtime.sim.fast_entries()
     if not entries:
         return deliveries, busy
-    executors = runtime.executors
-    batch_cb = runtime.router.deliver_batch
     for entry in entries:
         cb = entry[2]
         func = getattr(cb, "__func__", None)
         if func in _COMPLETIONS:
             executor = cb.__self__
             event = entry[3][0]
+            if executor.runtime is not runtime:
+                return "shared-simulator"
             if not _adoptable(event, acked) or not executor._busy or executor in busy:
                 return "inflight-unmodelled"
             busy[executor] = (entry[0], event)
         elif func in _DELIVERIES:
-            target = _receiver(cb, executors)
+            target = _receiver(cb, runtime)
             event, sender_id = entry[3]
-            if target is None or not _adoptable(event, acked):
+            if isinstance(target, str):
+                return target
+            if not _adoptable(event, acked):
                 return "inflight-unmodelled"
             deliveries.append((entry[0], target, event, sender_id))
-        elif cb == batch_cb:
+        elif func is Router.deliver_batch:
             deliver, sender_id, pairs, index = entry[3]
-            target = _receiver(deliver, executors)
-            if target is None:
-                return "inflight-unmodelled"
+            target = _receiver(deliver, runtime)
+            if isinstance(target, str):
+                return target
             for when, event in pairs[index:]:
                 if not _adoptable(event, acked):
                     return "inflight-unmodelled"
                 deliveries.append((when, target, event, sender_id))
         else:
             return "inflight-unmodelled"
-    for executor in executors.values():
+    for executor in runtime.executors.values():
         if executor in busy:
             if not all(_adoptable(event, acked) for event, _sender in executor.input_queue):
                 return "inflight-unmodelled"
@@ -786,7 +513,7 @@ class _Adopted:
 
 
 class _Sweep:
-    """The state the phases of one vectorized cascade share.
+    """The state the phases of one cascade share.
 
     Sweep root indices ``0 .. n_roots-1`` are the roots this cascade emits (id
     ``rids[r]``, emitted at ``ticks[r]``, payload generated on demand from the
@@ -1169,7 +896,7 @@ class _Sweep:
             if r < self.n_roots:
                 # A new root's spilled event: its real id is part of the tree
                 # hash register_block will materialize.
-                self.residue[r] ^= event_id
+                self.residue[r] ^= id_hash(event_id)
                 self.spilled[r] += 1
                 self.anchors[r] += anchor
             else:

@@ -19,6 +19,8 @@ The timing constants are calibrated against the paper's testbed measurements
 The three config classes are configured by attribute assignment
 (``config.batch_stepping = True``); they are slotted so that assigning a
 misspelt or removed field raises ``AttributeError`` instead of doing nothing.
+:class:`RuntimeConfig` carries two engine switches, ``keyed_network_jitter``
+and ``batch_stepping``: there is one per-event kernel and one stepper tier.
 """
 
 from __future__ import annotations
@@ -136,21 +138,16 @@ class RuntimeConfig:
     #: figures were recorded with.
     keyed_network_jitter: bool = False
     #: Run steady-state stretches through the batch-stepping cascade (one
-    #: kernel callback materializes a whole source-tick cohort inline) instead
-    #: of per-event kernel callbacks.  Implies :attr:`keyed_network_jitter`.
-    #: Logged results are equivalent to the classic kernel modulo event-id
-    #: assignment order.  Engaged under data acking too: the stepper replays
-    #: the acker XOR stream in bulk and disengages around the windows where
-    #: per-event ack timing is observable (loss, replay, migrations).
+    #: kernel callback sweeps a whole stretch of source ticks level by level
+    #: with numpy array rounds, see :mod:`repro.engine.batch`) instead of
+    #: per-event kernel callbacks.  Implies :attr:`keyed_network_jitter`.
+    #: Simulated times are bit-identical to the classic keyed kernel and event
+    #: ids are assigned in sweep order, so logged results are equivalent
+    #: modulo event ids.  Only engages when every processing task runs the
+    #: default 1:1 dummy logic; a tick the sweep declines (loss, replay,
+    #: migrations, a throttled spout) runs on the per-event kernel.  Engaged
+    #: under data acking too: the sweep replays the acker XOR stream in bulk.
     batch_stepping: bool = False
-    #: Within a batch-stepping cascade, sweep whole steady-state stretches
-    #: with numpy array arithmetic (struct-of-arrays per task instance)
-    #: instead of the per-event inline heap.  Only engages when every
-    #: processing task runs the default 1:1 dummy logic; simulated times are
-    #: bit-identical to the classic kernel, event ids are assigned in sweep
-    #: order.  Setting it to ``False`` forces the per-event cascade, whose
-    #: logs match the classic keyed kernel exactly (including event ids).
-    batch_vectorize: bool = True
     #: Create a :class:`repro.obs.Telemetry` on the runtime (metrics registry
     #: + control-plane span tracer, see :mod:`repro.obs`).  Off by default:
     #: with the flag off ``runtime.telemetry`` is ``None`` and every
@@ -166,7 +163,6 @@ class RuntimeConfig:
             util_vm_role=self.util_vm_role,
             keyed_network_jitter=self.keyed_network_jitter,
             batch_stepping=self.batch_stepping,
-            batch_vectorize=self.batch_vectorize,
             telemetry=self.telemetry,
         )
 

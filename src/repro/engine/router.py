@@ -317,10 +317,9 @@ class Router:
         """Select, copy, anchor and stamp every delivery of ``events`` sent at ``now``.
 
         The general form of routing (several edges, ALL grouping, several
-        events), shared by the kernel path and the batch stepper's inline
-        heap: the caller decides where each stamped delivery goes.  Event
-        ids, acker anchors and jitter draws happen here, edge by edge and
-        event by event.
+        events): the caller decides how the stamped deliveries go on the
+        heap.  Event ids, acker anchors and jitter draws happen here, edge by
+        edge and event by event.
         """
         runtime = self.runtime
         acker = runtime.acker

@@ -83,8 +83,8 @@ class Telemetry:
             if stepper is not None:
                 # Engine-tier accounting: how much ran inline, and why each
                 # source tick the stepper handed back was handed back.
-                for name in ("cascades", "vector_cascades", "inline_events", "rounds",
-                             "scan_fallbacks", "plan_builds"):
+                for name in ("cascades", "inline_events", "rounds", "scan_fallbacks",
+                             "plan_builds"):
                     registry.counter("engine.batch", name).set_total(getattr(stepper, name))
                 for reason in sorted(stepper.declines):
                     registry.counter("engine.batch", "declines", reason=reason).set_total(

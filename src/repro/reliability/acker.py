@@ -1,12 +1,12 @@
 """Storm-style acknowledgment service (XOR causal trees).
 
 Every root event emitted by a source registers a 64-bit id with the acker.
-Each causally derived event XORs its id into the tree's hash when it is
-anchored (emitted) and again when it is acked (processed); once every event
-has been anchored and acked exactly once the hash returns to zero and the
-tree is *complete*.  If the hash is still non-zero when the timeout expires
-(30 s by default) the tree has *failed* and the source replays the cached
-root event.
+Each causally derived event XORs the hash of its id (:func:`id_hash`) into
+the tree's hash when it is anchored (emitted) and again when it is acked
+(processed); once every event has been anchored and acked exactly once the
+hash returns to zero and the tree is *complete*.  If the hash is still
+non-zero when the timeout expires (30 s by default) the tree has *failed* and
+the source replays the cached root event.
 
 This is exactly the mechanism the paper's DSM baseline relies on for
 reliability, and the source of its large catch-up and recovery times: events
@@ -22,6 +22,31 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as _np
 
 from repro.sim import Simulator, Timer
+
+#: An odd 64-bit multiplier (2**64 / golden ratio): see :func:`id_hash`.
+_ODD = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+
+
+def id_hash(event_id: int) -> int:
+    """What ``event_id`` contributes to its tree's hash when anchored or acked.
+
+    Storm draws random 64-bit ids so that the XOR of a tree's outstanding ids
+    is zero only when none is outstanding.  Ids here are small and sequential
+    -- the two copies of one fan-out draw ``2k`` and ``2k + 1`` -- and XORed
+    bare, any two lost fan-out pairs of a tree cancel (``8 ^ 9 ^ 12 ^ 13 ==
+    0``): a tree with four un-acked events reads *complete* and is never
+    replayed.  One wrapping multiply by an odd constant is a bijection on
+    64-bit values (no two ids can cancel) whose carries scatter the low bits
+    that made the pairs alike.  Python ints: numpy raises on a ``uint64``
+    scalar overflow (:func:`id_hashes` is the array form, which wraps).
+    """
+    return (event_id * _ODD) & _MASK64
+
+
+def id_hashes(event_ids: _np.ndarray) -> _np.ndarray:
+    """:func:`id_hash` of every id of a ``uint64`` array (a wrapping multiply)."""
+    return event_ids * _np.uint64(_ODD)
 
 
 @dataclass
@@ -88,27 +113,15 @@ class AckerService:
         self.failed_roots: List[int] = []
 
     # ----------------------------------------------------------- registration
-    def register(self, root_id: int, at_time: Optional[float] = None) -> None:
-        """Start tracking a new root event (or a replayed instance of it).
-
-        ``at_time`` back-dates the registration: the batch cascade registers
-        trees at their source-tick times while the kernel clock still sits at
-        the cascade's entry point, so the timeout timer must fire at
-        ``tick + timeout`` exactly as the classic path would schedule it.
-        """
+    def register(self, root_id: int) -> None:
+        """Start tracking a new root event (or a replayed instance of it)."""
         if root_id in self._pending:
             # A replay of a root that is somehow still tracked: reset the tree.
             existing = self._pending[root_id]
             if existing.timeout_timer is not None:
                 existing.timeout_timer.cancel()
-        if at_time is None:
-            tree = PendingTree(root_id=root_id, registered_at=self.sim.now)
-            tree.timeout_timer = self.sim.schedule(self.timeout_s, self._check_timeout, root_id)
-        else:
-            tree = PendingTree(root_id=root_id, registered_at=at_time)
-            tree.timeout_timer = self.sim.schedule_at(
-                at_time + self.timeout_s, self._check_timeout, root_id
-            )
+        tree = PendingTree(root_id=root_id, registered_at=self.sim.now)
+        tree.timeout_timer = self.sim.schedule(self.timeout_s, self._check_timeout, root_id)
         self._pending[root_id] = tree
         self.stats.registered += 1
 
@@ -124,10 +137,12 @@ class AckerService:
 
         Each tree lands with the exact hash/counter state the classic path
         would have accumulated by the end of the stretch (the hash is the XOR
-        fold of the root's still-outstanding event ids) and a timeout timer at
-        ``registered_at + timeout``.  The symbolic anchors/acks that cancelled
-        inside the sweep are included in the counts, so the per-tree counters
-        and the aggregate stats stay classic-consistent.
+        fold of the :func:`id_hash` of the root's still-outstanding event ids)
+        and a timeout timer at ``registered_at + timeout``, back-dated: the
+        kernel clock still sits at the sweep's entry point.  The symbolic
+        anchors/acks that cancelled inside the sweep are included in the
+        counts, so the per-tree counters and the aggregate stats stay
+        classic-consistent.
         """
         pending = self._pending
         schedule_at = self.sim.schedule_at
@@ -190,7 +205,7 @@ class AckerService:
         tree = self._pending.get(root_id)
         if tree is None:
             return
-        tree.ack_hash ^= event_id
+        tree.ack_hash ^= id_hash(event_id)
         tree.anchored_count += 1
         self.stats.anchors += 1
 
@@ -200,7 +215,7 @@ class AckerService:
         if tree is None:
             self.stats.late_acks += 1
             return
-        tree.ack_hash ^= event_id
+        tree.ack_hash ^= id_hash(event_id)
         tree.acked_count += 1
         self.stats.acks += 1
         if tree.complete:
@@ -214,7 +229,8 @@ class AckerService:
     # ------------------------------------------------------------- bulk APIs
     @staticmethod
     def _folds(pairs: Sequence[Tuple[int, int]]) -> Iterator[Tuple[int, int, int]]:
-        """Reduce ``(root_id, event_id)`` pairs to per-root ``(root, xor, count)``.
+        """Reduce ``(root_id, event_id)`` pairs to per-root ``(root, xor of
+        the id hashes, count)``.
 
         The XOR fold is order-independent, so the whole stream collapses with
         one ``np.bitwise_xor.reduceat`` over a root-sorted view; the scalar
@@ -228,7 +244,7 @@ class AckerService:
             arr = _np.asarray(pairs, dtype=_np.uint64)
             order = _np.argsort(arr[:, 0], kind="stable")
             roots = arr[order, 0]
-            ids = arr[order, 1]
+            ids = id_hashes(arr[order, 1])
             starts = _np.flatnonzero(_np.r_[True, roots[1:] != roots[:-1]])
             xors = _np.bitwise_xor.reduceat(ids, starts)
             counts = _np.diff(_np.r_[starts, n])
@@ -239,9 +255,9 @@ class AckerService:
         for root_id, event_id in pairs:
             entry = folds.get(root_id)
             if entry is None:
-                folds[root_id] = [event_id, 1]
+                folds[root_id] = [id_hash(event_id), 1]
             else:
-                entry[0] ^= event_id
+                entry[0] ^= id_hash(event_id)
                 entry[1] += 1
         for root_id, (x, cnt) in folds.items():
             yield int(root_id), int(x), int(cnt)

@@ -238,13 +238,6 @@ class Simulator:
                     best = entry[0]
         return best
 
-    def has_fast_entries(self) -> bool:
-        """Whether any fire-and-forget entry is pending in the heap."""
-        for entry in self._queue:
-            if len(entry) == 4:
-                return True
-        return False
-
     def fast_entries(self) -> List[tuple]:
         """All pending fire-and-forget entries ``(time, seq, callback, args)``.
 

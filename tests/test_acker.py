@@ -120,6 +120,18 @@ class TestFailure:
         acker.ack(100, 2)
         assert completed == [100]
 
+    def test_two_lost_fanout_pairs_do_not_cancel(self, sim):
+        # The two copies of one fan-out draw ids 2k and 2k + 1, so XORed bare
+        # any two lost pairs of a tree cancel and the tree reads complete.
+        assert 8 ^ 9 ^ 12 ^ 13 == 0
+        acker, completed, failed = make_acker(sim, timeout=5.0)
+        acker.register(100)
+        for event_id in (8, 9, 12, 13):
+            acker.anchor(100, event_id)
+        sim.run(until=10.0)
+        assert (acker.stats.failed, acker.stats.completed) == (1, 0)
+        assert failed == [100] and completed == []
+
     def test_failed_roots_recorded(self, sim):
         acker, _, _ = make_acker(sim, timeout=2.0)
         for root in (1, 2, 3):
@@ -159,3 +171,28 @@ class TestMaintenance:
         assert acker.stats.anchors == 1
         assert acker.stats.acks == 1
         assert acker.stats.completed == 1
+
+
+class TestBulkFolds:
+    """The bulk APIs fold the same id hashes as the per-event calls."""
+
+    #: Ids whose products overflow 64 bits: the array multiply must wrap
+    #: exactly as the masked Python-int form does.
+    IDS = [8, 9, 12, 13, 2**40 + 7, 2**62 + 1, 2**63 - 1, 2**63 + 5, 2**64 - 1]
+
+    @pytest.mark.parametrize("count", [3, len(IDS)], ids=["scalar-fold", "array-fold"])
+    def test_bulk_anchor_and_ack_match_the_per_event_calls(self, sim, count):
+        ids = self.IDS[-count:]
+        one_by_one, _, _ = make_acker(sim)
+        bulk, completed, _ = make_acker(sim)
+        for acker in (one_by_one, bulk):
+            acker.register(100)
+        for event_id in ids:
+            one_by_one.anchor(100, event_id)
+        bulk.anchor_batch([(100, event_id) for event_id in ids])
+        assert bulk._pending[100].ack_hash == one_by_one._pending[100].ack_hash != 0
+        assert bulk._pending[100].anchored_count == count
+        bulk.ack_batch([(100, event_id) for event_id in ids[:-1]])
+        assert completed == []
+        bulk.ack(100, ids[-1])
+        assert completed == [100]

@@ -1,31 +1,25 @@
 """Batched-kernel equivalence vs the classic event loop.
 
 The batch-stepping cascade (``RuntimeConfig.batch_stepping``) materializes
-whole steady-state stretches inside one kernel callback — swept level by
-level over struct-of-arrays (the vectorized tier), or replayed through an
-inline per-event heap with ``batch_vectorize=False``.  Its contract:
+whole steady-state stretches inside one kernel callback, swept level by level
+over struct-of-arrays.  Its contract: logs equivalent to the classic keyed
+kernel *modulo event-id assignment order* -- identical emission/receipt times,
+sinks, latencies, executor counters and routed counts, with root identity
+mapped through emission order.
 
-* **vectorized tier** — logs equivalent to the classic keyed kernel *modulo
-  event-id assignment order*: identical emission/receipt times, sinks,
-  latencies, executor counters and routed counts, with root identity mapped
-  through emission order;
-* **heap tier** (``batch_vectorize=False``) — logs *exactly* equal to the
-  classic keyed kernel, event ids included.
-
-These tests pin both tiers against the classic loop on the Grid DAG — cold
+These tests pin the stepper against the classic loop on the Grid DAG — cold
 runs and windowed runs whose window boundaries land mid-pipeline (exercising
-the in-flight ingestion path, where the vectorized sweep adopts queued
-deliveries and busy executors instead of declining) — and on a full
-closed-loop elastic run with migrations.  They also cover the batch-mode
-primitives the cascade is built on: bit-identical block RNG draws and bulk
-event-id reservation.
+the in-flight ingestion path, where the sweep adopts queued deliveries and
+busy executors instead of declining) — and on a full closed-loop elastic run
+with migrations.  They also cover the batch-mode primitives the cascade is
+built on: bit-identical block RNG draws and bulk event-id reservation.
 
 The *golden* runs pin what the modulo-ids contract leaves out: the exact log
-digest (event ids included) and work counters of windowed vectorized runs,
-recorded on the commit before the level sweep replaced the per-channel /
-per-executor rounds -- so the sweep's id draw order (roots, then spills in
-plan order, then receipts) and every float it computes are checked against
-the code it replaced, not only against the classic kernel.
+digest (event ids included) and work counters of windowed runs, recorded on
+the commit before the level sweep replaced the per-channel / per-executor
+rounds -- so the sweep's id draw order (roots, then spills in plan order, then
+receipts) and every float it computes are checked against the code it
+replaced, not only against the classic kernel.
 """
 
 from __future__ import annotations
@@ -36,6 +30,7 @@ from repro.cluster.cloud import CloudProvider
 from repro.cluster.vm import D3
 from repro.core import strategy_by_name
 from repro.dataflow import topologies
+from repro.dataflow.builder import TopologyBuilder
 from repro.dataflow.event import (
     Event,
     next_event_id,
@@ -49,6 +44,7 @@ from repro.engine.config import RuntimeConfig
 from repro.engine.runtime import TopologyRuntime
 from repro.experiments import run_elastic_experiment
 from repro.experiments.scenarios import plan_after_scaling
+from repro.multi import ClusterManager
 from repro.sim import Simulator
 from repro.sim.rng import keyed_value, keyed_value_blocks
 from repro.sim.shard import log_digest
@@ -58,7 +54,7 @@ from tests.conftest import build_cluster, fast_config
 
 
 # ------------------------------------------------------------------ builders
-def build_grid(batch_stepping: bool, batch_vectorize: bool = True):
+def build_grid(batch_stepping: bool):
     """A deployed Grid runtime with the keyed-jitter timing model."""
     reset_event_ids()
     sim = Simulator()
@@ -66,35 +62,39 @@ def build_grid(batch_stepping: bool, batch_vectorize: bool = True):
     config = fast_config("dcr")
     config.keyed_network_jitter = True
     config.batch_stepping = batch_stepping
-    config.batch_vectorize = batch_vectorize
     runtime = TopologyRuntime(topologies.grid(), cluster, sim=sim, config=config)
     runtime.deploy()
     runtime.start()
     return sim, runtime
 
 
-def run_windows(batch_stepping: bool, windows: int, step_s: float,
-                batch_vectorize: bool = True):
+def run_windows(batch_stepping: bool, windows: int, step_s: float):
     """Run in fixed windows so boundaries land mid-pipeline (in-flight work)."""
-    sim, runtime = build_grid(batch_stepping, batch_vectorize)
+    sim, runtime = build_grid(batch_stepping)
     for _ in range(windows):
         sim.run(until=sim.now + step_s)
     return sim, runtime
 
 
-def fingerprint_modulo_ids(runtime: TopologyRuntime):
-    """Everything observable about a run except event-id assignment order.
-
-    Root identity is mapped through emission order, so two runs agree iff
-    their logs match modulo the ids themselves.
-    """
-    log = runtime.log
-    emission_order = {e.root_id: i for i, e in enumerate(log.source_emits)}
-    emits = [(e.time, e.source, e.replay_count, e.from_backlog) for e in log.source_emits]
+def log_modulo_ids(log):
+    """A log's emits and receipts with roots renumbered by first emission, so
+    two runs agree iff their logs match modulo the ids themselves."""
+    order = {}
+    for emit in log.source_emits:
+        order.setdefault(emit.root_id, len(order))
+    emits = [
+        (e.time, order[e.root_id], e.source, e.replay_count, e.from_backlog)
+        for e in log.source_emits
+    ]
     receipts = sorted(
-        (r.time, emission_order[r.root_id], r.sink, r.root_emitted_at, r.replay_count)
+        (r.time, order[r.root_id], r.sink, r.root_emitted_at, r.replay_count)
         for r in log.sink_receipts
     )
+    return emits, receipts
+
+
+def fingerprint_modulo_ids(runtime: TopologyRuntime):
+    """Everything observable about a run except event-id assignment order."""
     counters = {
         executor_id: (
             executor.processed_count,
@@ -106,21 +106,7 @@ def fingerprint_modulo_ids(runtime: TopologyRuntime):
         )
         for executor_id, executor in sorted(runtime.executors.items())
     }
-    return emits, receipts, counters, runtime.router.routed_count
-
-
-def fingerprint_exact(runtime: TopologyRuntime):
-    """Every log record verbatim — ids included."""
-    log = runtime.log
-    return (
-        [tuple(vars_of(e)) for e in log.source_emits],
-        [tuple(vars_of(r)) for r in log.sink_receipts],
-        runtime.router.routed_count,
-    )
-
-
-def vars_of(record):
-    return [getattr(record, name) for name in record.__slots__]
+    return log_modulo_ids(runtime.log), counters, runtime.router.routed_count
 
 
 # ------------------------------------------------------------ golden digests
@@ -143,7 +129,7 @@ GOLDEN_CASES = [(dag, regime) for dag in GOLDEN_RESCALES for regime in GOLDEN_RE
 
 
 def golden_run(dag: str, regime: str, acked: bool) -> TopologyRuntime:
-    """A windowed vectorized run of a paper dataflow (see ``GOLDEN_REGIMES``)."""
+    """A windowed batch-stepped run of a paper dataflow (see ``GOLDEN_REGIMES``)."""
     reset_event_ids()
     kwargs, windows, step_s = GOLDEN_REGIMES[regime]
     strategy = "dsm" if acked else "dcr"
@@ -178,7 +164,7 @@ def golden_fingerprint(runtime: TopologyRuntime):
     stepper = runtime.batch_stepper
     fingerprint = (
         log_digest(runtime.log)[:16], runtime.router.routed_count, runtime.sim.processed_events,
-        stepper.vector_cascades, stepper.inline_events,
+        stepper.cascades, stepper.inline_events,
     )
     if runtime.ack_data_events:
         fingerprint += tuple(vars(runtime.acker.stats).values()) + (runtime.acker.pending_count,)
@@ -197,9 +183,9 @@ def check_golden(dag: str, regime: str, acked: bool, expected) -> None:
     levels = len(stepper._sweep_plan().levels)
     if regime == "paper":
         # One block per level and side: service rounds and shipping rounds.
-        assert stepper.rounds <= 2 * levels * stepper.vector_cascades
+        assert stepper.rounds <= 2 * levels * stepper.cascades
     if regime == "100x" or (regime == "long" and dag == "grid" and not acked):
-        assert stepper.rounds > 2 * levels * stepper.vector_cascades
+        assert stepper.rounds > 2 * levels * stepper.cascades
     if regime == "100x":
         assert 9_600 > batch._BLOCK_ENTRIES  # the source's channel is its own block
 
@@ -229,7 +215,7 @@ class TestGoldenDigests:
 
 # ------------------------------------------------- grid: vectorized cascade
 class TestVectorizedEquivalence:
-    """Vectorized batch stepping == classic keyed kernel, modulo event ids."""
+    """Batch stepping == classic keyed kernel, modulo event ids."""
 
     @pytest.mark.parametrize(
         "windows,step_s",
@@ -244,17 +230,17 @@ class TestVectorizedEquivalence:
 
     def test_windowed_run_cascades_every_window(self):
         # Window boundaries leave deliveries and busy executors in flight at
-        # every resume; the in-flight ingestion must re-engage the vectorized
+        # every resume; the in-flight ingestion must re-engage the
         # sweep each window rather than falling back to classic stepping.
         _, runtime = run_windows(True, 20, 0.5)
         stepper = runtime.batch_stepper
-        assert stepper.vector_cascades >= 20
+        assert stepper.cascades >= 20
         assert stepper.inline_events > 0
 
     def test_cold_run_is_mostly_inline(self):
         _, runtime = run_windows(True, 1, 10.0)
         stepper = runtime.batch_stepper
-        assert stepper.vector_cascades >= 1
+        assert stepper.cascades >= 1
         # The steady-state stretch dominates: nearly all events bypass the heap.
         assert stepper.inline_events > 10 * len(runtime.log.source_emits)
 
@@ -298,20 +284,6 @@ class TestBusyTimeTable:
         assert executor.busy_time_s == self.adds(before[0], executor._service_time, served)
 
 
-# ------------------------------------------------------ grid: heap fallback
-class TestHeapTierExactEquivalence:
-    """``batch_vectorize=False`` must match the classic kernel bit for bit."""
-
-    @pytest.mark.parametrize(
-        "windows,step_s", [(1, 10.0), (7, 1.3)], ids=["cold-10s", "7x1.3s"]
-    )
-    def test_grid_run_identical_including_event_ids(self, windows, step_s):
-        _, classic = run_windows(False, windows, step_s)
-        expected = fingerprint_exact(classic)
-        _, batched = run_windows(True, windows, step_s, batch_vectorize=False)
-        assert fingerprint_exact(batched) == expected
-
-
 # --------------------------------------------------------------- elastic run
 class TestElasticEquivalence:
     """Batched mode survives a full closed-loop run: profile-driven sources,
@@ -339,25 +311,18 @@ class TestElasticEquivalence:
 
     @staticmethod
     def fingerprint(result):
-        log = result.log
-        emission_order = {e.root_id: i for i, e in enumerate(log.source_emits)}
-        emits = [(e.time, e.source, e.replay_count, e.from_backlog) for e in log.source_emits]
-        receipts = sorted(
-            (r.time, emission_order[r.root_id], r.sink, r.root_emitted_at, r.replay_count)
-            for r in log.sink_receipts
-        )
         actions = [
             (a.direction, a.from_tier, a.to_tier, a.decided_at, a.enacted_at, a.completed_at)
             for a in result.actions
         ]
-        return emits, receipts, actions
+        return log_modulo_ids(result.log), actions
 
     def test_elastic_run_matches_classic(self):
         expected = self.fingerprint(self.run_elastic(False))
         batched_result = self.run_elastic(True)
         assert self.fingerprint(batched_result) == expected
         # The cascade actually carried the run (not a silent classic fallback).
-        assert batched_result.runtime.batch_stepper.vector_cascades > 0
+        assert batched_result.runtime.batch_stepper.cascades > 0
 
 
 # ----------------------------------------------------------- RNG block draws
@@ -391,3 +356,45 @@ class TestReserveEventIds:
         reset_event_ids()
         individual = [next_event_id() for _ in range(4)]
         assert reserved == individual
+
+
+# --------------------------------------------------------- shared simulator
+class TestSharedSimulator:
+    """Two tenants under ``batch_stepping`` on one simulator.
+
+    The in-flight scan reads the shared heap: it used to take the other
+    runtime's completions for its own (``KeyError: 'work#2'`` in ``ingest``)
+    and, adopting, to drop kernel entries it did not own.  A tick that finds
+    another runtime's work in flight now goes to the kernel under a named
+    reason, and each tenant's log is the classic keyed kernel's modulo ids.
+    """
+
+    @staticmethod
+    def run_tenants(batch_stepping: bool):
+        reset_event_ids()
+        manager = ClusterManager(budget_slots=40, provisioning_latency_s=1.0)
+        for name, rate, parallelism in (("alpha", 8.0, 2), ("beta", 7.0, 3)):
+            builder = TopologyBuilder(name)
+            builder.add_source("source", rate=rate)
+            builder.add_task("work", parallelism=parallelism, latency_s=0.02)
+            builder.add_sink("sink")
+            builder.chain("source", "work", "sink")
+            config = fast_config("dcr", seed=11)
+            config.keyed_network_jitter = True
+            config.batch_stepping = batch_stepping
+            manager.add_tenant(name, builder.build(), strategy="dcr", config=config)
+        manager.deploy()
+        manager.start()
+        manager.run(until=30.0)
+        manager.stop()
+        return [manager.tenant(name).runtime for name in ("alpha", "beta")]
+
+    def test_each_tenant_matches_its_classic_run(self):
+        batched = self.run_tenants(True)
+        classic = self.run_tenants(False)
+        for runtime, reference in zip(batched, classic):
+            stepper = runtime.batch_stepper
+            assert stepper.cascades > 0
+            assert stepper.declines.get("shared-simulator", 0) > 0
+            assert len(runtime.log.sink_receipts) > 150
+            assert fingerprint_modulo_ids(runtime) == fingerprint_modulo_ids(reference)

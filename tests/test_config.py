@@ -120,3 +120,32 @@ class TestValidation:
         config = RuntimeConfig.for_dsm(seed=4)
         config.batch_stepping = True
         assert config.copy() == config
+
+
+class TestEngineSwitches:
+    """One per-event kernel, one stepper tier: two engine switches, no third."""
+
+    def test_runtime_config_fields_are_exactly_these(self):
+        import dataclasses
+
+        fields = {field.name: field.type for field in dataclasses.fields(RuntimeConfig)}
+        # A new field lands here on purpose; a new *bool* is a new mode to
+        # test and benchmark every other mode against.
+        assert set(fields) == {
+            "reliability", "timing", "seed", "util_vm_role",
+            "keyed_network_jitter", "batch_stepping", "telemetry",
+        }
+        switches = {name for name, kind in fields.items() if kind in (bool, "bool")}
+        assert switches - {"telemetry"} == {"keyed_network_jitter", "batch_stepping"}
+
+    def test_the_heap_tier_flag_is_gone_from_the_source_tree(self):
+        from pathlib import Path
+
+        with pytest.raises(AttributeError):
+            RuntimeConfig().batch_vectorize = False
+        src = Path(__file__).resolve().parent.parent / "src"
+        mentions = [
+            str(path.relative_to(src)) for path in sorted(src.rglob("*.py"))
+            if "batch_vectorize" in path.read_text(encoding="utf-8")
+        ]
+        assert mentions == []

@@ -151,6 +151,6 @@ class TestLogicUpdateUnderBatchStepping:
         stepper = runtime.batch_stepper
         if stepper is not None:
             # Swept before the update, declined by name after it.
-            assert stepper.vector_cascades > 0
+            assert stepper.cascades > 0
             assert stepper.declines.get("custom-logic", 0) > 0
             assert stepper.plan_builds >= 2

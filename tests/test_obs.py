@@ -228,7 +228,7 @@ class TestControlPlaneTrace:
         for _ in range(8):  # windowed, across the periodic checkpoint waves
             sim.run(until=sim.now + 1.0)
         stepper = runtime.batch_stepper
-        assert stepper.vector_cascades > 0 and stepper.declines
+        assert stepper.cascades > 0 and stepper.declines
         for _ in range(2):  # rescrapes overwrite, never double-count
             runtime.telemetry.scrape(runtime)
             series = {
@@ -237,7 +237,6 @@ class TestControlPlaneTrace:
                 if s["subsystem"] == "engine.batch"
             }
             assert series.pop(("cascades", None)) == stepper.cascades
-            assert series.pop(("vector_cascades", None)) == stepper.vector_cascades
             assert series.pop(("inline_events", None)) == stepper.inline_events
             assert series.pop(("rounds", None)) == stepper.rounds > 0
             assert series.pop(("scan_fallbacks", None)) == stepper.scan_fallbacks
@@ -247,8 +246,8 @@ class TestControlPlaneTrace:
 
     @pytest.mark.parametrize("reason", ["custom-logic", "duplicate-edges"])
     def test_dataflows_that_never_engage_are_tallied_by_name(self, reason):
-        """A dataflow the vectorized tier can never sweep says so in its
-        declines, instead of hiding among the ticks that found work in flight."""
+        """A dataflow the stepper can never sweep says so in its declines:
+        every tick goes to the per-event kernel under that name."""
         builder = TopologyBuilder(reason)
         builder.add_source("source", rate=80.0)  # never idle between two ticks
         builder.add_task("a", parallelism=2, latency_s=0.02, logic=(lambda payload, state: [payload])
@@ -268,8 +267,8 @@ class TestControlPlaneTrace:
         for _ in range(6):
             sim.run(until=sim.now + 0.5)
         stepper = runtime.batch_stepper
-        assert stepper.vector_cascades == 0
-        assert stepper.declines.get(reason, 0) > 0 and "inflight-work" not in stepper.declines
+        assert stepper.cascades == 0
+        assert set(stepper.declines) == {reason} and stepper.declines[reason] > 0
         runtime.telemetry.scrape(runtime)
         scraped = {
             s["labels"].get("reason"): s["value"]

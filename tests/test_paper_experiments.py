@@ -185,8 +185,8 @@ class TestArrayRoundBudget:
         stepper = self.grid(rate=8.0, latency_s=0.1, windows=40, step_s=4.0)
         levels = len(stepper._sweep_plan().levels)
         assert levels == 9
-        assert stepper.vector_cascades >= 40
-        assert stepper.rounds <= 2 * levels * stepper.vector_cascades
+        assert stepper.cascades >= 40
+        assert stepper.rounds <= 2 * levels * stepper.cascades
 
     def test_a_100x_window_keeps_one_block_per_over_budget_channel(self, monkeypatch):
         blocks = []
@@ -204,7 +204,7 @@ class TestArrayRoundBudget:
         monkeypatch.setattr(batch._Sweep, "_ship_block", spy_ship)
         monkeypatch.setattr(batch._Sweep, "_serve_block", spy_serve)
         stepper = self.grid(rate=800.0, latency_s=0.001, windows=1, step_s=12.0)
-        assert stepper.vector_cascades == 1 and stepper.rounds == len(blocks)
+        assert stepper.cascades == 1 and stepper.rounds == len(blocks)
         budget = batch._BLOCK_ENTRIES
         over = [members for members, entries in blocks if entries > budget]
         assert over and set(over) == {1}, "an over-budget block is one whole channel / instance"
