@@ -146,7 +146,7 @@ def matrix() -> ExperimentMatrix:
     try:
         jobs: Optional[int] = int(raw) if raw is not None else None
     except ValueError:
-        jobs = None  # invalid value = auto, mirroring REPRO_SIM_SHARDS
+        jobs = None  # invalid value = auto (REPRO_SIM_SHARDS, which sizes a run, refuses one)
     if jobs is not None:
         if jobs > 1:
             shared.prefetch(processes=jobs)

@@ -43,12 +43,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import List, Optional
 
 from repro.dataflow import topologies
 from repro.elastic import ControllerConfig
 from repro.elastic.forecast import FORECAST_POLICIES
+from repro.engine.batch import engine_counts, engine_line
 from repro.experiments.predictive import DEFAULT_POLICIES
 from repro.experiments import (
     run_chaos_experiment,
@@ -274,6 +276,7 @@ def _cmd_elastic(args: argparse.Namespace) -> int:
         print(f"  {record.vm_id:12s} {record.vm_type:3s} {status:9s} "
               f"cost {record.cost(result.runtime.sim.now):8.4f}")
     print(f"  total: {result.total_cost:.4f}")
+    print("\n" + engine_line(engine_counts([result.runtime])))
     if args.trace:
         _export_trace(result.telemetry, args.trace)
     return 0
@@ -459,6 +462,8 @@ def _cmd_multi(args: argparse.Namespace) -> int:
     print(util)
     print(f"  total cost          {shared.total_cost:8.4f}"
           + (f"  vs {result.private_total_cost:8.4f} private" if result.private else ""))
+    tenants = [shared.manager.tenant(name).runtime for name in shared.tenants]
+    print("\n" + engine_line(engine_counts(tenants)))
     if args.audit_json:
         arbiter = shared.manager.arbiter
         payload = {
@@ -481,29 +486,14 @@ def _cmd_shard(args: argparse.Namespace) -> int:
     if args.shards < 1:
         print("repro shard: error: --shards must be >= 1", file=sys.stderr)
         return 2
+    run = dict(dag=args.dag, shards=args.shards, workers=args.workers,
+               duration_s=args.duration, seed=args.seed, strategy=args.strategy)
     if args.elastic:
-        result = run_sharded_elastic_experiment(
-            dag=args.dag,
-            shards=args.shards,
-            workers=args.workers,
-            duration_s=args.duration,
-            seed=args.seed,
-            strategy=args.strategy,
-            profile=args.profile,
-            batch_stepping=not args.classic,
-        )
+        result = run_sharded_elastic_experiment(profile=args.profile, **run)
         print(f"Sharded elastic run: {args.dag} / {args.strategy} / {args.profile} / "
               f"{args.shards} shards x {args.duration:.0f}s on {result.workers} worker(s)")
     else:
-        result = run_sharded_experiment(
-            dag=args.dag,
-            shards=args.shards,
-            workers=args.workers,
-            duration_s=args.duration,
-            seed=args.seed,
-            strategy=args.strategy,
-            batch_stepping=not args.classic,
-        )
+        result = run_sharded_experiment(**run)
         print(f"Sharded run: {args.dag} / {args.strategy} / {args.shards} shards "
               f"x {args.duration:.0f}s on {result.workers} worker(s)")
     print()
@@ -538,6 +528,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         else:
             print("Planned scaling actions: none (offered rate stayed in band)")
     print(f"\nmerged log digest: {result.digest}")
+    print(engine_line(sum((res.engine for res in result.results), Counter())))
     if args.trace:
         _export_trace(
             _shard_telemetry(result, args.dag, args.strategy, args.shards, args.elastic),
@@ -586,6 +577,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             when = f"t={fault.fired_at:7.1f}s" if fault.fired_at is not None else "unfired"
             print(f"  {summary.mode:10s} {when} {fault.event.kind:6s} "
                   f"{fault.vm_id or '-':10s} -> {fault.outcome}")
+        print(f"  {summary.mode:10s} {engine_line(engine_counts([run.runtime]))}")
     notice, oblivious = result.notice, result.oblivious
     if notice is not None and oblivious is not None:
         print()
@@ -730,6 +722,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     else:  # pragma: no cover - argparse restricts choices
         print(f"unknown figure {name!r}", file=sys.stderr)
         return 2
+    print()
+    for (dag, strategy, scaling), cell in matrix.cells.items():
+        print(f"{dag}/{strategy}/scale-{scaling} {engine_line(cell.engine)}")
     return 0
 
 
@@ -869,8 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "for every value)")
     shard.add_argument("--duration", type=float, default=60.0,
                        help="simulated duration of each shard (seconds)")
-    shard.add_argument("--classic", action="store_true",
-                       help="disable the batch-stepping cascade inside each shard")
     shard.add_argument("--elastic", action="store_true",
                        help="profile-driven run with per-shard monitors and a "
                             "centralized controller tick over the merged samples "

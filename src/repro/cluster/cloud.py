@@ -130,39 +130,11 @@ class NetworkModel:
             return self.intra_vm_latency_s
         return self.inter_vm_latency_s
 
-    def jitter_sampler(self):
-        """Bound ``uniform(a, b)`` sampler of the shared jitter stream.
-
-        Returns the stream's method directly so hot paths skip the per-call
-        stream-registry lookup.  Binding it eagerly does not perturb the
-        draw sequence: streams are seeded by name, not by creation order.
-        """
-        return self._rng.stream("network-jitter").uniform
-
     def keyed_jitter_stream(self, sender: str, receiver: str) -> KeyedStream:
-        """Per-channel jitter stream for keyed-jitter mode.
-
-        Seeded from ``(master_seed, "network-jitter", sender->receiver)``, so
-        a channel's draw sequence depends only on its own delivery count —
-        never on how other channels interleave.  Stateless with respect to
-        this model: nothing is registered, the caller owns the counter.
-        """
+        """The jitter stream of one (sender, receiver) channel, seeded from
+        ``(master_seed, "network-jitter", sender->receiver)``: its draws depend
+        only on its own delivery count, never on how channels interleave."""
         return KeyedStream(keyed_seed(self._rng.master_seed, "network-jitter", f"{sender}->{receiver}"))
-
-    def transfer_latency(self, src_vm: Optional[str], dst_vm: Optional[str]) -> float:
-        """Latency for one event transfer between the given VMs.
-
-        Reference implementation for tests and ad-hoc callers.  The router's
-        hot path draws from the *same* ``network-jitter`` stream through its
-        bound sampler, so calling this during a live run interleaves with
-        (and shifts) the router's jitter sequence — fine for standalone use,
-        but do not mix it into an in-flight experiment.
-        """
-        base = self.base_latency(src_vm, dst_vm)
-        if self.jitter_fraction <= 0:
-            return base
-        jitter = self._rng.uniform("network-jitter", -self.jitter_fraction, self.jitter_fraction)
-        return max(0.0, base * (1.0 + jitter))
 
 
 class Cluster:

@@ -23,7 +23,7 @@ from typing import Callable, Dict, Optional, Type, Union
 from repro.cluster.placement import PlacementPlan
 from repro.dataflow.graph import RescalePlan
 from repro.engine.config import RuntimeConfig
-from repro.engine.runtime import RebalanceRecord, RescaleRecord, TopologyRuntime
+from repro.engine.runtime import RebalanceRecord, RescaleRecord, RuntimeError_, TopologyRuntime
 from repro.reliability.repartition import repartition_rescaled_tasks
 
 #: Placement input accepted by :meth:`MigrationStrategy.migrate`: either a
@@ -131,9 +131,16 @@ class MigrationStrategy(ABC):
 
     # --------------------------------------------------------------- helpers
     def _new_report(self) -> MigrationReport:
-        report = MigrationReport(strategy=self.name, requested_at=self.runtime.sim.now)
-        self.report = report
-        return report
+        """Open this migration's report; refused while another is in flight."""
+        runtime = self.runtime
+        active = runtime.migration
+        if active is not None and not active.is_complete:
+            raise RuntimeError_(
+                f"a {active.strategy} migration requested at t={active.requested_at:.3f}s is "
+                f"still in flight at t={runtime.sim.now:.3f}s; wait for its report to complete"
+            )
+        self.report = runtime.migration = MigrationReport(strategy=self.name, requested_at=runtime.sim.now)
+        return self.report
 
     def _stage_enactment(self, new_plan: PlanInput, rescale: Optional[RescalePlan]) -> None:
         """Validate and remember the placement input and optional rescale."""

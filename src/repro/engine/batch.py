@@ -27,14 +27,13 @@ processing continues seamlessly -- a monitor sampling at the horizon observes
 identical ``processed_count`` / ``busy_time_s`` / log contents.  See
 :class:`_Sweep`.
 
-Correctness requires the keyed per-channel jitter streams
-(``RuntimeConfig.keyed_network_jitter``, implied by ``batch_stepping``):
-with the shared stream, collapsing the cross-channel interleaving would
-permute every jitter draw.  With keyed streams each channel consumes its own
-sequence, so the sweep draws the exact values the classic kernel draws in
-keyed mode.  The equivalence tests in ``tests/test_batch_equivalence.py`` pin
-both the logged streams and the executor counters against the classic keyed
-kernel, modulo event ids.
+Correctness rests on the keyed per-channel jitter streams: each channel
+consumes its own sequence, a draw is a function of ``(seed, channel,
+sequence)``, so the sweep draws the exact values the per-event kernel would
+however the channels interleave.  The equivalence tests in
+``tests/test_batch_equivalence.py`` pin both the logged streams and the
+executor counters against the per-event kernel
+(``RuntimeConfig.batch_stepping = False``), modulo event ids.
 
 Batch stepping stays engaged when data acking is on: the sweep replays the
 acker XOR stream symbolically.  A loss-free stretch anchors and acks every
@@ -42,18 +41,16 @@ event of a tuple tree inside one sweep, so the folds cancel by construction
 and only events that cross the horizon fold real ids into the bulk acker APIs
 (``register_block`` / ``anchor_batch`` / ``ack_batch`` / ``settle_batch``).
 The cascade horizon is clamped to ``now + ack timeout`` so no tree a sweep
-registers can time out mid-stretch, and the cascade declines whenever the
-runtime is not quiescent (control waves, backlogs, a throttled spout, replays
-in flight, restarts, captures, multiple sources, another runtime's work on a
-shared simulator): that tick goes to the classic per-event path -- loss/replay
-windows, fault injection and migrations always take the reference path.
+registers can time out mid-stretch.  Which ticks are swept is the engine's own
+choice, tick by tick (:meth:`BatchStepper._cascade`): loss/replay windows,
+fault injection and migrations always take the per-event path.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import namedtuple
+from collections import Counter, namedtuple
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -95,6 +92,16 @@ _DELIVERIES = (Executor.deliver, SinkExecutor.deliver)
 #: temporaries at 64 KiB.
 _BLOCK_ENTRIES = 8192
 
+#: The cost rule's crossover: a tick whose window holds fewer roots than this
+#: is declined as ``short-window`` and runs on the per-event kernel.  A cascade
+#: costs ≈ 16 rounds of ≈ 30 numpy calls whatever it holds, the kernel ≈ 2 µs
+#: an event.  Measured here (host ms a window at 8, 16, 24 roots, best of 7
+#: runs of 40 windows; sweep forced / kernel): Linear 0.37 / 0.18, 0.44 / 0.36,
+#: 0.38 / 0.52; Diamond 0.54 / 0.29, 0.69 / 0.68, 0.58 / 0.97; Grid 1.04 /
+#: 0.69, 1.01 / 1.42, 1.03 / 2.06; acked Diamond 0.85 / 0.50, 0.93 / 1.01,
+#: 1.10 / 1.54.  The lines cross between 11 (Grid) and 20 (Linear) roots.
+_MIN_WINDOW_ROOTS = 16
+
 
 class BatchStepper:
     """Runs quiescent steady-state stretches inline (see module docstring)."""
@@ -117,6 +124,8 @@ class BatchStepper:
         #: Sweep plans compiled: one per placement epoch the stepper ran in.
         self.plan_builds = 0
         self._plan: Optional[_SweepPlan] = None
+        #: ``(router epoch, structural decline reason or None)``.
+        self._structure: Optional[Tuple[int, Optional[str]]] = None
 
     # ------------------------------------------------------------ sweep plan
     def _sweep_plan(self) -> "_SweepPlan":
@@ -128,27 +137,50 @@ class BatchStepper:
         return plan
 
     def drop_plan(self) -> None:
-        """Forget the compiled plan: task logic changed (a migration's logic update)."""
-        self._plan = None
+        """Forget what was compiled: task logic changed (a migration's logic update)."""
+        self._plan = self._structure = None
 
-    # ------------------------------------------------------------- quiescence
-    def _blocker(self, source: SourceExecutor) -> Optional[str]:
-        """Why the cascade may not replace per-event processing right now.
+    # ---------------------------------------------------------------- cascade
+    def try_cascade(self, source: SourceExecutor) -> bool:
+        """Whether the cascade consumed the source tick that just fired (emitted,
+        swept or spilled the work downstream, armed the next emit timer); else
+        the per-tick path runs it and the reason is tallied in :attr:`declines`."""
+        reason = self._cascade(source)
+        if reason is None:
+            return True
+        self.declines[reason] = self.declines.get(reason, 0) + 1
+        return False
 
-        Returns ``None`` when the runtime is quiescent, else the decline
-        reason.  Every condition corresponds to a piece of engine machinery
-        whose behaviour the sweep does not replicate: if any is live, the tick
-        falls back to the classic path (and may cascade again later).  Plain
-        data work in flight is no blocker -- the sweep adopts it (see
-        :func:`_scan_inflight`), and at steady state the pipeline is never
-        empty between two source ticks.
+    def _cascade(self, source: SourceExecutor) -> Optional[str]:
+        """Sweep the tick's stretch level by level; the decline reason
+        (nothing mutated) when it could not, or should not.
+
+        Every reason but ``short-window`` (the cost rule,
+        :data:`_MIN_WINDOW_ROOTS`) names engine machinery the sweep does not
+        replicate: while it is live the tick goes to the per-event path.  They
+        are asked cheapest first, so a tick declined for the dataflow's
+        structure, the source's state or the window costs O(1): only one that
+        gets further walks the kernel heap, the executors and their queues.
+        Plain data work in flight is no blocker: :func:`_scan_inflight` adopts it.
+
+        Then the phases, each a function or a :class:`_Sweep` method: in-flight
+        scan, emission schedule, ingestion, one service and one shipping round
+        per level, the spills, the ack fold, the log commit.  Ids are drawn in
+        sweep order: roots first, then spilled events, then receipts.
         """
         runtime = self.runtime
-        if runtime.sim.run_until is None:
+        sim = runtime.sim
+        limit = sim.run_until
+        if limit is None:
             return "unbounded-run"  # no horizon to materialize up to
-        sources = runtime.source_executors
-        if len(sources) != 1 or sources[0] is not source:
-            return "multi-source"
+        if sim.runtimes > 1:
+            return "shared-simulator"  # ingest would adopt the others' heap entries
+        verdict = self._structure
+        if verdict is None or verdict[0] != runtime.router.epoch:
+            # Whether the dataflow can be swept at all: once per placement epoch.
+            verdict = self._structure = (runtime.router.epoch, _structural_decline(runtime))
+        if verdict[1] is not None:
+            return verdict[1]
         if source.paused or source.status is not _RUNNING:
             return "source-paused"
         if source._backlog or source._replay_queue:
@@ -159,74 +191,40 @@ class BatchStepper:
             return "throttled"
         if runtime._deferred_deliveries:
             return "deferred-deliveries"
+        now0 = sim.now
+        rate = source.rate if source.profile is None else source.current_rate
+        if (limit - now0) * rate < _MIN_WINDOW_ROOTS:
+            return "short-window"
+        acked = runtime.ack_data_events
+        headroom = None
+        if acked:
+            headroom = source.pending_headroom()
+            if headroom == 0:
+                return "throttled"  # the per-event path parks and wakes the spout
+            if headroom is not None and headroom < _MIN_WINDOW_ROOTS:
+                return "short-window"  # the cap ends the stretch after that many roots
+        horizon = sim.next_timer_time()
+        if horizon <= now0:
+            return "timer-due"  # another timer is due immediately; do not pass it
+        if acked:
+            # Any tree a cascade registers schedules its timeout at ``tick +
+            # timeout >= now0 + timeout``: clamped there, no timer the cascade
+            # itself creates can fire inside the stretch (already-pending trees
+            # bound ``horizon`` through their live timeout timers).
+            horizon = min(horizon, now0 + runtime.acker.timeout_s)
+        if (horizon - now0) * rate < _MIN_WINDOW_ROOTS:
+            return "short-window"
         for executor in runtime.executors.values():
             if executor.status is not _RUNNING or not executor.initialized:
                 return "executor-not-ready"
             if executor.capture_mode or executor.pre_init_buffer:
                 return "executor-capturing"
-        return None
-
-    # ---------------------------------------------------------------- cascade
-    def try_cascade(self, source: SourceExecutor) -> bool:
-        """Handle the source tick that just fired, if quiescence allows.
-
-        Returns True when the cascade consumed the tick (emissions performed,
-        downstream work either completed inline or spilled, and the next emit
-        timer armed); False to fall back to the classic per-tick path, with
-        the reason tallied in :attr:`declines`.
-        """
-        reason = self._cascade(source)
-        if reason is None:
-            return True
-        self.declines[reason] = self.declines.get(reason, 0) + 1
-        return False
-
-    def _cascade(self, source: SourceExecutor) -> Optional[str]:
-        """Sweep the tick's stretch level by level; the decline reason
-        (nothing mutated) when it could not.
-
-        The phases, each a function or a :class:`_Sweep` method of its own:
-        quiescence check, in-flight scan, emission schedule, ingestion, one
-        service and one shipping round per level, the spills, the ack fold,
-        the log commit.  Ids are drawn in sweep order: roots first, then
-        spilled events, then receipts.
-        """
-        reason = self._blocker(source)
-        if reason is not None:
-            return reason
         # Everything is running, hence placed: the plan can compile.
         plan = self._sweep_plan()
-        if plan.decline is not None:
-            return plan.decline
-        runtime = self.runtime
-        sim = runtime.sim
-        limit = sim.run_until
-        horizon = sim.next_timer_time()
-        now0 = sim.now
-        if horizon is not None and horizon <= now0:
-            return "timer-due"  # another timer is due immediately; do not pass it
-        if now0 > limit:  # pragma: no cover - defensive; run() never does this
-            return "past-run-bound"
-        acked = runtime.ack_data_events
-        headroom = None
-        if acked:
-            # Any tree a cascade registers schedules its timeout at
-            # ``tick + timeout >= now0 + timeout``; clamping the horizon there
-            # guarantees no timer the cascade itself creates can fire inside
-            # the stretch (already-pending trees bound ``horizon`` through
-            # their live timeout timers).
-            timeout_at = now0 + runtime.acker.timeout_s
-            if horizon is None or timeout_at < horizon:
-                horizon = timeout_at
-            headroom = source.pending_headroom()
-            if headroom == 0:
-                return "throttled"  # the per-event path parks and wakes the spout
         inflight = _scan_inflight(runtime, acked)
         if isinstance(inflight, str):
             return inflight
-        ticks, next_tick, idle_from, hor = _emission_schedule(
-            source, now0, limit, math.inf if horizon is None else horizon, headroom
-        )
+        ticks, next_tick, idle_from, hor = _emission_schedule(source, now0, limit, horizon, headroom)
         # Inline iff time < horizon and time <= limit: one exclusive bound.
         bound = hor if hor <= limit else math.nextafter(limit, math.inf)
         sweep = _Sweep(runtime, plan, source, ticks, bound, acked)
@@ -254,6 +252,30 @@ class BatchStepper:
         return None
 
 
+# ------------------------------------------------------ which engine ran it
+def engine_counts(runtimes) -> Counter:
+    """Simulated events per engine (``stepper``, ``kernel``) and declined ticks
+    by reason over ``runtimes``: a picklable tally that adds up across runs."""
+    counts: Counter = Counter()
+    for sim in {id(runtime.sim): runtime.sim for runtime in runtimes}.values():
+        counts["kernel"] += sim.processed_events  # a shared simulator once
+    for runtime in runtimes:
+        if runtime.batch_stepper is not None:
+            counts["stepper"] += runtime.batch_stepper.inline_events
+            counts.update(runtime.batch_stepper.declines)
+    return counts
+
+
+def engine_line(counts: Counter) -> str:
+    """The line a ``repro`` run prints: "engine: stepper 97 % / kernel 3 % of
+    96226 events: short-window 128, source-paused 257"."""
+    stepper, events = counts["stepper"], counts["stepper"] + counts["kernel"]
+    share = round(100.0 * stepper / events) if events else 0
+    reasons = [f"{name} {n}" for name, n in sorted(counts.items()) if name not in ("stepper", "kernel")]
+    line = f"engine: stepper {share} % / kernel {100 - share} % of {events} events"
+    return line + (": " + ", ".join(reasons) if reasons else "")
+
+
 # ------------------------------------------------------------ the sweep plan
 def _structural_decline(runtime: "TopologyRuntime") -> Optional[str]:
     """Why this dataflow can never be swept, if it cannot.
@@ -262,8 +284,10 @@ def _structural_decline(runtime: "TopologyRuntime") -> Optional[str]:
     updates, which is only sound for the default 1:1 dummy logic (tagged by
     :func:`repro.dataflow.task.default_logic`); duplicate task-pair edges
     would interleave their per-channel jitter draws per event; and an executor
-    subclass may override anything.
+    subclass may override anything.  The emission schedule is one spout's.
     """
+    if len(runtime.source_executors) != 1:
+        return "multi-source"
     dataflow = runtime.dataflow
     for task in dataflow.tasks:
         if task.kind is TaskKind.PROCESS and getattr(task.logic, "default_selectivity", None) != 1:
@@ -302,17 +326,14 @@ class _SweepPlan:
 
     The plan holds the router's own :class:`Channel` records, whose base
     latency and bound receiver are placement-derived: it is stale once
-    ``Router.invalidate_caches()`` moves the router's epoch, and the stepper
-    drops it when a migration installs new task logic, which ``decline``
-    depends on (:meth:`BatchStepper.drop_plan`).
+    ``Router.invalidate_caches()`` moves the router's epoch.  Only compiled
+    for a dataflow :func:`_structural_decline` passed.
     """
 
     def __init__(self, runtime: "TopologyRuntime") -> None:
         router = runtime.router
         dataflow = runtime.dataflow
         self.epoch = router.epoch
-        #: Why the sweep never engages on this dataflow (or None).
-        self.decline = _structural_decline(runtime)
         self.nodes: List[_Node] = []
         self.by_id: Dict[str, _Node] = {}
         self.levels: List[_Level] = []
@@ -320,12 +341,10 @@ class _SweepPlan:
         #: Sending node of each channel.
         self.senders: List[_Node] = []
         #: ``(low, span)`` of the jitter transform, ``None`` without jitter
-        #: (batch stepping implies keyed streams, so it is all channels or none).
+        #: (it is all channels or none).
         self.jitter: Optional[Tuple[float, float]] = None
         #: service time -> its sequential sums from 0.0 (see :meth:`busy_after`).
         self.busy_sums: Dict[float, np.ndarray] = {}
-        if self.decline is not None:
-            return
         depth: Dict[str, int] = {}
         by_depth: List[List[_Node]] = []
         for name in dataflow.topological_order:
@@ -383,17 +402,14 @@ def _adoptable(event: Event, acked: bool) -> bool:
     return event.kind is _DATA_KIND and event.anchored is acked and not event.replay_count
 
 
-def _receiver(deliver: Any, runtime: "TopologyRuntime"):
-    """The live, non-source executor of ``runtime`` a delivery callback is
-    bound to, or the decline reason."""
-    if getattr(deliver, "__func__", None) not in _DELIVERIES:
-        return "inflight-unmodelled"  # the by-id fallback of a target that did not exist
-    target = deliver.__self__
-    if target.runtime is not runtime:
-        return "shared-simulator"
-    if runtime.executors.get(target.executor_id) is not target or type(target) is SourceExecutor:
-        return "inflight-unmodelled"  # retired by a rescale
-    return target
+def _receiver(deliver: Any, runtime: "TopologyRuntime") -> Optional[Executor]:
+    """The live, non-source executor of ``runtime`` a delivery callback is bound to
+    (``None``: the by-id fallback of a missing target, one a rescale retired)."""
+    if getattr(deliver, "__func__", None) in _DELIVERIES:
+        target = deliver.__self__
+        if runtime.executors.get(target.executor_id) is target and type(target) is not SourceExecutor:
+            return target
+    return None
 
 
 def _scan_inflight(runtime: "TopologyRuntime", acked: bool):
@@ -403,9 +419,8 @@ def _scan_inflight(runtime: "TopologyRuntime", acked: bool):
     busy)`` -- ``(time, target, event, sender id)`` per pending delivery and
     ``executor -> (completion time, event)`` per service in progress -- or the
     decline reason on anything the sweep does not model (control handling,
-    capture drains, state-store latencies, replayed events) or does not own:
-    on a simulator several runtimes share, :meth:`_Sweep.ingest` would take
-    the others' entries off the heap with its own (``shared-simulator``).
+    capture drains, state-store latencies, replayed events).  Every entry is
+    this runtime's: a shared simulator declined before the scan.
     """
     deliveries: List[Tuple[float, Executor, Event, str]] = []
     busy: Dict[Executor, Tuple[float, Event]] = {}
@@ -418,24 +433,20 @@ def _scan_inflight(runtime: "TopologyRuntime", acked: bool):
         if func in _COMPLETIONS:
             executor = cb.__self__
             event = entry[3][0]
-            if executor.runtime is not runtime:
-                return "shared-simulator"
             if not _adoptable(event, acked) or not executor._busy or executor in busy:
                 return "inflight-unmodelled"
             busy[executor] = (entry[0], event)
         elif func in _DELIVERIES:
             target = _receiver(cb, runtime)
             event, sender_id = entry[3]
-            if isinstance(target, str):
-                return target
-            if not _adoptable(event, acked):
+            if target is None or not _adoptable(event, acked):
                 return "inflight-unmodelled"
             deliveries.append((entry[0], target, event, sender_id))
         elif func is Router.deliver_batch:
             deliver, sender_id, pairs, index = entry[3]
             target = _receiver(deliver, runtime)
-            if isinstance(target, str):
-                return target
+            if target is None:
+                return "inflight-unmodelled"
             for when, event in pairs[index:]:
                 if not _adoptable(event, acked):
                     return "inflight-unmodelled"

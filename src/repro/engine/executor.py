@@ -577,7 +577,7 @@ class SourceExecutor(Executor):
 
     def _emit_tick(self) -> None:
         self._emit_timer = None
-        stepper = getattr(self.runtime, "batch_stepper", None)
+        stepper = self.runtime.batch_stepper
         if stepper is not None and stepper.try_cascade(self):
             # The cascade emitted this tick (and possibly many more) inline
             # and re-armed the emit timer itself.

@@ -69,7 +69,7 @@ class Channel:
     """Everything the data plane knows about one (sender, receiver) pair.
 
     ``last`` (the FIFO time) and ``stream`` (the keyed jitter stream, ``None``
-    under the shared stream or without jitter) are semantics and never reset.
+    without jitter) are semantics and never reset.
     ``base`` and ``deliver`` are derived from the placement and the executor
     set; ``deliver is None`` marks them stale (see
     :meth:`Router.invalidate_caches`).
@@ -85,9 +85,7 @@ class Channel:
         sender_id: str,
         target_id: str,
         stream: Optional[KeyedStream],
-        draw: Optional[Callable[[], float]],
-        jitter_low: float,
-        jitter_span: float,
+        jitter_fraction: float,
     ) -> None:
         self.sender_id = sender_id
         self.target_id = target_id
@@ -95,13 +93,12 @@ class Channel:
         self.stream = stream
         self.base = 0.0
         self.deliver: Optional[Callable[[Event, str], object]] = None
-        # Uniform [0, 1) draw of this channel's jitter stream (``None``: no
-        # jitter) and the transform ``low + span * draw``: exactly what
-        # ``random.Random.uniform(low, low + span)`` computes, without the
-        # call frame.
-        self.draw = draw
-        self.jitter_low = jitter_low
-        self.jitter_span = jitter_span
+        # Uniform [0, 1) draw of this channel's jitter (``None``: no jitter;
+        # else the pop of the stream's draw-ahead block) and the transform
+        # ``low + span * draw``: ``uniform(low, low + span)`` without the frame.
+        self.draw = stream.ahead if stream is not None else None
+        self.jitter_low = -jitter_fraction
+        self.jitter_span = jitter_fraction - self.jitter_low
 
     def stamp(self, now: float) -> float:
         """Arrival time of a delivery sent at ``now``: jittered, then FIFO-ordered."""
@@ -109,10 +106,14 @@ class Channel:
         if draw is None:
             latency = self.base
         else:
-            # Parenthesized to match uniform()'s `a + (b-a)*r` before the 1.0
-            # add -- float addition is not associative and the figure runs
-            # must reproduce the historical jitter values bit-for-bit.
-            latency = self.base * (1.0 + (self.jitter_low + self.jitter_span * draw()))
+            try:
+                u = draw()
+            except IndexError:  # the block is spent: the stream refills it
+                u = self.stream.random()
+            # Parenthesized as uniform()'s `a + (b-a)*r` before the 1.0 add:
+            # float addition is not associative, and the level sweep's array
+            # form of this line (`_Sweep._ship_block`) must match it bit for bit.
+            latency = self.base * (1.0 + (self.jitter_low + self.jitter_span * u))
             if latency < 0.0:
                 latency = 0.0
         time = now + latency
@@ -153,18 +154,10 @@ class Router:
         self.epoch = 0
         network: NetworkModel = runtime.cluster.network
         self._network = network
+        # Each (sender, receiver) channel draws its jitter from its own keyed
+        # stream: what one channel sees does not depend on how the others
+        # interleave, which lets the level sweep draw a window's worth at once.
         self._jitter_fraction = network.jitter_fraction
-        # Bound `random()` of the shared jitter stream (binding it early is
-        # safe: streams are seeded by name, not creation order).
-        self._jitter_random = network.jitter_sampler().__self__.random
-        self._jitter_low = -self._jitter_fraction
-        self._jitter_span = self._jitter_fraction - self._jitter_low
-        # Keyed per-channel jitter (opt-in): each (sender, receiver) channel
-        # draws from its own stateless hash stream, so the jitter observed on
-        # one channel is independent of how deliveries on other channels are
-        # interleaved.  Required by (and implied by) batch stepping.
-        config = runtime.config
-        self._keyed = bool(config.keyed_network_jitter or config.batch_stepping)
 
     # ---------------------------------------------------------------- compile
     def invalidate_caches(self) -> None:
@@ -187,16 +180,10 @@ class Router:
         key = (sender_id, target_id)
         channel = self._channels.get(key)
         if channel is None:
-            stream = draw = None
+            stream = None
             if self._jitter_fraction > 0:
-                if self._keyed:
-                    stream = self._network.keyed_jitter_stream(sender_id, target_id)
-                    draw = stream.random
-                else:
-                    draw = self._jitter_random
-            channel = self._channels[key] = Channel(
-                sender_id, target_id, stream, draw, self._jitter_low, self._jitter_span
-            )
+                stream = self._network.keyed_jitter_stream(sender_id, target_id)
+            channel = self._channels[key] = Channel(sender_id, target_id, stream, self._jitter_fraction)
         if channel.deliver is None:
             runtime = self.runtime
             target = runtime.executors.get(target_id)

@@ -112,6 +112,7 @@ class TopologyRuntime:
         self.dataflow = dataflow
         self.cluster = cluster
         self.sim = sim if sim is not None else Simulator()
+        self.sim.runtimes += 1
         self.config = config if config is not None else RuntimeConfig()
         self.timing = self.config.timing
         self.reliability = self.config.reliability
@@ -133,12 +134,11 @@ class TopologyRuntime:
         self.checkpoints = CheckpointCoordinator(self.sim)
         self.checkpoints.bind(self._emit_checkpoint_wave, self.user_executor_id_set)
         self.router = Router(self)
-        #: Batch-stepping cascade (perf mode): materializes quiescent
-        #: steady-state stretches inline instead of per-event kernel
-        #: callbacks.  Engaged under data acking too: the stepper replays the
-        #: acker XOR stream in bulk (per-tree folds, back-dated timers, exact
-        #: spout-pending accounting) and disengages around the windows where
-        #: per-event ack timing is observable — loss, replay, migrations.
+        #: Batch-stepping cascade: materializes quiescent steady-state
+        #: stretches inline, tick by tick where its rule says so (``None``:
+        #: every tick runs per event).  Engaged under data acking too: it
+        #: replays the acker XOR stream in bulk and disengages around the
+        #: windows where per-event ack timing is observable.
         self.batch_stepper = None
         if self.config.batch_stepping:
             self.batch_stepper = BatchStepper(self)
@@ -164,6 +164,8 @@ class TopologyRuntime:
         # only to these executors, so restoring the victims of a dead VM does
         # not roll survivors back to the last checkpoint.
         self._wave_targets: Dict[int, Set[str]] = {}
+        #: Report of the latest migration: while incomplete, a second is refused.
+        self.migration = None
         #: Records of VM failures handled by :meth:`fail_vm`.
         self.vm_failures: List[VMFailureRecord] = []
         #: Telemetry facade (metrics registry + span tracer), or ``None`` when

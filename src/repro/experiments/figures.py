@@ -18,6 +18,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.metrics import MigrationMetrics
 from repro.dataflow import topologies
 from repro.dataflow.topologies import PAPER_ORDER, TABLE1
+from repro.engine.batch import engine_counts
 from repro.experiments.scenarios import MigrationRunResult, run_migration_experiment, vm_counts_for
 from repro.metrics.timeline import LatencyPoint, RatePoint, latency_timeline, rate_timeline
 from repro.reliability.statestore import StateStore
@@ -111,6 +112,8 @@ class MatrixCell:
     output_series: List[RatePoint]
     #: Latency timeline at :data:`DEFAULT_LATENCY_WINDOW_S` (absolute times).
     latency_series: List[LatencyPoint]
+    #: Which engine ran the cell (:func:`repro.engine.batch.engine_counts`).
+    engine: Dict[str, int]
 
 
 def _cell_from_result(result: MigrationRunResult) -> MatrixCell:
@@ -123,6 +126,7 @@ def _cell_from_result(result: MigrationRunResult) -> MatrixCell:
         input_series=rate_timeline(result.log, kind="input", bin_s=DEFAULT_RATE_BIN_S),
         output_series=rate_timeline(result.log, kind="output", bin_s=DEFAULT_RATE_BIN_S),
         latency_series=latency_timeline(result.log, window_s=DEFAULT_LATENCY_WINDOW_S),
+        engine=engine_counts([result.runtime]),
     )
 
 
@@ -178,7 +182,7 @@ class ExperimentMatrix:
         self.dags = list(dags)
         self.strategies = list(strategies)
         self._cache: Dict[Tuple[str, str, str], MigrationRunResult] = {}
-        self._cells: Dict[Tuple[str, str, str], MatrixCell] = {}
+        self.cells: Dict[Tuple[str, str, str], MatrixCell] = {}
 
     def run(self, dag: str, strategy: str, scaling: str) -> MigrationRunResult:
         """Run (or return the cached) full experiment for one cell of the matrix."""
@@ -197,9 +201,9 @@ class ExperimentMatrix:
     def cell(self, dag: str, strategy: str, scaling: str) -> MatrixCell:
         """The figure-facing summary of one cell (prefetched or computed now)."""
         key = (dag, strategy, scaling)
-        if key not in self._cells:
-            self._cells[key] = _cell_from_result(self.run(dag, strategy, scaling))
-        return self._cells[key]
+        if key not in self.cells:
+            self.cells[key] = _cell_from_result(self.run(dag, strategy, scaling))
+        return self.cells[key]
 
     def _cell_specs(
         self,
@@ -212,7 +216,7 @@ class ExperimentMatrix:
             for scaling in scalings
             for dag in (dags if dags is not None else self.dags)
             for strategy in (strategies if strategies is not None else self.strategies)
-            if (dag, strategy, scaling) not in self._cells
+            if (dag, strategy, scaling) not in self.cells
         ]
 
     def prefetch(
@@ -240,11 +244,11 @@ class ExperimentMatrix:
         if workers == 1:
             for spec in specs:
                 key, cell = _compute_cell(spec)
-                self._cells[key] = cell
+                self.cells[key] = cell
             return len(specs)
         with multiprocessing.Pool(processes=workers) as pool:
             for key, cell in pool.map(_compute_cell, specs):
-                self._cells[key] = cell
+                self.cells[key] = cell
         return len(specs)
 
     def results(self, scaling: str) -> List[FigureRun]:

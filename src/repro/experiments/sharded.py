@@ -34,6 +34,7 @@ from repro.elastic.forecast import ReactivePolicy
 from repro.elastic.monitor import ElasticityMonitor, MonitorSample
 from repro.elastic.planner import AllocationPlanner
 from repro.elastic.policy import ControlState, decide
+from repro.engine.batch import engine_counts
 from repro.experiments.scenarios import deploy_baseline
 from repro.metrics.log import EventLog
 from repro.sim import RandomSource, Simulator
@@ -55,7 +56,6 @@ def plan_shards(
     duration_s: float = 10.0,
     seed: int = 2018,
     strategy: str = "dcr",
-    batch_stepping: bool = True,
     profile: Optional[str] = None,
     sample_interval_s: float = 0.0,
 ) -> List[ShardSpec]:
@@ -68,7 +68,6 @@ def plan_shards(
             strategy=strategy,
             duration_s=duration_s,
             seed=seed,
-            batch_stepping=batch_stepping,
             profile=profile,
             sample_interval_s=sample_interval_s,
         )
@@ -98,12 +97,6 @@ def run_steady_shard(spec: ShardSpec) -> ShardResult:
     reset_event_ids()
     strategy_cls = strategy_by_name(spec.strategy)
     config = strategy_cls.runtime_config(seed=spec.shard_seed)
-    config.batch_stepping = spec.batch_stepping
-    # Keyed per-channel jitter is the prerequisite for sharding (a channel's
-    # draws must not depend on cross-channel interleaving), so sharded runs
-    # use it in classic mode too — batched and classic shards then differ
-    # only in event-id assignment order.
-    config.keyed_network_jitter = True
 
     dataflow = topologies.by_name(spec.dag)
     for task in dataflow.sources:
@@ -140,6 +133,7 @@ def run_steady_shard(spec: ShardSpec) -> ShardResult:
         emit_columns=log.emit_columns(),
         receipt_columns=log.receipt_columns(),
         samples=list(monitor.samples) if monitor is not None else [],
+        engine=engine_counts([runtime]),
     )
 
 
@@ -165,7 +159,6 @@ def run_sharded_experiment(
     duration_s: float = 10.0,
     seed: int = 2018,
     strategy: str = "dcr",
-    batch_stepping: bool = True,
 ) -> ShardedRunResult:
     """Run a steady-state experiment partitioned across a process pool.
 
@@ -180,7 +173,6 @@ def run_sharded_experiment(
         duration_s=duration_s,
         seed=seed,
         strategy=strategy,
-        batch_stepping=batch_stepping,
     )
     if workers is None:
         workers = shard_worker_count(shards)
@@ -298,7 +290,6 @@ def run_sharded_elastic_experiment(
     seed: int = 2018,
     strategy: str = "dcr",
     profile: str = "surge",
-    batch_stepping: bool = True,
     controller_config: Optional[ControllerConfig] = None,
 ) -> ShardedElasticRunResult:
     """Run a profile-driven elastic experiment partitioned across a pool.
@@ -318,7 +309,6 @@ def run_sharded_elastic_experiment(
         duration_s=duration_s,
         seed=seed,
         strategy=strategy,
-        batch_stepping=batch_stepping,
         profile=profile,
         sample_interval_s=config.check_interval_s,
     )

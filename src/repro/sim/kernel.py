@@ -128,6 +128,9 @@ class Simulator:
         #: Lifetime tally scraped by the telemetry layer (a plain int: the
         #: kernel never calls into a registry on the hot path).
         self.compactions = 0
+        #: Dataflow runtimes created on this simulator: the batch cascade
+        #: adopts every fast entry on the heap, so it wants to be alone.
+        self.runtimes = 0
 
     # ------------------------------------------------------------------ clock
     @property
@@ -224,19 +227,17 @@ class Simulator:
         )
 
     # ------------------------------------------------------- heap inspection
-    def next_timer_time(self) -> Optional[float]:
-        """Earliest pending *cancellable* (Timer) entry time, or ``None``.
+    def next_timer_time(self) -> float:
+        """Earliest pending *cancellable* (Timer) entry time; infinity if none.
 
         Fast-path (fire-and-forget) entries are ignored.  Used by the batch
         cascade to find the horizon below which no control-plane callback can
         preempt it.
         """
-        best: Optional[float] = None
-        for entry in self._queue:
-            if len(entry) == 3 and not entry[2].cancelled:
-                if best is None or entry[0] < best:
-                    best = entry[0]
-        return best
+        return min(
+            (entry[0] for entry in self._queue if len(entry) == 3 and not entry[2].cancelled),
+            default=math.inf,
+        )
 
     def fast_entries(self) -> List[tuple]:
         """All pending fire-and-forget entries ``(time, seq, callback, args)``.

@@ -45,8 +45,8 @@ import numpy as _np
 from repro.sim.rng import keyed_seed
 
 #: Environment variable naming the default worker-process count for sharded
-#: runs (``0``, unset or invalid: one worker per shard, capped at the CPU
-#: count; positive values are clamped to the shard and CPU counts).
+#: runs (``0`` or unset: one worker per shard, capped at the CPU count;
+#: positive values are clamped to both; anything else is refused).
 SHARDS_ENV_VAR = "REPRO_SIM_SHARDS"
 
 #: Id namespace stride: merged ids are ``shard_index * stride + local_id``.
@@ -70,7 +70,6 @@ class ShardSpec:
     strategy: str = "dcr"
     duration_s: float = 10.0
     seed: int = 2018
-    batch_stepping: bool = True
     #: Rate-profile preset driving the shard's sources (``None``: constant
     #: rate).  Every shard follows the same shape at ``1/shards`` of the
     #: amplitude, so the merged offered rate follows the preset.
@@ -116,6 +115,8 @@ class ShardResult:
     emit_columns: Optional[Dict[str, Any]] = None
     receipt_columns: Optional[Dict[str, Any]] = None
     samples: List = field(default_factory=list)
+    #: Which engine ran the shard (:func:`repro.engine.batch.engine_counts`).
+    engine: Dict[str, int] = field(default_factory=dict)
 
     @property
     def emit_count(self) -> int:
@@ -128,33 +129,33 @@ class ShardResult:
         return 0 if self.receipt_columns is None else len(self.receipt_columns["time"])
 
 
-def resolve_worker_env(raw: Optional[str], tasks: int) -> int:
-    """Shared env-var → worker-count rule for parallel fan-outs.
+def resolve_worker_env(name: str, tasks: int) -> int:
+    """Worker count for a parallel fan-out of ``tasks``, from the variable ``name``.
 
-    A positive integer is honored but clamped to both the number of tasks
-    and the machine's CPU count (oversubscribing a process pool only adds
-    scheduling noise); ``0``, ``None``, empty, or an unparsable value all
-    mean "auto": one worker per task, capped at the CPU count.
+    A positive integer is honored but clamped to the number of tasks and the
+    CPU count (oversubscribing a pool only adds scheduling noise); ``0``, unset
+    or empty mean "auto": one worker per task up to the CPU count.  Anything
+    else is a typo to report, not a pool size to guess: ``ValueError``.
     """
     cpus = os.cpu_count() or 1
-    if raw is not None and raw.strip():
-        try:
-            value = int(raw.strip())
-        except ValueError:
-            value = 0
-        if value > 0:
-            return max(1, min(value, tasks, cpus))
-    return max(1, min(tasks, cpus))
+    raw = (os.environ.get(name) or "").strip() or "0"
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"{name} must be a non-negative integer (0 = auto), got {raw!r}")
+    return max(1, min(value or tasks, tasks, cpus))
 
 
 def shard_worker_count(shards: int) -> int:
     """Resolve the worker-process count for a sharded run.
 
     ``REPRO_SIM_SHARDS`` wins when set to a positive integer (clamped to the
-    shard count and the CPU count); ``0``, unset or invalid mean "auto" —
-    one worker per shard, capped at the machine's CPU count.
+    shard count and the CPU count); ``0`` or unset mean "auto" — one worker
+    per shard, capped at the machine's CPU count.
     """
-    return resolve_worker_env(os.environ.get(SHARDS_ENV_VAR), shards)
+    return resolve_worker_env(SHARDS_ENV_VAR, shards)
 
 
 def run_shards(

@@ -1,11 +1,19 @@
-"""Batched-kernel equivalence vs the classic event loop.
+"""Batched-kernel equivalence vs the per-event loop.
 
-The batch-stepping cascade (``RuntimeConfig.batch_stepping``) materializes
-whole steady-state stretches inside one kernel callback, swept level by level
-over struct-of-arrays.  Its contract: logs equivalent to the classic keyed
-kernel *modulo event-id assignment order* -- identical emission/receipt times,
-sinks, latencies, executor counters and routed counts, with root identity
-mapped through emission order.
+The batch-stepping cascade (``RuntimeConfig.batch_stepping``, on by default)
+materializes whole steady-state stretches inside one kernel callback, swept
+level by level over struct-of-arrays.  Its contract: logs equivalent to the
+per-event kernel (``batch_stepping = False``, the reference throughout)
+*modulo event-id assignment order* -- identical emission/receipt times, sinks,
+latencies, executor counters and routed counts, with root identity mapped
+through emission order.
+
+The stepper's cost rule declines a window of fewer than
+``batch._MIN_WINDOW_ROOTS`` (16) roots as ``short-window``: at the paper's
+8 ev/s that is every window under 2 s.  The windowed cases therefore come in
+two kinds -- windows of 2.5 s and more, which the sweep takes, and the
+sub-second ones of before, which now check that a declined window *is* the
+kernel's (``TestVectorizedEquivalence`` asserts which side each case is on).
 
 These tests pin the stepper against the classic loop on the Grid DAG — cold
 runs and windowed runs whose window boundaries land mid-pipeline (exercising
@@ -60,7 +68,6 @@ def build_grid(batch_stepping: bool):
     sim = Simulator()
     cluster = build_cluster(sim, worker_vms=11)
     config = fast_config("dcr")
-    config.keyed_network_jitter = True
     config.batch_stepping = batch_stepping
     runtime = TopologyRuntime(topologies.grid(), cluster, sim=sim, config=config)
     runtime.deploy()
@@ -115,12 +122,13 @@ def fingerprint_modulo_ids(runtime: TopologyRuntime):
 #: one block, ``long`` windows (3 600 roots) split Grid's wide levels into
 #: blocks of whole channels, and at ``100x`` the source's channel (9 600 deliveries a
 #: window) is a block of its own.  ``rescale`` migrates with a rescale between
-#: two windows, so the sweep plan must recompile.
+#: two windows, so the sweep plan must recompile (its windows were 1 s, 8
+#: roots, until the cost rule: now 2.5 s, so that they are still swept).
 GOLDEN_REGIMES = {
     "paper": ({}, 10, 4.0),
     "long": ({}, 3, 450.0),
     "100x": ({"rate": 800.0, "latency_s": 0.001}, 2, 12.0),
-    "rescale": ({"latency_s": 0.02}, 20, 1.0),
+    "rescale": ({"latency_s": 0.02}, 20, 2.5),
 }
 GOLDEN_RESCALES = {
     "diamond": {"merge": 4}, "grid": {"forecast_merge": 2}, "traffic": {"traffic_state": 4},
@@ -138,7 +146,6 @@ def golden_run(dag: str, regime: str, acked: bool) -> TopologyRuntime:
     else:
         config = RuntimeConfig.for_dsm(seed=7) if acked else RuntimeConfig.for_dcr(seed=7)
     config.reliability.max_spout_pending = None
-    config.batch_stepping = True
     sim = Simulator()
     runtime = TopologyRuntime(
         getattr(topologies, dag)(**kwargs), build_cluster(sim, worker_vms=11), sim=sim, config=config
@@ -190,20 +197,21 @@ def check_golden(dag: str, regime: str, acked: bool, expected) -> None:
         assert 9_600 > batch._BLOCK_ENTRIES  # the source's channel is its own block
 
 
-#: Recorded at the parent of the level sweep (PR 17), unacked runs.
+#: Recorded at the parent of the level sweep (PR 17), unacked runs; the
+#: ``rescale`` rows re-recorded with their 2.5 s windows (PR 21).
 GOLDEN_UNACKED = {
     ('diamond', 'paper'): ('1c81daff95a942a9', 2858, 154, 10, 5865),
     ('diamond', 'long'): ('2ce8654c47343592', 97178, 35, 3, 205111),
     ('diamond', '100x'): ('7ef3cb2be3bd1eae', 172756, 2, 2, 364681),
-    ('diamond', 'rescale'): ('d346ab6aa0b918f1', 1522, 744, 17, 2472),
+    ('diamond', 'rescale'): ('167d01a74fcc111c', 3682, 1200, 18, 6516),
     ('grid', 'paper'): ('2f0444eea20f2fd5', 7915, 424, 10, 15679),
     ('grid', 'long'): ('0bf08adf6063de87', 269915, 95, 3, 550509),
     ('grid', '100x'): ('f08570e3e3ebd62b', 479817, 2, 2, 978743),
-    ('grid', 'rescale'): ('b259a270f4e01d37', 4101, 1683, 16, 6688),
+    ('grid', 'rescale'): ('ef17c28f24930ca2', 10101, 2807, 18, 17719),
     ('traffic', 'paper'): ('a56cc0715344d5ef', 5392, 280, 10, 10783),
     ('traffic', 'long'): ('539e8e7ec58c5060', 183552, 63, 3, 377821),
     ('traffic', '100x'): ('00af354befb72715', 326296, 2, 2, 671734),
-    ('traffic', 'rescale'): ('86231d39eb8ab124', 2798, 1207, 17, 4519),
+    ('traffic', 'rescale'): ('5d1515d2c4c68dac', 6878, 2012, 18, 12000),
 }
 
 
@@ -215,24 +223,26 @@ class TestGoldenDigests:
 
 # ------------------------------------------------- grid: vectorized cascade
 class TestVectorizedEquivalence:
-    """Batch stepping == classic keyed kernel, modulo event ids."""
+    """Batch stepping == per-event kernel, modulo event ids."""
 
     @pytest.mark.parametrize(
         "windows,step_s",
-        [(1, 10.0), (20, 0.5), (40, 0.25), (7, 1.3)],
-        ids=["cold-10s", "20x0.5s", "40x0.25s", "7x1.3s"],
+        [(1, 10.0), (20, 2.5), (12, 2.25), (7, 3.3), (20, 0.5), (40, 0.25), (7, 1.3)],
+        ids=["cold-10s", "20x2.5s", "12x2.25s", "7x3.3s", "20x0.5s", "40x0.25s", "7x1.3s"],
     )
     def test_grid_run_matches_classic(self, windows, step_s):
         _, classic = run_windows(False, windows, step_s)
         expected = fingerprint_modulo_ids(classic)
         _, batched = run_windows(True, windows, step_s)
         assert fingerprint_modulo_ids(batched) == expected
+        swept = step_s * 8.0 >= batch._MIN_WINDOW_ROOTS
+        assert (batched.batch_stepper.cascades > 0) == swept
 
     def test_windowed_run_cascades_every_window(self):
         # Window boundaries leave deliveries and busy executors in flight at
         # every resume; the in-flight ingestion must re-engage the
         # sweep each window rather than falling back to classic stepping.
-        _, runtime = run_windows(True, 20, 0.5)
+        _, runtime = run_windows(True, 20, 2.5)
         stepper = runtime.batch_stepper
         assert stepper.cascades >= 20
         assert stepper.inline_events > 0
@@ -258,7 +268,7 @@ class TestBusyTimeTable:
         return value
 
     def test_matches_the_adds_one_by_one(self):
-        _, runtime = run_windows(True, 6, 1.3)
+        _, runtime = run_windows(True, 6, 2.6)
         plan = runtime.batch_stepper._sweep_plan()
         assert plan.busy_sums, "the sweep served something"
         for executor in runtime.user_executors:
@@ -270,7 +280,7 @@ class TestBusyTimeTable:
                 assert plan.busy_after(executor, service, count) == expected
 
     def test_a_past_the_table_does_not_know_is_added_up_instead(self):
-        _, runtime = run_windows(True, 2, 1.3)
+        _, runtime = run_windows(True, 2, 2.6)
         plan = runtime.batch_stepper._sweep_plan()
         executor = runtime.user_executors[0]
         executor.busy_time_s += 0.05  # not a sequential sum of the service time
@@ -278,7 +288,7 @@ class TestBusyTimeTable:
         assert plan.busy_after(executor, executor._service_time, 40) == expected
         sim = runtime.sim
         before = (executor.busy_time_s, executor.processed_count)
-        sim.run(until=sim.now + 1.3)
+        sim.run(until=sim.now + 2.6)
         served = executor.processed_count - before[1]
         assert served > 0
         assert executor.busy_time_s == self.adds(before[0], executor._service_time, served)
@@ -293,7 +303,6 @@ class TestElasticEquivalence:
 
     def run_elastic(self, batch_stepping: bool):
         config = fast_config("ccr", seed=11)
-        config.keyed_network_jitter = True
         config.batch_stepping = batch_stepping
         return run_elastic_experiment(
             dag="traffic",
@@ -364,9 +373,10 @@ class TestSharedSimulator:
 
     The in-flight scan reads the shared heap: it used to take the other
     runtime's completions for its own (``KeyError: 'work#2'`` in ``ingest``)
-    and, adopting, to drop kernel entries it did not own.  A tick that finds
-    another runtime's work in flight now goes to the kernel under a named
-    reason, and each tenant's log is the classic keyed kernel's modulo ids.
+    and, adopting, to drop kernel entries it did not own.  A runtime knows
+    how many share its simulator (``Simulator.runtimes``), so every tick of a
+    tenant goes to the kernel under a named reason before anything reads the
+    heap, and each tenant's log is the per-event kernel's, ids included.
     """
 
     @staticmethod
@@ -380,7 +390,6 @@ class TestSharedSimulator:
             builder.add_sink("sink")
             builder.chain("source", "work", "sink")
             config = fast_config("dcr", seed=11)
-            config.keyed_network_jitter = True
             config.batch_stepping = batch_stepping
             manager.add_tenant(name, builder.build(), strategy="dcr", config=config)
         manager.deploy()
@@ -394,7 +403,9 @@ class TestSharedSimulator:
         classic = self.run_tenants(False)
         for runtime, reference in zip(batched, classic):
             stepper = runtime.batch_stepper
-            assert stepper.cascades > 0
-            assert stepper.declines.get("shared-simulator", 0) > 0
+            assert runtime.sim.runtimes == 2
+            assert stepper.cascades == 0
+            assert set(stepper.declines) == {"shared-simulator"}
             assert len(runtime.log.sink_receipts) > 150
             assert fingerprint_modulo_ids(runtime) == fingerprint_modulo_ids(reference)
+            assert log_digest(runtime.log) == log_digest(reference.log)

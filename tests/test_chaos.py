@@ -294,15 +294,14 @@ class TestChaosDeterminism:
 # --------------------------------------------------------------- satellite 6
 class TestBatchStepperUnderChaos:
     def test_batch_stepping_disengages_around_faults(self):
-        # The batch stepper and the classic keyed kernel must log the same run
+        # The batch stepper and the per-event kernel must log the same run
         # modulo event ids: the injected faults are cancellable timers the
         # cascade horizon sees, so the stepper stops short of each fault and
         # hands the recovery (captures, pauses, backlog drains) to the kernel.
         # On the default-logic Grid: the keyed variant's logic is never swept.
         batched = RuntimeConfig.for_ccr()
-        batched.batch_stepping = True
         classic = RuntimeConfig.for_ccr()
-        classic.keyed_network_jitter = True
+        classic.batch_stepping = False
         results = [
             run_chaos_run(
                 dag="grid",

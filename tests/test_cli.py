@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -72,6 +74,14 @@ class TestCommands:
         assert exit_code == 0
         assert "linear" in output
         assert "dsm" in output and "ccr" in output
+        # One scraped line a cell says which engine ran it, and why not the other.
+        share = {
+            cell: int(stepper)
+            for cell, stepper in re.findall(r"^(\S+) engine: stepper (\d+) % / kernel", output, re.M)
+        }
+        assert set(share) == {f"linear/{strategy}/scale-in" for strategy in ("dsm", "dcr", "ccr")}
+        assert share["linear/dcr/scale-in"] >= 85 and share["linear/ccr/scale-in"] >= 85
+        assert re.search(r"^linear/dcr/scale-in engine: .* events: .*source-paused \d+", output, re.M)
 
 
 class TestMultiCommand:
@@ -113,6 +123,9 @@ class TestMultiCommand:
         assert "Arbitration" in output
         assert "peak committed slots" in output
         assert "vs" in output  # private-baseline comparison columns
+        # Tenants share a simulator: every tick goes to the kernel, by name.
+        assert re.search(r"^engine: stepper 0 % / kernel 100 % of \d+ events: shared-simulator \d+$",
+                         output, re.M)
 
     def test_keyed_dags_accepted(self):
         from repro.cli import build_parser

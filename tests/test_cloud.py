@@ -106,23 +106,37 @@ class TestCluster:
 
 
 class TestNetworkModel:
+    """Base latencies, and the keyed jitter a channel stamps them with (the
+    model's own ``transfer_latency`` drew from the shared stream, which is gone)."""
+
+    @staticmethod
+    def latencies(network, count):
+        from repro.engine.router import Channel
+
+        fraction = network.jitter_fraction
+        stream = network.keyed_jitter_stream("a", "b") if fraction > 0 else None
+        channel = Channel("a", "b", stream, fraction)
+        channel.base = network.base_latency("vm-1", "vm-2")
+        return [channel.stamp(1000.0 * k) - 1000.0 * k for k in range(count)]
+
     def test_intra_vm_is_faster_than_inter_vm(self):
         network = NetworkModel(jitter_fraction=0.0)
-        assert network.transfer_latency("vm-1", "vm-1") < network.transfer_latency("vm-1", "vm-2")
+        assert network.base_latency("vm-1", "vm-1") < network.base_latency("vm-1", "vm-2")
 
     def test_unknown_endpoint_treated_as_remote(self):
         network = NetworkModel(jitter_fraction=0.0)
-        assert network.transfer_latency(None, "vm-1") == pytest.approx(network.inter_vm_latency_s)
+        assert network.base_latency(None, "vm-1") == network.inter_vm_latency_s
+        assert self.latencies(network, 3) == pytest.approx([network.inter_vm_latency_s] * 3)
 
     def test_jitter_stays_within_bounds(self):
         network = NetworkModel(intra_vm_latency_s=1.0, inter_vm_latency_s=2.0, jitter_fraction=0.1)
-        for _ in range(200):
-            latency = network.transfer_latency("a", "b")
-            assert 1.8 <= latency <= 2.2
+        latencies = self.latencies(network, 200)
+        assert all(1.8 <= latency <= 2.2 for latency in latencies)
+        assert len(set(latencies)) > 100
 
     def test_latency_never_negative(self):
-        network = NetworkModel(intra_vm_latency_s=0.0, inter_vm_latency_s=0.0, jitter_fraction=0.5)
-        assert network.transfer_latency("a", "b") >= 0.0
+        network = NetworkModel(intra_vm_latency_s=0.0, inter_vm_latency_s=0.5, jitter_fraction=1.5)
+        assert min(self.latencies(network, 200)) >= 0.0
 
 
 class TestConcurrentTenantAccounting:

@@ -123,7 +123,7 @@ class TestValidation:
 
 
 class TestEngineSwitches:
-    """One per-event kernel, one stepper tier: two engine switches, no third."""
+    """The engine picks its own path: one switch is left, and it defaults on."""
 
     def test_runtime_config_fields_are_exactly_these(self):
         import dataclasses
@@ -132,20 +132,33 @@ class TestEngineSwitches:
         # A new field lands here on purpose; a new *bool* is a new mode to
         # test and benchmark every other mode against.
         assert set(fields) == {
-            "reliability", "timing", "seed", "util_vm_role",
-            "keyed_network_jitter", "batch_stepping", "telemetry",
+            "reliability", "timing", "seed", "util_vm_role", "batch_stepping", "telemetry",
         }
         switches = {name for name, kind in fields.items() if kind in (bool, "bool")}
-        assert switches - {"telemetry"} == {"keyed_network_jitter", "batch_stepping"}
+        assert switches - {"telemetry"} == {"batch_stepping"}
+        # ... kept for the equivalence suites' per-event reference and because
+        # bench_e2e assigns it; nothing a user runs turns it off.
+        assert RuntimeConfig().batch_stepping is True
+        assert RuntimeConfig.for_dsm().copy().batch_stepping is True
 
-    def test_the_heap_tier_flag_is_gone_from_the_source_tree(self):
+    def test_deleted_flags_are_gone_from_the_source_tree(self):
+        import dataclasses
         from pathlib import Path
 
-        with pytest.raises(AttributeError):
-            RuntimeConfig().batch_vectorize = False
+        from repro.cli import build_parser
+        from repro.sim.shard import ShardSpec
+
+        for name in ("batch_vectorize", "keyed_network_jitter"):
+            with pytest.raises(AttributeError):
+                setattr(RuntimeConfig(), name, False)
+        assert "batch_stepping" not in {field.name for field in dataclasses.fields(ShardSpec)}
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["shard", "--classic"])
         src = Path(__file__).resolve().parent.parent / "src"
+        # "classic" as an option or attribute, not the English word.
+        gone = ("batch_vectorize", "keyed_network_jitter", "--classic", ".classic", "jitter_sampler")
         mentions = [
-            str(path.relative_to(src)) for path in sorted(src.rglob("*.py"))
-            if "batch_vectorize" in path.read_text(encoding="utf-8")
+            (str(path.relative_to(src)), name) for path in sorted(src.rglob("*.py"))
+            for name in gone if name in path.read_text(encoding="utf-8")
         ]
         assert mentions == []

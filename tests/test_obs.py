@@ -212,12 +212,15 @@ class TestControlPlaneTrace:
         assert after == before
 
     def test_batch_stepper_tiers_and_declines_scraped(self, traced):
-        # The classic engine has no stepper: no engine.batch series at all.
-        assert not any(
-            s["subsystem"] == "engine.batch" for s in traced.telemetry.registry.snapshot()
-        )
+        # Every run has a stepper now: the surge run's series say what it did.
+        scraped = {
+            (s["name"], s["labels"].get("reason")): s["value"]
+            for s in traced.telemetry.registry.snapshot() if s["subsystem"] == "engine.batch"
+        }
+        stepper = traced.runtime.batch_stepper
+        assert scraped["cascades", None] == stepper.cascades > 0
+        assert scraped["declines", "source-paused"] == stepper.declines["source-paused"] > 0
         config = fast_config("dsm")
-        config.batch_stepping = True
         config.telemetry = True
         sim = Simulator()
         runtime = TopologyRuntime(
@@ -225,8 +228,8 @@ class TestControlPlaneTrace:
         )
         runtime.deploy()
         runtime.start()
-        for _ in range(8):  # windowed, across the periodic checkpoint waves
-            sim.run(until=sim.now + 1.0)
+        for _ in range(4):  # windowed, across the periodic checkpoint waves
+            sim.run(until=sim.now + 2.5)
         stepper = runtime.batch_stepper
         assert stepper.cascades > 0 and stepper.declines
         for _ in range(2):  # rescrapes overwrite, never double-count
@@ -243,6 +246,7 @@ class TestControlPlaneTrace:
             assert series.pop(("plan_builds", None)) == stepper.plan_builds == 1
             assert {reason: count for (_, reason), count in series.items()} == stepper.declines
         assert "inflight-unmodelled" in stepper.declines  # a checkpoint wave in flight
+        assert "short-window" in stepper.declines  # what the wave left of its window
 
     @pytest.mark.parametrize("reason", ["custom-logic", "duplicate-edges"])
     def test_dataflows_that_never_engage_are_tallied_by_name(self, reason):
@@ -258,7 +262,6 @@ class TestControlPlaneTrace:
         if reason == "duplicate-edges":  # the builder refuses them; Dataflow itself does not
             dataflow = Dataflow(reason, dataflow.tasks, dataflow.edges + [Edge("a", "sink")])
         config = fast_config("dcr")
-        config.batch_stepping = True
         config.telemetry = True
         sim = Simulator()
         runtime = TopologyRuntime(dataflow, build_cluster(sim), sim=sim, config=config)

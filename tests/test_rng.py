@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import inspect
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import RandomSource, rng
-from repro.sim.rng import keyed_value, keyed_value_blocks
+from repro.sim.rng import KeyedStream, keyed_value, keyed_value_blocks
 
 
 class TestRandomSource:
@@ -105,3 +106,95 @@ class TestKeyedValueBlocks:
                      "<mutant keyed_value_blocks>", "exec"), namespace)
         with pytest.raises(AssertionError):
             check_streams(cases, namespace["keyed_value_blocks"])
+
+
+# ---------------------------------------------------------------------------
+# A KeyedStream draws ahead in blocks, and the level sweep moves every
+# channel's ``counter`` past the draws it made itself after each cascade.  The
+# block is a cache of ``keyed_value(seed, position)``: whatever draws and
+# counter writes interleave, draw ``n`` of a stream is the scalar value at
+# position ``n``, and ``counter`` reads the position of the next draw.
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("draw"), st.integers(min_value=1, max_value=150)),
+        # writes: a short hop (mostly inside the block), a jump, an absolute position
+        st.tuples(st.just("skip"), st.integers(min_value=0, max_value=70)),
+        st.tuples(st.just("skip"), st.integers(min_value=100, max_value=5000)),
+        st.tuples(st.just("seek"), st.integers(min_value=0, max_value=400)),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def check_interleaving(seed, ops, stream_cls=KeyedStream):
+    stream = stream_cls(seed)
+    position = 0
+    for op, amount in ops:
+        if op == "draw":
+            drawn = [stream.random() for _ in range(amount)]
+            assert drawn == [keyed_value(seed, position + i) for i in range(amount)], (op, position)
+            position += amount
+        elif op == "skip":  # the sweep's write-back: ``counter += n``
+            stream.counter += amount
+            position += amount
+        else:
+            stream.counter = position = amount
+        assert stream.counter == position
+
+
+#: Draws off the end of a block, writes that land inside it, on its last entry
+#: and one past it, a write back to a position already drawn, and the scalar
+#: run of a repositioned stream ending mid-draw.
+_INTERLEAVINGS = (
+    [("draw", 200)],
+    [("draw", 9), ("skip", 3), ("draw", 80), ("skip", 60), ("draw", 5)],
+    [("draw", 8), ("draw", 1), ("skip", 63), ("draw", 2), ("skip", 62), ("draw", 3)],
+    [("draw", 30), ("seek", 12), ("draw", 30), ("seek", 0), ("draw", 100)],
+    [("skip", 1000), ("draw", 3), ("skip", 4000), ("draw", 3), ("skip", 2), ("draw", 90)],
+)
+
+
+class TestKeyedStreamBlocks:
+    @given(seed=st.integers(min_value=0, max_value=(1 << 64) - 1), ops=_OPS)
+    @settings(max_examples=200, deadline=None)
+    def test_draws_and_counter_writes_interleaved_match_the_scalar_draws(self, seed, ops):
+        check_interleaving(seed, ops)
+
+    def test_the_corpus_passes_and_a_stale_block_fails_it(self):
+        for ops in _INTERLEAVINGS:
+            check_interleaving(2018, ops)
+        # A write that keeps the block but not its place in it: the next draws
+        # repeat values already handed out.
+        setter = KeyedStream.counter.fset
+        source = textwrap.dedent(inspect.getsource(setter))
+        site = "del self._block[keep:]"
+        assert site in source, f"mutation site {site!r} is gone from KeyedStream.counter"
+        namespace = dict(vars(rng))
+        exec(compile(source.replace("@counter.setter", "").replace(site, "pass"),
+                     "<mutant counter>", "exec"), namespace)
+        mutant = type("StaleStream", (KeyedStream,), {
+            "__slots__": (), "counter": property(KeyedStream.counter.fget, namespace["counter"]),
+        })
+        with pytest.raises(AssertionError):
+            for ops in _INTERLEAVINGS:
+                check_interleaving(2018, ops, mutant)
+
+    def test_a_write_inside_the_block_keeps_it_and_one_outside_starts_with_scalars(self, monkeypatch):
+        calls = []
+        mix = rng._mix  # one call a block
+        monkeypatch.setattr(rng, "_mix", lambda z: calls.append(len(z)) or mix(z))
+        stream = KeyedStream(7)
+        for _ in range(rng._SCALAR_DRAWS + 1):  # the scalar run, then the first block
+            stream.random()
+        assert len(calls) == 1
+        stream.counter += rng._BLOCK_DRAWS // 2  # the sweep's write-back, inside the block
+        stream.random()
+        assert len(calls) == 1
+        stream.counter += 10 * rng._BLOCK_DRAWS  # ... and far outside it
+        for _ in range(rng._SCALAR_DRAWS):
+            stream.random()
+        assert len(calls) == 1, "a repositioned stream paid a block for a handful of draws"
+        stream.random()
+        assert len(calls) == 2

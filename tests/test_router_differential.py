@@ -2,17 +2,17 @@
 
 ``ReferenceRouter`` below keeps the arithmetic the router had before the data
 plane was compiled: route plans by task name, a shuffle counter by
-``(sender, destination task)``, and the base latency, keyed jitter stream and
-FIFO time of a channel each in its own ``(sender, receiver)``-keyed dict,
-with every delivery scheduled by executor *id* through ``runtime.deliver``.
+``(sender, destination task)``, and the base latency, keyed jitter position and
+FIFO time of a channel each in its own ``(sender, receiver)``-keyed dict
+(every jitter value the scalar ``keyed_value`` of its ``(seed, position)``:
+the router's streams draw ahead in blocks), with every delivery scheduled by executor *id* through ``runtime.deliver``.
 The two routers are driven by the same generated schedule of ``route``
 calls (single edge, fan-out, SHUFFLE / FIELDS / GLOBAL / ALL, multi-event
 batches), ``send_direct`` control events on the same channels,
 ``invalidate_caches()``, executor outages and ``rescale()`` retiring and
 re-spawning an executor id with deliveries in flight.  Everything observable
 must be bit-equal: delivery times, targets, event ids, senders, and the drop
-and deferred records -- under the shared and the keyed jitter stream, with
-and without acking.
+and deferred records -- with and without acking.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from repro.engine.executor import CHECKPOINT_SOURCE_ID, Executor, ExecutorStatus
 from repro.engine.router import Router
 from repro.engine.runtime import TopologyRuntime
 from repro.sim import Simulator
+from repro.sim.rng import keyed_value
 
 from tests.conftest import build_cluster, fast_config, mutant, patched
 
@@ -48,11 +49,8 @@ class ReferenceRouter:
         network = runtime.cluster.network
         self._network = network
         self._jitter_fraction = network.jitter_fraction
-        self._jitter_random = network.jitter_sampler().__self__.random
         self._jitter_low = -self._jitter_fraction
         self._jitter_span = self._jitter_fraction - self._jitter_low
-        config = runtime.config
-        self._keyed = bool(config.keyed_network_jitter or config.batch_stepping)
 
     def invalidate_caches(self):
         self._route_plans.clear()
@@ -139,15 +137,12 @@ class ReferenceRouter:
                 runtime.executor_vm(sender_id), runtime.executor_vm(target)
             )
         if self._jitter_fraction > 0:
-            if self._keyed:
-                stream = self._keyed_jitter.get(channel)
-                if stream is None:
-                    stream = self._keyed_jitter[channel] = self._network.keyed_jitter_stream(
-                        sender_id, target
-                    )
-                draw = stream.random()
-            else:
-                draw = self._jitter_random()
+            position = self._keyed_jitter.get(channel)
+            if position is None:
+                position = [self._network.keyed_jitter_stream(sender_id, target).seed, 0]
+                self._keyed_jitter[channel] = position
+            draw = keyed_value(*position)
+            position[1] += 1
             latency = base * (1.0 + (self._jitter_low + self._jitter_span * draw))
             if latency < 0.0:
                 latency = 0.0
@@ -208,7 +203,6 @@ def run_schedule(schedule, router_cls):
     reset_event_ids()
     sim = Simulator()
     config = fast_config("dsm" if schedule["acked"] else "dcr")
-    config.keyed_network_jitter = schedule["keyed"]
     config.reliability.periodic_checkpoint_interval_s = None
     runtime = TopologyRuntime(
         groupings_dataflow(), build_cluster(sim, worker_vms=10), sim=sim, config=config
@@ -329,7 +323,6 @@ _OPS = st.one_of(
     st.tuples(_GAP_US, st.just("outage")),
 )
 _SCHEDULES = st.fixed_dictionaries({
-    "keyed": st.booleans(),
     "acked": st.booleans(),
     "ops": st.lists(_OPS, min_size=4, max_size=40),
 })
@@ -361,10 +354,9 @@ def _corpus():
     # An outage in place: the transport defers data, drops control.
     deferred = [(0, "route", 1, 3, 0), (100, "outage"), (0, "route", 1, 4, 2), (0, "direct", 1),
                 (0, "direct", 6), (2500, "outage"), (0, "route", 2, 2, 0)]
-    for keyed in (False, True):
-        for acked in (False, True):
-            for ops in (same_instant, carry_on, in_flight, deferred):
-                yield {"keyed": keyed, "acked": acked, "ops": ops}
+    for acked in (False, True):
+        for ops in (same_instant, carry_on, in_flight, deferred):
+            yield {"acked": acked, "ops": ops}
 
 
 def test_the_corpus_passes_and_seeded_mutations_fail_it():

@@ -67,13 +67,17 @@ class TestWorkerCount:
         assert shard_worker_count(32) == 8
 
     def test_env_var_zero_means_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_SHARDS", "0")
-        assert shard_worker_count(4) == 4
-        assert shard_worker_count(32) == 8
+        for auto in ("0", "", "  "):
+            monkeypatch.setenv("REPRO_SIM_SHARDS", auto)
+            assert shard_worker_count(4) == 4
+            assert shard_worker_count(32) == 8
 
-    def test_invalid_env_var_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_SHARDS", "not-a-number")
-        assert 1 <= shard_worker_count(4) <= 4
+    @pytest.mark.parametrize("value", ["banana", "-3", "2.5"])
+    def test_invalid_env_var_is_refused_by_name(self, monkeypatch, value):
+        # It used to resolve to "auto": a typo silently sized the pool.
+        monkeypatch.setenv("REPRO_SIM_SHARDS", value)
+        with pytest.raises(ValueError, match=f"REPRO_SIM_SHARDS.*{value}"):
+            shard_worker_count(4)
 
     def test_default_capped_at_shards(self, monkeypatch):
         monkeypatch.delenv("REPRO_SIM_SHARDS", raising=False)
@@ -163,13 +167,24 @@ class TestShardedRunDeterminism:
             int(r.summary["distinct_roots_received"]) for r in result.results
         )
 
-    def test_batched_and_classic_shards_agree_on_times(self):
-        # Shard workers default to batch stepping, which is equivalent to the
-        # classic kernel modulo event-id assignment order — so the merged
-        # emission/receipt *times* must match exactly even though the digests
-        # (which hash the ids) differ.
+    def test_batched_and_classic_shards_agree_on_times(self, monkeypatch):
+        # Shard workers run the engine's default, the batch stepper, which is
+        # equivalent to the per-event kernel modulo event-id assignment order
+        # — so the merged emission/receipt *times* must match exactly even
+        # though the digests (which hash the ids) differ.
+        from repro.core.dcr import DrainCheckpointRestore
+        from repro.engine.config import RuntimeConfig
+
         batched = run_sharded_experiment(workers=1, **self.ARGS)
-        classic = run_sharded_experiment(workers=1, batch_stepping=False, **self.ARGS)
+
+        def per_event_config(cls, seed=2018):
+            config = RuntimeConfig.for_dcr(seed=seed)
+            config.batch_stepping = False
+            return config
+
+        monkeypatch.setattr(DrainCheckpointRestore, "runtime_config", classmethod(per_event_config))
+        classic = run_sharded_experiment(workers=1, **self.ARGS)
+        assert classic.digest != batched.digest
         assert classic.log.emit_times == batched.log.emit_times
         assert classic.log.receipt_times == batched.log.receipt_times
 

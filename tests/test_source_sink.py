@@ -166,12 +166,15 @@ class TestSink:
 # A throttled spout used to poll ``max.spout.pending`` at every point of its
 # drain grid; it now parks and is re-armed by the events that can change the
 # poll's outcome.  ``PollingSpout`` keeps the old loop as the reference, and
-# the two are run over generated schedules.  On the classic kernel everything
-# observable must be bit-equal, only the kernel-event count may differ -- by
-# exactly the polls the reference spent finding the spout still throttled.
-# Under batch stepping the reference stays on the per-event kernel (keyed
-# jitter; the stepper sweeps no executor subclass) and the two must agree
-# modulo event ids.
+# the two are run over generated schedules.  On the per-event kernel
+# everything observable must be bit-equal, only the kernel-event count may
+# differ -- by exactly the polls the reference spent finding the spout still
+# throttled.  Under batch stepping the reference stays on the per-event kernel
+# (the stepper sweeps no executor subclass) and the two must agree modulo
+# event ids.  The stepper's cost rule declines a window of fewer than
+# ``_MIN_WINDOW_ROOTS`` roots: at a pending cap of 1 or 4, or below ≈ 11 ev/s
+# under the 1.5 s ack timeout, its leg is the kernel plus the rule, and only
+# the schedules the rule lets through are required to have cascaded.
 
 import inspect
 import math
@@ -255,16 +258,15 @@ def mutant_spout(method, old, new):
     return type("MutantSpout", (SourceExecutor,), {"__slots__": (), method: namespace[method]})
 
 
-def run_schedule(spout_cls, schedule, engine="classic"):
+def run_schedule(spout_cls, schedule, stepper=False):
     """Run one generated schedule with ``spout_cls`` as the source executor, on
-    the ``classic`` kernel, the classic ``keyed`` kernel or the batch ``stepper``."""
+    the per-event kernel or with the batch stepper taking the ticks it wants."""
     reset_event_ids()
     config = fast_config("dsm", ack_timeout_s=ACK_TIMEOUT_S)
     config.timing.source_max_burst_rate = BURST_RATE
     config.reliability.max_spout_pending = schedule["pending"]
     config.reliability.throttled_ticks_generate_backlog = schedule["backlog"]
-    config.keyed_network_jitter = engine == "keyed"
-    config.batch_stepping = engine == "stepper"
+    config.batch_stepping = stepper
     sim = Simulator()
     runtime = TopologyRuntime(
         tiny_dataflow(rate=schedule["rate"]), build_cluster(sim), sim=sim, config=config
@@ -338,7 +340,7 @@ def modulo_ids(observed):
 def check_schedule(schedule, spout_cls=SourceExecutor):
     """The differential property for one schedule, on both engines; returns
     the cascades the stepper ran (0 when ``spout_cls`` never got to it)."""
-    # On the classic kernel everything observable is bit-equal.
+    # On the per-event kernel everything observable is bit-equal.
     expected, reference = run_schedule(PollingSpout, schedule)
     observed, runtime = run_schedule(spout_cls, schedule)
     for key in expected:
@@ -353,11 +355,10 @@ def check_schedule(schedule, spout_cls=SourceExecutor):
     assert saved == polling.throttled_polls - polling.throttled_streaks, schedule
     if spout_cls is not SourceExecutor:
         return 0  # the stepper sweeps no executor subclass: its leg would be the kernel again
-    # Under batch stepping the reference is the polling spout on the classic
-    # keyed kernel, and the two agree modulo ids -- through the loss windows
+    # Under batch stepping the reference is still the polling spout on the
+    # per-event kernel, and the two agree modulo ids -- through the loss windows
     # too, where the same trees must fail and be replayed at the same times.
-    expected, reference = run_schedule(PollingSpout, schedule, "keyed")
-    observed, runtime = run_schedule(spout_cls, schedule, "stepper")
+    observed, runtime = run_schedule(spout_cls, schedule, stepper=True)
     expected, observed = modulo_ids(expected), modulo_ids(observed)
     for key in expected:
         assert observed[key] == expected[key], (key, "stepper", schedule)
@@ -411,10 +412,14 @@ _SCHEDULES = st.fixed_dictionaries({
 @given(schedule=_SCHEDULES)
 def test_wake_on_ack_matches_the_polling_spout(schedule):
     cascades = check_schedule(schedule)
-    first_action_ms = min((action[0] for action in schedule["actions"]), default=math.inf)
-    if 1000.0 / schedule["rate"] < first_action_ms:
-        # The first emit tick finds the runtime as it was started: the
-        # stepper leg did compare the stepper, not the kernel with itself.
+    first_action_s = min((action[0] / 1000.0 for action in schedule["actions"]), default=math.inf)
+    # The first emit tick finds the runtime as it was started, and its window
+    # runs to the first action or the ack timeout, whichever is first.
+    window_s = min(first_action_s - 1.0 / schedule["rate"], ACK_TIMEOUT_S)
+    floor = batch_module._MIN_WINDOW_ROOTS
+    if window_s * schedule["rate"] >= floor and schedule["pending"] >= floor:
+        # ... which the cost rule lets through: the stepper leg did compare
+        # the stepper, not the kernel with itself.
         assert cascades > 0, ("stepper never engaged", schedule)
 
 
@@ -425,6 +430,7 @@ def test_wake_on_ack_matches_the_polling_spout(schedule):
 #: at the paper's cap of 96, where trees time out while their events are still
 #: queued and the stragglers of a failed tree ack into its replay -- whether
 #: such a tree then reads complete hangs on the id values unless ids are hashed.
+#: The last two put an outage and a pause inside windows the stepper sweeps.
 _CORPUS = (
     {"pending": 1, "backlog": True, "rate": 50.0, "actions": []},
     {"pending": 4, "backlog": False, "rate": 20.0,
@@ -435,12 +441,19 @@ _CORPUS = (
     {"pending": 96, "backlog": True, "rate": 200.0, "actions": []},
     {"pending": 96, "backlog": False, "rate": 8.0,
      "actions": [(100, "pause"), (100, "set_rate", 100.0), (101, "unpause")]},
+    {"pending": 96, "backlog": True, "rate": 20.0,
+     "actions": [(1000, "kill", "b#1"), (3200, "revive", "b#1")]},
+    {"pending": 96, "backlog": False, "rate": 50.0,
+     "actions": [(1503, "pause"), (1507, "unpause"), (2000, "kill", "c#0"), (2600, "revive", "c#0"),
+                 (3001, "source_kill"), (3005, "source_ready"), (5000, "stop")]},
 )
 
 
 def test_the_corpus_passes_and_seeded_mutations_fail_it(monkeypatch):
-    for schedule in _CORPUS:
-        assert check_schedule(schedule) > 0, ("stepper never engaged", schedule)
+    engaged = [check_schedule(schedule) > 0 for schedule in _CORPUS]
+    # A cap below the cost rule's floor never holds a window worth a sweep.
+    assert engaged == [schedule["pending"] == 96 for schedule in _CORPUS]
+    assert engaged.count(True) >= 4
 
     def corpus_with(spout_cls):
         for schedule in _CORPUS:

@@ -112,6 +112,32 @@ class TestProtocolPhases:
             assert executor.vm_id.startswith("target")
 
 
+class TestOverlappingMigrations:
+    def test_a_second_migrate_while_one_is_in_flight_is_refused(self):
+        """It used to be accepted, two seconds into a DCR migration, and to
+        return a report whose ``prepare_completed_at`` stayed ``None``."""
+        from repro.engine.runtime import RuntimeError_
+
+        runtime = make_runtime(strategy="dcr")
+        runtime.start()
+        runtime.sim.run(until=3.0)
+        new_vms = CloudProvider(runtime.sim).provision(D3, 2, name_prefix="target")
+        for vm in new_vms:
+            runtime.cluster.add_vm(vm)
+        plan = plan_after_scaling(runtime, [vm.vm_id for vm in new_vms])
+        first = DrainCheckpointRestore(runtime, init_resend_interval_s=0.2).migrate(plan)
+        runtime.sim.run(until=5.0)
+        assert not first.is_complete
+        with pytest.raises(RuntimeError_, match="dcr migration requested at t=3.000s is still in flight"):
+            CaptureCheckpointResume(runtime).migrate(plan)
+        runtime.sim.run(until=30.0)
+        assert first.is_complete and runtime.migration is first
+        # ... and once it has completed, the next one is welcome.
+        again = DrainCheckpointRestore(runtime, init_resend_interval_s=0.2).migrate(plan)
+        runtime.sim.run(until=60.0)
+        assert again.is_complete and again.prepare_completed_at is not None
+
+
 class TestReliabilityGuarantees:
     @pytest.mark.parametrize("name", ["dcr", "ccr"])
     def test_no_message_loss_for_dcr_and_ccr(self, name):
