@@ -90,14 +90,18 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    result = run_migration_experiment(
-        dag=args.dag,
-        strategy=args.strategy,
-        scaling=args.scaling,
-        migrate_at_s=args.migrate_at,
-        post_migration_s=args.duration,
-        seed=args.seed,
-    )
+    try:
+        result = run_migration_experiment(
+            dag=args.dag,
+            strategy=args.strategy,
+            scaling=args.scaling,
+            migrate_at_s=args.migrate_at,
+            post_migration_s=args.duration,
+            seed=args.seed,
+        )
+    except ValueError as error:  # e.g. a run that ends before the dataflow is restored
+        print(f"repro experiment: error: {error}", file=sys.stderr)
+        return 2
     print(format_table([result.metrics.as_dict()], title="Migration metrics (§4)"))
     report = result.report
     print()
@@ -110,6 +114,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             print(f"  {field:32s} {value - report.requested_at:8.2f}")
     print()
     print(format_table([result.log.summary()], title="Run summary"))
+    print("\n" + engine_line(engine_counts([result.runtime])))
     return 0
 
 
@@ -317,6 +322,7 @@ def _cmd_rescale(args: argparse.Namespace) -> int:
             )
             print(f"  {summary.mode:9s} scale-{action.direction} at t={action.decided_at:7.1f}s "
                   f"({action.from_tier}->{action.to_tier}): {changed}")
+        print(f"  {summary.mode:9s} {engine_line(engine_counts([summary.result.runtime]))}")
     print()
     if result.capacity_wins:
         print(f"Capacity-adding rescale wins: {result.latency_improvement:.2f}x lower mean "
@@ -372,6 +378,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             print(f"  {summary.policy:13s} scale-{action.direction} at t={action.decided_at:7.1f}s "
                   f"({action.from_tier}->{action.to_tier}) trigger={trigger} "
                   f"forecast={action.forecast_rate:.1f} ev/s observed={action.observed_rate:.1f} ev/s")
+        print(f"  {summary.policy:13s} {engine_line(engine_counts([summary.result.runtime]))}")
     baseline = result.reactive
     best = result.best_predictive()
     if baseline is not None and best is not None:

@@ -77,13 +77,18 @@ def compute_migration_metrics(
     dataflow (e.g. 32 ev/s for Grid), used by the stabilization detector.
     """
     requested_at = report.requested_at
+    if report.rebalance_command_completed_at is None:
+        phase = "rebalance command" if report.rebalance_started_at is not None else "drain / capture"
+        raise ValueError(
+            f"the run ended inside the {phase} of the {report.strategy} migration requested "
+            f"at t={requested_at:.1f}s: the "
+            "dataflow was never restored, so none of the §4 metrics exists -- run longer"
+        )
 
     # The output gap starts when the rebalance kills executors; it ends with
     # the first sink receipt after the rebalance command has completed (before
     # that, only events already in transit to the sink can arrive).
     threshold = report.rebalance_command_completed_at
-    if threshold is None:
-        threshold = report.rebalance_started_at if report.rebalance_started_at is not None else requested_at
 
     first_after = log.first_receipt_after(threshold)
     restore = first_after.time - requested_at if first_after is not None else None

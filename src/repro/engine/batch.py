@@ -52,7 +52,7 @@ import math
 from bisect import bisect_right
 from collections import Counter, namedtuple
 from operator import itemgetter
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -112,6 +112,8 @@ class BatchStepper:
         self.cascades = 0
         #: Simulated events materialized inline instead of via the kernel.
         self.inline_events = 0
+        #: Simulated seconds the cascades covered.
+        self.swept_s = 0.0
         #: Source ticks handed back to the classic per-event path, by reason.
         self.declines: Dict[str, int] = {}
         #: Array rounds of the sweep: one per block per level for the service
@@ -165,8 +167,10 @@ class BatchStepper:
 
         Then the phases, each a function or a :class:`_Sweep` method: in-flight
         scan, emission schedule, ingestion, one service and one shipping round
-        per level, the spills, the ack fold, the log commit.  Ids are drawn in
-        sweep order: roots first, then spilled events, then receipts.
+        per level, the spills, the ack fold, the log commit -- and for a
+        backlogged spout held at its pending cap the emission schedule last,
+        from the fold's completion times.  Ids are drawn in sweep order: roots
+        first, then spilled events, then receipts.
         """
         runtime = self.runtime
         sim = runtime.sim
@@ -183,12 +187,10 @@ class BatchStepper:
             return verdict[1]
         if source.paused or source.status is not _RUNNING:
             return "source-paused"
-        if source._backlog or source._replay_queue:
-            return "source-backlog"
-        if source._drain_next is not None:
-            # Parked drain chain: a tree completing inside the cascade would
-            # have to re-arm it against the kernel clock, which sits at entry.
-            return "throttled"
+        if source._replay_queue or source._replay_counts:
+            # Queued, or emitted and its tree still pending: a replay
+            # re-registers a tree, which the sweep's fold does not.
+            return "source-replays"
         if runtime._deferred_deliveries:
             return "deferred-deliveries"
         now0 = sim.now
@@ -196,14 +198,24 @@ class BatchStepper:
         if (limit - now0) * rate < _MIN_WINDOW_ROOTS:
             return "short-window"
         acked = runtime.ack_data_events
-        headroom = None
-        if acked:
-            headroom = source.pending_headroom()
-            if headroom == 0:
-                return "throttled"  # the per-event path parks and wakes the spout
-            if headroom is not None and headroom < _MIN_WINDOW_ROOTS:
+        cap = runtime.reliability.max_spout_pending if acked else None
+        pending = runtime.acker.pending_count
+        draining = source.draining
+        burst = runtime.timing.source_max_burst_rate
+        if draining:
+            # The drain chain is absorbed on its own grid (_emission_schedule),
+            # which a spout generating at its burst rate does not keep, and a
+            # tick the cap holds back must join the backlog.
+            if max(rate, source.rate) >= burst or not (
+                cap is None or runtime.reliability.throttled_ticks_generate_backlog
+            ):
+                return "throttled"
+        elif cap is not None:
+            if pending >= cap:
+                return "throttled"  # the per-event path starts the drain chain
+            if cap - pending < _MIN_WINDOW_ROOTS:
                 return "short-window"  # the cap ends the stretch after that many roots
-        horizon = sim.next_timer_time()
+        horizon = sim.next_timer_time(skip=source.drain_poll)
         if horizon <= now0:
             return "timer-due"  # another timer is due immediately; do not pass it
         if acked:
@@ -224,18 +236,39 @@ class BatchStepper:
         inflight = _scan_inflight(runtime, acked)
         if isinstance(inflight, str):
             return inflight
-        ticks, next_tick, idle_from, hor = _emission_schedule(source, now0, limit, horizon, headroom)
-        # Inline iff time < horizon and time <= limit: one exclusive bound.
-        bound = hor if hor <= limit else math.nextafter(limit, math.inf)
-        sweep = _Sweep(runtime, plan, source, ticks, bound, acked)
+        # A backlogged spout at its cap emits one entry per completed tree: a
+        # closed loop, swept for as long as no root it emits can start service
+        # (the first hop's slack).  Then the window's completions are those of
+        # adopted work alone and the emissions follow from them.
+        held = draining and cap is not None
+        if held:
+            slack = _first_hop_slack(plan, plan.by_id[source.executor_id], inflight[1])
+            if slack is None:
+                return "no-first-hop-slack"
+            horizon = min(horizon, slack)
+        headroom = None if draining or cap is None else cap - pending
+        ticks, next_tick, idle_from, horizon = _generator_ticks(
+            source, now0, limit, horizon, headroom, burst if draining else math.inf
+        )
+        bound = _bound(horizon, limit)
+        chain = source.yield_drain() if draining else None
+        emission = _NO_EMISSION
+        if not held:
+            emission = _emission_schedule(source, ticks, bound, cap, pending, chain)
+        sweep = _Sweep(runtime, plan, source, emission, bound, acked)
+        if held:
+            sweep.ack_spans = []
         sweep.ingest(*inflight)
         for level in plan.levels:
             sweep.serve(level)
             sweep.ship(level)
         sweep.spill()
-        if acked:
-            sweep.fold_acks()
+        completions = sweep.fold_acks() if acked else ()
         sweep.commit_receipts()
+        if held:
+            sweep.emit_held(
+                _emission_schedule(source, ticks, bound, cap, pending, chain, completions)
+            )
 
         # Re-arm the source exactly as _arm_emit_timer would.
         if idle_from is not None:
@@ -246,6 +279,7 @@ class BatchStepper:
             source._emit_timer = sim.schedule_at(next_tick, source._emit_tick)
 
         self.cascades += 1
+        self.swept_s += min(horizon, limit) - now0
         self.inline_events += sweep.inline
         self.rounds += sweep.rounds
         self.scan_fallbacks += sweep.fallbacks
@@ -254,25 +288,33 @@ class BatchStepper:
 
 # ------------------------------------------------------ which engine ran it
 def engine_counts(runtimes) -> Counter:
-    """Simulated events per engine (``stepper``, ``kernel``) and declined ticks
-    by reason over ``runtimes``: a picklable tally that adds up across runs."""
+    """Simulated events (``stepper``, ``kernel``) and seconds (``swept_s`` of
+    ``sim_s``) per engine and declined ticks by reason over ``runtimes``: a
+    picklable tally that adds up across runs."""
     counts: Counter = Counter()
     for sim in {id(runtime.sim): runtime.sim for runtime in runtimes}.values():
         counts["kernel"] += sim.processed_events  # a shared simulator once
+        counts["sim_s"] += sim.now
     for runtime in runtimes:
         if runtime.batch_stepper is not None:
             counts["stepper"] += runtime.batch_stepper.inline_events
+            counts["swept_s"] += runtime.batch_stepper.swept_s
             counts.update(runtime.batch_stepper.declines)
     return counts
 
 
 def engine_line(counts: Counter) -> str:
     """The line a ``repro`` run prints: "engine: stepper 97 % / kernel 3 % of
-    96226 events: short-window 128, source-paused 257"."""
+    96226 events, 91 % / 9 % of 630 s: short-window 128, source-paused 257"."""
     stepper, events = counts["stepper"], counts["stepper"] + counts["kernel"]
     share = round(100.0 * stepper / events) if events else 0
-    reasons = [f"{name} {n}" for name, n in sorted(counts.items()) if name not in ("stepper", "kernel")]
-    line = f"engine: stepper {share} % / kernel {100 - share} % of {events} events"
+    swept = round(100.0 * counts["swept_s"] / counts["sim_s"]) if counts["sim_s"] else 0
+    tallies = ("stepper", "kernel", "swept_s", "sim_s")
+    reasons = [f"{name} {n}" for name, n in sorted(counts.items()) if name not in tallies]
+    line = (
+        f"engine: stepper {share} % / kernel {100 - share} % of {events} events, "
+        f"{swept} % / {100 - swept} % of {counts['sim_s']:.0f} s"
+    )
     return line + (": " + ", ".join(reasons) if reasons else "")
 
 
@@ -462,18 +504,45 @@ def _scan_inflight(runtime: "TopologyRuntime", acked: bool):
     return deliveries, busy
 
 
-def _emission_schedule(
-    source: SourceExecutor, now0: float, limit: float, hor: float, headroom: Optional[int]
-) -> Tuple[np.ndarray, Optional[float], Optional[float], float]:
-    """The stretch's emission ticks: ``(ticks, next_tick, idle_from, horizon)``.
+def _first_hop_slack(plan: _SweepPlan, source: _Node, busy: Dict[Executor, tuple]) -> Optional[float]:
+    """Until when no root emitted from now on can start service: the earliest
+    time an instance the source sends to gets through the work it holds (the
+    service in progress, then its queue, by the kernel's own adds).  ``None``
+    when one of them holds fewer than :data:`_MIN_WINDOW_ROOTS` services or
+    hears from anyone but the source, whose arrivals a root could overtake.
+    """
+    slack = math.inf
+    for _grouping, num, first, _cursor in source.edges:
+        for channel in plan.channels[first:first + num]:
+            node = plan.by_id[channel.target_id]
+            queued = len(node.executor.input_queue)
+            if (
+                node.executor not in busy
+                or queued + 1 < _MIN_WINDOW_ROOTS
+                or any(plan.senders[c] is not source for c in node.feeds)
+            ):
+                return None
+            ends = sequential_sums(busy[node.executor][0], node.service, queued)
+            slack = min(slack, float(ends[-1]))
+    return slack
 
-    The headroom cap is pessimistic but exact: pending can only shrink as
-    trees complete mid-stretch, so a stretch emitting at most ``limit -
-    pending`` roots never reaches a tick the classic path would have
-    throttled.  A capped stretch ends at the tick the cap held back -- which
-    must find the executors as the classic kernel would have them then -- so
-    the horizon is pulled in to it.  ``idle_from`` is the tick a profile went
-    idle at (the source then re-arms by idle recheck, not at ``next_tick``).
+
+def _bound(horizon: float, limit: float) -> float:
+    """Inline iff time < horizon and time <= limit: one exclusive bound."""
+    return horizon if horizon <= limit else math.nextafter(limit, math.inf)
+
+
+def _generator_ticks(
+    source: SourceExecutor, now0: float, limit: float, hor: float,
+    headroom: Optional[int], ceiling: float,
+) -> Tuple[np.ndarray, Optional[float], Optional[float], float]:
+    """The stretch's generator ticks: ``(ticks, next_tick, idle_from, horizon)``.
+
+    At most ``headroom`` of them, at rates below ``ceiling``: a stretch one of
+    the two ends before ``hor`` has its horizon pulled in to the tick held
+    back, which must find the executors as the classic kernel would have them
+    then.  ``idle_from`` is the tick a profile went idle at (the source then
+    re-arms by idle recheck, not at ``next_tick``).
     """
     idle_from: Optional[float] = None
     next_tick: Optional[float] = None
@@ -487,8 +556,11 @@ def _emission_schedule(
         tick_times: List[float] = []
         tick = now0
         while True:
-            tick_times.append(tick)
             rate = float(profile.rate_at(tick)) if profile is not None else source.rate
+            if rate >= ceiling and tick_times:
+                capped = True
+                break
+            tick_times.append(tick)
             if rate <= 0:
                 idle_from = tick
                 break
@@ -502,6 +574,92 @@ def _emission_schedule(
             tick = next_tick
         ticks = np.array(tick_times)
     return ticks, next_tick, idle_from, next_tick if capped else hor
+
+
+#: What a window emits: the emission times, which of them left the backlog
+#: (``False``: none) and the payloads already built, by root index (the
+#: others are ``_payload(first_sequence + index)``).
+_Emission = namedtuple("_Emission", "ticks backlogged payloads first_sequence")
+_NO_EMISSION = _Emission(np.empty(0), False, {}, 0)
+
+
+def _emission_schedule(
+    source: SourceExecutor, ticks: np.ndarray, bound: float, cap: Optional[int], pending: int,
+    chain: Optional[Tuple[float, float, bool]], completions: Sequence[float] = (),
+) -> _Emission:
+    """What the spout emits before ``bound``, given its generator ``ticks``;
+    the source is left as the window's end finds it (sequence, backlog, drain
+    chain -- the caller re-arms the emit timer).
+
+    *Not draining* (no backlog, no drain chain): every tick emits.  The
+    caller let the cap through pessimistically but exactly: pending can only
+    shrink as trees complete mid-stretch, so a stretch of at most ``cap -
+    pending`` ticks never reaches one the classic path would have throttled.
+
+    *Draining*: the ticks, the drain chain's polls and the trees completing at
+    ``completions`` (sorted; the caller swept them first, see
+    :func:`_first_hop_slack`) are merged in time order, a tie in the order the
+    kernel runs it -- the tick, armed a whole period ago, then the poll, then
+    the completion.  A tick joins the backlog (starting a chain one period on
+    if there is none), or emits if nothing holds it; a poll emits one backlog
+    entry, or parks the chain while the cap holds, or ends a chain with
+    nothing left; a completion re-arms a parked chain at its first grid point
+    at or after it, the grid advanced by the sequential adds ``_wake_drain``
+    and ``PeriodicTimer`` perform.  An uncapped spout whose chain has ended
+    emits every remaining tick, as arrays again.
+    """
+    backlog = source._backlog
+    first = source._sequence + 1 - len(backlog)
+    if chain is None and not backlog:
+        source._sequence += len(ticks)
+        return _Emission(ticks, False, {}, first)
+    fresh = 1.0 / max(source.rate, source.runtime.timing.source_max_burst_rate)
+    poll, period, parked = chain or (None, fresh, False)
+    emitted: List[float] = []
+    payloads: Dict[int, Any] = {}
+    gen = ticks.tolist()
+    g = c = parks = wakes = 0
+    inf = math.inf
+    while True:
+        tick = gen[g] if g < len(gen) else inf
+        done = completions[c] if c < len(completions) else inf
+        due = poll if poll is not None and not parked and poll < bound else inf
+        if tick <= due and tick <= done:
+            if tick == inf or (poll is None and cap is None and not backlog):
+                break
+            g += 1
+            source._sequence += 1
+            if backlog or (cap is not None and pending >= cap):
+                backlog.append(source._payload(source._sequence))
+                if poll is None:
+                    poll, period, parked = tick + fresh, fresh, False
+            else:
+                emitted.append(tick)
+                pending += 1
+        elif due <= done:
+            poll = due + period
+            if cap is not None and pending >= cap:
+                parked = True
+                parks += 1
+            elif backlog:
+                payloads[len(emitted)] = backlog.popleft()
+                emitted.append(due)
+                pending += 1
+            else:
+                poll = None
+        else:
+            c += 1
+            pending -= 1
+            if parked:
+                while poll < done:
+                    poll += period
+                parked = False
+                wakes += 1
+    source.resume_drain(None if poll is None else (poll, period, parked), parks, wakes)
+    source._sequence += len(gen) - g
+    backlogged = np.zeros(len(emitted) + len(gen) - g, dtype=bool)
+    backlogged[list(payloads)] = True
+    return _Emission(np.concatenate([emitted, ticks[g:]]), backlogged, payloads, first)
 
 
 # ----------------------------------------------------------------- the sweep
@@ -548,29 +706,30 @@ class _Sweep:
 
     def __init__(
         self, runtime: "TopologyRuntime", plan: _SweepPlan, source: SourceExecutor,
-        ticks: np.ndarray, bound: float, acked: bool,
+        emission: _Emission, bound: float, acked: bool,
     ) -> None:
         self.runtime = runtime
         self.plan = plan
         self.source = source
         self.acked = acked
         self.bound = bound
-        self.ticks = self.emitted = ticks
+        self.ticks = self.emitted = ticks = emission.ticks
         self.n_roots = n_roots = len(ticks)
-        self.first_sequence = source._sequence + 1
-        source._sequence += n_roots
+        self.first_sequence = emission.first_sequence
         rid0 = reserve_event_ids(n_roots)
         self.rids = np.arange(rid0, rid0 + n_roots, dtype=np.int64)
         # Bulk append (record_source_emit with replay_count=0, at_time=tick):
         # fresh root ids are never already emitted.  A pure array copy — no
         # per-event record.
-        runtime.log.extend_emits(ticks, self.rids, source.task.name)
+        runtime.log.extend_emits(
+            ticks, self.rids, source.task.name, from_backlog=emission.backlogged
+        )
         source.emitted_count += n_roots
         #: ``(event, sender id, hand the object back on a spill)`` per adopted event.
         self.adopted: List[Tuple[Event, str, bool]] = []
         #: node index -> the in-flight work it brought.
         self.arrived: Dict[int, _Adopted] = {}
-        self.payloads: Dict[int, Any] = {}
+        self.payloads: Dict[int, Any] = emission.payloads
         self.field_cache: Dict[int, np.ndarray] = {}
         #: Per plan channel: the in-bound ``(deliveries, roots, parent
         #: completion times)`` it shipped, or None.
@@ -584,6 +743,10 @@ class _Sweep:
         self.anchors = self.acks = self.residue = self.spilled = None
         self.anchor_pairs: List[Tuple[int, int]] = []
         self.ack_pairs: List[Tuple[int, int]] = []
+        #: ``(completions, roots, in-bound spans)`` per service round, the
+        #: acks' times -- kept only for a window whose emissions follow from
+        #: them (holding a round's arrays costs the next round its warm pages).
+        self.ack_spans: Optional[List[tuple]] = None
         #: Root indices of the adopted events a queue spill handed back.
         self.respilled: Set[int] = set()
         self.inline = n_roots
@@ -641,14 +804,22 @@ class _Sweep:
                 else:
                     sim.schedule_at_fast(when, target.deliver, (event, sender_id))
             for executor, (when, event) in busy.items():
-                work = self.arrived.setdefault(by_id[executor.executor_id].index, _Adopted())
-                work.seeded = count = 1 + len(executor.input_queue)
+                node = by_id[executor.executor_id]
+                work = self.arrived.setdefault(node.index, _Adopted())
+                queue = executor.input_queue
+                count = 1 + len(queue)
+                if count > _MIN_WINDOW_ROOTS:
+                    # A long queue is served back to back: what is behind the
+                    # first service to cross the bound stays where it is (the
+                    # spill queues whatever arrives behind it).
+                    ends = sequential_sums(when, node.service, count - 1)
+                    count = min(count, 1 + int(np.searchsorted(ends, self.bound)))
+                work.seeded = count
                 work.fixed = when
                 work.keys[0:0] = [-math.inf] * count
                 work.roots[0:0] = range(n_roots + len(adopted), n_roots + len(adopted) + count)
                 adopted.append((event, "", True))
-                adopted.extend((queued, sender, True) for queued, sender in executor.input_queue)
-                executor.input_queue.clear()
+                adopted.extend((*queue.popleft(), True) for _ in range(count - 1))
                 executor._busy = False  # re-established by the spill if needed
         if adopted:
             self.rids = np.concatenate([self.rids, [event.root_id for event, _, _ in adopted]])
@@ -773,6 +944,8 @@ class _Sweep:
             # at both process and sink completions): symbolically -- the
             # count cancels the ship-time anchor.
             self._count(self.acks, rts, done)
+            if self.ack_spans is not None:
+                self.ack_spans.append((completions, rts, done))
 
     @staticmethod
     def _count(counters: np.ndarray, rts: np.ndarray, spans: List[Tuple[int, int]]) -> None:
@@ -958,10 +1131,15 @@ class _Sweep:
         executor.input_queue.extend(entries[1:])
 
     # ------------------------------------------------------------ the commits
-    def fold_acks(self) -> None:
-        """Commit the ack stream: one bulk acker update per category."""
+    def fold_acks(self) -> List[float]:
+        """Commit the ack stream: one bulk acker update per category.  Where the
+        acks' times were kept, returns when each adopted tree that completed did
+        (the last of its acks, as the per-event path acks one by one), in order."""
         acker = self.runtime.acker
         n_roots = self.n_roots
+        tracked = ()
+        if self.ack_spans is not None:
+            tracked = [root for root in set(self.rids[n_roots:].tolist()) if acker.is_pending(root)]
         # New roots whose every event was anchored *and* acked inside the
         # sweep resolved to zero by construction — stats only, no
         # PendingTree, no timer.  The rest materialize with their exact
@@ -1008,6 +1186,37 @@ class _Sweep:
             )
         if self.ack_pairs:
             acker.ack_batch(self.ack_pairs)
+        done = [root for root in tracked if not acker.is_pending(root)]
+        if not done:
+            return []
+        acks = [(times[lo:end], rts[lo:end]) for times, rts, spans in self.ack_spans for lo, end in spans]
+        times = np.concatenate([span[0] for span in acks])
+        roots = self.rids[np.concatenate([span[1] for span in acks])]
+        order = np.argsort(times)
+        last = dict(zip(roots[order].tolist(), times[order].tolist()))  # the latest ack wins
+        return sorted(last[root] for root in done)
+
+    def emit_held(self, emission: _Emission) -> None:
+        """Emit what a backlogged spout at its cap sent during the window, now
+        that the window's completions are known: per emission, at its time,
+        through the per-event path's own ``_emit_new`` -- ids, tree, timeout
+        timer, replay cache, keyed jitter, FIFO and shuffle cursor are its.
+        The first hop is busy past the bound (:func:`_first_hop_slack`), so a
+        delivery it schedules before the bound joins that queue's tail when
+        the kernel gets to it, and one past it is in flight as it would be.
+        """
+        sim = self.runtime.sim
+        now0 = sim.now
+        source = self.source
+        backlogged = emission.backlogged.tolist()
+        for r, tick in enumerate(emission.ticks.tolist()):
+            payload = emission.payloads.get(r)
+            if payload is None:
+                payload = source._payload(emission.first_sequence + r)
+            sim.now = tick
+            source._emit_new(payload, backlogged[r])
+        sim.now = now0
+        self.inline += len(emission.ticks)
 
     def commit_receipts(self) -> None:
         """Merge the sinks' receipts into the log in global time order: one

@@ -38,6 +38,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 from repro.dataflow.event import CheckpointAction, Event, EventKind, next_event_id
 from repro.dataflow.task import SinkTask, SourceTask, Task
 from repro.reliability.statestore import checkpoint_key
+from repro.sim import Timer
 
 
 #: Virtual sender id used for control events injected by the checkpoint source.
@@ -623,22 +624,6 @@ class SourceExecutor(Executor):
             return False
         return self.runtime.acker.pending_count >= limit
 
-    def pending_headroom(self) -> Optional[int]:
-        """How many roots the spout-pending throttle still admits (None = unlimited).
-
-        The batch cascade uses this as a pessimistic per-stretch cap: the
-        classic path re-checks the throttle before every emit, and pending can
-        only *shrink* as trees complete, so a stretch that emits at most the
-        current headroom provably never hits a tick the classic path would
-        have throttled.
-        """
-        if not self.runtime.ack_data_events:
-            return None
-        limit = self.runtime.reliability.max_spout_pending
-        if limit is None:
-            return None
-        return max(0, limit - self.runtime.acker.pending_count)
-
     def cache_block(self, root_ids: Sequence[int], payloads: Sequence[Any]) -> None:
         """Cache many root payloads for replay in one call (batched spout accounting).
 
@@ -799,6 +784,46 @@ class SourceExecutor(Executor):
         if self._drain_timer is not None:
             self._drain_timer.cancel()
             self._drain_timer = None
+
+    # The batch cascade sweeps a window the chain polls in: it takes the chain
+    # over (its grid, not its timer), works out the polls itself and hands
+    # back where the per-event path would have left it at the window's end.
+    @property
+    def drain_poll(self) -> Optional[Timer]:
+        """The kernel timer of a live chain's next poll (``None``: parked or absent)."""
+        timer = self._drain_timer
+        return timer.pending if timer is not None and timer.active else None
+
+    @property
+    def draining(self) -> bool:
+        """Whether a backlog or a drain chain (live or parked) is left."""
+        return bool(self._backlog) or self._drain_next is not None or self.drain_poll is not None
+
+    def yield_drain(self) -> Optional[Tuple[float, float, bool]]:
+        """Hand the chain over: ``(next poll, period, parked)``, ``None`` without
+        one.  The source has no chain until :meth:`resume_drain`."""
+        poll = self.drain_poll
+        if poll is not None:
+            chain = (poll.time, self._drain_timer.period, False)
+        elif self._drain_next is not None:
+            chain = (self._drain_next, self._drain_period, True)
+        else:
+            return None
+        self._stop_drain_timer()
+        return chain
+
+    def resume_drain(self, chain: Optional[Tuple[float, float, bool]], parks: int, wakes: int) -> None:
+        """Take back the chain :meth:`yield_drain` gave, as ``parks`` parked and
+        ``wakes`` re-armed polls later left it."""
+        self.drain_parks += parks
+        self.drain_wakes += wakes
+        if chain is None:
+            return
+        poll, period, parked = chain
+        if parked:
+            self._drain_next, self._drain_period = poll, period
+        else:
+            self._drain_timer = self.sim.every(period, self._drain_tick, start_at=poll)
 
 
 class SinkExecutor(Executor):

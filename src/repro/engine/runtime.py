@@ -657,6 +657,11 @@ class TopologyRuntime:
         if not self.deployed or self.placement is None:
             raise RuntimeError_("cannot fail a VM before deploy()")
         vm = self.cluster.vm(vm_id)
+        if vm_id == self.util_vm_id:
+            raise RuntimeError_(
+                f"VM {vm_id} has the 'util' role: it hosts the sources and sinks, which nothing "
+                "re-places -- the run would carry on emitting and receiving nothing"
+            )
         lost = sorted(
             slot.executor_id
             for slot in vm.occupied_slots

@@ -227,15 +227,18 @@ class Simulator:
         )
 
     # ------------------------------------------------------- heap inspection
-    def next_timer_time(self) -> float:
+    def next_timer_time(self, skip: Optional[Timer] = None) -> float:
         """Earliest pending *cancellable* (Timer) entry time; infinity if none.
 
-        Fast-path (fire-and-forget) entries are ignored.  Used by the batch
-        cascade to find the horizon below which no control-plane callback can
-        preempt it.
+        Fast-path (fire-and-forget) entries are ignored, and so is ``skip`` (a
+        timer the caller is about to take over).  Used by the batch cascade to
+        find the horizon below which no control-plane callback can preempt it.
         """
         return min(
-            (entry[0] for entry in self._queue if len(entry) == 3 and not entry[2].cancelled),
+            (
+                entry[0] for entry in self._queue
+                if len(entry) == 3 and not entry[2].cancelled and entry[2] is not skip
+            ),
             default=math.inf,
         )
 
@@ -439,3 +442,8 @@ class PeriodicTimer:
     def active(self) -> bool:
         """Whether the periodic timer will continue to fire."""
         return not self._cancelled
+
+    @property
+    def pending(self) -> Timer:
+        """The kernel timer of the next firing."""
+        return self._timer

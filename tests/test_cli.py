@@ -64,6 +64,12 @@ class TestCommands:
         assert exit_code == 0
         assert "restore_s" in output
         assert "Protocol phases" in output
+        # Which engine ran it, by events and by simulated seconds (30 s + 120 s).
+        line = re.search(
+            r"^engine: stepper (\d+) % / kernel \d+ % of \d+ events, (\d+) % / \d+ % of 150 s: "
+            r".*source-paused \d+", output, re.M,
+        )
+        assert line and int(line[1]) >= 85 and int(line[2]) >= 60
 
     def test_figure_fig5_with_subset_of_dags(self, capsys):
         exit_code = main([
@@ -81,7 +87,7 @@ class TestCommands:
         }
         assert set(share) == {f"linear/{strategy}/scale-in" for strategy in ("dsm", "dcr", "ccr")}
         assert share["linear/dcr/scale-in"] >= 85 and share["linear/ccr/scale-in"] >= 85
-        assert re.search(r"^linear/dcr/scale-in engine: .* events: .*source-paused \d+", output, re.M)
+        assert re.search(r"^linear/dcr/scale-in engine: .* events, .* s: .*source-paused \d+", output, re.M)
 
 
 class TestMultiCommand:
@@ -124,7 +130,7 @@ class TestMultiCommand:
         assert "peak committed slots" in output
         assert "vs" in output  # private-baseline comparison columns
         # Tenants share a simulator: every tick goes to the kernel, by name.
-        assert re.search(r"^engine: stepper 0 % / kernel 100 % of \d+ events: shared-simulator \d+$",
+        assert re.search(r"^engine: stepper 0 % / kernel 100 % of \d+ events, 0 % / 100 % of 300 s: shared-simulator \d+$",
                          output, re.M)
 
     def test_keyed_dags_accepted(self):

@@ -171,3 +171,15 @@ class TestRebalance:
         assert runtime.log.deferred_count() > 0
         runtime.sim.run(until=10.0)
         assert not runtime._deferred_deliveries
+
+
+class TestFailVm:
+    def test_failing_the_util_vm_is_refused_by_role(self):
+        """The sources and sinks live there and nothing re-places them: the run
+        used to carry on, emitting and receiving nothing."""
+        runtime = make_runtime(strategy="dsm")
+        runtime.start()
+        runtime.sim.run(until=2.0)
+        with pytest.raises(RuntimeError_, match="'util' role.*sources and sinks"):
+            runtime.fail_vm(runtime.util_vm_id)
+        assert all(source.status is ExecutorStatus.RUNNING for source in runtime.source_executors)

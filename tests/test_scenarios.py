@@ -142,3 +142,18 @@ class TestEndToEnd:
         assert result.output_timeline()
         assert result.latency_timeline()
         assert result.target_vm_ids
+
+    @pytest.mark.parametrize(
+        "strategy, post_s, phase",
+        [("dsm", 5.0, "rebalance command"), ("dcr", 0.3, "drain / capture")],
+    )
+    def test_a_run_that_ends_before_the_restore_says_which_phase_it_ended_in(
+        self, strategy, post_s, phase
+    ):
+        """The rebalance command alone takes ≈ 7 s: a run that ends before it has
+        would return ``None`` for every §4 metric, so it refuses instead."""
+        with pytest.raises(ValueError, match=f"inside the {phase} of the {strategy} migration"):
+            run_migration_experiment(
+                dag="linear", strategy=strategy, scaling="in", migrate_at_s=5.0,
+                post_migration_s=post_s,
+            )

@@ -175,6 +175,14 @@ class TestSink:
 # ``_MIN_WINDOW_ROOTS`` roots: at a pending cap of 1 or 4, or below ≈ 11 ev/s
 # under the 1.5 s ack timeout, its leg is the kernel plus the rule, and only
 # the schedules the rule lets through are required to have cascaded.
+#
+# Cascades also start mid-backlog: an uncapped spout's drain is part of the
+# sweep, and one held at its cap is swept while the first hop holds more work
+# than the window (``batch._first_hop_slack``), its emissions derived from the
+# completions of the trees the sweep adopted.  A 6 s ack timeout and a cap of
+# 40 keep a 40 ev/s spout on such a drain for seconds after a pause; the
+# ``wide`` dataflow's two first-hop instances complete out of phase, two trees
+# inside one 10 ms poll.
 
 import inspect
 import math
@@ -192,6 +200,7 @@ from repro.engine.executor import ExecutorStatus, SourceExecutor
 from repro.engine.runtime import TopologyRuntime
 from repro.sim import Simulator
 from repro.sim.shard import log_digest
+from repro.dataflow.builder import TopologyBuilder
 from tests.conftest import build_cluster, fast_config
 
 BURST_RATE = 100.0  # the 10 ms drain grid of the paper's timing model
@@ -258,18 +267,31 @@ def mutant_spout(method, old, new):
     return type("MutantSpout", (SourceExecutor,), {"__slots__": (), method: namespace[method]})
 
 
+def wide_dataflow(rate):
+    """``tiny_dataflow``'s executor ids over a two-instance first hop."""
+    builder = TopologyBuilder("wide")
+    builder.add_source("source", rate=rate)
+    builder.add_task("a", parallelism=2, latency_s=0.04, stateful=True)
+    builder.add_task("b", parallelism=2, latency_s=0.02, stateful=True)
+    builder.add_task("c", parallelism=1, latency_s=0.01)
+    builder.add_sink("sink")
+    builder.chain("source", "a", "b", "c", "sink")
+    return builder.build()
+
+
 def run_schedule(spout_cls, schedule, stepper=False):
     """Run one generated schedule with ``spout_cls`` as the source executor, on
     the per-event kernel or with the batch stepper taking the ticks it wants."""
     reset_event_ids()
-    config = fast_config("dsm", ack_timeout_s=ACK_TIMEOUT_S)
+    config = fast_config("dsm", ack_timeout_s=schedule.get("timeout", ACK_TIMEOUT_S))
     config.timing.source_max_burst_rate = BURST_RATE
     config.reliability.max_spout_pending = schedule["pending"]
     config.reliability.throttled_ticks_generate_backlog = schedule["backlog"]
     config.batch_stepping = stepper
     sim = Simulator()
+    dataflow = wide_dataflow if schedule.get("dag") == "wide" else tiny_dataflow
     runtime = TopologyRuntime(
-        tiny_dataflow(rate=schedule["rate"]), build_cluster(sim), sim=sim, config=config
+        dataflow(rate=schedule["rate"]), build_cluster(sim), sim=sim, config=config
     )
     runtime_module.SourceExecutor = spout_cls
     try:
@@ -311,7 +333,10 @@ def run_schedule(spout_cls, schedule, stepper=False):
         "receipts": [(r.time, r.root_id, r.event_id, r.replay_count) for r in log.sink_receipts],
         "lifecycle": [(r.time, r.executor_id, r.status) for r in log.lifecycle],
         "counters": (source.emitted_count, source.replayed_count, source.skipped_ticks,
-                     source.backlog_size, len(source._replay_queue)),
+                     source.backlog_size, len(source._replay_queue), source._sequence,
+                     runtime.router.routed_count),
+        # The drain chain as the run's end finds it: parked at / polling next at.
+        "chain": (source._drain_next, source.drain_poll and source.drain_poll.time),
         "acker": (vars(runtime.acker.stats), runtime.acker.pending_count,
                   list(runtime.acker.failed_roots)),
         "digest": log_digest(log),
@@ -343,6 +368,8 @@ def check_schedule(schedule, spout_cls=SourceExecutor):
     # On the per-event kernel everything observable is bit-equal.
     expected, reference = run_schedule(PollingSpout, schedule)
     observed, runtime = run_schedule(spout_cls, schedule)
+    del expected["chain"]  # the reference never parks; the stepper's leg checks it
+    chain = observed.pop("chain")
     for key in expected:
         assert observed[key] == expected[key], (key, schedule)
     polling = reference.source_executors[0]
@@ -359,6 +386,7 @@ def check_schedule(schedule, spout_cls=SourceExecutor):
     # per-event kernel, and the two agree modulo ids -- through the loss windows
     # too, where the same trees must fail and be replayed at the same times.
     observed, runtime = run_schedule(spout_cls, schedule, stepper=True)
+    assert observed.pop("chain") == chain, ("chain", "stepper", schedule)
     expected, observed = modulo_ids(expected), modulo_ids(observed)
     for key in expected:
         assert observed[key] == expected[key], (key, "stepper", schedule)
@@ -376,7 +404,7 @@ def _action_lists(draw):
     actions = []
     for _ in range(draw(st.integers(min_value=0, max_value=6))):
         kind = draw(st.sampled_from(
-            ["outage", "pause", "source_outage", "stop", "set_rate", "source_ready"]
+            ["outage", "pause", "long_pause", "source_outage", "stop", "set_rate", "source_ready"]
         ))
         at = draw(_AT_MS)
         if kind == "outage":  # trees through the victim time out and replay
@@ -386,6 +414,9 @@ def _action_lists(draw):
         elif kind == "pause":  # gaps from inside one 10 ms poll period upwards
             actions.append((at, "pause"))
             actions.append((at + draw(st.integers(1, 400)), "unpause"))
+        elif kind == "long_pause":  # a backlog that takes seconds to drain at the cap
+            actions.append((at, "pause"))
+            actions.append((at + draw(st.integers(500, 2500)), "unpause"))
         elif kind == "source_outage":
             actions.append((at, "source_kill"))
             actions.append((at + draw(st.integers(1, 400)), "source_ready"))
@@ -398,12 +429,14 @@ def _action_lists(draw):
 
 #: 10/20/50 ev/s put emit ticks on drain-grid points; at 100 and 200 the two
 #: chains share a period and tie at every tick.
-_RATES = (8.0, 10.0, 20.0, 50.0, 100.0, 200.0)
+_RATES = (8.0, 10.0, 20.0, 40.0, 50.0, 100.0, 200.0)
 
 _SCHEDULES = st.fixed_dictionaries({
-    "pending": st.sampled_from([1, 4, 96]),
+    "pending": st.sampled_from([1, 4, 40, 96, None]),
     "backlog": st.booleans(),
     "rate": st.sampled_from(_RATES),
+    "timeout": st.sampled_from([ACK_TIMEOUT_S, 6.0]),
+    "dag": st.sampled_from(["tiny", "wide"]),
     "actions": _action_lists(),
 })
 
@@ -415,12 +448,33 @@ def test_wake_on_ack_matches_the_polling_spout(schedule):
     first_action_s = min((action[0] / 1000.0 for action in schedule["actions"]), default=math.inf)
     # The first emit tick finds the runtime as it was started, and its window
     # runs to the first action or the ack timeout, whichever is first.
-    window_s = min(first_action_s - 1.0 / schedule["rate"], ACK_TIMEOUT_S)
+    window_s = min(first_action_s - 1.0 / schedule["rate"], schedule["timeout"])
     floor = batch_module._MIN_WINDOW_ROOTS
-    if window_s * schedule["rate"] >= floor and schedule["pending"] >= floor:
+    if window_s * schedule["rate"] >= floor and (schedule["pending"] or floor) >= floor:
         # ... which the cost rule lets through: the stepper leg did compare
         # the stepper, not the kernel with itself.
         assert cascades > 0, ("stepper never engaged", schedule)
+
+
+#: Schedules that open with a pause long enough to leave a drain of seconds,
+#: whatever else happens during it.
+_DRAINS = st.fixed_dictionaries({
+    "pending": st.sampled_from([24, 40, 96, None]),
+    "backlog": st.just(True),
+    "rate": st.sampled_from([20.0, 40.0, 50.0]),
+    "timeout": st.just(6.0),
+    "dag": st.sampled_from(["tiny", "wide"]),
+    "actions": st.builds(
+        lambda at, gap, rest: sorted([(at, "pause"), (at + gap, "unpause")] + rest),
+        st.integers(300, 1500), st.integers(800, 2500), _action_lists(),
+    ),
+})
+
+
+@settings(max_examples=25, deadline=None)
+@given(schedule=_DRAINS)
+def test_a_swept_drain_matches_the_polling_spout(schedule):
+    check_schedule(schedule)
 
 
 #: Fixed schedules the generated ones shrink towards: a spout held at a cap of
@@ -447,6 +501,85 @@ _CORPUS = (
      "actions": [(1503, "pause"), (1507, "unpause"), (2000, "kill", "c#0"), (2600, "revive", "c#0"),
                  (3001, "source_kill"), (3005, "source_ready"), (5000, "stop")]},
 )
+
+
+#: Cascades that start mid-backlog.  A pause leaves a 40 ev/s spout 60 entries
+#: it drains at its cap of 40 behind a first hop that serves 50 a second: the
+#: drain is swept window by window and runs dry inside one; the ``wide`` first
+#: hop's two instances complete trees inside one 10 ms poll; a pause and a
+#: source kill end drain windows early; an uncapped spout drains at the burst
+#: rate inside an ordinary window; and the last runs the paper's cap of 96
+#: against the 1.5 s ack timeout, which bounds every window.
+_DRAIN_CORPUS = (
+    {"pending": 40, "backlog": True, "rate": 40.0, "timeout": 6.0,
+     "actions": [(1000, "pause"), (2500, "unpause")]},
+    {"pending": 40, "backlog": True, "rate": 40.0, "timeout": 6.0, "dag": "wide",
+     "actions": [(1000, "pause"), (2500, "unpause")]},
+    {"pending": 40, "backlog": True, "rate": 40.0, "timeout": 6.0, "dag": "wide",
+     "actions": [(500, "pause"), (2000, "unpause"), (3503, "pause"), (3507, "unpause"),
+                 (4501, "source_kill"), (4505, "source_ready")]},
+    {"pending": 96, "backlog": True, "rate": 50.0, "timeout": 6.0,
+     "actions": [(500, "pause"), (2500, "unpause")]},
+    {"pending": None, "backlog": True, "rate": 20.0, "timeout": 6.0,
+     "actions": [(1000, "pause"), (2500, "unpause")]},
+    {"pending": 96, "backlog": True, "rate": 40.0,
+     "actions": [(1000, "pause"), (2500, "unpause")]},
+)
+
+
+def mutant(function, old, new):
+    """A function or method of ``engine/batch.py`` recompiled after a seeded text replacement."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert old in source, f"mutation site {old!r} is gone from {function.__qualname__}"
+    namespace = dict(vars(batch_module))
+    exec(compile(source.replace(old, new), f"<mutant {function.__name__}>", "exec"), namespace)
+    return namespace[function.__name__]
+
+
+def test_mid_backlog_cascades_match_and_seeded_mutations_fail(monkeypatch):
+    held = []
+    emit_held = batch_module._Sweep.emit_held
+    monkeypatch.setattr(
+        batch_module._Sweep, "emit_held",
+        lambda sweep, emission: (held.append(len(emission.ticks)), emit_held(sweep, emission)),
+    )
+
+    def corpus():
+        swept = []
+        for schedule in _DRAIN_CORPUS:
+            held.clear()
+            swept.append((check_schedule(schedule), len(held)))
+        return swept
+
+    swept = corpus()
+    assert all(cascades > 0 for cascades, _ in swept)
+    # Windows whose emissions followed the adopted trees' completions: every
+    # capped schedule has them, the uncapped one needs none.
+    assert [windows > 0 for _, windows in swept] == [True, True, True, True, False, True]
+
+    # Emitting when the tree completes instead of at the drain grid's next poll.
+    off_grid = mutant(
+        batch_module._emission_schedule,
+        "while poll < done:\n                    poll += period", "poll = done",
+    )
+    # A poll that emits two entries.
+    greedy = mutant(
+        batch_module._emission_schedule,
+        "emitted.append(due)", "emitted.append(due); backlog and emitted.append(due)",
+    )
+    for schedule in (off_grid, greedy):
+        with monkeypatch.context() as patch:
+            patch.setattr(batch_module, "_emission_schedule", schedule)
+            with pytest.raises(AssertionError, match="stepper"):
+                corpus()
+    # No clamp to the first hop's slack: a root emitted in the window is served
+    # in it, and its tree completes without the schedule having heard of it.
+    unclamped = mutant(
+        batch_module.BatchStepper._cascade, "horizon = min(horizon, slack)", "pass"
+    )
+    monkeypatch.setattr(batch_module.BatchStepper, "_cascade", unclamped)
+    with pytest.raises(AssertionError, match="stepper"):
+        corpus()
 
 
 def test_the_corpus_passes_and_seeded_mutations_fail_it(monkeypatch):
