@@ -14,7 +14,7 @@ Usage (after ``pip install -e .`` / ``python setup.py develop``)::
     python -m repro figure table1
     python -m repro figure fig5 --scaling out --jobs 4
     python -m repro figure drain
-    python -m repro figure statestore
+    python -m repro figure all --write results/ --jobs 0
 
 ``experiment`` runs a single migration experiment and prints the §4 metrics;
 ``elastic`` runs a closed-loop autoscaling experiment (profile-driven sources,
@@ -32,10 +32,10 @@ unplanned recovery on restore latency, replays and the bill; ``trace`` runs
 one scenario with full telemetry and exports its control-plane trace
 (schema-versioned JSONL plus a Perfetto-loadable Chrome trace; the same
 export rides ``--trace`` on elastic/predict/chaos/multi/shard); ``figure``
-regenerates one of the paper's
-tables/figures (the same drivers the benchmark harness uses, ``--jobs N``
-fans the experiment matrix out across processes) and prints the reproduced
-rows next to the paper's published values.
+regenerates one of the paper's tables/figures (``--jobs N`` fans the
+experiment matrix out across processes) and prints the reproduced rows next
+to the paper's published values -- the text ``results/<stem>.txt`` holds,
+which ``figure all --write results/`` re-records.
 """
 
 from __future__ import annotations
@@ -63,23 +63,8 @@ from repro.experiments import (
     run_sharded_experiment,
 )
 from repro.experiments.chaos import DEFAULT_MODES
-from repro.experiments.figures import (
-    ExperimentMatrix,
-    drain_time_rows,
-    figure5_rows,
-    figure6_rows,
-    figure7_series,
-    figure8_rows,
-    figure9_series,
-    rebalance_duration_summary,
-    statestore_micro,
-    table1_rows,
-)
-from repro.experiments.formatting import (
-    format_latency_series,
-    format_rate_series,
-    format_table,
-)
+from repro.experiments.figures import PRODUCERS, ExperimentMatrix
+from repro.experiments.formatting import format_table
 from repro.workloads.profiles import PROFILE_PRESETS
 
 
@@ -678,58 +663,41 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _matrix(args: argparse.Namespace) -> ExperimentMatrix:
-    return ExperimentMatrix(
-        migrate_at_s=args.migrate_at,
-        post_migration_s=args.duration,
-        seed=args.seed,
-        dags=args.dags.split(",") if args.dags else topologies.PAPER_ORDER,
-    )
-
-
 def _cmd_figure(args: argparse.Namespace) -> int:
-    name = args.name
-    if name == "table1":
-        print(format_table(table1_rows(), title="Table 1 (reproduced vs paper)"))
-        return 0
-    if name == "statestore":
-        print(format_table([statestore_micro()], title="State-store micro-benchmark"))
-        return 0
-    if name == "drain":
-        rows = drain_time_rows(seed=args.seed)
-        print(format_table(rows, title="Drain (DCR) vs capture (CCR) durations in ms"))
-        return 0
-
-    matrix = _matrix(args)
-    if args.jobs != 1:
-        # Fan the hermetic experiment matrix out across processes; only the
-        # cells the requested figure reads are computed.
-        scalings = ("in", "out") if name == "rebalance" else (args.scaling,)
-        dags = [args.dag] if name in ("fig7", "fig9") else None
-        strategies = ["dsm"] if name == "fig6" else None
-        matrix.prefetch(scalings=scalings, processes=args.jobs or None,
-                        dags=dags, strategies=strategies)
-    if name == "fig5":
-        print(format_table(figure5_rows(matrix, args.scaling), title=f"Fig. 5 scale-{args.scaling}"))
-    elif name == "fig6":
-        print(format_table(figure6_rows(matrix, args.scaling), title=f"Fig. 6 scale-{args.scaling}"))
-    elif name == "fig7":
-        series = figure7_series(matrix, dag=args.dag, scaling=args.scaling)
-        for strategy, data in series.items():
-            print(format_rate_series(f"{strategy} input", data["input"]))
-            print(format_rate_series(f"{strategy} output", data["output"]))
-    elif name == "fig8":
-        print(format_table(figure8_rows(matrix, args.scaling), title=f"Fig. 8 scale-{args.scaling}"))
-    elif name == "fig9":
-        series = figure9_series(matrix, dag=args.dag, scaling=args.scaling)
-        for strategy, data in series.items():
-            print(format_latency_series(strategy, data["latency"]))
-    elif name == "rebalance":
-        print(format_table([rebalance_duration_summary(matrix)], title="Rebalance duration summary"))
-    else:  # pragma: no cover - argparse restricts choices
-        print(f"unknown figure {name!r}", file=sys.stderr)
+    dags = args.dags.split(",") if args.dags else topologies.PAPER_ORDER
+    unknown = [dag for dag in dags if dag not in topologies.PAPER_TOPOLOGIES]
+    if unknown:
+        print(f"repro figure: error: unknown dataflow(s) {unknown}; choose from "
+              f"{sorted(topologies.PAPER_TOPOLOGIES)}", file=sys.stderr)
         return 2
-    print()
+    if args.duration <= 0 or args.migrate_at <= 0:
+        print("repro figure: error: --duration and --migrate-at must be positive", file=sys.stderr)
+        return 2
+    if args.write and args.name != "all":
+        print("repro figure: error: --write goes with `figure all`", file=sys.stderr)
+        return 2
+    matrix = ExperimentMatrix(
+        migrate_at_s=args.migrate_at, post_migration_s=args.duration, seed=args.seed, dags=dags
+    )
+    if args.name == "all":  # every committed file, at the scaling / dag it pins
+        producers = list(PRODUCERS.values())
+    else:  # one figure (fig5's two files are one), at the scaling / dag asked for
+        producers = list(dict.fromkeys(
+            producer._replace(scaling=args.scaling, dag=args.dag)
+            for producer in PRODUCERS.values() if producer.figure == args.name
+        ))
+    try:
+        texts = [producer.text(matrix, args.jobs) for producer in producers]
+    except ValueError as error:  # e.g. a run that ends before the dataflow is restored
+        print(f"repro figure: error: {error}", file=sys.stderr)
+        return 2
+    print("\n\n".join(texts))
+    if args.write:
+        Path(args.write).mkdir(parents=True, exist_ok=True)
+        for stem, text in zip(PRODUCERS, texts):
+            Path(args.write, f"{stem}.txt").write_text(text + "\n", encoding="utf-8")
+    if matrix.cells:
+        print()
     for (dag, strategy, scaling), cell in matrix.cells.items():
         print(f"{dag}/{strategy}/scale-{scaling} {engine_line(cell.engine)}")
     return 0
@@ -817,7 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="place stage used by every run")
     predict.add_argument("--json", default="",
                          help="also write the headline numbers to this JSON file "
-                              "(fed into the CI perf-trend accumulation)")
+                              "({name: value}, the unit in the name)")
     predict.add_argument("--seed", type=int, default=2018)
     _add_trace_flag(predict, "predict")
     predict.set_defaults(func=_cmd_predict)
@@ -901,7 +869,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="eviction notice window (seconds)")
     chaos.add_argument("--json", default="",
                        help="also write the headline numbers to this JSON file "
-                            "(fed into the CI perf-trend accumulation)")
+                            "({name: value}, the unit in the name)")
     chaos.add_argument("--seed", type=int, default=2018)
     _add_trace_flag(chaos, "chaos")
     chaos.set_defaults(func=_cmd_chaos)
@@ -927,9 +895,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trace JSONL path (default: results/TRACE_<scenario>.jsonl)")
     trace.set_defaults(func=_cmd_trace)
 
-    figure = sub.add_parser("figure", help="regenerate one of the paper's tables/figures")
-    figure.add_argument("name", choices=("table1", "fig5", "fig6", "fig7", "fig8", "fig9",
-                                         "drain", "rebalance", "statestore"))
+    figure = sub.add_parser("figure", help="regenerate the paper's tables/figures")
+    figure.add_argument("name", choices=sorted({p.figure for p in PRODUCERS.values()} | {"all"}),
+                        help="one table/figure, or `all`: every file results/ holds")
     figure.add_argument("--scaling", default="in", choices=("in", "out"))
     figure.add_argument("--dag", default="grid", choices=sorted(topologies.PAPER_TOPOLOGIES))
     figure.add_argument("--dags", default="", help="comma-separated subset of dataflows")
@@ -939,6 +907,9 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the experiment matrix "
                              "(0 = one per CPU core; cells are hermetic, results identical)")
+    figure.add_argument("--write", default="", metavar="DIR",
+                        help="with `all`: also write each table to DIR/<stem>.txt "
+                             "(`--write results/` re-records the committed files)")
     figure.set_defaults(func=_cmd_figure)
     return parser
 

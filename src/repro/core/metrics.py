@@ -45,7 +45,7 @@ class MigrationMetrics:
     messages_lost_in_kills: int
 
     def as_dict(self) -> Dict[str, object]:
-        """Plain-dict view (used by the benchmark harness to print table rows)."""
+        """Plain-dict view (used by ``repro experiment`` to print table rows)."""
         return {
             "strategy": self.strategy,
             "dataflow": self.dataflow,

@@ -7,8 +7,9 @@ VM, migration a fixed time after submission) and returns the metrics, report
 and raw event log.
 
 :mod:`repro.experiments.figures` contains one driver per table/figure of the
-paper's evaluation; the ``benchmarks/`` directory calls these and prints the
-reproduced rows next to the paper's published values.
+paper's evaluation and the table (``PRODUCERS``) that renders each committed
+``results/<stem>.txt`` from them, the reproduced rows next to the paper's
+published values; ``repro figure`` prints and re-records from it.
 
 :mod:`repro.experiments.elastic` goes beyond the paper's manual experiments:
 profile-driven sources plus the :mod:`repro.elastic` autoscaling loop, which

@@ -21,7 +21,7 @@ Both modes share the storm schedule, the seeds and every random stream — the
 comparison isolates what the notice window is worth, scored on **restore
 latency** (unavailability after each reclaim), **replayed messages** and the
 **cloud bill**.  The ``repro chaos`` CLI subcommand prints the table and can
-emit headline JSON for the CI perf-trend accumulation.
+emit the headline numbers as JSON (``--json``).
 """
 
 from __future__ import annotations
@@ -222,29 +222,24 @@ class ChaosComparisonResult:
     def oblivious(self) -> Optional[ChaosRunSummary]:
         return self.runs.get("oblivious")
 
-    def headline_benchmarks(self) -> Dict[str, Dict[str, float]]:
-        """Per-mode headline numbers in the ``BENCH_engine.json`` shape.
-
-        Restore latency, replay count and the bill all ride the ``mean_s``
-        field so the existing trend accumulation and drift chart track them
-        like any benchmark.
-        """
-        benchmarks: Dict[str, Dict[str, float]] = {}
+    def headline_benchmarks(self) -> Dict[str, float]:
+        """Per-mode restore latency, replay count and bill, the unit in the name."""
+        benchmarks: Dict[str, float] = {}
         for summary in self.runs.values():
             key = summary.mode.replace("-", "_")
-            benchmarks[f"chaos_{key}_restore_s"] = {"mean_s": summary.mean_restore_s}
-            benchmarks[f"chaos_{key}_replays"] = {"mean_s": float(summary.replayed_messages)}
-            benchmarks[f"chaos_{key}_cost_usd"] = {"mean_s": summary.total_cost}
+            benchmarks[f"chaos_{key}_restore_s"] = summary.mean_restore_s
+            benchmarks[f"chaos_{key}_replays"] = summary.replayed_messages
+            benchmarks[f"chaos_{key}_cost_usd"] = summary.total_cost
         return benchmarks
 
     def write_headline_json(
         self, path: Union[str, Path], timestamp: Optional[str] = None
     ) -> Path:
-        """Write the headline numbers for the CI perf-trend accumulation."""
+        """Write the headline numbers as ``{name: value}`` JSON."""
         from ..metrics.metadata import run_metadata
 
         payload = run_metadata(
-            "repro-bench-chaos/1",
+            "repro-bench-chaos/2",
             timestamp=timestamp,
             dag=self.dag,
             strategy=self.strategy,

@@ -1,10 +1,12 @@
-"""Per-figure experiment drivers.
+"""Per-figure experiment drivers and the table of what ``results/`` holds.
 
-Each function regenerates the data behind one table or figure of the paper's
-evaluation (§5) and returns plain rows/series that the benchmark harness and
-the examples print.  Paper-reported values are included alongside so the
-reproduction can be compared at a glance; see EXPERIMENTS.md for the
-discussion of deviations.
+Each driver regenerates the data behind one table or figure of the paper's
+evaluation (§5) and returns plain rows/series, paper-reported values
+alongside so the reproduction can be compared at a glance.  :data:`PRODUCERS`
+maps every committed ``results/<stem>.txt`` to the driver, title and column
+order that produce it: ``repro figure <name>`` prints from it, ``repro figure
+all --write results/`` re-records from it, and the tier-1 suite asserts the
+committed files equal it.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.metrics import MigrationMetrics
 from repro.dataflow import topologies
 from repro.dataflow.topologies import PAPER_ORDER, TABLE1
 from repro.engine.batch import engine_counts
+from repro.experiments.formatting import format_latency_series, format_rate_series, format_table
 from repro.experiments.scenarios import MigrationRunResult, run_migration_experiment, vm_counts_for
 from repro.metrics.timeline import LatencyPoint, RatePoint, latency_timeline, rate_timeline
 from repro.reliability.statestore import StateStore
@@ -417,7 +420,7 @@ def figure9_series(
 # ------------------------------------------------------- drain-time experiment
 def drain_time_rows(
     migrate_at_s: float = 60.0,
-    post_migration_s: float = 120.0,
+    post_migration_s: float = 90.0,
     seed: int = 2018,
     include_linear50: bool = True,
 ) -> List[Dict[str, object]]:
@@ -455,10 +458,10 @@ def drain_time_rows(
             {
                 "case": f"{label} scale-{scaling}",
                 "dcr_drain_ms": durations["dcr"],
-                "ccr_capture_ms": durations["ccr"],
-                "delta_ms": durations["dcr"] - durations["ccr"],
                 "dcr_paper_ms": paper_dcr,
+                "ccr_capture_ms": durations["ccr"],
                 "ccr_paper_ms": paper_ccr,
+                "delta_ms": durations["dcr"] - durations["ccr"],
             }
         )
     return rows
@@ -496,3 +499,170 @@ def statestore_micro(num_events: int = PAPER_STATESTORE_EVENTS) -> Dict[str, flo
         "measured_ms": latency_s * 1000.0,
         "paper_ms": PAPER_STATESTORE_MS,
     }
+
+
+# ------------------------------------------------------------------ ablations
+# Not figures of the paper: each isolates one mechanism the strategies rely
+# on, on the Star dataflow (scale-in, migration at 60 s, 300 s observed).
+def ablation_init_resend_rows(seed: int = 2018) -> List[Dict[str, object]]:
+    """DCR restore time as a function of the INIT re-send interval (the
+    paper's 1 s; DSM in effect waits for the 30 s ack timeout)."""
+    rows = []
+    for interval in (0.5, 1.0, 5.0, 15.0, 30.0):
+        metrics = run_migration_experiment(
+            "star", "dcr", "in", 60.0, 300.0, seed, init_resend_interval_s=interval
+        ).metrics
+        rows.append({"init_resend_interval_s": interval, "restore_s": metrics.restore_duration_s})
+    return rows
+
+
+def ablation_broadcast_metrics(seed: int = 2018) -> Dict[str, MigrationMetrics]:
+    """DCR's sequential drain against CCR's broadcast capture on a 30-task Linear DAG."""
+    return {
+        strategy: run_migration_experiment(
+            "linear-30", strategy, "in", 60.0, 120.0, seed, dataflow=topologies.linear(30)
+        ).metrics
+        for strategy in ("dcr", "ccr")
+    }
+
+
+def ablation_max_spout_pending_rows(seed: int = 2018) -> List[Dict[str, object]]:
+    """DSM's replay count as a function of the ``max.spout.pending`` flow-control cap."""
+    rows = []
+    for cap in (32, 96, 192):
+        metrics = run_migration_experiment(
+            "star", "dsm", "in", 60.0, 300.0, seed, max_spout_pending=cap
+        ).metrics
+        rows.append({
+            "max_spout_pending": cap,
+            "replayed_messages": metrics.replayed_message_count,
+            "restore_s": metrics.restore_duration_s,
+        })
+    return rows
+
+
+# ---------------------------------------------------------- the producer table
+def _figure7_lines(matrix: ExperimentMatrix, scaling: str, dag: str) -> List[str]:
+    lines = []
+    for strategy, data in figure7_series(matrix, dag=dag, scaling=scaling).items():
+        lines.append(format_rate_series(f"{strategy} input", data["input"]))
+        lines.append(format_rate_series(f"{strategy} output", data["output"]))
+    return lines
+
+
+def _figure9_lines(matrix: ExperimentMatrix, scaling: str, dag: str) -> List[str]:
+    lines = []
+    for strategy, data in figure9_series(matrix, dag=dag, scaling=scaling).items():
+        lines.append(format_latency_series(strategy, data["latency"]))
+        lines.append(f"  stable latency: {data['stable_latency_s'] * 1000.0:.0f} ms, boundaries: "
+                     + ", ".join(f"{k}={v:.1f}s" for k, v in data["boundaries"].items() if v is not None))
+    return lines
+
+
+class Producer(NamedTuple):
+    """How one committed ``results/<stem>.txt`` is produced.
+
+    ``repro figure <figure>`` prints :meth:`text` at the scaling / dag it was
+    asked for, ``repro figure all`` at the ones the committed file pins.
+    """
+
+    figure: str
+    #: Formatted with ``scaling``, ``panel`` (a: scale-in, b: scale-out) and ``dag``.
+    title: str
+    #: ``(matrix, scaling, dag)`` -> table rows, or the lines of a timeline.
+    rows: Callable[[ExperimentMatrix, str, str], Sequence[object]]
+    #: Column order, where it is not the rows' own key order.
+    columns: Optional[Tuple[str, ...]] = None
+    #: ``(scaling, dag)`` -> which matrix cells ``rows`` reads, as
+    #: :meth:`ExperimentMatrix.prefetch` keywords (None: it reads no cell).
+    cells: Optional[Callable[[str, str], Dict[str, Sequence[str]]]] = None
+    scaling: str = "in"
+    dag: str = "grid"
+
+    def text(self, matrix: ExperimentMatrix, jobs: int = 1) -> str:
+        """The file's text (no trailing newline); ``jobs`` as ``repro figure --jobs``."""
+        if self.cells is not None and jobs != 1:
+            matrix.prefetch(processes=jobs or None, **self.cells(self.scaling, self.dag))
+        title = self.title.format(
+            scaling=self.scaling, panel="b" if self.scaling == "out" else "a", dag=self.dag.capitalize()
+        )
+        rows = self.rows(matrix, self.scaling, self.dag)
+        if rows and isinstance(rows[0], str):
+            return "\n".join([title, *rows])
+        return format_table(rows, columns=self.columns, title=title)
+
+
+def _per_scaling(stem: str, producer: Producer) -> Dict[str, Producer]:
+    return {stem.format(scaling): producer._replace(scaling=scaling) for scaling in ("in", "out")}
+
+
+def _column(scaling: str, dag: str) -> Dict[str, Sequence[str]]:
+    return {"scalings": (scaling,)}
+
+
+def _one_dag(scaling: str, dag: str) -> Dict[str, Sequence[str]]:
+    return {"scalings": (scaling,), "dags": [dag]}
+
+
+#: Committed file stem -> its producer, in the order ``repro figure all`` prints.
+PRODUCERS: Dict[str, Producer] = {
+    "table1_resources": Producer(
+        "table1", "Table 1: tasks, task instances (slots) and VMs per dataflow (reproduced vs paper)",
+        lambda matrix, scaling, dag: table1_rows(),
+    ),
+    **_per_scaling("fig5_scale_{}", Producer(
+        "fig5", "Fig. 5 ({panel}): migration times, scale-{scaling} (reproduced vs paper)",
+        lambda matrix, scaling, dag: figure5_rows(matrix, scaling),
+        columns=("dag", "strategy", "restore_s", "restore_paper_s", "catchup_s", "catchup_paper_s",
+                 "recovery_s", "recovery_paper_s"),
+        cells=_column,
+    )),
+    **_per_scaling("fig6_scale_{}", Producer(
+        "fig6", "Fig. 6 ({panel}): DSM replayed messages, scale-{scaling} (reproduced vs paper)",
+        lambda matrix, scaling, dag: figure6_rows(matrix, scaling),
+        cells=lambda scaling, dag: {"scalings": (scaling,), "strategies": ["dsm"]},
+    )),
+    "fig7_grid_scale_in_timeline": Producer(
+        "fig7", "Fig. 7: input/output throughput during {dag} scale-{scaling} "
+                "(time relative to migration request)",
+        _figure7_lines, cells=_one_dag,
+    ),
+    **_per_scaling("fig8_scale_{}", Producer(
+        "fig8", "Fig. 8 ({panel}): rate stabilization time, scale-{scaling} (reproduced vs paper)",
+        lambda matrix, scaling, dag: figure8_rows(matrix, scaling),
+        cells=_column,
+    )),
+    "fig9_grid_scale_in_latency": Producer(
+        "fig9", "Fig. 9: average latency (10 s windows) during {dag} scale-{scaling} "
+                "(time relative to migration request)",
+        _figure9_lines, cells=_one_dag,
+    ),
+    "drain_time": Producer(
+        "drain", "Drain (DCR) vs capture (CCR) duration in milliseconds (reproduced vs paper)",
+        lambda matrix, scaling, dag: drain_time_rows(seed=matrix.seed),
+    ),
+    "rebalance_duration": Producer(
+        "rebalance", "Rebalance command duration across all experiments (reproduced vs paper)",
+        lambda matrix, scaling, dag: [rebalance_duration_summary(matrix)],
+        cells=lambda scaling, dag: {},  # every cell, both scalings
+    ),
+    "statestore_micro": Producer(
+        "statestore", "State-store micro-benchmark: checkpoint 2000 captured events (reproduced vs paper)",
+        lambda matrix, scaling, dag: [statestore_micro()],
+    ),
+    "ablation_init_resend": Producer(
+        "ablation", "Ablation: DCR restore time vs INIT re-send interval (Star, scale-in)",
+        lambda matrix, scaling, dag: ablation_init_resend_rows(matrix.seed),
+    ),
+    "ablation_broadcast_vs_sequential": Producer(
+        "ablation", "Ablation: drain/capture duration on a 30-task linear DAG",
+        lambda matrix, scaling, dag: [
+            {"strategy": name, "drain_capture_ms": metrics.drain_capture_duration_s * 1000.0}
+            for name, metrics in ablation_broadcast_metrics(matrix.seed).items()
+        ],
+    ),
+    "ablation_max_spout_pending": Producer(
+        "ablation", "Ablation: DSM replay count vs max.spout.pending (Star, scale-in)",
+        lambda matrix, scaling, dag: ablation_max_spout_pending_rows(matrix.seed),
+    ),
+}

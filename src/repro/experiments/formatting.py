@@ -1,6 +1,6 @@
 """Plain-text rendering of experiment results (tables and timeline sparklines).
 
-The benchmark harness and the examples print the reproduced rows next to the
+``repro figure`` and the examples print the reproduced rows next to the
 paper's published values; these helpers keep that output readable without any
 plotting dependency.
 """

@@ -19,7 +19,7 @@ scored on:
 All runs enable capacity-adding parallelism rescale and the SLO-breach
 override, so the comparison isolates the *forecast* stage.  The ``repro
 predict`` CLI subcommand prints the comparison table and can emit the
-headline numbers as JSON for the CI perf-trend accumulation.
+headline numbers as JSON (``--json``).
 """
 
 from __future__ import annotations
@@ -113,25 +113,21 @@ class PredictiveComparisonResult:
             return None
         return min(candidates, key=lambda s: s.slo_violation_s)
 
-    def headline_benchmarks(self) -> Dict[str, Dict[str, float]]:
-        """Per-policy headline numbers in the ``BENCH_engine.json`` shape.
-
-        The SLO-violation seconds ride the ``mean_s`` field so the existing
-        trend accumulation and drift chart track them like any benchmark.
-        """
+    def headline_benchmarks(self) -> Dict[str, float]:
+        """Per-policy SLO-violation seconds, the unit in the name."""
         return {
-            f"predict_{summary.policy}_slo_violation_s": {"mean_s": summary.slo_violation_s}
+            f"predict_{summary.policy}_slo_violation_s": summary.slo_violation_s
             for summary in self.runs.values()
         }
 
     def write_headline_json(
         self, path: Union[str, Path], timestamp: Optional[str] = None
     ) -> Path:
-        """Write the headline numbers for the CI perf-trend accumulation."""
+        """Write the headline numbers as ``{name: value}`` JSON."""
         from ..metrics.metadata import run_metadata
 
         payload = run_metadata(
-            "repro-bench-predictive/1",
+            "repro-bench-predictive/2",
             timestamp=timestamp,
             dag=self.dag,
             strategy=self.strategy,

@@ -223,8 +223,14 @@ def run_migration_experiment(
     post_migration_s: float = 480.0,
     seed: int = 2018,
     dataflow: Optional[Dataflow] = None,
+    max_spout_pending: Optional[int] = None,
+    **strategy_options: float,
 ) -> MigrationRunResult:
     """Run one complete migration experiment and compute its §4 metrics.
+
+    ``max_spout_pending`` (the spout's flow-control cap) and
+    ``strategy_options`` (keywords of the strategy class, e.g.
+    ``init_resend_interval_s``) override one mechanism for the ablations.
 
     The global event-id counter is reset first, making every run hermetic.
     Without this, DSM results depend on the absolute event ids in flight when
@@ -245,6 +251,8 @@ def run_migration_experiment(
     )
     handle = build_experiment(spec, dataflow=dataflow)
     runtime = handle.runtime
+    if max_spout_pending is not None:
+        runtime.reliability.max_spout_pending = max_spout_pending
 
     # Warm-up: run until the migration request time.
     handle.sim.run(until=spec.migrate_at_s)
@@ -255,7 +263,7 @@ def run_migration_experiment(
     new_plan = plan_after_scaling(runtime, target_vm_ids)
 
     strategy_cls = strategy_by_name(spec.strategy)
-    migration = strategy_cls(runtime)
+    migration = strategy_cls(runtime, **strategy_options)
     report = migration.migrate(new_plan)
 
     # Observe the post-migration behaviour (catch-up, recovery, stabilization).

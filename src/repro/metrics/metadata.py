@@ -1,11 +1,10 @@
 """Shared run-metadata helper for the ``results/`` JSON writers.
 
-Every benchmark artifact (``BENCH_engine.json``, ``BENCH_chaos.json``,
-``BENCH_predictive.json``, trace files) wants the same preamble -- schema
-name, seed, a digest of the configuration that produced the numbers, and a
-caller-injected timestamp -- but each writer used to assemble it by hand.
-:func:`run_metadata` centralizes the shape so trend accumulation can stop
-special-casing each schema.
+Every headline artifact (``BENCH_chaos.json``, ``BENCH_predictive.json``,
+trace files) wants the same preamble -- schema name, seed, a digest of the
+configuration that produced the numbers, and a caller-injected timestamp --
+but each writer used to assemble it by hand.  :func:`run_metadata`
+centralizes the shape, so a reader need not special-case each schema.
 
 Timestamps are always injected by the caller (or omitted): nothing in this
 module reads the wall clock, keeping every artifact byte-reproducible for

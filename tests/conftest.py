@@ -8,8 +8,10 @@ exercising the same code paths as the full paper experiments.
 from __future__ import annotations
 
 import inspect
+import os
 import textwrap
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.dataflow.graph import Dataflow
 from repro.elastic.monitor import MonitorSample
 from repro.engine.config import ReliabilityConfig, RuntimeConfig, TimingConfig
 from repro.engine.runtime import TopologyRuntime
+from repro.experiments.figures import ExperimentMatrix
 from repro.sim import Simulator
 
 
@@ -126,6 +129,39 @@ def monitor_sample(
         source_backlog=source_backlog,
         sources_paused=paused,
     )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def results_are_read_only():
+    """The suite compares against ``results/`` and never writes there: the
+    record moves only through ``repro figure all --write results/``, so a
+    tier-1 run leaves ``git status`` as it found it."""
+    results = Path(__file__).resolve().parent.parent / "results"
+
+    def snapshot():
+        return {path.name: path.stat().st_mtime_ns for path in results.iterdir()}
+
+    before = snapshot()
+    yield
+    assert snapshot() == before, "a test wrote under results/"
+
+
+@pytest.fixture(scope="session")
+def matrix() -> ExperimentMatrix:
+    """The paper's (dag x strategy x scaling) matrix at the committed timing,
+    shared by every figure test of the session.
+
+    The five DSM scale-in cells run in-process, so ``matrix.run`` hands their
+    live runtimes to the at-least-once invariants; the other 25 are hermetic
+    summaries, fanned out across the cores when the box has more than one
+    (bit-identical to the serial computation).
+    """
+    shared = ExperimentMatrix(migrate_at_s=90.0, post_migration_s=540.0, seed=2018)
+    for dag in shared.dags:
+        shared.cell(dag, "dsm", "in")
+    if (os.cpu_count() or 1) > 1:
+        shared.prefetch(processes=None)
+    return shared
 
 
 @pytest.fixture

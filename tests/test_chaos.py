@@ -256,7 +256,7 @@ class TestNoticeBeatsOblivious:
     def test_headline_json_roundtrip(self, storm_comparison, tmp_path):
         path = storm_comparison.write_headline_json(tmp_path / "BENCH_chaos.json")
         payload = json.loads(path.read_text(encoding="utf-8"))
-        assert payload["schema"] == "repro-bench-chaos/1"
+        assert payload["schema"] == "repro-bench-chaos/2"
         for mode in ("notice", "oblivious"):
             for metric in ("restore_s", "replays", "cost_usd"):
                 assert f"chaos_{mode}_{metric}" in payload["benchmarks"]
@@ -265,8 +265,10 @@ class TestNoticeBeatsOblivious:
         committed = Path(__file__).resolve().parent.parent / "results" / "BENCH_chaos.json"
         assert committed.exists(), "results/BENCH_chaos.json must ride the repo"
         payload = json.loads(committed.read_text(encoding="utf-8"))
-        assert payload["schema"] == "repro-bench-chaos/1"
-        assert all("mean_s" in stats for stats in payload["benchmarks"].values())
+        assert payload["schema"] == "repro-bench-chaos/2"
+        # {name: value}, the unit in the name.
+        assert {name.rsplit("_", 1)[1] for name in payload["benchmarks"]} == {"s", "replays", "usd"}
+        assert all(isinstance(value, (int, float)) for value in payload["benchmarks"].values())
 
 
 # --------------------------------------------------------------- satellite 3

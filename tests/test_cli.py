@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 
 class TestParser:
@@ -43,17 +46,45 @@ class TestCommands:
         assert "hub" in output
         assert "spoke_in_a" in output
 
-    def test_figure_table1(self, capsys):
-        exit_code = main(["figure", "table1"])
+    @pytest.mark.parametrize("argv, stem", [
+        (["table1"], "table1_resources"),
+        (["statestore"], "statestore_micro"),
+        (["fig5", "--scaling", "in"], "fig5_scale_in"),
+        (["ablation"], "ablation_init_resend"),
+    ])
+    def test_figure_prints_the_committed_file_byte_for_byte(self, capsys, argv, stem):
+        exit_code = main(["figure", *argv])
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "grid" in output and "21" in output
+        assert (RESULTS_DIR / f"{stem}.txt").read_text(encoding="utf-8") in output
 
-    def test_figure_statestore(self, capsys):
-        exit_code = main(["figure", "statestore"])
+    def test_figure_all_writes_what_it_prints(self, capsys, tmp_path, monkeypatch):
+        """``all --write DIR`` over a two-entry table (the whole one is compared
+        with ``results/`` on the session matrix, ``tests/test_paper_figures.py``)."""
+        from repro import cli
+
+        stems = ("table1_resources", "statestore_micro")
+        monkeypatch.setattr(cli, "PRODUCERS", {stem: cli.PRODUCERS[stem] for stem in stems})
+        exit_code = main(["figure", "all", "--write", str(tmp_path / "out")])
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "2000" in output
+        committed = {f"{stem}.txt": (RESULTS_DIR / f"{stem}.txt").read_text(encoding="utf-8") for stem in stems}
+        written = {path.name: path.read_text(encoding="utf-8") for path in (tmp_path / "out").iterdir()}
+        assert written == committed
+        assert output == "\n".join(committed.values())
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fig5", "--dags", "nope"], "unknown dataflow(s) ['nope']"),
+        (["fig6", "--duration", "-5"], "--duration and --migrate-at must be positive"),
+        (["fig6", "--dags", "linear", "--migrate-at", "5", "--duration", "5"], "the run ended inside"),
+        (["fig5", "--write", "out"], "--write goes with `figure all`"),
+    ])
+    def test_figure_bad_inputs_fail_loudly(self, capsys, argv, message):
+        exit_code = main(["figure", *argv])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith("repro figure: error: ") and message in captured.err
+        assert captured.out == ""
 
     def test_experiment_command_runs_quickly_with_small_window(self, capsys):
         exit_code = main([

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.engine.config import ReliabilityConfig, RuntimeConfig, TimingConfig
@@ -143,7 +146,6 @@ class TestEngineSwitches:
 
     def test_deleted_flags_are_gone_from_the_source_tree(self):
         import dataclasses
-        from pathlib import Path
 
         from repro.cli import build_parser
         from repro.sim.shard import ShardSpec
@@ -162,3 +164,35 @@ class TestEngineSwitches:
             for name in gone if name in path.read_text(encoding="utf-8")
         ]
         assert mentions == []
+
+
+class TestOneBenchmarkSystem:
+    """``bench_e2e`` gates speed, ``figures.PRODUCERS`` produces ``results/``,
+    ``tests/`` holds the paper-shape assertions: nothing else does any of it."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def test_the_benchmarks_directory_stays_deleted(self):
+        assert not (self.ROOT / "benchmarks").exists()
+        assert not (self.ROOT / "results" / "BENCH_engine.json").exists()
+
+    def test_no_test_takes_a_wall_clock_benchmark_fixture(self):
+        offenders = []
+        for path in sorted((self.ROOT / "tests").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [arg.arg for arg in node.args.args + node.args.kwonlyargs]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                offenders += [(path.name, name) for name in names if "benchmark" in name]
+        assert offenders == []
+
+    def test_results_holds_exactly_what_the_producer_table_renders(self):
+        from repro.experiments.figures import PRODUCERS
+
+        committed = {path.stem for path in (self.ROOT / "results").glob("*.txt")}
+        assert committed == set(PRODUCERS)  # no orphan file, no producer without its record

@@ -339,6 +339,35 @@ class TestControlPlaneTrace:
         assert off.telemetry is None
         assert off.runtime.telemetry is None
         assert log_digest(off.log) == log_digest(traced.log)
+        # Telemetry costs the engine nothing it can count: the same kernel
+        # events, cascade for cascade, with it on as with it off.
+        assert off.runtime.sim.processed_events == traced.runtime.sim.processed_events
+        assert off.runtime.batch_stepper.inline_events == traced.runtime.batch_stepper.inline_events
+
+    def test_the_registry_is_entered_per_tick_and_scrape_never_per_event(self, monkeypatch):
+        """The overhead contract as a count, which repeats where a wall-clock
+        ratio does not: every ``counter`` / ``gauge`` / ``histogram`` lookup
+        of the surge run happens inside a controller tick's queue sampling or
+        a scrape, each of which touches a series at most once."""
+        calls = {"registry": 0, "scrapes": 0}
+        get, scrape = MetricsRegistry._get, Telemetry.scrape
+
+        def counting_get(registry, *args):
+            calls["registry"] += 1
+            return get(registry, *args)
+
+        def counting_scrape(telemetry, *args, **kwargs):
+            calls["scrapes"] += 1
+            return scrape(telemetry, *args, **kwargs)
+
+        monkeypatch.setattr(MetricsRegistry, "_get", counting_get)
+        monkeypatch.setattr(Telemetry, "scrape", counting_scrape)
+        run = _traced_run()
+        ticks = len(run.telemetry.tracer.by_category("control"))
+        events = run.runtime.sim.processed_events + run.runtime.batch_stepper.inline_events
+        assert ticks == 40 and calls["scrapes"] >= 1
+        assert calls["registry"] <= (ticks + calls["scrapes"]) * len(run.telemetry.registry)
+        assert calls["registry"] < events / 50
 
 
 # ----------------------------------------------------------------- exporters
@@ -404,8 +433,8 @@ class TestExporters:
 # ------------------------------------------------------------- run metadata
 class TestRunMetadata:
     def test_preamble_keys(self):
-        payload = run_metadata("repro-bench-engine/1", seed=7, benchmarks={})
-        assert payload["schema"] == "repro-bench-engine/1"
+        payload = run_metadata("repro-bench-chaos/2", seed=7, benchmarks={})
+        assert payload["schema"] == "repro-bench-chaos/2"
         assert payload["seed"] == 7
         assert "python" in payload and "machine" in payload
         assert "timestamp" not in payload  # caller-injected only

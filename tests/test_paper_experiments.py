@@ -13,15 +13,20 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.cloud import CloudProvider
 from repro.dataflow import topologies
 from repro.dataflow.event import reset_event_ids
 from repro.engine import batch
 from repro.engine.config import RuntimeConfig
 from repro.engine.runtime import TopologyRuntime
-from repro.experiments import run_migration_experiment
+from repro.experiments import run_elastic_experiment, run_migration_experiment
+from repro.experiments.scenarios import deploy_baseline
+from repro.experiments.sharded import plan_shards, run_steady_shard
+from repro.metrics.timeline import latency_timeline, rate_timeline
 from repro.sim import Simulator
+from repro.sim.shard import merge_shard_results, run_shards
 
-from tests.conftest import build_cluster
+from tests.conftest import build_cluster, fast_config
 
 
 MIGRATE_AT = 60.0
@@ -139,9 +144,9 @@ class TestKernelEventBudget:
     The per-event engine got faster by executing fewer events: a throttled
     spout parks instead of polling ``max.spout.pending`` at 100 Hz (the DSM
     catch-up spent 29 % of its events on those polls), and a zero-time sink
-    completes inside ``deliver()`` (two events per receipt became one).  The
-    2x wall-clock gate of ``check_perf_regression.py`` would not notice
-    either coming back; these counts do.  Diamond scale-in at the benchmark's
+    completes inside ``deliver()`` (two events per receipt became one).  No
+    wall-clock gate would notice either coming back; these counts do.
+    Diamond scale-in at the benchmark's
     timing: 143 516 / 96 396 / 96 276 events before, 97 136 / 86 325 / 86 205
     after -- 70 594 / 1 685 / 1 448 since the engine sweeps by default
     (PR 21): a DCR / CCR cell is two cascades, what the kernel still runs is
@@ -160,6 +165,98 @@ class TestKernelEventBudget:
         assert result.runtime.sim.processed_events <= budget
         assert stepper.cascades == cascades
         assert "short-window" not in stepper.declines or strategy == "dsm"
+
+
+def work_counts(runtime) -> dict:
+    """What ``bench_e2e`` counts per layer (its ``WorkCounts.add_runtime``), of one runtime."""
+    stepper, acker = runtime.batch_stepper, runtime.acker.stats
+    return {
+        "kernel_events": runtime.sim.processed_events,
+        "inline_events": stepper.inline_events,
+        "routed": runtime.router.routed_count,
+        "log": (len(runtime.log.source_emits), len(runtime.log.sink_receipts)),
+        "acker": (acker.registered, acker.completed, acker.failed),
+        "checkpoint_waves": len(runtime.checkpoints.history),
+        "cascades": stepper.cascades,
+        "rounds": stepper.rounds,
+        "declines": dict(stepper.declines),
+    }
+
+
+class TestWorkCounts:
+    """One small fixed scenario per ``bench_e2e`` workload, every work count exact.
+
+    The counts repeat per seed on any machine, so they gate what a wall-clock
+    threshold blurs: a change that makes the engine do different work --
+    another kernel event per receipt, a sweep that stops engaging, a decline
+    under a new name -- moves a literal below and shows it in its diff.
+    Re-record a moved count only with the reason it moved.
+    """
+
+    def test_paper_matrix_a_diamond_dcr_cell(self):
+        assert work_counts(diamond_cell("dcr").runtime) == {
+            "kernel_events": 738, "inline_events": 95_628, "routed": 45_563,
+            "log": (5_040, 10_071), "acker": (0, 0, 0), "checkpoint_waves": 3,
+            "cascades": 2, "rounds": 27, "declines": {"source-paused": 257},
+        }
+
+    def test_closed_loop_an_elastic_grid_surge(self):
+        result = run_elastic_experiment(
+            dag="grid", strategy="ccr", profile="surge", duration_s=240.0, seed=2018
+        )
+        assert [(a.direction, a.decided_at) for a in result.controller.actions] == [("out", 90.0)]
+        assert len(result.monitor.samples) == 16
+        assert work_counts(result.runtime) == {
+            "kernel_events": 7_566, "inline_events": 79_620, "routed": 41_985,
+            "log": (3_071, 6_014), "acker": (0, 0, 0), "checkpoint_waves": 3,
+            "cascades": 11, "rounds": 176, "declines": {"source-paused": 982, "short-window": 2},
+        }
+
+    @pytest.fixture(scope="class")
+    def acked_grid(self):
+        """20 s of the 100x-rate Grid, every tuple tree acked, the spout
+        uncapped (loss-free): ``bench_e2e``'s ``vector_runtime(acked_config)``."""
+        reset_event_ids()
+        config = RuntimeConfig.for_dsm(seed=2018)
+        config.reliability.max_spout_pending = None
+        runtime, _ = deploy_baseline(
+            topologies.grid(rate=800.0, latency_s=0.001), config, CloudProvider(Simulator())
+        )
+        runtime.sim.run(until=20.0)
+        return runtime
+
+    def test_grid100x_vector_the_acked_grid_is_one_cascade(self, acked_grid):
+        assert work_counts(acked_grid) == {
+            "kernel_events": 1, "inline_events": 815_550, "routed": 399_817,
+            "log": (16_000, 63_944), "acker": (16_000, 15_984, 0), "checkpoint_waves": 0,
+            "cascades": 1, "rounds": 65, "declines": {},
+        }
+        stats = acked_grid.acker.stats  # the whole ack stream went through the bulk APIs
+        assert (stats.bulk_anchors, stats.bulk_acks) == (stats.anchors, stats.acks) == (399_817, 399_770)
+
+    def test_grid100x_vector_a_four_shard_run_and_merge(self):
+        specs = plan_shards(dag="grid", shards=4, duration_s=60.0, seed=2018)
+        results = run_shards(specs, run_steady_shard, workers=1)
+        merged = merge_shard_results(results)
+        assert [(r.emit_count, r.engine["stepper"], r.engine["kernel"]) for r in results] == [(120, 6_048, 1)] * 4
+        assert (len(merged.source_emits), len(merged.sink_receipts)) == (480, 1_888)
+
+    def test_log_analysis_the_query_set(self, acked_grid):
+        """``bench_e2e``'s ``run_log_analysis`` over the 80k-record log above: rows per query."""
+        log, end = acked_grid.log, 20.0
+        windows = [
+            (len(log.receipts_between(start, start + 1.0)), len(log.emits_between(start, start + 1.0)))
+            for start in range(20)
+        ]
+        assert windows[:3] == [(3_143, 800), (3_200, 800), (3_202, 799)]  # pipeline fill, then 1:4
+        assert sum(receipts + emits for receipts, emits in windows) == 79_944
+        assert len(log.receipts_after(0.9 * end)) == 6_401
+        assert log.first_receipt_after(end / 2).root_id == 7_985
+        assert log.last_old_receipt(end / 2).root_id == 7_999
+        assert log.last_replay_receipt(end / 2) is None
+        assert log.distinct_roots_received() == 15_988
+        assert len(rate_timeline(log, kind="output", end=end, bin_s=5.0)) == 4
+        assert len(latency_timeline(log, end=end, window_s=10.0)) == 2
 
 
 class TestCostRule:
@@ -242,6 +339,38 @@ class TestCostRule:
             sim.run(until=sim.now + 1.0)  # 8 roots a window
         stepper = runtime.batch_stepper
         assert stepper.cascades == 0 and stepper.declines == {"short-window": 80}
+
+
+    def test_the_windowed_grid_sweeps_4_s_windows_and_declines_1_s_windows(self):
+        """160 s of the Grid at the paper's 8 ev/s in 40 windows of 4 s, then 160 s
+        in 160 windows of 1 s -- the regime ``repro figure`` / ``repro elastic``
+        live in, where every monitor sample and controller tick cuts a cascade.
+        32 roots a window are swept, one cascade each; 8 are declined tick by
+        tick as ``short-window``; the receipts are the per-event engine's."""
+
+        def windowed_grid(batch_stepping):
+            sim = Simulator()
+            config = fast_config("dcr")
+            config.batch_stepping = batch_stepping
+            runtime = TopologyRuntime(
+                topologies.grid(), build_cluster(sim, worker_vms=11), sim=sim, config=config
+            )
+            runtime.deploy()
+            runtime.start()
+            for windows, step_s in ((40, 4.0), (160, 1.0)):
+                for _ in range(windows):
+                    sim.run(until=sim.now + step_s)
+            return runtime
+
+        runtime = windowed_grid(batch_stepping=True)
+        counts = {"cascades": runtime.batch_stepper.cascades, "declines": dict(runtime.batch_stepper.declines)}
+        receipts = len(runtime.log.sink_receipts)
+        assert receipts > 9_000
+        # One cascade a 4 s window (the first tick of the run rides the cold
+        # start); every tick of the 1 s windows declined by the rule.
+        assert 40 <= counts["cascades"] <= 42
+        assert counts["declines"] == {"short-window": 160 * 8}
+        assert len(windowed_grid(batch_stepping=False).log.sink_receipts) == receipts
 
 
 class TestArrayRoundBudget:
