@@ -10,7 +10,6 @@ Usage (after ``pip install -e .`` / ``python setup.py develop``)::
     python -m repro multi --dags traffic,grid --strategy ccr
     python -m repro shard --dag grid --shards 4 --workers 2
     python -m repro chaos --dag grid-keyed --strategy dsm --storms 3
-    python -m repro trace elastic --dag grid
     python -m repro figure table1
     python -m repro figure fig5 --scaling out --jobs 4
     python -m repro figure drain
@@ -28,10 +27,9 @@ cost comparison; ``multi`` hosts several dataflows as tenants of one shared,
 budget-arbitrated fleet (offset surges) and compares every tenant against
 its private-fleet baseline; ``chaos`` fires a deterministic spot-eviction
 storm at the fleet and compares notice-aware draining against oblivious
-unplanned recovery on restore latency, replays and the bill; ``trace`` runs
-one scenario with full telemetry and exports its control-plane trace
-(schema-versioned JSONL plus a Perfetto-loadable Chrome trace; the same
-export rides ``--trace`` on elastic/predict/chaos/multi/shard); ``figure``
+unplanned recovery on restore latency, replays and the bill; ``--trace``
+on elastic/predict/chaos/multi/shard exports the run's control-plane trace
+(schema-versioned JSONL plus a Perfetto-loadable Chrome trace); ``figure``
 regenerates one of the paper's tables/figures (``--jobs N`` fans the
 experiment matrix out across processes) and prints the reproduced rows next
 to the paper's published values -- the text ``results/<stem>.txt`` holds,
@@ -591,78 +589,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    """Run one scenario with full telemetry and export its trace."""
-    scenario = args.scenario
-    out = args.out or f"results/TRACE_{scenario}.jsonl"
-    duration = args.duration if args.duration is not None else (
-        120.0 if scenario == "shard" else 600.0
-    )
-    if duration <= 0:
-        print("repro trace: error: --duration must be positive", file=sys.stderr)
-        return 2
-    if scenario == "elastic":
-        result = run_elastic_experiment(
-            dag=args.dag or "grid",
-            strategy=args.strategy or "ccr",
-            profile=args.profile,
-            duration_s=duration,
-            seed=args.seed,
-            telemetry=True,
-        )
-        _export_trace(result.telemetry, out)
-    elif scenario == "predict":
-        result = run_predictive_experiment(
-            dag=args.dag or "grid",
-            strategy=args.strategy or "ccr",
-            profile=args.profile,
-            surge_multiplier=args.surge,
-            duration_s=duration,
-            seed=args.seed,
-            telemetry=True,
-        )
-        for policy, telemetry in result.telemetries.items():
-            _export_trace(telemetry, out, label=policy)
-    elif scenario == "chaos":
-        result = run_chaos_experiment(
-            dag=args.dag or "grid-keyed",
-            strategy=args.strategy or "dsm",
-            duration_s=duration,
-            seed=args.seed,
-            telemetry=True,
-        )
-        for mode, summary in result.runs.items():
-            if summary.result.telemetry is not None:
-                _export_trace(summary.result.telemetry, out, label=mode)
-    elif scenario == "multi":
-        dags = [d.strip() for d in (args.dag or "traffic,grid").split(",") if d.strip()]
-        result = run_multi_experiment(
-            dags=dags,
-            strategy=args.strategy or "ccr",
-            duration_s=duration,
-            surge_multiplier=args.surge,
-            seed=args.seed,
-            include_private_baseline=False,
-        )
-        _export_trace(_multi_telemetry(result, duration), out)
-    else:  # shard
-        shards = 4
-        result = run_sharded_elastic_experiment(
-            dag=args.dag or "grid",
-            shards=shards,
-            duration_s=duration,
-            seed=args.seed,
-            strategy=args.strategy or "dcr",
-            profile=args.profile,
-        )
-        _export_trace(
-            _shard_telemetry(result, args.dag or "grid", args.strategy or "dcr",
-                             shards, elastic=True),
-            out,
-        )
-    return 0
-
-
 def _cmd_figure(args: argparse.Namespace) -> int:
     dags = args.dags.split(",") if args.dags else topologies.PAPER_ORDER
     unknown = [dag for dag in dags if dag not in topologies.PAPER_TOPOLOGIES]
@@ -873,27 +799,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=2018)
     _add_trace_flag(chaos, "chaos")
     chaos.set_defaults(func=_cmd_chaos)
-
-    trace = sub.add_parser(
-        "trace",
-        help="run one scenario with full telemetry and export its trace "
-             "(JSONL + Perfetto-loadable Chrome trace)",
-    )
-    trace.add_argument("scenario", choices=("elastic", "predict", "chaos", "multi", "shard"))
-    trace.add_argument("--dag", default=None,
-                       help="dataflow (default: the scenario's own default; "
-                            "comma-separated tenant list for multi)")
-    trace.add_argument("--strategy", default=None, choices=("dsm", "dcr", "ccr"))
-    trace.add_argument("--profile", default="surge",
-                       help="rate-profile preset for elastic/predict/shard")
-    trace.add_argument("--surge", type=float, default=2.0,
-                       help="surge multiplier for predict/multi scenarios")
-    trace.add_argument("--duration", type=float, default=None,
-                       help="simulated run time (default: 600s; 120s per shard)")
-    trace.add_argument("--seed", type=int, default=2018)
-    trace.add_argument("--out", default="", metavar="PATH",
-                       help="trace JSONL path (default: results/TRACE_<scenario>.jsonl)")
-    trace.set_defaults(func=_cmd_trace)
 
     figure = sub.add_parser("figure", help="regenerate the paper's tables/figures")
     figure.add_argument("name", choices=sorted({p.figure for p in PRODUCERS.values()} | {"all"}),

@@ -7,8 +7,7 @@ of :class:`FaultEvent`\\ s; the :class:`FaultInjector` arms them on the kernel
 as cancellable timers (so the batch stepper's cascade horizon sees them and
 disengages around each fault) and resolves targets at fire time.
 
-Every stochastic choice — storm jitter, target selection, the spot market's
-continuous eviction process — is a keyed draw from
+Every stochastic choice — storm jitter, target selection — is a keyed draw from
 ``(seed, channel, key)``, never from shared mutable RNG state, so a chaos run
 is bit-reproducible for a given seed regardless of how the rest of the
 simulation interleaves.
@@ -28,7 +27,6 @@ Fault kinds:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence
 
@@ -160,33 +158,6 @@ class FaultInjector:
         # Simulator.next_timer_time() so batched cascades stop at each fault.
         self.sim.schedule(delay, self._fire, record)
         return record
-
-    def arm_spot_evictions(self, horizon_s: Optional[float] = None) -> None:
-        """Arm the market's continuous eviction process.
-
-        Every spot VM — current fleet and any VM the provider creates later —
-        draws a keyed exponential eviction time at the market's
-        ``eviction_rate_per_hour``.  Draws beyond ``horizon_s`` (measured from
-        the VM's ready time) are dropped: the VM survives the run.
-        """
-        market = self.provider.spot_market
-        if market is None or market.eviction_rate_per_hour <= 0:
-            return
-        for vm in self.cluster.vms:
-            self._arm_spot_vm(vm, horizon_s)
-        self.provider.subscribe(lambda vm: self._arm_spot_vm(vm, horizon_s))
-
-    def _arm_spot_vm(self, vm: VirtualMachine, horizon_s: Optional[float]) -> None:
-        market = self.provider.spot_market
-        if vm.tags.get("market") != SPOT or market is None:
-            return
-        u = KeyedStream(keyed_seed(self.seed, "spot-evict", vm.vm_id)).random()
-        wait = -math.log(1.0 - u) / market.eviction_rate_per_hour * 3600.0
-        if horizon_s is not None and wait > horizon_s:
-            return
-        ready = vm.provisioned_at if vm.provisioned_at is not None else self.sim.now
-        at = max(self.sim.now, ready) + wait
-        self._arm_event(FaultEvent(at_s=at, kind=EVICT, vm_id=vm.vm_id, notice_s=market.notice_s))
 
     # ---------------------------------------------------------------- firing
     def _eligible_vms(self) -> List[VirtualMachine]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.sim import KeyedStream, RandomSource, Simulator, keyed_seed
 from repro.cluster.vm import Slot, VirtualMachine, VMType
@@ -46,10 +46,13 @@ class BillingRecord:
 class SpotMarket:
     """Spot/preemptible market terms: discounted VMs the cloud may reclaim.
 
-    Spot VMs bill at ``discount`` times the on-demand rate but are exposed to
-    an eviction process (mean ``eviction_rate_per_hour`` per VM-hour); the
-    provider sends an eviction *notice* ``notice_s`` seconds before reclaiming
-    the VM — the window a notice-aware controller has to drain and migrate.
+    Spot VMs bill at ``discount`` times the on-demand rate but may be
+    reclaimed; ``eviction_rate_per_hour`` (Poisson, per VM-hour) prices that
+    risk in :func:`~repro.elastic.planner.cost_optimal_fleet`, while the
+    evictions a run actually suffers come from a
+    :class:`~repro.cluster.chaos.ChaosSchedule`.  The provider sends an
+    eviction *notice* ``notice_s`` seconds before reclaiming the VM — the
+    window a notice-aware controller has to drain and migrate.
     """
 
     discount: float = 0.35
@@ -263,15 +266,6 @@ class CloudProvider:
         self._rng = rng or RandomSource()
         self._counter = 0
         self._billing: Dict[str, BillingRecord] = {}
-        self._subscribers: List[Callable[[VirtualMachine], None]] = []
-
-    def subscribe(self, callback: Callable[[VirtualMachine], None]) -> None:
-        """Register a callback invoked for every VM this provider creates.
-
-        The chaos layer uses this to arm eviction processes on spot VMs as
-        they appear, including replacements provisioned mid-run.
-        """
-        self._subscribers.append(callback)
 
     def _create(self, vm_id: str, vm_type: VMType, market: str, ready_at: float) -> VirtualMachine:
         hourly = vm_type.hourly_cost
@@ -292,8 +286,6 @@ class CloudProvider:
             hourly_cost=hourly,
             market=market,
         )
-        for callback in self._subscribers:
-            callback(vm)
         return vm
 
     def provision(

@@ -182,11 +182,6 @@ class Dataflow:
         return name in self._tasks
 
     @property
-    def task_names(self) -> List[str]:
-        """Names of all tasks."""
-        return list(self._tasks.keys())
-
-    @property
     def sources(self) -> List[Task]:
         """Source tasks."""
         return [t for t in self._tasks.values() if t.is_source]

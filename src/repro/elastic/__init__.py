@@ -30,7 +30,9 @@ package supplies that missing loop (``monitor -> decide -> place -> act``):
   :class:`~repro.elastic.policy.FullReplacePlacement` (the paper's re-fleet);
 * :class:`~repro.elastic.controller.ElasticityController` (**act**) ticks the
   rule on the monitor's samples, provisions what the placement policy
-  requests, enacts the migration with any registered
+  requests once a :class:`~repro.elastic.arbiter.ScaleArbiter` grants it (a
+  shared fleet's, or its own one-tenant arbiter), enacts the migration with
+  any registered
   :class:`~repro.core.strategy.MigrationStrategy`, and deprovisions the
   vacated VMs so scale-in actually reduces the bill.
 

@@ -5,8 +5,9 @@ but capacity is global: if each controller provisioned on its own, two
 simultaneous surges could blow past the fleet budget, and one tenant could
 rebalance onto VMs another tenant's in-flight scale-in is about to
 deprovision.  The :class:`ScaleArbiter` is the single authority every
-:class:`~repro.multi.tenant.TenantController` must ask before acquiring
-capacity.
+:class:`~repro.elastic.controller.ElasticityController` asks before acquiring
+capacity; a single-tenant controller asks a one-tenant arbiter with an
+unbounded budget, so the accounting below runs on every run.
 
 The arbitration policy, in the order the checks run:
 
@@ -28,7 +29,7 @@ The arbitration policy, in the order the checks run:
    next grant, so a heavy tenant cannot starve a light one at the same
    priority tier.
 
-Deferral is cheap by design: controllers re-propose on their next control
+A deferral is cheap by design: controllers re-propose on their next control
 tick, so the arbiter keeps a *waiting registry* (who wants how much, since
 when) rather than a callback queue, and clears entries on grant or when the
 tenant withdraws (its demand went back in band).

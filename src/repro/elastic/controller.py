@@ -38,11 +38,14 @@ With telemetry on, every tick is a ``controller.tick`` span with five stage
 children (``sense``, ``forecast``, ``plan``, ``place``, ``act``) written from
 the rule's :class:`~repro.elastic.policy.Decision`.
 
-Subclasses can reroute capacity through an external authority (the
-multi-tenant :class:`~repro.multi.tenant.TenantController` asks a
-:class:`~repro.multi.arbiter.ScaleArbiter` before provisioning) by
-overriding :meth:`ElasticityController._acquire_capacity` and
-:meth:`ElasticityController._release_capacity`.
+Capacity always goes through a :class:`~repro.elastic.arbiter.ScaleArbiter`:
+the shared one of a multi-tenant cluster, or a one-tenant arbiter with an
+unbounded budget the controller builds for itself.  A confirmed decision is
+*proposed* before provisioning (a deferral keeps the confirmation, so the
+next tick proposes again; an in-band tick withdraws it), the VMs a migration
+will vacate are published as *retiring*, a VM being evacuated as *doomed*,
+and recovery and evacuation only rebuild onto VMs that are untagged or this
+tenant's, neither retiring nor doomed.
 """
 
 from __future__ import annotations
@@ -52,9 +55,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Type
 
 from repro.cluster.cloud import ON_DEMAND, CloudProvider
-from repro.cluster.placement import PlacementPlan
 from repro.cluster.vm import VM_TYPES, VirtualMachine, VMType
 from repro.core.strategy import MigrationReport, MigrationStrategy
+from repro.elastic.arbiter import ScaleArbiter
 from repro.elastic.forecast import ForecastPolicy, forecast_policy_by_name
 from repro.elastic.monitor import ElasticityMonitor
 from repro.elastic.planner import (
@@ -71,7 +74,7 @@ from repro.elastic.policy import (
     decide,
     placement_policy_by_name,
 )
-from repro.engine.runtime import TopologyRuntime
+from repro.engine.runtime import RuntimeError_, TopologyRuntime
 
 
 #: Billing horizon an eviction-notice evacuation assumes when shopping the
@@ -274,9 +277,19 @@ class ElasticityController:
         initial_tier: str = "baseline",
         forecast_policy: Optional[ForecastPolicy] = None,
         placement: Optional[PlacementPolicy] = None,
+        arbiter: Optional[ScaleArbiter] = None,
+        tenant_id: str = "tenant",
     ) -> None:
         if initial_tier not in TIER_ORDER:
             raise ValueError(f"unknown tier {initial_tier!r}; choose from {sorted(TIER_ORDER)}")
+        if arbiter is None:
+            # Alone on the cluster: a one-tenant arbiter that never defers.
+            arbiter = ScaleArbiter(runtime.cluster, budget_slots=math.inf)
+            arbiter.register_tenant(tenant_id)
+        #: The capacity authority every provisioning goes through; the
+        #: controller's VMs carry ``tags["tenant"] = tenant_id``.
+        self.arbiter = arbiter
+        self.tenant_id = tenant_id
         self.runtime = runtime
         self.provider = provider
         self.monitor = monitor
@@ -362,6 +375,10 @@ class ElasticityController:
                 if tracer is not None:
                     outcome = "enacted" if self._migration_in_flight else "deferred"
                     tracer.end(self._tick_span, now, outcome=outcome)
+            elif decision.outcome == "in-band":
+                # Back in band: a proposal the arbiter was holding no longer
+                # claims a place in its waiting registry.
+                self.arbiter.withdraw(self.tenant_id)
             return decision
         finally:
             self._tick_span = None
@@ -449,12 +466,23 @@ class ElasticityController:
             provision_counts=dict(request.vm_counts),
             kept_vm_ids=list(request.keep_vm_ids),
         )
-        if not self._acquire_capacity(action):
-            # Capacity withheld (an arbiter deferred us): the confirmation is
-            # kept, so the next tick proposes again.
+        # Propose exactly what will be provisioned: the full target fleet
+        # under full-replace placement, only the delta under incremental (a
+        # consolidation re-using free shared slots proposes zero).
+        verdict = self.arbiter.propose(
+            self.tenant_id, direction, action.provision_slots, now=self.runtime.sim.now
+        )
+        if not verdict.granted:
+            # Deferred: the confirmation is kept, so the next tick proposes again.
             if tracer is not None:
                 self._stage_span(tracer, "act", outcome="deferred")
             return
+        # Billing for the new fleet starts now; the migration request waits
+        # for the VMs to come up.  The grant's reservation becomes physical
+        # accounting the moment they join the cluster.
+        for type_name, count in sorted(action.provision_counts.items()):
+            action.provisioned_vm_ids += self._provision(VM_TYPES[type_name], count)
+        self.arbiter.notify_provisioned(self.tenant_id, action.provisioned_vm_ids)
         if tracer is not None:
             self._stage_span(
                 tracer, "act",
@@ -471,19 +499,17 @@ class ElasticityController:
         # ahead, so the VMs are ready when the migration request is issued.
         self.runtime.sim.schedule(self.provider.provisioning_latency_s, self._start_migration, action)
 
-    def _acquire_capacity(self, action: ScalingAction) -> bool:
-        """Provision the requested fleet for an action; ``False`` defers it.
+    def _provision(self, vm_type: VMType, count: int) -> List[str]:
+        """Provision ``count`` VMs now, join them to the cluster; their ids."""
+        vms = self.provider.provision(vm_type, count, name_prefix=vm_type.name.lower())
+        for vm in vms:
+            self._join(vm)
+        return [vm.vm_id for vm in vms]
 
-        Billing for the new fleet starts now; the migration request waits for
-        the VMs to come up.  Subclasses may consult an external authority and
-        return ``False`` to leave the decision pending.
-        """
-        for type_name, count in sorted(action.provision_counts.items()):
-            vm_type = VM_TYPES[type_name]
-            for vm in self.provider.provision(vm_type, count, name_prefix=type_name.lower()):
-                self.runtime.cluster.add_vm(vm)
-                action.provisioned_vm_ids.append(vm.vm_id)
-        return True
+    def _join(self, vm: VirtualMachine) -> None:
+        """Add a VM this controller provisioned to the cluster, tagged as ours."""
+        vm.tags["tenant"] = self.tenant_id
+        self.runtime.cluster.add_vm(vm)
 
     def _start_migration(self, action: ScalingAction) -> None:
         if action.aborted:
@@ -503,7 +529,9 @@ class ElasticityController:
         place = self.place
         strategy = self.strategy_cls(self.runtime)
         action.enacted_at = self.runtime.sim.now
-        self._migration_starting(action, old_vm_ids)
+        # Retiring: nobody (another tenant, our own recovery) places onto a VM
+        # this migration is about to vacate.
+        self.arbiter.notify_migration_started(self.tenant_id, old_vm_ids)
         if action.target.rescale is not None:
             # Combined rescale + migrate: the placement must be planned after
             # the strategy has applied the parallelism change (the executor
@@ -520,37 +548,22 @@ class ElasticityController:
                 on_complete=lambda report: self._migration_complete(action, old_vm_ids, report),
             )
 
-    def _migration_starting(self, action: ScalingAction, old_vm_ids: List[str]) -> None:
-        """Hook fired when the migration request is issued (post-provisioning).
-
-        ``old_vm_ids`` are the worker VMs the migration will vacate; the
-        multi-tenant controller registers them as *retiring* so no other
-        tenant rebalances onto a VM that is about to disappear.
-        """
-
     def _migration_complete(
         self, action: ScalingAction, old_vm_ids: List[str], report: MigrationReport
     ) -> None:
         action.report = report
         action.completed_at = self.runtime.sim.now
-        self._release_capacity(action, old_vm_ids)
+        # Deprovision the vacated VMs -- unless something still lives there
+        # (on a shared fleet, another tenant's executors): those keep
+        # accruing cost until genuinely empty.
+        cluster = self.runtime.cluster
+        for vm_id in old_vm_ids:
+            if vm_id in cluster and not cluster.vm(vm_id).occupied_slots:
+                self.provider.release_from(cluster, vm_id)
+                action.deprovisioned_vm_ids.append(vm_id)
+        self.arbiter.notify_complete(self.tenant_id)
         self._migration_in_flight = False
         self.state.settle(action.to_tier, self.runtime.sim.now + self.config.cooldown_s)
-
-    def _release_capacity(self, action: ScalingAction, old_vm_ids: List[str]) -> None:
-        """Deprovision the VMs the migration vacated.
-
-        VMs that still host executors (on a shared fleet, another tenant's)
-        are skipped: they keep accruing cost until genuinely empty.
-        """
-        for vm_id in old_vm_ids:
-            if vm_id not in self.runtime.cluster:
-                continue
-            vm = self.runtime.cluster.vm(vm_id)
-            if vm.occupied_slots:
-                continue  # something still lives there, keep paying
-            self.provider.release_from(self.runtime.cluster, vm_id)
-            action.deprovisioned_vm_ids.append(vm_id)
 
     # ------------------------------------------------------ unplanned failures
     def handle_vm_failure(self, vm_id: str, kind: str = "kill") -> Optional[RecoveryRecord]:
@@ -571,12 +584,26 @@ class ElasticityController:
         that dies before its migration is enacted is replaced like-for-like
         (or the action is aborted when no target VMs remain).
 
+        Losing a VM that also hosts another tenant's executors is not
+        modelled: it raises :class:`RuntimeError_` before anything is torn
+        down (the VM would stay in the cluster, and recovery would re-place
+        onto it).
+
         Returns the recovery record, or ``None`` if the VM is unknown.
         """
         runtime = self.runtime
         if vm_id not in runtime.cluster:
             return None
         vm = runtime.cluster.vm(vm_id)
+        foreign = sorted(
+            slot.executor_id for slot in vm.occupied_slots
+            if slot.executor_id not in runtime.executors
+        )
+        if foreign:
+            raise RuntimeError_(
+                f"VM {vm_id} also hosts executors of another tenant ({', '.join(foreign)}): "
+                "losing a shared VM is not modelled"
+            )
         vm_type = vm.vm_type
         failure = runtime.fail_vm(vm_id)
         if vm.deprovisioned_at is None:
@@ -603,7 +630,7 @@ class ElasticityController:
         if not failure.lost:
             record.restored_at = runtime.sim.now
         elif evacuation is None:
-            self._plan_recovery(record, vm_type)
+            self._recover(record, vm_type)
         # else: the in-flight evacuation migration re-places and re-inits the
         # victims through its own rebalance + INIT wave.
         return record
@@ -653,68 +680,79 @@ class ElasticityController:
         """A delta VM died before its migration was enacted.
 
         Provision a like-for-like replacement so the staged migration still
-        has its target fleet — unless *no* target VMs remain at all, in which
-        case the action is aborted (and the ``_action_aborted`` hook lets the
-        multi-tenant controller return its reservation to the arbiter).
+        has its target fleet -- unless *no* target VMs remain at all: then the
+        action is aborted and its grant goes back to the budget unspent (else
+        its migration token would starve every other tenant forever).
         """
+        now = self.runtime.sim.now
         if not action.provisioned_vm_ids and not action.kept_vm_ids:
-            self._abort_action(action)
+            action.aborted = True
+            action.completed_at = now
+            self._migration_in_flight = False
+            self.arbiter.notify_aborted(self.tenant_id, now=now)
             return
-        vms = self.provider.provision(vm_type, 1, name_prefix=vm_type.name.lower())
-        for vm in vms:
-            self.runtime.cluster.add_vm(vm)
-            action.provisioned_vm_ids.append(vm.vm_id)
-        self._delta_replaced(action, vms)
+        vm_ids = self._provision(vm_type, 1)
+        action.provisioned_vm_ids += vm_ids
+        self.arbiter.notify_provisioned(self.tenant_id, vm_ids)
 
-    def _delta_replaced(self, action: ScalingAction, vms: List[VirtualMachine]) -> None:
-        """Hook: replacement VMs provisioned for a pending action's dead delta."""
+    def _rebuild_targets(self, exclude_vm_ids: Sequence[str] = ()) -> List[str]:
+        """Worker VMs recovery and evacuation may place onto, in cluster order.
 
-    def _abort_action(self, action: ScalingAction) -> None:
-        action.aborted = True
-        action.completed_at = self.runtime.sim.now
-        self._migration_in_flight = False
-        self._action_aborted(action)
-
-    def _action_aborted(self, action: ScalingAction) -> None:
-        """Hook: a pending action was abandoned (all its target VMs died)."""
-
-    def _vm_eligible(self, vm: VirtualMachine) -> bool:
-        """Whether recovery/evacuation may place onto this VM (tenant filter hook)."""
-        return True
-
-    def _free_worker_slots(self, exclude_vm_ids: Sequence[str] = ()) -> int:
-        runtime = self.runtime
-        excluded = set(exclude_vm_ids)
-        return sum(
-            sum(1 for slot in vm.slots if not slot.occupied)
-            for vm in runtime.cluster.vms
-            if vm.vm_id != runtime.util_vm_id
-            and vm.vm_id not in excluded
-            and self._vm_eligible(vm)
-        )
-
-    def _rebuild_plan(self, exclude_vm_ids: Sequence[str] = ()) -> PlacementPlan:
-        """Incremental repair placement: survivors keep their slots.
-
-        Targets every eligible worker VM except the excluded (doomed) ones;
-        only executors stranded without a live slot move.  Sources and sinks
-        stay pinned where they are.
+        One rule: the VM is untagged or this tenant's, not retiring (an
+        in-flight migration is about to vacate it), not doomed (it is being
+        evacuated), and neither the util VM nor one of ``exclude_vm_ids``.
         """
         runtime = self.runtime
-        excluded = set(exclude_vm_ids)
-        targets = [
+        barred = set(exclude_vm_ids) | self.arbiter.retiring_vms | self.arbiter.doomed_vms
+        barred.add(runtime.util_vm_id)
+        return [
             vm.vm_id
             for vm in runtime.cluster.vms
-            if vm.vm_id != runtime.util_vm_id
-            and vm.vm_id not in excluded
-            and self._vm_eligible(vm)
+            if vm.vm_id not in barred and vm.tags.get("tenant") in (None, self.tenant_id)
         ]
-        return incremental_plan_on(runtime, targets)
 
-    def _plan_recovery(self, record: RecoveryRecord, vm_type: VMType) -> None:
-        deficit = len(record.lost_executors) - self._free_worker_slots()
+    def _deficit(self, targets: Sequence[str]) -> int:
+        """Slots a rebuild onto ``targets`` lacks.
+
+        What the rebuild relocates -- every user executor whose slot is not on
+        a target: a dead or doomed VM's executors, and any an earlier fault
+        left stranded -- minus the targets' free slots.
+        """
+        runtime = self.runtime
+        placement = runtime.placement
+        on_target = set(targets)
+        relocating = sum(
+            1
+            for executor in runtime.user_executors
+            if placement.slot_to_vm.get(placement.assignments.get(executor.executor_id))
+            not in on_target
+        )
+        free = sum(
+            1 for vm_id in targets for slot in runtime.cluster.vm(vm_id).slots if not slot.occupied
+        )
+        return relocating - free
+
+    def _recover(self, record: RecoveryRecord, vm_type: VMType) -> None:
+        """Rebuild the victims' placement once the fleet can host it.
+
+        The rebuild relocates every stranded executor, so the fleet is sized
+        for all of them (:meth:`_deficit`), and re-sized when replacements
+        arrive: an overlapping failure may have stranded more meanwhile.
+        """
+        runtime = self.runtime
+        if not any(eid in runtime.executors for eid in record.lost_executors):
+            record.restored_at = runtime.sim.now
+            return
+        targets = self._rebuild_targets()
+        deficit = self._deficit(targets)
         if deficit <= 0:
-            self._enact_recovery(record)
+            # Incremental repair: survivors keep their slots, sources and
+            # sinks stay pinned, only stranded executors move.
+            record.rebalanced_at = runtime.sim.now
+            runtime.rebalance(
+                incremental_plan_on(runtime, targets),
+                on_command_complete=lambda _rec: self._restore_lost(record),
+            )
             return
         # No notice window to shop the market in: unplanned recovery pays
         # on-demand for reliability.  Provisioning draws straggler/failure
@@ -729,25 +767,11 @@ class ElasticityController:
             self.runtime.sim.schedule(ticket.delay_s, self._replacement_ready, record, ticket.vm)
 
     def _replacement_ready(self, record: RecoveryRecord, vm: VirtualMachine) -> None:
-        self.runtime.cluster.add_vm(vm)
+        self._join(vm)
         record.replacement_vm_ids.append(vm.vm_id)
-        self._replacement_provisioned(record, vm)
         record.pending_replacements -= 1
         if record.pending_replacements == 0:
-            self._enact_recovery(record)
-
-    def _replacement_provisioned(self, record: RecoveryRecord, vm: VirtualMachine) -> None:
-        """Hook: a replacement VM joined the cluster (tenant tags + arbiter sync)."""
-
-    def _enact_recovery(self, record: RecoveryRecord) -> None:
-        runtime = self.runtime
-        lost = [eid for eid in record.lost_executors if eid in runtime.executors]
-        if not lost:
-            record.restored_at = runtime.sim.now
-            return
-        plan = self._rebuild_plan()
-        record.rebalanced_at = runtime.sim.now
-        runtime.rebalance(plan, on_command_complete=lambda _rec: self._restore_lost(record))
+            self._recover(record, vm.vm_type)
 
     def _restore_lost(self, record: RecoveryRecord) -> None:
         runtime = self.runtime
@@ -783,15 +807,18 @@ class ElasticityController:
             return
         record.started_at = now
         self._migration_in_flight = True
-        deficit = len(hosted) - self._free_worker_slots(exclude_vm_ids=(record.vm_id,))
-        if deficit > 0:
-            self._provision_evacuation_capacity(record, vm.vm_type, deficit)
-        else:
-            self._start_evacuation(record)
+        self._evacuate(record, vm.vm_type)
 
-    def _provision_evacuation_capacity(
-        self, record: EvacuationRecord, vm_type: VMType, deficit_slots: int
-    ) -> None:
+    def _evacuate(self, record: EvacuationRecord, vm_type: VMType) -> None:
+        """Migrate off the doomed VM once the rest of the fleet can host it.
+
+        Sized and re-sized like :meth:`_recover`: the rebuild relocates every
+        stranded executor, not only the doomed VM's.
+        """
+        deficit_slots = self._deficit(self._rebuild_targets(exclude_vm_ids=(record.vm_id,)))
+        if deficit_slots <= 0:
+            self._start_evacuation(record)
+            return
         market = ON_DEMAND
         if self.provider.spot_market is not None:
             plan = cost_optimal_fleet(
@@ -812,31 +839,25 @@ class ElasticityController:
             self.runtime.sim.schedule(ticket.delay_s, self._evacuation_vm_ready, record, ticket.vm)
 
     def _evacuation_vm_ready(self, record: EvacuationRecord, vm: VirtualMachine) -> None:
-        self.runtime.cluster.add_vm(vm)
+        self._join(vm)
         record.replacement_vm_ids.append(vm.vm_id)
-        self._evacuation_capacity_ready(record, vm)
         record.pending_replacements -= 1
         if record.pending_replacements > 0:
             return
         if record.completed_at is not None or record.vm_id not in self.runtime.cluster:
             return  # deadline overran the provisioning; recovery owns the fleet
-        self._start_evacuation(record)
-
-    def _evacuation_capacity_ready(self, record: EvacuationRecord, vm: VirtualMachine) -> None:
-        """Hook: an evacuation replacement VM joined the cluster."""
+        self._evacuate(record, vm.vm_type)
 
     def _start_evacuation(self, record: EvacuationRecord) -> None:
         runtime = self.runtime
         record.migration_issued = True
-        plan = self._rebuild_plan(exclude_vm_ids=(record.vm_id,))
+        plan = incremental_plan_on(runtime, self._rebuild_targets(exclude_vm_ids=(record.vm_id,)))
         strategy = self.strategy_cls(runtime)
-        self._evacuation_starting(record)
+        # Doomed: nobody (another tenant, our own recovery) places onto it.
+        self.arbiter.mark_doomed({record.vm_id})
         record.report = strategy.migrate(
             plan, on_complete=lambda report: self._evacuation_complete(record, report)
         )
-
-    def _evacuation_starting(self, record: EvacuationRecord) -> None:
-        """Hook: evacuation migration issued (tenant registers the doomed VM as retiring)."""
 
     def _evacuation_complete(self, record: EvacuationRecord, report: MigrationReport) -> None:
         runtime = self.runtime
@@ -851,7 +872,4 @@ class ElasticityController:
         # An overrun VM vanished because the cloud killed it, not because we
         # got out in time.
         record.evaded = not record.overrun and vm_id not in runtime.cluster
-        self._evacuation_finished(record)
-
-    def _evacuation_finished(self, record: EvacuationRecord) -> None:
-        """Hook: evacuation protocol done (tenant clears its retiring registration)."""
+        self.arbiter.clear_doomed({vm_id})

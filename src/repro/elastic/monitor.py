@@ -138,13 +138,6 @@ class ElasticityMonitor:
         """The most recent sample, if any."""
         return self.samples[-1] if self.samples else None
 
-    def recent_input_rate(self, samples: int = 3) -> Optional[float]:
-        """Mean input rate over the last ``samples`` unpaused samples."""
-        considered = [s.input_rate for s in self.samples[-samples:] if not s.sources_paused]
-        if not considered:
-            return None
-        return sum(considered) / len(considered)
-
     def measured_capacities_ev_s(self) -> Dict[str, float]:
         """Per-task measured service rates (ev/s per busy instance).
 

@@ -233,26 +233,6 @@ class AllocationPlanner:
             rescale=rescale,
         )
 
-    def cost_plan(
-        self,
-        observed_rate_ev_s: float,
-        horizon_s: float,
-        billing_granularity_s: float = 60.0,
-        spot: Optional[SpotMarket] = None,
-        **kwargs,
-    ) -> "CostPlan":
-        """Cost-optimal fleet for the observed rate over a billing horizon.
-
-        Sizes the slot demand with the 1-per-capacity rule, then searches
-        the full flavour × market space (see :func:`cost_optimal_fleet`) —
-        the cost-aware alternative to the single-flavour tier packing of
-        :meth:`plan`.
-        """
-        required = self.required_instances(observed_rate_ev_s)
-        return cost_optimal_fleet(
-            required, horizon_s, billing_granularity_s, spot, **kwargs
-        )
-
 
 # --------------------------------------------------------------------- cost
 @dataclass(frozen=True)
@@ -287,17 +267,6 @@ class CostPlan:
     def total_vms(self) -> int:
         """Number of VMs across all groups."""
         return sum(c.count for c in self.choices)
-
-    @property
-    def spot_fraction(self) -> float:
-        """Fraction of the fleet's slots bought on the spot market."""
-        total = self.total_slots
-        if total == 0:
-            return 0.0
-        spot = sum(
-            VM_FLAVOURS[c.flavour].slots * c.count for c in self.choices if c.market == SPOT
-        )
-        return spot / total
 
     def describe(self) -> str:
         """Human-readable summary, e.g. ``3xD3/spot + 1xD1/on-demand ($0.0420)``."""

@@ -190,11 +190,6 @@ class Executor:
         self.runtime.log.record_lifecycle(self.executor_id, "ready")
 
     @property
-    def is_running(self) -> bool:
-        """Whether the executor accepts deliveries."""
-        return self.status is ExecutorStatus.RUNNING
-
-    @property
     def queue_length(self) -> int:
         """Number of events waiting in the input queue."""
         return len(self.input_queue)

@@ -78,11 +78,6 @@ class RescaleRecord:
     #: their in-memory keyed state belongs to the *old* FIELDS partitioning.
     restarting: Set[str] = field(default_factory=set)
 
-    @property
-    def affected_tasks(self) -> List[str]:
-        """Names of the rescaled tasks, sorted."""
-        return sorted(self.changes)
-
 
 @dataclass
 class VMFailureRecord:
@@ -495,11 +490,6 @@ class TopologyRuntime:
         self.rescales.append(record)
         return record
 
-    @property
-    def last_rescale(self) -> Optional[RescaleRecord]:
-        """The most recent rescale record, if any."""
-        return self.rescales[-1] if self.rescales else None
-
     # --------------------------------------------------------------- rebalance
     def rebalance(
         self,
@@ -749,11 +739,6 @@ class TopologyRuntime:
         return checkpoint_id
 
     # -------------------------------------------------------------- inspection
-    @property
-    def last_rebalance(self) -> Optional[RebalanceRecord]:
-        """The most recent rebalance record, if any."""
-        return self.rebalances[-1] if self.rebalances else None
-
     def executor(self, executor_id: str) -> Executor:
         """Return the executor with the given id."""
         return self.executors[executor_id]

@@ -26,7 +26,6 @@ emit the headline numbers as JSON (``--json``).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,7 +49,7 @@ from repro.engine.config import RuntimeConfig
 from repro.engine.runtime import TopologyRuntime
 from repro.experiments.scenarios import deploy_baseline
 from repro.metrics.log import EventLog
-from repro.sim import RandomSource, Simulator
+from repro.sim import RandomSource, Simulator, cell_seed
 from repro.sim.shard import log_digest
 
 #: Recovery modes compared by default, in report order.
@@ -254,17 +253,6 @@ class ChaosComparisonResult:
         return path
 
 
-def _mix_seed(spec: ChaosScenarioSpec) -> int:
-    """Independent randomness per (dag, strategy) cell, reproducibly.
-
-    The recovery ``mode`` is deliberately *not* mixed in: both modes ride the
-    same storm with the same streams, so the comparison isolates what the
-    notice handling itself is worth.
-    """
-    digest = hashlib.sha256(f"chaos:{spec.dag}:{spec.strategy}".encode("utf-8")).digest()
-    return spec.seed * 1_000_003 + int.from_bytes(digest[:4], "big")
-
-
 def run_chaos_run(
     dag: str = "grid-keyed",
     strategy: str = "dsm",
@@ -313,7 +301,10 @@ def run_chaos_run(
         notice_s=notice_s,
         jitter_s=jitter_s,
     )
-    mixed = _mix_seed(spec)
+    # Independent randomness per (dag, strategy) cell.  The recovery ``mode``
+    # is deliberately *not* mixed in: both modes ride the same storm with the
+    # same streams, so the comparison isolates what the notice is worth.
+    mixed = cell_seed(seed, "chaos", dag, strategy)
     strategy_cls = strategy_by_name(strategy)
     if config is None:
         config = strategy_cls.runtime_config(seed=mixed)

@@ -16,7 +16,6 @@ The result carries the full timeline (monitor samples), every enacted
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
@@ -40,7 +39,7 @@ from repro.engine.runtime import TopologyRuntime
 from repro.experiments.scenarios import deploy_baseline
 from repro.metrics.log import EventLog
 from repro.metrics.timeline import LatencyPoint, RatePoint, latency_timeline, rate_timeline
-from repro.sim import Simulator
+from repro.sim import Simulator, cell_seed
 from repro.workloads.profiles import RateProfile, profile_by_name
 
 
@@ -122,20 +121,6 @@ class ElasticRunResult:
         return latency_timeline(self.log, window_s=window_s)
 
 
-def _mix_seed(spec: ElasticScenarioSpec) -> int:
-    """Independent randomness per (dag, strategy, profile) cell, reproducibly.
-
-    The ``elastic_parallelism`` flag is deliberately *not* mixed in: the
-    capacity-adding and placement-only variants of the same cell share their
-    random streams, so comparisons between them isolate the rescale decision
-    itself.
-    """
-    digest = hashlib.sha256(
-        f"elastic:{spec.dag}:{spec.strategy}:{spec.profile}".encode("utf-8")
-    ).digest()
-    return spec.seed * 1_000_003 + int.from_bytes(digest[:4], "big")
-
-
 def run_elastic_experiment(
     dag: str = "traffic",
     strategy: str = "ccr",
@@ -197,7 +182,13 @@ def run_elastic_experiment(
     )
     strategy_cls = strategy_by_name(strategy)
     if config is None:
-        config = strategy_cls.runtime_config(seed=_mix_seed(spec))
+        # Independent randomness per (dag, strategy, profile) cell.  The
+        # ``elastic_parallelism`` flag is deliberately *not* mixed in: the
+        # capacity-adding and placement-only variants of a cell share their
+        # random streams, so comparisons between them isolate the rescale.
+        config = strategy_cls.runtime_config(
+            seed=cell_seed(seed, "elastic", dag, strategy, profile_name)
+        )
     if telemetry and not config.telemetry:
         config = config.copy()
         config.telemetry = True

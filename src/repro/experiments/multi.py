@@ -27,7 +27,7 @@ from repro.dataflow.event import reset_event_ids
 from repro.elastic.controller import ControllerConfig, ScalingAction
 from repro.elastic.planner import AllocationPlanner
 from repro.metrics.log import mean_latency
-from repro.multi import ClusterManager, Deferral, FleetSample
+from repro.multi import ClusterManager, FleetSample, ProposalRecord
 from repro.workloads.profiles import StepProfile
 
 
@@ -45,7 +45,8 @@ class TenantSummary:
     final_backlog: int
     final_instances: int
     actions: List[ScalingAction] = field(default_factory=list)
-    deferrals: List[Deferral] = field(default_factory=list)
+    #: The arbiter's audit records of this tenant's deferred proposals.
+    deferrals: List[ProposalRecord] = field(default_factory=list)
     #: ``(enacted_at, completed_at)`` per completed scaling migration.
     migration_windows: List[Tuple[float, float]] = field(default_factory=list)
 
@@ -196,7 +197,7 @@ def _summarize_tenant(manager: ClusterManager, name: str) -> TenantSummary:
         final_backlog=backlogs[-1] if backlogs else 0,
         final_instances=tenant.dataflow.total_instances(),
         actions=list(tenant.controller.actions),
-        deferrals=list(tenant.controller.deferrals),
+        deferrals=[r for r in manager.arbiter.deferrals() if r.tenant_id == name],
         migration_windows=windows,
     )
 

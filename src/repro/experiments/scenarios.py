@@ -17,12 +17,12 @@ Reproduces the paper's experiment setup (§5):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.cluster.cloud import ON_DEMAND, CloudProvider, Cluster
 from repro.cluster.placement import PlacementPlan
-from repro.cluster.vm import D1, D2, D3, VirtualMachine, VMType
+from repro.cluster.vm import D1, D2, D3, VirtualMachine
 from repro.core.metrics import MigrationMetrics, compute_migration_metrics
 from repro.core.strategy import MigrationReport, strategy_by_name
 from repro.dataflow import topologies
@@ -33,7 +33,7 @@ from repro.engine.config import RuntimeConfig
 from repro.engine.runtime import TopologyRuntime
 from repro.metrics.log import EventLog
 from repro.metrics.timeline import LatencyPoint, RatePoint, latency_timeline, rate_timeline
-from repro.sim import Simulator
+from repro.sim import Simulator, cell_seed
 
 
 @dataclass(frozen=True)
@@ -127,15 +127,6 @@ class ExperimentHandle:
     util_vm_id: str
 
 
-def _mix_seed(spec: ScenarioSpec) -> int:
-    """Derive a per-cell seed so different (dag, strategy, scaling) cells draw
-    independent random values while the whole matrix stays reproducible."""
-    import hashlib
-
-    digest = hashlib.sha256(f"{spec.dag}:{spec.strategy}:{spec.scaling}".encode("utf-8")).digest()
-    return spec.seed * 1_000_003 + int.from_bytes(digest[:4], "big")
-
-
 def deploy_baseline(
     dataflow: Dataflow,
     config: RuntimeConfig,
@@ -174,7 +165,11 @@ def build_experiment(spec: ScenarioSpec, dataflow: Optional[Dataflow] = None) ->
     :func:`run_migration_experiment` is the one-call variant.
     """
     strategy_cls = strategy_by_name(spec.strategy)
-    config = strategy_cls.runtime_config(seed=_mix_seed(spec))
+    # Different (dag, strategy, scaling) cells draw independent random values
+    # while the whole matrix stays reproducible.
+    config = strategy_cls.runtime_config(
+        seed=cell_seed(spec.seed, spec.dag, spec.strategy, spec.scaling)
+    )
     sim = Simulator()
     dataflow = dataflow if dataflow is not None else topologies.by_name(spec.dag)
     provider = CloudProvider(sim)

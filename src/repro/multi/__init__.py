@@ -7,33 +7,28 @@ that layer on top of everything below it:
 
 * :class:`~repro.multi.manager.ClusterManager` -- owns one shared
   :class:`~repro.cluster.cloud.CloudProvider`/cluster and hosts N tenants,
-  bin-packed onto a common worker fleet;
-* :class:`~repro.multi.arbiter.ScaleArbiter` -- arbitrates every tenant's
-  scale/rescale/migrate proposals under a cluster-wide slot budget with
-  priority tiers, a proportional-share fallback, migration serialization
-  and retiring-VM publication;
-* :class:`~repro.multi.tenant.TenantController` -- the per-tenant elastic
-  controller that *proposes instead of acting*.
+  bin-packed onto a common worker fleet, each scaled by its own
+  :class:`~repro.elastic.controller.ElasticityController`;
+* :class:`~repro.elastic.arbiter.ScaleArbiter` (re-exported here) --
+  arbitrates every tenant's scale/rescale/migrate proposals under a
+  cluster-wide slot budget with priority tiers, a proportional-share
+  fallback, migration serialization and retiring-VM publication.
 """
 
-from repro.multi.arbiter import (
+from repro.elastic.arbiter import (
     ArbiterDecision,
     ProposalRecord,
     ScaleArbiter,
     is_worker_vm,
 )
 from repro.multi.manager import ClusterManager, FleetSample, Tenant
-from repro.multi.tenant import Deferral, TenantController, slots_of
 
 __all__ = [
     "ArbiterDecision",
     "ClusterManager",
-    "Deferral",
     "FleetSample",
     "ProposalRecord",
     "ScaleArbiter",
     "Tenant",
-    "TenantController",
     "is_worker_vm",
-    "slots_of",
 ]

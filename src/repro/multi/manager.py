@@ -5,11 +5,12 @@ north-star use case needs (a cloud provider hosting many users' pipelines):
 it owns one :class:`~repro.sim.Simulator`, one
 :class:`~repro.cluster.cloud.CloudProvider`, one shared
 :class:`~repro.cluster.cloud.Cluster` and one
-:class:`~repro.multi.arbiter.ScaleArbiter`, and hosts N independent tenants,
+:class:`~repro.elastic.arbiter.ScaleArbiter`, and hosts N independent tenants,
 each with its own dataflow, :class:`~repro.engine.runtime.TopologyRuntime`,
 :class:`~repro.elastic.monitor.ElasticityMonitor`,
 :class:`~repro.elastic.planner.AllocationPlanner` and
-:class:`~repro.multi.tenant.TenantController`.
+:class:`~repro.elastic.controller.ElasticityController` asking the shared
+arbiter before every scaling action.
 
 Deployment bin-packs every tenant onto a common D2 worker fleet (partially
 filled VMs first, so tenants co-locate instead of each rounding up to a
@@ -26,9 +27,8 @@ verify the budget invariant over time.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Union
 
 from repro.cluster.cloud import CloudProvider, Cluster
@@ -36,15 +36,14 @@ from repro.cluster.scheduler import SharedFleetScheduler
 from repro.cluster.vm import D2, D3
 from repro.core.strategy import strategy_by_name
 from repro.dataflow.graph import Dataflow
-from repro.elastic.controller import ControllerConfig
+from repro.elastic.arbiter import ScaleArbiter, is_worker_vm
+from repro.elastic.controller import ControllerConfig, ElasticityController
 from repro.elastic.monitor import ElasticityMonitor
 from repro.elastic.planner import AllocationPlanner
 from repro.elastic.policy import IncrementalPlacement
 from repro.engine.config import RuntimeConfig
 from repro.engine.runtime import TopologyRuntime
-from repro.multi.arbiter import ScaleArbiter, is_worker_vm
-from repro.multi.tenant import TenantController
-from repro.sim import Simulator
+from repro.sim import Simulator, cell_seed
 from repro.workloads.profiles import RateProfile, profile_by_name
 
 
@@ -61,7 +60,7 @@ class Tenant:
     runtime: TopologyRuntime = None  # type: ignore[assignment]  # set at deploy
     monitor: ElasticityMonitor = None  # type: ignore[assignment]
     planner: AllocationPlanner = None  # type: ignore[assignment]
-    controller: TenantController = None  # type: ignore[assignment]
+    controller: ElasticityController = None  # type: ignore[assignment]
     util_vm_id: Optional[str] = None
     config: Optional[RuntimeConfig] = None
     controller_config: Optional[ControllerConfig] = None
@@ -95,12 +94,6 @@ class FleetSample:
     def utilization(self) -> float:
         """Occupied fraction of the provisioned worker slots."""
         return self.occupied_slots / self.worker_slots if self.worker_slots else 0.0
-
-
-def _tenant_seed(base_seed: int, tenant: str, dag_name: str) -> int:
-    """Independent random streams per tenant, reproducibly."""
-    digest = hashlib.sha256(f"multi:{tenant}:{dag_name}".encode("utf-8")).digest()
-    return base_seed * 1_000_003 + int.from_bytes(digest[:4], "big")
 
 
 class ClusterManager:
@@ -262,7 +255,6 @@ class ClusterManager:
         # The shared worker fleet: sized for the *sum* of the tenants' slots,
         # so co-location saves the per-tenant round-up a private fleet pays.
         for vm in self.provider.provision(D2, initial_count, name_prefix="shared-d2"):
-            vm.tags["tenant"] = "shared"
             self.cluster.add_vm(vm)
             self.initial_vm_ids.append(vm.vm_id)
 
@@ -270,8 +262,9 @@ class ClusterManager:
             strategy_cls = strategy_by_name(tenant.strategy)
             config = tenant.config
             if config is None:
+                # Independent random streams per tenant, reproducibly.
                 config = strategy_cls.runtime_config(
-                    seed=_tenant_seed(self.seed, name, tenant.dataflow.name)
+                    seed=cell_seed(self.seed, "multi", name, tenant.dataflow.name)
                 )
             config.util_vm_role = f"util:{name}"
             tenant.config = config
@@ -304,9 +297,7 @@ class ClusterManager:
                     reuse_free_slots=True,
                     excluded_vms_fn=self._excluded_vms_for(name),
                 )
-            tenant.controller = TenantController(
-                name,
-                self.arbiter,
+            tenant.controller = ElasticityController(
                 runtime,
                 self.provider,
                 tenant.monitor,
@@ -315,6 +306,8 @@ class ClusterManager:
                 config=tenant.controller_config,
                 initial_tier="baseline",
                 placement=placement_policy,
+                arbiter=self.arbiter,
+                tenant_id=name,
             )
             self.arbiter.register_tenant(
                 name,

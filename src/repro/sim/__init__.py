@@ -22,7 +22,7 @@ Public classes
 """
 
 from repro.sim.kernel import PeriodicTimer, SimulationError, Simulator, Timer
-from repro.sim.rng import KeyedStream, RandomSource, keyed_seed, keyed_value
+from repro.sim.rng import KeyedStream, RandomSource, cell_seed, keyed_seed, keyed_value
 
 __all__ = [
     "KeyedStream",
@@ -31,6 +31,7 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Timer",
+    "cell_seed",
     "keyed_seed",
     "keyed_value",
 ]

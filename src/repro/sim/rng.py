@@ -31,6 +31,16 @@ def keyed_seed(master_seed: int, name: str, key: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def cell_seed(seed: int, *parts: str) -> int:
+    """Master seed of one experiment cell named by ``parts``, reproducibly.
+
+    Distinct cells (a ``dag:strategy:scaling`` matrix cell, an elastic run, a
+    chaos storm, a tenant) draw independent streams from one user seed.
+    """
+    digest = hashlib.sha256(":".join(parts).encode("utf-8")).digest()
+    return seed * 1_000_003 + int.from_bytes(digest[:4], "big")
+
+
 def keyed_value(seed: int, sequence: int) -> float:
     """The ``sequence``-th uniform [0, 1) draw of the keyed channel ``seed``.
 

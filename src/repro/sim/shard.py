@@ -91,11 +91,6 @@ class ShardSpec:
         """Master seed for this shard's runtime (independent across shards)."""
         return keyed_seed(self.seed, "shard", f"{self.index}/{self.shards}")
 
-    @property
-    def id_offset(self) -> int:
-        """Offset added to this shard's local event/root ids by the merge."""
-        return self.index * SHARD_ID_STRIDE
-
 
 @dataclass
 class ShardResult:

@@ -42,7 +42,7 @@ from repro.engine.config import RuntimeConfig
 from repro.engine.executor import ExecutorStatus
 from repro.engine.runtime import TopologyRuntime
 from repro.experiments.chaos import run_chaos_experiment, run_chaos_run
-from repro.multi.arbiter import ScaleArbiter
+from repro.elastic.arbiter import ScaleArbiter
 from repro.reliability.repartition import PARTITIONED_STATE_KEY
 from repro.reliability.statestore import checkpoint_key
 from repro.sim import RandomSource, Simulator
@@ -232,6 +232,62 @@ class TestZeroNoticeKillRecovery:
         )
         kill_time = killed[0].killed_at
         assert any(receipt.time > kill_time + 60.0 for receipt in result.log.sink_receipts)
+
+
+class TestDenseStorms:
+    @pytest.mark.parametrize(
+        "strategy, mode, count, spacing_s",
+        [("ccr", "notice", 4, 60.0), ("dsm", "oblivious", 3, 30.0)],
+    )
+    def test_overlapping_faults_are_rebuilt_onto_enough_capacity(
+        self, strategy, mode, count, spacing_s
+    ):
+        # Faults land before earlier ones are repaired, so a rebuild also
+        # relocates executors an earlier fault stranded (an overrun kill's
+        # victim, another recovery's victims still waiting on rescue VMs):
+        # its capacity must be sized for all of them.
+        result = run_chaos_run(
+            dag="grid-keyed", strategy=strategy, mode=mode,
+            storm_count=count, storm_spacing_s=spacing_s,
+        )
+        rebuilt = [r for r in result.recoveries if r.rebalanced_at is not None]
+        assert rebuilt, "a recovery must have rebuilt the fleet"
+        assert all(r.restored_at is not None for r in rebuilt)
+        runtime = result.runtime
+        for executor in runtime.user_executors:
+            assert runtime.placement.vm_of(executor.executor_id) in runtime.cluster
+
+
+class TestRecoveryAvoidsNoticedVms:
+    def test_no_recovery_rebuild_lands_on_a_vm_under_eviction_notice(self, monkeypatch):
+        # Three evictions 30 s apart: a kill's recovery runs while the next
+        # noticed VM is being evacuated, and must not rebuild onto it.
+        rebalances = []
+        rebalance = TopologyRuntime.rebalance
+
+        def recording(runtime, plan, *args, **kwargs):
+            rebalances.append((runtime.sim.now, plan))
+            return rebalance(runtime, plan, *args, **kwargs)
+
+        monkeypatch.setattr(TopologyRuntime, "rebalance", recording)
+        result = run_chaos_run(
+            dag="grid-keyed", strategy="dsm", mode="notice", storm_count=3, storm_spacing_s=30.0
+        )
+        notices = [
+            (fault.fired_at, fault.deadline, fault.vm_id)
+            for fault in result.injector.records
+            if fault.deadline is not None
+        ]
+        rebuilt = [r for r in result.recoveries if r.rebalanced_at is not None]
+        assert rebuilt, "a recovery must have rebuilt the fleet"
+        for recovery in rebuilt:
+            at = recovery.rebalanced_at
+            noticed = {vm_id for fired, deadline, vm_id in notices if fired <= at < deadline}
+            plans = [plan for time, plan in rebalances if time == at]
+            assert plans
+            for plan in plans:
+                landed = {plan.vm_of(eid) for eid in recovery.lost_executors}
+                assert not landed & noticed, f"recovery at {at:.1f}s rebuilt onto {landed & noticed}"
 
 
 # ------------------------------------------------------------- acceptance (b)

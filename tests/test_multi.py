@@ -15,8 +15,10 @@ from repro.cluster.cloud import CloudProvider, Cluster
 from repro.cluster.placement import PackingError, bin_pack_plan
 from repro.cluster.scheduler import SchedulingError, SharedFleetScheduler
 from repro.cluster.vm import D1, D2, D3
+from repro.dataflow import topologies
 from repro.dataflow.builder import TopologyBuilder
 from repro.elastic import ControllerConfig
+from repro.engine.runtime import RuntimeError_
 from repro.experiments.multi import default_budget_slots, run_multi_experiment, surge_window
 from repro.multi import ClusterManager, ScaleArbiter
 from repro.sim import Simulator
@@ -337,6 +339,59 @@ class TestClusterManager:
         assert deferrals, "contending surges on a tight budget must defer someone"
         assert manager.arbiter.max_committed_slots <= 10
         assert all(s.worker_slots <= 10 for s in manager.fleet_samples)
+
+
+# ------------------------------------------------------------- shared VM loss
+class TestSharedFleetVmLoss:
+    """A tenant recovers onto its own shared-fleet VMs; losing a VM that also
+    hosts another tenant is refused loudly instead of going silent."""
+
+    @staticmethod
+    def deployed_at_60s():
+        manager = ClusterManager(budget_slots=default_budget_slots(["traffic", "linear"], 2.0))
+        for name in ("traffic", "linear"):
+            manager.add_tenant(name, topologies.by_name(name))
+        manager.deploy()
+        manager.start()
+        manager.run(until=60.0)
+        return manager
+
+    @staticmethod
+    def worker_vms(manager, tenant):
+        """Worker VMs hosting ``tenant``'s executors, and which also host another's."""
+        own = {e.executor_id for e in manager.tenant(tenant).runtime.user_executors}
+        hosting = [
+            vm for vm in manager.cluster.vms
+            if own & {slot.executor_id for slot in vm.occupied_slots}
+        ]
+        shared = [vm for vm in hosting if {s.executor_id for s in vm.occupied_slots} - own]
+        return [vm for vm in hosting if vm not in shared], shared
+
+    def test_losing_a_vm_of_its_own_on_the_shared_fleet_recovers(self):
+        manager = self.deployed_at_60s()
+        linear = manager.tenant("linear")
+        victim = self.worker_vms(manager, "linear")[0][0].vm_id
+        record = linear.controller.handle_vm_failure(victim)
+        manager.run(until=200.0)
+        assert record.lost_executors
+        assert record.replacement_vm_ids
+        assert record.restored_at is not None and record.restored_at < 200.0
+        placement = linear.runtime.placement
+        for executor in linear.runtime.user_executors:
+            assert placement.vm_of(executor.executor_id) in manager.cluster
+
+    def test_losing_a_vm_another_tenant_shares_raises_before_teardown(self):
+        manager = self.deployed_at_60s()
+        linear = manager.tenant("linear")
+        vm = self.worker_vms(manager, "linear")[1][0]
+        occupants = sorted(slot.executor_id for slot in vm.occupied_slots)
+        foreign = [e for e in occupants if e in manager.tenant("traffic").runtime.executors]
+        assert foreign
+        with pytest.raises(RuntimeError_, match=f"{vm.vm_id}.*{foreign[0]}"):
+            linear.controller.handle_vm_failure(vm.vm_id)
+        assert vm.vm_id in manager.cluster
+        assert sorted(slot.executor_id for slot in vm.occupied_slots) == occupants
+        assert linear.controller.recoveries == []
 
 
 # ------------------------------------------------------------------ experiment
