@@ -8,7 +8,6 @@ Usage (after ``pip install -e .`` / ``python setup.py develop``)::
     python -m repro rescale --dag grid --strategy ccr --surge 2.0
     python -m repro predict --dag grid --profile surge --slo 30
     python -m repro multi --dags traffic,grid --strategy ccr
-    python -m repro shard --dag grid --shards 4 --workers 2
     python -m repro chaos --dag grid-keyed --strategy dsm --storms 3
     python -m repro figure table1
     python -m repro figure fig5 --scaling out --jobs 4
@@ -28,7 +27,7 @@ budget-arbitrated fleet (offset surges) and compares every tenant against
 its private-fleet baseline; ``chaos`` fires a deterministic spot-eviction
 storm at the fleet and compares notice-aware draining against oblivious
 unplanned recovery on restore latency, replays and the bill; ``--trace``
-on elastic/predict/chaos/multi/shard exports the run's control-plane trace
+on elastic/predict/chaos/multi exports the run's control-plane trace
 (schema-versioned JSONL plus a Perfetto-loadable Chrome trace); ``figure``
 regenerates one of the paper's tables/figures (``--jobs N`` fans the
 experiment matrix out across processes) and prints the reproduced rows next
@@ -41,7 +40,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 from pathlib import Path
 from typing import List, Optional
 
@@ -57,8 +55,6 @@ from repro.experiments import (
     run_multi_experiment,
     run_predictive_experiment,
     run_rescale_experiment,
-    run_sharded_elastic_experiment,
-    run_sharded_experiment,
 )
 from repro.experiments.chaos import DEFAULT_MODES
 from repro.experiments.figures import PRODUCERS, ExperimentMatrix
@@ -150,40 +146,6 @@ def _multi_telemetry(result, duration_s: float):
     for name in sorted(shared.tenants):
         telemetry.record_actions(shared.tenants[name].actions, now=duration_s, tenant=name)
     telemetry.record_arbiter(shared.manager.arbiter)
-    return telemetry
-
-
-def _shard_telemetry(result, dag: str, strategy: str, shards: int, elastic: bool):
-    """Synthesize a sharded-run trace from per-shard summaries + planned actions."""
-    from repro.obs import Telemetry
-
-    telemetry = Telemetry()
-    telemetry.meta.update(
-        scenario="shard",
-        dag=dag,
-        strategy=strategy,
-        shards=shards,
-        workers=result.workers,
-        digest=result.digest,
-    )
-    for res in result.results:
-        for key in ("source_emits", "sink_receipts", "distinct_roots_received"):
-            telemetry.registry.counter("shard", key, shard=str(res.index)).set_total(
-                int(res.summary.get(key, 0))
-            )
-    if elastic:
-        for action in result.actions:
-            telemetry.tracer.emit(
-                f"plan.{action.direction}",
-                "plan",
-                action.decided_at,
-                action.decided_at,
-                direction=action.direction,
-                from_tier=action.from_tier,
-                to_tier=action.to_tier,
-                observed_rate_ev_s=action.observed_rate,
-                vm_counts={name: count for name, count in action.vm_counts},
-            )
     return telemetry
 
 
@@ -387,6 +349,9 @@ def _cmd_multi(args: argparse.Namespace) -> int:
     if args.duration <= 0:
         print("repro multi: error: --duration must be positive", file=sys.stderr)
         return 2
+    if args.budget is not None and args.budget < 1:
+        print("repro multi: error: --budget must be >= 1", file=sys.stderr)
+        return 2
     dags = [d.strip() for d in args.dags.split(",") if d.strip()]
     unknown = [d for d in dags if d not in topologies.ALL_TOPOLOGIES]
     if unknown:
@@ -472,61 +437,6 @@ def _cmd_multi(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_shard(args: argparse.Namespace) -> int:
-    if args.shards < 1:
-        print("repro shard: error: --shards must be >= 1", file=sys.stderr)
-        return 2
-    run = dict(dag=args.dag, shards=args.shards, workers=args.workers,
-               duration_s=args.duration, seed=args.seed, strategy=args.strategy)
-    if args.elastic:
-        result = run_sharded_elastic_experiment(profile=args.profile, **run)
-        print(f"Sharded elastic run: {args.dag} / {args.strategy} / {args.profile} / "
-              f"{args.shards} shards x {args.duration:.0f}s on {result.workers} worker(s)")
-    else:
-        result = run_sharded_experiment(**run)
-        print(f"Sharded run: {args.dag} / {args.strategy} / {args.shards} shards "
-              f"x {args.duration:.0f}s on {result.workers} worker(s)")
-    print()
-    rows = [
-        {
-            "shard": res.index,
-            "emits": int(res.summary.get("source_emits", 0)),
-            "receipts": int(res.summary.get("sink_receipts", 0)),
-            "roots_received": int(res.summary.get("distinct_roots_received", 0)),
-        }
-        for res in result.results
-    ]
-    print(format_table(rows, title="Per-shard summaries"))
-    print()
-    print(format_table([result.log.summary()], title="Merged log (worker-count invariant)"))
-    if args.elastic:
-        print()
-        if result.actions:
-            action_rows = [
-                {
-                    "decided_at": f"{action.decided_at:.1f}",
-                    "direction": action.direction,
-                    "tier": f"{action.from_tier} -> {action.to_tier}",
-                    "observed_ev_s": f"{action.observed_rate:.2f}",
-                    "vms": ", ".join(f"{name} x{count}" for name, count in action.vm_counts),
-                }
-                for action in result.actions
-            ]
-            print(format_table(
-                action_rows, title="Planned scaling actions (centralized controller tick)"
-            ))
-        else:
-            print("Planned scaling actions: none (offered rate stayed in band)")
-    print(f"\nmerged log digest: {result.digest}")
-    print(engine_line(sum((res.engine for res in result.results), Counter())))
-    if args.trace:
-        _export_trace(
-            _shard_telemetry(result, args.dag, args.strategy, args.shards, args.elastic),
-            args.trace,
-        )
-    return 0
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.duration <= 0:
         print("repro chaos: error: --duration must be positive", file=sys.stderr)
@@ -568,10 +478,18 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             print(f"  {summary.mode:10s} {when} {fault.event.kind:6s} "
                   f"{fault.vm_id or '-':10s} -> {fault.outcome}")
         print(f"  {summary.mode:10s} {engine_line(engine_counts([run.runtime]))}")
+        unfinished = run.unfinished()
+        if unfinished:
+            print(f"  {summary.mode:10s} unfinished at the end: {', '.join(unfinished)}")
     notice, oblivious = result.notice, result.oblivious
     if notice is not None and oblivious is not None:
         print()
-        if (notice.mean_restore_s <= oblivious.mean_restore_s
+        left_open = [f"{s.mode}: {', '.join(s.result.unfinished())}"
+                     for s in (notice, oblivious) if s.result.unfinished()]
+        if left_open:
+            print(f"No verdict: a run ended with work still open ({'; '.join(left_open)}), "
+                  "so its restore times stop at the end of the run, not at a restore.")
+        elif (notice.mean_restore_s <= oblivious.mean_restore_s
                 and notice.total_cost <= oblivious.total_cost):
             print(f"Notice-aware recovery wins on both axes: "
                   f"{notice.mean_restore_s:.1f}s vs {oblivious.mean_restore_s:.1f}s restore, "
@@ -598,6 +516,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         return 2
     if args.duration <= 0 or args.migrate_at <= 0:
         print("repro figure: error: --duration and --migrate-at must be positive", file=sys.stderr)
+        return 2
+    if args.jobs < 0:
+        print("repro figure: error: --jobs must be >= 0 (0 = one per CPU)", file=sys.stderr)
         return 2
     if args.write and args.name != "all":
         print("repro figure: error: --write goes with `figure all`", file=sys.stderr)
@@ -750,30 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
     multi.add_argument("--seed", type=int, default=2018)
     _add_trace_flag(multi, "multi")
     multi.set_defaults(func=_cmd_multi)
-
-    shard = sub.add_parser(
-        "shard",
-        help="run a steady-state experiment partitioned across a process pool",
-    )
-    shard.add_argument("--dag", default="grid", choices=sorted(topologies.ALL_TOPOLOGIES))
-    shard.add_argument("--strategy", default="dcr", choices=("dsm", "dcr", "ccr"))
-    shard.add_argument("--shards", type=int, default=4,
-                       help="number of key partitions (one hermetic simulation each)")
-    shard.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: $REPRO_SIM_SHARDS, else one per "
-                            "shard capped at the CPU count; the merged log is identical "
-                            "for every value)")
-    shard.add_argument("--duration", type=float, default=60.0,
-                       help="simulated duration of each shard (seconds)")
-    shard.add_argument("--elastic", action="store_true",
-                       help="profile-driven run with per-shard monitors and a "
-                            "centralized controller tick over the merged samples "
-                            "(planned scaling actions, worker-count invariant)")
-    shard.add_argument("--profile", default="surge",
-                       help="rate-profile preset for --elastic runs (default: surge)")
-    shard.add_argument("--seed", type=int, default=2018)
-    _add_trace_flag(shard, "shard")
-    shard.set_defaults(func=_cmd_shard)
 
     chaos = sub.add_parser(
         "chaos",

@@ -9,9 +9,8 @@ guard -- into a frozen :class:`Decision`.  What it carries between samples
 lives in a :class:`ControlState`; it touches no simulator, runtime, provider,
 monitor or tracer, so the live
 :class:`~repro.elastic.controller.ElasticityController` (and the multi-tenant
-controller through it) and the offline replay of a sharded run
-(:func:`repro.experiments.sharded.plan_control_actions`) run this very
-function.
+controller through it) and a test folding it over a recorded run's samples
+run this very function.
 
 A :class:`PlacementPolicy` turns a decided target into a provisioning request
 and a placement plan at enactment time: :class:`IncrementalPlacement` (the

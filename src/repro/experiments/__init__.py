@@ -28,9 +28,9 @@ policies (reactive / EWMA / Holt-Winters / profile lookahead) on one
 dynamism scenario, scoring SLO-violation seconds, provisioning lead time and
 cost.
 
-:mod:`repro.experiments.sharded` partitions a keyed workload across a process
-pool (one hermetic simulation per key partition) and merges the per-shard
-logs into one bit-stable :class:`~repro.metrics.log.EventLog`.
+:mod:`repro.experiments.sharded` simulates one key partition of a steady
+run hermetically; :mod:`repro.sim.shard` merges the per-shard logs into one
+bit-stable :class:`~repro.metrics.log.EventLog`.
 
 :mod:`repro.experiments.chaos` rides a deterministic spot-eviction storm once
 per recovery mode (notice-aware drain vs oblivious unplanned recovery) and
@@ -66,16 +66,7 @@ from repro.experiments.predictive import (
     PredictiveRunSummary,
     run_predictive_experiment,
 )
-from repro.experiments.sharded import (
-    PlannedAction,
-    ShardedElasticRunResult,
-    ShardedRunResult,
-    plan_control_actions,
-    plan_shards,
-    run_sharded_elastic_experiment,
-    run_sharded_experiment,
-    run_steady_shard,
-)
+from repro.experiments.sharded import plan_shards, run_steady_shard
 from repro.experiments.chaos import (
     ChaosComparisonResult,
     ChaosRunResult,
@@ -96,17 +87,13 @@ __all__ = [
     "ManagedRunResult",
     "MigrationRunResult",
     "MultiExperimentResult",
-    "PlannedAction",
     "PredictiveComparisonResult",
     "PredictiveRunSummary",
     "RescaleComparisonResult",
     "RescaleRunSummary",
     "ScenarioSpec",
-    "ShardedElasticRunResult",
-    "ShardedRunResult",
     "TenantSummary",
     "build_experiment",
-    "plan_control_actions",
     "plan_shards",
     "format_table",
     "plan_after_scaling",
@@ -117,8 +104,6 @@ __all__ = [
     "run_multi_experiment",
     "run_predictive_experiment",
     "run_rescale_experiment",
-    "run_sharded_elastic_experiment",
-    "run_sharded_experiment",
     "run_steady_shard",
     "vm_counts_for",
 ]

@@ -135,6 +135,22 @@ class ChaosRunResult:
             )
         return [text for _, text in sorted(entries, key=lambda pair: pair[0])]
 
+    def unfinished(self) -> List[str]:
+        """What the run left open at its end, in a printable form.
+
+        Each recovery that never restored its executors, each evacuation that
+        neither evaded its eviction nor completed, and ``"sources paused"``
+        when the dataflow ended paused.  Empty for a run that ended clean;
+        otherwise :meth:`restore_latencies` may charge an outage only up to
+        the end of the run, not to a restore.
+        """
+        left = [f"recovery {rec.vm_id}" for rec in self.recoveries if rec.restored_at is None]
+        left += [f"evacuation {rec.vm_id}" for rec in self.evacuations
+                 if not rec.evaded and rec.completed_at is None]
+        if self.runtime.sources_paused:
+            left.append("sources paused")
+        return left
+
     def restore_latencies(self) -> List[float]:
         """Per-fault unavailability after the cloud's reclaim moment.
 

@@ -235,14 +235,17 @@ class ExperimentMatrix:
         CPU count, capped at the number of missing cells) and stores the
         returned :class:`MatrixCell` summaries.  Returns the number of cells
         computed.  With ``processes=1`` (or a single missing cell) the work
-        stays in-process -- no pool, no pickling.  ``dags`` / ``strategies``
-        optionally restrict the prefetch to a subset (single-DAG figures,
-        DSM-only Fig. 6).
+        stays in-process -- no pool, no pickling.  ``processes=0`` means the
+        default; a negative count raises ``ValueError``.  ``dags`` /
+        ``strategies`` optionally restrict the prefetch to a subset
+        (single-DAG figures, DSM-only Fig. 6).
         """
+        if processes is not None and processes < 0:
+            raise ValueError(f"processes must be >= 0 (0 = one per CPU), got {processes}")
         specs = self._cell_specs(scalings, dags, strategies)
         if not specs:
             return 0
-        workers = processes if processes is not None else (os.cpu_count() or 1)
+        workers = processes or os.cpu_count() or 1
         workers = max(1, min(workers, len(specs)))
         if workers == 1:
             for spec in specs:

@@ -12,7 +12,7 @@ Every stochastic payload field is drawn from a *keyed* stream
 (:func:`~repro.sim.rng.keyed_value` indexed by the sequence number), not from
 a stateful ``random.Random``: ``factory(seq)`` is a pure function of
 ``(seed, seq)``, independent of how many payloads were generated before it or
-in what order.  That is what lets a partition-parallel shard (see
+in what order.  That is what lets a key-partition shard (see
 :mod:`repro.sim.shard`) generate the subsequence ``i, i+N, i+2N, ...`` and
 obtain byte-identical payloads to the unsharded run — and it keeps per-factory
 memory constant instead of growing a stream table.  The ``partition`` argument

@@ -327,6 +327,61 @@ class TestNoticeBeatsOblivious:
         assert all(isinstance(value, (int, float)) for value in payload["benchmarks"].values())
 
 
+# ------------------------------------------------------------ unfinished runs
+def open_at_the_end(run):
+    """What the run left open, read off its control trace and its sources."""
+    left = [f"recovery {entry.split()[1]}" for entry in run.control_sequence()
+            if entry.startswith("recover ") and entry.endswith("restored=None")]
+    left += [f"evacuation {entry.split()[1]}" for entry in run.control_sequence()
+             if entry.startswith("evacuate ") and "evaded=False completed=None" in entry]
+    return left + (["sources paused"] if run.runtime.sources_paused else [])
+
+
+class TestUnfinishedRuns:
+    """At ``repro chaos``'s defaults a DCR notice run wedges (ROADMAP item 2)."""
+
+    def test_a_wedged_run_reports_what_it_left_open(self):
+        run = run_chaos_run(strategy="dcr", mode="notice")
+        assert run.unfinished() == open_at_the_end(run)
+        assert run.unfinished() == ["recovery d2-002", "evacuation d2-002", "sources paused"]
+
+    def test_a_clean_run_reports_nothing(self):
+        run = run_chaos_run(strategy="dsm", mode="notice")
+        assert run.unfinished() == open_at_the_end(run) == []
+
+    @pytest.mark.parametrize("strategy, mode, left_open", [
+        ("dsm", "notice", []),
+        ("dsm", "oblivious", []),
+        ("dcr", "notice", ["recovery d2-002", "evacuation d2-002", "sources paused"]),
+        ("dcr", "oblivious", []),
+        ("ccr", "notice", ["recovery evac-014", "evacuation evac-014", "sources paused"]),
+        ("ccr", "oblivious", []),
+    ])
+    def test_every_default_run_reports_what_its_trace_left_open(self, strategy, mode, left_open):
+        # Only notice-aware DCR and CCR wedge; every oblivious run ends clean.
+        run = run_chaos_run(strategy=strategy, mode=mode)
+        assert run.unfinished() == open_at_the_end(run) == left_open
+
+    def test_the_cli_gives_no_verdict_on_an_unfinished_run(self, capsys):
+        from repro.cli import main
+
+        assert main(["chaos", "--strategy", "dcr"]) == 0
+        output = capsys.readouterr().out
+        assert "notice     unfinished at the end: recovery d2-002, evacuation d2-002, " \
+               "sources paused" in output
+        assert "oblivious  unfinished" not in output
+        assert "No verdict: " in output and " wins " not in output
+
+    def test_the_cli_keeps_its_verdict_when_both_runs_end_clean(self, capsys):
+        from repro.cli import main
+
+        assert main(["chaos", "--strategy", "dsm"]) == 0
+        output = capsys.readouterr().out
+        assert "unfinished at the end" not in output
+        assert "No verdict" not in output
+        assert "Notice-aware recovery wins on both axes: " in output
+
+
 # --------------------------------------------------------------- satellite 3
 class TestChaosDeterminism:
     @pytest.mark.parametrize("strategy", ["dsm", "dcr", "ccr"])

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.figures import ExperimentMatrix
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
@@ -36,6 +37,12 @@ class TestParser:
     def test_unknown_figure_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig42"])
+
+    def test_shard_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["shard"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'shard'" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -78,6 +85,8 @@ class TestCommands:
         (["fig6", "--duration", "-5"], "--duration and --migrate-at must be positive"),
         (["fig6", "--dags", "linear", "--migrate-at", "5", "--duration", "5"], "the run ended inside"),
         (["fig5", "--write", "out"], "--write goes with `figure all`"),
+        # It used to be clamped to one process and run inline without a word.
+        (["fig5", "--jobs", "-3"], "--jobs must be >= 0 (0 = one per CPU)"),
     ])
     def test_figure_bad_inputs_fail_loudly(self, capsys, argv, message):
         exit_code = main(["figure", *argv])
@@ -140,6 +149,15 @@ class TestMultiCommand:
         assert exit_code == 2
         assert "atlantis" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["0", "-2"])
+    def test_zero_budget_fails_loudly(self, capsys, budget):
+        # It used to surface as a ValueError traceback from the arbiter.
+        exit_code = main(["multi", "--budget", budget])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err == "repro multi: error: --budget must be >= 1\n"
+        assert captured.out == ""
+
     def test_priorities_must_match_dag_count(self, capsys):
         from repro.cli import main
 
@@ -177,3 +195,5 @@ class TestMultiCommand:
 
         assert build_parser().parse_args(["figure", "fig5"]).jobs == 1
         assert build_parser().parse_args(["figure", "fig5", "--jobs", "0"]).jobs == 0
+        with pytest.raises(ValueError, match="processes must be >= 0"):
+            ExperimentMatrix().prefetch(processes=-3)

@@ -35,7 +35,7 @@ from repro.dataflow.event import reset_event_ids
 from repro.core.strategy import strategy_by_name
 from repro.engine.runtime import TopologyRuntime
 from repro.experiments.elastic import run_elastic_experiment
-from repro.experiments.sharded import run_sharded_experiment
+from repro.experiments.sharded import plan_shards, run_steady_shard
 from repro.metrics.log import (
     EventLog,
     SinkReceipt,
@@ -45,7 +45,7 @@ from repro.metrics.log import (
 )
 from repro.metrics.timeline import RatePoint, latency_timeline, rate_timeline
 from repro.sim import Simulator
-from repro.sim.shard import log_digest
+from repro.sim.shard import log_digest, merge_shard_results, run_shards
 
 from tests.conftest import build_cluster, fast_config, mutant, patched
 
@@ -159,8 +159,8 @@ def elastic_log_columnar():
 @pytest.fixture(scope="module")
 def merged_log_columnar():
     """Merged log of one sharded Grid run."""
-    return run_sharded_experiment(dag="grid", shards=3, duration_s=10.0,
-                                  seed=2018, workers=1).log
+    specs = plan_shards(dag="grid", shards=3, duration_s=10.0, seed=2018)
+    return merge_shard_results(run_shards(specs, run_steady_shard))
 
 
 def interesting_times(log):

@@ -1,9 +1,10 @@
-"""Partition-parallel sharding: determinism, merge ordering, CLI.
+"""Partitioned runs: shard specs, the inline runner, deterministic merge.
 
-The acceptance contract: the merged :class:`~repro.metrics.log.EventLog` of a
-sharded run is a pure function of the shard specs — an N-worker pool, the
-inline 1-worker path and a same-seed repeat must all produce byte-identical
-merged logs (asserted through :func:`~repro.sim.shard.log_digest`).
+The contract: the merged :class:`~repro.metrics.log.EventLog` of a sharded run
+is a pure function of the shard specs — a same-seed repeat and any order of
+the shard results produce byte-identical merged logs (asserted through
+:func:`~repro.sim.shard.log_digest`).  Runs are composed exactly as
+``bench_e2e``'s ``grid100x_vector`` composes its shard phase.
 """
 
 from __future__ import annotations
@@ -15,17 +16,16 @@ from repro.sim.shard import (
     ShardResult,
     ShardSpec,
     log_digest,
-    merge_monitor_samples,
     merge_shard_results,
     run_shards,
-    shard_worker_count,
 )
-from repro.experiments.sharded import (
-    plan_shards,
-    run_sharded_elastic_experiment,
-    run_sharded_experiment,
-    run_steady_shard,
-)
+from repro.experiments.sharded import plan_shards, run_steady_shard
+
+
+def sharded_run(**args):
+    """The shard results and merged log of one partitioned run."""
+    results = run_shards(plan_shards(**args), run_steady_shard)
+    return results, merge_shard_results(results)
 
 
 class TestShardSpec:
@@ -47,45 +47,15 @@ class TestShardSpec:
         assert [s.index for s in specs] == [0, 1, 2]
         assert all(s.shards == 3 for s in specs)
 
-
-class TestWorkerCount:
-    @pytest.fixture(autouse=True)
-    def eight_cpus(self, monkeypatch):
-        """Pin the CPU count so the clamp is testable on any machine."""
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
-
-    def test_env_var_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_SHARDS", "2")
-        assert shard_worker_count(8) == 2
-
-    def test_env_var_capped_at_shards(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_SHARDS", "64")
-        assert shard_worker_count(3) == 3
-
-    def test_env_var_capped_at_cpu_count(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_SHARDS", "64")
-        assert shard_worker_count(32) == 8
-
-    def test_env_var_zero_means_auto(self, monkeypatch):
-        for auto in ("0", "", "  "):
-            monkeypatch.setenv("REPRO_SIM_SHARDS", auto)
-            assert shard_worker_count(4) == 4
-            assert shard_worker_count(32) == 8
-
-    @pytest.mark.parametrize("value", ["banana", "-3", "2.5"])
-    def test_invalid_env_var_is_refused_by_name(self, monkeypatch, value):
-        # It used to resolve to "auto": a typo silently sized the pool.
-        monkeypatch.setenv("REPRO_SIM_SHARDS", value)
-        with pytest.raises(ValueError, match=f"REPRO_SIM_SHARDS.*{value}"):
-            shard_worker_count(4)
-
-    def test_default_capped_at_shards(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_SHARDS", raising=False)
-        assert shard_worker_count(1) == 1
+    def test_plan_shards_carries_the_run_parameters(self):
+        specs = plan_shards(dag="traffic", shards=2, duration_s=7.5, seed=7, strategy="ccr")
+        assert {(s.dag, s.strategy, s.duration_s, s.seed) for s in specs} == {
+            ("traffic", "ccr", 7.5, 7)
+        }
 
 
 class TestMergeDeterminism:
-    """Synthetic shard results: the merge is order- and pool-invariant."""
+    """Synthetic shard results: the merge is input-order invariant."""
 
     @staticmethod
     def make_results():
@@ -139,43 +109,57 @@ class TestMergeDeterminism:
 
 
 class TestShardedRunDeterminism:
-    """End-to-end: pool size cannot affect the merged log."""
+    """End-to-end: the merged log is a pure function of the specs."""
 
     ARGS = dict(dag="grid", shards=3, duration_s=10.0, seed=2018)
 
-    def test_pool_matches_inline_byte_for_byte(self):
-        inline = run_sharded_experiment(workers=1, **self.ARGS)
-        pooled = run_sharded_experiment(workers=3, **self.ARGS)
-        assert pooled.digest == inline.digest
-        assert pooled.workers == 3 and inline.workers == 1
-
     def test_same_seed_repeat_is_identical(self):
-        first = run_sharded_experiment(workers=2, **self.ARGS)
-        second = run_sharded_experiment(workers=2, **self.ARGS)
-        assert second.digest == first.digest
+        _, first = sharded_run(**self.ARGS)
+        _, second = sharded_run(**self.ARGS)
+        assert log_digest(second) == log_digest(first)
 
     def test_different_seed_differs(self):
-        base = run_sharded_experiment(workers=1, **self.ARGS)
-        other = run_sharded_experiment(workers=1, **{**self.ARGS, "seed": 7})
-        assert other.digest != base.digest
+        _, base = sharded_run(**self.ARGS)
+        _, other = sharded_run(**{**self.ARGS, "seed": 7})
+        assert log_digest(other) != log_digest(base)
 
     def test_merged_log_aggregates_every_shard(self):
-        result = run_sharded_experiment(workers=1, **self.ARGS)
-        assert len(result.log.source_emits) == sum(r.emit_count for r in result.results)
-        assert len(result.log.sink_receipts) == sum(r.receipt_count for r in result.results)
-        assert result.log.distinct_roots_received() == sum(
-            int(r.summary["distinct_roots_received"]) for r in result.results
+        results, log = sharded_run(**self.ARGS)
+        assert len(log.source_emits) == sum(r.emit_count for r in results)
+        assert len(log.sink_receipts) == sum(r.receipt_count for r in results)
+        assert log.distinct_roots_received() == sum(
+            int(r.summary["distinct_roots_received"]) for r in results
         )
 
+    def test_merge_of_a_run_is_input_order_invariant(self):
+        results, log = sharded_run(**self.ARGS)
+        assert log_digest(merge_shard_results(list(reversed(results)))) == log_digest(log)
+
+    def test_shards_partition_the_stream(self):
+        # Each shard emits at rate / shards and loses under one emission to
+        # the end of the run, so the shards together emit the whole stream
+        # short of fewer than ``shards`` events.
+        _, whole = sharded_run(**{**self.ARGS, "shards": 1})
+        _, split = sharded_run(**self.ARGS)
+        assert 0 <= len(whole.source_emits) - len(split.source_emits) < self.ARGS["shards"]
+
+    def test_every_shard_reports_its_engine_and_counts(self):
+        results, _ = sharded_run(**self.ARGS)
+        for result in results:
+            assert result.engine["sim_s"] == self.ARGS["duration_s"]
+            assert result.engine["stepper"] > 0, "the batch stepper never engaged"
+            assert result.emit_count == result.summary["source_emits"]
+            assert result.receipt_count == result.summary["sink_receipts"]
+
     def test_batched_and_classic_shards_agree_on_times(self, monkeypatch):
-        # Shard workers run the engine's default, the batch stepper, which is
+        # Shards run the engine's default, the batch stepper, which is
         # equivalent to the per-event kernel modulo event-id assignment order
         # — so the merged emission/receipt *times* must match exactly even
         # though the digests (which hash the ids) differ.
         from repro.core.dcr import DrainCheckpointRestore
         from repro.engine.config import RuntimeConfig
 
-        batched = run_sharded_experiment(workers=1, **self.ARGS)
+        _, batched = sharded_run(**self.ARGS)
 
         def per_event_config(cls, seed=2018):
             config = RuntimeConfig.for_dcr(seed=seed)
@@ -183,96 +167,14 @@ class TestShardedRunDeterminism:
             return config
 
         monkeypatch.setattr(DrainCheckpointRestore, "runtime_config", classmethod(per_event_config))
-        classic = run_sharded_experiment(workers=1, **self.ARGS)
-        assert classic.digest != batched.digest
-        assert classic.log.emit_times == batched.log.emit_times
-        assert classic.log.receipt_times == batched.log.receipt_times
+        _, classic = sharded_run(**self.ARGS)
+        assert log_digest(classic) != log_digest(batched)
+        assert classic.emit_times == batched.emit_times
+        assert classic.receipt_times == batched.receipt_times
 
 
-def _sample(time, input_rate=0.0, offered_rate=0.0, output_rate=0.0,
-            avg_latency_s=None, queue_backlog=0, source_backlog=0,
-            sources_paused=False):
-    from repro.elastic.monitor import MonitorSample
-
-    return MonitorSample(time=time, input_rate=input_rate, offered_rate=offered_rate,
-                         output_rate=output_rate, avg_latency_s=avg_latency_s,
-                         queue_backlog=queue_backlog, source_backlog=source_backlog,
-                         sources_paused=sources_paused)
-
-
-class TestMergeMonitorSamples:
-    def test_rates_and_backlogs_sum_per_timestamp(self):
-        merged = merge_monitor_samples([
-            [_sample(15.0, input_rate=4.0, offered_rate=5.0, output_rate=16.0,
-                     avg_latency_s=0.5, queue_backlog=2, source_backlog=1),
-             _sample(30.0, offered_rate=1.0)],
-            [_sample(15.0, input_rate=6.0, offered_rate=5.0, output_rate=4.0,
-                     avg_latency_s=1.5, queue_backlog=3)],
-        ])
-        assert [s.time for s in merged] == [15.0, 30.0]
-        first = merged[0]
-        assert first.input_rate == 10.0
-        assert first.offered_rate == 10.0
-        assert first.output_rate == 20.0
-        assert first.queue_backlog == 5
-        assert first.source_backlog == 1
-
-    def test_latency_is_output_rate_weighted(self):
-        merged = merge_monitor_samples([
-            [_sample(15.0, output_rate=16.0, avg_latency_s=0.5)],
-            [_sample(15.0, output_rate=4.0, avg_latency_s=1.5)],
-        ])
-        assert merged[0].avg_latency_s == pytest.approx((16 * 0.5 + 4 * 1.5) / 20)
-
-    def test_latency_none_when_no_shard_received(self):
-        merged = merge_monitor_samples([[_sample(15.0)], [_sample(15.0)]])
-        assert merged[0].avg_latency_s is None
-
-    def test_paused_only_when_all_shards_paused(self):
-        half = merge_monitor_samples([[_sample(15.0, sources_paused=True)],
-                                      [_sample(15.0, sources_paused=False)]])
-        both = merge_monitor_samples([[_sample(15.0, sources_paused=True)],
-                                      [_sample(15.0, sources_paused=True)]])
-        assert half[0].sources_paused is False
-        assert both[0].sources_paused is True
-
-
-class TestShardedElastic:
-    """Profile-driven shards + centralized controller plan: pool-invariant."""
-
-    ARGS = dict(dag="grid", shards=2, duration_s=240.0, seed=2018, profile="surge")
-
-    def test_pool_invariant_digest_and_actions(self):
-        inline = run_sharded_elastic_experiment(workers=1, **self.ARGS)
-        pooled = run_sharded_elastic_experiment(workers=2, **self.ARGS)
-        assert pooled.digest == inline.digest
-        assert pooled.action_sequence == inline.action_sequence
-
-    def test_surge_plans_out_then_back_in(self):
-        result = run_sharded_elastic_experiment(workers=1, **self.ARGS)
-        assert [a.direction for a in result.actions] == ["out", "in"]
-        assert (result.actions[0].from_tier, result.actions[0].to_tier) == \
-            ("baseline", "expanded")
-        assert (result.actions[1].from_tier, result.actions[1].to_tier) == \
-            ("expanded", "baseline")
-        # The scale-out must be decided while the surge is actually offered.
-        assert result.actions[0].observed_rate > result.actions[1].observed_rate
-
-    def test_merged_samples_are_cluster_wide(self):
-        result = run_sharded_elastic_experiment(workers=1, **self.ARGS)
-        times = [s.time for s in result.samples]
-        assert times == sorted(set(times))  # one merged sample per tick
-        per_shard = max(len(r.samples) for r in result.results)
-        assert len(times) == per_shard
-        # Offered rates sum across shards: the surge peak must show the full
-        # dataflow rate (8 ev/s baseline, ~3x during the surge), not a
-        # single shard's slice of it.
-        peak = max(s.offered_rate for s in result.samples)
-        assert peak > 8.0
-
-
-def test_run_shards_requires_picklable_specs_only_for_pools():
-    # The inline path never touches a pool: a runner defined locally works.
+def test_run_shards_runs_any_callable_inline():
+    # Nothing is pickled: a runner defined locally works.
     specs = [ShardSpec(index=0, shards=1, duration_s=1.0)]
     calls = []
 
@@ -285,30 +187,20 @@ def test_run_shards_requires_picklable_specs_only_for_pools():
     assert results[0].index == 0
 
 
-class TestShardCLI:
-    def test_shard_command_prints_digest(self, capsys):
-        from repro.cli import main
+def test_run_shards_returns_results_in_spec_order():
+    specs = [ShardSpec(index=i, shards=3, duration_s=1.0) for i in (2, 0, 1)]
+    calls = []
 
-        code = main(["shard", "--dag", "grid", "--shards", "2", "--workers", "1",
-                     "--duration", "5"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "merged log digest:" in out
-        assert "Per-shard summaries" in out
+    def runner(spec):
+        calls.append(spec.index)
+        return ShardResult(index=spec.index)
 
-    def test_shard_command_rejects_bad_count(self, capsys):
-        from repro.cli import main
+    assert [r.index for r in run_shards(specs, runner)] == calls == [2, 0, 1]
 
-        assert main(["shard", "--shards", "0"]) == 2
 
-    def test_shard_elastic_prints_actions_and_digest(self, capsys):
-        from repro.cli import main
-
-        code = main(["shard", "--elastic", "--dag", "grid", "--shards", "2",
-                     "--workers", "1", "--duration", "240"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "Sharded elastic run:" in out
-        assert "Planned scaling actions" in out
-        assert "baseline -> expanded" in out
-        assert "merged log digest:" in out
+# ``None`` used to mean "one worker per shard"; every pool size but one is refused.
+@pytest.mark.parametrize("workers", [2, 4, 0, -1, None])
+def test_run_shards_refuses_a_pool_size_by_name(workers):
+    specs = [ShardSpec(index=0, shards=1, duration_s=1.0)]
+    with pytest.raises(ValueError, match="workers"):
+        run_shards(specs, run_steady_shard, workers=workers)
