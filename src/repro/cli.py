@@ -450,18 +450,22 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(f"repro chaos: error: unknown recovery mode(s) {unknown}; choose from "
               f"{list(DEFAULT_MODES)}", file=sys.stderr)
         return 2
-    result = run_chaos_experiment(
-        dag=args.dag,
-        strategy=args.strategy,
-        modes=modes,
-        duration_s=args.duration,
-        seed=args.seed,
-        storm_count=args.storms,
-        storm_start_s=args.storm_start,
-        storm_spacing_s=args.storm_spacing,
-        notice_s=args.notice,
-        telemetry=bool(args.trace),
-    )
+    try:
+        result = run_chaos_experiment(
+            dag=args.dag,
+            strategy=args.strategy,
+            modes=modes,
+            duration_s=args.duration,
+            seed=args.seed,
+            storm_count=args.storms,
+            storm_start_s=args.storm_start,
+            storm_spacing_s=args.storm_spacing,
+            notice_s=args.notice,
+            telemetry=bool(args.trace),
+        )
+    except ValueError as error:  # e.g. a storm that starts after the run ends
+        print(f"repro chaos: error: {error}", file=sys.stderr)
+        return 2
 
     print(f"Chaos run: {args.dag} / {args.strategy} / {args.storms} spot evictions "
           f"({args.notice:g}s notice) over a {args.duration:.0f}s run")
@@ -486,7 +490,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print()
         left_open = [f"{s.mode}: {', '.join(s.result.unfinished())}"
                      for s in (notice, oblivious) if s.result.unfinished()]
-        if left_open:
+        fired = any(fault.fired_at is not None
+                    for s in (notice, oblivious) for fault in s.result.injector.records)
+        if not fired:
+            print("No verdict: no eviction fired inside the run.")
+        elif left_open:
             print(f"No verdict: a run ended with work still open ({'; '.join(left_open)}), "
                   "so its restore times stop at the end of the run, not at a restore.")
         elif (notice.mean_restore_s <= oblivious.mean_restore_s

@@ -71,6 +71,19 @@ class ChaosScenarioSpec:
     notice_s: float = 120.0
     jitter_s: float = 15.0
 
+    def __post_init__(self) -> None:
+        # A storm outside the run leaves nothing to judge, and the scheduler
+        # would silently clamp a negative start or spacing to "now".
+        if self.notice_s < 0:
+            raise ValueError(f"notice_s must be >= 0, got {self.notice_s:g}")
+        if self.storm_spacing_s < 0:
+            raise ValueError(f"storm_spacing_s must be >= 0, got {self.storm_spacing_s:g}")
+        if not 0 <= self.storm_start_s < self.duration_s:
+            raise ValueError(
+                f"storm_start_s must be in [0, duration_s={self.duration_s:g}), "
+                f"got {self.storm_start_s:g}"
+            )
+
 
 @dataclass
 class ChaosRunResult:
@@ -302,6 +315,8 @@ def run_chaos_run(
     Pass ``config`` to override the runtime configuration (e.g. the batch
     stepper's on/off equivalence check) and ``schedule`` to replace the
     default storm.
+    Raises ``ValueError`` unless ``notice_s`` and ``storm_spacing_s`` are
+    ``>= 0`` and ``0 <= storm_start_s < duration_s``.
     """
     if mode not in ("notice", "oblivious"):
         raise ValueError(f"unknown chaos mode {mode!r}; choose 'notice' or 'oblivious'")
@@ -455,6 +470,8 @@ def run_chaos_experiment(
     Every mode shares the storm schedule, the seeds and all random streams;
     the runs differ only in whether the eviction *notice* reaches the
     controller.  Scored on restore latency, replayed messages and the bill.
+    Bad storm parameters raise ``ValueError`` before any run (see
+    :func:`run_chaos_run`).
     """
     if not modes:
         raise ValueError("need at least one recovery mode to compare")

@@ -76,6 +76,10 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.scaling not in ("in", "out"):
             raise ValueError(f"scaling must be 'in' or 'out', got {self.scaling!r}")
+        # Migrating at t <= 0 would move a pipeline that never warmed up.
+        for name in ("migrate_at_s", "post_migration_s"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name):g}")
 
     @property
     def scenario_name(self) -> str:

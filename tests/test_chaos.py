@@ -382,6 +382,19 @@ class TestUnfinishedRuns:
         assert "Notice-aware recovery wins on both axes: " in output
 
 
+class TestStormParametersAreChecked:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"duration_s": 100.0}, r"storm_start_s must be in \[0, duration_s=100\), got 150"),
+        ({"storm_start_s": -10.0}, r"storm_start_s must be in \[0, duration_s=600\), got -10"),
+        ({"storm_spacing_s": -1.0}, "storm_spacing_s must be >= 0, got -1"),
+        ({"notice_s": -5.0}, "notice_s must be >= 0, got -5"),
+    ])
+    @pytest.mark.parametrize("run", [run_chaos_run, run_chaos_experiment])
+    def test_bad_storm_parameters_raise_by_name(self, run, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            run(**kwargs)
+
+
 # --------------------------------------------------------------- satellite 3
 class TestChaosDeterminism:
     @pytest.mark.parametrize("strategy", ["dsm", "dcr", "ccr"])

@@ -111,6 +111,41 @@ class TestCommands:
         )
         assert line and int(line[1]) >= 85 and int(line[2]) >= 60
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--migrate-at", "-5"], "migrate_at_s must be positive, got -5"),
+        (["--duration", "0"], "post_migration_s must be positive, got 0"),
+    ])
+    def test_experiment_bad_inputs_fail_loudly(self, capsys, argv, message):
+        # --migrate-at -5 used to migrate a never-warmed pipeline at t = 0.
+        exit_code = main(["experiment", "--dag", "linear", "--strategy", "dcr", *argv])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith("repro experiment: error: ") and message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        # The storm starts at 150 s: this run used to declare a winner at 0.0s vs 0.0s.
+        (["--duration", "100"], "storm_start_s must be in [0, duration_s=100), got 150"),
+        (["--storm-start", "-10"], "storm_start_s must be in [0, duration_s=600), got -10"),
+        (["--storm-spacing", "-1"], "storm_spacing_s must be >= 0, got -1"),
+        (["--notice", "-5"], "notice_s must be >= 0, got -5"),
+    ])
+    def test_chaos_bad_inputs_fail_loudly(self, capsys, argv, message):
+        exit_code = main(["chaos", *argv])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith("repro chaos: error: ") and message in captured.err
+        assert captured.out == ""
+
+    def test_chaos_without_a_fired_eviction_has_no_verdict(self, capsys):
+        # The one eviction is jittered past the end of the run.
+        exit_code = main(["chaos", "--duration", "100", "--storm-start", "99", "--storms", "1"])
+        output = capsys.readouterr().out
+        assert exit_code == 0
+        assert "unfired evict" in output
+        assert "No verdict: no eviction fired inside the run." in output
+        assert "wins" not in output and "did not pay for itself" not in output
+
     def test_figure_fig5_with_subset_of_dags(self, capsys):
         exit_code = main([
             "figure", "fig5", "--scaling", "in", "--dags", "linear",

@@ -9,13 +9,16 @@ record lists and know nothing of the indexes -- on
 * a recorded closed-loop elastic run (migrations, replays, kills),
 * a sharded-run merge,
 * synthetic logs exercising empty windows, exact-boundary windows and
-  equal-time ties, and
+  equal-time ties,
 * hypothesis-generated logs (per-event and bulk appends interleaved with
   queries, replayed and never-emitted roots, ties across the cut), where the
   log must answer every query exactly like the naive scans over a record-list
   reference filled with the same records, its lazy windows must behave like
   the lists those scans return, and its :func:`~repro.sim.shard.log_digest`
-  must equal a digest formatted from the reference rows.
+  must equal a digest formatted from the reference rows, and
+* hand-built logs at the digest's formatting edges (signed zeros and other
+  ``repr`` shapes, block boundaries, duplicate merged name tables), one of
+  them pinned to a literal.
 
 A fixed corpus of such logs must pass, and three seeded mutations of the log's
 index code must each fail it.
@@ -26,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,7 +49,13 @@ from repro.metrics.log import (
 )
 from repro.metrics.timeline import RatePoint, latency_timeline, rate_timeline
 from repro.sim import Simulator
-from repro.sim.shard import log_digest, merge_shard_results, run_shards
+from repro.sim.shard import (
+    DIGEST_BLOCK_ROWS,
+    ShardResult,
+    log_digest,
+    merge_shard_results,
+    run_shards,
+)
 
 from tests.conftest import build_cluster, fast_config, mutant, patched
 
@@ -521,3 +531,94 @@ def test_the_corpus_passes_and_seeded_mutations_fail_it():
                           "int(hits[-1])")
     with patched(EventLog, "_last_hit_index", last_of_ties), pytest.raises(AssertionError):
         corpus()
+
+
+# ------------------------------------------------------------- digest edges
+#: Floats whose ``repr`` takes every shape: both signed zeros, a subnormal, the
+#: switches into and out of exponent notation and a 17-digit sum.
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e-05, 0.0001, 0.1 + 0.2, 1e16, 1e22]
+
+
+def _edge_log():
+    """Emits at every edge float, one a backlogged replay; receipts at signed
+    zeros whose ``emitted`` times are partly no emit time at all."""
+    log = EventLog(Simulator())
+    log.extend_emits(_EDGE_FLOATS, list(range(len(_EDGE_FLOATS))), "spout")
+    log.record_source_emit(3, "spout_b", replay_count=2, from_backlog=True, at_time=1e22)
+    log.extend_receipts(
+        [-0.0, 0.0, 5e-324, 0.5, 1e22], [0, 1, 2, 3, 3], [11, 12, 13, 14, 15],
+        ["sink_a", "sink_b"], [0.0, -0.0, 0.7, 1e16, 2.5e-07],
+        replay_count=1, sink_indices=[0, 1, 0, 1, 1],
+    )
+    return log
+
+
+def _sized_log(emits, receipts):
+    """``emits`` emissions and ``receipts`` receipts on a 0.1 s grid (many
+    17-digit reprs); every 7th receipt's ``emitted`` is off the emit grid."""
+    log = EventLog(Simulator())
+    grid = np.arange(max(emits, receipts)) * 0.1
+    log.extend_emits(grid[:emits], np.arange(emits), "spout", replay_count=1)
+    index = np.arange(receipts)
+    emitted = grid[index // 3] + (index % 7 == 0) * 1e-9
+    log.extend_receipts(grid[:receipts] + 0.05, index // 3, index, ["sink_a", "sink_b"],
+                        emitted, sink_indices=index % 2)
+    return log
+
+
+def _shard(index, emits, receipts, names):
+    """A hand-built shard result: ``emits`` / ``receipts`` rows over ``names``."""
+    times = np.arange(max(emits, receipts)) * 0.25 + index * 0.1
+    return ShardResult(
+        index=index,
+        emit_columns={
+            "time": times[:emits], "root": np.arange(emits, dtype=np.int64),
+            "source": np.full(emits, names.index("spout"), dtype=np.int32),
+            "replay": np.zeros(emits, dtype=np.int64), "backlog": np.zeros(emits, dtype=bool),
+            "names": list(names),
+        },
+        receipt_columns={
+            "time": times[:receipts] + 1.0, "root": np.arange(receipts, dtype=np.int64),
+            "event": np.arange(receipts, dtype=np.int64) + 100,
+            "sink": np.full(receipts, names.index("sink"), dtype=np.int32),
+            "emitted": times[:receipts], "replay": np.zeros(receipts, dtype=np.int64),
+            "names": list(names),
+        },
+    )
+
+
+class TestDigestFormatting:
+    """``log_digest`` formats whole blocks of columns; every line must be the
+    one the per-record reference formats."""
+
+    def test_edge_floats_replays_and_backlog(self):
+        log = _edge_log()
+        assert log_digest(log) == naive_digest(log)
+
+    def test_edge_log_digest_is_pinned(self):
+        # Recorded from the per-record formatter the block formatting replaced.
+        assert log_digest(_edge_log()) == (
+            "58672e01e76600d8f605b04767ed5b629c1a70e2f0f23b7c38fa50b9c71555da"
+        )
+
+    @pytest.mark.parametrize("emits, receipts", [
+        (0, 0), (5, 0), (0, 5),
+        (DIGEST_BLOCK_ROWS - 1, DIGEST_BLOCK_ROWS - 1),
+        (DIGEST_BLOCK_ROWS, DIGEST_BLOCK_ROWS),
+        (DIGEST_BLOCK_ROWS + 1, DIGEST_BLOCK_ROWS + 1),
+        (DIGEST_BLOCK_ROWS + 1, DIGEST_BLOCK_ROWS - 1),
+    ])
+    def test_row_counts_around_the_block(self, emits, receipts):
+        log = _sized_log(emits, receipts)
+        assert log_digest(log) == naive_digest(log)
+
+    def test_merged_shards_with_duplicate_name_tables(self):
+        log = merge_shard_results([
+            _shard(0, 6, 5, ["spout", "sink"]), _shard(1, 4, 7, ["sink", "spout"]),
+        ])
+        assert log_digest(log) == naive_digest(log)
+
+    @pytest.mark.parametrize("log_fixture", LOG_FIXTURES)
+    def test_recorded_logs(self, log_fixture, request):
+        log = request.getfixturevalue(log_fixture)
+        assert log_digest(log) == naive_digest(log)

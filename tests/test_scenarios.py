@@ -54,6 +54,12 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             ScenarioSpec(scaling="sideways")
 
+    @pytest.mark.parametrize("field", ["migrate_at_s", "post_migration_s"])
+    @pytest.mark.parametrize("value", [0.0, -5.0])
+    def test_non_positive_timing_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            ScenarioSpec(**{field: value})
+
     def test_scenario_name(self):
         assert ScenarioSpec(scaling="in").scenario_name == "scale-in"
         assert ScenarioSpec(scaling="out").scenario_name == "scale-out"
