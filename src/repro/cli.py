@@ -286,6 +286,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     if args.slo <= 0:
         print("repro predict: error: --slo must be positive", file=sys.stderr)
         return 2
+    if args.surge <= 1.0:
+        print("repro predict: error: --surge must be > 1", file=sys.stderr)
+        return 2
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     unknown = [p for p in policies if p not in FORECAST_POLICIES]
     if unknown:
@@ -351,6 +354,9 @@ def _cmd_multi(args: argparse.Namespace) -> int:
         return 2
     if args.budget is not None and args.budget < 1:
         print("repro multi: error: --budget must be >= 1", file=sys.stderr)
+        return 2
+    if args.surge <= 1.0:
+        print("repro multi: error: --surge must be > 1", file=sys.stderr)
         return 2
     dags = [d.strip() for d in args.dags.split(",") if d.strip()]
     unknown = [d for d in dags if d not in topologies.ALL_TOPOLOGIES]

@@ -9,14 +9,38 @@ Two kinds of events exist:
   emitted by the checkpoint coordinator.  These drive Storm's three-phase
   state checkpointing, which the DCR and CCR strategies re-purpose for
   just-in-time checkpoints during migration.
+
+Event ids
+---------
+Every id is a pure function of the data that names the event, decided here
+and nowhere else -- there is no counter, so an id does not depend on which
+engine drew it, in which order, or on what ran earlier in the process:
+
+* a **root** id is a full 64-bit mix of ``(runtime seed, source, sequence)``
+  (:func:`root_event_id`; the sequence is the source's count of first
+  emissions);
+* a **child** id is one salted step from its parent's id,
+  ``(parent, outgoing channel, output index)`` (:func:`child_event_id`), where
+  the channel is the delivery's position in the sender's outbox;
+* a **replay** of a root is the root's step over :data:`REPLAY_CHANNEL`
+  salted with its replay count, so a late ack of the first emission cannot
+  cancel in the replayed tree;
+* a **checkpoint** event's id is a hash of ``(wave, action, target)``
+  (:func:`checkpoint_event_id`).
+
+Ids are masked to 63 bits so they fit the int64 log columns.  Like Storm's
+random tuple ids, they make the acker's XOR of a tree's outstanding ids zero
+only when none is outstanding (``tests/test_source_sink.py`` seeds an id rule
+that cancels and shows it caught).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Optional
+
+from repro.sim.rng import keyed_seed
 
 
 class EventKind(Enum):
@@ -40,36 +64,66 @@ class CheckpointAction(Enum):
     INIT = "init"
 
 
-_EVENT_ID_COUNTER = itertools.count(1)
+_MASK64 = (1 << 64) - 1
+_MASK63 = (1 << 63) - 1
+#: splitmix64's increment and finalizer multipliers; the increment (odd) is
+#: also the per-hop multiplier, a bijection on 63-bit values.
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+#: The "channel" of a replay's step from its root (outbox positions are >= 0).
+REPLAY_CHANNEL = -1
+#: The "channel" of output ``index``'s step from the event a multi-output
+#: service derived it from (before the router's step onto a real channel).
+OUTPUT_CHANNEL = -2
 
 
-def next_event_id() -> int:
-    """Return a fresh, process-unique event id.
+def source_id_key(seed: int, dataflow: str, source: str) -> int:
+    """The 64-bit key a source's root ids are drawn under."""
+    return keyed_seed(seed, dataflow, source)
 
-    Storm uses random 64-bit ids; a monotonically increasing counter gives the
-    same uniqueness guarantees while keeping experiments deterministic.
+
+def root_event_id(source_key, sequence):
+    """Id of the ``sequence``-th root a source emits: splitmix64 of ``(key,
+    sequence)``, masked to 63 bits.  ``sequence`` may be a ``uint64`` array
+    (the level sweep's roots): the same operations, wrapping, same values."""
+    z = (source_key + (sequence + 1) * _GOLDEN) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return (z ^ (z >> 31)) & _MASK63
+
+
+def child_event_id(parent, channel, index=0):
+    """Id of what ``parent`` leads to over outbox position ``channel`` as
+    output ``index``: the parent's id, xored with the two small labels spread
+    over 64 bits, times an odd constant, masked to 63 bits.
+
+    The one per-hop step of every engine: the router's re-stamps call it with
+    ints, the level sweep with ``uint64`` arrays of parents and channels (the
+    channels broadcast; the result is updated in place).  The low 63 bits of
+    a product depend only on the low 63 bits of its factors, so the wrapping
+    array form gives the same values.
     """
-    return next(_EVENT_ID_COUNTER)
+    z = parent ^ channel * _MIX2
+    if index:
+        z ^= index * _MIX1
+    z *= _GOLDEN
+    z &= _MASK63
+    return z
 
 
-def reserve_event_ids(count: int) -> int:
-    """Reserve ``count`` consecutive event ids, returning the first.
-
-    Equivalent to ``count`` :func:`next_event_id` calls (the reserved block is
-    ``first .. first + count - 1``).  The vectorized batch cascade stamps
-    whole emission/receipt cohorts from one reservation instead of paying a
-    counter call per event.
-    """
-    global _EVENT_ID_COUNTER
-    first = next(_EVENT_ID_COUNTER)
-    _EVENT_ID_COUNTER = itertools.count(first + count)
-    return first
+def checkpoint_event_id(wave: int, action: "CheckpointAction", target: str) -> int:
+    """Id of wave ``wave``'s ``action`` event delivered to ``target``."""
+    return keyed_seed(wave, action.value, target) & _MASK63
 
 
 def reset_event_ids() -> None:
-    """Reset the global event-id counter (used by tests for determinism)."""
-    global _EVENT_ID_COUNTER
-    _EVENT_ID_COUNTER = itertools.count(1)
+    """Do nothing: ids are a function of the data, there is no counter to reset.
+
+    Kept for callers written when ids came from a process-global counter
+    (``bench_e2e`` still calls it); nothing in the package does.
+    """
 
 
 @dataclass(slots=True)
@@ -83,11 +137,11 @@ class Event:
     Attributes
     ----------
     event_id:
-        Unique id of this event.
+        Id of this event (see *Event ids* above).
     root_id:
         Id of the causal-tree root (the source-emitted event this one descends
-        from).  For checkpoint events this is the id of the wave's root
-        control event.
+        from).  For checkpoint events this is the id of the coordinator's
+        event a forwarded copy descends from.
     kind:
         Data or checkpoint.
     source_task:
@@ -126,18 +180,21 @@ class Event:
     def data(
         cls,
         source_task: str,
+        root_id: int,
         payload: Any = None,
         created_at: float = 0.0,
-        root_id: Optional[int] = None,
         root_emitted_at: Optional[float] = None,
         replay_count: int = 0,
         anchored: bool = False,
     ) -> "Event":
-        """Create a data event.  If ``root_id`` is omitted the event is a root."""
-        event_id = next_event_id()
+        """A data event of ``root_id``'s tree as its source emits it: the root
+        itself, or on a replay the root's step salted with ``replay_count``."""
+        event_id = root_id
+        if replay_count:
+            event_id = child_event_id(root_id, REPLAY_CHANNEL, replay_count)
         return cls(
             event_id=event_id,
-            root_id=root_id if root_id is not None else event_id,
+            root_id=root_id,
             kind=EventKind.DATA,
             source_task=source_task,
             payload=payload,
@@ -153,15 +210,15 @@ class Event:
         action: CheckpointAction,
         checkpoint_id: int,
         source_task: str,
+        target: str,
         created_at: float = 0.0,
-        root_id: Optional[int] = None,
         anchored: bool = True,
     ) -> "Event":
-        """Create a checkpoint control event for the given wave."""
-        event_id = next_event_id()
+        """The wave's control event for ``target``: the root of its own tree."""
+        event_id = checkpoint_event_id(checkpoint_id, action, target)
         return cls(
             event_id=event_id,
-            root_id=root_id if root_id is not None else event_id,
+            root_id=event_id,
             kind=EventKind.CHECKPOINT,
             source_task=source_task,
             payload=None,
@@ -173,10 +230,14 @@ class Event:
         )
 
     # ------------------------------------------------------------ derivation
-    def derive(self, source_task: str, payload: Any = None, created_at: float = 0.0) -> "Event":
-        """Create a causally dependent child event (same root, new id)."""
+    def derive(
+        self, source_task: str, payload: Any = None, created_at: float = 0.0, index: int = 0
+    ) -> "Event":
+        """Output ``index`` of a service of this event (same root): its id is
+        this one's step over :data:`OUTPUT_CHANNEL`, so the outputs of one
+        service stay apart even when they are captured instead of routed."""
         return Event(
-            next(_EVENT_ID_COUNTER),
+            child_event_id(self.event_id, OUTPUT_CHANNEL, index),
             self.root_id,
             self.kind,
             source_task,
@@ -189,17 +250,18 @@ class Event:
             self.anchored,
         )
 
-    def copy_for_edge(self) -> "Event":
-        """Duplicate the event for delivery on an additional outgoing edge.
+    def copy_for_edge(self, event_id: int) -> "Event":
+        """Duplicate the event, as ``event_id``, for delivery on one more edge.
 
         Storm delivers the *same* tuple object to every subscribed downstream
         task; for acking purposes each delivery is a distinct anchored edge, so
-        we give each copy a fresh id while keeping the same root.  Built by
-        positional construction: this runs once per routed event, and
-        ``dataclasses.replace`` costs several times more than ``__init__``.
+        each copy carries its own id (the caller's step from this event's)
+        while keeping the same root.  Built by positional construction: this
+        runs once per routed event, and ``dataclasses.replace`` costs several
+        times more than ``__init__``.
         """
         return Event(
-            next(_EVENT_ID_COUNTER),
+            event_id,
             self.root_id,
             self.kind,
             self.source_task,

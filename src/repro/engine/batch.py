@@ -16,29 +16,32 @@ instances into topological *levels*, and per level one service round (arrival
 merge and Lindley queues of all its instances) and one shipping round (keyed
 jitter, latency and FIFO bump of all its channels) run over arrays laid end
 to end -- the same float operations per entry in the same order as the
-per-event path, so times stay bit-identical and only the order event ids are
-drawn in differs.  Work already in flight (pending deliveries, services in
-progress, queued arrivals) is *adopted* into the sweep, which is what lets it
-re-engage every window.  Entries that land at or past the horizon are
-*spilled* back onto the real kernel heap in classic form
-(``Executor.deliver`` / ``Executor._complete_data``), and executor state is
-left exactly as the classic kernel would have it at the horizon, so
-processing continues seamlessly -- a monitor sampling at the horizon observes
-identical ``processed_count`` / ``busy_time_s`` / log contents.  See
-:class:`_Sweep`.
+per-event path, so times stay bit-identical.  Event ids are a function of the
+data (:mod:`repro.dataflow.event`): the sweep carries an id column beside its
+root indices and steps it per channel with the per-event path's own
+:func:`~repro.dataflow.event.child_event_id`, so its spills, receipts and ack
+folds carry the ids the per-event kernel gives them.  Work already in flight
+(pending deliveries, services in progress, queued arrivals) is *adopted* into
+the sweep, which is what lets it re-engage every window.  Entries that land
+at or past the horizon are *spilled* back onto the real kernel heap in
+classic form (``Executor.deliver`` / ``Executor._complete_data``), and
+executor state is left exactly as the classic kernel would have it at the
+horizon, so processing continues seamlessly -- a monitor sampling at the
+horizon observes identical ``processed_count`` / ``busy_time_s`` / log
+contents.  See :class:`_Sweep`.
 
 Correctness rests on the keyed per-channel jitter streams: each channel
 consumes its own sequence, a draw is a function of ``(seed, channel,
 sequence)``, so the sweep draws the exact values the per-event kernel would
 however the channels interleave.  The equivalence tests in
-``tests/test_batch_equivalence.py`` pin both the logged streams and the
-executor counters against the per-event kernel
-(``RuntimeConfig.batch_stepping = False``), modulo event ids.
+``tests/test_batch_equivalence.py`` pin the log digest and the executor
+counters against the per-event kernel (``RuntimeConfig.batch_stepping =
+False``), event ids included.
 
 Batch stepping stays engaged when data acking is on: the sweep replays the
 acker XOR stream symbolically.  A loss-free stretch anchors and acks every
 event of a tuple tree inside one sweep, so the folds cancel by construction
-and only events that cross the horizon fold real ids into the bulk acker APIs
+and only events that cross the horizon fold their ids into the bulk acker APIs
 (``register_block`` / ``anchor_batch`` / ``ack_batch`` / ``settle_batch``).
 The cascade horizon is clamped to ``now + ack timeout`` so no tree a sweep
 registers can time out mid-stretch.  Which ticks are swept is the engine's own
@@ -56,18 +59,12 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.dataflow.event import (
-    Event,
-    EventKind,
-    next_event_id,
-    reserve_event_ids,
-)
+from repro.dataflow.event import Event, EventKind, child_event_id, root_event_id
 from repro.dataflow.grouping import Grouping, field_key_of, stable_field_index
 from repro.dataflow.task import TaskKind
 from repro.engine.executor import Executor, ExecutorStatus, SinkExecutor, SourceExecutor
 from repro.engine.router import FIFO_SPACING_S, Channel, Router
 from repro.engine.scan import fixed_rate_ticks, maxplus_scan, sequential_sums
-from repro.reliability.acker import id_hash
 from repro.sim.rng import keyed_value_blocks
 
 _RUNNING = ExecutorStatus.RUNNING
@@ -169,8 +166,7 @@ class BatchStepper:
         scan, emission schedule, ingestion, one service and one shipping round
         per level, the spills, the ack fold, the log commit -- and for a
         backlogged spout held at its pending cap the emission schedule last,
-        from the fold's completion times.  Ids are drawn in sweep order: roots
-        first, then spilled events, then receipts.
+        from the fold's completion times.
         """
         runtime = self.runtime
         sim = runtime.sim
@@ -351,8 +347,9 @@ _Node = namedtuple("_Node", "index executor task_name sink service edges feeds")
 
 #: The task instances of one topological depth and the channels they send on:
 #: the channels' plan indices (ascending), their records, and their
-#: keyed-stream seeds / base latencies as columns.
-_Level = namedtuple("_Level", "nodes ids channels seeds bases")
+#: keyed-stream seeds / base latencies / positions in their sender's outbox
+#: (what a delivery's event id steps over) as columns.
+_Level = namedtuple("_Level", "nodes ids channels seeds bases positions")
 
 
 class _SweepPlan:
@@ -362,9 +359,9 @@ class _SweepPlan:
     instance order) and channels in shipping order (sender in sweep order,
     then outbox edge, then destination instance).  That numbering is the tie
     order of the arrival merge into an instance (ascending channel index) and
-    the order spilled events draw their ids in.  A *level* is the set of
-    instances whose task sits at one depth (longest path from a source):
-    everything an instance receives was shipped by a shallower level.
+    the order spilled events go back on the kernel heap in.  A *level* is the
+    set of instances whose task sits at one depth (longest path from a
+    source): everything an instance receives was shipped by a shallower level.
 
     The plan holds the router's own :class:`Channel` records, whose base
     latency and bound receiver are placement-derived: it is stale once
@@ -401,6 +398,7 @@ class _SweepPlan:
                 )
                 self.nodes.append(node)
                 by_depth[depth[name]].append(node)
+        positions: List[int] = []
         for node in self.nodes:
             for grouping, num, channels, cursor in router.outbox(
                 node.executor.executor_id, node.task_name
@@ -408,13 +406,17 @@ class _SweepPlan:
                 node.edges.append((grouping, num, len(self.channels), cursor))
                 for channel in channels:
                     self.by_id[channel.target_id].feeds.append(len(self.channels))
+                    positions.append(len(self.channels) - node.edges[0][2])
                     self.channels.append(channel)
                     self.senders.append(node)
         for nodes in by_depth:
             ids = [first + k for node in nodes for _, num, first, _ in node.edges for k in range(num)]
             sends = [self.channels[c] for c in ids]
             seeds = [c.stream.seed if c.stream is not None else 0 for c in sends]
-            self.levels.append(_Level(nodes, ids, sends, seeds, np.array([c.base for c in sends])))
+            self.levels.append(_Level(
+                nodes, ids, sends, seeds, np.array([c.base for c in sends]),
+                np.array([positions[c] for c in ids], dtype=np.uint64),
+            ))
         if self.channels and self.channels[0].stream is not None:
             self.jitter = (self.channels[0].jitter_low, self.channels[0].jitter_span)
 
@@ -668,15 +670,17 @@ class _Adopted:
 
     ``keys`` are the merge keys (``-inf`` for the ``seeded`` events that were
     in service or queued at entry, so they sort first and stay in order; the
-    delivery time for adopted deliveries), ``roots`` the sweep root indices and
-    ``fixed`` the already-scheduled completion time of the event in service.
+    delivery time for adopted deliveries), ``roots`` the sweep root indices,
+    ``ids`` the events' ids and ``fixed`` the already-scheduled completion
+    time of the event in service.
     """
 
-    __slots__ = ("keys", "roots", "seeded", "fixed")
+    __slots__ = ("keys", "roots", "ids", "seeded", "fixed")
 
     def __init__(self) -> None:
         self.keys: List[float] = []
         self.roots: List[int] = []
+        self.ids: List[int] = []
         self.seeded = 0
         self.fixed = 0.0
 
@@ -692,16 +696,18 @@ class _Sweep:
     space, ``rids`` / ``emitted`` cover all of it.  An entry is swept iff its
     time is below ``bound``; the rest is handed back by :meth:`spill`.
 
-    Under acking, events wholly inside the sweep never draw an id -- their
+    Every entry carries its event's id beside its root index (a ``uint64``
+    column, stepped per channel by :meth:`_ship_block`).  Under acking, the
+    ids of events wholly inside the sweep never reach the acker -- their
     anchor/ack XOR contributions cancel by construction, so only per-root-index
     *counts* are kept (``anchors`` / ``acks``), and trees that live and die
-    inside the sweep never materialize a ``PendingTree``.  Real ids appear
+    inside the sweep never materialize a ``PendingTree``.  Ids are folded
     exactly where the classic path would leave them observable: spilled events
     fold into ``residue`` (new roots: becomes the registered tree's hash) or
     ``anchor_pairs`` (pre-existing trees); adopted in-flight events keep their
-    original ids -- ``ack_pairs`` removes them from their trees when they
-    complete in-sweep, and the original object is handed back if they spill
-    again.  :meth:`fold_acks` commits it all through the acker's bulk APIs.
+    objects -- ``ack_pairs`` removes them from their trees when they complete
+    in-sweep, and the object is handed back if they spill again.
+    :meth:`fold_acks` commits it all through the acker's bulk APIs.
     """
 
     def __init__(
@@ -716,30 +722,33 @@ class _Sweep:
         self.ticks = self.emitted = ticks = emission.ticks
         self.n_roots = n_roots = len(ticks)
         self.first_sequence = emission.first_sequence
-        rid0 = reserve_event_ids(n_roots)
-        self.rids = np.arange(rid0, rid0 + n_roots, dtype=np.int64)
-        # Bulk append (record_source_emit with replay_count=0, at_time=tick):
-        # fresh root ids are never already emitted.  A pure array copy — no
-        # per-event record.
+        first = source.emitted_count
+        root_ids = root_event_id(source.id_key, np.arange(first, first + n_roots, dtype=np.uint64))
+        self.rids = root_ids.view(np.int64)
+        # Bulk append (record_source_emit with replay_count=0, at_time=tick).
+        # A pure array copy — no per-event record.
         runtime.log.extend_emits(
             ticks, self.rids, source.task.name, from_backlog=emission.backlogged
         )
         source.emitted_count += n_roots
-        #: ``(event, sender id, hand the object back on a spill)`` per adopted event.
-        self.adopted: List[Tuple[Event, str, bool]] = []
+        #: ``(event, sender id)`` per adopted event.
+        self.adopted: List[Tuple[Event, str]] = []
         #: node index -> the in-flight work it brought.
         self.arrived: Dict[int, _Adopted] = {}
         self.payloads: Dict[int, Any] = emission.payloads
         self.field_cache: Dict[int, np.ndarray] = {}
         #: Per plan channel: the in-bound ``(deliveries, roots, parent
-        #: completion times)`` it shipped, or None.
+        #: completion times, ids)`` it shipped, or None.
         self.segments: List[Optional[tuple]] = [None] * len(plan.channels)
-        #: node index -> the in-bound ``(completions, roots)`` it sends on.
-        self.outputs = {plan.by_id[source.executor_id].index: (ticks, np.arange(n_roots))}
+        #: node index -> the in-bound ``(completions, roots, ids)`` it sends
+        #: on; a root event's id is its root's.
+        self.outputs = {
+            plan.by_id[source.executor_id].index: (ticks, np.arange(n_roots), root_ids)
+        }
         #: Work crossing the bound: ``(node index, channel index or the
         #: channel count for a queue, ...)``, materialized by :meth:`spill`.
         self.spills: List[tuple] = []
-        self.receipts: List[Tuple[np.ndarray, np.ndarray, SinkExecutor]] = []
+        self.receipts: List[Tuple[np.ndarray, np.ndarray, np.ndarray, SinkExecutor]] = []
         self.anchors = self.acks = self.residue = self.spilled = None
         self.anchor_pairs: List[Tuple[int, int]] = []
         self.ack_pairs: List[Tuple[int, int]] = []
@@ -797,9 +806,8 @@ class _Sweep:
                     work = self.arrived.setdefault(by_id[target.executor_id].index, _Adopted())
                     work.keys.append(when)
                     work.roots.append(n_roots + len(adopted))
-                    # Under acking the event's id is already folded into its
-                    # pending tree: keep the object in case it spills again.
-                    adopted.append((event, sender_id, self.acked))
+                    work.ids.append(event.event_id)
+                    adopted.append((event, sender_id))
                     self.inline += 1
                 else:
                     sim.schedule_at_fast(when, target.deliver, (event, sender_id))
@@ -814,17 +822,18 @@ class _Sweep:
                     # spill queues whatever arrives behind it).
                     ends = sequential_sums(when, node.service, count - 1)
                     count = min(count, 1 + int(np.searchsorted(ends, self.bound)))
+                seeded = [(event, "")] + [queue.popleft() for _ in range(count - 1)]
                 work.seeded = count
                 work.fixed = when
                 work.keys[0:0] = [-math.inf] * count
                 work.roots[0:0] = range(n_roots + len(adopted), n_roots + len(adopted) + count)
-                adopted.append((event, "", True))
-                adopted.extend((*queue.popleft(), True) for _ in range(count - 1))
+                work.ids[0:0] = [event.event_id for event, _ in seeded]
+                adopted.extend(seeded)
                 executor._busy = False  # re-established by the spill if needed
         if adopted:
-            self.rids = np.concatenate([self.rids, [event.root_id for event, _, _ in adopted]])
+            self.rids = np.concatenate([self.rids, [event.root_id for event, _ in adopted]])
             self.emitted = np.concatenate(
-                [self.ticks, [event.root_emitted_at for event, _, _ in adopted]]
+                [self.ticks, [event.root_emitted_at for event, _ in adopted]]
             )
         if self.acked:
             self.anchors = np.zeros(len(self.rids), dtype=np.int64)
@@ -866,7 +875,7 @@ class _Sweep:
         """
         self.rounds += 1
         segments = self.segments
-        keys, roots, counts, pieces, offsets = [], [], [], [], []
+        keys, roots, ids, counts, pieces, offsets = [], [], [], [], [], []
         pins: List[int] = []
         pinned: List[float] = []
         unmerged: List[Tuple[int, int]] = []
@@ -882,12 +891,14 @@ class _Sweep:
                 loose += len(work.keys) - work.seeded
                 keys.append(work.keys)
                 roots.append(work.roots)
+                ids.append(np.array(work.ids, dtype=np.uint64))
                 pieces.append(work)
                 offsets.append(offset)
                 offset += len(work.keys)
             for c in feeds:
                 keys.append(segments[c][0])
                 roots.append(segments[c][1])
+                ids.append(segments[c][3])
                 pieces.append(c)
                 offsets.append(offset)
                 offset += len(segments[c][0])
@@ -896,6 +907,7 @@ class _Sweep:
                 unmerged.append((offset - total, offset))
         arrivals = np.concatenate(keys) if len(keys) > 1 else np.asarray(keys[0], dtype=np.float64)
         rts = np.concatenate(roots) if len(roots) > 1 else np.asarray(roots[0], dtype=np.intp)
+        eids = np.concatenate(ids) if len(ids) > 1 else ids[0]
         order = None
         if unmerged:
             # Each piece is sorted already, which a stable sort merges cheaply.
@@ -904,6 +916,7 @@ class _Sweep:
                 order[lo:hi] = np.argsort(arrivals[lo:hi], kind="stable") + lo
             arrivals = arrivals[order]
             rts = rts[order]
+            eids = eids[order]
         services = [node.service for node, _, _, _ in block]
         step = services[0]
         if services.count(step) < len(services):
@@ -924,15 +937,15 @@ class _Sweep:
                 end = lo + int(np.searchsorted(completions[lo:hi], self.bound))
                 # The service at ``end`` crosses the bound (see _spill_queue).
                 self.spills.append(
-                    (node.index, len(segments), node, end, hi, completions, rts, lookup)
+                    (node.index, len(segments), node, end, hi, completions, rts, eids, lookup)
                 )
             if end > lo:
                 executor = node.executor
                 if node.sink:
                     executor.received_count += end - lo
-                    self.receipts.append((completions[lo:end], rts[lo:end], executor))
+                    self.receipts.append((completions[lo:end], rts[lo:end], eids[lo:end], executor))
                 else:
-                    self.outputs[node.index] = (completions[lo:end], rts[lo:end])
+                    self.outputs[node.index] = (completions[lo:end], rts[lo:end], eids[lo:end])
                     state = executor.state
                     state["processed"] = state.get("processed", 0) + end - lo
                     executor.busy_time_s = self.plan.busy_after(executor, node.service, end - lo)
@@ -962,23 +975,26 @@ class _Sweep:
         outputs = self.outputs
         if not level.ids or not any(node.index in outputs for node in level.nodes):
             return
-        parents, roots = [], []
-        nothing = (self.ticks[:0], self.rids[:0])
+        parents, roots, ids = [], [], []
+        nothing = (self.ticks[:0], self.rids[:0], np.empty(0, dtype=np.uint64))
         for node in level.nodes:
-            completions, rts = outputs.get(node.index, nothing)
+            completions, rts, eids = outputs.get(node.index, nothing)
             for grouping, num, _first, cursor in node.edges:
                 if num == 1 or grouping is Grouping.ALL:
                     parents.extend([completions] * num)
                     roots.extend([rts] * num)
+                    ids.extend([eids] * num)
                 elif grouping is Grouping.GLOBAL:
                     parents.extend([completions] + [nothing[0]] * (num - 1))
                     roots.extend([rts] + [nothing[1]] * (num - 1))
+                    ids.extend([eids] + [nothing[2]] * (num - 1))
                 elif grouping is Grouping.FIELDS:
                     targets = self.field_indices(num)[rts]
                     for k in range(num):
                         mask = targets == k
                         parents.append(completions[mask])
                         roots.append(rts[mask])
+                        ids.append(eids[mask])
                 else:  # shuffle round-robin per (sender executor, dst task)
                     start = cursor[0]
                     cursor[0] = start + len(rts)
@@ -988,6 +1004,7 @@ class _Sweep:
                     for k in range(num):
                         parents.append(completions[(k - start) % num::num])
                         roots.append(rts[(k - start) % num::num])
+                        ids.append(eids[(k - start) % num::num])
         counts = [len(piece) for piece in parents]
         i = 0
         while i < len(counts):
@@ -996,19 +1013,25 @@ class _Sweep:
                 size += counts[j]
                 j += 1
             if size:
-                self._ship_block(level, i, j, parents[i:j], roots[i:j], counts[i:j])
+                self._ship_block(level, i, j, parents[i:j], roots[i:j], ids[i:j], counts[i:j])
             i = j
 
-    def _ship_block(self, level: _Level, i: int, j: int, parents, roots, counts) -> None:
+    def _ship_block(self, level: _Level, i: int, j: int, parents, roots, ids, counts) -> None:
         """One array round over channels ``i .. j-1`` of ``level`` (the array
-        form of ``Channel.stamp``): keyed jitter, latency, FIFO bump, bound split."""
+        form of ``Channel.stamp`` and of the router's id step): keyed jitter,
+        latency, FIFO bump, delivery ids, bound split."""
         self.rounds += 1
         channels = level.channels[i:j]
+        # Per entry: its parent's time and id, the channel's base latency and
+        # outbox position (what the delivery's event id steps over).
         if j - i == 1:
             parent_times, latency = parents[0], level.bases[i]
+            sent_ids, positions = ids[0], level.positions[i:j]
         else:
             parent_times = np.concatenate(parents)
             latency = np.repeat(level.bases[i:j], counts)
+            sent_ids = np.concatenate(ids)
+            positions = np.repeat(level.positions[i:j], counts)
         jitter = self.plan.jitter
         if jitter is not None:
             draws = keyed_value_blocks(
@@ -1023,6 +1046,7 @@ class _Sweep:
         )
         self.fallbacks += fell_back
         self.routed += len(deliveries)
+        eids = child_event_id(sent_ids, positions)
 
         shipped: List[Tuple[int, int]] = []
         hi = 0
@@ -1039,10 +1063,12 @@ class _Sweep:
                 # Beyond the bound: classic deliveries (see _spill_shipped).
                 self.spills.append(
                     (self.plan.senders[c].index, c, deliveries[lo + cut:hi], sent_roots[cut:],
-                     sent[cut:])
+                     sent[cut:], eids[lo + cut:hi])
                 )
             if cut:
-                self.segments[c] = (deliveries[lo:lo + cut], sent_roots[:cut], sent[:cut])
+                self.segments[c] = (
+                    deliveries[lo:lo + cut], sent_roots[:cut], sent[:cut], eids[lo:lo + cut]
+                )
                 self.inline += cut
                 shipped.append((lo, lo + cut))
         if self.acked:
@@ -1056,8 +1082,8 @@ class _Sweep:
         """Hand the work that crossed the bound back to the kernel, in classic form.
 
         Runs after the level sweep, instance by instance in plan order -- an
-        instance's shipped events in channel order, then its queue -- because
-        that is the order the spilled events draw their ids in.
+        instance's shipped events in channel order, then its queue -- so the
+        spilled events go on the kernel heap in one fixed order.
         """
         self.runtime.router.routed_count += self.routed
         self.spills.sort(key=itemgetter(0, 1))
@@ -1067,20 +1093,21 @@ class _Sweep:
             else:
                 self._spill_queue(*work)
 
-    def _new_event(self, r: int, task_name: str, created_at: float, anchor: int) -> Event:
-        """Materialize a sweep-born event that leaves the sweep, with a fresh id.
+    def _new_event(
+        self, r: int, task_name: str, created_at: float, anchor: int, event_id: int
+    ) -> Event:
+        """Materialize a sweep-born event that leaves the sweep, as ``event_id``.
 
         ``anchor`` is what the event's id does to a new root's symbolic anchor
         count (a shipped spill was never counted: +1; a queued one was counted
         at ship time: 0) -- on a pre-existing tree the anchor turns real.
         """
-        event_id = next_event_id()
         root_id = int(self.rids[r])
         if self.acked:
             if r < self.n_roots:
-                # A new root's spilled event: its real id is part of the tree
-                # hash register_block will materialize.
-                self.residue[r] ^= id_hash(event_id)
+                # A new root's spilled event: its id is part of the tree hash
+                # register_block will materialize.
+                self.residue[r] ^= event_id
                 self.spilled[r] += 1
                 self.anchors[r] += anchor
             else:
@@ -1091,20 +1118,24 @@ class _Sweep:
             float(self.emitted[r]), None, None, 0, self.acked,
         )
 
-    def _spill_shipped(self, c: int, deliveries, roots, parent_times) -> None:
+    def _spill_shipped(self, c: int, deliveries, roots, parent_times, ids) -> None:
         channel = self.plan.channels[c]
         task_name = self.plan.senders[c].task_name
         schedule_at_fast = self.runtime.sim.schedule_at_fast
-        for when, r, created_at in zip(deliveries.tolist(), roots.tolist(), parent_times.tolist()):
-            event = self._new_event(r, task_name, created_at, 1)
+        for when, r, created_at, event_id in zip(
+            deliveries.tolist(), roots.tolist(), parent_times.tolist(), ids.tolist()
+        ):
+            event = self._new_event(r, task_name, created_at, 1, event_id)
             schedule_at_fast(when, channel.deliver, (event, channel.sender_id))
 
-    def _spill_queue(self, node: _Node, first: int, end: int, completions, rts, lookup) -> None:
+    def _spill_queue(
+        self, node: _Node, first: int, end: int, completions, rts, ids, lookup
+    ) -> None:
         """Leave ``node`` busy with the service that crosses the bound on the
         kernel heap and the later arrivals queued, exactly as the classic
         kernel would have them at this point.  Adopted positions still hold
-        their original Event objects; sweep-born arrivals are materialized
-        from the sweep arrays."""
+        their Event objects; sweep-born arrivals are materialized from the
+        sweep arrays."""
         order, offsets, pieces = lookup
         entries = []
         for position in range(first, end):
@@ -1114,14 +1145,14 @@ class _Sweep:
             origin = pieces[piece]
             r = int(rts[position])
             if type(origin) is _Adopted:
-                event, sender_id, original = self.adopted[r - self.n_roots]
+                event, sender_id = self.adopted[r - self.n_roots]
                 self.respilled.add(r)
-                if not original:  # an unacked delivery re-enters as a fresh copy
-                    event = self._new_event(r, event.source_task, event.created_at, 0)
             else:
                 sender_id = self.plan.channels[origin].sender_id
                 created_at = float(self.segments[origin][2][merged - offsets[piece]])
-                event = self._new_event(r, self.plan.senders[origin].task_name, created_at, 0)
+                event = self._new_event(
+                    r, self.plan.senders[origin].task_name, created_at, 0, int(ids[position])
+                )
             entries.append((event, sender_id))
         executor = node.executor
         executor._busy = True
@@ -1167,7 +1198,7 @@ class _Sweep:
         # An adopted event that completed in-sweep (all but the ones a queue
         # spill handed back) is acked by the id already folded into its tree,
         # not by count.
-        for r, (event, _, _) in enumerate(self.adopted, n_roots):
+        for r, (event, _) in enumerate(self.adopted, n_roots):
             if r not in self.respilled:
                 self.acks[r] -= 1
                 self.ack_pairs.append((event.root_id, event.event_id))
@@ -1220,26 +1251,25 @@ class _Sweep:
 
     def commit_receipts(self) -> None:
         """Merge the sinks' receipts into the log in global time order: one
-        fancy-index per root column, one bulk id reservation, no per-event
-        object."""
+        fancy-index per root column, no per-event object."""
         receipts = self.receipts
         if not receipts:
             return
-        times, roots, sink = receipts[0]
+        times, roots, ids, sink = receipts[0]
         names: Any = sink.task.name
         which = None
         if len(receipts) > 1:
             times = np.concatenate([rec[0] for rec in receipts])
             roots = np.concatenate([rec[1] for rec in receipts])
+            ids = np.concatenate([rec[2] for rec in receipts])
             which = np.repeat(np.arange(len(receipts)), [len(rec[0]) for rec in receipts])
-            names = [rec[2].task.name for rec in receipts]
+            names = [rec[3].task.name for rec in receipts]
             order = np.argsort(times, kind="stable")
-            times, roots, which = times[order], roots[order], which[order]
-        eid0 = reserve_event_ids(len(times))
+            times, roots, ids, which = times[order], roots[order], ids[order], which[order]
         self.runtime.log.extend_receipts(
             times,
             self.rids[roots],
-            np.arange(eid0, eid0 + len(times), dtype=np.int64),
+            ids.view(np.int64),
             names,
             self.emitted[roots],
             sink_indices=which,

@@ -135,7 +135,8 @@ class RuntimeConfig:
     #: :mod:`repro.engine.batch`).  It decides tick by tick; one it declines --
     #: loss, replay, migrations, a throttled spout, non-default task logic, a
     #: window too short to pay for a sweep -- runs on the per-event kernel.
-    #: Times are bit-identical either way, event ids are drawn in sweep order.
+    #: The log is bit-identical either way, event ids included (they are a
+    #: function of the data, :mod:`repro.dataflow.event`).
     #: ``False`` runs everything per event: the equivalence suites' reference
     #: (the field goes once ``bench_e2e`` stops assigning it).
     batch_stepping: bool = True

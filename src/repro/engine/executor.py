@@ -35,7 +35,7 @@ from collections import deque
 from enum import Enum
 from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.dataflow.event import CheckpointAction, Event, EventKind, next_event_id
+from repro.dataflow.event import CheckpointAction, Event, EventKind, root_event_id, source_id_key
 from repro.dataflow.task import SinkTask, SourceTask, Task
 from repro.reliability.statestore import checkpoint_key
 from repro.sim import Timer
@@ -270,7 +270,8 @@ class Executor:
         task = self.task
         outputs = task.logic(event.payload, self.state)
         # Capture the ack identity up front: the router owns routed events and
-        # re-stamps the reused object with a fresh id (see Router.route_one).
+        # re-stamps the reused object with its delivery's id (see
+        # Router.route_one).
         acked = event.anchored and event.kind is _DATA and runtime.ack_data_events
         if acked:
             ack_root_id = event.root_id
@@ -279,11 +280,10 @@ class Executor:
             now = self.sim.now
             if len(outputs) == 1:
                 # 1:1 selectivity (the dominant case): mutate the processed
-                # event into its own child instead of allocating one.  The id
-                # is drawn at the same counter position derive() would use,
-                # so event ids are bit-identical to the allocating path.
+                # event into its own output instead of allocating one.  It
+                # keeps the processed event's id until the router steps it
+                # onto a channel.
                 payload = outputs[0]
-                event.event_id = next_event_id()
                 event.source_task = task.name
                 if payload is not None:
                     event.payload = payload
@@ -297,7 +297,10 @@ class Executor:
                 else:
                     runtime.router.route_one(self.executor_id, task.name, event)
             else:
-                children = [event.derive(task.name, payload, now) for payload in outputs]
+                children = [
+                    event.derive(task.name, payload, now, index)
+                    for index, payload in enumerate(outputs)
+                ]
                 if self.capture_mode:
                     self.pending_events.extend(children)
                     self.captured_count += len(children)
@@ -476,6 +479,7 @@ class SourceExecutor(Executor):
         "skipped_ticks",
         "drain_parks",
         "drain_wakes",
+        "id_key",
     )
 
     def __init__(self, executor_id: str, task: SourceTask, instance_index: int, runtime: "TopologyRuntimeLike") -> None:
@@ -502,6 +506,9 @@ class SourceExecutor(Executor):
         #: Times the drain chain parked on a throttled poll / was re-armed.
         self.drain_parks = 0
         self.drain_wakes = 0
+        #: Key of this source's root ids: the ``emitted_count``-th first
+        #: emission is root ``root_event_id(id_key, emitted_count)``.
+        self.id_key = source_id_key(runtime.config.seed, runtime.dataflow.name, executor_id)
 
     # ------------------------------------------------------------- lifecycle
     def start(self) -> None:
@@ -653,7 +660,8 @@ class SourceExecutor(Executor):
 
     def _emit_new(self, payload: Any, from_backlog: bool = False) -> None:
         event = Event.data(
-            source_task=self.task.name,
+            self.task.name,
+            root_event_id(self.id_key, self.emitted_count),
             payload=payload,
             created_at=self.sim.now,
             anchored=self.runtime.ack_data_events,
@@ -672,10 +680,10 @@ class SourceExecutor(Executor):
         replay_count = self._replay_counts.get(root_id, 0) + 1
         self._replay_counts[root_id] = replay_count
         event = Event.data(
-            source_task=self.task.name,
+            self.task.name,
+            root_id,
             payload=payload,
             created_at=self.sim.now,
-            root_id=root_id,
             root_emitted_at=self.sim.now,
             replay_count=replay_count,
             anchored=self.runtime.ack_data_events,
@@ -888,6 +896,7 @@ class TopologyRuntimeLike:
     """
 
     sim = None
+    config = None
     log = None
     statestore = None
     acker = None

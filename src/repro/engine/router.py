@@ -45,7 +45,7 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.cloud import NetworkModel
-from repro.dataflow.event import Event, EventKind, next_event_id
+from repro.dataflow.event import Event, EventKind, child_event_id
 from repro.dataflow.graph import Edge
 from repro.dataflow.grouping import Grouping, field_key_of, stable_field_index
 from repro.sim.rng import KeyedStream
@@ -227,8 +227,8 @@ class Router:
         """Deliver one event on every outgoing edge of ``task_name``.
 
         The router takes **ownership** of the event: it is either duplicated
-        per delivery (fan-out) or re-stamped with the fresh event id its copy
-        would have received and delivered directly (the dominant
+        per delivery (fan-out) or re-stamped with the id its copy would have
+        carried and delivered directly (the dominant
         single-delivery case).  Callers must not touch an event after
         routing it.
 
@@ -243,23 +243,23 @@ class Router:
             # Dominant shape: one out-edge, one target.
             grouping, num, channels, cursor = outbox[0]
             if num == 1:
-                channel = channels[0]
+                position = 0
             elif grouping is _SHUFFLE:
                 index = cursor[0]
                 cursor[0] = index + 1
-                channel = channels[index % num]
+                position = index % num
             elif grouping is _FIELDS:
-                channel = channels[stable_field_index(field_key_of(event.payload), num)]
+                position = stable_field_index(field_key_of(event.payload), num)
             elif grouping is _ALL:  # fans out: take the general path below
-                channel = None
+                position = None
             else:  # GLOBAL
-                channel = channels[0]
-            if channel is not None:
+                position = 0
+            if position is not None:
                 runtime = self.runtime
+                channel = channels[position]
                 # Sole delivery of this event: re-stamp the original with the
-                # id a copy would have drawn (same counter position, so ids
-                # are bit-identical to the copying path), skip the allocation.
-                event.event_id = event_id = next_event_id()
+                # id a copy would have carried, skip the allocation.
+                event.event_id = event_id = child_event_id(event.event_id, position)
                 if event.anchored and runtime.ack_data_events and event.kind is _DATA:
                     runtime.acker.anchor(event.root_id, event_id)
                 self.routed_count += 1
@@ -306,38 +306,44 @@ class Router:
         The general form of routing (several edges, ALL grouping, several
         events): the caller decides how the stamped deliveries go on the
         heap.  Event ids, acker anchors and jitter draws happen here, edge by
-        edge and event by event.
+        edge and event by event.  A delivery's id is the event's step over
+        the channel's position in the outbox (edges in order, each edge's
+        instances in order), which the level sweep's plan numbers alike.
         """
         runtime = self.runtime
         acker = runtime.acker
         ack_data = runtime.ack_data_events
         single_edge = len(outbox) == 1
         deliveries: List[Delivery] = []
+        first = 0
         for grouping, num, channels, cursor in outbox:
             for event in events:
                 if num == 1 or grouping is _ALL:
-                    targets = channels
+                    positions = range(num)
                 elif grouping is _SHUFFLE:  # round-robin per (sender executor, destination task)
                     index = cursor[0]
                     cursor[0] = index + 1
-                    targets = (channels[index % num],)
+                    positions = (index % num,)
                 elif grouping is _FIELDS:
-                    targets = (channels[stable_field_index(field_key_of(event.payload), num)],)
+                    positions = (stable_field_index(field_key_of(event.payload), num),)
                 else:  # GLOBAL
-                    targets = channels[:1]
-                if single_edge and len(targets) == 1:
+                    positions = (0,)
+                if single_edge and len(positions) == 1:
                     # Sole delivery of this event: re-stamp instead of copying
                     # (see route_one).
-                    event.event_id = next_event_id()
+                    channel = channels[positions[0]]
+                    event.event_id = child_event_id(event.event_id, positions[0])
                     if event.anchored and ack_data and event.kind is _DATA:
                         acker.anchor(event.root_id, event.event_id)
-                    deliveries.append((targets[0].stamp(now), targets[0], event))
+                    deliveries.append((channel.stamp(now), channel, event))
                     continue
-                for channel in targets:
-                    copy = event.copy_for_edge()
+                for position in positions:
+                    channel = channels[position]
+                    copy = event.copy_for_edge(child_event_id(event.event_id, first + position))
                     if copy.anchored and ack_data and copy.kind is _DATA:
                         acker.anchor(copy.root_id, copy.event_id)
                     deliveries.append((channel.stamp(now), channel, copy))
+            first += num
         self.routed_count += len(deliveries)
         return deliveries
 

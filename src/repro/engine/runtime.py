@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.cluster.cloud import Cluster
 from repro.cluster.placement import PlacementPlan, placement_diff
 from repro.cluster.scheduler import RoundRobinScheduler, Scheduler
-from repro.dataflow.event import CheckpointAction, Event
+from repro.dataflow.event import CheckpointAction, Event, checkpoint_event_id
 from repro.dataflow.graph import Dataflow, RescalePlan
 from repro.dataflow.task import TaskKind
 from repro.engine.config import RuntimeConfig
@@ -392,7 +392,9 @@ class TopologyRuntime:
         else:
             targets = [e.executor_id for e in self.user_executors]
         for target in targets:
-            event = Event.checkpoint(action, checkpoint_id, CHECKPOINT_SOURCE_ID, created_at=self.sim.now)
+            event = Event.checkpoint(
+                action, checkpoint_id, CHECKPOINT_SOURCE_ID, target, created_at=self.sim.now
+            )
             event.payload = dict(meta)
             self.router.send_direct(CHECKPOINT_SOURCE_ID, target, event)
 
@@ -403,7 +405,10 @@ class TopologyRuntime:
             if successor_task.kind is not TaskKind.PROCESS:
                 continue
             for target in successor_task.instance_ids():
-                self.router.send_direct(executor.executor_id, target, event.copy_for_edge())
+                copy = event.copy_for_edge(
+                    checkpoint_event_id(event.checkpoint_id, event.checkpoint_action, target)
+                )
+                self.router.send_direct(executor.executor_id, target, copy)
 
     def control_ack(self, executor: Executor, event: Event) -> None:
         """Report an executor's acknowledgment of a control event to the coordinator."""

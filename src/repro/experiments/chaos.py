@@ -35,7 +35,6 @@ from repro.cluster.chaos import ChaosSchedule, FaultInjector
 from repro.cluster.cloud import SPOT, CloudProvider, ProvisioningModel, SpotMarket
 from repro.core.strategy import strategy_by_name
 from repro.dataflow import topologies
-from repro.dataflow.event import reset_event_ids
 from repro.dataflow.graph import Dataflow
 from repro.elastic import (
     AllocationPlanner,
@@ -353,9 +352,6 @@ def run_chaos_run(
         # during migrations and a kill before the first one loses state.
         config.reliability.periodic_checkpoint_interval_s = 30.0
 
-    # Hermetic run: event ids restart at 1 so results do not depend on what
-    # else ran in this process.
-    reset_event_ids()
     sim = Simulator()
     dataflow = topologies.by_name(dag)
 

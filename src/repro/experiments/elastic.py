@@ -12,6 +12,9 @@ bill tracks the load.
 The result carries the full timeline (monitor samples), every enacted
 :class:`~repro.elastic.controller.ScalingAction` with its
 :class:`~repro.core.strategy.MigrationReport`, and the final cloud bill.
+A run is hermetic: every event id is a function of the run's own data
+(:mod:`repro.dataflow.event`), so which DSM trees a migration loses and
+replays does not depend on what ran earlier in the process.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from typing import List, Optional, Union
 from repro.cluster.cloud import CloudProvider
 from repro.core.strategy import strategy_by_name
 from repro.dataflow import topologies
-from repro.dataflow.event import reset_event_ids
 from repro.dataflow.graph import Dataflow
 from repro.elastic import (
     AllocationPlanner,
@@ -158,10 +160,6 @@ def run_elastic_experiment(
     the controller config's choice.  The ``lookahead`` policy is bound to the
     run's total-rate profile automatically.
     """
-    # Hermetic run: event ids restart at 1 so results do not depend on what
-    # else ran in this process (see run_migration_experiment for the DSM
-    # ack-hash rationale).
-    reset_event_ids()
     profile_name = profile if isinstance(profile, str) else type(profile).__name__
     if isinstance(forecast_policy, ForecastPolicy):
         policy_name = forecast_policy.name

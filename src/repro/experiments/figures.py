@@ -136,9 +136,9 @@ def _cell_from_result(result: MigrationRunResult) -> MatrixCell:
 def _compute_cell(spec: Tuple[str, str, str, float, float, int]) -> Tuple[Tuple[str, str, str], MatrixCell]:
     """Worker-process entry point: run one cell, return its picklable summary.
 
-    Runs are hermetic (``run_migration_experiment`` resets the global event-id
-    counter), so a cell computed in a fresh process is identical to the same
-    cell computed serially in the parent.
+    Runs are hermetic (event ids are a function of the run's data), so a cell
+    computed in a fresh process is identical to the same cell computed
+    serially in the parent.
     """
     dag, strategy, scaling, migrate_at_s, post_migration_s, seed = spec
     result = run_migration_experiment(
@@ -166,9 +166,10 @@ class ExperimentMatrix:
     """Runs and caches the (dag x strategy x scaling) experiment matrix.
 
     Figures 5, 6 and 8 are all computed from the same runs, so the matrix is
-    computed lazily and shared.  Cells are hermetic (event ids reset per
-    run), so :meth:`prefetch` can fan the missing cells out across worker
-    processes for near-linear wall-clock wins on the full figure suite.
+    computed lazily and shared.  Cells are hermetic (event ids are a function
+    of each run's data), so :meth:`prefetch` can fan the missing cells out
+    across worker processes for near-linear wall-clock wins on the full
+    figure suite.
     """
 
     def __init__(

@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.vm import D2
 from repro.dataflow import topologies
-from repro.dataflow.event import reset_event_ids
 from repro.elastic.controller import ControllerConfig, ScalingAction
 from repro.elastic.planner import AllocationPlanner
 from repro.metrics.log import mean_latency
@@ -217,7 +216,6 @@ def _run_managed(
     placement: str = "full-replace",
 ) -> ManagedRunResult:
     """One complete managed run over ``(tenant_name, dag, priority, window)`` specs."""
-    reset_event_ids()
     manager = ClusterManager(
         budget_slots=budget_slots,
         provisioning_latency_s=provisioning_latency_s,
@@ -334,6 +332,8 @@ def run_multi_experiment(
         raise ValueError("need at least one dataflow")
     if priorities is not None and len(priorities) != len(dags):
         raise ValueError(f"priorities must match dags ({len(dags)} entries)")
+    if surge_multiplier <= 1.0:
+        raise ValueError("surge_multiplier must be > 1 (otherwise there is no surge)")
     if controller_config is None:
         controller_config = ControllerConfig(
             check_interval_s=15.0, confirm_samples=2, cooldown_s=60.0

@@ -216,6 +216,8 @@ def run_predictive_experiment(
     """
     if not policies:
         raise ValueError("need at least one policy to compare")
+    if surge_multiplier <= 1.0:
+        raise ValueError("surge_multiplier must be > 1 (otherwise there is no surge)")
     if controller_config is None:
         controller_config = ControllerConfig(
             check_interval_s=15.0, confirm_samples=2, cooldown_s=60.0

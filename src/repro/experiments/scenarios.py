@@ -26,7 +26,6 @@ from repro.cluster.vm import D1, D2, D3, VirtualMachine
 from repro.core.metrics import MigrationMetrics, compute_migration_metrics
 from repro.core.strategy import MigrationReport, strategy_by_name
 from repro.dataflow import topologies
-from repro.dataflow.event import reset_event_ids
 from repro.elastic.planner import plan_user_tasks_on
 from repro.dataflow.graph import Dataflow
 from repro.engine.config import RuntimeConfig
@@ -231,15 +230,14 @@ def run_migration_experiment(
     ``strategy_options`` (keywords of the strategy class, e.g.
     ``init_resend_interval_s``) override one mechanism for the ablations.
 
-    The global event-id counter is reset first, making every run hermetic.
-    Without this, DSM results depend on the absolute event ids in flight when
-    the rebalance kills executors: the acker's XOR tree hash can
-    coincidentally return to zero over *lost* ids (Storm's known ack-hash
-    collision), so whether a given tree times out and replays varied with
-    whatever had consumed ids earlier in the process — i.e. figure outputs
-    silently depended on test execution order.
+    Every run is hermetic: event ids are a function of the run's data (seed,
+    source, emission sequence, channel; :mod:`repro.dataflow.event`), not of
+    what ran earlier in the process.  They used to come from a process-global
+    counter, and DSM results then depended on the absolute ids in flight when
+    the rebalance killed executors: the acker's XOR tree hash could return to
+    zero over *lost* sequential ids, so whether a tree timed out and replayed
+    varied with whatever had drawn ids before.
     """
-    reset_event_ids()
     spec = ScenarioSpec(
         dag=dag,
         strategy=strategy,

@@ -10,8 +10,8 @@ of global sequence ``s*N + i`` (keys and values match what the unsharded
 source would have generated for exactly those events).
 
 Determinism contract: a shard's log is a pure function of its
-:class:`~repro.sim.shard.ShardSpec` — the worker resets the global event-id
-counter on entry and derives all randomness from the spec's shard seed — and
+:class:`~repro.sim.shard.ShardSpec` — the worker derives all randomness, and
+with the runtime seed every event id, from the spec's shard seed — and
 the merge (:func:`~repro.sim.shard.merge_shard_results`) is a pure function of
 the shard logs, which the shard tests assert byte-for-byte via
 :func:`~repro.sim.shard.log_digest`.
@@ -24,7 +24,6 @@ from typing import List
 from repro.cluster.cloud import CloudProvider, Cluster, NetworkModel
 from repro.core.strategy import strategy_by_name
 from repro.dataflow import topologies
-from repro.dataflow.event import reset_event_ids
 from repro.dataflow.task import SourceTask
 from repro.engine.batch import engine_counts
 from repro.experiments.scenarios import deploy_baseline
@@ -71,7 +70,6 @@ def run_steady_shard(spec: ShardSpec) -> ShardResult:
     Table-1 D2 fleet for the user tasks), but with the source scaled down to
     the partition's share of the stream.
     """
-    reset_event_ids()
     strategy_cls = strategy_by_name(spec.strategy)
     config = strategy_cls.runtime_config(seed=spec.shard_seed)
 

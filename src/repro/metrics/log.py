@@ -597,7 +597,7 @@ class EventLog:
         recorded emit time, and ``root_ids`` must be as long (``ValueError``
         otherwise: an out-of-order or ragged block would corrupt every
         windowed query); ``root_ids`` must be first emissions (the batch
-        stepper reserves fresh ids per cohort).  Accepts any sequence,
+        stepper's roots of one window).  Accepts any sequence,
         including numpy arrays.
         """
         count = self._emits.append_block(

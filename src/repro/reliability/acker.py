@@ -1,12 +1,15 @@
 """Storm-style acknowledgment service (XOR causal trees).
 
-Every root event emitted by a source registers a 64-bit id with the acker.
-Each causally derived event XORs the hash of its id (:func:`id_hash`) into
-the tree's hash when it is anchored (emitted) and again when it is acked
-(processed); once every event has been anchored and acked exactly once the
-hash returns to zero and the tree is *complete*.  If the hash is still
-non-zero when the timeout expires (30 s by default) the tree has *failed* and
-the source replays the cached root event.
+Every root event emitted by a source registers its id with the acker.  Each
+causally derived event XORs its id into the tree's hash when it is anchored
+(emitted) and again when it is acked (processed); once every event has been
+anchored and acked exactly once the hash returns to zero and the tree is
+*complete*.  As in Storm, whose tuple ids are random 64-bit values, that
+needs ids under which no set of a tree's outstanding ids XORs to zero: they
+come from :mod:`repro.dataflow.event`, a mix of the data that names each
+event (sequential ids would cancel by value -- ``8 ^ 9 ^ 12 ^ 13 == 0``).
+If the hash is still non-zero when the timeout expires (30 s by default) the
+tree has *failed* and the source replays the cached root event.
 
 This is exactly the mechanism the paper's DSM baseline relies on for
 reliability, and the source of its large catch-up and recovery times: events
@@ -22,31 +25,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as _np
 
 from repro.sim import Simulator, Timer
-
-#: An odd 64-bit multiplier (2**64 / golden ratio): see :func:`id_hash`.
-_ODD = 0x9E3779B97F4A7C15
-_MASK64 = (1 << 64) - 1
-
-
-def id_hash(event_id: int) -> int:
-    """What ``event_id`` contributes to its tree's hash when anchored or acked.
-
-    Storm draws random 64-bit ids so that the XOR of a tree's outstanding ids
-    is zero only when none is outstanding.  Ids here are small and sequential
-    -- the two copies of one fan-out draw ``2k`` and ``2k + 1`` -- and XORed
-    bare, any two lost fan-out pairs of a tree cancel (``8 ^ 9 ^ 12 ^ 13 ==
-    0``): a tree with four un-acked events reads *complete* and is never
-    replayed.  One wrapping multiply by an odd constant is a bijection on
-    64-bit values (no two ids can cancel) whose carries scatter the low bits
-    that made the pairs alike.  Python ints: numpy raises on a ``uint64``
-    scalar overflow (:func:`id_hashes` is the array form, which wraps).
-    """
-    return (event_id * _ODD) & _MASK64
-
-
-def id_hashes(event_ids: _np.ndarray) -> _np.ndarray:
-    """:func:`id_hash` of every id of a ``uint64`` array (a wrapping multiply)."""
-    return event_ids * _np.uint64(_ODD)
 
 
 @dataclass
@@ -137,7 +115,7 @@ class AckerService:
 
         Each tree lands with the exact hash/counter state the classic path
         would have accumulated by the end of the stretch (the hash is the XOR
-        fold of the :func:`id_hash` of the root's still-outstanding event ids)
+        fold of the root's still-outstanding event ids)
         and a timeout timer at ``registered_at + timeout``, back-dated: the
         kernel clock still sits at the sweep's entry point.  The symbolic
         anchors/acks that cancelled inside the sweep are included in the
@@ -205,7 +183,7 @@ class AckerService:
         tree = self._pending.get(root_id)
         if tree is None:
             return
-        tree.ack_hash ^= id_hash(event_id)
+        tree.ack_hash ^= event_id
         tree.anchored_count += 1
         self.stats.anchors += 1
 
@@ -215,7 +193,7 @@ class AckerService:
         if tree is None:
             self.stats.late_acks += 1
             return
-        tree.ack_hash ^= id_hash(event_id)
+        tree.ack_hash ^= event_id
         tree.acked_count += 1
         self.stats.acks += 1
         if tree.complete:
@@ -230,7 +208,7 @@ class AckerService:
     @staticmethod
     def _folds(pairs: Sequence[Tuple[int, int]]) -> Iterator[Tuple[int, int, int]]:
         """Reduce ``(root_id, event_id)`` pairs to per-root ``(root, xor of
-        the id hashes, count)``.
+        the ids, count)``.
 
         The XOR fold is order-independent, so the whole stream collapses with
         one ``np.bitwise_xor.reduceat`` over a root-sorted view; the scalar
@@ -244,7 +222,7 @@ class AckerService:
             arr = _np.asarray(pairs, dtype=_np.uint64)
             order = _np.argsort(arr[:, 0], kind="stable")
             roots = arr[order, 0]
-            ids = id_hashes(arr[order, 1])
+            ids = arr[order, 1]
             starts = _np.flatnonzero(_np.r_[True, roots[1:] != roots[:-1]])
             xors = _np.bitwise_xor.reduceat(ids, starts)
             counts = _np.diff(_np.r_[starts, n])
@@ -255,9 +233,9 @@ class AckerService:
         for root_id, event_id in pairs:
             entry = folds.get(root_id)
             if entry is None:
-                folds[root_id] = [id_hash(event_id), 1]
+                folds[root_id] = [event_id, 1]
             else:
-                entry[0] ^= id_hash(event_id)
+                entry[0] ^= event_id
                 entry[1] += 1
         for root_id, (x, cnt) in folds.items():
             yield int(root_id), int(x), int(cnt)

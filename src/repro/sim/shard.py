@@ -2,28 +2,27 @@
 
 A *shard* is one hermetic simulation of an independent keyed partition of the
 workload: it owns its own :class:`~repro.sim.kernel.Simulator`, cluster and
-runtime, resets the global event-id counter on entry (exactly as
-``ExperimentMatrix.prefetch`` does for figure cells) and returns its log as
-column arrays.  Because shards never interact, the merged
+runtime, seeded from its spec, and returns its log as column arrays.  Event
+ids are a function of each run's data, its seed included
+(:mod:`repro.dataflow.event`), so shards never share one and nothing is reset
+between them.  Because shards never interact, the merged
 :class:`~repro.metrics.log.EventLog` depends only on the shard *specs*, never
 on the order the shards ran in.
 
 Merge determinism
 -----------------
-Each shard numbers its events from 1 (hermetic reset), so ids collide across
-shards.  The merge namespaces every id into ``shard_index * SHARD_ID_STRIDE +
-local_id`` — a pure function of the spec — and orders the union of the
-per-shard record streams by ``(time, namespaced id)``.  Both steps are
-deterministic, so the merged log of the same specs is byte-identical however
-the results are ordered (asserted via :func:`log_digest`).
+The merge keeps every id as its shard drew it and orders the union of the
+per-shard record streams by ``(time, shard index, record position)``: a pure
+function of the shard results, so the merged log of the same specs is
+byte-identical however the results are ordered (asserted via
+:func:`log_digest`).
 
-The merge is pure array work: the shard logs' columns are concatenated,
-id-offset, and reordered with one stable ``np.lexsort`` on ``(time,
-namespaced id)``, then appended to the merged
-:class:`~repro.metrics.log.EventLog` in one bulk call, without touching a
-single per-record Python object.  Shard streams are sorted by ``(time, id)``
-within a shard (ids are assigned in record order and times are monotone), so
-the lexsort is the order a per-record interleave of the streams produces.
+The merge is pure array work: the shard logs' columns are concatenated in
+shard-index order and reordered with one stable ``np.argsort`` on time, then
+appended to the merged :class:`~repro.metrics.log.EventLog` in one bulk call,
+without touching a single per-record Python object.  Each shard's stream is
+time-ordered already, so the stable sort keeps a shard's records in place and
+breaks a tie between shards by index.
 
 This module deliberately knows nothing about dataflows or clusters: the
 concrete shard runner lives in :mod:`repro.experiments.sharded` and is passed
@@ -40,11 +39,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 import numpy as _np
 
 from repro.sim.rng import keyed_seed
-
-#: Id namespace stride: merged ids are ``shard_index * stride + local_id``.
-#: 2**40 leaves room for a trillion events per shard while keeping the
-#: namespaced ids exact in float-free integer arithmetic.
-SHARD_ID_STRIDE = 1 << 40
 
 #: Rows :func:`log_digest` formats per ``%`` call and ``hasher.update``.
 #: Digest of ``bench_e2e``'s 80 k-record log (seed 2018, 2-vCPU Xeon, best of
@@ -130,11 +124,11 @@ def run_shards(
 def merge_shard_results(results: Sequence[ShardResult]):
     """Deterministically merge per-shard columns into one event log.
 
-    Ids are namespaced by shard (see :data:`SHARD_ID_STRIDE`) and the
-    per-shard streams — already time-ordered — are ordered by
-    ``(time, namespaced id)`` with one stable ``np.lexsort`` per stream, so
-    the output is a pure function of the shard results, bit-stable across
-    input orders and repeat runs.
+    The per-shard streams — already time-ordered — are laid end to end in
+    shard-index order and ordered by time with one stable ``np.argsort`` per
+    stream: ``(time, shard index, record position)``, so the output is a pure
+    function of the shard results, bit-stable across input orders and repeat
+    runs.
     """
     # Imported here: repro.metrics.log imports repro.sim, so a module-level
     # import would make this module unimportable from repro.metrics.
@@ -144,44 +138,37 @@ def merge_shard_results(results: Sequence[ShardResult]):
     log = EventLog(Simulator())
     # The log's own (empty) columns lead each stream: they carry the dtypes,
     # so a merge of no rows still yields well-typed arrays.
-    emit_parts = [(0, log.emit_columns())]
-    receipt_parts = [(0, log.receipt_columns())]
+    emit_parts = [log.emit_columns()]
+    receipt_parts = [log.receipt_columns()]
     for result in sorted(results, key=lambda result: result.index):
-        offset = result.index * SHARD_ID_STRIDE
         if result.emit_columns is not None:
-            emit_parts.append((offset, result.emit_columns))
+            emit_parts.append(result.emit_columns)
         if result.receipt_columns is not None:
-            receipt_parts.append((offset, result.receipt_columns))
+            receipt_parts.append(result.receipt_columns)
     log.extend_columns(
-        _merged_columns(emit_parts, name_key="source", id_keys=("root",)),
-        # Receipts order by (time, namespaced event id).
-        _merged_columns(receipt_parts, name_key="sink", id_keys=("event", "root")),
+        _merged_columns(emit_parts, name_key="source"),
+        _merged_columns(receipt_parts, name_key="sink"),
     )
     return log
 
 
-def _merged_columns(parts, name_key: str, id_keys) -> Dict[str, Any]:
-    """Concatenate per-shard column sets into one, sorted by ``(time, id_keys[0])``.
+def _merged_columns(parts, name_key: str) -> Dict[str, Any]:
+    """Concatenate per-shard column sets, in order, into one sorted stably by time.
 
-    ``parts`` pairs each set with its shard's id offset, added to every
-    ``id_keys`` column.  The name tables are concatenated too (the log
-    interns them, duplicates and all), each set's ``name_key`` codes shifted
-    to where its table starts.
+    The name tables are concatenated too (the log interns them, duplicates
+    and all), each set's ``name_key`` codes shifted to where its table starts.
     """
     names: List[str] = []
     pieces: Dict[str, List] = {}
-    for offset, columns in parts:
+    for columns in parts:
         for key, values in columns.items():
             if key == name_key:
                 values = _np.asarray(values, dtype=_np.int32) + len(names)
-            elif key in id_keys:
-                values = _np.asarray(values, dtype=_np.int64) + offset
             if key != "names":
                 pieces.setdefault(key, []).append(values)
         names.extend(columns["names"])
     merged = {key: _np.concatenate(arrays) for key, arrays in pieces.items()}
-    # lexsort's last key is primary: order by time, then namespaced id.
-    order = _np.lexsort((merged[id_keys[0]], merged["time"]))
+    order = _np.argsort(merged["time"], kind="stable")
     merged = {key: values[order] for key, values in merged.items()}
     merged["names"] = names
     return merged

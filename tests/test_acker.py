@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.dataflow.event import child_event_id
 from repro.reliability.acker import AckerService
 from repro.sim import Simulator
 
@@ -121,13 +122,15 @@ class TestFailure:
         assert completed == [100]
 
     def test_two_lost_fanout_pairs_do_not_cancel(self, sim):
-        # The two copies of one fan-out draw ids 2k and 2k + 1, so XORed bare
-        # any two lost pairs of a tree cancel and the tree reads complete.
+        # Sequential ids would: the two copies of one fan-out drew 2k and
+        # 2k + 1, and 8 ^ 9 ^ 12 ^ 13 == 0 read a tree with four lost events
+        # complete.  The copies' ids are their parent's step per channel.
         assert 8 ^ 9 ^ 12 ^ 13 == 0
         acker, completed, failed = make_acker(sim, timeout=5.0)
         acker.register(100)
-        for event_id in (8, 9, 12, 13):
-            acker.anchor(100, event_id)
+        for parent in (8, 12):
+            for channel in (0, 1):
+                acker.anchor(100, child_event_id(parent, channel))
         sim.run(until=10.0)
         assert (acker.stats.failed, acker.stats.completed) == (1, 0)
         assert failed == [100] and completed == []
@@ -174,10 +177,10 @@ class TestMaintenance:
 
 
 class TestBulkFolds:
-    """The bulk APIs fold the same id hashes as the per-event calls."""
+    """The bulk APIs fold the same ids as the per-event calls."""
 
-    #: Ids whose products overflow 64 bits: the array multiply must wrap
-    #: exactly as the masked Python-int form does.
+    #: Ids over the whole 64-bit range: the ``uint64`` array fold must agree
+    #: with the Python-int one.
     IDS = [8, 9, 12, 13, 2**40 + 7, 2**62 + 1, 2**63 - 1, 2**63 + 5, 2**64 - 1]
 
     @pytest.mark.parametrize("count", [3, len(IDS)], ids=["scalar-fold", "array-fold"])

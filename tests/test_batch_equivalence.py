@@ -2,11 +2,10 @@
 
 The batch-stepping cascade (``RuntimeConfig.batch_stepping``, on by default)
 materializes whole steady-state stretches inside one kernel callback, swept
-level by level over struct-of-arrays.  Its contract: logs equivalent to the
-per-event kernel (``batch_stepping = False``, the reference throughout)
-*modulo event-id assignment order* -- identical emission/receipt times, sinks,
-latencies, executor counters and routed counts, with root identity mapped
-through emission order.
+level by level over struct-of-arrays.  Its contract: the per-event kernel's
+log (``batch_stepping = False``, the reference throughout) bit for bit --
+the same ``log_digest``, event ids included, since ids are a function of the
+data -- and the same executor counters and routed counts.
 
 The stepper's cost rule declines a window of fewer than
 ``batch._MIN_WINDOW_ROOTS`` (16) roots as ``short-window``: at the paper's
@@ -19,15 +18,12 @@ These tests pin the stepper against the classic loop on the Grid DAG — cold
 runs and windowed runs whose window boundaries land mid-pipeline (exercising
 the in-flight ingestion path, where the sweep adopts queued deliveries and
 busy executors instead of declining) — and on a full closed-loop elastic run
-with migrations.  They also cover the batch-mode primitives the cascade is
-built on: bit-identical block RNG draws and bulk event-id reservation.
+with migrations.  They also cover the batch-mode primitive the cascade is
+built on: bit-identical block RNG draws.
 
-The *golden* runs pin what the modulo-ids contract leaves out: the exact log
-digest (event ids included) and work counters of windowed runs, recorded on
-the commit before the level sweep replaced the per-channel / per-executor
-rounds -- so the sweep's id draw order (roots, then spills in plan order, then
-receipts) and every float it computes are checked against the code it
-replaced, not only against the classic kernel.
+The *golden* runs pin the exact log digest and work counters of windowed
+runs as literals, and each is also run per event: the literal checks that a
+change moved nothing, the per-event run that what it pins is the kernel's.
 """
 
 from __future__ import annotations
@@ -39,12 +35,6 @@ from repro.cluster.vm import D3
 from repro.core import strategy_by_name
 from repro.dataflow import topologies
 from repro.dataflow.builder import TopologyBuilder
-from repro.dataflow.event import (
-    Event,
-    next_event_id,
-    reserve_event_ids,
-    reset_event_ids,
-)
 from repro.dataflow.graph import RescalePlan
 from repro.elastic import ControllerConfig
 from repro.engine import batch
@@ -62,12 +52,12 @@ from tests.conftest import build_cluster, fast_config
 
 
 # ------------------------------------------------------------------ builders
-def build_grid(batch_stepping: bool):
-    """A deployed Grid runtime with the keyed-jitter timing model."""
-    reset_event_ids()
+def build_grid(batch_stepping: bool, strategy: str = "dcr"):
+    """A deployed Grid runtime with the keyed-jitter timing model (acking on
+    under the ``dsm`` reliability profile)."""
     sim = Simulator()
     cluster = build_cluster(sim, worker_vms=11)
-    config = fast_config("dcr")
+    config = fast_config(strategy)
     config.batch_stepping = batch_stepping
     runtime = TopologyRuntime(topologies.grid(), cluster, sim=sim, config=config)
     runtime.deploy()
@@ -75,33 +65,17 @@ def build_grid(batch_stepping: bool):
     return sim, runtime
 
 
-def run_windows(batch_stepping: bool, windows: int, step_s: float):
+def run_windows(batch_stepping: bool, windows: int, step_s: float, strategy: str = "dcr"):
     """Run in fixed windows so boundaries land mid-pipeline (in-flight work)."""
-    sim, runtime = build_grid(batch_stepping)
+    sim, runtime = build_grid(batch_stepping, strategy)
     for _ in range(windows):
         sim.run(until=sim.now + step_s)
     return sim, runtime
 
 
-def log_modulo_ids(log):
-    """A log's emits and receipts with roots renumbered by first emission, so
-    two runs agree iff their logs match modulo the ids themselves."""
-    order = {}
-    for emit in log.source_emits:
-        order.setdefault(emit.root_id, len(order))
-    emits = [
-        (e.time, order[e.root_id], e.source, e.replay_count, e.from_backlog)
-        for e in log.source_emits
-    ]
-    receipts = sorted(
-        (r.time, order[r.root_id], r.sink, r.root_emitted_at, r.replay_count)
-        for r in log.sink_receipts
-    )
-    return emits, receipts
-
-
-def fingerprint_modulo_ids(runtime: TopologyRuntime):
-    """Everything observable about a run except event-id assignment order."""
+def fingerprint(runtime: TopologyRuntime):
+    """Everything observable about a run: its log digest, every executor's
+    counters, the routed deliveries and, under acking, :func:`acker_facts`."""
     counters = {
         executor_id: (
             executor.processed_count,
@@ -113,7 +87,23 @@ def fingerprint_modulo_ids(runtime: TopologyRuntime):
         )
         for executor_id, executor in sorted(runtime.executors.items())
     }
-    return log_modulo_ids(runtime.log), counters, runtime.router.routed_count
+    acker = acker_facts(runtime) if runtime.ack_data_events else None
+    return log_digest(runtime.log), counters, runtime.router.routed_count, acker
+
+
+def replay_count(runtime: TopologyRuntime) -> int:
+    return sum(s.replayed_count for s in runtime.source_executors)
+
+
+def acker_facts(runtime: TopologyRuntime):
+    """Every acker counter but the ``bulk_*`` break-outs (which engine absorbed
+    an anchor or ack, not whether it happened), the pending trees and the
+    replays they led to."""
+    stats = {
+        name: value for name, value in vars(runtime.acker.stats).items()
+        if not name.startswith("bulk_")
+    }
+    return stats, runtime.acker.pending_count, replay_count(runtime)
 
 
 # ------------------------------------------------------------ golden digests
@@ -136,9 +126,8 @@ GOLDEN_RESCALES = {
 GOLDEN_CASES = [(dag, regime) for dag in GOLDEN_RESCALES for regime in GOLDEN_REGIMES]
 
 
-def golden_run(dag: str, regime: str, acked: bool) -> TopologyRuntime:
-    """A windowed batch-stepped run of a paper dataflow (see ``GOLDEN_REGIMES``)."""
-    reset_event_ids()
+def golden_run(dag: str, regime: str, acked: bool, batch_stepping: bool = True) -> TopologyRuntime:
+    """A windowed run of a paper dataflow (see ``GOLDEN_REGIMES``)."""
     kwargs, windows, step_s = GOLDEN_REGIMES[regime]
     strategy = "dsm" if acked else "dcr"
     if regime == "rescale":
@@ -146,6 +135,7 @@ def golden_run(dag: str, regime: str, acked: bool) -> TopologyRuntime:
     else:
         config = RuntimeConfig.for_dsm(seed=7) if acked else RuntimeConfig.for_dcr(seed=7)
     config.reliability.max_spout_pending = None
+    config.batch_stepping = batch_stepping
     sim = Simulator()
     runtime = TopologyRuntime(
         getattr(topologies, dag)(**kwargs), build_cluster(sim, worker_vms=11), sim=sim, config=config
@@ -166,21 +156,23 @@ def golden_run(dag: str, regime: str, acked: bool) -> TopologyRuntime:
 
 
 def golden_fingerprint(runtime: TopologyRuntime):
-    """Log digest (ids included), deliveries, kernel events, cascades, inline
-    events -- and every acker counter plus the pending trees under acking."""
+    """Log digest, deliveries, kernel events, cascades, inline events -- and
+    every acker counter plus the pending trees under acking."""
     stepper = runtime.batch_stepper
-    fingerprint = (
+    facts = (
         log_digest(runtime.log)[:16], runtime.router.routed_count, runtime.sim.processed_events,
         stepper.cascades, stepper.inline_events,
     )
     if runtime.ack_data_events:
-        fingerprint += tuple(vars(runtime.acker.stats).values()) + (runtime.acker.pending_count,)
-    return fingerprint
+        facts += tuple(vars(runtime.acker.stats).values()) + (runtime.acker.pending_count,)
+    return facts
 
 
 def check_golden(dag: str, regime: str, acked: bool, expected) -> None:
     runtime = golden_run(dag, regime, acked)
     assert golden_fingerprint(runtime) == expected
+    # What the literal pins is the per-event kernel's run.
+    assert fingerprint(runtime) == fingerprint(golden_run(dag, regime, acked, batch_stepping=False))
     stepper = runtime.batch_stepper
     if regime == "rescale":
         assert len(runtime.rescales) == 1
@@ -197,21 +189,22 @@ def check_golden(dag: str, regime: str, acked: bool, expected) -> None:
         assert 9_600 > batch._BLOCK_ENTRIES  # the source's channel is its own block
 
 
-#: Recorded at the parent of the level sweep (PR 17), unacked runs; the
-#: ``rescale`` rows re-recorded with their 2.5 s windows (PR 21).
+#: Unacked runs.  The digests were re-recorded once when ids became a function
+#: of the data (every count stayed as it was); ``check_golden`` runs each row
+#: per event too.
 GOLDEN_UNACKED = {
-    ('diamond', 'paper'): ('1c81daff95a942a9', 2858, 154, 10, 5865),
-    ('diamond', 'long'): ('2ce8654c47343592', 97178, 35, 3, 205111),
-    ('diamond', '100x'): ('7ef3cb2be3bd1eae', 172756, 2, 2, 364681),
-    ('diamond', 'rescale'): ('167d01a74fcc111c', 3682, 1200, 18, 6516),
-    ('grid', 'paper'): ('2f0444eea20f2fd5', 7915, 424, 10, 15679),
-    ('grid', 'long'): ('0bf08adf6063de87', 269915, 95, 3, 550509),
-    ('grid', '100x'): ('f08570e3e3ebd62b', 479817, 2, 2, 978743),
-    ('grid', 'rescale'): ('ef17c28f24930ca2', 10101, 2807, 18, 17719),
-    ('traffic', 'paper'): ('a56cc0715344d5ef', 5392, 280, 10, 10783),
-    ('traffic', 'long'): ('539e8e7ec58c5060', 183552, 63, 3, 377821),
-    ('traffic', '100x'): ('00af354befb72715', 326296, 2, 2, 671734),
-    ('traffic', 'rescale'): ('5d1515d2c4c68dac', 6878, 2012, 18, 12000),
+    ('diamond', 'paper'): ('4d5cae058be475d8', 2858, 154, 10, 5865),
+    ('diamond', 'long'): ('ed5006dd80123f8e', 97178, 35, 3, 205111),
+    ('diamond', '100x'): ('e4b8ebd9bbba47d1', 172756, 2, 2, 364681),
+    ('diamond', 'rescale'): ('5df230be40e8d43f', 3682, 1200, 18, 6516),
+    ('grid', 'paper'): ('295d59fd9b928e2f', 7915, 424, 10, 15679),
+    ('grid', 'long'): ('17c6e5b539637edc', 269915, 95, 3, 550509),
+    ('grid', '100x'): ('9c95ccdc12c22c1d', 479817, 2, 2, 978743),
+    ('grid', 'rescale'): ('8d25371b2f527e9e', 10101, 2807, 18, 17719),
+    ('traffic', 'paper'): ('1415cbfb83a37875', 5392, 280, 10, 10783),
+    ('traffic', 'long'): ('4e9ca9e9a1aaf258', 183552, 63, 3, 377821),
+    ('traffic', '100x'): ('e1c8dffdf6b7ced3', 326296, 2, 2, 671734),
+    ('traffic', 'rescale'): ('a685089be33182dd', 6878, 2012, 18, 12000),
 }
 
 
@@ -223,18 +216,18 @@ class TestGoldenDigests:
 
 # ------------------------------------------------- grid: vectorized cascade
 class TestVectorizedEquivalence:
-    """Batch stepping == per-event kernel, modulo event ids."""
+    """Batch stepping == per-event kernel, bit for bit, unacked and acked."""
 
+    @pytest.mark.parametrize("strategy", ["dcr", "dsm"])
     @pytest.mark.parametrize(
         "windows,step_s",
         [(1, 10.0), (20, 2.5), (12, 2.25), (7, 3.3), (20, 0.5), (40, 0.25), (7, 1.3)],
         ids=["cold-10s", "20x2.5s", "12x2.25s", "7x3.3s", "20x0.5s", "40x0.25s", "7x1.3s"],
     )
-    def test_grid_run_matches_classic(self, windows, step_s):
-        _, classic = run_windows(False, windows, step_s)
-        expected = fingerprint_modulo_ids(classic)
-        _, batched = run_windows(True, windows, step_s)
-        assert fingerprint_modulo_ids(batched) == expected
+    def test_grid_run_matches_classic(self, windows, step_s, strategy):
+        _, classic = run_windows(False, windows, step_s, strategy)
+        _, batched = run_windows(True, windows, step_s, strategy)
+        assert fingerprint(batched) == fingerprint(classic)
         swept = step_s * 8.0 >= batch._MIN_WINDOW_ROOTS
         assert (batched.batch_stepper.cascades > 0) == swept
 
@@ -298,15 +291,17 @@ class TestBusyTimeTable:
 class TestElasticEquivalence:
     """Batched mode survives a full closed-loop run: profile-driven sources,
     migrations (the cascade must disengage around protocol activity and
-    re-engage after), backlog drains — logs and scaling decisions identical
-    to the classic keyed kernel modulo event ids."""
+    re-engage after), backlog drains and, under DSM, the in-flight messages
+    its migrations lose (the paper's fig. 6 replay source) -- the run, scaling
+    decisions and every acker counter identical to the per-event kernel's."""
 
-    def run_elastic(self, batch_stepping: bool):
-        config = fast_config("ccr", seed=11)
+    @staticmethod
+    def run_elastic(strategy: str, batch_stepping: bool):
+        config = fast_config(strategy, seed=11)
         config.batch_stepping = batch_stepping
         return run_elastic_experiment(
             dag="traffic",
-            strategy="ccr",
+            strategy=strategy,
             profile=StepProfile(steps=[(0.0, 8.0), (60.0, 24.0), (140.0, 8.0)]),
             duration_s=220.0,
             seed=11,
@@ -319,19 +314,22 @@ class TestElasticEquivalence:
         )
 
     @staticmethod
-    def fingerprint(result):
+    def facts(result):
         actions = [
             (a.direction, a.from_tier, a.to_tier, a.decided_at, a.enacted_at, a.completed_at)
             for a in result.actions
         ]
-        return log_modulo_ids(result.log), actions
+        return fingerprint(result.runtime), actions
 
-    def test_elastic_run_matches_classic(self):
-        expected = self.fingerprint(self.run_elastic(False))
-        batched_result = self.run_elastic(True)
-        assert self.fingerprint(batched_result) == expected
+    @pytest.mark.parametrize("strategy", ["ccr", "dsm"])
+    def test_elastic_run_matches_classic(self, strategy):
+        classic = self.run_elastic(strategy, False)
+        batched = self.run_elastic(strategy, True)
+        assert self.facts(batched) == self.facts(classic)
+        assert classic.actions, "the surge must trigger scaling"
+        assert (replay_count(classic.runtime) > 0) == (strategy == "dsm"), "only DSM replays"
         # The cascade actually carried the run (not a silent classic fallback).
-        assert batched_result.runtime.batch_stepper.cascades > 0
+        assert batched.runtime.batch_stepper.cascades > 0
 
 
 # ----------------------------------------------------------- RNG block draws
@@ -349,24 +347,6 @@ class TestKeyedValueBlock:
         assert float(block.max()) < 1.0
 
 
-# -------------------------------------------------------- event-id bulk path
-class TestReserveEventIds:
-    def test_reservation_is_contiguous_and_advances_counter(self):
-        reset_event_ids()
-        first = next_event_id()
-        base = reserve_event_ids(5)
-        assert base == first + 1
-        assert next_event_id() == base + 5
-
-    def test_equivalent_to_individual_draws(self):
-        reset_event_ids()
-        base = reserve_event_ids(4)
-        reserved = list(range(base, base + 4))
-        reset_event_ids()
-        individual = [next_event_id() for _ in range(4)]
-        assert reserved == individual
-
-
 # --------------------------------------------------------- shared simulator
 class TestSharedSimulator:
     """Two tenants under ``batch_stepping`` on one simulator.
@@ -376,12 +356,11 @@ class TestSharedSimulator:
     and, adopting, to drop kernel entries it did not own.  A runtime knows
     how many share its simulator (``Simulator.runtimes``), so every tick of a
     tenant goes to the kernel under a named reason before anything reads the
-    heap, and each tenant's log is the per-event kernel's, ids included.
+    heap, and each tenant's log is the per-event kernel's.
     """
 
     @staticmethod
     def run_tenants(batch_stepping: bool):
-        reset_event_ids()
         manager = ClusterManager(budget_slots=40, provisioning_latency_s=1.0)
         for name, rate, parallelism in (("alpha", 8.0, 2), ("beta", 7.0, 3)):
             builder = TopologyBuilder(name)
@@ -407,5 +386,4 @@ class TestSharedSimulator:
             assert stepper.cascades == 0
             assert set(stepper.declines) == {"shared-simulator"}
             assert len(runtime.log.sink_receipts) > 150
-            assert fingerprint_modulo_ids(runtime) == fingerprint_modulo_ids(reference)
-            assert log_digest(runtime.log) == log_digest(reference.log)
+            assert fingerprint(runtime) == fingerprint(reference)

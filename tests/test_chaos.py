@@ -36,7 +36,6 @@ from repro.cluster.cloud import (
 from repro.cluster.vm import D2, D3
 from repro.core.strategy import strategy_by_name
 from repro.dataflow import topologies
-from repro.dataflow.event import reset_event_ids
 from repro.elastic import AllocationPlanner, ControllerConfig, ElasticityController, ElasticityMonitor
 from repro.engine.config import RuntimeConfig
 from repro.engine.executor import ExecutorStatus
@@ -46,8 +45,8 @@ from repro.elastic.arbiter import ScaleArbiter
 from repro.reliability.repartition import PARTITIONED_STATE_KEY
 from repro.reliability.statestore import checkpoint_key
 from repro.sim import RandomSource, Simulator
+from repro.sim.shard import log_digest
 
-from tests.test_batch_equivalence import log_modulo_ids
 
 
 # --------------------------------------------------------------- satellite 1
@@ -116,7 +115,6 @@ class TestArbiterAbortAccounting:
 # ------------------------------------------------------------- acceptance (a)
 def _assemble_chaos_stack(dag: str, seed: int = 7):
     """The chaos runner's stack, hand-assembled so tests can hook the kill."""
-    reset_event_ids()
     sim = Simulator()
     dataflow = topologies.by_name(dag)
     config = RuntimeConfig.for_dsm(seed=seed)
@@ -420,8 +418,8 @@ class TestChaosDeterminism:
 # --------------------------------------------------------------- satellite 6
 class TestBatchStepperUnderChaos:
     def test_batch_stepping_disengages_around_faults(self):
-        # The batch stepper and the per-event kernel must log the same run
-        # modulo event ids: the injected faults are cancellable timers the
+        # The batch stepper and the per-event kernel must log the same run,
+        # bit for bit: the injected faults are cancellable timers the
         # cascade horizon sees, so the stepper stops short of each fault and
         # hands the recovery (captures, pauses, backlog drains) to the kernel.
         # On the default-logic Grid: the keyed variant's logic is never swept.
@@ -443,7 +441,7 @@ class TestBatchStepperUnderChaos:
         assert results[0].injector.records, "the storm must actually fire"
         stepper = results[0].runtime.batch_stepper
         assert stepper.cascades > 0 and stepper.declines
-        assert log_modulo_ids(results[0].log) == log_modulo_ids(results[1].log)
+        assert log_digest(results[0].log) == log_digest(results[1].log)
         assert results[0].control_sequence() == results[1].control_sequence()
 
 

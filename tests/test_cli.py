@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import run_multi_experiment, run_predictive_experiment
 from repro.experiments.figures import ExperimentMatrix
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
@@ -136,6 +137,23 @@ class TestCommands:
         assert exit_code == 2
         assert captured.err.startswith("repro chaos: error: ") and message in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command, surge", [
+        ("predict", "-1"),  # used to die with a ValueError traceback
+        ("predict", "0"),  # these two used to run a rate *drop* and exit 0
+        ("multi", "0"),
+    ])
+    def test_a_surge_that_is_no_surge_fails_loudly(self, capsys, command, surge):
+        exit_code = main([command, "--surge", surge])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err == f"repro {command}: error: --surge must be > 1\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("run", [run_predictive_experiment, run_multi_experiment])
+    def test_the_surge_runners_refuse_a_multiplier_of_one_by_name(self, run):
+        with pytest.raises(ValueError, match="surge_multiplier must be > 1"):
+            run(surge_multiplier=1.0)
 
     def test_chaos_without_a_fired_eviction_has_no_verdict(self, capsys):
         # The one eviction is jittered past the end of the run.

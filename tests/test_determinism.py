@@ -15,11 +15,14 @@ from __future__ import annotations
 
 import zlib
 
+from repro.dataflow import topologies
 from repro.dataflow.builder import TopologyBuilder
-from repro.dataflow.event import Event, reset_event_ids
+from repro.dataflow.event import Event
 from repro.dataflow.grouping import Grouping
 from repro.engine.router import _stable_field_index
+from repro.experiments import run_migration_experiment
 from repro.experiments.elastic import run_elastic_experiment
+from repro.sim.shard import log_digest
 
 from tests.conftest import make_runtime
 
@@ -38,7 +41,6 @@ def _log_records(log):
 
 
 def _run_once():
-    reset_event_ids()
     result = run_elastic_experiment(
         dag="traffic", strategy="ccr", profile="surge", duration_s=300.0, seed=2018
     )
@@ -54,6 +56,22 @@ def test_same_seed_elastic_runs_are_identical():
     # The run must actually have exercised the interesting paths.
     assert first.runtime.rebalances, "expected the surge profile to trigger a migration"
     assert len(first.log.sink_receipts) > 1000
+
+
+def test_a_run_is_hermetic_without_any_reset():
+    """Ids are a function of the run's data: a DSM experiment in between
+    leaves the second of two same-seed Grid runs identical to the first, ids
+    included (with a process-global id counter it did not)."""
+
+    def grid_digest():
+        runtime = make_runtime(topologies.grid(), worker_vms=11)
+        runtime.start()
+        runtime.run(until=20.0)
+        return log_digest(runtime.log)
+
+    first = grid_digest()
+    run_migration_experiment(dag="linear", strategy="dsm", migrate_at_s=10.0, post_migration_s=30.0)
+    assert grid_digest() == first
 
 
 def test_fields_grouping_uses_stable_hash():
@@ -74,8 +92,8 @@ def test_fields_grouping_uses_stable_hash():
     edge = [e for e in runtime.dataflow.edges if e.grouping is Grouping.FIELDS][0]
 
     for key in ("vehicle-1", "vehicle-2", "sensor-99", "x"):
-        event = Event.data("up", payload={"key": key})
+        event = Event.data("up", 1, payload={"key": key})
         expected = [f"down#{zlib.crc32(key.encode('utf-8')) % 3}"]
         assert runtime.router._select_targets("up#0", edge, event) == expected
         # The cached fast path in route() must agree with _select_targets.
-        assert runtime.router._select_targets("up#0", edge, event.copy_for_edge()) == expected
+        assert runtime.router._select_targets("up#0", edge, event.copy_for_edge(2)) == expected

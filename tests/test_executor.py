@@ -66,7 +66,7 @@ class TestDelivery:
         runtime.sim.run(until=1.0)
         executor = runtime.executor("b#0")
         executor.kill()
-        event = Event.data("a", payload={"x": 1}, created_at=runtime.sim.now)
+        event = Event.data("a", 1, payload={"x": 1}, created_at=runtime.sim.now)
         accepted = executor.deliver(event, "a#0")
         assert not accepted
 
@@ -74,7 +74,7 @@ class TestDelivery:
         runtime = started_runtime()
         executor = runtime.executor("c#0")
         for i in range(4):
-            executor.input_queue.append((Event.data("b", payload=i), "b#0"))
+            executor.input_queue.append((Event.data("b", i + 1, payload=i), "b#0"))
         queued_lost, _ = executor.kill()
         assert queued_lost == 4
         assert runtime.log.kills[-1].queued_events_lost == 4
@@ -96,7 +96,7 @@ class TestDelivery:
         executor = runtime.executor("a#0")
         executor.kill()
         executor.become_ready()
-        event = Event.data("source", payload={"x": 1}, created_at=runtime.sim.now)
+        event = Event.data("source", 1, payload={"x": 1}, created_at=runtime.sim.now)
         accepted = executor.deliver(event, "source#0")
         assert accepted
         assert len(executor.pre_init_buffer) == 1
@@ -236,7 +236,8 @@ class TestInit:
         executor.kill()
         executor.become_ready()
         for i in range(3):
-            executor.deliver(Event.data("source", payload=i, created_at=runtime.sim.now), "source#0")
+            event = Event.data("source", i + 1, payload=i, created_at=runtime.sim.now)
+            executor.deliver(event, "source#0")
         assert len(executor.pre_init_buffer) == 3
         runtime.checkpoints.start_wave(CheckpointAction.INIT, cid, WaveMode.BROADCAST)
         runtime.sim.run(until=6.0)
@@ -250,12 +251,10 @@ class TestSinkInlineService:
     @staticmethod
     def sink_runtime(overhead_s=0.0, strategy="dcr"):
         from repro.dataflow.builder import TopologyBuilder
-        from repro.dataflow.event import reset_event_ids
         from repro.engine.runtime import TopologyRuntime
         from repro.sim import Simulator
         from tests.conftest import build_cluster, fast_config
 
-        reset_event_ids()
         builder = TopologyBuilder("sinkchain")
         builder.add_source("source", rate=4.0)
         builder.add_task("work", parallelism=1, latency_s=0.005)
@@ -273,7 +272,7 @@ class TestSinkInlineService:
 
     @staticmethod
     def data_event(i):
-        return Event.data("work", payload={"seq": i}, created_at=0.0)
+        return Event.data("work", i + 1, payload={"seq": i}, created_at=0.0)
 
     @staticmethod
     def records(runtime):
@@ -353,7 +352,9 @@ class TestSinkInlineService:
     def test_data_behind_a_control_event_in_service_is_queued_in_order(self):
         runtime = self.sink_runtime()
         sink = runtime.executor("sink#0")
-        control = Event.checkpoint(CheckpointAction.PREPARE, 1, CHECKPOINT_SOURCE_ID, created_at=0.0)
+        control = Event.checkpoint(
+            CheckpointAction.PREPARE, 1, CHECKPOINT_SOURCE_ID, "sink#0", created_at=0.0
+        )
         control.payload = {"forward": False}
         runtime.deliver("sink#0", control, CHECKPOINT_SOURCE_ID)
         events = [self.data_event(i) for i in range(3)]

@@ -35,7 +35,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataflow import topologies
-from repro.dataflow.event import reset_event_ids
 from repro.core.strategy import strategy_by_name
 from repro.engine.runtime import TopologyRuntime
 from repro.experiments.elastic import run_elastic_experiment
@@ -147,7 +146,6 @@ def naive_latency_timeline(log, start, end, window_s):
 @pytest.fixture(scope="module")
 def grid_log_columnar():
     """Event log of a 60 s Grid steady-state run (no migrations)."""
-    reset_event_ids()
     sim = Simulator()
     cluster = build_cluster(sim, worker_vms=11)
     runtime = TopologyRuntime(topologies.grid(), cluster, sim=sim, config=fast_config("dcr"))

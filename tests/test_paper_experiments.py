@@ -15,7 +15,7 @@ import pytest
 
 from repro.cluster.cloud import CloudProvider
 from repro.dataflow import topologies
-from repro.dataflow.event import reset_event_ids
+from repro.dataflow.event import root_event_id
 from repro.engine import batch
 from repro.engine.config import RuntimeConfig
 from repro.engine.runtime import TopologyRuntime
@@ -216,7 +216,6 @@ class TestWorkCounts:
     def acked_grid(self):
         """20 s of the 100x-rate Grid, every tuple tree acked, the spout
         uncapped (loss-free): ``bench_e2e``'s ``vector_runtime(acked_config)``."""
-        reset_event_ids()
         config = RuntimeConfig.for_dsm(seed=2018)
         config.reliability.max_spout_pending = None
         runtime, _ = deploy_baseline(
@@ -251,8 +250,10 @@ class TestWorkCounts:
         assert windows[:3] == [(3_143, 800), (3_200, 800), (3_202, 799)]  # pipeline fill, then 1:4
         assert sum(receipts + emits for receipts, emits in windows) == 79_944
         assert len(log.receipts_after(0.9 * end)) == 6_401
-        assert log.first_receipt_after(end / 2).root_id == 7_985
-        assert log.last_old_receipt(end / 2).root_id == 7_999
+        # Roots named by emission: the 7 985th and the 7 999th.
+        key = acked_grid.source_executors[0].id_key
+        assert log.first_receipt_after(end / 2).root_id == root_event_id(key, 7_984)
+        assert log.last_old_receipt(end / 2).root_id == root_event_id(key, 7_998)
         assert log.last_replay_receipt(end / 2) is None
         assert log.distinct_roots_received() == 15_988
         assert len(rate_timeline(log, kind="output", end=end, bin_s=5.0)) == 4
@@ -316,7 +317,6 @@ class TestCostRule:
     def test_a_declined_tick_reads_neither_the_heap_nor_the_executors(self, monkeypatch):
         """``short-window`` (and the structural reasons) cost O(1): a tick they
         decline walks neither the kernel heap nor the executors."""
-        reset_event_ids()
         sim = Simulator()
         runtime = TopologyRuntime(
             topologies.diamond(), build_cluster(sim, worker_vms=6), sim=sim,
@@ -386,7 +386,6 @@ class TestArrayRoundBudget:
 
     @staticmethod
     def grid(rate: float, latency_s: float, windows: int, step_s: float):
-        reset_event_ids()
         config = RuntimeConfig.for_dcr(seed=2018)
         sim = Simulator()
         runtime = TopologyRuntime(
@@ -411,9 +410,9 @@ class TestArrayRoundBudget:
         ship_block = batch._Sweep._ship_block
         serve_block = batch._Sweep._serve_block
 
-        def spy_ship(sweep, level, i, j, parents, roots, counts):
+        def spy_ship(sweep, level, i, j, parents, roots, ids, counts):
             blocks.append((j - i, sum(counts)))
-            return ship_block(sweep, level, i, j, parents, roots, counts)
+            return ship_block(sweep, level, i, j, parents, roots, ids, counts)
 
         def spy_serve(sweep, block):
             blocks.append((len(block), sum(total for _, _, _, total in block)))

@@ -56,9 +56,9 @@ class TestGroupings:
         router = runtime.router
         dataflow = runtime.dataflow
         edge = [e for e in dataflow.edges if e.grouping is Grouping.FIELDS][0]
-        event = Event.data("up", payload={"key": "vehicle-17"})
+        event = Event.data("up", 1, payload={"key": "vehicle-17"})
         first = router._select_targets("up#0", edge, event)
-        second = router._select_targets("up#0", edge, event.copy_for_edge())
+        second = router._select_targets("up#0", edge, event.copy_for_edge(2))
         assert first == second
 
 
@@ -103,7 +103,7 @@ class TestDeliverySemantics:
     def test_send_direct_reaches_specific_executor(self):
         runtime = make_runtime()
         runtime.start()
-        event = Event.data("source", payload={"direct": True}, created_at=runtime.sim.now)
+        event = Event.data("source", 1, payload={"direct": True}, created_at=runtime.sim.now)
         runtime.router.send_direct("source#0", "c#0", event)
         runtime.sim.run(until=1.0)
         assert runtime.executor("c#0").processed_count >= 1
@@ -144,7 +144,7 @@ class TestBatchedDeliveries:
 
     def test_batch_delivers_every_event_in_fifo_order(self):
         runtime = self._batch_runtime(Grouping.ALL)
-        events = [Event.data("up", payload={"seq": i}, created_at=0.0) for i in range(16)]
+        events = [Event.data("up", i + 1, payload={"seq": i}, created_at=0.0) for i in range(16)]
         runtime.router.route("up#0", "up", events)
         batch = self._arrivals(runtime)
         # ALL grouping: every instance sees every event of the batch.
@@ -159,7 +159,7 @@ class TestBatchedDeliveries:
     def test_batch_uses_one_inflight_heap_entry_per_channel(self):
         runtime = self._batch_runtime(Grouping.ALL)
         before = runtime.sim.pending_events
-        events = [Event.data("up", payload={"seq": i}, created_at=0.0) for i in range(16)]
+        events = [Event.data("up", i + 1, payload={"seq": i}, created_at=0.0) for i in range(16)]
         runtime.router.route("up#0", "up", events)
         scheduled = runtime.sim.pending_events - before
         # 48 deliveries ride on 3 batch callbacks (one per channel), not 48.
@@ -172,7 +172,9 @@ class TestBatchedDeliveries:
 
         def collect(route_batched):
             runtime = self._batch_runtime(Grouping.SHUFFLE)
-            events = [Event.data("up", payload={"seq": i}, created_at=0.0) for i in range(12)]
+            events = [
+                Event.data("up", i + 1, payload={"seq": i}, created_at=0.0) for i in range(12)
+            ]
             if route_batched:
                 runtime.router.route("up#0", "up", events)
             else:

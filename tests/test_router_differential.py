@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataflow.builder import TopologyBuilder
-from repro.dataflow.event import CheckpointAction, Event, EventKind, next_event_id, reset_event_ids
+from repro.dataflow.event import CheckpointAction, Event, EventKind, child_event_id
 from repro.dataflow.graph import RescalePlan
 from repro.dataflow.grouping import Grouping, field_key_of, stable_field_index
 from repro.engine.executor import CHECKPOINT_SOURCE_ID, Executor, ExecutorStatus
@@ -78,6 +78,7 @@ class ReferenceRouter:
         plan = self._plan(task_name)
         single = len(events) == 1
         batches = {}
+        first = 0  # outbox position of the edge's first instance
         for edge, instances in plan:
             num = len(instances)
             for event in events:
@@ -94,11 +95,12 @@ class ReferenceRouter:
                     targets = (instances[index % num],)
                 sole = len(plan) == 1 and len(targets) == 1
                 for target in targets:
-                    if sole:  # re-stamped with the id a copy would have drawn
-                        event.event_id = next_event_id()
+                    event_id = child_event_id(event.event_id, first + instances.index(target))
+                    if sole:  # re-stamped with the id a copy would have carried
+                        event.event_id = event_id
                         copy = event
                     else:
-                        copy = event.copy_for_edge()
+                        copy = event.copy_for_edge(event_id)
                     if copy.anchored and runtime.ack_data_events and copy.kind is EventKind.DATA:
                         runtime.acker.anchor(copy.root_id, copy.event_id)
                     time = self._delivery_time(sender_id, target, now)
@@ -107,6 +109,7 @@ class ReferenceRouter:
                         schedule(time, runtime.deliver, (target, copy, sender_id))
                     else:
                         batches.setdefault(target, []).append((time, copy))
+            first += num
         for target, pairs in batches.items():
             if len(pairs) == 1:
                 schedule(pairs[0][0], runtime.deliver, (target, pairs[0][1], sender_id))
@@ -200,7 +203,6 @@ VICTIM = "shuf#1"  # killed and revived in place (the transport defers its data)
 
 def run_schedule(schedule, router_cls):
     """Drive one router through ``schedule``; returns everything observable."""
-    reset_event_ids()
     sim = Simulator()
     config = fast_config("dsm" if schedule["acked"] else "dcr")
     config.reliability.periodic_checkpoint_interval_s = None
@@ -232,8 +234,8 @@ def run_schedule(schedule, router_cls):
         for _ in range(count):
             serial[0] += 1
             event = Event.data(
-                task_name, payload={"key": f"k{key}", "n": serial[0]}, created_at=sim.now,
-                anchored=schedule["acked"],
+                task_name, serial[0], payload={"key": f"k{key}", "n": serial[0]},
+                created_at=sim.now, anchored=schedule["acked"],
             )
             if schedule["acked"]:
                 runtime.acker.register(event.root_id)
@@ -250,7 +252,7 @@ def run_schedule(schedule, router_cls):
 
     def direct(pair):
         sender_id, target = DIRECT[pair]
-        event = Event.checkpoint(CheckpointAction.PREPARE, 1, sender_id, created_at=sim.now)
+        event = Event.checkpoint(CheckpointAction.PREPARE, 1, sender_id, target, created_at=sim.now)
         runtime.router.send_direct(sender_id, target, event)
 
     def rescale():

@@ -170,8 +170,9 @@ class TestSink:
 # everything observable must be bit-equal, only the kernel-event count may
 # differ -- by exactly the polls the reference spent finding the spout still
 # throttled.  Under batch stepping the reference stays on the per-event kernel
-# (the stepper sweeps no executor subclass) and the two must agree modulo
-# event ids.  The stepper's cost rule declines a window of fewer than
+# (the stepper sweeps no executor subclass) and the two must agree on
+# everything but the acker's ``bulk_*`` break-outs (which engine absorbed an
+# ack), event ids included.  The stepper's cost rule declines a window of fewer than
 # ``_MIN_WINDOW_ROOTS`` roots: at a pending cap of 1 or 4, or below ≈ 11 ev/s
 # under the 1.5 s ack timeout, its leg is the kernel plus the rule, and only
 # the schedules the rule lets through are required to have cascaded.
@@ -187,21 +188,25 @@ class TestSink:
 import inspect
 import math
 import textwrap
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.dataflow.event as event_module
 import repro.engine.batch as batch_module
 import repro.engine.executor as executor_module
+import repro.engine.router as router_module
 import repro.engine.runtime as runtime_module
-import repro.reliability.acker as acker_module
-from repro.dataflow.event import reset_event_ids
+from repro.dataflow import topologies
 from repro.engine.executor import ExecutorStatus, SourceExecutor
 from repro.engine.runtime import TopologyRuntime
+from repro.reliability.acker import AckerService
 from repro.sim import Simulator
 from repro.sim.shard import log_digest
 from repro.dataflow.builder import TopologyBuilder
 from tests.conftest import build_cluster, fast_config
+from tests.test_batch_equivalence import acker_facts
 
 BURST_RATE = 100.0  # the 10 ms drain grid of the paper's timing model
 DURATION_S = 6.0
@@ -279,10 +284,18 @@ def wide_dataflow(rate):
     return builder.build()
 
 
+def revive(runtime, executor_id):
+    """Bring a killed executor back in place, initialized."""
+    executor = runtime.executor(executor_id)
+    if executor.status is ExecutorStatus.KILLED:
+        executor.become_ready()
+        executor.initialized = True
+        runtime._make_ready(executor_id)  # hands over what the transport held
+
+
 def run_schedule(spout_cls, schedule, stepper=False):
     """Run one generated schedule with ``spout_cls`` as the source executor, on
     the per-event kernel or with the batch stepper taking the ticks it wants."""
-    reset_event_ids()
     config = fast_config("dsm", ack_timeout_s=schedule.get("timeout", ACK_TIMEOUT_S))
     config.timing.source_max_burst_rate = BURST_RATE
     config.reliability.max_spout_pending = schedule["pending"]
@@ -306,16 +319,9 @@ def run_schedule(spout_cls, schedule, stepper=False):
         if executor.status is ExecutorStatus.RUNNING:
             executor.kill()
 
-    def revive(executor_id):
-        executor = runtime.executor(executor_id)
-        if executor.status is ExecutorStatus.KILLED:
-            executor.become_ready()
-            executor.initialized = True
-            runtime._make_ready(executor_id)  # hands over what the transport held
-
     actions = {
         "kill": kill,
-        "revive": revive,
+        "revive": lambda executor_id: revive(runtime, executor_id),
         "pause": lambda: source.pause(),
         "unpause": lambda: source.unpause(),
         "source_kill": lambda: kill(source.executor_id),
@@ -337,29 +343,10 @@ def run_schedule(spout_cls, schedule, stepper=False):
                      runtime.router.routed_count),
         # The drain chain as the run's end finds it: parked at / polling next at.
         "chain": (source._drain_next, source.drain_poll and source.drain_poll.time),
-        "acker": (vars(runtime.acker.stats), runtime.acker.pending_count,
-                  list(runtime.acker.failed_roots)),
+        "acker": (acker_facts(runtime), list(runtime.acker.failed_roots)),
         "digest": log_digest(log),
     }
     return observed, runtime
-
-
-def modulo_ids(observed):
-    """What two engines that draw ids in different orders must still agree on:
-    roots renumbered by first emission, the receipts' event ids, the digest
-    and the ``bulk_*`` break-outs (which engine absorbed an ack) left out."""
-    order = {}
-    for _, root_id, _, _ in observed["emits"]:
-        order.setdefault(root_id, len(order))
-    stats, pending, failed_roots = observed["acker"]
-    return {
-        "emits": [(t, order[root], replay, backlog) for t, root, replay, backlog in observed["emits"]],
-        "receipts": [(t, order[root], replay) for t, root, _, replay in observed["receipts"]],
-        "lifecycle": observed["lifecycle"],
-        "counters": observed["counters"],
-        "acker": ({name: value for name, value in stats.items() if not name.startswith("bulk_")},
-                  pending, [order[root] for root in failed_roots]),
-    }
 
 
 def check_schedule(schedule, spout_cls=SourceExecutor):
@@ -383,11 +370,10 @@ def check_schedule(schedule, spout_cls=SourceExecutor):
     if spout_cls is not SourceExecutor:
         return 0  # the stepper sweeps no executor subclass: its leg would be the kernel again
     # Under batch stepping the reference is still the polling spout on the
-    # per-event kernel, and the two agree modulo ids -- through the loss windows
-    # too, where the same trees must fail and be replayed at the same times.
+    # per-event kernel, and the two agree -- through the loss windows too,
+    # where the same trees must fail and be replayed at the same times.
     observed, runtime = run_schedule(spout_cls, schedule, stepper=True)
     assert observed.pop("chain") == chain, ("chain", "stepper", schedule)
-    expected, observed = modulo_ids(expected), modulo_ids(observed)
     for key in expected:
         assert observed[key] == expected[key], (key, "stepper", schedule)
     parks = runtime.source_executors[0].drain_parks
@@ -482,8 +468,8 @@ def test_a_swept_drain_matches_the_polling_spout(schedule):
 #: outage that loses every pending tree, so only their timeouts -- ``replay``
 #: -- can re-arm the chain, and two spouts driven past the pipeline's capacity
 #: at the paper's cap of 96, where trees time out while their events are still
-#: queued and the stragglers of a failed tree ack into its replay -- whether
-#: such a tree then reads complete hangs on the id values unless ids are hashed.
+#: queued and the stragglers of a failed tree ack into its replay (late acks:
+#: a replay's ids are salted apart from the first emission's).
 #: The last two put an outage and a pause inside windows the stepper sweeps.
 _CORPUS = (
     {"pending": 1, "backlog": True, "rate": 50.0, "actions": []},
@@ -528,10 +514,10 @@ _DRAIN_CORPUS = (
 
 
 def mutant(function, old, new):
-    """A function or method of ``engine/batch.py`` recompiled after a seeded text replacement."""
+    """A module-level function or a method recompiled after a seeded text replacement."""
     source = textwrap.dedent(inspect.getsource(function))
     assert old in source, f"mutation site {old!r} is gone from {function.__qualname__}"
-    namespace = dict(vars(batch_module))
+    namespace = dict(vars(inspect.getmodule(function)))
     exec(compile(source.replace(old, new), f"<mutant {function.__name__}>", "exec"), namespace)
     return namespace[function.__name__]
 
@@ -582,7 +568,7 @@ def test_mid_backlog_cascades_match_and_seeded_mutations_fail(monkeypatch):
         corpus()
 
 
-def test_the_corpus_passes_and_seeded_mutations_fail_it(monkeypatch):
+def test_the_corpus_passes_and_seeded_mutations_fail_it():
     engaged = [check_schedule(schedule) > 0 for schedule in _CORPUS]
     # A cap below the cost rule's floor never holds a window worth a sweep.
     assert engaged == [schedule["pending"] == 96 for schedule in _CORPUS]
@@ -611,13 +597,80 @@ def test_the_corpus_passes_and_seeded_mutations_fail_it(monkeypatch):
     with pytest.raises(AssertionError):
         corpus_with(restless)
 
-    # The acker XORing bare ids: the per-event kernel and the stepper draw ids
-    # in different orders, so a hash that can cancel by id value parts them.
-    monkeypatch.setattr(acker_module, "id_hash", lambda event_id: event_id)
-    monkeypatch.setattr(acker_module, "id_hashes", lambda event_ids: event_ids)
-    monkeypatch.setattr(batch_module, "id_hash", lambda event_id: event_id)
-    with pytest.raises(AssertionError, match="stepper"):
-        corpus_with(SourceExecutor)
+
+# --------------------------------------------------------------------------
+# Ids cannot XOR-collapse
+# --------------------------------------------------------------------------
+# The acker calls a tree complete when the XOR of its ids is zero, which is
+# right only if no set of a tree's outstanding ids cancels by value.  The
+# reference acker XORs one bit per distinct id instead, so it cannot collapse;
+# DSM runs that lose what every executor holds must match it on either
+# engine.  A per-hop step merely additive in the outbox position brings back
+# the cancellation of sequential ids (``8 ^ 9 ^ 12 ^ 13 == 0``: the ids ``k ..
+# k + 3`` of Grid's four-way fan-out XOR to zero for every even ``k``) and is
+# caught.
+
+
+class SetAcker(AckerService):
+    """The XOR acker over one bit per distinct id: nothing to alias."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.bits = {}
+
+    def anchor(self, root_id, event_id):
+        super().anchor(root_id, self.bits.setdefault(event_id, 1 << len(self.bits)))
+
+    def ack(self, root_id, event_id):
+        super().ack(root_id, self.bits.setdefault(event_id, 1 << len(self.bits)))
+
+
+def run_lossy(dag, stepper=False, acker_cls=AckerService):
+    """A DSM run of a paper dataflow whose user executors are all down from
+    10 s to 12 s, as a rebalance takes them: what they held is lost."""
+    config = fast_config("dsm")
+    config.batch_stepping = stepper
+    sim = Simulator()
+    runtime = TopologyRuntime(
+        getattr(topologies, dag)(), build_cluster(sim, worker_vms=11), sim=sim, config=config
+    )
+    runtime.acker = acker_cls(sim, 5.0, runtime._tree_completed, runtime._tree_failed)
+    runtime.deploy()
+    for victim in runtime.user_executors:
+        sim.schedule_at(10.0, victim.kill)
+        sim.schedule_at(12.0, revive, runtime, victim.executor_id)
+    runtime.start()
+    sim.run(until=40.0)
+    return runtime
+
+
+def check_no_collapse(dag):
+    reference = run_lossy(dag, acker_cls=SetAcker)
+    assert acker_facts(reference)[2] > 0, ("the outage must replay", dag)
+    for stepper in (False, True):
+        runtime = run_lossy(dag, stepper)
+        log = runtime.log
+        receipts = Counter((r.root_id, r.replay_count, r.event_id) for r in log.sink_receipts)
+        assert max(receipts.values()) == 1, ("a tree's receipt ids repeat", dag, stepper)
+        assert acker_facts(runtime) == acker_facts(reference), ("acker", dag, stepper)
+        assert log_digest(log) == log_digest(reference.log), ("log", dag, stepper)
+        assert not stepper or runtime.batch_stepper.cascades > 0, dag
+
+
+def test_ids_cannot_xor_collapse_and_an_additive_step_does(monkeypatch):
+    dags = ("diamond", "grid", "traffic")
+    for dag in dags:
+        check_no_collapse(dag)
+    additive = mutant(
+        event_module.child_event_id,
+        "z = parent ^ channel * _MIX2\n    if index:\n        z ^= index * _MIX1\n    z *= _GOLDEN",
+        "z = parent * _GOLDEN + channel + index",
+    )
+    for module in (event_module, router_module, batch_module):
+        monkeypatch.setattr(module, "child_event_id", additive)
+    with pytest.raises(AssertionError, match="acker"):
+        for dag in dags:
+            check_no_collapse(dag)
 
 
 def test_a_stalled_throttled_spout_schedules_no_timer():
