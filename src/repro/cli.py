@@ -290,6 +290,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         print("repro predict: error: --surge must be > 1", file=sys.stderr)
         return 2
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
+    if not policies:
+        print("repro predict: error: --policies needs at least one policy", file=sys.stderr)
+        return 2
     unknown = [p for p in policies if p not in FORECAST_POLICIES]
     if unknown:
         print(f"repro predict: error: unknown forecast policy(s) {unknown}; choose from "
@@ -359,6 +362,9 @@ def _cmd_multi(args: argparse.Namespace) -> int:
         print("repro multi: error: --surge must be > 1", file=sys.stderr)
         return 2
     dags = [d.strip() for d in args.dags.split(",") if d.strip()]
+    if not dags:
+        print("repro multi: error: --dags needs at least one dataflow", file=sys.stderr)
+        return 2
     unknown = [d for d in dags if d not in topologies.ALL_TOPOLOGIES]
     if unknown:
         print(f"repro multi: error: unknown dataflow(s) {unknown}; choose from "

@@ -36,10 +36,15 @@ package supplies that missing loop (``monitor -> decide -> place -> act``):
   :class:`~repro.core.strategy.MigrationStrategy`, and deprovisions the
   vacated VMs so scale-in actually reduces the bill.
 
-:func:`repro.experiments.elastic.run_elastic_experiment` assembles the whole
-loop for one run; :func:`repro.experiments.predictive.run_predictive_experiment`
-compares the forecast policies head to head; the ``repro elastic`` and
-``repro predict`` CLI subcommands drive them.
+:func:`~repro.elastic.controller.build_controller` builds the monitor, planner
+and controller of one deployed runtime; it is the one place they are put
+together, for the single-fleet runner
+(:func:`repro.experiments.elastic.run_elastic_experiment`, which runs elastic
+and chaos runs alike) and for every tenant of a
+:class:`~repro.multi.ClusterManager`.
+:func:`repro.experiments.predictive.run_predictive_experiment` compares the
+forecast policies head to head; the ``repro elastic`` and ``repro predict``
+CLI subcommands drive them.
 """
 
 from repro.elastic.controller import (
@@ -48,6 +53,7 @@ from repro.elastic.controller import (
     EvacuationRecord,
     RecoveryRecord,
     ScalingAction,
+    build_controller,
 )
 from repro.elastic.forecast import (
     FORECAST_POLICIES,
@@ -106,6 +112,7 @@ __all__ = [
     "ScalingAction",
     "TargetAllocation",
     "TIER_ORDER",
+    "build_controller",
     "cost_optimal_fleet",
     "decide",
     "forecast_policy_by_name",

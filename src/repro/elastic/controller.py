@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Type
+from typing import Dict, List, Mapping, Optional, Sequence, Type
 
 from repro.cluster.cloud import ON_DEMAND, CloudProvider
 from repro.cluster.vm import VM_TYPES, VirtualMachine, VMType
@@ -61,7 +61,6 @@ from repro.elastic.arbiter import ScaleArbiter
 from repro.elastic.forecast import ForecastPolicy, forecast_policy_by_name
 from repro.elastic.monitor import ElasticityMonitor
 from repro.elastic.planner import (
-    TIER_ORDER,
     AllocationPlanner,
     TargetAllocation,
     cost_optimal_fleet,
@@ -274,14 +273,11 @@ class ElasticityController:
         planner: AllocationPlanner,
         strategy_cls: Type[MigrationStrategy],
         config: Optional[ControllerConfig] = None,
-        initial_tier: str = "baseline",
         forecast_policy: Optional[ForecastPolicy] = None,
         placement: Optional[PlacementPolicy] = None,
         arbiter: Optional[ScaleArbiter] = None,
         tenant_id: str = "tenant",
     ) -> None:
-        if initial_tier not in TIER_ORDER:
-            raise ValueError(f"unknown tier {initial_tier!r}; choose from {sorted(TIER_ORDER)}")
         if arbiter is None:
             # Alone on the cluster: a one-tenant arbiter that never defers.
             arbiter = ScaleArbiter(runtime.cluster, budget_slots=math.inf)
@@ -312,8 +308,9 @@ class ElasticityController:
             provider.provisioning_latency_s
             + self.config.confirm_samples * self.config.check_interval_s
         )
-        #: Everything :func:`~repro.elastic.policy.decide` carries between ticks.
-        self.state = ControlState(tier=initial_tier)
+        #: Everything :func:`~repro.elastic.policy.decide` carries between ticks;
+        #: it starts on the ``baseline`` tier every run is deployed on (Table 1).
+        self.state = ControlState()
         self.actions: List[ScalingAction] = []
         self.recoveries: List[RecoveryRecord] = []
         self.evacuations: List[EvacuationRecord] = []
@@ -579,7 +576,10 @@ class ElasticityController:
 
         If the VM was mid-*evacuation* (its eviction deadline arrived before
         the drain finished), the in-flight evacuation migration already
-        re-places everything; no second recovery is started.  A pending
+        re-places everything; no second recovery is started.  An evacuation
+        the deadline caught before it started (a zero notice, or a drain
+        waiting behind another migration) is closed as overrun, and the
+        recovery runs as for any kill.  A pending
         scaling action loses the dead VM from its fleet lists; a delta VM
         that dies before its migration is enacted is replaced like-for-like
         (or the action is aborted when no target VMs remain).
@@ -618,6 +618,12 @@ class ElasticityController:
         )
         self.recoveries.append(record)
         self._prune_dead_vm(vm_id, vm_type)
+        for pending in self.evacuations:
+            if pending.vm_id == vm_id and pending.started_at is None and pending.completed_at is None:
+                # The drain never started, so ``_migration_in_flight`` stays:
+                # it belongs to a migration this evacuation did not start.
+                pending.overrun = True
+                pending.completed_at = runtime.sim.now
         evacuation = self._active_evacuation(vm_id)
         if evacuation is not None:
             evacuation.overrun = True
@@ -873,3 +879,43 @@ class ElasticityController:
         # got out in time.
         record.evaded = not record.overrun and vm_id not in runtime.cluster
         self.arbiter.clear_doomed({vm_id})
+
+
+def build_controller(
+    runtime: TopologyRuntime,
+    provider: CloudProvider,
+    strategy_cls: Type[MigrationStrategy],
+    config: Optional[ControllerConfig] = None,
+    elastic_parallelism: bool = False,
+    task_capacities_ev_s: Optional[Mapping[str, float]] = None,
+    forecast_policy: Optional[ForecastPolicy] = None,
+    placement: Optional[PlacementPolicy] = None,
+    arbiter: Optional[ScaleArbiter] = None,
+    tenant_id: str = "tenant",
+) -> ElasticityController:
+    """The control stack of one deployed runtime: monitor, planner, controller.
+
+    The monitor samples at the controller's check interval; the planner sizes
+    the runtime's dataflow at the paper's 8 ev/s per instance, unless
+    ``task_capacities_ev_s`` gives a task its own rate.  Both are reachable as
+    ``controller.monitor`` / ``controller.planner``.  The loop is not started.
+    """
+    config = config if config is not None else ControllerConfig()
+    monitor = ElasticityMonitor(runtime, interval_s=config.check_interval_s)
+    planner = AllocationPlanner(
+        runtime.dataflow,
+        task_capacities_ev_s=task_capacities_ev_s,
+        elastic_parallelism=elastic_parallelism,
+    )
+    return ElasticityController(
+        runtime,
+        provider,
+        monitor,
+        planner,
+        strategy_cls,
+        config=config,
+        forecast_policy=forecast_policy,
+        placement=placement,
+        arbiter=arbiter,
+        tenant_id=tenant_id,
+    )

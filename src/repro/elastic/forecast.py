@@ -262,7 +262,8 @@ def forecast_policy_by_name(
         if profile is None:
             raise ValueError(
                 "the 'lookahead' forecast policy needs the workload's RateProfile; "
-                "pass profile= (run_elastic_experiment wires this automatically)"
+                "pass profile= (the closed-loop runner, "
+                "repro.experiments.elastic.run_elastic_experiment, passes the run's own)"
             )
         return ProfileLookaheadPolicy(profile, **kwargs)
     return policy_cls(**kwargs)

@@ -11,9 +11,15 @@ paper's evaluation and the table (``PRODUCERS``) that renders each committed
 ``results/<stem>.txt`` from them, the reproduced rows next to the paper's
 published values; ``repro figure`` prints and re-records from it.
 
-:mod:`repro.experiments.elastic` goes beyond the paper's manual experiments:
-profile-driven sources plus the :mod:`repro.elastic` autoscaling loop, which
-triggers migrations automatically as the input rate changes.
+:mod:`repro.experiments.elastic` goes beyond the paper's manual experiments.
+Its :func:`~repro.experiments.elastic.run_elastic_experiment` builds and runs
+every single-fleet closed-loop run and returns one
+:class:`~repro.experiments.elastic.ElasticRunResult`: profile-driven sources
+plus the :mod:`repro.elastic` autoscaling loop, which triggers migrations
+automatically as the input rate changes, or -- given a
+:class:`~repro.experiments.elastic.Storm` -- the same stack on a spot fleet
+riding an eviction storm with the loop off.  The rescale, predictive and chaos
+comparisons below are built from such runs.
 
 :mod:`repro.experiments.rescale` compares capacity-adding scale-out (runtime
 parallelism rescale during the migration) against the paper's placement-only
@@ -21,7 +27,9 @@ scaling on the same surge profile.
 
 :mod:`repro.experiments.multi` hosts several dataflows as tenants of one
 shared, budget-arbitrated fleet (offset surges, bin-packed placement) and
-compares each tenant against its private-fleet baseline.
+compares each tenant against its private-fleet baseline; the
+:class:`~repro.multi.ClusterManager` builds each tenant's control stack with
+the same helper the single-fleet runner uses.
 
 :mod:`repro.experiments.predictive` compares the control rule's forecast
 policies (reactive / EWMA / Holt-Winters / profile lookahead) on one
@@ -34,7 +42,8 @@ bit-stable :class:`~repro.metrics.log.EventLog`.
 
 :mod:`repro.experiments.chaos` rides a deterministic spot-eviction storm once
 per recovery mode (notice-aware drain vs oblivious unplanned recovery) and
-compares restore latency, replayed messages and the cloud bill.
+compares restore latency, replayed messages and the cloud bill;
+:func:`~repro.experiments.chaos.run_chaos_run` only describes the storm.
 """
 
 from repro.experiments.scenarios import (
@@ -48,6 +57,7 @@ from repro.experiments.scenarios import (
 from repro.experiments.elastic import (
     ElasticRunResult,
     ElasticScenarioSpec,
+    Storm,
     run_elastic_experiment,
 )
 from repro.experiments.rescale import (
@@ -69,7 +79,6 @@ from repro.experiments.predictive import (
 from repro.experiments.sharded import plan_shards, run_steady_shard
 from repro.experiments.chaos import (
     ChaosComparisonResult,
-    ChaosRunResult,
     ChaosRunSummary,
     run_chaos_experiment,
     run_chaos_run,
@@ -79,7 +88,6 @@ from repro.experiments.formatting import format_table
 
 __all__ = [
     "ChaosComparisonResult",
-    "ChaosRunResult",
     "ChaosRunSummary",
     "ElasticRunResult",
     "ElasticScenarioSpec",
@@ -92,6 +100,7 @@ __all__ = [
     "RescaleComparisonResult",
     "RescaleRunSummary",
     "ScenarioSpec",
+    "Storm",
     "TenantSummary",
     "build_experiment",
     "plan_shards",

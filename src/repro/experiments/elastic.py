@@ -1,39 +1,52 @@
-"""Elastic scenario runner: a profile-driven run under the autoscaling loop.
+"""Closed-loop runner: every single-fleet run under the elasticity control stack.
 
 Where :mod:`repro.experiments.scenarios` reproduces the paper's *manual*
 experiments (one migration, requested at a fixed time), this runner closes
-the loop the paper motivates: the sources follow a
-:class:`~repro.workloads.profiles.RateProfile`, the
-:class:`~repro.elastic.controller.ElasticityController` watches the observed
-rate and migrates the dataflow between D1/D2/D3 allocations with any of the
-registered strategies, and vacated VMs are deprovisioned so the per-minute
-bill tracks the load.
+the loop the paper motivates.  :func:`run_elastic_experiment` deploys a
+dataflow on the paper's baseline allocation, builds its control stack
+(:func:`~repro.elastic.controller.build_controller`), runs it and returns an
+:class:`ElasticRunResult`; every single-fleet closed-loop run goes through it:
+
+* an **elastic** run: the sources follow a
+  :class:`~repro.workloads.profiles.RateProfile`, the
+  :class:`~repro.elastic.controller.ElasticityController` watches the observed
+  rate and migrates the dataflow between D1/D2/D3 allocations with any of the
+  registered strategies, and vacated VMs are deprovisioned so the per-minute
+  bill tracks the load (the predictive and rescale comparisons are such runs);
+* a **chaos** run (:func:`repro.experiments.chaos.run_chaos_run`): the same
+  run given a :class:`Storm`.  The workers are bought on the spot market, the
+  storm is armed on a :class:`~repro.cluster.chaos.FaultInjector`, and the
+  autoscaling loop is not started, so the run isolates fault handling.
 
 The result carries the full timeline (monitor samples), every enacted
 :class:`~repro.elastic.controller.ScalingAction` with its
-:class:`~repro.core.strategy.MigrationReport`, and the final cloud bill.
-A run is hermetic: every event id is a function of the run's own data
-(:mod:`repro.dataflow.event`), so which DSM trees a migration loses and
-replays does not depend on what ran earlier in the process.
+:class:`~repro.core.strategy.MigrationReport`, the controller's fault
+reactions, and the final cloud bill.  A run is hermetic: every event id is a
+function of the run's own data (:mod:`repro.dataflow.event`), so which DSM
+trees a migration loses and replays does not depend on what ran earlier in
+the process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import Dict, List, Optional, Union
 
-from repro.cluster.cloud import CloudProvider
+from repro.cluster.chaos import ChaosSchedule, FaultInjector
+from repro.cluster.cloud import ON_DEMAND, SPOT, CloudProvider, ProvisioningModel, SpotMarket
 from repro.core.strategy import strategy_by_name
 from repro.dataflow import topologies
 from repro.dataflow.graph import Dataflow
 from repro.elastic import (
-    AllocationPlanner,
     ControllerConfig,
     ElasticityController,
     ElasticityMonitor,
+    EvacuationRecord,
     ForecastPolicy,
     MonitorSample,
+    RecoveryRecord,
     ScalingAction,
+    build_controller,
     forecast_policy_by_name,
 )
 from repro.engine.config import RuntimeConfig
@@ -41,40 +54,151 @@ from repro.engine.runtime import TopologyRuntime
 from repro.experiments.scenarios import deploy_baseline
 from repro.metrics.log import EventLog
 from repro.metrics.timeline import LatencyPoint, RatePoint, latency_timeline, rate_timeline
-from repro.sim import Simulator, cell_seed
-from repro.workloads.profiles import RateProfile, profile_by_name
+from repro.sim import RandomSource, Simulator, cell_seed
+from repro.sim.shard import log_digest
+from repro.workloads.profiles import RateProfile, StepProfile, attach_profile
+
+#: Seconds of keyed jitter added to each eviction of a :class:`Storm`.
+STORM_JITTER_S = 15.0
+#: Provisioning on a storm's spot fleet: replacement capacity draws straggler
+#: and failed-attempt tails.
+SPOT_PROVISIONING = ProvisioningModel(
+    base_latency_s=30.0, jitter_fraction=0.2, straggler_prob=0.05,
+    straggler_multiplier=4.0, failure_prob=0.02,
+)
+#: Periodic checkpoint wave forced on a storm's run when its strategy has none:
+#: unplanned recovery restores keyed state from the last *committed* checkpoint.
+STORM_CHECKPOINT_INTERVAL_S = 30.0
+
+
+def surge_profile(
+    base_rate: float, multiplier: float, start_s: float, end_s: float
+) -> StepProfile:
+    """A step surge: ``base_rate``, ``multiplier`` times it over ``[start_s, end_s)``, then back."""
+    return StepProfile(
+        steps=[(0.0, base_rate), (start_s, base_rate * multiplier), (end_s, base_rate)]
+    )
+
+
+@dataclass(frozen=True)
+class Storm:
+    """A spot-eviction storm, and the recovery mode a run rides it in.
+
+    ``count`` evictions, the first at ``start_s`` and then every
+    ``spacing_s`` (plus up to :data:`STORM_JITTER_S` of keyed jitter), each
+    with ``notice_s`` of warning.  In ``"notice"`` mode the warning reaches
+    the controller, which drains the doomed VM; in ``"oblivious"`` mode it is
+    dropped and the VM dies at its deadline.  :class:`ElasticScenarioSpec`
+    checks the values against the run.
+    """
+
+    mode: str
+    count: int
+    start_s: float
+    spacing_s: float
+    notice_s: float
+
+    def schedule(self, seed: int) -> ChaosSchedule:
+        """The storm's eviction schedule, jittered from ``seed``."""
+        return ChaosSchedule.eviction_storm(
+            count=self.count,
+            start_s=self.start_s,
+            spacing_s=self.spacing_s,
+            notice_s=self.notice_s,
+            jitter_s=STORM_JITTER_S,
+            seed=seed,
+        )
 
 
 @dataclass
 class ElasticScenarioSpec:
-    """Parameters of one elastic (closed-loop) experiment."""
+    """Parameters of one closed-loop run: an elastic run, or with a storm a chaos run."""
 
     dag: str = "traffic"
     strategy: str = "ccr"
-    profile: str = "surge"
+    #: The sources' rate profile (a preset name, or a profile's class name);
+    #: ``None`` when they keep their declared rates.
+    profile: Optional[str] = "surge"
     duration_s: float = 900.0
     seed: int = 2018
     #: Whether the controller may change task parallelism (capacity-adding
     #: scaling) instead of only repacking fixed slots (the paper's scoping).
     elastic_parallelism: bool = False
     #: Demand forecaster the control rule plans on (``reactive`` is the
-    #: original threshold behaviour).  Deliberately not mixed into the seed:
-    #: runs differing only in policy share their random streams, so the
-    #: comparison isolates the policy.
+    #: original threshold behaviour).
     forecast_policy: str = "reactive"
+    #: The eviction storm of a chaos run; ``None`` for an elastic run.
+    storm: Optional[Storm] = None
+
+    def __post_init__(self) -> None:
+        storm = self.storm
+        if storm is None:
+            return
+        if storm.mode not in ("notice", "oblivious"):
+            raise ValueError(f"unknown chaos mode {storm.mode!r}; choose 'notice' or 'oblivious'")
+        # A storm outside the run leaves nothing to judge, and the scheduler
+        # would silently clamp a negative start or spacing to "now".  The
+        # messages name run_chaos_run's parameters.
+        if storm.notice_s < 0:
+            raise ValueError(f"notice_s must be >= 0, got {storm.notice_s:g}")
+        if storm.spacing_s < 0:
+            raise ValueError(f"storm_spacing_s must be >= 0, got {storm.spacing_s:g}")
+        if not 0 <= storm.start_s < self.duration_s:
+            raise ValueError(
+                f"storm_start_s must be in [0, duration_s={self.duration_s:g}), "
+                f"got {storm.start_s:g}"
+            )
+
+    @property
+    def run_seed(self) -> int:
+        """The run's seed: independent random streams per cell.
+
+        An elastic cell is ``(dag, strategy, profile)``; a chaos cell is
+        ``(dag, strategy)``.  Deliberately *not* mixed in: the
+        ``elastic_parallelism`` flag and the forecast policy (their variants
+        share their random streams, so a comparison isolates the rescale or
+        the policy) and the recovery mode (both modes ride the same storm).
+        """
+        if self.storm is None:
+            return cell_seed(self.seed, "elastic", self.dag, self.strategy, str(self.profile))
+        return cell_seed(self.seed, "chaos", self.dag, self.strategy)
+
+    def trace_meta(self) -> Dict[str, object]:
+        """The run's description in a trace header."""
+        meta: Dict[str, object] = dict(
+            scenario="elastic" if self.storm is None else "chaos",
+            dag=self.dag,
+            strategy=self.strategy,
+            seed=self.seed,
+            duration_s=self.duration_s,
+        )
+        if self.storm is None:
+            meta["profile"] = self.profile
+        else:
+            meta.update(mode=self.storm.mode, storm_count=self.storm.count,
+                        notice_s=self.storm.notice_s)
+        return meta
 
 
 @dataclass
 class ElasticRunResult:
-    """Everything produced by one elastic experiment."""
+    """Everything produced by one closed-loop run (elastic or chaos).
+
+    The fault views (:attr:`recoveries`, :attr:`evacuations`,
+    :meth:`control_sequence`, :meth:`restore_latencies`) are empty on a run
+    no fault hit.
+    """
 
     spec: ElasticScenarioSpec
     dataflow: Dataflow
     runtime: TopologyRuntime
     provider: CloudProvider
-    monitor: ElasticityMonitor
     controller: ElasticityController
-    profile: RateProfile
+    #: The storm's fault injector; ``None`` on a run without a storm.
+    injector: Optional[FaultInjector] = None
+    #: The total-rate profile the sources followed; ``None`` when they kept
+    #: their declared rates.
+    profile: Optional[RateProfile] = None
     initial_vm_ids: List[str] = field(default_factory=list)
 
     @property
@@ -86,6 +210,11 @@ class ElasticRunResult:
     def telemetry(self):
         """The run's :class:`repro.obs.Telemetry`, or ``None`` when off."""
         return self.runtime.telemetry
+
+    @property
+    def monitor(self) -> ElasticityMonitor:
+        """The monitor the controller samples."""
+        return self.controller.monitor
 
     @property
     def actions(self) -> List[ScalingAction]:
@@ -101,6 +230,21 @@ class ElasticRunResult:
     def total_cost(self) -> float:
         """Total accrued cloud cost at the end of the run."""
         return self.provider.total_cost()
+
+    @property
+    def replayed_messages(self) -> int:
+        """Source emissions that were replays of failed tuple trees."""
+        return self.log.replay_emits
+
+    @property
+    def recoveries(self) -> List[RecoveryRecord]:
+        """Unplanned-failure recoveries the controller ran, in time order."""
+        return self.controller.recoveries
+
+    @property
+    def evacuations(self) -> List[EvacuationRecord]:
+        """Eviction-notice evacuations the controller ran, in time order."""
+        return self.controller.evacuations
 
     def scale_outs(self) -> List[ScalingAction]:
         """Actions that expanded the allocation."""
@@ -122,31 +266,102 @@ class ElasticRunResult:
         """Average end-to-end latency over consecutive windows."""
         return latency_timeline(self.log, window_s=window_s)
 
+    def digest(self) -> str:
+        """Stable content hash of the event log (determinism checks)."""
+        return log_digest(self.log)
+
+    def control_sequence(self) -> List[str]:
+        """The controller's fault reactions as a comparable action trace."""
+        entries = []
+        for rec in self.recoveries:
+            entries.append(
+                (rec.failed_at, f"recover {rec.vm_id} kind={rec.kind} "
+                                f"lost={','.join(rec.lost_executors)} "
+                                f"restored={rec.restored_at!r}")
+            )
+        for rec in self.evacuations:
+            entries.append(
+                (rec.notice_at, f"evacuate {rec.vm_id} deadline={rec.deadline!r} "
+                                f"market={rec.replacement_market} evaded={rec.evaded} "
+                                f"completed={rec.completed_at!r}")
+            )
+        return [text for _, text in sorted(entries, key=lambda pair: pair[0])]
+
+    def unfinished(self) -> List[str]:
+        """What the run left open at its end, in a printable form.
+
+        Each recovery that never restored its executors, each evacuation that
+        neither evaded its eviction nor completed, and ``"sources paused"``
+        when the dataflow ended paused.  Empty for a run that ended clean;
+        otherwise :meth:`restore_latencies` may charge an outage only up to
+        the end of the run, not to a restore.
+        """
+        left = [f"recovery {rec.vm_id}" for rec in self.recoveries if rec.restored_at is None]
+        left += [f"evacuation {rec.vm_id}" for rec in self.evacuations
+                 if not rec.evaded and rec.completed_at is None]
+        if self.runtime.sources_paused:
+            left.append("sources paused")
+        return left
+
+    def restore_latencies(self) -> List[float]:
+        """Per-fault unavailability after the cloud's reclaim moment.
+
+        A *killed* fault is charged from the kill until the controller's
+        recovery finished restoring the lost executors (to the end of the run
+        if it never did).  An *evaded* eviction drained before the deadline,
+        so the reclaim found nothing: zero unavailability — which is exactly
+        the headline the notice window buys.
+        """
+        latencies: List[float] = []
+        for fault in self.injector.records if self.injector is not None else []:
+            if fault.outcome == "killed":
+                recovery = next(
+                    (r for r in self.recoveries
+                     if r.vm_id == fault.vm_id and r.failed_at == fault.killed_at),
+                    None,
+                )
+                if recovery is not None and recovery.restored_at is not None:
+                    latencies.append(recovery.restored_at - fault.killed_at)
+                else:
+                    latencies.append(self.spec.duration_s - fault.killed_at)
+            elif fault.outcome == "evaded":
+                evacuation = next(
+                    (r for r in reversed(self.evacuations)
+                     if r.vm_id == fault.vm_id and r.completed_at is not None),
+                    None,
+                )
+                if evacuation is None:
+                    latencies.append(0.0)
+                else:
+                    latencies.append(max(0.0, evacuation.completed_at - fault.deadline))
+        return latencies
+
 
 def run_elastic_experiment(
     dag: str = "traffic",
     strategy: str = "ccr",
-    profile: Union[str, RateProfile] = "surge",
+    profile: Optional[Union[str, RateProfile]] = "surge",
     duration_s: float = 900.0,
     seed: int = 2018,
     dataflow: Optional[Dataflow] = None,
     config: Optional[RuntimeConfig] = None,
     controller_config: Optional[ControllerConfig] = None,
-    instance_capacity_ev_s: float = 8.0,
     provisioning_latency_s: float = 30.0,
-    billing_granularity_s: float = 60.0,
     elastic_parallelism: bool = False,
     task_capacities_ev_s: Optional[dict] = None,
     forecast_policy: Optional[Union[str, ForecastPolicy]] = None,
     telemetry: bool = False,
+    storm: Optional[Storm] = None,
 ) -> ElasticRunResult:
-    """Run one closed-loop elastic experiment.
+    """Run one closed-loop experiment.
 
     The dataflow is deployed on the paper's baseline allocation (D2 VMs plus
     the dedicated source/sink util VM), its sources follow ``profile`` (a
-    preset name or a :class:`RateProfile` instance), and the controller
-    scales the deployment with the chosen strategy whenever the observed
-    rate leaves the current tier's band.  Runs until ``duration_s``.
+    preset name, a :class:`RateProfile` instance, or ``None`` for their
+    declared rates), and the controller scales the deployment with the
+    chosen strategy whenever the observed rate leaves the current tier's
+    band.  Runs until ``duration_s``.  A ``config`` is used as given (its seed
+    included); without one the strategy's config is seeded from the cell.
 
     With ``elastic_parallelism=True`` the controller issues combined
     rescale + migrate decisions: a scale-out adds task instances (real
@@ -159,107 +374,98 @@ def run_elastic_experiment(
     registered name, a :class:`ForecastPolicy` instance, or ``None`` to use
     the controller config's choice.  The ``lookahead`` policy is bound to the
     run's total-rate profile automatically.
+
+    Given a ``storm`` the run is a chaos run (see
+    :func:`repro.experiments.chaos.run_chaos_run`, which describes one): the
+    D2 workers are bought on the spot market, periodic checkpoints are forced
+    on, the storm is armed and the autoscaling loop is not started.  A
+    ``config`` is then a template whose seed is replaced by the cell's, so
+    flag variants (e.g. the batch stepper's equivalence check) share their
+    random streams.
     """
-    profile_name = profile if isinstance(profile, str) else type(profile).__name__
     if isinstance(forecast_policy, ForecastPolicy):
         policy_name = forecast_policy.name
-    elif forecast_policy is not None:
-        policy_name = forecast_policy
-    elif controller_config is not None:
-        policy_name = controller_config.forecast_policy
     else:
-        policy_name = "reactive"
+        policy_name = forecast_policy or (controller_config or ControllerConfig()).forecast_policy
     spec = ElasticScenarioSpec(
         dag=dag,
         strategy=strategy,
-        profile=profile_name,
+        profile=profile if profile is None or isinstance(profile, str) else type(profile).__name__,
         duration_s=duration_s,
         seed=seed,
         elastic_parallelism=elastic_parallelism,
         forecast_policy=policy_name,
+        storm=storm,
     )
     strategy_cls = strategy_by_name(strategy)
     if config is None:
-        # Independent randomness per (dag, strategy, profile) cell.  The
-        # ``elastic_parallelism`` flag is deliberately *not* mixed in: the
-        # capacity-adding and placement-only variants of a cell share their
-        # random streams, so comparisons between them isolate the rescale.
-        config = strategy_cls.runtime_config(
-            seed=cell_seed(seed, "elastic", dag, strategy, profile_name)
-        )
+        config = strategy_cls.runtime_config(seed=spec.run_seed)
+    elif storm is not None:
+        config = config.copy()
+        config.seed = spec.run_seed
     if telemetry and not config.telemetry:
         config = config.copy()
         config.telemetry = True
+    if storm is not None and config.reliability.periodic_checkpoint_interval_s is None:
+        # Without a periodic wave DCR/CCR would only checkpoint during
+        # migrations, and a kill before the first one would lose state.
+        config.reliability.periodic_checkpoint_interval_s = STORM_CHECKPOINT_INTERVAL_S
 
     sim = Simulator()
     dataflow = dataflow if dataflow is not None else topologies.by_name(dag)
-
-    # Attach rate profiles to the source tasks before executors exist.  A
-    # preset name is instantiated per source at that source's own base rate
-    # (so the *total* offered rate follows the preset's shape); sources that
-    # already carry a profile keep it.  A RateProfile instance describes one
-    # source's rate, so it is only accepted for single-source dataflows.
-    sources = dataflow.sources
-    base_rate = sum(float(getattr(s, "rate", 0.0)) for s in sources)
     # The caller's dataflow must come back unchanged: remember each source's
     # profile and restore it after the run.  Without this, a reused dataflow
-    # kept the *first* run's profile forever (the is-None guard skipped it on
-    # the next call) while the result claimed the newly requested one.
-    original_profiles = [(source, source.profile) for source in sources]
-    if isinstance(profile, str):
-        rate_profile = profile_by_name(profile, base_rate=base_rate, duration_s=duration_s)
-        for source in sources:
-            if source.profile is None:
-                source.profile = profile_by_name(
-                    profile, base_rate=float(source.rate), duration_s=duration_s
-                )
+    # kept the *first* run's profile forever (sources that already carry a
+    # profile keep it) while the result claimed the newly requested one.
+    original_profiles = [(source, source.profile) for source in dataflow.sources]
+    rate_profile = attach_profile(dataflow, profile, duration_s)
+    if not isinstance(forecast_policy, ForecastPolicy):
+        # Resolved here, where the run's total-rate profile is known (the
+        # lookahead oracle reads it).
+        forecast_policy = forecast_policy_by_name(policy_name, profile=rate_profile)
+
+    if storm is None:
+        provider = CloudProvider(sim, provisioning_latency_s=provisioning_latency_s)
     else:
-        if len(sources) > 1:
-            raise ValueError(
-                "a RateProfile instance is ambiguous for a multi-source dataflow; "
-                "attach per-source profiles to the SourceTasks and pass a preset "
-                "name (or 'constant') instead"
-            )
-        rate_profile = profile
-        sources[0].profile = rate_profile
-
-    provider = CloudProvider(
-        sim,
-        provisioning_latency_s=provisioning_latency_s,
-        billing_granularity_s=billing_granularity_s,
-    )
-    planner = AllocationPlanner(
-        dataflow,
-        instance_capacity_ev_s=instance_capacity_ev_s,
-        task_capacities_ev_s=task_capacities_ev_s,
-        elastic_parallelism=elastic_parallelism,
-    )
+        provider = CloudProvider(
+            sim,
+            provisioning_latency_s=provisioning_latency_s,
+            spot_market=SpotMarket(
+                discount=0.35, eviction_rate_per_hour=0.5, notice_s=storm.notice_s
+            ),
+            provisioning=SPOT_PROVISIONING,
+            rng=RandomSource(config.seed),
+        )
     # Initial deployment is always the paper's default packing (Table 1: D2s),
-    # whatever tier the profile's first rate will steer the controller toward.
-    runtime, initial_vms = deploy_baseline(dataflow, config, provider)
-
-    monitor = ElasticityMonitor(
-        runtime,
-        interval_s=(controller_config or ControllerConfig()).check_interval_s,
+    # whatever tier the profile's first rate will steer the controller toward;
+    # the util VM hosting sources and sinks is on-demand and off-limits to a
+    # storm, as the infrastructure VMs are in the paper's setup.
+    runtime, initial_vms = deploy_baseline(
+        dataflow, config, provider, worker_market=ON_DEMAND if storm is None else SPOT
     )
-    # Resolve the forecast policy to an instance here, where the run's
-    # total-rate profile is known (the lookahead oracle reads it).
-    resolved_policy: Optional[ForecastPolicy] = None
-    if isinstance(forecast_policy, ForecastPolicy):
-        resolved_policy = forecast_policy
-    elif policy_name != "reactive" or forecast_policy is not None:
-        resolved_policy = forecast_policy_by_name(policy_name, profile=rate_profile)
-    controller = ElasticityController(
+    controller = build_controller(
         runtime,
         provider,
-        monitor,
-        planner,
         strategy_cls,
-        config=controller_config,
-        initial_tier="baseline",
-        forecast_policy=resolved_policy,
+        controller_config,
+        elastic_parallelism=elastic_parallelism,
+        task_capacities_ev_s=task_capacities_ev_s,
+        forecast_policy=forecast_policy,
     )
-    controller.start()
+    injector = None
+    if storm is None:
+        controller.start()
+    else:
+        injector = FaultInjector(
+            sim,
+            runtime.cluster,
+            provider,
+            seed=config.seed,
+            on_notice=controller.handle_eviction_notice if storm.mode == "notice" else None,
+            on_kill=controller.handle_vm_failure,
+            target_markets=(SPOT,),
+        )
+        injector.arm(storm.schedule(config.seed))
 
     try:
         sim.run(until=duration_s)
@@ -273,24 +479,17 @@ def run_elastic_experiment(
             source.profile = original_profile
 
     if runtime.telemetry is not None:
-        runtime.telemetry.meta.update(
-            scenario="elastic",
-            dag=dag,
-            strategy=strategy,
-            profile=profile_name,
-            seed=seed,
-            duration_s=duration_s,
-        )
+        runtime.telemetry.meta.update(spec.trace_meta())
         runtime.telemetry.finalize(
-            runtime=runtime, controller=controller, provider=provider
+            runtime=runtime, controller=controller, provider=provider, injector=injector
         )
     return ElasticRunResult(
         spec=spec,
         dataflow=dataflow,
         runtime=runtime,
         provider=provider,
-        monitor=monitor,
         controller=controller,
+        injector=injector,
         profile=rate_profile,
         initial_vm_ids=[vm.vm_id for vm in initial_vms],
     )

@@ -23,11 +23,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.vm import D2
 from repro.dataflow import topologies
-from repro.elastic.controller import ControllerConfig, ScalingAction
+from repro.elastic.controller import ScalingAction
 from repro.elastic.planner import AllocationPlanner
+from repro.experiments.elastic import surge_profile
 from repro.metrics.log import mean_latency
 from repro.multi import ClusterManager, FleetSample, ProposalRecord
-from repro.workloads.profiles import StepProfile
 
 
 @dataclass
@@ -208,39 +208,25 @@ def _run_managed(
     surge_multiplier: float,
     budget_slots: int,
     seed: int,
-    controller_config: Optional[ControllerConfig],
-    instance_capacity_ev_s: float,
     elastic_parallelism: bool,
-    provisioning_latency_s: float,
-    max_concurrent_migrations: int,
     placement: str = "full-replace",
 ) -> ManagedRunResult:
-    """One complete managed run over ``(tenant_name, dag, priority, window)`` specs."""
-    manager = ClusterManager(
-        budget_slots=budget_slots,
-        provisioning_latency_s=provisioning_latency_s,
-        max_concurrent_migrations=max_concurrent_migrations,
-        fleet_sample_interval_s=(controller_config or ControllerConfig()).check_interval_s,
-        seed=seed,
-    )
+    """One complete managed run over ``(tenant_name, dag, priority, window)`` specs.
+
+    Every tenant's controller and the fleet sampler run at the default
+    15 s check interval.
+    """
+    manager = ClusterManager(budget_slots=budget_slots, seed=seed)
     for name, dag, priority, (surge_start, surge_end) in dag_specs:
         dataflow = topologies.by_name(dag)
         base_rate = sum(float(source.rate) for source in dataflow.sources)
-        profile = StepProfile(
-            steps=[
-                (0.0, base_rate),
-                (surge_start, base_rate * surge_multiplier),
-                (surge_end, base_rate),
-            ]
-        )
+        profile = surge_profile(base_rate, surge_multiplier, surge_start, surge_end)
         manager.add_tenant(
             name,
             dataflow,
             strategy=strategy,
             profile=profile if len(dataflow.sources) == 1 else None,
             priority=priority,
-            controller_config=controller_config,
-            instance_capacity_ev_s=instance_capacity_ev_s,
             elastic_parallelism=elastic_parallelism,
             profile_duration_s=duration_s,
             placement=placement,
@@ -261,7 +247,6 @@ def _run_managed(
 def default_budget_slots(
     dags: Sequence[str],
     surge_multiplier: float,
-    instance_capacity_ev_s: float = 8.0,
     elastic_parallelism: bool = False,
 ) -> int:
     """A budget with room for every tenant's expanded fleet during handoff.
@@ -283,11 +268,7 @@ def default_budget_slots(
         slots = dataflow.total_instances()
         initial += slots
         if elastic_parallelism:
-            planner = AllocationPlanner(
-                dataflow,
-                instance_capacity_ev_s=instance_capacity_ev_s,
-                elastic_parallelism=True,
-            )
+            planner = AllocationPlanner(dataflow, elastic_parallelism=True)
             base_rate = sum(float(source.rate) for source in dataflow.sources)
             expanded_total += planner.required_instances(base_rate * surge_multiplier)
         else:
@@ -306,11 +287,7 @@ def run_multi_experiment(
     seed: int = 2018,
     budget_slots: Optional[int] = None,
     priorities: Optional[Sequence[int]] = None,
-    controller_config: Optional[ControllerConfig] = None,
-    instance_capacity_ev_s: float = 8.0,
     elastic_parallelism: bool = False,
-    provisioning_latency_s: float = 30.0,
-    max_concurrent_migrations: int = 1,
     include_private_baseline: bool = True,
     placement: str = "full-replace",
 ) -> MultiExperimentResult:
@@ -334,15 +311,9 @@ def run_multi_experiment(
         raise ValueError(f"priorities must match dags ({len(dags)} entries)")
     if surge_multiplier <= 1.0:
         raise ValueError("surge_multiplier must be > 1 (otherwise there is no surge)")
-    if controller_config is None:
-        controller_config = ControllerConfig(
-            check_interval_s=15.0, confirm_samples=2, cooldown_s=60.0
-        )
     if budget_slots is None:
         budget_slots = default_budget_slots(
-            dags, surge_multiplier,
-            instance_capacity_ev_s=instance_capacity_ev_s,
-            elastic_parallelism=elastic_parallelism,
+            dags, surge_multiplier, elastic_parallelism=elastic_parallelism
         )
 
     names: List[str] = []
@@ -362,9 +333,7 @@ def run_multi_experiment(
 
     shared = _run_managed(
         specs, strategy, duration_s, surge_multiplier, budget_slots, seed,
-        controller_config, instance_capacity_ev_s, elastic_parallelism,
-        provisioning_latency_s, max_concurrent_migrations,
-        placement=placement,
+        elastic_parallelism, placement=placement,
     )
 
     private: Dict[str, ManagedRunResult] = {}
@@ -377,11 +346,7 @@ def run_multi_experiment(
             private[name] = _run_managed(
                 [spec], strategy, duration_s, surge_multiplier,
                 budget_slots=10 * budget_slots, seed=seed,
-                controller_config=controller_config,
-                instance_capacity_ev_s=instance_capacity_ev_s,
                 elastic_parallelism=elastic_parallelism,
-                provisioning_latency_s=provisioning_latency_s,
-                max_concurrent_migrations=max_concurrent_migrations,
                 placement=placement,
             )
 

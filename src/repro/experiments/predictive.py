@@ -24,16 +24,16 @@ headline numbers as JSON (``--json``).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.dataflow import topologies
 from repro.elastic import ControllerConfig
-from repro.experiments.elastic import ElasticRunResult, run_elastic_experiment
+from repro.experiments.elastic import ElasticRunResult, run_elastic_experiment, surge_profile
 from repro.metrics.log import mean_latency
-from repro.workloads.profiles import RampProfile, RateProfile, StepProfile, profile_by_name
+from repro.metrics.metadata import write_headline_json
+from repro.workloads.profiles import RampProfile, RateProfile, profile_by_name
 
 #: Policies compared by default, in report order.
 DEFAULT_POLICIES: Tuple[str, ...] = ("reactive", "ewma", "holt-winters", "lookahead")
@@ -124,9 +124,8 @@ class PredictiveComparisonResult:
         self, path: Union[str, Path], timestamp: Optional[str] = None
     ) -> Path:
         """Write the headline numbers as ``{name: value}`` JSON."""
-        from ..metrics.metadata import run_metadata
-
-        payload = run_metadata(
+        return write_headline_json(
+            path,
             "repro-bench-predictive/2",
             timestamp=timestamp,
             dag=self.dag,
@@ -135,10 +134,6 @@ class PredictiveComparisonResult:
             slo_latency_s=self.slo_latency_s,
             benchmarks=self.headline_benchmarks(),
         )
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        return path
 
 
 def _summarize(
@@ -173,10 +168,7 @@ def _scenario_profile(
     """The scenario's total-rate profile plus its surge window (if step-like)."""
     if name in ("surge", "step"):
         start, end = duration_s * 0.25, duration_s * 0.60
-        profile: RateProfile = StepProfile(
-            steps=[(0.0, base_rate), (start, base_rate * surge_multiplier), (end, base_rate)]
-        )
-        return profile, start, end
+        return surge_profile(base_rate, surge_multiplier, start, end), start, end
     if name == "ramp":
         start, end = duration_s * 0.25, duration_s * 0.60
         return (
@@ -200,9 +192,6 @@ def run_predictive_experiment(
     duration_s: float = 600.0,
     seed: int = 2018,
     slo_latency_s: float = 30.0,
-    instance_capacity_ev_s: float = 8.0,
-    controller_config: Optional[ControllerConfig] = None,
-    elastic_parallelism: bool = True,
     placement: str = "incremental",
     telemetry: bool = False,
 ) -> PredictiveComparisonResult:
@@ -218,15 +207,6 @@ def run_predictive_experiment(
         raise ValueError("need at least one policy to compare")
     if surge_multiplier <= 1.0:
         raise ValueError("surge_multiplier must be > 1 (otherwise there is no surge)")
-    if controller_config is None:
-        controller_config = ControllerConfig(
-            check_interval_s=15.0, confirm_samples=2, cooldown_s=60.0
-        )
-    base_config = replace(
-        controller_config,
-        slo_latency_s=slo_latency_s,
-        placement=placement,
-    )
 
     comparison: Optional[PredictiveComparisonResult] = None
     for policy in policies:
@@ -252,9 +232,10 @@ def run_predictive_experiment(
             duration_s=duration_s,
             seed=seed,
             dataflow=dataflow,
-            controller_config=replace(base_config, forecast_policy=policy),
-            instance_capacity_ev_s=instance_capacity_ev_s,
-            elastic_parallelism=elastic_parallelism,
+            controller_config=ControllerConfig(
+                slo_latency_s=slo_latency_s, placement=placement, forecast_policy=policy
+            ),
+            elastic_parallelism=True,
             forecast_policy=policy,
             telemetry=telemetry,
         )

@@ -23,13 +23,11 @@ the ``repro rescale`` CLI subcommand (and the acceptance test) checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.dataflow import topologies
-from repro.elastic import ControllerConfig
-from repro.experiments.elastic import ElasticRunResult, run_elastic_experiment
+from repro.experiments.elastic import ElasticRunResult, run_elastic_experiment, surge_profile
 from repro.metrics.log import mean_latency
-from repro.workloads.profiles import StepProfile
 
 
 @dataclass
@@ -123,9 +121,6 @@ def run_rescale_experiment(
     surge_multiplier: float = 2.0,
     duration_s: float = 600.0,
     seed: int = 2018,
-    instance_capacity_ev_s: float = 8.0,
-    controller_config: Optional[ControllerConfig] = None,
-    task_capacities_ev_s: Optional[dict] = None,
 ) -> RescaleComparisonResult:
     """Compare capacity-adding and placement-only scale-out on one surge.
 
@@ -136,41 +131,27 @@ def run_rescale_experiment(
     scaling.  Summary metrics are measured from the surge start to the end of
     the run, which includes the post-surge drain (a backlog the placement-only
     run accumulated keeps hurting its latency long after the surge ends).
+    The controller runs at its default configuration: it plans on the
+    monitor's offered rate (a post-surge drain burst does not read as fresh
+    load), and the drain-aware guard holds any scale-in until the backlog the
+    surge built has been absorbed.
     """
     if surge_multiplier <= 1.0:
         raise ValueError("surge_multiplier must be > 1 (otherwise there is no surge)")
     surge_start_s = duration_s * 0.25
     surge_end_s = duration_s * 0.60
-    if controller_config is None:
-        # A normal cooldown suffices: the controller plans on the monitor's
-        # offered rate (a post-surge drain burst no longer reads as fresh
-        # load) and the drain-aware guard holds any scale-in until the
-        # backlog the surge built has actually been absorbed.
-        controller_config = ControllerConfig(
-            check_interval_s=15.0, confirm_samples=2, cooldown_s=60.0
-        )
 
     def _one_run(elastic_parallelism: bool) -> ElasticRunResult:
         dataflow = topologies.by_name(dag)
         base_rate = sum(float(source.rate) for source in dataflow.sources)
-        profile = StepProfile(
-            steps=[
-                (0.0, base_rate),
-                (surge_start_s, base_rate * surge_multiplier),
-                (surge_end_s, base_rate),
-            ]
-        )
         return run_elastic_experiment(
             dag=dag,
             strategy=strategy,
-            profile=profile,
+            profile=surge_profile(base_rate, surge_multiplier, surge_start_s, surge_end_s),
             duration_s=duration_s,
             seed=seed,
             dataflow=dataflow,
-            controller_config=controller_config,
-            instance_capacity_ev_s=instance_capacity_ev_s,
             elastic_parallelism=elastic_parallelism,
-            task_capacities_ev_s=task_capacities_ev_s,
         )
 
     capacity_result = _one_run(elastic_parallelism=True)

@@ -17,7 +17,8 @@ import hashlib
 import json
 import platform
 from dataclasses import asdict, is_dataclass
-from typing import Dict, Optional
+from pathlib import Path
+from typing import Dict, Optional, Union
 
 
 def config_digest(config: object) -> str:
@@ -65,3 +66,18 @@ def run_metadata(
         metadata["timestamp"] = timestamp
     metadata.update(extra)
     return metadata
+
+
+def write_headline_json(
+    path: Union[str, Path], schema: str, timestamp: Optional[str] = None, **fields: object
+) -> Path:
+    """Write a comparison's headline artifact: :func:`run_metadata` plus ``fields``.
+
+    By convention ``fields`` carries ``benchmarks={name: value}``, the unit
+    in the name.  Creates the parent directory; returns the path written.
+    """
+    payload = run_metadata(schema, timestamp=timestamp, **fields)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    return path

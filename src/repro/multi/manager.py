@@ -37,14 +37,14 @@ from repro.cluster.vm import D2, D3
 from repro.core.strategy import strategy_by_name
 from repro.dataflow.graph import Dataflow
 from repro.elastic.arbiter import ScaleArbiter, is_worker_vm
-from repro.elastic.controller import ControllerConfig, ElasticityController
+from repro.elastic.controller import ControllerConfig, ElasticityController, build_controller
 from repro.elastic.monitor import ElasticityMonitor
 from repro.elastic.planner import AllocationPlanner
 from repro.elastic.policy import IncrementalPlacement
 from repro.engine.config import RuntimeConfig
 from repro.engine.runtime import TopologyRuntime
 from repro.sim import Simulator, cell_seed
-from repro.workloads.profiles import RateProfile, profile_by_name
+from repro.workloads.profiles import RateProfile, attach_profile
 
 
 @dataclass
@@ -55,17 +55,12 @@ class Tenant:
     dataflow: Dataflow
     strategy: str
     priority: int
-    weight: float
     profile: Optional[RateProfile]
     runtime: TopologyRuntime = None  # type: ignore[assignment]  # set at deploy
-    monitor: ElasticityMonitor = None  # type: ignore[assignment]
-    planner: AllocationPlanner = None  # type: ignore[assignment]
     controller: ElasticityController = None  # type: ignore[assignment]
     util_vm_id: Optional[str] = None
     config: Optional[RuntimeConfig] = None
     controller_config: Optional[ControllerConfig] = None
-    instance_capacity_ev_s: float = 8.0
-    task_capacities_ev_s: Optional[Dict[str, float]] = None
     elastic_parallelism: bool = False
     #: ``full-replace`` (fresh fleet per scaling action, the default) or
     #: ``incremental`` (keep unchanged instances; a consolidation re-uses
@@ -76,6 +71,16 @@ class Tenant:
     def deployed(self) -> bool:
         """Whether the tenant's runtime has been deployed."""
         return self.runtime is not None and self.runtime.deployed
+
+    @property
+    def monitor(self) -> ElasticityMonitor:
+        """The monitor the tenant's controller samples (set at deploy)."""
+        return self.controller.monitor
+
+    @property
+    def planner(self) -> AllocationPlanner:
+        """The planner sizing the tenant's dataflow (set at deploy)."""
+        return self.controller.planner
 
 
 @dataclass(frozen=True)
@@ -137,21 +142,21 @@ class ClusterManager:
         strategy: str = "ccr",
         profile: Optional[Union[str, RateProfile]] = None,
         priority: int = 1,
-        weight: float = 1.0,
         config: Optional[RuntimeConfig] = None,
         controller_config: Optional[ControllerConfig] = None,
-        instance_capacity_ev_s: float = 8.0,
-        task_capacities_ev_s: Optional[Dict[str, float]] = None,
         elastic_parallelism: bool = False,
         profile_duration_s: float = 900.0,
         placement: str = "full-replace",
     ) -> Tenant:
         """Register a dataflow as a tenant (before :meth:`deploy`).
 
-        ``profile`` follows the elastic runner's convention: a preset name is
-        instantiated per source at that source's own base rate; a
-        :class:`RateProfile` instance is only accepted for single-source
-        dataflows.  ``None`` keeps the sources' declared constant rates.
+        ``profile`` is attached to the sources by
+        :func:`~repro.workloads.profiles.attach_profile`, as the elastic
+        runner attaches it: a preset name is instantiated per source at that
+        source's own base rate; a :class:`RateProfile` instance is only
+        accepted for single-source dataflows.  ``None`` keeps the sources'
+        declared constant rates.  Every tenant has the same arbitration
+        weight.
         ``placement="incremental"`` gives the tenant the rescale-aware
         placer: grows keep the current fleet and provision only the delta,
         and consolidations re-use partially-free shared VMs (zero new
@@ -163,40 +168,14 @@ class ClusterManager:
             raise RuntimeError("tenants must be added before deploy()")
         if name in self.tenants:
             raise ValueError(f"tenant {name!r} is already registered")
-        rate_profile: Optional[RateProfile]
-        sources = dataflow.sources
-        if isinstance(profile, str):
-            for source in sources:
-                if source.profile is None:
-                    source.profile = profile_by_name(
-                        profile, base_rate=float(source.rate), duration_s=profile_duration_s
-                    )
-            rate_profile = profile_by_name(
-                profile,
-                base_rate=sum(float(s.rate) for s in sources),
-                duration_s=profile_duration_s,
-            )
-        elif profile is not None:
-            if len(sources) > 1:
-                raise ValueError(
-                    "a RateProfile instance is ambiguous for a multi-source dataflow; "
-                    "attach per-source profiles to the SourceTasks instead"
-                )
-            sources[0].profile = profile
-            rate_profile = profile
-        else:
-            rate_profile = None
         tenant = Tenant(
             name=name,
             dataflow=dataflow,
             strategy=strategy,
             priority=priority,
-            weight=weight,
-            profile=rate_profile,
+            profile=attach_profile(dataflow, profile, profile_duration_s),
             config=config,
             controller_config=controller_config,
-            instance_capacity_ev_s=instance_capacity_ev_s,
-            task_capacities_ev_s=dict(task_capacities_ev_s or {}) or None,
             elastic_parallelism=elastic_parallelism,
             placement=placement,
         )
@@ -277,16 +256,6 @@ class ClusterManager:
             )
             runtime.deploy()
             tenant.runtime = runtime
-            tenant.monitor = ElasticityMonitor(
-                runtime,
-                interval_s=(tenant.controller_config or ControllerConfig()).check_interval_s,
-            )
-            tenant.planner = AllocationPlanner(
-                tenant.dataflow,
-                instance_capacity_ev_s=tenant.instance_capacity_ev_s,
-                task_capacities_ev_s=tenant.task_capacities_ev_s,
-                elastic_parallelism=tenant.elastic_parallelism,
-            )
             placement_policy = None
             if tenant.placement == "incremental":
                 # Shared-fleet incremental placer: consolidations re-use
@@ -297,14 +266,12 @@ class ClusterManager:
                     reuse_free_slots=True,
                     excluded_vms_fn=self._excluded_vms_for(name),
                 )
-            tenant.controller = ElasticityController(
+            tenant.controller = build_controller(
                 runtime,
                 self.provider,
-                tenant.monitor,
-                tenant.planner,
                 strategy_cls,
-                config=tenant.controller_config,
-                initial_tier="baseline",
+                tenant.controller_config,
+                elastic_parallelism=tenant.elastic_parallelism,
                 placement=placement_policy,
                 arbiter=self.arbiter,
                 tenant_id=name,
@@ -312,7 +279,6 @@ class ClusterManager:
             self.arbiter.register_tenant(
                 name,
                 priority=tenant.priority,
-                weight=tenant.weight,
                 holdings_fn=(lambda rt=runtime: len(rt.user_executors)),
             )
         self._deployed = True

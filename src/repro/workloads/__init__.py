@@ -21,6 +21,7 @@ from repro.workloads.profiles import (
     RampProfile,
     RateProfile,
     StepProfile,
+    attach_profile,
     profile_by_name,
 )
 
@@ -33,6 +34,7 @@ __all__ = [
     "RampProfile",
     "RateProfile",
     "StepProfile",
+    "attach_profile",
     "profile_by_name",
     "gps_payload_factory",
     "sensor_payload_factory",

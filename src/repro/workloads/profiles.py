@@ -16,7 +16,10 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dataflow -> workloads)
+    from repro.dataflow.graph import Dataflow
 
 
 def _require_rate(name: str, value: float) -> None:
@@ -206,3 +209,36 @@ def profile_by_name(name: str, base_rate: float = 8.0, duration_s: float = 900.0
             f"unknown rate profile {name!r}; choose from {sorted(PROFILE_PRESETS)}"
         ) from None
     return factory(base_rate, duration_s)
+
+
+def attach_profile(
+    dataflow: Dataflow, profile: Optional[Union[str, RateProfile]], duration_s: float
+) -> Optional[RateProfile]:
+    """Attach a rate profile to the dataflow's sources; return the total-rate profile.
+
+    A preset name is instantiated per source at that source's own base rate
+    (so the *total* offered rate follows the preset's shape); sources that
+    already carry a profile keep it.  A :class:`RateProfile` instance
+    describes one source's rate, so it is only accepted for single-source
+    dataflows.  ``None`` keeps the sources' declared rates and returns ``None``.
+    """
+    if profile is None:
+        return None
+    sources = dataflow.sources
+    if isinstance(profile, str):
+        for source in sources:
+            if source.profile is None:
+                source.profile = profile_by_name(
+                    profile, base_rate=float(source.rate), duration_s=duration_s
+                )
+        return profile_by_name(
+            profile, base_rate=sum(float(s.rate) for s in sources), duration_s=duration_s
+        )
+    if len(sources) > 1:
+        raise ValueError(
+            "a RateProfile instance is ambiguous for a multi-source dataflow; "
+            "attach per-source profiles to the SourceTasks and pass a preset "
+            "name (or 'constant') instead"
+        )
+    sources[0].profile = profile
+    return profile

@@ -380,6 +380,37 @@ class TestUnfinishedRuns:
         assert "Notice-aware recovery wins on both axes: " in output
 
 
+class TestZeroNoticeEvictions:
+    """An evacuation the deadline catches before it starts is closed by the kill."""
+
+    STORM = ["--storms", "2", "--duration", "300", "--storm-start", "100", "--notice", "0"]
+
+    def test_a_zero_notice_storm_leaves_nothing_open(self):
+        # Each notice lands on its own deadline, so the drain never starts;
+        # the kill used to leave the evacuation open for the rest of the run.
+        run = run_chaos_run(
+            mode="notice", duration_s=300.0, storm_count=2, storm_start_s=100.0, notice_s=0.0
+        )
+        killed = {fault.vm_id: fault.killed_at for fault in run.injector.killed}
+        assert len(killed) == 2
+        assert run.unfinished() == open_at_the_end(run) == []
+        assert sorted(rec.vm_id for rec in run.evacuations) == sorted(killed)
+        for evacuation in run.evacuations:
+            assert evacuation.started_at is None and evacuation.overrun
+            assert evacuation.completed_at == killed[evacuation.vm_id]
+            assert not evacuation.evaded
+        assert all(recovery.restored_at is not None for recovery in run.recoveries)
+
+    def test_the_cli_gives_its_verdict_on_a_zero_notice_storm(self, capsys):
+        from repro.cli import main
+
+        assert main(["chaos", *self.STORM]) == 0
+        output = capsys.readouterr().out
+        assert "unfinished at the end" not in output
+        assert "No verdict" not in output
+        assert "Notice-aware recovery wins" in output or "did not pay for itself" in output
+
+
 class TestStormParametersAreChecked:
     @pytest.mark.parametrize("kwargs, message", [
         ({"duration_s": 100.0}, r"storm_start_s must be in \[0, duration_s=100\), got 150"),

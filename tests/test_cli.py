@@ -150,6 +150,18 @@ class TestCommands:
         assert captured.err == f"repro {command}: error: --surge must be > 1\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        # Both used to die with a ValueError traceback (exit 1).
+        (["multi", "--dags", ","], "--dags needs at least one dataflow"),
+        (["predict", "--policies", ","], "--policies needs at least one policy"),
+    ])
+    def test_an_empty_list_fails_loudly(self, capsys, argv, message):
+        exit_code = main(argv)
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err == f"repro {argv[0]}: error: {message}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("run", [run_predictive_experiment, run_multi_experiment])
     def test_the_surge_runners_refuse_a_multiplier_of_one_by_name(self, run):
         with pytest.raises(ValueError, match="surge_multiplier must be > 1"):
