@@ -108,7 +108,7 @@ def _trace_path(base: str, label: str = "") -> str:
 
 
 def _export_trace(telemetry, out: str, label: str = "") -> None:
-    """Write one telemetry object as JSONL + Chrome trace and print its digest."""
+    """Write a run's trace as JSONL + Chrome trace and print its digest."""
     from repro.obs import summarize, write_chrome_trace, write_trace_jsonl
 
     path = _trace_path(out, label)
@@ -124,29 +124,6 @@ def _export_trace(telemetry, out: str, label: str = "") -> None:
         print(f"--- trace: {label} ---")
     print(summarize(telemetry))
     print(f"[trace written to {jsonl}; load {chrome} at ui.perfetto.dev]")
-
-
-def _multi_telemetry(result, duration_s: float):
-    """Synthesize a multi-tenant trace from the run's typed records.
-
-    Tenant simulations run inside the cluster manager, so there is no live
-    tracer; migrations and arbitration verdicts are reconstructed from the
-    per-tenant ScalingActions and the arbiter's audit log.
-    """
-    from repro.obs import Telemetry
-
-    shared = result.shared
-    telemetry = Telemetry()
-    telemetry.meta.update(
-        scenario="multi",
-        duration_s=duration_s,
-        budget_slots=shared.budget_slots,
-        tenants=sorted(shared.tenants),
-    )
-    for name in sorted(shared.tenants):
-        telemetry.record_actions(shared.tenants[name].actions, now=duration_s, tenant=name)
-    telemetry.record_arbiter(shared.manager.arbiter)
-    return telemetry
 
 
 def _cmd_elastic(args: argparse.Namespace) -> int:
@@ -169,7 +146,6 @@ def _cmd_elastic(args: argparse.Namespace) -> int:
         duration_s=args.duration,
         seed=args.seed,
         controller_config=controller_config,
-        telemetry=bool(args.trace),
     )
 
     print(f"Elastic run: {args.dag} / {args.strategy} / profile={args.profile} "
@@ -228,7 +204,7 @@ def _cmd_elastic(args: argparse.Namespace) -> int:
     print(f"  total: {result.total_cost:.4f}")
     print("\n" + engine_line(engine_counts([result.runtime])))
     if args.trace:
-        _export_trace(result.telemetry, args.trace)
+        _export_trace(result.trace(), args.trace)
     return 0
 
 
@@ -308,7 +284,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         seed=args.seed,
         slo_latency_s=args.slo,
         placement=args.placement,
-        telemetry=bool(args.trace),
     )
 
     window = ""
@@ -346,8 +321,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         path = result.write_headline_json(args.json)
         print(f"\n[headline numbers written to {path}]")
     if args.trace:
-        for policy, telemetry in result.telemetries.items():
-            _export_trace(telemetry, args.trace, label=policy)
+        for policy, summary in result.runs.items():
+            _export_trace(summary.trace(), args.trace, label=policy)
     return 0
 
 
@@ -382,18 +357,22 @@ def _cmd_multi(args: argparse.Namespace) -> int:
             print(f"repro multi: error: --priorities needs {len(dags)} entries",
                   file=sys.stderr)
             return 2
-    result = run_multi_experiment(
-        dags=dags,
-        strategy=args.strategy,
-        duration_s=args.duration,
-        surge_multiplier=args.surge,
-        seed=args.seed,
-        budget_slots=args.budget,
-        priorities=priorities,
-        elastic_parallelism=not args.placement_only,
-        include_private_baseline=not args.no_baseline,
-        placement=args.placement,
-    )
+    try:
+        result = run_multi_experiment(
+            dags=dags,
+            strategy=args.strategy,
+            duration_s=args.duration,
+            surge_multiplier=args.surge,
+            seed=args.seed,
+            budget_slots=args.budget,
+            priorities=priorities,
+            elastic_parallelism=not args.placement_only,
+            include_private_baseline=not args.no_baseline,
+            placement=args.placement,
+        )
+    except ValueError as error:  # e.g. a budget below the co-located fleet
+        print(f"repro multi: error: {error}", file=sys.stderr)
+        return 2
     shared = result.shared
 
     print(f"Multi-tenant run: {len(dags)} dataflows / {args.strategy} on one shared fleet "
@@ -445,7 +424,7 @@ def _cmd_multi(args: argparse.Namespace) -> int:
         path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         print(f"\n[arbitration audit written to {path}]")
     if args.trace:
-        _export_trace(_multi_telemetry(result, args.duration), args.trace)
+        _export_trace(result.trace(), args.trace)
     return 0
 
 
@@ -473,7 +452,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             storm_start_s=args.storm_start,
             storm_spacing_s=args.storm_spacing,
             notice_s=args.notice,
-            telemetry=bool(args.trace),
         )
     except ValueError as error:  # e.g. a storm that starts after the run ends
         print(f"repro chaos: error: {error}", file=sys.stderr)
@@ -509,8 +487,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         elif left_open:
             print(f"No verdict: a run ended with work still open ({'; '.join(left_open)}), "
                   "so its restore times stop at the end of the run, not at a restore.")
+        elif ((notice.mean_restore_s, notice.total_cost)
+                == (oblivious.mean_restore_s, oblivious.total_cost)):
+            print(f"Tie: both modes restore in {notice.mean_restore_s:.1f}s "
+                  f"and bill ${notice.total_cost:.4f}.")
         elif (notice.mean_restore_s <= oblivious.mean_restore_s
                 and notice.total_cost <= oblivious.total_cost):
+            # No worse on either axis and, not being a tie, better on one.
             print(f"Notice-aware recovery wins on both axes: "
                   f"{notice.mean_restore_s:.1f}s vs {oblivious.mean_restore_s:.1f}s restore, "
                   f"${notice.total_cost:.4f} vs ${oblivious.total_cost:.4f} bill.")
@@ -522,8 +505,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(f"\n[headline numbers written to {path}]")
     if args.trace:
         for mode, summary in result.runs.items():
-            if summary.result.telemetry is not None:
-                _export_trace(summary.result.telemetry, args.trace, label=mode)
+            _export_trace(summary.result.trace(), args.trace, label=mode)
     return 0
 
 
@@ -574,9 +556,9 @@ def _add_trace_flag(sub_parser: argparse.ArgumentParser, name: str) -> None:
     sub_parser.add_argument(
         "--trace", nargs="?", const=f"results/TRACE_{name}.jsonl", default=None,
         metavar="PATH",
-        help="run with full telemetry and write the control-plane trace to PATH "
-             f"(default: results/TRACE_{name}.jsonl) plus a Perfetto-loadable "
-             ".chrome.json next to it",
+        help="after the run, write its control-plane trace (read from the run's "
+             f"records) to PATH (default: results/TRACE_{name}.jsonl) plus a "
+             "Perfetto-loadable .chrome.json next to it",
     )
 
 

@@ -34,9 +34,13 @@ because the monitor supplies it: decisions track the sample's
 rate, so a post-migration backlog drain -- whose burst looks exactly like a
 fresh surge on the wire -- does not trigger a spurious scale-out.
 
-With telemetry on, every tick is a ``controller.tick`` span with five stage
-children (``sense``, ``forecast``, ``plan``, ``place``, ``act``) written from
-the rule's :class:`~repro.elastic.policy.Decision`.
+Every tick appends a :class:`TickRecord` to ``controller.ticks``: the tier,
+the rule's :class:`~repro.elastic.policy.Decision`, what an enact asked for
+and got, and the queue levels.  Nothing traces while the run goes; a trace is
+read from these records afterwards
+(:meth:`repro.obs.Telemetry.from_run`), one ``controller.tick`` span with
+five stage children (``sense``, ``forecast``, ``plan``, ``place``, ``act``)
+per record.
 
 Capacity always goes through a :class:`~repro.elastic.arbiter.ScaleArbiter`:
 the shared one of a multi-tenant cluster, or a one-tenant arbiter with an
@@ -52,12 +56,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Type
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Type
 
 from repro.cluster.cloud import ON_DEMAND, CloudProvider
 from repro.cluster.vm import VM_TYPES, VirtualMachine, VMType
 from repro.core.strategy import MigrationReport, MigrationStrategy
-from repro.elastic.arbiter import ScaleArbiter
+from repro.elastic.arbiter import ArbiterDecision, ScaleArbiter
 from repro.elastic.forecast import ForecastPolicy, forecast_policy_by_name
 from repro.elastic.monitor import ElasticityMonitor
 from repro.elastic.planner import (
@@ -70,10 +74,12 @@ from repro.elastic.policy import (
     ControlState,
     Decision,
     PlacementPolicy,
+    ProvisioningRequest,
     decide,
     placement_policy_by_name,
 )
 from repro.engine.runtime import RuntimeError_, TopologyRuntime
+from repro.obs.telemetry import Levels, queue_levels
 
 
 #: Billing horizon an eviction-notice evacuation assumes when shopping the
@@ -192,6 +198,29 @@ class ScalingAction:
         shared slots provisions zero.
         """
         return sum(VM_TYPES[name].slots * count for name, count in self.provision_counts.items())
+
+
+@dataclass(frozen=True)
+class TickRecord:
+    """What one control tick saw and did; a trace's tick span is read from it.
+
+    Every field is a copy taken at the tick: replacing a provisioned VM later
+    does not change :attr:`provisioned_vm_ids`.
+    """
+
+    #: The tier deployed at the tick.
+    tier: str
+    #: What the control rule concluded; its sample carries the tick's time.
+    decision: Decision
+    #: ``(executor id, input-queue length)`` of every executor, in id order.
+    queue_depths: Levels
+    #: ``(source executor id, backlog)`` of every source.
+    source_backlogs: Levels
+    #: On ``enact`` only: the place stage's request and the arbiter's verdict.
+    request: Optional[ProvisioningRequest] = None
+    verdict: Optional[ArbiterDecision] = None
+    #: The VMs a granted enact provisioned.
+    provisioned_vm_ids: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -314,11 +343,10 @@ class ElasticityController:
         self.actions: List[ScalingAction] = []
         self.recoveries: List[RecoveryRecord] = []
         self.evacuations: List[EvacuationRecord] = []
+        #: One record per control tick, in tick order.
+        self.ticks: List[TickRecord] = []
         self._timer = None
         self._migration_in_flight = False
-        # Open tick span handed from _tick to _enact (telemetry on only), so
-        # the place/act stage spans parent under the tick that caused them.
-        self._tick_span = None
 
     # ------------------------------------------------------------- lifecycle
     def start(self) -> None:
@@ -349,108 +377,44 @@ class ElasticityController:
 
     # ------------------------------------------------------------ control loop
     def _tick(self) -> Decision:
-        telemetry = self.runtime.telemetry
-        tracer = telemetry.tracer if telemetry is not None else None
-        now = self.runtime.sim.now
-        if tracer is not None:
-            self._tick_span = tracer.begin("controller.tick", "control", now, tier=self.tier)
-            telemetry.sample_queues(self.runtime)
-        try:
-            decision = decide(
-                self.state,
-                self.monitor.sample_now(),
-                config=self.config,
-                planner=self.planner,
-                forecast=self.forecast_policy,
-                horizon_s=self.forecast_horizon_s,
-                busy=self._migration_in_flight,
-            )
-            if tracer is not None:
-                self._trace_decision(tracer, decision)
-            if decision.outcome == "enact":
-                self._enact(decision)
-                if tracer is not None:
-                    outcome = "enacted" if self._migration_in_flight else "deferred"
-                    tracer.end(self._tick_span, now, outcome=outcome)
-            elif decision.outcome == "in-band":
-                # Back in band: a proposal the arbiter was holding no longer
-                # claims a place in its waiting registry.
-                self.arbiter.withdraw(self.tenant_id)
-            return decision
-        finally:
-            self._tick_span = None
-
-    def _stage_span(self, tracer, stage: str, **args: object) -> None:
-        """One instantaneous stage span under the open tick span."""
-        now = self.runtime.sim.now
-        tracer.emit(stage, "control.stage", now, now, parent=self._tick_span, **args)
-
-    def _trace_decision(self, tracer, decision: Decision) -> None:
-        """Write a tick's stage spans from what the rule decided.
-
-        Every tick carries the five stage children in order; the stages a
-        decision never reached are written as ``skipped`` with the reason,
-        and the tick span is closed with it.  On ``enact`` the ``place`` /
-        ``act`` spans are :meth:`_enact`'s and the tick's end is :meth:`_tick`'s.
-        """
-        now = self.runtime.sim.now
-        sample, target, outcome = decision.sample, decision.target, decision.outcome
-        self._stage_span(
-            tracer, "sense",
-            input_rate_ev_s=sample.input_rate,
-            offered_rate_ev_s=sample.offered_rate,
-            output_rate_ev_s=sample.output_rate,
-            avg_latency_s=sample.avg_latency_s,
-            queue_backlog=sample.queue_backlog,
-            source_backlog=sample.source_backlog,
-            sources_paused=sample.sources_paused,
-            slo_breached=decision.slo_breached,
+        tier = self.tier
+        queue_depths, source_backlogs = queue_levels(self.runtime)
+        decision = decide(
+            self.state,
+            self.monitor.sample_now(),
+            config=self.config,
+            planner=self.planner,
+            forecast=self.forecast_policy,
+            horizon_s=self.forecast_horizon_s,
+            busy=self._migration_in_flight,
         )
-        if target is None:
-            for stage in ("forecast", "plan", "place", "act"):
-                self._stage_span(tracer, stage, skipped=outcome)
-            tracer.end(self._tick_span, now, outcome="skipped", reason=outcome)
-            return
-        self._stage_span(
-            tracer, "forecast",
-            observed_rate_ev_s=sample.offered_rate,
-            forecast_rate_ev_s=decision.forecast_rate_ev_s,
-            horizon_s=decision.horizon_s,
-        )
-        self._stage_span(
-            tracer, "plan",
-            current_tier=self.tier,
-            target_tier=target.tier,
-            rescale=(
-                dict(sorted(target.rescale.targets.items()))
-                if target.rescale is not None
-                else None
-            ),
-            slo_escalated=decision.slo_escalated,
-            pending_count=decision.pending_count,
-            outcome=outcome,
-        )
-        if outcome != "enact":
-            for stage in ("place", "act"):
-                self._stage_span(tracer, stage, skipped=outcome)
-            tracer.end(self._tick_span, now, outcome=outcome)
+        request = verdict = None
+        provisioned: Tuple[str, ...] = ()
+        if decision.outcome == "enact":
+            request, verdict, provisioned = self._enact(decision)
+        elif decision.outcome == "in-band":
+            # Back in band: a proposal the arbiter was holding no longer
+            # claims a place in its waiting registry.
+            self.arbiter.withdraw(self.tenant_id)
+        self.ticks.append(TickRecord(
+            tier, decision, queue_depths, source_backlogs, request, verdict, provisioned
+        ))
+        return decision
 
     # -------------------------------------------------------------- enactment
-    def _enact(self, decision: Decision) -> None:
-        telemetry = self.runtime.telemetry
-        tracer = telemetry.tracer if telemetry is not None else None
+    def _enact(
+        self, decision: Decision
+    ) -> Tuple[ProvisioningRequest, ArbiterDecision, Tuple[str, ...]]:
+        """Propose, provision and stage one confirmed decision.
+
+        Returns the place stage's request, the arbiter's verdict and the VMs
+        provisioned (none when the verdict defers).
+        """
         target = decision.target
         direction = decision.direction
         # The placement policy decides what to provision fresh and which of
         # the current worker VMs keep serving.
         request = self.place.provisioning(self.runtime, target, direction)
-        if tracer is not None:
-            self._stage_span(
-                tracer, "place",
-                direction=direction,
-                provision_counts=dict(sorted(request.vm_counts.items())),
-                kept_vm_ids=sorted(request.keep_vm_ids),
-            )
         action = ScalingAction(
             direction=direction,
             from_tier=self.tier,
@@ -471,30 +435,20 @@ class ElasticityController:
         )
         if not verdict.granted:
             # Deferred: the confirmation is kept, so the next tick proposes again.
-            if tracer is not None:
-                self._stage_span(tracer, "act", outcome="deferred")
-            return
+            return request, verdict, ()
         # Billing for the new fleet starts now; the migration request waits
         # for the VMs to come up.  The grant's reservation becomes physical
         # accounting the moment they join the cluster.
         for type_name, count in sorted(action.provision_counts.items()):
             action.provisioned_vm_ids += self._provision(VM_TYPES[type_name], count)
         self.arbiter.notify_provisioned(self.tenant_id, action.provisioned_vm_ids)
-        if tracer is not None:
-            self._stage_span(
-                tracer, "act",
-                outcome="provisioned",
-                direction=direction,
-                from_tier=action.from_tier,
-                to_tier=action.to_tier,
-                provisioned_vm_ids=sorted(action.provisioned_vm_ids),
-            )
         self.actions.append(action)
         self._migration_in_flight = True
         self.state.acquired()
         # The migration waits for the provisioning latency: the paper plans
         # ahead, so the VMs are ready when the migration request is issued.
         self.runtime.sim.schedule(self.provider.provisioning_latency_s, self._start_migration, action)
+        return request, verdict, tuple(action.provisioned_vm_ids)
 
     def _provision(self, vm_type: VMType, count: int) -> List[str]:
         """Provision ``count`` VMs now, join them to the cluster; their ids."""

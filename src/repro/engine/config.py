@@ -140,11 +140,6 @@ class RuntimeConfig:
     #: ``False`` runs everything per event: the equivalence suites' reference
     #: (the field goes once ``bench_e2e`` stops assigning it).
     batch_stepping: bool = True
-    #: Create a :class:`repro.obs.Telemetry` on the runtime (metrics registry
-    #: + control-plane span tracer, see :mod:`repro.obs`).  Off by default:
-    #: with the flag off ``runtime.telemetry`` is ``None`` and every
-    #: instrumentation site reduces to one attribute check.
-    telemetry: bool = False
 
     def copy(self) -> "RuntimeConfig":
         """Return an independent copy of this configuration."""

@@ -163,13 +163,6 @@ class TopologyRuntime:
         self.migration = None
         #: Records of VM failures handled by :meth:`fail_vm`.
         self.vm_failures: List[VMFailureRecord] = []
-        #: Telemetry facade (metrics registry + span tracer), or ``None`` when
-        #: ``config.telemetry`` is off -- instrumentation sites guard on this.
-        self.telemetry = None
-        if self.config.telemetry:
-            from ..obs import Telemetry
-
-            self.telemetry = Telemetry()
 
     # ------------------------------------------------------------ properties
     @property

@@ -130,7 +130,6 @@ def run_chaos_run(
     storm_spacing_s: float = 120.0,
     notice_s: float = 120.0,
     config: Optional[RuntimeConfig] = None,
-    telemetry: bool = False,
 ) -> ElasticRunResult:
     """Ride one eviction storm in one recovery mode.
 
@@ -156,7 +155,6 @@ def run_chaos_run(
         duration_s=duration_s,
         seed=seed,
         config=config,
-        telemetry=telemetry,
         storm=Storm(
             mode=mode,
             count=storm_count,
@@ -200,7 +198,6 @@ def run_chaos_experiment(
     storm_start_s: float = 150.0,
     storm_spacing_s: float = 120.0,
     notice_s: float = 120.0,
-    telemetry: bool = False,
 ) -> ChaosComparisonResult:
     """Ride the same eviction storm once per recovery mode and compare.
 
@@ -230,7 +227,6 @@ def run_chaos_experiment(
             storm_start_s=storm_start_s,
             storm_spacing_s=storm_spacing_s,
             notice_s=notice_s,
-            telemetry=telemetry,
         )
         comparison.runs[mode] = _summarize(result)
     return comparison

@@ -21,7 +21,8 @@ dataflow on the paper's baseline allocation, builds its control stack
 The result carries the full timeline (monitor samples), every enacted
 :class:`~repro.elastic.controller.ScalingAction` with its
 :class:`~repro.core.strategy.MigrationReport`, the controller's fault
-reactions, and the final cloud bill.  A run is hermetic: every event id is a
+reactions, and the final cloud bill; :meth:`ElasticRunResult.trace` reads the
+run's trace from those records.  A run is hermetic: every event id is a
 function of the run's own data (:mod:`repro.dataflow.event`), so which DSM
 trees a migration loses and replays does not depend on what ran earlier in
 the process.
@@ -54,6 +55,7 @@ from repro.engine.runtime import TopologyRuntime
 from repro.experiments.scenarios import deploy_baseline
 from repro.metrics.log import EventLog
 from repro.metrics.timeline import LatencyPoint, RatePoint, latency_timeline, rate_timeline
+from repro.obs import Telemetry
 from repro.sim import RandomSource, Simulator, cell_seed
 from repro.sim.shard import log_digest
 from repro.workloads.profiles import RateProfile, StepProfile, attach_profile
@@ -207,11 +209,6 @@ class ElasticRunResult:
         return self.runtime.log
 
     @property
-    def telemetry(self):
-        """The run's :class:`repro.obs.Telemetry`, or ``None`` when off."""
-        return self.runtime.telemetry
-
-    @property
     def monitor(self) -> ElasticityMonitor:
         """The monitor the controller samples."""
         return self.controller.monitor
@@ -269,6 +266,13 @@ class ElasticRunResult:
     def digest(self) -> str:
         """Stable content hash of the event log (determinism checks)."""
         return log_digest(self.log)
+
+    def trace(self) -> Telemetry:
+        """The run's trace, read from its records; a fresh one on every call."""
+        return Telemetry.from_run(
+            self.runtime, self.controller, self.provider, self.injector,
+            meta=self.spec.trace_meta(),
+        )
 
     def control_sequence(self) -> List[str]:
         """The controller's fault reactions as a comparable action trace."""
@@ -350,7 +354,6 @@ def run_elastic_experiment(
     elastic_parallelism: bool = False,
     task_capacities_ev_s: Optional[dict] = None,
     forecast_policy: Optional[Union[str, ForecastPolicy]] = None,
-    telemetry: bool = False,
     storm: Optional[Storm] = None,
 ) -> ElasticRunResult:
     """Run one closed-loop experiment.
@@ -403,9 +406,6 @@ def run_elastic_experiment(
     elif storm is not None:
         config = config.copy()
         config.seed = spec.run_seed
-    if telemetry and not config.telemetry:
-        config = config.copy()
-        config.telemetry = True
     if storm is not None and config.reliability.periodic_checkpoint_interval_s is None:
         # Without a periodic wave DCR/CCR would only checkpoint during
         # migrations, and a kill before the first one would lose state.
@@ -478,11 +478,6 @@ def run_elastic_experiment(
         for source, original_profile in original_profiles:
             source.profile = original_profile
 
-    if runtime.telemetry is not None:
-        runtime.telemetry.meta.update(spec.trace_meta())
-        runtime.telemetry.finalize(
-            runtime=runtime, controller=controller, provider=provider, injector=injector
-        )
     return ElasticRunResult(
         spec=spec,
         dataflow=dataflow,

@@ -28,6 +28,7 @@ from repro.elastic.planner import AllocationPlanner
 from repro.experiments.elastic import surge_profile
 from repro.metrics.log import mean_latency
 from repro.multi import ClusterManager, FleetSample, ProposalRecord
+from repro.obs import Telemetry
 
 
 @dataclass
@@ -142,6 +143,17 @@ class MultiExperimentResult:
         if private <= 0:
             return None
         return shared / private
+
+    def trace(self) -> Telemetry:
+        """The shared-fleet run's trace, read from its records; a fresh one per call."""
+        shared = self.shared
+        return Telemetry.from_tenants(
+            {name: shared.manager.tenant(name).controller for name in shared.tenants},
+            shared.manager.arbiter,
+            now=self.duration_s,
+            meta=dict(scenario="multi", duration_s=self.duration_s,
+                      budget_slots=shared.budget_slots, tenants=sorted(shared.tenants)),
+        )
 
     @property
     def private_total_cost(self) -> float:

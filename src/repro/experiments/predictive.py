@@ -33,6 +33,7 @@ from repro.elastic import ControllerConfig
 from repro.experiments.elastic import ElasticRunResult, run_elastic_experiment, surge_profile
 from repro.metrics.log import mean_latency
 from repro.metrics.metadata import write_headline_json
+from repro.obs import Telemetry
 from repro.workloads.profiles import RampProfile, RateProfile, profile_by_name
 
 #: Policies compared by default, in report order.
@@ -75,6 +76,12 @@ class PredictiveRunSummary:
             "cost": round(self.total_cost, 4),
         }
 
+    def trace(self) -> Telemetry:
+        """The run's trace, its header naming the scenario and the policy."""
+        telemetry = self.result.trace()
+        telemetry.meta.update(scenario="predict", policy=self.policy)
+        return telemetry
+
 
 @dataclass
 class PredictiveComparisonResult:
@@ -90,9 +97,6 @@ class PredictiveComparisonResult:
     surge_end_s: Optional[float]
     #: Policy name -> its run summary, in requested order.
     runs: Dict[str, PredictiveRunSummary] = field(default_factory=dict)
-    #: Policy name -> the run's :class:`repro.obs.Telemetry` (telemetry runs
-    #: only; empty otherwise).
-    telemetries: Dict[str, object] = field(default_factory=dict)
 
     @property
     def reactive(self) -> Optional[PredictiveRunSummary]:
@@ -193,7 +197,6 @@ def run_predictive_experiment(
     seed: int = 2018,
     slo_latency_s: float = 30.0,
     placement: str = "incremental",
-    telemetry: bool = False,
 ) -> PredictiveComparisonResult:
     """Compare forecast policies head to head on one dynamism scenario.
 
@@ -237,11 +240,7 @@ def run_predictive_experiment(
             ),
             elastic_parallelism=True,
             forecast_policy=policy,
-            telemetry=telemetry,
         )
         comparison.runs[policy] = _summarize(policy, result, slo_latency_s, surge_start)
-        if result.telemetry is not None:
-            result.telemetry.meta.update(policy=policy, scenario="predict")
-            comparison.telemetries[policy] = result.telemetry
     assert comparison is not None
     return comparison

@@ -40,7 +40,7 @@ from repro.elastic.arbiter import ScaleArbiter, is_worker_vm
 from repro.elastic.controller import ControllerConfig, ElasticityController, build_controller
 from repro.elastic.monitor import ElasticityMonitor
 from repro.elastic.planner import AllocationPlanner
-from repro.elastic.policy import IncrementalPlacement
+from repro.elastic.policy import FullReplacePlacement, IncrementalPlacement
 from repro.engine.config import RuntimeConfig
 from repro.engine.runtime import TopologyRuntime
 from repro.sim import Simulator, cell_seed
@@ -256,7 +256,6 @@ class ClusterManager:
             )
             runtime.deploy()
             tenant.runtime = runtime
-            placement_policy = None
             if tenant.placement == "incremental":
                 # Shared-fleet incremental placer: consolidations re-use
                 # partially-free shared VMs, and the dynamic exclusion set
@@ -266,6 +265,8 @@ class ClusterManager:
                     reuse_free_slots=True,
                     excluded_vms_fn=self._excluded_vms_for(name),
                 )
+            else:
+                placement_policy = FullReplacePlacement()
             tenant.controller = build_controller(
                 runtime,
                 self.provider,

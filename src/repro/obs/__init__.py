@@ -1,8 +1,9 @@
 """Unified telemetry layer: metrics registry, span tracer, trace exporters.
 
-Everything here is opt-in via ``RuntimeConfig.telemetry``: with the flag off
-no telemetry object exists and the engine hot paths pay nothing beyond the
-plain integer tallies they always kept.
+A trace is read from a finished run (:meth:`Telemetry.from_run`,
+:meth:`Telemetry.from_tenants`): nothing here is called while a simulation
+runs, and the engine hot paths pay nothing beyond the plain integer tallies
+they always kept.
 """
 
 from .registry import Counter, Gauge, Histogram, MetricsRegistry

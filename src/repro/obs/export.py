@@ -200,9 +200,6 @@ def summarize(telemetry: Telemetry) -> str:
     lines.append(f"  spans: {len(telemetry.tracer.spans)}")
     for category in sorted(by_category):
         lines.append(f"    {category:<16} {by_category[category]}")
-    open_spans = telemetry.tracer.open_spans()
-    if open_spans:
-        lines.append(f"  open spans: {len(open_spans)}")
     snapshot = telemetry.registry.snapshot()
     lines.append(f"  metrics: {len(snapshot)}")
     for metric in snapshot:

@@ -1,13 +1,11 @@
 """Slotted metrics registry: counters, gauges and histograms for the engine.
 
-The registry is the *cold* half of the telemetry layer.  Hot components never
-call into it per event -- they keep the plain integer/float tallies they
-always kept (``Simulator.processed_events``, ``Router.routed_count``,
-``Executor.busy_time_s``, ...) and the registry is populated by **scraping**
-those tallies at sample or finalize time (:meth:`repro.obs.Telemetry.scrape`).
-That is what makes telemetry zero-allocation on the hot path and fully inert
-when ``RuntimeConfig.telemetry`` is off: with telemetry disabled no registry
-object even exists.
+The registry is the *cold* half of the telemetry layer.  Nothing calls into
+it while a simulation runs -- hot components keep the plain integer/float
+tallies they always kept (``Simulator.processed_events``,
+``Router.routed_count``, ``Executor.busy_time_s``, ...) and a registry is
+populated by **scraping** those tallies when a trace is built from a finished
+run (:meth:`repro.obs.Telemetry.from_run`, :meth:`~repro.obs.Telemetry.scrape`).
 
 Metrics are keyed by ``(subsystem, name, labels)`` where ``labels`` is a
 sorted tuple of ``(key, value)`` pairs, so the same metric scraped for two

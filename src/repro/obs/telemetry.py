@@ -1,174 +1,181 @@
-"""Telemetry facade: one object owning the metrics registry and span tracer.
+"""Telemetry: a run's trace, read from what the run recorded.
 
-``TopologyRuntime`` creates a :class:`Telemetry` when
-``RuntimeConfig.telemetry`` is on and leaves the attribute ``None``
-otherwise, so every instrumentation site is a single ``is None`` guard and
-the hot path never pays for observability it did not ask for.
+Nothing traces while a simulation runs.  The control loop and the protocols
+keep typed records -- one :class:`~repro.elastic.controller.TickRecord` per
+control tick, ``ScalingAction``, ``RecoveryRecord``, ``EvacuationRecord``,
+``CheckpointWave``, ``FaultRecord``, the arbiter's ``ProposalRecord`` -- and
+hot components keep plain tallies (``Simulator.processed_events``,
+``Router.routed_count``, executor counters, ...).  After the run,
+:meth:`Telemetry.from_run` (one single-fleet run) and
+:meth:`Telemetry.from_tenants` (the tenants of one shared fleet) read them
+into a fresh :class:`Telemetry`:
 
-The split of responsibilities:
+* **Tick spans** -- one ``controller.tick`` span per tick with five stage
+  children (``sense``, ``forecast``, ``plan``, ``place``, ``act``), written
+  from the tick's ``Decision``, place request and arbiter verdict;
+* **Protocol spans** -- migrations with their phase children, recoveries,
+  evacuations, checkpoint waves (parented to the innermost protocol span
+  containing them), injected faults and arbiter proposals;
+* **Scraped metrics** -- :meth:`Telemetry.scrape` folds the tallies into the
+  registry; the queue gauges are replayed tick by tick first, so each keeps
+  its high-water mark.
 
-* **Live spans** -- the elasticity controller opens/closes spans *as it
-  runs* (one per control tick, five stage children), because the stage
-  inputs/outputs are only available in the moment.
-* **Scraped metrics** -- hot components keep their plain integer tallies
-  (``Simulator.processed_events``, ``Router.routed_count``, executor
-  counters, ...); :meth:`Telemetry.scrape` folds them into the registry at
-  sample/finalize time.
-* **Synthesized spans** -- the long-running protocols already leave typed
-  records (``ScalingAction``, ``RecoveryRecord``, ``EvacuationRecord``,
-  ``CheckpointWave``, ``FaultRecord``, arbiter ``ProposalRecord``);
-  :meth:`Telemetry.finalize` turns them into spans after the run, with
-  checkpoint waves parented to the innermost protocol span containing them.
+Building a trace only reads the run: build it twice and the canonical text
+is the same.  A span's wall-clock stamps are the time the trace was built;
+canonical content excludes them.
 """
 
 from __future__ import annotations
 
 import time as _time
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .registry import MetricsRegistry
 from .trace import Span, SpanTracer
 
+#: ``(executor id, count)`` pairs: the queue levels one gauge family reads.
+Levels = Tuple[Tuple[str, int], ...]
+
+_STAGES = ("sense", "forecast", "plan", "place", "act")
+
+
+def queue_levels(runtime) -> Tuple[Levels, Levels]:
+    """Every executor's input-queue length (in id order) and every source's backlog."""
+    executors = runtime.executors
+    return (
+        tuple((eid, executors[eid].queue_length) for eid in sorted(executors)),
+        tuple((source.executor_id, source.backlog_size) for source in runtime.source_executors),
+    )
+
 
 class Telemetry:
-    """Holds the registry + tracer for one run, plus run-level metadata."""
+    """Holds the registry + tracer of one trace, plus run-level metadata."""
 
-    __slots__ = ("registry", "tracer", "meta", "_finalized")
+    __slots__ = ("registry", "tracer", "meta")
 
     def __init__(self, clock=_time.time) -> None:
         self.registry = MetricsRegistry()
         self.tracer = SpanTracer(clock=clock)
         #: Run-level metadata (seed, scenario, ...) merged into trace headers.
         self.meta: Dict[str, object] = {}
-        self._finalized = False
 
     # ------------------------------------------------------------- sampling
-    def sample_queues(self, runtime) -> None:
-        """Update queue-depth gauges (high-water tracked across calls).
-
-        Called from the controller tick -- per control period, never per
-        event, so the cost is bounded by executor count.
-        """
+    def _set_queues(self, queue_depths: Levels, source_backlogs: Levels) -> None:
+        """Set the queue gauges (each tracks its high-water mark across calls)."""
         gauge = self.registry.gauge
-        for executor_id in sorted(runtime.executors):
-            executor = runtime.executors[executor_id]
-            depth = getattr(executor, "queue_length", None)
-            if depth is not None:
-                gauge("executor", "queue_depth", executor=executor_id).set(depth)
-        for source in runtime.source_executors:
-            gauge("executor", "source_backlog", executor=source.executor_id).set(
-                source.backlog_size
-            )
+        for executor_id, depth in queue_depths:
+            gauge("executor", "queue_depth", executor=executor_id).set(depth)
+        for executor_id, backlog in source_backlogs:
+            gauge("executor", "source_backlog", executor=executor_id).set(backlog)
 
     # ------------------------------------------------------------- scraping
-    def scrape(self, runtime=None, provider=None, injector=None) -> None:
+    def scrape(self, runtime, provider=None, injector=None) -> None:
         """Fold the plain tallies of the hot components into the registry."""
         registry = self.registry
-        if runtime is not None:
-            sim = runtime.sim
-            registry.counter("kernel", "events_stepped").set_total(sim.processed_events)
-            registry.counter("kernel", "heap_compactions").set_total(sim.compactions)
+        sim = runtime.sim
+        registry.counter("kernel", "events_stepped").set_total(sim.processed_events)
+        registry.counter("kernel", "heap_compactions").set_total(sim.compactions)
 
-            router = runtime.router
-            registry.counter("router", "deliveries").set_total(router.routed_count)
-            registry.counter("router", "route_cache_builds").set_total(router.plan_builds)
-            registry.counter("router", "route_cache_hits").set_total(
-                max(0, router.route_calls - router.plan_builds)
-            )
-            registry.counter("router", "batched_deliveries").set_total(
-                router.batched_deliveries
-            )
+        router = runtime.router
+        registry.counter("router", "deliveries").set_total(router.routed_count)
+        registry.counter("router", "route_cache_builds").set_total(router.plan_builds)
+        registry.counter("router", "route_cache_hits").set_total(
+            max(0, router.route_calls - router.plan_builds)
+        )
+        registry.counter("router", "batched_deliveries").set_total(
+            router.batched_deliveries
+        )
 
-            stepper = runtime.batch_stepper
-            if stepper is not None:
-                # Engine-tier accounting: how much ran inline, and why each
-                # source tick the stepper handed back was handed back.
-                for name in ("cascades", "inline_events", "rounds", "scan_fallbacks",
-                             "plan_builds"):
-                    registry.counter("engine.batch", name).set_total(getattr(stepper, name))
-                for reason in sorted(stepper.declines):
-                    registry.counter("engine.batch", "declines", reason=reason).set_total(
-                        stepper.declines[reason]
-                    )
-
-            # Kernel events the per-event engine did not execute: polls a
-            # throttled spout parked through, 0 s sink completions run inline.
-            sources = runtime.source_executors
-            registry.counter("engine.source", "drain_parks").set_total(
-                sum(s.drain_parks for s in sources)
-            )
-            registry.counter("engine.source", "drain_wakes").set_total(
-                sum(s.drain_wakes for s in sources)
-            )
-            registry.counter("engine.sink", "inline_completions").set_total(
-                sum(s.inline_completions for s in runtime.sink_executors)
-            )
-
-            by_task: Dict[str, List] = {}
-            for executor in runtime.executors.values():
-                by_task.setdefault(executor.task.name, []).append(executor)
-            for task_name in sorted(by_task):
-                members = by_task[task_name]
-                registry.counter("executor", "processed", task=task_name).set_total(
-                    sum(e.processed_count for e in members)
+        stepper = runtime.batch_stepper
+        if stepper is not None:
+            # Engine-tier accounting: how much ran inline, and why each
+            # source tick the stepper handed back was handed back.
+            for name in ("cascades", "inline_events", "rounds", "scan_fallbacks",
+                         "plan_builds"):
+                registry.counter("engine.batch", name).set_total(getattr(stepper, name))
+            for reason in sorted(stepper.declines):
+                registry.counter("engine.batch", "declines", reason=reason).set_total(
+                    stepper.declines[reason]
                 )
-                registry.counter("executor", "busy_time_s", task=task_name).set_total(
-                    sum(e.busy_time_s for e in members)
-                )
-            for source in runtime.source_executors:
-                task_name = source.task.name
-                registry.counter("executor", "emitted", task=task_name).set_total(
-                    sum(
-                        s.emitted_count
-                        for s in runtime.source_executors
-                        if s.task.name == task_name
-                    )
-                )
-                registry.counter("executor", "replayed", task=task_name).set_total(
-                    sum(
-                        s.replayed_count
-                        for s in runtime.source_executors
-                        if s.task.name == task_name
-                    )
-                )
-            self.sample_queues(runtime)
 
-            stats = runtime.acker.stats
-            for field in (
-                "registered",
-                "completed",
-                "failed",
-                "anchors",
-                "acks",
-                "late_acks",
-                "bulk_anchors",
-                "bulk_acks",
-            ):
-                registry.counter("acker", field).set_total(getattr(stats, field))
-            registry.counter("acker", "replays").set_total(
-                sum(s.replayed_count for s in runtime.source_executors)
+        # Kernel events the per-event engine did not execute: polls a
+        # throttled spout parked through, 0 s sink completions run inline.
+        sources = runtime.source_executors
+        registry.counter("engine.source", "drain_parks").set_total(
+            sum(s.drain_parks for s in sources)
+        )
+        registry.counter("engine.source", "drain_wakes").set_total(
+            sum(s.drain_wakes for s in sources)
+        )
+        registry.counter("engine.sink", "inline_completions").set_total(
+            sum(s.inline_completions for s in runtime.sink_executors)
+        )
+
+        by_task: Dict[str, List] = {}
+        for executor in runtime.executors.values():
+            by_task.setdefault(executor.task.name, []).append(executor)
+        for task_name in sorted(by_task):
+            members = by_task[task_name]
+            registry.counter("executor", "processed", task=task_name).set_total(
+                sum(e.processed_count for e in members)
             )
-            registry.gauge("acker", "pending_trees").set(runtime.acker.pending_count)
-
-            waves: Dict[tuple, int] = {}
-            durations: Dict[str, List[float]] = {}
-            for wave in runtime.checkpoints.history:
-                key = (wave.action.value, wave.status.value)
-                waves[key] = waves.get(key, 0) + 1
-                duration = wave.duration_s
-                if duration is not None:
-                    durations.setdefault(wave.action.value, []).append(duration)
-            for action_value, status_value in sorted(waves):
-                registry.counter(
-                    "checkpoint", "waves", action=action_value, status=status_value
-                ).set_total(waves[(action_value, status_value)])
-            for action_value in sorted(durations):
-                histogram = registry.histogram(
-                    "checkpoint", "wave_duration_s", action=action_value
+            registry.counter("executor", "busy_time_s", task=task_name).set_total(
+                sum(e.busy_time_s for e in members)
+            )
+        for source in runtime.source_executors:
+            task_name = source.task.name
+            registry.counter("executor", "emitted", task=task_name).set_total(
+                sum(
+                    s.emitted_count
+                    for s in runtime.source_executors
+                    if s.task.name == task_name
                 )
-                if histogram.count == 0:  # scrape() may run more than once
-                    for duration in durations[action_value]:
-                        histogram.observe(duration)
+            )
+            registry.counter("executor", "replayed", task=task_name).set_total(
+                sum(
+                    s.replayed_count
+                    for s in runtime.source_executors
+                    if s.task.name == task_name
+                )
+            )
+        self._set_queues(*queue_levels(runtime))
+
+        stats = runtime.acker.stats
+        for field in (
+            "registered",
+            "completed",
+            "failed",
+            "anchors",
+            "acks",
+            "late_acks",
+            "bulk_anchors",
+            "bulk_acks",
+        ):
+            registry.counter("acker", field).set_total(getattr(stats, field))
+        registry.counter("acker", "replays").set_total(
+            sum(s.replayed_count for s in runtime.source_executors)
+        )
+        registry.gauge("acker", "pending_trees").set(runtime.acker.pending_count)
+
+        waves: Dict[tuple, int] = {}
+        durations: Dict[str, List[float]] = {}
+        for wave in runtime.checkpoints.history:
+            key = (wave.action.value, wave.status.value)
+            waves[key] = waves.get(key, 0) + 1
+            duration = wave.duration_s
+            if duration is not None:
+                durations.setdefault(wave.action.value, []).append(duration)
+        for action_value, status_value in sorted(waves):
+            registry.counter(
+                "checkpoint", "waves", action=action_value, status=status_value
+            ).set_total(waves[(action_value, status_value)])
+        for action_value in sorted(durations):
+            histogram = registry.histogram(
+                "checkpoint", "wave_duration_s", action=action_value
+            )
+            if histogram.count == 0:  # scrape() may run more than once
+                for duration in durations[action_value]:
+                    histogram.observe(duration)
 
         if provider is not None:
             provisions: Dict[str, int] = {}
@@ -197,60 +204,116 @@ class Telemetry:
                 )
 
     # --------------------------------------------------- protocol synthesis
-    def record_faults(self, records) -> List[Span]:
+    def _record_ticks(self, ticks, tenant: Optional[str] = None) -> None:
+        """One ``controller.tick`` span per tick record, five stage children each.
+
+        The stages a decision never reached are written as ``skipped`` with
+        the reason, and the tick span is closed with it.  ``tenant`` labels
+        the tick spans of a shared-fleet run.
+        """
+        tracer = self.tracer
+        label = {} if tenant is None else {"tenant": tenant}
+        for tick in ticks:
+            decision = tick.decision
+            sample, target, outcome = decision.sample, decision.target, decision.outcome
+            stages: Dict[str, Dict[str, object]] = {"sense": dict(
+                input_rate_ev_s=sample.input_rate,
+                offered_rate_ev_s=sample.offered_rate,
+                output_rate_ev_s=sample.output_rate,
+                avg_latency_s=sample.avg_latency_s,
+                queue_backlog=sample.queue_backlog,
+                source_backlog=sample.source_backlog,
+                sources_paused=sample.sources_paused,
+                slo_breached=decision.slo_breached,
+            )}
+            closing: Dict[str, object] = {"outcome": "skipped", "reason": outcome}
+            if target is not None:
+                stages["forecast"] = dict(
+                    observed_rate_ev_s=sample.offered_rate,
+                    forecast_rate_ev_s=decision.forecast_rate_ev_s,
+                    horizon_s=decision.horizon_s,
+                )
+                stages["plan"] = dict(
+                    current_tier=tick.tier,
+                    target_tier=target.tier,
+                    rescale=(
+                        dict(sorted(target.rescale.targets.items()))
+                        if target.rescale is not None
+                        else None
+                    ),
+                    slo_escalated=decision.slo_escalated,
+                    pending_count=decision.pending_count,
+                    outcome=outcome,
+                )
+                closing = {"outcome": outcome}
+            if outcome == "enact":
+                stages["place"] = dict(
+                    direction=decision.direction,
+                    provision_counts=dict(sorted(tick.request.vm_counts.items())),
+                    kept_vm_ids=sorted(tick.request.keep_vm_ids),
+                )
+                stages["act"] = {"outcome": "deferred"}
+                closing = {"outcome": "deferred"}
+                if tick.verdict.granted:
+                    stages["act"] = dict(
+                        outcome="provisioned",
+                        direction=decision.direction,
+                        from_tier=tick.tier,
+                        to_tier=target.tier,
+                        provisioned_vm_ids=sorted(tick.provisioned_vm_ids),
+                    )
+                    closing = {"outcome": "enacted"}
+            now = sample.time
+            span = tracer.begin("controller.tick", "control", now, tier=tick.tier, **label)
+            for name in _STAGES:
+                args = stages.get(name, {"skipped": outcome})
+                tracer.emit(name, "control.stage", now, now, parent=span, **args)
+            tracer.end(span, now, **closing)
+
+    def _record_faults(self, records) -> None:
         """One ``chaos`` span per :class:`FaultRecord` (exactly one each)."""
-        spans = []
         for record in records:
             start = record.fired_at if record.fired_at is not None else record.event.at_s
             end = record.killed_at
             if end is None:
                 end = record.deadline if record.deadline is not None else start
             end = max(end, start)
-            spans.append(
-                self.tracer.emit(
-                    f"fault.{record.event.kind}",
-                    "chaos",
-                    start,
-                    end,
-                    index=record.index,
-                    kind=record.event.kind,
-                    vm_id=record.vm_id,
-                    outcome=record.outcome,
-                    scheduled_at_s=record.event.at_s,
-                    notice_s=record.event.notice_s,
-                    deadline_s=record.deadline,
-                )
+            self.tracer.emit(
+                f"fault.{record.event.kind}",
+                "chaos",
+                start,
+                end,
+                index=record.index,
+                kind=record.event.kind,
+                vm_id=record.vm_id,
+                outcome=record.outcome,
+                scheduled_at_s=record.event.at_s,
+                notice_s=record.event.notice_s,
+                deadline_s=record.deadline,
             )
-        return spans
 
-    def record_arbiter(self, arbiter) -> List[Span]:
+    def _record_arbiter(self, arbiter) -> None:
         """Zero-duration ``arbiter`` spans for every proposal and abort."""
-        spans = []
         for record in list(arbiter.log) + list(arbiter.aborts):
-            spans.append(
-                self.tracer.emit(
-                    f"proposal.{record.direction}",
-                    "arbiter",
-                    record.time,
-                    record.time,
-                    tenant=record.tenant_id,
-                    slots_requested=record.slots_requested,
-                    granted=record.granted,
-                    reason=record.reason,
-                    committed_before=record.committed_before,
-                    committed_after=record.committed_after,
-                    budget_slots=record.budget_slots,
-                )
+            self.tracer.emit(
+                f"proposal.{record.direction}",
+                "arbiter",
+                record.time,
+                record.time,
+                tenant=record.tenant_id,
+                slots_requested=record.slots_requested,
+                granted=record.granted,
+                reason=record.reason,
+                committed_before=record.committed_before,
+                committed_after=record.committed_after,
+                budget_slots=record.budget_slots,
             )
-        return spans
 
-    def record_actions(
-        self, actions, now: Optional[float] = None, tenant: Optional[str] = None
-    ) -> List[Span]:
+    def _record_actions(self, actions, now: float, tenant: Optional[str] = None) -> List[Span]:
         """One ``migration`` span (plus phase children) per ScalingAction.
 
         ``now`` caps still-in-flight protocols at the end of the run;
-        ``tenant`` labels multi-tenant runs.  Unenacted, unaborted decisions
+        ``tenant`` labels shared-fleet runs.  Unenacted, unaborted decisions
         (still waiting on capacity) have no protocol interval and are skipped.
         """
         emit = self.tracer.emit
@@ -263,7 +326,7 @@ class Telemetry:
                 start = action.decided_at
             end = action.completed_at
             if end is None:
-                end = now if now is not None and now > start else start
+                end = now if now > start else start
             span = emit(
                 f"migration.{action.direction}",
                 "migration",
@@ -337,106 +400,115 @@ class Telemetry:
                 restarting=len(rescale.restarting),
             )
 
-    def finalize(
-        self,
-        runtime=None,
-        controller=None,
-        provider=None,
-        injector=None,
-        tenant: Optional[str] = None,
-    ) -> None:
-        """Scrape final metrics and synthesize protocol spans from records.
+    # ------------------------------------------------------------- builders
+    @classmethod
+    def from_run(cls, runtime, controller, provider=None, injector=None,
+                 meta: Optional[Mapping[str, object]] = None) -> "Telemetry":
+        """The trace of one single-fleet closed-loop run, read from its records.
 
-        Idempotent: a second call is a no-op, so experiment helpers and the
-        CLI can both call it without double-counting.
+        Tick spans come first, in tick order, then migrations, recoveries,
+        evacuations, checkpoint waves and faults (protocols still open at the
+        end of the run are capped there), then the scraped metrics.
         """
-        if self._finalized:
-            return
-        self._finalized = True
-        now = runtime.sim.now if runtime is not None else None
-        emit = self.tracer.emit
-        protocol_spans: List[Span] = []
+        telemetry = cls()
+        telemetry.meta.update(meta or {})
+        telemetry._record_ticks(controller.ticks)
+        now = runtime.sim.now
+        emit = telemetry.tracer.emit
 
         def _end(value: Optional[float], start: float) -> float:
             if value is not None:
                 return value
-            return now if now is not None and now > start else start
+            return now if now > start else start
 
-        if controller is not None:
-            protocol_spans.extend(
-                self.record_actions(controller.actions, now=now, tenant=tenant)
+        protocol_spans = telemetry._record_actions(controller.actions, now=now)
+        for recovery in controller.recoveries:
+            span = emit(
+                f"recovery.{recovery.kind}",
+                "recovery",
+                recovery.failed_at,
+                _end(recovery.restored_at, recovery.failed_at),
+                vm_id=recovery.vm_id,
+                kind=recovery.kind,
+                lost_executors=len(recovery.lost_executors),
+                events_lost=recovery.events_lost,
+                trees_failed=recovery.trees_failed,
+                replacements=len(recovery.replacement_vm_ids),
+                provisioning_failures=recovery.provisioning_failures,
+                tenant=None,
             )
-            for recovery in getattr(controller, "recoveries", []):
-                span = emit(
-                    f"recovery.{recovery.kind}",
-                    "recovery",
-                    recovery.failed_at,
-                    _end(recovery.restored_at, recovery.failed_at),
-                    vm_id=recovery.vm_id,
-                    kind=recovery.kind,
-                    lost_executors=len(recovery.lost_executors),
-                    events_lost=recovery.events_lost,
-                    trees_failed=recovery.trees_failed,
-                    replacements=len(recovery.replacement_vm_ids),
-                    provisioning_failures=recovery.provisioning_failures,
-                    tenant=tenant,
-                )
-                if recovery.rebalanced_at is not None and recovery.restored_at is not None:
-                    emit(
-                        "state.restore",
-                        "migration.phase",
-                        recovery.rebalanced_at,
-                        recovery.restored_at,
-                        parent=span,
-                    )
-                protocol_spans.append(span)
-            for evacuation in getattr(controller, "evacuations", []):
-                fallback = evacuation.deadline if evacuation.overrun else None
-                end = evacuation.completed_at if evacuation.completed_at is not None else fallback
-                span = emit(
-                    "evacuation",
-                    "evacuation",
-                    evacuation.notice_at,
-                    _end(end, evacuation.notice_at),
-                    vm_id=evacuation.vm_id,
-                    deadline_s=evacuation.deadline,
-                    evaded=evacuation.evaded,
-                    overrun=evacuation.overrun,
-                    migration_issued=evacuation.migration_issued,
-                    replacements=len(evacuation.replacement_vm_ids),
-                    replacement_market=evacuation.replacement_market,
-                    tenant=tenant,
-                )
-                self._report_children(span, evacuation.report)
-                protocol_spans.append(span)
-
-        if runtime is not None:
-            # Checkpoint waves nest inside the innermost protocol span whose
-            # interval contains their start; periodic waves outside any
-            # protocol surface as top-level checkpoint spans.
-            for wave in runtime.checkpoints.history:
-                parent = None
-                for candidate in protocol_spans:
-                    if candidate.start_s <= wave.started_at and (
-                        candidate.end_s is None or wave.started_at <= candidate.end_s
-                    ):
-                        if parent is None or candidate.start_s >= parent.start_s:
-                            parent = candidate
+            if recovery.rebalanced_at is not None and recovery.restored_at is not None:
                 emit(
-                    f"checkpoint.wave.{wave.action.value}",
-                    "checkpoint",
-                    wave.started_at,
-                    _end(wave.completed_at, wave.started_at),
-                    parent=parent,
-                    checkpoint_id=wave.checkpoint_id,
-                    action=wave.action.value,
-                    mode=wave.mode.value,
-                    expected=len(wave.expected),
-                    status=wave.status.value,
-                    emit_count=wave.emit_count,
+                    "state.restore",
+                    "migration.phase",
+                    recovery.rebalanced_at,
+                    recovery.restored_at,
+                    parent=span,
                 )
+            protocol_spans.append(span)
+        for evacuation in controller.evacuations:
+            fallback = evacuation.deadline if evacuation.overrun else None
+            end = evacuation.completed_at if evacuation.completed_at is not None else fallback
+            span = emit(
+                "evacuation",
+                "evacuation",
+                evacuation.notice_at,
+                _end(end, evacuation.notice_at),
+                vm_id=evacuation.vm_id,
+                deadline_s=evacuation.deadline,
+                evaded=evacuation.evaded,
+                overrun=evacuation.overrun,
+                migration_issued=evacuation.migration_issued,
+                replacements=len(evacuation.replacement_vm_ids),
+                replacement_market=evacuation.replacement_market,
+                tenant=None,
+            )
+            telemetry._report_children(span, evacuation.report)
+            protocol_spans.append(span)
+
+        # Checkpoint waves nest inside the innermost protocol span whose
+        # interval contains their start; periodic waves outside any protocol
+        # surface as top-level checkpoint spans.
+        for wave in runtime.checkpoints.history:
+            parent = None
+            for candidate in protocol_spans:
+                if candidate.start_s <= wave.started_at <= candidate.end_s:
+                    if parent is None or candidate.start_s >= parent.start_s:
+                        parent = candidate
+            emit(
+                f"checkpoint.wave.{wave.action.value}",
+                "checkpoint",
+                wave.started_at,
+                _end(wave.completed_at, wave.started_at),
+                parent=parent,
+                checkpoint_id=wave.checkpoint_id,
+                action=wave.action.value,
+                mode=wave.mode.value,
+                expected=len(wave.expected),
+                status=wave.status.value,
+                emit_count=wave.emit_count,
+            )
 
         if injector is not None:
-            self.record_faults(injector.records)
+            telemetry._record_faults(injector.records)
 
-        self.scrape(runtime=runtime, provider=provider, injector=injector)
+        # The queue gauges as each tick saw them, so each keeps its
+        # high-water mark; the scrape then sets the values the run ended on.
+        for tick in controller.ticks:
+            telemetry._set_queues(tick.queue_depths, tick.source_backlogs)
+        telemetry.scrape(runtime, provider=provider, injector=injector)
+        return telemetry
+
+    @classmethod
+    def from_tenants(cls, controllers: Mapping[str, object], arbiter, now: float,
+                     meta: Optional[Mapping[str, object]] = None) -> "Telemetry":
+        """The trace of a shared-fleet run: every tenant's ticks and
+        migrations, labelled with the tenant, then the arbiter's verdicts."""
+        telemetry = cls()
+        telemetry.meta.update(meta or {})
+        for name in sorted(controllers):
+            telemetry._record_ticks(controllers[name].ticks, tenant=name)
+        for name in sorted(controllers):
+            telemetry._record_actions(controllers[name].actions, now=now, tenant=name)
+        telemetry._record_arbiter(arbiter)
+        return telemetry

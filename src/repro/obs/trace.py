@@ -18,8 +18,9 @@ Design constraints, in order:
   after its parent tick span ended.  The tracer therefore uses explicit
   ``begin()``/``end()`` with explicit ``parent`` references instead of a
   context-manager stack.
-* **Inertness** -- with telemetry off no tracer exists; instrumented code
-  guards on the runtime's ``telemetry`` attribute being ``None``.
+* **After the run** -- nothing calls a tracer while a simulation runs: the
+  spans are written from the run's records (:mod:`repro.obs.telemetry`), so
+  a trace costs the run nothing and building it twice gives the same spans.
 """
 
 from __future__ import annotations

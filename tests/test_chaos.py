@@ -408,7 +408,19 @@ class TestZeroNoticeEvictions:
         output = capsys.readouterr().out
         assert "unfinished at the end" not in output
         assert "No verdict" not in output
-        assert "Notice-aware recovery wins" in output or "did not pay for itself" in output
+        assert ("Notice-aware recovery wins" in output or "did not pay for itself" in output
+                or "Tie: both modes restore in" in output)
+
+    def test_a_tie_is_not_a_win(self, capsys):
+        # With no notice both modes ride the same kills: equal restore, bill
+        # and replays.  The verdict used to read "wins on both axes: 52.2s vs
+        # 52.2s restore".
+        from repro.cli import main
+
+        assert main(["chaos", *self.STORM]) == 0
+        output = capsys.readouterr().out
+        assert "Tie: both modes restore in 52.2s and bill $0.0817." in output
+        assert "wins" not in output and "did not pay for itself" not in output
 
 
 class TestStormParametersAreChecked:
@@ -489,11 +501,10 @@ class TestFaultTraceExport:
             mode="notice",
             duration_s=450.0,
             storm_count=2,
-            telemetry=True,
         )
         injected = result.injector.records
         assert injected, "the storm must actually fire"
-        path = write_trace_jsonl(result.telemetry, tmp_path / "trace.jsonl")
+        path = write_trace_jsonl(result.trace(), tmp_path / "trace.jsonl")
         records = validate_trace_jsonl(path)
         fault_spans = [
             r for r in records

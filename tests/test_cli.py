@@ -223,6 +223,19 @@ class TestMultiCommand:
         assert captured.err == "repro multi: error: --budget must be >= 1\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("budget", ["1", "33"])
+    def test_a_budget_below_the_colocated_fleet_fails_loudly(self, capsys, budget):
+        # It used to die with a ValueError traceback (exit 1): the default
+        # traffic + grid tenants need 34 provisioned slots.
+        exit_code = main(["multi", "--budget", budget])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err == (
+            "repro multi: error: tenants need 34 worker slots (17 D2 VMs = 34 provisioned "
+            f"slots) but the fleet budget is {budget}\n"
+        )
+        assert captured.out == ""
+
     def test_priorities_must_match_dag_count(self, capsys):
         from repro.cli import main
 

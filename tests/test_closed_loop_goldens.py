@@ -53,13 +53,16 @@ GOLDENS: Dict[str, Tuple[str, str]] = {
         "455adf75ecb98ce0c303b3f93d9c12c8717064587d4c0f3c926d224c3ea72fc7",
         "b4442524dfe076103ab0c2cc6db16aa6ca649165b76a559b90b92ccf53c92f18",
     ),
+    # Re-recorded when a "full-replace" tenant (the multi default) began to run
+    # FullReplacePlacement: it used to fall back to the controller's default,
+    # incremental placement without free-slot reuse, and keep its fleet.
     "multi.linear": (
-        "a53cec3ae71a5d91f1aac96e220c91fec6d2f90c201dbcb98d6f83d0f7e0eede",
-        "fb177da6b5644a01ae05757d27bd5fa99cf1509e78dcfe6fd0aa2684b4661d11",
+        "aca29c090e11cb111e153c3468009090caae1634a2534f5642180153842bb6af",
+        "5f42c585e1f293bf5551e139d0a378d90d2aca2bc8138281dfc010c146abb461",
     ),
     "multi.traffic": (
-        "e89f4b02a9fb335dccfe99feb3fc00ff6d766cf7cb8d7239979c68fba8a4074b",
-        "4e8ad523dde763964daff459966bbc0b8c487f071adcfae58f394cdc620665ef",
+        "1af3747d7d6d03804eb3bf7f2f39650f54950d8c85a1e2769019a5f485315f35",
+        "36946110a33ee5c4746966147051db401e9b8d50aa367ee8fefc88b9b41b8429",
     ),
 }
 

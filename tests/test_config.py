@@ -135,10 +135,10 @@ class TestEngineSwitches:
         # A new field lands here on purpose; a new *bool* is a new mode to
         # test and benchmark every other mode against.
         assert set(fields) == {
-            "reliability", "timing", "seed", "util_vm_role", "batch_stepping", "telemetry",
+            "reliability", "timing", "seed", "util_vm_role", "batch_stepping",
         }
         switches = {name for name, kind in fields.items() if kind in (bool, "bool")}
-        assert switches - {"telemetry"} == {"batch_stepping"}
+        assert switches == {"batch_stepping"}
         # ... kept for the equivalence suites' per-event reference and because
         # bench_e2e assigns it; nothing a user runs turns it off.
         assert RuntimeConfig().batch_stepping is True
@@ -150,7 +150,7 @@ class TestEngineSwitches:
         from repro.cli import build_parser
         from repro.sim.shard import ShardSpec
 
-        for name in ("batch_vectorize", "keyed_network_jitter"):
+        for name in ("batch_vectorize", "keyed_network_jitter", "telemetry"):
             with pytest.raises(AttributeError):
                 setattr(RuntimeConfig(), name, False)
         assert "batch_stepping" not in {field.name for field in dataclasses.fields(ShardSpec)}

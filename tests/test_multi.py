@@ -450,6 +450,33 @@ class TestMultiExperiment:
                                  include_private_baseline=False, duration_s=60.0)
 
 
+class TestFullReplaceTenants:
+    """A "full-replace" tenant (the multi default) re-fleets: it keeps no VM
+    and provisions the whole target fleet.  It used to fall back to the
+    controller's default placement, incremental, and keep its fleet; two
+    same-DAG tenants with elastic parallelism then raised ``PackingError``."""
+
+    @pytest.mark.parametrize("dags, elastic_parallelism, duration_s", [
+        (("traffic", "linear"), False, 300.0),
+        (("traffic", "traffic"), True, 120.0),
+        (("grid", "grid"), True, 120.0),
+    ])
+    def test_every_action_provisions_the_whole_target_fleet(
+        self, dags, elastic_parallelism, duration_s
+    ):
+        result = run_multi_experiment(
+            dags=dags,
+            duration_s=duration_s,
+            elastic_parallelism=elastic_parallelism,
+            include_private_baseline=False,
+        )
+        actions = [a for summary in result.shared.tenants.values() for a in summary.actions]
+        assert actions
+        for action in actions:
+            assert action.kept_vm_ids == []
+            assert action.provision_counts == action.target.vm_counts
+
+
 class TestIncrementalReFleet:
     """Smarter re-fleet on scale-in: a consolidating tenant re-uses
     partially-free shared VMs instead of provisioning a fresh private fleet."""

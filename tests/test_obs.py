@@ -6,19 +6,22 @@ Covers the observability acceptance criteria end to end:
   negative-increment guards, deterministic snapshot order);
 * tracer unit behaviour (sequential ids, double-end / end-before-start
   guards, explicit parenting, canonical content excludes wall clocks);
-* the tentpole integration contract on a Grid 2x surge run: every controller
-  tick span carries exactly the five stage children (sense -> forecast ->
-  plan -> place -> act) with forecast/plan payloads, and a migration span
-  nests its checkpoint-wave span;
+* the trace of a Grid 2x surge run, read from its records after the run:
+  every controller tick span carries exactly the five stage children
+  (sense -> forecast -> plan -> place -> act) with forecast/plan payloads, a
+  migration span nests its checkpoint-wave span, and the queue gauges keep
+  the high-water marks of the ticks;
 * determinism: same-seed runs produce byte-identical simulated-time
-  (canonical) trace content;
-* inertness: with telemetry off no Telemetry object exists and the event-log
-  digest matches a telemetry-on run bit for bit;
+  (canonical) trace content, pinned for four runs;
+* a trace is a read: a run enters no tracer or registry method, and building
+  its trace twice gives the same text and leaves the run as it was;
 * exporters: schema-validated JSONL round-trip, validator rejections, Chrome
   trace structure, text summary;
 * the shared ``run_metadata`` helper used by every ``results/`` JSON writer.
 """
 
+import hashlib
+import inspect
 import json
 
 import pytest
@@ -27,7 +30,10 @@ from repro.dataflow import topologies
 from repro.dataflow.builder import TopologyBuilder
 from repro.dataflow.graph import Dataflow, Edge
 from repro.engine.runtime import TopologyRuntime
+from repro.experiments.chaos import run_chaos_run
 from repro.experiments.elastic import run_elastic_experiment
+from repro.experiments.multi import run_multi_experiment
+from repro.experiments.predictive import run_predictive_experiment
 from repro.metrics.metadata import config_digest, run_metadata
 from repro.obs import (
     MetricsRegistry,
@@ -133,12 +139,7 @@ class TestSpanTracer:
 # --------------------------------------------------- tentpole: grid 2x surge
 def _traced_run():
     return run_elastic_experiment(
-        dag="grid",
-        strategy="ccr",
-        profile="surge",
-        duration_s=600.0,
-        seed=2018,
-        telemetry=True,
+        dag="grid", strategy="ccr", profile="surge", duration_s=600.0, seed=2018
     )
 
 
@@ -147,9 +148,14 @@ def traced():
     return _traced_run()
 
 
+@pytest.fixture(scope="module")
+def trace(traced):
+    return traced.trace()
+
+
 class TestControlPlaneTrace:
-    def test_every_tick_has_the_five_stage_children(self, traced):
-        tracer = traced.telemetry.tracer
+    def test_every_tick_has_the_five_stage_children(self, trace):
+        tracer = trace.tracer
         ticks = tracer.by_category("control")
         assert ticks, "the controller never ticked"
         for tick in ticks:
@@ -158,8 +164,8 @@ class TestControlPlaneTrace:
             assert [c.name for c in stage_children] == STAGES
             assert tick.args.get("outcome") is not None
 
-    def test_stage_spans_carry_forecast_and_plan_payloads(self, traced):
-        tracer = traced.telemetry.tracer
+    def test_stage_spans_carry_forecast_and_plan_payloads(self, trace):
+        tracer = trace.tracer
         stages = tracer.by_category("control.stage")
         forecasts = [s for s in stages if s.name == "forecast" and "skipped" not in s.args]
         plans = [s for s in stages if s.name == "plan" and "skipped" not in s.args]
@@ -170,8 +176,8 @@ class TestControlPlaneTrace:
         for span in plans:
             assert "target_tier" in span.args
 
-    def test_surge_produces_a_migration_span_nesting_checkpoint_waves(self, traced):
-        tracer = traced.telemetry.tracer
+    def test_surge_produces_a_migration_span_nesting_checkpoint_waves(self, trace):
+        tracer = trace.tracer
         migrations = tracer.by_category("migration")
         assert migrations, "the 2x surge must trigger at least one migration"
         out = [m for m in migrations if m.name == "migration.out"]
@@ -182,10 +188,10 @@ class TestControlPlaneTrace:
         assert "checkpoint.prepare" in names
         assert "rebalance" in names
 
-    def test_registry_scraped_the_engine(self, traced):
+    def test_registry_scraped_the_engine(self, trace):
         snapshot = {
             (s["subsystem"], s["name"]): s
-            for s in traced.telemetry.registry.snapshot()
+            for s in trace.registry.snapshot()
             if not s["labels"]
         }
         assert snapshot[("kernel", "events_stepped")]["value"] > 0
@@ -193,7 +199,7 @@ class TestControlPlaneTrace:
         assert snapshot[("router", "route_cache_hits")]["value"] > 0
 
     def test_acker_bulk_counters_scraped_without_double_count(self, traced):
-        telemetry = traced.telemetry
+        telemetry = traced.trace()
         telemetry.scrape(traced.runtime)
         snapshot = {
             (s["subsystem"], s["name"]): s["value"]
@@ -211,17 +217,16 @@ class TestControlPlaneTrace:
         }
         assert after == before
 
-    def test_batch_stepper_tiers_and_declines_scraped(self, traced):
+    def test_batch_stepper_tiers_and_declines_scraped(self, traced, trace):
         # Every run has a stepper now: the surge run's series say what it did.
         scraped = {
             (s["name"], s["labels"].get("reason")): s["value"]
-            for s in traced.telemetry.registry.snapshot() if s["subsystem"] == "engine.batch"
+            for s in trace.registry.snapshot() if s["subsystem"] == "engine.batch"
         }
         stepper = traced.runtime.batch_stepper
         assert scraped["cascades", None] == stepper.cascades > 0
         assert scraped["declines", "source-paused"] == stepper.declines["source-paused"] > 0
         config = fast_config("dsm")
-        config.telemetry = True
         sim = Simulator()
         runtime = TopologyRuntime(
             topologies.grid(), build_cluster(sim, worker_vms=11), sim=sim, config=config
@@ -232,11 +237,12 @@ class TestControlPlaneTrace:
             sim.run(until=sim.now + 2.5)
         stepper = runtime.batch_stepper
         assert stepper.cascades > 0 and stepper.declines
+        telemetry = Telemetry()
         for _ in range(2):  # rescrapes overwrite, never double-count
-            runtime.telemetry.scrape(runtime)
+            telemetry.scrape(runtime)
             series = {
                 (s["name"], s["labels"].get("reason")): s["value"]
-                for s in runtime.telemetry.registry.snapshot()
+                for s in telemetry.registry.snapshot()
                 if s["subsystem"] == "engine.batch"
             }
             assert series.pop(("cascades", None)) == stepper.cascades
@@ -262,7 +268,6 @@ class TestControlPlaneTrace:
         if reason == "duplicate-edges":  # the builder refuses them; Dataflow itself does not
             dataflow = Dataflow(reason, dataflow.tasks, dataflow.edges + [Edge("a", "sink")])
         config = fast_config("dcr")
-        config.telemetry = True
         sim = Simulator()
         runtime = TopologyRuntime(dataflow, build_cluster(sim), sim=sim, config=config)
         runtime.deploy()
@@ -272,10 +277,11 @@ class TestControlPlaneTrace:
         stepper = runtime.batch_stepper
         assert stepper.cascades == 0
         assert set(stepper.declines) == {reason} and stepper.declines[reason] > 0
-        runtime.telemetry.scrape(runtime)
+        telemetry = Telemetry()
+        telemetry.scrape(runtime)
         scraped = {
             s["labels"].get("reason"): s["value"]
-            for s in runtime.telemetry.registry.snapshot()
+            for s in telemetry.registry.snapshot()
             if s["subsystem"] == "engine.batch" and s["name"] == "declines"
         }
         assert scraped[reason] == stepper.declines[reason]
@@ -284,17 +290,17 @@ class TestControlPlaneTrace:
         """engine.source / engine.sink: the polls a throttled spout parked
         through and the 0 s sink completions that ran inside deliver()."""
 
-        def series(runtime):
-            runtime.telemetry.scrape(runtime)
+        def series(telemetry, runtime):
+            telemetry.scrape(runtime)
             return {
                 (s["subsystem"], s["name"]): s["value"]
-                for s in runtime.telemetry.registry.snapshot()
+                for s in telemetry.registry.snapshot()
                 if s["subsystem"] in ("engine.source", "engine.sink")
             }
 
         # The CCR surge run never acks data: no throttle, so nothing parks;
         # its sinks complete inline except for what a restore re-queues.
-        scraped = series(traced.runtime)
+        scraped = series(Telemetry(), traced.runtime)
         sinks = traced.runtime.sink_executors
         assert scraped[("engine.source", "drain_parks")] == 0
         assert scraped[("engine.source", "drain_wakes")] == 0
@@ -305,7 +311,6 @@ class TestControlPlaneTrace:
 
         # A DSM spout held at a small cap parks and wakes once per tree.
         config = fast_config("dsm")
-        config.telemetry = True
         config.reliability.max_spout_pending = 2
         sim = Simulator()
         runtime = TopologyRuntime(
@@ -316,64 +321,138 @@ class TestControlPlaneTrace:
         sim.run(until=5.0)
         source = runtime.source_executors[0]
         assert source.drain_parks > 10 and source.drain_wakes > 10
+        telemetry = Telemetry()
         for _ in range(2):  # rescrapes overwrite, never double-count
-            scraped = series(runtime)
+            scraped = series(telemetry, runtime)
             assert scraped[("engine.source", "drain_parks")] == source.drain_parks
             assert scraped[("engine.source", "drain_wakes")] == source.drain_wakes
 
-    def test_same_seed_canonical_trace_is_byte_identical(self, traced):
+    def test_queue_gauges_keep_the_high_water_of_the_ticks(self, traced, trace):
+        """Replayed tick by tick, then scraped: a queue that drained before
+        the end still shows its peak."""
+        gauges = [s for s in trace.registry.snapshot() if s["name"] == "queue_depth"]
+        assert len(gauges) == len(traced.runtime.executors) == 23
+        assert sum(1 for g in gauges if g["high_water"] > g["value"]) == 2
+        peaks = {}
+        for tick in traced.controller.ticks:
+            for executor_id, depth in tick.queue_depths:
+                peaks[executor_id] = max(peaks.get(executor_id, 0), depth)
+        for gauge in gauges:
+            executor_id = gauge["labels"]["executor"]
+            assert gauge["high_water"] == max(peaks[executor_id], gauge["value"])
+
+    def test_same_seed_canonical_trace_is_byte_identical(self, trace):
         again = _traced_run()
-        assert canonical_trace_text(traced.telemetry) == canonical_trace_text(
-            again.telemetry
+        assert canonical_trace_text(trace) == canonical_trace_text(again.trace())
+
+    def test_a_trace_is_a_read(self, traced):
+        """Building a trace reads the run and changes nothing in it: twice
+        built, the text is the same, and the log and the engine's counts
+        are what the run left."""
+        runtime = traced.runtime
+        before = (
+            log_digest(traced.log),
+            runtime.sim.processed_events,
+            runtime.batch_stepper.inline_events,
         )
+        first, second = traced.trace(), traced.trace()
+        assert canonical_trace_text(first) == canonical_trace_text(second)
+        assert first.tracer.spans and first.tracer.spans[0].name == "controller.tick"
+        assert (
+            log_digest(traced.log),
+            runtime.sim.processed_events,
+            runtime.batch_stepper.inline_events,
+        ) == before
 
-    def test_telemetry_off_is_inert_and_log_digest_matches(self, traced):
-        off = run_elastic_experiment(
-            dag="grid",
-            strategy="ccr",
-            profile="surge",
-            duration_s=600.0,
-            seed=2018,
-            telemetry=False,
-        )
-        assert off.telemetry is None
-        assert off.runtime.telemetry is None
-        assert log_digest(off.log) == log_digest(traced.log)
-        # Telemetry costs the engine nothing it can count: the same kernel
-        # events, cascade for cascade, with it on as with it off.
-        assert off.runtime.sim.processed_events == traced.runtime.sim.processed_events
-        assert off.runtime.batch_stepper.inline_events == traced.runtime.batch_stepper.inline_events
+    def test_a_run_enters_no_tracer_or_registry_method(self, monkeypatch):
+        """Nothing traces while the simulation runs: every method of the
+        tracer, the registry and the telemetry facade is counted, and the
+        run calls none.  Building its trace afterwards enters the registry
+        once per series per tick and scrape, never per event."""
+        calls = {}
 
-    def test_the_registry_is_entered_per_tick_and_scrape_never_per_event(self, monkeypatch):
-        """The overhead contract as a count, which repeats where a wall-clock
-        ratio does not: every ``counter`` / ``gauge`` / ``histogram`` lookup
-        of the surge run happens inside a controller tick's queue sampling or
-        a scrape, each of which touches a series at most once."""
-        calls = {"registry": 0, "scrapes": 0}
-        get, scrape = MetricsRegistry._get, Telemetry.scrape
+        def counted(cls, method):
+            def wrapper(*args, **kwargs):
+                calls[cls.__name__] = calls.get(cls.__name__, 0) + 1
+                return method(*args, **kwargs)
 
-        def counting_get(registry, *args):
-            calls["registry"] += 1
-            return get(registry, *args)
+            return wrapper
 
-        def counting_scrape(telemetry, *args, **kwargs):
-            calls["scrapes"] += 1
-            return scrape(telemetry, *args, **kwargs)
-
-        monkeypatch.setattr(MetricsRegistry, "_get", counting_get)
-        monkeypatch.setattr(Telemetry, "scrape", counting_scrape)
+        for cls in (SpanTracer, MetricsRegistry, Telemetry):
+            for name, method in list(vars(cls).items()):
+                if inspect.isfunction(method):
+                    monkeypatch.setattr(cls, name, counted(cls, method))
         run = _traced_run()
-        ticks = len(run.telemetry.tracer.by_category("control"))
+        assert calls == {}
+        trace = run.trace()
+        ticks = len(run.controller.ticks)
         events = run.runtime.sim.processed_events + run.runtime.batch_stepper.inline_events
-        assert ticks == 40 and calls["scrapes"] >= 1
-        assert calls["registry"] <= (ticks + calls["scrapes"]) * len(run.telemetry.registry)
-        assert calls["registry"] < events / 50
+        assert ticks == len(trace.tracer.by_category("control")) == 40
+        assert calls["SpanTracer"] > 0
+        # A lookup enters two registry methods (counter / gauge / histogram,
+        # then _get); a series is looked up at most once per tick's queue
+        # replay and once in the final scrape.
+        assert calls["MetricsRegistry"] <= (ticks + 1) * 2 * len(trace.registry)
+        assert calls["MetricsRegistry"] < events / 50
+
+
+#: Run -> sha256 of its canonical trace text, recorded before traces were
+#: read from the records (when the controller wrote tick spans live).
+TRACE_GOLDENS = {
+    "elastic.grid.ccr.surge": "6a3c7f56d04fbac305f6ff2a0861e32c72a5aa2eb5bb710e91ecb32af39099db",
+    "chaos.grid-keyed.dsm.notice": "245ee6837245807314e07a93cb5a581eb937a605c7073296ba2e9be9853c7663",
+    "predict.grid.reactive": "387043a049edc3f1d83d7f078fad791b67d3ab8194285dd4190afed6470dbde3",
+    "predict.grid.lookahead": "b047803df1c016ff3bc5a80855dc170d17ab59a270f91f53d4d7b23b943a40f2",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_traces(traced):
+    predict = run_predictive_experiment(
+        dag="grid", policies=("reactive", "lookahead"), duration_s=600.0, seed=2018
+    )
+    chaos = run_chaos_run(
+        dag="grid-keyed", strategy="dsm", mode="notice", duration_s=450.0, storm_count=2
+    )
+    return {
+        "elastic.grid.ccr.surge": traced.trace(),
+        "chaos.grid-keyed.dsm.notice": chaos.trace(),
+        "predict.grid.reactive": predict.runs["reactive"].trace(),
+        "predict.grid.lookahead": predict.runs["lookahead"].trace(),
+    }
+
+
+@pytest.mark.parametrize("run", sorted(TRACE_GOLDENS))
+def test_canonical_trace_is_pinned(golden_traces, run):
+    text = canonical_trace_text(golden_traces[run])
+    assert hashlib.sha256(text.encode()).hexdigest() == TRACE_GOLDENS[run]
+
+
+def test_a_shared_fleet_trace_has_every_tenants_ticks():
+    """One multi-tenant trace: each tenant's ticks, labelled with the tenant
+    and carrying the five stages, beside its migrations and the arbiter's
+    verdicts."""
+    result = run_multi_experiment(
+        dags=("traffic", "linear"), duration_s=300.0, include_private_baseline=False
+    )
+    trace = result.trace()
+    tracer = trace.tracer
+    manager = result.shared.manager
+    ticks = tracer.by_category("control")
+    assert trace.meta["tenants"] == ["linear", "traffic"]
+    for name in ("linear", "traffic"):
+        own = [tick for tick in ticks if tick.args["tenant"] == name]
+        assert len(own) == len(manager.tenant(name).controller.ticks) > 0
+    for tick in ticks:
+        assert [c.name for c in tracer.children_of(tick)] == STAGES
+    assert tracer.by_category("migration") and tracer.by_category("arbiter")
+    assert canonical_trace_text(result.trace()) == canonical_trace_text(trace)
 
 
 # ----------------------------------------------------------------- exporters
 class TestExporters:
-    def test_jsonl_roundtrip_validates(self, traced, tmp_path):
-        path = write_trace_jsonl(traced.telemetry, tmp_path / "trace.jsonl")
+    def test_jsonl_roundtrip_validates(self, tmp_path, trace):
+        path = write_trace_jsonl(trace, tmp_path / "trace.jsonl")
         records = validate_trace_jsonl(path)
         header = records[0]
         assert header["schema"] == TRACE_SCHEMA
@@ -404,13 +483,13 @@ class TestExporters:
         with pytest.raises(ValueError, match="parent"):
             validate_trace_jsonl(path)
 
-    def test_chrome_trace_structure(self, traced):
-        payload = chrome_trace(traced.telemetry)
+    def test_chrome_trace_structure(self, trace):
+        payload = chrome_trace(trace)
         events = payload["traceEvents"]
         complete = [e for e in events if e["ph"] == "X"]
         metadata = [e for e in events if e["ph"] == "M"]
         assert complete and metadata
-        first_tick = traced.telemetry.tracer.by_category("control")[0]
+        first_tick = trace.tracer.by_category("control")[0]
         event = next(
             e for e in complete if e["args"]["span_id"] == first_tick.span_id
         )
@@ -423,8 +502,8 @@ class TestExporters:
         assert {e["name"] for e in metadata} == {"thread_name"}
         assert payload["otherData"]["schema"] == TRACE_SCHEMA
 
-    def test_summary_mentions_categories_and_metrics(self, traced):
-        text = summarize(traced.telemetry)
+    def test_summary_mentions_categories_and_metrics(self, trace):
+        text = summarize(trace)
         assert "control" in text
         assert "migration" in text
         assert "kernel.events_stepped" in text
