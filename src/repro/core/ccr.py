@@ -13,7 +13,10 @@ through every downstream task -- with two changes (§3.2 of the paper):
    data event found on the input queue is appended to a pending-event list
    without being processed.  The COMMIT wave still sweeps sequentially through
    the dataflow (guaranteeing it is behind all in-flight data), and persists
-   the user state *plus* the pending-event list to the state store.
+   the user state *plus* the pending-event list to the state store.  Only the
+   broadcast PREPARE captures: a sequential wave, a periodic checkpoint's
+   included, never does (a Storm periodic checkpoint has no capture), so CCR
+   runs on DCR's runtime configuration and no flag switches capture on.
 
 After the zero-timeout rebalance, INIT is broadcast (re-sent every second);
 each task restores its state, replays its captured events locally -- emitting
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 from repro.core.dcr import DrainCheckpointRestore
 from repro.core.strategy import register_strategy
-from repro.engine.config import RuntimeConfig
 from repro.reliability.checkpoint import WaveMode
 
 
@@ -46,8 +48,3 @@ class CaptureCheckpointResume(DrainCheckpointRestore):
     #: COMMIT wave (inherited) remains sequential along the dataflow edges.
     prepare_mode = WaveMode.BROADCAST
     init_mode = WaveMode.BROADCAST
-
-    @classmethod
-    def runtime_config(cls, seed: int = 2018) -> RuntimeConfig:
-        """CCR needs capture-on-PREPARE enabled in the executors' platform logic."""
-        return RuntimeConfig.for_ccr(seed=seed)

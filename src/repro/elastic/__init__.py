@@ -29,12 +29,13 @@ package supplies that missing loop (``monitor -> decide -> place -> act``):
   instances, place only the delta -- the default) or
   :class:`~repro.elastic.policy.FullReplacePlacement` (the paper's re-fleet);
 * :class:`~repro.elastic.controller.ElasticityController` (**act**) ticks the
-  rule on the monitor's samples, provisions what the placement policy
-  requests once a :class:`~repro.elastic.arbiter.ScaleArbiter` grants it (a
-  shared fleet's, or its own one-tenant arbiter), enacts the migration with
-  any registered
-  :class:`~repro.core.strategy.MigrationStrategy`, and deprovisions the
-  vacated VMs so scale-in actually reduces the bill.
+  rule on the monitor's samples and reconfigures the dataflow -- a scaling
+  action once a :class:`~repro.elastic.arbiter.ScaleArbiter` grants it (a
+  shared fleet's, or its own one-tenant arbiter), an evacuation on an
+  eviction notice, a recovery on a VM loss -- along one path: size,
+  provision, move the state (live with any registered
+  :class:`~repro.core.strategy.MigrationStrategy`, or from the last commit),
+  close (the vacated VMs released, so scale-in actually reduces the bill).
 
 :func:`~repro.elastic.controller.build_controller` builds the monitor, planner
 and controller of one deployed runtime; it is the one place they are put
@@ -48,7 +49,6 @@ CLI subcommands drive them.
 """
 
 from repro.elastic.controller import (
-    ControllerConfig,
     ElasticityController,
     EvacuationRecord,
     RecoveryRecord,
@@ -76,6 +76,7 @@ from repro.elastic.planner import (
 )
 from repro.elastic.policy import (
     PLACEMENT_POLICIES,
+    ControllerConfig,
     ControlState,
     Decision,
     FullReplacePlacement,

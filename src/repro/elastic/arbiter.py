@@ -267,7 +267,8 @@ class ScaleArbiter:
     def _decide(self, me: TenantRegistration, direction: str, slots: int) -> ArbiterDecision:
         if me.tenant_id in self.in_flight:
             # Defensive: a tenant with a migration in flight must not propose
-            # again (the controller blocks on migration_in_flight anyway).
+            # again (the controller proposes only while no scaling action or
+            # evacuation of its own holds the migration token).
             return ArbiterDecision(granted=False, reason="migration-in-flight")
         if len(self.in_flight) >= self.max_concurrent_migrations:
             return ArbiterDecision(granted=False, reason="migration-in-flight")

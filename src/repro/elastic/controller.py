@@ -1,55 +1,42 @@
-"""The autoscaling controller: sample, :func:`~repro.elastic.policy.decide`, enact.
+"""The autoscaling controller: sample, :func:`~repro.elastic.policy.decide`, reconfigure.
 
 Every check interval the controller takes one monitor sample and hands it to
 the control rule (:func:`~repro.elastic.policy.decide`: forecast the demand,
 size it, confirm it through hysteresis, cooldown and the drain guard).  When
-the rule says ``enact``, the change goes through the placement policy:
+the rule (documented where it lives) says ``enact``, the dataflow is
+*reconfigured*; so it is when a spot eviction notice arrives (an evacuation)
+and when a VM dies (a recovery).  The paper treats a migration as one
+protocol -- checkpoint, rebalance onto the new VMs, restore -- and all three
+run one sequence:
 
-1. **provision** the VMs the placement policy requests through the
-   :class:`CloudProvider` (billing starts immediately; the migration waits
-   for the modelled provisioning latency, as the paper's experiments
-   provision target VMs before issuing the migration request).  The default
-   :class:`~repro.elastic.policy.IncrementalPlacement` keeps the current
-   fleet on a grow and provisions only the delta;
-   :class:`~repro.elastic.policy.FullReplacePlacement` provisions the whole
-   target fleet;
-2. **plan** the new placement via the placement policy (sources/sinks stay
-   pinned);
-3. **migrate** with the configured, pluggable
-   :class:`~repro.core.strategy.MigrationStrategy` (DSM, DCR or CCR) --
-   issuing a *combined rescale + migrate* decision when the planner runs
-   with ``elastic_parallelism`` (the strategy changes task instance counts
-   mid-protocol and the placement is planned against the new executor set);
-4. **deprovision** the vacated worker VMs once the protocol completes, so
-   scale-in actually reduces the bill.
+1. **size**: a scaling action takes what the placement policy requests
+   (:class:`~repro.elastic.policy.IncrementalPlacement` provisions only the
+   delta, :class:`~repro.elastic.policy.FullReplacePlacement` the whole
+   target fleet), after the :class:`~repro.elastic.arbiter.ScaleArbiter`
+   granted it; a rebuild (evacuation, recovery) the slots it lacks;
+2. **provision**: a scaling action buys its VMs at once and waits the fixed
+   provisioning latency, as the paper provisions before it issues the
+   migration request; a rebuild buys replacements with drawn latencies --
+   on-demand ``rescue`` VMs, or ``evac`` VMs on the cheaper market -- and
+   re-sizes when the last one is in;
+3. **move** the state: live with the configured
+   :class:`~repro.core.strategy.MigrationStrategy` (a combined rescale +
+   migrate under ``elastic_parallelism``), or for a recovery from the last
+   committed checkpoint by a rebalance and a targeted INIT wave;
+4. **close**: release the VMs the move emptied, notify the arbiter, stamp
+   the record, settle the control state.
 
-The rule itself -- what filters short-lived spikes such as
-:class:`~repro.workloads.profiles.BurstProfile` bursts, what keeps
-back-to-back migrations apart, why a scale-in waits for a backlog to drain,
-how a forecast policy or a sustained sink-latency SLO breach moves the
-decision -- is documented where it lives, on
-:func:`~repro.elastic.policy.decide`.  One signal is worth naming here
-because the monitor supplies it: decisions track the sample's
-``offered_rate`` (events *generated* per second) rather than the raw emission
-rate, so a post-migration backlog drain -- whose burst looks exactly like a
-fresh surge on the wire -- does not trigger a spurious scale-out.
+A scaling action or an evacuation holds the one migration token from
+provisioning to close; a recovery needs none.  A VM loss is told once to
+every open reconfiguration, and its state decides what follows
+(:meth:`ElasticityController.handle_vm_failure`).  The VMs a migration will
+vacate are published as *retiring*, a VM being evacuated as *doomed*, and a
+rebuild places only onto VMs that are untagged or this tenant's, neither.
 
-Every tick appends a :class:`TickRecord` to ``controller.ticks``: the tier,
-the rule's :class:`~repro.elastic.policy.Decision`, what an enact asked for
-and got, and the queue levels.  Nothing traces while the run goes; a trace is
-read from these records afterwards
-(:meth:`repro.obs.Telemetry.from_run`), one ``controller.tick`` span with
-five stage children (``sense``, ``forecast``, ``plan``, ``place``, ``act``)
-per record.
-
-Capacity always goes through a :class:`~repro.elastic.arbiter.ScaleArbiter`:
-the shared one of a multi-tenant cluster, or a one-tenant arbiter with an
-unbounded budget the controller builds for itself.  A confirmed decision is
-*proposed* before provisioning (a deferral keeps the confirmation, so the
-next tick proposes again; an in-band tick withdraws it), the VMs a migration
-will vacate are published as *retiring*, a VM being evacuated as *doomed*,
-and recovery and evacuation only rebuild onto VMs that are untagged or this
-tenant's, neither retiring nor doomed.
+Decisions track the sample's ``offered_rate`` (events *generated* per
+second), so a post-migration backlog drain does not read as a surge.  Every
+tick appends a :class:`TickRecord` to ``controller.ticks``; a trace is read
+from these records after the run (:meth:`repro.obs.Telemetry.from_run`).
 """
 
 from __future__ import annotations
@@ -71,6 +58,7 @@ from repro.elastic.planner import (
     incremental_plan_on,
 )
 from repro.elastic.policy import (
+    ControllerConfig,
     ControlState,
     Decision,
     PlacementPolicy,
@@ -86,63 +74,6 @@ from repro.obs.telemetry import Levels, queue_levels
 #: market for replacement capacity (spot vs on-demand, see
 #: :meth:`ElasticityController.handle_eviction_notice`).
 EVACUATION_HORIZON_S = 3600.0
-
-
-@dataclass
-class ControllerConfig:
-    """Tuning knobs of the elastic control loop."""
-
-    #: Interval between control ticks (each tick takes one monitor sample).
-    check_interval_s: float = 15.0
-    #: Consecutive samples that must agree on a different tier before acting.
-    confirm_samples: int = 2
-    #: Quiet period after a completed migration before the next one may start.
-    cooldown_s: float = 60.0
-    #: Drain-aware scale-in guard: a consolidation is deferred while the total
-    #: backlog exceeds this many seconds of offered load (``None`` or 0
-    #: disables the guard).  Scale-outs are never held -- extra capacity only
-    #: helps a drain.
-    drain_guard_backlog_s: Optional[float] = 5.0
-    #: Named demand forecaster (see
-    #: :data:`~repro.elastic.forecast.FORECAST_POLICIES`).  ``reactive`` is
-    #: the identity forecast -- the plain threshold controller.
-    forecast_policy: str = "reactive"
-    #: Forecasts within this fraction of the observed rate snap to the
-    #: observed rate (smoothing noise must not read as pressure; see
-    #: :func:`~repro.elastic.policy.decide`).
-    forecast_deadband: float = 0.05
-    #: Sink-latency SLO (seconds of mean end-to-end latency); ``None``
-    #: disables SLO tracking and the overload override.
-    slo_latency_s: Optional[float] = None
-    #: Consecutive SLO-breaching samples before the overload override may
-    #: escalate an in-band plan.
-    slo_confirm_samples: int = 2
-    #: Demand multiplier the SLO override plans with (capacity headroom to
-    #: actually drain the backlog the breach built).
-    slo_headroom: float = 1.5
-    #: Placement policy: ``incremental`` (keep unchanged instances in their
-    #: slots, place and migrate only the delta — the default) or
-    #: ``full-replace`` (the paper's re-fleet: provision a whole new fleet and
-    #: move everything).
-    placement: str = "incremental"
-
-    def __post_init__(self) -> None:
-        if self.check_interval_s <= 0:
-            raise ValueError("check_interval_s must be positive")
-        if self.confirm_samples < 1:
-            raise ValueError("confirm_samples must be at least 1")
-        if self.cooldown_s < 0:
-            raise ValueError("cooldown_s must be non-negative")
-        if self.drain_guard_backlog_s is not None and self.drain_guard_backlog_s < 0:
-            raise ValueError("drain_guard_backlog_s must be non-negative (or None)")
-        if self.forecast_deadband < 0:
-            raise ValueError("forecast_deadband must be non-negative")
-        if self.slo_latency_s is not None and self.slo_latency_s <= 0:
-            raise ValueError("slo_latency_s must be positive (or None)")
-        if self.slo_confirm_samples < 1:
-            raise ValueError("slo_confirm_samples must be at least 1")
-        if self.slo_headroom <= 1.0:
-            raise ValueError("slo_headroom must be above 1")
 
 
 @dataclass
@@ -291,8 +222,31 @@ class EvacuationRecord:
         return self.completed_at - self.started_at
 
 
+@dataclass(eq=False)
+class _Reconfiguration:
+    """One scaling action, evacuation or recovery on its way to close.
+
+    ``state`` runs ``waiting`` (an evacuation queued for the token) ->
+    ``provisioning`` -> ``moving`` -> ``closed``; only
+    :meth:`ElasticityController._enter` writes it.
+    """
+
+    #: ``scale``, ``evacuate`` or ``recover``.
+    reason: str
+    #: The record it stamps: a :class:`ScalingAction`,
+    #: :class:`EvacuationRecord` or :class:`RecoveryRecord`.
+    record: object
+    #: The flavour a rebuild buys its replacements in.
+    vm_type: Optional[VMType] = None
+    #: VMs the move empties, released at close if nothing lives there: a
+    #: scaling migration's old fleet, the doomed VM of an evacuation.  A
+    #: rebuild places onto none of them.
+    vacating: List[str] = field(default_factory=list)
+    state: str = "new"
+
+
 class ElasticityController:
-    """Watches the monitor and migrates the dataflow between VM allocations."""
+    """Watches the monitor and reconfigures the dataflow between VM allocations."""
 
     def __init__(
         self,
@@ -346,7 +300,10 @@ class ElasticityController:
         #: One record per control tick, in tick order.
         self.ticks: List[TickRecord] = []
         self._timer = None
-        self._migration_in_flight = False
+        #: Reconfigurations not yet closed, in the order they opened.
+        self._open: List[_Reconfiguration] = []
+        #: The scaling action or evacuation holding the migration token.
+        self._token: Optional[_Reconfiguration] = None
 
     # ------------------------------------------------------------- lifecycle
     def start(self) -> None:
@@ -367,13 +324,8 @@ class ElasticityController:
 
     @property
     def migration_in_flight(self) -> bool:
-        """Whether a scaling migration is currently being enacted."""
-        return self._migration_in_flight
-
-    @property
-    def last_action(self) -> Optional[ScalingAction]:
-        """The most recent scaling action, if any."""
-        return self.actions[-1] if self.actions else None
+        """Whether a scaling or evacuation migration holds the token."""
+        return self._token is not None
 
     # ------------------------------------------------------------ control loop
     def _tick(self) -> Decision:
@@ -386,7 +338,7 @@ class ElasticityController:
             planner=self.planner,
             forecast=self.forecast_policy,
             horizon_s=self.forecast_horizon_s,
-            busy=self._migration_in_flight,
+            busy=self.migration_in_flight,
         )
         request = verdict = None
         provisioned: Tuple[str, ...] = ()
@@ -401,11 +353,10 @@ class ElasticityController:
         ))
         return decision
 
-    # -------------------------------------------------------------- enactment
     def _enact(
         self, decision: Decision
     ) -> Tuple[ProvisioningRequest, ArbiterDecision, Tuple[str, ...]]:
-        """Propose, provision and stage one confirmed decision.
+        """Size, propose and provision one confirmed decision.
 
         Returns the place stage's request, the arbiter's verdict and the VMs
         provisioned (none when the verdict defers).
@@ -436,114 +387,33 @@ class ElasticityController:
         if not verdict.granted:
             # Deferred: the confirmation is kept, so the next tick proposes again.
             return request, verdict, ()
-        # Billing for the new fleet starts now; the migration request waits
-        # for the VMs to come up.  The grant's reservation becomes physical
-        # accounting the moment they join the cluster.
+        # Billing for the new fleet starts now.  The grant's reservation
+        # becomes physical accounting the moment the VMs join the cluster.
         for type_name, count in sorted(action.provision_counts.items()):
             action.provisioned_vm_ids += self._provision(VM_TYPES[type_name], count)
         self.arbiter.notify_provisioned(self.tenant_id, action.provisioned_vm_ids)
         self.actions.append(action)
-        self._migration_in_flight = True
+        reconf = _Reconfiguration("scale", action)
+        self._enter(reconf, "provisioning")
         self.state.acquired()
         # The migration waits for the provisioning latency: the paper plans
         # ahead, so the VMs are ready when the migration request is issued.
-        self.runtime.sim.schedule(self.provider.provisioning_latency_s, self._start_migration, action)
+        self.runtime.sim.schedule(self.provider.provisioning_latency_s, self._move, reconf)
         return request, verdict, tuple(action.provisioned_vm_ids)
 
-    def _provision(self, vm_type: VMType, count: int) -> List[str]:
-        """Provision ``count`` VMs now, join them to the cluster; their ids."""
-        vms = self.provider.provision(vm_type, count, name_prefix=vm_type.name.lower())
-        for vm in vms:
-            self._join(vm)
-        return [vm.vm_id for vm in vms]
-
-    def _join(self, vm: VirtualMachine) -> None:
-        """Add a VM this controller provisioned to the cluster, tagged as ours."""
-        vm.tags["tenant"] = self.tenant_id
-        self.runtime.cluster.add_vm(vm)
-
-    def _start_migration(self, action: ScalingAction) -> None:
-        if action.aborted:
-            return
-        # Worker VMs in use before the migration; vacated ones are released
-        # once the protocol completes.  VMs the place stage retained and the
-        # util VM never migrate.  Sorted: ``vms_used`` is a set, and
-        # release/record order must not depend on PYTHONHASHSEED
-        # (cross-process reproducibility).
-        retained = set(action.provisioned_vm_ids) | set(action.kept_vm_ids)
-        old_vm_ids = [
-            vm_id
-            for vm_id in sorted(self.runtime.placement.vms_used)
-            if vm_id != self.runtime.util_vm_id and vm_id not in retained
-        ]
-        target_vm_ids = list(action.kept_vm_ids) + list(action.provisioned_vm_ids)
-        place = self.place
-        strategy = self.strategy_cls(self.runtime)
-        action.enacted_at = self.runtime.sim.now
-        # Retiring: nobody (another tenant, our own recovery) places onto a VM
-        # this migration is about to vacate.
-        self.arbiter.notify_migration_started(self.tenant_id, old_vm_ids)
-        if action.target.rescale is not None:
-            # Combined rescale + migrate: the placement must be planned after
-            # the strategy has applied the parallelism change (the executor
-            # set it places does not exist yet), so pass a plan factory.
-            action.report = strategy.migrate(
-                lambda runtime: place.placement_plan(runtime, target_vm_ids),
-                on_complete=lambda report: self._migration_complete(action, old_vm_ids, report),
-                rescale=action.target.rescale,
-            )
-        else:
-            new_plan = place.placement_plan(self.runtime, target_vm_ids)
-            action.report = strategy.migrate(
-                new_plan,
-                on_complete=lambda report: self._migration_complete(action, old_vm_ids, report),
-            )
-
-    def _migration_complete(
-        self, action: ScalingAction, old_vm_ids: List[str], report: MigrationReport
-    ) -> None:
-        action.report = report
-        action.completed_at = self.runtime.sim.now
-        # Deprovision the vacated VMs -- unless something still lives there
-        # (on a shared fleet, another tenant's executors): those keep
-        # accruing cost until genuinely empty.
-        cluster = self.runtime.cluster
-        for vm_id in old_vm_ids:
-            if vm_id in cluster and not cluster.vm(vm_id).occupied_slots:
-                self.provider.release_from(cluster, vm_id)
-                action.deprovisioned_vm_ids.append(vm_id)
-        self.arbiter.notify_complete(self.tenant_id)
-        self._migration_in_flight = False
-        self.state.settle(action.to_tier, self.runtime.sim.now + self.config.cooldown_s)
-
-    # ------------------------------------------------------ unplanned failures
+    # ------------------------------------------------------------ fault entry
     def handle_vm_failure(self, vm_id: str, kind: str = "kill") -> Optional[RecoveryRecord]:
         """Recover from a VM the cloud reclaimed with zero effective notice.
 
-        Tears the VM down through :meth:`TopologyRuntime.fail_vm` (killing its
-        executors, failing their tuple trees fast, releasing the slots),
-        finalizes its billing, and — when executors were lost — provisions
-        on-demand replacement capacity if the surviving fleet cannot host
-        them, re-places the victims with an incremental rebalance (survivors
-        keep their slots), and restores their keyed state from the last
-        stored checkpoint via a targeted INIT wave.
-
-        If the VM was mid-*evacuation* (its eviction deadline arrived before
-        the drain finished), the in-flight evacuation migration already
-        re-places everything; no second recovery is started.  An evacuation
-        the deadline caught before it started (a zero notice, or a drain
-        waiting behind another migration) is closed as overrun, and the
-        recovery runs as for any kill.  A pending
-        scaling action loses the dead VM from its fleet lists; a delta VM
-        that dies before its migration is enacted is replaced like-for-like
-        (or the action is aborted when no target VMs remain).
+        Tears the VM down (:meth:`TopologyRuntime.fail_vm`: its executors
+        killed, their trees failed fast) and ends its bill.  Every open
+        reconfiguration is then told once (:meth:`_vm_lost`); unless an
+        evacuation migrating off the VM re-places its executors, a recovery
+        rebuilds them and restores their state from the last commit.
 
         Losing a VM that also hosts another tenant's executors is not
         modelled: it raises :class:`RuntimeError_` before anything is torn
-        down (the VM would stay in the cluster, and recovery would re-place
-        onto it).
-
-        Returns the recovery record, or ``None`` if the VM is unknown.
+        down.  Returns the recovery record, or ``None`` if the VM is unknown.
         """
         runtime = self.runtime
         if vm_id not in runtime.cluster:
@@ -558,7 +428,6 @@ class ElasticityController:
                 f"VM {vm_id} also hosts executors of another tenant ({', '.join(foreign)}): "
                 "losing a shared VM is not modelled"
             )
-        vm_type = vm.vm_type
         failure = runtime.fail_vm(vm_id)
         if vm.deprovisioned_at is None:
             self.provider.mark_failed(vm)
@@ -571,42 +440,23 @@ class ElasticityController:
             trees_failed=failure.trees_failed,
         )
         self.recoveries.append(record)
-        self._prune_dead_vm(vm_id, vm_type)
-        for pending in self.evacuations:
-            if pending.vm_id == vm_id and pending.started_at is None and pending.completed_at is None:
-                # The drain never started, so ``_migration_in_flight`` stays:
-                # it belongs to a migration this evacuation did not start.
-                pending.overrun = True
-                pending.completed_at = runtime.sim.now
-        evacuation = self._active_evacuation(vm_id)
-        if evacuation is not None:
-            evacuation.overrun = True
-            if not evacuation.migration_issued:
-                # The drain never got going (still waiting on capacity or on
-                # another migration): unplanned recovery owns the mess now.
-                evacuation.completed_at = runtime.sim.now
-                self._migration_in_flight = False
-                evacuation = None
-        if not failure.lost:
-            record.restored_at = runtime.sim.now
-        elif evacuation is None:
-            self._recover(record, vm_type)
-        # else: the in-flight evacuation migration re-places and re-inits the
-        # victims through its own rebalance + INIT wave.
+        migrating = False
+        for reconf in list(self._open):
+            migrating |= self._vm_lost(reconf, vm_id, vm.vm_type)
+        if not (failure.lost and migrating):
+            reconf = _Reconfiguration("recover", record, vm.vm_type)
+            self._enter(reconf, "provisioning")
+            self._rebuild(reconf)
         return record
 
     def handle_eviction_notice(self, vm_id: str, deadline: float) -> Optional[EvacuationRecord]:
         """React to a spot eviction notice: drain the doomed VM in the window.
 
-        Provisions replacement capacity if needed — the notice window buys
-        time to shop the market, so replacements go to whichever of spot /
-        on-demand is cheaper over :data:`EVACUATION_HORIZON_S` — then migrates
-        every executor off the doomed VM with the configured strategy and
-        releases it, stopping its bill *before* the deadline.  If a scaling
-        migration is in flight the drain retries until the window closes; a
-        deadline overrun degrades to the unplanned :meth:`handle_vm_failure`
-        path when the injector fires the kill.
-
+        Once the migration token is free (the drain retries until the window
+        closes), replacements are bought on whichever of spot / on-demand is
+        cheaper over :data:`EVACUATION_HORIZON_S`, every executor migrates
+        off live and the VM is released, its bill stopped *before* the
+        deadline.  An overrun meets :meth:`handle_vm_failure` at the kill.
         Returns the evacuation record, or ``None`` if the VM is unknown.
         """
         runtime = self.runtime
@@ -614,225 +464,263 @@ class ElasticityController:
             return None
         record = EvacuationRecord(vm_id=vm_id, notice_at=runtime.sim.now, deadline=deadline)
         self.evacuations.append(record)
-        self._try_evacuate(record)
+        reconf = _Reconfiguration("evacuate", record, runtime.cluster.vm(vm_id).vm_type, [vm_id])
+        self._enter(reconf, "waiting")
+        self._try_evacuate(reconf)
         return record
 
-    # --------------------------------------------------------- recovery internals
-    def _active_evacuation(self, vm_id: str) -> Optional[EvacuationRecord]:
-        for record in reversed(self.evacuations):
-            if record.vm_id == vm_id and record.started_at is not None and record.completed_at is None:
-                return record
-        return None
+    # -------------------------------------------------- the reconfiguration path
+    def _enter(self, reconf: _Reconfiguration, state: str) -> None:
+        """Move ``reconf`` to ``state``: the one writer of states and of the token.
 
-    def _prune_dead_vm(self, vm_id: str, vm_type: VMType) -> None:
-        """Drop a vanished VM from the pending action's fleet lists."""
-        action = self.last_action
-        if action is None or action.is_complete or action.aborted:
-            return
-        if vm_id in action.kept_vm_ids:
-            action.kept_vm_ids.remove(vm_id)
-        if vm_id in action.provisioned_vm_ids:
-            action.provisioned_vm_ids.remove(vm_id)
-            if action.enacted_at is None:
-                self._replace_dead_delta(action, vm_type)
-
-    def _replace_dead_delta(self, action: ScalingAction, vm_type: VMType) -> None:
-        """A delta VM died before its migration was enacted.
-
-        Provision a like-for-like replacement so the staged migration still
-        has its target fleet -- unless *no* target VMs remain at all: then the
-        action is aborted and its grant goes back to the budget unspent (else
-        its migration token would starve every other tenant forever).
+        A scaling action or an evacuation migrates live, so it holds the
+        migration token while provisioning or moving; a recovery never does.
         """
-        now = self.runtime.sim.now
-        if not action.provisioned_vm_ids and not action.kept_vm_ids:
-            action.aborted = True
-            action.completed_at = now
-            self._migration_in_flight = False
-            self.arbiter.notify_aborted(self.tenant_id, now=now)
+        if reconf.state == "new":
+            self._open.append(reconf)
+        reconf.state = state
+        if state == "closed":
+            self._open.remove(reconf)
+        if reconf.reason == "recover":
             return
-        vm_ids = self._provision(vm_type, 1)
-        action.provisioned_vm_ids += vm_ids
-        self.arbiter.notify_provisioned(self.tenant_id, vm_ids)
+        if state in ("provisioning", "moving"):
+            self._token = reconf
+        elif self._token is reconf:
+            self._token = None
 
-    def _rebuild_targets(self, exclude_vm_ids: Sequence[str] = ()) -> List[str]:
-        """Worker VMs recovery and evacuation may place onto, in cluster order.
+    def _try_evacuate(self, reconf: _Reconfiguration) -> None:
+        """Start an evacuation once the token is free: the retry poll."""
+        runtime = self.runtime
+        now = runtime.sim.now
+        record = reconf.record
+        if record.vm_id not in runtime.cluster or reconf.state == "closed":
+            return
+        if now >= record.deadline:
+            return  # too late: the kill will take the unplanned path
+        if self._token is not None:
+            retry = min(5.0, max(0.5, record.deadline - now))
+            runtime.sim.schedule(retry, self._try_evacuate, reconf)
+            return
+        record.started_at = now
+        vm = runtime.cluster.vm(record.vm_id)
+        if any(slot.executor_id in runtime.executors for slot in vm.occupied_slots):
+            self._enter(reconf, "provisioning")
+            self._rebuild(reconf)
+        else:
+            # Nothing of ours on the doomed VM: release it now, stop the bill.
+            self._close(reconf)
 
-        One rule: the VM is untagged or this tenant's, not retiring (an
-        in-flight migration is about to vacate it), not doomed (it is being
-        evacuated), and neither the util VM nor one of ``exclude_vm_ids``.
+    def _rebuild(self, reconf: _Reconfiguration) -> None:
+        """Size an evacuation or recovery; move now, or provision and re-size.
+
+        Re-sized when the last replacement is in: an overlapping failure may
+        have stranded more executors meanwhile.
         """
         runtime = self.runtime
-        barred = set(exclude_vm_ids) | self.arbiter.retiring_vms | self.arbiter.doomed_vms
-        barred.add(runtime.util_vm_id)
-        return [
-            vm.vm_id
-            for vm in runtime.cluster.vms
-            if vm.vm_id not in barred and vm.tags.get("tenant") in (None, self.tenant_id)
+        record = reconf.record
+        if reconf.reason == "recover" and not any(
+            eid in runtime.executors for eid in record.lost_executors
+        ):
+            self._close(reconf)
+            return
+        targets, deficit = self._size(reconf)
+        if deficit <= 0:
+            self._move(reconf, targets)
+            return
+        vm_type = reconf.vm_type
+        if reconf.reason == "recover":
+            # No notice window to shop the market in: unplanned recovery
+            # pays on-demand for reliability.
+            prefix, market = "rescue", ON_DEMAND
+        else:
+            prefix, market = "evac", ON_DEMAND
+            if self.provider.spot_market is not None:
+                market = cost_optimal_fleet(
+                    deficit,
+                    horizon_s=EVACUATION_HORIZON_S,
+                    billing_granularity_s=self.provider.billing_granularity_s,
+                    spot=self.provider.spot_market,
+                    flavours=(vm_type,),
+                ).choices[0].market
+            record.replacement_market = market
+        # Provisioning draws straggler/failure tails; the rebuild waits for
+        # the last replacement.
+        tickets = self.provider.provision_with_latency(
+            vm_type, math.ceil(deficit / vm_type.slots), name_prefix=prefix, market=market
+        )
+        record.pending_replacements = len(tickets)
+        if reconf.reason == "recover":
+            record.provisioning_failures += sum(ticket.failures for ticket in tickets)
+        for ticket in tickets:
+            runtime.sim.schedule(ticket.delay_s, self._vm_ready, reconf, ticket.vm)
+
+    def _vm_ready(self, reconf: _Reconfiguration, vm: VirtualMachine) -> None:
+        """A rebuild's replacement is up; the last one re-sizes the rebuild."""
+        self._join(vm)
+        record = reconf.record
+        record.replacement_vm_ids.append(vm.vm_id)
+        record.pending_replacements -= 1
+        if record.pending_replacements == 0 and reconf.state != "closed":
+            self._rebuild(reconf)
+
+    def _move(self, reconf: _Reconfiguration, targets: Sequence[str] = ()) -> None:
+        """Move the state: live for a scaling action or an evacuation, from the
+        last commit for a recovery (``targets``: what a rebuild places onto)."""
+        if reconf.state == "closed":
+            return  # a scaling action aborted while its VMs were coming up
+        runtime = self.runtime
+        record = reconf.record
+        self._enter(reconf, "moving")
+        if reconf.reason == "recover":
+            # Incremental repair: survivors keep their slots, sources and
+            # sinks stay pinned, only stranded executors move.
+            record.rebalanced_at = runtime.sim.now
+            runtime.rebalance(
+                incremental_plan_on(runtime, targets),
+                on_command_complete=lambda _rec: runtime.restore_executors(
+                    [eid for eid in record.lost_executors if eid in runtime.executors],
+                    on_complete=lambda: self._close(reconf),
+                ),
+            )
+            return
+        rescale = None
+        if reconf.reason == "evacuate":
+            record.migration_issued = True
+            plan = incremental_plan_on(runtime, targets)
+            # Doomed: nobody (another tenant, our own recovery) places onto it.
+            self.arbiter.mark_doomed(reconf.vacating)
+        else:
+            # Worker VMs in use before the migration; vacated ones are
+            # released at close.  VMs the place stage retained and the util
+            # VM never migrate.  Sorted: ``vms_used`` is a set, and
+            # release/record order must not depend on PYTHONHASHSEED.
+            retained = set(record.provisioned_vm_ids) | set(record.kept_vm_ids)
+            reconf.vacating = [
+                vm_id
+                for vm_id in sorted(runtime.placement.vms_used)
+                if vm_id != runtime.util_vm_id and vm_id not in retained
+            ]
+            target_vm_ids = list(record.kept_vm_ids) + list(record.provisioned_vm_ids)
+            record.enacted_at = runtime.sim.now
+            # Retiring: nobody (another tenant, our own recovery) places onto
+            # a VM this migration is about to vacate.
+            self.arbiter.notify_migration_started(self.tenant_id, reconf.vacating)
+            rescale = record.target.rescale
+            # A combined rescale + migrate plans after the strategy applied
+            # the parallelism change (the executor set it places does not
+            # exist yet), so it gets a plan factory.
+            plan = lambda runtime: self.place.placement_plan(runtime, target_vm_ids)
+            if rescale is None:
+                plan = plan(runtime)
+        record.report = self.strategy_cls(runtime).migrate(
+            plan, on_complete=lambda report: self._close(reconf, report), rescale=rescale
+        )
+
+    def _vm_lost(self, reconf: _Reconfiguration, vm_id: str, vm_type: VMType) -> bool:
+        """Tell one open reconfiguration that ``vm_id`` died.
+
+        Returns whether it re-places that VM's executors itself (an
+        evacuation migrating off it).
+        """
+        record = reconf.record
+        if reconf.reason == "scale":
+            if vm_id in record.kept_vm_ids:
+                record.kept_vm_ids.remove(vm_id)
+            if vm_id not in record.provisioned_vm_ids:
+                return False
+            record.provisioned_vm_ids.remove(vm_id)
+            if reconf.state != "provisioning":
+                return False
+            if record.provisioned_vm_ids or record.kept_vm_ids:
+                # The staged migration keeps its target fleet.
+                vm_ids = self._provision(vm_type, 1)
+                record.provisioned_vm_ids += vm_ids
+                self.arbiter.notify_provisioned(self.tenant_id, vm_ids)
+            else:
+                # No target VM left: the grant goes back to the budget
+                # unspent (else its token would starve every other tenant).
+                record.aborted = True
+                self._close(reconf)
+            return False
+        if reconf.reason != "evacuate" or record.vm_id != vm_id:
+            return False
+        # The deadline caught the drain: an overrun VM vanished because the
+        # cloud killed it, not because we got out in time.
+        record.overrun = True
+        if reconf.state == "moving":
+            return True
+        self._close(reconf)
+        return False
+
+    def _close(self, reconf: _Reconfiguration, report: Optional[MigrationReport] = None) -> None:
+        """Release the emptied VMs, notify the arbiter, stamp the record, settle."""
+        runtime = self.runtime
+        now = runtime.sim.now
+        cluster = runtime.cluster
+        record = reconf.record
+        # Something may still live on a vacated VM (on a shared fleet,
+        # another tenant's executors): it keeps accruing cost until empty.
+        released = [
+            vm_id for vm_id in reconf.vacating
+            if vm_id in cluster and not cluster.vm(vm_id).occupied_slots
         ]
+        for vm_id in released:
+            self.provider.release_from(cluster, vm_id)
+        self._enter(reconf, "closed")
+        if reconf.reason == "recover":
+            record.restored_at = now
+            return
+        record.completed_at = now
+        record.report = report
+        if reconf.reason == "evacuate":
+            record.evaded = not record.overrun and record.vm_id not in cluster
+            self.arbiter.clear_doomed(reconf.vacating)
+        elif record.aborted:
+            self.arbiter.notify_aborted(self.tenant_id, now=now)
+        else:
+            record.deprovisioned_vm_ids += released
+            self.arbiter.notify_complete(self.tenant_id)
+            self.state.settle(record.to_tier, now + self.config.cooldown_s)
 
-    def _deficit(self, targets: Sequence[str]) -> int:
-        """Slots a rebuild onto ``targets`` lacks.
+    # ------------------------------------------------------------ fleet helpers
+    def _provision(self, vm_type: VMType, count: int) -> List[str]:
+        """Provision ``count`` VMs now, join them to the cluster; their ids."""
+        vms = self.provider.provision(vm_type, count, name_prefix=vm_type.name.lower())
+        for vm in vms:
+            self._join(vm)
+        return [vm.vm_id for vm in vms]
 
-        What the rebuild relocates -- every user executor whose slot is not on
-        a target: a dead or doomed VM's executors, and any an earlier fault
-        left stranded -- minus the targets' free slots.
+    def _join(self, vm: VirtualMachine) -> None:
+        """Add a VM this controller provisioned to the cluster, tagged as ours."""
+        vm.tags["tenant"] = self.tenant_id
+        self.runtime.cluster.add_vm(vm)
+
+    def _size(self, reconf: _Reconfiguration) -> Tuple[List[str], int]:
+        """A rebuild's size step: the VMs it may place onto, and the slots they lack.
+
+        A target is a worker VM that is untagged or this tenant's, and neither
+        retiring (an in-flight migration is about to vacate it), doomed (it
+        is being evacuated) nor one ``reconf`` vacates.  The rebuild relocates
+        every user executor whose slot is not on a target -- a dead or doomed
+        VM's, and any an earlier fault left stranded -- into their free slots.
         """
         runtime = self.runtime
         placement = runtime.placement
-        on_target = set(targets)
+        barred = {runtime.util_vm_id, *reconf.vacating}
+        barred |= self.arbiter.retiring_vms | self.arbiter.doomed_vms
+        targets = [
+            vm for vm in runtime.cluster.vms
+            if vm.vm_id not in barred and vm.tags.get("tenant") in (None, self.tenant_id)
+        ]
+        on_target = {vm.vm_id for vm in targets}
         relocating = sum(
             1
             for executor in runtime.user_executors
             if placement.slot_to_vm.get(placement.assignments.get(executor.executor_id))
             not in on_target
         )
-        free = sum(
-            1 for vm_id in targets for slot in runtime.cluster.vm(vm_id).slots if not slot.occupied
-        )
-        return relocating - free
-
-    def _recover(self, record: RecoveryRecord, vm_type: VMType) -> None:
-        """Rebuild the victims' placement once the fleet can host it.
-
-        The rebuild relocates every stranded executor, so the fleet is sized
-        for all of them (:meth:`_deficit`), and re-sized when replacements
-        arrive: an overlapping failure may have stranded more meanwhile.
-        """
-        runtime = self.runtime
-        if not any(eid in runtime.executors for eid in record.lost_executors):
-            record.restored_at = runtime.sim.now
-            return
-        targets = self._rebuild_targets()
-        deficit = self._deficit(targets)
-        if deficit <= 0:
-            # Incremental repair: survivors keep their slots, sources and
-            # sinks stay pinned, only stranded executors move.
-            record.rebalanced_at = runtime.sim.now
-            runtime.rebalance(
-                incremental_plan_on(runtime, targets),
-                on_command_complete=lambda _rec: self._restore_lost(record),
-            )
-            return
-        # No notice window to shop the market in: unplanned recovery pays
-        # on-demand for reliability.  Provisioning draws straggler/failure
-        # tails; recovery waits for the last replacement.
-        count = math.ceil(deficit / vm_type.slots)
-        tickets = self.provider.provision_with_latency(
-            vm_type, count, name_prefix="rescue", market=ON_DEMAND
-        )
-        record.pending_replacements = len(tickets)
-        for ticket in tickets:
-            record.provisioning_failures += ticket.failures
-            self.runtime.sim.schedule(ticket.delay_s, self._replacement_ready, record, ticket.vm)
-
-    def _replacement_ready(self, record: RecoveryRecord, vm: VirtualMachine) -> None:
-        self._join(vm)
-        record.replacement_vm_ids.append(vm.vm_id)
-        record.pending_replacements -= 1
-        if record.pending_replacements == 0:
-            self._recover(record, vm.vm_type)
-
-    def _restore_lost(self, record: RecoveryRecord) -> None:
-        runtime = self.runtime
-        lost = [eid for eid in record.lost_executors if eid in runtime.executors]
-        runtime.restore_executors(lost, on_complete=lambda: self._recovery_complete(record))
-
-    def _recovery_complete(self, record: RecoveryRecord) -> None:
-        record.restored_at = self.runtime.sim.now
-
-    # ------------------------------------------------------- evacuation internals
-    def _try_evacuate(self, record: EvacuationRecord) -> None:
-        runtime = self.runtime
-        now = runtime.sim.now
-        if record.vm_id not in runtime.cluster or record.completed_at is not None:
-            return
-        if now >= record.deadline:
-            return  # too late: the kill will take the unplanned path
-        if self._migration_in_flight:
-            retry = min(5.0, max(0.5, record.deadline - now))
-            runtime.sim.schedule(retry, self._try_evacuate, record)
-            return
-        vm = runtime.cluster.vm(record.vm_id)
-        hosted = [
-            slot.executor_id for slot in vm.occupied_slots if slot.executor_id in runtime.executors
-        ]
-        if not hosted:
-            # Nothing of ours on the doomed VM: release it now, stop the bill.
-            record.started_at = now
-            record.completed_at = now
-            if not vm.occupied_slots:
-                self.provider.release_from(runtime.cluster, record.vm_id)
-            record.evaded = record.vm_id not in runtime.cluster
-            return
-        record.started_at = now
-        self._migration_in_flight = True
-        self._evacuate(record, vm.vm_type)
-
-    def _evacuate(self, record: EvacuationRecord, vm_type: VMType) -> None:
-        """Migrate off the doomed VM once the rest of the fleet can host it.
-
-        Sized and re-sized like :meth:`_recover`: the rebuild relocates every
-        stranded executor, not only the doomed VM's.
-        """
-        deficit_slots = self._deficit(self._rebuild_targets(exclude_vm_ids=(record.vm_id,)))
-        if deficit_slots <= 0:
-            self._start_evacuation(record)
-            return
-        market = ON_DEMAND
-        if self.provider.spot_market is not None:
-            plan = cost_optimal_fleet(
-                deficit_slots,
-                horizon_s=EVACUATION_HORIZON_S,
-                billing_granularity_s=self.provider.billing_granularity_s,
-                spot=self.provider.spot_market,
-                flavours=(vm_type,),
-            )
-            market = plan.choices[0].market
-        record.replacement_market = market
-        count = math.ceil(deficit_slots / vm_type.slots)
-        tickets = self.provider.provision_with_latency(
-            vm_type, count, name_prefix="evac", market=market
-        )
-        record.pending_replacements = len(tickets)
-        for ticket in tickets:
-            self.runtime.sim.schedule(ticket.delay_s, self._evacuation_vm_ready, record, ticket.vm)
-
-    def _evacuation_vm_ready(self, record: EvacuationRecord, vm: VirtualMachine) -> None:
-        self._join(vm)
-        record.replacement_vm_ids.append(vm.vm_id)
-        record.pending_replacements -= 1
-        if record.pending_replacements > 0:
-            return
-        if record.completed_at is not None or record.vm_id not in self.runtime.cluster:
-            return  # deadline overran the provisioning; recovery owns the fleet
-        self._evacuate(record, vm.vm_type)
-
-    def _start_evacuation(self, record: EvacuationRecord) -> None:
-        runtime = self.runtime
-        record.migration_issued = True
-        plan = incremental_plan_on(runtime, self._rebuild_targets(exclude_vm_ids=(record.vm_id,)))
-        strategy = self.strategy_cls(runtime)
-        # Doomed: nobody (another tenant, our own recovery) places onto it.
-        self.arbiter.mark_doomed({record.vm_id})
-        record.report = strategy.migrate(
-            plan, on_complete=lambda report: self._evacuation_complete(record, report)
-        )
-
-    def _evacuation_complete(self, record: EvacuationRecord, report: MigrationReport) -> None:
-        runtime = self.runtime
-        record.report = report
-        record.completed_at = runtime.sim.now
-        self._migration_in_flight = False
-        vm_id = record.vm_id
-        if vm_id in runtime.cluster and not runtime.cluster.vm(vm_id).occupied_slots:
-            # Drained before the deadline: billing stops here and the
-            # eviction finds nothing to reclaim.
-            self.provider.release_from(runtime.cluster, vm_id)
-        # An overrun VM vanished because the cloud killed it, not because we
-        # got out in time.
-        record.evaded = not record.overrun and vm_id not in runtime.cluster
-        self.arbiter.clear_doomed({vm_id})
+        free = sum(1 for vm in targets for slot in vm.slots if not slot.occupied)
+        return [vm.vm_id for vm in targets], relocating - free
 
 
 def build_controller(

@@ -5,8 +5,9 @@
 demand a provisioning horizon ahead, sizes it with the
 :class:`~repro.elastic.planner.AllocationPlanner` (SLO-breach override in
 front) and debounces the result -- hysteresis, cooldown, drain-aware scale-in
-guard -- into a frozen :class:`Decision`.  What it carries between samples
-lives in a :class:`ControlState`; it touches no simulator, runtime, provider,
+guard -- into a frozen :class:`Decision`.  Its knobs are a
+:class:`ControllerConfig`, what it carries between samples lives in a
+:class:`ControlState`; it touches no simulator, runtime, provider,
 monitor or tracer, so the live
 :class:`~repro.elastic.controller.ElasticityController` (and the multi-tenant
 controller through it) and a test folding it over a recorded run's samples
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.placement import PlacementPlan
 from repro.cluster.vm import VM_TYPES
@@ -38,11 +39,65 @@ from repro.elastic.planner import (
 )
 from repro.engine.runtime import TopologyRuntime
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.elastic.controller import ControllerConfig
-
 
 # ---------------------------------------------------------------- the rule
+@dataclass
+class ControllerConfig:
+    """Tuning knobs of the elastic control loop."""
+
+    #: Interval between control ticks (each tick takes one monitor sample).
+    check_interval_s: float = 15.0
+    #: Consecutive samples that must agree on a different tier before acting.
+    confirm_samples: int = 2
+    #: Quiet period after a completed migration before the next one may start.
+    cooldown_s: float = 60.0
+    #: Drain-aware scale-in guard: a consolidation is deferred while the total
+    #: backlog exceeds this many seconds of offered load (``None`` or 0
+    #: disables the guard).  Scale-outs are never held -- extra capacity only
+    #: helps a drain.
+    drain_guard_backlog_s: Optional[float] = 5.0
+    #: Named demand forecaster (see
+    #: :data:`~repro.elastic.forecast.FORECAST_POLICIES`).  ``reactive`` is
+    #: the identity forecast -- the plain threshold controller.
+    forecast_policy: str = "reactive"
+    #: Forecasts within this fraction of the observed rate snap to the
+    #: observed rate (smoothing noise must not read as pressure; see
+    #: :func:`~repro.elastic.policy.decide`).
+    forecast_deadband: float = 0.05
+    #: Sink-latency SLO (seconds of mean end-to-end latency); ``None``
+    #: disables SLO tracking and the overload override.
+    slo_latency_s: Optional[float] = None
+    #: Consecutive SLO-breaching samples before the overload override may
+    #: escalate an in-band plan.
+    slo_confirm_samples: int = 2
+    #: Demand multiplier the SLO override plans with (capacity headroom to
+    #: actually drain the backlog the breach built).
+    slo_headroom: float = 1.5
+    #: Placement policy: ``incremental`` (keep unchanged instances in their
+    #: slots, place and migrate only the delta — the default) or
+    #: ``full-replace`` (the paper's re-fleet: provision a whole new fleet and
+    #: move everything).
+    placement: str = "incremental"
+
+    def __post_init__(self) -> None:
+        if self.check_interval_s <= 0:
+            raise ValueError("check_interval_s must be positive")
+        if self.confirm_samples < 1:
+            raise ValueError("confirm_samples must be at least 1")
+        if self.cooldown_s < 0:
+            raise ValueError("cooldown_s must be non-negative")
+        if self.drain_guard_backlog_s is not None and self.drain_guard_backlog_s < 0:
+            raise ValueError("drain_guard_backlog_s must be non-negative (or None)")
+        if self.forecast_deadband < 0:
+            raise ValueError("forecast_deadband must be non-negative")
+        if self.slo_latency_s is not None and self.slo_latency_s <= 0:
+            raise ValueError("slo_latency_s must be positive (or None)")
+        if self.slo_confirm_samples < 1:
+            raise ValueError("slo_confirm_samples must be at least 1")
+        if self.slo_headroom <= 1.0:
+            raise ValueError("slo_headroom must be above 1")
+
+
 @dataclass
 class ControlState:
     """What the control rule carries from one sample to the next."""
@@ -106,7 +161,7 @@ def decide(
     state: ControlState,
     sample: MonitorSample,
     *,
-    config: "ControllerConfig",
+    config: ControllerConfig,
     planner: AllocationPlanner,
     forecast: ForecastPolicy,
     horizon_s: float,

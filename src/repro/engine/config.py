@@ -39,9 +39,9 @@ class ReliabilityConfig:
     #: Ack timeout after which an incomplete causal tree is failed and replayed.
     ack_timeout_s: float = 30.0
     #: Periodic checkpoint interval (DSM); ``None`` disables periodic checkpoints.
+    #: A periodic wave is sequential, so it never puts a task into capture
+    #: mode: only CCR's broadcast PREPARE does (:mod:`repro.core.ccr`).
     periodic_checkpoint_interval_s: Optional[float] = None
-    #: Whether tasks enter capture mode when they see a PREPARE event (CCR).
-    capture_on_prepare: bool = False
     #: Storm's ``max.spout.pending`` flow control: with acking enabled, a
     #: source stops emitting new events while this many root events are still
     #: unacknowledged.  Only applies when ``ack_all_events`` is set; ``None``
@@ -153,33 +153,22 @@ class RuntimeConfig:
                 ack_all_events=True,
                 ack_timeout_s=30.0,
                 periodic_checkpoint_interval_s=30.0,
-                capture_on_prepare=False,
             ),
             seed=seed,
         )
 
     @classmethod
     def for_dcr(cls, seed: int = 2018) -> "RuntimeConfig":
-        """Configuration for DCR: no data acking, no periodic checkpoints, no capture."""
-        return cls(
-            reliability=ReliabilityConfig(
-                ack_all_events=False,
-                ack_timeout_s=30.0,
-                periodic_checkpoint_interval_s=None,
-                capture_on_prepare=False,
-            ),
-            seed=seed,
-        )
+        """Configuration for DCR and CCR: no data acking, no periodic checkpoints.
 
-    @classmethod
-    def for_ccr(cls, seed: int = 2018) -> "RuntimeConfig":
-        """Configuration for CCR: no data acking, capture mode on PREPARE."""
+        CCR needs nothing more: its capture mode comes with its broadcast
+        PREPARE wave, not from a flag.
+        """
         return cls(
             reliability=ReliabilityConfig(
                 ack_all_events=False,
                 ack_timeout_s=30.0,
                 periodic_checkpoint_interval_s=None,
-                capture_on_prepare=True,
             ),
             seed=seed,
         )

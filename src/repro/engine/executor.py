@@ -12,7 +12,10 @@ resource slot.  Its behaviour mirrors the paper's description of the modified
   the state store, INIT restores it, ROLLBACK discards it;
 * **capture mode** (CCR): once the broadcast PREPARE has been processed, data
   events are appended to a pending-event list instead of being processed, and
-  nothing is emitted downstream;
+  nothing is emitted downstream, until INIT, ROLLBACK or a kill ends it.  A
+  PREPARE starts it only when it came over the hub-and-spoke channel (its
+  ``capture`` flag): a sequential wave, a periodic checkpoint's included,
+  leaves the task emitting;
 * **barrier alignment** for sequential control waves: a task with multiple
   upstream tasks acts on a control event only once it has received a copy from
   every upstream executor instance, which is what guarantees the drain

@@ -371,7 +371,9 @@ class TopologyRuntime:
     def _emit_checkpoint_wave(self, action: CheckpointAction, checkpoint_id: int, mode: WaveMode) -> None:
         meta = {
             "forward": mode is WaveMode.SEQUENTIAL,
-            "capture": action is CheckpointAction.PREPARE and self.reliability.capture_on_prepare,
+            # Only CCR's hub-and-spoke PREPARE (paper §3.2) starts capture; a
+            # sequential wave, the periodic checkpoint's included, never does.
+            "capture": action is CheckpointAction.PREPARE and mode is WaveMode.BROADCAST,
         }
         restricted = self._wave_targets.get(checkpoint_id)
         if restricted is not None:

@@ -37,10 +37,10 @@ from repro.cluster.vm import D2, D3
 from repro.core.strategy import strategy_by_name
 from repro.dataflow.graph import Dataflow
 from repro.elastic.arbiter import ScaleArbiter, is_worker_vm
-from repro.elastic.controller import ControllerConfig, ElasticityController, build_controller
+from repro.elastic.controller import ElasticityController, build_controller
 from repro.elastic.monitor import ElasticityMonitor
 from repro.elastic.planner import AllocationPlanner
-from repro.elastic.policy import FullReplacePlacement, IncrementalPlacement
+from repro.elastic.policy import ControllerConfig, FullReplacePlacement, IncrementalPlacement
 from repro.engine.config import RuntimeConfig
 from repro.engine.runtime import TopologyRuntime
 from repro.sim import Simulator, cell_seed

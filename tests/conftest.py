@@ -49,13 +49,10 @@ def fast_config(strategy: str = "dcr", seed: int = 7, ack_timeout_s: float = 5.0
             ack_all_events=True,
             ack_timeout_s=ack_timeout_s,
             periodic_checkpoint_interval_s=5.0,
-            capture_on_prepare=False,
             max_spout_pending=64,
         )
-    elif strategy == "ccr":
-        reliability = ReliabilityConfig(ack_all_events=False, capture_on_prepare=True)
     else:
-        reliability = ReliabilityConfig(ack_all_events=False, capture_on_prepare=False)
+        reliability = ReliabilityConfig(ack_all_events=False)
     return RuntimeConfig(reliability=reliability, timing=fast_timing(), seed=seed)
 
 

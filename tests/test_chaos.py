@@ -14,10 +14,15 @@ Covers the chaos-capable cloud layer end to end:
   and identical controller action sequences for all three strategies;
 * the batch stepper disengages around injected faults: a chaos run with
   batch stepping on (non-vectorized tier) matches the classic keyed kernel
-  log exactly.
+  log exactly;
+* the chaos goldens: every run the suite makes of a storm is pinned by its
+  log digest and its control trace (:data:`CHAOS_GOLDENS`), and the two
+  seams between a scaling action and a VM loss are pinned by their records.
 """
 
 import copy
+import hashlib
+import inspect
 import json
 import math
 from pathlib import Path
@@ -40,12 +45,192 @@ from repro.elastic import AllocationPlanner, ControllerConfig, ElasticityControl
 from repro.engine.config import RuntimeConfig
 from repro.engine.executor import ExecutorStatus
 from repro.engine.runtime import TopologyRuntime
+from repro.experiments import elastic as elastic_runner
 from repro.experiments.chaos import run_chaos_experiment, run_chaos_run
 from repro.elastic.arbiter import ScaleArbiter
 from repro.reliability.repartition import PARTITIONED_STATE_KEY
 from repro.reliability.statestore import checkpoint_key
 from repro.sim import RandomSource, Simulator
 from repro.sim.shard import log_digest
+from repro.workloads.profiles import ConstantRateProfile
+from tests.conftest import patched, tiny_dataflow
+
+
+# ------------------------------------------------------------- chaos goldens
+#: ``(run_chaos_run kwargs, log_digest, sha256 of the control_sequence() lines)``
+#: of every storm run below, by label.  A change that moves one has changed
+#: what a run does: name the run and the mechanism, do not re-record silently.
+CHAOS_GOLDENS = {
+    "defaults.dsm.notice": (
+        dict(strategy="dsm", mode="notice"),
+        "5682776604e4566a5d8ee4e4c50f779f07f2b3beaa74e100f3d974f98382c971",
+        "f95bc0bd7496c4db6ca1382392bd5ea2278d029ebd5c0f16ef528dd785d001db",
+    ),
+    "defaults.dsm.oblivious": (
+        dict(strategy="dsm", mode="oblivious"),
+        "889b45adf068e1b8f750fbb522447a866806e10dacf8281a6b830245a37196fd",
+        "da9ded69325f721c914969f6ecbadd717ba542501081d275340851401099ef00",
+    ),
+    "defaults.dcr.notice": (
+        dict(strategy="dcr", mode="notice"),
+        "ef4de2680fb9b88c7a7012205e993c92ff1ebc589a611455cd1b7cc4bddbd858",
+        "d824fb0dc3b185db4e294b2a5a0bcfabb1743cefa053cdb33ba0833a99a3b4e0",
+    ),
+    "defaults.dcr.oblivious": (
+        dict(strategy="dcr", mode="oblivious"),
+        "741196be1bd9da45714a8f77846b363e9b46ff7d8ebaceb2e63055b9ca8f1002",
+        "826d0bfdf17bc1dbcdbc32c3cd8d257f009c9b6f6ff6e1fc71b13ef621b38d82",
+    ),
+    # The three CCR rows were re-recorded when only CCR's broadcast PREPARE
+    # began to start capture mode: the periodic checkpoint's sequential
+    # PREPARE used to switch every CCR executor into capture for good (the
+    # sinks went silent at 31.6 s, and the notice runs wedged at evac-014).
+    "defaults.ccr.notice": (
+        dict(strategy="ccr", mode="notice"),
+        "394e465eb1028c7982524735f271ab5774ac3a8a68c907def414f5c757451936",
+        "e877be11c8ddc12b30c130a8630827e249b8bacf9f6c045e74326aef461de9c2",
+    ),
+    "defaults.ccr.oblivious": (
+        dict(strategy="ccr", mode="oblivious"),
+        "9022367ed155c50bc290a6cd63c15a7f134dee62fbde9ea6a4dc8a472674c21d",
+        "99125163a002f23fa298394a2497c272ed3d64490720cb3579cfcc86a46734fb",
+    ),
+    "dense.ccr.notice.4x60": (
+        dict(dag="grid-keyed", strategy="ccr", mode="notice", storm_count=4, storm_spacing_s=60.0),
+        "b72963f4fe50b41341fb20d0f20017882d27311af3450b7ed834ad1228eccb39",
+        "06dbed7b23fa420f4969cc3ecfd4e1883494385ff1515ec65b5b7dc25e2202a5",
+    ),
+    "dense.dsm.oblivious.3x30": (
+        dict(dag="grid-keyed", strategy="dsm", mode="oblivious", storm_count=3, storm_spacing_s=30.0),
+        "5f6a8154dd919968a8d5e80a5ba06d6f8a329c604e61cfb4adf90b8a48568505",
+        "f88c3861d85198b0afc8d0d09062a876605e5f160ae7e10c9bbbea2a1c2cc383",
+    ),
+    "dense.dsm.notice.3x30": (
+        dict(dag="grid-keyed", strategy="dsm", mode="notice", storm_count=3, storm_spacing_s=30.0),
+        "d32c2b3911f299ec087487f672161f833d89240c8bf74f724af57369abfb190e",
+        "f8505173b26b44cddaf9ae00e4c1baa595d645a04f01402bff68152795191da4",
+    ),
+    # A 50 s notice: the kill lands while the evacuation migration runs.
+    "kill-mid-evacuation": (
+        dict(dag="grid-keyed", strategy="dsm", mode="notice", duration_s=420.0,
+             storm_count=1, storm_start_s=120.0, notice_s=50.0),
+        "7bfcd1bc97032e8e38648e47c547ced69de3a24bea561fd3623130a8b2cc10a7",
+        "5d94c2221de839937de0255e03841f7e8f0d201acaea43ce369585874df587d3",
+    ),
+    "zero-notice": (
+        dict(mode="notice", duration_s=300.0, storm_count=2, storm_start_s=100.0, notice_s=0.0),
+        "415882cd1daed07a2f47cd99d5001caa3a7890e2d5a1ca4a936d4bd4575ba140",
+        "7604fc18cc48a5b0ef6f0239be88666fac7179a63e94987c1500961c9fd7f0c9",
+    ),
+}
+
+_RUNS = {}
+
+
+def _cached(kwargs):
+    """``(run_chaos_run(**kwargs), the (time, plan) of its rebalances)``, made once.
+
+    Keyed by the call's full argument list, so spelling a default out reads
+    the same run.
+    """
+    bound = inspect.signature(run_chaos_run).bind(**kwargs)
+    bound.apply_defaults()
+    key = tuple(sorted(bound.arguments.items()))
+    if key not in _RUNS:
+        rebalances = []
+        rebalance = TopologyRuntime.rebalance
+
+        def recording(runtime, plan, *args, **kw):
+            rebalances.append((runtime.sim.now, plan))
+            return rebalance(runtime, plan, *args, **kw)
+
+        with patched(TopologyRuntime, "rebalance", recording):
+            _RUNS[key] = (run_chaos_run(**kwargs), rebalances)
+    return _RUNS[key]
+
+
+def chaos_run(**kwargs):
+    """``run_chaos_run(**kwargs)``, shared by every test that reads it."""
+    return _cached(kwargs)[0]
+
+
+def chaos_rebalances(**kwargs):
+    """The ``(time, plan)`` of every rebalance ``chaos_run(**kwargs)`` issued."""
+    return _cached(kwargs)[1]
+
+
+class TestChaosGoldens:
+    @pytest.mark.parametrize("label", sorted(CHAOS_GOLDENS))
+    def test_log_and_control_trace_are_pinned(self, label):
+        kwargs, log, control = CHAOS_GOLDENS[label]
+        run = chaos_run(**kwargs)
+        lines = "\n".join(run.control_sequence())
+        assert (log_digest(run.log), hashlib.sha256(lines.encode()).hexdigest()) == (log, control)
+
+
+# ------------------------------------------------------ scale x fault seams
+def kill_what_provision_buys(monkeypatch, at_s):
+    """Kill every VM ``CloudProvider.provision`` hands out at ``at_s``, 1 s later.
+
+    Returns the list the run's controller lands in (the kill goes through its
+    :meth:`handle_vm_failure`).  Only the first provisioning at ``at_s`` is
+    hit, so the replacements live.
+    """
+    controllers, fired = [], []
+    build = elastic_runner.build_controller
+    provision = CloudProvider.provision
+
+    def building(*args, **kwargs):
+        controllers.append(build(*args, **kwargs))
+        return controllers[-1]
+
+    def provisioning(provider, *args, **kwargs):
+        vms = provision(provider, *args, **kwargs)
+        if provider.sim.now == at_s and not fired:
+            fired.append(vms)
+            for vm in vms:
+                provider.sim.schedule(1.0, controllers[0].handle_vm_failure, vm.vm_id)
+        return vms
+
+    monkeypatch.setattr(elastic_runner, "build_controller", building)
+    monkeypatch.setattr(CloudProvider, "provision", provisioning)
+    return controllers
+
+
+class TestScaleFaultSeams:
+    """A VM of a staged scaling action dies before the migration is issued."""
+
+    def test_dead_delta_vms_are_replaced_like_for_like(self, monkeypatch):
+        kill_what_provision_buys(monkeypatch, 150.0)
+        run = elastic_runner.run_elastic_experiment(
+            dag="grid", strategy="ccr", profile="surge", duration_s=400.0,
+            controller_config=ControllerConfig(placement="full-replace"),
+        )
+        [action] = run.actions
+        killed = [f"d1-{n:03d}" for n in range(13, 34)]
+        assert [r.vm_id for r in run.recoveries] == killed
+        assert all(r.lost_executors == [] and r.restored_at == 151.0 for r in run.recoveries)
+        assert action.provisioned_vm_ids == [f"d1-{n:03d}" for n in range(34, 55)]
+        assert not action.aborted
+        assert action.enacted_at == 180.0
+        assert action.completed_at == pytest.approx(304.5606, abs=1e-3)
+        assert not run.controller.migration_in_flight
+
+    def test_losing_the_whole_target_fleet_aborts_the_action(self, monkeypatch):
+        kill_what_provision_buys(monkeypatch, 30.0)
+        run = elastic_runner.run_elastic_experiment(
+            dataflow=tiny_dataflow(), profile=ConstantRateProfile(rate=2.0), duration_s=200.0,
+            controller_config=ControllerConfig(placement="full-replace"),
+        )
+        aborted, retry = run.actions
+        assert aborted.aborted and aborted.enacted_at is None
+        assert aborted.completed_at == 31.0
+        assert [r.tenant_id for r in run.controller.arbiter.aborts] == ["tenant"]
+        assert not run.controller.migration_in_flight
+        assert (retry.decided_at, retry.enacted_at) == (60.0, 90.0)
+        assert retry.provisioned_vm_ids == ["d3-005"]
+        assert retry.completed_at == pytest.approx(115.7030, abs=1e-3)
+        assert not retry.aborted
 
 
 
@@ -204,15 +389,7 @@ class TestZeroNoticeKillRecovery:
         # A 50s notice cannot cover ~30s provisioning plus a DSM migration:
         # the deadline fires while the evacuation migration is in flight and
         # the kill must degrade into the unplanned path without wedging.
-        result = run_chaos_run(
-            dag="grid-keyed",
-            strategy="dsm",
-            mode="notice",
-            duration_s=420.0,
-            storm_count=1,
-            storm_start_s=120.0,
-            notice_s=50.0,
-        )
+        result = chaos_run(**CHAOS_GOLDENS["kill-mid-evacuation"][0])
         killed = result.injector.killed
         assert len(killed) == 1
         evacuation = result.evacuations[0]
@@ -235,7 +412,7 @@ class TestZeroNoticeKillRecovery:
 class TestDenseStorms:
     @pytest.mark.parametrize(
         "strategy, mode, count, spacing_s",
-        [("ccr", "notice", 4, 60.0), ("dsm", "oblivious", 3, 30.0)],
+        [("ccr", "oblivious", 4, 60.0), ("dsm", "oblivious", 3, 30.0)],
     )
     def test_overlapping_faults_are_rebuilt_onto_enough_capacity(
         self, strategy, mode, count, spacing_s
@@ -244,33 +421,26 @@ class TestDenseStorms:
         # relocates executors an earlier fault stranded (an overrun kill's
         # victim, another recovery's victims still waiting on rescue VMs):
         # its capacity must be sized for all of them.
-        result = run_chaos_run(
+        result = chaos_run(
             dag="grid-keyed", strategy=strategy, mode=mode,
             storm_count=count, storm_spacing_s=spacing_s,
         )
         rebuilt = [r for r in result.recoveries if r.rebalanced_at is not None]
         assert rebuilt, "a recovery must have rebuilt the fleet"
         assert all(r.restored_at is not None for r in rebuilt)
+        assert result.unfinished() == []
         runtime = result.runtime
         for executor in runtime.user_executors:
             assert runtime.placement.vm_of(executor.executor_id) in runtime.cluster
 
 
 class TestRecoveryAvoidsNoticedVms:
-    def test_no_recovery_rebuild_lands_on_a_vm_under_eviction_notice(self, monkeypatch):
+    def test_no_recovery_rebuild_lands_on_a_vm_under_eviction_notice(self):
         # Three evictions 30 s apart: a kill's recovery runs while the next
         # noticed VM is being evacuated, and must not rebuild onto it.
-        rebalances = []
-        rebalance = TopologyRuntime.rebalance
-
-        def recording(runtime, plan, *args, **kwargs):
-            rebalances.append((runtime.sim.now, plan))
-            return rebalance(runtime, plan, *args, **kwargs)
-
-        monkeypatch.setattr(TopologyRuntime, "rebalance", recording)
-        result = run_chaos_run(
-            dag="grid-keyed", strategy="dsm", mode="notice", storm_count=3, storm_spacing_s=30.0
-        )
+        kwargs = CHAOS_GOLDENS["dense.dsm.notice.3x30"][0]
+        result = chaos_run(**kwargs)
+        rebalances = chaos_rebalances(**kwargs)
         notices = [
             (fault.fired_at, fault.deadline, fault.vm_id)
             for fault in result.injector.records
@@ -339,12 +509,12 @@ class TestUnfinishedRuns:
     """At ``repro chaos``'s defaults a DCR notice run wedges (ROADMAP item 2)."""
 
     def test_a_wedged_run_reports_what_it_left_open(self):
-        run = run_chaos_run(strategy="dcr", mode="notice")
+        run = chaos_run(strategy="dcr", mode="notice")
         assert run.unfinished() == open_at_the_end(run)
         assert run.unfinished() == ["recovery d2-002", "evacuation d2-002", "sources paused"]
 
     def test_a_clean_run_reports_nothing(self):
-        run = run_chaos_run(strategy="dsm", mode="notice")
+        run = chaos_run(strategy="dsm", mode="notice")
         assert run.unfinished() == open_at_the_end(run) == []
 
     @pytest.mark.parametrize("strategy, mode, left_open", [
@@ -352,12 +522,12 @@ class TestUnfinishedRuns:
         ("dsm", "oblivious", []),
         ("dcr", "notice", ["recovery d2-002", "evacuation d2-002", "sources paused"]),
         ("dcr", "oblivious", []),
-        ("ccr", "notice", ["recovery evac-014", "evacuation evac-014", "sources paused"]),
+        ("ccr", "notice", []),
         ("ccr", "oblivious", []),
     ])
     def test_every_default_run_reports_what_its_trace_left_open(self, strategy, mode, left_open):
-        # Only notice-aware DCR and CCR wedge; every oblivious run ends clean.
-        run = run_chaos_run(strategy=strategy, mode=mode)
+        # Only notice-aware DCR wedges; every oblivious run ends clean.
+        run = chaos_run(strategy=strategy, mode=mode)
         assert run.unfinished() == open_at_the_end(run) == left_open
 
     def test_the_cli_gives_no_verdict_on_an_unfinished_run(self, capsys):
@@ -380,6 +550,21 @@ class TestUnfinishedRuns:
         assert "Notice-aware recovery wins on both axes: " in output
 
 
+class TestPeriodicCheckpointsDoNotCapture:
+    """Only CCR's broadcast PREPARE starts capture mode, not a periodic wave."""
+
+    def test_ccr_keeps_delivering_under_periodic_checkpoints(self):
+        # A chaos run forces periodic checkpoints on; their sequential PREPARE
+        # used to leave every CCR executor capturing, and the sinks went
+        # silent at 31.6 s with 956 receipts.
+        ccr = chaos_run(strategy="ccr", mode="oblivious")
+        dcr = chaos_run(strategy="dcr", mode="oblivious")
+        receipts = len(ccr.log.sink_receipts)
+        assert abs(receipts - len(dcr.log.sink_receipts)) <= 0.05 * len(dcr.log.sink_receipts)
+        assert max(receipt.time for receipt in ccr.log.sink_receipts) > 590.0
+        assert not any(executor.capture_mode for executor in ccr.runtime.user_executors)
+
+
 class TestZeroNoticeEvictions:
     """An evacuation the deadline catches before it starts is closed by the kill."""
 
@@ -388,9 +573,7 @@ class TestZeroNoticeEvictions:
     def test_a_zero_notice_storm_leaves_nothing_open(self):
         # Each notice lands on its own deadline, so the drain never starts;
         # the kill used to leave the evacuation open for the rest of the run.
-        run = run_chaos_run(
-            mode="notice", duration_s=300.0, storm_count=2, storm_start_s=100.0, notice_s=0.0
-        )
+        run = chaos_run(**CHAOS_GOLDENS["zero-notice"][0])
         killed = {fault.vm_id: fault.killed_at for fault in run.injector.killed}
         assert len(killed) == 2
         assert run.unfinished() == open_at_the_end(run) == []
@@ -466,8 +649,8 @@ class TestBatchStepperUnderChaos:
         # cascade horizon sees, so the stepper stops short of each fault and
         # hands the recovery (captures, pauses, backlog drains) to the kernel.
         # On the default-logic Grid: the keyed variant's logic is never swept.
-        batched = RuntimeConfig.for_ccr()
-        classic = RuntimeConfig.for_ccr()
+        batched = strategy_by_name("ccr").runtime_config()
+        classic = strategy_by_name("ccr").runtime_config()
         classic.batch_stepping = False
         results = [
             run_chaos_run(

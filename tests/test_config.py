@@ -16,7 +16,6 @@ class TestReliabilityConfig:
         assert config.ack_timeout_s == 30.0
         assert not config.ack_all_events
         assert config.periodic_checkpoint_interval_s is None
-        assert not config.capture_on_prepare
         assert config.max_spout_pending is not None
         assert config.throttled_ticks_generate_backlog
 
@@ -24,23 +23,22 @@ class TestReliabilityConfig:
         config = RuntimeConfig.for_dsm()
         assert config.reliability.ack_all_events
         assert config.reliability.periodic_checkpoint_interval_s == 30.0
-        assert not config.reliability.capture_on_prepare
 
-    def test_dcr_factory_disables_acking_and_capture(self):
+    def test_dcr_factory_disables_acking_and_periodic_checkpoints(self):
         config = RuntimeConfig.for_dcr()
         assert not config.reliability.ack_all_events
         assert config.reliability.periodic_checkpoint_interval_s is None
-        assert not config.reliability.capture_on_prepare
 
-    def test_ccr_factory_enables_capture(self):
-        config = RuntimeConfig.for_ccr()
-        assert config.reliability.capture_on_prepare
-        assert not config.reliability.ack_all_events
+    def test_ccr_runs_on_the_dcr_config(self):
+        # Capture comes with CCR's broadcast PREPARE, not from a config flag.
+        from repro.core.strategy import strategy_by_name
+
+        assert strategy_by_name("ccr").runtime_config(seed=7) == RuntimeConfig.for_dcr(seed=7)
+        assert not hasattr(RuntimeConfig, "for_ccr")
 
     def test_factories_propagate_seed(self):
         assert RuntimeConfig.for_dsm(seed=5).seed == 5
         assert RuntimeConfig.for_dcr(seed=6).seed == 6
-        assert RuntimeConfig.for_ccr(seed=7).seed == 7
 
 
 class TestTimingConfig:
@@ -70,10 +68,10 @@ class TestRuntimeConfigCopy:
         assert original.seed == 3
 
     def test_copy_preserves_values(self):
-        original = RuntimeConfig.for_ccr(seed=11)
+        original = RuntimeConfig.for_dsm(seed=11)
         clone = original.copy()
         assert clone.seed == 11
-        assert clone.reliability.capture_on_prepare
+        assert clone.reliability.periodic_checkpoint_interval_s == 30.0
         assert clone.util_vm_role == original.util_vm_role
 
 
@@ -153,12 +151,18 @@ class TestEngineSwitches:
         for name in ("batch_vectorize", "keyed_network_jitter", "telemetry"):
             with pytest.raises(AttributeError):
                 setattr(RuntimeConfig(), name, False)
+        with pytest.raises(AttributeError):
+            ReliabilityConfig().capture_on_prepare = True
+        assert len(dataclasses.fields(ReliabilityConfig)) == 5
         assert "batch_stepping" not in {field.name for field in dataclasses.fields(ShardSpec)}
         with pytest.raises(SystemExit):
             build_parser().parse_args(["shard", "--classic"])
         src = Path(__file__).resolve().parent.parent / "src"
         # "classic" as an option or attribute, not the English word.
-        gone = ("batch_vectorize", "keyed_network_jitter", "--classic", ".classic", "jitter_sampler")
+        gone = (
+            "batch_vectorize", "keyed_network_jitter", "--classic", ".classic", "jitter_sampler",
+            "capture_on_prepare", "for_ccr",
+        )
         mentions = [
             (str(path.relative_to(src)), name) for path in sorted(src.rglob("*.py"))
             for name in gone if name in path.read_text(encoding="utf-8")

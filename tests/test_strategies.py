@@ -68,8 +68,8 @@ class TestRegistry:
         assert DefaultStormMigration.runtime_config().reliability.ack_all_events
         assert DefaultStormMigration.runtime_config().reliability.periodic_checkpoint_interval_s
         assert not DrainCheckpointRestore.runtime_config().reliability.ack_all_events
-        assert CaptureCheckpointResume.runtime_config().reliability.capture_on_prepare
-        assert not DrainCheckpointRestore.runtime_config().reliability.capture_on_prepare
+        # CCR's capture comes with its broadcast PREPARE, not from its config.
+        assert CaptureCheckpointResume.runtime_config() == DrainCheckpointRestore.runtime_config()
 
 
 class TestProtocolPhases:
