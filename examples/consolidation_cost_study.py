@@ -27,9 +27,10 @@ from repro.cluster.scheduler import ResourceAwareScheduler, RoundRobinScheduler
 from repro.cluster.vm import D2, D3
 from repro.core import compute_migration_metrics, strategy_by_name
 from repro.dataflow import topologies
+from repro.elastic.planner import plan_user_tasks_on
 from repro.engine.runtime import TopologyRuntime
 from repro.experiments.formatting import format_table
-from repro.experiments.scenarios import plan_after_scaling, vm_counts_for
+from repro.experiments.scenarios import vm_counts_for
 from repro.metrics.timeline import latency_timeline
 from repro.sim import Simulator
 
@@ -109,7 +110,7 @@ def main() -> None:
     target_vms = provider.provision(D3, counts.scale_in_d3, name_prefix="d3")
     for vm in target_vms:
         cluster.add_vm(vm)
-    new_plan = plan_after_scaling(runtime, [vm.vm_id for vm in target_vms])
+    new_plan = plan_user_tasks_on(runtime, [vm.vm_id for vm in target_vms])
     migration = strategy_cls(runtime)
     report = migration.migrate(new_plan)
     sim.run(until=480.0)

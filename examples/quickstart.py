@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro import TopologyBuilder, TopologyRuntime, compute_migration_metrics, strategy_by_name
 from repro.cluster.cloud import CloudProvider, Cluster
 from repro.cluster.vm import D2, D3
-from repro.experiments.scenarios import plan_after_scaling
+from repro.elastic.planner import plan_user_tasks_on
 from repro.sim import Simulator
 
 
@@ -74,7 +74,7 @@ def main() -> None:
     target_vms = provider.provision(D3, 2, name_prefix="d3")
     for vm in target_vms:
         cluster.add_vm(vm)
-    new_plan = plan_after_scaling(runtime, [vm.vm_id for vm in target_vms])
+    new_plan = plan_user_tasks_on(runtime, [vm.vm_id for vm in target_vms])
 
     migration = strategy_cls(runtime)
     report = migration.migrate(new_plan)

@@ -41,11 +41,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.dataflow import topologies
 from repro.elastic import ControllerConfig
-from repro.elastic.forecast import FORECAST_POLICIES
 from repro.engine.batch import engine_counts, engine_line
 from repro.experiments.predictive import DEFAULT_POLICIES
 from repro.experiments import (
@@ -57,30 +56,35 @@ from repro.experiments import (
     run_rescale_experiment,
 )
 from repro.experiments.chaos import DEFAULT_MODES
-from repro.experiments.figures import PRODUCERS, ExperimentMatrix
+from repro.experiments.figures import PRODUCERS, STRATEGY_ORDER, ExperimentMatrix
 from repro.experiments.formatting import format_table
 from repro.workloads.profiles import PROFILE_PRESETS
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
-    dataflow = topologies.by_name(args.dag)
-    print(dataflow.describe())
+    print(topologies.by_name(args.dag).describe())
     return 0
 
 
+def _split(text: str) -> List[str]:
+    """The entries of a comma-separated flag, blanks dropped."""
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
+def _run_args(args: argparse.Namespace) -> Dict[str, object]:
+    """The shared run flags (:func:`_add_run_flags`) as a closed-loop runner's keywords."""
+    return dict(dag=args.dag, strategy=args.strategy, duration_s=args.duration, seed=args.seed)
+
+
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    try:
-        result = run_migration_experiment(
-            dag=args.dag,
-            strategy=args.strategy,
-            scaling=args.scaling,
-            migrate_at_s=args.migrate_at,
-            post_migration_s=args.duration,
-            seed=args.seed,
-        )
-    except ValueError as error:  # e.g. a run that ends before the dataflow is restored
-        print(f"repro experiment: error: {error}", file=sys.stderr)
-        return 2
+    result = run_migration_experiment(
+        dag=args.dag,
+        strategy=args.strategy,
+        scaling=args.scaling,
+        migrate_at_s=args.migrate_at,
+        post_migration_s=args.duration,
+        seed=args.seed,
+    )
     print(format_table([result.metrics.as_dict()], title="Migration metrics (§4)"))
     report = result.report
     print()
@@ -97,28 +101,18 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_path(base: str, label: str = "") -> str:
-    """Derive a per-label trace path: ``TRACE_x.jsonl`` -> ``TRACE_x.<label>.jsonl``."""
-    if not label:
-        return base
-    stem, dot, ext = base.rpartition(".")
-    if not dot:
-        return f"{base}.{label}"
-    return f"{stem}.{label}.{ext}"
-
-
 def _export_trace(telemetry, out: str, label: str = "") -> None:
-    """Write a run's trace as JSONL + Chrome trace and print its digest."""
+    """Write a run's trace as JSONL + Chrome trace and print its digest.
+
+    A ``label`` goes before the extension: ``TRACE_x.jsonl`` -> ``TRACE_x.<label>.jsonl``.
+    """
     from repro.obs import summarize, write_chrome_trace, write_trace_jsonl
 
-    path = _trace_path(out, label)
-    jsonl = write_trace_jsonl(telemetry, path)
-    chrome_name = str(jsonl)
-    if chrome_name.endswith(".jsonl"):
-        chrome_name = chrome_name[: -len(".jsonl")] + ".chrome.json"
-    else:
-        chrome_name += ".chrome.json"
-    chrome = write_chrome_trace(telemetry, chrome_name)
+    if label:
+        stem, dot, ext = out.rpartition(".")
+        out = f"{stem}.{label}.{ext}" if dot else f"{out}.{label}"
+    jsonl = write_trace_jsonl(telemetry, out)
+    chrome = write_chrome_trace(telemetry, str(jsonl).removesuffix(".jsonl") + ".chrome.json")
     print()
     if label:
         print(f"--- trace: {label} ---")
@@ -127,25 +121,14 @@ def _export_trace(telemetry, out: str, label: str = "") -> None:
 
 
 def _cmd_elastic(args: argparse.Namespace) -> int:
-    if args.duration <= 0:
-        print("repro elastic: error: --duration must be positive", file=sys.stderr)
-        return 2
-    try:
-        controller_config = ControllerConfig(
+    result = run_elastic_experiment(
+        **_run_args(args),
+        profile=args.profile,
+        controller_config=ControllerConfig(
             check_interval_s=args.check_interval,
             confirm_samples=args.confirm_samples,
             cooldown_s=args.cooldown,
-        )
-    except ValueError as exc:
-        print(f"repro elastic: error: {exc}", file=sys.stderr)
-        return 2
-    result = run_elastic_experiment(
-        dag=args.dag,
-        strategy=args.strategy,
-        profile=args.profile,
-        duration_s=args.duration,
-        seed=args.seed,
-        controller_config=controller_config,
+        ),
     )
 
     print(f"Elastic run: {args.dag} / {args.strategy} / profile={args.profile} "
@@ -209,19 +192,7 @@ def _cmd_elastic(args: argparse.Namespace) -> int:
 
 
 def _cmd_rescale(args: argparse.Namespace) -> int:
-    if args.duration <= 0:
-        print("repro rescale: error: --duration must be positive", file=sys.stderr)
-        return 2
-    if args.surge <= 1.0:
-        print("repro rescale: error: --surge must be > 1", file=sys.stderr)
-        return 2
-    result = run_rescale_experiment(
-        dag=args.dag,
-        strategy=args.strategy,
-        surge_multiplier=args.surge,
-        duration_s=args.duration,
-        seed=args.seed,
-    )
+    result = run_rescale_experiment(**_run_args(args), surge_multiplier=args.surge)
 
     print(f"Rescale comparison: {args.dag} / {args.strategy}, "
           f"{args.surge:g}x surge over [{result.surge_start_s:.0f}s, {result.surge_end_s:.0f}s] "
@@ -256,32 +227,11 @@ def _cmd_rescale(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    if args.duration <= 0:
-        print("repro predict: error: --duration must be positive", file=sys.stderr)
-        return 2
-    if args.slo <= 0:
-        print("repro predict: error: --slo must be positive", file=sys.stderr)
-        return 2
-    if args.surge <= 1.0:
-        print("repro predict: error: --surge must be > 1", file=sys.stderr)
-        return 2
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    if not policies:
-        print("repro predict: error: --policies needs at least one policy", file=sys.stderr)
-        return 2
-    unknown = [p for p in policies if p not in FORECAST_POLICIES]
-    if unknown:
-        print(f"repro predict: error: unknown forecast policy(s) {unknown}; choose from "
-              f"{sorted(FORECAST_POLICIES)}", file=sys.stderr)
-        return 2
     result = run_predictive_experiment(
-        dag=args.dag,
-        strategy=args.strategy,
+        **_run_args(args),
         profile=args.profile,
-        policies=policies,
+        policies=_split(args.policies),
         surge_multiplier=args.surge,
-        duration_s=args.duration,
-        seed=args.seed,
         slo_latency_s=args.slo,
         placement=args.placement,
     )
@@ -327,52 +277,25 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_multi(args: argparse.Namespace) -> int:
-    if args.duration <= 0:
-        print("repro multi: error: --duration must be positive", file=sys.stderr)
-        return 2
-    if args.budget is not None and args.budget < 1:
-        print("repro multi: error: --budget must be >= 1", file=sys.stderr)
-        return 2
-    if args.surge <= 1.0:
-        print("repro multi: error: --surge must be > 1", file=sys.stderr)
-        return 2
-    dags = [d.strip() for d in args.dags.split(",") if d.strip()]
-    if not dags:
-        print("repro multi: error: --dags needs at least one dataflow", file=sys.stderr)
-        return 2
-    unknown = [d for d in dags if d not in topologies.ALL_TOPOLOGIES]
-    if unknown:
-        print(f"repro multi: error: unknown dataflow(s) {unknown}; choose from "
-              f"{sorted(topologies.ALL_TOPOLOGIES)}", file=sys.stderr)
-        return 2
+    dags = _split(args.dags)
     priorities = None
     if args.priorities:
         try:
             priorities = [int(p) for p in args.priorities.split(",")]
         except ValueError:
-            print("repro multi: error: --priorities must be comma-separated integers",
-                  file=sys.stderr)
-            return 2
-        if len(priorities) != len(dags):
-            print(f"repro multi: error: --priorities needs {len(dags)} entries",
-                  file=sys.stderr)
-            return 2
-    try:
-        result = run_multi_experiment(
-            dags=dags,
-            strategy=args.strategy,
-            duration_s=args.duration,
-            surge_multiplier=args.surge,
-            seed=args.seed,
-            budget_slots=args.budget,
-            priorities=priorities,
-            elastic_parallelism=not args.placement_only,
-            include_private_baseline=not args.no_baseline,
-            placement=args.placement,
-        )
-    except ValueError as error:  # e.g. a budget below the co-located fleet
-        print(f"repro multi: error: {error}", file=sys.stderr)
-        return 2
+            raise ValueError("--priorities must be comma-separated integers") from None
+    result = run_multi_experiment(
+        dags=dags,
+        strategy=args.strategy,
+        duration_s=args.duration,
+        surge_multiplier=args.surge,
+        seed=args.seed,
+        budget_slots=args.budget,
+        priorities=priorities,
+        elastic_parallelism=not args.placement_only,
+        include_private_baseline=not args.no_baseline,
+        placement=args.placement,
+    )
     shared = result.shared
 
     print(f"Multi-tenant run: {len(dags)} dataflows / {args.strategy} on one shared fleet "
@@ -429,33 +352,14 @@ def _cmd_multi(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    if args.duration <= 0:
-        print("repro chaos: error: --duration must be positive", file=sys.stderr)
-        return 2
-    if args.storms < 1:
-        print("repro chaos: error: --storms must be >= 1", file=sys.stderr)
-        return 2
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    unknown = [m for m in modes if m not in DEFAULT_MODES]
-    if unknown:
-        print(f"repro chaos: error: unknown recovery mode(s) {unknown}; choose from "
-              f"{list(DEFAULT_MODES)}", file=sys.stderr)
-        return 2
-    try:
-        result = run_chaos_experiment(
-            dag=args.dag,
-            strategy=args.strategy,
-            modes=modes,
-            duration_s=args.duration,
-            seed=args.seed,
-            storm_count=args.storms,
-            storm_start_s=args.storm_start,
-            storm_spacing_s=args.storm_spacing,
-            notice_s=args.notice,
-        )
-    except ValueError as error:  # e.g. a storm that starts after the run ends
-        print(f"repro chaos: error: {error}", file=sys.stderr)
-        return 2
+    result = run_chaos_experiment(
+        **_run_args(args),
+        modes=_split(args.modes),
+        storm_count=args.storms,
+        storm_start_s=args.storm_start,
+        storm_spacing_s=args.storm_spacing,
+        notice_s=args.notice,
+    )
 
     print(f"Chaos run: {args.dag} / {args.strategy} / {args.storms} spot evictions "
           f"({args.notice:g}s notice) over a {args.duration:.0f}s run")
@@ -510,23 +414,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    dags = args.dags.split(",") if args.dags else topologies.PAPER_ORDER
-    unknown = [dag for dag in dags if dag not in topologies.PAPER_TOPOLOGIES]
-    if unknown:
-        print(f"repro figure: error: unknown dataflow(s) {unknown}; choose from "
-              f"{sorted(topologies.PAPER_TOPOLOGIES)}", file=sys.stderr)
-        return 2
-    if args.duration <= 0 or args.migrate_at <= 0:
-        print("repro figure: error: --duration and --migrate-at must be positive", file=sys.stderr)
-        return 2
+    # Most producers never prefetch, so nothing else would see a bad --jobs.
     if args.jobs < 0:
-        print("repro figure: error: --jobs must be >= 0 (0 = one per CPU)", file=sys.stderr)
-        return 2
+        raise ValueError("--jobs must be >= 0 (0 = one per CPU)")
     if args.write and args.name != "all":
-        print("repro figure: error: --write goes with `figure all`", file=sys.stderr)
-        return 2
+        raise ValueError("--write goes with `figure all`")
     matrix = ExperimentMatrix(
-        migrate_at_s=args.migrate_at, post_migration_s=args.duration, seed=args.seed, dags=dags
+        migrate_at_s=args.migrate_at, post_migration_s=args.duration, seed=args.seed,
+        dags=args.dags.split(",") if args.dags else topologies.PAPER_ORDER,
     )
     if args.name == "all":  # every committed file, at the scaling / dag it pins
         producers = list(PRODUCERS.values())
@@ -535,11 +430,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             producer._replace(scaling=args.scaling, dag=args.dag)
             for producer in PRODUCERS.values() if producer.figure == args.name
         ))
-    try:
-        texts = [producer.text(matrix, args.jobs) for producer in producers]
-    except ValueError as error:  # e.g. a run that ends before the dataflow is restored
-        print(f"repro figure: error: {error}", file=sys.stderr)
-        return 2
+    texts = [producer.text(matrix, args.jobs) for producer in producers]
     print("\n\n".join(texts))
     if args.write:
         Path(args.write).mkdir(parents=True, exist_ok=True)
@@ -562,39 +453,53 @@ def _add_trace_flag(sub_parser: argparse.ArgumentParser, name: str) -> None:
     )
 
 
+def _add_run_flags(
+    sub_parser: argparse.ArgumentParser,
+    *,
+    dag: Optional[str],
+    strategy: Optional[str],
+    duration: float,
+    dags: Iterable[str] = topologies.ALL_TOPOLOGIES,
+    duration_help: str = "total simulated run time (seconds)",
+) -> None:
+    """Add the flags the run commands share at this command's defaults:
+    ``--dag`` (one of ``dags``), ``--strategy``, ``--duration`` and ``--seed``.
+    A ``None`` default leaves that flag out."""
+    if dag is not None:
+        sub_parser.add_argument("--dag", default=dag, choices=sorted(dags))
+    if strategy is not None:
+        sub_parser.add_argument("--strategy", default=strategy, choices=STRATEGY_ORDER)
+    sub_parser.add_argument("--duration", type=float, default=duration, help=duration_help)
+    sub_parser.add_argument("--seed", type=int, default=2018)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser."""
     parser = argparse.ArgumentParser(prog="repro", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    json_help = "also write the headline numbers to this JSON file ({name: value}, the unit in the name)"
 
     describe = sub.add_parser("describe", help="print the structure of a paper dataflow")
     describe.add_argument("dag", choices=sorted(topologies.PAPER_TOPOLOGIES))
     describe.set_defaults(func=_cmd_describe)
 
     experiment = sub.add_parser("experiment", help="run one migration experiment")
-    experiment.add_argument("--dag", default="grid", choices=sorted(topologies.PAPER_TOPOLOGIES))
-    experiment.add_argument("--strategy", default="ccr", choices=("dsm", "dcr", "ccr"))
+    _add_run_flags(experiment, dag="grid", dags=topologies.PAPER_TOPOLOGIES, strategy="ccr",
+                   duration=540.0, duration_help="post-migration observation window (seconds)")
     experiment.add_argument("--scaling", default="in", choices=("in", "out"))
     experiment.add_argument("--migrate-at", type=float, default=90.0, dest="migrate_at")
-    experiment.add_argument("--duration", type=float, default=540.0,
-                            help="post-migration observation window (seconds)")
-    experiment.add_argument("--seed", type=int, default=2018)
     experiment.set_defaults(func=_cmd_experiment)
 
     elastic = sub.add_parser("elastic", help="run a closed-loop autoscaling experiment")
-    elastic.add_argument("--dag", default="traffic", choices=sorted(topologies.ALL_TOPOLOGIES))
-    elastic.add_argument("--strategy", default="ccr", choices=("dsm", "dcr", "ccr"))
+    _add_run_flags(elastic, dag="traffic", strategy="ccr", duration=900.0)
     elastic.add_argument("--profile", default="surge", choices=sorted(PROFILE_PRESETS))
-    elastic.add_argument("--duration", type=float, default=900.0,
-                         help="total simulated run time (seconds)")
     elastic.add_argument("--check-interval", type=float, default=15.0, dest="check_interval",
                          help="controller sampling/decision interval (seconds)")
     elastic.add_argument("--confirm-samples", type=int, default=2, dest="confirm_samples",
                          help="consecutive agreeing samples required before scaling (hysteresis)")
     elastic.add_argument("--cooldown", type=float, default=60.0,
                          help="quiet period after a migration before the next one (seconds)")
-    elastic.add_argument("--seed", type=int, default=2018)
     _add_trace_flag(elastic, "elastic")
     elastic.set_defaults(func=_cmd_elastic)
 
@@ -602,21 +507,17 @@ def build_parser() -> argparse.ArgumentParser:
         "rescale",
         help="compare capacity-adding rescale vs placement-only scaling on one surge",
     )
-    rescale.add_argument("--dag", default="grid", choices=sorted(topologies.ALL_TOPOLOGIES))
-    rescale.add_argument("--strategy", default="ccr", choices=("dsm", "dcr", "ccr"))
+    _add_run_flags(rescale, dag="grid", strategy="ccr", duration=600.0,
+                   duration_help="total simulated run time (seconds); the surge spans 25%%-60%% of it")
     rescale.add_argument("--surge", type=float, default=2.0,
                          help="surge multiplier applied to the baseline source rate")
-    rescale.add_argument("--duration", type=float, default=600.0,
-                         help="total simulated run time (seconds); the surge spans 25%%-60%% of it")
-    rescale.add_argument("--seed", type=int, default=2018)
     rescale.set_defaults(func=_cmd_rescale)
 
     predict = sub.add_parser(
         "predict",
         help="compare reactive vs predictive (forecast-driven) scaling policies",
     )
-    predict.add_argument("--dag", default="grid", choices=sorted(topologies.ALL_TOPOLOGIES))
-    predict.add_argument("--strategy", default="ccr", choices=("dsm", "dcr", "ccr"))
+    _add_run_flags(predict, dag="grid", strategy="ccr", duration=600.0)
     predict.add_argument("--profile", default="surge",
                          choices=("surge", "step", "ramp", "diurnal", "burst"),
                          help="dynamism scenario (surge/step/ramp use --surge as the multiplier)")
@@ -624,18 +525,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated forecast policies to compare")
     predict.add_argument("--surge", type=float, default=2.0,
                          help="surge multiplier applied to the baseline source rate")
-    predict.add_argument("--duration", type=float, default=600.0,
-                         help="total simulated run time (seconds)")
     predict.add_argument("--slo", type=float, default=30.0,
                          help="sink-latency SLO in seconds (scored and used as the overload trigger); "
                               "the default separates surge meltdown from ordinary migration transients")
     predict.add_argument("--placement", default="incremental",
                          choices=("full-replace", "incremental"),
                          help="place stage used by every run")
-    predict.add_argument("--json", default="",
-                         help="also write the headline numbers to this JSON file "
-                              "({name: value}, the unit in the name)")
-    predict.add_argument("--seed", type=int, default=2018)
+    predict.add_argument("--json", default="", help=json_help)
     _add_trace_flag(predict, "predict")
     predict.set_defaults(func=_cmd_predict)
 
@@ -643,11 +539,9 @@ def build_parser() -> argparse.ArgumentParser:
         "multi",
         help="run several dataflows on one shared, budget-arbitrated fleet",
     )
+    _add_run_flags(multi, dag=None, strategy="ccr", duration=600.0)
     multi.add_argument("--dags", default="traffic,grid",
                        help="comma-separated tenant dataflows (paper DAGs or keyed variants)")
-    multi.add_argument("--strategy", default="ccr", choices=("dsm", "dcr", "ccr"))
-    multi.add_argument("--duration", type=float, default=600.0,
-                       help="total simulated run time (seconds)")
     multi.add_argument("--surge", type=float, default=2.0,
                        help="surge multiplier for each tenant's offset rush hour")
     multi.add_argument("--budget", type=int, default=None,
@@ -670,7 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the arbiter's structured audit log (every proposal "
                             "and abort with its verdict and budget position) to this "
                             "JSON file")
-    multi.add_argument("--seed", type=int, default=2018)
     _add_trace_flag(multi, "multi")
     multi.set_defaults(func=_cmd_multi)
 
@@ -678,12 +571,9 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="ride a spot-eviction storm with notice-aware vs oblivious recovery",
     )
-    chaos.add_argument("--dag", default="grid-keyed", choices=sorted(topologies.ALL_TOPOLOGIES))
-    chaos.add_argument("--strategy", default="dsm", choices=("dsm", "dcr", "ccr"))
+    _add_run_flags(chaos, dag="grid-keyed", strategy="dsm", duration=600.0)
     chaos.add_argument("--modes", default=",".join(DEFAULT_MODES),
                        help="comma-separated recovery modes to compare")
-    chaos.add_argument("--duration", type=float, default=600.0,
-                       help="total simulated run time (seconds)")
     chaos.add_argument("--storms", type=int, default=3,
                        help="number of spot evictions in the storm")
     chaos.add_argument("--storm-start", type=float, default=150.0, dest="storm_start",
@@ -692,22 +582,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="spacing between evictions (seconds, plus keyed jitter)")
     chaos.add_argument("--notice", type=float, default=120.0,
                        help="eviction notice window (seconds)")
-    chaos.add_argument("--json", default="",
-                       help="also write the headline numbers to this JSON file "
-                            "({name: value}, the unit in the name)")
-    chaos.add_argument("--seed", type=int, default=2018)
+    chaos.add_argument("--json", default="", help=json_help)
     _add_trace_flag(chaos, "chaos")
     chaos.set_defaults(func=_cmd_chaos)
 
     figure = sub.add_parser("figure", help="regenerate the paper's tables/figures")
     figure.add_argument("name", choices=sorted({p.figure for p in PRODUCERS.values()} | {"all"}),
                         help="one table/figure, or `all`: every file results/ holds")
+    _add_run_flags(figure, dag="grid", dags=topologies.PAPER_TOPOLOGIES, strategy=None,
+                   duration=540.0, duration_help="post-migration observation window (seconds)")
     figure.add_argument("--scaling", default="in", choices=("in", "out"))
-    figure.add_argument("--dag", default="grid", choices=sorted(topologies.PAPER_TOPOLOGIES))
     figure.add_argument("--dags", default="", help="comma-separated subset of dataflows")
     figure.add_argument("--migrate-at", type=float, default=90.0, dest="migrate_at")
-    figure.add_argument("--duration", type=float, default=540.0)
-    figure.add_argument("--seed", type=int, default=2018)
     figure.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the experiment matrix "
                              "(0 = one per CPU core; cells are hermetic, results identical)")
@@ -719,10 +605,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """CLI entry point.
+
+    The one place a bad input is reported: the runners (and the specs and
+    configs they build) raise ``ValueError`` naming the parameter before
+    they simulate anything, and it becomes ``repro <cmd>: error: <message>``
+    on stderr and exit status 2.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as error:
+        print(f"repro {args.command}: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

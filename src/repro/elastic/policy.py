@@ -60,19 +60,9 @@ class ControllerConfig:
     #: :data:`~repro.elastic.forecast.FORECAST_POLICIES`).  ``reactive`` is
     #: the identity forecast -- the plain threshold controller.
     forecast_policy: str = "reactive"
-    #: Forecasts within this fraction of the observed rate snap to the
-    #: observed rate (smoothing noise must not read as pressure; see
-    #: :func:`~repro.elastic.policy.decide`).
-    forecast_deadband: float = 0.05
     #: Sink-latency SLO (seconds of mean end-to-end latency); ``None``
     #: disables SLO tracking and the overload override.
     slo_latency_s: Optional[float] = None
-    #: Consecutive SLO-breaching samples before the overload override may
-    #: escalate an in-band plan.
-    slo_confirm_samples: int = 2
-    #: Demand multiplier the SLO override plans with (capacity headroom to
-    #: actually drain the backlog the breach built).
-    slo_headroom: float = 1.5
     #: Placement policy: ``incremental`` (keep unchanged instances in their
     #: slots, place and migrate only the delta — the default) or
     #: ``full-replace`` (the paper's re-fleet: provision a whole new fleet and
@@ -88,14 +78,19 @@ class ControllerConfig:
             raise ValueError("cooldown_s must be non-negative")
         if self.drain_guard_backlog_s is not None and self.drain_guard_backlog_s < 0:
             raise ValueError("drain_guard_backlog_s must be non-negative (or None)")
-        if self.forecast_deadband < 0:
-            raise ValueError("forecast_deadband must be non-negative")
         if self.slo_latency_s is not None and self.slo_latency_s <= 0:
             raise ValueError("slo_latency_s must be positive (or None)")
-        if self.slo_confirm_samples < 1:
-            raise ValueError("slo_confirm_samples must be at least 1")
-        if self.slo_headroom <= 1.0:
-            raise ValueError("slo_headroom must be above 1")
+
+
+#: Forecasts within this fraction of the observed rate snap to the observed
+#: rate (smoothing noise must not read as pressure; see :func:`decide`).
+FORECAST_DEADBAND = 0.05
+#: Consecutive SLO-breaching samples before the overload override may
+#: escalate an in-band plan.
+SLO_CONFIRM_SAMPLES = 2
+#: Demand multiplier the SLO override plans with (capacity headroom to
+#: actually drain the backlog the breach built).
+SLO_HEADROOM = 1.5
 
 
 @dataclass
@@ -176,7 +171,7 @@ def decide(
     backlog advance only on samples that reach the planner.
 
     **Forecast.**  The planner sizes the demand ``horizon_s`` ahead.  A
-    forecast within ``config.forecast_deadband`` of the observed rate snaps
+    forecast within :data:`FORECAST_DEADBAND` of the observed rate snaps
     to the observed rate: the 1-per-capacity sizing rule ceils every task's
     instance count, so at exactly 100% utilization a +0.5% forecast excursion
     (smoothing noise, a residual trend) would add an instance to *every* task
@@ -184,9 +179,9 @@ def decide(
     band; noise is not.
 
     **SLO override.**  A latency-SLO breach sustained for
-    ``slo_confirm_samples`` samples escalates an in-band plan (only an
+    ``SLO_CONFIRM_SAMPLES`` samples escalates an in-band plan (only an
     in-band one: an out-of-band rate already did the job) to
-    ``max(forecast, observed) * slo_headroom``: overload shows up in the sink
+    ``max(forecast, observed) * SLO_HEADROOM``: overload shows up in the sink
     latency long before the input rate leaves the band (slow tasks,
     mis-declared capacities), and waiting for the rate trigger would let the
     backlog compound.  A breach only counts while the backlog is not
@@ -220,7 +215,7 @@ def decide(
 
     observed = sample.offered_rate
     rate = forecast.forecast(sample.time, horizon_s)
-    if observed > 0 and abs(rate - observed) <= config.forecast_deadband * observed:
+    if observed > 0 and abs(rate - observed) <= FORECAST_DEADBAND * observed:
         rate = observed
     target = planner.plan(rate, current_tier=state.tier)
 
@@ -229,8 +224,8 @@ def decide(
     state.previous_backlog = backlog
     state.breach_streak = state.breach_streak + 1 if slo_breached and not draining else 0
     slo_escalated = False
-    if _in_band(target, state.tier) and state.breach_streak >= config.slo_confirm_samples:
-        escalated = planner.plan(max(rate, observed) * config.slo_headroom, current_tier=state.tier)
+    if _in_band(target, state.tier) and state.breach_streak >= SLO_CONFIRM_SAMPLES:
+        escalated = planner.plan(max(rate, observed) * SLO_HEADROOM, current_tier=state.tier)
         if not _in_band(escalated, state.tier):
             target = escalated
             slo_escalated = True

@@ -44,13 +44,24 @@ bit-stable :class:`~repro.metrics.log.EventLog`.
 per recovery mode (notice-aware drain vs oblivious unplanned recovery) and
 compares restore latency, replayed messages and the cloud bill;
 :func:`~repro.experiments.chaos.run_chaos_run` only describes the storm.
+
+Each input rule has one owner: the runner that receives the value (or the
+spec or config it builds).  A bad value raises ``ValueError`` naming the
+parameter before anything is simulated -- a non-positive ``duration_s``
+(:class:`~repro.experiments.elastic.ElasticScenarioSpec`,
+:func:`~repro.experiments.multi.run_multi_experiment`), bad migration timing
+(:class:`~repro.experiments.scenarios.ScenarioSpec`, which
+:class:`~repro.experiments.figures.ExperimentMatrix` builds too), and a
+dataflow, policy or mode list that is empty, names an unknown entry or
+repeats a compared one (:func:`~repro.experiments.scenarios.check_names`) --
+and ``repro.cli.main`` turns it into one ``repro <cmd>: error: ...`` line
+and exit status 2.
 """
 
 from repro.experiments.scenarios import (
     MigrationRunResult,
     ScenarioSpec,
     build_experiment,
-    plan_after_scaling,
     run_migration_experiment,
     vm_counts_for,
 )
@@ -105,7 +116,6 @@ __all__ = [
     "build_experiment",
     "plan_shards",
     "format_table",
-    "plan_after_scaling",
     "run_chaos_experiment",
     "run_chaos_run",
     "run_elastic_experiment",

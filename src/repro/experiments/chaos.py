@@ -33,11 +33,12 @@ from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.engine.config import RuntimeConfig
-from repro.experiments.elastic import ElasticRunResult, Storm, run_elastic_experiment
+from repro.experiments.elastic import STORM_MODES, ElasticRunResult, Storm, run_elastic_experiment
+from repro.experiments.scenarios import check_names
 from repro.metrics.metadata import write_headline_json
 
-#: Recovery modes compared by default, in report order.
-DEFAULT_MODES: Tuple[str, ...] = ("notice", "oblivious")
+#: Recovery modes compared by default, in report order: every one there is.
+DEFAULT_MODES: Tuple[str, ...] = STORM_MODES
 
 
 @dataclass
@@ -204,11 +205,11 @@ def run_chaos_experiment(
     Every mode shares the storm schedule, the seeds and all random streams;
     the runs differ only in whether the eviction *notice* reaches the
     controller.  Scored on restore latency, replayed messages and the bill.
-    Bad storm parameters raise ``ValueError`` before any run (see
+    Bad storm parameters, and a mode list that is empty, names an unknown
+    mode or names one twice, raise ``ValueError`` before any run (see
     :func:`run_chaos_run`).
     """
-    if not modes:
-        raise ValueError("need at least one recovery mode to compare")
+    check_names("modes", modes, STORM_MODES, "recovery mode", unique=True)
     comparison = ChaosComparisonResult(
         dag=dag,
         strategy=strategy,

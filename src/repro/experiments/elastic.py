@@ -31,7 +31,7 @@ the process.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.cluster.chaos import ChaosSchedule, FaultInjector
 from repro.cluster.cloud import ON_DEMAND, SPOT, CloudProvider, ProvisioningModel, SpotMarket
@@ -68,6 +68,8 @@ SPOT_PROVISIONING = ProvisioningModel(
     base_latency_s=30.0, jitter_fraction=0.2, straggler_prob=0.05,
     straggler_multiplier=4.0, failure_prob=0.02,
 )
+#: The recovery modes a storm can be ridden in, in report order.
+STORM_MODES: Tuple[str, ...] = ("notice", "oblivious")
 #: Periodic checkpoint wave forced on a storm's run when its strategy has none:
 #: unplanned recovery restores keyed state from the last *committed* checkpoint.
 STORM_CHECKPOINT_INTERVAL_S = 30.0
@@ -133,11 +135,13 @@ class ElasticScenarioSpec:
     storm: Optional[Storm] = None
 
     def __post_init__(self) -> None:
+        if self.duration_s <= 0:
+            raise ValueError(f"duration_s must be positive, got {self.duration_s:g}")
         storm = self.storm
         if storm is None:
             return
-        if storm.mode not in ("notice", "oblivious"):
-            raise ValueError(f"unknown chaos mode {storm.mode!r}; choose 'notice' or 'oblivious'")
+        if storm.mode not in STORM_MODES:
+            raise ValueError(f"unknown chaos mode {storm.mode!r}; choose from {list(STORM_MODES)}")
         # A storm outside the run leaves nothing to judge, and the scheduler
         # would silently clamp a negative start or spacing to "now".  The
         # messages name run_chaos_run's parameters.

@@ -11,7 +11,6 @@ committed files equal it.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 from dataclasses import dataclass
@@ -22,7 +21,13 @@ from repro.dataflow import topologies
 from repro.dataflow.topologies import PAPER_ORDER, TABLE1
 from repro.engine.batch import engine_counts
 from repro.experiments.formatting import format_latency_series, format_rate_series, format_table
-from repro.experiments.scenarios import MigrationRunResult, run_migration_experiment, vm_counts_for
+from repro.experiments.scenarios import (
+    MigrationRunResult,
+    ScenarioSpec,
+    check_names,
+    run_migration_experiment,
+    vm_counts_for,
+)
 from repro.metrics.timeline import LatencyPoint, RatePoint, latency_timeline, rate_timeline
 from repro.reliability.statestore import StateStore
 from repro.sim import Simulator
@@ -88,8 +93,8 @@ DEFAULT_MIGRATE_AT_S = 90.0
 DEFAULT_POST_MIGRATION_S = 540.0
 
 
-#: Timeline resolutions the figures use; matrix cells precompute series at
-#: exactly these, so the parallel path reproduces the serial output bit for bit.
+#: Timeline resolutions the figures use; matrix cells precompute their series
+#: at these, so the parallel path reproduces the serial output bit for bit.
 DEFAULT_RATE_BIN_S = 5.0
 DEFAULT_LATENCY_WINDOW_S = 10.0
 
@@ -152,16 +157,6 @@ def _compute_cell(spec: Tuple[str, str, str, float, float, int]) -> Tuple[Tuple[
     return (dag, strategy, scaling), _cell_from_result(result)
 
 
-@dataclass
-class FigureRun:
-    """Cache key + cell summary for one (dag, strategy, scaling) experiment."""
-
-    dag: str
-    strategy: str
-    scaling: str
-    result: MatrixCell
-
-
 class ExperimentMatrix:
     """Runs and caches the (dag x strategy x scaling) experiment matrix.
 
@@ -180,6 +175,9 @@ class ExperimentMatrix:
         dags: Sequence[str] = PAPER_ORDER,
         strategies: Sequence[str] = STRATEGY_ORDER,
     ) -> None:
+        # Every cell runs these values: refuse bad ones before the first run.
+        check_names("dags", dags, topologies.PAPER_TOPOLOGIES, "dataflow")
+        ScenarioSpec(migrate_at_s=migrate_at_s, post_migration_s=post_migration_s)
         self.migrate_at_s = migrate_at_s
         self.post_migration_s = post_migration_s
         self.seed = seed
@@ -258,13 +256,9 @@ class ExperimentMatrix:
                 self.cells[key] = cell
         return len(specs)
 
-    def results(self, scaling: str) -> List[FigureRun]:
+    def results(self, scaling: str) -> List[MatrixCell]:
         """All cell summaries for one scaling direction, in paper order."""
-        runs = []
-        for dag in self.dags:
-            for strategy in self.strategies:
-                runs.append(FigureRun(dag, strategy, scaling, self.cell(dag, strategy, scaling)))
-        return runs
+        return [self.cell(dag, strategy, scaling) for dag in self.dags for strategy in self.strategies]
 
 
 # --------------------------------------------------------------------- Table 1
@@ -297,13 +291,13 @@ def table1_rows() -> List[Dict[str, object]]:
 def figure5_rows(matrix: ExperimentMatrix, scaling: str) -> List[Dict[str, object]]:
     """Reproduce Fig. 5 (a or b): restore, catchup and recovery per DAG and strategy."""
     rows = []
-    for run in matrix.results(scaling):
-        metrics = run.result.metrics
-        paper = PAPER_FIG5.get((scaling, run.dag, run.strategy))
+    for cell in matrix.results(scaling):
+        metrics = cell.metrics
+        paper = PAPER_FIG5.get((scaling, cell.dag, cell.strategy))
         rows.append(
             {
-                "dag": run.dag,
-                "strategy": run.strategy,
+                "dag": cell.dag,
+                "strategy": cell.strategy,
                 "restore_s": metrics.restore_duration_s,
                 "catchup_s": metrics.catchup_time_s,
                 "recovery_s": metrics.recovery_time_s,
@@ -336,28 +330,19 @@ def figure7_series(
     matrix: ExperimentMatrix,
     dag: str = "grid",
     scaling: str = "in",
-    bin_s: float = 5.0,
 ) -> Dict[str, Dict[str, List[RatePoint]]]:
     """Reproduce Fig. 7: input/output throughput timelines during the migration.
 
-    Times in the returned series are relative to the migration request, as in
-    the paper's plots.
+    Times in the returned series (:data:`DEFAULT_RATE_BIN_S` bins) are
+    relative to the migration request, as in the paper's plots.
     """
     series: Dict[str, Dict[str, List[RatePoint]]] = {}
     for strategy in matrix.strategies:
-        if bin_s == DEFAULT_RATE_BIN_S:
-            cell = matrix.cell(dag, strategy, scaling)
-            request = cell.requested_at
-            input_points, output_points = cell.input_series, cell.output_series
-        else:
-            # Non-default resolution: recompute from the full run's log.
-            result = matrix.run(dag, strategy, scaling)
-            request = result.report.requested_at
-            input_points = rate_timeline(result.log, kind="input", bin_s=bin_s)
-            output_points = rate_timeline(result.log, kind="output", bin_s=bin_s)
+        cell = matrix.cell(dag, strategy, scaling)
+        request = cell.requested_at
         series[strategy] = {
-            "input": [RatePoint(time=p.time - request, rate=p.rate) for p in input_points],
-            "output": [RatePoint(time=p.time - request, rate=p.rate) for p in output_points],
+            "input": [RatePoint(time=p.time - request, rate=p.rate) for p in cell.input_series],
+            "output": [RatePoint(time=p.time - request, rate=p.rate) for p in cell.output_series],
         }
     return series
 
@@ -366,13 +351,13 @@ def figure7_series(
 def figure8_rows(matrix: ExperimentMatrix, scaling: str) -> List[Dict[str, object]]:
     """Reproduce Fig. 8 (a or b): rate stabilization times per DAG and strategy."""
     rows = []
-    for run in matrix.results(scaling):
+    for cell in matrix.results(scaling):
         rows.append(
             {
-                "dag": run.dag,
-                "strategy": run.strategy,
-                "stabilization_s": run.result.metrics.stabilization_time_s,
-                "stabilization_paper_s": PAPER_FIG8.get((scaling, run.dag, run.strategy)),
+                "dag": cell.dag,
+                "strategy": cell.strategy,
+                "stabilization_s": cell.metrics.stabilization_time_s,
+                "stabilization_paper_s": PAPER_FIG8.get((scaling, cell.dag, cell.strategy)),
             }
         )
     return rows
@@ -383,7 +368,6 @@ def figure9_series(
     matrix: ExperimentMatrix,
     dag: str = "grid",
     scaling: str = "in",
-    window_s: float = 10.0,
 ) -> Dict[str, Dict[str, object]]:
     """Reproduce Fig. 9: average latency over a 10 s moving window for Grid scale-in.
 
@@ -393,19 +377,11 @@ def figure9_series(
     """
     series: Dict[str, Dict[str, object]] = {}
     for strategy in matrix.strategies:
-        if window_s == DEFAULT_LATENCY_WINDOW_S:
-            cell = matrix.cell(dag, strategy, scaling)
-            request = cell.requested_at
-            metrics = cell.metrics
-            raw_points = cell.latency_series
-        else:
-            result = matrix.run(dag, strategy, scaling)
-            request = result.report.requested_at
-            metrics = result.metrics
-            raw_points = latency_timeline(result.log, window_s=window_s)
+        cell = matrix.cell(dag, strategy, scaling)
+        metrics = cell.metrics
         points = [
-            LatencyPoint(time=p.time - request, latency_s=p.latency_s, samples=p.samples)
-            for p in raw_points
+            LatencyPoint(time=p.time - cell.requested_at, latency_s=p.latency_s, samples=p.samples)
+            for p in cell.latency_series
         ]
         stable = [p.latency_s for p in points if p.time < 0]
         series[strategy] = {
@@ -476,8 +452,8 @@ def rebalance_duration_summary(matrix: ExperimentMatrix, scalings: Sequence[str]
     """Reproduce the §5.1 observation that the rebalance command averages ~7.26 s."""
     durations: List[float] = []
     for scaling in scalings:
-        for run in matrix.results(scaling):
-            rebalance = run.result.metrics.rebalance_duration_s
+        for cell in matrix.results(scaling):
+            rebalance = cell.metrics.rebalance_duration_s
             if rebalance is not None:
                 durations.append(rebalance)
     if not durations:

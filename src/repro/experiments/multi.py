@@ -26,6 +26,7 @@ from repro.dataflow import topologies
 from repro.elastic.controller import ScalingAction
 from repro.elastic.planner import AllocationPlanner
 from repro.experiments.elastic import surge_profile
+from repro.experiments.scenarios import check_names
 from repro.metrics.log import mean_latency
 from repro.multi import ClusterManager, FleetSample, ProposalRecord
 from repro.obs import Telemetry
@@ -315,10 +316,12 @@ def run_multi_experiment(
     comparison the CLI prints.  ``placement="incremental"`` gives every
     tenant the rescale-aware placer (grows add only the delta;
     consolidations re-use partially-free shared VMs instead of provisioning
-    a fresh fleet).
+    a fresh fleet).  A dags list that is empty or names an unknown dataflow
+    raises ``ValueError`` before any run; a dataflow named twice is two tenants.
     """
-    if len(dags) < 1:
-        raise ValueError("need at least one dataflow")
+    check_names("dags", dags, topologies.ALL_TOPOLOGIES, "dataflow")
+    if duration_s <= 0:
+        raise ValueError(f"duration_s must be positive, got {duration_s:g}")
     if priorities is not None and len(priorities) != len(dags):
         raise ValueError(f"priorities must match dags ({len(dags)} entries)")
     if surge_multiplier <= 1.0:

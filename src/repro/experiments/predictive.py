@@ -30,7 +30,9 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.dataflow import topologies
 from repro.elastic import ControllerConfig
+from repro.elastic.forecast import FORECAST_POLICIES
 from repro.experiments.elastic import ElasticRunResult, run_elastic_experiment, surge_profile
+from repro.experiments.scenarios import check_names
 from repro.metrics.log import mean_latency
 from repro.metrics.metadata import write_headline_json
 from repro.obs import Telemetry
@@ -205,9 +207,10 @@ def run_predictive_experiment(
     same seed-derived random streams, capacity-adding rescale, the
     SLO-breach override armed at ``slo_latency_s``, and (by default) the
     incremental placer -- so the runs differ *only* in the forecast policy.
+    A policy list that is empty, names an unknown policy or names one twice
+    raises ``ValueError`` before any run.
     """
-    if not policies:
-        raise ValueError("need at least one policy to compare")
+    check_names("policies", policies, FORECAST_POLICIES, "forecast policy", unique=True)
     if surge_multiplier <= 1.0:
         raise ValueError("surge_multiplier must be > 1 (otherwise there is no surge)")
 

@@ -18,16 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Collection, List, Optional, Sequence, Tuple
 
 from repro.cluster.cloud import ON_DEMAND, CloudProvider, Cluster
-from repro.cluster.placement import PlacementPlan
 from repro.cluster.vm import D1, D2, D3, VirtualMachine
 from repro.core.metrics import MigrationMetrics, compute_migration_metrics
 from repro.core.strategy import MigrationReport, strategy_by_name
 from repro.dataflow import topologies
-from repro.elastic.planner import plan_user_tasks_on
 from repro.dataflow.graph import Dataflow
+from repro.elastic.planner import plan_user_tasks_on
 from repro.engine.config import RuntimeConfig
 from repro.engine.runtime import TopologyRuntime
 from repro.metrics.log import EventLog
@@ -59,6 +58,22 @@ def vm_counts_for(dataflow: Dataflow) -> VMCounts:
         scale_in_d3=int(math.ceil(slots / D3.slots)),
         scale_out_d1=slots,
     )
+
+
+def check_names(
+    parameter: str, names: Sequence[str], known: Collection[str], noun: str, unique: bool = False
+) -> None:
+    """Raise ``ValueError`` naming ``parameter`` unless ``names`` lists at
+    least one ``noun``, each of them one of ``known`` (and, if ``unique``,
+    none twice: a repeated run would show as one row of its comparison)."""
+    if not names:
+        raise ValueError(f"{parameter} needs at least one {noun}")
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise ValueError(f"{parameter}: unknown {noun}(s) {unknown}; choose from {sorted(known)}")
+    repeated = sorted({name for name in names if names.count(name) > 1}) if unique else []
+    if repeated:
+        raise ValueError(f"{parameter} names {repeated} more than once")
 
 
 @dataclass
@@ -116,20 +131,6 @@ class MigrationRunResult:
         return latency_timeline(self.log, window_s=window_s)
 
 
-@dataclass
-class ExperimentHandle:
-    """A deployed-but-not-yet-migrated experiment (for step-by-step control)."""
-
-    spec: ScenarioSpec
-    dataflow: Dataflow
-    sim: Simulator
-    provider: CloudProvider
-    cluster: Cluster
-    runtime: TopologyRuntime
-    initial_vm_ids: List[str]
-    util_vm_id: str
-
-
 def deploy_baseline(
     dataflow: Dataflow,
     config: RuntimeConfig,
@@ -161,11 +162,13 @@ def deploy_baseline(
     return runtime, worker_vms
 
 
-def build_experiment(spec: ScenarioSpec, dataflow: Optional[Dataflow] = None) -> ExperimentHandle:
-    """Provision the initial cluster, deploy and start the dataflow.
+def build_experiment(
+    spec: ScenarioSpec, dataflow: Optional[Dataflow] = None
+) -> Tuple[TopologyRuntime, CloudProvider, List[str]]:
+    """Provision the paper's baseline cluster, deploy and start the dataflow.
 
-    The returned handle lets callers (examples, tests) drive the run manually;
-    :func:`run_migration_experiment` is the one-call variant.
+    Returns the runtime (its simulator not yet run), the cloud provider the
+    target VMs are bought from, and the initial worker VM ids.
     """
     strategy_cls = strategy_by_name(spec.strategy)
     # Different (dag, strategy, scaling) cells draw independent random values
@@ -173,44 +176,10 @@ def build_experiment(spec: ScenarioSpec, dataflow: Optional[Dataflow] = None) ->
     config = strategy_cls.runtime_config(
         seed=cell_seed(spec.seed, spec.dag, spec.strategy, spec.scaling)
     )
-    sim = Simulator()
     dataflow = dataflow if dataflow is not None else topologies.by_name(spec.dag)
-    provider = CloudProvider(sim)
+    provider = CloudProvider(Simulator())
     runtime, initial_vms = deploy_baseline(dataflow, config, provider)
-    return ExperimentHandle(
-        spec=spec,
-        dataflow=dataflow,
-        sim=sim,
-        provider=provider,
-        cluster=runtime.cluster,
-        runtime=runtime,
-        initial_vm_ids=[vm.vm_id for vm in initial_vms],
-        util_vm_id=runtime.util_vm_id,
-    )
-
-
-def provision_target_vms(handle: ExperimentHandle) -> List[str]:
-    """Provision the VMs the dataflow will migrate to (scale-in D3s or scale-out D1s)."""
-    counts = vm_counts_for(handle.dataflow)
-    if handle.spec.scaling == "in":
-        vm_type, count, prefix = D3, counts.scale_in_d3, "d3"
-    else:
-        vm_type, count, prefix = D1, counts.scale_out_d1, "d1"
-    vms = handle.provider.provision(vm_type, count, name_prefix=prefix)
-    for vm in vms:
-        handle.cluster.add_vm(vm)
-    return [vm.vm_id for vm in vms]
-
-
-def plan_after_scaling(runtime: TopologyRuntime, target_vm_ids: Sequence[str]) -> PlacementPlan:
-    """Compute the post-migration placement: user tasks on the target VMs only.
-
-    Sources and sinks keep their existing slots (they are pinned to the
-    dedicated util VM and never migrate).  This is the same planning step the
-    elastic controller performs; the logic lives in
-    :func:`repro.elastic.planner.plan_user_tasks_on`.
-    """
-    return plan_user_tasks_on(runtime, target_vm_ids)
+    return runtime, provider, [vm.vm_id for vm in initial_vms]
 
 
 def run_migration_experiment(
@@ -246,40 +215,48 @@ def run_migration_experiment(
         post_migration_s=post_migration_s,
         seed=seed,
     )
-    handle = build_experiment(spec, dataflow=dataflow)
-    runtime = handle.runtime
+    runtime, provider, initial_vm_ids = build_experiment(spec, dataflow=dataflow)
     if max_spout_pending is not None:
         runtime.reliability.max_spout_pending = max_spout_pending
 
     # Warm-up: run until the migration request time.
-    handle.sim.run(until=spec.migrate_at_s)
+    runtime.sim.run(until=spec.migrate_at_s)
 
     # The new schedule has been planned (outside the scope of the strategies):
-    # provision the target VMs and compute the new placement.
-    target_vm_ids = provision_target_vms(handle)
-    new_plan = plan_after_scaling(runtime, target_vm_ids)
+    # provision the target VMs (scale-in D3s or scale-out D1s) and place the
+    # user tasks on them; sources and sinks keep their util-VM slots.
+    counts = vm_counts_for(runtime.dataflow)
+    if spec.scaling == "in":
+        vm_type, count, prefix = D3, counts.scale_in_d3, "d3"
+    else:
+        vm_type, count, prefix = D1, counts.scale_out_d1, "d1"
+    target_vm_ids = []
+    for vm in provider.provision(vm_type, count, name_prefix=prefix):
+        runtime.cluster.add_vm(vm)
+        target_vm_ids.append(vm.vm_id)
+    new_plan = plan_user_tasks_on(runtime, target_vm_ids)
 
     strategy_cls = strategy_by_name(spec.strategy)
     migration = strategy_cls(runtime, **strategy_options)
     report = migration.migrate(new_plan)
 
     # Observe the post-migration behaviour (catch-up, recovery, stabilization).
-    handle.sim.run(until=spec.migrate_at_s + spec.post_migration_s)
+    runtime.sim.run(until=spec.migrate_at_s + spec.post_migration_s)
 
     metrics = compute_migration_metrics(
         runtime.log,
         report,
-        expected_output_rate=handle.dataflow.output_rate(),
-        dataflow_name=handle.dataflow.name,
+        expected_output_rate=runtime.dataflow.output_rate(),
+        dataflow_name=runtime.dataflow.name,
         scenario=spec.scenario_name,
-        end_time=handle.sim.now,
+        end_time=runtime.sim.now,
     )
     return MigrationRunResult(
         spec=spec,
-        dataflow=handle.dataflow,
+        dataflow=runtime.dataflow,
         runtime=runtime,
         report=report,
         metrics=metrics,
-        initial_vm_ids=handle.initial_vm_ids,
+        initial_vm_ids=initial_vm_ids,
         target_vm_ids=target_vm_ids,
     )

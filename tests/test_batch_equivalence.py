@@ -37,11 +37,11 @@ from repro.dataflow import topologies
 from repro.dataflow.builder import TopologyBuilder
 from repro.dataflow.graph import RescalePlan
 from repro.elastic import ControllerConfig
+from repro.elastic.planner import plan_user_tasks_on
 from repro.engine import batch
 from repro.engine.config import RuntimeConfig
 from repro.engine.runtime import TopologyRuntime
 from repro.experiments import run_elastic_experiment
-from repro.experiments.scenarios import plan_after_scaling
 from repro.multi import ClusterManager
 from repro.sim import Simulator
 from repro.sim.rng import keyed_value, keyed_value_blocks
@@ -149,7 +149,7 @@ def golden_run(dag: str, regime: str, acked: bool, batch_stepping: bool = True) 
                 runtime.cluster.add_vm(vm)
             vm_ids = [vm.vm_id for vm in vms]
             strategy_by_name(strategy)(runtime, init_resend_interval_s=0.2).migrate(
-                lambda rt: plan_after_scaling(rt, vm_ids), rescale=RescalePlan(GOLDEN_RESCALES[dag])
+                lambda rt: plan_user_tasks_on(rt, vm_ids), rescale=RescalePlan(GOLDEN_RESCALES[dag])
             )
         sim.run(until=sim.now + step_s)
     return runtime

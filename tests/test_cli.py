@@ -2,16 +2,39 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
 from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments import run_multi_experiment, run_predictive_experiment
+from repro.experiments import (
+    run_elastic_experiment,
+    run_multi_experiment,
+    run_predictive_experiment,
+    run_rescale_experiment,
+)
 from repro.experiments.figures import ExperimentMatrix
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+
+# sha256 of each command's whole stdout: a change that moves one changed what
+# the command prints for a valid input.
+STDOUT_SHA256 = {
+    "experiment": "7e7bef1a9ba9eae0f5eff0b075c1158d4af8b4231d228c9132b4a002cf2d020d",
+    "figure": "687e914cdf567cfdba8b01e3f4edd3c46859d76f72c73ebbb599398a5c5b768a",
+    "multi": "c68f44d175cbd3515f85bcdeb24a929fc66be9093aee8d2354ea040138621cf3",
+    "chaos": "df7c66f39060acb17dfb0c3e70b4b2da7e42a0abdc5c7db9c28c4896efb9848d",
+    "describe": "6b41e316f21c050852918023d65ab92aae0e005c0afda2aa776ddeecdd3a289c",
+    "elastic": "ae4e7308e4b0e2010d21877ad0d2b807da56fd4468cbb08343c375ce037f756b",
+    "rescale": "9ce253ced72693928f47d637939dd24e6c41e86cbd62aed1d5c105738deae44f",
+    "predict": "1fc6a36fe69bddee0a423e671f7260e6a64e6640c3b606931723ae8305c37653",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class TestParser:
@@ -54,6 +77,17 @@ class TestCommands:
         assert "hub" in output
         assert "spoke_in_a" in output
 
+    @pytest.mark.parametrize("argv", [
+        ["describe", "grid"],
+        ["elastic", "--dag", "linear", "--duration", "300"],
+        ["rescale", "--dag", "linear", "--duration", "300"],
+        ["predict", "--dag", "linear", "--duration", "300", "--policies", "reactive,lookahead"],
+    ], ids=lambda argv: argv[0])
+    def test_stdout_is_pinned(self, capsys, argv):
+        exit_code = main(argv)
+        assert exit_code == 0
+        assert _sha256(capsys.readouterr().out) == STDOUT_SHA256[argv[0]]
+
     @pytest.mark.parametrize("argv, stem", [
         (["table1"], "table1_resources"),
         (["statestore"], "statestore_micro"),
@@ -83,7 +117,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("argv, message", [
         (["fig5", "--dags", "nope"], "unknown dataflow(s) ['nope']"),
-        (["fig6", "--duration", "-5"], "--duration and --migrate-at must be positive"),
+        (["fig6", "--duration", "-5"], "post_migration_s must be positive, got -5"),
         (["fig6", "--dags", "linear", "--migrate-at", "5", "--duration", "5"], "the run ended inside"),
         (["fig5", "--write", "out"], "--write goes with `figure all`"),
         # It used to be clamped to one process and run inline without a word.
@@ -103,6 +137,7 @@ class TestCommands:
         ])
         output = capsys.readouterr().out
         assert exit_code == 0
+        assert _sha256(output) == STDOUT_SHA256["experiment"]
         assert "restore_s" in output
         assert "Protocol phases" in output
         # Which engine ran it, by events and by simulated seconds (30 s + 120 s).
@@ -147,13 +182,15 @@ class TestCommands:
         exit_code = main([command, "--surge", surge])
         captured = capsys.readouterr()
         assert exit_code == 2
-        assert captured.err == f"repro {command}: error: --surge must be > 1\n"
+        assert captured.err == (
+            f"repro {command}: error: surge_multiplier must be > 1 (otherwise there is no surge)\n"
+        )
         assert captured.out == ""
 
     @pytest.mark.parametrize("argv, message", [
         # Both used to die with a ValueError traceback (exit 1).
-        (["multi", "--dags", ","], "--dags needs at least one dataflow"),
-        (["predict", "--policies", ","], "--policies needs at least one policy"),
+        (["multi", "--dags", ","], "dags needs at least one dataflow"),
+        (["predict", "--policies", ","], "policies needs at least one forecast policy"),
     ])
     def test_an_empty_list_fails_loudly(self, capsys, argv, message):
         exit_code = main(argv)
@@ -167,11 +204,29 @@ class TestCommands:
         with pytest.raises(ValueError, match="surge_multiplier must be > 1"):
             run(surge_multiplier=1.0)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["rescale", "--duration", "0"], "duration_s must be positive, got 0"),
+        (["elastic", "--duration", "0"], "duration_s must be positive, got 0"),
+        (["chaos", "--modes", "bogus"], "modes: unknown recovery mode(s) ['bogus']"),
+        (["chaos", "--modes", "notice,notice"], "modes names ['notice'] more than once"),
+        (["predict", "--policies", "bogus"], "policies: unknown forecast policy(s) ['bogus']"),
+        (["predict", "--policies", "reactive,reactive"], "policies names ['reactive'] more than once"),
+        (["multi", "--priorities", "1,x"], "--priorities must be comma-separated integers"),
+    ])
+    def test_bad_inputs_are_reported_in_one_place(self, capsys, argv, message):
+        exit_code = main(argv)
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith(f"repro {argv[0]}: error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_chaos_without_a_fired_eviction_has_no_verdict(self, capsys):
         # The one eviction is jittered past the end of the run.
         exit_code = main(["chaos", "--duration", "100", "--storm-start", "99", "--storms", "1"])
         output = capsys.readouterr().out
         assert exit_code == 0
+        assert _sha256(output) == STDOUT_SHA256["chaos"]
         assert "unfired evict" in output
         assert "No verdict: no eviction fired inside the run." in output
         assert "wins" not in output and "did not pay for itself" not in output
@@ -183,6 +238,7 @@ class TestCommands:
         ])
         output = capsys.readouterr().out
         assert exit_code == 0
+        assert _sha256(output) == STDOUT_SHA256["figure"]
         assert "linear" in output
         assert "dsm" in output and "ccr" in output
         # One scraped line a cell says which engine ran it, and why not the other.
@@ -193,6 +249,52 @@ class TestCommands:
         assert set(share) == {f"linear/{strategy}/scale-in" for strategy in ("dsm", "dcr", "ccr")}
         assert share["linear/dcr/scale-in"] >= 85 and share["linear/ccr/scale-in"] >= 85
         assert re.search(r"^linear/dcr/scale-in engine: .* events, .* s: .*source-paused \d+", output, re.M)
+
+
+class TestRunnerInputs:
+    """Each input rule lives in the runner that receives the value: it raises
+    ``ValueError`` naming the parameter before anything is simulated."""
+
+    @pytest.mark.parametrize("run, dataflow", [
+        (run_elastic_experiment, {"dag": "linear"}),
+        (run_rescale_experiment, {"dag": "linear"}),
+        (run_predictive_experiment, {"dag": "linear"}),
+        (run_multi_experiment, {"dags": ["linear"]}),
+    ], ids=lambda value: getattr(value, "__name__", ""))
+    @pytest.mark.parametrize("duration_s", [0.0, -5.0])
+    def test_a_run_without_time_is_refused_by_name(self, run, dataflow, duration_s):
+        # Each used to return a run whose clock never left t = 0, or empty results.
+        with pytest.raises(ValueError, match=f"duration_s must be positive, got {duration_s:g}"):
+            run(**dataflow, duration_s=duration_s)
+
+    def test_unknown_names_are_value_errors(self):
+        # Both used to surface as a KeyError from the topology / policy registry.
+        with pytest.raises(ValueError, match=r"dags: unknown dataflow\(s\) \['atlantis'\]"):
+            run_multi_experiment(dags=["atlantis"])
+        with pytest.raises(ValueError, match=r"policies: unknown forecast policy\(s\) \['bogus'\]"):
+            run_predictive_experiment(policies=["bogus"])
+        with pytest.raises(ValueError, match=r"dags: unknown dataflow\(s\) \['traffic-keyed'\]"):
+            ExperimentMatrix(dags=["traffic-keyed"])
+        with pytest.raises(ValueError, match="post_migration_s must be positive, got -5"):
+            ExperimentMatrix(post_migration_s=-5.0)
+
+    @pytest.mark.parametrize("modes, message", [
+        (["notice", "bogus"], r"modes: unknown recovery mode\(s\) \['bogus'\]"),
+        # It used to run twice, and the table showed one row.
+        (["notice", "notice"], r"modes names \['notice'\] more than once"),
+    ])
+    def test_chaos_modes_are_checked_before_the_first_run(self, monkeypatch, modes, message):
+        from repro.experiments import chaos
+
+        runs = []
+        monkeypatch.setattr(chaos, "run_chaos_run", lambda **kwargs: runs.append(kwargs))
+        with pytest.raises(ValueError, match=message):
+            chaos.run_chaos_experiment(modes=modes)
+        assert runs == []
+
+    def test_a_repeated_policy_is_refused_by_name(self):
+        with pytest.raises(ValueError, match=r"policies names \['reactive'\] more than once"):
+            run_predictive_experiment(policies=["reactive", "ewma", "reactive"])
 
 
 class TestMultiCommand:
@@ -220,7 +322,7 @@ class TestMultiCommand:
         exit_code = main(["multi", "--budget", budget])
         captured = capsys.readouterr()
         assert exit_code == 2
-        assert captured.err == "repro multi: error: --budget must be >= 1\n"
+        assert captured.err == f"repro multi: error: budget_slots must be positive, got {budget}\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("budget", ["1", "33"])
@@ -252,6 +354,7 @@ class TestMultiCommand:
         ])
         output = capsys.readouterr().out
         assert exit_code == 0
+        assert _sha256(output) == STDOUT_SHA256["multi"]
         assert "Tenants" in output
         assert "Arbitration" in output
         assert "peak committed slots" in output

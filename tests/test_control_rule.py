@@ -291,9 +291,10 @@ def test_replay_reaches_the_live_controllers_first_action(dag, profile, duration
 
 # ------------------------------------------------------- one rule, fewer knobs
 def test_controller_config_lost_the_knobs_nothing_set():
-    assert len(dataclasses.fields(ControllerConfig)) == 10
+    assert len(dataclasses.fields(ControllerConfig)) == 7
     for knob in ("wait_for_provisioning", "forecast_horizon_s", "capacity_feedback",
-                 "evacuation_horizon_s"):
+                 "evacuation_horizon_s", "forecast_deadband", "slo_confirm_samples",
+                 "slo_headroom"):
         with pytest.raises(TypeError):
             ControllerConfig(**{knob: 1})
 
@@ -301,7 +302,7 @@ def test_controller_config_lost_the_knobs_nothing_set():
 #: The rule's carried state: written nowhere but in ``elastic/policy.py``.
 RULE_STATE = {"pending_tier", "pending_count", "breach_streak", "previous_backlog"}
 #: The rule's knobs: read nowhere but there and in the config's own validation.
-RULE_KNOBS = {"drain_guard_backlog_s", "slo_confirm_samples", "slo_headroom", "forecast_deadband"}
+RULE_KNOBS = {"drain_guard_backlog_s"}
 
 
 def test_the_rule_lives_in_one_module():

@@ -130,15 +130,6 @@ class TestParallelMatrix:
         # The parallel matrix never had to materialize a full in-process run.
         assert parallel._cache == {}
 
-    def test_custom_resolution_falls_back_to_full_run(self):
-        from repro.experiments.figures import ExperimentMatrix, figure7_series
-
-        matrix = ExperimentMatrix(**self.KW)
-        matrix.prefetch(scalings=("in",), processes=1)
-        series = figure7_series(matrix, dag="linear", scaling="in", bin_s=2.0)
-        assert matrix._cache  # the non-default bin size needed the real log
-        assert series["ccr"]["input"]
-
 
 class TestDsmAtLeastOnce:
     """DSM's guarantee, the one Fig. 6 counts the price of, as an invariant

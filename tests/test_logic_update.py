@@ -12,8 +12,8 @@ import pytest
 from repro.cluster.cloud import CloudProvider
 from repro.cluster.vm import D3
 from repro.core import DrainCheckpointRestore, strategy_by_name
+from repro.elastic.planner import plan_user_tasks_on
 from repro.engine.runtime import TopologyRuntime
-from repro.experiments.scenarios import plan_after_scaling
 from repro.sim import Simulator
 
 from tests.conftest import build_cluster, fast_config, make_runtime, tiny_dataflow
@@ -42,7 +42,7 @@ def run_dcr_with_update(logic_updates, migrate_at=3.0, run_until=30.0):
     new_vms = provider.provision(D3, 2, name_prefix="target")
     for vm in new_vms:
         runtime.cluster.add_vm(vm)
-    new_plan = plan_after_scaling(runtime, [vm.vm_id for vm in new_vms])
+    new_plan = plan_user_tasks_on(runtime, [vm.vm_id for vm in new_vms])
 
     strategy = DrainCheckpointRestore(runtime, init_resend_interval_s=0.2)
     report = strategy.migrate(new_plan, logic_updates=logic_updates)
@@ -84,7 +84,7 @@ class TestLogicUpdate:
         new_vms = provider.provision(D3, 2, name_prefix="target")
         for vm in new_vms:
             runtime.cluster.add_vm(vm)
-        plan = plan_after_scaling(runtime, [vm.vm_id for vm in new_vms])
+        plan = plan_user_tasks_on(runtime, [vm.vm_id for vm in new_vms])
         strategy = DrainCheckpointRestore(runtime)
         with pytest.raises(KeyError):
             strategy.migrate(plan, logic_updates={"ghost": tagging_logic("v2")})
@@ -98,7 +98,7 @@ class TestLogicUpdate:
         new_vms = provider.provision(D3, 2, name_prefix="target")
         for vm in new_vms:
             runtime.cluster.add_vm(vm)
-        plan = plan_after_scaling(runtime, [vm.vm_id for vm in new_vms])
+        plan = plan_user_tasks_on(runtime, [vm.vm_id for vm in new_vms])
         strategy_cls = strategy_by_name("ccr")
         strategy = strategy_cls(runtime, init_resend_interval_s=0.2)
         report = strategy.migrate(plan, logic_updates={"c": tagging_logic("v2")})
@@ -133,7 +133,7 @@ class TestLogicUpdateUnderBatchStepping:
                 vms = CloudProvider(sim).provision(D3, 2, name_prefix="target")
                 for vm in vms:
                     runtime.cluster.add_vm(vm)
-                plan = plan_after_scaling(runtime, [vm.vm_id for vm in vms])
+                plan = plan_user_tasks_on(runtime, [vm.vm_id for vm in vms])
                 report = DrainCheckpointRestore(runtime, init_resend_interval_s=0.2).migrate(
                     plan, logic_updates={"b": counting_logic}
                 )

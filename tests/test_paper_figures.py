@@ -128,7 +128,7 @@ def test_fig7_throughput_timeline(matrix):
     """Steady state is 8 ev/s in and 32 ev/s out (Grid has 1:4 selectivity);
     DCR and CCR pause the source while DSM never does; every strategy shows an
     output gap during the restore; DSM returns to a stable rate last."""
-    series = figure7_series(matrix, dag="grid", scaling="in", bin_s=5.0)
+    series = figure7_series(matrix, dag="grid", scaling="in")
 
     for strategy, data in series.items():
         # Steady state before the migration: 8 ev/s in, 32 ev/s out.
@@ -215,7 +215,7 @@ def test_fig9_latency_timeline(matrix):
     latency; the migration spikes the windowed latency (backlogged and
     replayed events arrive late); it returns to the stable level for the
     proposed strategies, and for DSM no earlier than for CCR."""
-    series = figure9_series(matrix, dag="grid", scaling="in", window_s=10.0)
+    series = figure9_series(matrix, dag="grid", scaling="in")
 
     stable = {name: data["stable_latency_s"] for name, data in series.items()}
     for name, value in stable.items():

@@ -25,9 +25,9 @@ from repro.dataflow.graph import (
 )
 from repro.dataflow.grouping import Grouping, stable_field_index
 from repro.elastic import AllocationPlanner
+from repro.elastic.planner import plan_user_tasks_on
 from repro.engine.executor import ExecutorStatus
 from repro.experiments.rescale import run_rescale_experiment
-from repro.experiments.scenarios import plan_after_scaling
 from repro.reliability.repartition import PARTITIONED_STATE_KEY
 
 from tests.conftest import make_runtime, tiny_dataflow
@@ -83,7 +83,7 @@ def migrate_with_rescale(strategy_name, rescale, dataflow=None, migrate_at=3.0,
 
     strategy = strategy_by_name(strategy_name)(runtime, init_resend_interval_s=0.2)
     report = strategy.migrate(
-        lambda rt: plan_after_scaling(rt, vm_ids),
+        lambda rt: plan_user_tasks_on(rt, vm_ids),
         rescale=rescale,
     )
     runtime.sim.run(until=stop_at)
@@ -200,7 +200,7 @@ class TestRuntimeApplyRescale:
         new_vms = provider.provision(D3, 2, name_prefix="target")
         for vm in new_vms:
             runtime.cluster.add_vm(vm)
-        stale_plan = plan_after_scaling(runtime, [vm.vm_id for vm in new_vms])
+        stale_plan = plan_user_tasks_on(runtime, [vm.vm_id for vm in new_vms])
         runtime.apply_rescale(RescalePlan({"keyed": 4}))
         with pytest.raises(RuntimeError_, match="keyed#2"):
             runtime.rebalance(stale_plan)
@@ -292,7 +292,7 @@ class TestStrategyRescale:
         new_vms = provider.provision(D3, 2, name_prefix="target")
         for vm in new_vms:
             runtime.cluster.add_vm(vm)
-        plan = plan_after_scaling(runtime, [vm.vm_id for vm in new_vms])
+        plan = plan_user_tasks_on(runtime, [vm.vm_id for vm in new_vms])
         strategy = strategy_by_name("dcr")(runtime, init_resend_interval_s=0.2)
         report = strategy.migrate(plan)
         runtime.sim.run(until=25.0)

@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.placement import placement_diff
+from repro.elastic.planner import plan_user_tasks_on
 from repro.engine.executor import ExecutorStatus
 from repro.engine.runtime import RuntimeError_
 
 from tests.conftest import build_cluster, fast_config, make_runtime, tiny_dataflow
 from repro.engine.runtime import TopologyRuntime
-from repro.experiments.scenarios import plan_after_scaling
 from repro.cluster.cloud import CloudProvider
 from repro.cluster.vm import D3
 from repro.sim import Simulator
@@ -65,7 +65,7 @@ class TestRebalance:
         new_vms = provider.provision(D3, 2, name_prefix="new")
         for vm in new_vms:
             runtime.cluster.add_vm(vm)
-        return plan_after_scaling(runtime, [vm.vm_id for vm in new_vms]), new_vms
+        return plan_user_tasks_on(runtime, [vm.vm_id for vm in new_vms]), new_vms
 
     def test_rebalance_before_deploy_rejected(self):
         sim = Simulator()

@@ -9,11 +9,10 @@ from repro.cluster.vm import D1, D3
 from repro.dataflow import topologies
 from repro.dataflow.builder import TopologyBuilder
 from repro.dataflow.topologies import TABLE1
+from repro.elastic.planner import plan_user_tasks_on
 from repro.experiments.scenarios import (
     ScenarioSpec,
     build_experiment,
-    plan_after_scaling,
-    provision_target_vms,
     run_migration_experiment,
     vm_counts_for,
 )
@@ -68,27 +67,27 @@ class TestScenarioSpec:
 class TestBuildAndPlan:
     def test_build_experiment_provisions_table1_cluster(self):
         spec = ScenarioSpec(dag="star", strategy="dcr", scaling="in")
-        handle = build_experiment(spec)
-        described = handle.cluster.describe()
-        assert described["D2"] == TABLE1["star"].default_vms_2slot
+        runtime, provider, initial_vm_ids = build_experiment(spec)
+        described = runtime.cluster.describe()
+        assert described["D2"] == TABLE1["star"].default_vms_2slot == len(initial_vm_ids)
         assert described["D3"] == 1  # the util VM
-        assert handle.runtime.deployed
+        assert runtime.deployed and provider.sim is runtime.sim
 
-    def test_provision_target_vms_scale_in_uses_d3(self):
-        spec = ScenarioSpec(dag="star", strategy="dcr", scaling="in")
-        handle = build_experiment(spec)
-        target_ids = provision_target_vms(handle)
-        assert len(target_ids) == TABLE1["star"].scale_in_vms_4slot
-        assert all(handle.cluster.vm(vm_id).vm_type is D3 for vm_id in target_ids)
+    @pytest.mark.parametrize("scaling, vm_type, count", [
+        ("in", D3, TABLE1["linear"].scale_in_vms_4slot),
+        ("out", D1, TABLE1["linear"].scale_out_vms_1slot),
+    ])
+    def test_the_migration_moves_onto_the_table1_target_vms(self, scaling, vm_type, count):
+        result = run_migration_experiment(
+            dag="linear", strategy="ccr", scaling=scaling, migrate_at_s=20.0, post_migration_s=60.0,
+        )
+        assert len(result.target_vm_ids) == count
+        cluster = result.runtime.cluster
+        assert all(cluster.vm(vm_id).vm_type is vm_type for vm_id in result.target_vm_ids)
+        placed = {result.runtime.placement.vm_of(e.executor_id) for e in result.runtime.user_executors}
+        assert placed <= set(result.target_vm_ids)
 
-    def test_provision_target_vms_scale_out_uses_d1(self):
-        spec = ScenarioSpec(dag="star", strategy="dcr", scaling="out")
-        handle = build_experiment(spec)
-        target_ids = provision_target_vms(handle)
-        assert len(target_ids) == TABLE1["star"].scale_out_vms_1slot
-        assert all(handle.cluster.vm(vm_id).vm_type is D1 for vm_id in target_ids)
-
-    def test_plan_after_scaling_places_user_tasks_on_targets_only(self):
+    def test_plan_user_tasks_on_places_user_tasks_on_targets_only(self):
         runtime = make_runtime()
         runtime.start()
         runtime.sim.run(until=1.0)
@@ -96,7 +95,7 @@ class TestBuildAndPlan:
         targets = provider.provision(D3, 2, name_prefix="tgt")
         for vm in targets:
             runtime.cluster.add_vm(vm)
-        plan = plan_after_scaling(runtime, [vm.vm_id for vm in targets])
+        plan = plan_user_tasks_on(runtime, [vm.vm_id for vm in targets])
         target_ids = {vm.vm_id for vm in targets}
         for executor in runtime.user_executors:
             assert plan.vm_of(executor.executor_id) in target_ids
@@ -104,7 +103,7 @@ class TestBuildAndPlan:
         assert plan.slot_of("source#0") == runtime.placement.slot_of("source#0")
         assert plan.slot_of("sink#0") == runtime.placement.slot_of("sink#0")
 
-    def test_plan_after_scaling_requires_deployment(self):
+    def test_plan_user_tasks_on_requires_deployment(self):
         from repro.engine.runtime import TopologyRuntime
         from repro.sim import Simulator
         from tests.conftest import build_cluster, fast_config, tiny_dataflow
@@ -112,7 +111,7 @@ class TestBuildAndPlan:
         sim = Simulator()
         runtime = TopologyRuntime(tiny_dataflow(), build_cluster(sim), sim=sim, config=fast_config())
         with pytest.raises(ValueError):
-            plan_after_scaling(runtime, [])
+            plan_user_tasks_on(runtime, [])
 
 
 class TestEndToEnd:

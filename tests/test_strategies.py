@@ -18,8 +18,8 @@ from repro.core import (
     strategy_by_name,
 )
 from repro.core.strategy import STRATEGIES
+from repro.elastic.planner import plan_user_tasks_on
 from repro.engine.executor import ExecutorStatus
-from repro.experiments.scenarios import plan_after_scaling
 
 from tests.conftest import fanout_dataflow, make_runtime, tiny_dataflow
 
@@ -34,7 +34,7 @@ def run_migration(strategy_name, dataflow=None, migrate_at=3.0, run_until=30.0, 
     new_vms = provider.provision(D3, 2, name_prefix="target")
     for vm in new_vms:
         runtime.cluster.add_vm(vm)
-    new_plan = plan_after_scaling(runtime, [vm.vm_id for vm in new_vms])
+    new_plan = plan_user_tasks_on(runtime, [vm.vm_id for vm in new_vms])
 
     strategy_cls = strategy_by_name(strategy_name)
     strategy = strategy_cls(runtime, init_resend_interval_s=0.2)
@@ -124,7 +124,7 @@ class TestOverlappingMigrations:
         new_vms = CloudProvider(runtime.sim).provision(D3, 2, name_prefix="target")
         for vm in new_vms:
             runtime.cluster.add_vm(vm)
-        plan = plan_after_scaling(runtime, [vm.vm_id for vm in new_vms])
+        plan = plan_user_tasks_on(runtime, [vm.vm_id for vm in new_vms])
         first = DrainCheckpointRestore(runtime, init_resend_interval_s=0.2).migrate(plan)
         runtime.sim.run(until=5.0)
         assert not first.is_complete
