@@ -13,6 +13,11 @@ effects on the Star micro-DAG:
   inter-VM channels, median end-to-end latency, and the hourly cost rate --
   plus the §4 migration metrics showing the consolidation lost nothing.
 
+The consolidated placement comes from ``--scheduler``: ``packing``
+(:func:`~repro.cluster.placement.bin_pack_plan`, each D3 filled before the
+next) or ``roundrobin`` (:func:`~repro.cluster.placement.round_robin_plan`,
+Storm's even spread, which the initial deployment always uses).
+
 Run with::
 
     python examples/consolidation_cost_study.py [--scheduler {roundrobin,packing}]
@@ -23,7 +28,7 @@ from __future__ import annotations
 import argparse
 
 from repro.cluster.cloud import CloudProvider, Cluster
-from repro.cluster.scheduler import ResourceAwareScheduler, RoundRobinScheduler
+from repro.cluster.placement import bin_pack_plan, round_robin_plan
 from repro.cluster.vm import D2, D3
 from repro.core import compute_migration_metrics, strategy_by_name
 from repro.dataflow import topologies
@@ -76,7 +81,7 @@ def main() -> None:
     parser.add_argument("--scheduler", choices=("roundrobin", "packing"), default="packing",
                         help="scheduler used for the consolidated placement")
     args = parser.parse_args()
-    scheduler = RoundRobinScheduler() if args.scheduler == "roundrobin" else ResourceAwareScheduler()
+    scheduler = round_robin_plan if args.scheduler == "roundrobin" else bin_pack_plan
 
     dataflow = topologies.star()
     counts = vm_counts_for(dataflow)
@@ -99,7 +104,7 @@ def main() -> None:
 
     # Initial deployment always uses Storm's round-robin scheduler (spread);
     # the chosen scheduler is applied to the consolidated placement below.
-    runtime = TopologyRuntime(dataflow, cluster, sim=sim, config=config, scheduler=RoundRobinScheduler())
+    runtime = TopologyRuntime(dataflow, cluster, sim=sim, config=config, scheduler=round_robin_plan)
     runtime.deploy()
     runtime.start()
     sim.run(until=150.0)

@@ -2,7 +2,9 @@
 
 Models the IaaS layer the paper runs on: Azure D-series virtual machines that
 are divided into single-core resource slots, a cloud provider that provisions
-and bills them, and schedulers that place dataflow task instances onto slots.
+and bills them, and the placement planners (:mod:`repro.cluster.placement`:
+round-robin, bin-packing, incremental) that map dataflow task instances onto
+slots.
 
 The paper's experiments use three VM sizes (Table 1 and §5 "System Setup"):
 
@@ -34,12 +36,12 @@ from repro.cluster.chaos import (
     FaultInjector,
     FaultRecord,
 )
-from repro.cluster.placement import PlacementPlan, placement_diff
-from repro.cluster.scheduler import (
-    ResourceAwareScheduler,
-    RoundRobinScheduler,
-    Scheduler,
-    SchedulingError,
+from repro.cluster.placement import (
+    PackingError,
+    PlacementPlan,
+    bin_pack_plan,
+    placement_diff,
+    round_robin_plan,
 )
 
 __all__ = [
@@ -55,18 +57,17 @@ __all__ = [
     "FaultRecord",
     "NetworkModel",
     "ON_DEMAND",
+    "PackingError",
     "PlacementPlan",
     "ProvisioningModel",
     "ProvisionTicket",
     "SPOT",
     "SpotMarket",
-    "ResourceAwareScheduler",
-    "RoundRobinScheduler",
-    "Scheduler",
-    "SchedulingError",
     "Slot",
     "VirtualMachine",
     "VMType",
     "VM_TYPES",
+    "bin_pack_plan",
     "placement_diff",
+    "round_robin_plan",
 ]

@@ -1,21 +1,34 @@
-"""Placement plans: the mapping from executors to slots.
+"""Placement: the mapping from executors to slots, and every rule computing one.
 
-A :class:`PlacementPlan` is the output of a scheduler and the input to both
-initial deployment and rebalance.  Migration strategies do not compute plans
-themselves (the paper explicitly scopes resource allocation out); they enact a
-plan that has already been decided.
+A :class:`PlacementPlan` is the input to both initial deployment and
+rebalance.  Migration strategies do not compute plans themselves (the paper
+explicitly scopes resource allocation out); they enact a plan that has
+already been decided.  Three planners decide one:
 
-This module also owns **shared-fleet bin-packing**
-(:func:`bin_pack_plan`): on a multi-tenant cluster several dataflows share
-one VM fleet, so a new tenant's executors co-locate on partially filled VMs
-instead of each tenant getting fresh machines.  Slots already occupied by
-another tenant's executors are never reassigned.
+* :func:`round_robin_plan` -- Storm's default even scheduler, which the paper
+  uses "during initial deployment and on rebalance": executors cycle over the
+  VMs, spreading instances without trying to exploit locality;
+* :func:`bin_pack_plan` -- fill each VM before the next, partially filled VMs
+  first: consolidation (in the spirit of R-Storm, the paper's reference [3])
+  and the multi-tenant shared fleet, where a new tenant co-locates on
+  partially filled VMs instead of getting fresh machines;
+* :func:`incremental_plan` -- keep unchanged assignments, place only the delta.
+
+Executors may be *pinned* to a VM (:func:`_place_pinned`): the paper pins the
+source and sink tasks to a dedicated 4-slot VM that never migrates, so
+end-to-end statistics can be logged without clock skew.
+
+Every planner hands out only free slots (:func:`_slot_free`), so a slot
+another tenant's executor holds is never reassigned; and whose executor a
+slot holds is asked one way, :meth:`PlacementPlan.owns`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+
+from repro.cluster.vm import Slot, VirtualMachine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cloud imports vm only)
     from repro.cluster.cloud import Cluster
@@ -63,6 +76,15 @@ class PlacementPlan:
         """All executors placed on the given VM."""
         return [e for e, s in self.assignments.items() if self.slot_to_vm.get(s) == vm_id]
 
+    def owns(self, slot: Slot) -> bool:
+        """Whether ``slot`` holds one of this plan's executors, in the slot the plan gives it.
+
+        The one "is this slot ours" test: on a shared fleet executor ids
+        repeat across tenants (two tenants of one DAG both run ``task1#0``),
+        so the id a slot holds does not say whose executor it is.
+        """
+        return slot.occupied and self.assignments.get(slot.executor_id) == slot.slot_id
+
     def __len__(self) -> int:
         return len(self.assignments)
 
@@ -75,33 +97,87 @@ class PlacementPlan:
 
 
 class PackingError(ValueError):
-    """Raised when a bin-packing request cannot be satisfied."""
+    """Raised when a placement request cannot be satisfied."""
 
 
-def place_pinned(
-    plan: PlacementPlan,
-    pinned: Mapping[str, str],
-    cluster: "Cluster",
-    used_slots: Set[str],
-) -> None:
-    """Place pinned executors on free slots of their designated VMs.
+def _slot_free(slot: Slot, used_slots: Set[str], relocating: Optional[PlacementPlan] = None) -> bool:
+    """The one free-slot rule every planner shares.
 
-    The one shared implementation behind every scheduler *and* the
-    bin-packer: occupancy-aware (a slot another executor holds is never
-    reused) and plan-aware (slots taken earlier in this plan are skipped).
-    Raises :class:`PackingError`; scheduler callers re-wrap it.
+    Free: not used in this plan, and unoccupied or held by an executor this
+    plan relocates (``relocating`` maps those to their current slots; the
+    rebalance releases them before applying the new assignments).
     """
+    if slot.slot_id in used_slots:
+        return False
+    return not slot.occupied or (relocating is not None and relocating.owns(slot))
+
+
+def _place_pinned(
+    executor_ids: Sequence[str],
+    cluster: "Cluster",
+    pinned: Optional[Mapping[str, str]],
+    exclude_vms: Optional[Iterable[str]],
+) -> Tuple[PlacementPlan, Set[str], List[VirtualMachine], List[str]]:
+    """Open a plan: pinned executors on free slots of their VMs, the rest checked to fit.
+
+    Returns ``(plan, used_slots, eligible_vms, unpinned)``: the VMs not in
+    ``exclude_vms`` in cluster order, and the executors still to place.
+    Raises :class:`PackingError` when a pin or the eligible free slots fail.
+    """
+    plan = PlacementPlan()
+    used_slots: Set[str] = set()
+    pinned = dict(pinned or {})
     for executor_id, vm_id in pinned.items():
         if vm_id not in cluster:
             raise PackingError(f"pinned VM {vm_id} for executor {executor_id} is not in the cluster")
-        vm = cluster.vm(vm_id)
-        slot = next(
-            (s for s in vm.slots if not s.occupied and s.slot_id not in used_slots), None
-        )
+        slot = next((s for s in cluster.vm(vm_id).slots if _slot_free(s, used_slots)), None)
         if slot is None:
             raise PackingError(f"no free slot on pinned VM {vm_id} for executor {executor_id}")
         plan.assign(executor_id, slot.slot_id, vm_id)
         used_slots.add(slot.slot_id)
+    excluded = set(exclude_vms or [])
+    eligible_vms = [vm for vm in cluster.vms if vm.vm_id not in excluded]
+    unpinned = [e for e in executor_ids if e not in pinned]
+    total_free = sum(1 for vm in eligible_vms for s in vm.slots if _slot_free(s, used_slots))
+    if len(unpinned) > total_free:
+        raise PackingError(f"not enough free slots: need {len(unpinned)}, have {total_free}")
+    return plan, used_slots, eligible_vms, unpinned
+
+
+def round_robin_plan(
+    executor_ids: Sequence[str],
+    cluster: "Cluster",
+    pinned: Optional[Mapping[str, str]] = None,
+    exclude_vms: Optional[Iterable[str]] = None,
+) -> PlacementPlan:
+    """Storm's default even scheduler: distribute executors round-robin over VMs.
+
+    Executors are assigned one at a time, cycling through the eligible VMs in
+    insertion order and taking the next free slot of each VM.  ``pinned``
+    forces executors onto free slots of given VMs (the source/sink util VM);
+    ``exclude_vms`` bars VMs from receiving unpinned ones.
+
+    Raises :class:`PackingError` when the cluster cannot host the request.
+    """
+    plan, used_slots, eligible_vms, unpinned = _place_pinned(
+        executor_ids, cluster, pinned, exclude_vms
+    )
+    vm_index = 0
+    for executor_id in unpinned:
+        placed = False
+        attempts = 0
+        while not placed and attempts < len(eligible_vms):
+            vm = eligible_vms[vm_index % len(eligible_vms)]
+            vm_index += 1
+            attempts += 1
+            slot = next((s for s in vm.slots if _slot_free(s, used_slots)), None)
+            if slot is not None:
+                plan.assign(executor_id, slot.slot_id, vm.vm_id)
+                used_slots.add(slot.slot_id)
+                placed = True
+        if not placed:
+            raise PackingError(f"could not place executor {executor_id}")
+    return plan
 
 
 def bin_pack_plan(
@@ -110,48 +186,26 @@ def bin_pack_plan(
     pinned: Optional[Mapping[str, str]] = None,
     exclude_vms: Optional[Iterable[str]] = None,
 ) -> PlacementPlan:
-    """Pack executors onto a shared fleet, preferring partially filled VMs.
+    """Pack executors onto as few VMs as possible, partially filled VMs first.
 
-    The multi-tenant placement rule: eligible VMs are visited *partially
-    filled first* (a VM that already hosts someone else's executors but still
-    has free slots), then empty ones, each filled completely before moving
-    on — so co-located tenants consolidate onto as few machines as possible
-    instead of each spreading over a fresh fleet.  Within each class the
-    cluster's insertion order is kept, so the packing is deterministic.
-
-    Only genuinely free slots are used: a slot occupied by *any* executor
-    (this tenant's or another's) is never reassigned.  ``pinned`` forces
-    specific executors onto free slots of specific VMs (source/sink util
-    hosts); ``exclude_vms`` bars VMs from receiving unpinned executors
-    (util VMs, VMs another tenant is about to deprovision).
+    Eligible VMs are visited *partially filled first* (a VM that already
+    hosts someone else's executors but still has free slots), then empty
+    ones, each filled completely before moving on -- so a consolidation uses
+    few machines and co-located tenants share them instead of each spreading
+    over a fresh fleet.  Within each class the cluster's insertion order is
+    kept, so the packing is deterministic.  ``pinned`` and ``exclude_vms``
+    are as for :func:`round_robin_plan`.
 
     Raises :class:`PackingError` when the fleet cannot host the request.
     """
-    plan = PlacementPlan()
-    used_slots: Set[str] = set()
-    pinned = dict(pinned or {})
-    excluded = set(exclude_vms or [])
-
-    place_pinned(plan, pinned, cluster, used_slots)
-
-    eligible = [vm for vm in cluster.vms if vm.vm_id not in excluded]
+    plan, used_slots, eligible, unpinned = _place_pinned(
+        executor_ids, cluster, pinned, exclude_vms
+    )
     # Partially filled VMs first (stable within each class), empty VMs last.
     eligible.sort(key=lambda vm: 0 if vm.occupied_slots else 1)
-
-    unpinned = [e for e in executor_ids if e not in pinned]
-    free = [
-        (vm, slot)
-        for vm in eligible
-        for slot in vm.slots
-        if not slot.occupied and slot.slot_id not in used_slots
-    ]
-    if len(unpinned) > len(free):
-        raise PackingError(
-            f"shared fleet cannot host {len(unpinned)} executors: only {len(free)} free slots"
-        )
+    free = [(vm, slot) for vm in eligible for slot in vm.slots if _slot_free(slot, used_slots)]
     for executor_id, (vm, slot) in zip(unpinned, free):
         plan.assign(executor_id, slot.slot_id, vm.vm_id)
-        used_slots.add(slot.slot_id)
     return plan
 
 
@@ -172,10 +226,11 @@ def incremental_plan(
     given (retained fleet first, then the freshly provisioned delta), each VM
     filled in slot order.
 
-    A slot counts as free when it is unoccupied *or* occupied by one of the
-    executors this plan is relocating (the rebalance releases those slots
-    before applying the new assignments); slots held by anyone else -- a
-    co-located tenant on a shared fleet -- are never touched.
+    A slot counts as free when it is unoccupied *or* holds one of the
+    executors this plan is relocating, in the slot ``old_plan`` gives it (the
+    rebalance releases those slots before applying the new assignments);
+    slots held by anyone else -- a co-located tenant on a shared fleet, even
+    one running the same DAG -- are never touched.
 
     ``preplaced`` carries assignments decided outside this packing (pinned
     sources/sinks on the util VM); they are copied into the result verbatim.
@@ -199,17 +254,18 @@ def incremental_plan(
         else:
             moving.append(executor_id)
 
-    moving_set = set(moving)
+    relocating = PlacementPlan(
+        {e: old_plan.assignments[e] for e in moving if e in old_plan.assignments}
+    )
     free: List[Tuple[str, str]] = []
     for vm_id in target_vm_ids:
         if vm_id not in cluster:
             raise PackingError(f"target VM {vm_id} is not in the cluster")
-        for slot in cluster.vm(vm_id).slots:
-            if slot.slot_id in used_slots:
-                continue
-            if slot.occupied and slot.executor_id not in moving_set:
-                continue
-            free.append((vm_id, slot.slot_id))
+        free.extend(
+            (vm_id, slot.slot_id)
+            for slot in cluster.vm(vm_id).slots
+            if _slot_free(slot, used_slots, relocating)
+        )
     if len(moving) > len(free):
         raise PackingError(
             f"target VMs cannot host the {len(moving)} relocating executors: "
@@ -217,7 +273,6 @@ def incremental_plan(
         )
     for executor_id, (vm_id, slot_id) in zip(moving, free):
         plan.assign(executor_id, slot_id, vm_id)
-        used_slots.add(slot_id)
     return plan
 
 

@@ -420,8 +420,7 @@ class ElasticityController:
             return None
         vm = runtime.cluster.vm(vm_id)
         foreign = sorted(
-            slot.executor_id for slot in vm.occupied_slots
-            if slot.executor_id not in runtime.executors
+            slot.executor_id for slot in vm.occupied_slots if not runtime.placement.owns(slot)
         )
         if foreign:
             raise RuntimeError_(
@@ -503,7 +502,7 @@ class ElasticityController:
             return
         record.started_at = now
         vm = runtime.cluster.vm(record.vm_id)
-        if any(slot.executor_id in runtime.executors for slot in vm.occupied_slots):
+        if any(runtime.placement.owns(slot) for slot in vm.occupied_slots):
             self._enter(reconf, "provisioning")
             self._rebuild(reconf)
         else:

@@ -404,7 +404,7 @@ def plan_user_tasks_on(runtime: TopologyRuntime, target_vm_ids: Sequence[str]) -
     target_set: Set[str] = set(target_vm_ids)
     exclude: List[str] = [vm.vm_id for vm in runtime.cluster.vms if vm.vm_id not in target_set]
     user_ids = [e.executor_id for e in runtime.user_executors]
-    plan = runtime.scheduler.schedule(user_ids, runtime.cluster, pinned={}, exclude_vms=exclude)
+    plan = runtime.scheduler(user_ids, runtime.cluster, pinned={}, exclude_vms=exclude)
     for executor_id, slot_id in pinned.assignments.items():
         plan.assign(executor_id, slot_id, pinned.slot_to_vm[slot_id])
     return plan

@@ -368,14 +368,12 @@ class IncrementalPlacement(PlacementPolicy):
     def _capacity_for_us(runtime: TopologyRuntime, vm) -> int:
         """Slots on ``vm`` this runtime could fill: free ones plus its own.
 
-        Slots held by foreign executors (another tenant's) are off limits;
-        slots held by this runtime's executors are re-plannable (the
-        incremental plan will keep most of them in place).
+        Slots held by foreign executors (another tenant's, even one with the
+        same executor ids) are off limits; slots held by this runtime's
+        executors are re-plannable (the incremental plan will keep most of
+        them in place).
         """
-        ours = runtime.executors
-        return sum(
-            1 for slot in vm.slots if not slot.occupied or slot.executor_id in ours
-        )
+        return sum(1 for slot in vm.slots if not slot.occupied or runtime.placement.owns(slot))
 
     def provisioning(
         self, runtime: TopologyRuntime, target: TargetAllocation, direction: str

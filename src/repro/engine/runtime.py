@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.cloud import Cluster
-from repro.cluster.placement import PlacementPlan, placement_diff
-from repro.cluster.scheduler import RoundRobinScheduler, Scheduler
+from repro.cluster.placement import PlacementPlan, placement_diff, round_robin_plan
 from repro.dataflow.event import CheckpointAction, Event, checkpoint_event_id
 from repro.dataflow.graph import Dataflow, RescalePlan
 from repro.dataflow.task import TaskKind
@@ -94,7 +93,12 @@ class VMFailureRecord:
 
 
 class TopologyRuntime:
-    """Deploys and runs one dataflow on a cluster under the simulated clock."""
+    """Deploys and runs one dataflow on a cluster under the simulated clock.
+
+    ``scheduler`` is the one placement choice, a planner of
+    :mod:`repro.cluster.placement` for the deployment and every full re-fleet
+    (default: Storm's :func:`~repro.cluster.placement.round_robin_plan`).
+    """
 
     def __init__(
         self,
@@ -102,7 +106,7 @@ class TopologyRuntime:
         cluster: Cluster,
         sim: Optional[Simulator] = None,
         config: Optional[RuntimeConfig] = None,
-        scheduler: Optional[Scheduler] = None,
+        scheduler: Optional[Callable[..., PlacementPlan]] = None,
     ) -> None:
         self.dataflow = dataflow
         self.cluster = cluster
@@ -111,7 +115,7 @@ class TopologyRuntime:
         self.config = config if config is not None else RuntimeConfig()
         self.timing = self.config.timing
         self.reliability = self.config.reliability
-        self.scheduler = scheduler if scheduler is not None else RoundRobinScheduler()
+        self.scheduler = scheduler if scheduler is not None else round_robin_plan
         self.rng = RandomSource(self.config.seed)
 
         self.log = EventLog(self.sim)
@@ -272,7 +276,7 @@ class TopologyRuntime:
                     pinned[executor_id] = self._util_vm_id
 
         exclude = [self._util_vm_id] if self._util_vm_id is not None else []
-        plan = self.scheduler.schedule(ordered_ids, self.cluster, pinned=pinned, exclude_vms=exclude)
+        plan = self.scheduler(ordered_ids, self.cluster, pinned=pinned, exclude_vms=exclude)
         self._apply_placement(plan, plan.executors)
         self.placement = plan
         self.deployed = True
@@ -652,11 +656,7 @@ class TopologyRuntime:
                 f"VM {vm_id} has the 'util' role: it hosts the sources and sinks, which nothing "
                 "re-places -- the run would carry on emitting and receiving nothing"
             )
-        lost = sorted(
-            slot.executor_id
-            for slot in vm.occupied_slots
-            if slot.executor_id in self.executors
-        )
+        lost = sorted(slot.executor_id for slot in vm.occupied_slots if self.placement.owns(slot))
         record = VMFailureRecord(
             vm_id=vm_id, failed_at=self.sim.now, lost=lost, events_lost=0, trees_failed=0
         )

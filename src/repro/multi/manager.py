@@ -14,8 +14,10 @@ arbiter before every scaling action.
 
 Deployment bin-packs every tenant onto a common D2 worker fleet (partially
 filled VMs first, so tenants co-locate instead of each rounding up to a
-private fleet) via the occupancy-aware
-:class:`~repro.cluster.scheduler.SharedFleetScheduler`.  Each tenant gets a
+private fleet): each tenant's runtime plans with
+:func:`~repro.cluster.placement.bin_pack_plan`, which never reassigns an
+occupied slot, with the VMs it must avoid right now merged into every
+request (:func:`shared_fleet_planner`).  Each tenant gets a
 dedicated util VM for its sources and sinks (the paper pins them off the
 migration path), tagged ``role="util:<tenant>"`` so the tenant's runtime
 finds its own and never the neighbours'.
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Union
 
 from repro.cluster.cloud import CloudProvider, Cluster
-from repro.cluster.scheduler import SharedFleetScheduler
+from repro.cluster.placement import PlacementPlan, bin_pack_plan
 from repro.cluster.vm import D2, D3
 from repro.core.strategy import strategy_by_name
 from repro.dataflow.graph import Dataflow
@@ -45,6 +47,17 @@ from repro.engine.config import RuntimeConfig
 from repro.engine.runtime import TopologyRuntime
 from repro.sim import Simulator, cell_seed
 from repro.workloads.profiles import RateProfile, attach_profile
+
+
+def shared_fleet_planner(excluded_vms_fn: Callable[[], Set[str]]) -> Callable[..., PlacementPlan]:
+    """A tenant's planner: :func:`~repro.cluster.placement.bin_pack_plan` with
+    ``excluded_vms_fn()`` merged into every request's ``exclude_vms``."""
+
+    def plan(executor_ids, cluster, pinned=None, exclude_vms=None) -> PlacementPlan:
+        excluded = set(exclude_vms or ()) | excluded_vms_fn()
+        return bin_pack_plan(executor_ids, cluster, pinned=pinned, exclude_vms=excluded)
+
+    return plan
 
 
 @dataclass
@@ -188,10 +201,11 @@ class ClusterManager:
 
     # ------------------------------------------------------------- deployment
     def _excluded_vms_for(self, tenant_name: str) -> Callable[[], Set[str]]:
-        """Dynamic VM exclusions for one tenant's scheduler.
+        """Dynamic VM exclusions for one tenant's planners.
 
         Every util VM (its own is reached through pinning only) plus whatever
-        the arbiter currently lists as retiring.
+        the arbiter currently lists as retiring: rebalancing onto a VM about
+        to be deprovisioned would strand the executor.
         """
 
         def _excluded() -> Set[str]:
@@ -247,23 +261,22 @@ class ClusterManager:
                 )
             config.util_vm_role = f"util:{name}"
             tenant.config = config
+            excluded_vms_fn = self._excluded_vms_for(name)
             runtime = TopologyRuntime(
                 tenant.dataflow,
                 self.cluster,
                 sim=self.sim,
                 config=config,
-                scheduler=SharedFleetScheduler(self._excluded_vms_for(name)),
+                scheduler=shared_fleet_planner(excluded_vms_fn),
             )
             runtime.deploy()
             tenant.runtime = runtime
             if tenant.placement == "incremental":
                 # Shared-fleet incremental placer: consolidations re-use
                 # partially-free shared VMs, and the dynamic exclusion set
-                # (every util VM, every retiring VM) is honoured exactly as
-                # the tenant's scheduler honours it.
+                # (every util VM, every retiring VM) is the runtime's planner's.
                 placement_policy = IncrementalPlacement(
-                    reuse_free_slots=True,
-                    excluded_vms_fn=self._excluded_vms_for(name),
+                    reuse_free_slots=True, excluded_vms_fn=excluded_vms_fn
                 )
             else:
                 placement_policy = FullReplacePlacement()

@@ -8,6 +8,7 @@ through the same drivers).
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -49,11 +50,21 @@ class TestExamples:
         assert "Events lost:               0" in output
         assert "replayed:           0" in output
 
-    def test_consolidation_study_runs_end_to_end(self, capsys, monkeypatch):
+    #: sha256 of the study's stdout per ``--scheduler`` choice: the placement
+    #: each choice computes moves every channel count, cost and metric line.
+    CONSOLIDATION_STDOUT_SHA256 = {
+        "packing": "a3ff19f87f299ef97632d46f38246b9cb423e6f72734bd4546494f72c7e63574",
+        "roundrobin": "e5a29fb908ae840aabd6822214c9e06fb543fea927a111e6a7d579f8bfe9a53a",
+    }
+
+    @pytest.mark.parametrize("scheduler", sorted(CONSOLIDATION_STDOUT_SHA256))
+    def test_consolidation_study_runs_end_to_end(self, capsys, monkeypatch, scheduler):
         module = load_example("consolidation_cost_study.py")
-        monkeypatch.setattr(sys, "argv", ["consolidation_cost_study.py", "--scheduler", "packing"])
+        monkeypatch.setattr(sys, "argv", ["consolidation_cost_study.py", "--scheduler", scheduler])
         module.main()
         output = capsys.readouterr().out
         assert "before (over-provisioned)" in output
         assert "after (consolidated)" in output
         assert "without losing or replaying a single message" in output
+        digest = hashlib.sha256(output.encode()).hexdigest()
+        assert digest == self.CONSOLIDATION_STDOUT_SHA256[scheduler]

@@ -9,11 +9,12 @@ on one shared fleet against the acceptance criteria.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.cluster.cloud import CloudProvider, Cluster
 from repro.cluster.placement import PackingError, bin_pack_plan
-from repro.cluster.scheduler import SchedulingError, SharedFleetScheduler
 from repro.cluster.vm import D1, D2, D3
 from repro.dataflow import topologies
 from repro.dataflow.builder import TopologyBuilder
@@ -21,7 +22,9 @@ from repro.elastic import ControllerConfig
 from repro.engine.runtime import RuntimeError_
 from repro.experiments.multi import default_budget_slots, run_multi_experiment, surge_window
 from repro.multi import ClusterManager, ScaleArbiter
+from repro.multi.manager import shared_fleet_planner
 from repro.sim import Simulator
+from repro.sim.shard import log_digest
 from repro.workloads.profiles import StepProfile
 
 from tests.conftest import fast_config
@@ -85,11 +88,11 @@ class TestBinPacking:
 
     def test_shared_fleet_scheduler_dynamic_exclusions(self, sim):
         _, cluster = worker_cluster(sim, d2_count=2)
-        scheduler = SharedFleetScheduler(lambda: {"w-001"})
-        plan = scheduler.schedule(["a#0", "b#0"], cluster)
+        planner = shared_fleet_planner(lambda: {"w-001"})
+        plan = planner(["a#0", "b#0"], cluster)
         assert {plan.vm_of("a#0"), plan.vm_of("b#0")} == {"w-002"}
-        with pytest.raises(SchedulingError):
-            scheduler.schedule(["a#0", "b#0", "c#0"], cluster)
+        with pytest.raises(PackingError):
+            planner(["a#0", "b#0", "c#0"], cluster)
 
 
 # ---------------------------------------------------------------- arbitration
@@ -537,3 +540,103 @@ class TestIncrementalReFleet:
         shared = runs["incremental"].shared
         assert shared.max_committed_slots <= shared.budget_slots
         assert shared.max_concurrent_migrations() <= 1
+
+    #: (placement, tenant) -> (``log_digest``, sha256 of the action lines).
+    #: traffic and linear share no worker task name, so asking "is this slot
+    #: ours" by executor id or by placement gives the same answers here.
+    PINNED = {
+        ("full-replace", "traffic"): (
+            "9883331e9b598f18915d36a9466d483236f75ed91c54aa9212607a4538e0aa71",
+            "80c83ebac3ce25d18cd304f7ded13a7196c1934579ed6c204e20c4cf7c1c12d4",
+        ),
+        ("full-replace", "linear"): (
+            "5e9412fb2acf0253833d69e4783999de974e02ba7bc0e924b98bde635d0fdc9f",
+            "3df5a9340fe42ba05859c97cc5dd5944ae69f1747d282fad7d12fbda2b7de5cc",
+        ),
+        ("incremental", "traffic"): (
+            "6bbeeacf1221b5cd5650e6e58ad5089e1a94e2964284317e76674b2f995f39b6",
+            "0b4def097a4df62db7ffc394b8cb2bbad25c4730502956ad676a4a8a271db538",
+        ),
+        ("incremental", "linear"): (
+            "7836d9a87e035a6b80bea676a22d112cc68546af1a224388a0e302c793778fe0",
+            "7ac6233b6b9d951b51f8fcb7a672613458107f8c4dc6f03e28bda0578e0722ca",
+        ),
+    }
+
+    @pytest.mark.parametrize("placement, name", sorted(PINNED))
+    def test_tenant_runs_are_pinned(self, runs, placement, name):
+        tenant = runs[placement].shared.manager.tenant(name)
+        lines = [
+            f"{a.direction} {a.from_tier}->{a.to_tier} decided={a.decided_at!r} "
+            f"enacted={a.enacted_at!r} completed={a.completed_at!r}"
+            for a in tenant.controller.actions
+        ]
+        observed = (
+            log_digest(tenant.runtime.log),
+            hashlib.sha256("\n".join(lines).encode()).hexdigest(),
+        )
+        assert observed == self.PINNED[(placement, name)]
+
+
+class TestSameDagTenants:
+    """Two tenants of one DAG have the same executor ids (``task1#0`` twice),
+    so "is this slot ours" is asked of the tenant's placement: the slot must
+    hold the id *and* be the slot the placement gives that id."""
+
+    @pytest.mark.parametrize("dags, duration_s", [
+        (("linear", "linear"), 300.0),
+        (("grid", "grid"), 120.0),
+    ])
+    def test_incremental_placement_runs_to_the_end(self, dags, duration_s):
+        """``IncrementalPlacement._capacity_for_us`` used to count the
+        neighbour's ``task1#0`` slot on ``shared-d2-005`` as its own, so the
+        grow bought one D1 too few and ``incremental_plan`` raised
+        ``PackingError`` ("target VMs cannot host the 5 relocating
+        executors: only 4 free slots") -- four D1s bought where five were
+        needed.
+
+        A migration enacted near the end is still in flight when the run
+        stops its controllers, so the shared simulation is run on until it
+        has finished."""
+        result = run_multi_experiment(
+            dags=dags,
+            placement="incremental",
+            elastic_parallelism=True,
+            duration_s=duration_s,
+            include_private_baseline=False,
+        )
+        shared = result.shared
+        assert shared.max_committed_slots <= shared.budget_slots
+        shared.manager.run(until=duration_s + 300.0)
+        actions = [
+            action
+            for tenant in shared.manager.tenants.values()
+            for action in tenant.controller.actions
+        ]
+        assert actions
+        for action in actions:
+            if action.enacted_at is not None:
+                assert action.is_complete, action
+
+    def test_losing_a_vm_shared_with_a_same_dag_neighbour_raises(self):
+        """``shared-d2-005`` holds ``a``'s ``task5#0`` and ``b``'s ``task1#0``.
+        Asked by id, ``b``'s executor looked like ``a``'s: the loss went ahead
+        and killed ``a``'s own ``task1#0`` on ``shared-d2-003``.  Losing a
+        shared VM is not modelled, so it must raise before any teardown."""
+        manager = ClusterManager(budget_slots=40)
+        for name in ("a", "b"):
+            manager.add_tenant(name, topologies.linear())
+        manager.deploy()
+        manager.start()
+        manager.run(until=30.0)
+        a, b = manager.tenant("a"), manager.tenant("b")
+        shared_vm = "shared-d2-005"
+        assert a.runtime.placement.vm_of("task5#0") == shared_vm
+        assert b.runtime.placement.vm_of("task1#0") == shared_vm
+        before = {vm.vm_id: [s.executor_id for s in vm.slots] for vm in manager.cluster.vms}
+
+        with pytest.raises(RuntimeError_, match=r"another tenant \(task1#0\)"):
+            a.controller.handle_vm_failure(shared_vm)
+        after = {vm.vm_id: [s.executor_id for s in vm.slots] for vm in manager.cluster.vms}
+        assert after == before
+        assert not a.runtime.vm_failures and not a.controller.recoveries

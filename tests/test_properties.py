@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster.cloud import CloudProvider, Cluster
 from repro.cluster.placement import PlacementPlan, placement_diff
-from repro.cluster.scheduler import RoundRobinScheduler
+from repro.cluster.placement import round_robin_plan
 from repro.cluster.vm import D2
 from repro.dataflow.builder import TopologyBuilder
 from repro.metrics.log import EventLog
@@ -93,10 +93,9 @@ def test_round_robin_schedule_is_a_valid_assignment(n_executors, n_vms, seed):
     provider = CloudProvider(sim)
     cluster = Cluster(provider.provision(D2, n_vms))
     executors = [f"t{i}#0" for i in range(n_executors)]
-    scheduler = RoundRobinScheduler()
     if n_executors > cluster.total_slots:
         return  # covered by the explicit error test
-    plan = scheduler.schedule(executors, cluster)
+    plan = round_robin_plan(executors, cluster)
     # Every executor placed exactly once, on distinct slots that exist.
     assert sorted(plan.executors) == sorted(executors)
     slots = list(plan.assignments.values())

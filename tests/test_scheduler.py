@@ -1,11 +1,11 @@
-"""Unit tests for the round-robin and resource-aware schedulers."""
+"""Unit tests for the round-robin and bin-packing planners."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.cluster.cloud import CloudProvider, Cluster
-from repro.cluster.scheduler import ResourceAwareScheduler, RoundRobinScheduler, SchedulingError
+from repro.cluster.placement import PackingError, bin_pack_plan, round_robin_plan
 from repro.cluster.vm import D2, D3
 from repro.sim import Simulator
 
@@ -27,32 +27,32 @@ def build_cluster(sim, d2=3, d3=0, util=False):
 class TestRoundRobinScheduler:
     def test_spreads_executors_across_vms(self, sim):
         cluster = build_cluster(sim, d2=3)
-        plan = RoundRobinScheduler().schedule(["a#0", "b#0", "c#0"], cluster)
+        plan = round_robin_plan(["a#0", "b#0", "c#0"], cluster)
         assert len(plan.vms_used) == 3
 
     def test_all_executors_placed_on_distinct_slots(self, sim):
         cluster = build_cluster(sim, d2=3)
         executors = [f"t{i}#0" for i in range(6)]
-        plan = RoundRobinScheduler().schedule(executors, cluster)
+        plan = round_robin_plan(executors, cluster)
         assert len(plan) == 6
         assert len(set(plan.assignments.values())) == 6
 
     def test_wraps_around_when_vms_fill_up(self, sim):
         cluster = build_cluster(sim, d2=2)
         executors = [f"t{i}#0" for i in range(4)]
-        plan = RoundRobinScheduler().schedule(executors, cluster)
+        plan = round_robin_plan(executors, cluster)
         for vm in cluster.vms:
             assert len(plan.executors_on_vm(vm.vm_id)) == 2
 
     def test_insufficient_slots_raises(self, sim):
         cluster = build_cluster(sim, d2=1)
-        with pytest.raises(SchedulingError):
-            RoundRobinScheduler().schedule([f"t{i}#0" for i in range(3)], cluster)
+        with pytest.raises(PackingError):
+            round_robin_plan([f"t{i}#0" for i in range(3)], cluster)
 
     def test_pinned_executors_go_to_pinned_vm(self, sim):
         cluster = build_cluster(sim, d2=2, util=True)
         util_id = next(vm.vm_id for vm in cluster.vms if vm.tags.get("role") == "util")
-        plan = RoundRobinScheduler().schedule(
+        plan = round_robin_plan(
             ["src#0", "sink#0", "a#0", "b#0"],
             cluster,
             pinned={"src#0": util_id, "sink#0": util_id},
@@ -66,21 +66,21 @@ class TestRoundRobinScheduler:
     def test_excluded_vm_not_used_for_unpinned(self, sim):
         cluster = build_cluster(sim, d2=3)
         excluded = cluster.vms[0].vm_id
-        plan = RoundRobinScheduler().schedule(
+        plan = round_robin_plan(
             ["a#0", "b#0", "c#0", "d#0"], cluster, exclude_vms=[excluded]
         )
         assert excluded not in plan.vms_used
 
     def test_pinned_vm_missing_from_cluster_raises(self, sim):
         cluster = build_cluster(sim, d2=1)
-        with pytest.raises(SchedulingError):
-            RoundRobinScheduler().schedule(["a#0"], cluster, pinned={"a#0": "ghost"})
+        with pytest.raises(PackingError):
+            round_robin_plan(["a#0"], cluster, pinned={"a#0": "ghost"})
 
     def test_pinned_vm_with_no_free_slot_raises(self, sim):
         cluster = build_cluster(sim, d2=1)
         vm_id = cluster.vms[0].vm_id
-        with pytest.raises(SchedulingError):
-            RoundRobinScheduler().schedule(
+        with pytest.raises(PackingError):
+            round_robin_plan(
                 ["a#0", "b#0", "c#0"],
                 cluster,
                 pinned={"a#0": vm_id, "b#0": vm_id, "c#0": vm_id},
@@ -88,22 +88,22 @@ class TestRoundRobinScheduler:
 
     def test_no_eligible_vms_raises(self, sim):
         cluster = build_cluster(sim, d2=1)
-        with pytest.raises(SchedulingError):
-            RoundRobinScheduler().schedule(["a#0"], cluster, exclude_vms=[cluster.vms[0].vm_id])
+        with pytest.raises(PackingError):
+            round_robin_plan(["a#0"], cluster, exclude_vms=[cluster.vms[0].vm_id])
 
     def test_deterministic_for_same_input(self, sim):
         cluster_a = build_cluster(Simulator(), d2=3)
         cluster_b = build_cluster(Simulator(), d2=3)
         executors = [f"t{i}#0" for i in range(5)]
-        plan_a = RoundRobinScheduler().schedule(executors, cluster_a)
-        plan_b = RoundRobinScheduler().schedule(executors, cluster_b)
+        plan_a = round_robin_plan(executors, cluster_a)
+        plan_b = round_robin_plan(executors, cluster_b)
         assert plan_a.assignments == plan_b.assignments
 
 
 class TestResourceAwareScheduler:
     def test_packs_vms_before_moving_on(self, sim):
         cluster = build_cluster(sim, d2=3)
-        plan = ResourceAwareScheduler().schedule(["a#0", "b#0", "c#0"], cluster)
+        plan = bin_pack_plan(["a#0", "b#0", "c#0"], cluster)
         # Two executors fill the first D2 VM; only the third spills over.
         assert len(plan.vms_used) == 2
 
@@ -111,14 +111,14 @@ class TestResourceAwareScheduler:
         cluster_packed = build_cluster(Simulator(), d2=4)
         cluster_spread = build_cluster(Simulator(), d2=4)
         executors = [f"t{i}#0" for i in range(4)]
-        packed = ResourceAwareScheduler().schedule(executors, cluster_packed)
-        spread = RoundRobinScheduler().schedule(executors, cluster_spread)
+        packed = bin_pack_plan(executors, cluster_packed)
+        spread = round_robin_plan(executors, cluster_spread)
         assert len(packed.vms_used) < len(spread.vms_used)
 
     def test_respects_pinning_and_exclusion(self, sim):
         cluster = build_cluster(sim, d2=2, util=True)
         util_id = next(vm.vm_id for vm in cluster.vms if vm.tags.get("role") == "util")
-        plan = ResourceAwareScheduler().schedule(
+        plan = bin_pack_plan(
             ["src#0", "a#0", "b#0"],
             cluster,
             pinned={"src#0": util_id},
@@ -129,5 +129,5 @@ class TestResourceAwareScheduler:
 
     def test_insufficient_slots_raises(self, sim):
         cluster = build_cluster(sim, d2=1)
-        with pytest.raises(SchedulingError):
-            ResourceAwareScheduler().schedule([f"t{i}#0" for i in range(3)], cluster)
+        with pytest.raises(PackingError):
+            bin_pack_plan([f"t{i}#0" for i in range(3)], cluster)
