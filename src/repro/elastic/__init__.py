@@ -50,9 +50,7 @@ CLI subcommands drive them.
 
 from repro.elastic.controller import (
     ElasticityController,
-    EvacuationRecord,
-    RecoveryRecord,
-    ScalingAction,
+    Reconfiguration,
     build_controller,
 )
 from repro.elastic.forecast import (
@@ -95,7 +93,6 @@ __all__ = [
     "Decision",
     "ElasticityController",
     "ElasticityMonitor",
-    "EvacuationRecord",
     "EwmaPolicy",
     "FleetOption",
     "FORECAST_POLICIES",
@@ -109,8 +106,7 @@ __all__ = [
     "ProfileLookaheadPolicy",
     "ProvisioningRequest",
     "ReactivePolicy",
-    "RecoveryRecord",
-    "ScalingAction",
+    "Reconfiguration",
     "TargetAllocation",
     "TIER_ORDER",
     "build_controller",

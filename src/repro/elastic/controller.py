@@ -76,22 +76,50 @@ from repro.obs.telemetry import Levels, queue_levels
 EVACUATION_HORIZON_S = 3600.0
 
 
-@dataclass
-class ScalingAction:
-    """Bookkeeping for one enacted scaling decision."""
+@dataclass(eq=False)
+class Reconfiguration:
+    """One scaling action, evacuation or recovery, from open to close.
 
+    ``reason`` says which; the fields of the other two kinds keep their
+    defaults.  ``state`` runs ``waiting`` (an evacuation queued for the
+    token) -> ``provisioning`` -> ``moving`` -> ``closed``; only
+    :meth:`ElasticityController._enter` writes it.  A recovery that never
+    opens (an evacuation was already migrating off its VM) stays ``new``.
+    """
+
+    #: ``scale``, ``evacuate`` or ``recover``.
+    reason: str
+    state: str = "new"
+    #: The VM an evacuation drains or a recovery lost.
+    vm_id: Optional[str] = None
+    #: The flavour a rebuild buys its replacements in.
+    vm_type: Optional[VMType] = None
+    #: VMs the move empties, released at close if nothing lives there: a
+    #: scaling migration's old fleet, the doomed VM of an evacuation.  A
+    #: rebuild places onto none of them.
+    vacating: List[str] = field(default_factory=list)
+    #: A rebuild's replacement VMs: on-demand for a recovery (no notice
+    #: window in which to shop the market), either market for an evacuation.
+    replacement_vm_ids: List[str] = field(default_factory=list)
+    pending_replacements: int = 0
+    #: The strategy's migration report, filled in as the protocol runs.
+    report: Optional[MigrationReport] = None
+    #: When the reconfiguration closed; a recovery's is :attr:`restored_at`.
+    completed_at: Optional[float] = None
+
+    # --- a scaling action
     #: ``out`` (toward more capacity / smaller VMs) or ``in`` (toward less
     #: capacity / bigger VMs).
-    direction: str
+    direction: Optional[str] = None
     #: The tier the controller moved from / to.
-    from_tier: str
-    to_tier: str
+    from_tier: Optional[str] = None
+    to_tier: Optional[str] = None
     #: Simulated time of the decision (after hysteresis confirmed it).
-    decided_at: float
+    decided_at: Optional[float] = None
     #: Offered input rate (generated ev/s) that triggered the decision.
-    observed_rate: float
+    observed_rate: Optional[float] = None
     #: The planner's allocation behind the decision.
-    target: TargetAllocation
+    target: Optional[TargetAllocation] = None
     #: Forecast demand (ev/s) the plan was sized for (equals
     #: ``observed_rate`` under the reactive policy).
     forecast_rate: Optional[float] = None
@@ -107,21 +135,52 @@ class ScalingAction:
     deprovisioned_vm_ids: List[str] = field(default_factory=list)
     #: When the migration request was issued (after provisioning).
     enacted_at: Optional[float] = None
-    completed_at: Optional[float] = None
-    #: The strategy's migration report, filled in as the protocol runs.
-    report: Optional[MigrationReport] = None
     #: Whether the action was abandoned before enactment (every target VM
     #: died during provisioning — see ``handle_vm_failure``).
     aborted: bool = False
 
+    # --- a recovery
+    #: Fault kind the cloud reported (``"kill"`` or an overdue ``"evict"``).
+    kind: Optional[str] = None
+    failed_at: Optional[float] = None
+    #: Executors that died with the VM.
+    lost_executors: List[str] = field(default_factory=list)
+    #: Data events dropped with them (queued + in-memory).
+    events_lost: int = 0
+    #: Tuple trees failed fast through the acker (acking runs only).
+    trees_failed: int = 0
+    #: Failed provisioning attempts paid for while bringing replacements up.
+    provisioning_failures: int = 0
+    #: When the recovery rebalance re-placed the victims.
+    rebalanced_at: Optional[float] = None
+
+    # --- an evacuation
+    notice_at: Optional[float] = None
+    #: When the cloud will reclaim the VM if it is still around.
+    deadline: Optional[float] = None
+    #: When the evacuation actually started (a migration already in flight
+    #: delays it).
+    started_at: Optional[float] = None
+    #: Whether the VM was drained and released before the deadline (the
+    #: eviction never happened; billing stopped early).
+    evaded: bool = False
+    #: Whether the deadline arrived before the drain finished (the kill then
+    #: takes the unplanned-recovery path).
+    overrun: bool = False
+    #: Whether the evacuation migration was actually issued.
+    migration_issued: bool = False
+    #: Market the replacement capacity was bought on (the notice window buys
+    #: time to choose; ``None`` when no capacity was needed).
+    replacement_market: Optional[str] = None
+
     @property
     def is_complete(self) -> bool:
-        """Whether the migration protocol for this action has finished."""
+        """Whether the reconfiguration has closed."""
         return self.completed_at is not None
 
     @property
     def provision_slots(self) -> int:
-        """New VM slots this action will provision -- what an arbiter budgets.
+        """New VM slots a scaling action will provision -- what an arbiter budgets.
 
         Equals the full target fleet under full-replace placement and only
         the delta under incremental placement (retained VMs are already in
@@ -129,6 +188,25 @@ class ScalingAction:
         shared slots provisions zero.
         """
         return sum(VM_TYPES[name].slots * count for name, count in self.provision_counts.items())
+
+    @property
+    def restored_at(self) -> Optional[float]:
+        """When a recovery's targeted INIT wave finished restoring the state."""
+        return self.completed_at
+
+    @property
+    def recovery_latency_s(self) -> Optional[float]:
+        """Failure to fully-restored, seconds (``None`` while in progress)."""
+        if self.completed_at is None:
+            return None
+        return self.completed_at - self.failed_at
+
+    @property
+    def evacuation_latency_s(self) -> Optional[float]:
+        """Drain start to drain complete, seconds (``None`` while in progress)."""
+        if self.started_at is None or self.completed_at is None:
+            return None
+        return self.completed_at - self.started_at
 
 
 @dataclass(frozen=True)
@@ -152,97 +230,6 @@ class TickRecord:
     verdict: Optional[ArbiterDecision] = None
     #: The VMs a granted enact provisioned.
     provisioned_vm_ids: Tuple[str, ...] = ()
-
-
-@dataclass
-class RecoveryRecord:
-    """Bookkeeping for one unplanned VM loss and its recovery."""
-
-    vm_id: str
-    #: Fault kind the cloud reported (``"kill"`` or an overdue ``"evict"``).
-    kind: str
-    failed_at: float
-    #: Executors that died with the VM.
-    lost_executors: List[str]
-    #: Data events dropped with them (queued + in-memory).
-    events_lost: int = 0
-    #: Tuple trees failed fast through the acker (acking runs only).
-    trees_failed: int = 0
-    #: Replacement VMs provisioned (on-demand — unplanned recovery has no
-    #: notice window in which to shop the market).
-    replacement_vm_ids: List[str] = field(default_factory=list)
-    #: Failed provisioning attempts paid for while bringing replacements up.
-    provisioning_failures: int = 0
-    pending_replacements: int = 0
-    #: When the recovery rebalance re-placed the victims.
-    rebalanced_at: Optional[float] = None
-    #: When the targeted INIT wave finished restoring their state.
-    restored_at: Optional[float] = None
-
-    @property
-    def recovery_latency_s(self) -> Optional[float]:
-        """Failure to fully-restored, seconds (``None`` while in progress)."""
-        if self.restored_at is None:
-            return None
-        return self.restored_at - self.failed_at
-
-
-@dataclass
-class EvacuationRecord:
-    """Bookkeeping for one eviction notice and the drain it triggered."""
-
-    vm_id: str
-    notice_at: float
-    #: When the cloud will reclaim the VM if it is still around.
-    deadline: float
-    #: When the evacuation actually started (a migration already in flight
-    #: delays it).
-    started_at: Optional[float] = None
-    completed_at: Optional[float] = None
-    #: Whether the VM was drained and released before the deadline (the
-    #: eviction never happened; billing stopped early).
-    evaded: bool = False
-    #: Whether the deadline arrived before the drain finished (the kill then
-    #: takes the unplanned-recovery path).
-    overrun: bool = False
-    #: Whether the evacuation migration was actually issued.
-    migration_issued: bool = False
-    replacement_vm_ids: List[str] = field(default_factory=list)
-    #: Market the replacement capacity was bought on (the notice window buys
-    #: time to choose; ``None`` when no capacity was needed).
-    replacement_market: Optional[str] = None
-    pending_replacements: int = 0
-    report: Optional[MigrationReport] = None
-
-    @property
-    def evacuation_latency_s(self) -> Optional[float]:
-        """Drain start to drain complete, seconds (``None`` while in progress)."""
-        if self.started_at is None or self.completed_at is None:
-            return None
-        return self.completed_at - self.started_at
-
-
-@dataclass(eq=False)
-class _Reconfiguration:
-    """One scaling action, evacuation or recovery on its way to close.
-
-    ``state`` runs ``waiting`` (an evacuation queued for the token) ->
-    ``provisioning`` -> ``moving`` -> ``closed``; only
-    :meth:`ElasticityController._enter` writes it.
-    """
-
-    #: ``scale``, ``evacuate`` or ``recover``.
-    reason: str
-    #: The record it stamps: a :class:`ScalingAction`,
-    #: :class:`EvacuationRecord` or :class:`RecoveryRecord`.
-    record: object
-    #: The flavour a rebuild buys its replacements in.
-    vm_type: Optional[VMType] = None
-    #: VMs the move empties, released at close if nothing lives there: a
-    #: scaling migration's old fleet, the doomed VM of an evacuation.  A
-    #: rebuild places onto none of them.
-    vacating: List[str] = field(default_factory=list)
-    state: str = "new"
 
 
 class ElasticityController:
@@ -294,16 +281,13 @@ class ElasticityController:
         #: Everything :func:`~repro.elastic.policy.decide` carries between ticks;
         #: it starts on the ``baseline`` tier every run is deployed on (Table 1).
         self.state = ControlState()
-        self.actions: List[ScalingAction] = []
-        self.recoveries: List[RecoveryRecord] = []
-        self.evacuations: List[EvacuationRecord] = []
+        #: Every scaling action, evacuation and recovery, in the order opened.
+        self.reconfigurations: List[Reconfiguration] = []
         #: One record per control tick, in tick order.
         self.ticks: List[TickRecord] = []
         self._timer = None
-        #: Reconfigurations not yet closed, in the order they opened.
-        self._open: List[_Reconfiguration] = []
         #: The scaling action or evacuation holding the migration token.
-        self._token: Optional[_Reconfiguration] = None
+        self._token: Optional[Reconfiguration] = None
 
     # ------------------------------------------------------------- lifecycle
     def start(self) -> None:
@@ -326,6 +310,21 @@ class ElasticityController:
     def migration_in_flight(self) -> bool:
         """Whether a scaling or evacuation migration holds the token."""
         return self._token is not None
+
+    @property
+    def actions(self) -> List[Reconfiguration]:
+        """The enacted scaling actions, in the order opened."""
+        return [r for r in self.reconfigurations if r.reason == "scale"]
+
+    @property
+    def recoveries(self) -> List[Reconfiguration]:
+        """The VM losses and their recoveries, in the order opened."""
+        return [r for r in self.reconfigurations if r.reason == "recover"]
+
+    @property
+    def evacuations(self) -> List[Reconfiguration]:
+        """The eviction notices and their drains, in the order opened."""
+        return [r for r in self.reconfigurations if r.reason == "evacuate"]
 
     # ------------------------------------------------------------ control loop
     def _tick(self) -> Decision:
@@ -366,7 +365,8 @@ class ElasticityController:
         # The placement policy decides what to provision fresh and which of
         # the current worker VMs keep serving.
         request = self.place.provisioning(self.runtime, target, direction)
-        action = ScalingAction(
+        action = Reconfiguration(
+            "scale",
             direction=direction,
             from_tier=self.tier,
             to_tier=target.tier,
@@ -392,17 +392,16 @@ class ElasticityController:
         for type_name, count in sorted(action.provision_counts.items()):
             action.provisioned_vm_ids += self._provision(VM_TYPES[type_name], count)
         self.arbiter.notify_provisioned(self.tenant_id, action.provisioned_vm_ids)
-        self.actions.append(action)
-        reconf = _Reconfiguration("scale", action)
-        self._enter(reconf, "provisioning")
+        self.reconfigurations.append(action)
+        self._enter(action, "provisioning")
         self.state.acquired()
         # The migration waits for the provisioning latency: the paper plans
         # ahead, so the VMs are ready when the migration request is issued.
-        self.runtime.sim.schedule(self.provider.provisioning_latency_s, self._move, reconf)
+        self.runtime.sim.schedule(self.provider.provisioning_latency_s, self._move, action)
         return request, verdict, tuple(action.provisioned_vm_ids)
 
     # ------------------------------------------------------------ fault entry
-    def handle_vm_failure(self, vm_id: str, kind: str = "kill") -> Optional[RecoveryRecord]:
+    def handle_vm_failure(self, vm_id: str, kind: str = "kill") -> Optional[Reconfiguration]:
         """Recover from a VM the cloud reclaimed with zero effective notice.
 
         Tears the VM down (:meth:`TopologyRuntime.fail_vm`: its executors
@@ -430,25 +429,27 @@ class ElasticityController:
         failure = runtime.fail_vm(vm_id)
         if vm.deprovisioned_at is None:
             self.provider.mark_failed(vm)
-        record = RecoveryRecord(
+        opened = [r for r in self.reconfigurations if r.state not in ("new", "closed")]
+        record = Reconfiguration(
+            "recover",
             vm_id=vm_id,
+            vm_type=vm.vm_type,
             kind=kind,
             failed_at=failure.failed_at,
             lost_executors=list(failure.lost),
             events_lost=failure.events_lost,
             trees_failed=failure.trees_failed,
         )
-        self.recoveries.append(record)
+        self.reconfigurations.append(record)
         migrating = False
-        for reconf in list(self._open):
+        for reconf in opened:
             migrating |= self._vm_lost(reconf, vm_id, vm.vm_type)
         if not (failure.lost and migrating):
-            reconf = _Reconfiguration("recover", record, vm.vm_type)
-            self._enter(reconf, "provisioning")
-            self._rebuild(reconf)
+            self._enter(record, "provisioning")
+            self._rebuild(record)
         return record
 
-    def handle_eviction_notice(self, vm_id: str, deadline: float) -> Optional[EvacuationRecord]:
+    def handle_eviction_notice(self, vm_id: str, deadline: float) -> Optional[Reconfiguration]:
         """React to a spot eviction notice: drain the doomed VM in the window.
 
         Once the migration token is free (the drain retries until the window
@@ -461,25 +462,27 @@ class ElasticityController:
         runtime = self.runtime
         if vm_id not in runtime.cluster:
             return None
-        record = EvacuationRecord(vm_id=vm_id, notice_at=runtime.sim.now, deadline=deadline)
-        self.evacuations.append(record)
-        reconf = _Reconfiguration("evacuate", record, runtime.cluster.vm(vm_id).vm_type, [vm_id])
-        self._enter(reconf, "waiting")
-        self._try_evacuate(reconf)
+        record = Reconfiguration(
+            "evacuate",
+            vm_id=vm_id,
+            vm_type=runtime.cluster.vm(vm_id).vm_type,
+            vacating=[vm_id],
+            notice_at=runtime.sim.now,
+            deadline=deadline,
+        )
+        self.reconfigurations.append(record)
+        self._enter(record, "waiting")
+        self._try_evacuate(record)
         return record
 
     # -------------------------------------------------- the reconfiguration path
-    def _enter(self, reconf: _Reconfiguration, state: str) -> None:
+    def _enter(self, reconf: Reconfiguration, state: str) -> None:
         """Move ``reconf`` to ``state``: the one writer of states and of the token.
 
         A scaling action or an evacuation migrates live, so it holds the
         migration token while provisioning or moving; a recovery never does.
         """
-        if reconf.state == "new":
-            self._open.append(reconf)
         reconf.state = state
-        if state == "closed":
-            self._open.remove(reconf)
         if reconf.reason == "recover":
             return
         if state in ("provisioning", "moving"):
@@ -487,21 +490,20 @@ class ElasticityController:
         elif self._token is reconf:
             self._token = None
 
-    def _try_evacuate(self, reconf: _Reconfiguration) -> None:
+    def _try_evacuate(self, reconf: Reconfiguration) -> None:
         """Start an evacuation once the token is free: the retry poll."""
         runtime = self.runtime
         now = runtime.sim.now
-        record = reconf.record
-        if record.vm_id not in runtime.cluster or reconf.state == "closed":
+        if reconf.vm_id not in runtime.cluster or reconf.state == "closed":
             return
-        if now >= record.deadline:
+        if now >= reconf.deadline:
             return  # too late: the kill will take the unplanned path
         if self._token is not None:
-            retry = min(5.0, max(0.5, record.deadline - now))
+            retry = min(5.0, max(0.5, reconf.deadline - now))
             runtime.sim.schedule(retry, self._try_evacuate, reconf)
             return
-        record.started_at = now
-        vm = runtime.cluster.vm(record.vm_id)
+        reconf.started_at = now
+        vm = runtime.cluster.vm(reconf.vm_id)
         if any(runtime.placement.owns(slot) for slot in vm.occupied_slots):
             self._enter(reconf, "provisioning")
             self._rebuild(reconf)
@@ -509,16 +511,15 @@ class ElasticityController:
             # Nothing of ours on the doomed VM: release it now, stop the bill.
             self._close(reconf)
 
-    def _rebuild(self, reconf: _Reconfiguration) -> None:
+    def _rebuild(self, reconf: Reconfiguration) -> None:
         """Size an evacuation or recovery; move now, or provision and re-size.
 
         Re-sized when the last replacement is in: an overlapping failure may
         have stranded more executors meanwhile.
         """
         runtime = self.runtime
-        record = reconf.record
         if reconf.reason == "recover" and not any(
-            eid in runtime.executors for eid in record.lost_executors
+            eid in runtime.executors for eid in reconf.lost_executors
         ):
             self._close(reconf)
             return
@@ -541,50 +542,48 @@ class ElasticityController:
                     spot=self.provider.spot_market,
                     flavours=(vm_type,),
                 ).choices[0].market
-            record.replacement_market = market
+            reconf.replacement_market = market
         # Provisioning draws straggler/failure tails; the rebuild waits for
         # the last replacement.
         tickets = self.provider.provision_with_latency(
             vm_type, math.ceil(deficit / vm_type.slots), name_prefix=prefix, market=market
         )
-        record.pending_replacements = len(tickets)
+        reconf.pending_replacements = len(tickets)
         if reconf.reason == "recover":
-            record.provisioning_failures += sum(ticket.failures for ticket in tickets)
+            reconf.provisioning_failures += sum(ticket.failures for ticket in tickets)
         for ticket in tickets:
             runtime.sim.schedule(ticket.delay_s, self._vm_ready, reconf, ticket.vm)
 
-    def _vm_ready(self, reconf: _Reconfiguration, vm: VirtualMachine) -> None:
+    def _vm_ready(self, reconf: Reconfiguration, vm: VirtualMachine) -> None:
         """A rebuild's replacement is up; the last one re-sizes the rebuild."""
         self._join(vm)
-        record = reconf.record
-        record.replacement_vm_ids.append(vm.vm_id)
-        record.pending_replacements -= 1
-        if record.pending_replacements == 0 and reconf.state != "closed":
+        reconf.replacement_vm_ids.append(vm.vm_id)
+        reconf.pending_replacements -= 1
+        if reconf.pending_replacements == 0 and reconf.state != "closed":
             self._rebuild(reconf)
 
-    def _move(self, reconf: _Reconfiguration, targets: Sequence[str] = ()) -> None:
+    def _move(self, reconf: Reconfiguration, targets: Sequence[str] = ()) -> None:
         """Move the state: live for a scaling action or an evacuation, from the
         last commit for a recovery (``targets``: what a rebuild places onto)."""
         if reconf.state == "closed":
             return  # a scaling action aborted while its VMs were coming up
         runtime = self.runtime
-        record = reconf.record
         self._enter(reconf, "moving")
         if reconf.reason == "recover":
             # Incremental repair: survivors keep their slots, sources and
             # sinks stay pinned, only stranded executors move.
-            record.rebalanced_at = runtime.sim.now
+            reconf.rebalanced_at = runtime.sim.now
             runtime.rebalance(
                 incremental_plan_on(runtime, targets),
                 on_command_complete=lambda _rec: runtime.restore_executors(
-                    [eid for eid in record.lost_executors if eid in runtime.executors],
+                    [eid for eid in reconf.lost_executors if eid in runtime.executors],
                     on_complete=lambda: self._close(reconf),
                 ),
             )
             return
         rescale = None
         if reconf.reason == "evacuate":
-            record.migration_issued = True
+            reconf.migration_issued = True
             plan = incremental_plan_on(runtime, targets)
             # Doomed: nobody (another tenant, our own recovery) places onto it.
             self.arbiter.mark_doomed(reconf.vacating)
@@ -593,70 +592,68 @@ class ElasticityController:
             # released at close.  VMs the place stage retained and the util
             # VM never migrate.  Sorted: ``vms_used`` is a set, and
             # release/record order must not depend on PYTHONHASHSEED.
-            retained = set(record.provisioned_vm_ids) | set(record.kept_vm_ids)
+            retained = set(reconf.provisioned_vm_ids) | set(reconf.kept_vm_ids)
             reconf.vacating = [
                 vm_id
                 for vm_id in sorted(runtime.placement.vms_used)
                 if vm_id != runtime.util_vm_id and vm_id not in retained
             ]
-            target_vm_ids = list(record.kept_vm_ids) + list(record.provisioned_vm_ids)
-            record.enacted_at = runtime.sim.now
+            target_vm_ids = list(reconf.kept_vm_ids) + list(reconf.provisioned_vm_ids)
+            reconf.enacted_at = runtime.sim.now
             # Retiring: nobody (another tenant, our own recovery) places onto
             # a VM this migration is about to vacate.
             self.arbiter.notify_migration_started(self.tenant_id, reconf.vacating)
-            rescale = record.target.rescale
+            rescale = reconf.target.rescale
             # A combined rescale + migrate plans after the strategy applied
             # the parallelism change (the executor set it places does not
             # exist yet), so it gets a plan factory.
             plan = lambda runtime: self.place.placement_plan(runtime, target_vm_ids)
             if rescale is None:
                 plan = plan(runtime)
-        record.report = self.strategy_cls(runtime).migrate(
+        reconf.report = self.strategy_cls(runtime).migrate(
             plan, on_complete=lambda report: self._close(reconf, report), rescale=rescale
         )
 
-    def _vm_lost(self, reconf: _Reconfiguration, vm_id: str, vm_type: VMType) -> bool:
+    def _vm_lost(self, reconf: Reconfiguration, vm_id: str, vm_type: VMType) -> bool:
         """Tell one open reconfiguration that ``vm_id`` died.
 
         Returns whether it re-places that VM's executors itself (an
         evacuation migrating off it).
         """
-        record = reconf.record
         if reconf.reason == "scale":
-            if vm_id in record.kept_vm_ids:
-                record.kept_vm_ids.remove(vm_id)
-            if vm_id not in record.provisioned_vm_ids:
+            if vm_id in reconf.kept_vm_ids:
+                reconf.kept_vm_ids.remove(vm_id)
+            if vm_id not in reconf.provisioned_vm_ids:
                 return False
-            record.provisioned_vm_ids.remove(vm_id)
+            reconf.provisioned_vm_ids.remove(vm_id)
             if reconf.state != "provisioning":
                 return False
-            if record.provisioned_vm_ids or record.kept_vm_ids:
+            if reconf.provisioned_vm_ids or reconf.kept_vm_ids:
                 # The staged migration keeps its target fleet.
                 vm_ids = self._provision(vm_type, 1)
-                record.provisioned_vm_ids += vm_ids
+                reconf.provisioned_vm_ids += vm_ids
                 self.arbiter.notify_provisioned(self.tenant_id, vm_ids)
             else:
                 # No target VM left: the grant goes back to the budget
                 # unspent (else its token would starve every other tenant).
-                record.aborted = True
+                reconf.aborted = True
                 self._close(reconf)
             return False
-        if reconf.reason != "evacuate" or record.vm_id != vm_id:
+        if reconf.reason != "evacuate" or reconf.vm_id != vm_id:
             return False
         # The deadline caught the drain: an overrun VM vanished because the
         # cloud killed it, not because we got out in time.
-        record.overrun = True
+        reconf.overrun = True
         if reconf.state == "moving":
             return True
         self._close(reconf)
         return False
 
-    def _close(self, reconf: _Reconfiguration, report: Optional[MigrationReport] = None) -> None:
+    def _close(self, reconf: Reconfiguration, report: Optional[MigrationReport] = None) -> None:
         """Release the emptied VMs, notify the arbiter, stamp the record, settle."""
         runtime = self.runtime
         now = runtime.sim.now
         cluster = runtime.cluster
-        record = reconf.record
         # Something may still live on a vacated VM (on a shared fleet,
         # another tenant's executors): it keeps accruing cost until empty.
         released = [
@@ -666,20 +663,17 @@ class ElasticityController:
         for vm_id in released:
             self.provider.release_from(cluster, vm_id)
         self._enter(reconf, "closed")
-        if reconf.reason == "recover":
-            record.restored_at = now
-            return
-        record.completed_at = now
-        record.report = report
+        reconf.completed_at = now
+        reconf.report = report
         if reconf.reason == "evacuate":
-            record.evaded = not record.overrun and record.vm_id not in cluster
+            reconf.evaded = not reconf.overrun and reconf.vm_id not in cluster
             self.arbiter.clear_doomed(reconf.vacating)
-        elif record.aborted:
+        elif reconf.aborted:
             self.arbiter.notify_aborted(self.tenant_id, now=now)
-        else:
-            record.deprovisioned_vm_ids += released
+        elif reconf.reason == "scale":
+            reconf.deprovisioned_vm_ids += released
             self.arbiter.notify_complete(self.tenant_id)
-            self.state.settle(record.to_tier, now + self.config.cooldown_s)
+            self.state.settle(reconf.to_tier, now + self.config.cooldown_s)
 
     # ------------------------------------------------------------ fleet helpers
     def _provision(self, vm_type: VMType, count: int) -> List[str]:
@@ -694,7 +688,7 @@ class ElasticityController:
         vm.tags["tenant"] = self.tenant_id
         self.runtime.cluster.add_vm(vm)
 
-    def _size(self, reconf: _Reconfiguration) -> Tuple[List[str], int]:
+    def _size(self, reconf: Reconfiguration) -> Tuple[List[str], int]:
         """A rebuild's size step: the VMs it may place onto, and the slots they lack.
 
         A target is a worker VM that is untagged or this tenant's, and neither

@@ -278,7 +278,7 @@ class ProvisioningRequest:
     """What the place stage wants acquired (and retained) for a target."""
 
     #: VM flavour -> count to *provision fresh* for this action.  Slot
-    #: accounting lives on :attr:`ScalingAction.provision_slots`, where the
+    #: accounting lives on :attr:`Reconfiguration.provision_slots`, where the
     #: counts end up.
     vm_counts: Dict[str, int]
     #: Existing worker VMs to keep serving through (and after) the migration.

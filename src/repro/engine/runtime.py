@@ -470,12 +470,8 @@ class TopologyRuntime:
                         executor.kill()
                     for event, _sender in self._deferred_deliveries.pop(executor_id, []):
                         self.log.record_drop(executor_id, event.kind.value, "retired", event.root_id)
-                    old_slot_id = self.placement.assignments.pop(executor_id, None)
-                    if old_slot_id is not None:
-                        try:
-                            self.cluster.find_slot(old_slot_id).release()
-                        except KeyError:
-                            pass
+                    self._release_slot_of(executor_id)
+                    self.placement.assignments.pop(executor_id, None)
                     self.log.record_lifecycle(executor_id, "retired")
                     record.retired.append(executor_id)
             else:
@@ -493,6 +489,19 @@ class TopologyRuntime:
         self.router.invalidate_caches()
         self.rescales.append(record)
         return record
+
+    def _release_slot_of(self, executor_id: str) -> None:
+        """Free the slot the current placement gives ``executor_id``, if it holds it.
+
+        A VM that left the cluster took the slot with it, and a slot holding
+        another tenant's executor of the same id is not ours to free.
+        """
+        slot_id = self.placement.assignments.get(executor_id)
+        vm_id = self.placement.slot_to_vm.get(slot_id)
+        if vm_id in self.cluster:
+            slot = self.cluster.vm(vm_id).find_slot(slot_id)
+            if slot is not None and self.placement.owns(slot):
+                slot.release()
 
     # --------------------------------------------------------------- rebalance
     def rebalance(
@@ -560,12 +569,7 @@ class TopologyRuntime:
             # losses in the log.
             if executor.status not in (ExecutorStatus.STARTING, ExecutorStatus.KILLED):
                 executor.kill()
-            old_slot_id = self.placement.assignments.get(executor_id)
-            if old_slot_id is not None:
-                try:
-                    self.cluster.find_slot(old_slot_id).release()
-                except KeyError:
-                    pass
+            self._release_slot_of(executor_id)
 
         # Apply the new placement for migrating executors (sorted: see above).
         for executor_id in sorted(migrating):

@@ -18,11 +18,11 @@ dataflow on the paper's baseline allocation, builds its control stack
   storm is armed on a :class:`~repro.cluster.chaos.FaultInjector`, and the
   autoscaling loop is not started, so the run isolates fault handling.
 
-The result carries the full timeline (monitor samples), every enacted
-:class:`~repro.elastic.controller.ScalingAction` with its
-:class:`~repro.core.strategy.MigrationReport`, the controller's fault
-reactions, and the final cloud bill; :meth:`ElasticRunResult.trace` reads the
-run's trace from those records.  A run is hermetic: every event id is a
+The result carries the full timeline (monitor samples), the controller's
+:class:`~repro.elastic.controller.Reconfiguration` records (every enacted
+scaling action with its :class:`~repro.core.strategy.MigrationReport`, every
+fault reaction) and the final cloud bill; :meth:`ElasticRunResult.trace`
+reads the run's trace from those records.  A run is hermetic: every event id is a
 function of the run's own data (:mod:`repro.dataflow.event`), so which DSM
 trees a migration loses and replays does not depend on what ran earlier in
 the process.
@@ -42,11 +42,9 @@ from repro.elastic import (
     ControllerConfig,
     ElasticityController,
     ElasticityMonitor,
-    EvacuationRecord,
     ForecastPolicy,
     MonitorSample,
-    RecoveryRecord,
-    ScalingAction,
+    Reconfiguration,
     build_controller,
     forecast_policy_by_name,
 )
@@ -218,7 +216,7 @@ class ElasticRunResult:
         return self.controller.monitor
 
     @property
-    def actions(self) -> List[ScalingAction]:
+    def actions(self) -> List[Reconfiguration]:
         """All scaling actions the controller enacted, in time order."""
         return self.controller.actions
 
@@ -238,20 +236,20 @@ class ElasticRunResult:
         return self.log.replay_emits
 
     @property
-    def recoveries(self) -> List[RecoveryRecord]:
+    def recoveries(self) -> List[Reconfiguration]:
         """Unplanned-failure recoveries the controller ran, in time order."""
         return self.controller.recoveries
 
     @property
-    def evacuations(self) -> List[EvacuationRecord]:
+    def evacuations(self) -> List[Reconfiguration]:
         """Eviction-notice evacuations the controller ran, in time order."""
         return self.controller.evacuations
 
-    def scale_outs(self) -> List[ScalingAction]:
+    def scale_outs(self) -> List[Reconfiguration]:
         """Actions that expanded the allocation."""
         return [a for a in self.actions if a.direction == "out"]
 
-    def scale_ins(self) -> List[ScalingAction]:
+    def scale_ins(self) -> List[Reconfiguration]:
         """Actions that consolidated the allocation."""
         return [a for a in self.actions if a.direction == "in"]
 

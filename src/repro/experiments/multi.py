@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.vm import D2
 from repro.dataflow import topologies
-from repro.elastic.controller import ScalingAction
+from repro.elastic.controller import Reconfiguration
 from repro.elastic.planner import AllocationPlanner
 from repro.experiments.elastic import surge_profile
 from repro.experiments.scenarios import check_names
@@ -45,11 +45,9 @@ class TenantSummary:
     peak_backlog: int
     final_backlog: int
     final_instances: int
-    actions: List[ScalingAction] = field(default_factory=list)
+    actions: List[Reconfiguration] = field(default_factory=list)
     #: The arbiter's audit records of this tenant's deferred proposals.
     deferrals: List[ProposalRecord] = field(default_factory=list)
-    #: ``(enacted_at, completed_at)`` per completed scaling migration.
-    migration_windows: List[Tuple[float, float]] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, object]:
         """Row for table formatting."""
@@ -112,9 +110,10 @@ class ManagedRunResult:
         """Largest number of tenant migration windows overlapping at once."""
         events: List[Tuple[float, int]] = []
         for summary in self.tenants.values():
-            for start, end in summary.migration_windows:
-                events.append((start, 1))
-                events.append((end, -1))
+            for action in summary.actions:
+                if action.enacted_at is not None and action.completed_at is not None:
+                    events.append((action.enacted_at, 1))
+                    events.append((action.completed_at, -1))
         events.sort()
         peak = current = 0
         for _, delta in events:
@@ -193,11 +192,6 @@ def _summarize_tenant(manager: ClusterManager, name: str) -> TenantSummary:
     tenant = manager.tenant(name)
     receipts = tenant.runtime.log.sink_receipts
     backlogs = [s.queue_backlog + s.source_backlog for s in tenant.monitor.samples]
-    windows = [
-        (action.enacted_at, action.completed_at)
-        for action in tenant.controller.actions
-        if action.enacted_at is not None and action.completed_at is not None
-    ]
     return TenantSummary(
         name=name,
         dag=tenant.dataflow.name,
@@ -210,7 +204,6 @@ def _summarize_tenant(manager: ClusterManager, name: str) -> TenantSummary:
         final_instances=tenant.dataflow.total_instances(),
         actions=list(tenant.controller.actions),
         deferrals=[r for r in manager.arbiter.deferrals() if r.tenant_id == name],
-        migration_windows=windows,
     )
 
 

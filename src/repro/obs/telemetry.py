@@ -2,10 +2,11 @@
 
 Nothing traces while a simulation runs.  The control loop and the protocols
 keep typed records -- one :class:`~repro.elastic.controller.TickRecord` per
-control tick, ``ScalingAction``, ``RecoveryRecord``, ``EvacuationRecord``,
-``CheckpointWave``, ``FaultRecord``, the arbiter's ``ProposalRecord`` -- and
-hot components keep plain tallies (``Simulator.processed_events``,
-``Router.routed_count``, executor counters, ...).  After the run,
+control tick, one :class:`~repro.elastic.controller.Reconfiguration` per
+scaling action, evacuation or recovery, ``CheckpointWave``, ``FaultRecord``,
+the arbiter's ``ProposalRecord`` -- and hot components keep plain tallies
+(``Simulator.processed_events``, ``Router.routed_count``, executor counters,
+...).  After the run,
 :meth:`Telemetry.from_run` (one single-fleet run) and
 :meth:`Telemetry.from_tenants` (the tenants of one shared fleet) read them
 into a fresh :class:`Telemetry`:
@@ -37,6 +38,8 @@ from .trace import Span, SpanTracer
 Levels = Tuple[Tuple[str, int], ...]
 
 _STAGES = ("sense", "forecast", "plan", "place", "act")
+#: The order a trace lists reconfiguration spans in, by reason.
+_SPAN_ORDER = ("scale", "recover", "evacuate")
 
 
 def queue_levels(runtime) -> Tuple[Levels, Levels]:
@@ -309,43 +312,74 @@ class Telemetry:
                 budget_slots=record.budget_slots,
             )
 
-    def _record_actions(self, actions, now: float, tenant: Optional[str] = None) -> List[Span]:
-        """One ``migration`` span (plus phase children) per ScalingAction.
+    def _record_reconfigurations(self, records, now: float,
+                                 tenant: Optional[str] = None) -> List[Span]:
+        """One span per :class:`~repro.elastic.controller.Reconfiguration`.
 
-        ``now`` caps still-in-flight protocols at the end of the run;
-        ``tenant`` labels shared-fleet runs.  Unenacted, unaborted decisions
-        (still waiting on capacity) have no protocol interval and are skipped.
+        Spans come out by reason -- every ``migration`` (with its phase
+        children), then every ``recovery`` (with its ``state.restore`` child),
+        then every ``evacuation`` -- each in the order opened.  ``now`` caps
+        still-open ones at the end of the run; ``tenant`` labels shared-fleet
+        runs.  An unenacted, unaborted scaling action (still waiting on
+        capacity) has no protocol interval and is skipped.
         """
         emit = self.tracer.emit
         spans: List[Span] = []
-        for action in actions:
-            start = action.enacted_at
-            if start is None:
-                if not action.aborted:
-                    continue
-                start = action.decided_at
-            end = action.completed_at
+        for reconf in sorted(records, key=lambda r: _SPAN_ORDER.index(r.reason)):
+            if reconf.reason == "scale":
+                start = reconf.enacted_at
+                if start is None:
+                    if not reconf.aborted:
+                        continue
+                    start = reconf.decided_at
+                end = reconf.completed_at
+                name, category = f"migration.{reconf.direction}", "migration"
+                args = dict(
+                    direction=reconf.direction,
+                    from_tier=reconf.from_tier,
+                    to_tier=reconf.to_tier,
+                    decided_at_s=reconf.decided_at,
+                    observed_rate_ev_s=reconf.observed_rate,
+                    forecast_rate_ev_s=reconf.forecast_rate,
+                    slo_escalated=reconf.slo_escalated,
+                    provision_counts=dict(reconf.provision_counts),
+                    kept_vms=len(reconf.kept_vm_ids),
+                    provisioned_vms=len(reconf.provisioned_vm_ids),
+                    aborted=reconf.aborted,
+                )
+            elif reconf.reason == "recover":
+                start, end = reconf.failed_at, reconf.restored_at
+                name, category = f"recovery.{reconf.kind}", "recovery"
+                args = dict(
+                    vm_id=reconf.vm_id,
+                    kind=reconf.kind,
+                    lost_executors=len(reconf.lost_executors),
+                    events_lost=reconf.events_lost,
+                    trees_failed=reconf.trees_failed,
+                    replacements=len(reconf.replacement_vm_ids),
+                    provisioning_failures=reconf.provisioning_failures,
+                )
+            else:
+                start, end = reconf.notice_at, reconf.completed_at
+                if end is None and reconf.overrun:
+                    end = reconf.deadline
+                name = category = "evacuation"
+                args = dict(
+                    vm_id=reconf.vm_id,
+                    deadline_s=reconf.deadline,
+                    evaded=reconf.evaded,
+                    overrun=reconf.overrun,
+                    migration_issued=reconf.migration_issued,
+                    replacements=len(reconf.replacement_vm_ids),
+                    replacement_market=reconf.replacement_market,
+                )
             if end is None:
                 end = now if now > start else start
-            span = emit(
-                f"migration.{action.direction}",
-                "migration",
-                start,
-                end,
-                direction=action.direction,
-                from_tier=action.from_tier,
-                to_tier=action.to_tier,
-                decided_at_s=action.decided_at,
-                observed_rate_ev_s=action.observed_rate,
-                forecast_rate_ev_s=action.forecast_rate,
-                slo_escalated=action.slo_escalated,
-                provision_counts=dict(action.provision_counts),
-                kept_vms=len(action.kept_vm_ids),
-                provisioned_vms=len(action.provisioned_vm_ids),
-                aborted=action.aborted,
-                tenant=tenant,
-            )
-            self._report_children(span, action.report)
+            span = emit(name, category, start, end, **args, tenant=tenant)
+            if reconf.rebalanced_at is not None and reconf.restored_at is not None:
+                emit("state.restore", "migration.phase", reconf.rebalanced_at,
+                     reconf.restored_at, parent=span)
+            self._report_children(span, reconf.report)
             spans.append(span)
         return spans
 
@@ -421,50 +455,7 @@ class Telemetry:
                 return value
             return now if now > start else start
 
-        protocol_spans = telemetry._record_actions(controller.actions, now=now)
-        for recovery in controller.recoveries:
-            span = emit(
-                f"recovery.{recovery.kind}",
-                "recovery",
-                recovery.failed_at,
-                _end(recovery.restored_at, recovery.failed_at),
-                vm_id=recovery.vm_id,
-                kind=recovery.kind,
-                lost_executors=len(recovery.lost_executors),
-                events_lost=recovery.events_lost,
-                trees_failed=recovery.trees_failed,
-                replacements=len(recovery.replacement_vm_ids),
-                provisioning_failures=recovery.provisioning_failures,
-                tenant=None,
-            )
-            if recovery.rebalanced_at is not None and recovery.restored_at is not None:
-                emit(
-                    "state.restore",
-                    "migration.phase",
-                    recovery.rebalanced_at,
-                    recovery.restored_at,
-                    parent=span,
-                )
-            protocol_spans.append(span)
-        for evacuation in controller.evacuations:
-            fallback = evacuation.deadline if evacuation.overrun else None
-            end = evacuation.completed_at if evacuation.completed_at is not None else fallback
-            span = emit(
-                "evacuation",
-                "evacuation",
-                evacuation.notice_at,
-                _end(end, evacuation.notice_at),
-                vm_id=evacuation.vm_id,
-                deadline_s=evacuation.deadline,
-                evaded=evacuation.evaded,
-                overrun=evacuation.overrun,
-                migration_issued=evacuation.migration_issued,
-                replacements=len(evacuation.replacement_vm_ids),
-                replacement_market=evacuation.replacement_market,
-                tenant=None,
-            )
-            telemetry._report_children(span, evacuation.report)
-            protocol_spans.append(span)
+        protocol_spans = telemetry._record_reconfigurations(controller.reconfigurations, now)
 
         # Checkpoint waves nest inside the innermost protocol span whose
         # interval contains their start; periodic waves outside any protocol
@@ -502,13 +493,16 @@ class Telemetry:
     @classmethod
     def from_tenants(cls, controllers: Mapping[str, object], arbiter, now: float,
                      meta: Optional[Mapping[str, object]] = None) -> "Telemetry":
-        """The trace of a shared-fleet run: every tenant's ticks and
-        migrations, labelled with the tenant, then the arbiter's verdicts."""
+        """The trace of a shared-fleet run: every tenant's ticks, then every
+        tenant's reconfigurations, labelled with the tenant, then the
+        arbiter's verdicts."""
         telemetry = cls()
         telemetry.meta.update(meta or {})
         for name in sorted(controllers):
             telemetry._record_ticks(controllers[name].ticks, tenant=name)
         for name in sorted(controllers):
-            telemetry._record_actions(controllers[name].actions, now=now, tenant=name)
+            telemetry._record_reconfigurations(
+                controllers[name].reconfigurations, now, tenant=name
+            )
         telemetry._record_arbiter(arbiter)
         return telemetry

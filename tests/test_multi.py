@@ -23,6 +23,7 @@ from repro.engine.runtime import RuntimeError_
 from repro.experiments.multi import default_budget_slots, run_multi_experiment, surge_window
 from repro.multi import ClusterManager, ScaleArbiter
 from repro.multi.manager import shared_fleet_planner
+from repro.obs import Telemetry
 from repro.sim import Simulator
 from repro.sim.shard import log_digest
 from repro.workloads.profiles import StepProfile
@@ -382,6 +383,24 @@ class TestSharedFleetVmLoss:
         placement = linear.runtime.placement
         for executor in linear.runtime.user_executors:
             assert placement.vm_of(executor.executor_id) in manager.cluster
+
+    def test_the_shared_fleet_trace_holds_the_tenants_recovery(self):
+        manager = self.deployed_at_60s()
+        linear = manager.tenant("linear")
+        victim = self.worker_vms(manager, "linear")[0][0].vm_id
+        record = linear.controller.handle_vm_failure(victim)
+        manager.run(until=200.0)
+        trace = Telemetry.from_tenants(
+            {name: manager.tenant(name).controller for name in ("traffic", "linear")},
+            manager.arbiter,
+            now=200.0,
+        )
+        tracer = trace.tracer
+        [span] = tracer.by_category("recovery")
+        assert span.name == "recovery.kill"
+        assert span.args["tenant"] == "linear"
+        assert (span.start_s, span.end_s) == (60.0, record.restored_at)
+        assert [child.name for child in tracer.children_of(span)] == ["state.restore"]
 
     def test_losing_a_vm_another_tenant_shares_raises_before_teardown(self):
         manager = self.deployed_at_60s()

@@ -51,6 +51,7 @@ from repro.sim import Simulator
 from repro.sim.shard import log_digest
 
 from tests.conftest import build_cluster, fast_config
+from tests.test_chaos import CHAOS_GOLDENS
 
 STAGES = ["sense", "forecast", "plan", "place", "act"]
 
@@ -403,6 +404,12 @@ TRACE_GOLDENS = {
     "chaos.grid-keyed.dsm.notice": "245ee6837245807314e07a93cb5a581eb937a605c7073296ba2e9be9853c7663",
     "predict.grid.reactive": "387043a049edc3f1d83d7f078fad791b67d3ab8194285dd4190afed6470dbde3",
     "predict.grid.lookahead": "b047803df1c016ff3bc5a80855dc170d17ab59a270f91f53d4d7b23b943a40f2",
+    # A shared fleet no fault hit: every tenant's ticks, migrations, arbiter.
+    "multi.traffic+linear": "bf4802bba82bb77403e5be719d4c74db4a84cd44741a1cff676cc0a612860127",
+    # An overrun evacuation, then the recovery with its state.restore child.
+    "chaos.kill-mid-evacuation": "c4f5cb0bd48ef0d6a01a19937778e1ef70d8d576b08e339d3281c4dc046c4f0c",
+    # No notice: recoveries only.
+    "chaos.grid-keyed.dsm.oblivious": "1fc145909c3e887a981d3f5a9407ba10e61d02e0502ab230c9e966954d6c386f",
 }
 
 
@@ -414,11 +421,20 @@ def golden_traces(traced):
     chaos = run_chaos_run(
         dag="grid-keyed", strategy="dsm", mode="notice", duration_s=450.0, storm_count=2
     )
+    oblivious = run_chaos_run(
+        dag="grid-keyed", strategy="dsm", mode="oblivious", duration_s=450.0, storm_count=2
+    )
+    multi = run_multi_experiment(
+        dags=("traffic", "linear"), duration_s=300.0, include_private_baseline=False
+    )
     return {
         "elastic.grid.ccr.surge": traced.trace(),
         "chaos.grid-keyed.dsm.notice": chaos.trace(),
         "predict.grid.reactive": predict.runs["reactive"].trace(),
         "predict.grid.lookahead": predict.runs["lookahead"].trace(),
+        "multi.traffic+linear": multi.trace(),
+        "chaos.kill-mid-evacuation": run_chaos_run(**CHAOS_GOLDENS["kill-mid-evacuation"][0]).trace(),
+        "chaos.grid-keyed.dsm.oblivious": oblivious.trace(),
     }
 
 
