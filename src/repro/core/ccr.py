@@ -45,6 +45,6 @@ class CaptureCheckpointResume(DrainCheckpointRestore):
     name = "ccr"
 
     #: PREPARE and INIT are broadcast directly to every task instance; the
-    #: COMMIT wave (inherited) remains sequential along the dataflow edges.
+    #: coordinator's COMMIT always sweeps sequentially along the edges.
     prepare_mode = WaveMode.BROADCAST
     init_mode = WaveMode.BROADCAST

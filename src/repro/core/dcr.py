@@ -36,11 +36,9 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from repro.core.strategy import MigrationReport, MigrationStrategy, PlanInput, register_strategy
-from repro.dataflow.event import CheckpointAction
 from repro.dataflow.graph import RescalePlan
 from repro.dataflow.task import UserLogic
 from repro.engine.config import RuntimeConfig
-from repro.engine.runtime import RebalanceRecord
 from repro.reliability.checkpoint import CheckpointWave, WaveMode
 
 
@@ -50,9 +48,9 @@ class DrainCheckpointRestore(MigrationStrategy):
 
     name = "dcr"
 
-    #: Wave modes used by this strategy (CCR overrides these).
+    #: How the PREPARE wave reaches the tasks (CCR broadcasts it and INIT);
+    #: the COMMIT always sweeps sequentially, behind any in-flight event.
     prepare_mode = WaveMode.SEQUENTIAL
-    init_mode = WaveMode.SEQUENTIAL
 
     @classmethod
     def runtime_config(cls, seed: int = 2018) -> RuntimeConfig:
@@ -98,29 +96,18 @@ class DrainCheckpointRestore(MigrationStrategy):
         report = self.report
         assert report is not None
         report.drain_started_at = self.runtime.sim.now
-        checkpoint_id = self.runtime.checkpoints.new_checkpoint_id()
-        report.checkpoint_id = checkpoint_id
-        self.runtime.checkpoints.start_wave(
-            CheckpointAction.PREPARE,
-            checkpoint_id,
-            self.prepare_mode,
-            on_complete=self._after_prepare,
+        report.checkpoint_id = self.runtime.checkpoints.run_checkpoint(
+            prepare_mode=self.prepare_mode,
+            on_complete=self._after_commit,
+            on_prepared=self._prepared,
         )
 
-    def _after_prepare(self, wave: CheckpointWave) -> None:
+    def _prepared(self, wave: CheckpointWave) -> None:
         report = self.report
         assert report is not None
-        report.prepare_completed_at = self.runtime.sim.now
-        # COMMIT always sweeps sequentially through the dataflow so it is
-        # guaranteed to be behind any remaining in-flight user events.
-        self.runtime.checkpoints.start_wave(
-            CheckpointAction.COMMIT,
-            wave.checkpoint_id,
-            WaveMode.SEQUENTIAL,
-            on_complete=self._after_commit,
-        )
+        report.prepare_completed_at = wave.completed_at
 
-    def _after_commit(self, wave: CheckpointWave) -> None:
+    def _after_commit(self, _checkpoint_id: int) -> None:
         report = self.report
         assert report is not None
         report.commit_completed_at = self.runtime.sim.now
@@ -131,38 +118,16 @@ class DrainCheckpointRestore(MigrationStrategy):
         # gates the rebalance -- moving a lot of grouped state is not free.
         store_latency_s = self._enact_rescale()
         if store_latency_s > 0:
-            self.runtime.sim.schedule(store_latency_s, self._start_rebalance)
+            self.runtime.sim.schedule(store_latency_s, self._rebalance)
         else:
-            self._start_rebalance()
+            self._rebalance()
 
-    def _start_rebalance(self) -> None:
+    def _restored(self) -> None:
         report = self.report
         assert report is not None
-        new_plan = self._resolve_plan()
-        report.rebalance_started_at = self.runtime.sim.now
-        record = self.runtime.rebalance(new_plan, on_command_complete=self._after_rebalance_command)
-        report.rebalance_record = record
-
-    def _after_rebalance_command(self, record: RebalanceRecord) -> None:
-        report = self.report
-        assert report is not None
-        report.rebalance_command_completed_at = self.runtime.sim.now
-        self.runtime.checkpoints.start_wave(
-            CheckpointAction.INIT,
-            report.checkpoint_id,
-            self.init_mode,
-            on_complete=self._after_init,
-            resend_interval_s=self.init_resend_interval_s,
-        )
-
-    def _after_init(self, wave: CheckpointWave) -> None:
-        report = self.report
-        assert report is not None
-        report.init_completed_at = self.runtime.sim.now
         self._apply_logic_updates()
         self.runtime.unpause_sources()
         report.sources_unpaused_at = self.runtime.sim.now
-        self._finish()
 
     def _apply_logic_updates(self) -> None:
         """Install replacement user logic on every instance of the updated tasks."""

@@ -24,11 +24,9 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.core.strategy import MigrationReport, MigrationStrategy, PlanInput, register_strategy
-from repro.dataflow.event import CheckpointAction
 from repro.dataflow.graph import RescalePlan
 from repro.engine.config import RuntimeConfig
-from repro.engine.runtime import RebalanceRecord
-from repro.reliability.checkpoint import CheckpointWave, WaveMode
+from repro.engine.runtime import TopologyRuntime
 
 
 @register_strategy
@@ -36,6 +34,11 @@ class DefaultStormMigration(MigrationStrategy):
     """Baseline migration: immediate rebalance, recovery via acking + periodic checkpoints."""
 
     name = "dsm"
+
+    def __init__(self, runtime: TopologyRuntime, init_resend_interval_s: float = 1.0) -> None:
+        # Storm re-sends a lost INIT only when its acks time out, whatever
+        # interval the caller asks for.
+        super().__init__(runtime, runtime.reliability.ack_timeout_s)
 
     @classmethod
     def runtime_config(cls, seed: int = 2018) -> RuntimeConfig:
@@ -60,36 +63,10 @@ class DefaultStormMigration(MigrationStrategy):
         # The state-send's store latency overlaps the (much longer) rebalance
         # and worker-restart window, so it is not awaited here.
         self._enact_rescale()
-        resolved_plan = self._resolve_plan()
 
         # The rebalance is initiated immediately on the user request; the
-        # consequences (lost events, stale state) are recovered afterwards.
-        report.rebalance_started_at = self.runtime.sim.now
-        record = self.runtime.rebalance(resolved_plan, on_command_complete=self._after_rebalance_command)
-        report.rebalance_record = record
+        # consequences (lost events, stale state) are recovered afterwards:
+        # the checkpoint framework re-initializes the restarted tasks from the
+        # last committed (periodic) checkpoint.
+        self._rebalance()
         return report
-
-    # ------------------------------------------------------------- internals
-    def _after_rebalance_command(self, record: RebalanceRecord) -> None:
-        report = self.report
-        assert report is not None
-        report.rebalance_command_completed_at = self.runtime.sim.now
-
-        # Standard Storm behaviour: the checkpoint framework re-initializes the
-        # restarted tasks from the last committed (periodic) checkpoint.  Lost
-        # INIT events are only re-sent after the acking timeout expires.
-        checkpoint_id = self.runtime.checkpoints.new_checkpoint_id()
-        report.checkpoint_id = checkpoint_id
-        self.runtime.checkpoints.start_wave(
-            CheckpointAction.INIT,
-            checkpoint_id,
-            WaveMode.SEQUENTIAL,
-            on_complete=self._after_init,
-            resend_interval_s=self.runtime.reliability.ack_timeout_s,
-        )
-
-    def _after_init(self, wave: CheckpointWave) -> None:
-        report = self.report
-        assert report is not None
-        report.init_completed_at = self.runtime.sim.now
-        self._finish()

@@ -21,9 +21,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Type, Union
 
 from repro.cluster.placement import PlacementPlan
+from repro.dataflow.event import CheckpointAction
 from repro.dataflow.graph import RescalePlan
 from repro.engine.config import RuntimeConfig
 from repro.engine.runtime import RebalanceRecord, RescaleRecord, RuntimeError_, TopologyRuntime
+from repro.reliability.checkpoint import CheckpointWave, WaveMode
 from repro.reliability.repartition import repartition_rescaled_tasks
 
 #: Placement input accepted by :meth:`MigrationStrategy.migrate`: either a
@@ -92,6 +94,8 @@ class MigrationStrategy(ABC):
 
     #: Short name used in reports, figures and the strategy registry.
     name: str = "base"
+    #: How the restore's INIT wave reaches the rebalanced tasks.
+    init_mode = WaveMode.SEQUENTIAL
 
     def __init__(self, runtime: TopologyRuntime, init_resend_interval_s: float = 1.0) -> None:
         self.runtime = runtime
@@ -180,6 +184,43 @@ class MigrationStrategy(ABC):
         if callable(plan_input):
             return plan_input(self.runtime)
         return plan_input
+
+    def _rebalance(self) -> None:
+        """Issue the rebalance; the restore follows its command."""
+        report = self.report
+        assert report is not None
+        new_plan = self._resolve_plan()
+        report.rebalance_started_at = self.runtime.sim.now
+        report.rebalance_record = self.runtime.rebalance(new_plan, on_command_complete=self._restore)
+
+    def _restore(self, _record: RebalanceRecord) -> None:
+        """Re-initialise the rebalanced tasks with an INIT wave, re-sent
+        every ``init_resend_interval_s`` until each task has acted.
+
+        It restores the migration's own checkpoint (DCR/CCR), or, when the
+        strategy took none (DSM), the last committed one under a fresh id.
+        """
+        report = self.report
+        assert report is not None
+        report.rebalance_command_completed_at = self.runtime.sim.now
+        wave = self.runtime.checkpoints.start_wave(
+            CheckpointAction.INIT,
+            report.checkpoint_id,
+            self.init_mode,
+            on_complete=self._after_init,
+            resend_interval_s=self.init_resend_interval_s,
+        )
+        report.checkpoint_id = wave.checkpoint_id
+
+    def _after_init(self, _wave: CheckpointWave) -> None:
+        report = self.report
+        assert report is not None
+        report.init_completed_at = self.runtime.sim.now
+        self._restored()
+        self._finish()
+
+    def _restored(self) -> None:
+        """Hook: every task has acted on the INIT, the report not yet complete."""
 
     def _finish(self) -> None:
         if self.report is not None and self.report.completed_at is None:

@@ -48,6 +48,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Type
 from repro.cluster.cloud import ON_DEMAND, CloudProvider
 from repro.cluster.vm import VM_TYPES, VirtualMachine, VMType
 from repro.core.strategy import MigrationReport, MigrationStrategy
+from repro.dataflow.event import CheckpointAction
 from repro.elastic.arbiter import ArbiterDecision, ScaleArbiter
 from repro.elastic.forecast import ForecastPolicy, forecast_policy_by_name
 from repro.elastic.monitor import ElasticityMonitor
@@ -68,6 +69,7 @@ from repro.elastic.policy import (
 )
 from repro.engine.runtime import RuntimeError_, TopologyRuntime
 from repro.obs.telemetry import Levels, queue_levels
+from repro.reliability.checkpoint import WaveMode
 
 
 #: Billing horizon an eviction-notice evacuation assumes when shopping the
@@ -575,10 +577,7 @@ class ElasticityController:
             reconf.rebalanced_at = runtime.sim.now
             runtime.rebalance(
                 incremental_plan_on(runtime, targets),
-                on_command_complete=lambda _rec: runtime.restore_executors(
-                    [eid for eid in reconf.lost_executors if eid in runtime.executors],
-                    on_complete=lambda: self._close(reconf),
-                ),
+                on_command_complete=lambda _rec: self._restore(reconf),
             )
             return
         rescale = None
@@ -612,6 +611,28 @@ class ElasticityController:
                 plan = plan(runtime)
         reconf.report = self.strategy_cls(runtime).migrate(
             plan, on_complete=lambda report: self._close(reconf, report), rescale=rescale
+        )
+
+    def _restore(self, reconf: Reconfiguration) -> None:
+        """Re-initialise a recovery's re-placed victims from their last commit.
+
+        The INIT is broadcast to the victims alone, so survivors keep their
+        in-memory state.  It takes a fresh checkpoint id (executors ignore an
+        id they already acted on) and re-sends every second until every
+        victim, even one still restarting, has acted.  With no victim left it
+        closes without a wave: checkpoint ids feed event ids.
+        """
+        runtime = self.runtime
+        victims = {eid for eid in reconf.lost_executors if eid in runtime.executors}
+        if not victims:
+            self._close(reconf)
+            return
+        runtime.checkpoints.start_wave(
+            CheckpointAction.INIT,
+            mode=WaveMode.BROADCAST,
+            on_complete=lambda _wave: self._close(reconf),
+            resend_interval_s=1.0,
+            targets=victims,
         )
 
     def _vm_lost(self, reconf: Reconfiguration, vm_id: str, vm_type: VMType) -> bool:

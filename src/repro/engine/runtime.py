@@ -33,7 +33,7 @@ from repro.engine.batch import BatchStepper
 from repro.engine.router import Router
 from repro.metrics.log import EventLog
 from repro.reliability.acker import AckerService
-from repro.reliability.checkpoint import CheckpointCoordinator, WaveMode
+from repro.reliability.checkpoint import CheckpointCoordinator, CheckpointWave, WaveMode
 from repro.reliability.statestore import StateStore
 from repro.sim import RandomSource, Simulator
 
@@ -130,8 +130,9 @@ class TopologyRuntime:
             on_complete=self._tree_completed,
             on_fail=self._tree_failed,
         )
-        self.checkpoints = CheckpointCoordinator(self.sim)
-        self.checkpoints.bind(self._emit_checkpoint_wave, self.user_executor_id_set)
+        self.checkpoints = CheckpointCoordinator(
+            self.sim, self._emit_checkpoint_wave, self.user_executor_id_set
+        )
         self.router = Router(self)
         #: Batch-stepping cascade: materializes quiescent steady-state
         #: stretches inline, tick by tick where its rule says so (``None``:
@@ -158,11 +159,6 @@ class TopologyRuntime:
         # held here by the (reconnecting) transport and delivered once the
         # executor is ready, mirroring Storm's buffering messaging clients.
         self._deferred_deliveries: Dict[str, List[Tuple[Event, str]]] = {}
-        # Restricted target sets for recovery INIT waves: checkpoint_id ->
-        # executor ids.  A broadcast wave for a listed checkpoint is emitted
-        # only to these executors, so restoring the victims of a dead VM does
-        # not roll survivors back to the last checkpoint.
-        self._wave_targets: Dict[int, Set[str]] = {}
         #: Report of the latest migration: while incomplete, a second is refused.
         self.migration = None
         #: Records of VM failures handled by :meth:`fail_vm`.
@@ -372,16 +368,16 @@ class TopologyRuntime:
             source.replay(root_id)
 
     # ---------------------------------------------------- checkpoint plumbing
-    def _emit_checkpoint_wave(self, action: CheckpointAction, checkpoint_id: int, mode: WaveMode) -> None:
+    def _emit_checkpoint_wave(self, wave: CheckpointWave) -> None:
+        action, mode = wave.action, wave.mode
         meta = {
             "forward": mode is WaveMode.SEQUENTIAL,
             # Only CCR's hub-and-spoke PREPARE (paper §3.2) starts capture; a
             # sequential wave, the periodic checkpoint's included, never does.
             "capture": action is CheckpointAction.PREPARE and mode is WaveMode.BROADCAST,
         }
-        restricted = self._wave_targets.get(checkpoint_id)
-        if restricted is not None:
-            targets = sorted(restricted)
+        if wave.targets is not None:
+            targets = sorted(wave.targets)
         elif mode is WaveMode.SEQUENTIAL:
             targets = [
                 executor_id
@@ -392,7 +388,7 @@ class TopologyRuntime:
             targets = [e.executor_id for e in self.user_executors]
         for target in targets:
             event = Event.checkpoint(
-                action, checkpoint_id, CHECKPOINT_SOURCE_ID, target, created_at=self.sim.now
+                action, wave.checkpoint_id, CHECKPOINT_SOURCE_ID, target, created_at=self.sim.now
             )
             event.payload = dict(meta)
             self.router.send_direct(CHECKPOINT_SOURCE_ID, target, event)
@@ -649,8 +645,8 @@ class TopologyRuntime:
 
         The victims stay in ``self.executors`` with status KILLED and keep
         their (now slotless) placement entries; recovery re-places them via
-        :meth:`rebalance` and restores their keyed state via
-        :meth:`restore_executors`.
+        :meth:`rebalance` and restores their keyed state with an INIT wave
+        targeted at them alone.
         """
         if not self.deployed or self.placement is None:
             raise RuntimeError_("cannot fail a VM before deploy()")
@@ -701,46 +697,6 @@ class TopologyRuntime:
                 record.trees_failed += 1
         self.vm_failures.append(record)
         return record
-
-    def restore_executors(
-        self,
-        executor_ids: List[str],
-        on_complete: Optional[Callable[[], None]] = None,
-        resend_interval_s: float = 1.0,
-    ) -> int:
-        """Restore re-placed executors' keyed state with a targeted INIT wave.
-
-        The wave uses a *fresh* checkpoint id: executors ignore duplicates of
-        ids they already acted on (the coordinator's resend semantics), so
-        re-initializing a recovered executor must never reuse the id of the
-        wave that initialized it before the crash.  The INIT is emitted only
-        to the given executors — survivors keep their in-memory state; the
-        targets load their last stored snapshot from the state store.  The
-        wave resends until every target (even one still restarting) has
-        acted.  Returns the wave's checkpoint id.
-        """
-        targets = {eid for eid in executor_ids if eid in self.executors}
-        if not targets:
-            if on_complete is not None:
-                on_complete()
-            return 0
-        checkpoint_id = self.checkpoints.new_checkpoint_id()
-        self._wave_targets[checkpoint_id] = set(targets)
-
-        def _done(_wave) -> None:
-            self._wave_targets.pop(checkpoint_id, None)
-            if on_complete is not None:
-                on_complete()
-
-        self.checkpoints.start_wave(
-            CheckpointAction.INIT,
-            checkpoint_id=checkpoint_id,
-            mode=WaveMode.BROADCAST,
-            on_complete=_done,
-            resend_interval_s=resend_interval_s,
-            expected=set(targets),
-        )
-        return checkpoint_id
 
     # -------------------------------------------------------------- inspection
     def executor(self, executor_id: str) -> Executor:

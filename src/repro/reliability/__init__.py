@@ -12,7 +12,9 @@ These are the Storm capabilities the paper builds on:
 * :mod:`repro.reliability.checkpoint` -- the checkpoint coordinator that
   drives PREPARE / COMMIT / ROLLBACK / INIT waves, either periodically (DSM)
   or just-in-time during migration (DCR / CCR), sequentially along dataflow
-  edges or broadcast directly to every task (CCR).
+  edges or broadcast directly to every task (CCR).  It is the one owner of a
+  wave: its targets (a recovery's INIT reaches only the victims), the COMMIT
+  that follows a PREPARE, and the id of the open periodic checkpoint.
 * :mod:`repro.reliability.repartition` -- grouped-state re-partitioning for
   runtime parallelism changes: re-keys checkpointed ``by_key`` state (and
   CCR's captured pending events) to a rescaled task's new instance set using

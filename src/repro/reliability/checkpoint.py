@@ -8,9 +8,13 @@ edges, or **broadcast** directly to every task instance as CCR's modified
 invokes completion callbacks that the migration strategies chain into their
 protocols.
 
-The coordinator is engine-agnostic: the runtime *binds* two callables into it,
-one that actually injects a wave's control events into the dataflow and one
-that reports which executors are expected to acknowledge the wave.
+It owns every wave from open to close: whom a wave targets and expects, what
+chains after it (PREPARE → COMMIT), and which periodic checkpoint is open.
+The migration strategies and the elastic controller only ask for a wave or a
+checkpoint.  The coordinator is engine-agnostic: the runtime hands it two
+callables at construction, one that injects a wave's control events into the
+dataflow and one that reports which executors are expected to acknowledge a
+wave that names no targets.
 """
 
 from __future__ import annotations
@@ -41,13 +45,11 @@ class WaveStatus(Enum):
 
     IN_PROGRESS = "in_progress"
     COMPLETE = "complete"
-    ROLLED_BACK = "rolled_back"
-    CANCELLED = "cancelled"
 
 
-#: Emitter signature bound by the runtime: inject a wave into the dataflow.
-WaveEmitter = Callable[[CheckpointAction, int, WaveMode], None]
-#: Provider of the executor ids expected to acknowledge a wave.
+#: The runtime's emitter: inject a wave's control events into the dataflow.
+WaveEmitter = Callable[["CheckpointWave"], None]
+#: Provider of the executor ids expected to acknowledge an untargeted wave.
 ExpectedProvider = Callable[[], Set[str]]
 
 
@@ -60,6 +62,10 @@ class CheckpointWave:
     mode: WaveMode
     expected: Set[str]
     started_at: float
+    #: The only executors the wave is emitted to (a recovery's restricted
+    #: broadcast INIT); ``None``: the entry tasks (sequential) or every task
+    #: instance (broadcast).
+    targets: Optional[Set[str]] = None
     acked: Set[str] = field(default_factory=set)
     status: WaveStatus = WaveStatus.IN_PROGRESS
     completed_at: Optional[float] = None
@@ -94,38 +100,28 @@ class CheckpointCoordinator:
       second; DSM's INIT is re-sent only after the 30 s ack timeout),
     * a full checkpoint (PREPARE followed by COMMIT) used both periodically by
       DSM and just-in-time by DCR/CCR,
-    * periodic checkpointing at a fixed interval (Storm's default 30 s).
+    * periodic checkpointing at a fixed interval (Storm's default 30 s): a
+      tick is skipped while the previous periodic checkpoint is open, and only
+      that checkpoint's own COMMIT closes it.
+
+    :attr:`history` lists the completed waves in completion order.
     """
 
-    def __init__(self, sim: Simulator) -> None:
+    def __init__(
+        self, sim: Simulator, emitter: WaveEmitter, expected_provider: ExpectedProvider
+    ) -> None:
         self.sim = sim
-        self._emitter: Optional[WaveEmitter] = None
-        self._expected_provider: Optional[ExpectedProvider] = None
+        self._emitter = emitter
+        self._expected_provider = expected_provider
         self._waves: Dict[Tuple[int, CheckpointAction], CheckpointWave] = {}
         self._checkpoint_counter = 0
         self._periodic: Optional[PeriodicTimer] = None
-        self._periodic_in_flight = False
+        #: Id of the open periodic checkpoint: only its own commit closes it.
+        self._periodic_checkpoint: Optional[int] = None
         self.history: List[CheckpointWave] = []
 
-    # ----------------------------------------------------------------- wiring
-    def bind(self, emitter: WaveEmitter, expected_provider: ExpectedProvider) -> None:
-        """Bind the runtime's wave emitter and expected-ack provider."""
-        self._emitter = emitter
-        self._expected_provider = expected_provider
-
-    @property
-    def bound(self) -> bool:
-        """Whether the coordinator has been bound to a runtime."""
-        return self._emitter is not None and self._expected_provider is not None
-
-    def new_checkpoint_id(self) -> int:
-        """Allocate a fresh checkpoint (wave) id."""
+    def _new_checkpoint_id(self) -> int:
         self._checkpoint_counter += 1
-        return self._checkpoint_counter
-
-    @property
-    def last_checkpoint_id(self) -> int:
-        """Most recently allocated checkpoint id (0 if none)."""
         return self._checkpoint_counter
 
     # ------------------------------------------------------------------ waves
@@ -136,7 +132,7 @@ class CheckpointCoordinator:
         mode: WaveMode = WaveMode.SEQUENTIAL,
         on_complete: Optional[Callable[[CheckpointWave], None]] = None,
         resend_interval_s: Optional[float] = None,
-        expected: Optional[Set[str]] = None,
+        targets: Optional[Set[str]] = None,
     ) -> CheckpointWave:
         """Start a wave of ``action`` control events.
 
@@ -154,34 +150,35 @@ class CheckpointCoordinator:
             If given, the wave's control events are re-emitted at this period
             until the wave completes.  Executors ignore duplicates but still
             acknowledge them, so lost control events are eventually recovered.
-        expected:
-            Explicit set of executor ids expected to ack; defaults to the
-            runtime-provided set of live user-task executors.
+        targets:
+            The only executors to emit to, and the only ones expected to ack
+            (a recovery restores its victims without rolling survivors back);
+            defaults to the runtime-provided set of live user-task executors.
         """
-        if not self.bound:
-            raise RuntimeError("CheckpointCoordinator.start_wave called before bind()")
         if checkpoint_id is None:
-            checkpoint_id = self.new_checkpoint_id()
-        expected_set = set(expected) if expected is not None else set(self._expected_provider())
+            checkpoint_id = self._new_checkpoint_id()
+        if targets is not None:
+            targets = set(targets)
         wave = CheckpointWave(
             checkpoint_id=checkpoint_id,
             action=action,
             mode=mode,
-            expected=expected_set,
+            expected=set(targets if targets is not None else self._expected_provider()),
             started_at=self.sim.now,
+            targets=targets,
             on_complete=on_complete,
         )
         self._waves[(checkpoint_id, action)] = wave
         self._emit(wave)
         if resend_interval_s is not None and resend_interval_s > 0:
             wave.resend_timer = self.sim.every(resend_interval_s, self._resend, wave)
-        if not expected_set:
+        if not wave.expected:
             self._finish(wave)
         return wave
 
     def _emit(self, wave: CheckpointWave) -> None:
         wave.emit_count += 1
-        self._emitter(wave.action, wave.checkpoint_id, wave.mode)
+        self._emitter(wave)
 
     def _resend(self, wave: CheckpointWave) -> None:
         if wave.status is not WaveStatus.IN_PROGRESS:
@@ -227,14 +224,6 @@ class CheckpointCoordinator:
                 if wave.complete:
                     self._finish(wave)
 
-    def cancel_wave(self, wave: CheckpointWave) -> None:
-        """Abort a wave without completing it."""
-        if wave.status is WaveStatus.IN_PROGRESS:
-            wave.status = WaveStatus.CANCELLED
-            if wave.resend_timer is not None:
-                wave.resend_timer.cancel()
-            self.history.append(wave)
-
     def wave(self, checkpoint_id: int, action: CheckpointAction) -> Optional[CheckpointWave]:
         """Look up a wave by id and action."""
         return self._waves.get((checkpoint_id, action))
@@ -243,27 +232,31 @@ class CheckpointCoordinator:
     def run_checkpoint(
         self,
         prepare_mode: WaveMode = WaveMode.SEQUENTIAL,
-        commit_mode: WaveMode = WaveMode.SEQUENTIAL,
         on_complete: Optional[Callable[[int], None]] = None,
         checkpoint_id: Optional[int] = None,
+        on_prepared: Optional[Callable[[CheckpointWave], None]] = None,
     ) -> int:
         """Run a full checkpoint: PREPARE wave, then COMMIT wave.
 
-        Returns the checkpoint id.  ``on_complete(checkpoint_id)`` fires once
-        the COMMIT wave has been acknowledged by every task, i.e. all task
-        states (and, for CCR, captured events) are persisted.
+        Returns the checkpoint id.  ``on_prepared(wave)`` fires when every
+        task acknowledged the PREPARE, just before the COMMIT starts.  The
+        COMMIT always sweeps sequentially, so it is behind any in-flight user
+        event; ``on_complete(checkpoint_id)`` fires once every task
+        acknowledged it, i.e. all task states (and, for CCR, captured events)
+        are persisted.
         """
-        cid = checkpoint_id if checkpoint_id is not None else self.new_checkpoint_id()
+        cid = checkpoint_id if checkpoint_id is not None else self._new_checkpoint_id()
 
-        def _after_commit(_wave: CheckpointWave) -> None:
-            self._periodic_in_flight = False
+        def _committed(_wave: CheckpointWave) -> None:
             if on_complete is not None:
                 on_complete(cid)
 
-        def _after_prepare(_wave: CheckpointWave) -> None:
-            self.start_wave(CheckpointAction.COMMIT, cid, commit_mode, on_complete=_after_commit)
+        def _commit(prepared: CheckpointWave) -> None:
+            if on_prepared is not None:
+                on_prepared(prepared)
+            self.start_wave(CheckpointAction.COMMIT, cid, on_complete=_committed)
 
-        self.start_wave(CheckpointAction.PREPARE, cid, prepare_mode, on_complete=_after_prepare)
+        self.start_wave(CheckpointAction.PREPARE, cid, prepare_mode, on_complete=_commit)
         return cid
 
     # --------------------------------------------------------------- periodic
@@ -274,16 +267,13 @@ class CheckpointCoordinator:
         self._periodic = self.sim.every(interval_s, self._periodic_tick)
 
     def _periodic_tick(self) -> None:
-        if self._periodic_in_flight:
+        if self._periodic_checkpoint is not None:
             return
-        self._periodic_in_flight = True
-        self.run_checkpoint()
+        self._periodic_checkpoint = self._new_checkpoint_id()
+        self.run_checkpoint(checkpoint_id=self._periodic_checkpoint, on_complete=self._periodic_committed)
 
-    def stop_periodic(self) -> None:
-        """Disable periodic checkpointing."""
-        if self._periodic is not None:
-            self._periodic.cancel()
-            self._periodic = None
+    def _periodic_committed(self, _checkpoint_id: int) -> None:
+        self._periodic_checkpoint = None
 
     @property
     def periodic_enabled(self) -> bool:
@@ -293,10 +283,7 @@ class CheckpointCoordinator:
     # -------------------------------------------------------------- inspection
     def completed_waves(self, action: Optional[CheckpointAction] = None) -> List[CheckpointWave]:
         """All completed waves, optionally filtered by action."""
-        waves = [w for w in self.history if w.status is WaveStatus.COMPLETE]
-        if action is not None:
-            waves = [w for w in waves if w.action is action]
-        return waves
+        return [w for w in self.history if action is None or w.action is action]
 
     def last_committed_checkpoint(self) -> Optional[int]:
         """Id of the most recent checkpoint whose COMMIT wave completed."""

@@ -41,6 +41,7 @@ from repro.cluster.cloud import (
 from repro.cluster.vm import D2, D3
 from repro.core.strategy import strategy_by_name
 from repro.dataflow import topologies
+from repro.dataflow.event import CheckpointAction
 from repro.elastic import AllocationPlanner, ControllerConfig, ElasticityController, ElasticityMonitor
 from repro.engine.config import RuntimeConfig
 from repro.engine.executor import ExecutorStatus
@@ -529,6 +530,18 @@ class TestUnfinishedRuns:
         # Only notice-aware DCR wedges; every oblivious run ends clean.
         run = chaos_run(strategy=strategy, mode=mode)
         assert run.unfinished() == open_at_the_end(run) == left_open
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+    def test_dsm_notice_commits_a_periodic_checkpoint_after_each_evacuation(self):
+        """The periodic PREPARE that opens inside the first evacuation's
+        rebalance never completes: the last commit is at 182.5 s, before the
+        evacuations close (232.3, 341.8 and 459.7 s)."""
+        run = chaos_run(strategy="dsm", mode="notice")
+        commits = [w.completed_at for w in run.runtime.checkpoints.completed_waves(CheckpointAction.COMMIT)]
+        closed = [evacuation.completed_at for evacuation in run.controller.evacuations]
+        assert len(closed) == 3 and None not in closed
+        for closed_at in closed:
+            assert any(committed_at > closed_at for committed_at in commits), closed_at
 
     def test_the_cli_gives_no_verdict_on_an_unfinished_run(self, capsys):
         from repro.cli import main

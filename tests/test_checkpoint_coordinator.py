@@ -16,9 +16,11 @@ class FakeRuntime:
         self.sim = sim
         self.executors = set(executors)
         self.emitted = []
+        self.emitted_targets = []
 
-    def emit(self, action, checkpoint_id, mode):
-        self.emitted.append((self.sim.now, action, checkpoint_id, mode))
+    def emit(self, wave):
+        self.emitted.append((self.sim.now, wave.action, wave.checkpoint_id, wave.mode))
+        self.emitted_targets.append(wave.targets)
 
     def expected(self):
         return set(self.executors)
@@ -26,16 +28,11 @@ class FakeRuntime:
 
 def make_coordinator(sim, executors=("a#0", "b#0", "b#1")):
     runtime = FakeRuntime(sim, executors)
-    coordinator = CheckpointCoordinator(sim)
-    coordinator.bind(runtime.emit, runtime.expected)
+    coordinator = CheckpointCoordinator(sim, runtime.emit, runtime.expected)
     return coordinator, runtime
 
 
 class TestWaveLifecycle:
-    def test_wave_requires_binding(self, sim):
-        with pytest.raises(RuntimeError):
-            CheckpointCoordinator(sim).start_wave(CheckpointAction.PREPARE)
-
     def test_wave_emits_once_on_start(self, sim):
         coordinator, runtime = make_coordinator(sim)
         wave = coordinator.start_wave(CheckpointAction.PREPARE, mode=WaveMode.BROADCAST)
@@ -76,19 +73,17 @@ class TestWaveLifecycle:
         assert wave.status is WaveStatus.COMPLETE
         assert done == [wave]
 
-    def test_explicit_expected_set_overrides_provider(self, sim):
-        coordinator, _ = make_coordinator(sim)
-        wave = coordinator.start_wave(CheckpointAction.INIT, expected={"only#0"})
-        coordinator.notify_ack("only#0", CheckpointAction.INIT, wave.checkpoint_id)
+    def test_targeted_wave_expects_and_emits_only_its_targets(self, sim):
+        """A recovery's INIT restores its victims without rolling survivors back."""
+        coordinator, runtime = make_coordinator(sim)
+        wave = coordinator.start_wave(
+            CheckpointAction.INIT, mode=WaveMode.BROADCAST, resend_interval_s=1.0, targets={"b#1"}
+        )
+        assert wave.expected == {"b#1"}
+        sim.run(until=1.5)
+        assert runtime.emitted_targets == [{"b#1"}, {"b#1"}]  # the start and one re-send
+        coordinator.notify_ack("b#1", CheckpointAction.INIT, wave.checkpoint_id)
         assert wave.status is WaveStatus.COMPLETE
-
-    def test_cancel_wave(self, sim):
-        coordinator, _ = make_coordinator(sim)
-        wave = coordinator.start_wave(CheckpointAction.PREPARE)
-        coordinator.cancel_wave(wave)
-        assert wave.status is WaveStatus.CANCELLED
-        coordinator.notify_ack("a#0", CheckpointAction.PREPARE, wave.checkpoint_id)
-        assert wave.status is WaveStatus.CANCELLED
 
 
 class TestResend:
@@ -129,6 +124,25 @@ class TestFullCheckpointAndPeriodic:
         assert finished == [cid]
         assert coordinator.last_committed_checkpoint() == cid
 
+    def test_run_checkpoint_hands_over_the_prepare_before_a_sequential_commit(self, sim):
+        coordinator, runtime = make_coordinator(sim)
+        prepared = []
+
+        def on_prepared(wave):
+            prepared.append(wave)
+            assert [action for _, action, _, _ in runtime.emitted] == [CheckpointAction.PREPARE]
+
+        cid = coordinator.run_checkpoint(prepare_mode=WaveMode.BROADCAST, on_prepared=on_prepared)
+        sim.run(until=2.0)
+        for executor in ("a#0", "b#0", "b#1"):
+            coordinator.notify_ack(executor, CheckpointAction.PREPARE, cid)
+        assert prepared == [coordinator.wave(cid, CheckpointAction.PREPARE)]
+        assert prepared[0].completed_at == 2.0
+        assert [(action, mode) for _, action, _, mode in runtime.emitted] == [
+            (CheckpointAction.PREPARE, WaveMode.BROADCAST),
+            (CheckpointAction.COMMIT, WaveMode.SEQUENTIAL),
+        ]
+
     def test_periodic_checkpointing_fires_repeatedly(self, sim):
         coordinator, runtime = make_coordinator(sim)
         coordinator.start_periodic(interval_s=10.0)
@@ -157,17 +171,30 @@ class TestFullCheckpointAndPeriodic:
         with pytest.raises(RuntimeError):
             coordinator.start_periodic(interval_s=5.0)
 
-    def test_stop_periodic(self, sim):
+    def test_only_the_periodic_checkpoints_own_commit_closes_it(self, sim):
+        """A checkpoint another caller runs to completion leaves the periodic one open."""
         coordinator, runtime = make_coordinator(sim)
-        coordinator.start_periodic(interval_s=5.0)
-        coordinator.stop_periodic()
-        sim.run(until=30.0)
-        assert runtime.emitted == []
-        assert not coordinator.periodic_enabled
+        coordinator.start_periodic(interval_s=30.0)
+
+        def other_checkpoint():
+            cid = coordinator.run_checkpoint()
+            for action in (CheckpointAction.PREPARE, CheckpointAction.COMMIT):
+                for executor in ("a#0", "b#0", "b#1"):
+                    coordinator.notify_ack(executor, action, cid)
+
+        sim.schedule(30.0, other_checkpoint)
+        sim.run(until=60.5)
+        prepares = [cid for _, action, cid, _ in runtime.emitted if action is CheckpointAction.PREPARE]
+        open_prepares = [
+            cid for cid in prepares
+            if coordinator.wave(cid, CheckpointAction.PREPARE).status is WaveStatus.IN_PROGRESS
+        ]
+        assert prepares == [1, 2]
+        assert open_prepares == [1]
 
     def test_checkpoint_ids_increase(self, sim):
         coordinator, _ = make_coordinator(sim)
-        first = coordinator.new_checkpoint_id()
-        second = coordinator.new_checkpoint_id()
-        assert second == first + 1
-        assert coordinator.last_checkpoint_id == second
+        first = coordinator.start_wave(CheckpointAction.INIT).checkpoint_id
+        second = coordinator.run_checkpoint()
+        third = coordinator.start_wave(CheckpointAction.INIT).checkpoint_id
+        assert (second, third) == (first + 1, first + 2)

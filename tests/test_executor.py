@@ -162,11 +162,10 @@ class TestPrepareAndCommit:
     def test_rollback_clears_capture_mode(self):
         runtime = started_runtime(strategy="ccr")
         runtime.sim.run(until=1.0)
-        cid = runtime.checkpoints.new_checkpoint_id()
-        runtime.checkpoints.start_wave(CheckpointAction.PREPARE, cid, WaveMode.BROADCAST)
+        prepare = runtime.checkpoints.start_wave(CheckpointAction.PREPARE, mode=WaveMode.BROADCAST)
         runtime.sim.run(until=1.2)
         assert runtime.executor("a#0").capture_mode
-        runtime.checkpoints.start_wave(CheckpointAction.ROLLBACK, cid, WaveMode.BROADCAST)
+        runtime.checkpoints.start_wave(CheckpointAction.ROLLBACK, prepare.checkpoint_id, WaveMode.BROADCAST)
         runtime.sim.run(until=1.4)
         assert not runtime.executor("a#0").capture_mode
 

@@ -18,8 +18,10 @@ from repro.core import (
     strategy_by_name,
 )
 from repro.core.strategy import STRATEGIES
+from repro.dataflow.event import CheckpointAction
 from repro.elastic.planner import plan_user_tasks_on
 from repro.engine.executor import ExecutorStatus
+from repro.reliability.checkpoint import WaveMode
 
 from tests.conftest import fanout_dataflow, make_runtime, tiny_dataflow
 
@@ -97,6 +99,27 @@ class TestProtocolPhases:
         unpaused = [r for r in runtime.log.lifecycle if r.status == "unpaused"]
         assert len(unpaused) == 1
         assert unpaused[0].time == pytest.approx(report.init_completed_at)
+
+    @pytest.mark.parametrize("name", ["dcr", "ccr"])
+    def test_the_init_restores_the_migrations_own_checkpoint(self, name):
+        runtime, report, _ = run_migration(name)
+        cid = report.checkpoint_id
+        init = runtime.checkpoints.wave(cid, CheckpointAction.INIT)
+        assert init.mode is strategy_by_name(name).init_mode
+        assert init.completed_at == report.init_completed_at
+        assert runtime.checkpoints.wave(cid, CheckpointAction.COMMIT).completed_at <= report.rebalance_started_at
+
+    def test_dsm_inits_from_the_last_commit_under_a_fresh_id(self):
+        runtime, report, _ = run_migration("dsm", run_until=40.0)
+        init = runtime.checkpoints.wave(report.checkpoint_id, CheckpointAction.INIT)
+        assert init.mode is WaveMode.SEQUENTIAL
+        assert init.completed_at == report.init_completed_at
+        assert runtime.checkpoints.wave(report.checkpoint_id, CheckpointAction.PREPARE) is None
+
+    def test_dsm_resends_init_at_the_ack_timeout_whatever_it_is_given(self):
+        runtime = make_runtime(strategy="dsm")
+        strategy = DefaultStormMigration(runtime, init_resend_interval_s=0.2)
+        assert strategy.init_resend_interval_s == runtime.reliability.ack_timeout_s
 
     @pytest.mark.parametrize("name", ["dsm", "dcr", "ccr"])
     def test_all_user_executors_running_after_migration(self, name):
