@@ -40,7 +40,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Optional
 
-from repro.sim.rng import keyed_seed
+import numpy as np
+
+from repro.sim.rng import keyed_seed, splitmix
 
 
 class EventKind(Enum):
@@ -84,10 +86,23 @@ def source_id_key(seed: int, dataflow: str, source: str) -> int:
     return keyed_seed(seed, dataflow, source)
 
 
+#: The array form's constants, boxed once.
+_NP_GOLDEN = np.array(_GOLDEN, dtype=np.uint64)
+_NP_MASK63 = np.array(_MASK63, dtype=np.uint64)
+
+
 def root_event_id(source_key, sequence):
     """Id of the ``sequence``-th root a source emits: splitmix64 of ``(key,
     sequence)``, masked to 63 bits.  ``sequence`` may be a ``uint64`` array
-    (the level sweep's roots): the same operations, wrapping, same values."""
+    (the level sweep's roots): the same operations, wrapping -- the key's
+    ``+ GOLDEN`` folded into one constant, integers mod 2**64 re-associate --
+    so the same values."""
+    if isinstance(sequence, np.ndarray):
+        z = sequence * _NP_GOLDEN
+        z += np.array((source_key + _GOLDEN) & _MASK64, dtype=np.uint64)
+        z = splitmix(z)
+        z &= _NP_MASK63
+        return z
     z = (source_key + (sequence + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64

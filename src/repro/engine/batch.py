@@ -42,7 +42,8 @@ Batch stepping stays engaged when data acking is on: the sweep replays the
 acker XOR stream symbolically.  A loss-free stretch anchors and acks every
 event of a tuple tree inside one sweep, so the folds cancel by construction
 and only events that cross the horizon fold their ids into the bulk acker APIs
-(``register_block`` / ``anchor_batch`` / ``ack_batch`` / ``settle_batch``).
+(``register_block`` for the window's roots, ``settle_trees`` for the trees
+its adopted work belongs to).
 The cascade horizon is clamped to ``now + ack timeout`` so no tree a sweep
 registers can time out mid-stretch.  Which ticks are swept is the engine's own
 choice, tick by tick (:meth:`BatchStepper._cascade`): loss/replay windows,
@@ -54,7 +55,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter, namedtuple
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -69,6 +70,9 @@ from repro.sim.rng import keyed_value_blocks
 
 _RUNNING = ExecutorStatus.RUNNING
 _DATA_KIND = EventKind.DATA
+_ROOT_ID = attrgetter("root_id")
+_EMITTED_AT = attrgetter("root_emitted_at")
+_EVENT_ID = attrgetter("event_id")
 
 # Unbound kernel-callback identities the sweep knows how to ingest when it
 # adopts in-flight work (see _scan_inflight).
@@ -248,13 +252,14 @@ class BatchStepper:
         )
         bound = _bound(horizon, limit)
         chain = source.yield_drain() if draining else None
-        emission = _NO_EMISSION
-        if not held:
-            emission = _emission_schedule(source, ticks, bound, cap, pending, chain)
-        sweep = _Sweep(runtime, plan, source, emission, bound, acked)
+        sweep = _Sweep(runtime, plan, source, bound, acked)
         if held:
             sweep.ack_spans = []
-        sweep.ingest(*inflight)
+            sweep.ingest(*inflight)
+        else:
+            emission = _emission_schedule(source, ticks, bound, cap, pending, chain)
+            sweep.ingest(*inflight)
+            sweep.emit(emission)
         for level in plan.levels:
             sweep.serve(level)
             sweep.ship(level)
@@ -346,10 +351,20 @@ def _structural_decline(runtime: "TopologyRuntime") -> Optional[str]:
 _Node = namedtuple("_Node", "index executor task_name sink service edges feeds")
 
 #: The task instances of one topological depth and the channels they send on:
-#: the channels' plan indices (ascending), their records, and their
-#: keyed-stream seeds / base latencies / positions in their sender's outbox
-#: (what a delivery's event id steps over) as columns.
-_Level = namedtuple("_Level", "nodes ids channels seeds bases positions")
+#: the channels' plan indices (ascending), their records, and their base
+#: latencies / positions in their sender's outbox (what a delivery's event id
+#: steps over) as columns.
+_Level = namedtuple("_Level", "nodes ids channels bases positions")
+
+#: Latencies a channel draws ahead for the level sweep (see
+#: :meth:`_SweepPlan.latencies`): a shipping round of a short window takes a
+#: slice of them instead of a keyed mix and the jitter transform of its own,
+#: some fourteen numpy calls a round.  A channel that ships more than this in
+#: one round draws exactly what it ships and keeps nothing.  Measured here
+#: (µs a window in the lookups and refills, sliced Diamond DCR cell, best of
+#: 4): 83 drawing 64 ahead, 35-38 at 256, 26-37 at 1 024, 30 at 4 096; a
+#: block is 8 KiB a channel at 1 024.
+_DRAWS_AHEAD = 1024
 
 
 class _SweepPlan:
@@ -384,6 +399,9 @@ class _SweepPlan:
         self.jitter: Optional[Tuple[float, float]] = None
         #: service time -> its sequential sums from 0.0 (see :meth:`busy_after`).
         self.busy_sums: Dict[float, np.ndarray] = {}
+        #: Per channel: ``(first sequence, latencies)`` drawn ahead (see
+        #: :meth:`latencies`), or None.
+        self.drawn: List[Optional[Tuple[int, np.ndarray]]] = []
         depth: Dict[str, int] = {}
         by_depth: List[List[_Node]] = []
         for name in dataflow.topological_order:
@@ -412,13 +430,57 @@ class _SweepPlan:
         for nodes in by_depth:
             ids = [first + k for node in nodes for _, num, first, _ in node.edges for k in range(num)]
             sends = [self.channels[c] for c in ids]
-            seeds = [c.stream.seed if c.stream is not None else 0 for c in sends]
             self.levels.append(_Level(
-                nodes, ids, sends, seeds, np.array([c.base for c in sends]),
+                nodes, ids, sends, np.array([c.base for c in sends]),
                 np.array([positions[c] for c in ids], dtype=np.uint64),
             ))
         if self.channels and self.channels[0].stream is not None:
             self.jitter = (self.channels[0].jitter_low, self.channels[0].jitter_span)
+        self.drawn = [None] * len(self.channels)
+
+    def latencies(self, ids: Sequence[int], counts: Sequence[int]) -> List[np.ndarray]:
+        """The next ``counts[k]`` jittered latencies of channel ``ids[k]``,
+        from its stream's counter on: ``base * (1.0 + (low + span * draw))``,
+        clamped at zero, as ``Channel.stamp`` computes it per delivery.
+
+        A latency is a function of the channel's placement and ``(seed,
+        sequence)``, so a block drawn ahead stays valid for the epoch whoever
+        moves the counter; a channel whose counter left its block draws anew,
+        all of them in one keyed mix.  Does not move the counters.
+        """
+        channels = self.channels
+        drawn = self.drawn
+        pieces: List[Optional[np.ndarray]] = []
+        refill: List[Tuple[int, int, int, int, int]] = []
+        for c, count in zip(ids, counts):
+            counter = channels[c].stream.counter
+            block = drawn[c]
+            if block is not None and 0 <= counter - block[0] <= len(block[1]) - count:
+                pieces.append(block[1][counter - block[0]:counter - block[0] + count])
+            else:
+                refill.append((len(pieces), c, counter, max(count, _DRAWS_AHEAD), count))
+                pieces.append(None)
+        if refill:
+            _, cs, starts, sizes, _ = zip(*refill)
+            factor = keyed_value_blocks([channels[c].stream.seed for c in cs], starts, sizes)
+            low, span = self.jitter
+            # ``base * (1.0 + (low + span * draw))``, as Channel.stamp parenthesizes it.
+            factor *= span
+            factor += low
+            factor += 1.0
+            factor *= (
+                channels[cs[0]].base if len(cs) == 1
+                else np.array([channels[c].base for c in cs]).repeat(sizes)
+            )
+            if low <= -1.0:  # else the factor is positive: nothing to clamp
+                np.maximum(factor, 0.0, out=factor)
+            offset = 0
+            for k, c, start, size, count in refill:
+                block = factor[offset:offset + size]
+                offset += size
+                drawn[c] = (start, block) if size > count else None
+                pieces[k] = block[:count]
+        return pieces
 
     def busy_after(self, executor: Executor, service: float, count: int) -> float:
         """``executor.busy_time_s`` after ``count`` more services.
@@ -499,7 +561,11 @@ def _scan_inflight(runtime: "TopologyRuntime", acked: bool):
             return "inflight-unmodelled"
     for executor in runtime.executors.values():
         if executor in busy:
-            if not all(_adoptable(event, acked) for event, _sender in executor.input_queue):
+            # _adoptable, inlined: a first hop can hold a hundred queued events.
+            if not all(
+                event.kind is _DATA_KIND and event.anchored is acked and not event.replay_count
+                for event, _sender in executor.input_queue
+            ):
                 return "inflight-unmodelled"
         elif executor._busy or executor.input_queue:
             return "inflight-unmodelled"  # busy/queued without a modelled completion
@@ -578,6 +644,9 @@ def _generator_ticks(
     return ticks, next_tick, idle_from, next_tick if capped else hor
 
 
+#: No completions, roots or ids: what an instance that completed nothing ships.
+_NOTHING = (np.empty(0), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.uint64))
+
 #: What a window emits: the emission times, which of them left the backlog
 #: (``False``: none) and the payloads already built, by root index (the
 #: others are ``_payload(first_sequence + index)``).
@@ -621,18 +690,20 @@ def _emission_schedule(
     payloads: Dict[int, Any] = {}
     gen = ticks.tolist()
     g = c = parks = wakes = 0
+    n_gen, n_done = len(gen), len(completions)
+    sequence, payload = source._sequence, source._payload
     inf = math.inf
     while True:
-        tick = gen[g] if g < len(gen) else inf
-        done = completions[c] if c < len(completions) else inf
+        tick = gen[g] if g < n_gen else inf
+        done = completions[c] if c < n_done else inf
         due = poll if poll is not None and not parked and poll < bound else inf
         if tick <= due and tick <= done:
             if tick == inf or (poll is None and cap is None and not backlog):
                 break
             g += 1
-            source._sequence += 1
+            sequence += 1
             if backlog or (cap is not None and pending >= cap):
-                backlog.append(source._payload(source._sequence))
+                backlog.append(payload(sequence))
                 if poll is None:
                     poll, period, parked = tick + fresh, fresh, False
             else:
@@ -657,8 +728,8 @@ def _emission_schedule(
                     poll += period
                 parked = False
                 wakes += 1
+    source._sequence = sequence + n_gen - g
     source.resume_drain(None if poll is None else (poll, period, parked), parks, wakes)
-    source._sequence += len(gen) - g
     backlogged = np.zeros(len(emitted) + len(gen) - g, dtype=bool)
     backlogged[list(payloads)] = True
     return _Emission(np.concatenate([emitted, ticks[g:]]), backlogged, payloads, first)
@@ -666,35 +737,32 @@ def _emission_schedule(
 
 # ----------------------------------------------------------------- the sweep
 class _Adopted:
-    """The in-flight work one instance brings into the sweep, arrival side.
-
-    ``keys`` are the merge keys (``-inf`` for the ``seeded`` events that were
-    in service or queued at entry, so they sort first and stay in order; the
-    delivery time for adopted deliveries), ``roots`` the sweep root indices,
-    ``ids`` the events' ids and ``fixed`` the already-scheduled completion
-    time of the event in service.
+    """The in-flight work one instance brings into the sweep, arrival side,
+    on consecutive root indices: the ``seeded`` events that were in service
+    or queued at entry first (merge key ``-inf``, so they sort first and stay
+    in order; they complete at ``pinned``: the scheduled completion, then back
+    to back), then the adopted deliveries (key: the delivery time).
+    ``piece`` is the work as the arrival merge takes a channel's segment:
+    ``(keys, root indices, None, ids)``.
     """
 
-    __slots__ = ("keys", "roots", "ids", "seeded", "fixed")
+    __slots__ = ("piece", "seeded", "pinned")
 
-    def __init__(self) -> None:
-        self.keys: List[float] = []
-        self.roots: List[int] = []
-        self.ids: List[int] = []
-        self.seeded = 0
-        self.fixed = 0.0
+    def __init__(self, seeded: int, pinned: List[float]) -> None:
+        self.piece: tuple = ()
+        self.seeded = seeded
+        self.pinned = pinned
 
 
 class _Sweep:
     """The state the phases of one cascade share.
 
-    Sweep root indices ``0 .. n_roots-1`` are the roots this cascade emits (id
-    ``rids[r]``, emitted at ``ticks[r]``, payload generated on demand from the
-    sequence number); adopted in-flight events descend from earlier roots and
-    extend the index space with their own root id / emission time / payload
-    (``adopted[r - n_roots]``).  Once :meth:`ingest` has fixed the index
-    space, ``rids`` / ``emitted`` cover all of it.  An entry is swept iff its
-    time is below ``bound``; the rest is handed back by :meth:`spill`.
+    Sweep root indices ``0 .. base-1`` are the adopted in-flight events, in
+    the order :meth:`ingest` took them over (``adopted[r]``: the event, which
+    descends from an earlier root, and its sender); ``base ..`` are the roots
+    the window emits (:meth:`emit`: id ``rids[r]``, emitted at ``emitted[r]``,
+    payload generated on demand from the sequence number).  An entry is swept
+    iff its time is below ``bound``; the rest is handed back by :meth:`spill`.
 
     Every entry carries its event's id beside its root index (a ``uint64``
     column, stepped per channel by :meth:`_ship_block`).  Under acking, the
@@ -702,74 +770,74 @@ class _Sweep:
     anchor/ack XOR contributions cancel by construction, so only per-root-index
     *counts* are kept (``anchors`` / ``acks``), and trees that live and die
     inside the sweep never materialize a ``PendingTree``.  Ids are folded
-    exactly where the classic path would leave them observable: spilled events
-    fold into ``residue`` (new roots: becomes the registered tree's hash) or
-    ``anchor_pairs`` (pre-existing trees); adopted in-flight events keep their
-    objects -- ``ack_pairs`` removes them from their trees when they complete
-    in-sweep, and the object is handed back if they spill again.
+    exactly where the classic path would leave them observable: every event
+    that leaves the sweep folds its id into ``residue`` (a new root's becomes
+    the registered tree's hash, an adopted one's anchors in its tree), and an
+    adopted event that completes in the sweep acks its own id.
     :meth:`fold_acks` commits it all through the acker's bulk APIs.
     """
 
     def __init__(
         self, runtime: "TopologyRuntime", plan: _SweepPlan, source: SourceExecutor,
-        emission: _Emission, bound: float, acked: bool,
+        bound: float, acked: bool,
     ) -> None:
         self.runtime = runtime
         self.plan = plan
         self.source = source
         self.acked = acked
         self.bound = bound
-        self.ticks = self.emitted = ticks = emission.ticks
-        self.n_roots = n_roots = len(ticks)
-        self.first_sequence = emission.first_sequence
-        first = source.emitted_count
-        root_ids = root_event_id(source.id_key, np.arange(first, first + n_roots, dtype=np.uint64))
-        self.rids = root_ids.view(np.int64)
-        # Bulk append (record_source_emit with replay_count=0, at_time=tick).
-        # A pure array copy — no per-event record.
-        runtime.log.extend_emits(
-            ticks, self.rids, source.task.name, from_backlog=emission.backlogged
-        )
-        source.emitted_count += n_roots
         #: ``(event, sender id)`` per adopted event.
         self.adopted: List[Tuple[Event, str]] = []
         #: node index -> the in-flight work it brought.
         self.arrived: Dict[int, _Adopted] = {}
-        self.payloads: Dict[int, Any] = emission.payloads
+        #: The first emitted root's index, and what the window emits.
+        self.base = 0
+        self.emission = _NO_EMISSION
+        self.rids = _NOTHING[1]
+        self.emitted = _NOTHING[0]
         self.field_cache: Dict[int, np.ndarray] = {}
         #: Per plan channel: the in-bound ``(deliveries, roots, parent
         #: completion times, ids)`` it shipped, or None.
         self.segments: List[Optional[tuple]] = [None] * len(plan.channels)
         #: node index -> the in-bound ``(completions, roots, ids)`` it sends
         #: on; a root event's id is its root's.
-        self.outputs = {
-            plan.by_id[source.executor_id].index: (ticks, np.arange(n_roots), root_ids)
-        }
+        self.outputs: Dict[int, tuple] = {}
         #: Work crossing the bound: ``(node index, channel index or the
         #: channel count for a queue, ...)``, materialized by :meth:`spill`.
         self.spills: List[tuple] = []
         self.receipts: List[Tuple[np.ndarray, np.ndarray, np.ndarray, SinkExecutor]] = []
+        #: Per root index: symbolic anchor and ack counts, the XOR of the ids
+        #: and the count of the events that left the sweep (acked runs only).
         self.anchors = self.acks = self.residue = self.spilled = None
-        self.anchor_pairs: List[Tuple[int, int]] = []
-        self.ack_pairs: List[Tuple[int, int]] = []
         #: ``(completions, roots, in-bound spans)`` per service round, the
         #: acks' times -- kept only for a window whose emissions follow from
         #: them (holding a round's arrays costs the next round its warm pages).
         self.ack_spans: Optional[List[tuple]] = None
         #: Root indices of the adopted events a queue spill handed back.
         self.respilled: Set[int] = set()
-        self.inline = n_roots
-        self.routed = self.rounds = self.fallbacks = 0
+        #: The adopted events' ids, by root index.
+        self.adopted_ids = _NOTHING[2]
+        #: Root indices and ids of the events that left the sweep since the
+        #: last :meth:`_fold_left`, and the roots of those never anchored.
+        self.left_roots: List[int] = []
+        self.left_ids: List[int] = []
+        self.left_anchored: List[int] = []
+        #: ``rids`` / ``emitted`` as lists, for the events that leave the sweep.
+        self.columns: Optional[Tuple[list, list]] = None
+        self.inline = 0
+        self.rounds = self.fallbacks = 0
 
     def payload_of(self, r: int) -> Any:
         """Root ``r``'s payload, built once and only when something reads it
         (a spilled event, an unresolved tree's replay cache, FIELDS
         grouping): a loss-free stretch resolves most roots unread."""
-        if r >= self.n_roots:
-            return self.adopted[r - self.n_roots][0].payload
-        payload = self.payloads.get(r)
+        if r < self.base:
+            return self.adopted[r][0].payload
+        r -= self.base
+        payloads = self.emission.payloads
+        payload = payloads.get(r)
         if payload is None:
-            payload = self.payloads[r] = self.source._payload(self.first_sequence + r)
+            payload = payloads[r] = self.source._payload(self.emission.first_sequence + r)
         return payload
 
     def field_indices(self, num: int) -> np.ndarray:
@@ -793,64 +861,117 @@ class _Sweep:
         they were routed); the rest go straight back on the kernel heap
         unchanged.  Each busy executor is seeded with its fixed in-service
         completion time plus its queued arrivals, in order.  This fixes the
-        root-index space, so the per-root columns are sized here.
+        adopted root indices ``0 .. base-1``.
         """
-        n_roots = self.n_roots
         adopted = self.adopted
+        keys: List[float] = []
         if deliveries or busy:
             sim = self.runtime.sim
             by_id = self.plan.by_id
+            bound = self.bound
             sim.remove_fast_entries()
+            arriving: Dict[int, List[tuple]] = {}
             for when, target, event, sender_id in deliveries:
-                if when < self.bound:
-                    work = self.arrived.setdefault(by_id[target.executor_id].index, _Adopted())
-                    work.keys.append(when)
-                    work.roots.append(n_roots + len(adopted))
-                    work.ids.append(event.event_id)
-                    adopted.append((event, sender_id))
-                    self.inline += 1
+                if when < bound:
+                    arriving.setdefault(by_id[target.executor_id].index, []).append(
+                        (when, event, sender_id)
+                    )
                 else:
                     sim.schedule_at_fast(when, target.deliver, (event, sender_id))
+            seeding: Dict[int, tuple] = {}
             for executor, (when, event) in busy.items():
                 node = by_id[executor.executor_id]
-                work = self.arrived.setdefault(node.index, _Adopted())
                 queue = executor.input_queue
                 count = 1 + len(queue)
                 if count > _MIN_WINDOW_ROOTS:
                     # A long queue is served back to back: what is behind the
                     # first service to cross the bound stays where it is (the
                     # spill queues whatever arrives behind it).
-                    ends = sequential_sums(when, node.service, count - 1)
-                    count = min(count, 1 + int(np.searchsorted(ends, self.bound)))
+                    pinned = sequential_sums(when, node.service, count - 1)
+                    count = min(count, 1 + int(pinned.searchsorted(bound)))
+                    pinned = pinned[:count]
+                else:
+                    pinned = [when]
+                    for _ in range(count - 1):
+                        pinned.append(pinned[-1] + node.service)
                 seeded = [(event, "")] + [queue.popleft() for _ in range(count - 1)]
-                work.seeded = count
-                work.fixed = when
-                work.keys[0:0] = [-math.inf] * count
-                work.roots[0:0] = range(n_roots + len(adopted), n_roots + len(adopted) + count)
-                work.ids[0:0] = [event.event_id for event, _ in seeded]
-                adopted.extend(seeded)
+                seeding[node.index] = (pinned, seeded)
                 executor._busy = False  # re-established by the spill if needed
-        if adopted:
-            self.rids = np.concatenate([self.rids, [event.root_id for event, _ in adopted]])
-            self.emitted = np.concatenate(
-                [self.ticks, [event.root_emitted_at for event, _ in adopted]]
-            )
+            # Each instance's work gets consecutive root indices, seeded first.
+            for index in {**arriving, **seeding}:
+                pinned, seeded = seeding.get(index, ([], ()))
+                self.arrived[index] = work = _Adopted(len(seeded), pinned)
+                lo = len(adopted)
+                adopted.extend(seeded)
+                keys.extend([-math.inf] * len(seeded))
+                for when, event, sender_id in arriving.get(index, ()):
+                    adopted.append((event, sender_id))
+                    keys.append(when)
+                work.piece = (lo, len(adopted))
+        self.base = n = len(adopted)
         if self.acked:
-            self.anchors = np.zeros(len(self.rids), dtype=np.int64)
-            self.acks = np.zeros(len(self.rids), dtype=np.int64)
-            self.residue = np.zeros(n_roots, dtype=np.uint64)
-            self.spilled = np.zeros(n_roots, dtype=np.int64)
+            self.anchors = np.zeros(n, dtype=np.int64)
+            self.acks = np.zeros(n, dtype=np.int64)
+            self.residue = np.zeros(n, dtype=np.uint64)
+            self.spilled = np.zeros(n, dtype=np.int64)
+        if not n:
+            return
+        self.inline += n - sum(work.seeded for work in self.arrived.values())
+        events = list(map(itemgetter(0), adopted))
+        self.rids = np.fromiter(map(_ROOT_ID, events), np.int64, n)
+        self.emitted = np.fromiter(map(_EMITTED_AT, events), np.float64, n)
+        arrivals = np.array(keys, dtype=np.float64)
+        # Ids are 63-bit: the int64 conversion is the cheap one.
+        self.adopted_ids = ids = np.fromiter(map(_EVENT_ID, events), np.int64, n).view(np.uint64)
+        roots = np.arange(n)
+        for work in self.arrived.values():
+            lo, hi = work.piece
+            work.piece = (arrivals[lo:hi], roots[lo:hi], None, ids[lo:hi])
 
+    def emit(self, emission: _Emission) -> None:
+        """Append what the window emits to the root indices (``base ..``): the
+        roots' ids, their log rows and their counters, and the spout's output."""
+        source = self.source
+        ticks = emission.ticks
+        n = len(ticks)
+        self.emission = emission
+        self.inline += n
+        if not n:
+            return
+        first = source.emitted_count
+        root_ids = root_event_id(source.id_key, np.arange(first, first + n, dtype=np.uint64))
+        rids = root_ids.view(np.int64)
+        # Bulk append (record_source_emit with replay_count=0, at_time=tick).
+        self.runtime.log.extend_emits(ticks, rids, source.task.name, from_backlog=emission.backlogged)
+        source.emitted_count = first + n
+        base = self.base
+        self.outputs[self.plan.by_id[source.executor_id].index] = (
+            ticks, np.arange(base, base + n), root_ids
+        )
+        if base:
+            self.rids = np.concatenate([self.rids, rids])
+            self.emitted = np.concatenate([self.emitted, ticks])
+        else:
+            self.rids, self.emitted = rids, ticks
+        self.columns = None
+        if self.acked:
+            self.anchors, self.acks, self.residue, self.spilled = (
+                np.concatenate([counts, np.zeros(n, dtype=counts.dtype)]) if base
+                else np.zeros(n, dtype=counts.dtype)
+                for counts in (self.anchors, self.acks, self.residue, self.spilled)
+            )
+        self.field_cache.clear()
     # --------------------------------------------------------- service rounds
     def serve(self, level: _Level) -> None:
         """Run the service queues of one level, whole instances to a block."""
         segments = self.segments
+        arrived = self.arrived
         block: List[tuple] = []
         size = 0
         for node in level.nodes:
-            work = self.arrived.get(node.index) if self.arrived else None
+            work = arrived.get(node.index)
             feeds = [c for c in node.feeds if segments[c] is not None]
-            total = sum([len(segments[c][0]) for c in feeds], len(work.keys) if work else 0)
+            total = sum([len(segments[c][0]) for c in feeds], len(work.piece[0]) if work else 0)
             if not total:
                 continue
             if block and size + total > _BLOCK_ENTRIES:
@@ -875,66 +996,68 @@ class _Sweep:
         """
         self.rounds += 1
         segments = self.segments
-        keys, roots, ids, counts, pieces, offsets = [], [], [], [], [], []
-        pins: List[int] = []
-        pinned: List[float] = []
+        parts: List[tuple] = []
+        pieces: List[Any] = []  # what each part is: adopted work, or the channel
+        offsets: List[int] = []
+        counts: List[int] = []
+        pins: List[Tuple[int, List[float]]] = []
         unmerged: List[Tuple[int, int]] = []
         offset = 0
         for node, work, feeds, total in block:
+            lo = offset
             loose = len(feeds)
             if work is not None:
-                completes = work.fixed
-                for position in range(offset, offset + work.seeded):
-                    pins.append(position)
-                    pinned.append(completes)
-                    completes = completes + node.service
-                loose += len(work.keys) - work.seeded
-                keys.append(work.keys)
-                roots.append(work.roots)
-                ids.append(np.array(work.ids, dtype=np.uint64))
+                if work.seeded:
+                    pins.append((offset, work.pinned))
+                loose += len(work.piece[0]) - work.seeded  # adopted deliveries, unsorted
+                parts.append(work.piece)
                 pieces.append(work)
                 offsets.append(offset)
-                offset += len(work.keys)
+                offset += len(work.piece[0])
             for c in feeds:
-                keys.append(segments[c][0])
-                roots.append(segments[c][1])
-                ids.append(segments[c][3])
+                parts.append(segments[c])
                 pieces.append(c)
                 offsets.append(offset)
                 offset += len(segments[c][0])
             counts.append(total)
             if loose > 1:
-                unmerged.append((offset - total, offset))
-        arrivals = np.concatenate(keys) if len(keys) > 1 else np.asarray(keys[0], dtype=np.float64)
-        rts = np.concatenate(roots) if len(roots) > 1 else np.asarray(roots[0], dtype=np.intp)
-        eids = np.concatenate(ids) if len(ids) > 1 else ids[0]
+                unmerged.append((lo, offset))
+        if len(parts) > 1:
+            arrivals = np.concatenate([part[0] for part in parts])
+            rts = np.concatenate([part[1] for part in parts])
+            eids = np.concatenate([part[3] for part in parts])
+        else:
+            arrivals, rts, _, eids = parts[0]
         order = None
         if unmerged:
             # Each piece is sorted already, which a stable sort merges cheaply.
             order = np.arange(offset)
             for lo, hi in unmerged:
-                order[lo:hi] = np.argsort(arrivals[lo:hi], kind="stable") + lo
+                merged = arrivals[lo:hi].argsort(kind="stable")
+                merged += lo
+                order[lo:hi] = merged
             arrivals = arrivals[order]
             rts = rts[order]
             eids = eids[order]
         services = [node.service for node, _, _, _ in block]
         step = services[0]
         if services.count(step) < len(services):
-            step = np.repeat(np.array(services), counts)
+            step = np.array(services).repeat(counts)
         values = arrivals + step
-        if pins:
-            values[pins] = pinned
+        for lo, pinned in pins:
+            values[lo:lo + len(pinned)] = pinned
         completions, fell_back = maxplus_scan(values, step, counts)
         self.fallbacks += fell_back
 
         lookup = (order, offsets, pieces)
+        bound = self.bound
         done: List[Tuple[int, int]] = []
         hi = 0
         for node, _work, _feeds, total in block:
             lo, hi = hi, hi + total
             end = hi
-            if not completions[hi - 1] < self.bound:
-                end = lo + int(np.searchsorted(completions[lo:hi], self.bound))
+            if not completions[hi - 1] < bound:
+                end = lo + int(completions[lo:hi].searchsorted(bound))
                 # The service at ``end`` crosses the bound (see _spill_queue).
                 self.spills.append(
                     (node.index, len(segments), node, end, hi, completions, rts, eids, lookup)
@@ -963,10 +1086,9 @@ class _Sweep:
     @staticmethod
     def _count(counters: np.ndarray, rts: np.ndarray, spans: List[Tuple[int, int]]) -> None:
         """``counters[r] += 1`` for every root entry of ``rts`` inside ``spans``."""
-        if sum(end - lo for lo, end in spans) == len(rts):
-            spans = [(0, len(rts))]  # nothing to leave out: one call for the block
-        for lo, end in spans:
-            np.add.at(counters, rts[lo:end], 1)
+        if sum(end - lo for lo, end in spans) != len(rts):
+            rts = np.concatenate([rts[lo:end] for lo, end in spans]) if spans else rts[:0]
+        counters += np.bincount(rts, minlength=len(counters))
 
     # -------------------------------------------------------- shipping rounds
     def ship(self, level: _Level) -> None:
@@ -976,7 +1098,7 @@ class _Sweep:
         if not level.ids or not any(node.index in outputs for node in level.nodes):
             return
         parents, roots, ids = [], [], []
-        nothing = (self.ticks[:0], self.rids[:0], np.empty(0, dtype=np.uint64))
+        nothing = _NOTHING
         for node in level.nodes:
             completions, rts, eids = outputs.get(node.index, nothing)
             for grouping, num, _first, cursor in node.edges:
@@ -1025,31 +1147,31 @@ class _Sweep:
         # Per entry: its parent's time and id, the channel's base latency and
         # outbox position (what the delivery's event id steps over).
         if j - i == 1:
-            parent_times, latency = parents[0], level.bases[i]
-            sent_ids, positions = ids[0], level.positions[i:j]
+            parent_times, sent_ids, positions = parents[0], ids[0], level.positions[i:j]
         else:
             parent_times = np.concatenate(parents)
-            latency = np.repeat(level.bases[i:j], counts)
             sent_ids = np.concatenate(ids)
-            positions = np.repeat(level.positions[i:j], counts)
+            positions = level.positions[i:j].repeat(counts)
         jitter = self.plan.jitter
-        if jitter is not None:
-            draws = keyed_value_blocks(
-                level.seeds[i:j], [channel.stream.counter for channel in channels], counts
+        if jitter is None:
+            latency = level.bases[i] if j - i == 1 else level.bases[i:j].repeat(counts)
+        else:
+            drawn = self.plan.latencies(
+                [c for c, n in zip(level.ids[i:j], counts) if n], [n for n in counts if n]
             )
-            latency = latency * (1.0 + (jitter[0] + jitter[1] * draws))
-            if jitter[0] <= -1.0:  # else the factor is positive: nothing to clamp
-                np.maximum(latency, 0.0, out=latency)
+            latency = drawn[0] if len(drawn) == 1 else np.concatenate(drawn)
         # Per-channel FIFO: d[i] = max(raw[i], d[i-1] + spacing).
         deliveries, fell_back = maxplus_scan(
             parent_times + latency, FIFO_SPACING_S, counts, [channel.last for channel in channels]
         )
         self.fallbacks += fell_back
-        self.routed += len(deliveries)
+        self.runtime.router.routed_count += len(deliveries)
         eids = child_event_id(sent_ids, positions)
 
+        bound = self.bound
+        segments = self.segments
         shipped: List[Tuple[int, int]] = []
-        hi = 0
+        hi = inline = 0
         for c, channel, n, sent, sent_roots in zip(level.ids[i:j], channels, counts, parents, roots):
             if not n:
                 continue
@@ -1057,20 +1179,25 @@ class _Sweep:
             if jitter is not None:
                 channel.stream.counter += n
             channel.last = tail = float(deliveries[hi - 1])
-            cut = n  # the views handed on are the sender's own, not the block's copies
-            if not tail < self.bound:
-                cut = int(np.searchsorted(deliveries[lo:hi], self.bound))
-                # Beyond the bound: classic deliveries (see _spill_shipped).
-                self.spills.append(
-                    (self.plan.senders[c].index, c, deliveries[lo + cut:hi], sent_roots[cut:],
-                     sent[cut:], eids[lo + cut:hi])
-                )
+            # The views handed on are the sender's own, not the block's copies.
+            if tail < bound:
+                segments[c] = (deliveries[lo:hi], sent_roots, sent, eids[lo:hi])
+                inline += n
+                shipped.append((lo, hi))
+                continue
+            cut = int(deliveries[lo:hi].searchsorted(bound))
+            # Beyond the bound: classic deliveries (see _spill_shipped).
+            self.spills.append(
+                (self.plan.senders[c].index, c, deliveries[lo + cut:hi], sent_roots[cut:],
+                 sent[cut:], eids[lo + cut:hi])
+            )
             if cut:
-                self.segments[c] = (
+                segments[c] = (
                     deliveries[lo:lo + cut], sent_roots[:cut], sent[:cut], eids[lo:lo + cut]
                 )
-                self.inline += cut
+                inline += cut
                 shipped.append((lo, lo + cut))
+        self.inline += inline
         if self.acked:
             # Symbolic anchors: each in-bound shipped event will also be acked
             # (in-sweep or converted on spill), so no id is drawn here — only
@@ -1085,9 +1212,9 @@ class _Sweep:
         instance's shipped events in channel order, then its queue -- so the
         spilled events go on the kernel heap in one fixed order.
         """
-        self.runtime.router.routed_count += self.routed
-        self.spills.sort(key=itemgetter(0, 1))
-        for _node_index, c, *work in self.spills:
+        spills, self.spills = self.spills, []
+        spills.sort(key=itemgetter(0, 1))
+        for _node_index, c, *work in spills:
             if c < len(self.segments):
                 self._spill_shipped(c, *work)
             else:
@@ -1098,35 +1225,48 @@ class _Sweep:
     ) -> Event:
         """Materialize a sweep-born event that leaves the sweep, as ``event_id``.
 
-        ``anchor`` is what the event's id does to a new root's symbolic anchor
-        count (a shipped spill was never counted: +1; a queued one was counted
-        at ship time: 0) -- on a pre-existing tree the anchor turns real.
+        Under acking its id joins its root's ``residue`` (booked now, folded
+        by :meth:`_fold_left`), and ``anchor`` is what it adds to the root's
+        symbolic anchor count (a shipped spill was never counted: 1; a queued
+        one was counted at ship time: 0).
         """
-        root_id = int(self.rids[r])
         if self.acked:
-            if r < self.n_roots:
-                # A new root's spilled event: its id is part of the tree hash
-                # register_block will materialize.
-                self.residue[r] ^= event_id
-                self.spilled[r] += 1
-                self.anchors[r] += anchor
-            else:
-                self.anchors[r] += anchor - 1
-                self.anchor_pairs.append((root_id, event_id))
+            self.left_roots.append(r)
+            self.left_ids.append(event_id)
+            if anchor:
+                self.left_anchored.append(r)
+        columns = self.columns
+        if columns is None:
+            columns = self.columns = (self.rids.tolist(), self.emitted.tolist())
         return Event(
-            event_id, root_id, _DATA_KIND, task_name, self.payload_of(r), created_at,
-            float(self.emitted[r]), None, None, 0, self.acked,
+            event_id, columns[0][r], _DATA_KIND, task_name, self.payload_of(r), created_at,
+            columns[1][r], None, None, 0, self.acked,
         )
+
+    def _fold_left(self) -> None:
+        """Fold the ids and counts of the events that left the sweep into
+        their roots' ``residue`` / ``spilled`` / ``anchors``."""
+        if not self.left_roots:
+            return
+        rs = np.array(self.left_roots, dtype=np.intp)
+        ids = np.array(self.left_ids, dtype=np.int64).view(np.uint64)
+        np.bitwise_xor.at(self.residue, rs, ids)
+        size = len(self.spilled)
+        self.spilled += np.bincount(rs, minlength=size)
+        if self.left_anchored:
+            self.anchors += np.bincount(self.left_anchored, minlength=size)
+        self.left_roots, self.left_ids, self.left_anchored = [], [], []
 
     def _spill_shipped(self, c: int, deliveries, roots, parent_times, ids) -> None:
         channel = self.plan.channels[c]
         task_name = self.plan.senders[c].task_name
-        schedule_at_fast = self.runtime.sim.schedule_at_fast
+        push_fast = self.runtime.sim.push_fast  # at or past the bound, hence not in the past
+        deliver, sender_id = channel.deliver, channel.sender_id
         for when, r, created_at, event_id in zip(
             deliveries.tolist(), roots.tolist(), parent_times.tolist(), ids.tolist()
         ):
             event = self._new_event(r, task_name, created_at, 1, event_id)
-            schedule_at_fast(when, channel.deliver, (event, channel.sender_id))
+            push_fast(when, deliver, (event, sender_id))
 
     def _spill_queue(
         self, node: _Node, first: int, end: int, completions, rts, ids, lookup
@@ -1145,15 +1285,14 @@ class _Sweep:
             origin = pieces[piece]
             r = int(rts[position])
             if type(origin) is _Adopted:
-                event, sender_id = self.adopted[r - self.n_roots]
+                entries.append(self.adopted[r])
                 self.respilled.add(r)
             else:
-                sender_id = self.plan.channels[origin].sender_id
                 created_at = float(self.segments[origin][2][merged - offsets[piece]])
                 event = self._new_event(
                     r, self.plan.senders[origin].task_name, created_at, 0, int(ids[position])
                 )
-            entries.append((event, sender_id))
+                entries.append((event, self.plan.channels[origin].sender_id))
         executor = node.executor
         executor._busy = True
         self.runtime.sim.schedule_at_fast(
@@ -1163,91 +1302,91 @@ class _Sweep:
 
     # ------------------------------------------------------------ the commits
     def fold_acks(self) -> List[float]:
-        """Commit the ack stream: one bulk acker update per category.  Where the
-        acks' times were kept, returns when each adopted tree that completed did
-        (the last of its acks, as the per-event path acks one by one), in order."""
-        acker = self.runtime.acker
-        n_roots = self.n_roots
-        tracked = ()
-        if self.ack_spans is not None:
-            tracked = [root for root in set(self.rids[n_roots:].tolist()) if acker.is_pending(root)]
-        # New roots whose every event was anchored *and* acked inside the
-        # sweep resolved to zero by construction — stats only, no
-        # PendingTree, no timer.  The rest materialize with their exact
-        # classic end-of-stretch state (hash = XOR of outstanding spilled
-        # ids) and back-dated timeout timers.
-        new_anchors = self.anchors[:n_roots]
-        new_acks = self.acks[:n_roots]
-        resolved = (self.spilled == 0) & (new_anchors > 0)
-        acker.absorb_resolved(
-            int(np.count_nonzero(resolved)),
-            int(new_anchors[resolved].sum()),
-            int(new_acks[resolved].sum()),
-        )
-        unresolved = np.flatnonzero(~resolved)
-        if unresolved.size:
-            u_roots = self.rids[unresolved].tolist()
-            acker.register_block(
-                u_roots,
-                self.ticks[unresolved].tolist(),
-                self.residue[unresolved].tolist(),
-                new_anchors[unresolved].tolist(),
-                new_acks[unresolved].tolist(),
-            )
-            self.source.cache_block(u_roots, [self.payload_of(r) for r in unresolved.tolist()])
-        # An adopted event that completed in-sweep (all but the ones a queue
-        # spill handed back) is acked by the id already folded into its tree,
-        # not by count.
-        for r, (event, _) in enumerate(self.adopted, n_roots):
-            if r not in self.respilled:
-                self.acks[r] -= 1
-                self.ack_pairs.append((event.root_id, event.event_id))
-        # Pre-existing trees: real anchors first (spilled ids enter the
-        # hashes), then the cancelled symbolic pairs, then the real acks —
-        # so no tree's hash can transiently return to zero before all its
-        # outstanding ids are in place.  Completions fire the classic
-        # on_complete (source drops its cached payloads).
-        if self.anchor_pairs:
-            acker.anchor_batch(self.anchor_pairs)
-        if self.adopted:
-            acker.settle_batch(
-                self.rids[n_roots:].tolist(),
-                self.anchors[n_roots:].tolist(),
-                self.acks[n_roots:].tolist(),
-            )
-        if self.ack_pairs:
-            acker.ack_batch(self.ack_pairs)
-        done = [root for root in tracked if not acker.is_pending(root)]
-        if not done:
+        """Commit the ack stream: the emitted roots' trees (:meth:`_register`),
+        then the adopted events' trees, each settled once with the net of the
+        window.  Where the acks' times were kept, returns when each adopted
+        tree that completed did (the last of its acks, as the per-event path
+        acks one by one), in order."""
+        self._fold_left()
+        self._register()
+        base = self.base
+        if not base:
             return []
-        acks = [(times[lo:end], rts[lo:end]) for times, rts, spans in self.ack_spans for lo, end in spans]
-        times = np.concatenate([span[0] for span in acks])
-        roots = self.rids[np.concatenate([span[1] for span in acks])]
-        order = np.argsort(times)
-        last = dict(zip(roots[order].tolist(), times[order].tolist()))  # the latest ack wins
-        return sorted(last[root] for root in done)
+        # Per adopted index: the ids that left the sweep and, for an event
+        # that completed in it (all but the ones a queue spill handed back),
+        # its own id, acked; then per tree, XOR-folded and counted at once.
+        folds = self.adopted_ids.copy()
+        if self.respilled:
+            folds[list(self.respilled)] = 0
+        folds ^= self.residue[:base]
+        trees = self.rids[:base]
+        order = trees.argsort(kind="stable")
+        trees = trees[order]
+        heads = np.empty(base, dtype=bool)
+        heads[0] = True
+        np.not_equal(trees[1:], trees[:-1], out=heads[1:])
+        starts = heads.nonzero()[0]
+        completed = self.runtime.acker.settle_trees(
+            trees[starts].tolist(),
+            np.bitwise_xor.reduceat(folds[order], starts).tolist(),
+            np.add.reduceat(self.anchors[order], starts).tolist(),
+            np.add.reduceat(self.acks[order], starts).tolist(),
+        )
+        if self.ack_spans is None or not completed:
+            return []
+        # The last ack of each tree: the latest in-sweep completion of its events.
+        tree_of = np.empty(base, dtype=np.intp)
+        tree_of[order] = heads.cumsum() - 1
+        times = np.concatenate([times[lo:end] for times, _, spans in self.ack_spans for lo, end in spans])
+        owners = tree_of[np.concatenate([rts[lo:end] for _, rts, spans in self.ack_spans for lo, end in spans])]
+        last = np.full(len(starts), -math.inf)
+        np.maximum.at(last, owners, times)
+        return sorted(last[completed].tolist())
+
+    def _register(self) -> None:
+        """Commit the emitted roots' trees: one that was anchored and acked
+        whole inside the sweep resolved to zero by construction -- stats only,
+        no PendingTree, no timer; the rest materialize with their exact classic
+        end-of-stretch state (hash = XOR of the ids still outstanding) and
+        back-dated timeout timers, and their payloads join the replay cache."""
+        base = self.base
+        if len(self.rids) == base:
+            return
+        acker = self.runtime.acker
+        anchors = self.anchors[base:]
+        acks = self.acks[base:]
+        resolved = (self.spilled[base:] == 0) & (anchors > 0)
+        acker.absorb_resolved(
+            int(np.count_nonzero(resolved)), int(anchors[resolved].sum()), int(acks[resolved].sum())
+        )
+        unresolved = (~resolved).nonzero()[0]
+        if unresolved.size:
+            roots = self.rids[base:][unresolved].tolist()
+            acker.register_block(
+                roots,
+                self.emitted[base:][unresolved].tolist(),
+                self.residue[base:][unresolved].tolist(),
+                anchors[unresolved].tolist(),
+                acks[unresolved].tolist(),
+            )
+            self.source.cache_block(roots, [self.payload_of(base + r) for r in unresolved.tolist()])
 
     def emit_held(self, emission: _Emission) -> None:
         """Emit what a backlogged spout at its cap sent during the window, now
-        that the window's completions are known: per emission, at its time,
-        through the per-event path's own ``_emit_new`` -- ids, tree, timeout
-        timer, replay cache, keyed jitter, FIFO and shuffle cursor are its.
-        The first hop is busy past the bound (:func:`_first_hop_slack`), so a
-        delivery it schedules before the bound joins that queue's tail when
-        the kernel gets to it, and one past it is in flight as it would be.
+        that the window's completions are known, through the sweep's own
+        first hop: :meth:`emit`, the spout level's shipping round (keyed
+        jitter, FIFO, shuffle cursor, ids), :meth:`spill` and :meth:`_register`
+        for the trees.  The first hop is busy past the bound
+        (:func:`_first_hop_slack`), so every delivery leaves the sweep as the
+        kernel's, as the per-event path sends it: one before the bound joins
+        that queue's tail when the kernel gets to it, a later one is in flight.
         """
-        sim = self.runtime.sim
-        now0 = sim.now
-        source = self.source
-        backlogged = emission.backlogged.tolist()
-        for r, tick in enumerate(emission.ticks.tolist()):
-            payload = emission.payloads.get(r)
-            if payload is None:
-                payload = source._payload(emission.first_sequence + r)
-            sim.now = tick
-            source._emit_new(payload, backlogged[r])
-        sim.now = now0
-        self.inline += len(emission.ticks)
+        self.emit(emission)
+        self.bound = self.runtime.sim.now  # nothing the spout sends is served in the window
+        self.ship(self.plan.levels[0])
+        self.spill()
+        self._fold_left()
+        self._register()
 
     def commit_receipts(self) -> None:
         """Merge the sinks' receipts into the log in global time order: one
@@ -1262,10 +1401,11 @@ class _Sweep:
             times = np.concatenate([rec[0] for rec in receipts])
             roots = np.concatenate([rec[1] for rec in receipts])
             ids = np.concatenate([rec[2] for rec in receipts])
-            which = np.repeat(np.arange(len(receipts)), [len(rec[0]) for rec in receipts])
-            names = [rec[3].task.name for rec in receipts]
-            order = np.argsort(times, kind="stable")
-            times, roots, ids, which = times[order], roots[order], ids[order], which[order]
+            order = times.argsort(kind="stable")
+            times, roots, ids = times[order], roots[order], ids[order]
+            if any(rec[3] is not sink for rec in receipts):
+                which = np.arange(len(receipts)).repeat([len(rec[0]) for rec in receipts])[order]
+                names = [rec[3].task.name for rec in receipts]
         self.runtime.log.extend_receipts(
             times,
             self.rids[roots],

@@ -71,8 +71,8 @@ def fixed_rate_ticks(
         in_bound = max(
             1,
             min(
-                int(np.searchsorted(times, limit, side="right")),
-                int(np.searchsorted(times, horizon, side="left")),
+                int(times.searchsorted(limit, side="right")),
+                int(times.searchsorted(horizon, side="left")),
             ),
         )
         if in_bound <= size or size == cap:
@@ -126,27 +126,25 @@ def maxplus_scan(
     if len(counts) == 1 and n < _SCALAR_BELOW:
         alone = float(step[0]) if per_entry and n else step
         return maxplus_scan_reference(values, alone, None if seeds is None else seeds[0]), 0
-    sizes = np.asarray(counts)
-    ends = np.add.accumulate(sizes)
-    starts = ends - sizes
     # Round 1 tests every entry against its predecessor's no-wait value, a
-    # segment's first entry against the segment's seed.  The spare last slot
-    # takes the writes of empty segments at the very end.
-    prevs = np.empty(n + 1)
-    prevs[1:] = values
-    if 0 in counts:
-        heads = starts[sizes != 0]
-        prevs[heads] = float("-inf") if seeds is None else np.asarray(seeds)[sizes != 0]
-    else:
-        heads = starts
-        prevs[heads] = float("-inf") if seeds is None else seeds
-    prevs = prevs[:n]
+    # segment's first entry against the segment's seed.
+    prevs = np.empty(n)
+    prevs[1:] = values[:-1]
+    firsts = [float("-inf")] * len(counts) if seeds is None else seeds
+    head = 0
+    for count, first in zip(counts, firsts):
+        if count:
+            prevs[head] = first
+        head += count
     prevs += step
     frontier = (prevs > values).nonzero()[0]
     if not frontier.size:
         return values, 0
+    sizes = np.array(counts)
+    ends = sizes.cumsum()
+    starts = ends - sizes
     is_head = np.zeros(n + 1, dtype=bool)
-    is_head[heads] = True
+    is_head[starts] = True
     is_head[n] = True
     pushed = prevs[frontier]
     y = values.copy()
@@ -155,7 +153,7 @@ def maxplus_scan(
         allowed >>= 1
         if frontier.size > allowed:
             # Only the segments the frontier is still in are unfinished.
-            unfinished = np.unique(np.searchsorted(ends, frontier, side="right")).tolist()
+            unfinished = np.unique(ends.searchsorted(frontier, side="right")).tolist()
             for j in unfinished:
                 lo, hi = int(starts[j]), int(ends[j])
                 y[lo:hi] = maxplus_scan_reference(

@@ -19,15 +19,13 @@ are replayed only after the 30 s timeout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as _np
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.sim import Simulator, Timer
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingTree:
     """Tracking state for one root event's causal tree."""
 
@@ -111,7 +109,8 @@ class AckerService:
         anchored_counts: Sequence[int],
         acked_counts: Sequence[int],
     ) -> None:
-        """Materialize pending trees for roots a batch sweep left unresolved.
+        """Materialize pending trees for roots a batch sweep left unresolved
+        (Python numbers, as ``ndarray.tolist`` gives them).
 
         Each tree lands with the exact hash/counter state the classic path
         would have accumulated by the end of the stretch (the hash is the XOR
@@ -126,23 +125,14 @@ class AckerService:
         schedule_at = self.sim.schedule_at
         check = self._check_timeout
         timeout = self.timeout_s
-        total_anchored = 0
-        total_acked = 0
         for root_id, at, ack_hash, anchored, acked in zip(
             root_ids, registered_at, ack_hashes, anchored_counts, acked_counts
         ):
-            root_id = int(root_id)
-            tree = PendingTree(
-                root_id=root_id,
-                registered_at=float(at),
-                ack_hash=int(ack_hash),
-                anchored_count=int(anchored),
-                acked_count=int(acked),
+            pending[root_id] = PendingTree(
+                root_id, at, ack_hash, anchored, acked, schedule_at(at + timeout, check, root_id)
             )
-            tree.timeout_timer = schedule_at(float(at) + timeout, check, root_id)
-            pending[root_id] = tree
-            total_anchored += tree.anchored_count
-            total_acked += tree.acked_count
+        total_anchored = sum(anchored_counts)
+        total_acked = sum(acked_counts)
         n = len(root_ids)
         stats = self.stats
         stats.registered += n
@@ -204,122 +194,53 @@ class AckerService:
         if root_id in self._pending:
             self._fail(root_id)
 
-    # ------------------------------------------------------------- bulk APIs
-    @staticmethod
-    def _folds(pairs: Sequence[Tuple[int, int]]) -> Iterator[Tuple[int, int, int]]:
-        """Reduce ``(root_id, event_id)`` pairs to per-root ``(root, xor of
-        the ids, count)``.
-
-        The XOR fold is order-independent, so the whole stream collapses with
-        one ``np.bitwise_xor.reduceat`` over a root-sorted view; the scalar
-        dict fold is the exact same reduction for tiny batches, where the
-        sort setup costs more than it saves.  The two yield their trees in
-        different orders (sorted roots vs insertion), so moving the cutoff
-        can move ``on_complete`` order.
-        """
-        n = len(pairs)
-        if n >= 8:
-            arr = _np.asarray(pairs, dtype=_np.uint64)
-            order = _np.argsort(arr[:, 0], kind="stable")
-            roots = arr[order, 0]
-            ids = arr[order, 1]
-            starts = _np.flatnonzero(_np.r_[True, roots[1:] != roots[:-1]])
-            xors = _np.bitwise_xor.reduceat(ids, starts)
-            counts = _np.diff(_np.r_[starts, n])
-            for root, x, cnt in zip(roots[starts], xors, counts):
-                yield int(root), int(x), int(cnt)
-            return
-        folds: Dict[int, List[int]] = {}
-        for root_id, event_id in pairs:
-            entry = folds.get(root_id)
-            if entry is None:
-                folds[root_id] = [event_id, 1]
-            else:
-                entry[0] ^= event_id
-                entry[1] += 1
-        for root_id, (x, cnt) in folds.items():
-            yield int(root_id), int(x), int(cnt)
-
-    def anchor_batch(self, pairs: Sequence[Tuple[int, int]]) -> None:
-        """Anchor many ``(root_id, event_id)`` pairs in one XOR fold per tree.
-
-        Equivalent to calling :meth:`anchor` once per pair (XOR is
-        commutative); pairs whose root is no longer pending are dropped, just
-        as the per-event path drops them.
-        """
-        if not pairs:
-            return
-        pending = self._pending
-        applied = 0
-        for root_id, fold, count in self._folds(pairs):
-            tree = pending.get(root_id)
-            if tree is None:
-                continue
-            tree.ack_hash ^= fold
-            tree.anchored_count += count
-            applied += count
-        self.stats.anchors += applied
-        self.stats.bulk_anchors += applied
-
-    def ack_batch(self, pairs: Sequence[Tuple[int, int]]) -> None:
-        """Ack many ``(root_id, event_id)`` pairs in one XOR fold per tree.
-
-        Completion is checked once per affected tree, after its whole fold has
-        been applied — callers must apply :meth:`anchor_batch` first so no
-        tree's hash can transiently return to zero mid-batch (the classic path
-        has the same ordering: children anchor before their parent acks).
-        """
-        if not pairs:
-            return
-        pending = self._pending
-        stats = self.stats
-        applied = 0
-        for root_id, fold, count in self._folds(pairs):
-            tree = pending.get(root_id)
-            if tree is None:
-                stats.late_acks += count
-                continue
-            tree.ack_hash ^= fold
-            tree.acked_count += count
-            applied += count
-            if tree.complete:
-                self._complete(root_id)
-        stats.acks += applied
-        stats.bulk_acks += applied
-
-    def settle_batch(
+    # ------------------------------------------------------------- bulk API
+    def settle_trees(
         self,
         root_ids: Sequence[int],
+        folds: Sequence[int],
         anchored_counts: Sequence[int],
         acked_counts: Sequence[int],
-    ) -> None:
-        """Apply anchor/ack *pairs whose XOR contributions already cancelled*.
+    ) -> List[int]:
+        """Apply many anchors and acks to trees that existed before a batch
+        sweep, one update per tree.
 
-        A batch sweep that both anchors and acks the same event never needs to
-        touch the tree's hash — the two XORs annihilate — but the per-tree
-        counters and the completion check still have to advance exactly as the
-        per-event path would have advanced them.  Used for trees that existed
-        before the sweep and had in-sweep traffic routed through them.
+        Per tree: ``folds`` is the XOR of the ids anchored and acked (XOR is
+        commutative, so the order of the per-event calls does not matter --
+        a pair anchored *and* acked inside the sweep cancelled and is only
+        counted), ``anchored_counts`` / ``acked_counts`` their numbers.  The
+        same state and counters as the per-event :meth:`anchor` / :meth:`ack`
+        calls once the tree's whole batch is in, which is when completion is
+        checked (the per-event path anchors children before their parent
+        acks, so its hash cannot reach zero earlier either).  A tree no longer
+        pending drops its anchors and counts its acks as late, as those calls
+        do.  Returns the positions of the trees that completed.
         """
         pending = self._pending
         stats = self.stats
-        total_anchored = 0
-        total_acked = 0
-        for root_id, anchored, acked in zip(root_ids, anchored_counts, acked_counts):
-            tree = pending.get(int(root_id))
+        total_anchored = total_acked = late = 0
+        completed: List[int] = []
+        for position, (root_id, fold, anchored, acked) in enumerate(
+            zip(root_ids, folds, anchored_counts, acked_counts)
+        ):
+            tree = pending.get(root_id)
             if tree is None:
-                stats.late_acks += int(acked)
+                late += acked
                 continue
-            tree.anchored_count += int(anchored)
-            tree.acked_count += int(acked)
-            total_anchored += int(anchored)
-            total_acked += int(acked)
-            if tree.complete:
-                self._complete(int(root_id))
+            tree.ack_hash ^= fold
+            tree.anchored_count += anchored
+            tree.acked_count += acked
+            total_anchored += anchored
+            total_acked += acked
+            if tree.ack_hash == 0 and tree.anchored_count > 0:
+                self._complete(root_id)
+                completed.append(position)
+        stats.late_acks += late
         stats.anchors += total_anchored
         stats.acks += total_acked
         stats.bulk_anchors += total_anchored
         stats.bulk_acks += total_acked
+        return completed
 
     # --------------------------------------------------------------- internal
     def _complete(self, root_id: int) -> None:

@@ -235,10 +235,10 @@ class Simulator:
         find the horizon below which no control-plane callback can preempt it.
         """
         return min(
-            (
+            [
                 entry[0] for entry in self._queue
                 if len(entry) == 3 and not entry[2].cancelled and entry[2] is not skip
-            ),
+            ],
             default=math.inf,
         )
 
@@ -319,8 +319,10 @@ class Simulator:
         ----------
         until:
             Stop once simulated time would advance beyond this value.  The
-            clock is left at ``until`` (if provided) or at the time of the last
-            executed event.
+            clock is left at ``until`` (if provided and finite) or at the time
+            of the last executed event.  Infinity is the same as no bound; NaN
+            and a bound before ``now`` are refused (:class:`SimulationError`),
+            as :meth:`schedule_at` refuses the past.
         max_events:
             Safety valve: stop after this many callbacks.
 
@@ -336,6 +338,15 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
+        if until is not None:
+            if math.isnan(until):
+                raise SimulationError("run bound must be a number, got nan")
+            if until < self.now:
+                raise SimulationError(
+                    f"cannot run until t={until:.6f}, which is before now={self.now:.6f}"
+                )
+            if until == math.inf:
+                until = None  # unbounded: the clock stays at the last event
         self._running = True
         self._stopped = False
         queue = self._queue

@@ -56,19 +56,30 @@ def keyed_value(seed: int, sequence: int) -> float:
     return (z >> 11) * 2.0 ** -53
 
 
-#: uint64-boxed mix constants for :func:`keyed_value_blocks` (scalar->uint64
-#: conversion per call was measurable on small blocks).
-_NP_CONSTS = tuple(np.uint64(c) for c in (_GOLDEN, _MIX1, _MIX2, 30, 27, 31, 11))
+#: The mix constants as 0-d ``uint64`` arrays: a ufunc takes one of those
+#: faster than a Python int or a numpy scalar (measured, 68 entries: 0.66 /
+#: 1.28 / 0.90 µs a shift), which on small blocks is most of the cost.
+_NP_CONSTS = tuple(np.array(c, dtype=np.uint64) for c in (_GOLDEN, _MIX1, _MIX2, 30, 27, 31, 11))
+
+
+def splitmix(z: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer on a ``uint64`` array, in place (the caller owns
+    ``z``): the wraparound is the scalar ``& _MASK64``, so bit-identical."""
+    _, mix1, mix2, s30, s27, s31, _ = _NP_CONSTS
+    z ^= z >> s30
+    z *= mix1
+    z ^= z >> s27
+    z *= mix2
+    z ^= z >> s31
+    return z
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    """:func:`keyed_value`'s finalizer on a ``uint64`` array: the wraparound is
-    the scalar ``& _MASK64`` and ``* 2**-53`` is exact, so bit-identical."""
-    _, mix1, mix2, s30, s27, s31, s11 = _NP_CONSTS
-    z = (z ^ (z >> s30)) * mix1
-    z = (z ^ (z >> s27)) * mix2
-    z ^= z >> s31
-    return (z >> s11) * 2.0 ** -53
+    """:func:`keyed_value`'s draw from a fresh ``uint64`` array of keys (consumed):
+    :func:`splitmix`, then the top 53 bits, ``* 2**-53`` being exact."""
+    z = splitmix(z)
+    z >>= _NP_CONSTS[6]
+    return z * 2.0 ** -53
 
 
 def keyed_value_blocks(seeds: Sequence[int], starts: Sequence[int], counts: Sequence[int]):

@@ -134,6 +134,17 @@ class TestAckedInjectedLoss:
 
 
 # ----------------------------------------------------------- paper-matrix cells
+def spout_facts(runtime: TopologyRuntime):
+    """The spout as the run's end finds it, drain chain included."""
+    source = runtime.source_executors[0]
+    return (
+        source._sequence, source.emitted_count, source.replayed_count, source.skipped_ticks,
+        [payload["seq"] for payload in source._backlog], list(source._replay_queue),
+        source.drain_parks, source.drain_wakes, source._drain_next,
+        source.drain_poll and source.drain_poll.time, len(source._cache),
+    )
+
+
 class TestPaperMatrixCells:
     """Every cell of the figure matrix at the paper's timing (migration at
     90 s, 540 s after), stepper against per-event kernel.
@@ -164,17 +175,6 @@ class TestPaperMatrixCells:
                 migrate_at_s=90.0, post_migration_s=540.0,
             )
 
-    @staticmethod
-    def spout_facts(runtime: TopologyRuntime):
-        """The spout as the run's end finds it, drain chain included."""
-        source = runtime.source_executors[0]
-        return (
-            source._sequence, source.emitted_count, source.replayed_count, source.skipped_ticks,
-            [payload["seq"] for payload in source._backlog], list(source._replay_queue),
-            source.drain_parks, source.drain_wakes, source._drain_next,
-            source.drain_poll and source.drain_poll.time, len(source._cache),
-        )
-
     @pytest.mark.parametrize("scaling", ["in", "out"])
     @pytest.mark.parametrize("strategy", ["dsm", "dcr", "ccr"])
     @pytest.mark.parametrize("dag", ["linear", "diamond", "star", "grid", "traffic"])
@@ -189,7 +189,7 @@ class TestPaperMatrixCells:
         assert stepper.cascades > 0
         assert log_digest(batched.log) == log_digest(classic.log)
         assert batched.runtime.router.routed_count == classic.runtime.router.routed_count
-        assert self.spout_facts(batched.runtime) == self.spout_facts(classic.runtime)
+        assert spout_facts(batched.runtime) == spout_facts(classic.runtime)
         assert acker_facts(batched.runtime) == acker_facts(classic.runtime)
         assert batched.metrics.restore_duration_s == classic.metrics.restore_duration_s
         if strategy != "dsm":

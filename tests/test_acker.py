@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import functools
+import operator
+
+import numpy as np
 import pytest
 
 from repro.dataflow.event import child_event_id
@@ -183,19 +187,39 @@ class TestBulkFolds:
     #: with the Python-int one.
     IDS = [8, 9, 12, 13, 2**40 + 7, 2**62 + 1, 2**63 - 1, 2**63 + 5, 2**64 - 1]
 
-    @pytest.mark.parametrize("count", [3, len(IDS)], ids=["scalar-fold", "array-fold"])
-    def test_bulk_anchor_and_ack_match_the_per_event_calls(self, sim, count):
-        ids = self.IDS[-count:]
+    @staticmethod
+    def fold(ids, how):
+        """The XOR of ``ids`` as the per-event calls leave it, or as the level
+        sweep folds it (``np.bitwise_xor`` over a ``uint64`` column)."""
+        if how == "scalar-fold":
+            return functools.reduce(operator.xor, ids, 0)
+        return int(np.bitwise_xor.reduce(np.array(ids, dtype=np.uint64)))
+
+    @pytest.mark.parametrize("how", ["scalar-fold", "array-fold"])
+    def test_bulk_anchor_and_ack_match_the_per_event_calls(self, sim, how):
+        ids = self.IDS
         one_by_one, _, _ = make_acker(sim)
         bulk, completed, _ = make_acker(sim)
         for acker in (one_by_one, bulk):
             acker.register(100)
         for event_id in ids:
             one_by_one.anchor(100, event_id)
-        bulk.anchor_batch([(100, event_id) for event_id in ids])
+        assert bulk.settle_trees([100], [self.fold(ids, how)], [len(ids)], [0]) == []
         assert bulk._pending[100].ack_hash == one_by_one._pending[100].ack_hash != 0
-        assert bulk._pending[100].anchored_count == count
-        bulk.ack_batch([(100, event_id) for event_id in ids[:-1]])
+        assert bulk._pending[100].anchored_count == len(ids)
+        assert bulk.settle_trees([100], [self.fold(ids[:-1], how)], [0], [len(ids) - 1]) == []
         assert completed == []
         bulk.ack(100, ids[-1])
         assert completed == [100]
+
+    def test_a_settled_batch_completes_its_tree_once_and_counts_a_gone_trees_acks_late(self, sim):
+        """A tree whose batch nets to zero completes inside the call (its
+        position is returned); a tree no longer pending drops its anchors and
+        counts its acks late, as the per-event calls do."""
+        acker, completed, _ = make_acker(sim)
+        acker.register(100)
+        acker.anchor(100, 5)
+        assert acker.settle_trees([100, 200], [5 ^ 7 ^ 7, 3], [1, 4], [2, 6]) == [0]
+        assert completed == [100]
+        stats = acker.stats
+        assert (stats.anchors, stats.acks, stats.late_acks) == (2, 2, 6)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.cloud import CloudProvider
+from repro.core import strategy_by_name
 from repro.dataflow import topologies
 from repro.dataflow.event import CheckpointAction, root_event_id
 from repro.engine import batch
@@ -24,9 +25,11 @@ from repro.experiments.scenarios import deploy_baseline
 from repro.experiments.sharded import plan_shards, run_steady_shard
 from repro.metrics.timeline import latency_timeline, rate_timeline
 from repro.sim import Simulator
-from repro.sim.shard import merge_shard_results, run_shards
+from repro.sim.shard import log_digest, merge_shard_results, run_shards
 
 from tests.conftest import build_cluster, fast_config
+from tests.test_acked_batch_equivalence import spout_facts
+from tests.test_batch_equivalence import acker_facts
 
 
 MIGRATE_AT = 60.0
@@ -326,6 +329,34 @@ class TestCostRule:
         assert set(stepper.declines) == {"short-window", "deferred-deliveries", "source-replays"}
         share = stepper.inline_events / (stepper.inline_events + stepper.runtime.sim.processed_events)
         assert share >= 0.6  # 0.70; 0.16 before
+
+    @pytest.mark.parametrize("strategy", ["dsm", "dcr", "ccr"])
+    def test_the_sliced_cell_is_the_per_event_cell(self, sliced, monkeypatch, strategy):
+        """The cells above in the benchmark's shape, against the per-event
+        engine (``batch_stepping = False``) sliced alike: log digest (event
+        ids included), routed count, every acker counter but ``bulk_*``, and
+        the spout's sequence, backlog and drain chain.  Every slice is a short
+        window -- a DSM cell's drain is 88 held windows -- so this is the
+        stepper's small-window path, end to end."""
+        swept = diamond_cell(strategy).runtime
+        strategy_cls = strategy_by_name(strategy)
+        runtime_config = strategy_cls.runtime_config.__func__
+
+        def per_event(cls, seed: int = 2018) -> RuntimeConfig:
+            config = runtime_config(cls, seed=seed)
+            config.batch_stepping = False
+            return config
+
+        monkeypatch.setattr(strategy_cls, "runtime_config", classmethod(per_event))
+        classic = run_migration_experiment(
+            dag="diamond", strategy=strategy, scaling="in",
+            migrate_at_s=90.0, post_migration_s=540.0, seed=2018,
+        ).runtime
+        assert classic.batch_stepper is None and swept.batch_stepper.cascades > 100
+        assert log_digest(swept.log) == log_digest(classic.log)
+        assert swept.router.routed_count == classic.router.routed_count
+        assert acker_facts(swept) == acker_facts(classic)
+        assert spout_facts(swept) == spout_facts(classic)
 
     def test_the_same_cell_unsliced_is_two_cascades(self):
         stepper = diamond_cell("dcr").runtime.batch_stepper

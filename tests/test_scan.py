@@ -14,8 +14,11 @@ saturated queues (which must take the scalar fallback and still agree).  The
 level sweep lays many such recurrences end to end: the segmented cases check
 every segment against the reference run on it alone -- its own seed, empty and
 one-element segments, a saturated segment beside an idle one (only that one
-may fall back).  The last tests seed mutations into the kernels and check that
-the same assertions catch each of them.
+may fall back).  A lone segment below a size cutoff is the scalar loop's and
+anything else the vector rounds': blocks either side of it check that rule.
+The mutation tests seed faults into the kernels and the rule (an off-by-one
+cutoff, a seed dropped in the scalar branch) and check that the same
+assertions catch each of them.
 """
 
 from __future__ import annotations
@@ -408,3 +411,99 @@ def test_the_edge_corpus_passes_and_seeded_mutations_fail_it():
         check_sums_case(
             0.0, 0.1, 10, kernel=lambda start, step, count: start + step * np.arange(count + 1)
         )
+
+
+# ------------------------------------------------------------- the size rule
+#: A block of one segment and fewer entries than this is run by the scalar
+#: loop; a longer one, or one of several segments, by the vector rounds.
+CUTOFF = scan._SCALAR_BELOW
+
+block_shapes = st.tuples(
+    st.sampled_from((CUTOFF - 2, CUTOFF - 1, CUTOFF, CUTOFF + 1)),
+    st.lists(
+        st.tuples(
+            st.sampled_from(("empty", "idle", "busy", "saturated")),
+            st.integers(min_value=1, max_value=100),  # weight of the block it takes
+            st.sampled_from((None, "before", "tie", "after")),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.sampled_from(SERVICES[1:]),
+    st.booleans(),
+)
+
+
+def boundary_block(total, shapes, service, mixed):
+    """``total`` entries split over ``shapes`` (empty ones take none), each
+    segment an idle, busy or saturated queue with its own seed and step."""
+    weights = [0 if shape == "empty" else weight for shape, weight, _ in shapes]
+    if not any(weights):
+        weights[0] = 1
+    sizes = [total * weight // sum(weights) for weight in weights]
+    sizes[max(range(len(sizes)), key=weights.__getitem__)] += total - sum(sizes)
+    segments, seeds, steps = [], [], []
+    for index, ((shape, _, seeded), size) in enumerate(zip(shapes, sizes)):
+        step = service * (1 + index % 3) if mixed else service
+        gap = {"idle": 4.0 * step, "busy": 1.01 * step, "saturated": 0.1 * step}.get(shape, step)
+        arrivals = 10.0 * index + gap * np.arange(size)
+        if shape == "busy":
+            arrivals[size // 3::5] -= 0.5 * step
+        start = arrivals[0] if size else 0.0
+        seeds.append(
+            {None: -INF, "before": start - 1.0, "tie": start, "after": start + 2.5 * step}[seeded]
+        )
+        segments.append(np.sort(arrivals) + step)
+        steps.append(step)
+    return segments, (steps if mixed else service), seeds
+
+
+@given(shape=block_shapes)
+@settings(max_examples=200, deadline=None)
+def test_blocks_either_side_of_the_scalar_cutoff_match_the_reference(shape):
+    total, shapes, service, mixed = shape
+    segments, steps, seeds = boundary_block(total, shapes, service, mixed)
+    assert sum(len(segment) for segment in segments) == total
+    check_segments(segments, steps, seeds)
+    check_segments(segments, steps, None)
+
+
+def rule_corpus(kernel):
+    """Blocks on the cutoff, against ``kernel``: a saturated queue of
+    ``CUTOFF - 1`` entries alone is the scalar loop's (no fallback), one of
+    ``CUTOFF`` takes the rounds and falls back, and so does a short one beside
+    another segment; seeded segments, an empty one and a saturated one beside
+    idle ones sit on both sides of it."""
+    saturated = 1.0 + np.arange(CUTOFF) * 0.01 + 0.1
+    assert check_segments([saturated[:-1]], 0.1, [0.5], kernel) == 0
+    assert check_segments([saturated], 0.1, [0.5], kernel) == 1
+    assert check_segments([saturated[:-1], []], 0.1, [0.5, 9.0], kernel) == 1
+    for total in (CUTOFF - 1, CUTOFF):
+        third = total // 3
+        idle = 30.0 + np.arange(third) * 0.5
+        busy = 60.0 + np.arange(total - 2 * third) * 0.101
+        busy[::4] -= 0.05
+        check_segments([np.sort(busy)], 0.1, [61.0], kernel)
+        check_segments(
+            [saturated[:third], [], idle, np.sort(busy)], 0.1, [2.0, 9.0, 29.0, 61.0], kernel
+        )
+        check_segments(
+            [idle, saturated[:total - 2 * third], idle + 100.0], [0.1, 0.2, 0.3],
+            [-INF, 1.0, 140.0], kernel,
+        )
+
+
+def test_seeded_mutations_of_the_size_rule_fail():
+    rule_corpus(maxplus_scan)
+    # Off by one: a lone segment of exactly the cutoff is the scalar loop's.
+    inclusive = mutated(maxplus_scan, ("n < _SCALAR_BELOW", "n <= _SCALAR_BELOW"))
+    with pytest.raises(AssertionError):
+        rule_corpus(inclusive)
+    # A short block of several segments taken for a lone one.
+    lonely = mutated(maxplus_scan, ("len(counts) == 1 and n < _SCALAR_BELOW", "n < _SCALAR_BELOW"))
+    with pytest.raises(AssertionError):
+        rule_corpus(lonely)
+    # The scalar branch drops the segment's seed: the queue forgets its work.
+    forgetful = mutated(maxplus_scan, ("None if seeds is None else seeds[0]", "None"))
+    with pytest.raises(AssertionError):
+        rule_corpus(forgetful)

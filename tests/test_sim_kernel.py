@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.sim import PeriodicTimer, SimulationError, Simulator
@@ -133,6 +135,46 @@ class TestRunControl:
         assert sim.now == 2.5 and sim.processed_events == 2
         sim.run(max_events=2)
         assert fired == [0, 1, 2, 3] and sim.processed_events == 4
+
+    def test_an_infinite_bound_is_no_bound_on_a_swept_runtime(self):
+        """``run(until=inf)`` is ``run()``: the clock stays at the last event
+        and the stepper, which has no horizon to sweep to, declines the tick
+        (it used to overflow computing an emission schedule to infinity, and
+        the per-event engine left ``now`` at infinity)."""
+        from repro.dataflow import topologies
+        from repro.engine.config import RuntimeConfig
+        from repro.engine.runtime import TopologyRuntime
+        from tests.conftest import build_cluster
+
+        sim = Simulator()
+        runtime = TopologyRuntime(
+            topologies.diamond(), build_cluster(sim, worker_vms=6), sim=sim,
+            config=RuntimeConfig.for_dcr(seed=2018),
+        )
+        runtime.deploy()
+        runtime.start()
+        sim.run(until=30.0)
+        assert runtime.batch_stepper.cascades > 0
+        sim.run(until=math.inf, max_events=500)
+        assert 30.0 < sim.now < math.inf and sim.run_until is None
+        assert runtime.batch_stepper.declines["unbounded-run"] > 0
+        sim.schedule(1.0, lambda: None)  # the clock is still usable
+
+    def test_a_nan_bound_is_refused(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="nan"):
+            sim.run(until=math.nan)
+        assert sim.now == 0.0 and sim.pending_events == 1
+        sim.run()  # still usable: the refusal left nothing running
+
+    def test_a_bound_before_now_is_refused(self):
+        sim = Simulator()
+        sim.run(until=5.0)
+        with pytest.raises(SimulationError, match="before now"):
+            sim.run(until=4.0)
+        assert sim.now == 5.0
+        sim.run(until=5.0)  # the present is not the past
 
     def test_step_stops_at_its_bound(self):
         sim = Simulator()
