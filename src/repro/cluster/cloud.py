@@ -48,7 +48,8 @@ class SpotMarket:
 
     Spot VMs bill at ``discount`` times the on-demand rate but may be
     reclaimed; ``eviction_rate_per_hour`` (Poisson, per VM-hour) prices that
-    risk in :func:`~repro.elastic.planner.cost_optimal_fleet`, while the
+    risk when an evacuation picks its replacements' market
+    (:func:`~repro.elastic.controller.evacuation_market`), while the
     evictions a run actually suffers come from a
     :class:`~repro.cluster.chaos.ChaosSchedule`.  The provider sends an
     eviction *notice* ``notice_s`` seconds before reclaiming the VM — the

@@ -5,7 +5,7 @@ Two kinds of events exist:
 * **Data events** -- the user stream.  Every data event belongs to a *causal
   tree* rooted at the event emitted by a source task; the root's 64-bit id is
   what the acker service tracks (see :mod:`repro.reliability.acker`).
-* **Checkpoint (control) events** -- PREPARE / COMMIT / ROLLBACK / INIT waves
+* **Checkpoint (control) events** -- PREPARE / COMMIT / INIT waves
   emitted by the checkpoint coordinator.  These drive Storm's three-phase
   state checkpointing, which the DCR and CCR strategies re-purpose for
   just-in-time checkpoints during migration.
@@ -56,13 +56,12 @@ class CheckpointAction(Enum):
     """The action carried by a checkpoint control event.
 
     Mirrors Storm's checkpoint state machine: a PREPARE wave snapshots task
-    state, COMMIT persists it to the external store, ROLLBACK aborts a failed
-    wave, and INIT restores committed state into (re)started tasks.
+    state, COMMIT persists it to the external store, and INIT restores
+    committed state into (re)started tasks.
     """
 
     PREPARE = "prepare"
     COMMIT = "commit"
-    ROLLBACK = "rollback"
     INIT = "init"
 
 

@@ -7,7 +7,7 @@ package supplies that missing loop (``monitor -> decide -> place -> act``):
 
 * :class:`~repro.elastic.monitor.ElasticityMonitor` (**monitor**) samples the
   observed source rate, executor queue backlogs and sink latency from the
-  event log, and can measure per-task runtime service rates;
+  event log each time the controller asks;
 * :func:`~repro.elastic.policy.decide` (**decide**) is the one control rule,
   a function of a :class:`~repro.elastic.policy.ControlState` and one
   :class:`~repro.elastic.monitor.MonitorSample` that returns a
@@ -66,10 +66,7 @@ from repro.elastic.monitor import ElasticityMonitor, MonitorSample
 from repro.elastic.planner import (
     TIER_ORDER,
     AllocationPlanner,
-    CostPlan,
-    FleetOption,
     TargetAllocation,
-    cost_optimal_fleet,
     plan_user_tasks_on,
 )
 from repro.elastic.policy import (
@@ -89,12 +86,10 @@ __all__ = [
     "AllocationPlanner",
     "ControlState",
     "ControllerConfig",
-    "CostPlan",
     "Decision",
     "ElasticityController",
     "ElasticityMonitor",
     "EwmaPolicy",
-    "FleetOption",
     "FORECAST_POLICIES",
     "ForecastPolicy",
     "FullReplacePlacement",
@@ -110,7 +105,6 @@ __all__ = [
     "TargetAllocation",
     "TIER_ORDER",
     "build_controller",
-    "cost_optimal_fleet",
     "decide",
     "forecast_policy_by_name",
     "placement_policy_by_name",

@@ -25,9 +25,8 @@ The arbitration policy, in the order the checks run:
    tenant is waiting: capacity that frees up goes to the most important
    tenant first, even if it asked later.
 4. **Proportional-share fallback** -- among waiting tenants of equal
-   priority, the one holding the fewest slots per unit of weight wins the
-   next grant, so a heavy tenant cannot starve a light one at the same
-   priority tier.
+   priority, the one holding the fewest slots wins the next grant, so a
+   heavy tenant cannot starve a light one at the same priority tier.
 
 A deferral is cheap by design: controllers re-propose on their next control
 tick, so the arbiter keeps a *waiting registry* (who wants how much, since
@@ -65,14 +64,9 @@ class TenantRegistration:
 
     tenant_id: str
     priority: int
-    weight: float
     #: Live count of worker slots the tenant currently occupies (the manager
     #: wires this to the tenant's deployed executor count).
     holdings_fn: Callable[[], int]
-
-    def held_per_weight(self) -> float:
-        """Current holdings normalized by weight (proportional-share metric)."""
-        return self.holdings_fn() / self.weight
 
 
 @dataclass
@@ -166,18 +160,14 @@ class ScaleArbiter:
         self,
         tenant_id: str,
         priority: int = 1,
-        weight: float = 1.0,
         holdings_fn: Optional[Callable[[], int]] = None,
     ) -> TenantRegistration:
         """Register a tenant; must happen before it may propose."""
         if tenant_id in self.tenants:
             raise ValueError(f"tenant {tenant_id!r} is already registered")
-        if weight <= 0:
-            raise ValueError(f"tenant {tenant_id!r}: weight must be positive")
         registration = TenantRegistration(
             tenant_id=tenant_id,
             priority=priority,
-            weight=weight,
             holdings_fn=holdings_fn if holdings_fn is not None else (lambda: 0),
         )
         self.tenants[tenant_id] = registration
@@ -279,11 +269,9 @@ class ScaleArbiter:
             return ArbiterDecision(granted=False, reason="yield-to-higher-priority")
         peers = [w for w in rivals if w.priority == me.priority]
         if peers:
-            my_share = me.held_per_weight()
-            for waiting in peers:
-                peer = self.tenants[waiting.tenant_id]
-                if peer.held_per_weight() < my_share:
-                    return ArbiterDecision(granted=False, reason="proportional-share")
+            held = me.holdings_fn()
+            if any(self.tenants[w.tenant_id].holdings_fn() < held for w in peers):
+                return ArbiterDecision(granted=False, reason="proportional-share")
         return ArbiterDecision(granted=True, reason="granted")
 
     def withdraw(self, tenant_id: str) -> None:

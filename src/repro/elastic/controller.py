@@ -43,21 +43,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
-from repro.cluster.cloud import ON_DEMAND, CloudProvider
+from repro.cluster.cloud import ON_DEMAND, SPOT, CloudProvider, SpotMarket
 from repro.cluster.vm import VM_TYPES, VirtualMachine, VMType
 from repro.core.strategy import MigrationReport, MigrationStrategy
 from repro.dataflow.event import CheckpointAction
 from repro.elastic.arbiter import ArbiterDecision, ScaleArbiter
 from repro.elastic.forecast import ForecastPolicy, forecast_policy_by_name
 from repro.elastic.monitor import ElasticityMonitor
-from repro.elastic.planner import (
-    AllocationPlanner,
-    TargetAllocation,
-    cost_optimal_fleet,
-    incremental_plan_on,
-)
+from repro.elastic.planner import AllocationPlanner, TargetAllocation, incremental_plan_on
 from repro.elastic.policy import (
     ControllerConfig,
     ControlState,
@@ -74,8 +69,31 @@ from repro.reliability.checkpoint import WaveMode
 
 #: Billing horizon an eviction-notice evacuation assumes when shopping the
 #: market for replacement capacity (spot vs on-demand, see
-#: :meth:`ElasticityController.handle_eviction_notice`).
+#: :func:`evacuation_market`).
 EVACUATION_HORIZON_S = 3600.0
+#: Expected cost of recovering from one spot eviction: a fixed part plus a
+#: part per slot the evicted VM hosted (bigger VMs concentrate the risk).
+RECOVERY_COST_FIXED = 0.01
+RECOVERY_COST_PER_SLOT = 0.02
+
+
+def evacuation_market(
+    spot: SpotMarket, vm_type: VMType, count: int, billing_granularity_s: float
+) -> str:
+    """The market an evacuation buys its ``count`` replacement VMs on.
+
+    Both bills cover :data:`EVACUATION_HORIZON_S` rounded up to the billing
+    granularity.  Spot's expected cost adds, per VM, the probability of an
+    eviction within the horizon times the recovery cost; spot wins only when
+    that is strictly lower than the on-demand bill, so a tie buys on-demand.
+    """
+    billed_s = math.ceil(EVACUATION_HORIZON_S / billing_granularity_s) * billing_granularity_s
+    on_demand = vm_type.hourly_cost * billed_s / 3600.0 * count
+    penalty = spot.eviction_probability(EVACUATION_HORIZON_S) * (
+        RECOVERY_COST_FIXED + RECOVERY_COST_PER_SLOT * vm_type.slots
+    )
+    expected = spot.spot_hourly_cost(vm_type) * billed_s / 3600.0 * count + penalty * count
+    return SPOT if expected < on_demand else ON_DEMAND
 
 
 @dataclass(eq=False)
@@ -456,9 +474,9 @@ class ElasticityController:
 
         Once the migration token is free (the drain retries until the window
         closes), replacements are bought on whichever of spot / on-demand is
-        cheaper over :data:`EVACUATION_HORIZON_S`, every executor migrates
-        off live and the VM is released, its bill stopped *before* the
-        deadline.  An overrun meets :meth:`handle_vm_failure` at the kill.
+        cheaper over :data:`EVACUATION_HORIZON_S` (:func:`evacuation_market`),
+        every executor migrates off live and the VM is released, its bill
+        stopped *before* the deadline.  An overrun meets :meth:`handle_vm_failure` at the kill.
         Returns the evacuation record, or ``None`` if the VM is unknown.
         """
         runtime = self.runtime
@@ -530,6 +548,7 @@ class ElasticityController:
             self._move(reconf, targets)
             return
         vm_type = reconf.vm_type
+        count = math.ceil(deficit / vm_type.slots)
         if reconf.reason == "recover":
             # No notice window to shop the market in: unplanned recovery
             # pays on-demand for reliability.
@@ -537,18 +556,15 @@ class ElasticityController:
         else:
             prefix, market = "evac", ON_DEMAND
             if self.provider.spot_market is not None:
-                market = cost_optimal_fleet(
-                    deficit,
-                    horizon_s=EVACUATION_HORIZON_S,
-                    billing_granularity_s=self.provider.billing_granularity_s,
-                    spot=self.provider.spot_market,
-                    flavours=(vm_type,),
-                ).choices[0].market
+                market = evacuation_market(
+                    self.provider.spot_market, vm_type, count,
+                    self.provider.billing_granularity_s,
+                )
             reconf.replacement_market = market
         # Provisioning draws straggler/failure tails; the rebuild waits for
         # the last replacement.
         tickets = self.provider.provision_with_latency(
-            vm_type, math.ceil(deficit / vm_type.slots), name_prefix=prefix, market=market
+            vm_type, count, name_prefix=prefix, market=market
         )
         reconf.pending_replacements = len(tickets)
         if reconf.reason == "recover":
@@ -743,7 +759,6 @@ def build_controller(
     strategy_cls: Type[MigrationStrategy],
     config: Optional[ControllerConfig] = None,
     elastic_parallelism: bool = False,
-    task_capacities_ev_s: Optional[Mapping[str, float]] = None,
     forecast_policy: Optional[ForecastPolicy] = None,
     placement: Optional[PlacementPolicy] = None,
     arbiter: Optional[ScaleArbiter] = None,
@@ -752,17 +767,13 @@ def build_controller(
     """The control stack of one deployed runtime: monitor, planner, controller.
 
     The monitor samples at the controller's check interval; the planner sizes
-    the runtime's dataflow at the paper's 8 ev/s per instance, unless
-    ``task_capacities_ev_s`` gives a task its own rate.  Both are reachable as
+    the runtime's dataflow at the paper's 8 ev/s per instance, unless a task
+    declares its own ``capacity_ev_s``.  Both are reachable as
     ``controller.monitor`` / ``controller.planner``.  The loop is not started.
     """
     config = config if config is not None else ControllerConfig()
     monitor = ElasticityMonitor(runtime, interval_s=config.check_interval_s)
-    planner = AllocationPlanner(
-        runtime.dataflow,
-        task_capacities_ev_s=task_capacities_ev_s,
-        elastic_parallelism=elastic_parallelism,
-    )
+    planner = AllocationPlanner(runtime.dataflow, elastic_parallelism=elastic_parallelism)
     return ElasticityController(
         runtime,
         provider,

@@ -15,10 +15,9 @@ Four policies are provided:
   burst noise; deliberately *lags* level shifts (the lag is bounded by
   ``(1 - alpha)^n``), so it trades reaction speed for stability.
 * :class:`HoltWintersPolicy` -- Holt's double exponential smoothing (level +
-  trend), optionally extended with an additive phase-bucketed seasonal
-  component (Holt-Winters) for diurnal workloads.  A steady ramp is
-  extrapolated ``horizon_s`` ahead, which is what buys provisioning lead
-  time on gradual surges.
+  trend; registered as ``holt-winters``, without a seasonal component).  A
+  steady ramp is extrapolated ``horizon_s`` ahead, which is what buys
+  provisioning lead time on gradual surges.
 * :class:`ProfileLookaheadPolicy` -- reads the workload's own
   :class:`~repro.workloads.profiles.RateProfile` at ``now + horizon``.  This
   is the oracle bound: operators with a published schedule (TV events,
@@ -31,7 +30,7 @@ floats, so they add no noise to same-seed reproducibility.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, Optional, Type
 
 from repro.workloads.profiles import RateProfile
 
@@ -101,80 +100,27 @@ class EwmaPolicy(ForecastPolicy):
 
 
 class HoltWintersPolicy(ForecastPolicy):
-    """Holt's linear trend smoothing, optionally with additive seasonality.
+    """Holt's linear trend smoothing (no seasonal component).
 
     Level and trend are updated per observation; the forecast extrapolates
     ``level + trend * steps`` where ``steps`` is the horizon expressed in
-    (smoothed) sampling intervals.  With ``season_period_s`` set, an additive
-    phase-bucketed seasonal component (classic Holt-Winters) is maintained.
-    The seasonal indices are initialized from the *first full period* (each
-    bucket's mean deviation from the cycle mean -- the textbook
-    initialization; updating them incrementally from scratch never separates
-    season from level, because the level tracks the raw cycle while the
-    indices are still zero).  From the second period on, each observation
-    smooths its bucket, and the forecast adds the bucket the *target* time
-    falls into -- which is what lets a diurnal workload's tomorrow-morning
-    ramp be anticipated from yesterday's.
+    (smoothed) sampling intervals.
     """
 
     name = "holt-winters"
 
-    def __init__(
-        self,
-        alpha: float = 0.5,
-        beta: float = 0.3,
-        gamma: float = 0.3,
-        season_period_s: Optional[float] = None,
-        season_buckets: int = 24,
-    ) -> None:
+    def __init__(self, alpha: float = 0.5, beta: float = 0.3) -> None:
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         if not 0.0 <= beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {beta}")
-        if not 0.0 <= gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-        if season_period_s is not None and season_period_s <= 0:
-            raise ValueError("season_period_s must be positive (or None)")
-        if season_buckets < 1:
-            raise ValueError("season_buckets must be at least 1")
         self.alpha = alpha
         self.beta = beta
-        self.gamma = gamma
-        self.season_period_s = season_period_s
-        self.season_buckets = season_buckets
         self.level: Optional[float] = None
         self.trend = 0.0
-        self._season: List[float] = [0.0] * season_buckets
-        self._season_ready = False
-        #: First-period observations buffered for the seasonal initialization.
-        self._warmup: List[Tuple[float, float]] = []
         self._last_time: Optional[float] = None
         #: Smoothed sampling interval, used to convert the horizon to steps.
         self._dt: Optional[float] = None
-
-    def _bucket(self, time_s: float) -> int:
-        phase = (time_s % self.season_period_s) / self.season_period_s
-        index = int(phase * self.season_buckets)
-        return min(index, self.season_buckets - 1)
-
-    def _init_season(self) -> None:
-        """Initialize the seasonal indices from the buffered first period."""
-        mean = sum(rate for _, rate in self._warmup) / len(self._warmup)
-        totals = [0.0] * self.season_buckets
-        counts = [0] * self.season_buckets
-        for time_s, rate in self._warmup:
-            bucket = self._bucket(time_s)
-            totals[bucket] += rate - mean
-            counts[bucket] += 1
-        self._season = [
-            totals[b] / counts[b] if counts[b] else 0.0 for b in range(self.season_buckets)
-        ]
-        # Re-anchor on the deseasonalized mean: the warm-up level/trend were
-        # chasing the raw cycle, not the underlying demand.
-        self.level = mean
-        self.trend = 0.0
-        self._warmup = []
-        self._season_ready = True
 
     def observe(self, time_s: float, rate_ev_s: float) -> None:
         if self._last_time is not None:
@@ -182,35 +128,18 @@ class HoltWintersPolicy(ForecastPolicy):
             if dt > 0:
                 self._dt = dt if self._dt is None else 0.3 * dt + 0.7 * self._dt
         self._last_time = time_s
-
-        season = 0.0
-        if self.season_period_s is not None:
-            if not self._season_ready:
-                self._warmup.append((time_s, rate_ev_s))
-                if time_s - self._warmup[0][0] >= self.season_period_s - 1e-9:
-                    self._init_season()
-                    return
-            else:
-                season = self._season[self._bucket(time_s)]
         if self.level is None:
-            self.level = rate_ev_s - season
+            self.level = rate_ev_s
             return
         previous_level = self.level
-        self.level = self.alpha * (rate_ev_s - season) + (1.0 - self.alpha) * (self.level + self.trend)
+        self.level = self.alpha * rate_ev_s + (1.0 - self.alpha) * (self.level + self.trend)
         self.trend = self.beta * (self.level - previous_level) + (1.0 - self.beta) * self.trend
-        if self.season_period_s is not None and self._season_ready:
-            bucket = self._bucket(time_s)
-            deviation = rate_ev_s - self.level
-            self._season[bucket] = self.gamma * deviation + (1.0 - self.gamma) * self._season[bucket]
 
     def forecast(self, now_s: float, horizon_s: float) -> float:
         if self.level is None:
             return 0.0
         steps = horizon_s / self._dt if self._dt else 0.0
-        value = self.level + self.trend * steps
-        if self.season_period_s is not None and self._season_ready:
-            value += self._season[self._bucket(now_s + horizon_s)]
-        return max(0.0, value)
+        return max(0.0, self.level + self.trend * steps)
 
 
 class ProfileLookaheadPolicy(ForecastPolicy):

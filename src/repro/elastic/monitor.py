@@ -12,25 +12,18 @@ Sampling is incremental: the event log is append-only and time-ordered, so
 the monitor remembers how far it has read and never rescans the whole log
 (sampling stays O(new events) even on very long runs).
 
-Two more signals for the predictive control plane live here too:
-
-* :meth:`ElasticityMonitor.measured_capacities_ev_s` -- per-task runtime
-  service rates (events completed per second of busy time), measured from
-  the live executors.  Feeding these back into the
-  :class:`~repro.elastic.planner.AllocationPlanner`
-  (``set_measured_capacities``; a caller composes the two, the control loop
-  does not) closes the heterogeneous-latency loop: a task whose real service
-  rate differs from its declared (or defaulted) ``capacity_ev_s`` is sized
-  by what it actually does;
-* :meth:`ElasticityMonitor.slo_violation_seconds` -- how much of the run the
-  mean sink latency spent above a latency SLO, the headline metric of the
-  predictive-vs-reactive comparison.
+The monitor has no timer of its own: the controller calls
+:meth:`ElasticityMonitor.sample_now` on each control tick.  One query serves
+the predictive control plane's reports:
+:meth:`ElasticityMonitor.slo_violation_seconds` -- how much of the run the
+mean sink latency spent above a latency SLO, the headline metric of the
+predictive-vs-reactive comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.engine.runtime import TopologyRuntime
 from repro.metrics.log import mean_latency
@@ -66,7 +59,7 @@ class MonitorSample:
 
 
 class ElasticityMonitor:
-    """Samples source rate, executor backlogs and sink latency periodically."""
+    """Samples source rate, executor backlogs and sink latency on request."""
 
     def __init__(self, runtime: TopologyRuntime, interval_s: float = 10.0) -> None:
         if interval_s <= 0:
@@ -74,25 +67,10 @@ class ElasticityMonitor:
         self.runtime = runtime
         self.interval_s = interval_s
         self.samples: List[MonitorSample] = []
-        self._timer = None
         self._emit_index = 0
         self._receipt_index = 0
         self._last_sample_time = runtime.sim.now
         self._last_source_backlog = 0
-
-    # ------------------------------------------------------------- lifecycle
-    def start(self) -> None:
-        """Start standalone periodic sampling (controllers usually drive
-        :meth:`sample_now` themselves instead)."""
-        if self._timer is None:
-            self._last_sample_time = self.runtime.sim.now
-            self._timer = self.runtime.sim.every(self.interval_s, self.sample_now)
-
-    def stop(self) -> None:
-        """Stop periodic sampling."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
 
     # -------------------------------------------------------------- sampling
     def sample_now(self) -> MonitorSample:
@@ -137,27 +115,6 @@ class ElasticityMonitor:
     def latest(self) -> Optional[MonitorSample]:
         """The most recent sample, if any."""
         return self.samples[-1] if self.samples else None
-
-    def measured_capacities_ev_s(self) -> Dict[str, float]:
-        """Per-task measured service rates (ev/s per busy instance).
-
-        Aggregates every live user executor's cumulative ``processed_count``
-        against its cumulative busy time, so the rate reflects what the task
-        *actually* sustains at runtime rather than what was declared.  Tasks
-        that have not completed any work yet are omitted (the planner keeps
-        its declared/default capacity for them).
-        """
-        processed: Dict[str, int] = {}
-        busy: Dict[str, float] = {}
-        for executor in self.runtime.user_executors:
-            task_name = executor.task.name
-            processed[task_name] = processed.get(task_name, 0) + executor.processed_count
-            busy[task_name] = busy.get(task_name, 0.0) + executor.busy_time_s
-        return {
-            task_name: processed[task_name] / busy[task_name]
-            for task_name in processed
-            if processed[task_name] > 0 and busy[task_name] > 0.0
-        }
 
     def slo_violation_seconds(self, slo_latency_s: float) -> float:
         """Seconds of the sampled run whose mean sink latency exceeded the SLO.

@@ -9,10 +9,10 @@ resource slot.  Its behaviour mirrors the paper's description of the modified
 * **platform logic** wraps the user logic and handles checkpoint control
   events: PREPARE snapshots the user state (and, for CCR, enables *capture
   mode*), COMMIT persists the snapshot (plus the captured pending events) to
-  the state store, INIT restores it, ROLLBACK discards it;
+  the state store, INIT restores it;
 * **capture mode** (CCR): once the broadcast PREPARE has been processed, data
   events are appended to a pending-event list instead of being processed, and
-  nothing is emitted downstream, until INIT, ROLLBACK or a kill ends it.  A
+  nothing is emitted downstream, until INIT or a kill ends it.  A
   PREPARE starts it only when it came over the hub-and-spoke channel (its
   ``capture`` flag): a sequential wave, a periodic checkpoint's included,
   leaves the task emitting;
@@ -363,12 +363,8 @@ class Executor:
             self._do_prepare(event, meta, forward)
         elif action is CheckpointAction.COMMIT:
             self._do_commit(event, meta, forward)
-        elif action is CheckpointAction.INIT:
+        else:
             self._do_init(event, meta, forward)
-        elif action is CheckpointAction.ROLLBACK:
-            self._do_rollback(event, meta, forward)
-        else:  # pragma: no cover - defensive
-            self._finish_control()
 
     def _do_prepare(self, event: Event, meta: Dict[str, Any], forward: bool) -> None:
         snapshot = copy.deepcopy(self.state) if self.task.stateful else {}
@@ -421,14 +417,6 @@ class Executor:
             self._finish_control()
 
         self.runtime.statestore.get(self._checkpoint_key(), on_complete=_restored)
-
-    def _do_rollback(self, event: Event, meta: Dict[str, Any], forward: bool) -> None:
-        self._prepared.pop(event.checkpoint_id, None)
-        self.capture_mode = False
-        if forward:
-            self.runtime.forward_control(self, event)
-        self.runtime.control_ack(self, event)
-        self._finish_control()
 
     def _finish_control(self) -> None:
         self._busy = False

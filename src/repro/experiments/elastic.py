@@ -354,7 +354,6 @@ def run_elastic_experiment(
     controller_config: Optional[ControllerConfig] = None,
     provisioning_latency_s: float = 30.0,
     elastic_parallelism: bool = False,
-    task_capacities_ev_s: Optional[dict] = None,
     forecast_policy: Optional[Union[str, ForecastPolicy]] = None,
     storm: Optional[Storm] = None,
 ) -> ElasticRunResult:
@@ -372,8 +371,8 @@ def run_elastic_experiment(
     rescale + migrate decisions: a scale-out adds task instances (real
     capacity) instead of only repacking the same slots onto more VMs, and a
     scale-in retires them.  Task parallelism of the supplied ``dataflow``
-    may then be mutated by the run.  ``task_capacities_ev_s`` optionally maps
-    task names to per-instance service rates for heterogeneous sizing.
+    may then be mutated by the run.  Every task is sized at the paper's
+    8 ev/s per instance unless it declares its own ``capacity_ev_s``.
 
     ``forecast_policy`` selects the control rule's demand forecaster: a
     registered name, a :class:`ForecastPolicy` instance, or ``None`` to use
@@ -451,7 +450,6 @@ def run_elastic_experiment(
         strategy_cls,
         controller_config,
         elastic_parallelism=elastic_parallelism,
-        task_capacities_ev_s=task_capacities_ev_s,
         forecast_policy=forecast_policy,
     )
     injector = None

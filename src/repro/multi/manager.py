@@ -168,8 +168,8 @@ class ClusterManager:
         runner attaches it: a preset name is instantiated per source at that
         source's own base rate; a :class:`RateProfile` instance is only
         accepted for single-source dataflows.  ``None`` keeps the sources'
-        declared constant rates.  Every tenant has the same arbitration
-        weight.
+        declared constant rates.  Tenants of one priority share the fleet
+        by the slots they hold (the arbiter's proportional-share rule).
         ``placement="incremental"`` gives the tenant the rescale-aware
         placer: grows keep the current fleet and provision only the delta,
         and consolidations re-use partially-free shared VMs (zero new

@@ -10,7 +10,7 @@ These are the Storm capabilities the paper builds on:
   in-flight events), with a latency model calibrated to the paper's
   micro-benchmark (2000 events checkpointed in about 100 ms).
 * :mod:`repro.reliability.checkpoint` -- the checkpoint coordinator that
-  drives PREPARE / COMMIT / ROLLBACK / INIT waves, either periodically (DSM)
+  drives PREPARE / COMMIT / INIT waves, either periodically (DSM)
   or just-in-time during migration (DCR / CCR), sequentially along dataflow
   edges or broadcast directly to every task (CCR).  It is the one owner of a
   wave: its targets (a recovery's INIT reaches only the victims), the COMMIT

@@ -1,4 +1,4 @@
-"""Checkpoint coordination: PREPARE / COMMIT / ROLLBACK / INIT waves.
+"""Checkpoint coordination: PREPARE / COMMIT / INIT waves.
 
 Storm's state management drives a three-phase checkpoint through the dataflow
 from a special *checkpoint source task*.  The coordinator here plays that
@@ -139,7 +139,7 @@ class CheckpointCoordinator:
         Parameters
         ----------
         action:
-            PREPARE, COMMIT, ROLLBACK or INIT.
+            PREPARE, COMMIT or INIT.
         checkpoint_id:
             Wave id; allocated automatically if omitted.
         mode:

@@ -144,8 +144,7 @@ class DiurnalProfile(RateProfile):
     """A smooth day/night cycle: sinusoidal between base and peak rate.
 
     Models the diurnal load pattern of user-facing services (quiet nights,
-    busy daytimes) that predictive, seasonality-aware scaling policies are
-    built for.  The rate starts at ``base_rate`` (phase 0 = midnight), peaks
+    busy daytimes) that predictive scaling policies are built for.  The rate starts at ``base_rate`` (phase 0 = midnight), peaks
     at ``base_rate * peak_multiplier`` half a period later, and returns --
     ``rate(t) = base * (1 + (peak_mult - 1) * (1 - cos(2*pi*t/period)) / 2)``.
     """
@@ -191,9 +190,8 @@ PROFILE_PRESETS: Dict[str, Callable[[float, float], RateProfile]] = {
         burst_period_s=max(duration / 4.0, 1.0),
         burst_duration_s=max(duration / 40.0, 0.5),
     ),
-    # Two compressed day/night cycles per run: the seasonal pattern
-    # Holt-Winters-style forecasters learn from the first cycle and
-    # anticipate on the second.
+    # Two compressed day/night cycles per run: ramps a trend forecaster
+    # can extrapolate and a lookahead oracle can front-run.
     "diurnal": lambda base, duration: DiurnalProfile(
         base_rate=base, peak_multiplier=3.0, period_s=max(duration / 2.0, 1.0),
     ),

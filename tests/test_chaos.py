@@ -8,6 +8,8 @@ Covers the chaos-capable cloud layer end to end:
 * acceptance (a): a zero-notice VM kill recovers via checkpoint restore with
   no lost ``by_key`` state and bounded replays, including a kill landing
   mid-evacuation-migration;
+* an evacuation's replacement market on both sides of its cost boundary
+  (spot only when strictly cheaper in expectation);
 * acceptance (b): under a spot eviction storm the notice-aware controller
   beats the oblivious baseline on restore latency AND total cost;
 * determinism: same-seed chaos runs produce byte-identical event-log digests
@@ -42,12 +44,19 @@ from repro.cluster.vm import D2, D3
 from repro.core.strategy import strategy_by_name
 from repro.dataflow import topologies
 from repro.dataflow.event import CheckpointAction
-from repro.elastic import AllocationPlanner, ControllerConfig, ElasticityController, ElasticityMonitor
+from repro.elastic import (
+    AllocationPlanner,
+    ControllerConfig,
+    ElasticityController,
+    ElasticityMonitor,
+    build_controller,
+)
 from repro.engine.config import RuntimeConfig
 from repro.engine.executor import ExecutorStatus
 from repro.engine.runtime import TopologyRuntime
 from repro.experiments import elastic as elastic_runner
 from repro.experiments.chaos import run_chaos_experiment, run_chaos_run
+from repro.experiments.scenarios import deploy_baseline
 from repro.elastic.arbiter import ScaleArbiter
 from repro.reliability.repartition import PARTITIONED_STATE_KEY
 from repro.reliability.statestore import checkpoint_key
@@ -457,6 +466,40 @@ class TestRecoveryAvoidsNoticedVms:
             for plan in plans:
                 landed = {plan.vm_of(eid) for eid in recovery.lost_executors}
                 assert not landed & noticed, f"recovery at {at:.1f}s rebuilt onto {landed & noticed}"
+
+
+class TestEvacuationMarket:
+    """An evacuation buys spot only when spot's expected cost over the
+    evacuation horizon (bill plus eviction-risk penalty) is strictly lower;
+    a tie goes to on-demand."""
+
+    @pytest.mark.parametrize(
+        "market, expected",
+        [
+            (SpotMarket(discount=0.35, eviction_rate_per_hour=0.5), SPOT),
+            (SpotMarket(discount=0.9, eviction_rate_per_hour=0.5), ON_DEMAND),
+            (SpotMarket(discount=1.0, eviction_rate_per_hour=0.0), ON_DEMAND),
+        ],
+        ids=["cheap-spot", "risky-spot", "tie"],
+    )
+    def test_replacement_market_either_side_of_the_boundary(self, market, expected):
+        sim = Simulator()
+        provider = CloudProvider(sim, spot_market=market, rng=RandomSource(7))
+        runtime, workers = deploy_baseline(
+            topologies.grid(), strategy_by_name("ccr").runtime_config(seed=7), provider,
+            worker_market=SPOT,
+        )
+        controller = build_controller(runtime, provider, strategy_by_name("ccr"))
+        sim.run(until=20.0)
+        victim = workers[0]
+        assert victim.occupied_slots
+        record = controller.handle_eviction_notice(victim.vm_id, deadline=sim.now + 120.0)
+        assert record.replacement_market == expected
+        # The doomed D2's two executors, no free slot elsewhere: one D2.
+        assert record.pending_replacements == 1
+        sim.run(until=80.0)
+        markets = [runtime.cluster.vm(vm_id).tags["market"] for vm_id in record.replacement_vm_ids]
+        assert markets == [expected]
 
 
 # ------------------------------------------------------------- acceptance (b)

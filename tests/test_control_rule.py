@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import inspect
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List
 
 import pytest
 
+from repro.cluster.cloud import Cluster
 from repro.dataflow import topologies
 from repro.elastic import (
     AllocationPlanner,
@@ -31,9 +33,12 @@ from repro.elastic import (
     ControlState,
     EwmaPolicy,
     ForecastPolicy,
+    HoltWintersPolicy,
     ReactivePolicy,
+    build_controller,
     policy,
 )
+from repro.elastic.arbiter import ScaleArbiter
 from repro.experiments.elastic import run_elastic_experiment
 
 from tests.conftest import monitor_sample, mutant, patched
@@ -297,6 +302,37 @@ def test_controller_config_lost_the_knobs_nothing_set():
                  "slo_headroom"):
         with pytest.raises(TypeError):
             ControllerConfig(**{knob: 1})
+
+
+def test_planner_forecast_and_arbiter_lost_the_knobs_nothing_set():
+    """A task's capacity is its own ``capacity_ev_s`` or 8 ev/s, the pressure
+    band is fixed, Holt's policy has no season and every tenant weighs 1.
+    Each knob is passed the default it used to have."""
+    arbiter = ScaleArbiter(Cluster(), budget_slots=8)
+    callables = {
+        AllocationPlanner: dict(task_capacities_ev_s={}, instance_capacity_ev_s=8.0,
+                                expand_pressure=1.2, consolidate_pressure=0.95),
+        build_controller: dict(task_capacities_ev_s={}),
+        run_elastic_experiment: dict(task_capacities_ev_s={}),
+        HoltWintersPolicy: dict(gamma=0.3, season_period_s=None, season_buckets=24),
+        arbiter.register_tenant: dict(weight=1.0),
+    }
+    required = {
+        AllocationPlanner: (topologies.linear(),),
+        build_controller: (None, None, None),
+        arbiter.register_tenant: ("tenant",),
+    }
+    for fn, knobs in callables.items():
+        for knob, value in knobs.items():
+            with pytest.raises(TypeError):
+                fn(*required.get(fn, ()), **{knob: value})
+    assert {fn: len(inspect.signature(fn).parameters) for fn in callables} == {
+        AllocationPlanner: 2,
+        build_controller: 9,
+        run_elastic_experiment: 12,
+        HoltWintersPolicy: 2,
+        arbiter.register_tenant: 3,
+    }
 
 
 #: The rule's carried state: written nowhere but in ``elastic/policy.py``.

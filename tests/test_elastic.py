@@ -18,6 +18,7 @@ from repro.elastic import (
     ControllerConfig,
     ElasticityMonitor,
 )
+from repro.elastic.planner import CONSOLIDATE_PRESSURE, EXPAND_PRESSURE
 from repro.experiments.elastic import run_elastic_experiment
 from repro.workloads import BurstProfile, StepProfile
 
@@ -68,8 +69,14 @@ class TestAllocationPlanner:
         assert planner.required_instances(0.01) == len(dataflow.user_tasks)
 
     def test_thresholds_validated(self):
-        with pytest.raises(ValueError):
-            AllocationPlanner(topologies.linear(), expand_pressure=0.8, consolidate_pressure=0.9)
+        """The fixed pressure band straddles 1.0 and both edges are
+        inclusive: 20 hosted instances, 8 ev/s each."""
+        assert CONSOLIDATE_PRESSURE < 1.0 < EXPAND_PRESSURE
+        planner = AllocationPlanner(small_chain(parallelism=20))
+        assert planner.plan(8.0 * 19).tier == "consolidated"  # pressure 0.95
+        assert planner.plan(8.0 * 20).tier == "baseline"
+        assert planner.plan(8.0 * 23).tier == "baseline"  # 1.15
+        assert planner.plan(8.0 * 24).tier == "expanded"  # 1.2
 
 
 class TestElasticityMonitor:

@@ -159,16 +159,6 @@ class TestPrepareAndCommit:
         assert executor.captured_count > 0
         assert len(executor.pending_events) == executor.captured_count
 
-    def test_rollback_clears_capture_mode(self):
-        runtime = started_runtime(strategy="ccr")
-        runtime.sim.run(until=1.0)
-        prepare = runtime.checkpoints.start_wave(CheckpointAction.PREPARE, mode=WaveMode.BROADCAST)
-        runtime.sim.run(until=1.2)
-        assert runtime.executor("a#0").capture_mode
-        runtime.checkpoints.start_wave(CheckpointAction.ROLLBACK, prepare.checkpoint_id, WaveMode.BROADCAST)
-        runtime.sim.run(until=1.4)
-        assert not runtime.executor("a#0").capture_mode
-
 
 class TestBarrierAlignment:
     def test_merge_task_waits_for_all_upstream_instances(self):

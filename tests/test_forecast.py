@@ -4,8 +4,7 @@ Pins down the properties the predictive control plane relies on:
 
 * EWMA's lag after a step is bounded by ``(old - new) * (1 - alpha)^n``;
 * Holt's trend smoothing extrapolates a steady ramp ahead of the last
-  observation (where the provisioning lead time comes from), and the
-  seasonal variant learns a diurnal cycle;
+  observation (where the provisioning lead time comes from);
 * the profile-lookahead oracle is *exact* on step profiles;
 * the reactive policy is the identity forecast.
 """
@@ -81,10 +80,6 @@ class TestHoltWintersPolicy:
             HoltWintersPolicy(alpha=0.0)
         with pytest.raises(ValueError):
             HoltWintersPolicy(beta=1.5)
-        with pytest.raises(ValueError):
-            HoltWintersPolicy(season_period_s=-1.0)
-        with pytest.raises(ValueError):
-            HoltWintersPolicy(season_buckets=0)
 
     def test_trend_capture_on_ramp(self):
         """A steady ramp is extrapolated ahead: the forecast leads the last
@@ -105,27 +100,6 @@ class TestHoltWintersPolicy:
         policy = HoltWintersPolicy()
         t = feed(policy, [8.0] * 10)
         assert policy.forecast(t, 60.0) == pytest.approx(8.0, rel=0.01)
-
-    def test_seasonal_variant_learns_diurnal_cycle(self):
-        """After one full cycle, forecasting a quarter period ahead from the
-        trough anticipates the climb that plain level+trend cannot see."""
-        period = 240 * INTERVAL
-        profile = DiurnalProfile(base_rate=8.0, peak_multiplier=3.0, period_s=period)
-        seasonal = HoltWintersPolicy(season_period_s=period, season_buckets=24)
-        t = 0.0
-        for _ in range(480):  # two full cycles
-            t += INTERVAL
-            seasonal.observe(t, profile.rate_at(t))
-        horizon = period / 4.0
-        target = profile.rate_at(t + horizon)
-        prediction = seasonal.forecast(t, horizon)
-        # t is at a cycle boundary (trough, 8 ev/s); a quarter period ahead
-        # the true rate is mid-climb (16 ev/s).  The seasonal bucket supplies
-        # most of that climb.
-        assert target == pytest.approx(16.0, rel=0.05)
-        assert abs(prediction - target) < abs(profile.rate_at(t) - target), (
-            "seasonal forecast must beat assuming the current (trough) rate"
-        )
 
     def test_forecast_never_negative(self):
         policy = HoltWintersPolicy(alpha=0.9, beta=0.9)

@@ -6,8 +6,6 @@ placement policies (the debounce half of the rule is tabled in
 
 * the SLO-breach override escalates an in-band plan only on a *sustained*
   breach with a *growing* backlog (a post-migration drain must not trigger);
-* the monitor's measured service rates close the heterogeneous-latency loop
-  when fed to the planner (a slow task is sized by what it actually does);
 * an overloaded-but-in-band dataflow scales out on the latency trigger alone;
 * the acceptance scenario: on the Grid 2x step surge, a predictive policy
   provisions *before* the surge lands and accrues measurably fewer
@@ -122,34 +120,25 @@ class TestSloOverride:
 
 
 class TestMeasuredCapacities:
-    """The heterogeneous-latency feedback: monitor measurement into planner sizing."""
-
-    def test_monitor_measures_real_service_rate(self):
-        runtime = make_runtime(slow_chain(rate=4.0, latency_s=0.2))
-        runtime.start()
-        runtime.sim.run(until=30.0)
-        monitor = ElasticityMonitor(runtime, interval_s=10.0)
-        measured = monitor.measured_capacities_ev_s()
-        # 0.2 s service time -> 5 ev/s per busy instance, measured exactly.
-        assert measured["work"] == pytest.approx(5.0, rel=0.01)
+    """The heterogeneous-latency loop: what the monitor measures, declared
+    as the task's capacity, sizes it."""
 
     def test_feedback_resizes_the_slow_task(self):
-        """Fed the measured 5 ev/s, the planner demands 2 instances where the
-        declared default (8 ev/s) claimed 1 was enough."""
-        dataflow = slow_chain(rate=8.0, latency_s=0.2)
-        planner = AllocationPlanner(dataflow)
-        assert planner.required_instances_by_task(8.0)["work"] == 1
-        planner.set_measured_capacities({"work": 5.0})
-        assert planner.required_instances_by_task(8.0)["work"] == 2
-        # Explicit operator-supplied capacities still win over measurements.
-        explicit = AllocationPlanner(dataflow, task_capacities_ev_s={"work": 4.0})
-        explicit.set_measured_capacities({"work": 100.0})
-        assert explicit.required_instances_by_task(8.0)["work"] == 2
-
-    def test_bogus_measurements_ignored(self):
-        planner = AllocationPlanner(slow_chain())
-        planner.set_measured_capacities({"work": -1.0, "no-such-task": 5.0})
-        assert planner.measured_capacities_ev_s == {}
+        """Saturated at 8 ev/s, the 0.2 s task delivers 5 ev/s at the sink.
+        Declared as its capacity, the planner demands 2 instances where the
+        default (8 ev/s) claimed 1 was enough."""
+        runtime = make_runtime(slow_chain(rate=8.0, latency_s=0.2))
+        dataflow = runtime.dataflow
+        assert AllocationPlanner(dataflow).required_instances_by_task(8.0)["work"] == 1
+        monitor = ElasticityMonitor(runtime, interval_s=10.0)
+        runtime.start()
+        runtime.sim.run(until=10.0)
+        monitor.sample_now()
+        runtime.sim.run(until=40.0)
+        measured = monitor.sample_now().output_rate
+        assert measured == pytest.approx(5.0, rel=0.05)
+        dataflow.task("work").capacity_ev_s = measured
+        assert AllocationPlanner(dataflow).required_instances_by_task(8.0)["work"] == 2
 
 
 class TestSloViolationSeconds:
@@ -219,8 +208,8 @@ class TestSloEndToEnd:
         assert result.actions == [], "without the SLO trigger the overload goes unseen"
 
 
-#: Tasks given 2x headroom: at a 2x surge they keep their instance count, so
-#: an incremental placer can leave them running in place.
+#: Tasks declared with 2x headroom: at a 2x surge they keep their instance
+#: count, so an incremental placer can leave them running in place.
 GRID_HEADROOM_CAPS = {
     "parse": 32.0, "anomaly_detect": 32.0, "alert_filter": 32.0,
     "alert_enrich": 32.0, "alert_notify": 32.0,
@@ -232,12 +221,13 @@ def _grid_surge_run(placement: str, duration_s: float = 300.0):
         check_interval_s=15.0, confirm_samples=2, cooldown_s=60.0, placement=placement,
     )
     dataflow = topologies.by_name("grid")
+    for name, capacity in GRID_HEADROOM_CAPS.items():
+        dataflow.task(name).capacity_ev_s = capacity
     base = sum(float(s.rate) for s in dataflow.sources)
     profile = StepProfile(steps=[(0.0, base), (120.0, base * 2), (360.0, base)])
     return run_elastic_experiment(
         dag="grid", strategy="ccr", profile=profile, duration_s=duration_s, seed=2018,
         dataflow=dataflow, controller_config=config, elastic_parallelism=True,
-        task_capacities_ev_s=GRID_HEADROOM_CAPS,
     )
 
 

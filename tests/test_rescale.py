@@ -307,10 +307,11 @@ class TestPlannerRescale:
         assert required["traffic_state"] == 6  # 24 ev/s baseline doubled / 8
 
     def test_per_task_capacity_mapping_wins(self):
-        planner = AllocationPlanner(
-            topologies.traffic(), task_capacities_ev_s={"parse_gps": 16.0}
-        )
-        assert planner.required_instances_by_task(16.0)["parse_gps"] == 1
+        dataflow = topologies.traffic()
+        dataflow.task("parse_gps").capacity_ev_s = 16.0
+        required = AllocationPlanner(dataflow).required_instances_by_task(16.0)
+        assert required["parse_gps"] == 1
+        assert required["traffic_state"] == 6  # undeclared: still 1 per 8 ev/s
 
     def test_task_declared_capacity_honoured(self):
         builder = TopologyBuilder("hetero")
@@ -324,10 +325,13 @@ class TestPlannerRescale:
         assert required == {"fast": 1, "slow": 4}
 
     def test_capacity_mapping_validated(self):
+        builder = TopologyBuilder("bad")
         with pytest.raises(ValueError):
-            AllocationPlanner(topologies.traffic(), task_capacities_ev_s={"ghost": 8.0})
+            builder.add_task("zero", capacity_ev_s=0.0)
         with pytest.raises(ValueError):
-            AllocationPlanner(topologies.traffic(), task_capacities_ev_s={"parse_gps": 0.0})
+            builder.add_task("negative", capacity_ev_s=-8.0)
+        with pytest.raises(KeyError):
+            topologies.traffic().task("ghost")
 
     def test_default_plan_matches_paper_behaviour(self):
         """Without elastic parallelism, plan() is exactly the PR-1 behaviour."""
