@@ -3,8 +3,9 @@
 A streaming application is a directed acyclic graph of tasks: one or more
 *source* tasks emit event streams, intermediate tasks transform them, and
 *sink* tasks terminate the streams.  Tasks may be stateful, have a data-
-parallel degree (number of instances / executors), a per-event processing
-latency and a selectivity (output events produced per input event).
+parallel degree (number of instances / executors) and a per-event processing
+latency, and emit at most one output event per input event.  Edges are
+shuffle or fields grouped.
 
 This package holds the *definition* side only; the runtime behaviour lives in
 :mod:`repro.engine`.

@@ -51,7 +51,6 @@ class TopologyBuilder:
         name: str,
         parallelism: int = 1,
         latency_s: float = 0.1,
-        selectivity: float = 1.0,
         stateful: bool = False,
         logic: Optional[UserLogic] = None,
         state_size_bytes: int = 256,
@@ -69,7 +68,6 @@ class TopologyBuilder:
                 kind=TaskKind.PROCESS,
                 parallelism=parallelism,
                 latency_s=latency_s,
-                selectivity=selectivity,
                 stateful=stateful,
                 logic=logic,
                 state_size_bytes=state_size_bytes,

@@ -19,9 +19,10 @@ engine drew it, in which order, or on what ran earlier in the process:
 * a **root** id is a full 64-bit mix of ``(runtime seed, source, sequence)``
   (:func:`root_event_id`; the sequence is the source's count of first
   emissions);
-* a **child** id is one salted step from its parent's id,
-  ``(parent, outgoing channel, output index)`` (:func:`child_event_id`), where
-  the channel is the delivery's position in the sender's outbox;
+* a **child** id is one step from its parent's id over its outgoing channel
+  (:func:`child_event_id`), the delivery's position in the sender's outbox:
+  a service emits at most one output, which is its input's event stepped
+  onto the channel it is routed on;
 * a **replay** of a root is the root's step over :data:`REPLAY_CHANNEL`
   salted with its replay count, so a late ack of the first emission cannot
   cancel in the replayed tree;
@@ -75,9 +76,6 @@ _MIX2 = 0x94D049BB133111EB
 
 #: The "channel" of a replay's step from its root (outbox positions are >= 0).
 REPLAY_CHANNEL = -1
-#: The "channel" of output ``index``'s step from the event a multi-output
-#: service derived it from (before the router's step onto a real channel).
-OUTPUT_CHANNEL = -2
 
 
 def source_id_key(seed: int, dataflow: str, source: str) -> int:
@@ -109,9 +107,10 @@ def root_event_id(source_key, sequence):
 
 
 def child_event_id(parent, channel, index=0):
-    """Id of what ``parent`` leads to over outbox position ``channel`` as
-    output ``index``: the parent's id, xored with the two small labels spread
-    over 64 bits, times an odd constant, masked to 63 bits.
+    """Id of what ``parent`` leads to over outbox position ``channel``, salted
+    with ``index`` (a replay's count, 0 on a routed hop): the parent's id,
+    xored with the two small labels spread over 64 bits, times an odd
+    constant, masked to 63 bits.
 
     The one per-hop step of every engine: the router's re-stamps call it with
     ints, the level sweep with ``uint64`` arrays of parents and channels (the
@@ -244,26 +243,6 @@ class Event:
         )
 
     # ------------------------------------------------------------ derivation
-    def derive(
-        self, source_task: str, payload: Any = None, created_at: float = 0.0, index: int = 0
-    ) -> "Event":
-        """Output ``index`` of a service of this event (same root): its id is
-        this one's step over :data:`OUTPUT_CHANNEL`, so the outputs of one
-        service stay apart even when they are captured instead of routed."""
-        return Event(
-            child_event_id(self.event_id, OUTPUT_CHANNEL, index),
-            self.root_id,
-            self.kind,
-            source_task,
-            payload if payload is not None else self.payload,
-            created_at,
-            self.root_emitted_at,
-            self.checkpoint_action,
-            self.checkpoint_id,
-            self.replay_count,
-            self.anchored,
-        )
-
     def copy_for_edge(self, event_id: int) -> "Event":
         """Duplicate the event, as ``event_id``, for delivery on one more edge.
 

@@ -258,8 +258,9 @@ class Dataflow:
 
         Source tasks are credited with their own generation rate.  Every
         emitted event is delivered on *each* outgoing edge (Storm semantics:
-        downstream tasks each subscribe to the full stream), so a task's input
-        rate is the sum of its upstream tasks' output rates.
+        downstream tasks each subscribe to the full stream) and every task
+        emits one output per input, so a task's input rate is the sum of its
+        upstream tasks' input rates.
 
         Float view of :meth:`input_rates_exact` (one traversal, one rounding
         step per task -- keeping the two representations in lock-step by
@@ -285,14 +286,7 @@ class Dataflow:
                 continue
             incoming = Fraction(0)
             for pred in self._predecessors[name]:
-                pred_task = self._tasks[pred]
-                pred_rate = rates[pred]
-                out_rate = (
-                    pred_rate
-                    if pred_task.is_source
-                    else pred_rate * Fraction(pred_task.selectivity)
-                )
-                incoming += out_rate
+                incoming += rates[pred]  # one output per input (1:1)
             rates[name] = incoming
         return rates
 

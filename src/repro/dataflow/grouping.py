@@ -1,8 +1,11 @@
 """Stream groupings: how events are distributed among a downstream task's instances.
 
-Mirrors Storm's groupings.  The paper's experiments use shuffle grouping for
-data events; the CCR strategy additionally relies on an *all* (broadcast)
-channel from the checkpoint source to every task instance.
+The two of Storm's groupings the dataflows here use: the paper's experiments
+wire every edge with shuffle grouping, and the keyed variants route by a
+payload key (fields grouping) so the same key always reaches the same
+instance.  Checkpoint control events do not ride a grouping: the checkpoint
+source sends them to each instance directly (``Router.send_direct``) and each
+task forwards them downstream (``TopologyRuntime.forward_control``).
 
 This module also owns the **stable FIELDS hash**: the key -> instance mapping
 must be identical wherever it is computed (the router selecting delivery
@@ -26,11 +29,6 @@ class Grouping(Enum):
     #: Hash of a payload key selects the instance; needed by keyed stateful
     #: tasks so the same key always lands on the same instance.
     FIELDS = "fields"
-    #: Every instance of the downstream task receives a copy (Storm's "all"
-    #: grouping); used for checkpoint control channels.
-    ALL = "all"
-    #: All events go to the first instance (Storm's "global" grouping).
-    GLOBAL = "global"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value

@@ -1,15 +1,17 @@
 """Task definitions: sources, processing tasks and sinks.
 
-A :class:`Task` describes *what* runs (user logic, latency, selectivity,
-statefulness, parallelism); the engine turns each task into ``parallelism``
-executors at deployment time.
+A :class:`Task` describes *what* runs (user logic, latency, statefulness,
+parallelism); the engine turns each task into ``parallelism`` executors at
+deployment time.
 
 User logic follows the paper's experimental setup by default: a dummy
-processor that sleeps for ``latency_s`` (100 ms) per event and emits
-``selectivity`` output payloads per input (1:1 in all paper experiments).
-Stateful tasks additionally maintain a per-instance state dictionary that the
-checkpoint machinery snapshots and restores; the default stateful logic counts
-processed events, mirroring the paper's example of "a count of events seen".
+processor that sleeps for ``latency_s`` (100 ms) per event and emits its
+input payload once (1:1, as in all paper experiments).  A service emits at
+most one output: logic returns a list of zero or one payloads (a filter drops
+an event by returning ``[]``).  Stateful tasks additionally maintain a
+per-instance state dictionary that the checkpoint machinery snapshots and
+restores; the default stateful logic counts processed events, mirroring the
+paper's example of "a count of events seen".
 """
 
 from __future__ import annotations
@@ -30,31 +32,21 @@ class TaskKind(Enum):
     SINK = "sink"
 
 
-#: Signature of user processing logic: ``(payload, state) -> list of output payloads``.
+#: Signature of user processing logic: ``(payload, state) -> [output payload]``
+#: (at most one: ``[]`` emits nothing).
 UserLogic = Callable[[Any, Dict[str, Any]], List[Any]]
 
 
-def default_logic(selectivity: float) -> UserLogic:
-    """Return dummy user logic with the given selectivity.
+def default_logic(payload: Any, state: Dict[str, Any]) -> List[Any]:
+    """The paper's dummy logic: count the event, forward its payload (1:1).
 
-    The integral part of the selectivity determines how many copies of the
-    input payload are emitted; a fractional remainder is handled by the
-    executor through probabilistic emission (not used in the paper's 1:1
-    experiments but supported for generality).
+    The batch-stepping cascade tests a task's logic for identity with this
+    function: its one state effect is the counter increment, so a task
+    running it can be swept with array arithmetic instead of one Python call
+    per event.  Any other logic forces the per-event path.
     """
-
-    def _logic(payload: Any, state: Dict[str, Any]) -> List[Any]:
-        state["processed"] = state.get("processed", 0) + 1
-        count = int(selectivity)
-        return [payload] * count
-
-    # Marker read by the batch-stepping cascade: a task whose logic is the
-    # dummy 1:1 forwarder (and whose per-call state effect is the single
-    # counter increment above) can be swept with array arithmetic instead of
-    # one Python call per event.  Custom user logic has no marker and forces
-    # the per-event path.
-    _logic.default_selectivity = int(selectivity)
-    return _logic
+    state["processed"] = state.get("processed", 0) + 1
+    return [payload]
 
 
 @dataclass
@@ -72,8 +64,6 @@ class Task:
         per incremental 8 events/sec of input rate.
     latency_s:
         Per-event processing latency of the user logic (100 ms in the paper).
-    selectivity:
-        Output events emitted per input event (1:1 in the paper).
     stateful:
         Whether the task maintains user state that must be checkpointed.
     logic:
@@ -95,7 +85,6 @@ class Task:
     kind: TaskKind = TaskKind.PROCESS
     parallelism: int = 1
     latency_s: float = 0.1
-    selectivity: float = 1.0
     stateful: bool = False
     logic: Optional[UserLogic] = None
     initial_state: Callable[[], Dict[str, Any]] = field(default=dict)
@@ -109,12 +98,10 @@ class Task:
             raise ValueError(f"task {self.name!r}: parallelism must be >= 1")
         if self.latency_s < 0:
             raise ValueError(f"task {self.name!r}: latency must be non-negative")
-        if self.selectivity < 0:
-            raise ValueError(f"task {self.name!r}: selectivity must be non-negative")
         if self.capacity_ev_s is not None and self.capacity_ev_s <= 0:
             raise ValueError(f"task {self.name!r}: capacity_ev_s must be positive when set")
         if self.logic is None:
-            self.logic = default_logic(self.selectivity)
+            self.logic = default_logic
 
     @property
     def is_source(self) -> bool:
@@ -137,7 +124,7 @@ class Task:
         suffix = f" [{', '.join(flags)}]" if flags else ""
         return (
             f"Task({self.name}, {self.kind.value}, x{self.parallelism}, "
-            f"{self.latency_s * 1000:.0f}ms, sel={self.selectivity}{suffix})"
+            f"{self.latency_s * 1000:.0f}ms{suffix})"
         )
 
 
@@ -180,5 +167,4 @@ class SinkTask(Task):
     def __post_init__(self) -> None:
         self.kind = TaskKind.SINK
         self.latency_s = 0.0
-        self.selectivity = 0.0
         super().__post_init__()

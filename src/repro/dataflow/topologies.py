@@ -10,7 +10,7 @@ Five dataflows are used:
   analytics over meter and weather streams.
 
 All tasks use the paper's experimental setup: dummy logic with a 100 ms
-processing latency, 1:1 selectivity, and a source emitting synthetic events at
+processing latency, one output per input, and a source emitting synthetic events at
 a fixed 8 events/second.  Task parallelism (instance count) follows Table 1 of
 the paper: one instance per incremental 8 events/second of input rate, with
 the per-task counts chosen so the totals match Table 1 exactly

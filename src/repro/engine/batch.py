@@ -62,9 +62,9 @@ import numpy as np
 
 from repro.dataflow.event import Event, EventKind, child_event_id, root_event_id
 from repro.dataflow.grouping import Grouping, field_key_of, stable_field_index
-from repro.dataflow.task import TaskKind
+from repro.dataflow.task import TaskKind, default_logic
 from repro.engine.executor import Executor, ExecutorStatus, SinkExecutor, SourceExecutor
-from repro.engine.router import FIFO_SPACING_S, Channel, Router
+from repro.engine.router import FIFO_SPACING_S, Channel
 from repro.engine.scan import fixed_rate_ticks, maxplus_scan, sequential_sums
 from repro.sim.rng import keyed_value_blocks
 
@@ -324,16 +324,16 @@ def _structural_decline(runtime: "TopologyRuntime") -> Optional[str]:
     """Why this dataflow can never be swept, if it cannot.
 
     The sweep replaces per-event ``task.logic`` calls with bulk counter
-    updates, which is only sound for the default 1:1 dummy logic (tagged by
-    :func:`repro.dataflow.task.default_logic`); duplicate task-pair edges
-    would interleave their per-channel jitter draws per event; and an executor
-    subclass may override anything.  The emission schedule is one spout's.
+    updates, which is only sound for the default 1:1 dummy logic
+    (:func:`repro.dataflow.task.default_logic` itself); duplicate task-pair
+    edges would interleave their per-channel jitter draws per event; and an
+    executor subclass may override anything.  The emission schedule is one spout's.
     """
     if len(runtime.source_executors) != 1:
         return "multi-source"
     dataflow = runtime.dataflow
     for task in dataflow.tasks:
-        if task.kind is TaskKind.PROCESS and getattr(task.logic, "default_selectivity", None) != 1:
+        if task.kind is TaskKind.PROCESS and task.logic is not default_logic:
             return "custom-logic"
         dsts = [edge.dst for edge in dataflow.out_edges(task.name)]
         if len(dsts) != len(set(dsts)):
@@ -548,15 +548,6 @@ def _scan_inflight(runtime: "TopologyRuntime", acked: bool):
             if target is None or not _adoptable(event, acked):
                 return "inflight-unmodelled"
             deliveries.append((entry[0], target, event, sender_id))
-        elif func is Router.deliver_batch:
-            deliver, sender_id, pairs, index = entry[3]
-            target = _receiver(deliver, runtime)
-            if target is None:
-                return "inflight-unmodelled"
-            for when, event in pairs[index:]:
-                if not _adoptable(event, acked):
-                    return "inflight-unmodelled"
-                deliveries.append((when, target, event, sender_id))
         else:
             return "inflight-unmodelled"
     for executor in runtime.executors.values():
@@ -1092,8 +1083,9 @@ class _Sweep:
 
     # -------------------------------------------------------- shipping rounds
     def ship(self, level: _Level) -> None:
-        """Route what one level completed (the array form of ``Router.fan_out``
-        target selection), whole channels to a block."""
+        """Route what one level completed (the array form of the target
+        selection of ``Router.route_one`` / ``fan_out``), whole channels to a
+        block."""
         outputs = self.outputs
         if not level.ids or not any(node.index in outputs for node in level.nodes):
             return
@@ -1102,14 +1094,10 @@ class _Sweep:
         for node in level.nodes:
             completions, rts, eids = outputs.get(node.index, nothing)
             for grouping, num, _first, cursor in node.edges:
-                if num == 1 or grouping is Grouping.ALL:
-                    parents.extend([completions] * num)
-                    roots.extend([rts] * num)
-                    ids.extend([eids] * num)
-                elif grouping is Grouping.GLOBAL:
-                    parents.extend([completions] + [nothing[0]] * (num - 1))
-                    roots.extend([rts] + [nothing[1]] * (num - 1))
-                    ids.extend([eids] + [nothing[2]] * (num - 1))
+                if num == 1:
+                    parents.append(completions)
+                    roots.append(rts)
+                    ids.append(eids)
                 elif grouping is Grouping.FIELDS:
                     targets = self.field_indices(num)[rts]
                     for k in range(num):

@@ -38,7 +38,8 @@ class ReliabilityConfig:
     ack_all_events: bool = False
     #: Ack timeout after which an incomplete causal tree is failed and replayed.
     ack_timeout_s: float = 30.0
-    #: Periodic checkpoint interval (DSM); ``None`` disables periodic checkpoints.
+    #: Periodic checkpoint interval (DSM); ``None`` disables periodic checkpoints
+    #: and a non-positive interval is rejected (``0.0`` is not "off").
     #: A periodic wave is sequential, so it never puts a task into capture
     #: mode: only CCR's broadcast PREPARE does (:mod:`repro.core.ccr`).
     periodic_checkpoint_interval_s: Optional[float] = None
@@ -65,6 +66,11 @@ class ReliabilityConfig:
             )
         if self.ack_timeout_s <= 0:
             raise ValueError(f"ack_timeout_s must be positive, got {self.ack_timeout_s}")
+        interval = self.periodic_checkpoint_interval_s
+        if interval is not None and not interval > 0:
+            raise ValueError(
+                f"periodic_checkpoint_interval_s must be positive (None = off), got {interval}"
+            )
 
 
 @dataclass(slots=True)

@@ -280,35 +280,26 @@ class Executor:
             ack_root_id = event.root_id
             ack_event_id = event.event_id
         if outputs:
-            now = self.sim.now
-            if len(outputs) == 1:
-                # 1:1 selectivity (the dominant case): mutate the processed
-                # event into its own output instead of allocating one.  It
-                # keeps the processed event's id until the router steps it
-                # onto a channel.
-                payload = outputs[0]
-                event.source_task = task.name
-                if payload is not None:
-                    event.payload = payload
-                event.created_at = now
-                if self.capture_mode:
-                    # The event that was being executed when PREPARE arrived:
-                    # its output is captured rather than emitted downstream
-                    # (CCR).
-                    self.pending_events.append(event)
-                    self.captured_count += 1
-                else:
-                    runtime.router.route_one(self.executor_id, task.name, event)
+            if len(outputs) != 1:
+                raise ValueError(
+                    f"task {task.name!r}: a service emits at most one output, "
+                    f"its logic returned {len(outputs)}"
+                )
+            # Mutate the processed event into its output instead of
+            # allocating one.  It keeps the processed event's id until the
+            # router steps it onto a channel.
+            payload = outputs[0]
+            event.source_task = task.name
+            if payload is not None:
+                event.payload = payload
+            event.created_at = self.sim.now
+            if self.capture_mode:
+                # The event that was being executed when PREPARE arrived: its
+                # output is captured rather than emitted downstream (CCR).
+                self.pending_events.append(event)
+                self.captured_count += 1
             else:
-                children = [
-                    event.derive(task.name, payload, now, index)
-                    for index, payload in enumerate(outputs)
-                ]
-                if self.capture_mode:
-                    self.pending_events.extend(children)
-                    self.captured_count += len(children)
-                else:
-                    runtime.router.route(self.executor_id, task.name, children)
+                runtime.router.route_one(self.executor_id, task.name, event)
         if acked:
             runtime.acker.ack(ack_root_id, ack_event_id)
         self.processed_count += 1

@@ -1,13 +1,14 @@
 """Event routing between executors.
 
-The router implements Storm's stream groupings on top of the simulated
-network: for every outgoing edge of a task it selects target instances of the
-downstream task (shuffle round-robin by default), duplicates the event per
-edge, applies the network transfer latency (intra- vs inter-VM), anchors the
-copies with the acker service when acking is enabled, and enforces FIFO
-delivery ordering per (sender executor, receiver executor) channel -- the
-property checkpoint control events rely on to be the "rearguard" behind all
-data events on a channel.
+The router implements the two Storm stream groupings the dataflows use on
+top of the simulated network: for every outgoing edge of a task it selects
+one target instance of the downstream task (shuffle round-robin, or a
+payload key's fields hash), duplicates the event per edge, applies the
+network transfer latency (intra- vs inter-VM), anchors the copies with the
+acker service when acking is enabled, and enforces FIFO delivery ordering
+per (sender executor, receiver executor) channel -- the property checkpoint
+control events rely on to be the "rearguard" behind all data events on a
+channel.
 
 The compiled data plane
 -----------------------
@@ -29,20 +30,18 @@ instance and the edge's shuffle cursor (semantics again: it outlives the
 outbox).  Outboxes are compiled on first use per placement epoch and dropped
 by ``invalidate_caches()`` with the placement-derived fields.
 
-Every delivery -- :meth:`Router.route_one`, the fan-out and multi-event
-forms of :meth:`Router.route`, :meth:`Router.send_direct`, and the batch
-stepper's inline and spill paths -- is stamped by :meth:`Channel.stamp`, the
-one copy of the latency-jitter-FIFO arithmetic.  When a single ``route()``
-call emits several events onto the same channel (a batch produced in one
-tick), the router schedules *one* delivery callback carrying the
-(time, event) list, which walks the channel's FIFO times itself instead of
-holding one heap entry per event.
+A service emits at most one output, so the router is handed one event at a
+time (:meth:`Router.route_one`) and every delivery is one kernel entry.
+Every delivery -- :meth:`Router.route_one` and its fan-out over several
+edges, :meth:`Router.send_direct`, and the batch stepper's inline and spill
+paths -- is stamped by :meth:`Channel.stamp`, the one copy of the
+latency-jitter-FIFO arithmetic.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.cloud import NetworkModel
 from repro.dataflow.event import Event, EventKind, child_event_id
@@ -59,7 +58,6 @@ _stable_field_index = stable_field_index
 _DATA = EventKind.DATA
 _SHUFFLE = Grouping.SHUFFLE
 _FIELDS = Grouping.FIELDS
-_ALL = Grouping.ALL
 
 #: Minimum spacing of two deliveries on one channel (FIFO tie-break).
 FIFO_SPACING_S = 1e-9
@@ -128,8 +126,6 @@ class Channel:
 #: destination instance, and the edge's shuffle cursor (a one-element list
 #: shared by every outbox ever compiled for this sender and destination task).
 OutboxEdge = Tuple[Grouping, int, Tuple[Channel, ...], List[int]]
-#: A stamped delivery: arrival time, channel, event.
-Delivery = Tuple[float, Channel, Event]
 
 
 class Router:
@@ -138,11 +134,10 @@ class Router:
     def __init__(self, runtime: "TopologyRuntime") -> None:
         self.runtime = runtime
         self.routed_count = 0
-        #: Telemetry tallies (plain ints, scraped post-hoc): route calls,
-        #: outbox compilations, and coalesced same-channel batch callbacks.
+        #: Telemetry tallies (plain ints, scraped post-hoc): route calls and
+        #: outbox compilations.
         self.route_calls = 0
         self.plan_builds = 0
-        self.batched_deliveries = 0
         #: (sender, receiver) -> channel record; never dropped.
         self._channels: Dict[Tuple[str, str], Channel] = {}
         #: (sender, destination task) -> shuffle cursor; never dropped.
@@ -227,145 +222,73 @@ class Router:
         """Deliver one event on every outgoing edge of ``task_name``.
 
         The router takes **ownership** of the event: it is either duplicated
-        per delivery (fan-out) or re-stamped with the id its copy would have
-        carried and delivered directly (the dominant
-        single-delivery case).  Callers must not touch an event after
-        routing it.
+        per edge (fan-out) or re-stamped with the id its copy would have
+        carried and delivered directly (the dominant single-edge case).
+        Callers must not touch an event after routing it.
 
         Target selection must stay in lock-step with :meth:`_select_targets`
-        (the uncached reference used by direct callers and tests).
+        (the uncached reference used by tests).
         """
         self.route_calls += 1
         outbox = self._outboxes.get(sender_id)
         if outbox is None:
             outbox = self.outbox(sender_id, task_name)
-        if len(outbox) == 1:
-            # Dominant shape: one out-edge, one target.
-            grouping, num, channels, cursor = outbox[0]
-            if num == 1:
-                position = 0
-            elif grouping is _SHUFFLE:
-                index = cursor[0]
-                cursor[0] = index + 1
-                position = index % num
-            elif grouping is _FIELDS:
-                position = stable_field_index(field_key_of(event.payload), num)
-            elif grouping is _ALL:  # fans out: take the general path below
-                position = None
-            else:  # GLOBAL
-                position = 0
-            if position is not None:
-                runtime = self.runtime
-                channel = channels[position]
-                # Sole delivery of this event: re-stamp the original with the
-                # id a copy would have carried, skip the allocation.
-                event.event_id = event_id = child_event_id(event.event_id, position)
-                if event.anchored and runtime.ack_data_events and event.kind is _DATA:
-                    runtime.acker.anchor(event.root_id, event_id)
-                self.routed_count += 1
-                sim = runtime.sim
-                sim.push_fast(channel.stamp(sim.now), channel.deliver, (event, sender_id))
-                return
-        # Fan-out: the deliveries of one event go on the heap one by one.
-        sim = self.runtime.sim
-        push_fast = sim.push_fast
-        for time, channel, copy in self.fan_out(sender_id, outbox, (event,), sim.now):
-            push_fast(time, channel.deliver, (copy, sender_id))
-
-    def route(self, sender_id: str, task_name: str, events: Sequence[Event]) -> None:
-        """Deliver each event on every outgoing edge (see :meth:`route_one`).
-
-        Several events sent in one tick are grouped per channel, each group
-        riding on one :meth:`deliver_batch` callback.
-        """
-        if not events:
+        if len(outbox) != 1:
+            self.fan_out(sender_id, outbox, event)
             return
-        if len(events) == 1:
-            self.route_one(sender_id, task_name, events[0])
-            return
-        self.route_calls += 1
-        sim = self.runtime.sim
-        push_fast = sim.push_fast
-        outbox = self.outbox(sender_id, task_name)
-        batches: Dict[Channel, List[Tuple[float, Event]]] = {}
-        for time, channel, event in self.fan_out(sender_id, outbox, events, sim.now):
-            batches.setdefault(channel, []).append((time, event))
-        for channel, pairs in batches.items():
-            if len(pairs) == 1:
-                push_fast(pairs[0][0], channel.deliver, (pairs[0][1], sender_id))
-            else:
-                # One callback walks the channel's FIFO-ordered times.
-                self.batched_deliveries += 1
-                push_fast(pairs[0][0], self.deliver_batch, (channel.deliver, sender_id, pairs, 0))
+        # Dominant shape: one out-edge, one target.
+        grouping, num, channels, cursor = outbox[0]
+        if num == 1:
+            position = 0
+        elif grouping is _SHUFFLE:
+            index = cursor[0]
+            cursor[0] = index + 1
+            position = index % num
+        else:  # FIELDS
+            position = stable_field_index(field_key_of(event.payload), num)
+        runtime = self.runtime
+        channel = channels[position]
+        # Sole delivery of this event: re-stamp the original with the id a
+        # copy would have carried, skip the allocation.
+        event.event_id = event_id = child_event_id(event.event_id, position)
+        if event.anchored and runtime.ack_data_events and event.kind is _DATA:
+            runtime.acker.anchor(event.root_id, event_id)
+        self.routed_count += 1
+        sim = runtime.sim
+        sim.push_fast(channel.stamp(sim.now), channel.deliver, (event, sender_id))
 
-    def fan_out(
-        self, sender_id: str, outbox: Tuple[OutboxEdge, ...], events: Sequence[Event], now: float
-    ) -> List[Delivery]:
-        """Select, copy, anchor and stamp every delivery of ``events`` sent at ``now``.
+    def fan_out(self, sender_id: str, outbox: Tuple[OutboxEdge, ...], event: Event) -> None:
+        """Select, copy, anchor, stamp and push one delivery of ``event`` per
+        edge of a sender with several outgoing edges (or none).
 
-        The general form of routing (several edges, ALL grouping, several
-        events): the caller decides how the stamped deliveries go on the
-        heap.  Event ids, acker anchors and jitter draws happen here, edge by
-        edge and event by event.  A delivery's id is the event's step over
-        the channel's position in the outbox (edges in order, each edge's
-        instances in order), which the level sweep's plan numbers alike.
+        Event ids, acker anchors and jitter draws happen here, edge by edge.
+        A delivery's id is the event's step over the channel's position in the
+        outbox (edges in order, each edge's instances in order), which the
+        level sweep's plan numbers alike.
         """
         runtime = self.runtime
         acker = runtime.acker
         ack_data = runtime.ack_data_events
-        single_edge = len(outbox) == 1
-        deliveries: List[Delivery] = []
+        sim = runtime.sim
+        now = sim.now
+        push_fast = sim.push_fast
         first = 0
         for grouping, num, channels, cursor in outbox:
-            for event in events:
-                if num == 1 or grouping is _ALL:
-                    positions = range(num)
-                elif grouping is _SHUFFLE:  # round-robin per (sender executor, destination task)
-                    index = cursor[0]
-                    cursor[0] = index + 1
-                    positions = (index % num,)
-                elif grouping is _FIELDS:
-                    positions = (stable_field_index(field_key_of(event.payload), num),)
-                else:  # GLOBAL
-                    positions = (0,)
-                if single_edge and len(positions) == 1:
-                    # Sole delivery of this event: re-stamp instead of copying
-                    # (see route_one).
-                    channel = channels[positions[0]]
-                    event.event_id = child_event_id(event.event_id, positions[0])
-                    if event.anchored and ack_data and event.kind is _DATA:
-                        acker.anchor(event.root_id, event.event_id)
-                    deliveries.append((channel.stamp(now), channel, event))
-                    continue
-                for position in positions:
-                    channel = channels[position]
-                    copy = event.copy_for_edge(child_event_id(event.event_id, first + position))
-                    if copy.anchored and ack_data and copy.kind is _DATA:
-                        acker.anchor(copy.root_id, copy.event_id)
-                    deliveries.append((channel.stamp(now), channel, copy))
+            if num == 1:
+                position = 0
+            elif grouping is _SHUFFLE:  # round-robin per (sender executor, destination task)
+                index = cursor[0]
+                cursor[0] = index + 1
+                position = index % num
+            else:  # FIELDS
+                position = stable_field_index(field_key_of(event.payload), num)
+            channel = channels[position]
+            copy = event.copy_for_edge(child_event_id(event.event_id, first + position))
+            if copy.anchored and ack_data and copy.kind is _DATA:
+                acker.anchor(copy.root_id, copy.event_id)
+            push_fast(channel.stamp(now), channel.deliver, (copy, sender_id))
             first += num
-        self.routed_count += len(deliveries)
-        return deliveries
-
-    def deliver_batch(
-        self,
-        deliver: Callable[[Event, str], object],
-        sender_id: str,
-        pairs: List[Tuple[float, Event]],
-        index: int,
-    ) -> None:
-        """Deliver one event of a same-channel batch, then re-arm for the next.
-
-        Per-channel delivery times are strictly increasing (FIFO), so the
-        pairs list is already time-sorted and a single in-flight heap entry
-        suffices for the whole batch.
-        """
-        deliver(pairs[index][1], sender_id)
-        next_index = index + 1
-        if next_index < len(pairs):
-            self.runtime.sim.push_fast(
-                pairs[next_index][0], self.deliver_batch, (deliver, sender_id, pairs, next_index)
-            )
+        self.routed_count += len(outbox)
 
     def send_direct(self, sender_id: str, target_executor_id: str, event: Event) -> None:
         """Deliver an event directly to a specific executor (checkpoint channels)."""
@@ -387,10 +310,6 @@ class Router:
         dst_task = self.runtime.dataflow.task(edge.dst)
         instances = dst_task.instance_ids()
         if len(instances) == 1:
-            return [instances[0]]
-        if edge.grouping is Grouping.ALL:
-            return list(instances)
-        if edge.grouping is Grouping.GLOBAL:
             return [instances[0]]
         if edge.grouping is Grouping.FIELDS:
             return [instances[_stable_field_index(field_key_of(event.payload), len(instances))]]

@@ -242,58 +242,6 @@ def _flushed_column(table: str, index: int) -> property:
     return property(column)
 
 
-class _TimesView(Sequence):
-    """List-compatible lazy view over a float column.
-
-    Supports everything a ``List[float]`` time index is used for:
-    ``bisect`` (``len`` + integer ``__getitem__``), slicing (returns a plain
-    list of Python floats), iteration, and ``==`` against lists and other
-    views (several tests and metrics compare whole time arrays).
-    """
-
-    __slots__ = ("_log", "_name")
-
-    def __init__(self, log: "EventLog", name: str) -> None:
-        self._log = log
-        self._name = name
-
-    @property
-    def _column(self) -> _Column:
-        return getattr(self._log, self._name)  # the log's property flushes staged rows
-
-    def __len__(self) -> int:
-        return self._column.n
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self._column.view()[index].tolist()
-        column = self._column
-        n = column.n
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError("time index out of range")
-        return float(column.data[index])
-
-    def __iter__(self):
-        return iter(self._column.view().tolist())
-
-    def __eq__(self, other):
-        if isinstance(other, _TimesView):
-            other = other.tolist()
-        if isinstance(other, (list, tuple)):
-            return self._column.view().tolist() == list(other)
-        return NotImplemented
-
-    __hash__ = None  # mutable view, like a list
-
-    def __repr__(self) -> str:
-        return repr(self._column.view().tolist())
-
-    def tolist(self) -> List[float]:
-        return self._column.view().tolist()
-
-
 class _RowsView(Sequence):
     """Lazy record window ``[lo, hi)`` over the log's columns.
 
@@ -461,11 +409,10 @@ class EventLog:
         self._first_emit_synced = 0
         self._received_roots = _np.empty(0, dtype=_np.int64)
         self._roots_synced = 0
-        #: Whole-log record views and the monotone time indexes parallel to them.
+        #: Whole-log record views (the monotone time indexes parallel to them
+        #: are :attr:`emit_times_array` / :attr:`receipt_times_array`).
         self.source_emits: Sequence[SourceEmit] = _EmitRowsView(self)
         self.sink_receipts: Sequence[SinkReceipt] = _ReceiptRowsView(self)
-        self.emit_times: Sequence[float] = _TimesView(self, "_emit_time")
-        self.receipt_times: Sequence[float] = _TimesView(self, "_receipt_time")
 
     # ------------------------------------------------------------- internals
     def _code(self, name: str) -> int:
@@ -526,7 +473,7 @@ class EventLog:
         ``at_time`` serves the batch-stepping cascade, which materializes
         many ticks inside one kernel callback: each emission is stamped with
         its exact tick time.  Stamped times must be non-decreasing (the
-        ``emit_times`` index is binary-searched).
+        emit-time column is binary-searched).
         """
         stage = self._emits.stage
         stage.append((
@@ -551,7 +498,7 @@ class EventLog:
 
         ``at_time`` lets the batch-stepping cascade stamp each receipt with
         its exact completion time.  Callers must keep stamped times
-        non-decreasing (the ``receipt_times`` index is binary-searched).
+        non-decreasing (the receipt-time column is binary-searched).
         """
         stage = self._receipts.stage
         stage.append((

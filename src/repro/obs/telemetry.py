@@ -85,9 +85,6 @@ class Telemetry:
         registry.counter("router", "route_cache_hits").set_total(
             max(0, router.route_calls - router.plan_builds)
         )
-        registry.counter("router", "batched_deliveries").set_total(
-            router.batched_deliveries
-        )
 
         stepper = runtime.batch_stepper
         if stepper is not None:

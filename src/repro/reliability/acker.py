@@ -273,15 +273,3 @@ class AckerService:
         else:
             self._fail(root_id)
 
-    # ------------------------------------------------------------ maintenance
-    def flush(self) -> int:
-        """Drop all pending trees without failing them; returns how many were dropped.
-
-        Used when acking is turned off mid-run (DCR/CCR do not ack data events).
-        """
-        count = len(self._pending)
-        for tree in self._pending.values():
-            if tree.timeout_timer is not None:
-                tree.timeout_timer.cancel()
-        self._pending.clear()
-        return count

@@ -159,16 +159,6 @@ class TestMaintenance:
         assert completed == []
         assert failed == []
 
-    def test_flush_drops_pending_without_failing(self, sim):
-        acker, _, failed = make_acker(sim, timeout=5.0)
-        for root in (1, 2):
-            acker.register(root)
-        dropped = acker.flush()
-        sim.run(until=10.0)
-        assert dropped == 2
-        assert failed == []
-        assert acker.pending_count == 0
-
     def test_stats_counters(self, sim):
         acker, _, _ = make_acker(sim)
         acker.register(1)

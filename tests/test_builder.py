@@ -77,10 +77,10 @@ class TestWiring:
         builder.add_task("a", parallelism=2)
         builder.add_sink("sink")
         builder.connect("src", "a", grouping=Grouping.FIELDS)
-        builder.connect("a", "sink", grouping=Grouping.GLOBAL)
+        builder.connect("a", "sink")
         dataflow = builder.build()
         assert dataflow.out_edges("src")[0].grouping is Grouping.FIELDS
-        assert dataflow.out_edges("a")[0].grouping is Grouping.GLOBAL
+        assert dataflow.out_edges("a")[0].grouping is Grouping.SHUFFLE
 
 
 class TestBuild:

@@ -9,6 +9,7 @@ state kept in sync across bulk and scalar appends.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.metrics.log import EventLog
@@ -128,7 +129,7 @@ class TestBulkAppendOrder:
         # Equal times are in order (ties are legal), as are empty blocks.
         log.extend_emits([2.0, 2.0], [2, 3], "src")
         log.extend_receipts([], [], [], "sink", [])
-        assert log.emit_times == [2.0, 2.0, 2.0]
+        assert log.emit_times_array.tolist() == [2.0, 2.0, 2.0]
         assert log.receipts_between(2.0, 2.5) == list(log.sink_receipts)
 
 
@@ -137,39 +138,41 @@ class TestViews:
     def log(self):
         return _bulk_filled()
 
-    def test_time_views_yield_python_floats(self, log):
-        assert all(type(t) is float for t in log.emit_times)
-        assert all(type(t) is float for t in log.receipt_times[:])
-        assert type(log.emit_times[0]) is float
-
     def test_views_are_bounds_checked(self, log):
         # The backing buffers over-allocate; indexing past the live prefix
         # must raise, not expose stale garbage.
-        assert len(log.emit_times) == 8
+        assert len(log.emit_times_array) == 8
         with pytest.raises(IndexError):
-            log.emit_times[8]
+            log.emit_times_array[8]
         with pytest.raises(IndexError):
             log.source_emits[8]
-        assert log.emit_times[-1] == 4.5
+        assert log.emit_times_array[-1] == 4.5
         assert log.source_emits[-1].root_id == 107
 
     def test_view_slicing_and_equality(self, log):
-        assert log.emit_times[2:4] == [2.0, 2.5]
-        assert log.emit_times == [1.0 + i * 0.5 for i in range(8)]
-        assert log.receipt_times == list(log.receipt_times)
+        assert log.emit_times_array[2:4].tolist() == [2.0, 2.5]
+        assert log.emit_times_array.tolist() == [1.0 + i * 0.5 for i in range(8)]
+        assert log.receipt_times_array.tolist() == [r.time for r in log.sink_receipts]
+
+    def test_time_arrays_are_float64_and_yield_python_floats(self, log):
+        assert log.emit_times_array.dtype == np.float64
+        assert log.receipt_times_array.dtype == np.float64
+        assert all(type(t) is float for t in log.emit_times_array.tolist())
+        assert all(type(t) is float for t in log.receipt_times_array.tolist())
+
+    def test_bisect_works_against_arrays(self, log):
+        import bisect
+
+        assert bisect.bisect_left(log.emit_times_array, 2.5) == 3
+        assert bisect.bisect_left(log.receipt_times_array, 10.5) == 2
+        assert bisect.bisect_left(log.emit_times_array, 100.0) == 8
+        assert log.emit_times_array.searchsorted(2.5, side="left") == 3
 
     def test_row_views_materialize_records(self, log):
         receipt = log.sink_receipts[3]
         assert receipt.sink == "sink_b"
         assert receipt.replay_count == 1
         assert [e.root_id for e in log.source_emits[:2]] == [100, 101]
-
-    def test_bisect_works_against_views(self, log):
-        import bisect
-
-        assert bisect.bisect_left(log.emit_times, 2.5) == 3
-        assert bisect.bisect_left(log.receipt_times, 10.5) == 2
-        assert bisect.bisect_left(log.emit_times, 100.0) == 8
 
 
 class TestLazyDerivedState:

@@ -36,6 +36,20 @@ class TestReliabilityConfig:
         assert strategy_by_name("ccr").runtime_config(seed=7) == RuntimeConfig.for_dcr(seed=7)
         assert not hasattr(RuntimeConfig, "for_ccr")
 
+    def test_zero_periodic_interval_rejected(self):
+        # Not a silent "off": that is None.
+        with pytest.raises(ValueError, match="periodic_checkpoint_interval_s"):
+            ReliabilityConfig(ack_all_events=True, periodic_checkpoint_interval_s=0.0)
+
+    def test_negative_periodic_interval_rejected(self):
+        # Refused here, not when start() arms the timer.
+        with pytest.raises(ValueError, match="periodic_checkpoint_interval_s"):
+            ReliabilityConfig(ack_all_events=True, periodic_checkpoint_interval_s=-5.0)
+
+    def test_positive_periodic_interval_accepted(self):
+        config = ReliabilityConfig(ack_all_events=True, periodic_checkpoint_interval_s=0.5)
+        assert config.periodic_checkpoint_interval_s == 0.5
+
     def test_factories_propagate_seed(self):
         assert RuntimeConfig.for_dsm(seed=5).seed == 5
         assert RuntimeConfig.for_dcr(seed=6).seed == 6

@@ -22,28 +22,20 @@ class TestDataEvents:
         assert event.root_id == event.event_id == 42
         assert event.root_emitted_at == 2.0
 
-    def test_derive_keeps_root_and_gives_each_output_its_id(self):
-        root = Event.data("source", 42, payload="p", created_at=1.0)
-        child = root.derive("task-a", payload="q", created_at=1.5)
-        assert child.root_id == root.root_id and child.event_id != root.event_id
-        assert not child.is_root
-        assert child.source_task == "task-a"
-        assert child.root_emitted_at == 1.0
-        assert len({root.derive("task-a", index=index).event_id for index in range(8)}) == 8
-
-    def test_derive_preserves_replay_count_and_anchoring(self):
-        root = Event.data("source", 42, replay_count=2, anchored=True)
-        child = root.derive("task-a", created_at=3.0)
-        assert child.replay_count == 2
-        assert child.anchored
-        assert child.is_replay
-
     def test_copy_for_edge_takes_its_id_and_keeps_the_root(self):
         event = Event.data("source", 42)
         copy = event.copy_for_edge(child_event_id(event.event_id, 1))
         assert copy.event_id == child_event_id(42, 1) != event.event_id
         assert copy.root_id == event.root_id
         assert copy.payload == event.payload
+
+    def test_copy_for_edge_preserves_replay_count_and_anchoring(self):
+        root = Event.data("source", 42, replay_count=2, anchored=True, created_at=3.0)
+        copy = root.copy_for_edge(child_event_id(root.event_id, 0))
+        assert copy.replay_count == 2
+        assert copy.anchored
+        assert copy.is_replay
+        assert copy.created_at == 3.0
 
     def test_a_replay_is_the_root_salted_with_its_count(self):
         original = Event.data("source", 42, created_at=1.0)

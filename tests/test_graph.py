@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from repro.dataflow.builder import TopologyBuilder
@@ -147,17 +149,22 @@ class TestRateAnalysis:
         assert rates["right"] == pytest.approx(8.0)
         assert rates["merge"] == pytest.approx(16.0)
 
-    def test_selectivity_scales_downstream_rate(self):
-        builder = TopologyBuilder("sel")
+    def test_exact_rates_sum_branches_without_drift(self):
+        builder = TopologyBuilder("three-way")
         builder.add_source("src", rate=8.0)
-        builder.add_task("expand", selectivity=4.0)
-        builder.add_task("next")
+        builder.add_task("split")
+        for name in ("x", "y", "z"):
+            builder.add_task(name)
+        builder.add_task("merge")
         builder.add_sink("sink")
-        builder.chain("src", "expand", "next", "sink")
-        dataflow = builder.build()
-        rates = dataflow.input_rates()
-        assert rates["expand"] == pytest.approx(8.0)
-        assert rates["next"] == pytest.approx(32.0)
+        builder.connect("src", "split")
+        builder.fan_out("split", ["x", "y", "z"])
+        builder.fan_in(["x", "y", "z"], "merge")
+        builder.connect("merge", "sink")
+        rates = builder.build().input_rates_exact()
+        # One output per input: every branch carries the source's rate.
+        assert rates["x"] == rates["y"] == rates["z"] == Fraction(8)
+        assert rates["merge"] == rates["sink"] == Fraction(24)
 
     def test_output_rate_sums_sink_inputs(self):
         assert fan_graph().output_rate() == pytest.approx(16.0)

@@ -175,9 +175,10 @@ def interesting_times(log):
     """Query times covering empty, boundary and mid-run windows."""
     end = log.sim.now
     times = [0.0, -5.0, end, end + 10.0, end / 2, end / 3]
-    if log.receipt_times:
-        first = log.receipt_times[0]
-        last = log.receipt_times[-1]
+    receipt_times = log.receipt_times_array.tolist()
+    if receipt_times:
+        first = receipt_times[0]
+        last = receipt_times[-1]
         # Exact record times probe the inclusive/exclusive boundaries.
         times += [first, last, (first + last) / 2.0]
     return times
@@ -231,10 +232,12 @@ class TestIndexedQueriesMatchNaive:
 
     def test_time_arrays_parallel_to_records(self, log_fixture, request):
         log = request.getfixturevalue(log_fixture)
-        assert log.receipt_times == [r.time for r in log.sink_receipts]
-        assert log.emit_times == [e.time for e in log.source_emits]
-        assert list(log.receipt_times) == sorted(log.receipt_times)
-        assert list(log.emit_times) == sorted(log.emit_times)
+        receipt_times = log.receipt_times_array.tolist()
+        emit_times = log.emit_times_array.tolist()
+        assert receipt_times == [r.time for r in log.sink_receipts]
+        assert emit_times == [e.time for e in log.source_emits]
+        assert receipt_times == sorted(receipt_times)
+        assert emit_times == sorted(emit_times)
 
 
 # ------------------------------------------------------------------ timelines
@@ -427,8 +430,8 @@ def _assert_same_answers(log, rows, time, width):
     assert mean_latency(log.receipts_after(time)) == mean_latency(naive_receipts_after(rows, time))
     assert mean_latency(log.sink_receipts, start=2, empty=-1.0) \
         == mean_latency(rows.sink_receipts, start=2, empty=-1.0)
-    assert log.emit_times == [emit.time for emit in rows.source_emits]
-    assert log.receipt_times == [receipt.time for receipt in rows.sink_receipts]
+    assert log.emit_times_array.tolist() == [emit.time for emit in rows.source_emits]
+    assert log.receipt_times_array.tolist() == [receipt.time for receipt in rows.sink_receipts]
 
 
 def check_ops(ops):

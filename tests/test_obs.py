@@ -400,16 +400,16 @@ class TestControlPlaneTrace:
 #: Run -> sha256 of its canonical trace text, recorded before traces were
 #: read from the records (when the controller wrote tick spans live).
 TRACE_GOLDENS = {
-    "elastic.grid.ccr.surge": "6a3c7f56d04fbac305f6ff2a0861e32c72a5aa2eb5bb710e91ecb32af39099db",
-    "chaos.grid-keyed.dsm.notice": "245ee6837245807314e07a93cb5a581eb937a605c7073296ba2e9be9853c7663",
-    "predict.grid.reactive": "387043a049edc3f1d83d7f078fad791b67d3ab8194285dd4190afed6470dbde3",
-    "predict.grid.lookahead": "b047803df1c016ff3bc5a80855dc170d17ab59a270f91f53d4d7b23b943a40f2",
+    "elastic.grid.ccr.surge": "99a2d3cad022c1abb31101a9f0f1396adae0f5546b9544a8caa95593b6353f6b",
+    "chaos.grid-keyed.dsm.notice": "668c82e3928602706a6645fa2be336743f31a0de64f5939843612464d4dd7be1",
+    "predict.grid.reactive": "2bb70bdb1006c6c5d4f1f3fb7bb22f2379293ee7448e11e9517a8a6c56197cb3",
+    "predict.grid.lookahead": "dcf0cd7dde1012546dea068eb6cde7f93fa20fb4b829cacc14abe8becbdd9ce5",
     # A shared fleet no fault hit: every tenant's ticks, migrations, arbiter.
     "multi.traffic+linear": "bf4802bba82bb77403e5be719d4c74db4a84cd44741a1cff676cc0a612860127",
     # An overrun evacuation, then the recovery with its state.restore child.
-    "chaos.kill-mid-evacuation": "c4f5cb0bd48ef0d6a01a19937778e1ef70d8d576b08e339d3281c4dc046c4f0c",
+    "chaos.kill-mid-evacuation": "f2507be6dc8c1c714538e083fb4d535f2a05091444582b702f02f4646ac7bde0",
     # No notice: recoveries only.
-    "chaos.grid-keyed.dsm.oblivious": "1fc145909c3e887a981d3f5a9407ba10e61d02e0502ab230c9e966954d6c386f",
+    "chaos.grid-keyed.dsm.oblivious": "ffa4c3c6013fa188a78011b8c562141dc9cac519f2d2c4d3d21531994b1da2d9",
 }
 
 

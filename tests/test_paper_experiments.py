@@ -23,6 +23,7 @@ from repro.engine.runtime import TopologyRuntime
 from repro.experiments import run_elastic_experiment, run_migration_experiment
 from repro.experiments.scenarios import deploy_baseline
 from repro.experiments.sharded import plan_shards, run_steady_shard
+from repro.reliability.acker import AckerService
 from repro.metrics.timeline import latency_timeline, rate_timeline
 from repro.sim import Simulator
 from repro.sim.shard import log_digest, merge_shard_results, run_shards
@@ -157,6 +158,32 @@ def test_a_diamond_dsm_cell_commits_a_periodic_checkpoint_after_its_migration():
     commits = result.runtime.checkpoints.completed_waves(CheckpointAction.COMMIT)
     assert result.report.completed_at is not None
     assert any(wave.completed_at > result.report.completed_at for wave in commits)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP items 5c and 13")
+def test_a_diamond_dsm_replay_fails_only_for_acks_of_its_own(monkeypatch):
+    """A replay re-registers its root's *same* id, so an ack of an earlier
+    incarnation XORs into the replay's tree.  The cell's restarted executors
+    initialise only at 156.9 s; until then their deliveries wait in
+    ``pre_init_buffer``, and processing them acks into the newest tree.  All
+    288 replays come from 96 roots failing three times over, and 96 of those
+    failures hold more acks than anchors (a non-zero hash): 92 by two, 4 by
+    one."""
+    failed = []
+    fail = AckerService._fail
+
+    def recording(self, root_id):
+        tree = self._pending.get(root_id)
+        if tree is not None:
+            failed.append((tree.anchored_count, tree.acked_count))
+        fail(self, root_id)
+
+    monkeypatch.setattr(AckerService, "_fail", recording)
+    run_migration_experiment(
+        dag="diamond", strategy="dsm", scaling="in",
+        migrate_at_s=90.0, post_migration_s=540.0, seed=2018,
+    )
+    assert [(anchored, acked) for anchored, acked in failed if acked >= anchored] == []
 
 
 class TestKernelEventBudget:

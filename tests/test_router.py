@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.dataflow.builder import TopologyBuilder
-from repro.dataflow.event import Event
-from repro.dataflow.grouping import Grouping
+from repro.dataflow.event import Event, child_event_id
+from repro.dataflow.grouping import Grouping, stable_field_index
+from repro.dataflow.task import Task
 
-from tests.conftest import make_runtime
+from tests.conftest import make_runtime, tiny_dataflow
 
 
 def grouping_dataflow(grouping: Grouping):
@@ -36,20 +37,6 @@ class TestGroupings:
         counts = [runtime.executor(f"down#{i}").processed_count for i in range(3)]
         assert all(c > 0 for c in counts)
         assert max(counts) - min(counts) <= 1
-
-    def test_all_grouping_duplicates_to_every_instance(self):
-        runtime = run_with_grouping(Grouping.ALL)
-        up_count = runtime.executor("up#0").processed_count
-        counts = [runtime.executor(f"down#{i}").processed_count for i in range(3)]
-        # Every instance sees (almost) every event emitted by the upstream task.
-        for count in counts:
-            assert count >= up_count - 3
-
-    def test_global_grouping_uses_first_instance_only(self):
-        runtime = run_with_grouping(Grouping.GLOBAL)
-        assert runtime.executor("down#0").processed_count > 0
-        assert runtime.executor("down#1").processed_count == 0
-        assert runtime.executor("down#2").processed_count == 0
 
     def test_fields_grouping_is_deterministic_per_key(self):
         runtime = make_runtime(dataflow=grouping_dataflow(Grouping.FIELDS), worker_vms=4)
@@ -109,79 +96,87 @@ class TestDeliverySemantics:
         assert runtime.executor("c#0").processed_count >= 1
 
 
-class TestBatchedDeliveries:
-    """The batched same-channel delivery path (multi-event route() calls)."""
+class TestOneOutputOverShuffleOrFields:
+    """The data plane carries one output per service over SHUFFLE and FIELDS
+    edges; anything else fails at once instead of fanning out."""
 
-    def _batch_runtime(self, grouping=Grouping.SHUFFLE):
-        runtime = make_runtime(dataflow=grouping_dataflow(grouping), worker_vms=4)
-        for executor in runtime.executors.values():
-            if executor.task.kind.value != "source":
-                executor.start()
-        return runtime
+    def test_task_has_no_selectivity_field(self):
+        with pytest.raises(TypeError):
+            Task(name="t", selectivity=2.0)
 
-    @staticmethod
-    def _arrivals(runtime, until=5.0):
-        """(time, executor, seq) of every delivery into a ``down`` executor, in order.
+    def test_add_task_has_no_selectivity_keyword(self):
+        with pytest.raises(TypeError):
+            TopologyBuilder("t").add_task("a", selectivity=2.0)
 
-        The receivers are held busy, so each delivery lands in its input
-        queue and nothing is served; the kernel is stepped and every queue
-        growth recorded at the time of the step that caused it.
-        """
-        downs = [runtime.executor(f"down#{i}") for i in range(3)]
+    @pytest.mark.parametrize("name", ["all", "global"])
+    def test_only_shuffle_and_fields_groupings_exist(self, name):
+        with pytest.raises(ValueError):
+            Grouping(name)
+        assert [grouping.value for grouping in Grouping] == ["shuffle", "fields"]
+
+    def test_a_service_with_two_outputs_names_its_task(self):
+        runtime = make_runtime()
+        runtime.dataflow.task("b").logic = lambda payload, state: [payload, payload]
+        runtime.start()
+        with pytest.raises(ValueError, match="task 'b'"):
+            runtime.sim.run(until=5.0)
+        # The per-event path ran it: custom logic is never swept.
+        assert runtime.batch_stepper.inline_events == 0
+
+    def test_a_service_that_emits_nothing_ends_its_tree(self):
+        runtime = make_runtime(strategy="dsm")
+        runtime.dataflow.task("b").logic = lambda payload, state: []
+        runtime.start()
+        runtime.sim.run(until=3.0)
+        assert runtime.executor("a#0").processed_count > 0
+        assert sum(runtime.executor(f"b#{i}").processed_count for i in range(2)) > 0
+        assert runtime.executor("c#0").processed_count == 0
+        assert len(runtime.log.sink_receipts) == 0
+        # Acking b's input with nothing anchored downstream closes the tree.
+        assert runtime.acker.stats.completed > 0
+        assert runtime.acker.stats.failed == 0
+
+    @pytest.mark.parametrize("grouping", [Grouping.SHUFFLE, Grouping.FIELDS])
+    def test_one_output_goes_once_down_every_out_edge(self, grouping):
+        builder = TopologyBuilder(f"fan-{grouping.value}")
+        builder.add_source("source", rate=20.0)
+        builder.add_task("up", latency_s=0.01)
+        builder.add_task("left", parallelism=3, latency_s=0.01)
+        builder.add_task("right", latency_s=0.01)
+        builder.add_sink("sink")
+        builder.connect("source", "up")
+        builder.fan_out("up", ["left", "right"], grouping=grouping)
+        builder.fan_in(["left", "right"], "sink")
+        runtime = make_runtime(dataflow=builder.build(), worker_vms=4)
+        downs = [runtime.executor(f"left#{i}") for i in range(3)] + [runtime.executor("right#0")]
         for executor in downs:
-            executor._busy = True
-        seen = {executor.executor_id: 0 for executor in downs}
-        arrivals = []
-        while runtime.sim.step():
-            assert runtime.sim.now <= until
-            for executor in downs:
-                queue = executor.input_queue
-                while seen[executor.executor_id] < len(queue):
-                    event, _sender = queue[seen[executor.executor_id]]
-                    arrivals.append((runtime.sim.now, executor.executor_id, event.payload["seq"]))
-                    seen[executor.executor_id] += 1
-        return arrivals
+            executor.start()
+            executor._busy = True  # hold every delivery in its input queue
+        event = Event.data("up", 42, payload={"key": "k7"}, created_at=0.0)
+        runtime.router.route_one("up#0", "up", event)
+        runtime.sim.run(until=1.0)
+        queued = {
+            executor.executor_id: [queued_event for queued_event, _ in executor.input_queue]
+            for executor in downs
+        }
+        left = 0 if grouping is Grouping.SHUFFLE else stable_field_index("k7", 3)
+        assert {executor_id: len(events) for executor_id, events in queued.items()} == {
+            f"left#{i}": int(i == left) for i in range(3)
+        } | {"right#0": 1}
+        # Each delivery is the event's step over its position in the outbox:
+        # left's instances are channels 0-2, right's is channel 3.
+        assert queued[f"left#{left}"][0].event_id == child_event_id(42, left)
+        assert queued["right#0"][0].event_id == child_event_id(42, 3)
+        assert {events[0].root_id for events in queued.values() if events} == {42}
 
-    def test_batch_delivers_every_event_in_fifo_order(self):
-        runtime = self._batch_runtime(Grouping.ALL)
-        events = [Event.data("up", i + 1, payload={"seq": i}, created_at=0.0) for i in range(16)]
-        runtime.router.route("up#0", "up", events)
-        batch = self._arrivals(runtime)
-        # ALL grouping: every instance sees every event of the batch.
-        assert len(batch) == 16 * 3
-        for target in ("down#0", "down#1", "down#2"):
-            sequence = [seq for _, executor_id, seq in batch if executor_id == target]
-            assert sequence == list(range(16))
-            times = [t for t, executor_id, _ in batch if executor_id == target]
-            assert times == sorted(times)
-            assert len(set(times)) == len(times)  # strictly increasing (FIFO spacing)
-
-    def test_batch_uses_one_inflight_heap_entry_per_channel(self):
-        runtime = self._batch_runtime(Grouping.ALL)
-        before = runtime.sim.pending_events
-        events = [Event.data("up", i + 1, payload={"seq": i}, created_at=0.0) for i in range(16)]
-        runtime.router.route("up#0", "up", events)
-        scheduled = runtime.sim.pending_events - before
-        # 48 deliveries ride on 3 batch callbacks (one per channel), not 48.
-        assert scheduled == 3
-        runtime.sim.run(until=5.0)
-        assert sum(runtime.executor(f"down#{i}").processed_count for i in range(3)) == 48
-
-    def test_batch_results_match_per_event_routing(self):
-        """Routing a batch equals routing the same events one at a time."""
-
-        def collect(route_batched):
-            runtime = self._batch_runtime(Grouping.SHUFFLE)
-            events = [
-                Event.data("up", i + 1, payload={"seq": i}, created_at=0.0) for i in range(12)
-            ]
-            if route_batched:
-                runtime.router.route("up#0", "up", events)
-            else:
-                for event in events:
-                    runtime.router.route("up#0", "up", [event])
-            return [(executor_id, seq) for _, executor_id, seq in self._arrivals(runtime)]
-
-        batched = collect(True)
-        assert len(batched) == 12
-        assert batched == collect(False)
+    def test_only_the_default_forwarder_is_swept(self):
+        # A logic that forwards 1:1 like the default is still custom: the
+        # sweep keys on the forwarder itself, not on what a logic returns.
+        runtime = make_runtime(dataflow=tiny_dataflow(rate=20.0))
+        runtime.dataflow.task("b").logic = lambda payload, state: [payload]
+        runtime.start()
+        for _ in range(4):
+            runtime.sim.run(until=runtime.sim.now + 2.5)
+        assert runtime.executor("c#0").processed_count > 0
+        assert runtime.batch_stepper.declines.get("custom-logic", 0) > 0
+        assert runtime.batch_stepper.inline_events == 0

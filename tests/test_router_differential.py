@@ -6,9 +6,9 @@ plane was compiled: route plans by task name, a shuffle counter by
 FIFO time of a channel each in its own ``(sender, receiver)``-keyed dict
 (every jitter value the scalar ``keyed_value`` of its ``(seed, position)``:
 the router's streams draw ahead in blocks), with every delivery scheduled by executor *id* through ``runtime.deliver``.
-The two routers are driven by the same generated schedule of ``route``
-calls (single edge, fan-out, SHUFFLE / FIELDS / GLOBAL / ALL, multi-event
-batches), ``send_direct`` control events on the same channels,
+The two routers are driven by the same generated schedule of ``route_one``
+calls (single edge, fan-out, SHUFFLE / FIELDS, several events in one
+instant), ``send_direct`` control events on the same channels,
 ``invalidate_caches()``, executor outages and ``rescale()`` retiring and
 re-spawning an executor id with deliveries in flight.  Everything observable
 must be bit-equal: delivery times, targets, event ids, senders, and the drop
@@ -67,61 +67,33 @@ class ReferenceRouter:
         return plan
 
     def route_one(self, sender_id, task_name, event):
-        self.route(sender_id, task_name, [event])
-
-    def route(self, sender_id, task_name, events):
-        if not events:
-            return
         runtime = self.runtime
-        schedule = runtime.sim.schedule_at_fast
         now = runtime.sim.now
         plan = self._plan(task_name)
-        single = len(events) == 1
-        batches = {}
         first = 0  # outbox position of the edge's first instance
         for edge, instances in plan:
             num = len(instances)
-            for event in events:
-                if num == 1 or edge.grouping is Grouping.ALL:
-                    targets = instances
-                elif edge.grouping is Grouping.GLOBAL:
-                    targets = instances[:1]
-                elif edge.grouping is Grouping.FIELDS:
-                    targets = (instances[stable_field_index(field_key_of(event.payload), num)],)
-                else:
-                    key = (sender_id, edge.dst)
-                    index = self._shuffle_counters.get(key, 0)
-                    self._shuffle_counters[key] = index + 1
-                    targets = (instances[index % num],)
-                sole = len(plan) == 1 and len(targets) == 1
-                for target in targets:
-                    event_id = child_event_id(event.event_id, first + instances.index(target))
-                    if sole:  # re-stamped with the id a copy would have carried
-                        event.event_id = event_id
-                        copy = event
-                    else:
-                        copy = event.copy_for_edge(event_id)
-                    if copy.anchored and runtime.ack_data_events and copy.kind is EventKind.DATA:
-                        runtime.acker.anchor(copy.root_id, copy.event_id)
-                    time = self._delivery_time(sender_id, target, now)
-                    self.routed_count += 1
-                    if single:
-                        schedule(time, runtime.deliver, (target, copy, sender_id))
-                    else:
-                        batches.setdefault(target, []).append((time, copy))
-            first += num
-        for target, pairs in batches.items():
-            if len(pairs) == 1:
-                schedule(pairs[0][0], runtime.deliver, (target, pairs[0][1], sender_id))
+            if num == 1:
+                target = instances[0]
+            elif edge.grouping is Grouping.FIELDS:
+                target = instances[stable_field_index(field_key_of(event.payload), num)]
             else:
-                schedule(pairs[0][0], self._deliver_batch, (target, sender_id, pairs, 0))
-
-    def _deliver_batch(self, target, sender_id, pairs, index):
-        self.runtime.deliver(target, pairs[index][1], sender_id)
-        if index + 1 < len(pairs):
-            self.runtime.sim.schedule_at_fast(
-                pairs[index + 1][0], self._deliver_batch, (target, sender_id, pairs, index + 1)
-            )
+                key = (sender_id, edge.dst)
+                index = self._shuffle_counters.get(key, 0)
+                self._shuffle_counters[key] = index + 1
+                target = instances[index % num]
+            event_id = child_event_id(event.event_id, first + instances.index(target))
+            if len(plan) == 1:  # re-stamped with the id a copy would have carried
+                event.event_id = event_id
+                copy = event
+            else:
+                copy = event.copy_for_edge(event_id)
+            if copy.anchored and runtime.ack_data_events and copy.kind is EventKind.DATA:
+                runtime.acker.anchor(copy.root_id, copy.event_id)
+            time = self._delivery_time(sender_id, target, now)
+            self.routed_count += 1
+            runtime.sim.schedule_at_fast(time, runtime.deliver, (target, copy, sender_id))
+            first += num
 
     def send_direct(self, sender_id, target, event):
         runtime = self.runtime
@@ -161,26 +133,25 @@ class ReferenceRouter:
 
 # ----------------------------------------------------------------- scenario
 def groupings_dataflow():
-    """Every shape of outbox: fan-out, and each grouping on a single edge."""
+    """Every shape of outbox: fan-out over either grouping, and each grouping
+    on a single edge."""
     builder = TopologyBuilder("groupings")
     builder.add_source("src", rate=1.0)
     builder.add_task("up", parallelism=2, latency_s=0.01)
     builder.add_task("shuf", parallelism=3, latency_s=0.01)
     builder.add_task("keyed", parallelism=3, latency_s=0.01)
-    builder.add_task("glob", parallelism=2, latency_s=0.01)
-    builder.add_task("bcast", parallelism=2, latency_s=0.01)
+    builder.add_task("side", parallelism=2, latency_s=0.01)
     builder.add_task("tail", parallelism=2, latency_s=0.01)
     builder.add_task("one", parallelism=1, latency_s=0.01)
     builder.add_sink("sink")
     builder.connect("src", "up")
     builder.connect("up", "shuf", grouping=Grouping.SHUFFLE)
     builder.connect("up", "keyed", grouping=Grouping.FIELDS)
-    builder.connect("up", "glob", grouping=Grouping.GLOBAL)
-    builder.connect("up", "bcast", grouping=Grouping.ALL)
+    builder.connect("up", "side", grouping=Grouping.SHUFFLE)
     builder.connect("shuf", "tail", grouping=Grouping.SHUFFLE)
     builder.connect("keyed", "tail", grouping=Grouping.FIELDS)
-    builder.connect("glob", "one")
-    builder.connect("bcast", "tail", grouping=Grouping.ALL)
+    builder.connect("side", "one")
+    builder.connect("side", "tail", grouping=Grouping.SHUFFLE)
     builder.connect("tail", "sink")
     builder.connect("one", "sink")
     return builder.build()
@@ -189,14 +160,14 @@ def groupings_dataflow():
 #: (sender executor, its task) a schedule may route from.
 SENDERS = (
     ("src#0", "src"), ("up#0", "up"), ("up#1", "up"), ("shuf#0", "shuf"), ("shuf#2", "shuf"),
-    ("keyed#1", "keyed"), ("glob#0", "glob"), ("bcast#0", "bcast"), ("tail#0", "tail"),
+    ("keyed#1", "keyed"), ("side#0", "side"), ("side#1", "side"), ("tail#0", "tail"),
     ("tail#1", "tail"),
 )
 #: (sender, receiver) pairs for ``send_direct``: channels data is routed on
 #: too, the checkpoint source's own, and one to an executor that never exists.
 DIRECT = (
     (CHECKPOINT_SOURCE_ID, "up#0"), ("up#0", "shuf#1"), ("shuf#0", "tail#1"), ("shuf#0", "tail#0"),
-    ("bcast#0", "tail#1"), ("src#0", "up#1"), ("up#1", "ghost#0"),
+    ("side#1", "tail#1"), ("src#0", "up#1"), ("up#1", "ghost#0"),
 )
 VICTIM = "shuf#1"  # killed and revived in place (the transport defers its data)
 
@@ -229,8 +200,8 @@ def run_schedule(schedule, router_cls):
     serial = [0]
 
     def route(sender, count, key):
+        # ``count`` events routed one after another in one instant.
         sender_id, task_name = SENDERS[sender]
-        events = []
         for _ in range(count):
             serial[0] += 1
             event = Event.data(
@@ -239,9 +210,8 @@ def run_schedule(schedule, router_cls):
             )
             if schedule["acked"]:
                 runtime.acker.register(event.root_id)
-            events.append(event)
+            runtime.router.route_one(sender_id, task_name, event)
             key += 1
-        runtime.router.route(sender_id, task_name, events)
 
     def volley(sender, count):
         # The same channels several times in one instant, an invalidation

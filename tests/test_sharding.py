@@ -100,10 +100,12 @@ class TestMergeDeterminism:
 
     def test_time_indexes_stay_monotone(self):
         log = merge_shard_results(self.make_results())
-        assert log.emit_times == sorted(log.emit_times)
-        assert log.receipt_times == sorted(log.receipt_times)
-        assert len(log.emit_times) == len(log.source_emits)
-        assert len(log.receipt_times) == len(log.sink_receipts)
+        emit_times = log.emit_times_array.tolist()
+        receipt_times = log.receipt_times_array.tolist()
+        assert emit_times == sorted(emit_times)
+        assert receipt_times == sorted(receipt_times)
+        assert len(emit_times) == len(log.source_emits)
+        assert len(receipt_times) == len(log.sink_receipts)
 
 
 class TestShardedRunDeterminism:

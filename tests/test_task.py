@@ -13,7 +13,7 @@ class TestTaskValidation:
         assert task.kind is TaskKind.PROCESS
         assert task.parallelism == 1
         assert task.latency_s == pytest.approx(0.1)
-        assert task.selectivity == 1.0
+        assert task.logic is default_logic
         assert not task.stateful
 
     def test_empty_name_rejected(self):
@@ -28,10 +28,6 @@ class TestTaskValidation:
         with pytest.raises(ValueError):
             Task(name="t", latency_s=-0.1)
 
-    def test_negative_selectivity_rejected(self):
-        with pytest.raises(ValueError):
-            Task(name="t", selectivity=-1.0)
-
     def test_instance_ids(self):
         task = Task(name="t", parallelism=3)
         assert task.instance_ids() == ["t#0", "t#1", "t#2"]
@@ -39,24 +35,14 @@ class TestTaskValidation:
 
 class TestDefaultLogic:
     def test_one_to_one_selectivity(self):
-        logic = default_logic(1.0)
         state = {}
-        assert logic("payload", state) == ["payload"]
+        assert default_logic("payload", state) == ["payload"]
         assert state["processed"] == 1
 
-    def test_one_to_many_selectivity(self):
-        logic = default_logic(3.0)
-        assert logic("x", {}) == ["x", "x", "x"]
-
-    def test_zero_selectivity_emits_nothing(self):
-        logic = default_logic(0.0)
-        assert logic("x", {}) == []
-
     def test_state_counter_accumulates(self):
-        logic = default_logic(1.0)
         state = {}
         for _ in range(5):
-            logic("x", state)
+            default_logic("x", state)
         assert state["processed"] == 5
 
     def test_custom_logic_used_when_provided(self):
@@ -83,7 +69,7 @@ class TestSourceAndSink:
         sink = SinkTask(name="sink")
         assert sink.kind is TaskKind.SINK
         assert sink.is_sink
-        assert sink.selectivity == 0.0
+        assert sink.latency_s == 0.0
 
     def test_source_payload_factory_stored(self):
         factory = lambda seq: {"n": seq}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.dataflow import topologies
+from repro.dataflow.task import default_logic
 from repro.dataflow.topologies import PAPER_ORDER, TABLE1
 
 
@@ -40,7 +41,8 @@ class TestTable1Fidelity:
     def test_all_tasks_are_one_to_one_selectivity(self, name):
         dataflow = topologies.by_name(name)
         for task in dataflow.user_tasks:
-            assert task.selectivity == pytest.approx(1.0)
+            assert task.logic is default_logic
+            assert task.logic("payload", {}) == ["payload"]
 
     @pytest.mark.parametrize("name", PAPER_ORDER)
     def test_at_least_one_stateful_task(self, name):
