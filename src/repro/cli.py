@@ -38,13 +38,11 @@ which ``figure all --write results/`` re-records.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
 from repro.dataflow import topologies
-from repro.elastic import ControllerConfig
 from repro.engine.batch import engine_counts, engine_line
 from repro.experiments.predictive import DEFAULT_POLICIES
 from repro.experiments import (
@@ -124,11 +122,6 @@ def _cmd_elastic(args: argparse.Namespace) -> int:
     result = run_elastic_experiment(
         **_run_args(args),
         profile=args.profile,
-        controller_config=ControllerConfig(
-            check_interval_s=args.check_interval,
-            confirm_samples=args.confirm_samples,
-            cooldown_s=args.cooldown,
-        ),
     )
 
     print(f"Elastic run: {args.dag} / {args.strategy} / profile={args.profile} "
@@ -333,19 +326,6 @@ def _cmd_multi(args: argparse.Namespace) -> int:
           + (f"  vs {result.private_total_cost:8.4f} private" if result.private else ""))
     tenants = [shared.manager.tenant(name).runtime for name in shared.tenants]
     print("\n" + engine_line(engine_counts(tenants)))
-    if args.audit_json:
-        arbiter = shared.manager.arbiter
-        payload = {
-            "schema": "repro-audit/1",
-            "budget_slots": arbiter.budget_slots,
-            "max_committed_slots": arbiter.max_committed_slots,
-            "records": [record.as_dict() for record in arbiter.log],
-            "aborts": [record.as_dict() for record in arbiter.aborts],
-        }
-        path = Path(args.audit_json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        print(f"\n[arbitration audit written to {path}]")
     if args.trace:
         _export_trace(result.trace(), args.trace)
     return 0
@@ -494,12 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     elastic = sub.add_parser("elastic", help="run a closed-loop autoscaling experiment")
     _add_run_flags(elastic, dag="traffic", strategy="ccr", duration=900.0)
     elastic.add_argument("--profile", default="surge", choices=sorted(PROFILE_PRESETS))
-    elastic.add_argument("--check-interval", type=float, default=15.0, dest="check_interval",
-                         help="controller sampling/decision interval (seconds)")
-    elastic.add_argument("--confirm-samples", type=int, default=2, dest="confirm_samples",
-                         help="consecutive agreeing samples required before scaling (hysteresis)")
-    elastic.add_argument("--cooldown", type=float, default=60.0,
-                         help="quiet period after a migration before the next one (seconds)")
     _add_trace_flag(elastic, "elastic")
     elastic.set_defaults(func=_cmd_elastic)
 
@@ -560,10 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "partially-free shared VMs instead of provisioning a fresh fleet")
     multi.add_argument("--no-baseline", action="store_true", dest="no_baseline",
                        help="skip the per-tenant private-fleet baseline runs")
-    multi.add_argument("--audit-json", default="", dest="audit_json", metavar="PATH",
-                       help="write the arbiter's structured audit log (every proposal "
-                            "and abort with its verdict and budget position) to this "
-                            "JSON file")
     _add_trace_flag(multi, "multi")
     multi.set_defaults(func=_cmd_multi)
 

@@ -196,11 +196,6 @@ class Cluster:
         return [slot for vm in self._vms.values() for slot in vm.slots]
 
     @property
-    def free_slots(self) -> List[Slot]:
-        """Slots not currently hosting an executor."""
-        return [slot for slot in self.slots if not slot.occupied]
-
-    @property
     def total_slots(self) -> int:
         """Total number of slots in the cluster."""
         return len(self.slots)
@@ -218,10 +213,6 @@ class Cluster:
             if slot is not None:
                 return slot
         raise KeyError(f"slot {slot_id} not found in cluster")
-
-    def slot_vm(self, slot_id: str) -> str:
-        """Return the VM id hosting the given slot."""
-        return self.find_slot(slot_id).vm_id
 
     @property
     def utilization(self) -> float:

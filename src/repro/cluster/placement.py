@@ -72,10 +72,6 @@ class PlacementPlan:
         """Distinct VMs used by the plan."""
         return {self.slot_to_vm[s] for s in self.assignments.values()}
 
-    def executors_on_vm(self, vm_id: str) -> List[str]:
-        """All executors placed on the given VM."""
-        return [e for e, s in self.assignments.items() if self.slot_to_vm.get(s) == vm_id]
-
     def owns(self, slot: Slot) -> bool:
         """Whether ``slot`` holds one of this plan's executors, in the slot the plan gives it.
 

@@ -212,16 +212,6 @@ class Dataflow:
                     entry_names.add(succ)
         return [self._tasks[n] for n in self._topo_order if n in entry_names]
 
-    @property
-    def exit_tasks(self) -> List[Task]:
-        """User tasks that feed directly into a sink."""
-        exit_names: Set[str] = set()
-        for sink in self.sinks:
-            for pred in self._predecessors[sink.name]:
-                if self._tasks[pred].kind is TaskKind.PROCESS:
-                    exit_names.add(pred)
-        return [self._tasks[n] for n in self._topo_order if n in exit_names]
-
     def successors(self, name: str) -> List[str]:
         """Downstream task names of ``name``."""
         return list(self._successors[name])

@@ -11,11 +11,10 @@ unbounded budget, so the accounting below runs on every run.
 
 The arbitration policy, in the order the checks run:
 
-1. **Migration serialization** -- at most ``max_concurrent_migrations``
-   scaling migrations may be in flight at once (default 1: strictly
-   serialized).  Concurrent migrations are safe only because every grant
-   targets freshly provisioned VMs and the *retiring* sets (old VMs an
-   in-flight migration will vacate) are published for schedulers to avoid.
+1. **Migration serialization** -- one scaling migration is in flight at a
+   time: a proposal is deferred while any tenant's migration runs.  The
+   *retiring* sets (old VMs an in-flight migration will vacate) are still
+   published for schedulers to avoid.
 2. **Fleet budget** -- worker slots in the cluster plus slots reserved by
    granted-but-not-yet-provisioned proposals must never exceed
    ``budget_slots``.  Reservations are taken at grant time and converted to
@@ -95,8 +94,8 @@ class InFlightMigration:
 @dataclass(frozen=True)
 class ProposalRecord:
     """Audit-log entry for one arbitration: who asked, the verdict, and the
-    budget position before/after, so contention is greppable (``repro multi
-    --audit-json``) instead of reconstructed from prose logs."""
+    budget position before/after (each one an ``arbiter`` span of ``repro
+    multi --trace``)."""
 
     time: float
     tenant_id: str
@@ -110,37 +109,15 @@ class ProposalRecord:
     committed_after: int = 0
     budget_slots: int = 0
 
-    def as_dict(self) -> Dict[str, object]:
-        """Plain-dict view for JSON export."""
-        return {
-            "time": self.time,
-            "tenant_id": self.tenant_id,
-            "direction": self.direction,
-            "slots_requested": self.slots_requested,
-            "granted": self.granted,
-            "reason": self.reason,
-            "committed_before": self.committed_before,
-            "committed_after": self.committed_after,
-            "budget_slots": self.budget_slots,
-        }
-
 
 class ScaleArbiter:
     """Grants or defers tenants' scaling proposals under a fleet slot budget."""
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        budget_slots: int,
-        max_concurrent_migrations: int = 1,
-    ) -> None:
+    def __init__(self, cluster: Cluster, budget_slots: int) -> None:
         if budget_slots <= 0:
             raise ValueError(f"budget_slots must be positive, got {budget_slots}")
-        if max_concurrent_migrations < 1:
-            raise ValueError("max_concurrent_migrations must be at least 1")
         self.cluster = cluster
         self.budget_slots = budget_slots
-        self.max_concurrent_migrations = max_concurrent_migrations
         self.tenants: Dict[str, TenantRegistration] = {}
         self.waiting: Dict[str, WaitingEntry] = {}
         self.in_flight: Dict[str, InFlightMigration] = {}
@@ -255,12 +232,7 @@ class ScaleArbiter:
         return decision
 
     def _decide(self, me: TenantRegistration, direction: str, slots: int) -> ArbiterDecision:
-        if me.tenant_id in self.in_flight:
-            # Defensive: a tenant with a migration in flight must not propose
-            # again (the controller proposes only while no scaling action or
-            # evacuation of its own holds the migration token).
-            return ArbiterDecision(granted=False, reason="migration-in-flight")
-        if len(self.in_flight) >= self.max_concurrent_migrations:
+        if self.in_flight:
             return ArbiterDecision(granted=False, reason="migration-in-flight")
         if self.committed_slots() + slots > self.budget_slots:
             return ArbiterDecision(granted=False, reason="budget")

@@ -110,24 +110,6 @@ class AllocationPlanner:
         """Total instances the 1-per-capacity rule demands at the observed rate."""
         return sum(self.required_instances_by_task(observed_rate_ev_s).values())
 
-    def rescale_plan(self, observed_rate_ev_s: float) -> Optional[RescalePlan]:
-        """Parallelism changes needed to serve the observed rate, if any.
-
-        Returns ``None`` when every task's deployed instance count already
-        matches the demand.
-        """
-        return self._rescale_from(self.required_instances_by_task(observed_rate_ev_s))
-
-    def _rescale_from(self, required_by_task: Dict[str, int]) -> Optional[RescalePlan]:
-        targets = {
-            name: count
-            for name, count in required_by_task.items()
-            if self.dataflow.task(name).parallelism != count
-        }
-        if not targets:
-            return None
-        return RescalePlan(targets=targets)
-
     def plan(self, observed_rate_ev_s: float, current_tier: Optional[str] = None) -> TargetAllocation:
         """Pick the allocation tier and VM packing for an observed rate.
 
@@ -159,7 +141,12 @@ class AllocationPlanner:
         rescale: Optional[RescalePlan] = None
         hosted_target = hosted
         if self.elastic_parallelism and (tier != current_tier or out_of_band):
-            rescale = self._rescale_from(required_by_task)
+            targets = {
+                name: count
+                for name, count in required_by_task.items()
+                if self.dataflow.task(name).parallelism != count
+            }
+            rescale = RescalePlan(targets=targets) if targets else None
             hosted_target = required
         vm_type = self.TIER_VM_TYPES[tier]
         vm_counts = {vm_type.name: int(math.ceil(hosted_target / vm_type.slots))}

@@ -51,11 +51,6 @@ class ControllerConfig:
     confirm_samples: int = 2
     #: Quiet period after a completed migration before the next one may start.
     cooldown_s: float = 60.0
-    #: Drain-aware scale-in guard: a consolidation is deferred while the total
-    #: backlog exceeds this many seconds of offered load (``None`` or 0
-    #: disables the guard).  Scale-outs are never held -- extra capacity only
-    #: helps a drain.
-    drain_guard_backlog_s: Optional[float] = 5.0
     #: Named demand forecaster (see
     #: :data:`~repro.elastic.forecast.FORECAST_POLICIES`).  ``reactive`` is
     #: the identity forecast -- the plain threshold controller.
@@ -76,8 +71,6 @@ class ControllerConfig:
             raise ValueError("confirm_samples must be at least 1")
         if self.cooldown_s < 0:
             raise ValueError("cooldown_s must be non-negative")
-        if self.drain_guard_backlog_s is not None and self.drain_guard_backlog_s < 0:
-            raise ValueError("drain_guard_backlog_s must be non-negative (or None)")
         if self.slo_latency_s is not None and self.slo_latency_s <= 0:
             raise ValueError("slo_latency_s must be positive (or None)")
 
@@ -85,6 +78,10 @@ class ControllerConfig:
 #: Forecasts within this fraction of the observed rate snap to the observed
 #: rate (smoothing noise must not read as pressure; see :func:`decide`).
 FORECAST_DEADBAND = 0.05
+#: Drain-aware scale-in guard: a consolidation is deferred while the total
+#: backlog exceeds this many seconds of offered load.  Scale-outs are never
+#: held -- extra capacity only helps a drain.
+DRAIN_GUARD_BACKLOG_S = 5.0
 #: Consecutive SLO-breaching samples before the overload override may
 #: escalate an in-band plan.
 SLO_CONFIRM_SAMPLES = 2
@@ -195,7 +192,7 @@ def decide(
     **Debounce.**  ``confirm_samples`` consecutive samples must agree on the
     same out-of-band tier (a flip restarts the count), then any cooldown must
     have expired, then -- for a scale-in only; extra capacity only helps a
-    drain -- the backlog must be below ``drain_guard_backlog_s`` seconds of
+    drain -- the backlog must be below ``DRAIN_GUARD_BACKLOG_S`` seconds of
     offered load: consolidating a dataflow that is still absorbing a surge
     would strand the very backlog it is draining on a smaller allocation.
     The confirmation is deliberately *kept* through ``cooldown`` and
@@ -250,12 +247,11 @@ def decide(
             # the required slot count strictly differs from the deployed one.
             deployed = planner.dataflow.total_instances()
             direction = "out" if target.hosted_slots > deployed else "in"
-        guard_s = config.drain_guard_backlog_s
         if state.pending_count < config.confirm_samples:
             outcome = "hysteresis"
         elif sample.time < state.cooldown_until:
             outcome = "cooldown"
-        elif direction == "in" and guard_s and backlog > guard_s * max(observed, 1.0):
+        elif direction == "in" and backlog > DRAIN_GUARD_BACKLOG_S * max(observed, 1.0):
             outcome = "drain-guard"
         else:
             outcome = "enact"

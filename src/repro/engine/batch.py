@@ -75,8 +75,9 @@ _EMITTED_AT = attrgetter("root_emitted_at")
 _EVENT_ID = attrgetter("event_id")
 
 # Unbound kernel-callback identities the sweep knows how to ingest when it
-# adopts in-flight work (see _scan_inflight).
-_COMPLETIONS = (Executor._complete_data, SinkExecutor._complete_data)
+# adopts in-flight work (see _scan_inflight); a sink never schedules a
+# completion (SinkExecutor).
+_COMPLETE_DATA = Executor._complete_data
 _DELIVERIES = (Executor.deliver, SinkExecutor.deliver)
 
 #: Most entries one array round of the level sweep lays end to end: whole
@@ -536,7 +537,7 @@ def _scan_inflight(runtime: "TopologyRuntime", acked: bool):
     for entry in entries:
         cb = entry[2]
         func = getattr(cb, "__func__", None)
-        if func in _COMPLETIONS:
+        if func is _COMPLETE_DATA:
             executor = cb.__self__
             event = entry[3][0]
             if not _adoptable(event, acked) or not executor._busy or executor in busy:

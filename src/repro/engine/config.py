@@ -79,11 +79,6 @@ class TimingConfig:
 
     #: Platform-logic handling time for one checkpoint control event.
     checkpoint_handling_s: float = 0.002
-    #: Per-data-event platform overhead on top of the user logic latency
-    #: (serialization, queue transfer, ack bookkeeping).  Zero by default so a
-    #: task instance's peak throughput is exactly the paper's idealized
-    #: 10 ev/s for the 100 ms dummy task.
-    data_event_overhead_s: float = 0.0
     #: Duration of the Storm ``rebalance`` command itself (mean / stddev).
     rebalance_command_mean_s: float = 7.26
     rebalance_command_stddev_s: float = 0.5

@@ -138,9 +138,8 @@ class Executor:
         #: (ev/s per busy instance), which the elastic monitor feeds back into
         #: capacity planning.
         self.busy_time_s = 0.0
-        # Per-event service time, fixed for the executor's lifetime (the
-        # timing model and task latency are set before deployment).
-        self._service_time = task.latency_s + runtime.timing.data_event_overhead_s
+        # Per-event service time: the task's latency, fixed before deployment.
+        self._service_time = task.latency_s
 
     # ------------------------------------------------------------ placement
     def place(self, slot_id: str, vm_id: str) -> None:
@@ -429,9 +428,8 @@ class SourceExecutor(Executor):
 
     The emission rate is either fixed (``task.rate``, the paper's 8 ev/s) or
     follows a :class:`~repro.workloads.profiles.RateProfile` over simulated
-    time: the emit timer is re-armed after every tick (and on explicit
-    :meth:`set_rate` / :meth:`set_profile` calls) using the profile's current
-    rate, so step changes, ramps and bursts take effect within one
+    time: the emit timer is re-armed after every tick using the profile's
+    current rate, so step changes, ramps and bursts take effect within one
     inter-event gap.
 
     While paused, generated events accumulate in a backlog that is drained at
@@ -523,19 +521,6 @@ class SourceExecutor(Executor):
         if self.profile is not None:
             return float(self.profile.rate_at(self.sim.now))
         return self.rate
-
-    def set_rate(self, rate: float) -> None:
-        """Switch to a fixed emission rate, re-arming the emit timer now."""
-        if rate <= 0:
-            raise ValueError(f"source rate must be positive, got {rate}")
-        self.profile = None
-        self.rate = float(rate)
-        self._arm_emit_timer()
-
-    def set_profile(self, profile: Any) -> None:
-        """Follow a new rate profile from now on, re-arming the emit timer."""
-        self.profile = profile
-        self._arm_emit_timer()
 
     def _arm_emit_timer(self) -> None:
         """(Re)schedule the next generation tick from the current rate.
@@ -814,14 +799,14 @@ class SourceExecutor(Executor):
 class SinkExecutor(Executor):
     """Sink task instance: records every received event in the event log.
 
-    **Inline service**: a sink emits nothing downstream, so when its service
-    time is zero (the repository's timing model) an idle sink completes a
-    data event inside :meth:`deliver` -- receipt and ack at the delivery
-    time -- instead of scheduling a 0 s completion that would fire
-    at that same instant.  Whatever the queued path exists for still takes
-    it: a non-zero ``data_event_overhead_s``, an event arriving while another
-    is queued or in service (a control event, a restored backlog), capture
-    mode, an uninitialized or non-running sink.
+    **Inline service**: a sink emits nothing downstream and its service time
+    is 0 s (:class:`~repro.dataflow.task.SinkTask`), so a running,
+    initialized sink completes every data event inside :meth:`deliver` --
+    receipt and ack at the delivery time -- and never queues one.  No
+    control event is sent to a sink (waves target user tasks only) and the
+    util VM that hosts the sinks is never killed or migrated, so nothing
+    else occupies a sink between deliveries.  A non-running sink refuses the
+    delivery and an uninitialized one buffers it, as every executor does.
     """
 
     __slots__ = ("received_count", "inline_completions")
@@ -833,21 +818,9 @@ class SinkExecutor(Executor):
         self.inline_completions = 0
 
     def deliver(self, event: Event, sender_id: str) -> bool:
-        if (
-            self._service_time == 0.0
-            and event.kind is _DATA
-            and self.status is _RUNNING
-            and self.initialized
-            and not self._busy
-            and not self.input_queue
-            and not self.capture_mode
-        ):
-            self.inline_completions += 1
-            self._receive(event)
-            return True
-        return super().deliver(event, sender_id)
-
-    def _receive(self, event: Event) -> None:
+        if event.kind is not _DATA or self.status is not _RUNNING or not self.initialized:
+            return super().deliver(event, sender_id)
+        self.inline_completions += 1
         self.received_count += 1
         self.runtime.log.record_sink_receipt(
             root_id=event.root_id,
@@ -858,14 +831,7 @@ class SinkExecutor(Executor):
         )
         self.processed_count += 1
         self.runtime.ack_processed(event)
-
-    def _complete_data(self, event: Event) -> None:
-        if self.status is not ExecutorStatus.RUNNING:
-            self._busy = False
-            return
-        self._receive(event)
-        self._busy = False
-        self._maybe_process()
+        return True
 
 
 class TopologyRuntimeLike:

@@ -602,19 +602,6 @@ class EventLog:
         ]
 
     # ---------------------------------------------------------------- queries
-    def root_first_emit_time(self, root_id: int) -> Optional[float]:
-        """Time at which the given root event was first emitted, if known."""
-        roots, times = self._first_emits()
-        slot = int(roots.searchsorted(root_id))
-        if slot < roots.size and roots[slot] == root_id:
-            return float(times[slot])
-        return None
-
-    def is_old_root(self, root_id: int, migration_time: float) -> bool:
-        """Whether the root was first emitted before the migration request."""
-        first = self.root_first_emit_time(root_id)
-        return first is not None and first < migration_time
-
     def receipts_after(self, time: float) -> Sequence[SinkReceipt]:
         """Sink receipts at or after the given time, in time order."""
         return _ReceiptRowsView(self, self._receipt_index(time), self._receipt_time.n)
@@ -667,16 +654,6 @@ class EventLog:
     def lost_in_kills(self) -> int:
         """Total number of queued events lost across all executor kills."""
         return sum(k.queued_events_lost for k in self.kills)
-
-    def dropped_count(self, kind: Optional[str] = None) -> int:
-        """Number of dropped deliveries, optionally filtered by event kind."""
-        if kind is None:
-            return len(self.drops)
-        return sum(1 for d in self.drops if d.kind == kind)
-
-    def deferred_count(self) -> int:
-        """Number of data events the transport held for restarting executors."""
-        return len(self.deferred)
 
     def distinct_roots_received(self) -> int:
         """Number of distinct root events observed at the sinks."""

@@ -123,7 +123,6 @@ class ClusterManager:
         sim: Optional[Simulator] = None,
         provisioning_latency_s: float = 30.0,
         billing_granularity_s: float = 60.0,
-        max_concurrent_migrations: int = 1,
         fleet_sample_interval_s: float = 15.0,
         seed: int = 2018,
     ) -> None:
@@ -134,11 +133,7 @@ class ClusterManager:
             billing_granularity_s=billing_granularity_s,
         )
         self.cluster = Cluster()
-        self.arbiter = ScaleArbiter(
-            self.cluster,
-            budget_slots=budget_slots,
-            max_concurrent_migrations=max_concurrent_migrations,
-        )
+        self.arbiter = ScaleArbiter(self.cluster, budget_slots=budget_slots)
         self.fleet_sample_interval_s = fleet_sample_interval_s
         self.seed = seed
         self.tenants: Dict[str, Tenant] = {}

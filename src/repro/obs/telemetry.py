@@ -63,120 +63,20 @@ class Telemetry:
         self.meta: Dict[str, object] = {}
 
     # ------------------------------------------------------------- sampling
-    def _set_queues(self, queue_depths: Levels, source_backlogs: Levels) -> None:
+    def _set_queues(self, queue_depths: Levels, source_backlogs: Levels, **label: str) -> None:
         """Set the queue gauges (each tracks its high-water mark across calls)."""
         gauge = self.registry.gauge
         for executor_id, depth in queue_depths:
-            gauge("executor", "queue_depth", executor=executor_id).set(depth)
+            gauge("executor", "queue_depth", executor=executor_id, **label).set(depth)
         for executor_id, backlog in source_backlogs:
-            gauge("executor", "source_backlog", executor=executor_id).set(backlog)
+            gauge("executor", "source_backlog", executor=executor_id, **label).set(backlog)
 
     # ------------------------------------------------------------- scraping
     def scrape(self, runtime, provider=None, injector=None) -> None:
         """Fold the plain tallies of the hot components into the registry."""
+        self._scrape_kernel(runtime.sim)
+        self._scrape_runtime(runtime)
         registry = self.registry
-        sim = runtime.sim
-        registry.counter("kernel", "events_stepped").set_total(sim.processed_events)
-        registry.counter("kernel", "heap_compactions").set_total(sim.compactions)
-
-        router = runtime.router
-        registry.counter("router", "deliveries").set_total(router.routed_count)
-        registry.counter("router", "route_cache_builds").set_total(router.plan_builds)
-        registry.counter("router", "route_cache_hits").set_total(
-            max(0, router.route_calls - router.plan_builds)
-        )
-
-        stepper = runtime.batch_stepper
-        if stepper is not None:
-            # Engine-tier accounting: how much ran inline, and why each
-            # source tick the stepper handed back was handed back.
-            for name in ("cascades", "inline_events", "rounds", "scan_fallbacks",
-                         "plan_builds"):
-                registry.counter("engine.batch", name).set_total(getattr(stepper, name))
-            for reason in sorted(stepper.declines):
-                registry.counter("engine.batch", "declines", reason=reason).set_total(
-                    stepper.declines[reason]
-                )
-
-        # Kernel events the per-event engine did not execute: polls a
-        # throttled spout parked through, 0 s sink completions run inline.
-        sources = runtime.source_executors
-        registry.counter("engine.source", "drain_parks").set_total(
-            sum(s.drain_parks for s in sources)
-        )
-        registry.counter("engine.source", "drain_wakes").set_total(
-            sum(s.drain_wakes for s in sources)
-        )
-        registry.counter("engine.sink", "inline_completions").set_total(
-            sum(s.inline_completions for s in runtime.sink_executors)
-        )
-
-        by_task: Dict[str, List] = {}
-        for executor in runtime.executors.values():
-            by_task.setdefault(executor.task.name, []).append(executor)
-        for task_name in sorted(by_task):
-            members = by_task[task_name]
-            registry.counter("executor", "processed", task=task_name).set_total(
-                sum(e.processed_count for e in members)
-            )
-            registry.counter("executor", "busy_time_s", task=task_name).set_total(
-                sum(e.busy_time_s for e in members)
-            )
-        for source in runtime.source_executors:
-            task_name = source.task.name
-            registry.counter("executor", "emitted", task=task_name).set_total(
-                sum(
-                    s.emitted_count
-                    for s in runtime.source_executors
-                    if s.task.name == task_name
-                )
-            )
-            registry.counter("executor", "replayed", task=task_name).set_total(
-                sum(
-                    s.replayed_count
-                    for s in runtime.source_executors
-                    if s.task.name == task_name
-                )
-            )
-        self._set_queues(*queue_levels(runtime))
-
-        stats = runtime.acker.stats
-        for field in (
-            "registered",
-            "completed",
-            "failed",
-            "anchors",
-            "acks",
-            "late_acks",
-            "bulk_anchors",
-            "bulk_acks",
-        ):
-            registry.counter("acker", field).set_total(getattr(stats, field))
-        registry.counter("acker", "replays").set_total(
-            sum(s.replayed_count for s in runtime.source_executors)
-        )
-        registry.gauge("acker", "pending_trees").set(runtime.acker.pending_count)
-
-        waves: Dict[tuple, int] = {}
-        durations: Dict[str, List[float]] = {}
-        for wave in runtime.checkpoints.history:
-            key = (wave.action.value, wave.status.value)
-            waves[key] = waves.get(key, 0) + 1
-            duration = wave.duration_s
-            if duration is not None:
-                durations.setdefault(wave.action.value, []).append(duration)
-        for action_value, status_value in sorted(waves):
-            registry.counter(
-                "checkpoint", "waves", action=action_value, status=status_value
-            ).set_total(waves[(action_value, status_value)])
-        for action_value in sorted(durations):
-            histogram = registry.histogram(
-                "checkpoint", "wave_duration_s", action=action_value
-            )
-            if histogram.count == 0:  # scrape() may run more than once
-                for duration in durations[action_value]:
-                    histogram.observe(duration)
-
         if provider is not None:
             provisions: Dict[str, int] = {}
             for record in provider.billing_records:
@@ -202,6 +102,114 @@ class Telemetry:
                 registry.counter("chaos", "faults", kind=kind, outcome=outcome).set_total(
                     faults[(kind, outcome)]
                 )
+
+    def _scrape_kernel(self, sim) -> None:
+        """Fold the simulator's tallies (shared by the tenants of one fleet)."""
+        registry = self.registry
+        registry.counter("kernel", "events_stepped").set_total(sim.processed_events)
+        registry.counter("kernel", "heap_compactions").set_total(sim.compactions)
+
+    def _scrape_runtime(self, runtime, **label: str) -> None:
+        """Fold one runtime's tallies, each series carrying ``label`` (a
+        shared fleet's ``tenant``)."""
+        registry = self.registry
+        router = runtime.router
+        registry.counter("router", "deliveries", **label).set_total(router.routed_count)
+        registry.counter("router", "route_cache_builds", **label).set_total(router.plan_builds)
+        registry.counter("router", "route_cache_hits", **label).set_total(
+            max(0, router.route_calls - router.plan_builds)
+        )
+
+        stepper = runtime.batch_stepper
+        if stepper is not None:
+            # Engine-tier accounting: how much ran inline, and why each
+            # source tick the stepper handed back was handed back.
+            for name in ("cascades", "inline_events", "rounds", "scan_fallbacks",
+                         "plan_builds"):
+                registry.counter("engine.batch", name, **label).set_total(getattr(stepper, name))
+            for reason in sorted(stepper.declines):
+                registry.counter("engine.batch", "declines", reason=reason, **label).set_total(
+                    stepper.declines[reason]
+                )
+
+        # Kernel events the per-event engine did not execute: polls a
+        # throttled spout parked through, 0 s sink completions run inline.
+        sources = runtime.source_executors
+        registry.counter("engine.source", "drain_parks", **label).set_total(
+            sum(s.drain_parks for s in sources)
+        )
+        registry.counter("engine.source", "drain_wakes", **label).set_total(
+            sum(s.drain_wakes for s in sources)
+        )
+        registry.counter("engine.sink", "inline_completions", **label).set_total(
+            sum(s.inline_completions for s in runtime.sink_executors)
+        )
+
+        by_task: Dict[str, List] = {}
+        for executor in runtime.executors.values():
+            by_task.setdefault(executor.task.name, []).append(executor)
+        for task_name in sorted(by_task):
+            members = by_task[task_name]
+            registry.counter("executor", "processed", task=task_name, **label).set_total(
+                sum(e.processed_count for e in members)
+            )
+            registry.counter("executor", "busy_time_s", task=task_name, **label).set_total(
+                sum(e.busy_time_s for e in members)
+            )
+        for source in runtime.source_executors:
+            task_name = source.task.name
+            registry.counter("executor", "emitted", task=task_name, **label).set_total(
+                sum(
+                    s.emitted_count
+                    for s in runtime.source_executors
+                    if s.task.name == task_name
+                )
+            )
+            registry.counter("executor", "replayed", task=task_name, **label).set_total(
+                sum(
+                    s.replayed_count
+                    for s in runtime.source_executors
+                    if s.task.name == task_name
+                )
+            )
+        self._set_queues(*queue_levels(runtime), **label)
+
+        stats = runtime.acker.stats
+        for field in (
+            "registered",
+            "completed",
+            "failed",
+            "anchors",
+            "acks",
+            "late_acks",
+            "bulk_anchors",
+            "bulk_acks",
+        ):
+            registry.counter("acker", field, **label).set_total(getattr(stats, field))
+        registry.counter("acker", "replays", **label).set_total(
+            sum(s.replayed_count for s in runtime.source_executors)
+        )
+        registry.gauge("acker", "pending_trees", **label).set(runtime.acker.pending_count)
+
+        waves: Dict[tuple, int] = {}
+        durations: Dict[str, List[float]] = {}
+        for wave in runtime.checkpoints.history:
+            key = (wave.action.value, wave.status.value)
+            waves[key] = waves.get(key, 0) + 1
+            duration = wave.duration_s
+            if duration is not None:
+                durations.setdefault(wave.action.value, []).append(duration)
+        for action_value, status_value in sorted(waves):
+            registry.counter(
+                "checkpoint", "waves", action=action_value, status=status_value, **label
+            ).set_total(waves[(action_value, status_value)])
+        for action_value in sorted(durations):
+            histogram = registry.histogram(
+                "checkpoint", "wave_duration_s", action=action_value, **label
+            )
+            if histogram.count == 0:  # scrape() may run more than once
+                for duration in durations[action_value]:
+                    histogram.observe(duration)
 
     # --------------------------------------------------- protocol synthesis
     def _record_ticks(self, ticks, tenant: Optional[str] = None) -> None:
@@ -492,14 +500,22 @@ class Telemetry:
                      meta: Optional[Mapping[str, object]] = None) -> "Telemetry":
         """The trace of a shared-fleet run: every tenant's ticks, then every
         tenant's reconfigurations, labelled with the tenant, then the
-        arbiter's verdicts."""
+        arbiter's verdicts; then the shared kernel's metrics and each
+        tenant's scrape, labelled with the tenant."""
         telemetry = cls()
         telemetry.meta.update(meta or {})
-        for name in sorted(controllers):
+        names = sorted(controllers)
+        for name in names:
             telemetry._record_ticks(controllers[name].ticks, tenant=name)
-        for name in sorted(controllers):
+        for name in names:
             telemetry._record_reconfigurations(
                 controllers[name].reconfigurations, now, tenant=name
             )
         telemetry._record_arbiter(arbiter)
+        telemetry._scrape_kernel(controllers[names[0]].runtime.sim)
+        for name in names:
+            controller = controllers[name]
+            for tick in controller.ticks:
+                telemetry._set_queues(tick.queue_depths, tick.source_backlogs, tenant=name)
+            telemetry._scrape_runtime(controller.runtime, tenant=name)
         return telemetry

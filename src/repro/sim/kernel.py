@@ -391,12 +391,6 @@ class Simulator:
         """Request the current :meth:`run` invocation to stop after the current event."""
         self._stopped = True
 
-    def advance(self, delta: float) -> None:
-        """Run the simulation for ``delta`` seconds of simulated time from now."""
-        if delta < 0:
-            raise SimulationError("cannot advance by a negative duration")
-        self.run(until=self.now + delta)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Simulator(now={self.now:.3f}, pending={self.pending_events})"
 

@@ -205,18 +205,5 @@ class RandomSource:
             return mu
         return self.stream(name).gauss(mu, sigma)
 
-    def expovariate(self, name: str, rate: float) -> float:
-        """Draw an exponential sample with the given rate from the named stream."""
-        return self.stream(name).expovariate(rate)
-
-    def randint(self, name: str, low: int, high: int) -> int:
-        """Draw an integer uniformly in ``[low, high]`` from the named stream."""
-        return self.stream(name).randint(low, high)
-
-    def fork(self, name: str) -> "RandomSource":
-        """Create a child :class:`RandomSource` with a seed derived from ``name``."""
-        digest = hashlib.sha256(f"{self.master_seed}:fork:{name}".encode("utf-8")).digest()
-        return RandomSource(int.from_bytes(digest[:8], "big"))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RandomSource(master_seed={self.master_seed}, streams={sorted(self._streams)})"

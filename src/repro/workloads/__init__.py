@@ -1,18 +1,12 @@
 """Workload generation: synthetic event payloads and input-rate profiles.
 
 The paper's experiments use synthetic events at a fixed 8 events/second; this
-package provides the payload factories for the two application domains the
-paper's DAGs model (GPS probes for Traffic, smart-meter readings for Grid), a
-generic sensor payload, and input-rate profiles (constant, step, ramp, burst)
+package provides a GPS-probe payload factory (the domain of the paper's
+Traffic DAG) and input-rate profiles (constant, step, ramp, burst, diurnal)
 that examples use to exercise dynamism beyond the paper's fixed-rate setup.
 """
 
-from repro.workloads.generator import (
-    PayloadFactory,
-    gps_payload_factory,
-    sensor_payload_factory,
-    smart_meter_payload_factory,
-)
+from repro.workloads.generator import PayloadFactory, gps_payload_factory
 from repro.workloads.profiles import (
     PROFILE_PRESETS,
     BurstProfile,
@@ -37,6 +31,4 @@ __all__ = [
     "attach_profile",
     "profile_by_name",
     "gps_payload_factory",
-    "sensor_payload_factory",
-    "smart_meter_payload_factory",
 ]

@@ -1,12 +1,11 @@
 """Synthetic event payload factories.
 
 A payload factory is a callable ``(sequence_number) -> payload`` plugged into a
-:class:`~repro.dataflow.task.SourceTask`.  The factories here generate
-deterministic pseudo-realistic payloads for the domains the paper's
-application DAGs model: GPS probe events (Traffic) and smart-meter readings
-(Grid), plus a generic sensor observation.  Payload contents never affect the
-migration protocols (the paper uses dummy task logic), but they make the
-examples and the fields-grouping path realistic.
+:class:`~repro.dataflow.task.SourceTask`.  :func:`gps_payload_factory`
+generates deterministic pseudo-realistic GPS probe events, the domain of the
+paper's Traffic DAG.  Payload contents never affect the migration protocols
+(the paper uses dummy task logic), but they make the examples and the
+fields-grouping path realistic.
 
 Every stochastic payload field is drawn from a *keyed* stream
 (:func:`~repro.sim.rng.keyed_value` indexed by the sequence number), not from
@@ -55,26 +54,6 @@ def _keyed_gauss(seed: int, sequence: int, mu: float, sigma: float) -> float:
     return mu + sigma * math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(2.0 * math.pi * u2)
 
 
-def sensor_payload_factory(
-    sensor_count: int = 100, seed: int = 7, partition: Partition = None
-) -> PayloadFactory:
-    """Generic sensor observation: cycling sensor ids with a noisy sinusoidal value."""
-    noise_seed = keyed_seed(seed, "payload", "sensor-noise")
-
-    def _factory(sequence: int) -> Dict[str, Any]:
-        sequence = _global_sequence(sequence, partition)
-        sensor_id = sequence % sensor_count
-        base = 50.0 + 25.0 * math.sin(sequence / 40.0)
-        noise = _keyed_gauss(noise_seed, sequence, 0.0, 2.0)
-        return {
-            "seq": sequence,
-            "key": f"sensor-{sensor_id}",
-            "value": round(base + noise, 3),
-        }
-
-    return _factory
-
-
 def gps_payload_factory(
     vehicle_count: int = 500, seed: int = 11, partition: Partition = None
 ) -> PayloadFactory:
@@ -96,39 +75,6 @@ def gps_payload_factory(
             "segment": f"seg-{segment}",
             "speed_kmph": round(speed, 1),
             "heading_deg": (vehicle_id * 37 + sequence) % 360,
-        }
-
-    return _factory
-
-
-def smart_meter_payload_factory(
-    meter_count: int = 1000, seed: int = 13, partition: Partition = None
-) -> PayloadFactory:
-    """Smart-meter readings as used by the Grid application DAG.
-
-    Each event carries the meter id (the fields-grouping key), the interval
-    energy consumption in kWh, and an ambient temperature reading so the
-    weather branch has something to work with.
-    """
-    meter_seed = keyed_seed(seed, "payload", "meter-noise")
-    temp_seed = keyed_seed(seed, "payload", "temp-noise")
-
-    def _factory(sequence: int) -> Dict[str, Any]:
-        sequence = _global_sequence(sequence, partition)
-        meter_id = sequence % meter_count
-        hour_of_day = (sequence // 3600) % 24
-        diurnal = 0.4 + 0.3 * math.sin((hour_of_day - 6) / 24.0 * 2 * math.pi)
-        usage = max(0.01, diurnal + _keyed_gauss(meter_seed, sequence, 0.0, 0.05))
-        temperature = (
-            24.0
-            + 8.0 * math.sin(sequence / 500.0)
-            + _keyed_gauss(temp_seed, sequence, 0.0, 0.5)
-        )
-        return {
-            "seq": sequence,
-            "key": f"meter-{meter_id}",
-            "kwh": round(usage, 4),
-            "temperature_c": round(temperature, 2),
         }
 
     return _factory

@@ -56,7 +56,8 @@ from repro.engine.executor import ExecutorStatus
 from repro.engine.runtime import TopologyRuntime
 from repro.experiments import elastic as elastic_runner
 from repro.experiments.chaos import run_chaos_experiment, run_chaos_run
-from repro.experiments.scenarios import deploy_baseline
+from repro.experiments.multi import run_multi_experiment
+from repro.experiments.scenarios import deploy_baseline, run_migration_experiment
 from repro.elastic.arbiter import ScaleArbiter
 from repro.reliability.repartition import PARTITIONED_STATE_KEY
 from repro.reliability.statestore import checkpoint_key
@@ -176,6 +177,62 @@ class TestChaosGoldens:
         run = chaos_run(**kwargs)
         lines = "\n".join(run.control_sequence())
         assert (log_digest(run.log), hashlib.sha256(lines.encode()).hexdigest()) == (log, control)
+
+
+# ---------------------------------------------------- sinks complete inline
+class TestSinksCompleteAtDelivery:
+    """A sink's service time is 0 s and nothing else occupies it (no control
+    event is sent to it, its util VM is never killed), so every data event a
+    sink receives completes inside ``SinkExecutor.deliver``: no sink queues
+    data or schedules a completion.  Checked on the Diamond scale-in column
+    on the per-event kernel (under batch stepping the sweep logs a sink's
+    receipts itself, at their delivery times, and
+    ``test_acked_batch_equivalence.py::TestPaperMatrixCells`` pins that log to
+    the per-event one), on the chaos defaults in both modes (the goldens' own
+    runs) and on a two-tenant shared fleet: every event a sink processed and
+    every receipt its log holds is one it completed inline."""
+
+    @staticmethod
+    def assert_every_receipt_inline(runtimes):
+        for runtime in runtimes:
+            counts = [
+                (sink.inline_completions, sink.received_count, sink.processed_count)
+                for sink in runtime.sink_executors
+            ]
+            assert counts and all(
+                inline == received == processed > 0 for inline, received, processed in counts
+            ), counts
+            assert sum(inline for inline, _, _ in counts) == len(runtime.log.sink_receipts)
+
+    @pytest.mark.parametrize("strategy", ["dsm", "dcr", "ccr"])
+    def test_diamond_scale_in_column(self, monkeypatch, strategy):
+        strategy_cls = strategy_by_name(strategy)
+        runtime_config = strategy_cls.runtime_config.__func__
+
+        def per_event(cls, seed: int = 2018) -> RuntimeConfig:
+            config = runtime_config(cls, seed=seed)
+            config.batch_stepping = False
+            return config
+
+        monkeypatch.setattr(strategy_cls, "runtime_config", classmethod(per_event))
+        result = run_migration_experiment(
+            dag="diamond", strategy=strategy, scaling="in", migrate_at_s=90.0,
+            post_migration_s=540.0,
+        )
+        self.assert_every_receipt_inline([result.runtime])
+
+    @pytest.mark.parametrize("mode", ["notice", "oblivious"])
+    def test_chaos_defaults(self, mode):
+        self.assert_every_receipt_inline([chaos_run(mode=mode).runtime])
+
+    def test_two_tenants_on_one_fleet(self):
+        result = run_multi_experiment(
+            dags=("traffic", "linear"), duration_s=300.0, include_private_baseline=False
+        )
+        manager = result.shared.manager
+        self.assert_every_receipt_inline(
+            [manager.tenant(name).runtime for name in result.shared.tenants]
+        )
 
 
 # ------------------------------------------------------ scale x fault seams

@@ -81,15 +81,14 @@ class TestCluster:
         provider = CloudProvider(sim)
         cluster = Cluster(provider.provision(D2, 2) + provider.provision(D3, 1))
         assert cluster.total_slots == 2 * 2 + 4
-        assert len(cluster.free_slots) == 8
+        assert not any(slot.occupied for slot in cluster.slots)
 
-    def test_find_slot_and_slot_vm(self, sim):
+    def test_find_slot(self, sim):
         provider = CloudProvider(sim)
         vm = provider.provision(D2, 1)[0]
         cluster = Cluster([vm])
         slot = cluster.find_slot(vm.slots[1].slot_id)
-        assert slot is vm.slots[1]
-        assert cluster.slot_vm(slot.slot_id) == vm.vm_id
+        assert slot is vm.slots[1] and slot.vm_id == vm.vm_id
 
     def test_find_unknown_slot_rejected(self, sim):
         cluster = Cluster(CloudProvider(sim).provision(D1, 1))

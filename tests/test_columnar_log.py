@@ -181,13 +181,15 @@ class TestLazyDerivedState:
         log = EventLog(clock)
         clock.now = 1.0
         log.record_source_emit(root_id=7, source="src")
+        log.extend_receipts([3.0], [7], [70], "sink", [1.0])
         # Query forces the lazy map to sync; later appends must re-sync.
-        assert log.is_old_root(7, migration_time=2.0)
+        assert log.last_old_receipt(migration_time=2.0).event_id == 70
         clock.now = 5.0
         log.record_source_emit(root_id=7, source="src", replay_count=1)
         log.extend_emits([6.0], [9], "src")
-        assert log.is_old_root(7, migration_time=2.0)  # earliest emit wins
-        assert not log.is_old_root(9, migration_time=2.0)
+        log.extend_receipts([7.0, 8.0], [7, 9], [71, 90], "sink", [1.0, 6.0])
+        # Root 7 is old (its earliest emit wins over the 5.0 replay), 9 is not.
+        assert log.last_old_receipt(migration_time=2.0).event_id == 71
 
     def test_distinct_roots_syncs_across_bulk_appends(self):
         clock = _Clock()

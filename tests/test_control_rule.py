@@ -38,8 +38,11 @@ from repro.elastic import (
     build_controller,
     policy,
 )
+from repro.cli import build_parser
 from repro.elastic.arbiter import ScaleArbiter
+from repro.engine.config import TimingConfig
 from repro.experiments.elastic import run_elastic_experiment
+from repro.multi import ClusterManager
 
 from tests.conftest import monitor_sample, mutant, patched
 
@@ -154,25 +157,24 @@ TABLE = [
         ],
     ),
     Row(
+        "below 1 ev/s offered the drain guard measures the backlog against 1 ev/s",
+        state={"tier": "expanded"},
+        steps=[
+            Step({"time": 15.0, "offered": 0.5, "queued": 6}, "hysteresis"),
+            Step({"time": 30.0, "offered": 0.5, "queued": 6}, "drain-guard",
+                 decision={"direction": "in"}),
+            # 5 events is 5 s of the floor's 1 ev/s (10 s of the offered 0.5).
+            Step({"time": 45.0, "offered": 0.5, "queued": 5}, "enact",
+                 decision={"direction": "in", "pending_count": 3}),
+        ],
+    ),
+    Row(
         "the drain guard never holds a scale-out",
         steps=[
             Step({"time": 15.0, "offered": 24.0, "queued": 5000}, "hysteresis"),
             Step({"time": 30.0, "offered": 24.0, "queued": 5000}, "enact",
                  decision={"direction": "out"}),
         ],
-    ),
-    *(
-        Row(
-            f"drain_guard_backlog_s={disabled!r} disables the guard",
-            config={"drain_guard_backlog_s": disabled},
-            state={"tier": "expanded"},
-            steps=[
-                Step({"time": 15.0, "offered": 8.0, "queued": 5000}, "hysteresis"),
-                Step({"time": 30.0, "offered": 8.0, "queued": 5000}, "enact",
-                     decision={"direction": "in"}),
-            ],
-        )
-        for disabled in (None, 0)
     ),
     Row(
         "an EWMA forecast inside the deadband snaps to the observed rate",
@@ -246,7 +248,7 @@ def test_seeded_mutations_of_the_rule_fail_the_table():
         check_table()
 
     # The drain guard holds scale-outs too.
-    timid = mutant(policy, "decide", 'direction == "in" and guard_s', "guard_s")
+    timid = mutant(policy, "decide", 'direction == "in" and backlog >', "backlog >")
     with patched(policy, "decide", timid), pytest.raises(AssertionError):
         check_table()
 
@@ -296,10 +298,10 @@ def test_replay_reaches_the_live_controllers_first_action(dag, profile, duration
 
 # ------------------------------------------------------- one rule, fewer knobs
 def test_controller_config_lost_the_knobs_nothing_set():
-    assert len(dataclasses.fields(ControllerConfig)) == 7
+    assert len(dataclasses.fields(ControllerConfig)) == 6
     for knob in ("wait_for_provisioning", "forecast_horizon_s", "capacity_feedback",
                  "evacuation_horizon_s", "forecast_deadband", "slo_confirm_samples",
-                 "slo_headroom"):
+                 "slo_headroom", "drain_guard_backlog_s"):
         with pytest.raises(TypeError):
             ControllerConfig(**{knob: 1})
 
@@ -335,10 +337,29 @@ def test_planner_forecast_and_arbiter_lost_the_knobs_nothing_set():
     }
 
 
+def test_arbiter_timing_and_flags_lost_the_knobs_nothing_set():
+    """One migration at a time, a service time that is the task's latency,
+    and the elastic loop's and multi run's defaults from the command line.
+    Each knob is passed the default it used to have."""
+    for fn, args, knob in ((ScaleArbiter, (Cluster(), 8), {"max_concurrent_migrations": 1}),
+                           (ClusterManager, (8,), {"max_concurrent_migrations": 1}),
+                           (TimingConfig, (), {"data_event_overhead_s": 0.0})):
+        with pytest.raises(TypeError):
+            fn(*args, **knob)
+    assert len(inspect.signature(ScaleArbiter).parameters) == 2
+    assert len(inspect.signature(ClusterManager).parameters) == 6
+    assert len(dataclasses.fields(TimingConfig)) == 13
+    parser = build_parser()
+    for argv in (["elastic", "--check-interval", "15"], ["elastic", "--confirm-samples", "2"],
+                 ["elastic", "--cooldown", "60"], ["multi", "--audit-json", "audit.json"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+
+
 #: The rule's carried state: written nowhere but in ``elastic/policy.py``.
 RULE_STATE = {"pending_tier", "pending_count", "breach_streak", "previous_backlog"}
-#: The rule's knobs: read nowhere but there and in the config's own validation.
-RULE_KNOBS = {"drain_guard_backlog_s"}
+#: The rule's constants: named nowhere but there.
+RULE_KNOBS = {"DRAIN_GUARD_BACKLOG_S", "FORECAST_DEADBAND", "SLO_CONFIRM_SAMPLES", "SLO_HEADROOM"}
 
 
 def test_the_rule_lives_in_one_module():
@@ -348,25 +369,24 @@ def test_the_rule_lives_in_one_module():
         if relative == "elastic/policy.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        validation = {
-            id(node)
-            for cls in ast.walk(tree)
-            if isinstance(cls, ast.ClassDef) and cls.name == "ControllerConfig"
-            for method in cls.body
-            if isinstance(method, ast.FunctionDef) and method.name == "__post_init__"
-            for node in ast.walk(method)
-        }
         attributes = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
         offenders += [
             f"{relative}:{node.lineno} writes .{node.attr}"
             for node in attributes
             if node.attr in RULE_STATE and not isinstance(node.ctx, ast.Load)
         ]
+        names = [
+            (node.lineno, name)
+            for node in ast.walk(tree)
+            for name in (
+                [node.attr] if isinstance(node, ast.Attribute)
+                else [node.id] if isinstance(node, ast.Name)
+                else [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                else []
+            )
+        ]
         offenders += [
-            f"{relative}:{node.lineno} reads .{node.attr}"
-            for node in attributes
-            if node.attr in RULE_KNOBS and isinstance(node.ctx, ast.Load)
-            and id(node) not in validation
+            f"{relative}:{lineno} names {name}" for lineno, name in names if name in RULE_KNOBS
         ]
     assert offenders == [], (
         "the control rule is repro.elastic.policy.decide and nothing else: " + "; ".join(offenders)

@@ -8,6 +8,8 @@ CCR), and the vacated VMs must stop billing.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.cluster.vm import D1, D2, D3
@@ -17,8 +19,10 @@ from repro.elastic import (
     AllocationPlanner,
     ControllerConfig,
     ElasticityMonitor,
+    policy,
 )
 from repro.elastic.planner import CONSOLIDATE_PRESSURE, EXPAND_PRESSURE
+from repro.elastic.policy import DRAIN_GUARD_BACKLOG_S
 from repro.experiments.elastic import run_elastic_experiment
 from repro.workloads import BurstProfile, StepProfile
 
@@ -232,6 +236,25 @@ class TestMultiSourceProfiles:
             )
 
 
+class TestControllerConfig:
+    @pytest.mark.parametrize("bad", [
+        {"check_interval_s": 0.0}, {"confirm_samples": 0}, {"cooldown_s": -1.0},
+    ], ids=lambda bad: next(iter(bad)))
+    def test_loop_timing_validated(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ControllerConfig(**bad)
+
+    def test_a_run_without_a_config_ticks_on_the_default_loop(self):
+        """What ``repro elastic`` runs: a 15 s tick, two confirming samples,
+        a 60 s cooldown."""
+        result = run_elastic_experiment(
+            dag="linear", strategy="ccr", profile="surge", duration_s=120.0, seed=7,
+        )
+        assert result.controller.config == ControllerConfig()
+        times = [tick.decision.sample.time for tick in result.controller.ticks]
+        assert times == [15.0 * k for k in range(1, len(times) + 1)] and len(times) >= 7
+
+
 class TestElasticCLI:
     def test_parser_defaults(self):
         from repro.cli import build_parser
@@ -241,7 +264,6 @@ class TestElasticCLI:
         assert args.dag == "traffic"
         assert args.strategy == "ccr"
         assert args.profile == "surge"
-        assert args.confirm_samples == 2
 
     def test_unknown_profile_rejected(self):
         from repro.cli import build_parser
@@ -254,7 +276,7 @@ class TestElasticCLI:
 
         exit_code = main([
             "elastic", "--dag", "linear", "--strategy", "ccr", "--profile", "surge",
-            "--duration", "300", "--check-interval", "10", "--cooldown", "30", "--seed", "7",
+            "--duration", "300", "--seed", "7",
         ])
         output = capsys.readouterr().out
         assert exit_code == 0
@@ -320,10 +342,6 @@ class TestOfferedRate:
 
 
 class TestDrainAwareScaleInGuard:
-    def test_guard_config_validated(self):
-        with pytest.raises(ValueError):
-            ControllerConfig(drain_guard_backlog_s=-1.0)
-
     def test_scale_in_held_until_backlog_absorbed(self):
         """After a surge ends, the consolidation must wait for the drain:
         with the guard on, every scale-in lands only once the backlog is
@@ -339,13 +357,12 @@ class TestDrainAwareScaleInGuard:
             config=fast_config("ccr", seed=11),
             controller_config=ControllerConfig(
                 check_interval_s=5.0, confirm_samples=2, cooldown_s=10.0,
-                drain_guard_backlog_s=5.0,
             ),
             provisioning_latency_s=2.0,
         )
         ins = result.scale_ins()
         assert ins, "the surge's end must eventually consolidate"
-        guard = 5.0
+        guard = DRAIN_GUARD_BACKLOG_S
         for action in ins:
             decided = action.decided_at
             sample = max(
@@ -357,16 +374,13 @@ class TestDrainAwareScaleInGuard:
                 f"scale-in at t={decided} enacted with {backlog} backlogged events"
             )
 
-    def test_guard_disabled_consolidates_mid_drain(self):
-        """Regression guard for the guard: with drain_guard_backlog_s=None the
-        old behaviour (consolidating while a backlog drains) is reachable,
+    def test_guard_disabled_consolidates_mid_drain(self, monkeypatch):
+        """Regression guard for the guard: with an infinite threshold the old
+        behaviour (consolidating while a backlog drains) is reachable,
         proving the guard is what prevents it."""
-        controller_kwargs = dict(
-            check_interval_s=5.0, confirm_samples=1, cooldown_s=5.0,
-        )
         profile = StepProfile(steps=[(0.0, 8.0), (20.0, 32.0), (60.0, 8.0)])
 
-        def run(guard):
+        def run():
             return run_elastic_experiment(
                 strategy="dcr",
                 profile=profile,
@@ -375,13 +389,14 @@ class TestDrainAwareScaleInGuard:
                 dataflow=small_chain(rate=8.0),
                 config=fast_config("dcr", seed=17),
                 controller_config=ControllerConfig(
-                    drain_guard_backlog_s=guard, **controller_kwargs
+                    check_interval_s=5.0, confirm_samples=1, cooldown_s=5.0,
                 ),
                 provisioning_latency_s=1.0,
             )
 
-        unguarded = run(None)
-        guarded = run(5.0)
+        guarded = run()
+        monkeypatch.setattr(policy, "DRAIN_GUARD_BACKLOG_S", math.inf)
+        unguarded = run()
 
         def earliest_in(result):
             ins = result.scale_ins()

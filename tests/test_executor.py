@@ -238,7 +238,7 @@ class TestSinkInlineService:
     """Zero-time sink service completes inside deliver(): no kernel event per receipt."""
 
     @staticmethod
-    def sink_runtime(overhead_s=0.0, strategy="dcr"):
+    def sink_runtime(strategy="dcr"):
         from repro.dataflow.builder import TopologyBuilder
         from repro.engine.runtime import TopologyRuntime
         from repro.sim import Simulator
@@ -250,7 +250,6 @@ class TestSinkInlineService:
         builder.add_sink("sink")
         builder.chain("source", "work", "sink")
         config = fast_config(strategy)
-        config.timing.data_event_overhead_s = overhead_s
         sim = Simulator()
         runtime = TopologyRuntime(builder.build(), build_cluster(sim), sim=sim, config=config)
         runtime.deploy()
@@ -294,34 +293,6 @@ class TestSinkInlineService:
         assert self.records(runtime) == expected
         assert runtime.sim.processed_events == 500  # the deliveries themselves, nothing else
 
-    def test_nonzero_service_time_keeps_the_queued_path(self):
-        overhead = 0.003
-        runtime = self.sink_runtime(overhead_s=overhead)
-        sink = runtime.executor("sink#0")
-        events = [self.data_event(i) for i in range(500)]
-        for event in events:
-            runtime.deliver("sink#0", event, "work#0")
-        assert len(sink.input_queue) == 499 and sink._busy
-        runtime.sim.run()
-        # Serial service: one completion per event, each one service time
-        # after the previous (the kernel's own sequential float adds).
-        expected, t = [], 0.0
-        for event in events:
-            t += overhead
-            expected.append((t, event.root_id, event.event_id, "sink"))
-        assert self.records(runtime) == expected
-        assert sink.inline_completions == 0
-        assert runtime.sim.processed_events == 500
-
-    def test_capture_mode_takes_the_queued_path(self):
-        runtime = self.sink_runtime()
-        sink = runtime.executor("sink#0")
-        sink.capture_mode = True
-        runtime.deliver("sink#0", self.data_event(0), "work#0")
-        runtime.sim.run()
-        assert sink.captured_count == 1 and len(sink.pending_events) == 1
-        assert sink.inline_completions == 0 and not runtime.log.sink_receipts
-
     def test_uninitialized_sink_buffers_until_init(self):
         runtime = self.sink_runtime()
         sink = runtime.executor("sink#0")
@@ -337,28 +308,6 @@ class TestSinkInlineService:
         sink.kill()
         assert not sink.deliver(self.data_event(0), "work#0")
         assert sink.inline_completions == 0 and not runtime.log.sink_receipts
-
-    def test_data_behind_a_control_event_in_service_is_queued_in_order(self):
-        runtime = self.sink_runtime()
-        sink = runtime.executor("sink#0")
-        control = Event.checkpoint(
-            CheckpointAction.PREPARE, 1, CHECKPOINT_SOURCE_ID, "sink#0", created_at=0.0
-        )
-        control.payload = {"forward": False}
-        runtime.deliver("sink#0", control, CHECKPOINT_SOURCE_ID)
-        events = [self.data_event(i) for i in range(3)]
-        for event in events:
-            runtime.deliver("sink#0", event, "work#0")
-        assert len(sink.input_queue) == 3 and not runtime.log.sink_receipts
-        runtime.sim.run()
-        handled_at = runtime.timing.checkpoint_handling_s
-        assert self.records(runtime) == [
-            (handled_at, e.root_id, e.event_id, "sink") for e in events
-        ]
-        assert sink.inline_completions == 0
-        # Idle again: the next delivery is back on the inline path.
-        runtime.deliver("sink#0", self.data_event(3), "work#0")
-        assert sink.inline_completions == 1 and len(runtime.log.sink_receipts) == 4
 
     def test_inline_service_acks_the_tree_at_delivery(self):
         runtime = self.sink_runtime(strategy="dsm")

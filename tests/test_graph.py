@@ -114,10 +114,9 @@ class TestStructureQueries:
         assert [t.name for t in dataflow.sinks] == ["sink"]
         assert {t.name for t in dataflow.user_tasks} == {"split", "left", "right", "merge"}
 
-    def test_entry_and_exit_tasks(self):
+    def test_entry_tasks(self):
         dataflow = fan_graph()
         assert [t.name for t in dataflow.entry_tasks] == ["split"]
-        assert [t.name for t in dataflow.exit_tasks] == ["merge"]
 
     def test_successors_and_predecessors(self):
         dataflow = fan_graph()

@@ -27,18 +27,10 @@ class TestEventLog:
         log.record_source_emit(1, "src")
         advance(sim, 10.0)
         log.record_source_emit(1, "src", replay_count=1)
-        assert log.root_first_emit_time(1) == 0.0
+        assert [(e.root_id, e.time, e.replay_count) for e in log.source_emits] == [
+            (1, 0.0, 0), (1, 10.0, 1)
+        ]
         assert log.replay_emits == 1
-
-    def test_is_old_root_uses_first_emission(self):
-        sim = Simulator()
-        log = make_log(sim)
-        log.record_source_emit(1, "src")
-        advance(sim, 100.0)
-        log.record_source_emit(2, "src")
-        assert log.is_old_root(1, migration_time=50.0)
-        assert not log.is_old_root(2, migration_time=50.0)
-        assert not log.is_old_root(999, migration_time=50.0)
 
     def test_sink_receipt_latency(self):
         sim = Simulator()
@@ -81,9 +73,9 @@ class TestEventLog:
         log.record_drop("a#0", "data", "killed", root_id=5)
         log.record_kill("a#0", queued_events_lost=3, pending_events_lost=1)
         log.record_lifecycle("a#0", "killed")
-        assert log.dropped_count() == 1
-        assert log.dropped_count("data") == 1
-        assert log.dropped_count("checkpoint") == 0
+        assert [(d.executor_id, d.kind, d.reason, d.root_id) for d in log.drops] == [
+            ("a#0", "data", "killed", 5)
+        ]
         assert log.lost_in_kills() == 3
         assert log.lifecycle[0].status == "killed"
 

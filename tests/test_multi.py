@@ -98,11 +98,10 @@ class TestBinPacking:
 
 # ---------------------------------------------------------------- arbitration
 class TestScaleArbiter:
-    def make(self, sim=None, budget=20, max_concurrent=1, d2_count=2):
+    def make(self, sim=None, budget=20, d2_count=2):
         sim = sim or Simulator()
         provider, cluster = worker_cluster(sim, d2_count=d2_count)
-        arbiter = ScaleArbiter(cluster, budget_slots=budget,
-                               max_concurrent_migrations=max_concurrent)
+        arbiter = ScaleArbiter(cluster, budget_slots=budget)
         return provider, cluster, arbiter
 
     def test_registration_required_and_validated(self):
@@ -117,14 +116,11 @@ class TestScaleArbiter:
         # Fleet has 4 physical slots, budget 12: either tenant's 6-slot
         # proposal fits alone, but granting both would double-provision past
         # the cap -- the second must wait for the first to release.
-        provider, cluster, arbiter = self.make(budget=12, max_concurrent=2)
+        provider, cluster, arbiter = self.make(budget=12)
         arbiter.register_tenant("a")
         arbiter.register_tenant("b")
         assert arbiter.propose("a", "out", 6, now=0.0).granted
-        decision = arbiter.propose("b", "out", 6, now=1.0)
-        assert not decision.granted
-        assert decision.reason == "budget"
-        assert arbiter.committed_slots() <= arbiter.budget_slots
+        assert arbiter.committed_slots() == 10  # 4 physical + 6 reserved
         assert arbiter.max_committed_slots <= arbiter.budget_slots
 
         # A provisions (reservation becomes physical -- no double counting).
@@ -133,9 +129,12 @@ class TestScaleArbiter:
             cluster.add_vm(vm)
         arbiter.notify_provisioned("a", [vm.vm_id for vm in new_vms])
         assert arbiter.committed_slots() == 10  # 4 original + 6 new, no reservation
-        # Still over budget for b until a releases its old fleet.
-        assert not arbiter.propose("b", "out", 6, now=2.0).granted
+        # A's migration is done, but b is over budget until a releases its
+        # old fleet.
         arbiter.notify_complete("a")
+        decision = arbiter.propose("b", "out", 6, now=2.0)
+        assert not decision.granted and decision.reason == "budget"
+        assert arbiter.committed_slots() <= arbiter.budget_slots
         for vm_id in ("w-001", "w-002"):
             provider.release_from(cluster, vm_id)
         assert arbiter.propose("b", "out", 6, now=3.0).granted
@@ -152,10 +151,43 @@ class TestScaleArbiter:
         assert arbiter.propose("b", "out", 4, now=2.0).granted
 
     def test_in_flight_tenant_cannot_propose_again(self):
-        _, _, arbiter = self.make(budget=100, max_concurrent=2)
+        _, _, arbiter = self.make(budget=100)
         arbiter.register_tenant("a")
         assert arbiter.propose("a", "out", 4, now=0.0).granted
         assert not arbiter.propose("a", "out", 4, now=1.0).granted
+
+    def test_a_scale_in_waits_behind_another_tenants_migration(self):
+        """A consolidation provisions a fleet too: it is serialized like a
+        scale-out, however few slots it asks for."""
+        _, _, arbiter = self.make(budget=100)
+        arbiter.register_tenant("a")
+        arbiter.register_tenant("b")
+        assert arbiter.propose("a", "out", 4, now=0.0).granted
+        decision = arbiter.propose("b", "in", 0, now=1.0)
+        assert not decision.granted and decision.reason == "migration-in-flight"
+        assert arbiter.waiting["b"].direction == "in"
+        arbiter.notify_complete("a")
+        assert arbiter.propose("b", "in", 0, now=2.0).granted
+        assert "b" not in arbiter.waiting
+
+    def test_a_deferred_proposal_is_audited_and_reserves_nothing(self):
+        _, _, arbiter = self.make(budget=100)
+        arbiter.register_tenant("a")
+        arbiter.register_tenant("b")
+        assert arbiter.propose("a", "out", 4, now=0.0).granted
+        committed = arbiter.committed_slots()
+        assert not arbiter.propose("b", "out", 6, now=1.0).granted
+        assert arbiter.committed_slots() == committed
+        granted, deferred = arbiter.log
+        assert (granted.tenant_id, granted.granted, granted.committed_after) == (
+            "a", True, granted.committed_before + 4
+        )
+        assert (deferred.time, deferred.tenant_id, deferred.direction) == (1.0, "b", "out")
+        assert (deferred.slots_requested, deferred.granted, deferred.reason) == (
+            6, False, "migration-in-flight"
+        )
+        assert deferred.committed_before == deferred.committed_after == committed
+        assert deferred.budget_slots == 100
 
     def test_preemption_by_priority(self):
         """Freed capacity goes to the waiting high-priority tenant first,

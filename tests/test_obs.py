@@ -404,8 +404,9 @@ TRACE_GOLDENS = {
     "chaos.grid-keyed.dsm.notice": "668c82e3928602706a6645fa2be336743f31a0de64f5939843612464d4dd7be1",
     "predict.grid.reactive": "2bb70bdb1006c6c5d4f1f3fb7bb22f2379293ee7448e11e9517a8a6c56197cb3",
     "predict.grid.lookahead": "dcf0cd7dde1012546dea068eb6cde7f93fa20fb4b829cacc14abe8becbdd9ce5",
-    # A shared fleet no fault hit: every tenant's ticks, migrations, arbiter.
-    "multi.traffic+linear": "bf4802bba82bb77403e5be719d4c74db4a84cd44741a1cff676cc0a612860127",
+    # A shared fleet no fault hit: every tenant's ticks, migrations, arbiter,
+    # then the shared kernel's metrics and each tenant's, labelled with it.
+    "multi.traffic+linear": "3a4af3cdd163d149a3f332342414700363842879fb9b3cb0a47cc309b24c6d16",
     # An overrun evacuation, then the recovery with its state.restore child.
     "chaos.kill-mid-evacuation": "f2507be6dc8c1c714538e083fb4d535f2a05091444582b702f02f4646ac7bde0",
     # No notice: recoveries only.
@@ -444,13 +445,18 @@ def test_canonical_trace_is_pinned(golden_traces, run):
     assert hashlib.sha256(text.encode()).hexdigest() == TRACE_GOLDENS[run]
 
 
-def test_a_shared_fleet_trace_has_every_tenants_ticks():
+@pytest.fixture(scope="module")
+def shared_fleet():
+    return run_multi_experiment(
+        dags=("traffic", "linear"), duration_s=300.0, include_private_baseline=False
+    )
+
+
+def test_a_shared_fleet_trace_has_every_tenants_ticks(shared_fleet):
     """One multi-tenant trace: each tenant's ticks, labelled with the tenant
     and carrying the five stages, beside its migrations and the arbiter's
     verdicts."""
-    result = run_multi_experiment(
-        dags=("traffic", "linear"), duration_s=300.0, include_private_baseline=False
-    )
+    result = shared_fleet
     trace = result.trace()
     tracer = trace.tracer
     manager = result.shared.manager
@@ -463,6 +469,73 @@ def test_a_shared_fleet_trace_has_every_tenants_ticks():
         assert [c.name for c in tracer.children_of(tick)] == STAGES
     assert tracer.by_category("migration") and tracer.by_category("arbiter")
     assert canonical_trace_text(result.trace()) == canonical_trace_text(trace)
+    # The shared kernel is scraped once; every tenant's data plane under its name.
+    metrics = trace.registry.snapshot()
+    [stepped] = [m for m in metrics if (m["subsystem"], m["name"]) == ("kernel", "events_stepped")]
+    assert stepped["labels"] == {} and stepped["value"] == manager.sim.processed_events
+    for name in ("linear", "traffic"):
+        runtime = manager.tenant(name).runtime
+        own = {
+            (m["subsystem"], m["name"], m["labels"].get("reason")): m.get("value")
+            for m in metrics if m["labels"].get("tenant") == name
+        }
+        assert own["router", "deliveries", None] == runtime.router.routed_count > 0
+        assert own["acker", "registered", None] == runtime.acker.stats.registered
+        declines = runtime.batch_stepper.declines
+        assert own["engine.batch", "declines", "shared-simulator"] == declines["shared-simulator"] > 0
+        assert not any(subsystem == "kernel" for subsystem, _, _ in own)
+
+
+def test_a_shared_fleet_trace_labels_each_tenants_checkpoint_waves(shared_fleet):
+    """Every tenant's checkpoint waves are counted under its own name, and no
+    wave series is left without a tenant."""
+    metrics = shared_fleet.trace().registry.snapshot()
+    waves = [m for m in metrics if (m["subsystem"], m["name"]) == ("checkpoint", "waves")]
+    assert all("tenant" in m["labels"] for m in waves)
+    for name in ("linear", "traffic"):
+        history = shared_fleet.shared.manager.tenant(name).runtime.checkpoints.history
+        counted = {
+            (m["labels"]["action"], m["labels"]["status"]): m["value"]
+            for m in waves if m["labels"]["tenant"] == name
+        }
+        expected = {}
+        for wave in history:
+            key = (wave.action.value, wave.status.value)
+            expected[key] = expected.get(key, 0) + 1
+        assert counted == expected
+    assert any(m["labels"]["tenant"] == "traffic" for m in waves)
+
+
+def test_a_shared_fleet_trace_carries_every_arbitration(shared_fleet):
+    """The arbiter's audit, one ``arbiter`` span per proposal and abort, each
+    with the tenant, slots, verdict, reason and budget position."""
+    arbiter = shared_fleet.shared.manager.arbiter
+    spans = shared_fleet.trace().tracer.by_category("arbiter")
+    records = list(arbiter.log) + list(arbiter.aborts)
+    assert len(spans) == len(records) > 0
+    for span, record in zip(spans, records):
+        assert span.name == f"proposal.{record.direction}"
+        assert span.start_s == span.end_s == record.time
+        assert span.args == {
+            "tenant": record.tenant_id,
+            "slots_requested": record.slots_requested,
+            "granted": record.granted,
+            "reason": record.reason,
+            "committed_before": record.committed_before,
+            "committed_after": record.committed_after,
+            "budget_slots": record.budget_slots,
+        }
+
+
+def test_a_single_fleet_trace_labels_no_tenant(golden_traces):
+    """Only a shared fleet's scrape is split by tenant: a single fleet's
+    series carry the labels they always had."""
+    for run, trace in golden_traces.items():
+        if run.startswith("multi."):
+            continue
+        metrics = trace.registry.snapshot()
+        assert metrics, run
+        assert not [m for m in metrics if "tenant" in m["labels"]], run
 
 
 # ----------------------------------------------------------------- exporters

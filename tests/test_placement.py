@@ -33,13 +33,11 @@ class TestPlacementPlan:
         with pytest.raises(ValueError):
             plan.assign("b#0", "vm1:slot0", "vm1")
 
-    def test_vms_used_and_executors_on_vm(self):
+    def test_vms_used(self):
         plan = make_plan(
             {"a#0": ("vm1:slot0", "vm1"), "b#0": ("vm1:slot1", "vm1"), "c#0": ("vm2:slot0", "vm2")}
         )
         assert plan.vms_used == {"vm1", "vm2"}
-        assert sorted(plan.executors_on_vm("vm1")) == ["a#0", "b#0"]
-        assert plan.executors_on_vm("vm3") == []
 
     def test_copy_is_independent(self):
         plan = make_plan({"a#0": ("vm1:slot0", "vm1")})

@@ -191,17 +191,6 @@ class TestProfileDrivenSource:
         assert quiet == 0
         assert resumed > 30
 
-    def test_set_rate_overrides_profile_immediately(self):
-        profile = ConstantRateProfile(rate=10.0)
-        runtime = profiled_runtime(profile)
-        source = runtime.source_executors[0]
-        runtime.sim.run(until=5.0)
-        source.set_rate(50.0)
-        runtime.sim.run(until=10.0)
-        assert source.profile is None
-        fast_window = len(runtime.log.emits_between(5.2, 9.8))
-        assert fast_window == pytest.approx(4.6 * 50.0, abs=10)
-
     def test_fixed_rate_source_unchanged_by_refactor(self):
         runtime = profiled_runtime(None, rate=10.0)
         runtime.sim.run(until=10.0)

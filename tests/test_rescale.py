@@ -373,12 +373,6 @@ class TestPlannerRescale:
         assert target.hosted_slots == planner.required_instances(32.0)
         assert target.rescale.targets["traffic_state"] == 12
 
-    def test_rescale_plan_none_when_matched(self):
-        planner = AllocationPlanner(topologies.traffic(), elastic_parallelism=True)
-        assert planner.rescale_plan(8.0) is None
-        plan = planner.rescale_plan(16.0)
-        assert plan is not None and plan.targets["traffic_state"] == 6
-
 
 class TestRescaleExperiment:
     def test_capacity_adding_beats_placement_only_on_grid_surge(self):

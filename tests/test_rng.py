@@ -40,23 +40,30 @@ class TestRandomSource:
     def test_gauss_with_zero_sigma_returns_mu(self):
         assert RandomSource(1).gauss("g", 5.0, 0.0) == 5.0
 
-    def test_randint_within_bounds(self):
-        rng = RandomSource(9)
-        values = [rng.randint("i", 3, 7) for _ in range(100)]
-        assert all(3 <= v <= 7 for v in values)
-        assert len(set(values)) > 1
+    def test_uniform_draws_stay_in_their_bounds(self):
+        source = RandomSource(9)
+        draws = [source.uniform("u", 2.0, 3.0) for _ in range(1000)]
+        assert all(2.0 <= d < 3.0 for d in draws)
+        assert len(set(draws)) == len(draws)
 
-    def test_expovariate_positive(self):
-        rng = RandomSource(11)
-        assert all(rng.expovariate("e", 2.0) > 0 for _ in range(50))
+    def test_gauss_draws_from_the_named_stream(self):
+        source = RandomSource(7)
+        expected = RandomSource(7).stream("g")
+        draws = [source.gauss("g", 5.0, 2.0) for _ in range(5)]
+        assert draws == [expected.gauss(5.0, 2.0) for _ in range(5)]
+        assert len(set(draws)) == 5
+        # A non-positive sigma is a constant and draws nothing.
+        assert source.gauss("g", 5.0, -1.0) == 5.0
+        assert source.gauss("g", 5.0, 2.0) == expected.gauss(5.0, 2.0)
 
-    def test_fork_is_deterministic_and_distinct(self):
-        parent = RandomSource(5)
-        child1 = parent.fork("worker")
-        child2 = RandomSource(5).fork("worker")
-        other = parent.fork("other")
-        assert child1.uniform("x", 0, 1) == child2.uniform("x", 0, 1)
-        assert child1.master_seed != other.master_seed
+
+class TestKeyedStream:
+    def test_uniform_scales_the_keyed_draw_at_the_counter(self):
+        stream = KeyedStream(11, counter=40)
+        assert stream.uniform(2.0, 6.0) == 2.0 + 4.0 * keyed_value(11, 40)
+        assert stream.counter == 41
+        stream.counter = 5
+        assert stream.uniform(-1.0, 1.0) == -1.0 + 2.0 * keyed_value(11, 5)
 
 
 # ---------------------------------------------------------------------------

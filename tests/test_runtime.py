@@ -168,7 +168,7 @@ class TestRebalance:
         # defers those events until the restarted executors are ready, after
         # which nothing remains deferred.
         runtime.sim.run(until=2.3)
-        assert runtime.log.deferred_count() > 0
+        assert len(runtime.log.deferred) > 0
         runtime.sim.run(until=10.0)
         assert not runtime._deferred_deliveries
 

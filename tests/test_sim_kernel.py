@@ -102,19 +102,6 @@ class TestRunControl:
         sim.run()
         assert fired == ["a", "b"]
 
-    def test_advance_runs_relative_duration(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, fired.append, 1)
-        sim.schedule(3.0, fired.append, 3)
-        sim.advance(2.0)
-        assert fired == [1]
-        assert sim.now == pytest.approx(2.0)
-
-    def test_advance_negative_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator().advance(-1.0)
-
     def test_max_events_limits_execution(self):
         sim = Simulator()
         fired = []

@@ -205,6 +205,7 @@ from repro.reliability.acker import AckerService
 from repro.sim import Simulator
 from repro.sim.shard import log_digest
 from repro.dataflow.builder import TopologyBuilder
+from repro.workloads.profiles import StepProfile
 from tests.conftest import build_cluster, fast_config
 from tests.test_batch_equivalence import acker_facts
 
@@ -302,10 +303,15 @@ def run_schedule(spout_cls, schedule, stepper=False):
     config.reliability.throttled_ticks_generate_backlog = schedule["backlog"]
     config.batch_stepping = stepper
     sim = Simulator()
-    dataflow = wide_dataflow if schedule.get("dag") == "wide" else tiny_dataflow
-    runtime = TopologyRuntime(
-        dataflow(rate=schedule["rate"]), build_cluster(sim), sim=sim, config=config
+    dataflow = (wide_dataflow if schedule.get("dag") == "wide" else tiny_dataflow)(
+        rate=schedule["rate"]
     )
+    # A "rate" action is a step of the source's rate profile: the emit tick
+    # after it re-arms at the new rate.
+    steps = [(at_ms / 1000.0, args[0]) for at_ms, name, *args in schedule["actions"] if name == "rate"]
+    if steps:
+        dataflow.task("source").profile = StepProfile(steps=[(0.0, schedule["rate"])] + steps)
+    runtime = TopologyRuntime(dataflow, build_cluster(sim), sim=sim, config=config)
     runtime_module.SourceExecutor = spout_cls
     try:
         runtime.deploy()
@@ -327,10 +333,10 @@ def run_schedule(spout_cls, schedule, stepper=False):
         "source_kill": lambda: kill(source.executor_id),
         "source_ready": lambda: source.become_ready(),
         "stop": lambda: source.stop(),
-        "set_rate": lambda rate: source.set_rate(rate),
     }
     for at_ms, name, *args in schedule["actions"]:
-        sim.schedule_at(at_ms / 1000.0, actions[name], *args)
+        if name != "rate":
+            sim.schedule_at(at_ms / 1000.0, actions[name], *args)
     runtime.start()
     sim.run(until=DURATION_S)
     log = runtime.log
@@ -390,7 +396,7 @@ def _action_lists(draw):
     actions = []
     for _ in range(draw(st.integers(min_value=0, max_value=6))):
         kind = draw(st.sampled_from(
-            ["outage", "pause", "long_pause", "source_outage", "stop", "set_rate", "source_ready"]
+            ["outage", "pause", "long_pause", "source_outage", "stop", "rate", "source_ready"]
         ))
         at = draw(_AT_MS)
         if kind == "outage":  # trees through the victim time out and replay
@@ -406,8 +412,8 @@ def _action_lists(draw):
         elif kind == "source_outage":
             actions.append((at, "source_kill"))
             actions.append((at + draw(st.integers(1, 400)), "source_ready"))
-        elif kind == "set_rate":
-            actions.append((at, "set_rate", draw(st.sampled_from(_RATES))))
+        elif kind == "rate":
+            actions.append((at, "rate", draw(st.sampled_from(_RATES))))
         else:
             actions.append((at, kind))
     return sorted(a for a in actions if a[0] < DURATION_S * 1000)
@@ -480,7 +486,7 @@ _CORPUS = (
                  (3001, "source_kill"), (3005, "source_ready"), (5000, "stop")]},
     {"pending": 96, "backlog": True, "rate": 200.0, "actions": []},
     {"pending": 96, "backlog": False, "rate": 8.0,
-     "actions": [(100, "pause"), (100, "set_rate", 100.0), (101, "unpause")]},
+     "actions": [(100, "pause"), (100, "rate", 100.0), (101, "unpause")]},
     {"pending": 96, "backlog": True, "rate": 20.0,
      "actions": [(1000, "kill", "b#1"), (3200, "revive", "b#1")]},
     {"pending": 96, "backlog": False, "rate": 50.0,

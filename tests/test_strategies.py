@@ -186,8 +186,8 @@ class TestReliabilityGuarantees:
         runtime, _, metrics = run_migration("dsm", run_until=60.0)
         disrupted = (
             metrics.messages_lost_in_kills
-            + runtime.log.dropped_count("data")
-            + runtime.log.deferred_count()
+            + sum(1 for drop in runtime.log.drops if drop.kind == "data")
+            + len(runtime.log.deferred)
         )
         assert disrupted > 0
         assert metrics.replayed_message_count > 0

@@ -10,19 +10,10 @@ from repro.workloads import (
     RampProfile,
     StepProfile,
     gps_payload_factory,
-    sensor_payload_factory,
-    smart_meter_payload_factory,
 )
 
 
 class TestPayloadFactories:
-    def test_sensor_payload_structure(self):
-        factory = sensor_payload_factory(sensor_count=10)
-        payload = factory(25)
-        assert payload["seq"] == 25
-        assert payload["key"] == "sensor-5"
-        assert isinstance(payload["value"], float)
-
     def test_gps_payload_structure(self):
         factory = gps_payload_factory(vehicle_count=100)
         payload = factory(257)
@@ -31,22 +22,15 @@ class TestPayloadFactories:
         assert 0 <= payload["heading_deg"] < 360
         assert payload["segment"].startswith("seg-")
 
-    def test_smart_meter_payload_structure(self):
-        factory = smart_meter_payload_factory(meter_count=50)
-        payload = factory(73)
-        assert payload["key"] == "meter-23"
-        assert payload["kwh"] > 0.0
-        assert "temperature_c" in payload
-
     def test_factories_are_deterministic_given_seed(self):
         a = gps_payload_factory(seed=5)
         b = gps_payload_factory(seed=5)
         assert [a(i) for i in range(10)] == [b(i) for i in range(10)]
 
     def test_different_seeds_give_different_values(self):
-        a = smart_meter_payload_factory(seed=1)
-        b = smart_meter_payload_factory(seed=2)
-        assert [a(i)["kwh"] for i in range(20)] != [b(i)["kwh"] for i in range(20)]
+        a = gps_payload_factory(seed=1)
+        b = gps_payload_factory(seed=2)
+        assert [a(i)["speed_kmph"] for i in range(20)] != [b(i)["speed_kmph"] for i in range(20)]
 
 
 class TestRateProfiles:
