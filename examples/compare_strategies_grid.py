@@ -20,6 +20,7 @@ import argparse
 
 from repro.experiments import run_migration_experiment
 from repro.experiments.formatting import format_rate_series, format_table
+from repro.metrics.timeline import rate_timeline
 
 
 def main() -> None:
@@ -57,8 +58,8 @@ def main() -> None:
     print("Throughput timelines (5 s bins, relative to the migration request):")
     for strategy, result in results.items():
         request = result.report.requested_at
-        input_series = [p for p in result.input_timeline(bin_s=5.0)]
-        output_series = [p for p in result.output_timeline(bin_s=5.0)]
+        input_series = rate_timeline(result.log, kind="input", bin_s=5.0)
+        output_series = rate_timeline(result.log, kind="output", bin_s=5.0)
         shift = lambda points: [type(p)(time=p.time - request, rate=p.rate) for p in points]
         print(format_rate_series(f"{strategy} input", shift(input_series)))
         print(format_rate_series(f"{strategy} output", shift(output_series)))

@@ -28,6 +28,7 @@ from __future__ import annotations
 from repro.dataflow import topologies
 from repro.elastic import ControllerConfig
 from repro.experiments import run_elastic_experiment
+from repro.metrics.timeline import latency_timeline
 from repro.workloads import StepProfile, gps_payload_factory
 
 
@@ -80,7 +81,7 @@ def main() -> None:
     outs, ins = result.scale_outs(), result.scale_ins()
     assert outs and ins, "the surge should trigger at least one scale-out and one scale-in"
 
-    mid_latencies = [p.latency_s for p in result.latency_timeline(window_s=30.0)]
+    mid_latencies = [p.latency_s for p in latency_timeline(result.log, window_s=30.0)]
     print(f"events delivered       : {len(result.log.sink_receipts)}")
     print(f"events lost in kills   : {result.log.lost_in_kills()}")
     print(f"peak avg latency (30s) : {max(mid_latencies) * 1000:8.1f} ms")

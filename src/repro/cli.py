@@ -40,12 +40,13 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.dataflow import topologies
 from repro.engine.batch import engine_counts, engine_line
-from repro.experiments.predictive import DEFAULT_POLICIES
 from repro.experiments import (
+    Comparison,
+    RunRow,
     run_chaos_experiment,
     run_elastic_experiment,
     run_migration_experiment,
@@ -53,7 +54,10 @@ from repro.experiments import (
     run_predictive_experiment,
     run_rescale_experiment,
 )
-from repro.experiments.chaos import DEFAULT_MODES
+from repro.experiments.chaos import DEFAULT_MODES, verdict as chaos_verdict
+from repro.experiments.multi import verdict as multi_verdict
+from repro.experiments.predictive import DEFAULT_POLICIES, verdict as predict_verdict
+from repro.experiments.rescale import verdict as rescale_verdict
 from repro.experiments.figures import PRODUCERS, STRATEGY_ORDER, ExperimentMatrix
 from repro.experiments.formatting import format_table
 from repro.workloads.profiles import PROFILE_PRESETS
@@ -184,39 +188,56 @@ def _cmd_elastic(args: argparse.Namespace) -> int:
     return 0
 
 
+def _report(args: argparse.Namespace, comparison: Comparison, columns: Sequence[str],
+            title: str, width: int, details: Callable[[RunRow], Iterable[str]],
+            verdict: Callable[[Comparison], Optional[str]]) -> int:
+    """Print a comparison: its table, each row's ``details`` lines (under its
+    label, ``width`` wide), the verdict, then write ``--json`` / ``--trace``."""
+    print(comparison.table(columns, title))
+    print()
+    for row in comparison.rows:
+        for line in details(row):
+            print(f"  {row.label:{width}s} {line}")
+    line = verdict(comparison)
+    if line is not None:
+        print()
+        print(line)
+    if getattr(args, "json", ""):
+        path = comparison.write_headline_json(args.json)
+        print(f"\n[headline numbers written to {path}]")
+    if getattr(args, "trace", None):
+        for row in comparison.rows:
+            _export_trace(comparison.trace(row.label), args.trace, label=row.label)
+    return 0
+
+
 def _cmd_rescale(args: argparse.Namespace) -> int:
     result = run_rescale_experiment(**_run_args(args), surge_multiplier=args.surge)
 
-    print(f"Rescale comparison: {args.dag} / {args.strategy}, "
-          f"{args.surge:g}x surge over [{result.surge_start_s:.0f}s, {result.surge_end_s:.0f}s] "
-          f"of a {args.duration:.0f}s run")
-    print()
-    print(format_table(
-        [result.capacity.as_dict(), result.placement.as_dict()],
-        title="Capacity-adding rescale vs placement-only scaling "
-              "(measured from surge start to end of run)",
-    ))
-    print()
-    for summary in (result.capacity, result.placement):
-        for action in summary.result.actions:
+    def details(row: RunRow) -> Iterable[str]:
+        for action in row.result.actions:
             rescale = action.target.rescale
             changed = (
                 f"rescaled {len(rescale.targets)} tasks -> "
                 f"{sum(rescale.targets.values())} target instances"
                 if rescale is not None else "placement only (parallelism fixed)"
             )
-            print(f"  {summary.mode:9s} scale-{action.direction} at t={action.decided_at:7.1f}s "
-                  f"({action.from_tier}->{action.to_tier}): {changed}")
-        print(f"  {summary.mode:9s} {engine_line(engine_counts([summary.result.runtime]))}")
+            yield (f"scale-{action.direction} at t={action.decided_at:7.1f}s "
+                   f"({action.from_tier}->{action.to_tier}): {changed}")
+        yield row.engine_line
+
+    start, end = result.rows[0].surge
+    print(f"Rescale comparison: {args.dag} / {args.strategy}, "
+          f"{args.surge:g}x surge over [{start:.0f}s, {end:.0f}s] of a {args.duration:.0f}s run")
     print()
-    if result.capacity_wins:
-        print(f"Capacity-adding rescale wins: {result.latency_improvement:.2f}x lower mean "
-              f"sink latency, and {result.placement.final_backlog - result.capacity.final_backlog} "
-              f"fewer backlogged events left at the end of the run than placement-only scaling.")
-    else:
-        print("Placement-only scaling was not beaten on this configuration "
-              "(try a stronger --surge or a longer --duration).")
-    return 0
+    return _report(
+        args, result,
+        ("mean_latency_s", "peak_backlog", "final_backlog", "receipts", "final_instances",
+         "scale_actions", "cost"),
+        "Capacity-adding rescale vs placement-only scaling "
+        "(measured from surge start to end of run)",
+        9, details, rescale_verdict,
+    )
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
@@ -229,44 +250,25 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         placement=args.placement,
     )
 
-    window = ""
-    if result.surge_start_s is not None:
-        window = (f", {args.surge:g}x surge over "
-                  f"[{result.surge_start_s:.0f}s, {result.surge_end_s:.0f}s]")
+    def details(row: RunRow) -> Iterable[str]:
+        for action in row.result.actions:
+            trigger = "SLO breach" if action.slo_escalated else "rate"
+            yield (f"scale-{action.direction} at t={action.decided_at:7.1f}s "
+                   f"({action.from_tier}->{action.to_tier}) trigger={trigger} "
+                   f"forecast={action.forecast_rate:.1f} ev/s observed={action.observed_rate:.1f} ev/s")
+        yield row.engine_line
+
+    surge = result.rows[0].surge
+    window = "" if surge is None else f", {args.surge:g}x surge over [{surge[0]:.0f}s, {surge[1]:.0f}s]"
     print(f"Predictive comparison: {args.dag} / {args.strategy} / profile={args.profile}"
           f"{window} of a {args.duration:.0f}s run, SLO {args.slo:g}s sink latency")
     print()
-    print(format_table(
-        [summary.as_dict() for summary in result.runs.values()],
-        title="Forecast policies (lead_s > 0 = provisioned before the surge landed)",
-    ))
-    print()
-    for summary in result.runs.values():
-        for action in summary.result.actions:
-            trigger = "SLO breach" if action.slo_escalated else "rate"
-            print(f"  {summary.policy:13s} scale-{action.direction} at t={action.decided_at:7.1f}s "
-                  f"({action.from_tier}->{action.to_tier}) trigger={trigger} "
-                  f"forecast={action.forecast_rate:.1f} ev/s observed={action.observed_rate:.1f} ev/s")
-        print(f"  {summary.policy:13s} {engine_line(engine_counts([summary.result.runtime]))}")
-    baseline = result.reactive
-    best = result.best_predictive()
-    if baseline is not None and best is not None:
-        saved = result.violation_improvement_s(best.policy)
-        print()
-        if saved is not None and saved > 0:
-            print(f"Best predictive policy ({best.policy}): {saved:.0f}s fewer SLO-violation "
-                  f"seconds than reactive ({best.slo_violation_s:.0f}s vs "
-                  f"{baseline.slo_violation_s:.0f}s).")
-        else:
-            print("No predictive policy beat the reactive baseline on this scenario "
-                  "(try a longer horizon, a stronger surge, or the lookahead oracle).")
-    if args.json:
-        path = result.write_headline_json(args.json)
-        print(f"\n[headline numbers written to {path}]")
-    if args.trace:
-        for policy, summary in result.runs.items():
-            _export_trace(summary.trace(), args.trace, label=policy)
-    return 0
+    return _report(
+        args, result,
+        ("slo_violation_s", "lead_s", "mean_latency_s", "peak_backlog", "scale_actions", "cost"),
+        "Forecast policies (lead_s > 0 = provisioned before the surge landed)",
+        13, details, predict_verdict,
+    )
 
 
 def _cmd_multi(args: argparse.Namespace) -> int:
@@ -295,15 +297,18 @@ def _cmd_multi(args: argparse.Namespace) -> int:
           f"({args.duration:.0f}s simulated, {args.surge:g}x offset surges, "
           f"budget {shared.budget_slots} worker slots)")
     print()
-    rows = []
-    for name, summary in shared.tenants.items():
-        row = summary.as_dict()
-        start, end = result.surge_windows[name]
-        row["surge"] = f"{start:.0f}-{end:.0f}s"
-        ratio = result.latency_ratio(name)
-        row["vs_private"] = f"{ratio:.2f}x" if ratio is not None else "-"
-        rows.append(row)
-    print(format_table(rows, title="Tenants (latency vs. each tenant alone on a private fleet)"))
+
+    def vs_private(row: RunRow) -> str:
+        ratio = result.latency_ratio(row.label)
+        return f"{ratio:.2f}x" if ratio is not None else "-"
+
+    tenants = Comparison(list(shared.tenants.values()), label="tenant", scenario="multi")
+    print(tenants.table(
+        ("dag", "priority", "latency_ms", "receipts", "peak_backlog", "final_backlog",
+         "instances", "scale_actions", "deferrals", "surge", "vs_private"),
+        "Tenants (latency vs. each tenant alone on a private fleet)",
+        vs_private=vs_private,
+    ))
     print()
 
     print("Arbitration:")
@@ -314,18 +319,9 @@ def _cmd_multi(args: argparse.Namespace) -> int:
     print(f"  peak committed slots: {shared.max_committed_slots} / {shared.budget_slots} budget; "
           f"max concurrent migrations: {shared.max_concurrent_migrations()}")
     print()
-
-    print("Fleet (shared vs. sum of private fleets):")
-    print(f"  mean worker slots   {shared.mean_worker_slots:8.1f}"
-          + (f"  vs {result.private_mean_worker_slots:8.1f} private" if result.private else ""))
-    util = f"  mean utilization    {shared.mean_utilization:8.1%}"
-    if result.private and result.private_mean_utilization is not None:
-        util += f"  vs {result.private_mean_utilization:8.1%} private"
-    print(util)
-    print(f"  total cost          {shared.total_cost:8.4f}"
-          + (f"  vs {result.private_total_cost:8.4f} private" if result.private else ""))
-    tenants = [shared.manager.tenant(name).runtime for name in shared.tenants]
-    print("\n" + engine_line(engine_counts(tenants)))
+    print(multi_verdict(result))
+    runtimes = [row.result.runtime for row in shared.tenants.values()]
+    print("\n" + engine_line(engine_counts(runtimes)))
     if args.trace:
         _export_trace(result.trace(), args.trace)
     return 0
@@ -341,56 +337,24 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         notice_s=args.notice,
     )
 
+    def details(row: RunRow) -> Iterable[str]:
+        for fault in row.result.injector.records:
+            when = f"t={fault.fired_at:7.1f}s" if fault.fired_at is not None else "unfired"
+            yield f"{when} {fault.event.kind:6s} {fault.vm_id or '-':10s} -> {fault.outcome}"
+        yield row.engine_line
+        unfinished = row.result.unfinished()
+        if unfinished:
+            yield f"unfinished at the end: {', '.join(unfinished)}"
+
     print(f"Chaos run: {args.dag} / {args.strategy} / {args.storms} spot evictions "
           f"({args.notice:g}s notice) over a {args.duration:.0f}s run")
     print()
-    print(format_table(
-        [summary.as_dict() for summary in result.runs.values()],
-        title="Recovery modes (restore_s = unavailability after each reclaim)",
-    ))
-    print()
-    for summary in result.runs.values():
-        run = summary.result
-        for fault in run.injector.records:
-            when = f"t={fault.fired_at:7.1f}s" if fault.fired_at is not None else "unfired"
-            print(f"  {summary.mode:10s} {when} {fault.event.kind:6s} "
-                  f"{fault.vm_id or '-':10s} -> {fault.outcome}")
-        print(f"  {summary.mode:10s} {engine_line(engine_counts([run.runtime]))}")
-        unfinished = run.unfinished()
-        if unfinished:
-            print(f"  {summary.mode:10s} unfinished at the end: {', '.join(unfinished)}")
-    notice, oblivious = result.notice, result.oblivious
-    if notice is not None and oblivious is not None:
-        print()
-        left_open = [f"{s.mode}: {', '.join(s.result.unfinished())}"
-                     for s in (notice, oblivious) if s.result.unfinished()]
-        fired = any(fault.fired_at is not None
-                    for s in (notice, oblivious) for fault in s.result.injector.records)
-        if not fired:
-            print("No verdict: no eviction fired inside the run.")
-        elif left_open:
-            print(f"No verdict: a run ended with work still open ({'; '.join(left_open)}), "
-                  "so its restore times stop at the end of the run, not at a restore.")
-        elif ((notice.mean_restore_s, notice.total_cost)
-                == (oblivious.mean_restore_s, oblivious.total_cost)):
-            print(f"Tie: both modes restore in {notice.mean_restore_s:.1f}s "
-                  f"and bill ${notice.total_cost:.4f}.")
-        elif (notice.mean_restore_s <= oblivious.mean_restore_s
-                and notice.total_cost <= oblivious.total_cost):
-            # No worse on either axis and, not being a tie, better on one.
-            print(f"Notice-aware recovery wins on both axes: "
-                  f"{notice.mean_restore_s:.1f}s vs {oblivious.mean_restore_s:.1f}s restore, "
-                  f"${notice.total_cost:.4f} vs ${oblivious.total_cost:.4f} bill.")
-        else:
-            print("The notice window did not pay for itself on this storm "
-                  "(try a longer notice, a milder storm, or a faster strategy).")
-    if args.json:
-        path = result.write_headline_json(args.json)
-        print(f"\n[headline numbers written to {path}]")
-    if args.trace:
-        for mode, summary in result.runs.items():
-            _export_trace(summary.result.trace(), args.trace, label=mode)
-    return 0
+    return _report(
+        args, result,
+        ("killed", "evaded", "restore_s", "drain_s", "replays", "events_lost", "cost"),
+        "Recovery modes (restore_s = unavailability after each reclaim)",
+        10, details, chaos_verdict,
+    )
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:

@@ -21,13 +21,21 @@ automatically as the input rate changes, or -- given a
 riding an eviction storm with the loop off.  The rescale, predictive and chaos
 comparisons below are built from such runs.
 
+:mod:`repro.experiments.compare` holds what the comparison commands share:
+one :class:`~repro.experiments.compare.RunRow` per compared run derives every
+scorecard column (restore, drain, replays, windowed latency and backlog,
+cost, SLO-violation seconds, lead, deferrals, the engine line), and a
+:class:`~repro.experiments.compare.Comparison` of rows prints one table and
+writes one headline JSON.  Each comparison module below returns one and
+states its verdict (``verdict``), the line its command ends on.
+
 :mod:`repro.experiments.rescale` compares capacity-adding scale-out (runtime
 parallelism rescale during the migration) against the paper's placement-only
 scaling on the same surge profile.
 
 :mod:`repro.experiments.multi` hosts several dataflows as tenants of one
 shared, budget-arbitrated fleet (offset surges, bin-packed placement) and
-compares each tenant against its private-fleet baseline; the
+compares each tenant (a row per tenant) against its private-fleet baseline; the
 :class:`~repro.multi.ClusterManager` builds each tenant's control stack with
 the same helper the single-fleet runner uses.
 
@@ -71,48 +79,30 @@ from repro.experiments.elastic import (
     Storm,
     run_elastic_experiment,
 )
-from repro.experiments.rescale import (
-    RescaleComparisonResult,
-    RescaleRunSummary,
-    run_rescale_experiment,
-)
+from repro.experiments.compare import Comparison, RunRow
+from repro.experiments.rescale import run_rescale_experiment
 from repro.experiments.multi import (
     ManagedRunResult,
     MultiExperimentResult,
-    TenantSummary,
     run_multi_experiment,
 )
-from repro.experiments.predictive import (
-    PredictiveComparisonResult,
-    PredictiveRunSummary,
-    run_predictive_experiment,
-)
+from repro.experiments.predictive import run_predictive_experiment
 from repro.experiments.sharded import plan_shards, run_steady_shard
-from repro.experiments.chaos import (
-    ChaosComparisonResult,
-    ChaosRunSummary,
-    run_chaos_experiment,
-    run_chaos_run,
-)
+from repro.experiments.chaos import run_chaos_experiment, run_chaos_run
 from repro.experiments.figures import ExperimentMatrix
 from repro.experiments.formatting import format_table
 
 __all__ = [
-    "ChaosComparisonResult",
-    "ChaosRunSummary",
+    "Comparison",
     "ElasticRunResult",
     "ElasticScenarioSpec",
     "ExperimentMatrix",
     "ManagedRunResult",
     "MigrationRunResult",
     "MultiExperimentResult",
-    "PredictiveComparisonResult",
-    "PredictiveRunSummary",
-    "RescaleComparisonResult",
-    "RescaleRunSummary",
+    "RunRow",
     "ScenarioSpec",
     "Storm",
-    "TenantSummary",
     "build_experiment",
     "plan_shards",
     "format_table",

@@ -28,96 +28,15 @@ emit the headline numbers as JSON (``--json``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 from repro.engine.config import RuntimeConfig
+from repro.experiments.compare import Comparison, RunRow
 from repro.experiments.elastic import STORM_MODES, ElasticRunResult, Storm, run_elastic_experiment
 from repro.experiments.scenarios import check_names
-from repro.metrics.metadata import write_headline_json
 
 #: Recovery modes compared by default, in report order: every one there is.
 DEFAULT_MODES: Tuple[str, ...] = STORM_MODES
-
-
-@dataclass
-class ChaosRunSummary:
-    """How one recovery mode fared on the shared storm."""
-
-    mode: str
-    result: ElasticRunResult
-    faults: int
-    killed: int
-    evaded: int
-    #: Mean unavailability per fault after the cloud's reclaim moment.
-    mean_restore_s: float
-    #: Mean evacuation drain time (notice -> drained); None when none ran.
-    mean_drain_s: Optional[float]
-    replayed_messages: int
-    events_lost: int
-    provisioning_failures: int
-    total_cost: float
-
-    def as_dict(self) -> Dict[str, object]:
-        """Row for table formatting."""
-        return {
-            "mode": self.mode,
-            "killed": self.killed,
-            "evaded": self.evaded,
-            "restore_s": round(self.mean_restore_s, 2),
-            "drain_s": round(self.mean_drain_s, 2) if self.mean_drain_s is not None else "-",
-            "replays": self.replayed_messages,
-            "events_lost": self.events_lost,
-            "cost": round(self.total_cost, 4),
-        }
-
-
-@dataclass
-class ChaosComparisonResult:
-    """Everything produced by one notice-vs-oblivious storm comparison."""
-
-    dag: str
-    strategy: str
-    duration_s: float
-    storm_count: int
-    notice_s: float
-    #: Mode name -> its run summary, in requested order.
-    runs: Dict[str, ChaosRunSummary] = field(default_factory=dict)
-
-    @property
-    def notice(self) -> Optional[ChaosRunSummary]:
-        return self.runs.get("notice")
-
-    @property
-    def oblivious(self) -> Optional[ChaosRunSummary]:
-        return self.runs.get("oblivious")
-
-    def headline_benchmarks(self) -> Dict[str, float]:
-        """Per-mode restore latency, replay count and bill, the unit in the name."""
-        benchmarks: Dict[str, float] = {}
-        for summary in self.runs.values():
-            key = summary.mode.replace("-", "_")
-            benchmarks[f"chaos_{key}_restore_s"] = summary.mean_restore_s
-            benchmarks[f"chaos_{key}_replays"] = summary.replayed_messages
-            benchmarks[f"chaos_{key}_cost_usd"] = summary.total_cost
-        return benchmarks
-
-    def write_headline_json(
-        self, path: Union[str, Path], timestamp: Optional[str] = None
-    ) -> Path:
-        """Write the headline numbers as ``{name: value}`` JSON."""
-        return write_headline_json(
-            path,
-            "repro-bench-chaos/2",
-            timestamp=timestamp,
-            dag=self.dag,
-            strategy=self.strategy,
-            duration_s=self.duration_s,
-            storm_count=self.storm_count,
-            notice_s=self.notice_s,
-            benchmarks=self.headline_benchmarks(),
-        )
 
 
 def run_chaos_run(
@@ -166,29 +85,6 @@ def run_chaos_run(
     )
 
 
-def _summarize(result: ElasticRunResult) -> ChaosRunSummary:
-    latencies = result.restore_latencies()
-    drains = [
-        rec.evacuation_latency_s
-        for rec in result.evacuations
-        if rec.evacuation_latency_s is not None
-    ]
-    return ChaosRunSummary(
-        mode=result.spec.storm.mode,
-        result=result,
-        faults=len(result.injector.records),
-        killed=len(result.injector.killed),
-        evaded=len(result.injector.evaded),
-        mean_restore_s=sum(latencies) / len(latencies) if latencies else 0.0,
-        mean_drain_s=sum(drains) / len(drains) if drains else None,
-        replayed_messages=result.replayed_messages,
-        events_lost=sum(r.events_lost for r in result.recoveries),
-        provisioning_failures=result.provider.provisioning_failures
-        + sum(r.provisioning_failures for r in result.recoveries),
-        total_cost=result.total_cost,
-    )
-
-
 def run_chaos_experiment(
     dag: str = "grid-keyed",
     strategy: str = "dsm",
@@ -199,7 +95,7 @@ def run_chaos_experiment(
     storm_start_s: float = 150.0,
     storm_spacing_s: float = 120.0,
     notice_s: float = 120.0,
-) -> ChaosComparisonResult:
+) -> Comparison:
     """Ride the same eviction storm once per recovery mode and compare.
 
     Every mode shares the storm schedule, the seeds and all random streams;
@@ -210,15 +106,8 @@ def run_chaos_experiment(
     :func:`run_chaos_run`).
     """
     check_names("modes", modes, STORM_MODES, "recovery mode", unique=True)
-    comparison = ChaosComparisonResult(
-        dag=dag,
-        strategy=strategy,
-        duration_s=duration_s,
-        storm_count=storm_count,
-        notice_s=notice_s,
-    )
-    for mode in modes:
-        result = run_chaos_run(
+    rows = [
+        RunRow(mode, run_chaos_run(
             dag=dag,
             strategy=strategy,
             mode=mode,
@@ -228,6 +117,45 @@ def run_chaos_experiment(
             storm_start_s=storm_start_s,
             storm_spacing_s=storm_spacing_s,
             notice_s=notice_s,
-        )
-        comparison.runs[mode] = _summarize(result)
-    return comparison
+        ))
+        for mode in modes
+    ]
+    return Comparison(rows, label="mode", scenario="chaos", meta=dict(
+        schema="repro-bench-chaos/2",
+        dag=dag,
+        strategy=strategy,
+        duration_s=duration_s,
+        storm_count=storm_count,
+        notice_s=notice_s,
+        benchmarks={"restore_s": "restore_s", "replays": "replays", "cost_usd": "cost"},
+    ))
+
+
+def verdict(comparison: Comparison) -> Optional[str]:
+    """Whether the notice window paid for itself; None unless both modes rode.
+
+    No verdict when no eviction fired or a run ended with work still open
+    (its restore times then stop at the end of the run).  A mode wins only
+    when no worse on restore latency and the bill, and not a tie on both.
+    """
+    runs = comparison.runs
+    if "notice" not in runs or "oblivious" not in runs:
+        return None
+    notice, oblivious = runs["notice"], runs["oblivious"]
+    left_open = [f"{row.label}: {', '.join(row.result.unfinished())}"
+                 for row in (notice, oblivious) if row.result.unfinished()]
+    fired = any(fault.fired_at is not None
+                for row in (notice, oblivious) for fault in row.result.injector.records)
+    if not fired:
+        return "No verdict: no eviction fired inside the run."
+    if left_open:
+        return (f"No verdict: a run ended with work still open ({'; '.join(left_open)}), "
+                "so its restore times stop at the end of the run, not at a restore.")
+    if (notice.restore_s, notice.cost) == (oblivious.restore_s, oblivious.cost):
+        return f"Tie: both modes restore in {notice.restore_s:.1f}s and bill ${notice.cost:.4f}."
+    if notice.restore_s <= oblivious.restore_s and notice.cost <= oblivious.cost:
+        return (f"Notice-aware recovery wins on both axes: "
+                f"{notice.restore_s:.1f}s vs {oblivious.restore_s:.1f}s restore, "
+                f"${notice.cost:.4f} vs ${oblivious.cost:.4f} bill.")
+    return ("The notice window did not pay for itself on this storm "
+            "(try a longer notice, a milder storm, or a faster strategy).")

@@ -52,7 +52,6 @@ from repro.engine.config import RuntimeConfig
 from repro.engine.runtime import TopologyRuntime
 from repro.experiments.scenarios import deploy_baseline
 from repro.metrics.log import EventLog
-from repro.metrics.timeline import LatencyPoint, RatePoint, latency_timeline, rate_timeline
 from repro.obs import Telemetry
 from repro.sim import RandomSource, Simulator, cell_seed
 from repro.sim.shard import log_digest
@@ -231,11 +230,6 @@ class ElasticRunResult:
         return self.provider.total_cost()
 
     @property
-    def replayed_messages(self) -> int:
-        """Source emissions that were replays of failed tuple trees."""
-        return self.log.replay_emits
-
-    @property
     def recoveries(self) -> List[Reconfiguration]:
         """Unplanned-failure recoveries the controller ran, in time order."""
         return self.controller.recoveries
@@ -252,18 +246,6 @@ class ElasticRunResult:
     def scale_ins(self) -> List[Reconfiguration]:
         """Actions that consolidated the allocation."""
         return [a for a in self.actions if a.direction == "in"]
-
-    def input_timeline(self, bin_s: float = 5.0) -> List[RatePoint]:
-        """Source emission rate over the whole run."""
-        return rate_timeline(self.log, kind="input", bin_s=bin_s)
-
-    def output_timeline(self, bin_s: float = 5.0) -> List[RatePoint]:
-        """Sink receipt rate over the whole run."""
-        return rate_timeline(self.log, kind="output", bin_s=bin_s)
-
-    def latency_timeline(self, window_s: float = 10.0) -> List[LatencyPoint]:
-        """Average end-to-end latency over consecutive windows."""
-        return latency_timeline(self.log, window_s=window_s)
 
     def digest(self) -> str:
         """Stable content hash of the event log (determinism checks)."""

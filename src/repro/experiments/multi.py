@@ -23,55 +23,21 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.vm import D2
 from repro.dataflow import topologies
-from repro.elastic.controller import Reconfiguration
 from repro.elastic.planner import AllocationPlanner
+from repro.experiments.compare import RunRow
 from repro.experiments.elastic import surge_profile
 from repro.experiments.scenarios import check_names
-from repro.metrics.log import mean_latency
-from repro.multi import ClusterManager, FleetSample, ProposalRecord
+from repro.multi import ClusterManager, FleetSample
 from repro.obs import Telemetry
 
 
 @dataclass
-class TenantSummary:
-    """Per-tenant outcome of one managed run."""
-
-    name: str
-    dag: str
-    strategy: str
-    priority: int
-    mean_sink_latency_s: float
-    receipts: int
-    peak_backlog: int
-    final_backlog: int
-    final_instances: int
-    actions: List[Reconfiguration] = field(default_factory=list)
-    #: The arbiter's audit records of this tenant's deferred proposals.
-    deferrals: List[ProposalRecord] = field(default_factory=list)
-
-    def as_dict(self) -> Dict[str, object]:
-        """Row for table formatting."""
-        return {
-            "tenant": self.name,
-            "dag": self.dag,
-            "priority": self.priority,
-            "latency_ms": round(self.mean_sink_latency_s * 1000, 1),
-            "receipts": self.receipts,
-            "peak_backlog": self.peak_backlog,
-            "final_backlog": self.final_backlog,
-            "instances": self.final_instances,
-            "scale_actions": len(self.actions),
-            "deferrals": len(self.deferrals),
-        }
-
-
-@dataclass
 class ManagedRunResult:
-    """Everything produced by one ClusterManager run (shared or private)."""
+    """One ClusterManager run (shared or private): its fleet, and a row per tenant."""
 
     manager: ClusterManager
-    duration_s: float
-    tenants: Dict[str, TenantSummary]
+    #: Tenant name -> its row (a :class:`~repro.multi.Tenant`'s run).
+    tenants: Dict[str, RunRow]
 
     @property
     def budget_slots(self) -> int:
@@ -109,8 +75,8 @@ class ManagedRunResult:
     def max_concurrent_migrations(self) -> int:
         """Largest number of tenant migration windows overlapping at once."""
         events: List[Tuple[float, int]] = []
-        for summary in self.tenants.values():
-            for action in summary.actions:
+        for row in self.tenants.values():
+            for action in row.result.controller.actions:
                 if action.enacted_at is not None and action.completed_at is not None:
                     events.append((action.enacted_at, 1))
                     events.append((action.completed_at, -1))
@@ -127,19 +93,16 @@ class MultiExperimentResult:
     """Shared-fleet run plus the per-tenant private-fleet baselines."""
 
     duration_s: float
-    surge_multiplier: float
     shared: ManagedRunResult
     #: Tenant name -> that tenant running alone on a private fleet.
     private: Dict[str, ManagedRunResult] = field(default_factory=dict)
-    #: Tenant name -> the surge window driven into its sources.
-    surge_windows: Dict[str, Tuple[float, float]] = field(default_factory=dict)
 
     def latency_ratio(self, name: str) -> Optional[float]:
         """Shared / private mean sink latency for one tenant (1.0 = no cost)."""
         if name not in self.private:
             return None
-        private = self.private[name].tenants[name].mean_sink_latency_s
-        shared = self.shared.tenants[name].mean_sink_latency_s
+        private = self.private[name].tenants[name].mean_latency_s
+        shared = self.shared.tenants[name].mean_latency_s
         if private <= 0:
             return None
         return shared / private
@@ -148,7 +111,7 @@ class MultiExperimentResult:
         """The shared-fleet run's trace, read from its records; a fresh one per call."""
         shared = self.shared
         return Telemetry.from_tenants(
-            {name: shared.manager.tenant(name).controller for name in shared.tenants},
+            {name: row.result.controller for name, row in shared.tenants.items()},
             shared.manager.arbiter,
             now=self.duration_s,
             meta=dict(scenario="multi", duration_s=self.duration_s,
@@ -177,6 +140,22 @@ class MultiExperimentResult:
         )
 
 
+def verdict(result: MultiExperimentResult) -> str:
+    """The shared fleet against the sum of the private ones, the lines
+    ``repro multi`` ends on."""
+    shared, private = result.shared, result.private
+    lines = ["Fleet (shared vs. sum of private fleets):"]
+    lines.append(f"  mean worker slots   {shared.mean_worker_slots:8.1f}"
+                 + (f"  vs {result.private_mean_worker_slots:8.1f} private" if private else ""))
+    util = f"  mean utilization    {shared.mean_utilization:8.1%}"
+    if private and result.private_mean_utilization is not None:
+        util += f"  vs {result.private_mean_utilization:8.1%} private"
+    lines.append(util)
+    lines.append(f"  total cost          {shared.total_cost:8.4f}"
+                 + (f"  vs {result.private_total_cost:8.4f} private" if private else ""))
+    return "\n".join(lines)
+
+
 def surge_window(duration_s: float, index: int) -> Tuple[float, float]:
     """The offset surge window for the ``index``-th tenant.
 
@@ -186,25 +165,6 @@ def surge_window(duration_s: float, index: int) -> Tuple[float, float]:
     """
     start = duration_s * (0.15 + 0.22 * index)
     return start, start + duration_s * 0.20
-
-
-def _summarize_tenant(manager: ClusterManager, name: str) -> TenantSummary:
-    tenant = manager.tenant(name)
-    receipts = tenant.runtime.log.sink_receipts
-    backlogs = [s.queue_backlog + s.source_backlog for s in tenant.monitor.samples]
-    return TenantSummary(
-        name=name,
-        dag=tenant.dataflow.name,
-        strategy=tenant.strategy,
-        priority=tenant.priority,
-        mean_sink_latency_s=mean_latency(receipts, empty=float("inf")),
-        receipts=len(receipts),
-        peak_backlog=max(backlogs) if backlogs else 0,
-        final_backlog=backlogs[-1] if backlogs else 0,
-        final_instances=tenant.dataflow.total_instances(),
-        actions=list(tenant.controller.actions),
-        deferrals=[r for r in manager.arbiter.deferrals() if r.tenant_id == name],
-    )
 
 
 def _run_managed(
@@ -226,12 +186,11 @@ def _run_managed(
     for name, dag, priority, (surge_start, surge_end) in dag_specs:
         dataflow = topologies.by_name(dag)
         base_rate = sum(float(source.rate) for source in dataflow.sources)
-        profile = surge_profile(base_rate, surge_multiplier, surge_start, surge_end)
         manager.add_tenant(
             name,
             dataflow,
             strategy=strategy,
-            profile=profile if len(dataflow.sources) == 1 else None,
+            profile=surge_profile(base_rate, surge_multiplier, surge_start, surge_end),
             priority=priority,
             elastic_parallelism=elastic_parallelism,
             profile_duration_s=duration_s,
@@ -245,8 +204,7 @@ def _run_managed(
         manager.stop()
     return ManagedRunResult(
         manager=manager,
-        duration_s=duration_s,
-        tenants={name: _summarize_tenant(manager, name) for name, _, _, _ in dag_specs},
+        tenants={name: RunRow(name, manager.tenant(name)) for name, _, _, _ in dag_specs},
     )
 
 
@@ -358,10 +316,4 @@ def run_multi_experiment(
                 placement=placement,
             )
 
-    return MultiExperimentResult(
-        duration_s=duration_s,
-        surge_multiplier=surge_multiplier,
-        shared=shared,
-        private=private,
-        surge_windows={name: window for name, _, _, window in specs},
-    )
+    return MultiExperimentResult(duration_s=duration_s, shared=shared, private=private)

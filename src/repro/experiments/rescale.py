@@ -22,97 +22,9 @@ the ``repro rescale`` CLI subcommand (and the acceptance test) checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
-
 from repro.dataflow import topologies
+from repro.experiments.compare import Comparison, RunRow
 from repro.experiments.elastic import ElasticRunResult, run_elastic_experiment, surge_profile
-from repro.metrics.log import mean_latency
-
-
-@dataclass
-class RescaleRunSummary:
-    """Aggregated surge-window behaviour of one elastic run."""
-
-    #: ``capacity`` (rescale enabled) or ``placement`` (paper scoping).
-    mode: str
-    result: ElasticRunResult
-    #: Mean end-to-end sink latency over [surge start, end of run] (seconds);
-    #: ``inf`` when nothing reached a sink in the window (fully wedged).
-    mean_sink_latency_s: float
-    #: Largest total backlog observed by the monitor (executor queues plus
-    #: source backlogs) from the surge start onwards.
-    peak_backlog: int
-    #: Backlog still outstanding at the last monitor sample.
-    final_backlog: int
-    #: Sink receipts in the measurement window.
-    receipts: int
-    #: Total user-task instances deployed when the run ended.
-    final_instances: int
-
-    def as_dict(self) -> Dict[str, object]:
-        """Row for table formatting."""
-        return {
-            "mode": self.mode,
-            "mean_latency_s": round(self.mean_sink_latency_s, 3),
-            "peak_backlog": self.peak_backlog,
-            "final_backlog": self.final_backlog,
-            "receipts": self.receipts,
-            "final_instances": self.final_instances,
-            "scale_actions": len(self.result.actions),
-            "cost": round(self.result.total_cost, 4),
-        }
-
-
-@dataclass
-class RescaleComparisonResult:
-    """Everything produced by one capacity-vs-placement comparison."""
-
-    dag: str
-    strategy: str
-    surge_multiplier: float
-    duration_s: float
-    surge_start_s: float
-    surge_end_s: float
-    capacity: RescaleRunSummary
-    placement: RescaleRunSummary
-
-    @property
-    def latency_improvement(self) -> float:
-        """``placement mean latency / capacity mean latency`` (>1 = rescale wins)."""
-        if self.capacity.mean_sink_latency_s <= 0:
-            return float("inf")
-        return self.placement.mean_sink_latency_s / self.capacity.mean_sink_latency_s
-
-    @property
-    def capacity_wins(self) -> bool:
-        """Whether capacity-adding scaling strictly beat placement-only scaling.
-
-        Judged on mean sink latency and the backlog left at the end of the
-        run (did the deployment actually absorb the surge?).  The transient
-        peak is deliberately not part of the verdict: a drain-style protocol
-        restarting twice as many executors briefly spikes its backlog during
-        the migration window even when it goes on to win outright.
-        """
-        return (
-            self.capacity.mean_sink_latency_s < self.placement.mean_sink_latency_s
-            and self.capacity.final_backlog < self.placement.final_backlog
-        )
-
-
-def _summarize(result: ElasticRunResult, mode: str, window_start_s: float) -> RescaleRunSummary:
-    receipts = result.log.receipts_after(window_start_s)
-    window_samples = [s for s in result.samples if s.time >= window_start_s]
-    backlogs = [s.queue_backlog + s.source_backlog for s in window_samples]
-    return RescaleRunSummary(
-        mode=mode,
-        result=result,
-        mean_sink_latency_s=mean_latency(receipts, empty=float("inf")),
-        peak_backlog=max(backlogs) if backlogs else 0,
-        final_backlog=backlogs[-1] if backlogs else 0,
-        receipts=len(receipts),
-        final_instances=result.dataflow.total_instances(),
-    )
 
 
 def run_rescale_experiment(
@@ -121,15 +33,15 @@ def run_rescale_experiment(
     surge_multiplier: float = 2.0,
     duration_s: float = 600.0,
     seed: int = 2018,
-) -> RescaleComparisonResult:
+) -> Comparison:
     """Compare capacity-adding and placement-only scale-out on one surge.
 
     The surge is a step profile: baseline rate until 25% of the run,
     ``surge_multiplier`` times that until 60%, then back to baseline.  The
-    capacity-adding run lets the elastic controller rescale task parallelism
-    mid-migration; the placement-only run reproduces the paper's fixed-slot
-    scaling.  Summary metrics are measured from the surge start to the end of
-    the run, which includes the post-surge drain (a backlog the placement-only
+    ``capacity`` run lets the elastic controller rescale task parallelism
+    mid-migration; the ``placement`` run reproduces the paper's fixed-slot
+    scaling.  The rows are windowed from the surge start to the end of the
+    run, which includes the post-surge drain (a backlog the placement-only
     run accumulated keeps hurting its latency long after the surge ends).
     The controller runs at its default configuration: it plans on the
     monitor's offered rate (a post-surge drain burst does not read as fresh
@@ -154,16 +66,43 @@ def run_rescale_experiment(
             elastic_parallelism=elastic_parallelism,
         )
 
-    capacity_result = _one_run(elastic_parallelism=True)
-    placement_result = _one_run(elastic_parallelism=False)
+    rows = [
+        RunRow(mode, _one_run(elastic_parallelism), window_start_s=surge_start_s)
+        for mode, elastic_parallelism in (("capacity", True), ("placement", False))
+    ]
+    return Comparison(rows, label="mode", scenario="rescale")
 
-    return RescaleComparisonResult(
-        dag=dag,
-        strategy=strategy,
-        surge_multiplier=surge_multiplier,
-        duration_s=duration_s,
-        surge_start_s=surge_start_s,
-        surge_end_s=surge_end_s,
-        capacity=_summarize(capacity_result, "capacity", surge_start_s),
-        placement=_summarize(placement_result, "placement", surge_start_s),
+
+def latency_improvement(comparison: Comparison) -> float:
+    """``placement mean latency / capacity mean latency`` (>1 = rescale wins)."""
+    capacity, placement = comparison.rows
+    if capacity.mean_latency_s <= 0:
+        return float("inf")
+    return placement.mean_latency_s / capacity.mean_latency_s
+
+
+def capacity_wins(comparison: Comparison) -> bool:
+    """Whether capacity-adding scaling strictly beat placement-only scaling.
+
+    Judged on mean sink latency and the backlog left at the end of the run
+    (did the deployment actually absorb the surge?).  The transient peak is
+    deliberately not part of the verdict: a drain-style protocol restarting
+    twice as many executors briefly spikes its backlog during the migration
+    window even when it goes on to win outright.
+    """
+    capacity, placement = comparison.rows
+    return (
+        capacity.mean_latency_s < placement.mean_latency_s
+        and capacity.final_backlog < placement.final_backlog
     )
+
+
+def verdict(comparison: Comparison) -> str:
+    """The line ``repro rescale`` ends on."""
+    if not capacity_wins(comparison):
+        return ("Placement-only scaling was not beaten on this configuration "
+                "(try a stronger --surge or a longer --duration).")
+    capacity, placement = comparison.rows
+    return (f"Capacity-adding rescale wins: {latency_improvement(comparison):.2f}x lower mean "
+            f"sink latency, and {placement.final_backlog - capacity.final_backlog} "
+            f"fewer backlogged events left at the end of the run than placement-only scaling.")

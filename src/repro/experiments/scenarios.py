@@ -30,7 +30,6 @@ from repro.elastic.planner import plan_user_tasks_on
 from repro.engine.config import RuntimeConfig
 from repro.engine.runtime import TopologyRuntime
 from repro.metrics.log import EventLog
-from repro.metrics.timeline import LatencyPoint, RatePoint, latency_timeline, rate_timeline
 from repro.sim import Simulator, cell_seed
 
 
@@ -117,18 +116,6 @@ class MigrationRunResult:
     def log(self) -> EventLog:
         """The run's raw event log."""
         return self.runtime.log
-
-    def input_timeline(self, bin_s: float = 1.0) -> List[RatePoint]:
-        """Source emission rate over the whole run."""
-        return rate_timeline(self.log, kind="input", bin_s=bin_s)
-
-    def output_timeline(self, bin_s: float = 1.0) -> List[RatePoint]:
-        """Sink receipt rate over the whole run."""
-        return rate_timeline(self.log, kind="output", bin_s=bin_s)
-
-    def latency_timeline(self, window_s: float = 10.0) -> List[LatencyPoint]:
-        """Average end-to-end latency over consecutive windows."""
-        return latency_timeline(self.log, window_s=window_s)
 
 
 def deploy_baseline(

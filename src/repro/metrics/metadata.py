@@ -1,10 +1,13 @@
-"""Shared run-metadata helper for the ``results/`` JSON writers.
+"""Shared run-metadata helper for the JSON artifacts.
 
-Every headline artifact (``BENCH_chaos.json``, ``BENCH_predictive.json``,
-trace files) wants the same preamble -- schema name, seed, a digest of the
-configuration that produced the numbers, and a caller-injected timestamp --
-but each writer used to assemble it by hand.  :func:`run_metadata`
-centralizes the shape, so a reader need not special-case each schema.
+The headline artifacts (``BENCH_chaos.json`` and ``BENCH_predictive.json``,
+both written by :meth:`repro.experiments.compare.Comparison.write_headline_json`
+through :func:`write_headline_json`) and the end-to-end benchmark's
+``BENCH_e2e.json`` share one preamble -- schema name, host, optionally a seed,
+a digest of the configuration that produced the numbers, and a
+caller-injected timestamp -- which :func:`run_metadata` builds, so a reader
+need not special-case each schema.  Trace files carry their own header
+(:func:`repro.obs.export.trace_header`).
 
 Timestamps are always injected by the caller (or omitted): nothing in this
 module reads the wall clock, keeping every artifact byte-reproducible for

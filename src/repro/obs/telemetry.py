@@ -439,6 +439,40 @@ class Telemetry:
                 restarting=len(rescale.restarting),
             )
 
+    def _record_waves(self, history, protocol_spans: List[Span], now: float,
+                      tenant: Optional[str] = None) -> None:
+        """One ``checkpoint.wave.*`` span per checkpoint wave in ``history``.
+
+        A wave nests inside the innermost of ``protocol_spans`` whose interval
+        contains its start; a periodic wave outside any protocol is a
+        top-level span.  ``now`` caps a wave still open at the end of the
+        run; ``tenant`` labels shared-fleet runs.
+        """
+        label = {} if tenant is None else {"tenant": tenant}
+        for wave in history:
+            parent = None
+            for candidate in protocol_spans:
+                if candidate.start_s <= wave.started_at <= candidate.end_s:
+                    if parent is None or candidate.start_s >= parent.start_s:
+                        parent = candidate
+            end = wave.completed_at
+            if end is None:
+                end = now if now > wave.started_at else wave.started_at
+            self.tracer.emit(
+                f"checkpoint.wave.{wave.action.value}",
+                "checkpoint",
+                wave.started_at,
+                end,
+                parent=parent,
+                checkpoint_id=wave.checkpoint_id,
+                action=wave.action.value,
+                mode=wave.mode.value,
+                expected=len(wave.expected),
+                status=wave.status.value,
+                emit_count=wave.emit_count,
+                **label,
+            )
+
     # ------------------------------------------------------------- builders
     @classmethod
     def from_run(cls, runtime, controller, provider=None, injector=None,
@@ -453,37 +487,8 @@ class Telemetry:
         telemetry.meta.update(meta or {})
         telemetry._record_ticks(controller.ticks)
         now = runtime.sim.now
-        emit = telemetry.tracer.emit
-
-        def _end(value: Optional[float], start: float) -> float:
-            if value is not None:
-                return value
-            return now if now > start else start
-
         protocol_spans = telemetry._record_reconfigurations(controller.reconfigurations, now)
-
-        # Checkpoint waves nest inside the innermost protocol span whose
-        # interval contains their start; periodic waves outside any protocol
-        # surface as top-level checkpoint spans.
-        for wave in runtime.checkpoints.history:
-            parent = None
-            for candidate in protocol_spans:
-                if candidate.start_s <= wave.started_at <= candidate.end_s:
-                    if parent is None or candidate.start_s >= parent.start_s:
-                        parent = candidate
-            emit(
-                f"checkpoint.wave.{wave.action.value}",
-                "checkpoint",
-                wave.started_at,
-                _end(wave.completed_at, wave.started_at),
-                parent=parent,
-                checkpoint_id=wave.checkpoint_id,
-                action=wave.action.value,
-                mode=wave.mode.value,
-                expected=len(wave.expected),
-                status=wave.status.value,
-                emit_count=wave.emit_count,
-            )
+        telemetry._record_waves(runtime.checkpoints.history, protocol_spans, now)
 
         if injector is not None:
             telemetry._record_faults(injector.records)
@@ -500,18 +505,24 @@ class Telemetry:
                      meta: Optional[Mapping[str, object]] = None) -> "Telemetry":
         """The trace of a shared-fleet run: every tenant's ticks, then every
         tenant's reconfigurations, labelled with the tenant, then the
-        arbiter's verdicts; then the shared kernel's metrics and each
-        tenant's scrape, labelled with the tenant."""
+        arbiter's verdicts, then every tenant's checkpoint waves, labelled;
+        then the shared kernel's metrics and each tenant's scrape, labelled
+        with the tenant."""
         telemetry = cls()
         telemetry.meta.update(meta or {})
         names = sorted(controllers)
         for name in names:
             telemetry._record_ticks(controllers[name].ticks, tenant=name)
-        for name in names:
-            telemetry._record_reconfigurations(
+        protocol_spans = {
+            name: telemetry._record_reconfigurations(
                 controllers[name].reconfigurations, now, tenant=name
             )
+            for name in names
+        }
         telemetry._record_arbiter(arbiter)
+        for name in names:
+            telemetry._record_waves(controllers[name].runtime.checkpoints.history,
+                                    protocol_spans[name], now, tenant=name)
         telemetry._scrape_kernel(controllers[names[0]].runtime.sim)
         for name in names:
             controller = controllers[name]

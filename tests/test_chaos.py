@@ -569,14 +569,15 @@ def storm_comparison():
 
 class TestNoticeBeatsOblivious:
     def test_notice_mode_wins_on_restore_latency(self, storm_comparison):
-        notice = storm_comparison.notice
-        oblivious = storm_comparison.oblivious
-        assert oblivious.killed == storm_comparison.storm_count
+        notice = storm_comparison.runs["notice"]
+        oblivious = storm_comparison.runs["oblivious"]
+        assert oblivious.killed == storm_comparison.meta["storm_count"]
         assert notice.evaded > 0
-        assert notice.mean_restore_s < oblivious.mean_restore_s
+        assert notice.restore_s < oblivious.restore_s
 
     def test_notice_mode_wins_on_cost(self, storm_comparison):
-        assert storm_comparison.notice.total_cost < storm_comparison.oblivious.total_cost
+        runs = storm_comparison.runs
+        assert runs["notice"].cost < runs["oblivious"].cost
 
     def test_headline_json_roundtrip(self, storm_comparison, tmp_path):
         path = storm_comparison.write_headline_json(tmp_path / "BENCH_chaos.json")
@@ -585,6 +586,17 @@ class TestNoticeBeatsOblivious:
         for mode in ("notice", "oblivious"):
             for metric in ("restore_s", "replays", "cost_usd"):
                 assert f"chaos_{mode}_{metric}" in payload["benchmarks"]
+
+    def test_headline_json_is_the_committed_artifact(self, storm_comparison, tmp_path):
+        """``results/BENCH_chaos.json`` is this comparison's headline, but for the host."""
+        committed = Path(__file__).resolve().parent.parent / "results" / "BENCH_chaos.json"
+        path = storm_comparison.write_headline_json(tmp_path / "BENCH_chaos.json")
+        written, pinned = (
+            {key: value for key, value in json.loads(p.read_text(encoding="utf-8")).items()
+             if key not in ("python", "machine")}
+            for p in (path, committed)
+        )
+        assert written == pinned
 
     def test_committed_headline_artifact_shape(self):
         committed = Path(__file__).resolve().parent.parent / "results" / "BENCH_chaos.json"

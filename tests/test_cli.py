@@ -26,6 +26,8 @@ STDOUT_SHA256 = {
     "figure": "687e914cdf567cfdba8b01e3f4edd3c46859d76f72c73ebbb599398a5c5b768a",
     "multi": "c68f44d175cbd3515f85bcdeb24a929fc66be9093aee8d2354ea040138621cf3",
     "chaos": "df7c66f39060acb17dfb0c3e70b4b2da7e42a0abdc5c7db9c28c4896efb9848d",
+    # `repro chaos --duration 450 --storms 2`, the storm CI rides: a verdict.
+    "chaos.verdict": "686a0891202e4c957a792560cf25516bd7ea945a064106c9496a4a8d1829af63",
     "describe": "6b41e316f21c050852918023d65ab92aae0e005c0afda2aa776ddeecdd3a289c",
     "elastic": "ae4e7308e4b0e2010d21877ad0d2b807da56fd4468cbb08343c375ce037f756b",
     "rescale": "9ce253ced72693928f47d637939dd24e6c41e86cbd62aed1d5c105738deae44f",
@@ -230,6 +232,13 @@ class TestCommands:
         assert "unfired evict" in output
         assert "No verdict: no eviction fired inside the run." in output
         assert "wins" not in output and "did not pay for itself" not in output
+
+    def test_chaos_verdict_is_pinned(self, capsys):
+        exit_code = main(["chaos", "--duration", "450", "--storms", "2"])
+        output = capsys.readouterr().out
+        assert exit_code == 0
+        assert _sha256(output) == STDOUT_SHA256["chaos.verdict"]
+        assert "Notice-aware recovery wins on both axes: " in output
 
     def test_figure_fig5_with_subset_of_dags(self, capsys):
         exit_code = main([

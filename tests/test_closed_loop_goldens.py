@@ -93,8 +93,8 @@ def observed() -> Dict[str, Tuple[str, str]]:
     lookahead = predict.runs["lookahead"].result
     runs["predict.lookahead"] = (lookahead.log, _action_lines(lookahead.actions))
     rescale = run_rescale_experiment(dag="grid", duration_s=300.0, seed=SEED)
-    for summary in (rescale.capacity, rescale.placement):
-        runs[f"rescale.{summary.mode}"] = (
+    for summary in rescale.rows:
+        runs[f"rescale.{summary.label}"] = (
             summary.result.log, _action_lines(summary.result.actions)
         )
     for mode in ("notice", "oblivious"):

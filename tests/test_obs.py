@@ -405,8 +405,9 @@ TRACE_GOLDENS = {
     "predict.grid.reactive": "2bb70bdb1006c6c5d4f1f3fb7bb22f2379293ee7448e11e9517a8a6c56197cb3",
     "predict.grid.lookahead": "dcf0cd7dde1012546dea068eb6cde7f93fa20fb4b829cacc14abe8becbdd9ce5",
     # A shared fleet no fault hit: every tenant's ticks, migrations, arbiter,
-    # then the shared kernel's metrics and each tenant's, labelled with it.
-    "multi.traffic+linear": "3a4af3cdd163d149a3f332342414700363842879fb9b3cb0a47cc309b24c6d16",
+    # every tenant's checkpoint waves, then the shared kernel's metrics and
+    # each tenant's, labelled with it.
+    "multi.traffic+linear": "be477246c2edf7716c882b29c0a50dab4ca7331c653519d13590f2d80c872caa",
     # An overrun evacuation, then the recovery with its state.restore child.
     "chaos.kill-mid-evacuation": "f2507be6dc8c1c714538e083fb4d535f2a05091444582b702f02f4646ac7bde0",
     # No notice: recoveries only.
@@ -431,8 +432,8 @@ def golden_traces(traced):
     return {
         "elastic.grid.ccr.surge": traced.trace(),
         "chaos.grid-keyed.dsm.notice": chaos.trace(),
-        "predict.grid.reactive": predict.runs["reactive"].trace(),
-        "predict.grid.lookahead": predict.runs["lookahead"].trace(),
+        "predict.grid.reactive": predict.trace("reactive"),
+        "predict.grid.lookahead": predict.trace("lookahead"),
         "multi.traffic+linear": multi.trace(),
         "chaos.kill-mid-evacuation": run_chaos_run(**CHAOS_GOLDENS["kill-mid-evacuation"][0]).trace(),
         "chaos.grid-keyed.dsm.oblivious": oblivious.trace(),
@@ -504,6 +505,19 @@ def test_a_shared_fleet_trace_labels_each_tenants_checkpoint_waves(shared_fleet)
             expected[key] = expected.get(key, 0) + 1
         assert counted == expected
     assert any(m["labels"]["tenant"] == "traffic" for m in waves)
+
+
+def test_a_shared_fleet_trace_has_each_tenants_wave_spans(shared_fleet):
+    """One ``checkpoint.wave.*`` span per checkpoint wave of each tenant,
+    labelled with the tenant, as a single-fleet trace has one per wave."""
+    waves = [span for span in shared_fleet.trace().tracer.by_category("checkpoint")
+             if span.name.startswith("checkpoint.wave.")]
+    assert all("tenant" in span.args for span in waves)
+    for name in ("linear", "traffic"):
+        history = shared_fleet.shared.manager.tenant(name).runtime.checkpoints.history
+        own = [(span.name, span.start_s) for span in waves if span.args["tenant"] == name]
+        assert own == [(f"checkpoint.wave.{wave.action.value}", wave.started_at) for wave in history]
+        assert own
 
 
 def test_a_shared_fleet_trace_carries_every_arbitration(shared_fleet):

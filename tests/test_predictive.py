@@ -34,7 +34,11 @@ from repro.elastic import (
     decide,
 )
 from repro.experiments.elastic import run_elastic_experiment
-from repro.experiments.predictive import run_predictive_experiment
+from repro.experiments.predictive import (
+    best_predictive,
+    run_predictive_experiment,
+    violation_improvement_s,
+)
 from repro.workloads.profiles import StepProfile
 
 from tests.conftest import fast_config, make_runtime, monitor_sample
@@ -295,24 +299,24 @@ class TestPredictiveAcceptance:
 
     def test_predictive_provisions_before_the_surge_lands(self, comparison):
         lookahead = comparison.runs["lookahead"]
-        assert lookahead.provision_lead_s is not None
-        assert lookahead.provision_lead_s > 0, (
+        assert lookahead.lead_s is not None
+        assert lookahead.lead_s > 0, (
             "the lookahead policy must decide its scale-out before the surge"
         )
         reactive = comparison.runs["reactive"]
-        assert reactive.provision_lead_s is not None and reactive.provision_lead_s < 0, (
+        assert reactive.lead_s is not None and reactive.lead_s < 0, (
             "the reactive baseline can only react after the surge"
         )
 
     def test_predictive_has_measurably_fewer_slo_violation_seconds(self, comparison):
-        saved = comparison.violation_improvement_s("lookahead")
+        saved = violation_improvement_s(comparison, "lookahead")
         assert saved is not None
         # Measurable: at least two whole control intervals of violation saved.
         assert saved >= 30.0, (
             f"lookahead saved only {saved}s of SLO violations vs reactive"
         )
-        best = comparison.best_predictive()
-        assert best is not None and best.policy == "lookahead"
+        best = best_predictive(comparison)
+        assert best is not None and best.label == "lookahead"
 
     def test_headline_json_shape(self, comparison, tmp_path):
         path = comparison.write_headline_json(tmp_path / "BENCH_predictive.json")
@@ -326,6 +330,21 @@ class TestPredictiveAcceptance:
         }
         for seconds in benchmarks.values():
             assert seconds >= 0.0
+
+
+def test_headline_names_keep_the_policy_name(tmp_path):
+    """A policy's name goes into its headline key as it is: ``holt-winters``
+    keeps its hyphen."""
+    import json
+
+    comparison = run_predictive_experiment(
+        dag="linear", policies=("reactive", "holt-winters"), duration_s=300.0
+    )
+    path = comparison.write_headline_json(tmp_path / "BENCH_predictive.json")
+    assert json.loads(path.read_text())["benchmarks"] == {
+        "predict_reactive_slo_violation_s": 120.0,
+        "predict_holt-winters_slo_violation_s": 75.0,
+    }
 
 
 class TestPredictiveDeterminism:

@@ -16,6 +16,7 @@ from repro.experiments.scenarios import (
     run_migration_experiment,
     vm_counts_for,
 )
+from repro.metrics.timeline import latency_timeline, rate_timeline
 
 from tests.conftest import make_runtime
 
@@ -143,9 +144,9 @@ class TestEndToEnd:
             seed=11,
             dataflow=small_test_dataflow(),
         )
-        assert result.input_timeline()
-        assert result.output_timeline()
-        assert result.latency_timeline()
+        assert rate_timeline(result.log, kind="input", bin_s=1.0)
+        assert rate_timeline(result.log, kind="output", bin_s=1.0)
+        assert latency_timeline(result.log, window_s=10.0)
         assert result.target_vm_ids
 
     @pytest.mark.parametrize(
