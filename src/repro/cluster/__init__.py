@@ -31,7 +31,6 @@ from repro.cluster.cloud import (
     SpotMarket,
 )
 from repro.cluster.chaos import (
-    ChaosSchedule,
     FaultEvent,
     FaultInjector,
     FaultRecord,
@@ -46,7 +45,6 @@ from repro.cluster.placement import (
 
 __all__ = [
     "BillingRecord",
-    "ChaosSchedule",
     "CloudProvider",
     "Cluster",
     "D1",

@@ -1,16 +1,16 @@
-"""Deterministic fault injection: eviction storms, VM kills, slow clouds.
+"""Deterministic fault injection: spot evictions and VM kills.
 
-The chaos layer makes the failure modes that motivate fast migration —
-spot-market evictions, zero-notice VM loss, provisioning stragglers — into
-first-class simulated events.  A :class:`ChaosSchedule` is a declarative list
-of :class:`FaultEvent`\\ s; the :class:`FaultInjector` arms them on the kernel
-as cancellable timers (so the batch stepper's cascade horizon sees them and
-disengages around each fault) and resolves targets at fire time.
+The chaos layer makes the two ways the paper's VMs are lost -- a spot
+eviction with notice and a zero-notice kill -- into first-class simulated
+events.  The :class:`FaultInjector` arms a list of :class:`FaultEvent`\\ s on
+the kernel as cancellable timers (so the batch stepper's cascade horizon sees
+them and disengages around each fault) and resolves targets at fire time.
 
-Every stochastic choice — storm jitter, target selection — is a keyed draw from
-``(seed, channel, key)``, never from shared mutable RNG state, so a chaos run
-is bit-reproducible for a given seed regardless of how the rest of the
-simulation interleaves.
+Every stochastic choice -- a storm's jitter
+(:meth:`repro.experiments.elastic.Storm.schedule`), target selection -- is a
+keyed draw from ``(seed, channel, key)``, never from shared mutable RNG
+state, so a chaos run is bit-reproducible for a given seed regardless of how
+the rest of the simulation interleaves.
 
 Fault kinds:
 
@@ -21,22 +21,20 @@ Fault kinds:
   kill entirely (outcome ``"evaded"``).
 * ``"kill"`` — zero-notice VM loss: the VM is reclaimed immediately via
   ``on_kill`` (e.g. ``ElasticityController.handle_vm_failure``).
-* ``"provision-delay"`` — a cloud brown-out: provisioning latency is scaled
-  by ``multiplier`` for ``duration_s`` seconds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, List, Optional
 
 from repro.sim import KeyedStream, Simulator, keyed_seed
-from repro.cluster.cloud import SPOT, CloudProvider, Cluster
+from repro.cluster.cloud import SPOT, Cluster
 from repro.cluster.vm import VirtualMachine
 
 EVICT = "evict"
 KILL = "kill"
-PROVISION_DELAY = "provision-delay"
+FAULT_KINDS = (EVICT, KILL)
 
 
 @dataclass(frozen=True)
@@ -45,15 +43,23 @@ class FaultEvent:
 
     ``vm_id`` pins an explicit target; when ``None`` the injector picks a
     keyed-random eligible VM at fire time (so schedules compose with fleets
-    whose membership is not known up front).
+    whose membership is not known up front).  An unknown ``kind`` or a
+    negative ``at_s`` / ``notice_s`` raises ``ValueError`` here, not when
+    the fault fires.
     """
 
     at_s: float
     kind: str
     vm_id: Optional[str] = None
     notice_s: float = 120.0
-    duration_s: float = 0.0
-    multiplier: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in FAULT_KINDS:
+            raise ValueError(f"unknown fault kind {self.kind!r}; choose from {list(FAULT_KINDS)}")
+        if self.at_s < 0:
+            raise ValueError(f"at_s must be >= 0, got {self.at_s:g}")
+        if self.notice_s < 0:
+            raise ValueError(f"notice_s must be >= 0, got {self.notice_s:g}")
 
 
 @dataclass
@@ -66,89 +72,45 @@ class FaultRecord:
     fired_at: Optional[float] = None
     deadline: Optional[float] = None
     killed_at: Optional[float] = None
-    #: "pending" -> "killed" | "evaded" | "no-target" | "applied"
+    #: "pending" -> "killed" | "evaded" | "no-target"
     outcome: str = "pending"
 
 
-class ChaosSchedule:
-    """An ordered, declarative list of fault events."""
-
-    def __init__(self, events: Sequence[FaultEvent]) -> None:
-        self.events: List[FaultEvent] = sorted(events, key=lambda e: e.at_s)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    @classmethod
-    def eviction_storm(
-        cls,
-        count: int,
-        start_s: float,
-        spacing_s: float = 60.0,
-        notice_s: float = 120.0,
-        jitter_s: float = 0.0,
-        seed: int = 0,
-        kind: str = EVICT,
-    ) -> "ChaosSchedule":
-        """A burst of ``count`` evictions starting at ``start_s``.
-
-        Events are ``spacing_s`` apart plus a keyed uniform jitter of up to
-        ``jitter_s``; pass ``kind="kill"`` for a zero-notice storm.
-        """
-        if count <= 0:
-            raise ValueError(f"count must be positive, got {count}")
-        events = []
-        for i in range(count):
-            at = start_s + i * spacing_s
-            if jitter_s > 0:
-                at += KeyedStream(keyed_seed(seed, "chaos-storm", i)).uniform(0.0, jitter_s)
-            events.append(FaultEvent(at_s=at, kind=kind, notice_s=notice_s))
-        return cls(events)
-
-
 class FaultInjector:
-    """Arms fault events on the kernel and tears down their targets.
+    """Arms fault events on the kernel and hands their victims to ``on_kill``.
 
     ``on_notice(vm_id, deadline_s)`` is called when an eviction notice fires;
     ``on_kill(vm_id, kind)`` when a VM is actually reclaimed (zero-notice
     kill, or an eviction whose deadline passed with the VM still present).
-    ``on_kill`` owns the teardown — typically
+    ``on_kill`` owns the teardown -- typically
     ``ElasticityController.handle_vm_failure``, which fails the runtime's
-    executors, finalizes billing, and starts recovery.  Without a handler the
-    injector only tears down *empty* VMs and fails loudly otherwise.
+    executors, finalizes billing, and starts recovery.
 
-    Targets are drawn from cluster VMs whose ``tags["market"]`` is in
-    ``target_markets`` and whose ``tags["role"]`` is not in ``exclude_roles``
-    (the util VM hosting sources/sinks/Redis is off-limits by default, as in
-    the paper's setup where D3 infrastructure VMs are on-demand).
+    Targets are drawn from the cluster's spot VMs; the util VM hosting
+    sources, sinks and Redis is off-limits, as the paper's D3 infrastructure
+    VMs are on-demand.
     """
 
     def __init__(
         self,
         sim: Simulator,
         cluster: Cluster,
-        provider: CloudProvider,
+        on_kill: Callable[[str, str], None],
         seed: int = 0,
         on_notice: Optional[Callable[[str, float], None]] = None,
-        on_kill: Optional[Callable[[str, str], None]] = None,
-        target_markets: Sequence[str] = (SPOT,),
-        exclude_roles: Sequence[str] = ("util",),
     ) -> None:
         self.sim = sim
         self.cluster = cluster
-        self.provider = provider
         self.seed = seed
         self.on_notice = on_notice
         self.on_kill = on_kill
-        self.target_markets = tuple(target_markets)
-        self.exclude_roles = tuple(exclude_roles)
         self.records: List[FaultRecord] = []
         self._doomed: set = set()
 
     # ---------------------------------------------------------------- arming
-    def arm(self, schedule: ChaosSchedule) -> List[FaultRecord]:
-        """Schedule every event in the given schedule; returns their records."""
-        return [self._arm_event(event) for event in schedule.events]
+    def arm(self, events: Iterable[FaultEvent]) -> List[FaultRecord]:
+        """Schedule every event, in time order; returns their records."""
+        return [self._arm_event(event) for event in sorted(events, key=lambda e: e.at_s)]
 
     def _arm_event(self, event: FaultEvent) -> FaultRecord:
         record = FaultRecord(index=len(self.records), event=event)
@@ -161,16 +123,12 @@ class FaultInjector:
 
     # ---------------------------------------------------------------- firing
     def _eligible_vms(self) -> List[VirtualMachine]:
-        vms = []
-        for vm in sorted(self.cluster.vms, key=lambda v: v.vm_id):
-            if vm.vm_id in self._doomed:
-                continue
-            if vm.tags.get("role") in self.exclude_roles:
-                continue
-            if self.target_markets and vm.tags.get("market") not in self.target_markets:
-                continue
-            vms.append(vm)
-        return vms
+        return [
+            vm for vm in sorted(self.cluster.vms, key=lambda v: v.vm_id)
+            if vm.vm_id not in self._doomed
+            and vm.tags.get("role") != "util"
+            and vm.tags.get("market") == SPOT
+        ]
 
     def _resolve_target(self, record: FaultRecord) -> Optional[str]:
         event = record.event
@@ -187,9 +145,6 @@ class FaultInjector:
     def _fire(self, record: FaultRecord) -> None:
         event = record.event
         record.fired_at = self.sim.now
-        if event.kind == PROVISION_DELAY:
-            self._apply_provision_delay(record)
-            return
         vm_id = self._resolve_target(record)
         if vm_id is None:
             record.outcome = "no-target"
@@ -197,14 +152,12 @@ class FaultInjector:
         record.vm_id = vm_id
         if event.kind == KILL:
             self._kill(record)
-        elif event.kind == EVICT:
-            self._doomed.add(vm_id)
-            record.deadline = self.sim.now + event.notice_s
-            if self.on_notice is not None:
-                self.on_notice(vm_id, record.deadline)
-            self.sim.schedule(event.notice_s, self._deadline, record)
-        else:
-            raise ValueError(f"unknown fault kind {event.kind!r}")
+            return
+        self._doomed.add(vm_id)
+        record.deadline = self.sim.now + event.notice_s
+        if self.on_notice is not None:
+            self.on_notice(vm_id, record.deadline)
+        self.sim.schedule(event.notice_s, self._deadline, record)
 
     def _deadline(self, record: FaultRecord) -> None:
         self._doomed.discard(record.vm_id)
@@ -222,32 +175,7 @@ class FaultInjector:
             return
         record.outcome = "killed"
         record.killed_at = self.sim.now
-        if self.on_kill is not None:
-            self.on_kill(vm_id, record.event.kind)
-            return
-        vm = self.cluster.vm(vm_id)
-        if vm.occupied_slots:
-            raise RuntimeError(
-                f"fault injector has no on_kill handler but VM {vm_id} hosts "
-                f"executors; wire on_kill to the controller's handle_vm_failure"
-            )
-        self.provider.mark_failed(vm)
-        self.cluster.remove_vm(vm_id)
-
-    def _apply_provision_delay(self, record: FaultRecord) -> None:
-        event = record.event
-        record.outcome = "applied"
-        model = self.provider.provisioning
-        if model is not None:
-            self.provider.provisioning = replace(
-                model, base_latency_s=model.base_latency_s * event.multiplier
-            )
-            restore = lambda: setattr(self.provider, "provisioning", model)
-        else:
-            base = self.provider.provisioning_latency_s
-            self.provider.provisioning_latency_s = base * event.multiplier
-            restore = lambda: setattr(self.provider, "provisioning_latency_s", base)
-        self.sim.schedule(event.duration_s, restore)
+        self.on_kill(vm_id, record.event.kind)
 
     # ------------------------------------------------------------- reporting
     @property

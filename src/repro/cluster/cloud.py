@@ -49,16 +49,14 @@ class SpotMarket:
     Spot VMs bill at ``discount`` times the on-demand rate but may be
     reclaimed; ``eviction_rate_per_hour`` (Poisson, per VM-hour) prices that
     risk when an evacuation picks its replacements' market
-    (:func:`~repro.elastic.controller.evacuation_market`), while the
-    evictions a run actually suffers come from a
-    :class:`~repro.cluster.chaos.ChaosSchedule`.  The provider sends an
-    eviction *notice* ``notice_s`` seconds before reclaiming the VM — the
-    window a notice-aware controller has to drain and migrate.
+    (:func:`~repro.elastic.controller.evacuation_market`).  The evictions a
+    run actually suffers, each with its notice window, are the
+    :class:`~repro.cluster.chaos.FaultEvent`\\ s armed on a
+    :class:`~repro.cluster.chaos.FaultInjector`.
     """
 
     discount: float = 0.35
     eviction_rate_per_hour: float = 0.0
-    notice_s: float = 120.0
 
     def spot_hourly_cost(self, vm_type: VMType) -> float:
         """Hourly spot price for the flavour."""

@@ -20,24 +20,14 @@ DCR addresses DSM's performance problems with three ideas (§3.1 of the paper):
 
 There are no lost messages and therefore no replays: old (pre-migration)
 events never interleave with new ones.
-
-Because DCR establishes a clean boundary between events processed before and
-after the migration, it is the natural vehicle for the paper's suggested
-extension of *updating the task logic* as part of the migration ("updating the
-task logic by re-wiring the DAG on the fly"): pass ``logic_updates`` to
-:meth:`DrainCheckpointRestore.migrate` and the new user logic is installed on
-every instance of the named tasks after their state is restored and before the
-sources are unpaused, so old events are processed entirely by the old logic
-and new events entirely by the new logic.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.core.strategy import MigrationReport, MigrationStrategy, PlanInput, register_strategy
 from repro.dataflow.graph import RescalePlan
-from repro.dataflow.task import UserLogic
 from repro.engine.config import RuntimeConfig
 from repro.reliability.checkpoint import CheckpointWave, WaveMode
 
@@ -61,14 +51,10 @@ class DrainCheckpointRestore(MigrationStrategy):
         self,
         new_plan: PlanInput,
         on_complete: Optional[Callable[[MigrationReport], None]] = None,
-        logic_updates: Optional[Dict[str, UserLogic]] = None,
         rescale: Optional[RescalePlan] = None,
     ) -> MigrationReport:
-        """Enact the migration; optionally install new user logic or rescale tasks.
+        """Enact the migration; optionally rescale tasks.
 
-        ``logic_updates`` maps task names to replacement user-logic callables
-        that take effect after the restore, before the sources resume -- the
-        paper's "update the task logic while re-wiring the DAG" extension.
         ``rescale`` changes task instance counts at DCR's natural clean
         boundary: after the drain + just-in-time checkpoint (state persisted
         under the old partitioning), the checkpoints are re-keyed to the new
@@ -78,10 +64,6 @@ class DrainCheckpointRestore(MigrationStrategy):
         report = self._new_report()
         self._on_complete = on_complete
         self._stage_enactment(new_plan, rescale)
-        self._logic_updates = dict(logic_updates or {})
-        for task_name in self._logic_updates:
-            if task_name not in self.runtime.dataflow:
-                raise KeyError(f"logic update references unknown task {task_name!r}")
 
         # Pause the sources so the PREPARE wave is the last thing behind the
         # in-flight data, then give in-transit source emissions a moment to
@@ -125,20 +107,5 @@ class DrainCheckpointRestore(MigrationStrategy):
     def _restored(self) -> None:
         report = self.report
         assert report is not None
-        self._apply_logic_updates()
         self.runtime.unpause_sources()
         report.sources_unpaused_at = self.runtime.sim.now
-
-    def _apply_logic_updates(self) -> None:
-        """Install replacement user logic on every instance of the updated tasks."""
-        updates = getattr(self, "_logic_updates", None)
-        if not updates:
-            return
-        for task_name, logic in updates.items():
-            task = self.runtime.dataflow.task(task_name)
-            task.logic = logic
-            if self.report is not None:
-                self.report.notes[f"logic_updated:{task_name}"] = self.runtime.sim.now
-        if self.runtime.batch_stepper is not None:
-            # Its compiled plan says whether a stretch may skip task.logic.
-            self.runtime.batch_stepper.drop_plan()

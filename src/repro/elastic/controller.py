@@ -50,7 +50,7 @@ from repro.cluster.vm import VM_TYPES, VirtualMachine, VMType
 from repro.core.strategy import MigrationReport, MigrationStrategy
 from repro.dataflow.event import CheckpointAction
 from repro.elastic.arbiter import ArbiterDecision, ScaleArbiter
-from repro.elastic.forecast import ForecastPolicy, forecast_policy_by_name
+from repro.elastic.forecast import ForecastPolicy, ReactivePolicy
 from repro.elastic.monitor import ElasticityMonitor
 from repro.elastic.planner import AllocationPlanner, TargetAllocation, incremental_plan_on
 from repro.elastic.policy import (
@@ -282,12 +282,11 @@ class ElasticityController:
         self.planner = planner
         self.strategy_cls = strategy_cls
         self.config = config if config is not None else ControllerConfig()
-        #: ``forecast_policy`` / ``placement`` instances override the config's
-        #: named choices (a lookahead policy carries the workload's profile; a
-        #: shared-fleet placer carries the manager's exclusions).
-        if forecast_policy is None:
-            forecast_policy = forecast_policy_by_name(self.config.forecast_policy)
-        self.forecast_policy = forecast_policy
+        #: The demand forecaster (reactive unless given: a lookahead policy
+        #: carries the workload's profile).  A ``placement`` instance
+        #: overrides the config's named choice (a shared-fleet placer carries
+        #: the manager's exclusions).
+        self.forecast_policy = forecast_policy if forecast_policy is not None else ReactivePolicy()
         if placement is None:
             placement = placement_policy_by_name(self.config.placement)
         self.place = placement
@@ -769,7 +768,9 @@ def build_controller(
     The monitor samples at the controller's check interval; the planner sizes
     the runtime's dataflow at the paper's 8 ev/s per instance, unless a task
     declares its own ``capacity_ev_s``.  Both are reachable as
-    ``controller.monitor`` / ``controller.planner``.  The loop is not started.
+    ``controller.monitor`` / ``controller.planner``.  The rule forecasts with
+    ``forecast_policy``, or reactively when none is given.  The loop is not
+    started.
     """
     config = config if config is not None else ControllerConfig()
     monitor = ElasticityMonitor(runtime, interval_s=config.check_interval_s)

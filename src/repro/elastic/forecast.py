@@ -162,9 +162,10 @@ class ProfileLookaheadPolicy(ForecastPolicy):
         return max(0.0, float(self.profile.rate_at(now_s + horizon_s)))
 
 
-#: Registry of the named forecast policies ``ControllerConfig.forecast_policy``
-#: accepts.  ``lookahead`` is special-cased by :func:`forecast_policy_by_name`
-#: because it needs the workload's profile.
+#: Registry of the forecast policies by the name
+#: :func:`~repro.experiments.elastic.run_elastic_experiment` takes.
+#: ``lookahead`` is special-cased by :func:`forecast_policy_by_name` because
+#: it needs the workload's profile.
 FORECAST_POLICIES: Dict[str, Type[ForecastPolicy]] = {
     ReactivePolicy.name: ReactivePolicy,
     EwmaPolicy.name: EwmaPolicy,

@@ -51,10 +51,6 @@ class ControllerConfig:
     confirm_samples: int = 2
     #: Quiet period after a completed migration before the next one may start.
     cooldown_s: float = 60.0
-    #: Named demand forecaster (see
-    #: :data:`~repro.elastic.forecast.FORECAST_POLICIES`).  ``reactive`` is
-    #: the identity forecast -- the plain threshold controller.
-    forecast_policy: str = "reactive"
     #: Sink-latency SLO (seconds of mean end-to-end latency); ``None``
     #: disables SLO tracking and the overload override.
     slo_latency_s: Optional[float] = None

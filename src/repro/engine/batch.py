@@ -140,10 +140,6 @@ class BatchStepper:
             self.plan_builds += 1
         return plan
 
-    def drop_plan(self) -> None:
-        """Forget what was compiled: task logic changed (a migration's logic update)."""
-        self._plan = self._structure = None
-
     # ---------------------------------------------------------------- cascade
     def try_cascade(self, source: SourceExecutor) -> bool:
         """Whether the cascade consumed the source tick that just fired (emitted,

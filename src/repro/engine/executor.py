@@ -36,12 +36,15 @@ from __future__ import annotations
 import copy
 from collections import deque
 from enum import Enum
-from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.dataflow.event import CheckpointAction, Event, EventKind, root_event_id, source_id_key
 from repro.dataflow.task import SinkTask, SourceTask, Task
 from repro.reliability.statestore import checkpoint_key
 from repro.sim import Timer
+
+if TYPE_CHECKING:  # the runtime module imports this one
+    from repro.engine.runtime import TopologyRuntime
 
 
 #: Virtual sender id used for control events injected by the checkpoint source.
@@ -103,7 +106,7 @@ class Executor:
         "_service_time",
     )
 
-    def __init__(self, executor_id: str, task: Task, instance_index: int, runtime: "TopologyRuntimeLike") -> None:
+    def __init__(self, executor_id: str, task: Task, instance_index: int, runtime: "TopologyRuntime") -> None:
         self.executor_id = executor_id
         self.task = task
         self.instance_index = instance_index
@@ -462,7 +465,7 @@ class SourceExecutor(Executor):
         "id_key",
     )
 
-    def __init__(self, executor_id: str, task: SourceTask, instance_index: int, runtime: "TopologyRuntimeLike") -> None:
+    def __init__(self, executor_id: str, task: SourceTask, instance_index: int, runtime: "TopologyRuntime") -> None:
         super().__init__(executor_id, task, instance_index, runtime)
         self.profile = getattr(task, "profile", None)
         self.rate = float(task.rate)
@@ -811,7 +814,7 @@ class SinkExecutor(Executor):
 
     __slots__ = ("received_count", "inline_completions")
 
-    def __init__(self, executor_id: str, task: SinkTask, instance_index: int, runtime: "TopologyRuntimeLike") -> None:
+    def __init__(self, executor_id: str, task: SinkTask, instance_index: int, runtime: "TopologyRuntime") -> None:
         super().__init__(executor_id, task, instance_index, runtime)
         self.received_count = 0
         #: Data events completed inside deliver() (no kernel event each).
@@ -832,42 +835,3 @@ class SinkExecutor(Executor):
         self.processed_count += 1
         self.runtime.ack_processed(event)
         return True
-
-
-class TopologyRuntimeLike:
-    """Structural interface executors expect from the runtime (documentation aid).
-
-    The concrete implementation is :class:`repro.engine.runtime.TopologyRuntime`;
-    this class exists so the executor module does not import the runtime
-    module (avoiding a circular dependency) while still documenting the
-    contract.
-    """
-
-    sim = None
-    config = None
-    log = None
-    statestore = None
-    acker = None
-    timing = None
-    dataflow = None
-    router = None
-    executors = None
-    ack_data_events = False
-
-    def deliver(self, executor_id: str, event: Event, sender_id: str) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def _undeliverable(self, executor: Executor, event: Event, sender_id: str) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def ack_processed(self, event: Event) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def forward_control(self, executor: Executor, event: Event) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def control_ack(self, executor: Executor, event: Event) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def expected_control_senders(self, executor: Executor) -> Set[str]:  # pragma: no cover - interface
-        raise NotImplementedError

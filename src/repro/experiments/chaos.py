@@ -4,8 +4,9 @@ The elasticity papers' migration machinery assumes *planned* reconfiguration;
 a spot-heavy fleet adds the unplanned kind.  A chaos run is a closed-loop run
 (:func:`repro.experiments.elastic.run_elastic_experiment`) given a
 :class:`~repro.experiments.elastic.Storm`: the dataflow is deployed on spot
-worker VMs, a deterministic eviction storm
-(:class:`~repro.cluster.chaos.ChaosSchedule`) fires at the fleet, and
+worker VMs, a deterministic eviction storm (:meth:`Storm.schedule
+<repro.experiments.elastic.Storm.schedule>`, armed on a
+:class:`~repro.cluster.chaos.FaultInjector`) fires at the fleet, and
 :func:`run_chaos_experiment` rides the same storm once per *recovery mode*:
 
 * ``notice`` — the controller receives each eviction **notice** and drains the
@@ -65,8 +66,8 @@ def run_chaos_run(
     The autoscaling loop is *not* started: the run isolates fault handling.
     Pass ``config`` to override the runtime configuration (e.g. the batch
     stepper's on/off equivalence check); its seed is the cell's.
-    Raises ``ValueError`` unless ``notice_s`` and ``storm_spacing_s`` are
-    ``>= 0`` and ``0 <= storm_start_s < duration_s``.
+    Raises ``ValueError`` unless ``storm_count >= 1``, ``notice_s`` and
+    ``storm_spacing_s`` are ``>= 0`` and ``0 <= storm_start_s < duration_s``.
     """
     return run_elastic_experiment(
         dag=dag,

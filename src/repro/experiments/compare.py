@@ -166,12 +166,14 @@ class RunRow:
         return engine_line(engine_counts([self.result.runtime]))
 
 
-def _rounded(value: Optional[float], digits: int) -> object:
-    return "-" if value is None else round(value, digits)
+def _rounded(value: Optional[float], digits: int) -> str:
+    """The cell's text at its column's precision (``format_table`` would
+    print a float with one decimal)."""
+    return "-" if value is None else f"{value:.{digits}f}"
 
 
-#: Column -> its table cell, at the rounding each command has always printed;
-#: any other column is the :class:`RunRow` attribute of that name as it is.
+#: Column -> its table cell, as text at the column's precision; any other
+#: column is the :class:`RunRow` attribute of that name as it is.
 _CELLS: Dict[str, Callable[[RunRow], object]] = {
     "restore_s": lambda row: _rounded(row.restore_s, 2),
     "drain_s": lambda row: _rounded(row.drain_s, 2),

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.cluster.chaos import ChaosSchedule, FaultInjector
+from repro.cluster.chaos import EVICT, FaultEvent, FaultInjector
 from repro.cluster.cloud import ON_DEMAND, SPOT, CloudProvider, ProvisioningModel, SpotMarket
 from repro.core.strategy import strategy_by_name
 from repro.dataflow import topologies
@@ -42,7 +42,6 @@ from repro.elastic import (
     ControllerConfig,
     ElasticityController,
     ElasticityMonitor,
-    ForecastPolicy,
     MonitorSample,
     Reconfiguration,
     build_controller,
@@ -53,7 +52,7 @@ from repro.engine.runtime import TopologyRuntime
 from repro.experiments.scenarios import deploy_baseline
 from repro.metrics.log import EventLog
 from repro.obs import Telemetry
-from repro.sim import RandomSource, Simulator, cell_seed
+from repro.sim import KeyedStream, RandomSource, Simulator, cell_seed, keyed_seed
 from repro.sim.shard import log_digest
 from repro.workloads.profiles import RateProfile, StepProfile, attach_profile
 
@@ -99,16 +98,17 @@ class Storm:
     spacing_s: float
     notice_s: float
 
-    def schedule(self, seed: int) -> ChaosSchedule:
-        """The storm's eviction schedule, jittered from ``seed``."""
-        return ChaosSchedule.eviction_storm(
-            count=self.count,
-            start_s=self.start_s,
-            spacing_s=self.spacing_s,
-            notice_s=self.notice_s,
-            jitter_s=STORM_JITTER_S,
-            seed=seed,
-        )
+    def schedule(self, seed: int) -> List[FaultEvent]:
+        """The storm's evictions, each jittered from ``seed``."""
+        return [
+            FaultEvent(
+                at_s=self.start_s + i * self.spacing_s
+                + KeyedStream(keyed_seed(seed, "chaos-storm", i)).uniform(0.0, STORM_JITTER_S),
+                kind=EVICT,
+                notice_s=self.notice_s,
+            )
+            for i in range(self.count)
+        ]
 
 
 @dataclass
@@ -139,6 +139,8 @@ class ElasticScenarioSpec:
             return
         if storm.mode not in STORM_MODES:
             raise ValueError(f"unknown chaos mode {storm.mode!r}; choose from {list(STORM_MODES)}")
+        if storm.count < 1:
+            raise ValueError(f"storm_count must be >= 1, got {storm.count}")
         # A storm outside the run leaves nothing to judge, and the scheduler
         # would silently clamp a negative start or spacing to "now".  The
         # messages name run_chaos_run's parameters.
@@ -336,7 +338,7 @@ def run_elastic_experiment(
     controller_config: Optional[ControllerConfig] = None,
     provisioning_latency_s: float = 30.0,
     elastic_parallelism: bool = False,
-    forecast_policy: Optional[Union[str, ForecastPolicy]] = None,
+    forecast_policy: str = "reactive",
     storm: Optional[Storm] = None,
 ) -> ElasticRunResult:
     """Run one closed-loop experiment.
@@ -356,10 +358,9 @@ def run_elastic_experiment(
     may then be mutated by the run.  Every task is sized at the paper's
     8 ev/s per instance unless it declares its own ``capacity_ev_s``.
 
-    ``forecast_policy`` selects the control rule's demand forecaster: a
-    registered name, a :class:`ForecastPolicy` instance, or ``None`` to use
-    the controller config's choice.  The ``lookahead`` policy is bound to the
-    run's total-rate profile automatically.
+    ``forecast_policy`` names the control rule's demand forecaster (see
+    :data:`~repro.elastic.forecast.FORECAST_POLICIES`); the ``lookahead``
+    policy is bound to the run's total-rate profile automatically.
 
     Given a ``storm`` the run is a chaos run (see
     :func:`repro.experiments.chaos.run_chaos_run`, which describes one): the
@@ -369,10 +370,6 @@ def run_elastic_experiment(
     flag variants (e.g. the batch stepper's equivalence check) share their
     random streams.
     """
-    if isinstance(forecast_policy, ForecastPolicy):
-        policy_name = forecast_policy.name
-    else:
-        policy_name = forecast_policy or (controller_config or ControllerConfig()).forecast_policy
     spec = ElasticScenarioSpec(
         dag=dag,
         strategy=strategy,
@@ -380,7 +377,7 @@ def run_elastic_experiment(
         duration_s=duration_s,
         seed=seed,
         elastic_parallelism=elastic_parallelism,
-        forecast_policy=policy_name,
+        forecast_policy=forecast_policy,
         storm=storm,
     )
     strategy_cls = strategy_by_name(strategy)
@@ -402,10 +399,9 @@ def run_elastic_experiment(
     # profile keep it) while the result claimed the newly requested one.
     original_profiles = [(source, source.profile) for source in dataflow.sources]
     rate_profile = attach_profile(dataflow, profile, duration_s)
-    if not isinstance(forecast_policy, ForecastPolicy):
-        # Resolved here, where the run's total-rate profile is known (the
-        # lookahead oracle reads it).
-        forecast_policy = forecast_policy_by_name(policy_name, profile=rate_profile)
+    # Resolved here, where the run's total-rate profile is known (the
+    # lookahead oracle reads it).
+    forecast = forecast_policy_by_name(forecast_policy, profile=rate_profile)
 
     if storm is None:
         provider = CloudProvider(sim, provisioning_latency_s=provisioning_latency_s)
@@ -413,9 +409,7 @@ def run_elastic_experiment(
         provider = CloudProvider(
             sim,
             provisioning_latency_s=provisioning_latency_s,
-            spot_market=SpotMarket(
-                discount=0.35, eviction_rate_per_hour=0.5, notice_s=storm.notice_s
-            ),
+            spot_market=SpotMarket(discount=0.35, eviction_rate_per_hour=0.5),
             provisioning=SPOT_PROVISIONING,
             rng=RandomSource(config.seed),
         )
@@ -432,7 +426,7 @@ def run_elastic_experiment(
         strategy_cls,
         controller_config,
         elastic_parallelism=elastic_parallelism,
-        forecast_policy=forecast_policy,
+        forecast_policy=forecast,
     )
     injector = None
     if storm is None:
@@ -441,11 +435,9 @@ def run_elastic_experiment(
         injector = FaultInjector(
             sim,
             runtime.cluster,
-            provider,
+            on_kill=controller.handle_vm_failure,
             seed=config.seed,
             on_notice=controller.handle_eviction_notice if storm.mode == "notice" else None,
-            on_kill=controller.handle_vm_failure,
-            target_markets=(SPOT,),
         )
         injector.arm(storm.schedule(config.seed))
 

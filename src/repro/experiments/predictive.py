@@ -90,9 +90,7 @@ def run_predictive_experiment(
             duration_s=duration_s,
             seed=seed,
             dataflow=dataflow,
-            controller_config=ControllerConfig(
-                slo_latency_s=slo_latency_s, placement=placement, forecast_policy=policy
-            ),
+            controller_config=ControllerConfig(slo_latency_s=slo_latency_s, placement=placement),
             elastic_parallelism=True,
             forecast_policy=policy,
         ))

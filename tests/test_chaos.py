@@ -23,6 +23,7 @@ Covers the chaos-capable cloud layer end to end:
 """
 
 import copy
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster.chaos import KILL, ChaosSchedule, FaultEvent, FaultInjector
+from repro.cluster.chaos import KILL, FaultEvent, FaultInjector
 from repro.cluster.cloud import (
     ON_DEMAND,
     SPOT,
@@ -372,7 +373,7 @@ def _assemble_chaos_stack(dag: str, seed: int = 7):
     config = RuntimeConfig.for_dsm(seed=seed)
     provider = CloudProvider(
         sim,
-        spot_market=SpotMarket(discount=0.35, notice_s=120.0),
+        spot_market=SpotMarket(discount=0.35),
         provisioning=ProvisioningModel(base_latency_s=30.0, jitter_fraction=0.2),
         rng=RandomSource(seed),
     )
@@ -419,8 +420,8 @@ class TestZeroNoticeKillRecovery:
                     captured[slot.executor_id] = copy.deepcopy(snap["state"])
             controller.handle_vm_failure(vm_id, kind)
 
-        injector = FaultInjector(sim, cluster, provider, seed=7, on_kill=on_kill)
-        injector.arm(ChaosSchedule([FaultEvent(at_s=200.0, kind=KILL, vm_id=victim_vm)]))
+        injector = FaultInjector(sim, cluster, on_kill=on_kill, seed=7)
+        injector.arm([FaultEvent(at_s=200.0, kind=KILL, vm_id=victim_vm)])
 
         sim.run(until=420.0)
         runtime.stop_sources()
@@ -737,11 +738,63 @@ class TestStormParametersAreChecked:
         ({"storm_start_s": -10.0}, r"storm_start_s must be in \[0, duration_s=600\), got -10"),
         ({"storm_spacing_s": -1.0}, "storm_spacing_s must be >= 0, got -1"),
         ({"notice_s": -5.0}, "notice_s must be >= 0, got -5"),
+        # Used to fail after deploy, inside the storm's schedule, with
+        # "count must be positive".
+        ({"storm_count": 0}, "storm_count must be >= 1, got 0"),
     ])
     @pytest.mark.parametrize("run", [run_chaos_run, run_chaos_experiment])
     def test_bad_storm_parameters_raise_by_name(self, run, kwargs, message):
         with pytest.raises(ValueError, match=message):
             run(**kwargs)
+
+    def test_a_stormless_storm_is_refused_before_anything_is_deployed(self, monkeypatch):
+        def deploy(*args, **kwargs):
+            raise AssertionError("deployed")
+
+        monkeypatch.setattr(elastic_runner, "deploy_baseline", deploy)
+        with pytest.raises(ValueError, match="storm_count must be >= 1, got 0"):
+            run_chaos_run(storm_count=0)
+
+
+class TestFaultEventsAreCheckedWhenBuilt:
+    """A bad fault fails where it is written, not when it fires mid-run."""
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(at_s=10.0, kind="provision-delay"), "unknown fault kind 'provision-delay'"),
+        (dict(at_s=-1.0, kind=KILL), "at_s must be >= 0, got -1"),
+        (dict(at_s=10.0, kind="evict", notice_s=-5.0), "notice_s must be >= 0, got -5"),
+    ])
+    def test_bad_fault_event_raises(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            FaultEvent(**kwargs)
+
+    def test_the_chaos_layer_keeps_two_kinds_and_four_fields(self):
+        from repro.cluster import chaos
+
+        assert chaos.FAULT_KINDS == ("evict", "kill")
+        assert [f.name for f in dataclasses.fields(FaultEvent)] == [
+            "at_s", "kind", "vm_id", "notice_s"]
+        assert list(inspect.signature(FaultInjector).parameters) == [
+            "sim", "cluster", "on_kill", "seed", "on_notice"]
+        for gone in ("ChaosSchedule", "PROVISION_DELAY"):
+            assert not hasattr(chaos, gone)
+
+    def test_arm_fires_in_time_order(self):
+        sim = Simulator()
+        cluster = Cluster()
+        for vm in CloudProvider(sim).provision(D2, 2, name_prefix="d2"):
+            cluster.add_vm(vm)
+        killed = []
+        injector = FaultInjector(sim, cluster, on_kill=lambda vm_id, kind: killed.append(vm_id))
+        records = injector.arm([
+            FaultEvent(at_s=20.0, kind=KILL, vm_id="d2-002"),
+            FaultEvent(at_s=10.0, kind=KILL, vm_id="d2-001"),
+        ])
+        assert [record.event.at_s for record in records] == [10.0, 20.0]
+        sim.run(until=30.0)
+        assert killed == ["d2-001", "d2-002"]
+        assert [(r.index, r.outcome, r.killed_at) for r in injector.records] == [
+            (0, "killed", 10.0), (1, "killed", 20.0)]
 
 
 # --------------------------------------------------------------- satellite 3

@@ -25,13 +25,17 @@ STDOUT_SHA256 = {
     "experiment": "7e7bef1a9ba9eae0f5eff0b075c1158d4af8b4231d228c9132b4a002cf2d020d",
     "figure": "687e914cdf567cfdba8b01e3f4edd3c46859d76f72c73ebbb599398a5c5b768a",
     "multi": "c68f44d175cbd3515f85bcdeb24a929fc66be9093aee8d2354ea040138621cf3",
-    "chaos": "df7c66f39060acb17dfb0c3e70b4b2da7e42a0abdc5c7db9c28c4896efb9848d",
+    # `chaos`, `chaos.verdict`, `rescale` and `predict` print their comparison
+    # table at each column's own precision (`compare.py::_CELLS`: `restore_s` /
+    # `drain_s` 2 places, `mean_latency_s` 3, `cost` 4); only those table rows
+    # differ from the one-decimal text pinned before (`cost 0.1` -> `0.1219`).
+    "chaos": "a11ad72f49f6966046091aa2b67f2eb30b162b40be82cf6bdc0af2669a6d47a0",
     # `repro chaos --duration 450 --storms 2`, the storm CI rides: a verdict.
-    "chaos.verdict": "686a0891202e4c957a792560cf25516bd7ea945a064106c9496a4a8d1829af63",
+    "chaos.verdict": "5a129bec8146b70f290b9f766a0376c243307660340313b2670358f150df1e80",
     "describe": "6b41e316f21c050852918023d65ab92aae0e005c0afda2aa776ddeecdd3a289c",
     "elastic": "ae4e7308e4b0e2010d21877ad0d2b807da56fd4468cbb08343c375ce037f756b",
-    "rescale": "9ce253ced72693928f47d637939dd24e6c41e86cbd62aed1d5c105738deae44f",
-    "predict": "1fc6a36fe69bddee0a423e671f7260e6a64e6640c3b606931723ae8305c37653",
+    "rescale": "8e1759ef0ac4d9f99f7d13a55f46cb456bd287e05327d18c402833d78c5bed2f",
+    "predict": "b9ce060984861b2cdcf94027eb970b6b6e87ba0c3a9926ba20b96853d1f133e6",
 }
 
 
@@ -167,6 +171,8 @@ class TestCommands:
         (["--storm-start", "-10"], "storm_start_s must be in [0, duration_s=600), got -10"),
         (["--storm-spacing", "-1"], "storm_spacing_s must be >= 0, got -1"),
         (["--notice", "-5"], "notice_s must be >= 0, got -5"),
+        # Used to deploy, then fail inside the storm with "count must be positive".
+        (["--storms", "0"], "storm_count must be >= 1, got 0"),
     ])
     def test_chaos_bad_inputs_fail_loudly(self, capsys, argv, message):
         exit_code = main(["chaos", *argv])
@@ -239,6 +245,11 @@ class TestCommands:
         assert exit_code == 0
         assert _sha256(output) == STDOUT_SHA256["chaos.verdict"]
         assert "Notice-aware recovery wins on both axes: " in output
+        # The table shows what the verdict compares: the bill used to read
+        # `0.1` in both rows.
+        assert "$0.1219 vs $0.1268 bill" in output
+        assert re.search(r"^notice +0 +2 +0\.00 +68\.67 +407 +0 +0\.1219 *$", output, re.M)
+        assert re.search(r"^oblivious +2 +0 +52\.24 +- +413 +1 +0\.1268 *$", output, re.M)
 
     def test_figure_fig5_with_subset_of_dags(self, capsys):
         exit_code = main([

@@ -298,8 +298,8 @@ def test_replay_reaches_the_live_controllers_first_action(dag, profile, duration
 
 # ------------------------------------------------------- one rule, fewer knobs
 def test_controller_config_lost_the_knobs_nothing_set():
-    assert len(dataclasses.fields(ControllerConfig)) == 6
-    for knob in ("wait_for_provisioning", "forecast_horizon_s", "capacity_feedback",
+    assert len(dataclasses.fields(ControllerConfig)) == 5
+    for knob in ("forecast_policy", "wait_for_provisioning", "forecast_horizon_s", "capacity_feedback",
                  "evacuation_horizon_s", "forecast_deadband", "slo_confirm_samples",
                  "slo_headroom", "drain_guard_backlog_s"):
         with pytest.raises(TypeError):

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import zlib
 
+import pytest
+
 from repro.dataflow import topologies
 from repro.dataflow.builder import TopologyBuilder
 from repro.dataflow.event import Event
@@ -22,6 +24,7 @@ from repro.dataflow.grouping import Grouping
 from repro.engine.router import _stable_field_index
 from repro.experiments import run_migration_experiment
 from repro.experiments.elastic import run_elastic_experiment
+from repro.experiments.scenarios import ScenarioSpec, build_experiment
 from repro.sim.shard import log_digest
 
 from tests.conftest import make_runtime
@@ -97,3 +100,16 @@ def test_fields_grouping_uses_stable_hash():
         assert runtime.router._select_targets("up#0", edge, event) == expected
         # The cached fast path in route() must agree with _select_targets.
         assert runtime.router._select_targets("up#0", edge, event.copy_for_edge(2)) == expected
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "Cluster() builds NetworkModel() on RandomSource()'s default master seed "
+    "2018, so the run seed never reaches network jitter (CHANGES.md FOUND)"))
+def test_the_run_seed_reaches_network_jitter():
+    """Two seeds draw two different jitter sequences on the same channel."""
+    draws = []
+    for seed in (1, 2):
+        runtime, _, _ = build_experiment(ScenarioSpec(dag="linear", strategy="dcr", seed=seed))
+        stream = runtime.router.channel("source#0", "task1#0").stream
+        draws.append((stream.random(), stream.random()))
+    assert draws[0] != draws[1]

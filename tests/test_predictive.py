@@ -355,10 +355,10 @@ class TestPredictiveDeterminism:
                 seed=2018,
                 controller_config=ControllerConfig(
                     check_interval_s=15.0, confirm_samples=2, cooldown_s=60.0,
-                    forecast_policy="ewma", slo_latency_s=30.0,
-                    placement="incremental",
+                    slo_latency_s=30.0, placement="incremental",
                 ),
                 elastic_parallelism=True,
+                forecast_policy="ewma",
             )
 
         first = run_once()

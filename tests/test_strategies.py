@@ -6,6 +6,8 @@ the reliability guarantees and the relative behaviour the paper claims.
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.cluster.cloud import CloudProvider
@@ -17,7 +19,7 @@ from repro.core import (
     compute_migration_metrics,
     strategy_by_name,
 )
-from repro.core.strategy import STRATEGIES
+from repro.core.strategy import STRATEGIES, MigrationStrategy
 from repro.dataflow.event import CheckpointAction
 from repro.elastic.planner import plan_user_tasks_on
 from repro.engine.executor import ExecutorStatus
@@ -72,6 +74,15 @@ class TestRegistry:
         assert not DrainCheckpointRestore.runtime_config().reliability.ack_all_events
         # CCR's capture comes with its broadcast PREPARE, not from its config.
         assert CaptureCheckpointResume.runtime_config() == DrainCheckpointRestore.runtime_config()
+
+    def test_the_three_strategies_migrate_with_one_signature(self):
+        """One protocol, one call: DCR and CCR take no keyword DSM does not."""
+        base = inspect.signature(MigrationStrategy.migrate)
+        assert list(base.parameters) == ["self", "new_plan", "on_complete", "rescale"]
+        assert [
+            inspect.signature(cls.migrate)
+            for cls in (DefaultStormMigration, DrainCheckpointRestore, CaptureCheckpointResume)
+        ] == [base] * 3
 
 
 class TestProtocolPhases:

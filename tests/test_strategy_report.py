@@ -37,8 +37,8 @@ class TestMigrationReport:
 
     def test_notes_are_free_form(self):
         report = self._report()
-        report.notes["logic_updated:parse"] = 123.0
-        assert report.notes["logic_updated:parse"] == 123.0
+        report.notes["rescaled_at"] = 123.0
+        assert report.notes["rescaled_at"] == 123.0
 
 
 class TestStrategyRegistry:
