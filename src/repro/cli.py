@@ -54,7 +54,7 @@ from repro.experiments import (
     run_predictive_experiment,
     run_rescale_experiment,
 )
-from repro.experiments.chaos import DEFAULT_MODES, verdict as chaos_verdict
+from repro.experiments.chaos import verdict as chaos_verdict
 from repro.experiments.multi import verdict as multi_verdict
 from repro.experiments.predictive import DEFAULT_POLICIES, verdict as predict_verdict
 from repro.experiments.rescale import verdict as rescale_verdict
@@ -247,7 +247,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         policies=_split(args.policies),
         surge_multiplier=args.surge,
         slo_latency_s=args.slo,
-        placement=args.placement,
     )
 
     def details(row: RunRow) -> Iterable[str]:
@@ -330,7 +329,6 @@ def _cmd_multi(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     result = run_chaos_experiment(
         **_run_args(args),
-        modes=_split(args.modes),
         storm_count=args.storms,
         storm_start_s=args.storm_start,
         storm_spacing_s=args.storm_spacing,
@@ -457,8 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_run_flags(predict, dag="grid", strategy="ccr", duration=600.0)
     predict.add_argument("--profile", default="surge",
-                         choices=("surge", "step", "ramp", "diurnal", "burst"),
-                         help="dynamism scenario (surge/step/ramp use --surge as the multiplier)")
+                         choices=("surge", "ramp", "diurnal", "burst"),
+                         help="dynamism scenario (surge/ramp use --surge as the multiplier)")
     predict.add_argument("--policies", default=",".join(DEFAULT_POLICIES),
                          help="comma-separated forecast policies to compare")
     predict.add_argument("--surge", type=float, default=2.0,
@@ -466,9 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--slo", type=float, default=30.0,
                          help="sink-latency SLO in seconds (scored and used as the overload trigger); "
                               "the default separates surge meltdown from ordinary migration transients")
-    predict.add_argument("--placement", default="incremental",
-                         choices=("full-replace", "incremental"),
-                         help="place stage used by every run")
     predict.add_argument("--json", default="", help=json_help)
     _add_trace_flag(predict, "predict")
     predict.set_defaults(func=_cmd_predict)
@@ -506,8 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="ride a spot-eviction storm with notice-aware vs oblivious recovery",
     )
     _add_run_flags(chaos, dag="grid-keyed", strategy="dsm", duration=600.0)
-    chaos.add_argument("--modes", default=",".join(DEFAULT_MODES),
-                       help="comma-separated recovery modes to compare")
     chaos.add_argument("--storms", type=int, default=3,
                        help="number of spot evictions in the storm")
     chaos.add_argument("--storm-start", type=float, default=150.0, dest="storm_start",

@@ -23,6 +23,10 @@ ON_DEMAND = "on-demand"
 SPOT = "spot"
 
 
+#: Clouds bill by the minute: a VM's accrued time is rounded up to this.
+BILLING_GRANULARITY_S = 60.0
+
+
 @dataclass
 class BillingRecord:
     """Billing entry for one provisioned VM."""
@@ -34,11 +38,11 @@ class BillingRecord:
     hourly_cost: float
     market: str = ON_DEMAND
 
-    def cost(self, now: float, billing_granularity_s: float = 60.0) -> float:
-        """Accrued cost, rounded *up* to the billing granularity (per-minute default)."""
+    def cost(self, now: float) -> float:
+        """Accrued cost, rounded *up* to the billing granularity (per minute)."""
         end = self.deprovisioned_at if self.deprovisioned_at is not None else now
         duration = max(0.0, end - self.provisioned_at)
-        billed = math.ceil(duration / billing_granularity_s) * billing_granularity_s
+        billed = math.ceil(duration / BILLING_GRANULARITY_S) * BILLING_GRANULARITY_S
         return self.hourly_cost * billed / 3600.0
 
 
@@ -242,14 +246,12 @@ class CloudProvider:
         self,
         sim: Simulator,
         provisioning_latency_s: float = 30.0,
-        billing_granularity_s: float = 60.0,
         rng: Optional[RandomSource] = None,
         spot_market: Optional[SpotMarket] = None,
         provisioning: Optional[ProvisioningModel] = None,
     ) -> None:
         self.sim = sim
         self.provisioning_latency_s = provisioning_latency_s
-        self.billing_granularity_s = billing_granularity_s
         self.spot_market = spot_market
         self.provisioning = provisioning
         self.provisioning_failures = 0
@@ -407,12 +409,12 @@ class CloudProvider:
 
     def total_cost(self) -> float:
         """Total accrued cost across all VMs at the current simulated time."""
-        return sum(r.cost(self.sim.now, self.billing_granularity_s) for r in self._billing.values())
+        return sum(r.cost(self.sim.now) for r in self._billing.values())
 
     def cost_breakdown(self) -> Dict[str, float]:
         """Accrued cost per market, e.g. ``{"on-demand": 1.2, "spot": 0.4}``."""
         breakdown: Dict[str, float] = {}
         for record in self._billing.values():
-            cost = record.cost(self.sim.now, self.billing_granularity_s)
+            cost = record.cost(self.sim.now)
             breakdown[record.market] = breakdown.get(record.market, 0.0) + cost
         return breakdown

@@ -68,8 +68,6 @@ def compute_migration_metrics(
     dataflow_name: str = "",
     scenario: str = "",
     end_time: Optional[float] = None,
-    stabilization_tolerance: float = 0.2,
-    stabilization_window_s: float = 60.0,
 ) -> MigrationMetrics:
     """Compute the §4 metrics for one migration run.
 
@@ -113,8 +111,6 @@ def compute_migration_metrics(
         log,
         expected_rate=expected_output_rate,
         after=requested_at,
-        tolerance=stabilization_tolerance,
-        window_s=stabilization_window_s,
         end=end_time,
     )
 

@@ -120,14 +120,15 @@ class TopologyBuilder:
         return self
 
     # ---------------------------------------------------------------- build
-    def build(self, auto_parallelism: bool = False, events_per_instance: float = 8.0) -> Dataflow:
+    def build(self, auto_parallelism: bool = False) -> Dataflow:
         """Validate and return the dataflow.
 
         With ``auto_parallelism=True`` each user task's parallelism is derived
-        from its steady-state input rate (one instance per ``events_per_instance``
-        events/second), per the paper's provisioning rule.
+        from its steady-state input rate (one instance per 8 events/second,
+        or per the task's own ``capacity_ev_s``), per the paper's provisioning
+        rule (:meth:`Dataflow.apply_auto_parallelism`).
         """
         dataflow = Dataflow(self.name, list(self._tasks.values()), self._edges)
         if auto_parallelism:
-            dataflow.apply_auto_parallelism(events_per_instance)
+            dataflow.apply_auto_parallelism()
         return dataflow

@@ -278,16 +278,6 @@ class Event:
         """Whether this is a checkpoint control event."""
         return self.kind is EventKind.CHECKPOINT
 
-    @property
-    def is_root(self) -> bool:
-        """Whether this event is the root of its causal tree."""
-        return self.event_id == self.root_id
-
-    @property
-    def is_replay(self) -> bool:
-        """Whether this event descends from a replayed root."""
-        return self.replay_count > 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.is_checkpoint:
             return (

@@ -17,6 +17,10 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 from repro.dataflow.grouping import Grouping
 from repro.dataflow.task import SinkTask, SourceTask, Task, TaskKind
 
+#: Per-instance service capacity of a task that declares none: the paper's
+#: "one task instance (thread) for each incremental 8 events/sec" (Table 1).
+INSTANCE_CAPACITY_EV_S = 8.0
+
 
 class DataflowValidationError(ValueError):
     """Raised when a dataflow graph is structurally invalid."""
@@ -234,14 +238,13 @@ class Dataflow:
         return list(self._topo_order)
 
     # -------------------------------------------------------------- analysis
-    def total_instances(self, include_sources_and_sinks: bool = False) -> int:
-        """Total number of task instances (slots needed).
+    def total_instances(self) -> int:
+        """Total number of user-task instances (worker slots needed).
 
-        By default only user tasks are counted, matching Table 1 of the paper
-        which excludes the source and sink (they live on a dedicated VM).
+        Matches Table 1 of the paper, which excludes the source and sink
+        (they live on a dedicated VM).
         """
-        tasks = self.tasks if include_sources_and_sinks else self.user_tasks
-        return sum(t.parallelism for t in tasks)
+        return sum(t.parallelism for t in self.user_tasks)
 
     def input_rates(self) -> Dict[str, float]:
         """Steady-state input event rate of every task (events/second).
@@ -328,21 +331,19 @@ class Dataflow:
             )
         task.parallelism = parallelism
 
-    def apply_auto_parallelism(self, events_per_instance: float = 8.0) -> None:
+    def apply_auto_parallelism(self) -> None:
         """Set each user task's parallelism from its steady-state input rate.
 
         The paper assigns "one task instance (thread) for each incremental
-        8 events/sec input rate to a task".  Tasks that declare their own
-        ``capacity_ev_s`` are sized by it instead of the global rule
+        8 events/sec input rate to a task" (:data:`INSTANCE_CAPACITY_EV_S`).
+        Tasks that declare their own ``capacity_ev_s`` are sized by it instead
         (heterogeneous task latencies).  The ceiling is computed exactly on
         the rational rate (see :func:`exact_instance_ceiling`), so float noise
         from summed branch rates can neither inflate nor deflate the count.
         """
-        if events_per_instance <= 0:
-            raise ValueError("events_per_instance must be positive")
         rates = self.input_rates_exact()
         for task in self.user_tasks:
-            capacity = task.capacity_ev_s if task.capacity_ev_s is not None else events_per_instance
+            capacity = task.capacity_ev_s if task.capacity_ev_s is not None else INSTANCE_CAPACITY_EV_S
             task.parallelism = max(1, exact_instance_ceiling(rates[task.name], capacity))
 
     def describe(self) -> str:

@@ -39,12 +39,12 @@ DEFAULT_RATE = 8.0
 DEFAULT_LATENCY_S = 0.1
 
 
-def linear(num_tasks: int = 5, rate: float = DEFAULT_RATE, latency_s: float = DEFAULT_LATENCY_S,
-           stateful_every: int = 2) -> Dataflow:
+def linear(num_tasks: int = 5, rate: float = DEFAULT_RATE,
+           latency_s: float = DEFAULT_LATENCY_S) -> Dataflow:
     """Sequential chain of ``num_tasks`` user tasks (``Linear`` micro-DAG).
 
     ``linear(50)`` is the configuration used for the paper's 50-task drain-time
-    experiment.  Every ``stateful_every``-th task is stateful so the
+    experiment.  Every other task (the first, third, ...) is stateful so the
     checkpointing path is exercised.
     """
     if num_tasks < 1:
@@ -54,7 +54,7 @@ def linear(num_tasks: int = 5, rate: float = DEFAULT_RATE, latency_s: float = DE
     names = [f"task{i + 1}" for i in range(num_tasks)]
     for i, name in enumerate(names):
         builder.add_task(name, parallelism=1, latency_s=latency_s,
-                         stateful=(i % max(1, stateful_every) == 0))
+                         stateful=(i % 2 == 0))
     builder.add_sink("sink")
     builder.chain("source", *names, "sink")
     return builder.build()
@@ -199,11 +199,12 @@ def grid(rate: float = DEFAULT_RATE, latency_s: float = DEFAULT_LATENCY_S) -> Da
 KEYED_NUM_KEYS = 64
 
 
-def keyed_payload_factory(prefix: str, num_keys: int = KEYED_NUM_KEYS) -> Callable[[int], Any]:
-    """Source payloads carrying a stable entity key (``{"key": "veh-7", ...}``)."""
+def keyed_payload_factory(prefix: str) -> Callable[[int], Any]:
+    """Source payloads carrying a stable entity key (``{"key": "veh-7", ...}``),
+    cycling through :data:`KEYED_NUM_KEYS` keys."""
 
     def _factory(seq: int) -> Any:
-        return {"key": f"{prefix}-{seq % num_keys}", "seq": seq}
+        return {"key": f"{prefix}-{seq % KEYED_NUM_KEYS}", "seq": seq}
 
     return _factory
 

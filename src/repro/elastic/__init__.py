@@ -26,8 +26,10 @@ package supplies that missing loop (``monitor -> decide -> place -> act``):
 * a :class:`~repro.elastic.policy.PlacementPolicy` (**place**) turns the
   target into a fleet and a placement:
   :class:`~repro.elastic.policy.IncrementalPlacement` (keep unchanged
-  instances, place only the delta -- the default) or
-  :class:`~repro.elastic.policy.FullReplacePlacement` (the paper's re-fleet);
+  instances, place only the delta -- a controller's default and the one
+  placer of a single fleet) or
+  :class:`~repro.elastic.policy.FullReplacePlacement` (the paper's re-fleet,
+  a shared-fleet tenant's default);
 * :class:`~repro.elastic.controller.ElasticityController` (**act**) ticks the
   rule on the monitor's samples and reconfigures the dataflow -- a scaling
   action once a :class:`~repro.elastic.arbiter.ScaleArbiter` grants it (a
@@ -70,7 +72,6 @@ from repro.elastic.planner import (
     plan_user_tasks_on,
 )
 from repro.elastic.policy import (
-    PLACEMENT_POLICIES,
     ControllerConfig,
     ControlState,
     Decision,
@@ -79,7 +80,6 @@ from repro.elastic.policy import (
     PlacementPolicy,
     ProvisioningRequest,
     decide,
-    placement_policy_by_name,
 )
 
 __all__ = [
@@ -96,7 +96,6 @@ __all__ = [
     "HoltWintersPolicy",
     "IncrementalPlacement",
     "MonitorSample",
-    "PLACEMENT_POLICIES",
     "PlacementPolicy",
     "ProfileLookaheadPolicy",
     "ProvisioningRequest",
@@ -107,6 +106,5 @@ __all__ = [
     "build_controller",
     "decide",
     "forecast_policy_by_name",
-    "placement_policy_by_name",
     "plan_user_tasks_on",
 ]

@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
-from repro.cluster.cloud import ON_DEMAND, SPOT, CloudProvider, SpotMarket
+from repro.cluster.cloud import BILLING_GRANULARITY_S, ON_DEMAND, SPOT, CloudProvider, SpotMarket
 from repro.cluster.vm import VM_TYPES, VirtualMachine, VMType
 from repro.core.strategy import MigrationReport, MigrationStrategy
 from repro.dataflow.event import CheckpointAction
@@ -57,10 +57,10 @@ from repro.elastic.policy import (
     ControllerConfig,
     ControlState,
     Decision,
+    IncrementalPlacement,
     PlacementPolicy,
     ProvisioningRequest,
     decide,
-    placement_policy_by_name,
 )
 from repro.engine.runtime import RuntimeError_, TopologyRuntime
 from repro.obs.telemetry import Levels, queue_levels
@@ -77,17 +77,16 @@ RECOVERY_COST_FIXED = 0.01
 RECOVERY_COST_PER_SLOT = 0.02
 
 
-def evacuation_market(
-    spot: SpotMarket, vm_type: VMType, count: int, billing_granularity_s: float
-) -> str:
+def evacuation_market(spot: SpotMarket, vm_type: VMType, count: int) -> str:
     """The market an evacuation buys its ``count`` replacement VMs on.
 
     Both bills cover :data:`EVACUATION_HORIZON_S` rounded up to the billing
-    granularity.  Spot's expected cost adds, per VM, the probability of an
-    eviction within the horizon times the recovery cost; spot wins only when
-    that is strictly lower than the on-demand bill, so a tie buys on-demand.
+    granularity (:data:`~repro.cluster.cloud.BILLING_GRANULARITY_S`).  Spot's
+    expected cost adds, per VM, the probability of an eviction within the
+    horizon times the recovery cost; spot wins only when that is strictly
+    lower than the on-demand bill, so a tie buys on-demand.
     """
-    billed_s = math.ceil(EVACUATION_HORIZON_S / billing_granularity_s) * billing_granularity_s
+    billed_s = math.ceil(EVACUATION_HORIZON_S / BILLING_GRANULARITY_S) * BILLING_GRANULARITY_S
     on_demand = vm_type.hourly_cost * billed_s / 3600.0 * count
     penalty = spot.eviction_probability(EVACUATION_HORIZON_S) * (
         RECOVERY_COST_FIXED + RECOVERY_COST_PER_SLOT * vm_type.slots
@@ -283,13 +282,11 @@ class ElasticityController:
         self.strategy_cls = strategy_cls
         self.config = config if config is not None else ControllerConfig()
         #: The demand forecaster (reactive unless given: a lookahead policy
-        #: carries the workload's profile).  A ``placement`` instance
-        #: overrides the config's named choice (a shared-fleet placer carries
-        #: the manager's exclusions).
+        #: carries the workload's profile) and the place stage (incremental
+        #: unless given: a shared-fleet tenant's placer carries the manager's
+        #: exclusions).
         self.forecast_policy = forecast_policy if forecast_policy is not None else ReactivePolicy()
-        if placement is None:
-            placement = placement_policy_by_name(self.config.placement)
-        self.place = placement
+        self.place = placement if placement is not None else IncrementalPlacement()
         #: How far ahead the rule forecasts: one provisioning latency plus the
         #: hysteresis window -- the earliest a decision taken now can become
         #: ready capacity.
@@ -555,10 +552,7 @@ class ElasticityController:
         else:
             prefix, market = "evac", ON_DEMAND
             if self.provider.spot_market is not None:
-                market = evacuation_market(
-                    self.provider.spot_market, vm_type, count,
-                    self.provider.billing_granularity_s,
-                )
+                market = evacuation_market(self.provider.spot_market, vm_type, count)
             reconf.replacement_market = market
         # Provisioning draws straggler/failure tails; the rebuild waits for
         # the last replacement.
@@ -769,7 +763,8 @@ def build_controller(
     the runtime's dataflow at the paper's 8 ev/s per instance, unless a task
     declares its own ``capacity_ev_s``.  Both are reachable as
     ``controller.monitor`` / ``controller.planner``.  The rule forecasts with
-    ``forecast_policy``, or reactively when none is given.  The loop is not
+    ``forecast_policy``, or reactively when none is given, and places with
+    ``placement``, or incrementally when none is given.  The loop is not
     started.
     """
     config = config if config is not None else ControllerConfig()

@@ -35,11 +35,9 @@ from typing import Dict, List, Optional, Sequence, Set
 
 from repro.cluster.placement import PlacementPlan, incremental_plan
 from repro.cluster.vm import D1, D2, D3, VMType
-from repro.dataflow.graph import Dataflow, RescalePlan, exact_instance_ceiling
+from repro.dataflow.graph import INSTANCE_CAPACITY_EV_S, Dataflow, RescalePlan, exact_instance_ceiling
 from repro.engine.runtime import TopologyRuntime
 
-#: Per-instance service capacity of a task that declares none (Table 1).
-INSTANCE_CAPACITY_EV_S = 8.0
 #: Load pressure (required / hosted instances) at or above which the
 #: deployment expands onto D1s ...
 EXPAND_PRESSURE = 1.2

@@ -15,9 +15,11 @@ run this very function.
 
 A :class:`PlacementPolicy` turns a decided target into a provisioning request
 and a placement plan at enactment time: :class:`IncrementalPlacement` (the
-default) keeps unchanged task instances on their VMs and provisions / places
-only the delta; :class:`FullReplacePlacement` is the paper's re-fleet
-(provision the whole target fleet, move every user task onto it).
+controller's default, the one placer of a single fleet) keeps unchanged task
+instances on their VMs and provisions / places only the delta;
+:class:`FullReplacePlacement` is the paper's re-fleet (provision the whole
+target fleet, move every user task onto it), which a shared-fleet tenant gets
+by default (:meth:`repro.multi.ClusterManager.add_tenant`).
 """
 
 from __future__ import annotations
@@ -54,11 +56,6 @@ class ControllerConfig:
     #: Sink-latency SLO (seconds of mean end-to-end latency); ``None``
     #: disables SLO tracking and the overload override.
     slo_latency_s: Optional[float] = None
-    #: Placement policy: ``incremental`` (keep unchanged instances in their
-    #: slots, place and migrate only the delta — the default) or
-    #: ``full-replace`` (the paper's re-fleet: provision a whole new fleet and
-    #: move everything).
-    placement: str = "incremental"
 
     def __post_init__(self) -> None:
         if self.check_interval_s <= 0:
@@ -280,8 +277,6 @@ class ProvisioningRequest:
 class PlacementPolicy:
     """Base class of the *place* stage: target allocation -> fleet + plan."""
 
-    name = "abstract"
-
     def provisioning(
         self, runtime: TopologyRuntime, target: TargetAllocation, direction: str
     ) -> ProvisioningRequest:
@@ -301,12 +296,10 @@ class FullReplacePlacement(PlacementPolicy):
     """The paper's re-fleet: provision the whole target fleet, move everyone.
 
     Every user task is scheduled onto the freshly provisioned VMs and every
-    previously used worker VM is vacated.  Selected with
-    ``ControllerConfig(placement="full-replace")``; the default is
-    :class:`IncrementalPlacement`.
+    previously used worker VM is vacated.  A shared-fleet tenant's default
+    (:meth:`repro.multi.ClusterManager.add_tenant`); a controller given no
+    policy uses :class:`IncrementalPlacement`.
     """
-
-    name = "full-replace"
 
     def provisioning(
         self, runtime: TopologyRuntime, target: TargetAllocation, direction: str
@@ -324,27 +317,19 @@ class IncrementalPlacement(PlacementPolicy):
     slots are provisioned in the target tier's flavour; executors whose slot
     still exists on a retained VM keep it, so the rebalance restarts only the
     genuinely new/moved instances (plus rescale survivors, whose keyed state
-    forces a restart anyway).  On a **shrink**, with ``reuse_free_slots`` the
-    surviving executor set is packed onto a minimal subset of the worker VMs
-    it can already reach -- on a shared fleet this is what lets a
-    consolidating tenant absorb into partially-free shared VMs instead of
-    provisioning a fresh private fleet; without it (or when the existing
-    fleet cannot host the target) the shrink falls back to the paper's
-    full-replacement re-fleet.
+    forces a restart anyway).  On a **shrink** the paper's re-fleet
+    provisions a fresh, smaller allocation -- except on a shared fleet.
 
-    ``excluded_vms_fn`` optionally supplies VMs that must not be counted or
-    placed on (other tenants' util hosts, VMs a neighbour's in-flight
-    migration is retiring).
+    A shared fleet is one whose manager supplies ``excluded_vms_fn``: the
+    VMs that must not be counted or placed on (other tenants' util hosts,
+    VMs a neighbour's in-flight migration is retiring).  There a shrink
+    packs the surviving executor set onto a minimal subset of the worker VMs
+    it can already reach, so a consolidating tenant absorbs into
+    partially-free shared VMs instead of provisioning a fresh private fleet;
+    only when those cannot host the target does it fall back to the re-fleet.
     """
 
-    name = "incremental"
-
-    def __init__(
-        self,
-        reuse_free_slots: bool = False,
-        excluded_vms_fn: Optional[Callable[[], Set[str]]] = None,
-    ) -> None:
-        self.reuse_free_slots = reuse_free_slots
+    def __init__(self, excluded_vms_fn: Optional[Callable[[], Set[str]]] = None) -> None:
         self._excluded_vms_fn = excluded_vms_fn
 
     # ------------------------------------------------------------- internals
@@ -382,7 +367,7 @@ class IncrementalPlacement(PlacementPolicy):
         needed = target.hosted_slots
         growing = direction == "out"
 
-        if not growing and self.reuse_free_slots:
+        if not growing and self._excluded_vms_fn is not None:
             # Shrink: pack the survivors onto a minimal subset of the worker
             # VMs we can already reach (most-loaded-by-us first, so the
             # consolidation frees whole machines).  Falls back to a fresh
@@ -410,8 +395,8 @@ class IncrementalPlacement(PlacementPolicy):
             return ProvisioningRequest(vm_counts=dict(target.vm_counts))
 
         if not growing:
-            # Shrink without shared-slot reuse: the paper's re-fleet (a fresh,
-            # smaller allocation in the consolidation flavour).
+            # Shrink on a single fleet: the paper's re-fleet (a fresh, smaller
+            # allocation in the consolidation flavour).
             return ProvisioningRequest(vm_counts=dict(target.vm_counts))
 
         # Grow: keep the whole current worker fleet and provision only the
@@ -430,20 +415,3 @@ class IncrementalPlacement(PlacementPolicy):
     def placement_plan(self, runtime: TopologyRuntime, target_vm_ids: List[str]) -> PlacementPlan:
         return incremental_plan_on(runtime, target_vm_ids)
 
-
-#: Registry of the named placement policies ``ControllerConfig.placement`` accepts.
-PLACEMENT_POLICIES: Dict[str, Callable[[], PlacementPolicy]] = {
-    FullReplacePlacement.name: FullReplacePlacement,
-    IncrementalPlacement.name: IncrementalPlacement,
-}
-
-
-def placement_policy_by_name(name: str, **kwargs) -> PlacementPolicy:
-    """Construct a registered placement policy by name."""
-    try:
-        factory = PLACEMENT_POLICIES[name.lower()]
-    except KeyError:
-        raise KeyError(
-            f"unknown placement policy {name!r}; choose from {sorted(PLACEMENT_POLICIES)}"
-        ) from None
-    return factory(**kwargs)

@@ -711,7 +711,7 @@ class SourceExecutor(Executor):
         if self._drain_timer is not None and self._drain_timer.active:
             return
         period = 1.0 / max(self.rate, self.runtime.timing.source_max_burst_rate)
-        self._drain_timer = self.sim.every(period, self._drain_tick, start_delay=period)
+        self._drain_timer = self.sim.every(period, self._drain_tick)
 
     def _drain_tick(self) -> None:
         if self.paused or self.status is not ExecutorStatus.RUNNING:

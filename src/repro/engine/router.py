@@ -49,12 +49,6 @@ from repro.dataflow.graph import Edge
 from repro.dataflow.grouping import Grouping, field_key_of, stable_field_index
 from repro.sim.rng import KeyedStream
 
-#: Back-compat alias: the stable CRC-32 FIELDS hash lives in
-#: :mod:`repro.dataflow.grouping` so the state re-partitioner (reliability
-#: layer) can re-key grouped state with the exact same mapping the router
-#: uses for deliveries.
-_stable_field_index = stable_field_index
-
 _DATA = EventKind.DATA
 _SHUFFLE = Grouping.SHUFFLE
 _FIELDS = Grouping.FIELDS
@@ -312,7 +306,7 @@ class Router:
         if len(instances) == 1:
             return [instances[0]]
         if edge.grouping is Grouping.FIELDS:
-            return [instances[_stable_field_index(field_key_of(event.payload), len(instances))]]
+            return [instances[stable_field_index(field_key_of(event.payload), len(instances))]]
         # Shuffle grouping: round-robin per (sender executor, destination task).
         cursor = self._cursor(sender_executor_id, edge.dst)
         index = cursor[0]

@@ -29,15 +29,11 @@ emit the headline numbers as JSON (``--json``).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 from repro.engine.config import RuntimeConfig
 from repro.experiments.compare import Comparison, RunRow
 from repro.experiments.elastic import STORM_MODES, ElasticRunResult, Storm, run_elastic_experiment
-from repro.experiments.scenarios import check_names
-
-#: Recovery modes compared by default, in report order: every one there is.
-DEFAULT_MODES: Tuple[str, ...] = STORM_MODES
 
 
 def run_chaos_run(
@@ -89,7 +85,6 @@ def run_chaos_run(
 def run_chaos_experiment(
     dag: str = "grid-keyed",
     strategy: str = "dsm",
-    modes: Sequence[str] = DEFAULT_MODES,
     duration_s: float = 600.0,
     seed: int = 2018,
     storm_count: int = 3,
@@ -97,16 +92,15 @@ def run_chaos_experiment(
     storm_spacing_s: float = 120.0,
     notice_s: float = 120.0,
 ) -> Comparison:
-    """Ride the same eviction storm once per recovery mode and compare.
+    """Ride the same eviction storm in both recovery modes and compare.
 
-    Every mode shares the storm schedule, the seeds and all random streams;
-    the runs differ only in whether the eviction *notice* reaches the
+    Both modes (:data:`~repro.experiments.elastic.STORM_MODES`, in report
+    order) share the storm schedule, the seeds and all random streams; the
+    runs differ only in whether the eviction *notice* reaches the
     controller.  Scored on restore latency, replayed messages and the bill.
-    Bad storm parameters, and a mode list that is empty, names an unknown
-    mode or names one twice, raise ``ValueError`` before any run (see
+    Bad storm parameters raise ``ValueError`` before any run (see
     :func:`run_chaos_run`).
     """
-    check_names("modes", modes, STORM_MODES, "recovery mode", unique=True)
     rows = [
         RunRow(mode, run_chaos_run(
             dag=dag,
@@ -119,7 +113,7 @@ def run_chaos_experiment(
             storm_spacing_s=storm_spacing_s,
             notice_s=notice_s,
         ))
-        for mode in modes
+        for mode in STORM_MODES
     ]
     return Comparison(rows, label="mode", scenario="chaos", meta=dict(
         schema="repro-bench-chaos/2",
@@ -132,17 +126,14 @@ def run_chaos_experiment(
     ))
 
 
-def verdict(comparison: Comparison) -> Optional[str]:
-    """Whether the notice window paid for itself; None unless both modes rode.
+def verdict(comparison: Comparison) -> str:
+    """Whether the notice window paid for itself.
 
     No verdict when no eviction fired or a run ended with work still open
     (its restore times then stop at the end of the run).  A mode wins only
     when no worse on restore latency and the bill, and not a tie on both.
     """
-    runs = comparison.runs
-    if "notice" not in runs or "oblivious" not in runs:
-        return None
-    notice, oblivious = runs["notice"], runs["oblivious"]
+    notice, oblivious = comparison.runs["notice"], comparison.runs["oblivious"]
     left_open = [f"{row.label}: {', '.join(row.result.unfinished())}"
                  for row in (notice, oblivious) if row.result.unfinished()]
     fired = any(fault.fired_at is not None

@@ -35,10 +35,11 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.cluster.chaos import EVICT, FaultEvent, FaultInjector
 from repro.cluster.cloud import ON_DEMAND, SPOT, CloudProvider, ProvisioningModel, SpotMarket
-from repro.core.strategy import strategy_by_name
+from repro.core.strategy import STRATEGIES, strategy_by_name
 from repro.dataflow import topologies
 from repro.dataflow.graph import Dataflow
 from repro.elastic import (
+    FORECAST_POLICIES,
     ControllerConfig,
     ElasticityController,
     ElasticityMonitor,
@@ -49,12 +50,12 @@ from repro.elastic import (
 )
 from repro.engine.config import RuntimeConfig
 from repro.engine.runtime import TopologyRuntime
-from repro.experiments.scenarios import deploy_baseline
+from repro.experiments.scenarios import check_names, deploy_baseline
 from repro.metrics.log import EventLog
 from repro.obs import Telemetry
 from repro.sim import KeyedStream, RandomSource, Simulator, cell_seed, keyed_seed
 from repro.sim.shard import log_digest
-from repro.workloads.profiles import RateProfile, StepProfile, attach_profile
+from repro.workloads.profiles import PROFILE_PRESETS, RateProfile, StepProfile, attach_profile
 
 #: Seconds of keyed jitter added to each eviction of a :class:`Storm`.
 STORM_JITTER_S = 15.0
@@ -132,6 +133,8 @@ class ElasticScenarioSpec:
     storm: Optional[Storm] = None
 
     def __post_init__(self) -> None:
+        check_names("strategy", [self.strategy], STRATEGIES, "migration strategy")
+        check_names("forecast_policy", [self.forecast_policy], FORECAST_POLICIES, "forecast policy")
         if self.duration_s <= 0:
             raise ValueError(f"duration_s must be positive, got {self.duration_s:g}")
         storm = self.storm
@@ -369,7 +372,15 @@ def run_elastic_experiment(
     ``config`` is then a template whose seed is replaced by the cell's, so
     flag variants (e.g. the batch stepper's equivalence check) share their
     random streams.
+
+    An unknown ``strategy`` or ``forecast_policy``, ``dag`` when no
+    ``dataflow`` is given, or preset ``profile`` name raises ``ValueError``
+    naming the parameter before anything is deployed.
     """
+    if dataflow is None:
+        check_names("dag", [dag], topologies.ALL_TOPOLOGIES, "dataflow")
+    if isinstance(profile, str):
+        check_names("profile", [profile], PROFILE_PRESETS, "rate profile")
     spec = ElasticScenarioSpec(
         dag=dag,
         strategy=strategy,

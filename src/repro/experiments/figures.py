@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.metrics import MigrationMetrics
+from repro.core.strategy import STRATEGIES
 from repro.dataflow import topologies
 from repro.dataflow.topologies import PAPER_ORDER, TABLE1
 from repro.engine.batch import engine_counts
@@ -177,6 +178,7 @@ class ExperimentMatrix:
     ) -> None:
         # Every cell runs these values: refuse bad ones before the first run.
         check_names("dags", dags, topologies.PAPER_TOPOLOGIES, "dataflow")
+        check_names("strategies", strategies, STRATEGIES, "migration strategy")
         ScenarioSpec(migrate_at_s=migrate_at_s, post_migration_s=post_migration_s)
         self.migrate_at_s = migrate_at_s
         self.post_migration_s = post_migration_s

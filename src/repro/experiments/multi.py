@@ -193,7 +193,6 @@ def _run_managed(
             profile=surge_profile(base_rate, surge_multiplier, surge_start, surge_end),
             priority=priority,
             elastic_parallelism=elastic_parallelism,
-            profile_duration_s=duration_s,
             placement=placement,
         )
     manager.deploy()

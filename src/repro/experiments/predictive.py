@@ -32,7 +32,7 @@ from repro.elastic.forecast import FORECAST_POLICIES
 from repro.experiments.compare import Comparison, RunRow
 from repro.experiments.elastic import run_elastic_experiment, surge_profile
 from repro.experiments.scenarios import check_names
-from repro.workloads.profiles import RampProfile, RateProfile, profile_by_name
+from repro.workloads.profiles import PROFILE_PRESETS, RampProfile, RateProfile, profile_by_name
 
 #: Policies compared by default, in report order.
 DEFAULT_POLICIES: Tuple[str, ...] = ("reactive", "ewma", "holt-winters", "lookahead")
@@ -41,10 +41,10 @@ DEFAULT_POLICIES: Tuple[str, ...] = ("reactive", "ewma", "holt-winters", "lookah
 def _scenario_profile(
     name: str, base_rate: float, duration_s: float, surge_multiplier: float
 ) -> RateProfile:
-    """The scenario's total-rate profile: a step ``surge``/``step`` or a
-    ``ramp`` over 25 %-60 % of the run, or a named preset."""
+    """The scenario's total-rate profile: a step ``surge`` or a ``ramp`` over
+    25 %-60 % of the run, or a named preset."""
     start, end = duration_s * 0.25, duration_s * 0.60
-    if name in ("surge", "step"):
+    if name == "surge":
         return surge_profile(base_rate, surge_multiplier, start, end)
     if name == "ramp":
         return RampProfile(
@@ -64,19 +64,19 @@ def run_predictive_experiment(
     duration_s: float = 600.0,
     seed: int = 2018,
     slo_latency_s: float = 30.0,
-    placement: str = "incremental",
 ) -> Comparison:
     """Compare forecast policies head to head on one dynamism scenario.
 
     Each policy rides the same profile (step ``surge``/``ramp`` scaled by
     ``surge_multiplier``, or a named preset such as ``diurnal``) with the
     same seed-derived random streams, capacity-adding rescale, the
-    SLO-breach override armed at ``slo_latency_s``, and (by default) the
-    incremental placer -- so the runs differ *only* in the forecast policy.
-    A policy list that is empty, names an unknown policy or names one twice
-    raises ``ValueError`` before any run.
+    SLO-breach override armed at ``slo_latency_s`` and the incremental
+    placer -- so the runs differ *only* in the forecast policy.
+    A policy list that is empty, names an unknown policy or names one twice,
+    or an unknown ``profile``, raises ``ValueError`` before any run.
     """
     check_names("policies", policies, FORECAST_POLICIES, "forecast policy", unique=True)
+    check_names("profile", [profile], PROFILE_PRESETS, "rate profile")
     if surge_multiplier <= 1.0:
         raise ValueError("surge_multiplier must be > 1 (otherwise there is no surge)")
 
@@ -90,7 +90,7 @@ def run_predictive_experiment(
             duration_s=duration_s,
             seed=seed,
             dataflow=dataflow,
-            controller_config=ControllerConfig(slo_latency_s=slo_latency_s, placement=placement),
+            controller_config=ControllerConfig(slo_latency_s=slo_latency_s),
             elastic_parallelism=True,
             forecast_policy=policy,
         ))

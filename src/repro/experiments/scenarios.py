@@ -23,7 +23,7 @@ from typing import Collection, List, Optional, Sequence, Tuple
 from repro.cluster.cloud import ON_DEMAND, CloudProvider, Cluster
 from repro.cluster.vm import D1, D2, D3, VirtualMachine
 from repro.core.metrics import MigrationMetrics, compute_migration_metrics
-from repro.core.strategy import MigrationReport, strategy_by_name
+from repro.core.strategy import STRATEGIES, MigrationReport, strategy_by_name
 from repro.dataflow import topologies
 from repro.dataflow.graph import Dataflow
 from repro.elastic.planner import plan_user_tasks_on
@@ -87,6 +87,7 @@ class ScenarioSpec:
     seed: int = 2018
 
     def __post_init__(self) -> None:
+        check_names("strategy", [self.strategy], STRATEGIES, "migration strategy")
         if self.scaling not in ("in", "out"):
             raise ValueError(f"scaling must be 'in' or 'out', got {self.scaling!r}")
         # Migrating at t <= 0 would move a pipeline that never warmed up.
@@ -193,7 +194,12 @@ def run_migration_experiment(
     the rebalance killed executors: the acker's XOR tree hash could return to
     zero over *lost* sequential ids, so whether a tree timed out and replayed
     varied with whatever had drawn ids before.
+
+    An unknown ``strategy``, or ``dag`` when no ``dataflow`` is given, raises
+    ``ValueError`` naming the parameter before anything is deployed.
     """
+    if dataflow is None:
+        check_names("dag", [dag], topologies.ALL_TOPOLOGIES, "dataflow")
     spec = ScenarioSpec(
         dag=dag,
         strategy=strategy,

@@ -118,32 +118,39 @@ def latency_timeline(
     return points
 
 
+#: The paper's stability rule: the output rate within this fraction of the
+#: expected rate ...
+STABILIZATION_TOLERANCE = 0.2
+#: ... for this long, observed in bins of this width.
+STABILIZATION_WINDOW_S = 60.0
+STABILIZATION_BIN_S = 5.0
+
+
 def stabilization_time(
     log: EventLog,
     expected_rate: float,
     after: float,
-    tolerance: float = 0.2,
-    window_s: float = 60.0,
-    bin_s: float = 5.0,
     end: Optional[float] = None,
 ) -> Optional[float]:
     """Time (seconds after ``after``) at which the output rate stabilizes.
 
     The paper defines stability as the observed output rate staying within
-    ``tolerance`` (20 %) of the expected stable output rate for ``window_s``
-    (60 s); the *start* of that stable window is the stabilization time.
-    Returns ``None`` if the rate never stabilizes before ``end``.
+    :data:`STABILIZATION_TOLERANCE` (20 %) of the expected stable output rate
+    for :data:`STABILIZATION_WINDOW_S` (60 s); the *start* of that stable
+    window is the stabilization time.  Returns ``None`` if the rate never
+    stabilizes before ``end``.
     """
     if expected_rate <= 0:
         raise ValueError("expected_rate must be positive")
     if end is None:
         end = log.sim.now
+    bin_s = STABILIZATION_BIN_S
     points = rate_timeline(log, kind="output", start=after, end=end, bin_s=bin_s)
     if not points:
         return None
-    bins_needed = max(1, int(round(window_s / bin_s)))
-    low = expected_rate * (1.0 - tolerance)
-    high = expected_rate * (1.0 + tolerance)
+    bins_needed = max(1, int(round(STABILIZATION_WINDOW_S / bin_s)))
+    low = expected_rate * (1.0 - STABILIZATION_TOLERANCE)
+    high = expected_rate * (1.0 + STABILIZATION_TOLERANCE)
     in_band = [low <= p.rate <= high for p in points]
     run = 0
     for i, ok in enumerate(in_band):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Union
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.cluster.cloud import CloudProvider, Cluster
 from repro.cluster.placement import PlacementPlan, bin_pack_plan
@@ -122,16 +122,11 @@ class ClusterManager:
         budget_slots: int,
         sim: Optional[Simulator] = None,
         provisioning_latency_s: float = 30.0,
-        billing_granularity_s: float = 60.0,
         fleet_sample_interval_s: float = 15.0,
         seed: int = 2018,
     ) -> None:
         self.sim = sim if sim is not None else Simulator()
-        self.provider = CloudProvider(
-            self.sim,
-            provisioning_latency_s=provisioning_latency_s,
-            billing_granularity_s=billing_granularity_s,
-        )
+        self.provider = CloudProvider(self.sim, provisioning_latency_s=provisioning_latency_s)
         self.cluster = Cluster()
         self.arbiter = ScaleArbiter(self.cluster, budget_slots=budget_slots)
         self.fleet_sample_interval_s = fleet_sample_interval_s
@@ -148,22 +143,20 @@ class ClusterManager:
         name: str,
         dataflow: Dataflow,
         strategy: str = "ccr",
-        profile: Optional[Union[str, RateProfile]] = None,
+        profile: Optional[RateProfile] = None,
         priority: int = 1,
         config: Optional[RuntimeConfig] = None,
         controller_config: Optional[ControllerConfig] = None,
         elastic_parallelism: bool = False,
-        profile_duration_s: float = 900.0,
         placement: str = "full-replace",
     ) -> Tenant:
         """Register a dataflow as a tenant (before :meth:`deploy`).
 
-        ``profile`` is attached to the sources by
+        ``profile`` is attached to the source by
         :func:`~repro.workloads.profiles.attach_profile`, as the elastic
-        runner attaches it: a preset name is instantiated per source at that
-        source's own base rate; a :class:`RateProfile` instance is only
-        accepted for single-source dataflows.  ``None`` keeps the sources'
-        declared constant rates.  Tenants of one priority share the fleet
+        runner attaches a profile instance: it is only accepted for
+        single-source dataflows.  ``None`` keeps the sources' declared
+        constant rates.  Tenants of one priority share the fleet
         by the slots they hold (the arbiter's proportional-share rule).
         ``placement="incremental"`` gives the tenant the rescale-aware
         placer: grows keep the current fleet and provision only the delta,
@@ -181,7 +174,8 @@ class ClusterManager:
             dataflow=dataflow,
             strategy=strategy,
             priority=priority,
-            profile=attach_profile(dataflow, profile, profile_duration_s),
+            # An instance carries its own times: the duration only scales a preset.
+            profile=attach_profile(dataflow, profile, duration_s=0.0),
             config=config,
             controller_config=controller_config,
             elastic_parallelism=elastic_parallelism,
@@ -270,9 +264,7 @@ class ClusterManager:
                 # Shared-fleet incremental placer: consolidations re-use
                 # partially-free shared VMs, and the dynamic exclusion set
                 # (every util VM, every retiring VM) is the runtime's planner's.
-                placement_policy = IncrementalPlacement(
-                    reuse_free_slots=True, excluded_vms_fn=excluded_vms_fn
-                )
+                placement_policy = IncrementalPlacement(excluded_vms_fn)
             else:
                 placement_policy = FullReplacePlacement()
             tenant.controller = build_controller(

@@ -26,7 +26,7 @@ def _label_key(labels: Dict[str, object]) -> Tuple[Tuple[str, str], ...]:
 
 
 class Counter:
-    """Monotonically increasing tally."""
+    """Cumulative tally, set from a scraped total."""
 
     __slots__ = ("subsystem", "name", "labels", "value")
 
@@ -37,12 +37,6 @@ class Counter:
         self.name = name
         self.labels = labels
         self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be non-negative) to the tally."""
-        if amount < 0:
-            raise ValueError(f"counter {self.subsystem}.{self.name}: negative increment {amount}")
-        self.value += amount
 
     def set_total(self, total: float) -> None:
         """Overwrite with a scraped cumulative total (scrape-style update)."""

@@ -177,6 +177,3 @@ class SpanTracer:
         """All spans of one category, in creation order."""
         return [s for s in self.spans if s.category == category]
 
-    def open_spans(self) -> List[Span]:
-        """Spans begun but never ended (run stopped mid-protocol)."""
-        return [s for s in self.spans if s.end_s is None]

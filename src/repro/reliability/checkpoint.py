@@ -275,19 +275,3 @@ class CheckpointCoordinator:
     def _periodic_committed(self, _checkpoint_id: int) -> None:
         self._periodic_checkpoint = None
 
-    @property
-    def periodic_enabled(self) -> bool:
-        """Whether periodic checkpointing is currently active."""
-        return self._periodic is not None
-
-    # -------------------------------------------------------------- inspection
-    def completed_waves(self, action: Optional[CheckpointAction] = None) -> List[CheckpointWave]:
-        """All completed waves, optionally filtered by action."""
-        return [w for w in self.history if action is None or w.action is action]
-
-    def last_committed_checkpoint(self) -> Optional[int]:
-        """Id of the most recent checkpoint whose COMMIT wave completed."""
-        commits = self.completed_waves(CheckpointAction.COMMIT)
-        if not commits:
-            return None
-        return max(w.checkpoint_id for w in commits)

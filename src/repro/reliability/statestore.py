@@ -31,13 +31,10 @@ def checkpoint_key(dataflow_name: str, executor_id: str) -> str:
 
 @dataclass
 class StoredValue:
-    """A value held by the store, with versioning for repeated commits."""
+    """A value held by the store: the last one put under its key."""
 
-    key: str
     value: Any
     size_bytes: int
-    version: int
-    stored_at: float
 
 
 @dataclass
@@ -100,11 +97,7 @@ class StateStore:
 
         ``on_complete`` is scheduled after the latency has elapsed.
         """
-        previous = self._data.get(key)
-        version = previous.version + 1 if previous else 1
-        self._data[key] = StoredValue(
-            key=key, value=value, size_bytes=size_bytes, version=version, stored_at=self.sim.now
-        )
+        self._data[key] = StoredValue(value=value, size_bytes=size_bytes)
         latency = self.write_latency(size_bytes)
         self.stats.puts += 1
         self.stats.bytes_written += max(0, size_bytes)
@@ -145,15 +138,6 @@ class StateStore:
         """Read a value synchronously without latency (for tests and metrics)."""
         stored = self._data.get(key)
         return stored.value if stored else default
-
-    def contains(self, key: str) -> bool:
-        """Whether a value is stored under ``key``."""
-        return key in self._data
-
-    def version(self, key: str) -> int:
-        """Stored version of ``key`` (0 if absent)."""
-        stored = self._data.get(key)
-        return stored.version if stored else 0
 
     def keys(self) -> List[str]:
         """All stored keys."""

@@ -6,7 +6,7 @@ Storm-like engine (executors, ackers, checkpoint coordinators, the cloud
 substrate) interact only through the ``schedule*`` methods, which keeps the
 whole system deterministic and single-threaded.
 
-Two scheduling paths exist:
+Two scheduling paths exist, and periodic timers on top of the first:
 
 * :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return a
   :class:`Timer` handle that can be cancelled before it fires.  Cancelled
@@ -16,11 +16,15 @@ Two scheduling paths exist:
 * :meth:`Simulator.schedule_fast` / :meth:`Simulator.schedule_at_fast` are the
   **fire-and-forget fast path** used by the engine's hot loops (event
   deliveries, service completions, state-store latencies).  They allocate no
-  handle and accept no kwargs, which roughly halves the per-event scheduling
-  cost; the trade-off is that such events cannot be cancelled.
+  handle, which roughly halves the per-event scheduling cost; the trade-off
+  is that such events cannot be cancelled.
+* :meth:`Simulator.every` fires a callback every period, first one period
+  from now or at a given grid point, until its :class:`PeriodicTimer` is
+  cancelled.
 
-Times are expressed in **seconds of simulated time** as floats.  Sub-millisecond
-resolution is routinely used (e.g. state-store write latency).
+Times are expressed in **seconds of simulated time** as floats, from 0 at
+construction.  Sub-millisecond resolution is routinely used (e.g. state-store
+write latency).
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ class Timer:
     the callback has run (or the timer has been cancelled) the handle is inert.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "kwargs", "cancelled", "fired", "_sim")
+    __slots__ = ("time", "seq", "callback", "args", "cancelled", "fired", "_sim")
 
     def __init__(
         self,
@@ -56,14 +60,12 @@ class Timer:
         seq: int,
         callback: Callable[..., Any],
         args: Tuple[Any, ...],
-        kwargs: dict,
         sim: Optional["Simulator"] = None,
     ) -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
-        self.kwargs = kwargs
         self.cancelled = False
         self.fired = False
         self._sim = sim
@@ -75,11 +77,6 @@ class Timer:
         self.cancelled = True
         if self._sim is not None:
             self._sim._note_cancelled()
-
-    @property
-    def active(self) -> bool:
-        """Whether the timer is still pending (not cancelled, not fired)."""
-        return not self.cancelled and not self.fired
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
@@ -103,14 +100,12 @@ class Simulator:
     1.5
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        if not math.isfinite(start_time):
-            raise SimulationError("start_time must be finite")
+    def __init__(self) -> None:
         #: Current simulated time in seconds.  A plain attribute (not a
         #: property): it is read on every scheduling call and inside every
         #: callback, and the descriptor dispatch was measurable.  Treat as
         #: read-only outside the kernel.
-        self.now = float(start_time)
+        self.now = 0.0
         # Heap entries are either ``(time, seq, Timer)`` (cancellable path) or
         # ``(time, seq, callback, args)`` (fire-and-forget fast path).  The
         # seq is unique, so tuple comparison never reaches the third element.
@@ -148,17 +143,17 @@ class Simulator:
         return len(self._queue) - self._cancelled_in_heap
 
     # ------------------------------------------------------------- scheduling
-    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any, **kwargs: Any) -> Timer:
-        """Schedule ``callback(*args, **kwargs)`` to run ``delay`` seconds from now.
+    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Timer:
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
         ``delay`` must be non-negative and finite.  Returns a :class:`Timer`
         handle that may be cancelled before it fires.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self.now + delay, callback, *args, **kwargs)
+        return self.schedule_at(self.now + delay, callback, *args)
 
-    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any, **kwargs: Any) -> Timer:
+    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Timer:
         """Schedule ``callback`` at an absolute simulated time."""
         if not math.isfinite(time):
             raise SimulationError("scheduled time must be finite")
@@ -168,12 +163,12 @@ class Simulator:
             )
         if not callable(callback):
             raise SimulationError(f"callback must be callable, got {callback!r}")
-        timer = Timer(time, next(self._counter), callback, args, kwargs, self)
+        timer = Timer(time, next(self._counter), callback, args, self)
         heapq.heappush(self._queue, (time, timer.seq, timer))
         return timer
 
     def schedule_fast(self, delay: float, callback: Callable[..., Any], args: Tuple[Any, ...] = ()) -> None:
-        """Fire-and-forget :meth:`schedule`: no Timer handle, no kwargs.
+        """Fire-and-forget :meth:`schedule`: no Timer handle.
 
         This is the engine's hot path for events that are never cancelled
         (deliveries, service completions, store latencies).  Positional
@@ -187,7 +182,7 @@ class Simulator:
         heapq.heappush(self._queue, (time, next(self._counter), callback, args))
 
     def schedule_at_fast(self, time: float, callback: Callable[..., Any], args: Tuple[Any, ...] = ()) -> None:
-        """Fire-and-forget :meth:`schedule_at`: no Timer handle, no kwargs."""
+        """Fire-and-forget :meth:`schedule_at`: no Timer handle."""
         if not math.isfinite(time):
             raise SimulationError(f"scheduled time must be finite, got {time}")
         if time < self.now:
@@ -211,20 +206,16 @@ class Simulator:
         period: float,
         callback: Callable[..., Any],
         *args: Any,
-        start_delay: Optional[float] = None,
         start_at: Optional[float] = None,
-        **kwargs: Any,
     ) -> "PeriodicTimer":
-        """Schedule ``callback`` to run every ``period`` seconds until cancelled.
+        """Schedule ``callback(*args)`` to run every ``period`` seconds until cancelled.
 
-        The first firing happens after ``start_delay`` seconds (default: one
-        full period), or at the absolute time ``start_at`` when given -- a
-        caller resuming a chain it suspended passes the grid point it
-        computed, so the resumed chain fires at bit-identical times.
+        The first firing happens one period from now, or at the absolute
+        time ``start_at`` when given -- a caller resuming a chain it
+        suspended passes the grid point it computed, so the resumed chain
+        fires at bit-identical times.
         """
-        return PeriodicTimer(
-            self, period, callback, args, kwargs, start_delay=start_delay, start_at=start_at
-        )
+        return PeriodicTimer(self, period, callback, args, start_at=start_at)
 
     # ------------------------------------------------------- heap inspection
     def next_timer_time(self, skip: Optional[Timer] = None) -> float:
@@ -308,7 +299,7 @@ class Simulator:
             self.now = timer.time
             timer.fired = True
             self._processed += 1
-            timer.callback(*timer.args, **timer.kwargs)
+            timer.callback(*timer.args)
             return True
         return False
 
@@ -374,7 +365,7 @@ class Simulator:
                         self.now = entry[0]
                         timer.fired = True
                         processed += 1
-                        timer.callback(*timer.args, **timer.kwargs)
+                        timer.callback(*timer.args)
             else:
                 for _ in range(max_events):
                     if self._stopped or not self.step(bound):
@@ -409,31 +400,24 @@ class PeriodicTimer:
         period: float,
         callback: Callable[..., Any],
         args: Tuple[Any, ...] = (),
-        kwargs: Optional[dict] = None,
-        start_delay: Optional[float] = None,
         start_at: Optional[float] = None,
     ) -> None:
         if period <= 0:
             raise SimulationError(f"period must be positive, got {period}")
-        if start_delay is not None and start_at is not None:
-            raise SimulationError("give start_delay or start_at, not both")
         self._sim = sim
         self.period = period
         self._callback = callback
         self._args = args
-        self._kwargs = kwargs or {}
         self._cancelled = False
-        self.fire_count = 0
         if start_at is not None:
             self._timer = sim.schedule_at(start_at, self._fire)
         else:
-            self._timer = sim.schedule(period if start_delay is None else start_delay, self._fire)
+            self._timer = sim.schedule(period, self._fire)
 
     def _fire(self) -> None:
         if self._cancelled:
             return
-        self.fire_count += 1
-        self._callback(*self._args, **self._kwargs)
+        self._callback(*self._args)
         if not self._cancelled:
             self._timer = self._sim.schedule(self.period, self._fire)
 

@@ -5,10 +5,9 @@ profiles exist so examples (and downstream users) can model the *dynamism*
 that motivates migration in the first place -- input-rate changes that make
 the current placement sub-optimal and trigger a scale-in or scale-out.
 
-A profile maps simulated time to an instantaneous event rate.  The helper
-:meth:`RateProfile.average_rate` integrates it over an interval, which the
-examples use to pick a target VM allocation (one instance per 8 ev/s, as in
-the paper).
+A profile maps simulated time to an instantaneous event rate; a source
+reads it at every emission, and :data:`PROFILE_PRESETS` names the shapes the
+CLI and the scenario runners accept.
 """
 
 from __future__ import annotations
@@ -39,16 +38,6 @@ class RateProfile(ABC):
     @abstractmethod
     def rate_at(self, time_s: float) -> float:
         """Instantaneous rate at the given simulated time."""
-
-    def average_rate(self, start_s: float, end_s: float, samples: int = 100) -> float:
-        """Average rate over ``[start_s, end_s]`` (simple midpoint sampling)."""
-        if end_s <= start_s:
-            raise ValueError("end_s must be greater than start_s")
-        step = (end_s - start_s) / samples
-        total = 0.0
-        for i in range(samples):
-            total += self.rate_at(start_s + (i + 0.5) * step)
-        return total / samples
 
 
 @dataclass
@@ -144,7 +133,7 @@ class DiurnalProfile(RateProfile):
     """A smooth day/night cycle: sinusoidal between base and peak rate.
 
     Models the diurnal load pattern of user-facing services (quiet nights,
-    busy daytimes) that predictive scaling policies are built for.  The rate starts at ``base_rate`` (phase 0 = midnight), peaks
+    busy daytimes) that predictive scaling policies are built for.  The rate starts at ``base_rate`` (t = 0 is midnight), peaks
     at ``base_rate * peak_multiplier`` half a period later, and returns --
     ``rate(t) = base * (1 + (peak_mult - 1) * (1 - cos(2*pi*t/period)) / 2)``.
     """
@@ -152,7 +141,6 @@ class DiurnalProfile(RateProfile):
     base_rate: float = 8.0
     peak_multiplier: float = 3.0
     period_s: float = 86400.0
-    phase_s: float = 0.0
 
     def __post_init__(self) -> None:
         _require_rate("base_rate", self.base_rate)
@@ -163,7 +151,7 @@ class DiurnalProfile(RateProfile):
 
     def rate_at(self, time_s: float) -> float:
         swing = (self.peak_multiplier - 1.0) * 0.5
-        cycle = 1.0 - math.cos(2.0 * math.pi * (time_s + self.phase_s) / self.period_s)
+        cycle = 1.0 - math.cos(2.0 * math.pi * time_s / self.period_s)
         return self.base_rate * (1.0 + swing * cycle)
 
 

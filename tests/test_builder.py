@@ -95,7 +95,7 @@ class TestBuild:
         builder.connect("src", "b")
         builder.fan_in(["a", "b"], "merge")
         builder.connect("merge", "sink")
-        dataflow = builder.build(auto_parallelism=True, events_per_instance=8.0)
+        dataflow = builder.build(auto_parallelism=True)
         assert dataflow.task("merge").parallelism == 2
 
     def test_invalid_graph_raises_on_build(self):

@@ -24,6 +24,7 @@ Covers the chaos-capable cloud layer end to end:
 
 import copy
 import dataclasses
+import functools
 import hashlib
 import inspect
 import json
@@ -50,6 +51,7 @@ from repro.elastic import (
     ControllerConfig,
     ElasticityController,
     ElasticityMonitor,
+    FullReplacePlacement,
     build_controller,
 )
 from repro.engine.config import RuntimeConfig
@@ -266,13 +268,21 @@ def kill_what_provision_buys(monkeypatch, at_s):
 
 
 class TestScaleFaultSeams:
-    """A VM of a staged scaling action dies before the migration is issued."""
+    """A VM of a staged scaling action dies before the migration is issued.
+
+    The runs re-fleet (:class:`FullReplacePlacement`, handed to the
+    controller through ``build_controller(placement=...)`` as a shared-fleet
+    tenant's is), so a staged action's whole target fleet is fresh VMs."""
+
+    @pytest.fixture(autouse=True)
+    def full_replace(self, monkeypatch):
+        monkeypatch.setattr(elastic_runner, "build_controller", functools.partial(
+            elastic_runner.build_controller, placement=FullReplacePlacement()))
 
     def test_dead_delta_vms_are_replaced_like_for_like(self, monkeypatch):
         kill_what_provision_buys(monkeypatch, 150.0)
         run = elastic_runner.run_elastic_experiment(
             dag="grid", strategy="ccr", profile="surge", duration_s=400.0,
-            controller_config=ControllerConfig(placement="full-replace"),
         )
         [action] = run.actions
         killed = [f"d1-{n:03d}" for n in range(13, 34)]
@@ -288,7 +298,6 @@ class TestScaleFaultSeams:
         kill_what_provision_buys(monkeypatch, 30.0)
         run = elastic_runner.run_elastic_experiment(
             dataflow=tiny_dataflow(), profile=ConstantRateProfile(rate=2.0), duration_s=200.0,
-            controller_config=ControllerConfig(placement="full-replace"),
         )
         aborted, retry = run.actions
         assert aborted.aborted and aborted.enacted_at is None
@@ -650,7 +659,8 @@ class TestUnfinishedRuns:
         rebalance never completes: the last commit is at 182.5 s, before the
         evacuations close (232.3, 341.8 and 459.7 s)."""
         run = chaos_run(strategy="dsm", mode="notice")
-        commits = [w.completed_at for w in run.runtime.checkpoints.completed_waves(CheckpointAction.COMMIT)]
+        commits = [w.completed_at for w in run.runtime.checkpoints.history
+                   if w.action is CheckpointAction.COMMIT]
         closed = [evacuation.completed_at for evacuation in run.controller.evacuations]
         assert len(closed) == 3 and None not in closed
         for closed_at in closed:

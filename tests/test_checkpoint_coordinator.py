@@ -122,7 +122,9 @@ class TestFullCheckpointAndPeriodic:
         for executor in ("a#0", "b#0", "b#1"):
             coordinator.notify_ack(executor, CheckpointAction.COMMIT, cid)
         assert finished == [cid]
-        assert coordinator.last_committed_checkpoint() == cid
+        assert [(w.action, w.checkpoint_id) for w in coordinator.history][-1] == (
+            CheckpointAction.COMMIT, cid
+        )
 
     def test_run_checkpoint_hands_over_the_prepare_before_a_sequential_commit(self, sim):
         coordinator, runtime = make_coordinator(sim)
@@ -154,7 +156,7 @@ class TestFullCheckpointAndPeriodic:
 
         sim.every(1.0, auto_ack)
         sim.run(until=35.0)
-        commits = coordinator.completed_waves(CheckpointAction.COMMIT)
+        commits = [w for w in coordinator.history if w.action is CheckpointAction.COMMIT]
         assert len(commits) == 3
 
     def test_periodic_skips_tick_while_previous_in_flight(self, sim):

@@ -11,6 +11,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.experiments import (
     run_elastic_experiment,
+    run_migration_experiment,
     run_multi_experiment,
     run_predictive_experiment,
     run_rescale_experiment,
@@ -215,8 +216,6 @@ class TestCommands:
     @pytest.mark.parametrize("argv, message", [
         (["rescale", "--duration", "0"], "duration_s must be positive, got 0"),
         (["elastic", "--duration", "0"], "duration_s must be positive, got 0"),
-        (["chaos", "--modes", "bogus"], "modes: unknown recovery mode(s) ['bogus']"),
-        (["chaos", "--modes", "notice,notice"], "modes names ['notice'] more than once"),
         (["predict", "--policies", "bogus"], "policies: unknown forecast policy(s) ['bogus']"),
         (["predict", "--policies", "reactive,reactive"], "policies names ['reactive'] more than once"),
         (["multi", "--priorities", "1,x"], "--priorities must be comma-separated integers"),
@@ -295,22 +294,30 @@ class TestRunnerInputs:
             run_predictive_experiment(policies=["bogus"])
         with pytest.raises(ValueError, match=r"dags: unknown dataflow\(s\) \['traffic-keyed'\]"):
             ExperimentMatrix(dags=["traffic-keyed"])
+        with pytest.raises(ValueError, match=r"strategies: unknown migration strategy\(s\) \['bogus'\]"):
+            ExperimentMatrix(strategies=["dsm", "bogus"])
         with pytest.raises(ValueError, match="post_migration_s must be positive, got -5"):
             ExperimentMatrix(post_migration_s=-5.0)
 
-    @pytest.mark.parametrize("modes, message", [
-        (["notice", "bogus"], r"modes: unknown recovery mode\(s\) \['bogus'\]"),
-        # It used to run twice, and the table showed one row.
-        (["notice", "notice"], r"modes names \['notice'\] more than once"),
-    ])
-    def test_chaos_modes_are_checked_before_the_first_run(self, monkeypatch, modes, message):
-        from repro.experiments import chaos
+    @pytest.mark.parametrize("run, parameter, noun", [
+        (run_elastic_experiment, "forecast_policy", "forecast policy"),
+        (run_elastic_experiment, "strategy", "migration strategy"),
+        (run_elastic_experiment, "dag", "dataflow"),
+        (run_elastic_experiment, "profile", "rate profile"),
+        (run_migration_experiment, "strategy", "migration strategy"),
+        (run_migration_experiment, "dag", "dataflow"),
+        (run_predictive_experiment, "profile", "rate profile"),
+    ], ids=lambda value: getattr(value, "__name__", value))
+    def test_a_runner_refuses_an_unknown_name_before_deploying(self, monkeypatch, run, parameter, noun):
+        # Each used to raise a KeyError from its registry's lookup.
+        from repro.experiments import elastic, scenarios
 
-        runs = []
-        monkeypatch.setattr(chaos, "run_chaos_run", lambda **kwargs: runs.append(kwargs))
-        with pytest.raises(ValueError, match=message):
-            chaos.run_chaos_experiment(modes=modes)
-        assert runs == []
+        deployed = []
+        for module in (elastic, scenarios):
+            monkeypatch.setattr(module, "deploy_baseline", lambda *args, **kwargs: deployed.append(args))
+        with pytest.raises(ValueError, match=re.escape(f"{parameter}: unknown {noun}(s) ['bogus']")):
+            run(**{parameter: "bogus"})
+        assert deployed == []
 
     def test_a_repeated_policy_is_refused_by_name(self):
         with pytest.raises(ValueError, match=r"policies names \['reactive'\] more than once"):

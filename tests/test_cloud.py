@@ -37,7 +37,7 @@ class TestCloudProvider:
         assert not vm.active
 
     def test_billing_rounds_up_to_minute(self, sim):
-        provider = CloudProvider(sim, billing_granularity_s=60.0)
+        provider = CloudProvider(sim)
         vm = provider.provision(D2, 1)[0]
         sim.schedule(90.0, lambda: None)
         sim.run()

@@ -25,26 +25,35 @@ from typing import Callable, Dict, List
 
 import pytest
 
-from repro.cluster.cloud import Cluster
+from repro.cluster.cloud import CloudProvider, Cluster
+from repro.core.metrics import compute_migration_metrics
 from repro.dataflow import topologies
+from repro.dataflow.builder import TopologyBuilder
 from repro.elastic import (
     AllocationPlanner,
     ControllerConfig,
     ControlState,
     EwmaPolicy,
     ForecastPolicy,
+    FullReplacePlacement,
     HoltWintersPolicy,
+    IncrementalPlacement,
     ReactivePolicy,
     build_controller,
     policy,
 )
 from repro.cli import build_parser
+from repro.core.ccr import CaptureCheckpointResume
 from repro.elastic.arbiter import ScaleArbiter
 from repro.engine.config import TimingConfig
+from repro.experiments.chaos import run_chaos_experiment
 from repro.experiments.elastic import run_elastic_experiment
+from repro.experiments.predictive import run_predictive_experiment
 from repro.multi import ClusterManager
+from repro.sim import Simulator
+from repro.workloads.profiles import DiurnalProfile
 
-from tests.conftest import monitor_sample, mutant, patched
+from tests.conftest import make_runtime, monitor_sample, mutant, patched
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -298,9 +307,9 @@ def test_replay_reaches_the_live_controllers_first_action(dag, profile, duration
 
 # ------------------------------------------------------- one rule, fewer knobs
 def test_controller_config_lost_the_knobs_nothing_set():
-    assert len(dataclasses.fields(ControllerConfig)) == 5
-    for knob in ("forecast_policy", "wait_for_provisioning", "forecast_horizon_s", "capacity_feedback",
-                 "evacuation_horizon_s", "forecast_deadband", "slo_confirm_samples",
+    assert len(dataclasses.fields(ControllerConfig)) == 4
+    for knob in ("placement", "forecast_policy", "wait_for_provisioning", "forecast_horizon_s",
+                 "capacity_feedback", "evacuation_horizon_s", "forecast_deadband", "slo_confirm_samples",
                  "slo_headroom", "drain_guard_backlog_s"):
         with pytest.raises(TypeError):
             ControllerConfig(**{knob: 1})
@@ -347,11 +356,58 @@ def test_arbiter_timing_and_flags_lost_the_knobs_nothing_set():
         with pytest.raises(TypeError):
             fn(*args, **knob)
     assert len(inspect.signature(ScaleArbiter).parameters) == 2
-    assert len(inspect.signature(ClusterManager).parameters) == 6
+    assert len(inspect.signature(ClusterManager).parameters) == 5
     assert len(dataclasses.fields(TimingConfig)) == 13
     parser = build_parser()
     for argv in (["elastic", "--check-interval", "15"], ["elastic", "--confirm-samples", "2"],
                  ["elastic", "--cooldown", "60"], ["multi", "--audit-json", "audit.json"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+
+
+def test_a_single_fleet_has_one_placer():
+    """A controller given no place stage places incrementally; whether a
+    shrink re-uses free shared slots follows from being given a shared
+    fleet's exclusions, the policy's one parameter."""
+    assert list(inspect.signature(IncrementalPlacement).parameters) == ["excluded_vms_fn"]
+    with pytest.raises(TypeError):
+        IncrementalPlacement(reuse_free_slots=False)
+    assert not hasattr(IncrementalPlacement, "name") and not hasattr(FullReplacePlacement, "name")
+    assert not hasattr(policy, "PLACEMENT_POLICIES") and not hasattr(policy, "placement_policy_by_name")
+    runtime = make_runtime()
+    controller = build_controller(runtime, CloudProvider(runtime.sim), CaptureCheckpointResume)
+    assert type(controller.place) is IncrementalPlacement
+    assert controller.place._excluded_vms_fn is None
+
+
+def test_the_lower_layers_lost_the_knobs_nothing_set():
+    """The kernel's clock starts at 0, a dataflow is sized at 8 ev/s per
+    instance, every other Linear task is stateful, a keyed source cycles 64
+    keys, a day starts at midnight, stability is the paper's 20 % for 60 s, a
+    cloud bills by the minute, and the predict / chaos runners take
+    no placement or mode list.  Each knob is passed the default (or the one
+    value) it used to have."""
+    for fn, args, knob in (
+        (Simulator, (), {"start_time": 0.0}),
+        (topologies.linear, (), {"stateful_every": 2}),
+        (topologies.keyed_payload_factory, ("veh",), {"num_keys": 64}),
+        (DiurnalProfile, (), {"phase_s": 0.0}),
+        (ClusterManager, (8,), {"billing_granularity_s": 60.0}),
+        (CloudProvider, (Simulator(),), {"billing_granularity_s": 60.0}),
+        (topologies.linear().total_instances, (), {"include_sources_and_sinks": False}),
+        (TopologyBuilder("t").build, (), {"events_per_instance": 8.0}),
+        (topologies.linear().apply_auto_parallelism, (), {"events_per_instance": 8.0}),
+        (compute_migration_metrics, (None, None, 8.0), {"stabilization_tolerance": 0.2}),
+        (compute_migration_metrics, (None, None, 8.0), {"stabilization_window_s": 60.0}),
+        (ClusterManager(8).add_tenant, ("t", topologies.linear()), {"profile_duration_s": 900.0}),
+        (run_predictive_experiment, (), {"placement": "incremental"}),
+        (run_chaos_experiment, (), {"modes": ("notice", "oblivious")}),
+    ):
+        with pytest.raises(TypeError):
+            fn(*args, **knob)
+    parser = build_parser()
+    for argv in (["predict", "--placement", "incremental"], ["predict", "--profile", "step"],
+                 ["chaos", "--modes", "notice,oblivious"]):
         with pytest.raises(SystemExit):
             parser.parse_args(argv)
 

@@ -20,8 +20,7 @@ import pytest
 from repro.dataflow import topologies
 from repro.dataflow.builder import TopologyBuilder
 from repro.dataflow.event import Event
-from repro.dataflow.grouping import Grouping
-from repro.engine.router import _stable_field_index
+from repro.dataflow.grouping import Grouping, stable_field_index
 from repro.experiments import run_migration_experiment
 from repro.experiments.elastic import run_elastic_experiment
 from repro.experiments.scenarios import ScenarioSpec, build_experiment
@@ -81,7 +80,7 @@ def test_fields_grouping_uses_stable_hash():
     """FIELDS routing is CRC-32 based, independent of PYTHONHASHSEED."""
     # Pinned expectation: changing the hash function silently re-keys every
     # grouped stream, so the exact mapping is part of the engine contract.
-    assert _stable_field_index("vehicle-17", 3) == zlib.crc32(b"vehicle-17") % 3
+    assert stable_field_index("vehicle-17", 3) == zlib.crc32(b"vehicle-17") % 3
 
     builder = TopologyBuilder("fields")
     builder.add_source("source", rate=10.0)

@@ -18,7 +18,7 @@ from repro.dataflow.event import (
 class TestDataEvents:
     def test_root_event_is_its_own_root(self):
         event = Event.data("source", 42, payload={"seq": 1}, created_at=2.0)
-        assert event.is_data and event.is_root
+        assert event.is_data and event.event_id == event.root_id
         assert event.root_id == event.event_id == 42
         assert event.root_emitted_at == 2.0
 
@@ -34,7 +34,6 @@ class TestDataEvents:
         copy = root.copy_for_edge(child_event_id(root.event_id, 0))
         assert copy.replay_count == 2
         assert copy.anchored
-        assert copy.is_replay
         assert copy.created_at == 3.0
 
     def test_a_replay_is_the_root_salted_with_its_count(self):
@@ -43,7 +42,7 @@ class TestDataEvents:
         assert {replay.root_id for replay in replays} == {original.root_id}
         assert len({original.event_id} | {replay.event_id for replay in replays}) == 3
         assert replays[0].event_id == child_event_id(42, REPLAY_CHANNEL, 1)
-        assert replays[0].is_replay and not replays[0].is_root
+        assert replays[0].event_id != replays[0].root_id
 
 
 class TestCheckpointEvents:

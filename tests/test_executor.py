@@ -124,7 +124,7 @@ class TestPrepareAndCommit:
         assert finished
         for executor in runtime.user_executors:
             key = f"ckpt/{runtime.dataflow.name}/{executor.executor_id}"
-            assert runtime.statestore.contains(key)
+            assert key in runtime.statestore.keys()
 
     def test_committed_state_matches_prepared_snapshot(self):
         runtime = started_runtime()

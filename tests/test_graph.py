@@ -177,18 +177,27 @@ class TestRateAnalysis:
 
     def test_auto_parallelism_one_instance_per_8_events(self):
         dataflow = fan_graph()
-        dataflow.apply_auto_parallelism(events_per_instance=8.0)
+        dataflow.apply_auto_parallelism()
         assert dataflow.task("split").parallelism == 1
         assert dataflow.task("merge").parallelism == 2
 
-    def test_auto_parallelism_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            fan_graph().apply_auto_parallelism(events_per_instance=0.0)
+    def test_auto_parallelism_rounds_up_and_keeps_an_instance(self):
+        builder = TopologyBuilder("odd")
+        builder.add_source("src", rate=9.0)
+        builder.add_task("a")
+        builder.add_task("b", capacity_ev_s=4.0)
+        builder.add_sink("sink")
+        builder.chain("src", "a", "b", "sink")
+        dataflow = builder.build()
+        dataflow.apply_auto_parallelism()
+        # 9 ev/s needs two 8 ev/s instances and three 4 ev/s ones.
+        assert dataflow.task("a").parallelism == 2
+        assert dataflow.task("b").parallelism == 3
 
-    def test_total_instances_excludes_sources_and_sinks_by_default(self):
+    def test_total_instances_excludes_sources_and_sinks(self):
         dataflow = simple_chain()
         assert dataflow.total_instances() == 3
-        assert dataflow.total_instances(include_sources_and_sinks=True) == 5
+        assert sum(task.parallelism for task in dataflow.tasks) == 5
 
     def test_describe_mentions_every_task(self):
         description = fan_graph().describe()

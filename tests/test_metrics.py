@@ -175,6 +175,20 @@ class TestStabilization:
         assert stab is not None
         assert stab >= 95.0
 
+    @pytest.mark.parametrize("rate, stable", [(9.2, True), (10.0, False)])
+    def test_band_is_twenty_percent_of_the_expected_rate(self, rate, stable):
+        log = self._steady_log([(0.0, 200.0, rate)])
+        stab = stabilization_time(log, expected_rate=8.0, after=0.0, end=200.0)
+        assert (stab is not None) is stable
+
+    def test_window_is_sixty_seconds(self):
+        # In band for 50 s only, then 2.5x: never stable.
+        short = self._steady_log([(0.0, 50.0, 8.0), (50.0, 200.0, 20.0)])
+        assert stabilization_time(short, expected_rate=8.0, after=0.0, end=200.0) is None
+        # In band for 70 s: stable from the start.
+        long = self._steady_log([(0.0, 70.0, 8.0), (70.0, 200.0, 20.0)])
+        assert stabilization_time(long, expected_rate=8.0, after=0.0, end=200.0) == pytest.approx(0.0, abs=5.0)
+
     def test_rejects_nonpositive_expected_rate(self):
         with pytest.raises(ValueError):
             stabilization_time(make_log(), expected_rate=0.0, after=0.0)

@@ -72,10 +72,12 @@ class TestMetricsRegistry:
         with pytest.raises(TypeError, match="already registered as counter"):
             registry.gauge("kernel", "events")
 
-    def test_negative_increment_rejected(self):
+    def test_counter_holds_the_last_scraped_total(self):
         counter = MetricsRegistry().counter("kernel", "events")
-        with pytest.raises(ValueError, match="negative"):
-            counter.inc(-1)
+        assert counter.value == 0.0
+        counter.set_total(7)
+        counter.set_total(5)
+        assert counter.value == 5.0
 
     def test_gauge_tracks_high_water(self):
         gauge = MetricsRegistry().gauge("executor", "queue_depth")
@@ -115,7 +117,7 @@ class TestSpanTracer:
         tracer.end(tick, 15.0, outcome="in-band")
         assert tick.args["outcome"] == "in-band"
         assert tracer.children_of(tick) == [stage]
-        assert tracer.open_spans() == []
+        assert all(span.end_s is not None for span in tracer.spans)
 
     def test_double_end_and_time_travel_rejected(self):
         tracer = SpanTracer(clock=lambda: 0.0)

@@ -155,7 +155,7 @@ def test_a_diamond_dsm_cell_commits_a_periodic_checkpoint_after_its_migration():
     """The periodic PREPARE that opens at the migration instant (90 s) never
     completes: the only commits are at 31.0 s and 61.0 s."""
     result = diamond_cell("dsm")
-    commits = result.runtime.checkpoints.completed_waves(CheckpointAction.COMMIT)
+    commits = [w for w in result.runtime.checkpoints.history if w.action is CheckpointAction.COMMIT]
     assert result.report.completed_at is not None
     assert any(wave.completed_at > result.report.completed_at for wave in commits)
 

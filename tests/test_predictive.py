@@ -29,10 +29,12 @@ from repro.elastic import (
     ControllerConfig,
     ControlState,
     ElasticityMonitor,
+    FullReplacePlacement,
     MonitorSample,
     ReactivePolicy,
     decide,
 )
+from repro.experiments import elastic as elastic_runner
 from repro.experiments.elastic import run_elastic_experiment
 from repro.experiments.predictive import (
     best_predictive,
@@ -41,7 +43,7 @@ from repro.experiments.predictive import (
 )
 from repro.workloads.profiles import StepProfile
 
-from tests.conftest import fast_config, make_runtime, monitor_sample
+from tests.conftest import fast_config, make_runtime, monitor_sample, patched
 from tests.test_determinism import _log_records
 
 
@@ -221,18 +223,23 @@ GRID_HEADROOM_CAPS = {
 
 
 def _grid_surge_run(placement: str, duration_s: float = 300.0):
-    config = ControllerConfig(
-        check_interval_s=15.0, confirm_samples=2, cooldown_s=60.0, placement=placement,
-    )
+    """The surge under the controller's default (incremental) placer, or
+    under ``full-replace``: the paper's re-fleet, handed to the controller
+    through ``build_controller(placement=...)`` as a shared-fleet tenant's is."""
+    config = ControllerConfig(check_interval_s=15.0, confirm_samples=2, cooldown_s=60.0)
+    build = elastic_runner.build_controller
+    if placement == "full-replace":
+        build = functools.partial(build, placement=FullReplacePlacement())
     dataflow = topologies.by_name("grid")
     for name, capacity in GRID_HEADROOM_CAPS.items():
         dataflow.task(name).capacity_ev_s = capacity
     base = sum(float(s.rate) for s in dataflow.sources)
     profile = StepProfile(steps=[(0.0, base), (120.0, base * 2), (360.0, base)])
-    return run_elastic_experiment(
-        dag="grid", strategy="ccr", profile=profile, duration_s=duration_s, seed=2018,
-        dataflow=dataflow, controller_config=config, elastic_parallelism=True,
-    )
+    with patched(elastic_runner, "build_controller", build):
+        return run_elastic_experiment(
+            dag="grid", strategy="ccr", profile=profile, duration_s=duration_s, seed=2018,
+            dataflow=dataflow, controller_config=config, elastic_parallelism=True,
+        )
 
 
 class TestIncrementalPlacement:
@@ -355,7 +362,7 @@ class TestPredictiveDeterminism:
                 seed=2018,
                 controller_config=ControllerConfig(
                     check_interval_s=15.0, confirm_samples=2, cooldown_s=60.0,
-                    slo_latency_s=30.0, placement="incremental",
+                    slo_latency_s=30.0,
                 ),
                 elastic_parallelism=True,
                 forecast_policy="ewma",
@@ -376,7 +383,7 @@ class TestPredictCLI:
         assert args.dag == "grid"
         assert args.profile == "surge"
         assert args.slo == 30.0
-        assert args.placement == "incremental"
+        assert not hasattr(args, "placement")
         assert "reactive" in args.policies and "lookahead" in args.policies
 
     def test_unknown_policy_rejected(self, capsys):

@@ -72,11 +72,6 @@ class TestStepProfileBoundaries:
         assert profile.rate_at(150.0) == 16.0
         assert profile.rate_at(200.0) == 2.0
 
-    def test_average_rate_weights_step_durations(self):
-        profile = StepProfile(steps=[(0.0, 8.0), (50.0, 24.0)])
-        # Half the window at 8, half at 24 -> 16 on average.
-        assert profile.average_rate(0.0, 100.0, samples=1000) == pytest.approx(16.0, rel=0.01)
-
 
 class TestRampProfileEndpoints:
     def test_exact_endpoints(self):
@@ -89,10 +84,9 @@ class TestRampProfileEndpoints:
         assert profile.rate_at(0.0) == 8.0
         assert profile.rate_at(1e9) == 32.0
 
-    def test_midpoint_and_average(self):
+    def test_midpoint(self):
         profile = RampProfile(start_rate=8.0, end_rate=24.0, ramp_start_s=0.0, ramp_end_s=100.0)
         assert profile.rate_at(50.0) == pytest.approx(16.0)
-        assert profile.average_rate(0.0, 100.0, samples=1000) == pytest.approx(16.0, rel=0.01)
 
 
 class TestBurstProfilePhaseMath:
@@ -117,12 +111,6 @@ class TestBurstProfilePhaseMath:
                                burst_period_s=0.0, burst_duration_s=10.0)
         assert profile.rate_at(0.0) == 8.0
         assert profile.rate_at(123.0) == 8.0
-
-    def test_average_rate_matches_duty_cycle(self):
-        profile = BurstProfile(base_rate=10.0, burst_multiplier=3.0,
-                               burst_period_s=100.0, burst_duration_s=20.0)
-        # 20% of the time at 30, 80% at 10 -> 14 on average.
-        assert profile.average_rate(0.0, 500.0, samples=5000) == pytest.approx(14.0, rel=0.01)
 
 
 class TestNamedPresets:

@@ -159,7 +159,7 @@ class TestStatestoreRoundTrip:
         assert total_processed == len(KEYS)
         # Stale keys beyond the new count are gone.
         for index in range(new_n, old_n):
-            assert not store.contains(checkpoint_key("flow", f"keyed#{index}"))
+            assert checkpoint_key("flow", f"keyed#{index}") not in store.keys()
 
     def test_repartition_moves_pending_events_to_key_owners(self):
         sim, store, task = self._store_with_task(2, stateful_pending=3)

@@ -152,7 +152,7 @@ class TestExactCeiling:
         builder.fan_out("src", ["a", "b", "c"])
         builder.fan_in(["a", "b", "c"], "merge")
         builder.connect("merge", "sink")
-        dataflow = builder.build(auto_parallelism=True, events_per_instance=8.0)
+        dataflow = builder.build(auto_parallelism=True)
         assert dataflow.task("merge").parallelism == 3
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.placement import placement_diff
+from repro.dataflow.event import CheckpointAction
 from repro.elastic.planner import plan_user_tasks_on
 from repro.engine.executor import ExecutorStatus
 from repro.engine.runtime import RuntimeError_
@@ -19,7 +20,7 @@ from repro.sim import Simulator
 class TestDeployment:
     def test_deploy_creates_one_executor_per_instance(self, deployed_runtime):
         dataflow = deployed_runtime.dataflow
-        expected = dataflow.total_instances(include_sources_and_sinks=True)
+        expected = sum(task.parallelism for task in dataflow.tasks)
         assert len(deployed_runtime.executors) == expected
 
     def test_sources_and_sinks_pinned_to_util_vm(self, deployed_runtime):
@@ -49,10 +50,14 @@ class TestDeployment:
             runtime.start()
 
     def test_periodic_checkpoints_enabled_only_for_dsm_config(self):
-        dsm_runtime = make_runtime(strategy="dsm")
-        dcr_runtime = make_runtime(strategy="dcr")
-        assert dsm_runtime.checkpoints.periodic_enabled
-        assert not dcr_runtime.checkpoints.periodic_enabled
+        committed = {}
+        for strategy in ("dsm", "dcr"):
+            runtime = make_runtime(strategy=strategy)
+            runtime.start()
+            runtime.sim.run(until=12.0)
+            committed[strategy] = [wave.checkpoint_id for wave in runtime.checkpoints.history
+                                   if wave.action is CheckpointAction.COMMIT]
+        assert committed == {"dsm": [1, 2], "dcr": []}
 
     def test_user_executor_ids_cover_all_user_tasks(self, deployed_runtime):
         ids = deployed_runtime.user_executor_id_set()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import pytest
@@ -12,13 +13,6 @@ from repro.sim import PeriodicTimer, SimulationError, Simulator
 class TestScheduling:
     def test_clock_starts_at_zero(self):
         assert Simulator().now == 0.0
-
-    def test_clock_starts_at_custom_time(self):
-        assert Simulator(start_time=12.5).now == 12.5
-
-    def test_infinite_start_time_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator(start_time=float("inf"))
 
     def test_events_execute_in_time_order(self):
         sim = Simulator()
@@ -60,12 +54,16 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule(1.0, "not-callable")
 
-    def test_kwargs_passed_to_callback(self):
+    def test_a_callback_takes_positional_arguments_only(self):
         sim = Simulator()
-        seen = {}
-        sim.schedule(1.0, lambda **kw: seen.update(kw), a=1, b="x")
+        seen = []
+        sim.schedule(1.0, lambda *args: seen.append(args), 1, "x")
         sim.run()
-        assert seen == {"a": 1, "b": "x"}
+        assert seen == [(1, "x")]
+        with pytest.raises(TypeError):
+            sim.schedule(1.0, lambda **kw: None, a=1)
+        with pytest.raises(TypeError):
+            sim.schedule_at(1.0, lambda **kw: None, a=1)
 
     def test_callback_can_schedule_more_events(self):
         sim = Simulator()
@@ -207,12 +205,15 @@ class TestTimerCancellation:
         sim.run()
         assert not timer.fired
 
-    def test_active_reflects_lifecycle(self):
+    def test_fired_reflects_lifecycle(self):
         sim = Simulator()
-        timer = sim.schedule(1.0, lambda: None)
-        assert timer.active
+        ran = sim.schedule(1.0, lambda: None)
+        dropped = sim.schedule(1.0, lambda: None)
+        dropped.cancel()
+        assert not ran.fired and not ran.cancelled
         sim.run()
-        assert not timer.active
+        assert ran.fired and not ran.cancelled
+        assert dropped.cancelled and not dropped.fired
 
 
 class TestPeriodicTimer:
@@ -223,18 +224,28 @@ class TestPeriodicTimer:
         sim.run(until=5.5)
         assert fired == pytest.approx([1.0, 2.0, 3.0, 4.0, 5.0])
 
-    def test_custom_start_delay(self):
+    def test_args_are_passed_and_nothing_else_is_settable(self):
         sim = Simulator()
         fired = []
-        sim.every(2.0, lambda: fired.append(sim.now), start_delay=0.5)
+        sim.every(2.0, fired.append, "tick")
         sim.run(until=5.0)
-        assert fired == pytest.approx([0.5, 2.5, 4.5])
+        assert fired == ["tick", "tick"]
+        # The first firing is one period away or at ``start_at``; a callback
+        # takes positional arguments only.
+        assert list(inspect.signature(Simulator.every).parameters) == [
+            "self", "period", "callback", "args", "start_at",
+        ]
+        with pytest.raises(TypeError):
+            sim.every(2.0, fired.append, start_delay=0.5)
+        with pytest.raises(TypeError):
+            sim.every(2.0, fired.append, value="tick")
 
     def test_absolute_start_resumes_a_chain_on_its_grid(self):
         # A chain cancelled after its third firing and resumed with
         # start_at = the next grid point fires at bit-identical times.
         def firings(suspend):
-            sim = Simulator(start_time=0.3)
+            sim = Simulator()
+            sim.run(until=0.3)
             fired = []
             timer = sim.every(0.01, lambda: fired.append(sim.now))
             if suspend:
@@ -252,12 +263,10 @@ class TestPeriodicTimer:
         assert resumed == [t for t in whole if t < 0.335 or t >= 0.3651]
         assert len(resumed) < len(whole)
 
-    def test_start_delay_and_start_at_are_exclusive(self):
+    def test_start_at_before_now_is_refused(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
-            sim.every(1.0, lambda: None, start_delay=0.5, start_at=2.0)
-        with pytest.raises(SimulationError):
-            sim.every(1.0, lambda: None, start_at=-1.0)  # before now
+            sim.every(1.0, lambda: None, start_at=-1.0)
 
     def test_cancel_stops_firing(self):
         sim = Simulator()
@@ -268,11 +277,14 @@ class TestPeriodicTimer:
         assert fired == pytest.approx([1.0, 2.0])
         assert not timer.active
 
-    def test_fire_count_tracked(self):
+    def test_active_until_cancelled(self):
         sim = Simulator()
         timer = sim.every(1.0, lambda: None)
-        sim.run(until=3.5)
-        assert timer.fire_count == 3
+        sim.run(until=2.5)
+        assert timer.active
+        timer.cancel()
+        assert not timer.active
+        assert sim.pending_events == 0
 
     def test_zero_period_rejected(self):
         sim = Simulator()

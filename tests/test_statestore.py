@@ -48,22 +48,19 @@ class TestLatencyModel:
 
 
 class TestStorageSemantics:
-    def test_put_overwrites_and_increments_version(self, sim):
+    def test_put_overwrites(self, sim):
         store = StateStore(sim)
         store.put("k", "v1", 10)
         store.put("k", "v2", 10)
         assert store.peek("k") == "v2"
-        assert store.version("k") == 2
-
-    def test_version_of_missing_key_is_zero(self, sim):
-        assert StateStore(sim).version("missing") == 0
+        assert store.keys() == ["k"]
 
     def test_delete(self, sim):
         store = StateStore(sim)
         store.put("k", "v", 10)
         assert store.delete("k") is True
         assert store.delete("k") is False
-        assert not store.contains("k")
+        assert "k" not in store.keys()
 
     def test_keys_and_len(self, sim):
         store = StateStore(sim)

@@ -72,6 +72,10 @@ class TestStructures:
         assert dataflow.total_instances() == 50
         assert dataflow.critical_path_length() == 50
 
+    def test_linear_every_other_task_is_stateful(self):
+        dataflow = topologies.linear(6)
+        assert [task.stateful for task in dataflow.user_tasks] == [True, False] * 3
+
     def test_linear_rejects_zero_tasks(self):
         with pytest.raises(ValueError):
             topologies.linear(0)

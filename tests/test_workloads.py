@@ -38,7 +38,6 @@ class TestRateProfiles:
         profile = ConstantRateProfile(rate=8.0)
         assert profile.rate_at(0.0) == 8.0
         assert profile.rate_at(1e6) == 8.0
-        assert profile.average_rate(0.0, 100.0) == pytest.approx(8.0)
 
     def test_step_profile_changes_at_boundaries(self):
         profile = StepProfile(steps=[(0.0, 8.0), (100.0, 16.0), (200.0, 4.0)])
@@ -66,11 +65,3 @@ class TestRateProfiles:
         assert profile.rate_at(5.0) == 32.0
         assert profile.rate_at(50.0) == 8.0
         assert profile.rate_at(105.0) == 32.0
-
-    def test_average_rate_accounts_for_bursts(self):
-        profile = BurstProfile(base_rate=8.0, burst_multiplier=2.0, burst_period_s=100.0, burst_duration_s=50.0)
-        assert profile.average_rate(0.0, 100.0) == pytest.approx(12.0, rel=0.05)
-
-    def test_average_rate_rejects_empty_interval(self):
-        with pytest.raises(ValueError):
-            ConstantRateProfile(8.0).average_rate(10.0, 10.0)
