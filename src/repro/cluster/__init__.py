@@ -18,7 +18,7 @@ Each slot runs exactly one task instance (executor) and is assigned one
 one-executor-per-slot invariant.
 """
 
-from repro.cluster.vm import Slot, VirtualMachine, VMType, D1, D2, D3, VM_TYPES
+from repro.cluster.vm import Slot, VirtualMachine, VMType, D1, D2, D3, VM_TYPES, is_worker_vm
 from repro.cluster.cloud import (
     ON_DEMAND,
     SPOT,
@@ -66,6 +66,7 @@ __all__ = [
     "VMType",
     "VM_TYPES",
     "bin_pack_plan",
+    "is_worker_vm",
     "placement_diff",
     "round_robin_plan",
 ]

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, List, Optional
 
 from repro.sim import KeyedStream, Simulator, keyed_seed
 from repro.cluster.cloud import SPOT, Cluster
-from repro.cluster.vm import VirtualMachine
+from repro.cluster.vm import VirtualMachine, is_worker_vm
 
 EVICT = "evict"
 KILL = "kill"
@@ -116,7 +116,7 @@ class FaultInjector:
         record = FaultRecord(index=len(self.records), event=event)
         self.records.append(record)
         delay = max(0.0, event.at_s - self.sim.now)
-        # Cancellable timers (not schedule_fast): they must be visible to
+        # Cancellable timers (not push_fast): they must be visible to
         # Simulator.next_timer_time() so batched cascades stop at each fault.
         self.sim.schedule(delay, self._fire, record)
         return record
@@ -126,7 +126,7 @@ class FaultInjector:
         return [
             vm for vm in sorted(self.cluster.vms, key=lambda v: v.vm_id)
             if vm.vm_id not in self._doomed
-            and vm.tags.get("role") != "util"
+            and is_worker_vm(vm)
             and vm.tags.get("market") == SPOT
         ]
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.sim import KeyedStream, RandomSource, Simulator, keyed_seed
+from repro.sim import KeyedStream, Simulator, keyed_seed
 from repro.cluster.vm import Slot, VirtualMachine, VMType
 
 #: Market names used in billing records and ``vm.tags["market"]``.
@@ -118,12 +118,12 @@ class NetworkModel:
         intra_vm_latency_s: float = 0.0002,
         inter_vm_latency_s: float = 0.0015,
         jitter_fraction: float = 0.1,
-        rng: Optional[RandomSource] = None,
+        seed: int = 2018,
     ) -> None:
         self.intra_vm_latency_s = intra_vm_latency_s
         self.inter_vm_latency_s = inter_vm_latency_s
         self.jitter_fraction = jitter_fraction
-        self._rng = rng or RandomSource()
+        self.seed = seed
 
     def base_latency(self, src_vm: Optional[str], dst_vm: Optional[str]) -> float:
         """Un-jittered transfer latency between the given VMs.
@@ -138,9 +138,9 @@ class NetworkModel:
 
     def keyed_jitter_stream(self, sender: str, receiver: str) -> KeyedStream:
         """The jitter stream of one (sender, receiver) channel, seeded from
-        ``(master_seed, "network-jitter", sender->receiver)``: its draws depend
+        ``(seed, "network-jitter", sender->receiver)``: its draws depend
         only on its own delivery count, never on how channels interleave."""
-        return KeyedStream(keyed_seed(self._rng.master_seed, "network-jitter", f"{sender}->{receiver}"))
+        return KeyedStream(keyed_seed(self.seed, "network-jitter", f"{sender}->{receiver}"))
 
 
 class Cluster:
@@ -246,7 +246,7 @@ class CloudProvider:
         self,
         sim: Simulator,
         provisioning_latency_s: float = 30.0,
-        rng: Optional[RandomSource] = None,
+        seed: int = 2018,
         spot_market: Optional[SpotMarket] = None,
         provisioning: Optional[ProvisioningModel] = None,
     ) -> None:
@@ -255,7 +255,7 @@ class CloudProvider:
         self.spot_market = spot_market
         self.provisioning = provisioning
         self.provisioning_failures = 0
-        self._rng = rng or RandomSource()
+        self.seed = seed
         self._counter = 0
         self._billing: Dict[str, BillingRecord] = {}
 
@@ -307,13 +307,13 @@ class CloudProvider:
 
         With no :class:`ProvisioningModel` configured, attempts always succeed
         after the flat ``provisioning_latency_s``.  Draws are keyed by
-        ``(master_seed, "provisioning", vm_id)`` so they do not depend on
+        ``(seed, "provisioning", vm_id)`` so they do not depend on
         what else the simulation interleaves.
         """
         model = self.provisioning
         if model is None:
             return self.provisioning_latency_s, True
-        stream = KeyedStream(keyed_seed(self._rng.master_seed, "provisioning", vm_id))
+        stream = KeyedStream(keyed_seed(self.seed, "provisioning", vm_id))
         latency = model.base_latency_s
         if model.jitter_fraction > 0:
             latency *= 1.0 + stream.uniform(-model.jitter_fraction, model.jitter_fraction)

@@ -147,3 +147,9 @@ class VirtualMachine:
             f"VirtualMachine({self.vm_id}, type={self.vm_type.name}, "
             f"slots={len(self.occupied_slots)}/{len(self.slots)} occupied)"
         )
+
+
+def is_worker_vm(vm: VirtualMachine) -> bool:
+    """Whether a VM counts against a slot budget and may be a fault's target:
+    not a util host (``role`` ``util``, or a shared fleet's ``util:<tenant>``)."""
+    return not vm.tags.get("role", "").startswith("util")

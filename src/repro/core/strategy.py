@@ -17,7 +17,7 @@ which (together with the run's event log) the §4 metrics are computed in
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Type, Union
 
 from repro.cluster.placement import PlacementPlan
@@ -56,7 +56,6 @@ class MigrationReport:
     checkpoint_id: Optional[int] = None
     rebalance_record: Optional[RebalanceRecord] = None
     rescale_record: Optional[RescaleRecord] = None
-    notes: Dict[str, float] = field(default_factory=dict)
 
     @property
     def is_complete(self) -> bool:
@@ -172,10 +171,6 @@ class MigrationStrategy(ABC):
         )
         if self.report is not None:
             self.report.rescale_record = record
-            self.report.notes["rescaled_at"] = self.runtime.sim.now
-            self.report.notes["rescale_spawned"] = float(len(record.spawned))
-            self.report.notes["rescale_retired"] = float(len(record.retired))
-            self.report.notes["rescale_store_latency_s"] = store_latency_s
         return store_latency_s
 
     def _resolve_plan(self) -> PlacementPlan:

@@ -16,9 +16,12 @@ paper's example of "a count of events seen".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+
+from repro.sim.kernel import checked_delay
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (workloads -> dataflow)
     from repro.workloads.profiles import RateProfile
@@ -96,8 +99,7 @@ class Task:
             raise ValueError("task name must be non-empty")
         if self.parallelism < 1:
             raise ValueError(f"task {self.name!r}: parallelism must be >= 1")
-        if self.latency_s < 0:
-            raise ValueError(f"task {self.name!r}: latency must be non-negative")
+        checked_delay(self.latency_s, f"task {self.name!r}: latency_s")
         if self.capacity_ev_s is not None and self.capacity_ev_s <= 0:
             raise ValueError(f"task {self.name!r}: capacity_ev_s must be positive when set")
         if self.logic is None:
@@ -156,8 +158,8 @@ class SourceTask(Task):
         self.kind = TaskKind.SOURCE
         self.latency_s = 0.0
         super().__post_init__()
-        if self.rate <= 0:
-            raise ValueError(f"source {self.name!r}: rate must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"source {self.name!r}: rate must be positive and finite, got {self.rate!r}")
 
 
 @dataclass

@@ -39,12 +39,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from repro.cluster.cloud import Cluster
-from repro.cluster.vm import VirtualMachine
-
-
-def is_worker_vm(vm: VirtualMachine) -> bool:
-    """Whether a VM counts against the worker-slot budget (util hosts do not)."""
-    return not vm.tags.get("role", "").startswith("util")
+from repro.cluster.vm import is_worker_vm
 
 
 @dataclass(frozen=True)

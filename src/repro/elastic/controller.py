@@ -36,7 +36,8 @@ rebuild places only onto VMs that are untagged or this tenant's, neither.
 Decisions track the sample's ``offered_rate`` (events *generated* per
 second), so a post-migration backlog drain does not read as a surge.  Every
 tick appends a :class:`TickRecord` to ``controller.ticks``; a trace is read
-from these records after the run (:meth:`repro.obs.Telemetry.from_run`).
+from these records after the run by the one reader,
+:meth:`repro.obs.Telemetry.from_run` (single fleet or shared).
 """
 
 from __future__ import annotations

@@ -865,7 +865,7 @@ class _Sweep:
                         (when, event, sender_id)
                     )
                 else:
-                    sim.schedule_at_fast(when, target.deliver, (event, sender_id))
+                    sim.push_fast(when, target.deliver, (event, sender_id))
             seeding: Dict[int, tuple] = {}
             for executor, (when, event) in busy.items():
                 node = by_id[executor.executor_id]
@@ -1280,7 +1280,7 @@ class _Sweep:
                 entries.append((event, self.plan.channels[origin].sender_id))
         executor = node.executor
         executor._busy = True
-        self.runtime.sim.schedule_at_fast(
+        self.runtime.sim.push_fast(
             float(completions[first]), executor._complete_data, (entries[0][0],)
         )
         executor.input_queue.extend(entries[1:])

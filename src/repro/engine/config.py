@@ -26,8 +26,11 @@ per-event kernel from what it observes (see :mod:`repro.engine.batch`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
+
+from repro.sim.kernel import checked_delay
 
 
 @dataclass(slots=True)
@@ -64,8 +67,8 @@ class ReliabilityConfig:
             raise ValueError(
                 f"max_spout_pending must be at least 1 (None = unlimited), got {self.max_spout_pending}"
             )
-        if self.ack_timeout_s <= 0:
-            raise ValueError(f"ack_timeout_s must be positive, got {self.ack_timeout_s}")
+        if not 0 < self.ack_timeout_s < math.inf:
+            raise ValueError(f"ack_timeout_s must be positive and finite, got {self.ack_timeout_s}")
         interval = self.periodic_checkpoint_interval_s
         if interval is not None and not interval > 0:
             raise ValueError(
@@ -114,6 +117,11 @@ class TimingConfig:
     quiesce_delay_s: float = 0.05
 
     def __post_init__(self) -> None:
+        # The delays the engine hands the kernel's unchecked fast path.
+        for name in ("checkpoint_handling_s", "statestore_base_latency_s", "statestore_per_byte_latency_s"):
+            checked_delay(getattr(self, name), name)
+        if not 0 < self.source_idle_recheck_s < math.inf:  # 0: an idle source re-arms forever
+            raise ValueError(f"source_idle_recheck_s must be positive and finite, got {self.source_idle_recheck_s}")
         if self.source_max_burst_rate <= 0:
             raise ValueError(
                 f"source_max_burst_rate must be positive, got {self.source_max_burst_rate}"

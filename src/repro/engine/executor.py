@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Sequence, Se
 from repro.dataflow.event import CheckpointAction, Event, EventKind, root_event_id, source_id_key
 from repro.dataflow.task import SinkTask, SourceTask, Task
 from repro.reliability.statestore import checkpoint_key
-from repro.sim import Timer
+from repro.sim.kernel import Timer, checked_delay
 
 if TYPE_CHECKING:  # the runtime module imports this one
     from repro.engine.runtime import TopologyRuntime
@@ -104,6 +104,7 @@ class Executor:
         "restored_count",
         "busy_time_s",
         "_service_time",
+        "_handling_time",
     )
 
     def __init__(self, executor_id: str, task: Task, instance_index: int, runtime: "TopologyRuntime") -> None:
@@ -141,8 +142,10 @@ class Executor:
         #: (ev/s per busy instance), which the elastic monitor feeds back into
         #: capacity planning.
         self.busy_time_s = 0.0
-        # Per-event service time: the task's latency, fixed before deployment.
+        # Service and control-handling times for the unchecked push_fast (the
+        # task checked its latency; timing is set by assignment: checked here).
         self._service_time = task.latency_s
+        self._handling_time = checked_delay(runtime.timing.checkpoint_handling_s, "checkpoint_handling_s")
 
     # ------------------------------------------------------------ placement
     def place(self, slot_id: str, vm_id: str) -> None:
@@ -251,10 +254,9 @@ class Executor:
             return
         event, sender_id = self.input_queue.popleft()
         self._busy = True
+        sim = self.sim
         if event.kind is _CHECKPOINT:
-            self.sim.schedule_fast(
-                self.runtime.timing.checkpoint_handling_s, self._handle_control, (event, sender_id)
-            )
+            sim.push_fast(sim.now + self._handling_time, self._handle_control, (event, sender_id))
         elif self.capture_mode:
             # Capture without processing: the event joins the pending list that
             # will be persisted with the next COMMIT (CCR).
@@ -263,9 +265,9 @@ class Executor:
             self._busy = False
             # Scheduled (not elided): tie-breaking order is part of
             # reproducibility.
-            self.sim.schedule_fast(0.0, self._maybe_process)
+            sim.push_fast(sim.now, self._maybe_process, ())
         else:
-            self.sim.schedule_fast(self._service_time, self._complete_data, (event,))
+            sim.push_fast(sim.now + self._service_time, self._complete_data, (event,))
 
     def _complete_data(self, event: Event) -> None:
         if self.status is not _RUNNING:

@@ -53,7 +53,7 @@ from repro.engine.runtime import TopologyRuntime
 from repro.experiments.scenarios import check_names, deploy_baseline
 from repro.metrics.log import EventLog
 from repro.obs import Telemetry
-from repro.sim import KeyedStream, RandomSource, Simulator, cell_seed, keyed_seed
+from repro.sim import KeyedStream, Simulator, cell_seed, keyed_seed
 from repro.sim.shard import log_digest
 from repro.workloads.profiles import PROFILE_PRESETS, RateProfile, StepProfile, attach_profile
 
@@ -259,7 +259,7 @@ class ElasticRunResult:
     def trace(self) -> Telemetry:
         """The run's trace, read from its records; a fresh one on every call."""
         return Telemetry.from_run(
-            self.runtime, self.controller, self.provider, self.injector,
+            {None: self.controller}, provider=self.provider, injector=self.injector,
             meta=self.spec.trace_meta(),
         )
 
@@ -422,7 +422,7 @@ def run_elastic_experiment(
             provisioning_latency_s=provisioning_latency_s,
             spot_market=SpotMarket(discount=0.35, eviction_rate_per_hour=0.5),
             provisioning=SPOT_PROVISIONING,
-            rng=RandomSource(config.seed),
+            seed=config.seed,
         )
     # Initial deployment is always the paper's default packing (Table 1: D2s),
     # whatever tier the profile's first rate will steer the controller toward;

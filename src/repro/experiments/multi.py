@@ -110,10 +110,9 @@ class MultiExperimentResult:
     def trace(self) -> Telemetry:
         """The shared-fleet run's trace, read from its records; a fresh one per call."""
         shared = self.shared
-        return Telemetry.from_tenants(
+        return Telemetry.from_run(
             {name: row.result.controller for name, row in shared.tenants.items()},
-            shared.manager.arbiter,
-            now=self.duration_s,
+            arbiter=shared.manager.arbiter,
             meta=dict(scenario="multi", duration_s=self.duration_s,
                       budget_slots=shared.budget_slots, tenants=sorted(shared.tenants)),
         )

@@ -27,7 +27,7 @@ from repro.dataflow import topologies
 from repro.dataflow.task import SourceTask
 from repro.engine.batch import engine_counts
 from repro.experiments.scenarios import deploy_baseline
-from repro.sim import RandomSource, Simulator
+from repro.sim import Simulator
 from repro.sim.shard import ShardResult, ShardSpec
 
 
@@ -83,10 +83,10 @@ def run_steady_shard(spec: ShardSpec) -> ShardResult:
 
     sim = Simulator()
     provider = CloudProvider(sim)
-    # The network's RNG is the source of every steady-state jitter draw; seed
-    # it from the shard so partitions draw independent jitter and the run's
-    # master seed is actually observable in the merged log.
-    cluster = Cluster(network=NetworkModel(rng=RandomSource(spec.shard_seed)))
+    # The network's seed keys every steady-state jitter draw; take it from the
+    # shard so partitions draw independent jitter and the run's master seed
+    # is actually observable in the merged log.
+    cluster = Cluster(network=NetworkModel(seed=spec.shard_seed))
     runtime, _ = deploy_baseline(dataflow, config, provider, cluster=cluster)
     sim.run(until=spec.duration_s)
     log = runtime.log

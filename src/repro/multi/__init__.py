@@ -19,7 +19,6 @@ from repro.elastic.arbiter import (
     ArbiterDecision,
     ProposalRecord,
     ScaleArbiter,
-    is_worker_vm,
 )
 from repro.multi.manager import ClusterManager, FleetSample, Tenant
 
@@ -30,5 +29,4 @@ __all__ = [
     "ProposalRecord",
     "ScaleArbiter",
     "Tenant",
-    "is_worker_vm",
 ]

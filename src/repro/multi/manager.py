@@ -35,10 +35,10 @@ from typing import Callable, Dict, List, Optional, Set
 
 from repro.cluster.cloud import CloudProvider, Cluster
 from repro.cluster.placement import PlacementPlan, bin_pack_plan
-from repro.cluster.vm import D2, D3
+from repro.cluster.vm import D2, D3, is_worker_vm
 from repro.core.strategy import strategy_by_name
 from repro.dataflow.graph import Dataflow
-from repro.elastic.arbiter import ScaleArbiter, is_worker_vm
+from repro.elastic.arbiter import ScaleArbiter
 from repro.elastic.controller import ElasticityController, build_controller
 from repro.elastic.monitor import ElasticityMonitor
 from repro.elastic.planner import AllocationPlanner

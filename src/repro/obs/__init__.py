@@ -1,9 +1,9 @@
 """Unified telemetry layer: metrics registry, span tracer, trace exporters.
 
-A trace is read from a finished run (:meth:`Telemetry.from_run`,
-:meth:`Telemetry.from_tenants`): nothing here is called while a simulation
-runs, and the engine hot paths pay nothing beyond the plain integer tallies
-they always kept.
+A trace is read from a finished run by one reader, :meth:`Telemetry.from_run`
+(a single fleet, or the tenants of a shared one): nothing here is called
+while a simulation runs, and the engine hot paths pay nothing beyond the
+plain integer tallies they always kept.
 """
 
 from .registry import Counter, Gauge, Histogram, MetricsRegistry

@@ -4,8 +4,9 @@ The registry is the *cold* half of the telemetry layer.  Nothing calls into
 it while a simulation runs -- hot components keep the plain integer/float
 tallies they always kept (``Simulator.processed_events``,
 ``Router.routed_count``, ``Executor.busy_time_s``, ...) and a registry is
-populated by **scraping** those tallies when a trace is built from a finished
-run (:meth:`repro.obs.Telemetry.from_run`, :meth:`~repro.obs.Telemetry.scrape`).
+populated by **scraping** those tallies when a trace is read from a finished
+run (:meth:`repro.obs.Telemetry.from_run`, the one reader, single fleet or
+shared; :meth:`~repro.obs.Telemetry.scrape` folds one runtime's).
 
 Metrics are keyed by ``(subsystem, name, labels)`` where ``labels`` is a
 sorted tuple of ``(key, value)`` pairs, so the same metric scraped for two

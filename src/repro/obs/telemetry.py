@@ -6,10 +6,9 @@ control tick, one :class:`~repro.elastic.controller.Reconfiguration` per
 scaling action, evacuation or recovery, ``CheckpointWave``, ``FaultRecord``,
 the arbiter's ``ProposalRecord`` -- and hot components keep plain tallies
 (``Simulator.processed_events``, ``Router.routed_count``, executor counters,
-...).  After the run,
-:meth:`Telemetry.from_run` (one single-fleet run) and
-:meth:`Telemetry.from_tenants` (the tenants of one shared fleet) read them
-into a fresh :class:`Telemetry`:
+...).  After the run, :meth:`Telemetry.from_run` reads them into a fresh
+:class:`Telemetry`, for a single fleet (one unlabelled tenant) and for the
+tenants of one shared fleet alike:
 
 * **Tick spans** -- one ``controller.tick`` span per tick with five stage
   children (``sense``, ``forecast``, ``plan``, ``place``, ``act``), written
@@ -72,47 +71,13 @@ class Telemetry:
             gauge("executor", "source_backlog", executor=executor_id, **label).set(backlog)
 
     # ------------------------------------------------------------- scraping
-    def scrape(self, runtime, provider=None, injector=None) -> None:
-        """Fold the plain tallies of the hot components into the registry."""
-        self._scrape_kernel(runtime.sim)
-        self._scrape_runtime(runtime)
+    def scrape(self, runtime, **label: str) -> None:
+        """Fold one runtime's tallies into the registry, each series carrying
+        ``label`` (a shared fleet's ``tenant``) but the kernel's, which the
+        tenants of one fleet share (each scrape sets the same totals)."""
         registry = self.registry
-        if provider is not None:
-            provisions: Dict[str, int] = {}
-            for record in provider.billing_records:
-                provisions[record.market] = provisions.get(record.market, 0) + 1
-            for market in sorted(provisions):
-                registry.counter("cloud", "provisions", market=market).set_total(
-                    provisions[market]
-                )
-            registry.counter("cloud", "provisioning_failures").set_total(
-                provider.provisioning_failures
-            )
-            breakdown = provider.cost_breakdown()
-            for market in sorted(breakdown):
-                registry.gauge("cloud", "cost", market=market).set(breakdown[market])
-            registry.gauge("cloud", "cost_total").set(provider.total_cost())
-
-        if injector is not None:
-            faults: Dict[tuple, int] = {}
-            for record in injector.records:
-                key = (record.event.kind, record.outcome)
-                faults[key] = faults.get(key, 0) + 1
-            for kind, outcome in sorted(faults):
-                registry.counter("chaos", "faults", kind=kind, outcome=outcome).set_total(
-                    faults[(kind, outcome)]
-                )
-
-    def _scrape_kernel(self, sim) -> None:
-        """Fold the simulator's tallies (shared by the tenants of one fleet)."""
-        registry = self.registry
-        registry.counter("kernel", "events_stepped").set_total(sim.processed_events)
-        registry.counter("kernel", "heap_compactions").set_total(sim.compactions)
-
-    def _scrape_runtime(self, runtime, **label: str) -> None:
-        """Fold one runtime's tallies, each series carrying ``label`` (a
-        shared fleet's ``tenant``)."""
-        registry = self.registry
+        registry.counter("kernel", "events_stepped").set_total(runtime.sim.processed_events)
+        registry.counter("kernel", "heap_compactions").set_total(runtime.sim.compactions)
         router = runtime.router
         registry.counter("router", "deliveries", **label).set_total(router.routed_count)
         registry.counter("router", "route_cache_builds", **label).set_total(router.plan_builds)
@@ -210,6 +175,35 @@ class Telemetry:
             if histogram.count == 0:  # scrape() may run more than once
                 for duration in durations[action_value]:
                     histogram.observe(duration)
+
+    def _scrape_fleet(self, provider, injector) -> None:
+        """Fold the cloud's provisioning and billing, and the injected faults."""
+        registry = self.registry
+        if provider is not None:
+            provisions: Dict[str, int] = {}
+            for record in provider.billing_records:
+                provisions[record.market] = provisions.get(record.market, 0) + 1
+            for market in sorted(provisions):
+                registry.counter("cloud", "provisions", market=market).set_total(
+                    provisions[market]
+                )
+            registry.counter("cloud", "provisioning_failures").set_total(
+                provider.provisioning_failures
+            )
+            breakdown = provider.cost_breakdown()
+            for market in sorted(breakdown):
+                registry.gauge("cloud", "cost", market=market).set(breakdown[market])
+            registry.gauge("cloud", "cost_total").set(provider.total_cost())
+
+        if injector is not None:
+            faults: Dict[tuple, int] = {}
+            for record in injector.records:
+                key = (record.event.kind, record.outcome)
+                faults[key] = faults.get(key, 0) + 1
+            for kind, outcome in sorted(faults):
+                registry.counter("chaos", "faults", kind=kind, outcome=outcome).set_total(
+                    faults[(kind, outcome)]
+                )
 
     # --------------------------------------------------- protocol synthesis
     def _record_ticks(self, ticks, tenant: Optional[str] = None) -> None:
@@ -473,60 +467,47 @@ class Telemetry:
                 **label,
             )
 
-    # ------------------------------------------------------------- builders
+    # -------------------------------------------------------------- reader
     @classmethod
-    def from_run(cls, runtime, controller, provider=None, injector=None,
+    def from_run(cls, controllers: Mapping[Optional[str], object], arbiter=None,
+                 provider=None, injector=None,
                  meta: Optional[Mapping[str, object]] = None) -> "Telemetry":
-        """The trace of one single-fleet closed-loop run, read from its records.
+        """The trace of one run, read from its records.
 
-        Tick spans come first, in tick order, then migrations, recoveries,
-        evacuations, checkpoint waves and faults (protocols still open at the
-        end of the run are capped there), then the scraped metrics.
+        ``controllers`` maps a tenant label to its controller; a single fleet
+        is one unlabelled tenant, ``{None: controller}``, read without its
+        private arbiter.  Spans: every tenant's ticks, its reconfigurations,
+        the ``arbiter``'s verdicts, every tenant's checkpoint waves, the
+        ``injector``'s faults (open protocols capped at the run's end).
+        Metrics: each tenant's queue gauges tick by tick (so each keeps its
+        high-water mark) and :meth:`scrape`, then ``provider``'s and
+        ``injector``'s.
         """
         telemetry = cls()
         telemetry.meta.update(meta or {})
-        telemetry._record_ticks(controller.ticks)
-        now = runtime.sim.now
-        protocol_spans = telemetry._record_reconfigurations(controller.reconfigurations, now)
-        telemetry._record_waves(runtime.checkpoints.history, protocol_spans, now)
-
+        labels = sorted(controllers)
+        sim = controllers[labels[0]].runtime.sim
+        for label in labels:
+            telemetry._record_ticks(controllers[label].ticks, tenant=label)
+        protocol_spans = {
+            label: telemetry._record_reconfigurations(
+                controllers[label].reconfigurations, sim.now, tenant=label
+            )
+            for label in labels
+        }
+        if arbiter is not None:
+            telemetry._record_arbiter(arbiter)
+        for label in labels:
+            telemetry._record_waves(controllers[label].runtime.checkpoints.history,
+                                    protocol_spans[label], sim.now, tenant=label)
         if injector is not None:
             telemetry._record_faults(injector.records)
 
-        # The queue gauges as each tick saw them, so each keeps its
-        # high-water mark; the scrape then sets the values the run ended on.
-        for tick in controller.ticks:
-            telemetry._set_queues(tick.queue_depths, tick.source_backlogs)
-        telemetry.scrape(runtime, provider=provider, injector=injector)
-        return telemetry
-
-    @classmethod
-    def from_tenants(cls, controllers: Mapping[str, object], arbiter, now: float,
-                     meta: Optional[Mapping[str, object]] = None) -> "Telemetry":
-        """The trace of a shared-fleet run: every tenant's ticks, then every
-        tenant's reconfigurations, labelled with the tenant, then the
-        arbiter's verdicts, then every tenant's checkpoint waves, labelled;
-        then the shared kernel's metrics and each tenant's scrape, labelled
-        with the tenant."""
-        telemetry = cls()
-        telemetry.meta.update(meta or {})
-        names = sorted(controllers)
-        for name in names:
-            telemetry._record_ticks(controllers[name].ticks, tenant=name)
-        protocol_spans = {
-            name: telemetry._record_reconfigurations(
-                controllers[name].reconfigurations, now, tenant=name
-            )
-            for name in names
-        }
-        telemetry._record_arbiter(arbiter)
-        for name in names:
-            telemetry._record_waves(controllers[name].runtime.checkpoints.history,
-                                    protocol_spans[name], now, tenant=name)
-        telemetry._scrape_kernel(controllers[names[0]].runtime.sim)
-        for name in names:
-            controller = controllers[name]
+        for label in labels:
+            tenant = {} if label is None else {"tenant": label}
+            controller = controllers[label]
             for tick in controller.ticks:
-                telemetry._set_queues(tick.queue_depths, tick.source_backlogs, tenant=name)
-            telemetry._scrape_runtime(controller.runtime, tenant=name)
+                telemetry._set_queues(tick.queue_depths, tick.source_backlogs, **tenant)
+            telemetry.scrape(controller.runtime, **tenant)
+        telemetry._scrape_fleet(provider, injector)
         return telemetry

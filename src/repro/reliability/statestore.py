@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.sim import Simulator
+from repro.sim.kernel import Simulator, checked_delay
 
 
 def checkpoint_key(dataflow_name: str, executor_id: str) -> str:
@@ -71,8 +71,9 @@ class StateStore:
         per_byte_latency_s: float = 5.0e-7,
     ) -> None:
         self.sim = sim
-        self.base_latency_s = base_latency_s
-        self.per_byte_latency_s = per_byte_latency_s
+        # Every latency rides the unchecked push_fast: checked here, once.
+        self.base_latency_s = checked_delay(base_latency_s, "base_latency_s")
+        self.per_byte_latency_s = checked_delay(per_byte_latency_s, "per_byte_latency_s")
         self._data: Dict[str, StoredValue] = {}
         self.stats = StateStoreStats()
 
@@ -103,7 +104,7 @@ class StateStore:
         self.stats.bytes_written += max(0, size_bytes)
         self.stats.total_write_latency_s += latency
         if on_complete is not None:
-            self.sim.schedule_fast(latency, on_complete)
+            self.sim.push_fast(self.sim.now + latency, on_complete, ())
         return latency
 
     def get(
@@ -125,7 +126,7 @@ class StateStore:
         self.stats.bytes_read += size
         self.stats.total_read_latency_s += latency
         if on_complete is not None:
-            self.sim.schedule_fast(latency, on_complete, (value,))
+            self.sim.push_fast(self.sim.now + latency, on_complete, (value,))
         return latency
 
     def delete(self, key: str) -> bool:

@@ -3,7 +3,7 @@
 The kernel is intentionally small: a virtual clock, a priority queue of
 scheduled callbacks, and helpers for periodic timers.  Components of the
 Storm-like engine (executors, ackers, checkpoint coordinators, the cloud
-substrate) interact only through the ``schedule*`` methods, which keeps the
+substrate) interact only through its scheduling methods, which keeps the
 whole system deterministic and single-threaded.
 
 Two scheduling paths exist, and periodic timers on top of the first:
@@ -13,11 +13,13 @@ Two scheduling paths exist, and periodic timers on top of the first:
   handles stay in the heap until their time comes up; the kernel counts them
   and compacts the heap when they pile up (long elastic runs re-arm and
   cancel many periodic timers).
-* :meth:`Simulator.schedule_fast` / :meth:`Simulator.schedule_at_fast` are the
-  **fire-and-forget fast path** used by the engine's hot loops (event
-  deliveries, service completions, state-store latencies).  They allocate no
-  handle, which roughly halves the per-event scheduling cost; the trade-off
-  is that such events cannot be cancelled.
+* :meth:`Simulator.push_fast` is the **fire-and-forget fast path** used by
+  the engine's hot loops (event deliveries, service completions, state-store
+  latencies).  It allocates no handle and checks nothing, which roughly
+  halves the per-event scheduling cost; the trade-off is that such events
+  cannot be cancelled, and that its callers pass ``now`` plus a delay the
+  runtime checked where it entered (a task's latency, a timing field, a
+  state-store latency).
 * :meth:`Simulator.every` fires a callback every period, first one period
   from now or at a given grid point, until its :class:`PeriodicTimer` is
   cancelled.
@@ -42,6 +44,14 @@ _COMPACT_MIN_CANCELLED = 64
 
 class SimulationError(RuntimeError):
     """Raised for invalid interactions with the simulation kernel."""
+
+
+def checked_delay(value: float, name: str) -> float:
+    """``value`` if :meth:`Simulator.push_fast` may add it to ``now``, checked
+    where it enters the runtime; else ``ValueError`` naming ``name``."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+    return value
 
 
 class Timer:
@@ -112,7 +122,6 @@ class Simulator:
         self._queue: List[tuple] = []
         self._counter = itertools.count()
         self._running = False
-        self._stopped = False
         self._processed = 0
         self._cancelled_in_heap = 0
         #: Upper time bound of the in-flight run() call (``None`` when
@@ -167,37 +176,15 @@ class Simulator:
         heapq.heappush(self._queue, (time, timer.seq, timer))
         return timer
 
-    def schedule_fast(self, delay: float, callback: Callable[..., Any], args: Tuple[Any, ...] = ()) -> None:
-        """Fire-and-forget :meth:`schedule`: no Timer handle.
-
-        This is the engine's hot path for events that are never cancelled
-        (deliveries, service completions, store latencies).  Positional
-        arguments are passed as a tuple.  The callback cannot be cancelled.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        time = self.now + delay
-        if not math.isfinite(time):
-            raise SimulationError(f"scheduled time must be finite, got {time}")
-        heapq.heappush(self._queue, (time, next(self._counter), callback, args))
-
-    def schedule_at_fast(self, time: float, callback: Callable[..., Any], args: Tuple[Any, ...] = ()) -> None:
-        """Fire-and-forget :meth:`schedule_at`: no Timer handle."""
-        if not math.isfinite(time):
-            raise SimulationError(f"scheduled time must be finite, got {time}")
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at t={time:.6f}, which is before now={self.now:.6f}"
-            )
-        heapq.heappush(self._queue, (time, next(self._counter), callback, args))
-
     def push_fast(self, time: float, callback: Callable[..., Any], args: Tuple[Any, ...]) -> None:
-        """Unchecked :meth:`schedule_at_fast`, for the engine's per-event hop.
+        """Fire-and-forget :meth:`schedule_at`: no Timer handle, no checks.
 
         Only for callers whose ``time`` is ``now`` plus a finite non-negative
-        constant by construction (a service time, a channel latency, a FIFO
-        bump past an earlier delivery): the two validity checks are then dead
-        weight on the hottest call in a run.
+        delay by construction (a service time, a channel latency, a FIFO bump
+        past an earlier delivery, a timing field checked by its owner): the
+        validity checks would be dead weight on the hottest call in a run.
+        Positional arguments are passed as a tuple.  The callback cannot be
+        cancelled.
         """
         heapq.heappush(self._queue, (time, next(self._counter), callback, args))
 
@@ -339,7 +326,6 @@ class Simulator:
             if until == math.inf:
                 until = None  # unbounded: the clock stays at the last event
         self._running = True
-        self._stopped = False
         queue = self._queue
         heappop = heapq.heappop
         processed = self._processed
@@ -347,7 +333,7 @@ class Simulator:
         self.run_until = until
         try:
             if max_events is None:
-                while queue and not self._stopped:
+                while queue:
                     entry = queue[0]
                     if entry[0] > bound:
                         break
@@ -368,19 +354,15 @@ class Simulator:
                         timer.callback(*timer.args)
             else:
                 for _ in range(max_events):
-                    if self._stopped or not self.step(bound):
+                    if not self.step(bound):
                         break
                 processed = self._processed
-            if until is not None and not self._stopped and self.now < until:
+            if until is not None and self.now < until:
                 self.now = until
         finally:
             self._processed = processed
             self._running = False
             self.run_until = None
-
-    def stop(self) -> None:
-        """Request the current :meth:`run` invocation to stop after the current event."""
-        self._stopped = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Simulator(now={self.now:.3f}, pending={self.pending_events})"

@@ -1,14 +1,16 @@
 """Named, independently seeded random streams.
 
-Every stochastic component of the simulation (worker start-up jitter, network
-transfer latency, rebalance duration, event payload generation) draws from its
-own named stream.  Streams are derived deterministically from a single master
-seed, so:
+Every stochastic component of the simulation draws from its own stream,
+derived deterministically from a single master seed, so:
 
 * the same master seed always produces the same experiment, and
 * adding a new consumer of randomness does not shift the values observed by
   existing consumers (which would happen if all components shared one
   ``random.Random``).
+
+Keyed channels (:class:`KeyedStream`: network jitter, provisioning, fault
+targets, payloads) take an int seed; :class:`RandomSource` serves the
+runtime's two stateful draws (rebalance duration, worker start-up delay).
 """
 
 from __future__ import annotations

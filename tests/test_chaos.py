@@ -64,7 +64,7 @@ from repro.experiments.scenarios import deploy_baseline, run_migration_experimen
 from repro.elastic.arbiter import ScaleArbiter
 from repro.reliability.repartition import PARTITIONED_STATE_KEY
 from repro.reliability.statestore import checkpoint_key
-from repro.sim import RandomSource, Simulator
+from repro.sim import Simulator
 from repro.sim.shard import log_digest
 from repro.workloads.profiles import ConstantRateProfile
 from tests.conftest import patched, tiny_dataflow
@@ -384,7 +384,7 @@ def _assemble_chaos_stack(dag: str, seed: int = 7):
         sim,
         spot_market=SpotMarket(discount=0.35),
         provisioning=ProvisioningModel(base_latency_s=30.0, jitter_fraction=0.2),
-        rng=RandomSource(seed),
+        seed=seed,
     )
     cluster = Cluster()
     util_vm = provider.provision(D3, 1, name_prefix="util", market=ON_DEMAND)[0]
@@ -551,7 +551,7 @@ class TestEvacuationMarket:
     )
     def test_replacement_market_either_side_of_the_boundary(self, market, expected):
         sim = Simulator()
-        provider = CloudProvider(sim, spot_market=market, rng=RandomSource(7))
+        provider = CloudProvider(sim, spot_market=market, seed=7)
         runtime, workers = deploy_baseline(
             topologies.grid(), strategy_by_name("ccr").runtime_config(seed=7), provider,
             worker_market=SPOT,
@@ -788,6 +788,25 @@ class TestFaultEventsAreCheckedWhenBuilt:
             "sim", "cluster", "on_kill", "seed", "on_notice"]
         for gone in ("ChaosSchedule", "PROVISION_DELAY"):
             assert not hasattr(chaos, gone)
+
+    def test_a_shared_fleets_util_vm_is_never_a_target(self):
+        """``util:<tenant>`` hosts a tenant's sources and sinks: off-limits
+        like ``util``, even when it is bought on the spot market."""
+        sim = Simulator()
+        provider = CloudProvider(sim, spot_market=SpotMarket(discount=0.35, eviction_rate_per_hour=0.5))
+        cluster = Cluster()
+        util, worker = (
+            provider.provision(vm_type, 1, name_prefix=prefix, market=SPOT)[0]
+            for vm_type, prefix in ((D3, "util"), (D2, "d2"))
+        )
+        util.tags["role"] = "util:t"
+        cluster.add_vm(util)
+        cluster.add_vm(worker)
+        killed = []
+        injector = FaultInjector(sim, cluster, on_kill=lambda vm_id, kind: killed.append(vm_id))
+        injector.arm([FaultEvent(at_s=float(i), kind=KILL) for i in range(1, 9)])
+        sim.run(until=10.0)
+        assert killed == [worker.vm_id] * 8
 
     def test_arm_fires_in_time_order(self):
         sim = Simulator()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -102,10 +103,43 @@ class TestValidation:
         assert ReliabilityConfig(max_spout_pending=None).max_spout_pending is None
         assert ReliabilityConfig(max_spout_pending=1).max_spout_pending == 1
 
-    @pytest.mark.parametrize("value", [0.0, -5.0])
-    def test_non_positive_ack_timeout_is_rejected(self, value):
-        with pytest.raises(ValueError, match="ack_timeout_s"):
+    @pytest.mark.parametrize("value", [0.0, -5.0, math.nan, math.inf])
+    def test_an_ack_timeout_that_never_fires_is_rejected(self, value):
+        # NaN used to pass the ``<= 0`` test.
+        with pytest.raises(ValueError, match="ack_timeout_s must be positive and finite"):
             ReliabilityConfig(ack_timeout_s=value)
+
+    @pytest.mark.parametrize("field, value", [
+        ("checkpoint_handling_s", -1.0),
+        ("checkpoint_handling_s", math.inf),
+        ("statestore_base_latency_s", math.nan),
+        ("statestore_per_byte_latency_s", -5.0e-7),
+        # An idle profile would re-arm its source at the same instant forever.
+        ("source_idle_recheck_s", 0.0),
+        ("source_idle_recheck_s", math.nan),
+    ])
+    def test_a_delay_that_is_no_delay_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TimingConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("checkpoint_handling_s", math.nan),
+        ("statestore_base_latency_s", -1.0),
+        ("statestore_per_byte_latency_s", math.inf),
+    ])
+    def test_a_delay_assigned_after_construction_is_refused_at_deploy(self, field, value):
+        """Timing is configured by assignment: the runtime checks the fields
+        it hands the kernel's unchecked fast path where it reads them."""
+        from repro.dataflow import topologies
+        from repro.engine.runtime import TopologyRuntime
+        from repro.sim import Simulator
+        from tests.conftest import build_cluster
+
+        config = RuntimeConfig.for_dcr()
+        setattr(config.timing, field, value)
+        sim = Simulator()
+        with pytest.raises(ValueError, match=field.removeprefix("statestore_")):
+            TopologyRuntime(topologies.linear(), build_cluster(sim), sim=sim, config=config).deploy()
 
     @pytest.mark.parametrize("value", [0.0, -100.0])
     def test_non_positive_burst_rate_is_rejected(self, value):

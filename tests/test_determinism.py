@@ -102,8 +102,8 @@ def test_fields_grouping_uses_stable_hash():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "Cluster() builds NetworkModel() on RandomSource()'s default master seed "
-    "2018, so the run seed never reaches network jitter (CHANGES.md FOUND)"))
+    "Cluster() builds NetworkModel() on its default seed 2018, so the run "
+    "seed never reaches network jitter (CHANGES.md FOUND)"))
 def test_the_run_seed_reaches_network_jitter():
     """Two seeds draw two different jitter sequences on the same channel."""
     draws = []

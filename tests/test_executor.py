@@ -288,7 +288,7 @@ class TestSinkInlineService:
         times = [0.001 * (i // 5) for i in range(500)]
         expected = [(t, e.root_id, e.event_id, "sink") for t, e in zip(times, events)]
         for t, event in zip(times, events):
-            runtime.sim.schedule_at_fast(t, runtime.deliver, ("sink#0", event, "work#0"))
+            runtime.sim.push_fast(t, runtime.deliver, ("sink#0", event, "work#0"))
         runtime.sim.run()
         assert self.records(runtime) == expected
         assert runtime.sim.processed_events == 500  # the deliveries themselves, nothing else

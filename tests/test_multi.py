@@ -420,10 +420,9 @@ class TestSharedFleetVmLoss:
         victim = self.worker_vms(manager, "linear")[0][0].vm_id
         record = linear.controller.handle_vm_failure(victim)
         manager.run(until=200.0)
-        trace = Telemetry.from_tenants(
+        trace = Telemetry.from_run(
             {name: manager.tenant(name).controller for name in ("traffic", "linear")},
-            manager.arbiter,
-            now=200.0,
+            arbiter=manager.arbiter,
         )
         tracer = trace.tracer
         [span] = tracer.by_category("recovery")

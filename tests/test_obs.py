@@ -554,6 +554,16 @@ def test_a_single_fleet_trace_labels_no_tenant(golden_traces):
         assert not [m for m in metrics if "tenant" in m["labels"]], run
 
 
+def test_a_single_fleet_trace_holds_no_arbiter_span(traced, trace):
+    """One reader, :meth:`Telemetry.from_run`, reads a single fleet as one
+    unlabelled tenant with no arbiter: the private one-tenant arbiter every
+    single-fleet controller asks (and which logged each proposal) adds no
+    span."""
+    assert traced.controller.arbiter.log
+    assert not trace.tracer.by_category("arbiter")
+    assert not hasattr(Telemetry, "from_tenants")
+
+
 # ----------------------------------------------------------------- exporters
 class TestExporters:
     def test_jsonl_roundtrip_validates(self, tmp_path, trace):

@@ -92,7 +92,7 @@ class ReferenceRouter:
                 runtime.acker.anchor(copy.root_id, copy.event_id)
             time = self._delivery_time(sender_id, target, now)
             self.routed_count += 1
-            runtime.sim.schedule_at_fast(time, runtime.deliver, (target, copy, sender_id))
+            runtime.sim.push_fast(time, runtime.deliver, (target, copy, sender_id))
             first += num
 
     def send_direct(self, sender_id, target, event):
@@ -101,7 +101,7 @@ class ReferenceRouter:
             runtime.acker.anchor(event.root_id, event.event_id)
         time = self._delivery_time(sender_id, target, runtime.sim.now)
         self.routed_count += 1
-        runtime.sim.schedule_at_fast(time, runtime.deliver, (target, event, sender_id))
+        runtime.sim.push_fast(time, runtime.deliver, (target, event, sender_id))
 
     def _delivery_time(self, sender_id, target, now):
         channel = (sender_id, target)

@@ -114,7 +114,7 @@ class TestRunControl:
         cancelled = sim.schedule(0.5, fired.append, "never")
         cancelled.cancel()  # skipped, not counted
         for i in range(5):
-            sim.schedule_fast(float(i + 1), fired.append, (i,))
+            sim.push_fast(float(i + 1), fired.append, (i,))
         sim.run(until=2.5, max_events=4)
         assert fired == [0, 1]  # the time bound ends the run first
         assert sim.now == 2.5 and sim.processed_events == 2
@@ -164,18 +164,9 @@ class TestRunControl:
     def test_step_stops_at_its_bound(self):
         sim = Simulator()
         fired = []
-        sim.schedule_fast(1.0, fired.append, ("a",))
+        sim.push_fast(1.0, fired.append, ("a",))
         assert sim.step(until=0.5) is False and fired == []
         assert sim.step(until=1.0) is True and fired == ["a"]
-
-    def test_stop_halts_run(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, fired.append, "a")
-        sim.schedule(2.0, lambda: sim.stop())
-        sim.schedule(3.0, fired.append, "b")
-        sim.run()
-        assert fired == ["a"]
 
     def test_step_returns_false_when_empty(self):
         assert Simulator().step() is False
@@ -306,18 +297,28 @@ class TestPeriodicTimer:
 
 
 class TestFastPathScheduling:
-    def test_schedule_fast_runs_in_time_order(self):
+    def test_the_scheduling_entry_points(self):
+        """One cancellable pair, one fire-and-forget entry, one periodic."""
+        sim = Simulator()
+        names = {name for name in dir(sim) if name.startswith(("schedule", "push", "every"))}
+        assert names == {"schedule", "schedule_at", "push_fast", "every"}
+        for gone in ("schedule_fast", "schedule_at_fast", "stop", "_stopped"):
+            with pytest.raises(AttributeError):
+                getattr(sim, gone)
+
+    def test_push_fast_runs_in_time_order(self):
         sim = Simulator()
         fired = []
-        sim.schedule_fast(2.0, fired.append, ("late",))
-        sim.schedule_fast(1.0, fired.append, ("early",))
+        sim.push_fast(2.0, fired.append, ("late",))
+        sim.push_fast(1.0, fired.append, ("early",))
         sim.run()
         assert fired == ["early", "late"]
 
-    def test_schedule_at_fast_absolute_time(self):
+    def test_push_fast_takes_an_absolute_time(self):
         sim = Simulator()
         fired = []
-        sim.schedule_at_fast(3.5, fired.append, ("x",))
+        sim.run(until=1.0)
+        sim.push_fast(3.5, fired.append, ("x",))
         sim.run()
         assert fired == ["x"]
         assert sim.now == pytest.approx(3.5)
@@ -326,27 +327,15 @@ class TestFastPathScheduling:
         sim = Simulator()
         fired = []
         sim.schedule(1.0, fired.append, "timer-first")
-        sim.schedule_fast(1.0, fired.append, ("fast-second",))
+        sim.push_fast(1.0, fired.append, ("fast-second",))
         sim.schedule(1.0, fired.append, "timer-third")
         sim.run()
         assert fired == ["timer-first", "fast-second", "timer-third"]
 
-    def test_fast_negative_delay_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.schedule_fast(-0.1, lambda: None)
-
-    def test_fast_schedule_in_the_past_rejected(self):
-        sim = Simulator()
-        sim.schedule(5.0, lambda: None)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.schedule_at_fast(1.0, lambda: None)
-
     def test_fast_events_count_as_processed_and_pending(self):
         sim = Simulator()
-        sim.schedule_fast(1.0, lambda: None)
-        sim.schedule_fast(2.0, lambda: None)
+        sim.push_fast(1.0, lambda: None, ())
+        sim.push_fast(2.0, lambda: None, ())
         assert sim.pending_events == 2
         sim.run()
         assert sim.processed_events == 2
@@ -355,7 +344,7 @@ class TestFastPathScheduling:
     def test_step_executes_fast_entries(self):
         sim = Simulator()
         fired = []
-        sim.schedule_fast(1.0, fired.append, ("a",))
+        sim.push_fast(1.0, fired.append, ("a",))
         assert sim.step() is True
         assert fired == ["a"]
 

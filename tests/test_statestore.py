@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.reliability.statestore import StateStore
@@ -12,6 +14,16 @@ class TestLatencyModel:
     def test_write_latency_scales_with_size(self, sim):
         store = StateStore(sim)
         assert store.write_latency(10_000) > store.write_latency(100)
+
+    @pytest.mark.parametrize("field, value", [
+        ("base_latency_s", math.nan),
+        ("base_latency_s", -0.001),
+        ("per_byte_latency_s", math.inf),
+    ])
+    def test_a_latency_that_is_no_delay_is_refused(self, sim, field, value):
+        # Completions ride the kernel's unchecked fast path.
+        with pytest.raises(ValueError, match=field):
+            StateStore(sim, **{field: value})
 
     def test_base_latency_applies_to_empty_write(self, sim):
         store = StateStore(sim, base_latency_s=0.002, per_byte_latency_s=0.0)

@@ -35,11 +35,6 @@ class TestMigrationReport:
         assert report.is_complete
         assert report.protocol_duration_s == pytest.approx(30.0)
 
-    def test_notes_are_free_form(self):
-        report = self._report()
-        report.notes["rescaled_at"] = 123.0
-        assert report.notes["rescaled_at"] == 123.0
-
 
 class TestStrategyRegistry:
     def test_register_strategy_decorator(self):

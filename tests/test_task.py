@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.dataflow.task import SinkTask, SourceTask, Task, TaskKind, default_logic
@@ -24,9 +26,11 @@ class TestTaskValidation:
         with pytest.raises(ValueError):
             Task(name="t", parallelism=0)
 
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
-            Task(name="t", latency_s=-0.1)
+    @pytest.mark.parametrize("latency", [-0.1, math.nan, math.inf])
+    def test_a_latency_that_is_no_delay_is_rejected(self, latency):
+        # The executor hands it to the kernel's unchecked fast path.
+        with pytest.raises(ValueError, match="latency_s must be finite and non-negative"):
+            Task(name="t", latency_s=latency)
 
     def test_instance_ids(self):
         task = Task(name="t", parallelism=3)
@@ -61,9 +65,11 @@ class TestSourceAndSink:
         assert source.rate == 8.0
         assert source.latency_s == 0.0
 
-    def test_source_requires_positive_rate(self):
-        with pytest.raises(ValueError):
-            SourceTask(name="src", rate=0.0)
+    @pytest.mark.parametrize("rate", [0.0, math.inf, math.nan])
+    def test_source_rate_must_be_positive_and_finite(self, rate):
+        # inf used to pass here and die after deploy in Dataflow.input_rates_exact.
+        with pytest.raises(ValueError, match="rate must be positive and finite"):
+            SourceTask(name="src", rate=rate)
 
     def test_sink_kind(self):
         sink = SinkTask(name="sink")
